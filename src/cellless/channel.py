@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -190,51 +191,58 @@ def amplitude_scale(tx_power_dbm: float, pathloss_db: float, shadow_db: float) -
     return 10.0 ** ((tx_power_dbm - 30.0 - pathloss_db + shadow_db) / 20.0)
 
 
-def cluster_amplitudes(link: LinkRealization, geom: PanelGeometry,
-                       steer: SteeringDirection) -> np.ndarray:
-    """Coherent per-cluster complex amplitudes of h(tau) at the PoA side.
+# Per-link fields read by the energy kernel, stacked by ``stack_links``
+# under their LinkRealization names, plus "los_zenith" / "los_azimuth".
+_STACKED_FIELDS = ("aod_zenith", "aod_azimuth", "phases", "cluster_powers", "los",
+                   "rician_k", "pathloss_db", "shadow_db", "d_3d")
 
-    The target is a single isotropic element (unit field). LoS mixing folds
-    the direct-path term into the first cluster's delay bin.
+
+def stack_links(links) -> dict:
+    """Arrays of the link fields the energy kernel reads.
+
+    ``links`` is one LinkRealization or nested lists of them; the nesting
+    becomes the arrays' leading axes (one link gives leading shape ()).
     """
-    phi_lcs = wrap_angle(link.aod_azimuth - geom.mech_azimuth)
-    f = panel_field(geom, link.aod_zenith, phi_lcs, steer)
-    amps = np.sqrt(link.cluster_powers / link.phases.shape[1]) * (
-        f * np.exp(1j * link.phases)).sum(axis=1)
-    if link.los:
-        k = link.rician_k
-        lam = SPEED_OF_LIGHT / link.frequency
-        f0 = complex(panel_field(
-            geom, link.los_aod[0], wrap_angle(link.los_aod[1] - geom.mech_azimuth), steer))
-        h_los = f0 * np.exp(-1j * 2.0 * math.pi * link.d_3d / lam)
-        amps = amps * math.sqrt(1.0 / (1.0 + k))
-        amps[0] += math.sqrt(k / (1.0 + k)) * h_los
-    return amps
+    def nested(get, item):
+        if isinstance(item, LinkRealization):
+            return get(item)
+        return [nested(get, x) for x in item]
+
+    stack = {name: np.array(nested(attrgetter(name), links)) for name in _STACKED_FIELDS}
+    stack["los_zenith"] = np.array(nested(lambda l: l.los_aod[0], links))
+    stack["los_azimuth"] = np.array(nested(lambda l: l.los_aod[1], links))
+    return stack
+
+
+def unit_link_energy(stack: dict, geom: PanelGeometry, steer: SteeringDirection,
+                     frequency: float) -> np.ndarray:
+    """Energy [W] of |h_tilde(tau)|^2 at 1 W transmit power for every stacked link.
+
+    The target is a single isotropic element (unit field). Clusters sit at
+    distinct delays, so the energy is the sum of squared per-cluster
+    amplitudes; LoS mixing folds the direct path into the first cluster.
+    Returns an array with the stack's leading shape.
+    """
+    mech = geom.mech_azimuth
+    f = panel_field(geom, stack["aod_zenith"], wrap_angle(stack["aod_azimuth"] - mech), steer)
+    nr = stack["phases"].shape[-1]
+    amps = (np.sqrt(stack["cluster_powers"] / nr)
+            * (f * np.exp(1j * stack["phases"])).sum(axis=-1))
+    # K = 0 off-LoS makes the Rician mix reduce to the pure scattered term.
+    k = np.where(stack["los"], stack["rician_k"], 0.0)
+    lam = SPEED_OF_LIGHT / frequency
+    f0 = panel_field(geom, stack["los_zenith"], wrap_angle(stack["los_azimuth"] - mech), steer)
+    h_los = f0 * np.exp(-1j * 2.0 * math.pi * stack["d_3d"] / lam)
+    amps = amps * np.sqrt(1.0 / (1.0 + k))[..., None]
+    amps[..., 0] += np.sqrt(k / (1.0 + k)) * h_los
+    scale2 = 10.0 ** ((-stack["pathloss_db"] + stack["shadow_db"]) / 10.0)
+    return scale2 * (np.abs(amps) ** 2).sum(axis=-1)
 
 
 def link_energy(link: LinkRealization, tx_power_dbm: float,
                 geom: PanelGeometry, steer: SteeringDirection) -> float:
-    """Integrated energy of |h_tilde(tau)|^2 in watts.
-
-    Clusters sit at distinct delays, so the integral is the sum of squared
-    per-cluster amplitudes scaled by transmit power, pathloss, and shadowing.
-    """
-    scale = amplitude_scale(tx_power_dbm, link.pathloss_db, link.shadow_db)
-    amps = cluster_amplitudes(link, geom, steer)
-    return float(scale ** 2 * np.sum(np.abs(amps) ** 2))
-
-
-def interference_energy(entries) -> float:
-    """Energy of the coherent sum of several links' impulse responses.
-
-    ``entries`` is a list of (link, tx_power_dbm, geom, steer). Amplitudes
-    sharing an exact delay add coherently; distinct delays contribute their
-    energies independently.
-    """
-    bins: dict[float, complex] = {}
-    for link, tx_dbm, geom, steer in entries:
-        scale = amplitude_scale(tx_dbm, link.pathloss_db, link.shadow_db)
-        amps = scale * cluster_amplitudes(link, geom, steer)
-        for tau, a in zip(link.delays, amps):
-            bins[float(tau)] = bins.get(float(tau), 0.0) + complex(a)
-    return float(sum(abs(a) ** 2 for a in bins.values()))
+    """Integrated energy of |h_tilde(tau)|^2 in watts for one link."""
+    if tx_power_dbm == -math.inf:
+        return 0.0
+    unit = unit_link_energy(stack_links(link), geom, steer, link.frequency)
+    return float(10.0 ** ((tx_power_dbm - 30.0) / 10.0) * unit)

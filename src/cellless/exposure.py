@@ -8,8 +8,9 @@ from distinct operating frequencies add.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 FREE_SPACE_IMPEDANCE = 377.0
 
@@ -57,18 +58,21 @@ class FrequencyMap:
                 f"no reference frequency mapped for {frequency} Hz") from None
 
 
-def incident_field(power_density: float) -> float:
-    """Incident electric field [V/m] from power density [W/m^2]."""
-    if power_density < 0:
+def incident_field(power_density):
+    """Incident electric field [V/m] from power density [W/m^2], scalar or array."""
+    s = np.asarray(power_density, dtype=float)
+    if np.any(s < 0):
         raise ValueError("power density must be non-negative")
-    return math.sqrt(power_density * FREE_SPACE_IMPEDANCE)
+    e = np.sqrt(s * FREE_SPACE_IMPEDANCE)
+    return e if e.ndim else float(e)
 
 
-def sar_wb(e_inc_by_freq: dict, phantom: PhantomProfile, freq_map: FrequencyMap) -> float:
+def sar_wb(e_inc_by_freq: dict, phantom: PhantomProfile, freq_map: FrequencyMap):
     """Whole-body SAR [W/kg] from per-frequency incident fields [V/m].
 
     Quadratic in each field, linear in the body mass index; frequencies
-    contribute additively.
+    contribute additively, in the dict's order. Fields may be arrays of
+    one shape, giving the SAR elementwise.
     """
     total = 0.0
     for f, e_inc in e_inc_by_freq.items():

@@ -1,24 +1,30 @@
 """SINR, per-user rates, per-human exposure, and the constraint system.
 
-The Evaluator samples every link realization once per (scenario, seed) and
-reduces a candidate solution to linear algebra over per-beam unit-power
-energy tables. Channel ray geometry does not depend on any decision
-variable, so beam changes only invalidate the owning PoA's table row and
-power changes invalidate nothing; this is what makes the power-descent
-loop and annealing benchmark cheap.
+The Evaluator samples every link realization once per (scenario, seed),
+stacks them per PoA, and keeps one unit-power (1 W) energy table per beam
+geometry, computed by ``channel.unit_link_energy`` and cached. Channel ray
+geometry does not depend on any decision variable, so beam changes only
+add table entries and power changes invalidate nothing.
+
+One core turns a solution into the received power of every active beam at
+every target, shape (beams, targets, realizations). Each user's signal and
+co-channel interference, and each human's per-frequency received power,
+are masked sums of it over the beam axis; the latter feeds
+``power_density`` -> ``exposure.incident_field`` -> ``exposure.sar_wb``.
+``metrics``, ``mean_rates``, ``sinr`` and ``rate`` are all views of it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import channel as ch
 from .antenna import PanelGeometry, SteeringDirection, width_to_panel, wrap_angle
-from .exposure import FREE_SPACE_IMPEDANCE
+from .exposure import incident_field, sar_wb
 from .scenario import Scenario
 from .solution import SolutionState, validate
 
@@ -56,15 +62,15 @@ class MetricsBundle:
         return max(self.per_human_sar.values()) if self.per_human_sar else 0.0
 
 
-def power_density(frequency: float, p_rx: float) -> float:
+def power_density(frequency: float, p_rx):
     """Incident power density [W/m^2]: received power over the isotropic
-    effective area lambda^2 / 4*pi."""
-    if p_rx < 0:
+    effective area lambda^2 / 4*pi. Scalar or array received power."""
+    if np.any(np.asarray(p_rx) < 0):
         raise ValueError("received power must be non-negative")
     return p_rx * 4.0 * math.pi * frequency ** 2 / ch.SPEED_OF_LIGHT ** 2
 
 
-def shannon_rate(bandwidth: float, sinr: float):
+def shannon_rate(bandwidth, sinr):
     return bandwidth * np.log2(1.0 + np.asarray(sinr, dtype=float))
 
 
@@ -80,8 +86,7 @@ class Evaluator:
     geometry, so re-evaluating with different powers is nearly free.
     """
 
-    def __init__(self, scenario: Scenario, seed: int, n_realizations: int = 10,
-                 workers: int = 1):
+    def __init__(self, scenario: Scenario, seed: int, n_realizations: int = 10):
         if n_realizations < 1:
             raise ValueError("need at least one realization")
         self.scenario = scenario
@@ -89,192 +94,150 @@ class Evaluator:
         self.n_realizations = int(n_realizations)
         self.targets = list(scenario.users) + list(scenario.humans)
         self.target_index = {t.id: i for i, t in enumerate(self.targets)}
-        self._stacks = {}
-        self._gain_cache = {}
-        self._sample_all(max(1, workers))
-
-    # -- sampling -----------------------------------------------------------
-
-    def _sample_all(self, workers):
-        def sample_poa(p_idx):
-            poa = self.scenario.poas[p_idx]
-            links = [
-                [
-                    ch.sample_link(poa.position.as_tuple(), poa.frequency,
-                                   t.position.as_tuple(), self.scenario.channel_params,
-                                   ch.link_rng(self.seed, r, p_idx, t_idx))
-                    for t_idx, t in enumerate(self.targets)
-                ]
-                for r in range(self.n_realizations)
-            ]
-            return poa.id, self._stack(links)
-
-        if workers > 1 and len(self.scenario.poas) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(sample_poa, range(len(self.scenario.poas))))
-        else:
-            results = [sample_poa(i) for i in range(len(self.scenario.poas))]
-        self._stacks = dict(results)
-
-    @staticmethod
-    def _stack(links):
-        """Stack per-(realization, target) LinkRealizations into arrays."""
-        if not links or not links[0]:
-            return None
-        get = lambda attr: np.array([[getattr(l, attr) for l in row] for row in links])
-        stack = {
-            "aod_zen": get("aod_zenith"),      # (R, T, Nc, Nr)
-            "aod_az": get("aod_azimuth"),
-            "phases": get("phases"),
-            "powers": get("cluster_powers"),   # (R, T, Nc)
-            "los": get("los"),                 # (R, T)
-            "k": get("rician_k"),
-            "pl": get("pathloss_db"),
-            "shadow": get("shadow_db"),
-            "d3d": get("d_3d"),
-            "los_zen": np.array([[l.los_aod[0] for l in row] for row in links]),
-            "los_az": np.array([[l.los_aod[1] for l in row] for row in links]),
+        self._user_ids = [u.id for u in scenario.users]
+        self._poa_index = {p.id: i for i, p in enumerate(scenario.poas)}
+        self._poa_frequency = np.array([p.frequency for p in scenario.poas])
+        self._poa_bandwidth = np.array([p.bandwidth for p in scenario.poas])
+        self._humans_by_phantom = {
+            name: np.array([i for i, h in enumerate(scenario.humans) if h.phantom_id == name])
+            for name in {h.phantom_id for h in scenario.humans}
         }
-        stack["links"] = links
-        return stack
-
-    def link(self, realization: int, poa_id: str, target_id: str):
-        p = next(i for i, q in enumerate(self.scenario.poas) if q.id == poa_id)
-        return self._stacks[poa_id]["links"][realization][self.target_index[target_id]]
+        self._panels = {
+            p.id: PanelGeometry(p.panel_rows, p.panel_cols, mech_azimuth=p.mech_azimuth,
+                                element_pattern=p.element_pattern)
+            for p in scenario.poas
+        }
+        self._gain_cache = {}
+        self._stacks = {
+            poa.id: ch.stack_links([
+                [ch.sample_link(poa.position.as_tuple(), poa.frequency,
+                                t.position.as_tuple(), scenario.channel_params,
+                                ch.link_rng(self.seed, r, p_idx, t_idx))
+                 for t_idx, t in enumerate(self.targets)]
+                for r in range(self.n_realizations)
+            ])
+            for p_idx, poa in enumerate(scenario.poas)
+        }
 
     # -- per-beam unit-power gains -------------------------------------------
 
     def beam_gains(self, beam) -> np.ndarray:
         """(n_realizations, n_targets) energies at 1 W transmit power."""
-        poa = self.scenario.poa_by_id(beam.owner_poa)
-        panel = PanelGeometry(poa.panel_rows, poa.panel_cols,
-                              mech_azimuth=poa.mech_azimuth,
-                              element_pattern=poa.element_pattern)
+        panel = self._panels[beam.owner_poa]
         n_eff = width_to_panel(beam.width, panel)
         key = (beam.owner_poa, round(beam.zenith, 12), round(beam.azimuth, 12), n_eff)
         cached = self._gain_cache.get(key)
-        if cached is not None:
-            return cached
-        geom = PanelGeometry(poa.panel_rows, n_eff,
-                             mech_azimuth=poa.mech_azimuth,
-                             element_pattern=poa.element_pattern)
-        steer = SteeringDirection(beam.zenith, wrap_angle(beam.azimuth - poa.mech_azimuth))
-        s = self._stacks[poa.id]
-        f = ch.panel_field(geom, s["aod_zen"], wrap_angle(s["aod_az"] - poa.mech_azimuth), steer)
-        nr = s["phases"].shape[-1]
-        amps = np.sqrt(s["powers"] / nr) * (f * np.exp(1j * s["phases"])).sum(axis=-1)
-        # K = 0 off-LoS makes the Rician mix reduce to the pure scattered term.
-        k = np.where(s["los"], s["k"], 0.0)
-        lam = ch.SPEED_OF_LIGHT / poa.frequency
-        f0 = ch.panel_field(geom, s["los_zen"], wrap_angle(s["los_az"] - poa.mech_azimuth), steer)
-        h_los = f0 * np.exp(-1j * 2.0 * math.pi * s["d3d"] / lam)
-        amps = amps * np.sqrt(1.0 / (1.0 + k))[..., None]
-        amps[..., 0] += np.sqrt(k / (1.0 + k)) * h_los
-        scale2 = 10.0 ** ((-s["pl"] + s["shadow"]) / 10.0)
-        gains = scale2 * (np.abs(amps) ** 2).sum(axis=-1)
-        self._gain_cache[key] = gains
-        return gains
+        if cached is None:
+            poa = self.scenario.poa_by_id(beam.owner_poa)
+            steer = SteeringDirection(beam.zenith, wrap_angle(beam.azimuth - poa.mech_azimuth))
+            cached = self._gain_cache[key] = ch.unit_link_energy(
+                self._stacks[poa.id], replace(panel, cols=n_eff), steer, poa.frequency)
+        return cached
 
-    # -- aggregation -----------------------------------------------------------
+    # -- the received-power core -----------------------------------------------
 
-    def _active_beams(self, solution):
-        return [b for b in solution.beams if b.active]
+    def _received(self, solution):
+        """Received power [W] of every active beam at every target.
 
-    def _interference(self, solution, victim_poa, frequency, t_idx):
-        """Per-realization interference power [W] at target index t_idx."""
-        total = np.zeros(self.n_realizations)
-        for pid in solution.active_poas():
-            if pid == victim_poa:
-                continue
-            poa = self.scenario.poa_by_id(pid)
-            if poa.frequency != frequency:
-                continue
-            beams = [b for b in solution.beams_of(pid) if b.active]
-            p_lin = _lin(solution.tx_power.get(pid, -math.inf)) / len(beams)
-            for b in beams:
-                total += p_lin * self.beam_gains(b)[:, t_idx]
-        return total
+        Returns (power, poa_of_beam, beam_of_user). ``power`` has shape
+        (beams, targets, realizations), beams ordered by PoA id and then as
+        listed in the solution; each PoA's power is split evenly over its
+        active beams. ``poa_of_beam`` indexes scenario.poas, and
+        ``beam_of_user`` maps each served user to the row of the first
+        beam that lists it.
+        """
+        active = sorted((b.owner_poa, i) for i, b in enumerate(solution.beams) if b.active)
+        n_active = Counter(pid for pid, _ in active)
+        power = np.empty((len(active), len(self.targets), self.n_realizations))
+        row_of = {}
+        for row, (pid, i) in enumerate(active):
+            p_lin = _lin(solution.tx_power.get(pid, -math.inf)) / n_active[pid]
+            power[row] = (p_lin * self.beam_gains(solution.beams[i])).T
+            row_of[i] = row
+        beam_of_user = {}
+        for i, b in enumerate(solution.beams):
+            for uid in b.served_users:
+                beam_of_user.setdefault(uid, row_of[i])
+        poa_of_beam = np.array([self._poa_index[pid] for pid, _ in active], dtype=int)
+        return power, poa_of_beam, beam_of_user
+
+    def _sinr(self, received, user_ids):
+        """(users, realizations) linear SINR and each user's bandwidth [Hz].
+
+        Interference is the power of every beam on the serving PoA's
+        frequency from every other PoA.
+        """
+        power, poa_of_beam, beam_of_user = received
+        try:
+            rows = np.array([beam_of_user[uid] for uid in user_ids], dtype=int)
+        except KeyError as e:
+            raise UnservedUserError(e.args[0]) from None
+        cols = np.array([self.target_index[uid] for uid in user_ids], dtype=int)
+        own = poa_of_beam[rows]
+        freq = self._poa_frequency
+        co_channel = ((freq[poa_of_beam][:, None] == freq[own][None, :])
+                      & (poa_of_beam[:, None] != own[None, :]))
+        interference = np.where(co_channel[..., None], power[:, cols], 0.0).sum(axis=0)
+        noise = NOISE_DENSITY_W_HZ * self._poa_bandwidth[own]
+        return power[rows, cols] / (noise[:, None] + interference), self._poa_bandwidth[own]
+
+    def _rates(self, received, user_ids):
+        """(users, realizations) achievable rates [bit/s]."""
+        sinr, bandwidth = self._sinr(received, user_ids)
+        return shannon_rate(bandwidth[:, None], sinr)
+
+    def _exposure(self, received):
+        """Per-human mean SAR (humans,) and mean power density per frequency."""
+        power, poa_of_beam, _ = received
+        beam_freq = self._poa_frequency[poa_of_beam]
+        at_humans = power[:, len(self.scenario.users):]
+        fields, density = {}, {}
+        for f in sorted(set(beam_freq.tolist())):
+            s = power_density(f, at_humans[beam_freq == f].sum(axis=0))
+            density[f] = s.mean(axis=-1)
+            fields[f] = incident_field(s)
+        sar = np.zeros((len(self.scenario.humans), self.n_realizations))
+        for name, rows in self._humans_by_phantom.items():
+            sar[rows] = sar_wb({f: e[rows] for f, e in fields.items()},
+                               self.scenario.phantoms[name], self.scenario.frequency_map)
+        return sar.mean(axis=-1), density
+
+    # -- views -------------------------------------------------------------------
 
     def sinr(self, user_id: str, solution: SolutionState) -> np.ndarray:
         """Per-realization linear SINR for one user."""
-        try:
-            beam = solution.beam_for_user(user_id)
-        except KeyError:
-            raise UnservedUserError(user_id) from None
-        poa = self.scenario.poa_by_id(beam.owner_poa)
-        t_idx = self.target_index[user_id]
-        n_beams = len([b for b in solution.beams_of(poa.id) if b.active])
-        p_lin = _lin(solution.tx_power.get(poa.id, -math.inf)) / n_beams
-        signal = p_lin * self.beam_gains(beam)[:, t_idx]
-        noise = NOISE_DENSITY_W_HZ * poa.bandwidth
-        interference = self._interference(solution, poa.id, poa.frequency, t_idx)
-        return signal / (noise + interference)
+        return self._sinr(self._received(solution), [user_id])[0][0]
 
     def rate(self, user_id: str, solution: SolutionState) -> np.ndarray:
         """Per-realization achievable rate [bit/s] for one user."""
-        beam = solution.beam_for_user(user_id)
-        poa = self.scenario.poa_by_id(beam.owner_poa)
-        return shannon_rate(poa.bandwidth, self.sinr(user_id, solution))
+        return self._rates(self._received(solution), [user_id])[0]
 
-    def human_received_power(self, human_id: str, solution: SolutionState,
-                             frequency: float) -> np.ndarray:
-        """Per-realization power [W] received by a human from one frequency group."""
-        t_idx = self.target_index[human_id]
-        total = np.zeros(self.n_realizations)
-        for pid in solution.active_poas():
-            poa = self.scenario.poa_by_id(pid)
-            if poa.frequency != frequency:
-                continue
-            beams = [b for b in solution.beams_of(pid) if b.active]
-            p_lin = _lin(solution.tx_power.get(pid, -math.inf)) / len(beams)
-            for b in beams:
-                total += p_lin * self.beam_gains(b)[:, t_idx]
-        return total
+    def mean_rates(self, solution: SolutionState) -> np.ndarray:
+        """Mean rate [bit/s] over realizations of every user, in scenario order."""
+        return self._rates(self._received(solution), self._user_ids).mean(axis=-1)
 
     def metrics(self, solution: SolutionState) -> MetricsBundle:
         """Averaged rates and SAR over all realizations, plus feasibility."""
         scenario = self.scenario
-        per_user_rate = {}
-        violated = []
-        for u in scenario.users:
-            r = float(self.rate(u.id, solution).mean())
-            per_user_rate[u.id] = r
-            if r < u.required_rate:
-                violated.append(f"rate:{u.id}")
-
-        active_freqs = sorted({
-            scenario.poa_by_id(pid).frequency for pid in solution.active_poas()
-        })
-        per_human_sar = {}
-        per_human_density = {}
-        for h in scenario.humans:
-            phantom = scenario.phantoms[h.phantom_id]
-            density_by_freq = {}
-            sar_r = np.zeros(self.n_realizations)
-            for f in active_freqs:
-                p_rx = self.human_received_power(h.id, solution, f)
-                s = p_rx * 4.0 * math.pi * f ** 2 / ch.SPEED_OF_LIGHT ** 2
-                density_by_freq[f] = float(s.mean())
-                e_inc = np.sqrt(s * FREE_SPACE_IMPEDANCE)
-                ref_f = scenario.frequency_map.reference(f)
-                sar_r += ((e_inc / phantom.e_ref) ** 2
-                          * (phantom.bmi / phantom.bmi_ref) * phantom.sar_ref[ref_f])
-            sar = float(sar_r.mean())
-            per_human_sar[h.id] = sar
-            per_human_density[h.id] = density_by_freq
-            if sar > scenario.sar_limit:
-                violated.append(f"sar:{h.id}")
-
-        per_poa_power = {}
+        received = self._received(solution)
+        rates = self._rates(received, self._user_ids).mean(axis=-1)
+        sar, density = self._exposure(received)
+        per_user_rate = {u.id: float(r) for u, r in zip(scenario.users, rates)}
+        per_human_sar = {h.id: float(s) for h, s in zip(scenario.humans, sar)}
+        violated = ([f"rate:{u.id}" for u in scenario.users
+                     if per_user_rate[u.id] < u.required_rate]
+                    + [f"sar:{h.id}" for h in scenario.humans
+                       if per_human_sar[h.id] > scenario.sar_limit])
         active = set(solution.active_poas())
-        for p in scenario.poas:
-            per_poa_power[p.id] = (solution.tx_power.get(p.id, -math.inf)
-                                   if p.id in active else -math.inf)
         return MetricsBundle(
             per_user_rate=per_user_rate,
             per_human_sar=per_human_sar,
-            per_human_power_density=per_human_density,
-            per_poa_power=per_poa_power,
+            per_human_power_density={
+                h.id: {f: float(d[i]) for f, d in density.items()}
+                for i, h in enumerate(scenario.humans)},
+            per_poa_power={
+                p.id: solution.tx_power.get(p.id, -math.inf) if p.id in active else -math.inf
+                for p in scenario.poas},
             total_power=solution.total_power_watts(),
             feasible=not violated,
             violated=violated,
@@ -287,12 +250,14 @@ class Evaluator:
         SINR, rate, and received power by hand.
         """
         rows = []
-        for b in self._active_beams(solution):
+        for b in solution.beams:
+            if not b.active:
+                continue
             poa = self.scenario.poa_by_id(b.owner_poa)
             gains = self.beam_gains(b)
+            s = self._stacks[poa.id]
             for r in range(self.n_realizations):
                 for t_idx, t in enumerate(self.targets):
-                    link = self._stacks[poa.id]["links"][r][t_idx]
                     rows.append({
                         "realization": r,
                         "beam_id": b.beam_id,
@@ -302,19 +267,18 @@ class Evaluator:
                         "target_id": t.id,
                         "target_kind": "user" if t_idx < len(self.scenario.users) else "human",
                         "unit_energy_w": float(gains[r, t_idx]),
-                        "los": bool(link.los),
-                        "pathloss_db": link.pathloss_db,
-                        "shadow_db": link.shadow_db,
+                        "los": bool(s["los"][r, t_idx]),
+                        "pathloss_db": float(s["pathloss_db"][r, t_idx]),
+                        "shadow_db": float(s["shadow_db"][r, t_idx]),
                     })
         return rows
 
 
 def evaluate(solution: SolutionState, scenario: Scenario, seed: int,
-             n_realizations: int = 10, workers: int = 1) -> MetricsBundle:
+             n_realizations: int = 10) -> MetricsBundle:
     """Validate, then evaluate a solution over seeded channel realizations.
 
-    Deterministic given (solution, scenario, seed, n_realizations)
-    regardless of worker count.
+    Deterministic given (solution, scenario, seed, n_realizations).
     """
     violations = validate(solution, scenario)
     if violations:
@@ -322,5 +286,5 @@ def evaluate(solution: SolutionState, scenario: Scenario, seed: int,
             raise UnservedUserError(
                 "; ".join(str(v) for v in violations if v.code == "unserved_user"))
         raise SolutionInvalidError(violations)
-    ev = Evaluator(scenario, seed, n_realizations, workers=workers)
+    ev = Evaluator(scenario, seed, n_realizations)
     return ev.metrics(solution)

@@ -372,6 +372,10 @@ def _validate(s: Scenario):
         ids.add(p.id)
         if p.frequency <= 0:
             raise ValidationError(f"{path}.frequency_hz", "must be positive")
+        if not (math.isfinite(p.bandwidth) and p.bandwidth > 0):
+            raise ValidationError(f"{path}.bandwidth_hz", "must be positive and finite")
+        if not math.isfinite(p.max_tx_power_dbm):
+            raise ValidationError(f"{path}.max_tx_power_dbm", "must be finite")
         if not (0.0 < p.min_beam_width <= math.pi):
             raise ValidationError(f"{path}.min_beam_width_deg", "must be in (0, 180]")
         if p.panel_rows < 1 or p.panel_cols < 1:
@@ -406,6 +410,13 @@ def _validate(s: Scenario):
                 raise ValidationError(
                     f"{path}.position_m", "linked human must share the user position")
         _check_position(h.position, s, f"{path}.position_m")
+    ref_freqs = {s.frequency_map.reference(p.frequency) for p in s.poas}
+    worn = {h.phantom_id for h in s.humans}
+    for i, (name, ph) in enumerate(s.phantoms.items()):
+        missing = ref_freqs - ph.sar_ref.keys()
+        if name in worn and missing:
+            raise ValidationError(
+                f"phantoms[{i}].sar_ref", f"phantom {name!r} has no SAR_ref at {min(missing)} Hz")
 
 
 def _check_position(pos: Position3D, s: Scenario, path: str):
@@ -472,23 +483,37 @@ def scenario_to_dict(s: Scenario) -> dict:
             for ph in s.phantoms.values()
         ],
         "frequency_map": {str(k): v for k, v in sorted(s.frequency_map.pairs.items())},
-        "channel_params": {
-            "n_clusters": cp.n_clusters,
-            "n_rays": cp.n_rays,
-            "delay_spread_s": cp.delay_spread,
-            "azimuth_spread_dep_deg": math.degrees(cp.azimuth_spread_dep),
-            "azimuth_spread_arr_deg": math.degrees(cp.azimuth_spread_arr),
-            "zenith_spread_dep_deg": math.degrees(cp.zenith_spread_dep),
-            "zenith_spread_arr_deg": math.degrees(cp.zenith_spread_arr),
-            "shadow_sigma_los_db": cp.shadow_sigma_los_db,
-            "shadow_sigma_nlos_db": cp.shadow_sigma_nlos_db,
-            "rician_k_mean_db": cp.rician_k_mean_db,
-            "rician_k_sigma_db": cp.rician_k_sigma_db,
-            "pathloss_los": [cp.pathloss_los.a, cp.pathloss_los.b, cp.pathloss_los.c],
-            "pathloss_nlos": [cp.pathloss_nlos.a, cp.pathloss_nlos.b, cp.pathloss_nlos.c],
-            "los_model": dict(cp.los_model),
-        },
+        "channel_params": {key: dump(getattr(cp, name))
+                           for key, (name, _, dump) in _CHANNEL_FIELDS.items()},
     }
+
+
+def _pathloss(coeffs):
+    return PathlossCoeffs(*[float(v) for v in coeffs])
+
+
+def _radians(deg):
+    return math.radians(float(deg))
+
+
+# channel_params file key -> (ChannelParams field, parse, dump). Keys
+# missing from a file take ChannelParams' own defaults.
+_CHANNEL_FIELDS = {
+    "n_clusters": ("n_clusters", int, int),
+    "n_rays": ("n_rays", int, int),
+    "delay_spread_s": ("delay_spread", float, float),
+    "azimuth_spread_dep_deg": ("azimuth_spread_dep", _radians, math.degrees),
+    "azimuth_spread_arr_deg": ("azimuth_spread_arr", _radians, math.degrees),
+    "zenith_spread_dep_deg": ("zenith_spread_dep", _radians, math.degrees),
+    "zenith_spread_arr_deg": ("zenith_spread_arr", _radians, math.degrees),
+    "shadow_sigma_los_db": ("shadow_sigma_los_db", float, float),
+    "shadow_sigma_nlos_db": ("shadow_sigma_nlos_db", float, float),
+    "rician_k_mean_db": ("rician_k_mean_db", float, float),
+    "rician_k_sigma_db": ("rician_k_sigma_db", float, float),
+    "pathloss_los": ("pathloss_los", _pathloss, lambda c: [c.a, c.b, c.c]),
+    "pathloss_nlos": ("pathloss_nlos", _pathloss, lambda c: [c.a, c.b, c.c]),
+    "los_model": ("los_model", dict, dict),
+}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -499,22 +524,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ParseError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     try:
         cp_d = data.get("channel_params", {})
-        cp = ChannelParams(
-            n_clusters=int(cp_d.get("n_clusters", 5)),
-            n_rays=int(cp_d.get("n_rays", 20)),
-            delay_spread=float(cp_d.get("delay_spread_s", 30e-9)),
-            azimuth_spread_dep=math.radians(float(cp_d.get("azimuth_spread_dep_deg", 20.0))),
-            azimuth_spread_arr=math.radians(float(cp_d.get("azimuth_spread_arr_deg", 40.0))),
-            zenith_spread_dep=math.radians(float(cp_d.get("zenith_spread_dep_deg", 5.0))),
-            zenith_spread_arr=math.radians(float(cp_d.get("zenith_spread_arr_deg", 10.0))),
-            shadow_sigma_los_db=float(cp_d.get("shadow_sigma_los_db", 4.3)),
-            shadow_sigma_nlos_db=float(cp_d.get("shadow_sigma_nlos_db", 4.0)),
-            rician_k_mean_db=float(cp_d.get("rician_k_mean_db", 7.0)),
-            rician_k_sigma_db=float(cp_d.get("rician_k_sigma_db", 4.0)),
-            pathloss_los=PathlossCoeffs(*[float(v) for v in cp_d.get("pathloss_los", [31.84, 21.5, 19.0])]),
-            pathloss_nlos=PathlossCoeffs(*[float(v) for v in cp_d.get("pathloss_nlos", [33.63, 21.9, 20.0])]),
-            los_model=dict(cp_d.get("los_model", {})),
-        )
+        cp = ChannelParams(**{name: parse(cp_d[key])
+                              for key, (name, parse, _) in _CHANNEL_FIELDS.items()
+                              if key in cp_d})
         phantoms = {}
         for i, ph in enumerate(data.get("phantoms", [])):
             phantoms[ph["name"]] = PhantomProfile(

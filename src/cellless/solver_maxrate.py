@@ -31,7 +31,6 @@ class AnnealConfig:
     width_step: float = 0.1             # radians
     seed: int = 0
     realizations_per_check: int = 10
-    parallel_candidates: int = 1
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -47,9 +46,8 @@ def objective(solution: SolutionState, evaluator: Evaluator) -> float:
         served |= b.served_users
     if {u.id for u in evaluator.scenario.users} - served:
         return -math.inf
-    rates = [float(evaluator.rate(u.id, solution).mean())
-             for u in evaluator.scenario.users]
-    return min(rates) if rates else math.inf
+    rates = evaluator.mean_rates(solution)
+    return float(rates.min()) if rates.size else math.inf
 
 
 def _replace_beam(solution, beam, **changes):

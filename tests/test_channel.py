@@ -7,9 +7,8 @@ import pytest
 
 from cellless.antenna import ISOTROPIC, PanelGeometry, SteeringDirection, panel_field
 from cellless.channel import (ChannelParams, PathlossCoeffs,
-                              amplitude_scale, interference_energy,
-                              link_energy, link_rng, los_probability,
-                              sample_link)
+                              amplitude_scale, link_energy, link_rng,
+                              los_probability, sample_link)
 
 PARAMS = ChannelParams(los_model={"kind": "umi"})
 POA = (0.0, 0.0, 10.0)
@@ -106,24 +105,6 @@ def test_link_energy_scales_linearly_with_power():
     assert e3 == pytest.approx(2.0 * e0, rel=1e-5)
     assert link_energy(link, -math.inf, geom, steer) == 0.0
     assert amplitude_scale(-math.inf, 70.0, 0.0) == 0.0
-
-
-def test_interference_energy_oracle():
-    geom = PanelGeometry(2, 4)
-    steer = SteeringDirection(math.pi / 2, 0.0)
-    la = sample_link(POA, 3.5e9, USER, PARAMS, link_rng(1, 0, 0, 0))
-    lb = sample_link((5.0, 0.0, 10.0), 3.5e9, USER, PARAMS, link_rng(1, 0, 1, 0))
-    # Single entry reduces to link_energy.
-    assert interference_energy([(la, 10.0, geom, steer)]) == pytest.approx(
-        link_energy(la, 10.0, geom, steer), rel=1e-12)
-    # Distinct delays: energies add.
-    both = interference_energy([(la, 10.0, geom, steer), (lb, 10.0, geom, steer)])
-    assert both == pytest.approx(
-        link_energy(la, 10.0, geom, steer) + link_energy(lb, 10.0, geom, steer),
-        rel=1e-9)
-    # The same link twice shares delays: amplitudes add coherently (4x energy).
-    twice = interference_energy([(la, 10.0, geom, steer)] * 2)
-    assert twice == pytest.approx(4.0 * link_energy(la, 10.0, geom, steer), rel=1e-9)
 
 
 def test_channel_params_validation():

@@ -5,11 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cellless.channel import NOISE_DENSITY_DBM_HZ
+from cellless.antenna import PanelGeometry, SteeringDirection, width_to_panel, wrap_angle
+from cellless.channel import NOISE_DENSITY_DBM_HZ, link_energy, link_rng, sample_link
 from cellless.radio_metrics import (Evaluator, SolutionInvalidError,
                                     UnservedUserError, evaluate, shannon_rate)
-
+from cellless.solution import BeamConfig
 
 
 @pytest.fixture(scope="module")
@@ -43,13 +45,6 @@ def test_evaluator_deterministic(tiny_scenario, tiny_solution):
     assert a.per_user_rate == b.per_user_rate
     assert a.per_human_sar == b.per_human_sar
     assert a.per_user_rate != c.per_user_rate
-
-
-def test_worker_count_invariance(tiny_scenario, tiny_solution):
-    a = Evaluator(tiny_scenario, seed=5, n_realizations=8, workers=1)
-    b = Evaluator(tiny_scenario, seed=5, n_realizations=8, workers=4)
-    assert a.metrics(tiny_solution).per_user_rate == \
-        b.metrics(tiny_solution).per_user_rate
 
 
 def test_sinr_power_scaling_without_interference(tiny_scenario, tiny_solution, ev):
@@ -159,3 +154,68 @@ def test_dump_links_recomputes_sinr(tiny_scenario, tiny_solution, ev):
 def test_evaluator_rejects_bad_realizations(tiny_scenario):
     with pytest.raises(ValueError):
         Evaluator(tiny_scenario, seed=0, n_realizations=0)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the received-power core on the tiny scenario, where both
+# PoAs share 5 GHz and so interfere with each other's users.
+
+PROPERTY = settings(deadline=None, max_examples=60)
+dbm = st.floats(-10.0, 20.0)
+
+
+def _powered(solution, pa, pb):
+    return solution.with_power("poaA", pa).with_power("poaB", pb)
+
+
+@PROPERTY
+@given(pa=dbm, pb=dbm, x=st.floats(-20.0, 10.0))
+def test_sar_scales_with_a_common_power_offset(tiny_solution, ev, pa, pb, x):
+    base = ev.metrics(_powered(tiny_solution, pa, pb)).per_human_sar
+    shifted = ev.metrics(_powered(tiny_solution, pa + x, pb + x)).per_human_sar
+    for hid, sar in base.items():
+        assert shifted[hid] == pytest.approx(10.0 ** (x / 10.0) * sar, rel=1e-9)
+
+
+# Rates are compared per realization with a few-ulp allowance for rounding.
+ULPS = 1e-13
+
+
+@PROPERTY
+@given(uid=st.sampled_from(["u0", "u1", "u2"]), own=dbm, other=dbm,
+       step=st.floats(0.0, 10.0))
+def test_rate_monotone_in_own_and_co_channel_power(tiny_scenario, tiny_solution, ev,
+                                                   uid, own, other, step):
+    own_id = tiny_solution.beam_for_user(uid).owner_poa
+    other_id = next(p.id for p in tiny_scenario.poas if p.id != own_id)
+
+    def rate(p_own, p_other):
+        sol = tiny_solution.with_power(own_id, p_own).with_power(other_id, p_other)
+        return ev.rate(uid, sol)
+
+    base = rate(own, other)
+    assert np.all(rate(own + step, other) >= base * (1.0 - ULPS))
+    assert np.all(rate(own, other + step) <= base * (1.0 + ULPS))
+
+
+@PROPERTY
+@given(data=st.data(), zenith=st.floats(0.0, math.pi),
+       azimuth=st.floats(-math.pi, math.pi), power=st.floats(-20.0, 30.0))
+def test_link_energy_matches_beam_gains(tiny_scenario, ev, data, zenith, azimuth, power):
+    p_idx = data.draw(st.integers(0, len(tiny_scenario.poas) - 1))
+    poa = tiny_scenario.poas[p_idx]
+    width = data.draw(st.floats(poa.min_beam_width, math.pi))
+    r = data.draw(st.integers(0, ev.n_realizations - 1))
+    t_idx = data.draw(st.integers(0, len(ev.targets) - 1))
+    beam = BeamConfig("probe", poa.id, azimuth, zenith, width, frozenset({"u0"}))
+
+    link = sample_link(poa.position.as_tuple(), poa.frequency,
+                       ev.targets[t_idx].position.as_tuple(),
+                       tiny_scenario.channel_params, link_rng(ev.seed, r, p_idx, t_idx))
+    panel = PanelGeometry(poa.panel_rows, poa.panel_cols, mech_azimuth=poa.mech_azimuth,
+                          element_pattern=poa.element_pattern)
+    geom = PanelGeometry(poa.panel_rows, width_to_panel(width, panel),
+                         mech_azimuth=poa.mech_azimuth, element_pattern=poa.element_pattern)
+    steer = SteeringDirection(zenith, wrap_angle(azimuth - poa.mech_azimuth))
+    want = 10.0 ** ((power - 30.0) / 10.0) * ev.beam_gains(beam)[r, t_idx]
+    assert link_energy(link, power, geom, steer) == pytest.approx(want, rel=1e-12)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from cellless.channel import ChannelParams
 from cellless.scenario import (BUILTIN_TEMPLATES, ParseError, ScenarioError,
                                ValidationError, builtin_scenario,
                                builtin_template, generate_placements,
@@ -156,3 +157,35 @@ def test_parse_and_validation_errors(tmp_path):
         load_scenario(bad)
     with pytest.raises(ScenarioError):
         load_scenario(tmp_path / "missing.json")
+
+
+def _drop_first_poa_reference_sar(d):
+    ref = d["frequency_map"][str(d["poas"][0]["frequency_hz"])]
+    del d["phantoms"][0]["sar_ref"][str(ref)]
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda d: d["poas"][1].update(bandwidth_hz=0.0), "poas[1].bandwidth_hz"),
+    (lambda d: d["poas"][1].update(bandwidth_hz=-20e6), "poas[1].bandwidth_hz"),
+    (lambda d: d["poas"][1].update(bandwidth_hz=math.inf), "poas[1].bandwidth_hz"),
+    (lambda d: d["poas"][1].update(bandwidth_hz=math.nan), "poas[1].bandwidth_hz"),
+    (lambda d: d["poas"][2].update(max_tx_power_dbm=math.nan), "poas[2].max_tx_power_dbm"),
+    (lambda d: d["poas"][2].update(max_tx_power_dbm=math.inf), "poas[2].max_tx_power_dbm"),
+    (lambda d: d["poas"][2].update(max_tx_power_dbm=-math.inf), "poas[2].max_tx_power_dbm"),
+    (_drop_first_poa_reference_sar, "phantoms[0].sar_ref"),
+], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
+        "maxpow-minus-inf", "phantom-sar-ref"])
+def test_bad_inputs_rejected_at_load(mutate, path):
+    d = scenario_to_dict(builtin_scenario("inf-dh-desk", 0))
+    mutate(d)
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(d)
+    assert err.value.path == path
+
+
+def test_missing_channel_params_take_the_dataclass_defaults():
+    d = scenario_to_dict(builtin_scenario("umi-sc-desk", 0))
+    del d["channel_params"]
+    assert scenario_from_dict(d).channel_params == ChannelParams()
+    d["channel_params"] = {"n_rays": 7}
+    assert scenario_from_dict(d).channel_params == ChannelParams(n_rays=7)
