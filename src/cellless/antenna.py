@@ -76,13 +76,15 @@ def _array_ratio(m, g):
     g the limit is (-1)^(k*(m-1)) with k = round(g); at g = 0 it is 1.
     """
     g = np.asarray(g, dtype=float)
-    den = np.sin(np.pi * g)
+    if m == 1:
+        return np.ones_like(g)
+    den = np.asarray(np.sin(np.pi * g))
     singular = np.abs(den) < 1e-12
-    safe_den = np.where(singular, 1.0, den)
-    ratio = np.sin(m * np.pi * g) / (m * safe_den)
-    k = np.rint(g).astype(np.int64)
-    limit = np.where((k * (m - 1)) % 2 == 0, 1.0, -1.0)
-    return np.where(singular, limit, ratio)
+    den[singular] = 1.0
+    ratio = np.asarray(np.sin(m * np.pi * g) / (m * den))
+    k = np.rint(g[singular]).astype(np.int64)
+    ratio[singular] = np.where((k * (m - 1)) % 2 == 0, 1.0, -1.0)
+    return ratio
 
 
 def panel_field(geom: PanelGeometry, theta, phi, steer: SteeringDirection):

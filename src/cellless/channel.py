@@ -3,16 +3,18 @@
 Each link (PoA -> user or human) is drawn from an independent random
 stream keyed by (global seed, realization index, PoA index, target index),
 so results are bit-identical regardless of evaluation order or worker
-count. Ray geometry is independent of any beam decision: beams enter only
-through the panel field applied when computing energies, which lets a
-fixed set of realizations be reused across candidate solutions.
+count. ``sample_link`` takes one such stream per link but draws all the
+links it is given, typically every (realization, target) link of one PoA,
+in one call, and returns them as arrays. Ray geometry is independent of
+any beam decision: beams enter only through the panel field applied when
+computing energies, which lets a fixed set of realizations be reused
+across candidate solutions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -67,23 +69,25 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class LinkRealization:
-    """One seeded draw of a single PoA-to-target link."""
+    """Seeded draws of the links from one PoA to one or more targets.
 
-    los: bool
-    pathloss_db: float          # positive attenuation
-    shadow_db: float
-    rician_k: float             # linear; 0 when nLoS
+    Per-link fields carry the leading shape of the generators the links
+    were drawn from (shape () for a single link); per-cluster and per-ray
+    fields add trailing (N_c,) and (N_c, N_r) axes.
+    """
+
+    los: np.ndarray             # bool
+    pathloss_db: np.ndarray     # positive attenuation
+    shadow_db: np.ndarray
+    rician_k: np.ndarray        # linear; 0 when nLoS
     frequency: float
-    delays: np.ndarray          # (N_c,) sorted, seconds
-    cluster_powers: np.ndarray  # (N_c,) sums to 1
-    aod_zenith: np.ndarray      # (N_c, N_r) GCS radians
+    delays: np.ndarray          # (..., N_c) sorted, seconds
+    cluster_powers: np.ndarray  # (..., N_c) sums to 1
+    aod_zenith: np.ndarray      # (..., N_c, N_r) GCS radians
     aod_azimuth: np.ndarray
-    aoa_zenith: np.ndarray
-    aoa_azimuth: np.ndarray
-    phases: np.ndarray          # (N_c, N_r) in [0, 2*pi)
+    phases: np.ndarray          # (..., N_c, N_r) in [0, 2*pi)
     los_aod: tuple              # (zenith, azimuth) of the direct path, GCS
-    los_aoa: tuple
-    d_3d: float
+    d_3d: np.ndarray
 
 
 def link_rng(seed: int, realization: int, poa_index: int, target_index: int):
@@ -133,7 +137,11 @@ def _direct_path_angles(src, dst):
 
 
 def sample_link(poa_pos, poa_freq, target_pos, params: ChannelParams, rng) -> LinkRealization:
-    """Draw one complete link realization from the given stream.
+    """Draw link realizations from one PoA, each from its own stream.
+
+    ``rng`` is one generator from ``link_rng`` or nested lists of them; the
+    nesting gives the leading shape of every returned field. ``target_pos``
+    has shape (..., 3) and broadcasts against that leading shape.
 
     LoS state is Bernoulli on los_probability; delays are i.i.d.
     exponential (sorted) with powers proportional to exp(-tau/DS),
@@ -141,46 +149,69 @@ def sample_link(poa_pos, poa_freq, target_pos, params: ChannelParams, rng) -> Li
     geometry, rays fan out on deterministic equal-spaced offsets of half
     the angular spread; phases are i.i.d. uniform.
     """
-    zen0, az0, d3d = _direct_path_angles(poa_pos, target_pos)
-    d2d = math.hypot(target_pos[0] - poa_pos[0], target_pos[1] - poa_pos[1])
+    rngs = np.array(rng, dtype=object)
+    shape = rngs.shape
+    pos = np.asarray(target_pos, dtype=float)
+
+    # Direct-path geometry, LoS probability and both pathlosses, once per
+    # target with scalar calls (array math may round differently).
     lm = params.los_model
-    p_los = float(los_probability(
-        lm.get("kind", "inf"), d2d, poa_pos[2], target_pos[2],
-        lm.get("clutter_density", 0.0), lm.get("clutter_height", 0.0),
-        lm.get("clutter_size_m", 2.0)))
-    los = bool(rng.random() < p_los)
+    geometry = np.empty(pos.shape[:-1] + (6,))
+    for idx in np.ndindex(pos.shape[:-1]):
+        tx, ty, tz = pos[idx].tolist()
+        zen0, az0, d3d = _direct_path_angles(poa_pos, (tx, ty, tz))
+        d2d = math.hypot(tx - poa_pos[0], ty - poa_pos[1])
+        p_los = float(los_probability(
+            lm.get("kind", "inf"), d2d, poa_pos[2], tz,
+            lm.get("clutter_density", 0.0), lm.get("clutter_height", 0.0),
+            lm.get("clutter_size_m", 2.0)))
+        geometry[idx] = (zen0, az0, d3d, p_los, float(params.pathloss_los.db(d3d, poa_freq)),
+                         float(params.pathloss_nlos.db(d3d, poa_freq)))
+    zen0, az0, d3d, p_los, pl_los, pl_nlos = (
+        np.broadcast_to(geometry[..., i], shape) for i in range(6))
 
-    coeffs = params.pathloss_los if los else params.pathloss_nlos
-    pl_db = float(coeffs.db(d3d, poa_freq))
-    sigma = params.shadow_sigma_los_db if los else params.shadow_sigma_nlos_db
-    shadow_db = float(rng.normal(0.0, sigma))
-    k_lin = float(10.0 ** (rng.normal(params.rician_k_mean_db, params.rician_k_sigma_db) / 10.0)) if los else 0.0
-
+    # Each stream draws in its original order: LoS, shadowing, K (LoS
+    # only), delays, departure then arrival angle normals, phases. The
+    # arrival normals are discarded: the target is an isotropic point.
     nc, nr = params.n_clusters, params.n_rays
-    delays = np.sort(rng.exponential(params.delay_spread, nc))
+    n = rngs.size
+    los = np.empty(n, dtype=bool)
+    shadow = np.empty(n)
+    k_lin = np.zeros(n)
+    expo = np.empty((n, nc))
+    normals = np.empty((n, 4, nc))
+    uniforms = np.empty((n, nc, nr))
+    k_mean, k_sigma = params.rician_k_mean_db, params.rician_k_sigma_db
+    for i, (g, p) in enumerate(zip(rngs.flat, p_los.flat)):
+        los[i] = is_los = g.random() < p
+        shadow[i] = g.standard_normal()
+        if is_los:
+            # A scalar power: np.power over an array may round differently.
+            k_lin[i] = 10.0 ** ((k_mean + k_sigma * g.standard_normal()) / 10.0)
+        g.standard_exponential(out=expo[i])
+        g.standard_normal(out=normals[i])
+        g.random(out=uniforms[i])
+    los, shadow, k_lin = los.reshape(shape), shadow.reshape(shape), k_lin.reshape(shape)
+
+    shadow *= np.where(los, params.shadow_sigma_los_db, params.shadow_sigma_nlos_db)
+    delays = np.sort(params.delay_spread * expo.reshape(shape + (nc,)), axis=-1)
     powers = np.exp(-delays / params.delay_spread)
-    powers = powers / powers.sum()
+    powers /= powers.sum(axis=-1, keepdims=True)
 
-    def _angles(zen_c, az_c, zen_spread, az_spread):
-        zen_mean = zen_c + rng.normal(0.0, zen_spread, nc)
-        az_mean = wrap_angle(az_c + rng.normal(0.0, az_spread, nc))
-        offsets = np.linspace(-0.5, 0.5, nr) if nr > 1 else np.zeros(1)
-        zen = np.clip(zen_mean[:, None] + offsets[None, :] * zen_spread, 0.0, math.pi)
-        az = wrap_angle(az_mean[:, None] + offsets[None, :] * az_spread)
-        return zen, np.atleast_2d(az)
-
-    aod_zen, aod_az = _angles(zen0, az0, params.zenith_spread_dep, params.azimuth_spread_dep)
-    # Arrival side mirrors the direct path as seen from the target.
-    zen0_a, az0_a, _ = _direct_path_angles(target_pos, poa_pos)
-    aoa_zen, aoa_az = _angles(zen0_a, az0_a, params.zenith_spread_arr, params.azimuth_spread_arr)
-    phases = rng.uniform(0.0, 2.0 * math.pi, (nc, nr))
+    normals = normals.reshape(shape + (4, nc))
+    zen_spread, az_spread = params.zenith_spread_dep, params.azimuth_spread_dep
+    zen_mean = zen0[..., None] + zen_spread * normals[..., 0, :]
+    az_mean = wrap_angle(az0[..., None] + az_spread * normals[..., 1, :])
+    offsets = np.linspace(-0.5, 0.5, nr) if nr > 1 else np.zeros(1)
+    aod_zen = np.clip(zen_mean[..., None] + offsets * zen_spread, 0.0, math.pi)
+    aod_az = wrap_angle(az_mean[..., None] + offsets * az_spread)
 
     return LinkRealization(
-        los=los, pathloss_db=pl_db, shadow_db=shadow_db, rician_k=k_lin,
-        frequency=poa_freq, delays=delays, cluster_powers=powers,
+        los=los, pathloss_db=np.where(los, pl_los, pl_nlos), shadow_db=shadow,
+        rician_k=k_lin, frequency=poa_freq, delays=delays, cluster_powers=powers,
         aod_zenith=aod_zen, aod_azimuth=aod_az,
-        aoa_zenith=aoa_zen, aoa_azimuth=aoa_az, phases=phases,
-        los_aod=(zen0, az0), los_aoa=(zen0_a, az0_a), d_3d=d3d,
+        phases=2.0 * math.pi * uniforms.reshape(shape + (nc, nr)),
+        los_aod=(zen0, az0), d_3d=d3d,
     )
 
 
@@ -191,51 +222,29 @@ def amplitude_scale(tx_power_dbm: float, pathloss_db: float, shadow_db: float) -
     return 10.0 ** ((tx_power_dbm - 30.0 - pathloss_db + shadow_db) / 20.0)
 
 
-# Per-link fields read by the energy kernel, stacked by ``stack_links``
-# under their LinkRealization names, plus "los_zenith" / "los_azimuth".
-_STACKED_FIELDS = ("aod_zenith", "aod_azimuth", "phases", "cluster_powers", "los",
-                   "rician_k", "pathloss_db", "shadow_db", "d_3d")
-
-
-def stack_links(links) -> dict:
-    """Arrays of the link fields the energy kernel reads.
-
-    ``links`` is one LinkRealization or nested lists of them; the nesting
-    becomes the arrays' leading axes (one link gives leading shape ()).
-    """
-    def nested(get, item):
-        if isinstance(item, LinkRealization):
-            return get(item)
-        return [nested(get, x) for x in item]
-
-    stack = {name: np.array(nested(attrgetter(name), links)) for name in _STACKED_FIELDS}
-    stack["los_zenith"] = np.array(nested(lambda l: l.los_aod[0], links))
-    stack["los_azimuth"] = np.array(nested(lambda l: l.los_aod[1], links))
-    return stack
-
-
-def unit_link_energy(stack: dict, geom: PanelGeometry, steer: SteeringDirection,
-                     frequency: float) -> np.ndarray:
-    """Energy [W] of |h_tilde(tau)|^2 at 1 W transmit power for every stacked link.
+def unit_link_energy(link: LinkRealization, geom: PanelGeometry,
+                     steer: SteeringDirection) -> np.ndarray:
+    """Energy [W] of |h_tilde(tau)|^2 at 1 W transmit power for every link.
 
     The target is a single isotropic element (unit field). Clusters sit at
     distinct delays, so the energy is the sum of squared per-cluster
     amplitudes; LoS mixing folds the direct path into the first cluster.
-    Returns an array with the stack's leading shape.
+    Returns an array with the links' leading shape.
     """
     mech = geom.mech_azimuth
-    f = panel_field(geom, stack["aod_zenith"], wrap_angle(stack["aod_azimuth"] - mech), steer)
-    nr = stack["phases"].shape[-1]
-    amps = (np.sqrt(stack["cluster_powers"] / nr)
-            * (f * np.exp(1j * stack["phases"])).sum(axis=-1))
+    f = panel_field(geom, link.aod_zenith, wrap_angle(link.aod_azimuth - mech), steer)
+    nr = link.phases.shape[-1]
+    amps = (np.sqrt(link.cluster_powers / nr)
+            * (f * np.exp(1j * link.phases)).sum(axis=-1))
     # K = 0 off-LoS makes the Rician mix reduce to the pure scattered term.
-    k = np.where(stack["los"], stack["rician_k"], 0.0)
-    lam = SPEED_OF_LIGHT / frequency
-    f0 = panel_field(geom, stack["los_zenith"], wrap_angle(stack["los_azimuth"] - mech), steer)
-    h_los = f0 * np.exp(-1j * 2.0 * math.pi * stack["d_3d"] / lam)
+    k = np.where(link.los, link.rician_k, 0.0)
+    lam = SPEED_OF_LIGHT / link.frequency
+    zen0, az0 = link.los_aod
+    f0 = panel_field(geom, zen0, wrap_angle(az0 - mech), steer)
+    h_los = f0 * np.exp(-1j * 2.0 * math.pi * link.d_3d / lam)
     amps = amps * np.sqrt(1.0 / (1.0 + k))[..., None]
     amps[..., 0] += np.sqrt(k / (1.0 + k)) * h_los
-    scale2 = 10.0 ** ((-stack["pathloss_db"] + stack["shadow_db"]) / 10.0)
+    scale2 = 10.0 ** ((-link.pathloss_db + link.shadow_db) / 10.0)
     return scale2 * (np.abs(amps) ** 2).sum(axis=-1)
 
 
@@ -244,5 +253,4 @@ def link_energy(link: LinkRealization, tx_power_dbm: float,
     """Integrated energy of |h_tilde(tau)|^2 in watts for one link."""
     if tx_power_dbm == -math.inf:
         return 0.0
-    unit = unit_link_energy(stack_links(link), geom, steer, link.frequency)
-    return float(10.0 ** ((tx_power_dbm - 30.0) / 10.0) * unit)
+    return float(10.0 ** ((tx_power_dbm - 30.0) / 10.0) * unit_link_energy(link, geom, steer))

@@ -1,10 +1,12 @@
 """SINR, per-user rates, per-human exposure, and the constraint system.
 
 The Evaluator samples every link realization once per (scenario, seed),
-stacks them per PoA, and keeps one unit-power (1 W) energy table per beam
-geometry, computed by ``channel.unit_link_energy`` and cached. Channel ray
-geometry does not depend on any decision variable, so beam changes only
-add table entries and power changes invalidate nothing.
+with one ``channel.sample_link`` call per PoA over (realizations, targets);
+each link is still drawn from its own keyed stream. It keeps one
+unit-power (1 W) energy table per beam geometry, computed by
+``channel.unit_link_energy`` and cached. Channel ray geometry does not
+depend on any decision variable, so beam changes only add table entries
+and power changes invalidate nothing.
 
 One core turns a solution into the received power of every active beam at
 every target, shape (beams, targets, realizations). Each user's signal and
@@ -108,14 +110,12 @@ class Evaluator:
             for p in scenario.poas
         }
         self._gain_cache = {}
-        self._stacks = {
-            poa.id: ch.stack_links([
-                [ch.sample_link(poa.position.as_tuple(), poa.frequency,
-                                t.position.as_tuple(), scenario.channel_params,
-                                ch.link_rng(self.seed, r, p_idx, t_idx))
-                 for t_idx, t in enumerate(self.targets)]
-                for r in range(self.n_realizations)
-            ])
+        target_pos = [t.position.as_tuple() for t in self.targets]
+        self._links = {
+            poa.id: ch.sample_link(
+                poa.position.as_tuple(), poa.frequency, target_pos, scenario.channel_params,
+                [[ch.link_rng(self.seed, r, p_idx, t_idx) for t_idx in range(len(self.targets))]
+                 for r in range(self.n_realizations)])
             for p_idx, poa in enumerate(scenario.poas)
         }
 
@@ -131,7 +131,7 @@ class Evaluator:
             poa = self.scenario.poa_by_id(beam.owner_poa)
             steer = SteeringDirection(beam.zenith, wrap_angle(beam.azimuth - poa.mech_azimuth))
             cached = self._gain_cache[key] = ch.unit_link_energy(
-                self._stacks[poa.id], replace(panel, cols=n_eff), steer, poa.frequency)
+                self._links[poa.id], replace(panel, cols=n_eff), steer)
         return cached
 
     # -- the received-power core -----------------------------------------------
@@ -255,7 +255,7 @@ class Evaluator:
                 continue
             poa = self.scenario.poa_by_id(b.owner_poa)
             gains = self.beam_gains(b)
-            s = self._stacks[poa.id]
+            links = self._links[poa.id]
             for r in range(self.n_realizations):
                 for t_idx, t in enumerate(self.targets):
                     rows.append({
@@ -267,9 +267,9 @@ class Evaluator:
                         "target_id": t.id,
                         "target_kind": "user" if t_idx < len(self.scenario.users) else "human",
                         "unit_energy_w": float(gains[r, t_idx]),
-                        "los": bool(s["los"][r, t_idx]),
-                        "pathloss_db": float(s["pathloss_db"][r, t_idx]),
-                        "shadow_db": float(s["shadow_db"][r, t_idx]),
+                        "los": bool(links.los[r, t_idx]),
+                        "pathloss_db": float(links.pathloss_db[r, t_idx]),
+                        "shadow_db": float(links.shadow_db[r, t_idx]),
                     })
         return rows
 

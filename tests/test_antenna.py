@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cellless.antenna import (BEAMWIDTH_CONSTANT, ISOTROPIC, THREEGPP_8DBI,
-                              PanelGeometry, SteeringDirection,
+                              PanelGeometry, SteeringDirection, _array_ratio,
                               element_gain_db, panel_field, width_to_panel,
                               wrap_angle)
 
@@ -39,6 +39,22 @@ def test_panel_field_matches_element_sum_500_draws():
         got = complex(panel_field(geom, theta, phi, steer))
         want = element_sum_oracle(geom, theta, phi, steer)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_array_ratio_matches_element_sum_at_integer_g():
+    """The removable singularities at integer g, for one and several elements."""
+    rng = np.random.default_rng(5)
+    g = np.concatenate([np.arange(-4.0, 5.0),                  # exactly singular
+                        np.arange(-4.0, 5.0) + 1e-14,          # singular within 1e-12
+                        rng.uniform(-4.0, 4.0, 200)])
+    for m in (1, 2, 3, 4, 8):
+        got = _array_ratio(m, g)
+        # (1/m) * sum_a exp(2j*pi*(a - (m-1)/2)*g), the array factor centred on the panel.
+        want = sum(np.exp(2j * math.pi * (a - (m - 1) / 2) * g) for a in range(m)) / m
+        assert got.shape == g.shape
+        assert np.allclose(got, want.real, rtol=0.0, atol=1e-9)
+        assert np.allclose(want.imag, 0.0, atol=1e-9)
+        assert float(_array_ratio(m, 3.0)) == (-1.0) ** (3 * (m - 1))
 
 
 def test_field_peaks_at_steering_direction():

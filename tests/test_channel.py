@@ -53,17 +53,31 @@ def test_pathloss_strictly_monotone_in_distance():
 
 
 def test_sample_link_invariants():
-    for r in range(20):
-        link = sample_link(POA, 3.5e9, USER, PARAMS, link_rng(5, r, 0, 0))
-        assert link.cluster_powers.sum() == pytest.approx(1.0, rel=1e-12)
-        assert np.all(link.cluster_powers > 0.0)
-        assert np.all(np.diff(link.delays) >= 0.0)
-        assert link.pathloss_db > 0.0
-        assert (link.rician_k > 0.0) == link.los
-        assert np.all((0.0 <= link.aod_zenith) & (link.aod_zenith <= math.pi))
-        assert np.all((-math.pi < link.aod_azimuth) & (link.aod_azimuth <= math.pi))
-        d3d = math.dist(POA, USER)
-        assert link.d_3d == pytest.approx(d3d)
+    targets = [USER, (5.0, -3.0, 1.5), (80.0, 40.0, 1.2), (0.0, 0.0, 1.5)]
+    links = sample_link(POA, 3.5e9, targets, PARAMS,
+                        [[link_rng(5, r, 0, t) for t in range(len(targets))] for r in range(20)])
+    shape = (20, len(targets))
+    nc, nr = PARAMS.n_clusters, PARAMS.n_rays
+    for name in ("los", "pathloss_db", "shadow_db", "rician_k", "d_3d"):
+        assert getattr(links, name).shape == shape
+    assert links.delays.shape == links.cluster_powers.shape == shape + (nc,)
+    for name in ("aod_zenith", "aod_azimuth", "phases"):
+        assert getattr(links, name).shape == shape + (nc, nr)
+    assert np.allclose(links.cluster_powers.sum(axis=-1), 1.0, rtol=1e-12, atol=0.0)
+    assert np.all(links.cluster_powers > 0.0)
+    assert np.all(np.diff(links.delays, axis=-1) >= 0.0)
+    assert np.all(links.pathloss_db > 0.0)
+    assert np.array_equal(links.rician_k > 0.0, links.los)
+    assert links.los.any() and not links.los.all()
+    assert np.all((0.0 <= links.aod_zenith) & (links.aod_zenith <= math.pi))
+    assert np.all((-math.pi < links.aod_azimuth) & (links.aod_azimuth <= math.pi))
+    assert np.all((0.0 <= links.phases) & (links.phases < 2.0 * math.pi))
+    d3d = [math.dist(POA, t) for t in targets]
+    assert np.allclose(links.d_3d, np.broadcast_to(d3d, shape), rtol=1e-12)
+    # One link keeps leading shape ().
+    one = sample_link(POA, 3.5e9, USER, PARAMS, link_rng(5, 0, 0, 0))
+    assert one.los.shape == one.d_3d.shape == ()
+    assert one.phases.shape == (nc, nr)
 
 
 def test_sample_link_deterministic():

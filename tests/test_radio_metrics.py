@@ -1,5 +1,6 @@
 """Evaluator: SINR/rate/SAR aggregation, caching, and determinism."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from cellless.antenna import PanelGeometry, SteeringDirection, width_to_panel, w
 from cellless.channel import NOISE_DENSITY_DBM_HZ, link_energy, link_rng, sample_link
 from cellless.radio_metrics import (Evaluator, SolutionInvalidError,
                                     UnservedUserError, evaluate, shannon_rate)
+from cellless.scenario import builtin_scenario
 from cellless.solution import BeamConfig
 
 
@@ -45,6 +47,34 @@ def test_evaluator_deterministic(tiny_scenario, tiny_solution):
     assert a.per_user_rate == b.per_user_rate
     assert a.per_human_sar == b.per_human_sar
     assert a.per_user_rate != c.per_user_rate
+
+
+def _assert_links_keyed_per_link(ev, p_idx):
+    """Every link the Evaluator drew for one PoA equals a one-link draw from
+    that link's own stream, field by field and bit for bit."""
+    poa = ev.scenario.poas[p_idx]
+    links = ev._links[poa.id]
+    for r in range(ev.n_realizations):
+        for t_idx, t in enumerate(ev.targets):
+            one = sample_link(poa.position.as_tuple(), poa.frequency, t.position.as_tuple(),
+                              ev.scenario.channel_params, link_rng(ev.seed, r, p_idx, t_idx))
+            for f in dataclasses.fields(one):
+                got, want = getattr(links, f.name), getattr(one, f.name)
+                if f.name == "frequency":
+                    assert got == want
+                elif f.name == "los_aod":
+                    assert got[0][r, t_idx] == want[0] and got[1][r, t_idx] == want[1]
+                else:
+                    assert np.array_equal(got[r, t_idx], want), f.name
+    return links
+
+
+def test_per_poa_sample_equals_per_link_streams(tiny_scenario, ev):
+    for p_idx in range(len(tiny_scenario.poas)):
+        _assert_links_keyed_per_link(ev, p_idx)
+    desk = Evaluator(builtin_scenario("inf-dh-desk", 1), seed=3, n_realizations=2)
+    links = _assert_links_keyed_per_link(desk, 0)
+    assert links.los.any() and not links.los.all()
 
 
 def test_sinr_power_scaling_without_interference(tiny_scenario, tiny_solution, ev):
