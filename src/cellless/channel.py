@@ -45,9 +45,7 @@ class ChannelParams:
     n_rays: int = 20
     delay_spread: float = 30e-9
     azimuth_spread_dep: float = math.radians(8.0)
-    azimuth_spread_arr: float = math.radians(40.0)
     zenith_spread_dep: float = math.radians(3.0)
-    zenith_spread_arr: float = math.radians(10.0)
     shadow_sigma_los_db: float = 4.3
     shadow_sigma_nlos_db: float = 4.0
     rician_k_mean_db: float = 10.0
@@ -61,10 +59,8 @@ class ChannelParams:
             raise ValueError("need at least one cluster and one ray")
         if self.delay_spread <= 0:
             raise ValueError("delay spread must be positive")
-        for s in (self.azimuth_spread_dep, self.azimuth_spread_arr,
-                  self.zenith_spread_dep, self.zenith_spread_arr):
-            if s < 0:
-                raise ValueError("angular spreads must be non-negative")
+        if self.azimuth_spread_dep < 0 or self.zenith_spread_dep < 0:
+            raise ValueError("angular spreads must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -88,6 +84,11 @@ class LinkRealization:
     phases: np.ndarray          # (..., N_c, N_r) in [0, 2*pi)
     los_aod: tuple              # (zenith, azimuth) of the direct path, GCS
     d_3d: np.ndarray
+
+
+def dbm_to_watts(dbm: float) -> float:
+    """Linear power [W] of a level in dBm; -inf (switched off) is 0 W."""
+    return 0.0 if dbm == -math.inf else 10.0 ** ((dbm - 30.0) / 10.0)
 
 
 def link_rng(seed: int, realization: int, poa_index: int, target_index: int):
@@ -251,6 +252,4 @@ def unit_link_energy(link: LinkRealization, geom: PanelGeometry,
 def link_energy(link: LinkRealization, tx_power_dbm: float,
                 geom: PanelGeometry, steer: SteeringDirection) -> float:
     """Integrated energy of |h_tilde(tau)|^2 in watts for one link."""
-    if tx_power_dbm == -math.inf:
-        return 0.0
-    return float(10.0 ** ((tx_power_dbm - 30.0) / 10.0) * unit_link_energy(link, geom, steer))
+    return float(dbm_to_watts(tx_power_dbm) * unit_link_energy(link, geom, steer))

@@ -51,8 +51,6 @@ def _build_parser():
     run.add_argument("--refine", default=3, type=int,
                      help="bisection refinement rounds")
     run.add_argument("--kmeans-restarts", default=10, type=int)
-    run.add_argument("--check-realizations", default=None, type=int,
-                     help="override realizations used inside the solvers")
     run.add_argument("--sa-iterations", default=200, type=int)
     run.add_argument("--sa-cooling", default=0.95, type=float)
     run.add_argument("--sa-temp", default=None, type=float)
@@ -91,7 +89,6 @@ def main(argv=None):
         return EXIT_OK
 
     # run
-    n_check = args.check_realizations or args.realizations
     spec = ExperimentSpec(
         scenario=args.scenario,
         solver=args.solver,
@@ -99,13 +96,11 @@ def main(argv=None):
         n_realizations=args.realizations,
         out_dir=args.out,
         ctm=CtmConfig(delta_db=args.delta_db, refinement_rounds=args.refine,
-                      kmeans_restarts=args.kmeans_restarts,
-                      realizations_per_check=n_check),
+                      kmeans_restarts=args.kmeans_restarts),
         anneal=AnnealConfig(initial_temp=args.sa_temp,
                             cooling_factor=args.sa_cooling,
                             iterations=args.sa_iterations,
-                            moves_per_temp=args.sa_moves,
-                            realizations_per_check=n_check),
+                            moves_per_temp=args.sa_moves),
         workers=args.workers,
         dump_links=args.dump_links,
     )

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import dbm_to_watts
 from .radio_metrics import Evaluator, MetricsBundle
 from .scenario import (Scenario, builtin_template, BUILTIN_TEMPLATES,
                        generate_placements, load_scenario)
@@ -21,7 +22,17 @@ from .solver_ctm import CtmConfig, NoFeasibleSolutionError, solve_ctm
 from .solver_maxrate import AnnealConfig, solve_maxrate
 
 SOLVERS = ("ctm", "maxrate")
-PLOT_KINDS = ("power-bars", "rate-cdf", "sar-cdf", "rate-map", "sar-map")
+METRIC_COLUMNS = ("kind", "id", "x_m", "y_m", "rate_bps", "phantom", "sar_wkg")
+# Plot kind -> CSV header. CDF kinds: (solver, value, cdf); map kinds:
+# (solver, seed, target id) then columns copied from metrics.csv.
+PLOT_COLUMNS = {
+    "power-bars": ("solver", "seed", "poa_id", "power_w"),
+    "rate-cdf": ("solver", "rate_bps", "cdf"),
+    "sar-cdf": ("solver", "sar_wkg", "cdf"),
+    "rate-map": ("solver", "seed", "user_id", "x_m", "y_m", "rate_bps"),
+    "sar-map": ("solver", "seed", "human_id", "x_m", "y_m", "phantom", "sar_wkg"),
+}
+PLOT_KINDS = tuple(PLOT_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -51,11 +62,15 @@ class ExperimentSpec:
 class RunRecord:
     seed: int
     solver: str
-    scenario_name: str
+    scenario: Scenario                 # the world that was solved
     wall_time: float
     bundle: MetricsBundle | None
     solution: SolutionState | None
     error: str | None = None
+
+    @property
+    def scenario_name(self):
+        return self.scenario.name
 
 
 def _instantiate(spec: ExperimentSpec, seed: int) -> Scenario:
@@ -80,10 +95,10 @@ def _run_one(spec: ExperimentSpec, seed: int, solver: str) -> RunRecord:
             solution, bundle = solve_maxrate(scenario, sa_cfg)
         wall = time.perf_counter() - t0
     except NoFeasibleSolutionError as e:
-        return RunRecord(seed, solver, scenario.name, 0.0, None, None, error=str(e))
-    record = RunRecord(seed, solver, scenario.name, wall, bundle, solution)
+        return RunRecord(seed, solver, scenario, 0.0, None, None, error=str(e))
+    record = RunRecord(seed, solver, scenario, wall, bundle, solution)
     if spec.out_dir:
-        _write_run(spec, scenario, record)
+        _write_run(spec, record)
     return record
 
 
@@ -91,12 +106,9 @@ def _run_dir(spec: ExperimentSpec, record: RunRecord) -> Path:
     return Path(spec.out_dir) / record.scenario_name / str(record.seed) / record.solver
 
 
-def _write_run(spec: ExperimentSpec, scenario: Scenario, record: RunRecord):
-    out = _run_dir(spec, record)
-    out.mkdir(parents=True, exist_ok=True)
-    save_solution(record.solution, out / "solution.json")
-    _write_metrics_csv(scenario, record.bundle, out / "metrics.csv")
-    summary = {
+def _summary(record: RunRecord) -> dict:
+    """The content of a run's summary.json."""
+    return {
         "seed": record.seed,
         "solver": record.solver,
         "scenario": record.scenario_name,
@@ -111,26 +123,42 @@ def _write_run(spec: ExperimentSpec, scenario: Scenario, record: RunRecord):
         "min_rate_bps": record.bundle.min_rate,
         "max_sar_wkg": record.bundle.max_sar,
     }
+
+
+def _metric_rows(scenario: Scenario, bundle: MetricsBundle) -> list:
+    """The rows of a run's metrics.csv as read back: one dict of CSV
+    strings per user, then per human."""
+    def row(kind, target, rate="", phantom="", sar=""):
+        pos = target.position
+        return dict(zip(METRIC_COLUMNS, (kind, target.id, repr(pos.x), repr(pos.y),
+                                         rate, phantom, sar)))
+
+    return ([row("user", u, rate=repr(bundle.per_user_rate[u.id])) for u in scenario.users]
+            + [row("human", h, phantom=h.phantom_id, sar=repr(bundle.per_human_sar[h.id]))
+               for h in scenario.humans])
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_run(spec: ExperimentSpec, record: RunRecord):
+    out = _run_dir(spec, record)
+    out.mkdir(parents=True, exist_ok=True)
+    save_solution(record.solution, out / "solution.json")
+    _write_csv(out / "metrics.csv", METRIC_COLUMNS,
+               [row.values() for row in _metric_rows(record.scenario, record.bundle)])
     with open(out / "summary.json", "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+        json.dump(_summary(record), f, indent=2, sort_keys=True)
         f.write("\n")
     if spec.dump_links:
-        ev = Evaluator(scenario, record.seed, spec.n_realizations)
+        ev = Evaluator(record.scenario, record.seed, spec.n_realizations)
         with open(out / "links.json", "w") as f:
             json.dump(ev.dump_links(record.solution), f)
             f.write("\n")
-
-
-def _write_metrics_csv(scenario: Scenario, bundle: MetricsBundle, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["kind", "id", "x_m", "y_m", "rate_bps", "phantom", "sar_wkg"])
-        for u in scenario.users:
-            w.writerow(["user", u.id, repr(u.position.x), repr(u.position.y),
-                        repr(bundle.per_user_rate[u.id]), "", ""])
-        for h in scenario.humans:
-            w.writerow(["human", h.id, repr(h.position.x), repr(h.position.y),
-                        "", h.phantom_id, repr(bundle.per_human_sar[h.id])])
 
 
 def run_experiment(spec: ExperimentSpec) -> list:
@@ -170,13 +198,10 @@ def write_aggregate(records, path):
                       repr(float(np.percentile(arr, 10))),
                       repr(float(np.percentile(arr, 90)))]
         rows.append([solver, len(ok)] + stats)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["solver", "n_runs",
-                    "total_power_w_median", "total_power_w_p10", "total_power_w_p90",
-                    "min_rate_bps_median", "min_rate_bps_p10", "min_rate_bps_p90",
-                    "max_sar_wkg_median", "max_sar_wkg_p10", "max_sar_wkg_p90"])
-        w.writerows(rows)
+    _write_csv(path, ["solver", "n_runs",
+                      "total_power_w_median", "total_power_w_p10", "total_power_w_p90",
+                      "min_rate_bps_median", "min_rate_bps_p10", "min_rate_bps_p90",
+                      "max_sar_wkg_median", "max_sar_wkg_p10", "max_sar_wkg_p90"], rows)
 
 
 def load_run_metrics(run_dir):
@@ -189,109 +214,58 @@ def load_run_metrics(run_dir):
     return summary, rows
 
 
+def _plot_rows(kind: str, runs) -> list:
+    """Rows of one plot kind from (summary, metrics rows) pairs, runs in
+    (scenario, seed, solver) order. Map kinds copy the metrics.csv columns
+    named in their header."""
+    if kind not in PLOT_COLUMNS:
+        raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
+    runs = sorted(runs, key=lambda run: (run[0]["scenario"], int(run[0]["seed"]),
+                                         run[0]["solver"]))
+    if kind == "power-bars":
+        rows = []
+        for s, _ in runs:
+            rows += [[s["solver"], s["seed"], pid,
+                      repr(dbm_to_watts(-math.inf if dbm is None else dbm))]
+                     for pid, dbm in sorted(s["per_poa_power_dbm"].items())]
+            rows.append([s["solver"], s["seed"], "total", repr(s["total_power_w"])])
+        return rows
+    target = "user" if kind.startswith("rate") else "human"
+    if kind.endswith("-cdf"):
+        col = PLOT_COLUMNS[kind][1]
+        per_solver = {}
+        for s, metrics in runs:
+            per_solver.setdefault(s["solver"], []).extend(
+                float(m[col]) for m in metrics if m["kind"] == target)
+        rows = []
+        for solver, values in sorted(per_solver.items()):
+            values.sort()
+            rows += [[solver, repr(v), repr(i / len(values))]
+                     for i, v in enumerate(values, start=1)]
+        return rows
+    cols = PLOT_COLUMNS[kind][3:]
+    return [[s["solver"], s["seed"], m["id"]] + [m[c] for c in cols]
+            for s, metrics in runs for m in metrics if m["kind"] == target]
+
+
+def _write_plot(kind: str, runs, path):
+    rows = _plot_rows(kind, runs)
+    _write_csv(path, PLOT_COLUMNS[kind], rows)
+
+
 def emit_plot_data(records, kind: str, path):
     """Tidy tabular text files feeding external plotting."""
-    if kind not in PLOT_KINDS:
-        raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
-    ok = [r for r in records if r.bundle is not None]
-    if not ok:
+    runs = [(_summary(r), _metric_rows(r.scenario, r.bundle))
+            for r in records if r.bundle is not None]
+    if not runs:
         raise ValueError("no successful records to plot")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        if kind == "power-bars":
-            w.writerow(["solver", "seed", "poa_id", "power_w"])
-            for r in ok:
-                for pid, dbm in sorted(r.bundle.per_poa_power.items()):
-                    watts = 0.0 if dbm == -math.inf else 10.0 ** ((dbm - 30.0) / 10.0)
-                    w.writerow([r.solver, r.seed, pid, repr(watts)])
-                w.writerow([r.solver, r.seed, "total", repr(r.bundle.total_power)])
-        elif kind in ("rate-cdf", "sar-cdf"):
-            col = "rate_bps" if kind == "rate-cdf" else "sar_wkg"
-            w.writerow(["solver", col, "cdf"])
-            for solver in sorted({r.solver for r in ok}):
-                values = []
-                for r in ok:
-                    if r.solver != solver:
-                        continue
-                    src = (r.bundle.per_user_rate if kind == "rate-cdf"
-                           else r.bundle.per_human_sar)
-                    values.extend(src.values())
-                values.sort()
-                n = len(values)
-                for i, v in enumerate(values, start=1):
-                    w.writerow([solver, repr(v), repr(i / n)])
-        elif kind == "rate-map":
-            w.writerow(["solver", "seed", "user_id", "x_m", "y_m", "rate_bps"])
-            for r in ok:
-                scenario = _scenario_of(r)
-                for u in scenario.users:
-                    w.writerow([r.solver, r.seed, u.id, repr(u.position.x),
-                                repr(u.position.y), repr(r.bundle.per_user_rate[u.id])])
-        elif kind == "sar-map":
-            w.writerow(["solver", "seed", "human_id", "x_m", "y_m", "phantom", "sar_wkg"])
-            for r in ok:
-                scenario = _scenario_of(r)
-                for h in scenario.humans:
-                    w.writerow([r.solver, r.seed, h.id, repr(h.position.x),
-                                repr(h.position.y), h.phantom_id,
-                                repr(r.bundle.per_human_sar[h.id])])
-
-
-def _scenario_of(record: RunRecord) -> Scenario:
-    if record.scenario_name in BUILTIN_TEMPLATES:
-        return generate_placements(builtin_template(record.scenario_name), record.seed)
-    return load_scenario(record.scenario_name)
+    _write_plot(kind, runs, path)
 
 
 def plot_data_from_dir(in_dir, kind: str, path):
     """Rebuild plot data from the per-run files under an output directory."""
-    if kind not in PLOT_KINDS:
-        raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
     in_dir = Path(in_dir)
-    run_dirs = sorted(p.parent for p in in_dir.glob("*/*/*/summary.json"))
+    run_dirs = [p.parent for p in in_dir.glob("*/*/*/summary.json")]
     if not run_dirs:
         raise ValueError(f"no run directories found under {in_dir}")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        if kind == "power-bars":
-            w.writerow(["solver", "seed", "poa_id", "power_w"])
-            for rd in run_dirs:
-                summary, _ = load_run_metrics(rd)
-                for pid, dbm in sorted(summary["per_poa_power_dbm"].items()):
-                    watts = 0.0 if dbm is None else 10.0 ** ((dbm - 30.0) / 10.0)
-                    w.writerow([summary["solver"], summary["seed"], pid, repr(watts)])
-                w.writerow([summary["solver"], summary["seed"], "total",
-                            repr(summary["total_power_w"])])
-        elif kind in ("rate-cdf", "sar-cdf"):
-            want = "user" if kind == "rate-cdf" else "human"
-            col = "rate_bps" if kind == "rate-cdf" else "sar_wkg"
-            w.writerow(["solver", col, "cdf"])
-            per_solver = {}
-            for rd in run_dirs:
-                summary, rows = load_run_metrics(rd)
-                vals = [float(row[col]) for row in rows if row["kind"] == want]
-                per_solver.setdefault(summary["solver"], []).extend(vals)
-            for solver in sorted(per_solver):
-                values = sorted(per_solver[solver])
-                n = len(values)
-                for i, v in enumerate(values, start=1):
-                    w.writerow([solver, repr(v), repr(i / n)])
-        else:
-            want = "user" if kind == "rate-map" else "human"
-            if kind == "rate-map":
-                w.writerow(["solver", "seed", "user_id", "x_m", "y_m", "rate_bps"])
-            else:
-                w.writerow(["solver", "seed", "human_id", "x_m", "y_m", "phantom",
-                            "sar_wkg"])
-            for rd in run_dirs:
-                summary, rows = load_run_metrics(rd)
-                for row in rows:
-                    if row["kind"] != want:
-                        continue
-                    if kind == "rate-map":
-                        w.writerow([summary["solver"], summary["seed"], row["id"],
-                                    row["x_m"], row["y_m"], row["rate_bps"]])
-                    else:
-                        w.writerow([summary["solver"], summary["seed"], row["id"],
-                                    row["x_m"], row["y_m"], row["phantom"],
-                                    row["sar_wkg"]])
+    _write_plot(kind, [load_run_metrics(rd) for rd in run_dirs], path)

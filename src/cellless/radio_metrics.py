@@ -30,7 +30,7 @@ from .exposure import incident_field, sar_wb
 from .scenario import Scenario
 from .solution import SolutionState, validate
 
-NOISE_DENSITY_W_HZ = 10.0 ** ((ch.NOISE_DENSITY_DBM_HZ - 30.0) / 10.0)
+NOISE_DENSITY_W_HZ = ch.dbm_to_watts(ch.NOISE_DENSITY_DBM_HZ)
 
 
 class UnservedUserError(ValueError):
@@ -74,10 +74,6 @@ def power_density(frequency: float, p_rx):
 
 def shannon_rate(bandwidth, sinr):
     return bandwidth * np.log2(1.0 + np.asarray(sinr, dtype=float))
-
-
-def _lin(dbm: float) -> float:
-    return 0.0 if dbm == -math.inf else 10.0 ** ((dbm - 30.0) / 10.0)
 
 
 class Evaluator:
@@ -151,7 +147,7 @@ class Evaluator:
         power = np.empty((len(active), len(self.targets), self.n_realizations))
         row_of = {}
         for row, (pid, i) in enumerate(active):
-            p_lin = _lin(solution.tx_power.get(pid, -math.inf)) / n_active[pid]
+            p_lin = ch.dbm_to_watts(solution.tx_power.get(pid, -math.inf)) / n_active[pid]
             power[row] = (p_lin * self.beam_gains(solution.beams[i])).T
             row_of[i] = row
         beam_of_user = {}

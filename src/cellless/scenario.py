@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna import ISOTROPIC, THREEGPP_8DBI
-from .channel import ChannelParams, PathlossCoeffs
+from .channel import ChannelParams, PathlossCoeffs, los_probability
 from .exposure import FrequencyMap, PhantomProfile
 
 SCHEMA_VERSION = 1
@@ -360,6 +360,16 @@ def builtin_scenario(name: str, seed: int = 0) -> Scenario:
 def _validate(s: Scenario):
     if not (0.0 <= s.clutter_density < 1.0):
         raise ValidationError("clutter.density", f"must be in [0, 1), got {s.clutter_density}")
+    lm = s.channel_params.los_model
+    try:
+        los_probability(lm.get("kind", "inf"), 0.0, 1.0, 1.0)
+    except (ValueError, AttributeError):
+        raise ValidationError("channel_params.los_model.kind",
+                              f"unknown LoS model {lm.get('kind')!r}") from None
+    density = lm.get("clutter_density", 0.0)
+    if not (isinstance(density, (int, float)) and 0.0 <= density < 1.0):
+        raise ValidationError("channel_params.los_model.clutter_density",
+                              f"must be in [0, 1), got {density!r}")
     if s.sar_limit <= 0:
         raise ValidationError("limits.sar_wkg", "must be positive")
     if len(s.bounds) < 2 or s.bounds[0] <= 0 or s.bounds[1] <= 0:
@@ -503,9 +513,7 @@ _CHANNEL_FIELDS = {
     "n_rays": ("n_rays", int, int),
     "delay_spread_s": ("delay_spread", float, float),
     "azimuth_spread_dep_deg": ("azimuth_spread_dep", _radians, math.degrees),
-    "azimuth_spread_arr_deg": ("azimuth_spread_arr", _radians, math.degrees),
     "zenith_spread_dep_deg": ("zenith_spread_dep", _radians, math.degrees),
-    "zenith_spread_arr_deg": ("zenith_spread_arr", _radians, math.degrees),
     "shadow_sigma_los_db": ("shadow_sigma_los_db", float, float),
     "shadow_sigma_nlos_db": ("shadow_sigma_nlos_db", float, float),
     "rician_k_mean_db": ("rician_k_mean_db", float, float),

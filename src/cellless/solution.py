@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+from .channel import dbm_to_watts
 from .scenario import Scenario
 
 
@@ -70,7 +71,7 @@ class SolutionState:
     def total_power_watts(self):
         active = set(self.active_poas())
         return sum(
-            10.0 ** ((dbm - 30.0) / 10.0)
+            dbm_to_watts(dbm)
             for pid, dbm in self.tx_power.items()
             if pid in active and dbm != -math.inf
         )

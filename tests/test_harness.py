@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from cellless.cli import main
-from cellless.harness import (ExperimentSpec, emit_plot_data,
-                              load_run_metrics, run_experiment)
+from cellless.harness import (PLOT_KINDS, ExperimentSpec, emit_plot_data,
+                              load_run_metrics, plot_data_from_dir,
+                              run_experiment)
 from cellless.scenario import builtin_scenario, save_scenario, scenario_to_dict
 from cellless.solution import load_solution, validate
 
@@ -132,6 +133,48 @@ def test_emit_plot_data_kinds(run_out, tmp_path):
 
     with pytest.raises(ValueError):
         emit_plot_data(records, "pie-chart", tmp_path / "x.csv")
+
+
+def _plot_bytes(plot, source, tmp_path, tag):
+    out = {}
+    for kind in PLOT_KINDS:
+        path = tmp_path / f"{tag}-{kind}.csv"
+        plot(source, kind, path)
+        out[kind] = path.read_bytes()
+    return out
+
+
+def test_plot_from_records_equals_plot_from_dir(tmp_path):
+    """Both plot paths write the same bytes, in numeric seed order, with
+    map positions taken from the file world that was solved."""
+    scenario = builtin_scenario("inf-dh-desk", 1)
+    world = tmp_path / "desk.json"
+    save_scenario(scenario, world)
+    spec = tiny_spec(tmp_path, scenario=str(world), solver="both", seeds=(2, 10))
+    records = run_experiment(spec)
+    assert all(r.bundle is not None for r in records)
+    from_records = _plot_bytes(emit_plot_data, records, tmp_path, "records")
+    from_dir = _plot_bytes(plot_data_from_dir, spec.out_dir, tmp_path, "dir")
+    assert from_records == from_dir
+
+    rows = list(csv.DictReader(from_dir["rate-map"].decode().splitlines()))
+    assert [int(r["seed"]) for r in rows] == sorted(int(r["seed"]) for r in rows)
+    assert {r["seed"] for r in rows} == {"2", "10"}
+    where = {u.id: (u.position.x, u.position.y) for u in scenario.users}
+    for r in rows:
+        assert (float(r["x_m"]), float(r["y_m"])) == where[r["user_id"]]
+
+
+def test_renamed_file_world_plots(tmp_path):
+    d = scenario_to_dict(builtin_scenario("inf-dh-desk", 1))
+    d["name"] = "my-hall"
+    world = tmp_path / "hall.json"
+    world.write_text(json.dumps(d))
+    spec = tiny_spec(tmp_path, scenario=str(world), seeds=(1,))
+    records = run_experiment(spec)
+    assert records[0].scenario_name == "my-hall"
+    assert _plot_bytes(emit_plot_data, records, tmp_path, "records") \
+        == _plot_bytes(plot_data_from_dir, spec.out_dir, tmp_path, "dir")
 
 
 def test_solver_failure_recorded_not_raised(tmp_path):

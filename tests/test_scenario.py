@@ -173,8 +173,19 @@ def _drop_first_poa_reference_sar(d):
     (lambda d: d["poas"][2].update(max_tx_power_dbm=math.inf), "poas[2].max_tx_power_dbm"),
     (lambda d: d["poas"][2].update(max_tx_power_dbm=-math.inf), "poas[2].max_tx_power_dbm"),
     (_drop_first_poa_reference_sar, "phantoms[0].sar_ref"),
+    (lambda d: d["channel_params"]["los_model"].update(kind="rural"),
+     "channel_params.los_model.kind"),
+    (lambda d: d["channel_params"]["los_model"].update(kind=3),
+     "channel_params.los_model.kind"),
+    (lambda d: d["channel_params"]["los_model"].update(clutter_density=1.0),
+     "channel_params.los_model.clutter_density"),
+    (lambda d: d["channel_params"]["los_model"].update(clutter_density=-0.1),
+     "channel_params.los_model.clutter_density"),
+    (lambda d: d["channel_params"]["los_model"].update(clutter_density="dense"),
+     "channel_params.los_model.clutter_density"),
 ], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
-        "maxpow-minus-inf", "phantom-sar-ref"])
+        "maxpow-minus-inf", "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
+        "clutter-density-one", "clutter-density-negative", "clutter-density-not-number"])
 def test_bad_inputs_rejected_at_load(mutate, path):
     d = scenario_to_dict(builtin_scenario("inf-dh-desk", 0))
     mutate(d)
