@@ -235,8 +235,12 @@ def unit_link_energy(link: LinkRealization, geom: PanelGeometry,
     mech = geom.mech_azimuth
     f = panel_field(geom, link.aod_zenith, wrap_angle(link.aod_azimuth - mech), steer)
     nr = link.phases.shape[-1]
-    amps = (np.sqrt(link.cluster_powers / nr)
-            * (f * np.exp(1j * link.phases)).sum(axis=-1))
+    # Operand order pinned: numpy swaps the operands of ``f * np.exp(...)``
+    # for large temporaries, and the complex product is not bit-commutative,
+    # so the bits would depend on how many links are passed.
+    rays = np.exp(1j * link.phases)
+    rays *= f
+    amps = np.sqrt(link.cluster_powers / nr) * rays.sum(axis=-1)
     # K = 0 off-LoS makes the Rician mix reduce to the pure scattered term.
     k = np.where(link.los, link.rician_k, 0.0)
     lam = SPEED_OF_LIGHT / link.frequency

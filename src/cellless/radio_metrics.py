@@ -1,19 +1,24 @@
 """SINR, per-user rates, per-human exposure, and the constraint system.
 
 The Evaluator samples every link realization once per (scenario, seed),
-with one ``channel.sample_link`` call per PoA over (realizations, targets);
-each link is still drawn from its own keyed stream. It keeps one
-unit-power (1 W) energy table per beam geometry, computed by
-``channel.unit_link_energy`` and cached. Channel ray geometry does not
-depend on any decision variable, so beam changes only add table entries
-and power changes invalidate nothing.
+with two ``channel.sample_link`` calls per PoA, one over (realizations,
+users) and one over (realizations, humans); each link is still drawn from
+its own keyed stream. It keeps one unit-power (1 W) energy table of shape
+(realizations, targets) per beam geometry, computed by
+``channel.unit_link_energy`` and cached. A new geometry fills only the
+user columns; the human columns are filled the first time exposure is
+read for it, so rate-only callers (``mean_rates``, ``sinr``, ``rate`` and
+with them the MaxRate objective) never evaluate the panel at a human.
+Channel ray geometry does not depend on any decision variable, so beam
+changes only add table entries and power changes invalidate nothing.
 
 One core turns a solution into the received power of every active beam at
-every target, shape (beams, targets, realizations). Each user's signal and
-co-channel interference, and each human's per-frequency received power,
-are masked sums of it over the beam axis; the latter feeds
-``power_density`` -> ``exposure.incident_field`` -> ``exposure.sar_wb``.
-``metrics``, ``mean_rates``, ``sinr`` and ``rate`` are all views of it.
+every user, or at every target when exposure is needed, shape (beams,
+targets, realizations). Each user's signal and co-channel interference,
+and each human's per-frequency received power, are masked sums of it over
+the beam axis; the latter feeds ``power_density`` ->
+``exposure.incident_field`` -> ``exposure.sar_wb``. ``metrics``,
+``mean_rates``, ``sinr`` and ``rate`` are all views of it.
 """
 
 from __future__ import annotations
@@ -81,7 +86,9 @@ class Evaluator:
 
     Per-beam unit-power (1 W) energy tables of shape
     (n_realizations, n_targets) are computed lazily and cached by beam
-    geometry, so re-evaluating with different powers is nearly free.
+    geometry, so re-evaluating with different powers is nearly free. Each
+    PoA's links are kept as (users part, humans part), and a table's human
+    columns are filled only once exposure is read for its beam.
     """
 
     def __init__(self, scenario: Scenario, seed: int, n_realizations: int = 10):
@@ -93,6 +100,7 @@ class Evaluator:
         self.targets = list(scenario.users) + list(scenario.humans)
         self.target_index = {t.id: i for i, t in enumerate(self.targets)}
         self._user_ids = [u.id for u in scenario.users]
+        self._n_users = len(scenario.users)
         self._poa_index = {p.id: i for i, p in enumerate(scenario.poas)}
         self._poa_frequency = np.array([p.frequency for p in scenario.poas])
         self._poa_bandwidth = np.array([p.bandwidth for p in scenario.poas])
@@ -106,49 +114,73 @@ class Evaluator:
             for p in scenario.poas
         }
         self._gain_cache = {}
-        target_pos = [t.position.as_tuple() for t in self.targets]
-        self._links = {
-            poa.id: ch.sample_link(
-                poa.position.as_tuple(), poa.frequency, target_pos, scenario.channel_params,
-                [[ch.link_rng(self.seed, r, p_idx, t_idx) for t_idx in range(len(self.targets))]
-                 for r in range(self.n_realizations)])
-            for p_idx, poa in enumerate(scenario.poas)
-        }
+        self._human_cols = set()  # gain-cache keys whose human columns are filled
+        self._links = {poa.id: self._sample_parts(p_idx, poa)
+                       for p_idx, poa in enumerate(scenario.poas)}
+
+    def _sample_parts(self, p_idx, poa):
+        """(users part, humans part) of one PoA's (realization, target)
+        links; target index t is still drawn from ``link_rng(seed, r, p, t)``."""
+        parts, start = [], 0
+        for group in (self.scenario.users, self.scenario.humans):
+            pos = np.array([t.position.as_tuple() for t in group], dtype=float).reshape(-1, 3)
+            parts.append(ch.sample_link(
+                poa.position.as_tuple(), poa.frequency, pos, self.scenario.channel_params,
+                [[ch.link_rng(self.seed, r, p_idx, start + j) for j in range(len(group))]
+                 for r in range(self.n_realizations)]))
+            start += len(group)
+        return tuple(parts)
 
     # -- per-beam unit-power gains -------------------------------------------
 
-    def beam_gains(self, beam) -> np.ndarray:
-        """(n_realizations, n_targets) energies at 1 W transmit power."""
+    def beam_gains(self, beam, humans: bool = True) -> np.ndarray:
+        """(n_realizations, n_targets) energies at 1 W transmit power.
+
+        With ``humans=False`` only the user columns are computed and the
+        (n_realizations, n_users) view of them is returned.
+        """
         panel = self._panels[beam.owner_poa]
         n_eff = width_to_panel(beam.width, panel)
         key = (beam.owner_poa, round(beam.zenith, 12), round(beam.azimuth, 12), n_eff)
-        cached = self._gain_cache.get(key)
-        if cached is None:
-            poa = self.scenario.poa_by_id(beam.owner_poa)
-            steer = SteeringDirection(beam.zenith, wrap_angle(beam.azimuth - poa.mech_azimuth))
-            cached = self._gain_cache[key] = ch.unit_link_energy(
-                self._links[poa.id], replace(panel, cols=n_eff), steer)
-        return cached
+        table = self._gain_cache.get(key)
+        if table is None:
+            table = self._gain_cache[key] = np.empty((self.n_realizations, len(self.targets)))
+            table[:, :self._n_users] = self._unit_energy(beam, panel, n_eff, 0)
+        if not humans:
+            return table[:, :self._n_users]
+        if key not in self._human_cols:
+            table[:, self._n_users:] = self._unit_energy(beam, panel, n_eff, 1)
+            self._human_cols.add(key)
+        return table
+
+    def _unit_energy(self, beam, panel, n_eff, part):
+        """Unit-power energies of one part (0 users, 1 humans) of the
+        beam's PoA links under the steered, width-reduced panel."""
+        poa = self.scenario.poa_by_id(beam.owner_poa)
+        steer = SteeringDirection(beam.zenith, wrap_angle(beam.azimuth - poa.mech_azimuth))
+        return ch.unit_link_energy(self._links[poa.id][part], replace(panel, cols=n_eff), steer)
 
     # -- the received-power core -----------------------------------------------
 
-    def _received(self, solution):
-        """Received power [W] of every active beam at every target.
+    def _received(self, solution, humans):
+        """Received power [W] of every active beam at every user, and also
+        at every human when ``humans`` is true.
 
         Returns (power, poa_of_beam, beam_of_user). ``power`` has shape
-        (beams, targets, realizations), beams ordered by PoA id and then as
-        listed in the solution; each PoA's power is split evenly over its
-        active beams. ``poa_of_beam`` indexes scenario.poas, and
-        ``beam_of_user`` maps each served user to the row of the first
-        beam that lists it.
+        (beams, users or targets, realizations), beams ordered by PoA id
+        and then as listed in the solution; each PoA's power is split
+        evenly over its active beams. ``poa_of_beam`` indexes
+        scenario.poas, and ``beam_of_user`` maps each served user to the
+        row of the first beam that lists it.
         """
         active = sorted((b.owner_poa, i) for i, b in enumerate(solution.beams) if b.active)
         n_active = Counter(pid for pid, _ in active)
-        power = np.empty((len(active), len(self.targets), self.n_realizations))
+        width = len(self.targets) if humans else self._n_users
+        power = np.empty((len(active), width, self.n_realizations))
         row_of = {}
         for row, (pid, i) in enumerate(active):
             p_lin = ch.dbm_to_watts(solution.tx_power.get(pid, -math.inf)) / n_active[pid]
-            power[row] = (p_lin * self.beam_gains(solution.beams[i])).T
+            power[row] = (p_lin * self.beam_gains(solution.beams[i], humans)).T
             row_of[i] = row
         beam_of_user = {}
         for i, b in enumerate(solution.beams):
@@ -186,7 +218,7 @@ class Evaluator:
         """Per-human mean SAR (humans,) and mean power density per frequency."""
         power, poa_of_beam, _ = received
         beam_freq = self._poa_frequency[poa_of_beam]
-        at_humans = power[:, len(self.scenario.users):]
+        at_humans = power[:, self._n_users:]
         fields, density = {}, {}
         for f in sorted(set(beam_freq.tolist())):
             s = power_density(f, at_humans[beam_freq == f].sum(axis=0))
@@ -202,20 +234,20 @@ class Evaluator:
 
     def sinr(self, user_id: str, solution: SolutionState) -> np.ndarray:
         """Per-realization linear SINR for one user."""
-        return self._sinr(self._received(solution), [user_id])[0][0]
+        return self._sinr(self._received(solution, False), [user_id])[0][0]
 
     def rate(self, user_id: str, solution: SolutionState) -> np.ndarray:
         """Per-realization achievable rate [bit/s] for one user."""
-        return self._rates(self._received(solution), [user_id])[0]
+        return self._rates(self._received(solution, False), [user_id])[0]
 
     def mean_rates(self, solution: SolutionState) -> np.ndarray:
         """Mean rate [bit/s] over realizations of every user, in scenario order."""
-        return self._rates(self._received(solution), self._user_ids).mean(axis=-1)
+        return self._rates(self._received(solution, False), self._user_ids).mean(axis=-1)
 
     def metrics(self, solution: SolutionState) -> MetricsBundle:
         """Averaged rates and SAR over all realizations, plus feasibility."""
         scenario = self.scenario
-        received = self._received(solution)
+        received = self._received(solution, True)
         rates = self._rates(received, self._user_ids).mean(axis=-1)
         sar, density = self._exposure(received)
         per_user_rate = {u.id: float(r) for u, r in zip(scenario.users, rates)}
@@ -254,6 +286,8 @@ class Evaluator:
             links = self._links[poa.id]
             for r in range(self.n_realizations):
                 for t_idx, t in enumerate(self.targets):
+                    part = int(t_idx >= self._n_users)
+                    link, col = links[part], t_idx - part * self._n_users
                     rows.append({
                         "realization": r,
                         "beam_id": b.beam_id,
@@ -261,11 +295,11 @@ class Evaluator:
                         "frequency_hz": poa.frequency,
                         "bandwidth_hz": poa.bandwidth,
                         "target_id": t.id,
-                        "target_kind": "user" if t_idx < len(self.scenario.users) else "human",
+                        "target_kind": ("user", "human")[part],
                         "unit_energy_w": float(gains[r, t_idx]),
-                        "los": bool(links.los[r, t_idx]),
-                        "pathloss_db": float(links.pathloss_db[r, t_idx]),
-                        "shadow_db": float(links.shadow_db[r, t_idx]),
+                        "los": bool(link.los[r, col]),
+                        "pathloss_db": float(link.pathloss_db[r, col]),
+                        "shadow_db": float(link.shadow_db[r, col]),
                     })
         return rows
 

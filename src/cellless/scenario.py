@@ -507,7 +507,8 @@ def _radians(deg):
 
 
 # channel_params file key -> (ChannelParams field, parse, dump). Keys
-# missing from a file take ChannelParams' own defaults.
+# missing from a file take ChannelParams' own defaults; any other key is
+# rejected, except the retired arrival-spread keys, which are ignored.
 _CHANNEL_FIELDS = {
     "n_clusters": ("n_clusters", int, int),
     "n_rays": ("n_rays", int, int),
@@ -522,6 +523,7 @@ _CHANNEL_FIELDS = {
     "pathloss_nlos": ("pathloss_nlos", _pathloss, lambda c: [c.a, c.b, c.c]),
     "los_model": ("los_model", dict, dict),
 }
+_RETIRED_CHANNEL_KEYS = {"azimuth_spread_arr_deg", "zenith_spread_arr_deg"}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -532,6 +534,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ParseError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     try:
         cp_d = data.get("channel_params", {})
+        if not isinstance(cp_d, dict):
+            raise ValidationError("channel_params", "must be an object")
+        for key in cp_d:
+            if key not in _CHANNEL_FIELDS and key not in _RETIRED_CHANNEL_KEYS:
+                raise ValidationError(f"channel_params.{key}", "unknown key")
         cp = ChannelParams(**{name: parse(cp_d[key])
                               for key, (name, parse, _) in _CHANNEL_FIELDS.items()
                               if key in cp_d})

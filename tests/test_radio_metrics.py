@@ -9,11 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellless.antenna import PanelGeometry, SteeringDirection, width_to_panel, wrap_angle
-from cellless.channel import NOISE_DENSITY_DBM_HZ, link_energy, link_rng, sample_link
+from cellless import channel as ch
+from cellless.channel import (NOISE_DENSITY_DBM_HZ, ChannelParams, link_energy, link_rng,
+                              sample_link)
+from cellless.exposure import FrequencyMap
 from cellless.radio_metrics import (Evaluator, SolutionInvalidError,
                                     UnservedUserError, evaluate, shannon_rate)
-from cellless.scenario import builtin_scenario
-from cellless.solution import BeamConfig
+from cellless.scenario import PoA, Position3D, Scenario, builtin_scenario
+from cellless.solution import BeamConfig, SolutionState
+from cellless.solver_maxrate import objective
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +54,17 @@ def test_evaluator_deterministic(tiny_scenario, tiny_solution):
 
 
 def _assert_links_keyed_per_link(ev, p_idx):
-    """Every link the Evaluator drew for one PoA equals a one-link draw from
-    that link's own stream, field by field and bit for bit."""
+    """Every link the Evaluator drew for one PoA, in its users part and its
+    humans part, equals a one-link draw from that link's own stream, field
+    by field and bit for bit. Returns the (users, humans) parts."""
     poa = ev.scenario.poas[p_idx]
-    links = ev._links[poa.id]
+    parts = ev._links[poa.id]
+    n_users = len(ev.scenario.users)
+    assert [part.los.shape for part in parts] == [
+        (ev.n_realizations, n_users), (ev.n_realizations, len(ev.scenario.humans))]
     for r in range(ev.n_realizations):
         for t_idx, t in enumerate(ev.targets):
+            links, col = (parts[0], t_idx) if t_idx < n_users else (parts[1], t_idx - n_users)
             one = sample_link(poa.position.as_tuple(), poa.frequency, t.position.as_tuple(),
                               ev.scenario.channel_params, link_rng(ev.seed, r, p_idx, t_idx))
             for f in dataclasses.fields(one):
@@ -63,18 +72,60 @@ def _assert_links_keyed_per_link(ev, p_idx):
                 if f.name == "frequency":
                     assert got == want
                 elif f.name == "los_aod":
-                    assert got[0][r, t_idx] == want[0] and got[1][r, t_idx] == want[1]
+                    assert got[0][r, col] == want[0] and got[1][r, col] == want[1]
                 else:
-                    assert np.array_equal(got[r, t_idx], want), f.name
-    return links
+                    assert np.array_equal(got[r, col], want), f.name
+    return parts
 
 
 def test_per_poa_sample_equals_per_link_streams(tiny_scenario, ev):
     for p_idx in range(len(tiny_scenario.poas)):
         _assert_links_keyed_per_link(ev, p_idx)
     desk = Evaluator(builtin_scenario("inf-dh-desk", 1), seed=3, n_realizations=2)
-    links = _assert_links_keyed_per_link(desk, 0)
-    assert links.los.any() and not links.los.all()
+    users, humans = _assert_links_keyed_per_link(desk, 0)
+    los = np.concatenate([users.los, humans.los], axis=1)
+    assert los.any() and not los.all()
+
+
+def _count_unit_energy_parts(monkeypatch, ev):
+    """Record, per call of channel.unit_link_energy, which part of which
+    PoA's links it was given: (PoA id, "users" | "humans")."""
+    calls = []
+    original = ch.unit_link_energy
+    names = {id(part): (pid, kind) for pid, parts in ev._links.items()
+             for part, kind in zip(parts, ("users", "humans"))}
+
+    def spy(link, geom, steer):
+        calls.append(names[id(link)])
+        return original(link, geom, steer)
+
+    monkeypatch.setattr(ch, "unit_link_energy", spy)
+    return calls
+
+
+def test_rates_evaluate_user_columns_only(monkeypatch, tiny_scenario, tiny_solution):
+    ev = Evaluator(tiny_scenario, seed=5, n_realizations=8)
+    calls = _count_unit_energy_parts(monkeypatch, ev)
+    active = [b for b in tiny_solution.beams if b.active]
+    ev.mean_rates(tiny_solution)
+    objective(tiny_solution, ev)
+    ev.rate("u0", tiny_solution)
+    assert sorted(calls) == sorted((b.owner_poa, "users") for b in active)
+    ev.metrics(tiny_solution)
+    assert sorted(calls[len(active):]) == sorted((b.owner_poa, "humans") for b in active)
+    ev.metrics(tiny_solution)
+    ev.mean_rates(tiny_solution)
+    assert len(calls) == 2 * len(active)
+
+
+def test_metrics_after_rates_equals_fresh_metrics(tiny_scenario, tiny_solution):
+    ev = Evaluator(tiny_scenario, seed=5, n_realizations=8)
+    rates = ev.mean_rates(tiny_solution)
+    late = ev.metrics(tiny_solution)
+    fresh = Evaluator(tiny_scenario, seed=5, n_realizations=8).metrics(tiny_solution)
+    assert late.per_user_rate == fresh.per_user_rate
+    assert late.per_human_sar == fresh.per_human_sar
+    assert rates.tolist() == list(fresh.per_user_rate.values())
 
 
 def test_sinr_power_scaling_without_interference(tiny_scenario, tiny_solution, ev):
@@ -179,6 +230,36 @@ def test_dump_links_recomputes_sinr(tiny_scenario, tiny_solution, ev):
                         and r["frequency_hz"] == poa.frequency):
                     intf += split_power(r["poa_id"]) * r["unit_energy_w"]
             assert sig / (noise + intf) == pytest.approx(want[real], rel=1e-12)
+
+
+def test_world_without_humans_evaluates(tiny_scenario, tiny_solution):
+    no_humans = replace(tiny_scenario, humans=())
+    m = evaluate(tiny_solution, no_humans, seed=5, n_realizations=4)
+    assert m.per_human_sar == {} and m.per_human_power_density == {}
+    with_humans = Evaluator(tiny_scenario, seed=5, n_realizations=4).metrics(tiny_solution)
+    assert m.per_user_rate == with_humans.per_user_rate
+    ev = Evaluator(no_humans, seed=5, n_realizations=4)
+    assert ev.mean_rates(tiny_solution).tolist() == list(m.per_user_rate.values())
+    assert ev.beam_gains(tiny_solution.beams[0]).shape == (4, len(no_humans.users))
+
+
+def test_world_without_targets_evaluates():
+    """The criterion-4 matching world: PoAs only, no users and no humans."""
+    poa = PoA(id="p0", position=Position3D(10.0, 20.0, 6.0), frequency=5e9,
+              bandwidth=20e6, max_tx_power_dbm=30.0, min_beam_width=0.05,
+              panel_rows=4, panel_cols=4, mech_azimuth=0.0, beams=("p0-b0",),
+              element_pattern="isotropic")
+    empty = Scenario(
+        kind="InF-DH", bounds=(50.0, 50.0, 8.0), clutter_density=0.0, clutter_height=0.0,
+        poas=(poa,), users=(), humans=(), phantoms={}, sar_limit=0.08,
+        channel_params=ChannelParams(), frequency_map=FrequencyMap({5e9: 5e9}))
+    sol = SolutionState(beams=(BeamConfig("p0-b0", "p0", 0.0, 1.0, 0.5),),
+                        tx_power={"p0": 10.0})
+    m = evaluate(sol, empty, seed=1, n_realizations=2)
+    assert m.feasible and m.per_user_rate == {} and m.per_human_sar == {}
+    ev = Evaluator(empty, seed=1, n_realizations=2)
+    assert ev.mean_rates(sol).shape == (0,)
+    assert ev.beam_gains(sol.beams[0]).shape == (2, 0)
 
 
 def test_evaluator_rejects_bad_realizations(tiny_scenario):

@@ -183,9 +183,14 @@ def _drop_first_poa_reference_sar(d):
      "channel_params.los_model.clutter_density"),
     (lambda d: d["channel_params"]["los_model"].update(clutter_density="dense"),
      "channel_params.los_model.clutter_density"),
+    (lambda d: d["channel_params"].update(n_ray=3), "channel_params.n_ray"),
+    (lambda d: d["channel_params"].update(azimuth_spread_arr=8.0),
+     "channel_params.azimuth_spread_arr"),
+    (lambda d: d.update(channel_params=[]), "channel_params"),
 ], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
         "maxpow-minus-inf", "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
-        "clutter-density-one", "clutter-density-negative", "clutter-density-not-number"])
+        "clutter-density-one", "clutter-density-negative", "clutter-density-not-number",
+        "channel-key-misspelled", "channel-key-unknown", "channel-params-not-object"])
 def test_bad_inputs_rejected_at_load(mutate, path):
     d = scenario_to_dict(builtin_scenario("inf-dh-desk", 0))
     mutate(d)
@@ -199,4 +204,7 @@ def test_missing_channel_params_take_the_dataclass_defaults():
     del d["channel_params"]
     assert scenario_from_dict(d).channel_params == ChannelParams()
     d["channel_params"] = {"n_rays": 7}
+    assert scenario_from_dict(d).channel_params == ChannelParams(n_rays=7)
+    # The retired arrival-spread keys still load, and are ignored.
+    d["channel_params"].update(azimuth_spread_arr_deg=11.0, zenith_spread_arr_deg=7.0)
     assert scenario_from_dict(d).channel_params == ChannelParams(n_rays=7)
