@@ -87,6 +87,40 @@ def _array_ratio(m, g):
     return ratio
 
 
+@dataclass(frozen=True)
+class PanelTerms:
+    """Factors of the panel field at fixed LCS observation angles that no
+    steering direction or column count changes."""
+
+    cos_theta: np.ndarray
+    sin_phi_sin_theta: np.ndarray
+    element: np.ndarray | float  # element field amplitude (linear)
+
+
+def panel_terms(pattern, theta, phi) -> PanelTerms:
+    """Steering-independent terms of ``panel_field`` at LCS angles."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    # The isotropic element is 0 dB everywhere: amplitude exactly 1.
+    element = (1.0 if pattern == ISOTROPIC
+               else 10.0 ** (element_gain_db(pattern, theta, phi) / 20.0))
+    return PanelTerms(np.cos(theta), np.sin(phi) * np.sin(theta), element)
+
+
+def steered_field(geom: PanelGeometry, terms: PanelTerms, steer: SteeringDirection):
+    """Complex field of the steered panel from precomputed ``panel_terms``."""
+    m, n = geom.rows, geom.cols
+    g1 = geom.v_spacing * (terms.cos_theta - math.cos(steer.zenith))
+    g2 = geom.h_spacing * (
+        terms.sin_phi_sin_theta - math.sin(steer.azimuth) * math.sin(steer.zenith)
+    )
+    af = _array_ratio(m, g1) * _array_ratio(n, g2) * math.sqrt(m * n)
+    field = np.asarray(1j * np.pi * ((m - 1) * g1 + (n - 1) * g2))
+    del g1, g2  # the complex field is built in place: this bounds the peak memory
+    np.exp(field, out=field)
+    return np.multiply(terms.element * af, field, out=field)
+
+
 def panel_field(geom: PanelGeometry, theta, phi, steer: SteeringDirection):
     """Complex field of the steered panel at LCS observation angles.
 
@@ -94,16 +128,7 @@ def panel_field(geom: PanelGeometry, theta, phi, steer: SteeringDirection):
     direction; equal to the explicit element-by-element sum normalized by
     sqrt(M*N).
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    m, n = geom.rows, geom.cols
-    g1 = geom.v_spacing * (np.cos(theta) - math.cos(steer.zenith))
-    g2 = geom.h_spacing * (
-        np.sin(phi) * np.sin(theta) - math.sin(steer.azimuth) * math.sin(steer.zenith)
-    )
-    elem = 10.0 ** (element_gain_db(geom.element_pattern, theta, phi) / 20.0)
-    af = _array_ratio(m, g1) * _array_ratio(n, g2) * math.sqrt(m * n)
-    return elem * af * np.exp(1j * np.pi * ((m - 1) * g1 + (n - 1) * g2))
+    return steered_field(geom, panel_terms(geom.element_pattern, theta, phi), steer)
 
 
 def width_to_panel(width: float, geom: PanelGeometry, kappa: float = BEAMWIDTH_CONSTANT) -> int:

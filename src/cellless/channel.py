@@ -18,7 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antenna import PanelGeometry, SteeringDirection, panel_field, wrap_angle
+from .antenna import (PanelGeometry, PanelTerms, SteeringDirection, panel_terms,
+                      steered_field, wrap_angle)
+# Still reachable as channel.panel_field: perfbench's tracer patches it here.
+from .antenna import panel_field  # noqa: F401
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -153,6 +156,8 @@ def sample_link(poa_pos, poa_freq, target_pos, params: ChannelParams, rng) -> Li
     rngs = np.array(rng, dtype=object)
     shape = rngs.shape
     pos = np.asarray(target_pos, dtype=float)
+    if pos.shape == (0,):
+        pos = pos.reshape(0, 3)     # an empty plain list: no targets
 
     # Direct-path geometry, LoS probability and both pathlosses, once per
     # target with scalar calls (array math may round differently).
@@ -223,6 +228,62 @@ def amplitude_scale(tx_power_dbm: float, pathloss_db: float, shadow_db: float) -
     return 10.0 ** ((tx_power_dbm - 30.0 - pathloss_db + shadow_db) / 20.0)
 
 
+@dataclass(frozen=True)
+class LinkTerms:
+    """The factors of ``unit_link_energy`` that depend on the links and the
+    panel's mounting and element pattern but on no steering direction or
+    column count, so one set serves every beam of a PoA."""
+
+    rays: np.ndarray            # exp(1j * phases), (..., N_c, N_r)
+    ray_panel: PanelTerms       # at the ray departure angles
+    los_panel: PanelTerms       # at the direct-path departure angles
+    los_phasor: np.ndarray      # exp(-1j * 2 pi d_3d / lambda)
+    cluster_amp: np.ndarray     # sqrt(cluster power / N_r), (..., N_c)
+    scatter_mix: np.ndarray     # sqrt(1 / (1 + K)), (..., 1)
+    los_mix: np.ndarray         # sqrt(K / (1 + K))
+    scale: np.ndarray           # linear pathloss-and-shadowing power factor
+
+
+def link_terms(link: LinkRealization, geom: PanelGeometry) -> LinkTerms:
+    """Steering-independent terms of ``unit_link_energy`` for every link.
+
+    Only ``geom``'s mechanical azimuth and element pattern are read.
+    """
+    mech, pattern = geom.mech_azimuth, geom.element_pattern
+    # K = 0 off-LoS makes the Rician mix reduce to the pure scattered term.
+    k = np.where(link.los, link.rician_k, 0.0)
+    lam = SPEED_OF_LIGHT / link.frequency
+    zen0, az0 = link.los_aod
+    # The element pattern's temporaries are freed before the phasors exist.
+    ray_panel = panel_terms(pattern, link.aod_zenith, wrap_angle(link.aod_azimuth - mech))
+    rays = 1j * link.phases
+    return LinkTerms(
+        rays=np.exp(rays, out=rays),
+        ray_panel=ray_panel,
+        los_panel=panel_terms(pattern, zen0, wrap_angle(az0 - mech)),
+        los_phasor=np.exp(-1j * 2.0 * math.pi * link.d_3d / lam),
+        cluster_amp=np.sqrt(link.cluster_powers / link.phases.shape[-1]),
+        scatter_mix=np.sqrt(1.0 / (1.0 + k))[..., None],
+        los_mix=np.sqrt(k / (1.0 + k)),
+        scale=10.0 ** ((-link.pathloss_db + link.shadow_db) / 10.0),
+    )
+
+
+def steered_energy(terms: LinkTerms, geom: PanelGeometry,
+                   steer: SteeringDirection) -> np.ndarray:
+    """``unit_link_energy`` from the links' precomputed ``link_terms``."""
+    # Operand order pinned: numpy swaps the operands of a product whose
+    # right operand is a large temporary, and the complex product is not
+    # bit-commutative, so the bits would depend on how many links are passed.
+    rays = steered_field(geom, terms.ray_panel, steer)
+    np.multiply(terms.rays, rays, out=rays)
+    amps = terms.cluster_amp * rays.sum(axis=-1)
+    h_los = np.multiply(steered_field(geom, terms.los_panel, steer), terms.los_phasor)
+    amps = amps * terms.scatter_mix
+    amps[..., 0] += terms.los_mix * h_los
+    return terms.scale * (np.abs(amps) ** 2).sum(axis=-1)
+
+
 def unit_link_energy(link: LinkRealization, geom: PanelGeometry,
                      steer: SteeringDirection) -> np.ndarray:
     """Energy [W] of |h_tilde(tau)|^2 at 1 W transmit power for every link.
@@ -230,27 +291,11 @@ def unit_link_energy(link: LinkRealization, geom: PanelGeometry,
     The target is a single isotropic element (unit field). Clusters sit at
     distinct delays, so the energy is the sum of squared per-cluster
     amplitudes; LoS mixing folds the direct path into the first cluster.
-    Returns an array with the links' leading shape.
+    Returns an array with the links' leading shape. It is
+    ``steered_energy`` over ``link_terms``; callers that steer many beams
+    over the same links compute the terms once.
     """
-    mech = geom.mech_azimuth
-    f = panel_field(geom, link.aod_zenith, wrap_angle(link.aod_azimuth - mech), steer)
-    nr = link.phases.shape[-1]
-    # Operand order pinned: numpy swaps the operands of ``f * np.exp(...)``
-    # for large temporaries, and the complex product is not bit-commutative,
-    # so the bits would depend on how many links are passed.
-    rays = np.exp(1j * link.phases)
-    rays *= f
-    amps = np.sqrt(link.cluster_powers / nr) * rays.sum(axis=-1)
-    # K = 0 off-LoS makes the Rician mix reduce to the pure scattered term.
-    k = np.where(link.los, link.rician_k, 0.0)
-    lam = SPEED_OF_LIGHT / link.frequency
-    zen0, az0 = link.los_aod
-    f0 = panel_field(geom, zen0, wrap_angle(az0 - mech), steer)
-    h_los = f0 * np.exp(-1j * 2.0 * math.pi * link.d_3d / lam)
-    amps = amps * np.sqrt(1.0 / (1.0 + k))[..., None]
-    amps[..., 0] += np.sqrt(k / (1.0 + k)) * h_los
-    scale2 = 10.0 ** ((-link.pathloss_db + link.shadow_db) / 10.0)
-    return scale2 * (np.abs(amps) ** 2).sum(axis=-1)
+    return steered_energy(link_terms(link, geom), geom, steer)
 
 
 def link_energy(link: LinkRealization, tx_power_dbm: float,

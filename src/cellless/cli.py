@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 validation/usage error, 3 no feasible solution
-at maximum power.
+Exit codes: 0 success, 2 validation/usage error, 3 at least one run
+failed: no feasible solution at maximum power, or any other error, which
+is recorded on that run and printed while the other runs complete.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -96,6 +97,10 @@ def _run_one(spec: ExperimentSpec, seed: int, solver: str) -> RunRecord:
         wall = time.perf_counter() - t0
     except NoFeasibleSolutionError as e:
         return RunRecord(seed, solver, scenario, 0.0, None, None, error=str(e))
+    except Exception as e:  # one failed run must not abort the batch
+        logging.getLogger(__name__).exception("seed %s %s failed", seed, solver)
+        return RunRecord(seed, solver, scenario, 0.0, None, None,
+                         error=f"{type(e).__name__}: {e}")
     record = RunRecord(seed, solver, scenario, wall, bundle, solution)
     if spec.out_dir:
         _write_run(spec, record)
@@ -163,7 +168,9 @@ def _write_run(spec: ExperimentSpec, record: RunRecord):
 
 def run_experiment(spec: ExperimentSpec) -> list:
     """One record per (seed, solver); order and content are independent of
-    the worker count. Solver failures are recorded, not raised."""
+    the worker count. Solver failures are recorded, not raised: an
+    infeasible run carries the ``NoFeasibleSolutionError`` message, any
+    other exception ``"<ExcType>: <message>"``."""
     tasks = [(seed, solver) for seed in spec.seeds for solver in spec.solver_list]
     if spec.workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:

@@ -5,20 +5,30 @@ with two ``channel.sample_link`` calls per PoA, one over (realizations,
 users) and one over (realizations, humans); each link is still drawn from
 its own keyed stream. It keeps one unit-power (1 W) energy table of shape
 (realizations, targets) per beam geometry, computed by
-``channel.unit_link_energy`` and cached. A new geometry fills only the
-user columns; the human columns are filled the first time exposure is
-read for it, so rate-only callers (``mean_rates``, ``sinr``, ``rate`` and
-with them the MaxRate objective) never evaluate the panel at a human.
-Channel ray geometry does not depend on any decision variable, so beam
-changes only add table entries and power changes invalidate nothing.
+``channel.unit_link_energy``'s two parts and cached. The cache misses of
+one call are grouped by (PoA, users|humans part): each group computes the
+steering-independent ``channel.link_terms`` once, steers every missing
+beam from them with ``channel.steered_energy``, and drops them. A new
+geometry fills only the user columns; the human columns are filled the
+first time exposure is read for it, so rate-only callers (``mean_rates``,
+``sinr``, ``rate`` and with them the MaxRate objective) never evaluate the
+panel at a human. Channel ray geometry does not depend on any decision
+variable, so beam changes only add table entries and power changes
+invalidate nothing.
 
-One core turns a solution into the received power of every active beam at
-every user, or at every target when exposure is needed, shape (beams,
-targets, realizations). Each user's signal and co-channel interference,
-and each human's per-frequency received power, are masked sums of it over
-the beam axis; the latter feeds ``power_density`` ->
-``exposure.incident_field`` -> ``exposure.sar_wb``. ``metrics``,
-``mean_rates``, ``sinr`` and ``rate`` are all views of it.
+One power core turns beams and powers into rates and exposure, in three
+steps. *Stack* (``Evaluator.stack``) gathers the unit-power gains of every
+active beam at every user, or at every target when exposure is needed,
+shape (beams, targets, realizations), as a ``GainStack``. *Scale*
+(``GainStack.scaled``) multiplies it by the per-beam watts of a power
+vector. *Verdict* takes each user's signal and co-channel interference,
+and each human's per-frequency received power, as masked sums over the
+beam axis; the latter feeds ``power_density`` ->
+``exposure.incident_field`` -> ``exposure.sar_wb``, and the means are
+checked against the rate floors and the SAR ceiling. ``metrics`` is stack -> scale -> verdict -> bundle;
+``violated`` rescales a stack the caller keeps, which is how the CtM
+power descent checks each step without re-stacking its fixed beams;
+``mean_rates``, ``sinr`` and ``rate`` are user-only views.
 """
 
 from __future__ import annotations
@@ -69,6 +79,33 @@ class MetricsBundle:
         return max(self.per_human_sar.values()) if self.per_human_sar else 0.0
 
 
+@dataclass(frozen=True)
+class GainStack:
+    """Unit-power gains of one solution's active beams, frozen for a search
+    over transmit powers.
+
+    ``gains`` has shape (beams, users or targets, realizations), beams
+    ordered by PoA id and then as listed in the solution. Row ``i``
+    belongs to PoA ``poa_ids[i]`` (index ``poa_of_beam[i]`` in
+    scenario.poas), which splits its power evenly over ``beams_at_poa[i]``
+    active beams. ``beam_of_user`` maps each served user to the row of the
+    first beam that lists it.
+    """
+
+    gains: np.ndarray
+    poa_ids: tuple
+    poa_of_beam: np.ndarray
+    beams_at_poa: tuple
+    beam_of_user: dict
+
+    def scaled(self, tx_power) -> np.ndarray:
+        """Received power [W] of every row under per-PoA levels [dBm]: the
+        gains times each row's share of its PoA's power."""
+        watts = np.array([ch.dbm_to_watts(tx_power.get(pid, -math.inf)) / n
+                          for pid, n in zip(self.poa_ids, self.beams_at_poa)], dtype=float)
+        return watts[:, None, None] * self.gains
+
+
 def power_density(frequency: float, p_rx):
     """Incident power density [W/m^2]: received power over the isotropic
     effective area lambda^2 / 4*pi. Scalar or array received power."""
@@ -100,6 +137,8 @@ class Evaluator:
         self.targets = list(scenario.users) + list(scenario.humans)
         self.target_index = {t.id: i for i, t in enumerate(self.targets)}
         self._user_ids = [u.id for u in scenario.users]
+        self._human_ids = [h.id for h in scenario.humans]
+        self._rate_floor = np.array([u.required_rate for u in scenario.users], dtype=float)
         self._n_users = len(scenario.users)
         self._poa_index = {p.id: i for i, p in enumerate(scenario.poas)}
         self._poa_frequency = np.array([p.frequency for p in scenario.poas])
@@ -123,7 +162,7 @@ class Evaluator:
         links; target index t is still drawn from ``link_rng(seed, r, p, t)``."""
         parts, start = [], 0
         for group in (self.scenario.users, self.scenario.humans):
-            pos = np.array([t.position.as_tuple() for t in group], dtype=float).reshape(-1, 3)
+            pos = [t.position.as_tuple() for t in group]
             parts.append(ch.sample_link(
                 poa.position.as_tuple(), poa.frequency, pos, self.scenario.channel_params,
                 [[ch.link_rng(self.seed, r, p_idx, start + j) for j in range(len(group))]
@@ -139,65 +178,78 @@ class Evaluator:
         With ``humans=False`` only the user columns are computed and the
         (n_realizations, n_users) view of them is returned.
         """
-        panel = self._panels[beam.owner_poa]
-        n_eff = width_to_panel(beam.width, panel)
-        key = (beam.owner_poa, round(beam.zenith, 12), round(beam.azimuth, 12), n_eff)
-        table = self._gain_cache.get(key)
-        if table is None:
-            table = self._gain_cache[key] = np.empty((self.n_realizations, len(self.targets)))
-            table[:, :self._n_users] = self._unit_energy(beam, panel, n_eff, 0)
-        if not humans:
-            return table[:, :self._n_users]
-        if key not in self._human_cols:
-            table[:, self._n_users:] = self._unit_energy(beam, panel, n_eff, 1)
-            self._human_cols.add(key)
-        return table
+        (table,) = self._tables([beam], humans)
+        return table if humans else table[:, :self._n_users]
 
-    def _unit_energy(self, beam, panel, n_eff, part):
-        """Unit-power energies of one part (0 users, 1 humans) of the
-        beam's PoA links under the steered, width-reduced panel."""
-        poa = self.scenario.poa_by_id(beam.owner_poa)
-        steer = SteeringDirection(beam.zenith, wrap_angle(beam.azimuth - poa.mech_azimuth))
-        return ch.unit_link_energy(self._links[poa.id][part], replace(panel, cols=n_eff), steer)
+    def _tables(self, beams, humans):
+        """The cached gain table of each beam, filling what is missing: the
+        user columns always, the human columns when ``humans`` is true.
 
-    # -- the received-power core -----------------------------------------------
-
-    def _received(self, solution, humans):
-        """Received power [W] of every active beam at every user, and also
-        at every human when ``humans`` is true.
-
-        Returns (power, poa_of_beam, beam_of_user). ``power`` has shape
-        (beams, users or targets, realizations), beams ordered by PoA id
-        and then as listed in the solution; each PoA's power is split
-        evenly over its active beams. ``poa_of_beam`` indexes
-        scenario.poas, and ``beam_of_user`` maps each served user to the
-        row of the first beam that lists it.
+        Missing columns are grouped by (PoA, users|humans part); each group
+        computes ``channel.link_terms`` once, steers every beam in it from
+        those terms, and drops them.
         """
+        tables, missing = [], {}
+        for beam in beams:
+            panel = self._panels[beam.owner_poa]
+            n_eff = width_to_panel(beam.width, panel)
+            key = (beam.owner_poa, round(beam.zenith, 12), round(beam.azimuth, 12), n_eff)
+            table = self._gain_cache.get(key)
+            if table is None:
+                table = self._gain_cache[key] = np.empty((self.n_realizations, len(self.targets)))
+                missing.setdefault((beam.owner_poa, 0), {})[key] = beam
+            if humans and key not in self._human_cols:
+                missing.setdefault((beam.owner_poa, 1), {})[key] = beam
+            tables.append(table)
+        for (pid, part), group in missing.items():
+            panel = self._panels[pid]
+            terms = ch.link_terms(self._links[pid][part], panel)
+            cols = slice(self._n_users) if part == 0 else slice(self._n_users, None)
+            for key, beam in group.items():
+                steer = SteeringDirection(beam.zenith,
+                                          wrap_angle(beam.azimuth - panel.mech_azimuth))
+                self._gain_cache[key][:, cols] = ch.steered_energy(
+                    terms, replace(panel, cols=key[3]), steer)
+            if part:
+                self._human_cols.update(group)
+        return tables
+
+    # -- the power core: stack, scale, verdict ----------------------------------
+
+    def stack(self, solution, humans: bool = True) -> GainStack:
+        """Unit-power gains of the solution's active beams at every user, and
+        also at every human when ``humans`` is true. The stack depends on
+        the beams only, so one serves every power vector over them."""
         active = sorted((b.owner_poa, i) for i, b in enumerate(solution.beams) if b.active)
         n_active = Counter(pid for pid, _ in active)
         width = len(self.targets) if humans else self._n_users
-        power = np.empty((len(active), width, self.n_realizations))
-        row_of = {}
-        for row, (pid, i) in enumerate(active):
-            p_lin = ch.dbm_to_watts(solution.tx_power.get(pid, -math.inf)) / n_active[pid]
-            power[row] = (p_lin * self.beam_gains(solution.beams[i], humans)).T
-            row_of[i] = row
+        gains = np.empty((len(active), width, self.n_realizations))
+        tables = self._tables([solution.beams[i] for _, i in active], humans)
+        for row, table in enumerate(tables):
+            gains[row] = table[:, :width].T
+        row_of = {i: row for row, (_, i) in enumerate(active)}
         beam_of_user = {}
         for i, b in enumerate(solution.beams):
             for uid in b.served_users:
                 beam_of_user.setdefault(uid, row_of[i])
-        poa_of_beam = np.array([self._poa_index[pid] for pid, _ in active], dtype=int)
-        return power, poa_of_beam, beam_of_user
+        return GainStack(
+            gains=gains,
+            poa_ids=tuple(pid for pid, _ in active),
+            poa_of_beam=np.array([self._poa_index[pid] for pid, _ in active], dtype=int),
+            beams_at_poa=tuple(n_active[pid] for pid, _ in active),
+            beam_of_user=beam_of_user,
+        )
 
-    def _sinr(self, received, user_ids):
+    def _sinr(self, stack, power, user_ids):
         """(users, realizations) linear SINR and each user's bandwidth [Hz].
 
-        Interference is the power of every beam on the serving PoA's
-        frequency from every other PoA.
+        ``power`` is the stack scaled by per-beam watts. Interference is the
+        power of every beam on the serving PoA's frequency from every other
+        PoA.
         """
-        power, poa_of_beam, beam_of_user = received
+        poa_of_beam = stack.poa_of_beam
         try:
-            rows = np.array([beam_of_user[uid] for uid in user_ids], dtype=int)
+            rows = np.array([stack.beam_of_user[uid] for uid in user_ids], dtype=int)
         except KeyError as e:
             raise UnservedUserError(e.args[0]) from None
         cols = np.array([self.target_index[uid] for uid in user_ids], dtype=int)
@@ -209,15 +261,14 @@ class Evaluator:
         noise = NOISE_DENSITY_W_HZ * self._poa_bandwidth[own]
         return power[rows, cols] / (noise[:, None] + interference), self._poa_bandwidth[own]
 
-    def _rates(self, received, user_ids):
+    def _rates(self, stack, power, user_ids):
         """(users, realizations) achievable rates [bit/s]."""
-        sinr, bandwidth = self._sinr(received, user_ids)
+        sinr, bandwidth = self._sinr(stack, power, user_ids)
         return shannon_rate(bandwidth[:, None], sinr)
 
-    def _exposure(self, received):
+    def _exposure(self, stack, power):
         """Per-human mean SAR (humans,) and mean power density per frequency."""
-        power, poa_of_beam, _ = received
-        beam_freq = self._poa_frequency[poa_of_beam]
+        beam_freq = self._poa_frequency[stack.poa_of_beam]
         at_humans = power[:, self._n_users:]
         fields, density = {}, {}
         for f in sorted(set(beam_freq.tolist())):
@@ -230,36 +281,54 @@ class Evaluator:
                                self.scenario.phantoms[name], self.scenario.frequency_map)
         return sar.mean(axis=-1), density
 
+    def _outcome(self, stack, tx_power):
+        """Scale a full (users and humans) stack by a power vector and judge
+        it: mean rate per user, mean SAR and power density per human, and
+        the ids of the violated rate floors and SAR ceilings."""
+        power = stack.scaled(tx_power)
+        rates = self._rates(stack, power, self._user_ids).mean(axis=-1)
+        sar, density = self._exposure(stack, power)
+        violated = ([f"rate:{uid}" for uid, short in
+                     zip(self._user_ids, (rates < self._rate_floor).tolist()) if short]
+                    + [f"sar:{hid}" for hid, over in
+                       zip(self._human_ids, (sar > self.scenario.sar_limit).tolist()) if over])
+        return rates, sar, density, violated
+
+    def violated(self, stack, tx_power) -> list:
+        """Rate floors and SAR ceilings (``rate:<user>``, ``sar:<human>``)
+        that the beams frozen in ``stack`` miss under per-PoA powers
+        ``tx_power`` [dBm]; empty when feasible. The same verdict as
+        ``metrics`` on the solution with those powers."""
+        if stack.gains.shape[1] != len(self.targets):
+            raise ValueError("a verdict needs a stack with the human columns")
+        return self._outcome(stack, tx_power)[3]
+
     # -- views -------------------------------------------------------------------
+
+    def _user_view(self, solution):
+        stack = self.stack(solution, humans=False)
+        return stack, stack.scaled(solution.tx_power)
 
     def sinr(self, user_id: str, solution: SolutionState) -> np.ndarray:
         """Per-realization linear SINR for one user."""
-        return self._sinr(self._received(solution, False), [user_id])[0][0]
+        return self._sinr(*self._user_view(solution), [user_id])[0][0]
 
     def rate(self, user_id: str, solution: SolutionState) -> np.ndarray:
         """Per-realization achievable rate [bit/s] for one user."""
-        return self._rates(self._received(solution, False), [user_id])[0]
+        return self._rates(*self._user_view(solution), [user_id])[0]
 
     def mean_rates(self, solution: SolutionState) -> np.ndarray:
         """Mean rate [bit/s] over realizations of every user, in scenario order."""
-        return self._rates(self._received(solution, False), self._user_ids).mean(axis=-1)
+        return self._rates(*self._user_view(solution), self._user_ids).mean(axis=-1)
 
     def metrics(self, solution: SolutionState) -> MetricsBundle:
         """Averaged rates and SAR over all realizations, plus feasibility."""
         scenario = self.scenario
-        received = self._received(solution, True)
-        rates = self._rates(received, self._user_ids).mean(axis=-1)
-        sar, density = self._exposure(received)
-        per_user_rate = {u.id: float(r) for u, r in zip(scenario.users, rates)}
-        per_human_sar = {h.id: float(s) for h, s in zip(scenario.humans, sar)}
-        violated = ([f"rate:{u.id}" for u in scenario.users
-                     if per_user_rate[u.id] < u.required_rate]
-                    + [f"sar:{h.id}" for h in scenario.humans
-                       if per_human_sar[h.id] > scenario.sar_limit])
+        rates, sar, density, violated = self._outcome(self.stack(solution), solution.tx_power)
         active = set(solution.active_poas())
         return MetricsBundle(
-            per_user_rate=per_user_rate,
-            per_human_sar=per_human_sar,
+            per_user_rate={u.id: float(r) for u, r in zip(scenario.users, rates)},
+            per_human_sar={h.id: float(s) for h, s in zip(scenario.humans, sar)},
             per_human_power_density={
                 h.id: {f: float(d[i]) for f, d in density.items()}
                 for i, h in enumerate(scenario.humans)},

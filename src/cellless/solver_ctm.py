@@ -15,7 +15,24 @@ from .solution import BeamConfig, SolutionState
 
 
 class NoFeasibleSolutionError(RuntimeError):
-    """The all-max-power starting solution is already infeasible."""
+    """The all-max-power starting solution is already infeasible.
+
+    ``violated`` lists the rate floors and SAR ceilings (``rate:<user>``,
+    ``sar:<human>``) that it misses.
+    """
+
+    SHOWN = 5   # ids quoted in the message
+
+    def __init__(self, violated):
+        self.violated = list(violated)
+        shown = ", ".join(self.violated[:self.SHOWN])
+        if len(self.violated) > self.SHOWN:
+            shown += ", ..."
+        super().__init__(f"no feasible solution at maximum transmit power; "
+                         f"{len(self.violated)} violated: {shown}")
+
+    def __reduce__(self):
+        return type(self), (self.violated,)
 
 
 @dataclass(frozen=True)
@@ -234,16 +251,19 @@ def reduce_powers(solution: SolutionState, scenario: Scenario, config: CtmConfig
     descent, making it a deterministic, monotone process. Each round sweeps
     the PoAs (descending power, then id) until a full sweep makes no
     reduction, so at the final delta no single PoA can take another step.
+    The beams never change, so their gains are stacked once and each check
+    only rescales the stack (``Evaluator.violated``).
     """
     if evaluator is None:
         evaluator = Evaluator(scenario, config.seed, config.realizations_per_check)
+    stack = evaluator.stack(solution)
 
     def feasible(sol):
-        return evaluator.metrics(sol).feasible
+        return not evaluator.violated(stack, sol.tx_power)
 
-    if not feasible(solution):
-        raise NoFeasibleSolutionError(
-            "no feasible solution at maximum transmit power")
+    violated = evaluator.violated(stack, solution.tx_power)
+    if violated:
+        raise NoFeasibleSolutionError(violated)
 
     current = solution
     active = set(current.active_poas())

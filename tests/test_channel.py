@@ -8,7 +8,7 @@ import pytest
 from cellless.antenna import ISOTROPIC, PanelGeometry, SteeringDirection, panel_field
 from cellless.channel import (ChannelParams, PathlossCoeffs,
                               amplitude_scale, link_energy, link_rng,
-                              los_probability, sample_link)
+                              los_probability, sample_link, unit_link_energy)
 
 PARAMS = ChannelParams(los_model={"kind": "umi"})
 POA = (0.0, 0.0, 10.0)
@@ -78,6 +78,21 @@ def test_sample_link_invariants():
     one = sample_link(POA, 3.5e9, USER, PARAMS, link_rng(5, 0, 0, 0))
     assert one.los.shape == one.d_3d.shape == ()
     assert one.phases.shape == (nc, nr)
+
+
+def test_sample_link_empty_target_list():
+    """A plain empty target list gives empty (R, 0) fields, not an error."""
+    r = 3
+    links = sample_link(POA, 3.5e9, [], PARAMS, [[] for _ in range(r)])
+    nc, nr = PARAMS.n_clusters, PARAMS.n_rays
+    for name in ("los", "pathloss_db", "shadow_db", "rician_k", "d_3d"):
+        assert getattr(links, name).shape == (r, 0)
+    assert links.los_aod[0].shape == links.los_aod[1].shape == (r, 0)
+    assert links.delays.shape == links.cluster_powers.shape == (r, 0, nc)
+    for name in ("aod_zenith", "aod_azimuth", "phases"):
+        assert getattr(links, name).shape == (r, 0, nc, nr)
+    geom = PanelGeometry(4, 4)
+    assert unit_link_energy(links, geom, SteeringDirection(1.0, 0.0)).shape == (r, 0)
 
 
 def test_sample_link_deterministic():

@@ -192,6 +192,39 @@ def test_solver_failure_recorded_not_raised(tmp_path):
     assert records[0].error is not None and records[0].bundle is None
 
 
+def _fail_on_seed_two(monkeypatch):
+    """Make harness's CtM solver raise a non-infeasibility error on seed 2."""
+    import cellless.harness as harness
+    solve = harness.solve_ctm
+
+    def flaky(scenario, config):
+        if config.seed == 2:
+            raise ZeroDivisionError("injected")
+        return solve(scenario, config)
+
+    monkeypatch.setattr(harness, "solve_ctm", flaky)
+
+
+def test_other_solver_errors_recorded_not_raised(monkeypatch, tmp_path):
+    """Any exception in one run is recorded on it; the other runs finish."""
+    _fail_on_seed_two(monkeypatch)
+    records = run_experiment(tiny_spec(tmp_path, seeds=(1, 2)))
+    assert [(r.seed, r.error) for r in records] == [(1, None), (2, "ZeroDivisionError: injected")]
+    assert records[0].bundle is not None and records[1].bundle is None
+    assert (Path(tmp_path) / "out" / "aggregate.csv").exists()
+
+
+def test_cli_other_error_exit_code(monkeypatch, tmp_path, capsys):
+    _fail_on_seed_two(monkeypatch)
+    rc = main(["run", "--scenario", "inf-dh-desk", "--solver", "ctm", "--seeds", "1,2",
+               "--realizations", "4", "--delta-db", "4.0", "--refine", "0",
+               "--kmeans-restarts", "2"])
+    assert rc == 3
+    out = capsys.readouterr().out
+    assert "seed 2 ctm: FAILED (ZeroDivisionError: injected)" in out
+    assert "seed 1 ctm: total power" in out
+
+
 def test_spec_validation(tmp_path):
     with pytest.raises(ValueError):
         tiny_spec(tmp_path, seeds=())

@@ -17,6 +17,7 @@ from cellless.radio_metrics import (Evaluator, SolutionInvalidError,
                                     UnservedUserError, evaluate, shannon_rate)
 from cellless.scenario import PoA, Position3D, Scenario, builtin_scenario
 from cellless.solution import BeamConfig, SolutionState
+from cellless.solver_ctm import CtmConfig, build_geometry
 from cellless.solver_maxrate import objective
 
 
@@ -87,26 +88,29 @@ def test_per_poa_sample_equals_per_link_streams(tiny_scenario, ev):
     assert los.any() and not los.all()
 
 
-def _count_unit_energy_parts(monkeypatch, ev):
-    """Record, per call of channel.unit_link_energy, which part of which
-    PoA's links it was given: (PoA id, "users" | "humans")."""
+def _count_link_terms_parts(monkeypatch, ev):
+    """Record, per call of channel.link_terms (the per-part half of
+    unit_link_energy that a gain fill runs), which part of which PoA's
+    links it was given: (PoA id, "users" | "humans")."""
     calls = []
-    original = ch.unit_link_energy
+    original = ch.link_terms
     names = {id(part): (pid, kind) for pid, parts in ev._links.items()
              for part, kind in zip(parts, ("users", "humans"))}
 
-    def spy(link, geom, steer):
+    def spy(link, geom):
         calls.append(names[id(link)])
-        return original(link, geom, steer)
+        return original(link, geom)
 
-    monkeypatch.setattr(ch, "unit_link_energy", spy)
+    monkeypatch.setattr(ch, "link_terms", spy)
     return calls
 
 
 def test_rates_evaluate_user_columns_only(monkeypatch, tiny_scenario, tiny_solution):
     ev = Evaluator(tiny_scenario, seed=5, n_realizations=8)
-    calls = _count_unit_energy_parts(monkeypatch, ev)
+    calls = _count_link_terms_parts(monkeypatch, ev)
+    # One active beam per PoA, so one (PoA, part) group per active beam.
     active = [b for b in tiny_solution.beams if b.active]
+    assert len({b.owner_poa for b in active}) == len(active)
     ev.mean_rates(tiny_solution)
     objective(tiny_solution, ev)
     ev.rate("u0", tiny_solution)
@@ -330,3 +334,93 @@ def test_link_energy_matches_beam_gains(tiny_scenario, ev, data, zenith, azimuth
     steer = SteeringDirection(zenith, wrap_angle(azimuth - poa.mech_azimuth))
     want = 10.0 ** ((power - 30.0) / 10.0) * ev.beam_gains(beam)[r, t_idx]
     assert link_energy(link, power, geom, steer) == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The power core: a stack kept across power vectors gives metrics()'s verdict,
+# and its grouped fills equal one-beam kernel calls.
+
+@pytest.fixture(scope="module")
+def desk_world():
+    scenario = builtin_scenario("inf-dh-desk", 1)
+    return Evaluator(scenario, seed=1, n_realizations=4), build_geometry(scenario, CtmConfig(seed=1))
+
+
+@pytest.fixture(scope="module")
+def worlds(ev, tiny_solution, desk_world):
+    out = {}
+    for name, (evaluator, solution) in (("tiny", (ev, tiny_solution)), ("desk", desk_world)):
+        out[name] = (evaluator, solution, evaluator.stack(solution))
+    return out
+
+
+level = st.one_of(st.floats(-60.0, 30.0), st.just(-math.inf))
+
+
+@pytest.mark.parametrize("world", ["tiny", "desk"])
+@PROPERTY
+@given(data=st.data())
+def test_power_core_verdict_equals_metrics(worlds, world, data):
+    evaluator, solution, stack = worlds[world]
+    poas = [p.id for p in evaluator.scenario.poas]
+    levels = data.draw(st.lists(level, min_size=len(poas), max_size=len(poas)))
+    sol = replace(solution, tx_power=dict(zip(poas, levels)))
+    violated = evaluator.violated(stack, sol.tx_power)
+    m = evaluator.metrics(sol)
+    assert violated == m.violated
+    assert (not violated) == m.feasible
+
+
+def test_verdict_needs_the_human_columns(tiny_solution, ev):
+    with pytest.raises(ValueError):
+        ev.violated(ev.stack(tiny_solution, humans=False), tiny_solution.tx_power)
+
+
+def _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams):
+    """Fill every beam's table in one stack call, then compare each part of
+    each table byte for byte with a one-beam ``unit_link_energy`` call."""
+    groups = []
+    original = ch.link_terms
+
+    def spy(link, geom):
+        groups.append(id(link))
+        return original(link, geom)
+
+    monkeypatch.setattr(ch, "link_terms", spy)
+    ev.stack(SolutionState(beams=tuple(beams), tx_power={}))
+    monkeypatch.undo()
+    parts = {(b.owner_poa, part) for b in beams for part in (0, 1)}
+    assert len(groups) == len(set(groups)) == len(parts) < 2 * len(beams)
+    n_users = len(ev.scenario.users)
+    for b in beams:
+        table = ev.beam_gains(b)
+        panel = ev._panels[b.owner_poa]
+        geom = replace(panel, cols=width_to_panel(b.width, panel))
+        steer = SteeringDirection(b.zenith, wrap_angle(b.azimuth - panel.mech_azimuth))
+        users, humans = ev._links[b.owner_poa]
+        assert table[:, :n_users].tobytes() == ch.unit_link_energy(users, geom, steer).tobytes()
+        assert table[:, n_users:].tobytes() == ch.unit_link_energy(humans, geom, steer).tobytes()
+
+
+def test_grouped_fills_equal_one_beam_kernel_desk(monkeypatch):
+    """inf-dh-desk (isotropic elements): the CtM beams, several per PoA."""
+    scenario = builtin_scenario("inf-dh-desk", 1)
+    ev = Evaluator(scenario, seed=2, n_realizations=4)
+    beams = [b for b in build_geometry(scenario, CtmConfig(seed=2)).beams if b.active]
+    _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams)
+
+
+def test_grouped_fills_equal_one_beam_kernel_umi(monkeypatch):
+    """umi-sc-default (3GPP 8 dBi elements): beams of one PoA with distinct
+    steering and column counts."""
+    scenario = builtin_scenario("umi-sc-default", 1)
+    assert scenario.poas[0].element_pattern == "threegpp_8dbi"
+    ev = Evaluator(scenario, seed=1, n_realizations=2)
+    poa = scenario.poas[0]
+    served = frozenset({scenario.users[0].id})
+    beams = [BeamConfig(beam_id, poa.id, azimuth, zenith, width, served)
+             for beam_id, azimuth, zenith, width in zip(
+                 poa.beams, (0.3, -1.2, 2.5, 0.0), (1.7, 2.0, 1.2, math.pi / 2),
+                 (poa.min_beam_width, 0.2, 0.9, math.pi))]
+    assert len({width_to_panel(b.width, ev._panels[poa.id]) for b in beams}) == 4
+    _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams)

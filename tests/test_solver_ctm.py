@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cellless.radio_metrics import Evaluator
-from cellless.scenario import EndUser, Position3D
+from cellless.scenario import EndUser, Position3D, builtin_scenario
 from cellless.solution import validate
 from cellless.solver_ctm import (CtmConfig,
                                  NoFeasibleSolutionError, beam_width,
@@ -220,6 +222,85 @@ def test_infeasible_at_max_power_raises():
     scenario = make_tiny_scenario(required_rate=1e12)
     with pytest.raises(NoFeasibleSolutionError):
         solve_ctm(scenario, CtmConfig(seed=1, realizations_per_check=2))
+
+
+def test_infeasible_error_carries_the_max_power_verdict():
+    """One desk user's floor out of reach: the error names exactly it."""
+    scenario = builtin_scenario("inf-dh-desk", 1)
+    target = scenario.users[3].id
+    hard = replace(scenario, users=tuple(
+        replace(u, required_rate=1e13) if u.id == target else u for u in scenario.users))
+    cfg = CtmConfig(seed=1, realizations_per_check=4)
+    with pytest.raises(NoFeasibleSolutionError) as info:
+        solve_ctm(hard, cfg)
+    err = info.value
+    at_max = Evaluator(hard, cfg.seed, cfg.realizations_per_check).metrics(
+        build_geometry(hard, cfg))
+    assert err.violated == at_max.violated == [f"rate:{target}"]
+    assert str(err) == ("no feasible solution at maximum transmit power; "
+                        f"1 violated: rate:{target}")
+    # Harness workers send it between processes.
+    again = pickle.loads(pickle.dumps(err))
+    assert again.violated == err.violated and str(again) == str(err)
+
+
+def test_infeasible_error_message_quotes_the_first_ids():
+    err = NoFeasibleSolutionError([f"rate:u{i}" for i in range(7)] + ["sar:h0"])
+    assert str(err) == ("no feasible solution at maximum transmit power; "
+                        "8 violated: rate:u0, rate:u1, rate:u2, rate:u3, rate:u4, ...")
+    assert len(err.violated) == 8
+
+
+def _reference_descent(solution, config, evaluator):
+    """The descent with the earlier check, a full ``metrics()`` per trial
+    power vector. Returns (solution, number of checks)."""
+    checks = 0
+
+    def feasible(sol):
+        nonlocal checks
+        checks += 1
+        return evaluator.metrics(sol).feasible
+
+    assert feasible(solution)
+    current = solution
+    active = set(current.active_poas())
+    for round_idx in range(config.refinement_rounds + 1):
+        delta = config.delta_db / (2 ** round_idx)
+        changed = True
+        while changed:
+            changed = False
+            for pid in sorted(active, key=lambda pid: (-current.tx_power[pid], pid)):
+                while True:
+                    trial = current.with_power(pid, current.tx_power[pid] - delta)
+                    if not feasible(trial):
+                        break
+                    current, changed = trial, True
+    return current, checks
+
+
+@pytest.mark.parametrize("channel_seed", [1, 2, 3])
+def test_descent_matches_metrics_reference(monkeypatch, channel_seed):
+    """On the desk world placed with seed 1, the stacked descent returns the
+    same dBm values after the same number of checks as the reference."""
+    scenario = builtin_scenario("inf-dh-desk", 1)
+    cfg = CtmConfig(seed=channel_seed)
+    geometry = build_geometry(scenario, cfg)
+    want, want_checks = _reference_descent(
+        geometry, cfg, Evaluator(scenario, cfg.seed, cfg.realizations_per_check))
+
+    checks = []
+    violated = Evaluator.violated
+
+    def counted(self, stack, tx_power):
+        checks.append(dict(tx_power))
+        return violated(self, stack, tx_power)
+
+    monkeypatch.setattr(Evaluator, "violated", counted)
+    got = reduce_powers(geometry, scenario, cfg,
+                        evaluator=Evaluator(scenario, cfg.seed, cfg.realizations_per_check))
+    assert got.tx_power == want.tx_power
+    assert len(checks) == want_checks
+    assert got.tx_power != geometry.tx_power
 
 
 def test_solve_ctm_deterministic(tiny_scenario):
