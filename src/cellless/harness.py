@@ -113,6 +113,7 @@ def _run_dir(spec: ExperimentSpec, record: RunRecord) -> Path:
 
 def _summary(record: RunRecord) -> dict:
     """The content of a run's summary.json."""
+    min_rate = record.bundle.min_rate
     return {
         "seed": record.seed,
         "solver": record.solver,
@@ -125,7 +126,8 @@ def _summary(record: RunRecord) -> dict:
         },
         "feasible": record.bundle.feasible,
         "violated": list(record.bundle.violated),
-        "min_rate_bps": record.bundle.min_rate,
+        # With no users min_rate is inf, which strict JSON cannot hold.
+        "min_rate_bps": min_rate if math.isfinite(min_rate) else None,
         "max_sar_wkg": record.bundle.max_sar,
     }
 

@@ -6,9 +6,12 @@ users) and one over (realizations, humans); each link is still drawn from
 its own keyed stream. It keeps one unit-power (1 W) energy table of shape
 (realizations, targets) per beam geometry, computed by
 ``channel.unit_link_energy``'s two parts and cached. The cache misses of
-one call are grouped by (PoA, users|humans part): each group computes the
-steering-independent ``channel.link_terms`` once, steers every missing
-beam from them with ``channel.steered_energy``, and drops them. A new
+one call are grouped by (PoA, users|humans part): each group steers every
+missing beam with ``channel.steered_energy`` from the part's
+steering-independent ``channel.link_terms``, computed once per call with
+misses. A part's terms are kept from the second call that computes them,
+so a part filled once (``evaluate``, ``solve_ctm``) keeps nothing and one
+refilled beam by beam (the MaxRate anneal) stops recomputing them. A new
 geometry fills only the user columns; the human columns are filled the
 first time exposure is read for it, so rate-only callers (``mean_rates``,
 ``sinr``, ``rate`` and with them the MaxRate objective) never evaluate the
@@ -154,6 +157,8 @@ class Evaluator:
         }
         self._gain_cache = {}
         self._human_cols = set()  # gain-cache keys whose human columns are filled
+        self._terms_made = set()  # (PoA, part) whose link terms were ever computed
+        self._kept_terms = {}     # (PoA, part) -> LinkTerms, from the second computation
         self._links = {poa.id: self._sample_parts(p_idx, poa)
                        for p_idx, poa in enumerate(scenario.poas)}
 
@@ -186,8 +191,12 @@ class Evaluator:
         user columns always, the human columns when ``humans`` is true.
 
         Missing columns are grouped by (PoA, users|humans part); each group
-        computes ``channel.link_terms`` once, steers every beam in it from
-        those terms, and drops them.
+        steers every beam in it from one ``channel.link_terms`` of that
+        part. The first call that needs a part's terms computes and drops
+        them; the second computes and keeps them, and later calls read the
+        kept terms. So a part filled in one call (``evaluate``,
+        ``solve_ctm``) keeps nothing, and one filled one beam per call (the
+        MaxRate anneal) pays only for steering after its second miss.
         """
         tables, missing = [], {}
         for beam in beams:
@@ -203,7 +212,12 @@ class Evaluator:
             tables.append(table)
         for (pid, part), group in missing.items():
             panel = self._panels[pid]
-            terms = ch.link_terms(self._links[pid][part], panel)
+            terms = self._kept_terms.get((pid, part))
+            if terms is None:
+                terms = ch.link_terms(self._links[pid][part], panel)
+                if (pid, part) in self._terms_made:
+                    self._kept_terms[pid, part] = terms
+                self._terms_made.add((pid, part))
             cols = slice(self._n_users) if part == 0 else slice(self._n_users, None)
             for key, beam in group.items():
                 steer = SteeringDirection(beam.zenith,

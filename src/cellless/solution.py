@@ -150,14 +150,16 @@ def validate(solution: SolutionState, scenario: Scenario):
 
 
 def solution_to_dict(solution: SolutionState) -> dict:
+    """JSON-ready form. Angles are written in radians, the unit they are
+    held in, so a reloaded solution equals the saved one bit for bit."""
     return {
         "beams": [
             {
                 "beam_id": b.beam_id,
                 "owner_poa": b.owner_poa,
-                "azimuth_deg": math.degrees(b.azimuth),
-                "zenith_deg": math.degrees(b.zenith),
-                "width_deg": math.degrees(b.width),
+                "azimuth_rad": b.azimuth,
+                "zenith_rad": b.zenith,
+                "width_rad": b.width,
                 "served_users": sorted(b.served_users),
             }
             for b in solution.beams
@@ -169,13 +171,21 @@ def solution_to_dict(solution: SolutionState) -> dict:
     }
 
 
+def _angle(beam: dict, name: str) -> float:
+    """An angle in radians; files written before radians were stored give
+    it in degrees only."""
+    if f"{name}_rad" in beam:
+        return float(beam[f"{name}_rad"])
+    return math.radians(beam[f"{name}_deg"])
+
+
 def solution_from_dict(data: dict) -> SolutionState:
     beams = tuple(
         BeamConfig(
             beam_id=b["beam_id"], owner_poa=b["owner_poa"],
-            azimuth=math.radians(b["azimuth_deg"]),
-            zenith=math.radians(b["zenith_deg"]),
-            width=math.radians(b["width_deg"]),
+            azimuth=_angle(b, "azimuth"),
+            zenith=_angle(b, "zenith"),
+            width=_angle(b, "width"),
             served_users=frozenset(b["served_users"]),
         )
         for b in data["beams"]

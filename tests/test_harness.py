@@ -192,6 +192,28 @@ def test_solver_failure_recorded_not_raised(tmp_path):
     assert records[0].error is not None and records[0].bundle is None
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_summary_is_strict_json_without_users(tmp_path):
+    """A world with no users has no minimum rate; summary.json writes null
+    for it, not the non-standard Infinity."""
+    d = scenario_to_dict(builtin_scenario("inf-dh-desk", 1))
+    d["users"] = []
+    for h in d["humans"]:
+        h["linked_user"] = None
+    world = tmp_path / "empty-hall.json"
+    world.write_text(json.dumps(d))
+    spec = tiny_spec(tmp_path, scenario=str(world), seeds=(1,))
+    (record,) = run_experiment(spec)
+    assert record.error is None and record.bundle.min_rate == float("inf")
+    text = (Path(spec.out_dir) / record.scenario_name / "1" / "ctm" / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=_reject_constant)
+    assert summary["min_rate_bps"] is None
+    assert summary["max_sar_wkg"] == record.bundle.max_sar
+
+
 def _fail_on_seed_two(monkeypatch):
     """Make harness's CtM solver raise a non-infeasibility error on seed 2."""
     import cellless.harness as harness

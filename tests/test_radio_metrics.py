@@ -391,36 +391,124 @@ def _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams):
     monkeypatch.undo()
     parts = {(b.owner_poa, part) for b in beams for part in (0, 1)}
     assert len(groups) == len(set(groups)) == len(parts) < 2 * len(beams)
+    _assert_tables_equal_one_beam_kernel(ev, ev, beams)
+
+
+def _assert_tables_equal_one_beam_kernel(ev, reference, beams):
+    """Each part of each of ``ev``'s beam tables is byte for byte a one-beam
+    ``unit_link_energy`` call over ``reference``'s links."""
     n_users = len(ev.scenario.users)
     for b in beams:
         table = ev.beam_gains(b)
-        panel = ev._panels[b.owner_poa]
+        panel = reference._panels[b.owner_poa]
         geom = replace(panel, cols=width_to_panel(b.width, panel))
         steer = SteeringDirection(b.zenith, wrap_angle(b.azimuth - panel.mech_azimuth))
-        users, humans = ev._links[b.owner_poa]
+        users, humans = reference._links[b.owner_poa]
         assert table[:, :n_users].tobytes() == ch.unit_link_energy(users, geom, steer).tobytes()
         assert table[:, n_users:].tobytes() == ch.unit_link_energy(humans, geom, steer).tobytes()
 
 
-def test_grouped_fills_equal_one_beam_kernel_desk(monkeypatch):
-    """inf-dh-desk (isotropic elements): the CtM beams, several per PoA."""
+def _desk_ctm_beams():
     scenario = builtin_scenario("inf-dh-desk", 1)
-    ev = Evaluator(scenario, seed=2, n_realizations=4)
-    beams = [b for b in build_geometry(scenario, CtmConfig(seed=2)).beams if b.active]
-    _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams)
+    return scenario, [b for b in build_geometry(scenario, CtmConfig(seed=2)).beams if b.active]
 
 
-def test_grouped_fills_equal_one_beam_kernel_umi(monkeypatch):
-    """umi-sc-default (3GPP 8 dBi elements): beams of one PoA with distinct
-    steering and column counts."""
+def _umi_beams():
+    """umi-sc-default's first PoA (3GPP 8 dBi elements) and four of its
+    beams with distinct steering and column counts."""
     scenario = builtin_scenario("umi-sc-default", 1)
     assert scenario.poas[0].element_pattern == "threegpp_8dbi"
-    ev = Evaluator(scenario, seed=1, n_realizations=2)
     poa = scenario.poas[0]
     served = frozenset({scenario.users[0].id})
     beams = [BeamConfig(beam_id, poa.id, azimuth, zenith, width, served)
              for beam_id, azimuth, zenith, width in zip(
                  poa.beams, (0.3, -1.2, 2.5, 0.0), (1.7, 2.0, 1.2, math.pi / 2),
                  (poa.min_beam_width, 0.2, 0.9, math.pi))]
+    return scenario, beams
+
+
+def test_grouped_fills_equal_one_beam_kernel_desk(monkeypatch):
+    """inf-dh-desk (isotropic elements): the CtM beams, several per PoA."""
+    scenario, beams = _desk_ctm_beams()
+    ev = Evaluator(scenario, seed=2, n_realizations=4)
+    _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams)
+
+
+def test_grouped_fills_equal_one_beam_kernel_umi(monkeypatch):
+    """umi-sc-default (3GPP 8 dBi elements): beams of one PoA with distinct
+    steering and column counts."""
+    scenario, beams = _umi_beams()
+    ev = Evaluator(scenario, seed=1, n_realizations=2)
+    poa = scenario.poas[0]
     assert len({width_to_panel(b.width, ev._panels[poa.id]) for b in beams}) == 4
     _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams)
+
+
+# ---------------------------------------------------------------------------
+# Kept link terms: a part's terms are kept from the second call that has to
+# compute them, and fills from kept terms equal the one-beam kernel.
+
+def _one_beam_misses(beam, n):
+    """n beams that differ from ``beam`` only in azimuth, so each is a miss."""
+    return [replace(beam, azimuth=wrap_angle(beam.azimuth + 0.05 * k)) for k in range(n)]
+
+
+def test_one_beam_misses_compute_link_terms_at_most_twice(monkeypatch):
+    scenario, beams = _desk_ctm_beams()
+    ev = Evaluator(scenario, seed=2, n_realizations=4)
+    calls = _count_link_terms_parts(monkeypatch, ev)
+    pid = beams[0].owner_poa
+    misses = _one_beam_misses(beams[0], 12)
+    for b in misses:
+        ev.beam_gains(b, humans=False)
+    assert len(ev._gain_cache) == len(misses)
+    assert calls == [(pid, "users")] * 2
+    assert set(ev._kept_terms) == {(pid, 0)}
+
+
+@pytest.mark.parametrize("world", ["desk", "umi"])
+def test_kept_terms_fill_equal_one_beam_kernel(monkeypatch, world):
+    """Beams filled one per call, users part then humans part, so most of
+    them are steered from kept terms; every table equals one-beam kernel
+    calls over a fresh Evaluator's links."""
+    if world == "desk":
+        scenario, beams = _desk_ctm_beams()
+        beams = _one_beam_misses(beams[0], 3) + beams[1:]
+        seed, n_realizations = 2, 4
+    else:
+        (scenario, beams), seed, n_realizations = _umi_beams(), 1, 2
+    ev = Evaluator(scenario, seed, n_realizations)
+    calls = _count_link_terms_parts(monkeypatch, ev)
+    for humans in (False, True):
+        for b in beams:
+            ev.beam_gains(b, humans=humans)
+    monkeypatch.undo()
+    kept = {pid for pid, _ in ev._kept_terms}
+    assert kept and set(ev._kept_terms) == {(pid, part) for pid in kept for part in (0, 1)}
+    for pid in kept:
+        assert calls.count((pid, "users")) == calls.count((pid, "humans")) == 2
+    _assert_tables_equal_one_beam_kernel(ev, Evaluator(scenario, seed, n_realizations), beams)
+
+
+def test_evaluate_and_solve_ctm_keep_no_terms(monkeypatch):
+    """Both fill each part once, so they keep no terms."""
+    import cellless.radio_metrics as rm
+    import cellless.solver_ctm as solver_ctm
+
+    made = []
+
+    class Recorded(Evaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(rm, "Evaluator", Recorded)
+    monkeypatch.setattr(solver_ctm, "Evaluator", Recorded)
+    scenario = builtin_scenario("inf-dh-desk", 1)
+    config = CtmConfig(seed=1, delta_db=4.0, refinement_rounds=0, kmeans_restarts=2,
+                       realizations_per_check=4)
+    evaluate(build_geometry(scenario, config), scenario, 1, n_realizations=4)
+    solver_ctm.solve_ctm(scenario, config)
+    assert len(made) == 2
+    for ev in made:
+        assert ev._terms_made and ev._kept_terms == {}

@@ -4,9 +4,10 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellless.scenario import builtin_scenario
-from cellless.solution import (BeamConfig, load_solution,
+from cellless.solution import (BeamConfig, SolutionState, load_solution,
                                save_solution, solution_from_dict,
                                solution_to_dict, validate)
 from cellless.solver_ctm import CtmConfig, build_geometry
@@ -127,3 +128,44 @@ def test_helpers(tiny_solution):
         tiny_solution.beam_for_user("nobody")
     assert tiny_solution.active_poas() == ["poaA", "poaB"]
     assert len(tiny_solution.beams_of("poaA")) == 2
+
+
+angle = st.floats(allow_nan=False, allow_infinity=False)
+user_sets = st.frozensets(st.sampled_from([f"user{i}" for i in range(6)]))
+
+
+@st.composite
+def solutions(draw):
+    n = draw(st.integers(0, 4))
+    beams = tuple(BeamConfig(f"b{i}", draw(st.sampled_from(["poaA", "poaB"])),
+                             draw(angle), draw(angle), draw(angle), draw(user_sets))
+                  for i in range(n))
+    power = draw(st.dictionaries(st.sampled_from(["poaA", "poaB", "poaC"]),
+                                 st.one_of(st.floats(allow_nan=False, max_value=1e300),
+                                           st.just(-math.inf))))
+    return SolutionState(beams=beams, tx_power=power)
+
+
+@pytest.fixture(scope="module")
+def solution_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("solutions") / "solution.json"
+
+
+@settings(deadline=None, max_examples=200)
+@given(solution=solutions())
+def test_saved_solution_reloads_equal(solution_path, solution):
+    """Random beams, widths, served-user sets and powers (-inf included)
+    come back from solution.json exactly as saved."""
+    save_solution(solution, solution_path)
+    assert load_solution(solution_path) == solution
+
+
+def test_degree_only_files_still_load():
+    old = {"beams": [{"beam_id": "b0", "owner_poa": "poaA", "azimuth_deg": 90.0,
+                      "zenith_deg": 45.0, "width_deg": 10.0, "served_users": ["u0"]}],
+           "tx_power_dbm": {"poaA": 20.0, "poaB": None}}
+    sol = solution_from_dict(old)
+    (b,) = sol.beams
+    assert (b.azimuth, b.zenith, b.width) == (math.radians(90.0), math.radians(45.0),
+                                              math.radians(10.0))
+    assert b.served_users == {"u0"} and sol.tx_power == {"poaA": 20.0, "poaB": -math.inf}

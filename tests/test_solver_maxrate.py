@@ -109,6 +109,52 @@ def test_solve_maxrate_deterministic(tiny_scenario):
     assert m1.per_user_rate == m2.per_user_rate
 
 
+class _KeepsNothing(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_anneal_with_kept_terms_equals_anneal_without(monkeypatch):
+    """Kept link terms change no bit of an anneal: the best solution and its
+    rates equal those of the same anneal recomputing the terms on every
+    miss, which it does many more times."""
+    import cellless.solver_maxrate as solver_maxrate
+    from cellless import channel as ch
+    from cellless.scenario import builtin_scenario
+
+    scenario = builtin_scenario("inf-dh-desk", 1)
+    cfg = AnnealConfig(seed=1, iterations=20, moves_per_temp=10, realizations_per_check=4)
+    calls, made = [], []
+    original = ch.link_terms
+
+    def spy(link, geom):
+        calls.append(1)
+        return original(link, geom)
+
+    class Recorded(Evaluator):
+        keep = True
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if not Recorded.keep:
+                self._kept_terms = _KeepsNothing()
+            made.append(self)
+
+    monkeypatch.setattr(ch, "link_terms", spy)
+    monkeypatch.setattr(solver_maxrate, "Evaluator", Recorded)
+    kept_sol, kept = solve_maxrate(scenario, cfg)
+    kept_calls = len(calls)
+    assert made[0]._kept_terms
+
+    Recorded.keep = False
+    del calls[:]
+    sol, bundle = solve_maxrate(scenario, cfg)
+    assert kept_calls < len(calls)
+    assert kept_sol == sol
+    assert kept.per_user_rate == bundle.per_user_rate
+    assert kept.per_human_sar == bundle.per_human_sar
+
+
 def test_anneal_config_validation():
     with pytest.raises(ValueError):
         AnnealConfig(iterations=0)
