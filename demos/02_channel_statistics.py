@@ -15,7 +15,7 @@ from cellless.scenario import builtin_template
 
 def main():
     t = builtin_template("inf-dh-desk")
-    params = t.channel_params
+    params = t.world.channel_params
 
     print("=== LoS probability vs distance ===")
     print("  d_2d [m]   InF-DH (PoA 7 m)   UMi (PoA 10 m)")

@@ -131,14 +131,14 @@ def panel_field(geom: PanelGeometry, theta, phi, steer: SteeringDirection):
     return steered_field(geom, panel_terms(geom.element_pattern, theta, phi), steer)
 
 
-def width_to_panel(width: float, geom: PanelGeometry, kappa: float = BEAMWIDTH_CONSTANT) -> int:
+def width_to_panel(width: float, geom: PanelGeometry) -> int:
     """Effective azimuth column count realizing a beam of the given width.
 
     Monotone non-increasing in width; clamped to [1, geom.cols].
     """
     if width <= 0:
         raise ValueError("beam width must be positive")
-    n_eff = int(round(kappa / width))
+    n_eff = int(round(BEAMWIDTH_CONSTANT / width))
     return max(1, min(geom.cols, n_eff))
 
 

@@ -191,21 +191,19 @@ def run_experiment(spec: ExperimentSpec) -> list:
 
 def write_aggregate(records, path):
     """Cross-seed aggregate per solver: median and 10/90th percentiles of
-    total power, minimum user rate, and maximum SAR."""
+    total power, minimum user rate, and maximum SAR. The minimum rate is
+    taken over runs with users only; cells with no run behind them stay
+    empty."""
     rows = []
     for solver in sorted({r.solver for r in records}):
-        ok = [r for r in records if r.solver == solver and r.bundle is not None]
-        if not ok:
-            rows.append([solver, 0] + [""] * 9)
-            continue
-        power = np.array([r.bundle.total_power for r in ok])
-        min_rate = np.array([r.bundle.min_rate for r in ok])
-        max_sar = np.array([r.bundle.max_sar for r in ok])
+        ok = [r.bundle for r in records if r.solver == solver and r.bundle is not None]
         stats = []
-        for arr in (power, min_rate, max_sar):
-            stats += [repr(float(np.median(arr))),
-                      repr(float(np.percentile(arr, 10))),
-                      repr(float(np.percentile(arr, 90)))]
+        for values in ([b.total_power for b in ok],
+                       [b.min_rate for b in ok if b.per_user_rate],
+                       [b.max_sar for b in ok]):
+            stats += [repr(float(np.median(values))),
+                      repr(float(np.percentile(values, 10))),
+                      repr(float(np.percentile(values, 90)))] if values else [""] * 3
         rows.append([solver, len(ok)] + stats)
     _write_csv(path, ["solver", "n_runs",
                       "total_power_w_median", "total_power_w_p10", "total_power_w_p90",

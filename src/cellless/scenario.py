@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +22,8 @@ SCHEMA_VERSION = 1
 
 INF_DH = "InF-DH"
 UMI_SC = "UMI-SC"
+
+MAX_PLACEMENT_ATTEMPTS = 1000   # uniform draws per user before giving up
 
 
 class ScenarioError(Exception):
@@ -88,8 +90,6 @@ class Human:
 class Scenario:
     kind: str
     bounds: tuple              # (length, width, height) meters
-    clutter_density: float
-    clutter_height: float
     poas: tuple
     users: tuple
     humans: tuple
@@ -122,31 +122,17 @@ class Scenario:
     def all_beams(self):
         return [b for p in self.poas for b in p.beams]
 
-    @property
-    def frequencies(self):
-        return sorted({p.frequency for p in self.poas})
-
 
 @dataclass(frozen=True)
 class ScenarioTemplate:
-    """Entity counts and fixed infrastructure; positions drawn per seed."""
+    """A world without people, plus the recipe that places them per seed."""
 
-    name: str
-    kind: str
-    bounds: tuple
-    clutter_density: float
-    clutter_height: float
-    poas: tuple
+    world: Scenario            # users=() and humans=()
     n_users: int
     n_humans: int
     user_heights: tuple
     required_rate: float
-    sar_limit: float
-    channel_params: ChannelParams
-    frequency_map: FrequencyMap
-    phantoms: dict
     phantom_cycle: tuple
-    min_poa_user_distance: float = 0.0
     min_user_spacing: float = 0.0
 
 
@@ -163,7 +149,7 @@ DEFAULT_PHANTOMS = {
 }
 
 
-def _inf_dh_channel(clutter_density, clutter_height):
+def _inf_dh_channel():
     return ChannelParams(
         pathloss_los=PathlossCoeffs(31.84, 21.5, 19.0),
         pathloss_nlos=PathlossCoeffs(33.63, 21.9, 20.0),
@@ -174,8 +160,8 @@ def _inf_dh_channel(clutter_density, clutter_height):
         delay_spread=30e-9,
         azimuth_spread_dep=math.radians(2.0),
         zenith_spread_dep=math.radians(1.0),
-        los_model={"kind": "inf-dh", "clutter_density": clutter_density,
-                   "clutter_height": clutter_height, "clutter_size_m": 2.0},
+        los_model={"kind": "inf-dh", "clutter_density": 0.4,
+                   "clutter_height": 2.0, "clutter_size_m": 2.0},
     )
 
 
@@ -251,27 +237,31 @@ _UMI_FREQ_MAP = FrequencyMap({3.5e9: 3.5e9, 5.2e9: 5.2e9})
 
 
 def _inf_template(name, n_users, n_humans):
+    world = Scenario(
+        kind=INF_DH, bounds=(80.0, 20.0, 8.0), poas=_inf_dh_poas(),
+        users=(), humans=(), phantoms=DEFAULT_PHANTOMS, sar_limit=0.08,
+        channel_params=_inf_dh_channel(), frequency_map=_INF_FREQ_MAP,
+        name=name,
+    )
     return ScenarioTemplate(
-        name=name, kind=INF_DH, bounds=(80.0, 20.0, 8.0),
-        clutter_density=0.4, clutter_height=2.0, poas=_inf_dh_poas(),
-        n_users=n_users, n_humans=n_humans, user_heights=(1.5,),
-        required_rate=100e6, sar_limit=0.08,
-        channel_params=_inf_dh_channel(0.4, 2.0), frequency_map=_INF_FREQ_MAP,
-        phantoms=DEFAULT_PHANTOMS, phantom_cycle=("ella", "duke"),
+        world=world, n_users=n_users, n_humans=n_humans, user_heights=(1.5,),
+        required_rate=100e6, phantom_cycle=("ella", "duke"),
         min_user_spacing=3.0,
     )
 
 
 def _umi_template(name, n_users, n_humans):
-    return ScenarioTemplate(
-        name=name, kind=UMI_SC, bounds=(800.0, 40.0, 0.0),
-        clutter_density=0.0, clutter_height=0.0, poas=_umi_sc_poas(),
-        n_users=n_users, n_humans=n_humans, user_heights=(0.9, 1.5),
-        required_rate=100e6, sar_limit=0.08,
+    world = Scenario(
+        kind=UMI_SC, bounds=(800.0, 40.0, 0.0), poas=_umi_sc_poas(),
+        users=(), humans=(), phantoms=DEFAULT_PHANTOMS, sar_limit=0.08,
         channel_params=_umi_channel(), frequency_map=_UMI_FREQ_MAP,
-        phantoms=DEFAULT_PHANTOMS,
+        min_poa_user_distance=10.0, name=name,
+    )
+    return ScenarioTemplate(
+        world=world, n_users=n_users, n_humans=n_humans,
+        user_heights=(0.9, 1.5), required_rate=100e6,
         phantom_cycle=("ella", "duke", "thelonious", "billie"),
-        min_poa_user_distance=10.0, min_user_spacing=3.0,
+        min_user_spacing=3.0,
     )
 
 
@@ -290,8 +280,7 @@ def builtin_template(name: str) -> ScenarioTemplate:
         raise ScenarioError(f"unknown built-in scenario {name!r}") from None
 
 
-def generate_placements(template: ScenarioTemplate, seed: int,
-                        max_attempts: int = 1000) -> Scenario:
+def generate_placements(template: ScenarioTemplate, seed: int) -> Scenario:
     """Instantiate a template: draw user/human positions from the seed.
 
     Users are uniform within bounds at the configured heights, rejected
@@ -300,19 +289,20 @@ def generate_placements(template: ScenarioTemplate, seed: int,
     are linked one-to-one to users (co-located) while both lists last;
     surplus humans are placed uniformly anywhere.
     """
+    world = template.world
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9E3779B9]))
-    length, width = template.bounds[0], template.bounds[1]
+    length, width = world.bounds[0], world.bounds[1]
 
     users = []
     placed = []
     for i in range(template.n_users):
         h = template.user_heights[int(rng.integers(len(template.user_heights)))]
-        for _ in range(max_attempts):
+        for _ in range(MAX_PLACEMENT_ATTEMPTS):
             x = float(rng.uniform(0.0, length))
             y = float(rng.uniform(0.0, width))
-            if (template.min_poa_user_distance <= 0.0 or all(
-                math.hypot(x - p.position.x, y - p.position.y) >= template.min_poa_user_distance
-                for p in template.poas
+            if (world.min_poa_user_distance <= 0.0 or all(
+                math.hypot(x - p.position.x, y - p.position.y) >= world.min_poa_user_distance
+                for p in world.poas
             )) and (template.min_user_spacing <= 0.0 or all(
                 math.hypot(x - a, y - b) >= template.min_user_spacing
                 for a, b in placed
@@ -321,7 +311,7 @@ def generate_placements(template: ScenarioTemplate, seed: int,
                 break
         else:
             raise PlacementError(
-                f"could not place user {i} after {max_attempts} attempts")
+                f"could not place user {i} after {MAX_PLACEMENT_ATTEMPTS} attempts")
         users.append(EndUser(f"user{i}", Position3D(x, y, h), template.required_rate))
 
     humans = []
@@ -337,17 +327,7 @@ def generate_placements(template: ScenarioTemplate, seed: int,
             h = template.user_heights[int(rng.integers(len(template.user_heights)))]
             humans.append(Human(f"human{i}", Position3D(x, y, h), phantom))
 
-    scenario = Scenario(
-        kind=template.kind, bounds=template.bounds,
-        clutter_density=template.clutter_density,
-        clutter_height=template.clutter_height,
-        poas=template.poas, users=tuple(users), humans=tuple(humans),
-        phantoms=dict(template.phantoms), sar_limit=template.sar_limit,
-        channel_params=template.channel_params,
-        frequency_map=template.frequency_map,
-        min_poa_user_distance=template.min_poa_user_distance,
-        name=template.name,
-    )
+    scenario = replace(world, users=tuple(users), humans=tuple(humans))
     _validate(scenario)
     return scenario
 
@@ -358,8 +338,6 @@ def builtin_scenario(name: str, seed: int = 0) -> Scenario:
 
 
 def _validate(s: Scenario):
-    if not (0.0 <= s.clutter_density < 1.0):
-        raise ValidationError("clutter.density", f"must be in [0, 1), got {s.clutter_density}")
     lm = s.channel_params.los_model
     try:
         los_probability(lm.get("kind", "inf"), 0.0, 1.0, 1.0)
@@ -457,7 +435,6 @@ def scenario_to_dict(s: Scenario) -> dict:
         "name": s.name,
         "kind": s.kind,
         "bounds_m": list(s.bounds),
-        "clutter": {"density": s.clutter_density, "height_m": s.clutter_height},
         "limits": {"sar_wkg": s.sar_limit,
                    "min_poa_user_distance_m": s.min_poa_user_distance},
         "poas": [
@@ -580,12 +557,9 @@ def scenario_from_dict(data: dict) -> Scenario:
             for i, h in enumerate(data.get("humans", []))
         ]
         limits = data.get("limits", {})
-        clutter = data.get("clutter", {})
         scenario = Scenario(
             kind=str(data["kind"]),
             bounds=tuple(float(v) for v in data["bounds_m"]),
-            clutter_density=float(clutter.get("density", 0.0)),
-            clutter_height=float(clutter.get("height_m", 0.0)),
             poas=tuple(poas), users=tuple(users), humans=tuple(humans),
             phantoms=phantoms,
             sar_limit=float(limits.get("sar_wkg", 0.08)),
@@ -599,6 +573,17 @@ def scenario_from_dict(data: dict) -> Scenario:
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed scenario: {e}") from None
     _validate(scenario)
+    # Older files repeat the LoS clutter in a top-level block; it must agree
+    # with the LoS model, the only copy the physics reads.
+    clutter = data.get("clutter", {})
+    if not isinstance(clutter, dict):
+        raise ValidationError("clutter", "must be an object")
+    lm = scenario.channel_params.los_model
+    for key, field in (("density", "clutter_density"), ("height_m", "clutter_height")):
+        if key in clutter and clutter[key] != lm.get(field, 0.0):
+            raise ValidationError(
+                f"clutter.{key}", f"{clutter[key]!r} disagrees with "
+                f"channel_params.los_model.{field} = {lm.get(field, 0.0)!r}")
     return scenario
 
 

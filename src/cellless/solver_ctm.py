@@ -13,6 +13,8 @@ from .radio_metrics import Evaluator, MetricsBundle
 from .scenario import Scenario
 from .solution import BeamConfig, SolutionState
 
+KMEANS_MAX_ITERS = 100   # Lloyd iterations per restart unless labels settle first
+
 
 class NoFeasibleSolutionError(RuntimeError):
     """The all-max-power starting solution is already infeasible.
@@ -40,7 +42,6 @@ class CtmConfig:
     delta_db: float = 1.0
     refinement_rounds: int = 3
     kmeans_restarts: int = 10
-    kmeans_max_iters: int = 100
     realizations_per_check: int = 10
     seed: int = 0
 
@@ -63,7 +64,7 @@ class Clustering:
 # ---------------------------------------------------------------------------
 # Step 1: clustering
 
-def _kmeans_once(pts, k, rng, max_iters):
+def _kmeans_once(pts, k, rng):
     n = len(pts)
     # k-means++ seeding
     centroids = np.empty((k, 2))
@@ -78,7 +79,7 @@ def _kmeans_once(pts, k, rng, max_iters):
         d2 = np.minimum(d2, ((pts - centroids[j]) ** 2).sum(axis=1))
 
     labels = None
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         dist = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = dist.argmin(axis=1)
         if labels is not None and np.array_equal(new_labels, labels):
@@ -118,7 +119,7 @@ def cluster_users(users, k: int, config: CtmConfig) -> Clustering:
 
     best = None
     for _ in range(max(1, config.kmeans_restarts)):
-        labels, centroids, wcss = _kmeans_once(pts, k, rng, config.kmeans_max_iters)
+        labels, centroids, wcss = _kmeans_once(pts, k, rng)
         if best is None or wcss < best[2] - 1e-12:
             best = (labels, centroids, wcss)
     labels, centroids, _ = best

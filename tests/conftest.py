@@ -47,7 +47,6 @@ def make_tiny_scenario(required_rate=50e6, n_beams=2):
     )
     return Scenario(
         kind="InF-DH", bounds=(40.0, 20.0, 8.0),
-        clutter_density=0.2, clutter_height=2.0,
         poas=poas, users=users, humans=humans,
         phantoms=dict(DEFAULT_PHANTOMS), sar_limit=0.08,
         channel_params=params,

@@ -110,8 +110,8 @@ def _matching_instance(rng, n):
             mech_azimuth=0.0, beams=(f"p{i}-b0",), element_pattern=ISOTROPIC)
         for i in range(n))
     scenario = Scenario(
-        kind="InF-DH", bounds=(50.0, 50.0, 8.0), clutter_density=0.0,
-        clutter_height=0.0, poas=poas, users=(), humans=(), phantoms={},
+        kind="InF-DH", bounds=(50.0, 50.0, 8.0),
+        poas=poas, users=(), humans=(), phantoms={},
         sar_limit=0.08, channel_params=ChannelParams(),
         frequency_map=FrequencyMap({5e9: 5e9}))
     centroids = tuple((float(x), float(y)) for x, y in rng.uniform(0, 50, (n, 2)))

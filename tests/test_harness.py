@@ -212,6 +212,11 @@ def test_summary_is_strict_json_without_users(tmp_path):
     summary = json.loads(text, parse_constant=_reject_constant)
     assert summary["min_rate_bps"] is None
     assert summary["max_sar_wkg"] == record.bundle.max_sar
+    # No run has users, so the aggregate leaves the min-rate cells empty.
+    aggregate = (Path(spec.out_dir) / "aggregate.csv").read_text()
+    assert "nan" not in aggregate.lower()
+    (row,) = csv.DictReader(aggregate.splitlines())
+    assert [row[f"min_rate_bps_{s}"] for s in ("median", "p10", "p90")] == ["", "", ""]
 
 
 def _fail_on_seed_two(monkeypatch):

@@ -254,7 +254,7 @@ def test_world_without_targets_evaluates():
               panel_rows=4, panel_cols=4, mech_azimuth=0.0, beams=("p0-b0",),
               element_pattern="isotropic")
     empty = Scenario(
-        kind="InF-DH", bounds=(50.0, 50.0, 8.0), clutter_density=0.0, clutter_height=0.0,
+        kind="InF-DH", bounds=(50.0, 50.0, 8.0),
         poas=(poa,), users=(), humans=(), phantoms={}, sar_limit=0.08,
         channel_params=ChannelParams(), frequency_map=FrequencyMap({5e9: 5e9}))
     sol = SolutionState(beams=(BeamConfig("p0-b0", "p0", 0.0, 1.0, 0.5),),

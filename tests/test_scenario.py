@@ -2,8 +2,10 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellless.channel import ChannelParams
 from cellless.scenario import (BUILTIN_TEMPLATES, ParseError, ScenarioError,
@@ -21,32 +23,33 @@ def test_builtin_catalog():
                            ("inf-dh-desk", (20, 40)),
                            ("umi-sc-desk", (20, 40))]:
         t = builtin_template(name)
-        assert len(t.poas) == 8
+        assert len(t.world.poas) == 8
         assert (t.n_users, t.n_humans) == (nu, nh)
         assert t.required_rate == 100e6
-        assert t.sar_limit == 0.08
+        assert t.world.sar_limit == 0.08
     with pytest.raises(ScenarioError):
         builtin_template("nope")
 
 
 def test_inf_dh_table_values():
     t = builtin_template("inf-dh-desk")
-    assert t.bounds == (80.0, 20.0, 8.0)
-    assert t.clutter_density == 0.4 and t.clutter_height == 2.0
-    freqs = sorted(p.frequency for p in t.poas)
+    assert t.world.bounds == (80.0, 20.0, 8.0)
+    los = t.world.channel_params.los_model
+    assert los["clutter_density"] == 0.4 and los["clutter_height"] == 2.0
+    freqs = sorted(p.frequency for p in t.world.poas)
     assert freqs == [3e9, 3e9] + [5e9] * 6
-    for p in t.poas:
+    for p in t.world.poas:
         assert p.bandwidth == 20e6
         assert p.position.z == (7.0 if p.frequency == 3e9 else 6.0)
 
 
 def test_umi_sc_table_values():
     t = builtin_template("umi-sc-desk")
-    assert t.bounds[0] == 800.0 and t.bounds[1] == 40.0
-    freqs = sorted(p.frequency for p in t.poas)
+    assert t.world.bounds[0] == 800.0 and t.world.bounds[1] == 40.0
+    freqs = sorted(p.frequency for p in t.world.poas)
     assert freqs == [3.5e9, 3.5e9] + [5.2e9] * 6
-    assert all(p.position.z == 10.0 for p in t.poas)
-    assert t.min_poa_user_distance == 10.0
+    assert all(p.position.z == 10.0 for p in t.world.poas)
+    assert t.world.min_poa_user_distance == 10.0
     assert set(t.user_heights) == {0.9, 1.5}
 
 
@@ -66,13 +69,13 @@ def test_placement_constraints(name):
         assert len(s.users) == t.n_users and len(s.humans) == t.n_humans
         pts = [(u.position.x, u.position.y) for u in s.users]
         for i, (x, y) in enumerate(pts):
-            assert 0.0 <= x <= t.bounds[0] and 0.0 <= y <= t.bounds[1]
+            assert 0.0 <= x <= t.world.bounds[0] and 0.0 <= y <= t.world.bounds[1]
             for a, b in pts[:i]:
                 assert math.hypot(x - a, y - b) >= t.min_user_spacing - 1e-9
-            if t.min_poa_user_distance > 0:
-                for p in t.poas:
+            if t.world.min_poa_user_distance > 0:
+                for p in t.world.poas:
                     assert math.hypot(x - p.position.x, y - p.position.y) >= \
-                        t.min_poa_user_distance - 1e-9
+                        t.world.min_poa_user_distance - 1e-9
         # Humans pair with users (co-located) while both lists last.
         for i, h in enumerate(s.humans):
             if i < len(s.users):
@@ -114,6 +117,62 @@ def _assert_poas_equal(got, want):
         assert a.mech_azimuth == pytest.approx(b.mech_azimuth, abs=1e-12)
 
 
+def _angles_taken_from(got, want):
+    """``got`` with each angle the file stores in degrees replaced by
+    ``want``'s, after checking the two agree to 1e-12 rad."""
+    assert len(got.poas) == len(want.poas)
+    for a, b in zip(got.poas, want.poas):
+        assert abs(a.min_beam_width - b.min_beam_width) <= 1e-12
+        assert abs(a.mech_azimuth - b.mech_azimuth) <= 1e-12
+    spreads = {f: getattr(want.channel_params, f)
+               for f in ("azimuth_spread_dep", "zenith_spread_dep")}
+    for f, v in spreads.items():
+        assert abs(getattr(got.channel_params, f) - v) <= 1e-12
+    poas = tuple(replace(a, min_beam_width=b.min_beam_width, mech_azimuth=b.mech_azimuth)
+                 for a, b in zip(got.poas, want.poas))
+    return replace(got, poas=poas, channel_params=replace(got.channel_params, **spreads))
+
+
+@settings(deadline=None, max_examples=40)
+@given(name=st.sampled_from(sorted(BUILTIN_TEMPLATES)), seed=st.integers(0, 2**32 - 1),
+       density=st.floats(0.0, 1.0, exclude_max=True), height=st.floats(0.0, 20.0),
+       sar_limit=st.floats(0.0, 10.0, exclude_min=True))
+def test_saved_scenario_reloads_equal(name, seed, density, height, sar_limit):
+    s = generate_placements(builtin_template(name), seed)
+    cp = s.channel_params
+    s = replace(s, sar_limit=sar_limit, channel_params=replace(cp, los_model={
+        **cp.los_model, "clutter_density": density, "clutter_height": height}))
+    again = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s))))
+    assert _angles_taken_from(again, s) == s
+
+
+# The top-level clutter block files carried before clutter lived only in
+# the LoS model: inf-dh built-ins wrote 0.4 / 2.0 m, umi ones 0 / 0.
+@pytest.mark.parametrize("name, block", [
+    ("inf-dh-desk", {"density": 0.4, "height_m": 2.0}),
+    ("umi-sc-desk", {"density": 0.0, "height_m": 0.0}),
+    ("inf-dh-desk", {"density": 0.4}),
+])
+def test_agreeing_clutter_block_loads_as_without(name, block):
+    d = scenario_to_dict(builtin_scenario(name, 0))
+    assert "clutter" not in d
+    assert scenario_from_dict(dict(d, clutter=block)) == scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("name, block, path", [
+    ("inf-dh-desk", {"density": 0.9, "height_m": 2.0}, "clutter.density"),
+    ("inf-dh-desk", {"density": 0.4, "height_m": 3.0}, "clutter.height_m"),
+    ("umi-sc-desk", {"density": 0.4, "height_m": 0.0}, "clutter.density"),
+    ("umi-sc-desk", {"height_m": 2.0}, "clutter.height_m"),
+    ("inf-dh-desk", [0.4, 2.0], "clutter"),
+])
+def test_disagreeing_clutter_block_rejected(name, block, path):
+    d = scenario_to_dict(builtin_scenario(name, 0))
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(dict(d, clutter=block))
+    assert err.value.path == path
+
+
 def test_load_scenario_accepts_builtin_names():
     s = load_scenario("inf-dh-desk")
     assert s.name == "inf-dh-desk" and len(s.users) == 20
@@ -143,7 +202,7 @@ def test_parse_and_validation_errors(tmp_path):
             lambda d: d["humans"][0].update(phantom_id="ghost")))
     with pytest.raises(ValidationError):
         scenario_from_dict(corrupted(
-            lambda d: d["clutter"].update(density=1.5)))
+            lambda d: d.update(clutter={"density": 1.5})))
     with pytest.raises(ValidationError):
         scenario_from_dict(corrupted(
             lambda d: d["poas"][0].update(frequency_hz=9e9)))  # unmapped
