@@ -51,7 +51,7 @@ def main():
           f"max SAR {m0.max_sar:.2e} W/kg")
 
     # Step 3b: delta descent of per-PoA powers.
-    solved = reduce_powers(geometry, scenario, cfg, evaluator=evaluator)
+    solved = reduce_powers(geometry, evaluator, cfg)
     m1 = evaluator.metrics(solved)
     print(f"\nStep 3b - after power descent:")
     for pid in solved.active_poas():

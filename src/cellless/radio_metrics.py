@@ -3,21 +3,22 @@
 The Evaluator samples every link realization once per (scenario, seed),
 with two ``channel.sample_link`` calls per PoA, one over (realizations,
 users) and one over (realizations, humans); each link is still drawn from
-its own keyed stream. It keeps one unit-power (1 W) energy table of shape
-(realizations, targets) per beam geometry, computed by
-``channel.unit_link_energy``'s two parts and cached. The cache misses of
-one call are grouped by (PoA, users|humans part): each group steers every
-missing beam with ``channel.steered_energy`` from the part's
-steering-independent ``channel.link_terms``, computed once per call with
-misses. A part's terms are kept from the second call that computes them,
-so a part filled once (``evaluate``, ``solve_ctm``) keeps nothing and one
-refilled beam by beam (the MaxRate anneal) stops recomputing them. A new
-geometry fills only the user columns; the human columns are filled the
-first time exposure is read for it, so rate-only callers (``mean_rates``,
-``sinr``, ``rate`` and with them the MaxRate objective) never evaluate the
-panel at a human. Channel ray geometry does not depend on any decision
-variable, so beam changes only add table entries and power changes
-invalidate nothing.
+its own keyed stream. Everything derived from one of these PoA parts lives
+in one record, ``Evaluator._parts[(PoA id, part)]`` with part 0 the users
+and 1 the humans: the part's links, its unit-power (1 W) energy table of
+shape (realizations, targets of the part) per beam geometry, computed by
+``channel.unit_link_energy``'s two parts and cached, and its
+steering-independent ``channel.link_terms`` once kept. The tables missing
+in one call are grouped per part; each group steers every missing beam with
+``channel.steered_energy`` from one ``link_terms`` of the part. A part
+keeps its terms from the second call that computes them, so a part filled
+once (``evaluate``, ``solve_ctm``) keeps nothing and one refilled beam by
+beam (the MaxRate anneal) stops recomputing them. Rate-only callers
+(``mean_rates``, ``sinr``, ``rate`` and with them the MaxRate objective)
+read only the users part, so they never evaluate the panel at a human and
+a new geometry adds only its user table. Channel ray geometry does not
+depend on any decision variable, so beam changes only add table entries
+and power changes invalidate nothing.
 
 One power core turns beams and powers into rates and exposure, in three
 steps. *Stack* (``Evaluator.stack``) gathers the unit-power gains of every
@@ -28,10 +29,11 @@ vector. *Verdict* takes each user's signal and co-channel interference,
 and each human's per-frequency received power, as masked sums over the
 beam axis; the latter feeds ``power_density`` ->
 ``exposure.incident_field`` -> ``exposure.sar_wb``, and the means are
-checked against the rate floors and the SAR ceiling. ``metrics`` is stack -> scale -> verdict -> bundle;
-``violated`` rescales a stack the caller keeps, which is how the CtM
-power descent checks each step without re-stacking its fixed beams;
-``mean_rates``, ``sinr`` and ``rate`` are user-only views.
+checked against the rate floors and the SAR ceiling. ``metrics`` is
+stack -> scale -> verdict -> bundle; ``violated`` rescales a stack the
+caller keeps, which is how the CtM power descent checks each step without
+re-stacking its fixed beams; ``mean_rates``, ``sinr`` and ``rate`` are
+user-only views.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class MetricsBundle:
 
     per_user_rate: dict            # user id -> bit/s (mean over realizations)
     per_human_sar: dict            # human id -> W/kg (mean)
-    per_human_power_density: dict  # human id -> {frequency -> W/m^2} (mean)
     per_poa_power: dict            # PoA id -> dBm (-inf when off)
     total_power: float             # watts, transmitting PoAs only
     feasible: bool
@@ -109,6 +110,37 @@ class GainStack:
         return watts[:, None, None] * self.gains
 
 
+@dataclass
+class _Part:
+    """One PoA's links to the users (part 0) or to the humans (part 1), the
+    unit-power gain table over them of each beam geometry, keyed (zenith,
+    azimuth, columns), and their ``channel.link_terms`` once kept."""
+
+    links: ch.LinkRealization
+    tables: dict = field(default_factory=dict)
+    terms: ch.LinkTerms | None = None
+    made: bool = False  # the terms were computed before
+
+    def link_terms(self, panel):
+        """The terms, computed on every call until the second, which keeps
+        them: a part filled in one call keeps nothing."""
+        if self.terms is not None:
+            return self.terms
+        terms = ch.link_terms(self.links, panel)
+        if self.made:
+            self.terms = terms
+        self.made = True
+        return terms
+
+    def fill(self, beams, panel):
+        """Compute the table of each ``key -> beam`` in ``beams`` from one
+        set of link terms, freed on return unless kept."""
+        terms = self.link_terms(panel)
+        for key, beam in beams.items():
+            steer = SteeringDirection(beam.zenith, wrap_angle(beam.azimuth - panel.mech_azimuth))
+            self.tables[key] = ch.steered_energy(terms, replace(panel, cols=key[2]), steer)
+
+
 def power_density(frequency: float, p_rx):
     """Incident power density [W/m^2]: received power over the isotropic
     effective area lambda^2 / 4*pi. Scalar or array received power."""
@@ -124,11 +156,10 @@ def shannon_rate(bandwidth, sinr):
 class Evaluator:
     """Frozen set of channel realizations for one (scenario, seed).
 
-    Per-beam unit-power (1 W) energy tables of shape
-    (n_realizations, n_targets) are computed lazily and cached by beam
-    geometry, so re-evaluating with different powers is nearly free. Each
-    PoA's links are kept as (users part, humans part), and a table's human
-    columns are filled only once exposure is read for its beam.
+    Per-beam unit-power (1 W) energy tables are computed lazily and cached
+    per PoA part by beam geometry, so re-evaluating with different powers
+    is nearly free. A beam's humans-part table is filled only once exposure
+    is read for it.
     """
 
     def __init__(self, scenario: Scenario, seed: int, n_realizations: int = 10):
@@ -155,78 +186,46 @@ class Evaluator:
                                 element_pattern=p.element_pattern)
             for p in scenario.poas
         }
-        self._gain_cache = {}
-        self._human_cols = set()  # gain-cache keys whose human columns are filled
-        self._terms_made = set()  # (PoA, part) whose link terms were ever computed
-        self._kept_terms = {}     # (PoA, part) -> LinkTerms, from the second computation
-        self._links = {poa.id: self._sample_parts(p_idx, poa)
-                       for p_idx, poa in enumerate(scenario.poas)}
-
-    def _sample_parts(self, p_idx, poa):
-        """(users part, humans part) of one PoA's (realization, target)
-        links; target index t is still drawn from ``link_rng(seed, r, p, t)``."""
-        parts, start = [], 0
-        for group in (self.scenario.users, self.scenario.humans):
-            pos = [t.position.as_tuple() for t in group]
-            parts.append(ch.sample_link(
-                poa.position.as_tuple(), poa.frequency, pos, self.scenario.channel_params,
-                [[ch.link_rng(self.seed, r, p_idx, start + j) for j in range(len(group))]
-                 for r in range(self.n_realizations)]))
-            start += len(group)
-        return tuple(parts)
+        # (PoA id, part) -> _Part. Target index t (users, then humans) of
+        # PoA index p is drawn from link_rng(seed, r, p, t).
+        self._parts = {}
+        for p_idx, poa in enumerate(scenario.poas):
+            for part, group in enumerate((scenario.users, scenario.humans)):
+                start = part * self._n_users
+                self._parts[poa.id, part] = _Part(ch.sample_link(
+                    poa.position.as_tuple(), poa.frequency,
+                    [t.position.as_tuple() for t in group], scenario.channel_params,
+                    [[ch.link_rng(self.seed, r, p_idx, start + j) for j in range(len(group))]
+                     for r in range(self.n_realizations)]))
 
     # -- per-beam unit-power gains -------------------------------------------
 
     def beam_gains(self, beam, humans: bool = True) -> np.ndarray:
-        """(n_realizations, n_targets) energies at 1 W transmit power.
-
-        With ``humans=False`` only the user columns are computed and the
-        (n_realizations, n_users) view of them is returned.
-        """
-        (table,) = self._tables([beam], humans)
-        return table if humans else table[:, :self._n_users]
+        """(n_realizations, n_targets) energies at 1 W transmit power, as a
+        new array. With ``humans=False`` only the users part is computed and
+        its cached (n_realizations, n_users) table is returned."""
+        tables = self._tables([beam], humans)[0]
+        return np.concatenate(tables, axis=1) if humans else tables[0]
 
     def _tables(self, beams, humans):
-        """The cached gain table of each beam, filling what is missing: the
-        user columns always, the human columns when ``humans`` is true.
-
-        Missing columns are grouped by (PoA, users|humans part); each group
-        steers every beam in it from one ``channel.link_terms`` of that
-        part. The first call that needs a part's terms computes and drops
-        them; the second computes and keeps them, and later calls read the
-        kept terms. So a part filled in one call (``evaluate``,
-        ``solve_ctm``) keeps nothing, and one filled one beam per call (the
-        MaxRate anneal) pays only for steering after its second miss.
-        """
-        tables, missing = [], {}
+        """Each beam's cached (users table,) or, when ``humans`` is true,
+        (users table, humans table). The missing tables are filled in one
+        ``_Part.fill`` per part, so one part's terms are freed before the
+        next part's are computed."""
+        parts = (0, 1) if humans else (0,)
+        keys, missing = [], {}
         for beam in beams:
-            panel = self._panels[beam.owner_poa]
-            n_eff = width_to_panel(beam.width, panel)
-            key = (beam.owner_poa, round(beam.zenith, 12), round(beam.azimuth, 12), n_eff)
-            table = self._gain_cache.get(key)
-            if table is None:
-                table = self._gain_cache[key] = np.empty((self.n_realizations, len(self.targets)))
-                missing.setdefault((beam.owner_poa, 0), {})[key] = beam
-            if humans and key not in self._human_cols:
-                missing.setdefault((beam.owner_poa, 1), {})[key] = beam
-            tables.append(table)
+            pid = beam.owner_poa
+            key = (round(beam.zenith, 12), round(beam.azimuth, 12),
+                   width_to_panel(beam.width, self._panels[pid]))
+            for part in parts:
+                if key not in self._parts[pid, part].tables:
+                    missing.setdefault((pid, part), {})[key] = beam
+            keys.append((pid, key))
         for (pid, part), group in missing.items():
-            panel = self._panels[pid]
-            terms = self._kept_terms.get((pid, part))
-            if terms is None:
-                terms = ch.link_terms(self._links[pid][part], panel)
-                if (pid, part) in self._terms_made:
-                    self._kept_terms[pid, part] = terms
-                self._terms_made.add((pid, part))
-            cols = slice(self._n_users) if part == 0 else slice(self._n_users, None)
-            for key, beam in group.items():
-                steer = SteeringDirection(beam.zenith,
-                                          wrap_angle(beam.azimuth - panel.mech_azimuth))
-                self._gain_cache[key][:, cols] = ch.steered_energy(
-                    terms, replace(panel, cols=key[3]), steer)
-            if part:
-                self._human_cols.update(group)
-        return tables
+            self._parts[pid, part].fill(group, self._panels[pid])
+        return [tuple(self._parts[pid, part].tables[key] for part in parts)
+                for pid, key in keys]
 
     # -- the power core: stack, scale, verdict ----------------------------------
 
@@ -239,8 +238,10 @@ class Evaluator:
         width = len(self.targets) if humans else self._n_users
         gains = np.empty((len(active), width, self.n_realizations))
         tables = self._tables([solution.beams[i] for _, i in active], humans)
-        for row, table in enumerate(tables):
-            gains[row] = table[:, :width].T
+        for row, parts in enumerate(tables):
+            gains[row, :self._n_users] = parts[0].T
+            if humans:
+                gains[row, self._n_users:] = parts[1].T
         row_of = {i: row for row, (_, i) in enumerate(active)}
         beam_of_user = {}
         for i, b in enumerate(solution.beams):
@@ -281,32 +282,29 @@ class Evaluator:
         return shannon_rate(bandwidth[:, None], sinr)
 
     def _exposure(self, stack, power):
-        """Per-human mean SAR (humans,) and mean power density per frequency."""
+        """Per-human mean SAR (humans,)."""
         beam_freq = self._poa_frequency[stack.poa_of_beam]
         at_humans = power[:, self._n_users:]
-        fields, density = {}, {}
-        for f in sorted(set(beam_freq.tolist())):
-            s = power_density(f, at_humans[beam_freq == f].sum(axis=0))
-            density[f] = s.mean(axis=-1)
-            fields[f] = incident_field(s)
+        fields = {f: incident_field(power_density(f, at_humans[beam_freq == f].sum(axis=0)))
+                  for f in sorted(set(beam_freq.tolist()))}
         sar = np.zeros((len(self.scenario.humans), self.n_realizations))
         for name, rows in self._humans_by_phantom.items():
             sar[rows] = sar_wb({f: e[rows] for f, e in fields.items()},
                                self.scenario.phantoms[name], self.scenario.frequency_map)
-        return sar.mean(axis=-1), density
+        return sar.mean(axis=-1)
 
     def _outcome(self, stack, tx_power):
         """Scale a full (users and humans) stack by a power vector and judge
-        it: mean rate per user, mean SAR and power density per human, and
-        the ids of the violated rate floors and SAR ceilings."""
+        it: mean rate per user, mean SAR per human, and the ids of the
+        violated rate floors and SAR ceilings."""
         power = stack.scaled(tx_power)
         rates = self._rates(stack, power, self._user_ids).mean(axis=-1)
-        sar, density = self._exposure(stack, power)
+        sar = self._exposure(stack, power)
         violated = ([f"rate:{uid}" for uid, short in
                      zip(self._user_ids, (rates < self._rate_floor).tolist()) if short]
                     + [f"sar:{hid}" for hid, over in
                        zip(self._human_ids, (sar > self.scenario.sar_limit).tolist()) if over])
-        return rates, sar, density, violated
+        return rates, sar, violated
 
     def violated(self, stack, tx_power) -> list:
         """Rate floors and SAR ceilings (``rate:<user>``, ``sar:<human>``)
@@ -315,7 +313,7 @@ class Evaluator:
         ``metrics`` on the solution with those powers."""
         if stack.gains.shape[1] != len(self.targets):
             raise ValueError("a verdict needs a stack with the human columns")
-        return self._outcome(stack, tx_power)[3]
+        return self._outcome(stack, tx_power)[2]
 
     # -- views -------------------------------------------------------------------
 
@@ -338,14 +336,11 @@ class Evaluator:
     def metrics(self, solution: SolutionState) -> MetricsBundle:
         """Averaged rates and SAR over all realizations, plus feasibility."""
         scenario = self.scenario
-        rates, sar, density, violated = self._outcome(self.stack(solution), solution.tx_power)
+        rates, sar, violated = self._outcome(self.stack(solution), solution.tx_power)
         active = set(solution.active_poas())
         return MetricsBundle(
             per_user_rate={u.id: float(r) for u, r in zip(scenario.users, rates)},
             per_human_sar={h.id: float(s) for h, s in zip(scenario.humans, sar)},
-            per_human_power_density={
-                h.id: {f: float(d[i]) for f, d in density.items()}
-                for i, h in enumerate(scenario.humans)},
             per_poa_power={
                 p.id: solution.tx_power.get(p.id, -math.inf) if p.id in active else -math.inf
                 for p in scenario.poas},
@@ -365,25 +360,24 @@ class Evaluator:
             if not b.active:
                 continue
             poa = self.scenario.poa_by_id(b.owner_poa)
-            gains = self.beam_gains(b)
-            links = self._links[poa.id]
+            tables = self._tables([b], humans=True)[0]
             for r in range(self.n_realizations):
-                for t_idx, t in enumerate(self.targets):
-                    part = int(t_idx >= self._n_users)
-                    link, col = links[part], t_idx - part * self._n_users
-                    rows.append({
-                        "realization": r,
-                        "beam_id": b.beam_id,
-                        "poa_id": poa.id,
-                        "frequency_hz": poa.frequency,
-                        "bandwidth_hz": poa.bandwidth,
-                        "target_id": t.id,
-                        "target_kind": ("user", "human")[part],
-                        "unit_energy_w": float(gains[r, t_idx]),
-                        "los": bool(link.los[r, col]),
-                        "pathloss_db": float(link.pathloss_db[r, col]),
-                        "shadow_db": float(link.shadow_db[r, col]),
-                    })
+                for part, ids in enumerate((self._user_ids, self._human_ids)):
+                    link, table = self._parts[poa.id, part].links, tables[part]
+                    for col, tid in enumerate(ids):
+                        rows.append({
+                            "realization": r,
+                            "beam_id": b.beam_id,
+                            "poa_id": poa.id,
+                            "frequency_hz": poa.frequency,
+                            "bandwidth_hz": poa.bandwidth,
+                            "target_id": tid,
+                            "target_kind": ("user", "human")[part],
+                            "unit_energy_w": float(table[r, col]),
+                            "los": bool(link.los[r, col]),
+                            "pathloss_db": float(link.pathloss_db[r, col]),
+                            "shadow_db": float(link.shadow_db[r, col]),
+                        })
         return rows
 
 

@@ -352,12 +352,16 @@ def _validate(s: Scenario):
         raise ValidationError("limits.sar_wkg", "must be positive")
     if len(s.bounds) < 2 or s.bounds[0] <= 0 or s.bounds[1] <= 0:
         raise ValidationError("bounds_m", "length and width must be positive")
-    ids = set()
+    ids, beam_ids = set(), set()
     for i, p in enumerate(s.poas):
         path = f"poas[{i}]"
         if p.id in ids:
             raise ValidationError(f"{path}.id", f"duplicate id {p.id!r}")
         ids.add(p.id)
+        for j, beam_id in enumerate(p.beams):
+            if beam_id in beam_ids:
+                raise ValidationError(f"{path}.beams[{j}]", f"duplicate beam id {beam_id!r}")
+            beam_ids.add(beam_id)
         if p.frequency <= 0:
             raise ValidationError(f"{path}.frequency_hz", "must be positive")
         if not (math.isfinite(p.bandwidth) and p.bandwidth > 0):
@@ -375,6 +379,8 @@ def _validate(s: Scenario):
             raise ValidationError(
                 f"{path}.frequency_hz",
                 f"{p.frequency} Hz missing from frequency_map") from None
+    if not beam_ids:
+        raise ValidationError("poas", "no PoA has a beam")
     user_ids = set()
     for i, u in enumerate(s.users):
         path = f"users[{i}]"
@@ -503,6 +509,16 @@ _CHANNEL_FIELDS = {
 _RETIRED_CHANNEL_KEYS = {"azimuth_spread_arr_deg", "zenith_spread_arr_deg"}
 
 
+def _section(data, key, kind, path=""):
+    """``data[key]``, empty when missing, which must be a JSON object
+    (``kind`` dict) or list; a mismatch is reported at ``path + key``."""
+    value = data.get(key, kind())
+    if not isinstance(value, kind):
+        raise ValidationError(path + key,
+                              "must be an object" if kind is dict else "must be a list")
+    return value
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
@@ -510,9 +526,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if version != SCHEMA_VERSION:
         raise ParseError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     try:
-        cp_d = data.get("channel_params", {})
-        if not isinstance(cp_d, dict):
-            raise ValidationError("channel_params", "must be an object")
+        cp_d = _section(data, "channel_params", dict)
+        _section(cp_d, "los_model", dict, "channel_params.")
         for key in cp_d:
             if key not in _CHANNEL_FIELDS and key not in _RETIRED_CHANNEL_KEYS:
                 raise ValidationError(f"channel_params.{key}", "unknown key")
@@ -520,7 +535,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                               for key, (name, parse, _) in _CHANNEL_FIELDS.items()
                               if key in cp_d})
         phantoms = {}
-        for i, ph in enumerate(data.get("phantoms", [])):
+        for i, ph in enumerate(_section(data, "phantoms", list)):
             phantoms[ph["name"]] = PhantomProfile(
                 name=ph["name"], bmi=float(ph["bmi"]),
                 bmi_ref=float(ph.get("bmi_ref", 22.0)),
@@ -528,9 +543,9 @@ def scenario_from_dict(data: dict) -> Scenario:
                 sar_ref={float(f): float(v) for f, v in ph["sar_ref"].items()},
             )
         freq_map = FrequencyMap(
-            {float(k): float(v) for k, v in data.get("frequency_map", {}).items()})
+            {float(k): float(v) for k, v in _section(data, "frequency_map", dict).items()})
         poas = []
-        for i, p in enumerate(data.get("poas", [])):
+        for i, p in enumerate(_section(data, "poas", list)):
             poas.append(PoA(
                 id=str(p["id"]),
                 position=_position_from_json(p["position_m"], f"poas[{i}].position_m"),
@@ -548,15 +563,15 @@ def scenario_from_dict(data: dict) -> Scenario:
             EndUser(str(u["id"]),
                     _position_from_json(u["position_m"], f"users[{i}].position_m"),
                     float(u["required_rate_bps"]))
-            for i, u in enumerate(data.get("users", []))
+            for i, u in enumerate(_section(data, "users", list))
         ]
         humans = [
             Human(str(h["id"]),
                   _position_from_json(h["position_m"], f"humans[{i}].position_m"),
                   str(h["phantom_id"]), h.get("linked_user"))
-            for i, h in enumerate(data.get("humans", []))
+            for i, h in enumerate(_section(data, "humans", list))
         ]
-        limits = data.get("limits", {})
+        limits = _section(data, "limits", dict)
         scenario = Scenario(
             kind=str(data["kind"]),
             bounds=tuple(float(v) for v in data["bounds_m"]),
@@ -575,9 +590,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     _validate(scenario)
     # Older files repeat the LoS clutter in a top-level block; it must agree
     # with the LoS model, the only copy the physics reads.
-    clutter = data.get("clutter", {})
-    if not isinstance(clutter, dict):
-        raise ValidationError("clutter", "must be an object")
+    clutter = _section(data, "clutter", dict)
     lm = scenario.channel_params.los_model
     for key, field in (("density", "clutter_density"), ("height_m", "clutter_height")):
         if key in clutter and clutter[key] != lm.get(field, 0.0):

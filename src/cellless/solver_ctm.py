@@ -244,19 +244,17 @@ def build_geometry(scenario: Scenario, config: CtmConfig) -> SolutionState:
     return SolutionState(beams=tuple(beam_configs), tx_power=tx_power)
 
 
-def reduce_powers(solution: SolutionState, scenario: Scenario, config: CtmConfig,
-                  evaluator: Evaluator | None = None) -> SolutionState:
+def reduce_powers(solution: SolutionState, evaluator: Evaluator,
+                  config: CtmConfig) -> SolutionState:
     """Per-PoA power descent: delta steps while feasible, then halved deltas.
 
-    Feasibility is checked with one fixed evaluation seed for the whole
-    descent, making it a deterministic, monotone process. Each round sweeps
+    Feasibility is checked on the evaluator's channel realizations for the
+    whole descent, making it a deterministic, monotone process. Each round sweeps
     the PoAs (descending power, then id) until a full sweep makes no
     reduction, so at the final delta no single PoA can take another step.
     The beams never change, so their gains are stacked once and each check
     only rescales the stack (``Evaluator.violated``).
     """
-    if evaluator is None:
-        evaluator = Evaluator(scenario, config.seed, config.realizations_per_check)
     stack = evaluator.stack(solution)
 
     def feasible(sol):
@@ -297,5 +295,5 @@ def solve_ctm(scenario: Scenario, config: CtmConfig | None = None):
     if not any(b.active for b in geometry.beams):
         off = replace(geometry, tx_power={p.id: -math.inf for p in scenario.poas})
         return off, evaluator.metrics(off)
-    solved = reduce_powers(geometry, scenario, config, evaluator=evaluator)
+    solved = reduce_powers(geometry, evaluator, config)
     return solved, evaluator.metrics(solved)

@@ -11,6 +11,7 @@ from cellless.cli import main
 from cellless.harness import (PLOT_KINDS, ExperimentSpec, emit_plot_data,
                               load_run_metrics, plot_data_from_dir,
                               run_experiment)
+from cellless.radio_metrics import Evaluator
 from cellless.scenario import builtin_scenario, save_scenario, scenario_to_dict
 from cellless.solution import load_solution, validate
 
@@ -217,6 +218,19 @@ def test_summary_is_strict_json_without_users(tmp_path):
     assert "nan" not in aggregate.lower()
     (row,) = csv.DictReader(aggregate.splitlines())
     assert [row[f"min_rate_bps_{s}"] for s in ("median", "p10", "p90")] == ["", "", ""]
+
+
+def test_dump_links_writes_each_run_as_strict_json(tmp_path):
+    """With dump_links, every run writes a strict-JSON links.json equal to a
+    fresh Evaluator's dump of the run's solution."""
+    spec = tiny_spec(tmp_path, solver="both", seeds=(1,), dump_links=True)
+    records = run_experiment(spec)
+    assert [r.solver for r in records] == ["ctm", "maxrate"]
+    for r in records:
+        assert r.error is None
+        text = (Path(spec.out_dir) / r.scenario_name / "1" / r.solver / "links.json").read_text()
+        links = json.loads(text, parse_constant=_reject_constant)
+        assert links == Evaluator(r.scenario, r.seed, spec.n_realizations).dump_links(r.solution)
 
 
 def _fail_on_seed_two(monkeypatch):

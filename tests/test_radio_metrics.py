@@ -59,7 +59,7 @@ def _assert_links_keyed_per_link(ev, p_idx):
     humans part, equals a one-link draw from that link's own stream, field
     by field and bit for bit. Returns the (users, humans) parts."""
     poa = ev.scenario.poas[p_idx]
-    parts = ev._links[poa.id]
+    parts = ev._parts[poa.id, 0].links, ev._parts[poa.id, 1].links
     n_users = len(ev.scenario.users)
     assert [part.los.shape for part in parts] == [
         (ev.n_realizations, n_users), (ev.n_realizations, len(ev.scenario.humans))]
@@ -94,8 +94,8 @@ def _count_link_terms_parts(monkeypatch, ev):
     links it was given: (PoA id, "users" | "humans")."""
     calls = []
     original = ch.link_terms
-    names = {id(part): (pid, kind) for pid, parts in ev._links.items()
-             for part, kind in zip(parts, ("users", "humans"))}
+    names = {id(record.links): (pid, ("users", "humans")[part])
+             for (pid, part), record in ev._parts.items()}
 
     def spy(link, geom):
         calls.append(names[id(link)])
@@ -161,9 +161,8 @@ def test_interference_reduces_sinr(tiny_scenario, tiny_solution, ev):
 
 def test_gain_cache_power_independent(tiny_scenario, tiny_solution, ev):
     beam = tiny_solution.beam_for_user("u0")
+    assert ev.beam_gains(beam, humans=False) is ev.beam_gains(beam, humans=False)  # cached
     g1 = ev.beam_gains(beam)
-    g2 = ev.beam_gains(beam)
-    assert g1 is g2  # cached
     assert g1.shape == (8, len(tiny_scenario.users) + len(tiny_scenario.humans))
     assert np.all(g1 >= 0.0)
 
@@ -239,7 +238,7 @@ def test_dump_links_recomputes_sinr(tiny_scenario, tiny_solution, ev):
 def test_world_without_humans_evaluates(tiny_scenario, tiny_solution):
     no_humans = replace(tiny_scenario, humans=())
     m = evaluate(tiny_solution, no_humans, seed=5, n_realizations=4)
-    assert m.per_human_sar == {} and m.per_human_power_density == {}
+    assert m.per_human_sar == {}
     with_humans = Evaluator(tiny_scenario, seed=5, n_realizations=4).metrics(tiny_solution)
     assert m.per_user_rate == with_humans.per_user_rate
     ev = Evaluator(no_humans, seed=5, n_realizations=4)
@@ -403,7 +402,7 @@ def _assert_tables_equal_one_beam_kernel(ev, reference, beams):
         panel = reference._panels[b.owner_poa]
         geom = replace(panel, cols=width_to_panel(b.width, panel))
         steer = SteeringDirection(b.zenith, wrap_angle(b.azimuth - panel.mech_azimuth))
-        users, humans = reference._links[b.owner_poa]
+        users, humans = (reference._parts[b.owner_poa, part].links for part in (0, 1))
         assert table[:, :n_users].tobytes() == ch.unit_link_energy(users, geom, steer).tobytes()
         assert table[:, n_users:].tobytes() == ch.unit_link_energy(humans, geom, steer).tobytes()
 
@@ -448,6 +447,11 @@ def test_grouped_fills_equal_one_beam_kernel_umi(monkeypatch):
 # Kept link terms: a part's terms are kept from the second call that has to
 # compute them, and fills from kept terms equal the one-beam kernel.
 
+def _kept(ev):
+    """The (PoA id, part) keys whose link terms the Evaluator keeps."""
+    return {key for key, record in ev._parts.items() if record.terms is not None}
+
+
 def _one_beam_misses(beam, n):
     """n beams that differ from ``beam`` only in azimuth, so each is a miss."""
     return [replace(beam, azimuth=wrap_angle(beam.azimuth + 0.05 * k)) for k in range(n)]
@@ -461,9 +465,10 @@ def test_one_beam_misses_compute_link_terms_at_most_twice(monkeypatch):
     misses = _one_beam_misses(beams[0], 12)
     for b in misses:
         ev.beam_gains(b, humans=False)
-    assert len(ev._gain_cache) == len(misses)
+    assert len(ev._parts[pid, 0].tables) == len(misses)
+    assert ev._parts[pid, 1].tables == {}  # a users-only fill makes no humans-part table
     assert calls == [(pid, "users")] * 2
-    assert set(ev._kept_terms) == {(pid, 0)}
+    assert _kept(ev) == {(pid, 0)}
 
 
 @pytest.mark.parametrize("world", ["desk", "umi"])
@@ -483,11 +488,70 @@ def test_kept_terms_fill_equal_one_beam_kernel(monkeypatch, world):
         for b in beams:
             ev.beam_gains(b, humans=humans)
     monkeypatch.undo()
-    kept = {pid for pid, _ in ev._kept_terms}
-    assert kept and set(ev._kept_terms) == {(pid, part) for pid in kept for part in (0, 1)}
+    kept = {pid for pid, _ in _kept(ev)}
+    assert kept and _kept(ev) == {(pid, part) for pid in kept for part in (0, 1)}
     for pid in kept:
         assert calls.count((pid, "users")) == calls.count((pid, "humans")) == 2
     _assert_tables_equal_one_beam_kernel(ev, Evaluator(scenario, seed, n_realizations), beams)
+
+
+# ---------------------------------------------------------------------------
+# The part records under random call sequences: tables hold one part each,
+# humans-part tables exist only where exposure was read, and every table is
+# the one-beam kernel's.
+
+@pytest.fixture(scope="module")
+def desk_pool():
+    """inf-dh-desk with 2 realizations: a reference Evaluator and three CtM
+    geometries whose active beams differ only in azimuth."""
+    scenario = builtin_scenario("inf-dh-desk", 1)
+    base = build_geometry(scenario, CtmConfig(seed=1, kmeans_restarts=2))
+    solutions = [replace(base, beams=tuple(replace(b, azimuth=wrap_angle(b.azimuth + 0.05 * k))
+                                           for b in base.beams)) for k in range(3)]
+    return Evaluator(scenario, seed=1, n_realizations=2), solutions
+
+
+def _table_key(ev, beam):
+    """(PoA id, key of the beam's tables in that PoA's part records)."""
+    panel = ev._panels[beam.owner_poa]
+    return beam.owner_poa, (round(beam.zenith, 12), round(beam.azimuth, 12),
+                            width_to_panel(beam.width, panel))
+
+
+call = st.one_of(
+    st.tuples(st.just("beam_gains"), st.integers(0, 2), st.integers(0, 99), st.booleans()),
+    st.tuples(st.sampled_from(["mean_rates", "metrics"]), st.integers(0, 2)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(calls=st.lists(call, min_size=1, max_size=8))
+def test_part_tables_under_random_calls(desk_pool, calls):
+    reference, solutions = desk_pool
+    ev = Evaluator(reference.scenario, seed=1, n_realizations=2)
+    read, with_humans = {}, set()
+    with pytest.MonkeyPatch.context() as mp:
+        terms_calls = _count_link_terms_parts(mp, ev)
+        for name, k, *args in calls:
+            active = [b for b in solutions[k].beams if b.active]
+            if name == "beam_gains":
+                beam, humans = active[args[0] % len(active)], args[1]
+                ev.beam_gains(beam, humans=humans)
+                beams = [beam]
+            else:
+                getattr(ev, name)(solutions[k])
+                beams, humans = active, name == "metrics"
+            for b in beams:
+                read[_table_key(ev, b)] = b
+                if humans:
+                    with_humans.add(_table_key(ev, b))
+    n_targets = (len(ev.scenario.users), len(ev.scenario.humans))
+    for (pid, part), record in ev._parts.items():
+        for table in record.tables.values():
+            assert table.shape == (2, n_targets[part])
+        assert set(record.tables) == {key for p, key in (read if part == 0 else with_humans)
+                                      if p == pid}
+        assert terms_calls.count((pid, ("users", "humans")[part])) <= 2
+    _assert_tables_equal_one_beam_kernel(ev, reference, list(read.values()))
 
 
 def test_evaluate_and_solve_ctm_keep_no_terms(monkeypatch):
@@ -511,4 +575,4 @@ def test_evaluate_and_solve_ctm_keep_no_terms(monkeypatch):
     solver_ctm.solve_ctm(scenario, config)
     assert len(made) == 2
     for ev in made:
-        assert ev._terms_made and ev._kept_terms == {}
+        assert any(record.made for record in ev._parts.values()) and _kept(ev) == set()

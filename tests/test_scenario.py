@@ -246,16 +246,46 @@ def _drop_first_poa_reference_sar(d):
     (lambda d: d["channel_params"].update(azimuth_spread_arr=8.0),
      "channel_params.azimuth_spread_arr"),
     (lambda d: d.update(channel_params=[]), "channel_params"),
+    (lambda d: d["channel_params"].update(los_model=[]), "channel_params.los_model"),
+    (lambda d: d.update(limits=[]), "limits"),
+    (lambda d: d.update(frequency_map=[]), "frequency_map"),
+    (lambda d: d.update(poas={}), "poas"),
+    (lambda d: d.update(users={}), "users"),
+    (lambda d: d.update(humans="h0"), "humans"),
+    (lambda d: d.update(phantoms={}), "phantoms"),
 ], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
         "maxpow-minus-inf", "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
         "clutter-density-one", "clutter-density-negative", "clutter-density-not-number",
-        "channel-key-misspelled", "channel-key-unknown", "channel-params-not-object"])
+        "channel-key-misspelled", "channel-key-unknown", "channel-params-not-object",
+        "los-model-not-object", "limits-not-object", "frequency-map-not-object",
+        "poas-not-list", "users-not-list", "humans-not-list", "phantoms-not-list"])
 def test_bad_inputs_rejected_at_load(mutate, path):
     d = scenario_to_dict(builtin_scenario("inf-dh-desk", 0))
     mutate(d)
     with pytest.raises(ValidationError) as err:
         scenario_from_dict(d)
     assert err.value.path == path
+
+
+def test_beam_shared_by_two_poas_rejected_at_load():
+    d = scenario_to_dict(builtin_scenario("inf-dh-desk", 1))
+    d["poas"][2]["beams"][3] = d["poas"][0]["beams"][1]
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(d)
+    assert err.value.path == "poas[2].beams[3]"
+
+
+def test_world_without_beams_rejected_at_load():
+    d = scenario_to_dict(builtin_scenario("inf-dh-desk", 1))
+    for p in d["poas"]:
+        p["beams"] = []
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(d)
+    assert err.value.path == "poas"
+    d["poas"] = []
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(d)
+    assert err.value.path == "poas"
 
 
 def test_missing_channel_params_take_the_dataclass_defaults():

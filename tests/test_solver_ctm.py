@@ -211,7 +211,7 @@ def test_reduce_powers_monotone_and_feasible(tiny_scenario):
     cfg = CtmConfig(seed=2, realizations_per_check=4, refinement_rounds=1)
     geo = build_geometry(tiny_scenario, cfg)
     ev = Evaluator(tiny_scenario, cfg.seed, cfg.realizations_per_check)
-    out = reduce_powers(geo, tiny_scenario, cfg, evaluator=ev)
+    out = reduce_powers(geo, ev, cfg)
     assert ev.metrics(out).feasible
     for pid in out.tx_power:
         assert out.tx_power[pid] <= geo.tx_power[pid]
@@ -296,8 +296,8 @@ def test_descent_matches_metrics_reference(monkeypatch, channel_seed):
         return violated(self, stack, tx_power)
 
     monkeypatch.setattr(Evaluator, "violated", counted)
-    got = reduce_powers(geometry, scenario, cfg,
-                        evaluator=Evaluator(scenario, cfg.seed, cfg.realizations_per_check))
+    got = reduce_powers(geometry, Evaluator(scenario, cfg.seed, cfg.realizations_per_check),
+                        cfg)
     assert got.tx_power == want.tx_power
     assert len(checks) == want_checks
     assert got.tx_power != geometry.tx_power

@@ -109,15 +109,11 @@ def test_solve_maxrate_deterministic(tiny_scenario):
     assert m1.per_user_rate == m2.per_user_rate
 
 
-class _KeepsNothing(dict):
-    def __setitem__(self, key, value):
-        pass
-
-
 def test_anneal_with_kept_terms_equals_anneal_without(monkeypatch):
     """Kept link terms change no bit of an anneal: the best solution and its
     rates equal those of the same anneal recomputing the terms on every
     miss, which it does many more times."""
+    import cellless.radio_metrics as radio_metrics
     import cellless.solver_maxrate as solver_maxrate
     from cellless import channel as ch
     from cellless.scenario import builtin_scenario
@@ -132,21 +128,21 @@ def test_anneal_with_kept_terms_equals_anneal_without(monkeypatch):
         return original(link, geom)
 
     class Recorded(Evaluator):
-        keep = True
-
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            if not Recorded.keep:
-                self._kept_terms = _KeepsNothing()
             made.append(self)
+
+    class TermsNeverStick(radio_metrics._Part):
+        def link_terms(self, panel):
+            return ch.link_terms(self.links, panel)
 
     monkeypatch.setattr(ch, "link_terms", spy)
     monkeypatch.setattr(solver_maxrate, "Evaluator", Recorded)
     kept_sol, kept = solve_maxrate(scenario, cfg)
     kept_calls = len(calls)
-    assert made[0]._kept_terms
+    assert any(record.terms is not None for record in made[0]._parts.values())
 
-    Recorded.keep = False
+    monkeypatch.setattr(radio_metrics, "_Part", TermsNeverStick)
     del calls[:]
     sol, bundle = solve_maxrate(scenario, cfg)
     assert kept_calls < len(calls)
