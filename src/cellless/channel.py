@@ -3,12 +3,15 @@
 Each link (PoA -> user or human) is drawn from an independent random
 stream keyed by (global seed, realization index, PoA index, target index),
 so results are bit-identical regardless of evaluation order or worker
-count. ``sample_link`` takes one such stream per link but draws all the
-links it is given, typically every (realization, target) link of one PoA,
-in one call, and returns them as arrays. Ray geometry is independent of
-any beam decision: beams enter only through the panel field applied when
-computing energies, which lets a fixed set of realizations be reused
-across candidate solutions.
+count. The stream of a key is ``default_rng(SeedSequence(key))``;
+``link_rngs`` seeds every (realization, target) stream of one PoA in one
+pass, running ``SeedSequence``'s integer hash over all keys at once as
+arrays, and ``link_rng`` is its one-link case. ``sample_link`` takes one
+stream per link but draws all the links it is given, typically every
+(realization, target) link of one PoA part, in one call, and returns them
+as arrays. Ray geometry is independent of any beam decision: beams enter
+only through the panel field applied when computing energies, which lets
+a fixed set of realizations be reused across candidate solutions.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .antenna import (PanelGeometry, PanelTerms, SteeringDirection, panel_terms,
                       steered_field, wrap_angle)
@@ -94,11 +99,120 @@ def dbm_to_watts(dbm: float) -> float:
     return 0.0 if dbm == -math.inf else 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _word_groups(values) -> list:
+    """Non-negative integers split as ``SeedSequence`` splits an entropy
+    integer, into little-endian 32-bit words (at least one), grouped by word
+    count: a list of (positions in ``values``, (len(positions), words)
+    uint64 array)."""
+    vals = [int(v) for v in values]
+    if any(v < 0 for v in vals):
+        raise ValueError("link stream keys must be non-negative")
+    groups = {}
+    for i, v in enumerate(vals):
+        groups.setdefault(max(1, -(-v.bit_length() // 32)), []).append(i)
+    return [(idx, np.array([[(vals[i] >> (32 * k)) & _MASK32 for k in range(n)] for i in idx],
+                           dtype=np.uint64))
+            for n, idx in groups.items()]
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` of every row of
+    ``entropy``, a (keys, words >= 4) array of 32-bit words, as (keys, 4)
+    uint64.
+
+    The hash constant evolves the same way for every key, so it stays a
+    Python int; the words are kept in uint64 and masked to 32 bits after
+    each product, which never overflows 64 bits.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, entropy.shape[1]):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
+
+    hash_const = _INIT_B
+    halves = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        halves.append(value ^ (value >> 16))
+    return np.stack([halves[2 * j] | (halves[2 * j + 1] << 32) for j in range(4)], axis=1)
+
+
+class _SeedWords(ISeedSequence):
+    """Seed words computed in advance: ``PCG64`` seeds itself from
+    ``generate_state(4, np.uint64)``, the only call it makes."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _link_generators(seed, realizations, poa_index, targets) -> list:
+    """(len(realizations) x len(targets)) nested list of the generators
+    ``default_rng(SeedSequence([seed, r, poa_index, t]))``."""
+    ((_, seed_words),) = _word_groups([seed])
+    ((_, poa_words),) = _word_groups([poa_index])
+    out = [[None] * len(targets) for _ in realizations]
+    for r_pos, r_words in _word_groups(realizations):
+        for t_pos, t_words in _word_groups(targets):
+            n = len(r_pos) * len(t_pos)
+            states = iter(_seed_states(np.concatenate([
+                np.broadcast_to(seed_words, (n, seed_words.shape[1])),
+                np.repeat(r_words, len(t_pos), axis=0),
+                np.broadcast_to(poa_words, (n, poa_words.shape[1])),
+                np.tile(t_words, (len(r_pos), 1))], axis=1)))
+            for r in r_pos:
+                row = out[r]
+                for t in t_pos:
+                    row[t] = Generator(PCG64(_SeedWords(next(states))))
+    return out
+
+
+def link_rngs(seed: int, n_realizations: int, poa_index: int, targets) -> list:
+    """Generators of the links from PoA ``poa_index`` to each target index
+    in ``targets`` in each realization, as the (realizations x targets)
+    nested list ``sample_link`` takes.
+
+    Entry [r][j] is bit-identical to ``link_rng(seed, r, poa_index,
+    targets[j])``: the ``SeedSequence`` hash runs over every key at once
+    and each ``PCG64`` seeds itself from its precomputed words.
+    """
+    return _link_generators(seed, range(int(n_realizations)), poa_index, list(targets))
+
+
 def link_rng(seed: int, realization: int, poa_index: int, target_index: int):
-    """Independent generator for one (realization, PoA, target) link."""
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed), int(realization), int(poa_index), int(target_index)])
-    )
+    """Independent generator for one (realization, PoA, target) link:
+    ``default_rng(SeedSequence([seed, realization, poa_index,
+    target_index]))``."""
+    return _link_generators(seed, [realization], poa_index, [target_index])[0][0]
 
 
 def los_probability(scenario_kind, d_2d, poa_height, target_height,

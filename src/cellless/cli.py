@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (ExperimentSpec, PLOT_KINDS, plot_data_from_dir,
+from .harness import (ExperimentSpec, PLOT_KINDS, check_seeds, plot_data_from_dir,
                       run_experiment)
 from .scenario import ScenarioError, load_scenario
 from .solver_ctm import CtmConfig
@@ -22,11 +22,24 @@ EXIT_INFEASIBLE = 3
 
 
 def _parse_seeds(text):
-    """'1..10' (inclusive range) or '0,3,7'."""
+    """'1..10' (inclusive range) or '0,3,7': distinct non-negative seeds."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(s) for s in text.split(","))
+        seeds = tuple(range(int(lo), int(hi) + 1))
+    else:
+        seeds = tuple(int(s) for s in text.split(","))
+    try:
+        check_seeds(seeds)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"{text!r}: {e}") from None
+    return seeds
+
+
+def _at_least_one(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser():
@@ -41,9 +54,9 @@ def _build_parser():
     run.add_argument("--solver", default="both", choices=["ctm", "maxrate", "both"])
     run.add_argument("--seeds", default="0", type=_parse_seeds,
                      help="'1..10' or comma-separated list")
-    run.add_argument("--realizations", default=10, type=int,
+    run.add_argument("--realizations", default=10, type=_at_least_one,
                      help="channel realizations per feasibility evaluation")
-    run.add_argument("--workers", default=1, type=int)
+    run.add_argument("--workers", default=1, type=_at_least_one)
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--dump-links", action="store_true",
                      help="write sampled link realizations per run")

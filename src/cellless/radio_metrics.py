@@ -3,11 +3,12 @@
 The Evaluator samples every link realization once per (scenario, seed),
 with two ``channel.sample_link`` calls per PoA, one over (realizations,
 users) and one over (realizations, humans); each link is still drawn from
-its own keyed stream. Everything derived from one of these PoA parts lives
-in one record, ``Evaluator._parts[(PoA id, part)]`` with part 0 the users
-and 1 the humans: the part's links, its unit-power (1 W) energy table of
-shape (realizations, targets of the part) per beam geometry, computed by
-``channel.unit_link_energy``'s two parts and cached, and its
+its own keyed stream, and the streams of one such part are seeded in one
+``channel.link_rngs`` pass. Everything derived from one of these PoA parts
+lives in one record, ``Evaluator._parts[(PoA id, part)]`` with part 0 the
+users and 1 the humans: the part's links, its unit-power (1 W) energy
+table of shape (realizations, targets of the part) per beam geometry,
+computed by ``channel.unit_link_energy``'s two parts and cached, and its
 steering-independent ``channel.link_terms`` once kept. The tables missing
 in one call are grouped per part; each group steers every missing beam with
 ``channel.steered_energy`` from one ``link_terms`` of the part. A part
@@ -187,7 +188,7 @@ class Evaluator:
             for p in scenario.poas
         }
         # (PoA id, part) -> _Part. Target index t (users, then humans) of
-        # PoA index p is drawn from link_rng(seed, r, p, t).
+        # PoA index p is drawn from link_rng(seed, r, p, t), seeded per part.
         self._parts = {}
         for p_idx, poa in enumerate(scenario.poas):
             for part, group in enumerate((scenario.users, scenario.humans)):
@@ -195,8 +196,8 @@ class Evaluator:
                 self._parts[poa.id, part] = _Part(ch.sample_link(
                     poa.position.as_tuple(), poa.frequency,
                     [t.position.as_tuple() for t in group], scenario.channel_params,
-                    [[ch.link_rng(self.seed, r, p_idx, start + j) for j in range(len(group))]
-                     for r in range(self.n_realizations)]))
+                    ch.link_rngs(self.seed, self.n_realizations, p_idx,
+                                 range(start, start + len(group)))))
 
     # -- per-beam unit-power gains -------------------------------------------
 

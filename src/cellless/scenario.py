@@ -546,6 +546,11 @@ def scenario_from_dict(data: dict) -> Scenario:
             {float(k): float(v) for k, v in _section(data, "frequency_map", dict).items()})
         poas = []
         for i, p in enumerate(_section(data, "poas", list)):
+            beams = (_section(p, "beams", list, f"poas[{i}].") if "beams" in p
+                     else [f"{p['id']}-b0"])
+            for j, beam_id in enumerate(beams):
+                if not isinstance(beam_id, str):
+                    raise ValidationError(f"poas[{i}].beams[{j}]", "must be a string")
             poas.append(PoA(
                 id=str(p["id"]),
                 position=_position_from_json(p["position_m"], f"poas[{i}].position_m"),
@@ -556,7 +561,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                 panel_rows=int(p["panel_rows"]),
                 panel_cols=int(p["panel_cols"]),
                 mech_azimuth=math.radians(float(p.get("mech_azimuth_deg", 0.0))),
-                beams=tuple(p.get("beams", (f"{p['id']}-b0",))),
+                beams=tuple(beams),
                 element_pattern=str(p.get("element_pattern", THREEGPP_8DBI)),
             ))
         users = [

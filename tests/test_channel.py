@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cellless.antenna import ISOTROPIC, PanelGeometry, SteeringDirection, panel_field
 from cellless.channel import (ChannelParams, PathlossCoeffs,
-                              amplitude_scale, link_energy, link_rng,
+                              amplitude_scale, link_energy, link_rng, link_rngs,
                               los_probability, sample_link, unit_link_energy)
 
 PARAMS = ChannelParams(los_model={"kind": "umi"})
@@ -21,6 +22,48 @@ def test_link_rng_keying():
     assert np.array_equal(a, b)
     for key in [(2, 0, 2, 3), (1, 1, 2, 3), (1, 0, 3, 3), (1, 0, 2, 4)]:
         assert not np.array_equal(a, link_rng(*key).random(4))
+
+
+def _seed_sequence_rng(*key):
+    return np.random.default_rng(np.random.SeedSequence(list(key)))
+
+
+SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64]), st.integers(0, 2**70))
+KEYS = st.integers(0, 2**40)  # one- and two-word keys
+
+
+@settings(deadline=None, max_examples=60)
+@example(seed=2**64, n_realizations=2, poa_index=0, targets=[2**32, 0, 2**32 - 1], r=2**32)
+@given(seed=SEEDS, n_realizations=st.integers(1, 3), poa_index=KEYS,
+       targets=st.lists(KEYS, min_size=1, max_size=4), r=KEYS)
+def test_link_rngs_equal_seed_sequence_streams(seed, n_realizations, poa_index, targets, r):
+    """Each generator has the state and draws of default_rng(SeedSequence(key)),
+    whatever the number of 32-bit words of each key part."""
+    gens = link_rngs(seed, n_realizations, poa_index, targets)
+    assert [len(row) for row in gens] == [len(targets)] * n_realizations
+    for i, row in enumerate(gens):
+        for g, t in zip(row, targets):
+            ref = _seed_sequence_rng(seed, i, poa_index, t)
+            assert g.bit_generator.state == ref.bit_generator.state
+            assert g.random() == ref.random()
+    one, ref = link_rng(seed, r, poa_index, targets[0]), _seed_sequence_rng(seed, r, poa_index,
+                                                                           targets[0])
+    assert one.bit_generator.state == ref.bit_generator.state
+    assert one.standard_normal() == ref.standard_normal()
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(max_value=-1))
+def test_link_rngs_reject_a_negative_seed(seed):
+    with pytest.raises(ValueError):
+        link_rngs(seed, 2, 0, [0, 1])
+    with pytest.raises(ValueError):
+        link_rng(seed, 0, 0, 0)
+
+
+def test_link_rngs_empty_shapes():
+    assert link_rngs(1, 0, 0, [0, 1]) == []
+    assert link_rngs(1, 2, 0, []) == [[], []]
 
 
 def test_los_probability_monotone_and_bounded():

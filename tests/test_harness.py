@@ -266,6 +266,30 @@ def test_cli_other_error_exit_code(monkeypatch, tmp_path, capsys):
     assert "seed 1 ctm: total power" in out
 
 
+@pytest.mark.parametrize("args", [
+    ["--seeds=-1"], ["--seeds", "3..1"], ["--seeds", "1,1"], ["--seeds", "0..2,2"],
+    ["--realizations", "0"], ["--workers", "0"], ["--workers", "-2"],
+], ids=["seed-negative", "seed-range-empty", "seed-repeated", "seed-not-integer",
+        "realizations-zero", "workers-zero", "workers-negative"])
+def test_cli_bad_seeds_and_run_sizes_exit_2(args, tmp_path, capsys):
+    """Rejected while parsing, before any run starts or any file is written."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "inf-dh-desk", "--out", str(tmp_path / "out"), *args])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(seeds=(-1,)), dict(seeds=()), dict(seeds=(1, 1)), dict(seeds=(0, 2, 0)),
+    dict(n_realizations=0), dict(workers=0),
+], ids=["seed-negative", "seeds-empty", "seed-repeated", "seed-repeated-apart",
+        "realizations-zero", "workers-zero"])
+def test_spec_rejects_bad_seeds_and_run_sizes(tmp_path, kwargs):
+    with pytest.raises(ValueError):
+        tiny_spec(tmp_path, **kwargs)
+
+
 def test_spec_validation(tmp_path):
     with pytest.raises(ValueError):
         tiny_spec(tmp_path, seeds=())

@@ -253,12 +253,15 @@ def _drop_first_poa_reference_sar(d):
     (lambda d: d.update(users={}), "users"),
     (lambda d: d.update(humans="h0"), "humans"),
     (lambda d: d.update(phantoms={}), "phantoms"),
+    (lambda d: d["poas"][0].update(beams="ab"), "poas[0].beams"),
+    (lambda d: d["poas"][1].update(beams=["p1-b0", 2]), "poas[1].beams[1]"),
 ], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
         "maxpow-minus-inf", "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
         "clutter-density-one", "clutter-density-negative", "clutter-density-not-number",
         "channel-key-misspelled", "channel-key-unknown", "channel-params-not-object",
         "los-model-not-object", "limits-not-object", "frequency-map-not-object",
-        "poas-not-list", "users-not-list", "humans-not-list", "phantoms-not-list"])
+        "poas-not-list", "users-not-list", "humans-not-list", "phantoms-not-list",
+        "beams-not-list", "beam-id-not-text"])
 def test_bad_inputs_rejected_at_load(mutate, path):
     d = scenario_to_dict(builtin_scenario("inf-dh-desk", 0))
     mutate(d)
