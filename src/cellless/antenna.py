@@ -16,6 +16,7 @@ import numpy as np
 
 ISOTROPIC = "isotropic"
 THREEGPP_8DBI = "threegpp_8dbi"
+ELEMENT_PATTERNS = (ISOTROPIC, THREEGPP_8DBI)
 
 #: Half-power beamwidth constant for a uniform half-wavelength array,
 #: in radians (~102 deg). Maps an abstract beam width to a column count.
@@ -38,7 +39,7 @@ class PanelGeometry:
             raise ValueError("panel must have at least one element per axis")
         if self.v_spacing <= 0 or self.h_spacing <= 0:
             raise ValueError("element spacing must be positive")
-        if self.element_pattern not in (ISOTROPIC, THREEGPP_8DBI):
+        if self.element_pattern not in ELEMENT_PATTERNS:
             raise ValueError(f"unknown element pattern {self.element_pattern!r}")
 
 

@@ -35,13 +35,6 @@ def _parse_seeds(text):
     return seeds
 
 
-def _at_least_one(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="cellless",
@@ -54,9 +47,9 @@ def _build_parser():
     run.add_argument("--solver", default="both", choices=["ctm", "maxrate", "both"])
     run.add_argument("--seeds", default="0", type=_parse_seeds,
                      help="'1..10' or comma-separated list")
-    run.add_argument("--realizations", default=10, type=_at_least_one,
+    run.add_argument("--realizations", default=10, type=int,
                      help="channel realizations per feasibility evaluation")
-    run.add_argument("--workers", default=1, type=_at_least_one)
+    run.add_argument("--workers", default=1, type=int)
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--dump-links", action="store_true",
                      help="write sampled link realizations per run")
@@ -81,7 +74,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "validate":
         try:
@@ -102,22 +96,25 @@ def main(argv=None):
         print(f"wrote {args.out}")
         return EXIT_OK
 
-    # run
-    spec = ExperimentSpec(
-        scenario=args.scenario,
-        solver=args.solver,
-        seeds=args.seeds,
-        n_realizations=args.realizations,
-        out_dir=args.out,
-        ctm=CtmConfig(delta_db=args.delta_db, refinement_rounds=args.refine,
-                      kmeans_restarts=args.kmeans_restarts),
-        anneal=AnnealConfig(initial_temp=args.sa_temp,
-                            cooling_factor=args.sa_cooling,
-                            iterations=args.sa_iterations,
-                            moves_per_temp=args.sa_moves),
-        workers=args.workers,
-        dump_links=args.dump_links,
-    )
+    # run: a bad solver or run-size flag is a usage error, reported before any run
+    try:
+        spec = ExperimentSpec(
+            scenario=args.scenario,
+            solver=args.solver,
+            seeds=args.seeds,
+            n_realizations=args.realizations,
+            out_dir=args.out,
+            ctm=CtmConfig(delta_db=args.delta_db, refinement_rounds=args.refine,
+                          kmeans_restarts=args.kmeans_restarts),
+            anneal=AnnealConfig(initial_temp=args.sa_temp,
+                                cooling_factor=args.sa_cooling,
+                                iterations=args.sa_iterations,
+                                moves_per_temp=args.sa_moves),
+            workers=args.workers,
+            dump_links=args.dump_links,
+        )
+    except ValueError as e:
+        parser.error(str(e))
     try:
         records = run_experiment(spec)
     except ScenarioError as e:

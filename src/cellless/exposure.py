@@ -84,10 +84,3 @@ def sar_wb(e_inc_by_freq: dict, phantom: PhantomProfile, freq_map: FrequencyMap)
                 f"phantom {phantom.name!r} has no SAR_ref at {ref_f} Hz") from None
         total += (e_inc / phantom.e_ref) ** 2 * (phantom.bmi / phantom.bmi_ref) * ref_sar
     return total
-
-
-def compliance(sar: float, limit: float = ICNIRP_WHOLE_BODY_LIMIT):
-    """Check a SAR value against a limit; returns (compliant, margin)."""
-    if limit <= 0:
-        raise ValueError("limit must be positive")
-    return sar <= limit, limit - sar

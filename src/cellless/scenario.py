@@ -2,7 +2,10 @@
 
 Scenario files are JSON with a ``schema_version`` field. Units in files:
 meters, Hz, dBm, bit/s, and degrees for angles; internally angles are
-radians. A Scenario is immutable after load and safe to share across
+radians. Saving and loading share one key table per kind of record. Load
+rejects an unknown key, or a missing or unreadable value, naming its path
+(``poas[3].frequency_hz``); a missing optional key takes the dataclass
+default. A Scenario is immutable after load and safe to share across
 concurrent evaluations.
 """
 
@@ -10,13 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .antenna import ISOTROPIC, THREEGPP_8DBI
+from .antenna import ELEMENT_PATTERNS, ISOTROPIC, THREEGPP_8DBI
 from .channel import ChannelParams, PathlossCoeffs, los_probability
-from .exposure import FrequencyMap, PhantomProfile
+from .exposure import ICNIRP_WHOLE_BODY_LIMIT, FrequencyMap, PhantomProfile
 
 SCHEMA_VERSION = 1
 
@@ -38,7 +41,7 @@ class ValidationError(ScenarioError):
     """A scenario invariant is violated; names the offending field."""
 
     def __init__(self, path, message):
-        self.path = path
+        self.path, self.message = path, message
         super().__init__(f"{path}: {message}")
 
 
@@ -66,7 +69,7 @@ class PoA:
     min_beam_width: float
     panel_rows: int
     panel_cols: int
-    mech_azimuth: float
+    mech_azimuth: float = 0.0
     beams: tuple = ()
     element_pattern: str = THREEGPP_8DBI
 
@@ -90,13 +93,13 @@ class Human:
 class Scenario:
     kind: str
     bounds: tuple              # (length, width, height) meters
-    poas: tuple
-    users: tuple
-    humans: tuple
-    phantoms: dict             # name -> PhantomProfile
-    sar_limit: float
-    channel_params: ChannelParams
-    frequency_map: FrequencyMap
+    poas: tuple = ()
+    users: tuple = ()
+    humans: tuple = ()
+    phantoms: dict = field(default_factory=dict)   # name -> PhantomProfile
+    sar_limit: float = ICNIRP_WHOLE_BODY_LIMIT
+    channel_params: ChannelParams = field(default_factory=ChannelParams)
+    frequency_map: FrequencyMap = field(default_factory=FrequencyMap)
     min_poa_user_distance: float = 0.0
     name: str = "custom"
 
@@ -239,9 +242,8 @@ _UMI_FREQ_MAP = FrequencyMap({3.5e9: 3.5e9, 5.2e9: 5.2e9})
 def _inf_template(name, n_users, n_humans):
     world = Scenario(
         kind=INF_DH, bounds=(80.0, 20.0, 8.0), poas=_inf_dh_poas(),
-        users=(), humans=(), phantoms=DEFAULT_PHANTOMS, sar_limit=0.08,
-        channel_params=_inf_dh_channel(), frequency_map=_INF_FREQ_MAP,
-        name=name,
+        phantoms=DEFAULT_PHANTOMS, sar_limit=ICNIRP_WHOLE_BODY_LIMIT,
+        channel_params=_inf_dh_channel(), frequency_map=_INF_FREQ_MAP, name=name,
     )
     return ScenarioTemplate(
         world=world, n_users=n_users, n_humans=n_humans, user_heights=(1.5,),
@@ -253,7 +255,7 @@ def _inf_template(name, n_users, n_humans):
 def _umi_template(name, n_users, n_humans):
     world = Scenario(
         kind=UMI_SC, bounds=(800.0, 40.0, 0.0), poas=_umi_sc_poas(),
-        users=(), humans=(), phantoms=DEFAULT_PHANTOMS, sar_limit=0.08,
+        phantoms=DEFAULT_PHANTOMS, sar_limit=ICNIRP_WHOLE_BODY_LIMIT,
         channel_params=_umi_channel(), frequency_map=_UMI_FREQ_MAP,
         min_poa_user_distance=10.0, name=name,
     )
@@ -359,6 +361,8 @@ def _validate(s: Scenario):
             raise ValidationError(f"{path}.id", f"duplicate id {p.id!r}")
         ids.add(p.id)
         for j, beam_id in enumerate(p.beams):
+            if not isinstance(beam_id, str):
+                raise ValidationError(f"{path}.beams[{j}]", "must be a string")
             if beam_id in beam_ids:
                 raise ValidationError(f"{path}.beams[{j}]", f"duplicate beam id {beam_id!r}")
             beam_ids.add(beam_id)
@@ -372,13 +376,12 @@ def _validate(s: Scenario):
             raise ValidationError(f"{path}.min_beam_width_deg", "must be in (0, 180]")
         if p.panel_rows < 1 or p.panel_cols < 1:
             raise ValidationError(f"{path}.panel", "panel dimensions must be >= 1")
+        if p.element_pattern not in ELEMENT_PATTERNS:
+            raise ValidationError(f"{path}.element_pattern", f"unknown {p.element_pattern!r}")
         _check_position(p.position, s, f"{path}.position_m")
-        try:
-            s.frequency_map.reference(p.frequency)
-        except KeyError:
-            raise ValidationError(
-                f"{path}.frequency_hz",
-                f"{p.frequency} Hz missing from frequency_map") from None
+        if p.frequency not in s.frequency_map.pairs:
+            raise ValidationError(f"{path}.frequency_hz",
+                                  f"{p.frequency} Hz missing from frequency_map")
     if not beam_ids:
         raise ValidationError("poas", "no PoA has a beam")
     user_ids = set()
@@ -421,78 +424,127 @@ def _check_position(pos: Position3D, s: Scenario, path: str):
 
 
 # ---------------------------------------------------------------------------
-# Serialization (JSON, degrees/Hz/dBm in files)
+# Serialization: one table per kind of file record, file key -> (dataclass
+# field, parse, dump). A dotted key (``limits.sar_wkg``) is nested in the file.
 
-def _position_to_json(p):
-    return {"x": p.x, "y": p.y, "z": p.z}
-
-
-def _position_from_json(d, path):
-    try:
-        return Position3D(float(d["x"]), float(d["y"]), float(d["z"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"{path}: bad position ({e})") from None
+def _same(value):
+    return value
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    cp = s.channel_params
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": s.name,
-        "kind": s.kind,
-        "bounds_m": list(s.bounds),
-        "limits": {"sar_wkg": s.sar_limit,
-                   "min_poa_user_distance_m": s.min_poa_user_distance},
-        "poas": [
-            {
-                "id": p.id,
-                "position_m": _position_to_json(p.position),
-                "frequency_hz": p.frequency,
-                "bandwidth_hz": p.bandwidth,
-                "max_tx_power_dbm": p.max_tx_power_dbm,
-                "min_beam_width_deg": math.degrees(p.min_beam_width),
-                "panel_rows": p.panel_rows,
-                "panel_cols": p.panel_cols,
-                "mech_azimuth_deg": math.degrees(p.mech_azimuth),
-                "beams": list(p.beams),
-                "element_pattern": p.element_pattern,
-            }
-            for p in s.poas
-        ],
-        "users": [
-            {"id": u.id, "position_m": _position_to_json(u.position),
-             "required_rate_bps": u.required_rate}
-            for u in s.users
-        ],
-        "humans": [
-            {"id": h.id, "position_m": _position_to_json(h.position),
-             "phantom_id": h.phantom_id, "linked_user": h.linked_user}
-            for h in s.humans
-        ],
-        "phantoms": [
-            {"name": ph.name, "bmi": ph.bmi, "bmi_ref": ph.bmi_ref,
-             "e_ref_vpm": ph.e_ref,
-             "sar_ref": {str(f): v for f, v in sorted(ph.sar_ref.items())}}
-            for ph in s.phantoms.values()
-        ],
-        "frequency_map": {str(k): v for k, v in sorted(s.frequency_map.pairs.items())},
-        "channel_params": {key: dump(getattr(cp, name))
-                           for key, (name, _, dump) in _CHANNEL_FIELDS.items()},
-    }
-
-
-def _pathloss(coeffs):
-    return PathlossCoeffs(*[float(v) for v in coeffs])
+def _object(value):
+    if not isinstance(value, dict):
+        raise TypeError("must be an object")
+    return dict(value)
 
 
 def _radians(deg):
     return math.radians(float(deg))
 
 
-# channel_params file key -> (ChannelParams field, parse, dump). Keys
-# missing from a file take ChannelParams' own defaults; any other key is
-# rejected, except the retired arrival-spread keys, which are ignored.
-_CHANNEL_FIELDS = {
+def _float_map(value):
+    return {float(k): float(v) for k, v in _object(value).items()}
+
+
+def _str_keys(mapping):
+    return {str(k): v for k, v in sorted(mapping.items())}
+
+
+def _parse_at(path, parse, value):
+    """``parse(value)``; a failure is reported at ``path``, or below it."""
+    try:
+        return parse(value)
+    except ValidationError as e:
+        sep = "" if not e.path or e.path.startswith("[") else "."
+        raise ValidationError(f"{path}{sep}{e.path}", e.message) from None
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(path, str(e)) from None
+
+
+def _list_of(parse):
+    def parse_list(value):
+        if not isinstance(value, list):
+            raise TypeError("must be a list")
+        return tuple(_parse_at(f"[{i}]", parse, v) for i, v in enumerate(value))
+    return parse_list
+
+
+def _record(cls, table, data):
+    """A ``cls`` from the file record ``data``; error paths are relative."""
+    given = _object(data)
+    for block in {k.split(".")[0] for k in table if "." in k} & given.keys():
+        nested = _parse_at(block, _object, given.pop(block))
+        given.update((f"{block}.{k}", v) for k, v in nested.items())
+    for key in given:
+        if key not in table:
+            raise ValidationError(key, "unknown key")
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    values = {}
+    for key, (name, parse, _) in table.items():
+        if key in given:
+            values[name] = _parse_at(key, parse, given[key])
+        elif name in required:
+            raise ValidationError(key, "missing")
+    return cls(**values)
+
+
+def _dump(obj, table):
+    record = {}
+    for key, (name, _, dump) in table.items():
+        block, _, sub = key.rpartition(".")
+        (record.setdefault(block, {}) if block else record)[sub] = dump(getattr(obj, name))
+    return record
+
+
+def _records(cls, table):
+    """(parse, dump) of a list of ``cls`` records."""
+    return (_list_of(lambda data: _record(cls, table, data)),
+            lambda items: [_dump(x, table) for x in items])
+
+
+def _parse_poa(data):
+    poa = _record(PoA, _POA_KEYS, data)   # listed without beams, a PoA has one
+    return poa if "beams" in data else replace(poa, beams=(f"{poa.id}-b0",))
+
+
+def _channel_params(data):
+    if isinstance(data, dict):   # the retired arrival-spread keys load, and are ignored
+        data = {k: v for k, v in data.items() if k not in _RETIRED_CHANNEL_KEYS}
+    return _record(ChannelParams, _CHANNEL_KEYS, data)
+
+
+_POSITION_KEYS = {axis: (axis, float, _same) for axis in "xyz"}
+_POSITION = ("position", lambda data: _record(Position3D, _POSITION_KEYS, data),
+             lambda pos: _dump(pos, _POSITION_KEYS))
+_ID = ("id", str, _same)
+
+_POA_KEYS = {
+    "id": _ID,
+    "position_m": _POSITION,
+    "frequency_hz": ("frequency", float, _same),
+    "bandwidth_hz": ("bandwidth", float, _same),
+    "max_tx_power_dbm": ("max_tx_power_dbm", float, _same),
+    "min_beam_width_deg": ("min_beam_width", _radians, math.degrees),
+    "panel_rows": ("panel_rows", int, _same),
+    "panel_cols": ("panel_cols", int, _same),
+    "mech_azimuth_deg": ("mech_azimuth", _radians, math.degrees),
+    "beams": ("beams", _list_of(_same), list),
+    "element_pattern": ("element_pattern", str, _same),
+}
+_USER_KEYS = {"id": _ID, "position_m": _POSITION,
+              "required_rate_bps": ("required_rate", float, _same)}
+_HUMAN_KEYS = {"id": _ID, "position_m": _POSITION,
+               "phantom_id": ("phantom_id", str, _same),
+               "linked_user": ("linked_user", _same, _same)}
+_PHANTOM_KEYS = {
+    "name": ("name", str, _same),
+    "bmi": ("bmi", float, _same),
+    "bmi_ref": ("bmi_ref", float, _same),
+    "e_ref_vpm": ("e_ref", float, _same),
+    "sar_ref": ("sar_ref", _float_map, _str_keys),
+}
+_PATHLOSS = (lambda value: PathlossCoeffs(*_list_of(float)(value)), lambda c: [c.a, c.b, c.c])
+_CHANNEL_KEYS = {
     "n_clusters": ("n_clusters", int, int),
     "n_rays": ("n_rays", int, int),
     "delay_spread_s": ("delay_spread", float, float),
@@ -502,106 +554,52 @@ _CHANNEL_FIELDS = {
     "shadow_sigma_nlos_db": ("shadow_sigma_nlos_db", float, float),
     "rician_k_mean_db": ("rician_k_mean_db", float, float),
     "rician_k_sigma_db": ("rician_k_sigma_db", float, float),
-    "pathloss_los": ("pathloss_los", _pathloss, lambda c: [c.a, c.b, c.c]),
-    "pathloss_nlos": ("pathloss_nlos", _pathloss, lambda c: [c.a, c.b, c.c]),
-    "los_model": ("los_model", dict, dict),
+    "pathloss_los": ("pathloss_los", *_PATHLOSS),
+    "pathloss_nlos": ("pathloss_nlos", *_PATHLOSS),
+    "los_model": ("los_model", _object, dict),
 }
 _RETIRED_CHANNEL_KEYS = {"azimuth_spread_arr_deg", "zenith_spread_arr_deg"}
 
+_parse_phantoms, _dump_phantoms = _records(PhantomProfile, _PHANTOM_KEYS)
+_SCENARIO_KEYS = {
+    "name": ("name", str, _same),
+    "kind": ("kind", str, _same),
+    "bounds_m": ("bounds", _list_of(float), list),
+    "limits.sar_wkg": ("sar_limit", float, _same),
+    "limits.min_poa_user_distance_m": ("min_poa_user_distance", float, _same),
+    "poas": ("poas", _list_of(_parse_poa), lambda poas: [_dump(p, _POA_KEYS) for p in poas]),
+    "users": ("users", *_records(EndUser, _USER_KEYS)),
+    "humans": ("humans", *_records(Human, _HUMAN_KEYS)),
+    "phantoms": ("phantoms", lambda value: {ph.name: ph for ph in _parse_phantoms(value)},
+                 lambda phantoms: _dump_phantoms(phantoms.values())),
+    "frequency_map": ("frequency_map", lambda value: FrequencyMap(_float_map(value)),
+                      lambda fmap: _str_keys(fmap.pairs)),
+    "channel_params": ("channel_params", _channel_params, lambda cp: _dump(cp, _CHANNEL_KEYS)),
+}
 
-def _section(data, key, kind, path=""):
-    """``data[key]``, empty when missing, which must be a JSON object
-    (``kind`` dict) or list; a mismatch is reported at ``path + key``."""
-    value = data.get(key, kind())
-    if not isinstance(value, kind):
-        raise ValidationError(path + key,
-                              "must be an object" if kind is dict else "must be a list")
-    return value
+
+def scenario_to_dict(s: Scenario) -> dict:
+    return {"schema_version": SCHEMA_VERSION, **_dump(s, _SCENARIO_KEYS)}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
-    version = data.get("schema_version")
+    data = dict(data)
+    version = data.pop("schema_version", None)
     if version != SCHEMA_VERSION:
         raise ParseError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
-    try:
-        cp_d = _section(data, "channel_params", dict)
-        _section(cp_d, "los_model", dict, "channel_params.")
-        for key in cp_d:
-            if key not in _CHANNEL_FIELDS and key not in _RETIRED_CHANNEL_KEYS:
-                raise ValidationError(f"channel_params.{key}", "unknown key")
-        cp = ChannelParams(**{name: parse(cp_d[key])
-                              for key, (name, parse, _) in _CHANNEL_FIELDS.items()
-                              if key in cp_d})
-        phantoms = {}
-        for i, ph in enumerate(_section(data, "phantoms", list)):
-            phantoms[ph["name"]] = PhantomProfile(
-                name=ph["name"], bmi=float(ph["bmi"]),
-                bmi_ref=float(ph.get("bmi_ref", 22.0)),
-                e_ref=float(ph.get("e_ref_vpm", 2.45)),
-                sar_ref={float(f): float(v) for f, v in ph["sar_ref"].items()},
-            )
-        freq_map = FrequencyMap(
-            {float(k): float(v) for k, v in _section(data, "frequency_map", dict).items()})
-        poas = []
-        for i, p in enumerate(_section(data, "poas", list)):
-            beams = (_section(p, "beams", list, f"poas[{i}].") if "beams" in p
-                     else [f"{p['id']}-b0"])
-            for j, beam_id in enumerate(beams):
-                if not isinstance(beam_id, str):
-                    raise ValidationError(f"poas[{i}].beams[{j}]", "must be a string")
-            poas.append(PoA(
-                id=str(p["id"]),
-                position=_position_from_json(p["position_m"], f"poas[{i}].position_m"),
-                frequency=float(p["frequency_hz"]),
-                bandwidth=float(p["bandwidth_hz"]),
-                max_tx_power_dbm=float(p["max_tx_power_dbm"]),
-                min_beam_width=math.radians(float(p["min_beam_width_deg"])),
-                panel_rows=int(p["panel_rows"]),
-                panel_cols=int(p["panel_cols"]),
-                mech_azimuth=math.radians(float(p.get("mech_azimuth_deg", 0.0))),
-                beams=tuple(beams),
-                element_pattern=str(p.get("element_pattern", THREEGPP_8DBI)),
-            ))
-        users = [
-            EndUser(str(u["id"]),
-                    _position_from_json(u["position_m"], f"users[{i}].position_m"),
-                    float(u["required_rate_bps"]))
-            for i, u in enumerate(_section(data, "users", list))
-        ]
-        humans = [
-            Human(str(h["id"]),
-                  _position_from_json(h["position_m"], f"humans[{i}].position_m"),
-                  str(h["phantom_id"]), h.get("linked_user"))
-            for i, h in enumerate(_section(data, "humans", list))
-        ]
-        limits = _section(data, "limits", dict)
-        scenario = Scenario(
-            kind=str(data["kind"]),
-            bounds=tuple(float(v) for v in data["bounds_m"]),
-            poas=tuple(poas), users=tuple(users), humans=tuple(humans),
-            phantoms=phantoms,
-            sar_limit=float(limits.get("sar_wkg", 0.08)),
-            channel_params=cp,
-            frequency_map=freq_map,
-            min_poa_user_distance=float(limits.get("min_poa_user_distance_m", 0.0)),
-            name=str(data.get("name", "custom")),
-        )
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"malformed scenario: {e}") from None
-    _validate(scenario)
     # Older files repeat the LoS clutter in a top-level block; it must agree
     # with the LoS model, the only copy the physics reads.
-    clutter = _section(data, "clutter", dict)
+    clutter = _parse_at("clutter", _object, data.pop("clutter", {}))
+    scenario = _record(Scenario, _SCENARIO_KEYS, data)
+    _validate(scenario)
     lm = scenario.channel_params.los_model
-    for key, field in (("density", "clutter_density"), ("height_m", "clutter_height")):
-        if key in clutter and clutter[key] != lm.get(field, 0.0):
+    for key, field_name in (("density", "clutter_density"), ("height_m", "clutter_height")):
+        if key in clutter and clutter[key] != lm.get(field_name, 0.0):
             raise ValidationError(
                 f"clutter.{key}", f"{clutter[key]!r} disagrees with "
-                f"channel_params.los_model.{field} = {lm.get(field, 0.0)!r}")
+                f"channel_params.los_model.{field_name} = {lm.get(field_name, 0.0)!r}")
     return scenario
 
 

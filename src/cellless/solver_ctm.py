@@ -46,10 +46,12 @@ class CtmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delta_db <= 0:
-            raise ValueError("delta_db must be positive")
+        if not 0 < self.delta_db < math.inf:
+            raise ValueError("delta_db must be positive and finite")
         if self.refinement_rounds < 0:
             raise ValueError("refinement_rounds must be non-negative")
+        if self.kmeans_restarts < 1:
+            raise ValueError("kmeans_restarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ def cluster_users(users, k: int, config: CtmConfig) -> Clustering:
         return Clustering(assignments, tuple(centroids))
 
     best = None
-    for _ in range(max(1, config.kmeans_restarts)):
+    for _ in range(config.kmeans_restarts):
         labels, centroids, wcss = _kmeans_once(pts, k, rng)
         if best is None or wcss < best[2] - 1e-12:
             best = (labels, centroids, wcss)

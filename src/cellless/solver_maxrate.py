@@ -37,6 +37,10 @@ class AnnealConfig:
             raise ValueError("iterations must be >= 1")
         if not (0.0 < self.cooling_factor < 1.0):
             raise ValueError("cooling_factor must lie in (0, 1)")
+        if self.moves_per_temp < 1:
+            raise ValueError("moves_per_temp must be >= 1")
+        if self.initial_temp is not None and not 0 < self.initial_temp < math.inf:
+            raise ValueError("initial_temp must be positive and finite")
 
 
 def objective(solution: SolutionState, evaluator: Evaluator) -> float:

@@ -5,10 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cellless.exposure import (FREE_SPACE_IMPEDANCE, ICNIRP_WHOLE_BODY_LIMIT,
-                               FrequencyMap, PhantomProfile,
-                               UnmappedFrequencyError, compliance,
-                               incident_field, sar_wb)
+from cellless.exposure import (FREE_SPACE_IMPEDANCE, FrequencyMap, PhantomProfile,
+                               UnmappedFrequencyError, incident_field, sar_wb)
 
 PHANTOM = PhantomProfile("test", bmi=24.0, sar_ref={2.45e9: 3.2e-4})
 FMAP = FrequencyMap({3.5e9: 2.45e9})
@@ -57,15 +55,6 @@ def test_incident_field():
     assert incident_field(s) == pytest.approx(math.sqrt(s * FREE_SPACE_IMPEDANCE))
     with pytest.raises(ValueError):
         incident_field(-1e-9)
-
-
-def test_compliance():
-    ok, margin = compliance(0.05)
-    assert ok and margin == pytest.approx(ICNIRP_WHOLE_BODY_LIMIT - 0.05)
-    bad, neg = compliance(0.1, limit=0.08)
-    assert not bad and neg < 0
-    with pytest.raises(ValueError):
-        compliance(0.01, limit=0.0)
 
 
 def test_phantom_validation():

@@ -269,8 +269,13 @@ def test_cli_other_error_exit_code(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["--seeds=-1"], ["--seeds", "3..1"], ["--seeds", "1,1"], ["--seeds", "0..2,2"],
     ["--realizations", "0"], ["--workers", "0"], ["--workers", "-2"],
+    ["--delta-db", "0"], ["--delta-db", "nan"], ["--refine", "-1"], ["--kmeans-restarts", "0"],
+    ["--sa-cooling", "1.5"], ["--sa-iterations", "0"], ["--sa-moves", "0"], ["--sa-temp", "0"],
+    ["--sa-temp", "inf"],
 ], ids=["seed-negative", "seed-range-empty", "seed-repeated", "seed-not-integer",
-        "realizations-zero", "workers-zero", "workers-negative"])
+        "realizations-zero", "workers-zero", "workers-negative", "delta-db-zero",
+        "delta-db-nan", "refine-negative", "kmeans-restarts-zero", "sa-cooling-above-one",
+        "sa-iterations-zero", "sa-moves-zero", "sa-temp-zero", "sa-temp-inf"])
 def test_cli_bad_seeds_and_run_sizes_exit_2(args, tmp_path, capsys):
     """Rejected while parsing, before any run starts or any file is written."""
     with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellless.channel import ChannelParams
+from cellless.cli import main
 from cellless.scenario import (BUILTIN_TEMPLATES, ParseError, ScenarioError,
                                ValidationError, builtin_scenario,
                                builtin_template, generate_placements,
@@ -223,7 +224,7 @@ def _drop_first_poa_reference_sar(d):
     del d["phantoms"][0]["sar_ref"][str(ref)]
 
 
-@pytest.mark.parametrize("mutate, path", [
+_BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d["poas"][1].update(bandwidth_hz=0.0), "poas[1].bandwidth_hz"),
     (lambda d: d["poas"][1].update(bandwidth_hz=-20e6), "poas[1].bandwidth_hz"),
     (lambda d: d["poas"][1].update(bandwidth_hz=math.inf), "poas[1].bandwidth_hz"),
@@ -255,19 +256,42 @@ def _drop_first_poa_reference_sar(d):
     (lambda d: d.update(phantoms={}), "phantoms"),
     (lambda d: d["poas"][0].update(beams="ab"), "poas[0].beams"),
     (lambda d: d["poas"][1].update(beams=["p1-b0", 2]), "poas[1].beams[1]"),
+    (lambda d: d["phantoms"][0].update(sar_ref=[]), "phantoms[0].sar_ref"),
+    (lambda d: d["poas"][0].update(element_patern="isotropic"), "poas[0].element_patern"),
+    (lambda d: d["limits"].update(sar_wkgs=0.01), "limits.sar_wkgs"),
+    (lambda d: d.update(colour="red"), "colour"),
+    (lambda d: d["users"][0].pop("required_rate_bps"), "users[0].required_rate_bps"),
+    (lambda d: d["poas"][3].update(frequency_hz="abc"), "poas[3].frequency_hz"),
+    (lambda d: d["poas"][2].update(element_pattern="isotropc"), "poas[2].element_pattern"),
 ], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
         "maxpow-minus-inf", "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
         "clutter-density-one", "clutter-density-negative", "clutter-density-not-number",
         "channel-key-misspelled", "channel-key-unknown", "channel-params-not-object",
         "los-model-not-object", "limits-not-object", "frequency-map-not-object",
         "poas-not-list", "users-not-list", "humans-not-list", "phantoms-not-list",
-        "beams-not-list", "beam-id-not-text"])
+        "beams-not-list", "beam-id-not-text", "sar-ref-not-object", "poa-key-misspelled",
+        "limits-key-misspelled", "top-level-key-unknown", "user-rate-missing",
+        "frequency-not-number", "element-pattern-unknown"])
+
+
+@_BAD_INPUTS
 def test_bad_inputs_rejected_at_load(mutate, path):
     d = scenario_to_dict(builtin_scenario("inf-dh-desk", 0))
     mutate(d)
     with pytest.raises(ValidationError) as err:
         scenario_from_dict(d)
     assert err.value.path == path
+
+
+@_BAD_INPUTS
+def test_cli_validate_exits_2_on_bad_inputs(mutate, path, tmp_path, capsys):
+    d = scenario_to_dict(builtin_scenario("inf-dh-desk", 0))
+    mutate(d)
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps(d))
+    assert main(["validate", "--scenario", str(world)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid: {path}: ") and "Traceback" not in err
 
 
 def test_beam_shared_by_two_poas_rejected_at_load():

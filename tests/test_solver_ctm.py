@@ -316,3 +316,8 @@ def test_ctm_config_validation():
         CtmConfig(delta_db=0.0)
     with pytest.raises(ValueError):
         CtmConfig(refinement_rounds=-1)
+    with pytest.raises(ValueError):
+        CtmConfig(kmeans_restarts=0)
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            CtmConfig(delta_db=delta)

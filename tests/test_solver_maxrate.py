@@ -156,3 +156,9 @@ def test_anneal_config_validation():
         AnnealConfig(iterations=0)
     with pytest.raises(ValueError):
         AnnealConfig(cooling_factor=1.0)
+    with pytest.raises(ValueError):
+        AnnealConfig(moves_per_temp=0)
+    for temp in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            AnnealConfig(initial_temp=temp)
+    assert AnnealConfig(initial_temp=None).initial_temp is None
