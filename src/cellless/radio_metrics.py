@@ -32,9 +32,14 @@ beam axis; the latter feeds ``power_density`` ->
 ``exposure.incident_field`` -> ``exposure.sar_wb``, and the means are
 checked against the rate floors and the SAR ceiling. ``metrics`` is
 stack -> scale -> verdict -> bundle; ``violated`` rescales a stack the
-caller keeps, which is how the CtM power descent checks each step without
-re-stacking its fixed beams; ``mean_rates``, ``sinr`` and ``rate`` are
-user-only views.
+caller keeps, which is how the CtM power descent checks its max-power
+start without re-stacking its fixed beams; ``unmet_floors`` judges the
+rate floors of some users only, on a stack cut to their columns
+(``GainStack.for_users``), which is how it checks each step that lowers
+one PoA; ``mean_rates``, ``sinr`` and ``rate`` are user-only views. All of
+them read one SINR code, whose interference adds the beams one by one in
+stack order, so a user's rate has the same bits whichever users are asked
+with it and however many realizations there are.
 """
 
 from __future__ import annotations
@@ -94,7 +99,8 @@ class GainStack:
     belongs to PoA ``poa_ids[i]`` (index ``poa_of_beam[i]`` in
     scenario.poas), which splits its power evenly over ``beams_at_poa[i]``
     active beams. ``beam_of_user`` maps each served user to the row of the
-    first beam that lists it.
+    first beam that lists it, and ``column_of_user`` each user in the
+    stack to its column.
     """
 
     gains: np.ndarray
@@ -102,6 +108,7 @@ class GainStack:
     poa_of_beam: np.ndarray
     beams_at_poa: tuple
     beam_of_user: dict
+    column_of_user: dict
 
     def scaled(self, tx_power) -> np.ndarray:
         """Received power [W] of every row under per-PoA levels [dBm]: the
@@ -109,6 +116,13 @@ class GainStack:
         watts = np.array([ch.dbm_to_watts(tx_power.get(pid, -math.inf)) / n
                           for pid, n in zip(self.poa_ids, self.beams_at_poa)], dtype=float)
         return watts[:, None, None] * self.gains
+
+    def for_users(self, user_ids) -> GainStack:
+        """The stack cut to the columns of ``user_ids``: every beam, but
+        only what those users' rates read."""
+        cols = [self.column_of_user[uid] for uid in user_ids]
+        return replace(self, gains=self.gains[:, cols],
+                       column_of_user={uid: i for i, uid in enumerate(user_ids)})
 
 
 @dataclass
@@ -170,10 +184,9 @@ class Evaluator:
         self.seed = int(seed)
         self.n_realizations = int(n_realizations)
         self.targets = list(scenario.users) + list(scenario.humans)
-        self.target_index = {t.id: i for i, t in enumerate(self.targets)}
         self._user_ids = [u.id for u in scenario.users]
         self._human_ids = [h.id for h in scenario.humans]
-        self._rate_floor = np.array([u.required_rate for u in scenario.users], dtype=float)
+        self._rate_floor = {u.id: float(u.required_rate) for u in scenario.users}
         self._n_users = len(scenario.users)
         self._poa_index = {p.id: i for i, p in enumerate(scenario.poas)}
         self._poa_frequency = np.array([p.frequency for p in scenario.poas])
@@ -254,6 +267,7 @@ class Evaluator:
             poa_of_beam=np.array([self._poa_index[pid] for pid, _ in active], dtype=int),
             beams_at_poa=tuple(n_active[pid] for pid, _ in active),
             beam_of_user=beam_of_user,
+            column_of_user={uid: col for col, uid in enumerate(self._user_ids)},
         )
 
     def _sinr(self, stack, power, user_ids):
@@ -261,19 +275,23 @@ class Evaluator:
 
         ``power`` is the stack scaled by per-beam watts. Interference is the
         power of every beam on the serving PoA's frequency from every other
-        PoA.
+        PoA, added beam by beam in stack order: ``sum`` would add pairwise
+        where a user has one realization, so a user's bits would depend on
+        which other users were asked.
         """
         poa_of_beam = stack.poa_of_beam
         try:
             rows = np.array([stack.beam_of_user[uid] for uid in user_ids], dtype=int)
         except KeyError as e:
             raise UnservedUserError(e.args[0]) from None
-        cols = np.array([self.target_index[uid] for uid in user_ids], dtype=int)
+        cols = np.array([stack.column_of_user[uid] for uid in user_ids], dtype=int)
         own = poa_of_beam[rows]
         freq = self._poa_frequency
         co_channel = ((freq[poa_of_beam][:, None] == freq[own][None, :])
                       & (poa_of_beam[:, None] != own[None, :]))
-        interference = np.where(co_channel[..., None], power[:, cols], 0.0).sum(axis=0)
+        per_beam = np.where(co_channel[..., None], power[:, cols], 0.0)
+        interference = (np.add.accumulate(per_beam, axis=0)[-1] if len(per_beam)
+                        else per_beam.sum(axis=0))
         noise = NOISE_DENSITY_W_HZ * self._poa_bandwidth[own]
         return power[rows, cols] / (noise[:, None] + interference), self._poa_bandwidth[own]
 
@@ -301,11 +319,15 @@ class Evaluator:
         power = stack.scaled(tx_power)
         rates = self._rates(stack, power, self._user_ids).mean(axis=-1)
         sar = self._exposure(stack, power)
-        violated = ([f"rate:{uid}" for uid, short in
-                     zip(self._user_ids, (rates < self._rate_floor).tolist()) if short]
+        violated = (self._short(self._user_ids, rates)
                     + [f"sar:{hid}" for hid, over in
                        zip(self._human_ids, (sar > self.scenario.sar_limit).tolist()) if over])
         return rates, sar, violated
+
+    def _short(self, user_ids, rates):
+        """``rate:<user>`` for each user whose mean rate is below its floor."""
+        return [f"rate:{uid}" for uid, rate in zip(user_ids, rates.tolist())
+                if rate < self._rate_floor[uid]]
 
     def violated(self, stack, tx_power) -> list:
         """Rate floors and SAR ceilings (``rate:<user>``, ``sar:<human>``)
@@ -315,6 +337,15 @@ class Evaluator:
         if stack.gains.shape[1] != len(self.targets):
             raise ValueError("a verdict needs a stack with the human columns")
         return self._outcome(stack, tx_power)[2]
+
+    def unmet_floors(self, stack, tx_power, user_ids) -> list:
+        """The rate floors (``rate:<user>``) of ``user_ids`` that the beams
+        frozen in ``stack`` miss under per-PoA powers ``tx_power`` [dBm],
+        in the order asked. The rates are those ``violated`` and
+        ``metrics`` compute, bit for bit, so a stack cut to these users'
+        columns (``GainStack.for_users``) gives the same verdict on them."""
+        rates = self._rates(stack, stack.scaled(tx_power), user_ids).mean(axis=-1)
+        return self._short(user_ids, rates)
 
     # -- views -------------------------------------------------------------------
 

@@ -393,8 +393,12 @@ def _validate(s: Scenario):
         if u.required_rate <= 0:
             raise ValidationError(f"{path}.required_rate_bps", "must be positive")
         _check_position(u.position, s, f"{path}.position_m")
+    human_ids = set()
     for i, h in enumerate(s.humans):
         path = f"humans[{i}]"
+        if h.id in ids or h.id in user_ids or h.id in human_ids:
+            raise ValidationError(f"{path}.id", f"duplicate id {h.id!r}")
+        human_ids.add(h.id)
         if h.phantom_id not in s.phantoms:
             raise ValidationError(f"{path}.phantom_id", f"unknown phantom {h.phantom_id!r}")
         if h.linked_user is not None:
@@ -435,6 +439,25 @@ def _object(value):
     if not isinstance(value, dict):
         raise TypeError("must be an object")
     return dict(value)
+
+
+def _text(value):
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    return value
+
+
+def _integer(value):
+    """An integral JSON number as an ``int``; a boolean or a fraction is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _optional(parse):
+    return lambda value: None if value is None else parse(value)
 
 
 def _radians(deg):
@@ -507,6 +530,15 @@ def _parse_poa(data):
     return poa if "beams" in data else replace(poa, beams=(f"{poa.id}-b0",))
 
 
+def _phantoms(value):
+    phantoms = {}
+    for j, ph in enumerate(_parse_phantoms(value)):
+        if ph.name in phantoms:
+            raise ValidationError(f"[{j}].name", f"duplicate phantom {ph.name!r}")
+        phantoms[ph.name] = ph
+    return phantoms
+
+
 def _channel_params(data):
     if isinstance(data, dict):   # the retired arrival-spread keys load, and are ignored
         data = {k: v for k, v in data.items() if k not in _RETIRED_CHANNEL_KEYS}
@@ -516,7 +548,7 @@ def _channel_params(data):
 _POSITION_KEYS = {axis: (axis, float, _same) for axis in "xyz"}
 _POSITION = ("position", lambda data: _record(Position3D, _POSITION_KEYS, data),
              lambda pos: _dump(pos, _POSITION_KEYS))
-_ID = ("id", str, _same)
+_ID = ("id", _text, _same)
 
 _POA_KEYS = {
     "id": _ID,
@@ -525,19 +557,19 @@ _POA_KEYS = {
     "bandwidth_hz": ("bandwidth", float, _same),
     "max_tx_power_dbm": ("max_tx_power_dbm", float, _same),
     "min_beam_width_deg": ("min_beam_width", _radians, math.degrees),
-    "panel_rows": ("panel_rows", int, _same),
-    "panel_cols": ("panel_cols", int, _same),
+    "panel_rows": ("panel_rows", _integer, _same),
+    "panel_cols": ("panel_cols", _integer, _same),
     "mech_azimuth_deg": ("mech_azimuth", _radians, math.degrees),
     "beams": ("beams", _list_of(_same), list),
-    "element_pattern": ("element_pattern", str, _same),
+    "element_pattern": ("element_pattern", _text, _same),
 }
 _USER_KEYS = {"id": _ID, "position_m": _POSITION,
               "required_rate_bps": ("required_rate", float, _same)}
 _HUMAN_KEYS = {"id": _ID, "position_m": _POSITION,
-               "phantom_id": ("phantom_id", str, _same),
-               "linked_user": ("linked_user", _same, _same)}
+               "phantom_id": ("phantom_id", _text, _same),
+               "linked_user": ("linked_user", _optional(_text), _same)}
 _PHANTOM_KEYS = {
-    "name": ("name", str, _same),
+    "name": ("name", _text, _same),
     "bmi": ("bmi", float, _same),
     "bmi_ref": ("bmi_ref", float, _same),
     "e_ref_vpm": ("e_ref", float, _same),
@@ -545,8 +577,8 @@ _PHANTOM_KEYS = {
 }
 _PATHLOSS = (lambda value: PathlossCoeffs(*_list_of(float)(value)), lambda c: [c.a, c.b, c.c])
 _CHANNEL_KEYS = {
-    "n_clusters": ("n_clusters", int, int),
-    "n_rays": ("n_rays", int, int),
+    "n_clusters": ("n_clusters", _integer, int),
+    "n_rays": ("n_rays", _integer, int),
     "delay_spread_s": ("delay_spread", float, float),
     "azimuth_spread_dep_deg": ("azimuth_spread_dep", _radians, math.degrees),
     "zenith_spread_dep_deg": ("zenith_spread_dep", _radians, math.degrees),
@@ -562,16 +594,15 @@ _RETIRED_CHANNEL_KEYS = {"azimuth_spread_arr_deg", "zenith_spread_arr_deg"}
 
 _parse_phantoms, _dump_phantoms = _records(PhantomProfile, _PHANTOM_KEYS)
 _SCENARIO_KEYS = {
-    "name": ("name", str, _same),
-    "kind": ("kind", str, _same),
+    "name": ("name", _text, _same),
+    "kind": ("kind", _text, _same),
     "bounds_m": ("bounds", _list_of(float), list),
     "limits.sar_wkg": ("sar_limit", float, _same),
     "limits.min_poa_user_distance_m": ("min_poa_user_distance", float, _same),
     "poas": ("poas", _list_of(_parse_poa), lambda poas: [_dump(p, _POA_KEYS) for p in poas]),
     "users": ("users", *_records(EndUser, _USER_KEYS)),
     "humans": ("humans", *_records(Human, _HUMAN_KEYS)),
-    "phantoms": ("phantoms", lambda value: {ph.name: ph for ph in _parse_phantoms(value)},
-                 lambda phantoms: _dump_phantoms(phantoms.values())),
+    "phantoms": ("phantoms", _phantoms, lambda phantoms: _dump_phantoms(phantoms.values())),
     "frequency_map": ("frequency_map", lambda value: FrequencyMap(_float_map(value)),
                       lambda fmap: _str_keys(fmap.pairs)),
     "channel_params": ("channel_params", _channel_params, lambda cp: _dump(cp, _CHANNEL_KEYS)),

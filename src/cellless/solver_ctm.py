@@ -254,17 +254,31 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator,
     whole descent, making it a deterministic, monotone process. Each round sweeps
     the PoAs (descending power, then id) until a full sweep makes no
     reduction, so at the final delta no single PoA can take another step.
-    The beams never change, so their gains are stacked once and each check
-    only rescales the stack (``Evaluator.violated``).
+    The beams never change, so their gains are stacked once.
+
+    The max-power start gets the full verdict (``Evaluator.violated``). A
+    trial step then lowers one PoA ``p`` from a feasible state, and only
+    ``p``'s own users can lose their floor: one PoA's beams do not
+    interfere with each other, so ``p``'s power is in no other user's
+    signal and only in co-channel users' interference; and interference
+    and SAR are monotone in every power (rounding included), so neither
+    rises when ``p`` falls. The trial's full verdict is therefore the rate
+    floors of ``p``'s users, read from the stack cut to their columns
+    (``Evaluator.unmet_floors``), and by induction every trial starts from
+    a feasible state.
     """
     stack = evaluator.stack(solution)
-
-    def feasible(sol):
-        return not evaluator.violated(stack, sol.tx_power)
-
     violated = evaluator.violated(stack, solution.tx_power)
     if violated:
         raise NoFeasibleSolutionError(violated)
+
+    served = {}
+    for uid in sorted(stack.beam_of_user):
+        served.setdefault(stack.poa_ids[stack.beam_of_user[uid]], []).append(uid)
+    cuts = {pid: stack.for_users(uids) for pid, uids in served.items()}
+
+    def floors_met(pid, sol):
+        return not evaluator.unmet_floors(cuts[pid], sol.tx_power, served[pid])
 
     current = solution
     active = set(current.active_poas())
@@ -277,7 +291,7 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator,
             for pid in order:
                 while True:
                     trial = current.with_power(pid, current.tx_power[pid] - delta)
-                    if feasible(trial):
+                    if floors_met(pid, trial):
                         current = trial
                         changed = True
                     else:

@@ -143,7 +143,7 @@ def test_sinr_power_scaling_without_interference(tiny_scenario, tiny_solution, e
     assert np.allclose(s2, 2.0 * s1, rtol=1e-5)
     # Against the explicit formula.
     beam = sol.beam_for_user("u0")
-    gains = ev.beam_gains(beam)[:, ev.target_index["u0"]]
+    gains = ev.beam_gains(beam)[:, [t.id for t in ev.targets].index("u0")]
     noise = 10.0 ** ((NOISE_DENSITY_DBM_HZ - 30.0) / 10.0) * 20e6
     n_active = len([b for b in sol.beams_of("poaA") if b.active])
     p = 10.0 ** ((20.0 - 30.0) / 10.0) / n_active
@@ -368,6 +368,37 @@ def test_power_core_verdict_equals_metrics(worlds, world, data):
     m = evaluator.metrics(sol)
     assert violated == m.violated
     assert (not violated) == m.feasible
+
+
+@pytest.mark.parametrize("realizations", [1, 2, 10])
+@pytest.mark.parametrize("world, seed", [("inf-dh-desk", 2), ("umi-sc-desk", 0)])
+def test_user_views_equal_metrics_bit_for_bit(world, seed, realizations):
+    """``rate``, ``sinr``, ``mean_rates`` and ``unmet_floors`` on a stack cut
+    to one user or to one PoA's users read the very rates ``metrics`` does,
+    also with one realization, where each user's interference is one number
+    per beam."""
+    scenario = builtin_scenario(world, seed)
+    ev = Evaluator(scenario, seed, realizations)
+    sol = build_geometry(scenario, CtmConfig(seed=seed))
+    rates = ev.metrics(sol).per_user_rate
+    assert ev.mean_rates(sol).tolist() == list(rates.values())
+    for u in scenario.users:
+        rate = ev.rate(u.id, sol)
+        assert float(rate.mean()) == rates[u.id]
+        bandwidth = scenario.poa_by_id(sol.beam_for_user(u.id).owner_poa).bandwidth
+        assert np.array_equal(shannon_rate(bandwidth, ev.sinr(u.id, sol)), rate)
+
+    stack = ev.stack(sol)
+    groups = [[u.id] for u in scenario.users] + [
+        sorted(uid for uid, row in stack.beam_of_user.items() if stack.poa_ids[row] == pid)
+        for pid in sol.active_poas()]
+    for above in (False, True):
+        # Floors at each user's own rate are met; one ulp above, all missed.
+        ev._rate_floor = {uid: math.nextafter(r, math.inf) if above else r
+                          for uid, r in rates.items()}
+        for uids in groups:
+            want = [f"rate:{uid}" for uid in uids] if above else []
+            assert ev.unmet_floors(stack.for_users(uids), sol.tx_power, uids) == want
 
 
 def test_verdict_needs_the_human_columns(tiny_solution, ev):

@@ -263,6 +263,19 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d["users"][0].pop("required_rate_bps"), "users[0].required_rate_bps"),
     (lambda d: d["poas"][3].update(frequency_hz="abc"), "poas[3].frequency_hz"),
     (lambda d: d["poas"][2].update(element_pattern="isotropc"), "poas[2].element_pattern"),
+    (lambda d: d["humans"][39].update(id="user0"), "humans[39].id"),
+    (lambda d: d["humans"][5].update(id="poa1"), "humans[5].id"),
+    (lambda d: d["humans"][3].update(id="human1"), "humans[3].id"),
+    (lambda d: d["phantoms"].append({**d["phantoms"][0], "bmi": 40.0}), "phantoms[4].name"),
+    (lambda d: d["poas"][0].update(panel_rows=16.9), "poas[0].panel_rows"),
+    (lambda d: d["poas"][1].update(panel_cols=True), "poas[1].panel_cols"),
+    (lambda d: d["channel_params"].update(n_clusters=2.5), "channel_params.n_clusters"),
+    (lambda d: d["channel_params"].update(n_rays="20"), "channel_params.n_rays"),
+    (lambda d: d["poas"][0].update(id=None), "poas[0].id"),
+    (lambda d: d["users"][2].update(id=7), "users[2].id"),
+    (lambda d: d["phantoms"][1].update(name=None), "phantoms[1].name"),
+    (lambda d: d["humans"][0].update(phantom_id=3), "humans[0].phantom_id"),
+    (lambda d: d["humans"][1].update(linked_user=1), "humans[1].linked_user"),
 ], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
         "maxpow-minus-inf", "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
         "clutter-density-one", "clutter-density-negative", "clutter-density-not-number",
@@ -271,7 +284,11 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
         "poas-not-list", "users-not-list", "humans-not-list", "phantoms-not-list",
         "beams-not-list", "beam-id-not-text", "sar-ref-not-object", "poa-key-misspelled",
         "limits-key-misspelled", "top-level-key-unknown", "user-rate-missing",
-        "frequency-not-number", "element-pattern-unknown"])
+        "frequency-not-number", "element-pattern-unknown", "human-id-repeats-user",
+        "human-id-repeats-poa", "human-id-repeats-human", "phantom-name-repeated",
+        "panel-rows-fraction", "panel-cols-boolean", "n-clusters-fraction", "n-rays-not-number",
+        "poa-id-null", "user-id-number", "phantom-name-null", "phantom-id-number",
+        "linked-user-number"])
 
 
 @_BAD_INPUTS
@@ -292,6 +309,15 @@ def test_cli_validate_exits_2_on_bad_inputs(mutate, path, tmp_path, capsys):
     assert main(["validate", "--scenario", str(world)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"invalid: {path}: ") and "Traceback" not in err
+
+
+def test_integral_numbers_load_as_integers():
+    d = scenario_to_dict(builtin_scenario("inf-dh-desk", 0))
+    d["poas"][0]["panel_rows"] = 16.0
+    d["channel_params"]["n_rays"] = 20.0
+    s = scenario_from_dict(d)
+    assert type(s.poas[0].panel_rows) is int and s.poas[0].panel_rows == 16
+    assert type(s.channel_params.n_rays) is int and s.channel_params.n_rays == 20
 
 
 def test_beam_shared_by_two_poas_rejected_at_load():

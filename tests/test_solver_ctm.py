@@ -7,9 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cellless.exposure import FrequencyMap
 from cellless.radio_metrics import Evaluator
-from cellless.scenario import EndUser, Position3D, builtin_scenario
+from cellless.scenario import EndUser, Human, Position3D, builtin_scenario
 from cellless.solution import validate
 from cellless.solver_ctm import (CtmConfig,
                                  NoFeasibleSolutionError, beam_width,
@@ -278,29 +280,88 @@ def _reference_descent(solution, config, evaluator):
     return current, checks
 
 
-@pytest.mark.parametrize("channel_seed", [1, 2, 3])
-def test_descent_matches_metrics_reference(monkeypatch, channel_seed):
-    """On the desk world placed with seed 1, the stacked descent returns the
-    same dBm values after the same number of checks as the reference."""
-    scenario = builtin_scenario("inf-dh-desk", 1)
-    cfg = CtmConfig(seed=channel_seed)
+@pytest.mark.parametrize("world, channel_seed, realizations", [
+    pytest.param("inf-dh-desk", 1, 10, id="1"),
+    pytest.param("inf-dh-desk", 2, 10, id="2"),
+    pytest.param("inf-dh-desk", 3, 10, id="3"),
+    pytest.param("umi-sc-desk", 1, 10, id="umi-1"),
+    pytest.param("umi-sc-desk", 2, 10, id="umi-2"),
+    pytest.param("inf-dh-desk", 1, 1, id="1-one-realization"),
+    pytest.param("umi-sc-desk", 1, 1, id="umi-1-one-realization"),
+])
+def test_descent_matches_metrics_reference(monkeypatch, world, channel_seed, realizations):
+    """On the desk worlds placed with seed 1, the descent returns the same
+    dBm values as the reference after one full check of the max-power start
+    and one check of the lowered PoA's users per reference trial."""
+    scenario = builtin_scenario(world, 1)
+    cfg = CtmConfig(seed=channel_seed, realizations_per_check=realizations)
     geometry = build_geometry(scenario, cfg)
     want, want_checks = _reference_descent(
         geometry, cfg, Evaluator(scenario, cfg.seed, cfg.realizations_per_check))
 
-    checks = []
-    violated = Evaluator.violated
+    full, trials = [], []
+    violated, unmet_floors = Evaluator.violated, Evaluator.unmet_floors
 
-    def counted(self, stack, tx_power):
-        checks.append(dict(tx_power))
+    def counted_full(self, stack, tx_power):
+        full.append(dict(tx_power))
         return violated(self, stack, tx_power)
 
-    monkeypatch.setattr(Evaluator, "violated", counted)
+    def counted_trial(self, stack, tx_power, user_ids):
+        trials.append(dict(tx_power))
+        return unmet_floors(self, stack, tx_power, user_ids)
+
+    monkeypatch.setattr(Evaluator, "violated", counted_full)
+    monkeypatch.setattr(Evaluator, "unmet_floors", counted_trial)
     got = reduce_powers(geometry, Evaluator(scenario, cfg.seed, cfg.realizations_per_check),
                         cfg)
     assert got.tx_power == want.tx_power
-    assert len(checks) == want_checks
+    assert full == [geometry.tx_power]
+    assert len(trials) == want_checks - 1
     assert got.tx_power != geometry.tx_power
+
+
+@st.composite
+def feasible_small_worlds(draw):
+    """2-3 PoAs on one or two carriers, 1-4 users, 0-2 humans, CtM's
+    geometry and a power for every PoA; each floor is set between half and
+    all of the user's rate under those powers, and the SAR ceiling between
+    one and two times the highest SAR, so the state is feasible and the
+    tightest constraints are met exactly."""
+    poas = tuple(make_poa(f"p{i}", draw(st.floats(1.0, 39.0)), draw(st.floats(1.0, 19.0)),
+                          freq=draw(st.sampled_from([3e9, 5e9])), rows=4, cols=4)
+                 for i in range(draw(st.integers(2, 3))))
+    spot = st.builds(Position3D, st.floats(0.0, 40.0), st.floats(0.0, 20.0), st.just(1.5))
+    users = tuple(EndUser(f"u{i}", draw(spot), 1e6) for i in range(draw(st.integers(1, 4))))
+    humans = tuple(Human(f"h{i}", draw(spot), "ella") for i in range(draw(st.integers(0, 2))))
+    scenario = replace(make_tiny_scenario(), poas=poas, users=users, humans=humans,
+                       frequency_map=FrequencyMap({3e9: 2.45e9, 5e9: 5.2e9}))
+    cfg = CtmConfig(seed=draw(st.integers(0, 3)), realizations_per_check=draw(st.integers(1, 3)))
+    solution = replace(build_geometry(scenario, cfg),
+                       tx_power={p.id: draw(st.floats(-30.0, 30.0)) for p in poas})
+    start = Evaluator(scenario, cfg.seed, cfg.realizations_per_check).metrics(solution)
+    scenario = replace(
+        scenario,
+        users=tuple(replace(u, required_rate=start.per_user_rate[u.id] * draw(st.floats(0.5, 1.0)))
+                    for u in users),
+        sar_limit=start.max_sar * draw(st.floats(1.0, 2.0)) if humans else 0.08)
+    return Evaluator(scenario, cfg.seed, cfg.realizations_per_check), solution
+
+
+@settings(deadline=None, max_examples=60)
+@given(world=feasible_small_worlds(), data=st.data())
+def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
+    """The descent's premise: from a feasible state, lowering one active PoA
+    breaks no floor or ceiling outside that PoA's users, and their floors
+    read from the stack cut to their columns give the full verdict."""
+    evaluator, solution = world
+    stack = evaluator.stack(solution)
+    assert evaluator.violated(stack, solution.tx_power) == []
+    pid = data.draw(st.sampled_from(solution.active_poas()))
+    lowered = solution.with_power(pid, solution.tx_power[pid] - data.draw(st.floats(0.0, 40.0)))
+    own = sorted(uid for uid, row in stack.beam_of_user.items() if stack.poa_ids[row] == pid)
+    after = evaluator.violated(stack, lowered.tx_power)
+    assert set(after) <= {f"rate:{uid}" for uid in own}
+    assert evaluator.unmet_floors(stack.for_users(own), lowered.tx_power, own) == sorted(after)
 
 
 def test_solve_ctm_deterministic(tiny_scenario):
