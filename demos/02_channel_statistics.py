@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from cellless.antenna import PanelGeometry, SteeringDirection
-from cellless.channel import link_energy, link_rng, los_probability, sample_link
+from cellless.channel import LosModel, link_energy, link_rng, los_probability, sample_link
 from cellless.scenario import builtin_template
 
 
@@ -20,8 +20,8 @@ def main():
     print("=== LoS probability vs distance ===")
     print("  d_2d [m]   InF-DH (PoA 7 m)   UMi (PoA 10 m)")
     for d in (5, 10, 20, 40, 80, 200):
-        p_inf = los_probability("inf-dh", d, 7.0, 1.5, 0.4, 2.0)
-        p_umi = los_probability("umi", d, 10.0, 1.5)
+        p_inf = los_probability(params.los_model, d, 7.0, 1.5)
+        p_umi = los_probability(LosModel("umi"), d, 10.0, 1.5)
         print(f"  {d:8d}   {float(p_inf):16.3f}   {float(p_umi):14.3f}")
 
     print()

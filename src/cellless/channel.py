@@ -17,7 +17,7 @@ a fixed set of realizations be reused across candidate solutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -48,6 +48,21 @@ class PathlossCoeffs:
 
 
 @dataclass(frozen=True)
+class LosModel:
+    """Line-of-sight probability model: ``kind`` is one of ``LOS_KINDS``;
+    the clutter fields (density in [0, 1), height [m], block size [m]) are
+    read by the InF-DH model only."""
+
+    kind: str = "inf-dh"
+    clutter_density: float = 0.0
+    clutter_height: float = 0.0
+    clutter_size_m: float = 2.0
+
+
+LOS_KINDS = ("inf-dh", "umi")
+
+
+@dataclass(frozen=True)
 class ChannelParams:
     n_clusters: int = 5
     n_rays: int = 20
@@ -60,7 +75,7 @@ class ChannelParams:
     rician_k_sigma_db: float = 3.0
     pathloss_los: PathlossCoeffs = PathlossCoeffs(31.84, 21.5, 19.0)
     pathloss_nlos: PathlossCoeffs = PathlossCoeffs(33.63, 21.9, 20.0)
-    los_model: dict = field(default_factory=dict)
+    los_model: LosModel = LosModel()
 
     def __post_init__(self):
         if self.n_rays < 1 or self.n_clusters < 1:
@@ -215,8 +230,7 @@ def link_rng(seed: int, realization: int, poa_index: int, target_index: int):
     return _link_generators(seed, [realization], poa_index, [target_index])[0][0]
 
 
-def los_probability(scenario_kind, d_2d, poa_height, target_height,
-                    clutter_density=0.0, clutter_height=0.0, clutter_size=2.0):
+def los_probability(model: LosModel, d_2d, poa_height, target_height):
     """Line-of-sight probability; monotone non-increasing in d_2d.
 
     InF-DH uses an exponential decay whose scale grows when the PoA sits
@@ -225,22 +239,21 @@ def los_probability(scenario_kind, d_2d, poa_height, target_height,
     d = np.asarray(d_2d, dtype=float)
     if np.any(d < 0):
         raise ValueError("d_2d must be non-negative")
-    kind = scenario_kind.lower()
-    if kind.startswith("inf"):
-        rho = min(max(clutter_density, 0.0), 1.0 - 1e-9)
+    if model.kind == "inf-dh":
+        rho = min(max(model.clutter_density, 0.0), 1.0 - 1e-9)
         if rho <= 0:
             return np.minimum(np.ones_like(d), 1.0)
-        k = -clutter_size / math.log(1.0 - rho)
-        if poa_height > clutter_height and clutter_height > target_height:
-            k *= (poa_height - target_height) / (clutter_height - target_height)
+        k = -model.clutter_size_m / math.log(1.0 - rho)
+        if poa_height > model.clutter_height > target_height:
+            k *= (poa_height - target_height) / (model.clutter_height - target_height)
         return np.exp(-d / k)
-    if kind.startswith("umi"):
+    if model.kind == "umi":
         out = np.ones_like(d)
         far = d > 18.0
         dd = np.where(far, d, 18.0)
         out = np.where(far, 18.0 / dd + np.exp(-dd / 36.0) * (1.0 - 18.0 / dd), out)
         return out
-    raise ValueError(f"unknown scenario kind {scenario_kind!r}")
+    raise ValueError(f"unknown LoS model {model.kind!r}")
 
 
 def _direct_path_angles(src, dst):
@@ -275,16 +288,12 @@ def sample_link(poa_pos, poa_freq, target_pos, params: ChannelParams, rng) -> Li
 
     # Direct-path geometry, LoS probability and both pathlosses, once per
     # target with scalar calls (array math may round differently).
-    lm = params.los_model
     geometry = np.empty(pos.shape[:-1] + (6,))
     for idx in np.ndindex(pos.shape[:-1]):
         tx, ty, tz = pos[idx].tolist()
         zen0, az0, d3d = _direct_path_angles(poa_pos, (tx, ty, tz))
         d2d = math.hypot(tx - poa_pos[0], ty - poa_pos[1])
-        p_los = float(los_probability(
-            lm.get("kind", "inf"), d2d, poa_pos[2], tz,
-            lm.get("clutter_density", 0.0), lm.get("clutter_height", 0.0),
-            lm.get("clutter_size_m", 2.0)))
+        p_los = float(los_probability(params.los_model, d2d, poa_pos[2], tz))
         geometry[idx] = (zen0, az0, d3d, p_los, float(params.pathloss_los.db(d3d, poa_freq)),
                          float(params.pathloss_nlos.db(d3d, poa_freq)))
     zen0, az0, d3d, p_los, pl_los, pl_nlos = (

@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (ExperimentSpec, PLOT_KINDS, check_seeds, plot_data_from_dir,
-                      run_experiment)
+from .harness import ExperimentSpec, PLOT_KINDS, plot_data_from_dir, run_experiment
 from .scenario import ScenarioError, load_scenario
 from .solver_ctm import CtmConfig
 from .solver_maxrate import AnnealConfig
@@ -22,17 +21,12 @@ EXIT_INFEASIBLE = 3
 
 
 def _parse_seeds(text):
-    """'1..10' (inclusive range) or '0,3,7': distinct non-negative seeds."""
+    """'1..10' (inclusive range) or '0,3,7' as a tuple of seeds;
+    ``ExperimentSpec`` checks that they are distinct and non-negative."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        seeds = tuple(range(int(lo), int(hi) + 1))
-    else:
-        seeds = tuple(int(s) for s in text.split(","))
-    try:
-        check_seeds(seeds)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(f"{text!r}: {e}") from None
-    return seeds
+        return tuple(range(int(lo), int(hi) + 1))
+    return tuple(int(s) for s in text.split(","))
 
 
 def _build_parser():

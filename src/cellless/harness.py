@@ -36,20 +36,6 @@ PLOT_COLUMNS = {
 PLOT_KINDS = tuple(PLOT_COLUMNS)
 
 
-def check_seeds(seeds) -> None:
-    """Raise ``ValueError`` unless ``seeds`` is a non-empty collection of
-    distinct non-negative integers: each seed names one run directory."""
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
-    seen = set()
-    for seed in seeds:
-        if int(seed) < 0:
-            raise ValueError(f"seeds must be non-negative, got {seed}")
-        if seed in seen:
-            raise ValueError(f"seeds must be distinct, got {seed} more than once")
-        seen.add(seed)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     scenario: str                      # built-in name or file path
@@ -63,7 +49,16 @@ class ExperimentSpec:
     dump_links: bool = False
 
     def __post_init__(self):
-        check_seeds(self.seeds)
+        # Each seed names one run directory: distinct and non-negative.
+        if not self.seeds:
+            raise ValueError("seeds must be non-empty")
+        seen = set()
+        for seed in self.seeds:
+            if int(seed) < 0:
+                raise ValueError(f"seeds must be non-negative, got {seed}")
+            if seed in seen:
+                raise ValueError(f"seeds must be distinct, got {seed} more than once")
+            seen.add(seed)
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be at least 1")
         if self.workers < 1:

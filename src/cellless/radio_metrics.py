@@ -31,15 +31,16 @@ and each human's per-frequency received power, as masked sums over the
 beam axis; the latter feeds ``power_density`` ->
 ``exposure.incident_field`` -> ``exposure.sar_wb``, and the means are
 checked against the rate floors and the SAR ceiling. ``metrics`` is
-stack -> scale -> verdict -> bundle; ``violated`` rescales a stack the
-caller keeps, which is how the CtM power descent checks its max-power
-start without re-stacking its fixed beams; ``unmet_floors`` judges the
-rate floors of some users only, on a stack cut to their columns
-(``GainStack.for_users``), which is how it checks each step that lowers
-one PoA; ``mean_rates``, ``sinr`` and ``rate`` are user-only views. All of
-them read one SINR code, whose interference adds the beams one by one in
-stack order, so a user's rate has the same bits whichever users are asked
-with it and however many realizations there are.
+stack -> scale -> verdict -> bundle, and the only full verdict: its
+``violated`` list is every missed floor and ceiling, and ``feasible`` is
+that list being empty. ``unmet_floors`` judges the rate floors of some
+users only, on a stack the caller keeps cut to their columns
+(``GainStack.for_users``), which is how the CtM power descent checks each
+step that lowers one PoA; ``mean_rates``, ``sinr`` and ``rate`` are
+user-only views. All of them read one SINR code, whose interference adds
+the beams one by one in stack order, so a user's rate has the same bits
+whichever users are asked with it and however many realizations there
+are.
 """
 
 from __future__ import annotations
@@ -77,8 +78,11 @@ class MetricsBundle:
     per_human_sar: dict            # human id -> W/kg (mean)
     per_poa_power: dict            # PoA id -> dBm (-inf when off)
     total_power: float             # watts, transmitting PoAs only
-    feasible: bool
-    violated: list = field(default_factory=list)
+    violated: list = field(default_factory=list)   # rate:<user>, sar:<human>
+
+    @property
+    def feasible(self):
+        return not self.violated
 
     @property
     def min_rate(self):
@@ -312,37 +316,16 @@ class Evaluator:
                                self.scenario.phantoms[name], self.scenario.frequency_map)
         return sar.mean(axis=-1)
 
-    def _outcome(self, stack, tx_power):
-        """Scale a full (users and humans) stack by a power vector and judge
-        it: mean rate per user, mean SAR per human, and the ids of the
-        violated rate floors and SAR ceilings."""
-        power = stack.scaled(tx_power)
-        rates = self._rates(stack, power, self._user_ids).mean(axis=-1)
-        sar = self._exposure(stack, power)
-        violated = (self._short(self._user_ids, rates)
-                    + [f"sar:{hid}" for hid, over in
-                       zip(self._human_ids, (sar > self.scenario.sar_limit).tolist()) if over])
-        return rates, sar, violated
-
     def _short(self, user_ids, rates):
         """``rate:<user>`` for each user whose mean rate is below its floor."""
         return [f"rate:{uid}" for uid, rate in zip(user_ids, rates.tolist())
                 if rate < self._rate_floor[uid]]
 
-    def violated(self, stack, tx_power) -> list:
-        """Rate floors and SAR ceilings (``rate:<user>``, ``sar:<human>``)
-        that the beams frozen in ``stack`` miss under per-PoA powers
-        ``tx_power`` [dBm]; empty when feasible. The same verdict as
-        ``metrics`` on the solution with those powers."""
-        if stack.gains.shape[1] != len(self.targets):
-            raise ValueError("a verdict needs a stack with the human columns")
-        return self._outcome(stack, tx_power)[2]
-
     def unmet_floors(self, stack, tx_power, user_ids) -> list:
         """The rate floors (``rate:<user>``) of ``user_ids`` that the beams
         frozen in ``stack`` miss under per-PoA powers ``tx_power`` [dBm],
-        in the order asked. The rates are those ``violated`` and
-        ``metrics`` compute, bit for bit, so a stack cut to these users'
+        in the order asked. The rates are those ``metrics`` computes,
+        bit for bit, so a stack cut to these users'
         columns (``GainStack.for_users``) gives the same verdict on them."""
         rates = self._rates(stack, stack.scaled(tx_power), user_ids).mean(axis=-1)
         return self._short(user_ids, rates)
@@ -368,7 +351,10 @@ class Evaluator:
     def metrics(self, solution: SolutionState) -> MetricsBundle:
         """Averaged rates and SAR over all realizations, plus feasibility."""
         scenario = self.scenario
-        rates, sar, violated = self._outcome(self.stack(solution), solution.tx_power)
+        stack = self.stack(solution)
+        power = stack.scaled(solution.tx_power)
+        rates = self._rates(stack, power, self._user_ids).mean(axis=-1)
+        sar = self._exposure(stack, power)
         active = set(solution.active_poas())
         return MetricsBundle(
             per_user_rate={u.id: float(r) for u, r in zip(scenario.users, rates)},
@@ -377,8 +363,9 @@ class Evaluator:
                 p.id: solution.tx_power.get(p.id, -math.inf) if p.id in active else -math.inf
                 for p in scenario.poas},
             total_power=solution.total_power_watts(),
-            feasible=not violated,
-            violated=violated,
+            violated=self._short(self._user_ids, rates) + [
+                f"sar:{hid}" for hid, over in
+                zip(self._human_ids, (sar > scenario.sar_limit).tolist()) if over],
         )
 
     def dump_links(self, solution: SolutionState) -> list:

@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .antenna import ELEMENT_PATTERNS, ISOTROPIC, THREEGPP_8DBI
-from .channel import ChannelParams, PathlossCoeffs, los_probability
+from .channel import LOS_KINDS, ChannelParams, LosModel, PathlossCoeffs
 from .exposure import ICNIRP_WHOLE_BODY_LIMIT, FrequencyMap, PhantomProfile
 
 SCHEMA_VERSION = 1
@@ -163,8 +163,8 @@ def _inf_dh_channel():
         delay_spread=30e-9,
         azimuth_spread_dep=math.radians(2.0),
         zenith_spread_dep=math.radians(1.0),
-        los_model={"kind": "inf-dh", "clutter_density": 0.4,
-                   "clutter_height": 2.0, "clutter_size_m": 2.0},
+        los_model=LosModel("inf-dh", clutter_density=0.4, clutter_height=2.0,
+                           clutter_size_m=2.0),
     )
 
 
@@ -179,7 +179,7 @@ def _umi_channel():
         delay_spread=100e-9,
         azimuth_spread_dep=math.radians(1.5),
         zenith_spread_dep=math.radians(0.75),
-        los_model={"kind": "umi"},
+        los_model=LosModel("umi"),
     )
 
 
@@ -341,15 +341,15 @@ def builtin_scenario(name: str, seed: int = 0) -> Scenario:
 
 def _validate(s: Scenario):
     lm = s.channel_params.los_model
-    try:
-        los_probability(lm.get("kind", "inf"), 0.0, 1.0, 1.0)
-    except (ValueError, AttributeError):
+    if lm.kind not in LOS_KINDS:
         raise ValidationError("channel_params.los_model.kind",
-                              f"unknown LoS model {lm.get('kind')!r}") from None
-    density = lm.get("clutter_density", 0.0)
-    if not (isinstance(density, (int, float)) and 0.0 <= density < 1.0):
+                              f"unknown LoS model {lm.kind!r}, expected one of {LOS_KINDS}")
+    if not 0.0 <= lm.clutter_density < 1.0:
         raise ValidationError("channel_params.los_model.clutter_density",
-                              f"must be in [0, 1), got {density!r}")
+                              f"must be in [0, 1), got {lm.clutter_density!r}")
+    if not 0.0 < lm.clutter_size_m < math.inf:
+        raise ValidationError("channel_params.los_model.clutter_size_m",
+                              f"must be positive and finite, got {lm.clutter_size_m!r}")
     if s.sar_limit <= 0:
         raise ValidationError("limits.sar_wkg", "must be positive")
     if len(s.bounds) < 2 or s.bounds[0] <= 0 or s.bounds[1] <= 0:
@@ -447,11 +447,16 @@ def _text(value):
     return value
 
 
-def _integer(value):
-    """An integral JSON number as an ``int``; a boolean or a fraction is refused."""
+def _real(value):
+    """A JSON number as a ``float``; a boolean or a string is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"must be an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value):
+    """An integral JSON number as an ``int``; a fraction is refused too."""
+    if not _real(value).is_integer():
         raise ValueError(f"must be an integer, got {value!r}")
     return int(value)
 
@@ -575,6 +580,12 @@ _PHANTOM_KEYS = {
     "e_ref_vpm": ("e_ref", float, _same),
     "sar_ref": ("sar_ref", _float_map, _str_keys),
 }
+_LOS_KEYS = {
+    "kind": ("kind", _text, _same),
+    "clutter_density": ("clutter_density", _real, float),
+    "clutter_height": ("clutter_height", _real, float),
+    "clutter_size_m": ("clutter_size_m", _real, float),
+}
 _PATHLOSS = (lambda value: PathlossCoeffs(*_list_of(float)(value)), lambda c: [c.a, c.b, c.c])
 _CHANNEL_KEYS = {
     "n_clusters": ("n_clusters", _integer, int),
@@ -588,7 +599,8 @@ _CHANNEL_KEYS = {
     "rician_k_sigma_db": ("rician_k_sigma_db", float, float),
     "pathloss_los": ("pathloss_los", *_PATHLOSS),
     "pathloss_nlos": ("pathloss_nlos", *_PATHLOSS),
-    "los_model": ("los_model", _object, dict),
+    "los_model": ("los_model", lambda data: _record(LosModel, _LOS_KEYS, data),
+                  lambda model: _dump(model, _LOS_KEYS)),
 }
 _RETIRED_CHANNEL_KEYS = {"azimuth_spread_arr_deg", "zenith_spread_arr_deg"}
 
@@ -627,10 +639,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     _validate(scenario)
     lm = scenario.channel_params.los_model
     for key, field_name in (("density", "clutter_density"), ("height_m", "clutter_height")):
-        if key in clutter and clutter[key] != lm.get(field_name, 0.0):
+        if key in clutter and clutter[key] != getattr(lm, field_name):
             raise ValidationError(
                 f"clutter.{key}", f"{clutter[key]!r} disagrees with "
-                f"channel_params.los_model.{field_name} = {lm.get(field_name, 0.0)!r}")
+                f"channel_params.los_model.{field_name} = {getattr(lm, field_name)!r}")
     return scenario
 
 

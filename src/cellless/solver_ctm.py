@@ -256,22 +256,23 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator,
     reduction, so at the final delta no single PoA can take another step.
     The beams never change, so their gains are stacked once.
 
-    The max-power start gets the full verdict (``Evaluator.violated``). A
-    trial step then lowers one PoA ``p`` from a feasible state, and only
-    ``p``'s own users can lose their floor: one PoA's beams do not
-    interfere with each other, so ``p``'s power is in no other user's
-    signal and only in co-channel users' interference; and interference
-    and SAR are monotone in every power (rounding included), so neither
-    rises when ``p`` falls. The trial's full verdict is therefore the rate
-    floors of ``p``'s users, read from the stack cut to their columns
-    (``Evaluator.unmet_floors``), and by induction every trial starts from
-    a feasible state.
+    The max-power start gets the full verdict, one ``Evaluator.metrics``
+    call; it fills the human columns, which only that verdict and the
+    closing ``metrics`` read. A trial step then lowers one PoA ``p`` from
+    a feasible state, and only ``p``'s own users can lose their floor: one
+    PoA's beams do not interfere with each other, so ``p``'s power is in
+    no other user's signal and only in co-channel users' interference; and
+    interference and SAR are monotone in every power (rounding included),
+    so neither rises when ``p`` falls. The trial's full verdict is
+    therefore the rate floors of ``p``'s users, read from the users-only
+    stack cut to their columns (``Evaluator.unmet_floors``), and by
+    induction every trial starts from a feasible state.
     """
-    stack = evaluator.stack(solution)
-    violated = evaluator.violated(stack, solution.tx_power)
+    violated = evaluator.metrics(solution).violated
     if violated:
         raise NoFeasibleSolutionError(violated)
 
+    stack = evaluator.stack(solution, humans=False)
     served = {}
     for uid in sorted(stack.beam_of_user):
         served.setdefault(stack.poa_ids[stack.beam_of_user[uid]], []).append(uid)

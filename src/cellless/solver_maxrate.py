@@ -19,6 +19,12 @@ from .scenario import Scenario
 from .solution import SolutionState
 from .solver_ctm import CtmConfig, build_geometry
 
+POWER_STEP_DB = 2.0        # move_power step
+ANGLE_STEP = 0.2           # move_steering step [rad]
+WIDTH_STEP = 0.1           # move_width step [rad]
+CALIBRATION_PROBES = 100   # neighbor moves sampled to pick T0
+TARGET_ACCEPTANCE = 0.8    # share of worsening probe moves T0 would accept
+
 
 @dataclass(frozen=True)
 class AnnealConfig:
@@ -26,9 +32,6 @@ class AnnealConfig:
     cooling_factor: float = 0.95
     iterations: int = 200               # temperature steps
     moves_per_temp: int = 20
-    power_step_db: float = 2.0
-    angle_step: float = 0.2             # radians
-    width_step: float = 0.1             # radians
     seed: int = 0
     realizations_per_check: int = 10
 
@@ -44,12 +47,9 @@ class AnnealConfig:
 
 
 def objective(solution: SolutionState, evaluator: Evaluator) -> float:
-    """Minimum mean per-user rate; -inf when some user is unserved."""
-    served = set()
-    for b in solution.beams:
-        served |= b.served_users
-    if {u.id for u in evaluator.scenario.users} - served:
-        return -math.inf
+    """Minimum mean per-user rate (inf with no users). Each state the anneal
+    scores serves every user once, as ``build_geometry`` and ``neighbor``
+    keep it; an unserved user raises ``UnservedUserError``."""
     rates = evaluator.mean_rates(solution)
     return float(rates.min()) if rates.size else math.inf
 
@@ -104,31 +104,30 @@ def move_reassign(solution, scenario, rng):
     return replace(solution, beams=tuple(beams))
 
 
-def neighbor(solution: SolutionState, scenario: Scenario, rng,
-             config: AnnealConfig) -> SolutionState:
+def neighbor(solution: SolutionState, scenario: Scenario, rng) -> SolutionState:
     """Exactly one mutation; the output stays structurally legal."""
     kind = int(rng.integers(4))
     if kind == 0:
-        return move_power(solution, scenario, rng, config.power_step_db)
+        return move_power(solution, scenario, rng, POWER_STEP_DB)
     if kind == 1:
-        return move_steering(solution, scenario, rng, config.angle_step)
+        return move_steering(solution, scenario, rng, ANGLE_STEP)
     if kind == 2:
-        return move_width(solution, scenario, rng, config.width_step)
+        return move_width(solution, scenario, rng, WIDTH_STEP)
     return move_reassign(solution, scenario, rng)
 
 
-def _calibrate_temperature(start, start_obj, scenario, rng, config, evaluator,
-                           probes=100, target_acceptance=0.8):
-    """Pick T0 so roughly 80% of early worsening moves would be accepted."""
+def _calibrate_temperature(start, start_obj, scenario, rng, evaluator):
+    """Pick T0 so about TARGET_ACCEPTANCE of early worsening moves would be
+    accepted."""
     drops = []
-    for _ in range(probes):
-        cand = neighbor(start, scenario, rng, config)
+    for _ in range(CALIBRATION_PROBES):
+        cand = neighbor(start, scenario, rng)
         obj = objective(cand, evaluator)
-        if obj < start_obj and obj != -math.inf:
+        if obj < start_obj:
             drops.append(start_obj - obj)
     if not drops:
         return max(1.0, abs(start_obj) * 0.01)
-    return float(np.mean(drops)) / (-math.log(target_acceptance))
+    return float(np.mean(drops)) / (-math.log(TARGET_ACCEPTANCE))
 
 
 def solve_maxrate(scenario: Scenario, config: AnnealConfig | None = None,
@@ -150,16 +149,14 @@ def solve_maxrate(scenario: Scenario, config: AnnealConfig | None = None,
 
     temp = config.initial_temp
     if temp is None:
-        temp = _calibrate_temperature(current, current_obj, scenario, rng, config,
-                                      evaluator)
+        temp = _calibrate_temperature(current, current_obj, scenario, rng, evaluator)
 
     for step in range(config.iterations):
         for move in range(config.moves_per_temp):
-            cand = neighbor(current, scenario, rng, config)
+            cand = neighbor(current, scenario, rng)
             cand_obj = objective(cand, evaluator)
             delta = cand_obj - current_obj
-            accepted = delta >= 0 or (
-                cand_obj != -math.inf and rng.random() < math.exp(delta / temp))
+            accepted = delta >= 0 or rng.random() < math.exp(delta / temp)
             if accepted:
                 current, current_obj = cand, cand_obj
                 if cand_obj > best_obj:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from cellless.channel import ChannelParams, PathlossCoeffs
+from cellless.channel import ChannelParams, LosModel, PathlossCoeffs
 from cellless.exposure import FrequencyMap
 from cellless.scenario import (DEFAULT_PHANTOMS, EndUser, Human, PoA,
                                Position3D, Scenario)
@@ -42,8 +42,8 @@ def make_tiny_scenario(required_rate=50e6, n_beams=2):
         pathloss_nlos=PathlossCoeffs(33.63, 21.9, 20.0),
         shadow_sigma_los_db=3.0, shadow_sigma_nlos_db=3.0,
         rician_k_mean_db=10.0, rician_k_sigma_db=3.0,
-        los_model={"kind": "inf-dh", "clutter_density": 0.2,
-                   "clutter_height": 2.0, "clutter_size_m": 2.0},
+        los_model=LosModel("inf-dh", clutter_density=0.2, clutter_height=2.0,
+                           clutter_size_m=2.0),
     )
     return Scenario(
         kind="InF-DH", bounds=(40.0, 20.0, 8.0),

@@ -14,7 +14,7 @@ import pytest
 
 from cellless.antenna import (ISOTROPIC, THREEGPP_8DBI, PanelGeometry,
                               SteeringDirection, element_gain_db, panel_field)
-from cellless.channel import (ChannelParams, PathlossCoeffs, amplitude_scale,
+from cellless.channel import (ChannelParams, LosModel, PathlossCoeffs, amplitude_scale,
                               link_energy, link_rng, sample_link)
 from cellless.exposure import FrequencyMap, PhantomProfile, sar_wb
 from cellless.harness import ExperimentSpec, run_experiment
@@ -251,7 +251,7 @@ def test_criterion_08_channel_field_numerics():
         ok = ok and abs(got - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
     # b) cluster powers sum to one per realization.
-    params = ChannelParams(los_model={"kind": "umi"})
+    params = ChannelParams(los_model=LosModel("umi"))
     for r in range(100):
         link = sample_link((0, 0, 10), 3.5e9, (40, 9, 1.5), params,
                            link_rng(8, r, 0, 0))
@@ -269,7 +269,7 @@ def test_criterion_08_channel_field_numerics():
     # term stays well below the tolerance instead of sitting on it.
     wide = ChannelParams(azimuth_spread_dep=math.pi / 2,
                          zenith_spread_dep=math.pi / 4,
-                         los_model={"kind": "umi"})
+                         los_model=LosModel("umi"))
     geom = PanelGeometry(16, 32, element_pattern=ISOTROPIC)
     for r in range(20):
         link = sample_link((0, 0, 10), 3.5e9, (40, 9, 1.5), wide,

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cellless.antenna import ISOTROPIC, PanelGeometry, SteeringDirection, panel_field
-from cellless.channel import (ChannelParams, PathlossCoeffs,
+from cellless.channel import (ChannelParams, LosModel, PathlossCoeffs,
                               amplitude_scale, link_energy, link_rng, link_rngs,
                               los_probability, sample_link, unit_link_energy)
 
-PARAMS = ChannelParams(los_model={"kind": "umi"})
+PARAMS = ChannelParams(los_model=LosModel("umi"))
 POA = (0.0, 0.0, 10.0)
 USER = (30.0, 12.0, 1.5)
 
@@ -68,22 +68,21 @@ def test_link_rngs_empty_shapes():
 
 def test_los_probability_monotone_and_bounded():
     d = np.linspace(0.0, 500.0, 200)
-    for kwargs in [
-        dict(scenario_kind="inf-dh", poa_height=7.0, target_height=1.5,
-             clutter_density=0.4, clutter_height=2.0),
-        dict(scenario_kind="umi", poa_height=10.0, target_height=1.5),
-    ]:
-        p = los_probability(d_2d=d, **kwargs)
+    inf = LosModel("inf-dh", clutter_density=0.4, clutter_height=2.0)
+    for model, poa_height in [(inf, 7.0), (LosModel("umi"), 10.0)]:
+        p = los_probability(model, d, poa_height, 1.5)
         assert np.all((0.0 <= p) & (p <= 1.0))
         assert np.all(np.diff(p) <= 1e-12)
     # PoA above the clutter sees farther than one below it.
-    near = los_probability("inf-dh", 50.0, 1.0, 1.5, 0.4, 2.0)
-    high = los_probability("inf-dh", 50.0, 7.0, 1.5, 0.4, 2.0)
+    near = los_probability(inf, 50.0, 1.0, 1.5)
+    high = los_probability(inf, 50.0, 7.0, 1.5)
     assert high > near
     with pytest.raises(ValueError):
-        los_probability("umi", -1.0, 10.0, 1.5)
-    with pytest.raises(ValueError):
-        los_probability("rural", 10.0, 10.0, 1.5)
+        los_probability(LosModel("umi"), -1.0, 10.0, 1.5)
+    # Dispatch is on the exact kind, not a prefix.
+    for kind in ("rural", "information", "InF-DH", "umi-sc"):
+        with pytest.raises(ValueError):
+            los_probability(LosModel(kind), 10.0, 10.0, 1.5)
 
 
 def test_pathloss_strictly_monotone_in_distance():

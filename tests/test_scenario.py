@@ -36,7 +36,7 @@ def test_inf_dh_table_values():
     t = builtin_template("inf-dh-desk")
     assert t.world.bounds == (80.0, 20.0, 8.0)
     los = t.world.channel_params.los_model
-    assert los["clutter_density"] == 0.4 and los["clutter_height"] == 2.0
+    assert los.clutter_density == 0.4 and los.clutter_height == 2.0
     freqs = sorted(p.frequency for p in t.world.poas)
     assert freqs == [3e9, 3e9] + [5e9] * 6
     for p in t.world.poas:
@@ -141,8 +141,8 @@ def _angles_taken_from(got, want):
 def test_saved_scenario_reloads_equal(name, seed, density, height, sar_limit):
     s = generate_placements(builtin_template(name), seed)
     cp = s.channel_params
-    s = replace(s, sar_limit=sar_limit, channel_params=replace(cp, los_model={
-        **cp.los_model, "clutter_density": density, "clutter_height": height}))
+    s = replace(s, sar_limit=sar_limit, channel_params=replace(cp, los_model=replace(
+        cp.los_model, clutter_density=density, clutter_height=height)))
     again = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s))))
     assert _angles_taken_from(again, s) == s
 
@@ -243,6 +243,15 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
      "channel_params.los_model.clutter_density"),
     (lambda d: d["channel_params"]["los_model"].update(clutter_density="dense"),
      "channel_params.los_model.clutter_density"),
+    (lambda d: d["channel_params"]["los_model"].update(
+        clutter_densty=d["channel_params"]["los_model"].pop("clutter_density")),
+     "channel_params.los_model.clutter_densty"),
+    (lambda d: d["channel_params"]["los_model"].update(clutter_height="2"),
+     "channel_params.los_model.clutter_height"),
+    (lambda d: d["channel_params"]["los_model"].update(kind="information"),
+     "channel_params.los_model.kind"),
+    (lambda d: d["channel_params"]["los_model"].update(clutter_size_m=0),
+     "channel_params.los_model.clutter_size_m"),
     (lambda d: d["channel_params"].update(n_ray=3), "channel_params.n_ray"),
     (lambda d: d["channel_params"].update(azimuth_spread_arr=8.0),
      "channel_params.azimuth_spread_arr"),
@@ -279,6 +288,8 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
 ], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
         "maxpow-minus-inf", "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
         "clutter-density-one", "clutter-density-negative", "clutter-density-not-number",
+        "los-key-misspelled", "clutter-height-not-number", "los-kind-prefix-only",
+        "clutter-size-zero",
         "channel-key-misspelled", "channel-key-unknown", "channel-params-not-object",
         "los-model-not-object", "limits-not-object", "frequency-map-not-object",
         "poas-not-list", "users-not-list", "humans-not-list", "phantoms-not-list",

@@ -300,17 +300,17 @@ def test_descent_matches_metrics_reference(monkeypatch, world, channel_seed, rea
         geometry, cfg, Evaluator(scenario, cfg.seed, cfg.realizations_per_check))
 
     full, trials = [], []
-    violated, unmet_floors = Evaluator.violated, Evaluator.unmet_floors
+    metrics, unmet_floors = Evaluator.metrics, Evaluator.unmet_floors
 
-    def counted_full(self, stack, tx_power):
-        full.append(dict(tx_power))
-        return violated(self, stack, tx_power)
+    def counted_full(self, solution):
+        full.append(dict(solution.tx_power))
+        return metrics(self, solution)
 
     def counted_trial(self, stack, tx_power, user_ids):
         trials.append(dict(tx_power))
         return unmet_floors(self, stack, tx_power, user_ids)
 
-    monkeypatch.setattr(Evaluator, "violated", counted_full)
+    monkeypatch.setattr(Evaluator, "metrics", counted_full)
     monkeypatch.setattr(Evaluator, "unmet_floors", counted_trial)
     got = reduce_powers(geometry, Evaluator(scenario, cfg.seed, cfg.realizations_per_check),
                         cfg)
@@ -354,12 +354,12 @@ def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
     breaks no floor or ceiling outside that PoA's users, and their floors
     read from the stack cut to their columns give the full verdict."""
     evaluator, solution = world
-    stack = evaluator.stack(solution)
-    assert evaluator.violated(stack, solution.tx_power) == []
+    stack = evaluator.stack(solution, humans=False)
+    assert evaluator.metrics(solution).violated == []
     pid = data.draw(st.sampled_from(solution.active_poas()))
     lowered = solution.with_power(pid, solution.tx_power[pid] - data.draw(st.floats(0.0, 40.0)))
     own = sorted(uid for uid, row in stack.beam_of_user.items() if stack.poa_ids[row] == pid)
-    after = evaluator.violated(stack, lowered.tx_power)
+    after = evaluator.metrics(lowered).violated
     assert set(after) <= {f"rate:{uid}" for uid in own}
     assert evaluator.unmet_floors(stack.for_users(own), lowered.tx_power, own) == sorted(after)
 

@@ -1,16 +1,22 @@
 """MaxRate simulated annealing: moves, objective, and determinism."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cellless.radio_metrics import Evaluator
+from cellless.radio_metrics import Evaluator, UnservedUserError
+from cellless.scenario import EndUser, Position3D
 from cellless.solution import validate
 from cellless.solver_ctm import CtmConfig, build_geometry
 from cellless.solver_maxrate import (AnnealConfig, move_power, move_reassign,
                                      move_steering, move_width, neighbor,
                                      objective, solve_maxrate)
+
+from conftest import make_poa, make_tiny_scenario
 
 
 @pytest.fixture(scope="module")
@@ -30,16 +36,41 @@ def test_objective_is_min_mean_rate(tiny_scenario, start, ev):
 
 
 def test_objective_minus_inf_when_unserved(tiny_scenario, start, ev):
-    from dataclasses import replace
+    """An unserved user has no rate to score: the objective raises, as
+    every rate view does, instead of returning -inf."""
     beams = tuple(replace(b, served_users=frozenset()) for b in start.beams)
-    assert objective(replace(start, beams=beams), ev) == -math.inf
+    with pytest.raises(UnservedUserError):
+        objective(replace(start, beams=beams), ev)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_neighbor_chains_serve_each_user_exactly_once(data):
+    """Why the objective needs no unserved case: on random small worlds,
+    ``build_geometry`` serves each user with exactly one beam, and so does
+    every state a chain of ``neighbor`` moves reaches from it."""
+    poas = tuple(make_poa(f"p{i}", data.draw(st.floats(1.0, 39.0)),
+                          data.draw(st.floats(1.0, 19.0)), n_beams=data.draw(st.integers(1, 3)),
+                          rows=4, cols=4)
+                 for i in range(data.draw(st.integers(1, 3))))
+    spot = st.builds(Position3D, st.floats(0.0, 40.0), st.floats(0.0, 20.0), st.just(1.5))
+    users = tuple(EndUser(f"u{i}", data.draw(spot), 1e6)
+                  for i in range(data.draw(st.integers(0, 7))))
+    scenario = replace(make_tiny_scenario(), poas=poas, users=users, humans=())
+    sol = build_geometry(scenario, CtmConfig(seed=data.draw(st.integers(0, 3))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    want = Counter(u.id for u in users)
+    for _ in range(data.draw(st.integers(0, 80))):
+        assert Counter(uid for b in sol.beams for uid in b.served_users) == want
+        sol = neighbor(sol, scenario, rng)
+    assert Counter(uid for b in sol.beams for uid in b.served_users) == want
 
 
 def test_moves_preserve_legality(tiny_scenario, start):
     rng = np.random.default_rng(1)
     sol = start
     for _ in range(200):
-        sol = neighbor(sol, tiny_scenario, rng, AnnealConfig(seed=0))
+        sol = neighbor(sol, tiny_scenario, rng)
         assert validate(sol, tiny_scenario) == []
 
 
