@@ -30,6 +30,8 @@ def _parse_seeds(text):
 
 
 def _build_parser():
+    """The top-level parser and its ``run`` subparser, which reports bad
+    run flags."""
     parser = argparse.ArgumentParser(
         prog="cellless",
         description="Minimum-power configuration of cell-less radio networks.")
@@ -64,11 +66,11 @@ def _build_parser():
 
     val = sub.add_parser("validate", help="check a scenario file")
     val.add_argument("--scenario", required=True)
-    return parser
+    return parser, run
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, run_parser = _build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "validate":
@@ -108,7 +110,7 @@ def main(argv=None):
             dump_links=args.dump_links,
         )
     except ValueError as e:
-        parser.error(str(e))
+        run_parser.error(str(e))
     try:
         records = run_experiment(spec)
     except ScenarioError as e:

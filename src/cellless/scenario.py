@@ -352,8 +352,11 @@ def _validate(s: Scenario):
                               f"must be positive and finite, got {lm.clutter_size_m!r}")
     if s.sar_limit <= 0:
         raise ValidationError("limits.sar_wkg", "must be positive")
-    if len(s.bounds) < 2 or s.bounds[0] <= 0 or s.bounds[1] <= 0:
-        raise ValidationError("bounds_m", "length and width must be positive")
+    if len(s.bounds) < 2:
+        raise ValidationError("bounds_m", "needs a length and a width")
+    for i in (0, 1):
+        if not 0.0 < s.bounds[i] < math.inf:
+            raise ValidationError(f"bounds_m[{i}]", "must be positive and finite")
     ids, beam_ids = set(), set()
     for i, p in enumerate(s.poas):
         path = f"poas[{i}]"
@@ -421,8 +424,10 @@ def _validate(s: Scenario):
 
 
 def _check_position(pos: Position3D, s: Scenario, path: str):
-    if pos.z < 0:
-        raise ValidationError(f"{path}.z", "height must be non-negative")
+    """Finite coordinates inside the bounding box; with finite bounds the
+    (x, y) range test also refuses NaN and infinite x and y."""
+    if not 0.0 <= pos.z < math.inf:
+        raise ValidationError(f"{path}.z", "height must be non-negative and finite")
     if not (0.0 <= pos.x <= s.bounds[0]) or not (0.0 <= pos.y <= s.bounds[1]):
         raise ValidationError(path, "(x, y) outside the scenario bounding box")
 

@@ -1,5 +1,10 @@
 """Cluster-then-Match: k-means clustering, Hungarian beam matching, and
-delta-stepped power descent with bisection refinement."""
+delta-stepped power descent with bisection refinement.
+
+The matching is solved by ``_assign``, Crouse's shortest augmenting path
+method transcribed from scipy's ``linear_sum_assignment``; the package
+does not import scipy.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .radio_metrics import Evaluator, MetricsBundle
 from .scenario import Scenario
@@ -135,6 +139,69 @@ def cluster_users(users, k: int, config: CtmConfig) -> Clustering:
 # ---------------------------------------------------------------------------
 # Step 2: matching
 
+def _assign(cost):
+    """Minimum-cost perfect matching on a square matrix of finite costs:
+    the column matched to each row.
+
+    Crouse's shortest augmenting path method (D. F. Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 2016),
+    transcribed from scipy's ``rectangular_lsap.cpp`` so that it returns
+    the same matching as ``scipy.optimize.linear_sum_assignment``, ties
+    included: the columns left to scan start in reverse order and lose
+    their picked entry by swap-remove, path costs fall only on a strict
+    ``<``, the cheapest pick prefers an unmatched column on equal cost,
+    and every sum is taken in scipy's order. Equal-cost beams of one PoA
+    and empty clusters make such ties the rule, and they decide which beam
+    serves which users.
+    """
+    cost = np.asarray(cost, dtype=float)
+    n = cost.shape[0]
+    u, v = np.zeros(n), np.zeros(n)
+    path = np.full(n, -1)
+    col4row, row4col = np.full(n, -1), np.full(n, -1)
+    for cur_row in range(n):
+        # Shortest augmenting path from cur_row to an unmatched column.
+        shortest = np.full(n, math.inf)
+        remaining = np.arange(n - 1, -1, -1)
+        rows_seen, cols_seen = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        min_val, i = 0.0, cur_row
+        while True:
+            rows_seen[i] = True
+            r = min_val + cost[i, remaining] - u[i] - v[remaining]
+            lower = r < shortest[remaining]
+            path[remaining[lower]] = i
+            shortest[remaining[lower]] = r[lower]
+            scanned = shortest[remaining]
+            lowest = scanned.min()
+            # scipy's scan keeps the first lowest entry, then moves on to
+            # each later tied entry whose column is unmatched.
+            tied = np.flatnonzero(scanned == lowest)
+            free = tied[row4col[remaining[tied]] == -1]
+            index = free[-1] if free.size else tied[0]
+            min_val = lowest
+            j = remaining[index]
+            cols_seen[j] = True
+            if row4col[j] == -1:
+                break                     # j is the sink: an unmatched column
+            i = row4col[j]
+            remaining[index] = remaining[-1]
+            remaining = remaining[:-1]
+
+        # Dual update, then flip the matched and unmatched edges of the
+        # path from the sink back to cur_row.
+        u[cur_row] += min_val
+        rows_seen[cur_row] = False
+        u[rows_seen] += min_val - shortest[col4row[rows_seen]]
+        v[cols_seen] -= min_val - shortest[cols_seen]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
+
+
 def match_clusters(clustering: Clustering, beams, scenario: Scenario,
                    user_height: float | None = None) -> dict:
     """Optimal one-to-one beam-to-cluster assignment (Hungarian).
@@ -157,8 +224,7 @@ def match_clusters(clustering: Clustering, beams, scenario: Scenario,
             cost[ci, bi] = math.sqrt(
                 (centroid[0] - p.x) ** 2 + (centroid[1] - p.y) ** 2
                 + (user_height - p.z) ** 2)
-    rows, cols = linear_sum_assignment(cost)
-    return {beams[bi]: int(ci) for ci, bi in zip(rows, cols)}
+    return {beams[bi]: ci for ci, bi in enumerate(_assign(cost).tolist())}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -281,7 +284,8 @@ def test_cli_bad_seeds_and_run_sizes_exit_2(args, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--scenario", "inf-dh-desk", "--out", str(tmp_path / "out"), *args])
     assert exc.value.code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage: cellless run" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -303,6 +307,34 @@ def test_spec_validation(tmp_path):
 
 
 # -- CLI ------------------------------------------------------------------------
+
+def _fresh_python(code, *args):
+    """``python -c code args`` in a new interpreter that imports the
+    package from this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _fresh_python(
+        "import sys, cellless.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_ctm_run_with_scipy_blocked(tmp_path):
+    proc = _fresh_python(
+        "import sys; sys.modules['scipy'] = None; "
+        "from cellless.cli import main; sys.exit(main(sys.argv[1:]))",
+        "run", "--scenario", "inf-dh-desk", "--solver", "ctm", "--seeds", "1",
+        "--realizations", "2", "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert "seed 1 ctm: total power" in proc.stdout
+
 
 def test_cli_validate_ok_and_bad(tmp_path, capsys):
     scenario = builtin_scenario("inf-dh-desk", 0)

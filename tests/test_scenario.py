@@ -224,6 +224,15 @@ def _drop_first_poa_reference_sar(d):
     del d["phantoms"][0]["sar_ref"][str(ref)]
 
 
+def _nan_first_user_height(d):
+    """As a saved world with ``"z": NaN`` typed into a user and its linked
+    human; JSON parsers accept the NaN literal."""
+    d["users"][0]["position_m"]["z"] = math.nan
+    for h in d["humans"]:
+        if h.get("linked_user") == d["users"][0]["id"]:
+            h["position_m"]["z"] = math.nan
+
+
 _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d["poas"][1].update(bandwidth_hz=0.0), "poas[1].bandwidth_hz"),
     (lambda d: d["poas"][1].update(bandwidth_hz=-20e6), "poas[1].bandwidth_hz"),
@@ -232,6 +241,9 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d["poas"][2].update(max_tx_power_dbm=math.nan), "poas[2].max_tx_power_dbm"),
     (lambda d: d["poas"][2].update(max_tx_power_dbm=math.inf), "poas[2].max_tx_power_dbm"),
     (lambda d: d["poas"][2].update(max_tx_power_dbm=-math.inf), "poas[2].max_tx_power_dbm"),
+    (_nan_first_user_height, "users[0].position_m.z"),
+    (lambda d: d["poas"][3]["position_m"].update(z=math.inf), "poas[3].position_m.z"),
+    (lambda d: d["bounds_m"].__setitem__(0, math.inf), "bounds_m[0]"),
     (_drop_first_poa_reference_sar, "phantoms[0].sar_ref"),
     (lambda d: d["channel_params"]["los_model"].update(kind="rural"),
      "channel_params.los_model.kind"),
@@ -286,7 +298,8 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d["humans"][0].update(phantom_id=3), "humans[0].phantom_id"),
     (lambda d: d["humans"][1].update(linked_user=1), "humans[1].linked_user"),
 ], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
-        "maxpow-minus-inf", "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
+        "maxpow-minus-inf", "user-z-nan", "poa-z-inf", "bounds-length-inf",
+        "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
         "clutter-density-one", "clutter-density-negative", "clutter-density-not-number",
         "los-key-misspelled", "clutter-height-not-number", "los-kind-prefix-only",
         "clutter-size-zero",

@@ -8,12 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from cellless.exposure import FrequencyMap
 from cellless.radio_metrics import Evaluator
 from cellless.scenario import EndUser, Human, Position3D, builtin_scenario
 from cellless.solution import validate
-from cellless.solver_ctm import (CtmConfig,
+from cellless.solver_ctm import (CtmConfig, _assign,
                                  NoFeasibleSolutionError, beam_width,
                                  build_geometry, cluster_users, covering_arc,
                                  match_clusters, reduce_powers, solve_ctm,
@@ -117,6 +118,40 @@ def test_match_is_distance_optimal(tiny_scenario):
     best, _ = brute_force_assignment(cost)
     got = sum(cost[ci, beams.index(b)] for b, ci in assignment.items())
     assert got == pytest.approx(best, rel=1e-12)
+
+
+@st.composite
+def square_costs(draw):
+    """Square cost matrices up to 12 x 12 with the ties the beam matching
+    meets: all-zero rows (empty clusters) and repeated columns (the beams
+    of one PoA), over floats or small integers."""
+    n = draw(st.integers(0, 12))
+    entry = draw(st.sampled_from([
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        st.integers(0, 3)]))
+    cost = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n)),
+                    dtype=float).reshape(n, n)
+    zero_rows = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cost[np.array(zero_rows, dtype=bool)] = 0.0
+    if n and draw(st.booleans()):
+        cost = cost[:, draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    return cost
+
+
+@settings(deadline=None, max_examples=400)
+@given(cost=square_costs())
+def test_assign_equals_scipy_linear_sum_assignment(cost):
+    """The same matching as scipy, ties included: on desk worlds the tie
+    order decides which beam serves which users."""
+    rows, cols = linear_sum_assignment(cost)
+    assert np.array_equal(rows, np.arange(len(cost)))
+    assert _assign(cost).tolist() == cols.tolist()
+
+
+def test_assign_edge_sizes():
+    assert _assign(np.zeros((0, 0))).tolist() == []
+    assert _assign(np.array([[-2.5]])).tolist() == [0]
+    assert _assign(np.zeros((5, 5))).tolist() == [0, 1, 2, 3, 4]
 
 
 def test_match_requires_square_problem(tiny_scenario):
