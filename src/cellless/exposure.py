@@ -38,9 +38,11 @@ class PhantomProfile:
     e_ref: float = 2.45
 
     def __post_init__(self):
-        if self.bmi <= 0 or self.bmi_ref <= 0:
+        if not (self.bmi > 0 and self.bmi_ref > 0):
             raise ValueError("BMI values must be positive")
-        if not self.sar_ref or any(v <= 0 for v in self.sar_ref.values()):
+        if not self.e_ref > 0:
+            raise ValueError(f"e_ref must be positive, got {self.e_ref!r}")
+        if not self.sar_ref or any(not v > 0 for v in self.sar_ref.values()):
             raise ValueError("sar_ref must be non-empty with positive values")
 
 

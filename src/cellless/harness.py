@@ -12,8 +12,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .channel import dbm_to_watts
 from .radio_metrics import Evaluator, MetricsBundle
 from .scenario import (Scenario, builtin_template, BUILTIN_TEMPLATES,
@@ -213,9 +211,8 @@ def write_aggregate(records, path):
         for values in ([b.total_power for b in ok],
                        [b.min_rate for b in ok if b.per_user_rate],
                        [b.max_sar for b in ok]):
-            stats += [repr(float(np.median(values))),
-                      repr(float(np.percentile(values, 10))),
-                      repr(float(np.percentile(values, 90)))] if values else [""] * 3
+            stats += [repr(_median(values)), repr(_percentile(values, 10)),
+                      repr(_percentile(values, 90))] if values else [""] * 3
         rows.append([solver, len(ok)] + stats)
     _write_csv(path, ["solver", "n_runs",
                       "total_power_w_median", "total_power_w_p10", "total_power_w_p90",
@@ -223,11 +220,45 @@ def write_aggregate(records, path):
                       "max_sar_wkg_median", "max_sar_wkg_p10", "max_sar_wkg_p90"], rows)
 
 
+# ``np.median`` and ``np.percentile`` (linear interpolation) of a non-empty
+# list of floats, with numpy's float operations, so aggregate.csv keeps its
+# bytes; numpy's versions import ``numpy.ma`` on their first call.
+
+def _median(values):
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    values, mid = sorted(values), len(values) // 2
+    return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
+
+
+def _percentile(values, q):
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    values, last = sorted(values), len(values) - 1
+    virtual = last * (q / 100)
+    below = math.floor(virtual)
+    a, b = values[below], values[min(below + 1, last)]
+    t = virtual - below
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
+# The summary.json keys that plotting reads.
+_SUMMARY_KEYS = ("scenario", "seed", "solver", "per_poa_power_dbm", "total_power_w")
+
+
 def load_run_metrics(run_dir):
-    """Re-parse one run directory into (summary dict, metrics rows)."""
+    """Re-parse one run directory into (summary dict, metrics rows). A
+    summary.json without a key that plotting reads, or with a seed that is
+    not an integer, raises ``ValueError`` naming the file and the key."""
     run_dir = Path(run_dir)
     with open(run_dir / "summary.json") as f:
         summary = json.load(f)
+    for key in _SUMMARY_KEYS:
+        if key not in summary:
+            raise ValueError(f"{run_dir / 'summary.json'}: missing key {key!r}")
+    if type(summary["seed"]) is not int:
+        raise ValueError(f"{run_dir / 'summary.json'}: seed must be an integer, "
+                         f"got {summary['seed']!r}")
     with open(run_dir / "metrics.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     return summary, rows

@@ -317,9 +317,10 @@ class Evaluator:
         return sar.mean(axis=-1)
 
     def _short(self, user_ids, rates):
-        """``rate:<user>`` for each user whose mean rate is below its floor."""
+        """``rate:<user>`` for each user whose mean rate does not reach its
+        floor; a NaN rate or floor fails."""
         return [f"rate:{uid}" for uid, rate in zip(user_ids, rates.tolist())
-                if rate < self._rate_floor[uid]]
+                if not rate >= self._rate_floor[uid]]
 
     def unmet_floors(self, stack, tx_power, user_ids) -> list:
         """The rate floors (``rate:<user>``) of ``user_ids`` that the beams
@@ -363,9 +364,9 @@ class Evaluator:
                 p.id: solution.tx_power.get(p.id, -math.inf) if p.id in active else -math.inf
                 for p in scenario.poas},
             total_power=solution.total_power_watts(),
-            violated=self._short(self._user_ids, rates) + [
-                f"sar:{hid}" for hid, over in
-                zip(self._human_ids, (sar > scenario.sar_limit).tolist()) if over],
+            violated=self._short(self._user_ids, rates) + [   # a NaN SAR or limit fails
+                f"sar:{hid}" for hid, within in
+                zip(self._human_ids, (sar <= scenario.sar_limit).tolist()) if not within],
         )
 
     def dump_links(self, solution: SolutionState) -> list:

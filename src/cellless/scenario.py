@@ -4,9 +4,9 @@ Scenario files are JSON with a ``schema_version`` field. Units in files:
 meters, Hz, dBm, bit/s, and degrees for angles; internally angles are
 radians. Saving and loading share one key table per kind of record. Load
 rejects an unknown key, or a missing or unreadable value, naming its path
-(``poas[3].frequency_hz``); a missing optional key takes the dataclass
-default. A Scenario is immutable after load and safe to share across
-concurrent evaluations.
+(``poas[3].frequency_hz``); every number must be a finite JSON number, and
+a missing optional key takes the dataclass default. A Scenario is immutable
+after load and safe to share across concurrent evaluations.
 """
 
 from __future__ import annotations
@@ -377,8 +377,9 @@ def _validate(s: Scenario):
             raise ValidationError(f"{path}.max_tx_power_dbm", "must be finite")
         if not (0.0 < p.min_beam_width <= math.pi):
             raise ValidationError(f"{path}.min_beam_width_deg", "must be in (0, 180]")
-        if p.panel_rows < 1 or p.panel_cols < 1:
-            raise ValidationError(f"{path}.panel", "panel dimensions must be >= 1")
+        for key in ("panel_rows", "panel_cols"):
+            if getattr(p, key) < 1:
+                raise ValidationError(f"{path}.{key}", "must be >= 1")
         if p.element_pattern not in ELEMENT_PATTERNS:
             raise ValidationError(f"{path}.element_pattern", f"unknown {p.element_pattern!r}")
         _check_position(p.position, s, f"{path}.position_m")
@@ -435,6 +436,7 @@ def _check_position(pos: Position3D, s: Scenario, path: str):
 # ---------------------------------------------------------------------------
 # Serialization: one table per kind of file record, file key -> (dataclass
 # field, parse, dump). A dotted key (``limits.sar_wkg``) is nested in the file.
+# Every number is parsed by ``_real`` and written as held; ``solution.py`` too.
 
 def _same(value):
     return value
@@ -453,9 +455,9 @@ def _text(value):
 
 
 def _real(value):
-    """A JSON number as a ``float``; a boolean or a string is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"must be a number, got {value!r}")
+    """A finite JSON number as a ``float``: no boolean, string, NaN or Infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError(f"must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -466,16 +468,18 @@ def _integer(value):
     return int(value)
 
 
-def _optional(parse):
-    return lambda value: None if value is None else parse(value)
+def _optional(parse, null=None):
+    return lambda value: null if value is None else parse(value)
 
 
 def _radians(deg):
-    return math.radians(float(deg))
+    return math.radians(_real(deg))
 
 
-def _float_map(value):
-    return {float(k): float(v) for k, v in _object(value).items()}
+def _map_of(parse_key, parse_value):
+    """An object read key by key; a failure is reported at its key."""
+    return lambda value: {_parse_at(k, parse_key, k): _parse_at(k, parse_value, v)
+                          for k, v in _object(value).items()}
 
 
 def _str_keys(mapping):
@@ -555,17 +559,18 @@ def _channel_params(data):
     return _record(ChannelParams, _CHANNEL_KEYS, data)
 
 
-_POSITION_KEYS = {axis: (axis, float, _same) for axis in "xyz"}
+_POSITION_KEYS = {axis: (axis, _real, _same) for axis in "xyz"}
 _POSITION = ("position", lambda data: _record(Position3D, _POSITION_KEYS, data),
              lambda pos: _dump(pos, _POSITION_KEYS))
 _ID = ("id", _text, _same)
+_float_map = _map_of(lambda key: _real(float(key)), _real)   # keys: JSON strings
 
 _POA_KEYS = {
     "id": _ID,
     "position_m": _POSITION,
-    "frequency_hz": ("frequency", float, _same),
-    "bandwidth_hz": ("bandwidth", float, _same),
-    "max_tx_power_dbm": ("max_tx_power_dbm", float, _same),
+    "frequency_hz": ("frequency", _real, _same),
+    "bandwidth_hz": ("bandwidth", _real, _same),
+    "max_tx_power_dbm": ("max_tx_power_dbm", _real, _same),
     "min_beam_width_deg": ("min_beam_width", _radians, math.degrees),
     "panel_rows": ("panel_rows", _integer, _same),
     "panel_cols": ("panel_cols", _integer, _same),
@@ -574,34 +579,34 @@ _POA_KEYS = {
     "element_pattern": ("element_pattern", _text, _same),
 }
 _USER_KEYS = {"id": _ID, "position_m": _POSITION,
-              "required_rate_bps": ("required_rate", float, _same)}
+              "required_rate_bps": ("required_rate", _real, _same)}
 _HUMAN_KEYS = {"id": _ID, "position_m": _POSITION,
                "phantom_id": ("phantom_id", _text, _same),
                "linked_user": ("linked_user", _optional(_text), _same)}
 _PHANTOM_KEYS = {
     "name": ("name", _text, _same),
-    "bmi": ("bmi", float, _same),
-    "bmi_ref": ("bmi_ref", float, _same),
-    "e_ref_vpm": ("e_ref", float, _same),
+    "bmi": ("bmi", _real, _same),
+    "bmi_ref": ("bmi_ref", _real, _same),
+    "e_ref_vpm": ("e_ref", _real, _same),
     "sar_ref": ("sar_ref", _float_map, _str_keys),
 }
 _LOS_KEYS = {
     "kind": ("kind", _text, _same),
-    "clutter_density": ("clutter_density", _real, float),
-    "clutter_height": ("clutter_height", _real, float),
-    "clutter_size_m": ("clutter_size_m", _real, float),
+    "clutter_density": ("clutter_density", _real, _same),
+    "clutter_height": ("clutter_height", _real, _same),
+    "clutter_size_m": ("clutter_size_m", _real, _same),
 }
-_PATHLOSS = (lambda value: PathlossCoeffs(*_list_of(float)(value)), lambda c: [c.a, c.b, c.c])
+_PATHLOSS = (lambda value: PathlossCoeffs(*_list_of(_real)(value)), lambda c: [c.a, c.b, c.c])
 _CHANNEL_KEYS = {
-    "n_clusters": ("n_clusters", _integer, int),
-    "n_rays": ("n_rays", _integer, int),
-    "delay_spread_s": ("delay_spread", float, float),
+    "n_clusters": ("n_clusters", _integer, _same),
+    "n_rays": ("n_rays", _integer, _same),
+    "delay_spread_s": ("delay_spread", _real, _same),
     "azimuth_spread_dep_deg": ("azimuth_spread_dep", _radians, math.degrees),
     "zenith_spread_dep_deg": ("zenith_spread_dep", _radians, math.degrees),
-    "shadow_sigma_los_db": ("shadow_sigma_los_db", float, float),
-    "shadow_sigma_nlos_db": ("shadow_sigma_nlos_db", float, float),
-    "rician_k_mean_db": ("rician_k_mean_db", float, float),
-    "rician_k_sigma_db": ("rician_k_sigma_db", float, float),
+    "shadow_sigma_los_db": ("shadow_sigma_los_db", _real, _same),
+    "shadow_sigma_nlos_db": ("shadow_sigma_nlos_db", _real, _same),
+    "rician_k_mean_db": ("rician_k_mean_db", _real, _same),
+    "rician_k_sigma_db": ("rician_k_sigma_db", _real, _same),
     "pathloss_los": ("pathloss_los", *_PATHLOSS),
     "pathloss_nlos": ("pathloss_nlos", *_PATHLOSS),
     "los_model": ("los_model", lambda data: _record(LosModel, _LOS_KEYS, data),
@@ -613,9 +618,9 @@ _parse_phantoms, _dump_phantoms = _records(PhantomProfile, _PHANTOM_KEYS)
 _SCENARIO_KEYS = {
     "name": ("name", _text, _same),
     "kind": ("kind", _text, _same),
-    "bounds_m": ("bounds", _list_of(float), list),
-    "limits.sar_wkg": ("sar_limit", float, _same),
-    "limits.min_poa_user_distance_m": ("min_poa_user_distance", float, _same),
+    "bounds_m": ("bounds", _list_of(_real), list),
+    "limits.sar_wkg": ("sar_limit", _real, _same),
+    "limits.min_poa_user_distance_m": ("min_poa_user_distance", _real, _same),
     "poas": ("poas", _list_of(_parse_poa), lambda poas: [_dump(p, _POA_KEYS) for p in poas]),
     "users": ("users", *_records(EndUser, _USER_KEYS)),
     "humans": ("humans", *_records(Human, _HUMAN_KEYS)),
@@ -634,7 +639,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     data = dict(data)
-    version = data.pop("schema_version", None)
+    version = _parse_at("schema_version", _optional(_integer), data.pop("schema_version", None))
     if version != SCHEMA_VERSION:
         raise ParseError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     # Older files repeat the LoS clutter in a top-level block; it must agree

@@ -1,4 +1,4 @@
-"""The decision vector: beam configs, per-PoA power, and legality checks."""
+"""The decision vector: beam configs, per-PoA power, legality checks and files."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .channel import dbm_to_watts
-from .scenario import Scenario
+from .scenario import (Scenario, _dump, _list_of, _map_of, _object, _optional, _parse_at,
+                       _radians, _real, _record, _same, _text)
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,9 @@ def validate(solution: SolutionState, scenario: Scenario):
             elif uid in seen_users:
                 violations.append(Violation(
                     "multi_served_user", uid,
-                    f"served by both {seen_users[uid]} and {b.beam_id}"))
+                    f"served by both {seen_users[uid].beam_id} and {b.beam_id}"))
             else:
-                seen_users[uid] = b.beam_id
+                seen_users[uid] = b
 
     for uid in sorted(user_ids - seen_users.keys()):
         violations.append(Violation("unserved_user", uid, "no beam serves this user"))
@@ -133,10 +134,7 @@ def validate(solution: SolutionState, scenario: Scenario):
                 "power_above_max", pid, f"{dbm:.3f} dBm exceeds maximum {limit:.3f} dBm"))
 
     if scenario.min_poa_user_distance > 0:
-        for uid, beam_id in seen_users.items():
-            b = next(x for x in solution.beams if x.beam_id == beam_id)
-            if b.owner_poa not in poa_ids or uid not in user_ids:
-                continue
+        for uid, b in seen_users.items():   # known users served by known PoAs
             p = scenario.poa_by_id(b.owner_poa)
             u = scenario.user_by_id(uid)
             d2d = math.hypot(u.position.x - p.position.x, u.position.y - p.position.y)
@@ -149,52 +147,46 @@ def validate(solution: SolutionState, scenario: Scenario):
     return violations
 
 
+# solution.json, read and written by the record layer of ``scenario``.
+_BEAM_KEYS = {
+    "beam_id": ("beam_id", _text, _same),
+    "owner_poa": ("owner_poa", _text, _same),
+    "azimuth_rad": ("azimuth", _real, _same),
+    "zenith_rad": ("zenith", _real, _same),
+    "width_rad": ("width", _real, _same),
+    "served_users": ("served_users", lambda value: frozenset(_list_of(_text)(value)), sorted),
+}
+# Files written before radians were stored give each angle in degrees only.
+_DEGREE_KEYS = {f"{name}_deg": f"{name}_rad" for name in ("azimuth", "zenith", "width")}
+
+
+def _parse_beam(data):
+    data = _object(data)
+    for deg, rad in _DEGREE_KEYS.items():
+        if deg in data and rad not in data:
+            data[rad] = _parse_at(deg, _radians, data.pop(deg))
+    return _record(BeamConfig, _BEAM_KEYS, data)
+
+
+_SOLUTION_KEYS = {
+    "beams": ("beams", _list_of(_parse_beam), lambda beams: [_dump(b, _BEAM_KEYS) for b in beams]),
+    # A switched-off PoA (-inf dBm) is stored as null.
+    "tx_power_dbm": ("tx_power", _map_of(_text, _optional(_real, -math.inf)),
+                     lambda power: {pid: None if dbm == -math.inf else dbm
+                                    for pid, dbm in sorted(power.items())}),
+}
+
+
 def solution_to_dict(solution: SolutionState) -> dict:
     """JSON-ready form. Angles are written in radians, the unit they are
     held in, so a reloaded solution equals the saved one bit for bit."""
-    return {
-        "beams": [
-            {
-                "beam_id": b.beam_id,
-                "owner_poa": b.owner_poa,
-                "azimuth_rad": b.azimuth,
-                "zenith_rad": b.zenith,
-                "width_rad": b.width,
-                "served_users": sorted(b.served_users),
-            }
-            for b in solution.beams
-        ],
-        "tx_power_dbm": {
-            pid: (None if dbm == -math.inf else dbm)
-            for pid, dbm in sorted(solution.tx_power.items())
-        },
-    }
-
-
-def _angle(beam: dict, name: str) -> float:
-    """An angle in radians; files written before radians were stored give
-    it in degrees only."""
-    if f"{name}_rad" in beam:
-        return float(beam[f"{name}_rad"])
-    return math.radians(beam[f"{name}_deg"])
+    return _dump(solution, _SOLUTION_KEYS)
 
 
 def solution_from_dict(data: dict) -> SolutionState:
-    beams = tuple(
-        BeamConfig(
-            beam_id=b["beam_id"], owner_poa=b["owner_poa"],
-            azimuth=_angle(b, "azimuth"),
-            zenith=_angle(b, "zenith"),
-            width=_angle(b, "width"),
-            served_users=frozenset(b["served_users"]),
-        )
-        for b in data["beams"]
-    )
-    power = {
-        pid: (-math.inf if dbm is None else float(dbm))
-        for pid, dbm in data["tx_power_dbm"].items()
-    }
-    return SolutionState(beams=beams, tx_power=power)
+    """A solution from its file record; an unknown key, or a missing or
+    unreadable value, raises ``ValidationError`` at ``beams[0].width_rad``."""
+    return _record(SolutionState, _SOLUTION_KEYS, data)
 
 
 def save_solution(solution: SolutionState, path: str):

@@ -9,8 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 04_solver_comparison.py takes about half a minute and is left out.
-DEMOS = ["01_antenna_patterns.py", "02_channel_statistics.py", "03_ctm_walkthrough.py"]
+DEMOS = ["01_antenna_patterns.py", "02_channel_statistics.py", "03_ctm_walkthrough.py",
+         "04_solver_comparison.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -2,17 +2,20 @@
 
 import csv
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellless.cli import main
-from cellless.harness import (PLOT_KINDS, ExperimentSpec, emit_plot_data,
-                              load_run_metrics, plot_data_from_dir,
+from cellless.harness import (PLOT_KINDS, ExperimentSpec, _median, _percentile,
+                              emit_plot_data, load_run_metrics, plot_data_from_dir,
                               run_experiment)
 from cellless.radio_metrics import Evaluator
 from cellless.scenario import builtin_scenario, save_scenario, scenario_to_dict
@@ -79,6 +82,19 @@ def test_aggregate_matches_recomputation(run_out):
         assert abs(float(rows[solver]["total_power_w_median"])
                    - float(np.median(powers))) <= 1e-12
         assert int(rows[solver]["n_runs"]) == 2
+
+
+@settings(deadline=None, max_examples=300)
+@given(values=st.lists(st.floats(), min_size=1, max_size=20))
+def test_aggregate_statistics_equal_numpy(values):
+    """aggregate.csv's median and 10th/90th percentiles are numpy's, value
+    for value: NaN where numpy gives NaN. Only the sign of a zero may
+    differ, since numpy's partition does not keep equal values in order."""
+    with np.errstate(all="ignore"):
+        want = (np.median(values), np.percentile(values, 10), np.percentile(values, 90))
+    got = (_median(values), _percentile(values, 10), _percentile(values, 90))
+    for g, w in zip(got, want):
+        assert (math.isnan(g) and math.isnan(w)) or g == w, (g, w)
 
 
 def test_paired_runs_share_the_scenario(run_out):
@@ -334,6 +350,39 @@ def test_cli_ctm_run_with_scipy_blocked(tmp_path):
         "--realizations", "2", "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert "seed 1 ctm: total power" in proc.stdout
+
+
+def test_ctm_run_with_out_dir_imports_no_numpy_ma(tmp_path):
+    """Writing aggregate.csv does not pull in ``numpy.ma``, as numpy's
+    median and percentile do on their first call."""
+    proc = _fresh_python(
+        "import sys; from cellless.harness import ExperimentSpec, run_experiment; "
+        "run_experiment(ExperimentSpec('inf-dh-desk', solver='ctm', seeds=(1,), "
+        "n_realizations=2, out_dir=sys.argv[1])); print('numpy.ma' in sys.modules)",
+        str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "aggregate.csv").exists()
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda s: s.pop("seed"), "'seed'"),
+    (lambda s: s.pop("per_poa_power_dbm"), "'per_poa_power_dbm'"),
+    (lambda s: s.update(seed="1"), "seed"),
+    (lambda s: s.update(seed=1.5), "seed"),
+    (lambda s: s.update(seed=True), "seed"),
+], ids=["seed-missing", "powers-missing", "seed-string", "seed-fraction", "seed-boolean"])
+def test_cli_plot_on_a_broken_summary_exits_2(run_out, tmp_path, capsys, edit, key):
+    spec, _ = run_out
+    out = shutil.copytree(spec.out_dir, tmp_path / "out")
+    broken = out / "inf-dh-desk" / "2" / "maxrate" / "summary.json"
+    summary = json.loads(broken.read_text())
+    edit(summary)
+    broken.write_text(json.dumps(summary))
+    assert main(["plot", "--kind", "power-bars", "--in", str(out),
+                 "--out", str(tmp_path / "bars.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(broken) in err and key in err and "Traceback" not in err
 
 
 def test_cli_validate_ok_and_bad(tmp_path, capsys):

@@ -574,3 +574,17 @@ def test_evaluate_and_solve_ctm_keep_no_terms(monkeypatch):
     assert len(made) == 2
     for ev in made:
         assert any(record.made for record in ev._parts.values()) and _kept(ev) == set()
+
+
+def test_nan_floor_or_ceiling_is_a_violation(tiny_scenario, tiny_solution):
+    """Floors and ceilings fail closed: a NaN floor or SAR limit, which only
+    a world built in Python can hold, is never met."""
+    base = Evaluator(tiny_scenario, 5, 4).metrics(tiny_solution).violated
+    users = (replace(tiny_scenario.users[0], required_rate=math.nan),) + tiny_scenario.users[1:]
+    nan_floor = Evaluator(replace(tiny_scenario, users=users), 5, 4)
+    assert set(nan_floor.metrics(tiny_solution).violated) == set(base) | {"rate:u0"}
+    stack = nan_floor.stack(tiny_solution, humans=False)
+    assert nan_floor.unmet_floors(stack, tiny_solution.tx_power, ["u0"]) == ["rate:u0"]
+    nan_limit = Evaluator(replace(tiny_scenario, sar_limit=math.nan), 5, 4)
+    assert [v for v in nan_limit.metrics(tiny_solution).violated
+            if v.startswith("sar:")] == ["sar:h0", "sar:h1"]

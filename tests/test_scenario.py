@@ -297,6 +297,13 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d["phantoms"][1].update(name=None), "phantoms[1].name"),
     (lambda d: d["humans"][0].update(phantom_id=3), "humans[0].phantom_id"),
     (lambda d: d["humans"][1].update(linked_user=1), "humans[1].linked_user"),
+    (lambda d: d["poas"][0].update(panel_rows=0), "poas[0].panel_rows"),
+    (lambda d: d["poas"][1].update(panel_cols=0), "poas[1].panel_cols"),
+    (lambda d: d["phantoms"][0].update(e_ref_vpm=0), "phantoms[0]"),
+    (lambda d: d["frequency_map"].update({"NaN": 2.45e9}), "frequency_map.NaN"),
+    (lambda d: d["phantoms"][1]["sar_ref"].update({"Infinity": 1e-4}),
+     "phantoms[1].sar_ref.Infinity"),
+    (lambda d: d["frequency_map"].update({"5 GHz": 5.2e9}), "frequency_map.5 GHz"),
 ], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
         "maxpow-minus-inf", "user-z-nan", "poa-z-inf", "bounds-length-inf",
         "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
@@ -312,7 +319,8 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
         "human-id-repeats-poa", "human-id-repeats-human", "phantom-name-repeated",
         "panel-rows-fraction", "panel-cols-boolean", "n-clusters-fraction", "n-rays-not-number",
         "poa-id-null", "user-id-number", "phantom-name-null", "phantom-id-number",
-        "linked-user-number"])
+        "linked-user-number", "panel-rows-zero", "panel-cols-zero", "e-ref-zero",
+        "frequency-key-nan", "sar-ref-key-infinity", "frequency-key-not-number"])
 
 
 @_BAD_INPUTS

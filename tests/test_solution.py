@@ -1,12 +1,14 @@
 """Solution legality checks and (de)serialization."""
 
+import json
 import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellless.scenario import builtin_scenario
+from cellless.scenario import (ValidationError, builtin_scenario, scenario_from_dict,
+                               scenario_to_dict)
 from cellless.solution import (BeamConfig, SolutionState, load_solution,
                                save_solution, solution_from_dict,
                                solution_to_dict, validate)
@@ -169,3 +171,87 @@ def test_degree_only_files_still_load():
     assert (b.azimuth, b.zenith, b.width) == (math.radians(90.0), math.radians(45.0),
                                               math.radians(10.0))
     assert b.served_users == {"u0"} and sol.tx_power == {"poaA": 20.0, "poaB": -math.inf}
+
+
+def _one_beam_file(**changes):
+    beam = {"beam_id": "b0", "owner_poa": "poaA", "azimuth_rad": 0.5, "zenith_rad": 1.0,
+            "width_rad": 0.2, "served_users": ["u0"], **changes}
+    return {"beams": [{k: v for k, v in beam.items() if v is not None}],
+            "tx_power_dbm": {"poaA": 20.0}}
+
+
+def test_beam_without_served_users_loads_disabled():
+    (b,) = solution_from_dict(_one_beam_file(served_users=None)).beams
+    assert b.served_users == frozenset() and not b.active
+
+
+@pytest.mark.parametrize("data, path", [
+    (_one_beam_file(zenith_rad=None, zenith_rads=1.0), "beams[0].zenith_rads"),
+    (_one_beam_file(zenith_rad=None), "beams[0].zenith_rad"),
+    (_one_beam_file(zenith_rad=None, zenith_deg="45"), "beams[0].zenith_deg"),
+    (_one_beam_file(zenith_deg=45.0), "beams[0].zenith_deg"),
+    (_one_beam_file(served_users=["u0", 1]), "beams[0].served_users[1]"),
+    (_one_beam_file(beam_id=3), "beams[0].beam_id"),
+    ({**_one_beam_file(), "tx_power_dbm": {"p": "high"}}, "tx_power_dbm.p"),
+    ({**_one_beam_file(), "tx_power_dbm": []}, "tx_power_dbm"),
+    ({**_one_beam_file(), "beams": {}}, "beams"),
+    ({"beams": []}, "tx_power_dbm"),
+    ({**_one_beam_file(), "powers": {}}, "powers"),
+], ids=["angle-key-misspelled", "angle-missing", "degrees-not-number",
+        "degrees-beside-radians", "served-user-not-text", "beam-id-not-text",
+        "power-not-number", "powers-not-object", "beams-not-list", "powers-missing",
+        "top-level-key-unknown"])
+def test_bad_solution_files_rejected_naming_the_key(data, path):
+    with pytest.raises(ValidationError) as err:
+        solution_from_dict(data)
+    assert err.value.path == path
+
+
+def _number_paths(node, path=""):
+    """(load-error path, parent, key) of every number in a JSON tree."""
+    if isinstance(node, dict):
+        items = [(f"{path}.{k}" if path else k, k, v) for k, v in node.items()]
+    elif isinstance(node, list):
+        items = [(f"{path}[{i}]", i, v) for i, v in enumerate(node)]
+    else:
+        return []
+    found = []
+    for child, key, value in items:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            found.append((child, node, key))
+        else:
+            found += _number_paths(value, child)
+    return found
+
+
+@pytest.fixture(scope="module")
+def saved_files():
+    """A saved inf-dh-desk world and a saved solution of it, as loaded JSON,
+    each with its loader."""
+    scenario = builtin_scenario("inf-dh-desk", 1)
+    solution = build_geometry(scenario, CtmConfig(seed=1))
+    return {"scenario": (json.dumps(scenario_to_dict(scenario)), scenario_from_dict),
+            "solution": (json.dumps(solution_to_dict(solution)), solution_from_dict)}
+
+
+@pytest.mark.parametrize("file", ["scenario", "solution"])
+@pytest.mark.parametrize("bad", [True, "1", math.nan, math.inf],
+                         ids=["true", "string", "nan", "infinity"])
+def test_every_number_in_a_file_must_be_a_finite_number(saved_files, file, bad):
+    """Each number of a saved file, replaced by a boolean, a numeric string,
+    NaN or Infinity, is refused at load with its own path."""
+    text, load = saved_files[file]
+    n = len(_number_paths(json.loads(text)))
+    assert n > (300 if file == "scenario" else 40)
+    wrong = []
+    for i in range(n):
+        data = json.loads(text)
+        path, parent, key = _number_paths(data)[i]
+        parent[key] = bad
+        try:
+            load(data)
+            wrong.append((path, "loaded"))
+        except ValidationError as e:
+            if e.path != path:
+                wrong.append((path, e.path))
+    assert wrong == []

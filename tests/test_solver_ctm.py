@@ -2,8 +2,12 @@
 
 import itertools
 import math
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,3 +421,24 @@ def test_ctm_config_validation():
     for delta in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             CtmConfig(delta_db=delta)
+
+
+def test_nan_rate_floors_raise_instead_of_descending_forever():
+    """A NaN floor is never met, so a Python-built world with NaN floors is
+    infeasible at maximum power. Run in a fresh interpreter, so a descent
+    that never stops fails on the timeout instead of hanging the suite."""
+    code = (
+        "import math; from dataclasses import replace; "
+        "from cellless.scenario import builtin_scenario; "
+        "from cellless.solver_ctm import CtmConfig, NoFeasibleSolutionError, solve_ctm; "
+        "s = builtin_scenario('inf-dh-desk', 1); "
+        "s = replace(s, users=tuple(replace(u, required_rate=math.nan) for u in s.users))\n"
+        "try: solve_ctm(s, CtmConfig(seed=1, realizations_per_check=2))\n"
+        "except NoFeasibleSolutionError as e: print(len(e.violated))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "20"   # every user's floor
