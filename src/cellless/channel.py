@@ -353,7 +353,7 @@ def amplitude_scale(tx_power_dbm: float, pathloss_db: float, shadow_db: float) -
 
 @dataclass(frozen=True)
 class LinkTerms:
-    """The factors of ``unit_link_energy`` that depend on the links and the
+    """The factors of ``steered_energy`` that depend on the links and the
     panel's mounting and element pattern but on no steering direction or
     column count, so one set serves every beam of a PoA."""
 
@@ -368,7 +368,7 @@ class LinkTerms:
 
 
 def link_terms(link: LinkRealization, geom: PanelGeometry) -> LinkTerms:
-    """Steering-independent terms of ``unit_link_energy`` for every link.
+    """Steering-independent terms of ``steered_energy`` for every link.
 
     Only ``geom``'s mechanical azimuth and element pattern are read.
     """
@@ -394,7 +394,15 @@ def link_terms(link: LinkRealization, geom: PanelGeometry) -> LinkTerms:
 
 def steered_energy(terms: LinkTerms, geom: PanelGeometry,
                    steer: SteeringDirection) -> np.ndarray:
-    """``unit_link_energy`` from the links' precomputed ``link_terms``."""
+    """Energy [W] of |h_tilde(tau)|^2 at 1 W transmit power for every link,
+    from the links' precomputed ``link_terms``.
+
+    The target is a single isotropic element (unit field). Clusters sit at
+    distinct delays, so the energy is the sum of squared per-cluster
+    amplitudes; LoS mixing folds the direct path into the first cluster.
+    Returns an array with the links' leading shape. Callers that steer many
+    beams over the same links compute the terms once.
+    """
     # Operand order pinned: numpy swaps the operands of a product whose
     # right operand is a large temporary, and the complex product is not
     # bit-commutative, so the bits would depend on how many links are passed.
@@ -407,21 +415,7 @@ def steered_energy(terms: LinkTerms, geom: PanelGeometry,
     return terms.scale * (np.abs(amps) ** 2).sum(axis=-1)
 
 
-def unit_link_energy(link: LinkRealization, geom: PanelGeometry,
-                     steer: SteeringDirection) -> np.ndarray:
-    """Energy [W] of |h_tilde(tau)|^2 at 1 W transmit power for every link.
-
-    The target is a single isotropic element (unit field). Clusters sit at
-    distinct delays, so the energy is the sum of squared per-cluster
-    amplitudes; LoS mixing folds the direct path into the first cluster.
-    Returns an array with the links' leading shape. It is
-    ``steered_energy`` over ``link_terms``; callers that steer many beams
-    over the same links compute the terms once.
-    """
-    return steered_energy(link_terms(link, geom), geom, steer)
-
-
 def link_energy(link: LinkRealization, tx_power_dbm: float,
                 geom: PanelGeometry, steer: SteeringDirection) -> float:
     """Integrated energy of |h_tilde(tau)|^2 in watts for one link."""
-    return float(dbm_to_watts(tx_power_dbm) * unit_link_energy(link, geom, steer))
+    return float(dbm_to_watts(tx_power_dbm) * steered_energy(link_terms(link, geom), geom, steer))

@@ -248,19 +248,27 @@ _SUMMARY_KEYS = ("scenario", "seed", "solver", "per_poa_power_dbm", "total_power
 
 def load_run_metrics(run_dir):
     """Re-parse one run directory into (summary dict, metrics rows). A
-    summary.json without a key that plotting reads, or with a seed that is
-    not an integer, raises ``ValueError`` naming the file and the key."""
+    summary.json that is not JSON, lacks a key that plotting reads or has a
+    seed that is not an integer, or a metrics.csv whose header lacks one of
+    ``METRIC_COLUMNS``, raises ``ValueError`` naming the file and the fault."""
     run_dir = Path(run_dir)
-    with open(run_dir / "summary.json") as f:
-        summary = json.load(f)
+    path = run_dir / "summary.json"
+    try:
+        summary = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: not valid JSON: {e}") from None
     for key in _SUMMARY_KEYS:
         if key not in summary:
-            raise ValueError(f"{run_dir / 'summary.json'}: missing key {key!r}")
+            raise ValueError(f"{path}: missing key {key!r}")
     if type(summary["seed"]) is not int:
-        raise ValueError(f"{run_dir / 'summary.json'}: seed must be an integer, "
-                         f"got {summary['seed']!r}")
-    with open(run_dir / "metrics.csv", newline="") as f:
-        rows = list(csv.DictReader(f))
+        raise ValueError(f"{path}: seed must be an integer, got {summary['seed']!r}")
+    path = run_dir / "metrics.csv"
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        missing = [c for c in METRIC_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: header lacks column {missing[0]!r}")
+        rows = list(reader)
     return summary, rows
 
 

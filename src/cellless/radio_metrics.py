@@ -8,26 +8,26 @@ its own keyed stream, and the streams of one such part are seeded in one
 lives in one record, ``Evaluator._parts[(PoA id, part)]`` with part 0 the
 users and 1 the humans: the part's links, its unit-power (1 W) energy
 table of shape (realizations, targets of the part) per beam geometry,
-computed by ``channel.unit_link_energy``'s two parts and cached, and its
-steering-independent ``channel.link_terms`` once kept. The tables missing
-in one call are grouped per part; each group steers every missing beam with
-``channel.steered_energy`` from one ``link_terms`` of the part. A part
-keeps its terms from the second call that computes them, so a part filled
-once (``evaluate``, ``solve_ctm``) keeps nothing and one refilled beam by
-beam (the MaxRate anneal) stops recomputing them. Rate-only callers
-(``mean_rates``, ``sinr``, ``rate`` and with them the MaxRate objective)
-read only the users part, so they never evaluate the panel at a human and
-a new geometry adds only its user table. Channel ray geometry does not
-depend on any decision variable, so beam changes only add table entries
-and power changes invalidate nothing.
+cached, and its steering-independent ``channel.link_terms`` once kept.
+The tables missing in one call are grouped per part; each group steers
+every missing beam with ``channel.steered_energy`` from one ``link_terms``
+of the part. A part keeps its terms from the second call that computes
+them, so a part filled once (``evaluate``, ``solve_ctm``) keeps nothing
+and one refilled beam by beam (the MaxRate anneal) stops recomputing
+them. The rate-only caller (``mean_rates`` and with it the MaxRate
+objective) reads only the users part, so it never evaluates the panel at
+a human and a new geometry adds only its user table. Channel ray
+geometry does not depend on any decision variable, so beam changes only
+add table entries and power changes invalidate nothing.
 
 One power core turns beams and powers into rates and exposure, in three
 steps. *Stack* (``Evaluator.stack``) gathers the unit-power gains of every
 active beam at every user, or at every target when exposure is needed,
 shape (beams, targets, realizations), as a ``GainStack``. *Scale*
 (``GainStack.scaled``) multiplies it by the per-beam watts of a power
-vector. *Verdict* takes each user's signal and co-channel interference,
-and each human's per-frequency received power, as masked sums over the
+vector. *Verdict* composes each user's SINR from the three terms that
+``Evaluator._terms`` returns, signal, co-channel interference and noise,
+and takes each human's per-frequency received power as a sum over the
 beam axis; the latter feeds ``power_density`` ->
 ``exposure.incident_field`` -> ``exposure.sar_wb``, and the means are
 checked against the rate floors and the SAR ceiling. ``metrics`` is
@@ -36,9 +36,9 @@ stack -> scale -> verdict -> bundle, and the only full verdict: its
 that list being empty. ``unmet_floors`` judges the rate floors of some
 users only, on a stack the caller keeps cut to their columns
 (``GainStack.for_users``), which is how the CtM power descent checks each
-step that lowers one PoA; ``mean_rates``, ``sinr`` and ``rate`` are
-user-only views. All of them read one SINR code, whose interference adds
-the beams one by one in stack order, so a user's rate has the same bits
+step that lowers one PoA; ``mean_rates`` is the user-only view. All of
+them read the terms from ``_terms`` alone, whose interference adds the
+beams one by one in stack order, so a user's rate has the same bits
 whichever users are asked with it and however many realizations there
 are.
 """
@@ -274,8 +274,9 @@ class Evaluator:
             column_of_user={uid: col for col, uid in enumerate(self._user_ids)},
         )
 
-    def _sinr(self, stack, power, user_ids):
-        """(users, realizations) linear SINR and each user's bandwidth [Hz].
+    def _terms(self, stack, power, user_ids):
+        """Each user's signal and interference [W], (users, realizations),
+        its noise [W], (users, 1), and its bandwidth [Hz], (users,).
 
         ``power`` is the stack scaled by per-beam watts. Interference is the
         power of every beam on the serving PoA's frequency from every other
@@ -296,13 +297,13 @@ class Evaluator:
         per_beam = np.where(co_channel[..., None], power[:, cols], 0.0)
         interference = (np.add.accumulate(per_beam, axis=0)[-1] if len(per_beam)
                         else per_beam.sum(axis=0))
-        noise = NOISE_DENSITY_W_HZ * self._poa_bandwidth[own]
-        return power[rows, cols] / (noise[:, None] + interference), self._poa_bandwidth[own]
+        bandwidth = self._poa_bandwidth[own]
+        return power[rows, cols], interference, NOISE_DENSITY_W_HZ * bandwidth[:, None], bandwidth
 
     def _rates(self, stack, power, user_ids):
         """(users, realizations) achievable rates [bit/s]."""
-        sinr, bandwidth = self._sinr(stack, power, user_ids)
-        return shannon_rate(bandwidth[:, None], sinr)
+        signal, interference, noise, bandwidth = self._terms(stack, power, user_ids)
+        return shannon_rate(bandwidth[:, None], signal / (noise + interference))
 
     def _exposure(self, stack, power):
         """Per-human mean SAR (humans,)."""
@@ -325,29 +326,19 @@ class Evaluator:
     def unmet_floors(self, stack, tx_power, user_ids) -> list:
         """The rate floors (``rate:<user>``) of ``user_ids`` that the beams
         frozen in ``stack`` miss under per-PoA powers ``tx_power`` [dBm],
-        in the order asked. The rates are those ``metrics`` computes,
-        bit for bit, so a stack cut to these users'
-        columns (``GainStack.for_users``) gives the same verdict on them."""
+        in the order asked. Each rate is composed from the ``_terms`` that
+        ``metrics`` reads, so it has the same bits, and a stack cut to these
+        users' columns (``GainStack.for_users``) gives the same verdict on
+        them."""
         rates = self._rates(stack, stack.scaled(tx_power), user_ids).mean(axis=-1)
         return self._short(user_ids, rates)
 
     # -- views -------------------------------------------------------------------
 
-    def _user_view(self, solution):
-        stack = self.stack(solution, humans=False)
-        return stack, stack.scaled(solution.tx_power)
-
-    def sinr(self, user_id: str, solution: SolutionState) -> np.ndarray:
-        """Per-realization linear SINR for one user."""
-        return self._sinr(*self._user_view(solution), [user_id])[0][0]
-
-    def rate(self, user_id: str, solution: SolutionState) -> np.ndarray:
-        """Per-realization achievable rate [bit/s] for one user."""
-        return self._rates(*self._user_view(solution), [user_id])[0]
-
     def mean_rates(self, solution: SolutionState) -> np.ndarray:
         """Mean rate [bit/s] over realizations of every user, in scenario order."""
-        return self._rates(*self._user_view(solution), self._user_ids).mean(axis=-1)
+        stack = self.stack(solution, humans=False)
+        return self._rates(stack, stack.scaled(solution.tx_power), self._user_ids).mean(axis=-1)
 
     def metrics(self, solution: SolutionState) -> MetricsBundle:
         """Averaged rates and SAR over all realizations, plus feasibility."""

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from cellless.antenna import ISOTROPIC, PanelGeometry, SteeringDirection, panel_field
 from cellless.channel import (ChannelParams, LosModel, PathlossCoeffs,
                               amplitude_scale, link_energy, link_rng, link_rngs,
-                              los_probability, sample_link, unit_link_energy)
+                              link_terms, los_probability, sample_link, steered_energy)
 
 PARAMS = ChannelParams(los_model=LosModel("umi"))
 POA = (0.0, 0.0, 10.0)
@@ -134,7 +134,8 @@ def test_sample_link_empty_target_list():
     for name in ("aod_zenith", "aod_azimuth", "phases"):
         assert getattr(links, name).shape == (r, 0, nc, nr)
     geom = PanelGeometry(4, 4)
-    assert unit_link_energy(links, geom, SteeringDirection(1.0, 0.0)).shape == (r, 0)
+    steer = SteeringDirection(1.0, 0.0)
+    assert steered_energy(link_terms(links, geom), geom, steer).shape == (r, 0)
 
 
 def test_sample_link_deterministic():

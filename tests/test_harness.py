@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellless.cli import main
-from cellless.harness import (PLOT_KINDS, ExperimentSpec, _median, _percentile,
+from cellless.harness import (METRIC_COLUMNS, PLOT_KINDS, ExperimentSpec, _median, _percentile,
                               emit_plot_data, load_run_metrics, plot_data_from_dir,
                               run_experiment)
 from cellless.radio_metrics import Evaluator
@@ -383,6 +383,33 @@ def test_cli_plot_on_a_broken_summary_exits_2(run_out, tmp_path, capsys, edit, k
                  "--out", str(tmp_path / "bars.csv")]) == 2
     err = capsys.readouterr().err
     assert str(broken) in err and key in err and "Traceback" not in err
+
+
+def test_cli_plot_on_a_summary_that_is_not_json_exits_2(run_out, tmp_path, capsys):
+    spec, _ = run_out
+    out = shutil.copytree(spec.out_dir, tmp_path / "out")
+    broken = out / "inf-dh-desk" / "1" / "ctm" / "summary.json"
+    broken.write_text(broken.read_text().replace('"seed"', "seed", 1))
+    assert main(["plot", "--kind", "power-bars", "--in", str(out),
+                 "--out", str(tmp_path / "bars.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(broken) in err and "not valid JSON" in err and "Traceback" not in err
+
+
+def test_cli_plot_on_a_metrics_csv_without_a_column_exits_2(run_out, tmp_path, capsys):
+    spec, _ = run_out
+    out = shutil.copytree(spec.out_dir, tmp_path / "out")
+    broken = out / "inf-dh-desk" / "2" / "ctm" / "metrics.csv"
+    with open(broken, newline="") as f:
+        rows = list(csv.DictReader(f))
+    with open(broken, "w", newline="") as f:
+        writer = csv.DictWriter(f, METRIC_COLUMNS[1:], extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    assert main(["plot", "--kind", "rate-cdf", "--in", str(out),
+                 "--out", str(tmp_path / "rates.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(broken) in err and "'kind'" in err and "Traceback" not in err
 
 
 def test_cli_validate_ok_and_bad(tmp_path, capsys):

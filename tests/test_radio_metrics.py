@@ -13,7 +13,7 @@ from cellless import channel as ch
 from cellless.channel import (NOISE_DENSITY_DBM_HZ, ChannelParams, link_energy, link_rng,
                               sample_link)
 from cellless.exposure import FrequencyMap
-from cellless.radio_metrics import (Evaluator, SolutionInvalidError,
+from cellless.radio_metrics import (NOISE_DENSITY_W_HZ, Evaluator, SolutionInvalidError,
                                     UnservedUserError, evaluate, shannon_rate)
 from cellless.scenario import PoA, Position3D, Scenario, builtin_scenario
 from cellless.solution import BeamConfig, SolutionState
@@ -24,6 +24,25 @@ from cellless.solver_maxrate import objective
 @pytest.fixture(scope="module")
 def ev(tiny_scenario):
     return Evaluator(tiny_scenario, seed=5, n_realizations=8)
+
+
+def _user_terms(ev, solution, user_ids):
+    """``Evaluator._terms`` of ``user_ids`` on the solution's users stack:
+    signal, interference, noise and bandwidth."""
+    stack = ev.stack(solution, humans=False)
+    return ev._terms(stack, stack.scaled(solution.tx_power), user_ids)
+
+
+def _sinr(ev, solution, user_id):
+    """One user's per-realization linear SINR from its terms."""
+    signal, interference, noise, _ = _user_terms(ev, solution, [user_id])
+    return (signal / (noise + interference))[0]
+
+
+def _rate(ev, solution, user_id):
+    """One user's per-realization achievable rate [bit/s]."""
+    stack = ev.stack(solution, humans=False)
+    return ev._rates(stack, stack.scaled(solution.tx_power), [user_id])[0]
 
 
 def test_shannon_rate_pins():
@@ -45,7 +64,7 @@ def test_metrics_shape_and_consistency(tiny_scenario, tiny_solution, ev):
     assert not replace(m, violated=["sar:h1"]).feasible
     assert replace(m, violated=[]).feasible
     for uid, r in m.per_user_rate.items():
-        assert r == pytest.approx(float(ev.rate(uid, tiny_solution).mean()))
+        assert r == pytest.approx(float(_rate(ev, tiny_solution, uid).mean()))
 
 
 def test_evaluator_deterministic(tiny_scenario, tiny_solution):
@@ -92,9 +111,9 @@ def test_per_poa_sample_equals_per_link_streams(tiny_scenario, ev):
 
 
 def _count_link_terms_parts(monkeypatch, ev):
-    """Record, per call of channel.link_terms (the per-part half of
-    unit_link_energy that a gain fill runs), which part of which PoA's
-    links it was given: (PoA id, "users" | "humans")."""
+    """Record, per call of channel.link_terms (the steering-independent
+    half of the link energy, which a gain fill computes per part), which
+    part of which PoA's links it was given: (PoA id, "users" | "humans")."""
     calls = []
     original = ch.link_terms
     names = {id(record.links): (pid, ("users", "humans")[part])
@@ -116,7 +135,7 @@ def test_rates_evaluate_user_columns_only(monkeypatch, tiny_scenario, tiny_solut
     assert len({b.owner_poa for b in active}) == len(active)
     ev.mean_rates(tiny_solution)
     objective(tiny_solution, ev)
-    ev.rate("u0", tiny_solution)
+    _user_terms(ev, tiny_solution, ["u0"])
     assert sorted(calls) == sorted((b.owner_poa, "users") for b in active)
     ev.metrics(tiny_solution)
     assert sorted(calls[len(active):]) == sorted((b.owner_poa, "humans") for b in active)
@@ -141,8 +160,8 @@ def test_sinr_power_scaling_without_interference(tiny_scenario, tiny_solution, e
     beams = tuple(b if b.owner_poa != "poaB" else replace(b, served_users=frozenset())
                   for b in sol.beams)
     sol = replace(sol, beams=beams)
-    s1 = ev.sinr("u0", sol)
-    s2 = ev.sinr("u0", sol.with_power("poaA", 23.0103))  # +3.0103 dB = x2
+    s1 = _sinr(ev, sol, "u0")
+    s2 = _sinr(ev, sol.with_power("poaA", 23.0103), "u0")  # +3.0103 dB = x2
     assert np.allclose(s2, 2.0 * s1, rtol=1e-5)
     # Against the explicit formula.
     beam = sol.beam_for_user("u0")
@@ -154,12 +173,12 @@ def test_sinr_power_scaling_without_interference(tiny_scenario, tiny_solution, e
 
 
 def test_interference_reduces_sinr(tiny_scenario, tiny_solution, ev):
-    with_intf = ev.sinr("u0", tiny_solution)
+    with_intf = _sinr(ev, tiny_solution, "u0")
     quiet = tiny_solution.with_power("poaB", -math.inf)
     beams = tuple(b if b.owner_poa != "poaB" else replace(b, served_users=frozenset())
                   for b in quiet.beams)
     quiet = replace(quiet, beams=beams)
-    assert np.all(ev.sinr("u0", quiet) >= with_intf)
+    assert np.all(_sinr(ev, quiet, "u0") >= with_intf)
 
 
 def test_gain_cache_power_independent(tiny_scenario, tiny_solution, ev):
@@ -209,24 +228,32 @@ def test_evaluate_validates_first(tiny_scenario, tiny_solution):
 
 def test_unserved_user_sinr_raises(tiny_scenario, tiny_solution, ev):
     with pytest.raises(UnservedUserError):
-        ev.sinr("u99", tiny_solution)
+        _user_terms(ev, tiny_solution, ["u99"])
 
 
 def test_dump_links_recomputes_sinr(tiny_scenario, tiny_solution, ev):
-    """The dump plus solved powers is enough to rebuild every SINR."""
+    """The dump plus solved powers is enough to rebuild every user's signal,
+    interference and noise, and so every SINR."""
     rows = ev.dump_links(tiny_solution)
     noise = 10.0 ** ((NOISE_DENSITY_DBM_HZ - 30.0) / 10.0) * 20e6
     by_key = {}
     for r in rows:
         by_key[(r["realization"], r["beam_id"], r["target_id"])] = r
-    for u in tiny_scenario.users:
+
+    def split_power(pid):
+        n = len([b for b in tiny_solution.beams_of(pid) if b.active])
+        return 10.0 ** ((tiny_solution.tx_power[pid] - 30.0) / 10.0) / n
+
+    user_ids = [u.id for u in tiny_scenario.users]
+    signal, interference, noise_w, bandwidth = _user_terms(ev, tiny_solution, user_ids)
+    assert signal.shape == interference.shape == (len(user_ids), ev.n_realizations)
+    assert noise_w.shape == (len(user_ids), 1)
+    for i, u in enumerate(tiny_scenario.users):
         beam = tiny_solution.beam_for_user(u.id)
         poa = tiny_scenario.poa_by_id(beam.owner_poa)
-        want = ev.sinr(u.id, tiny_solution)
+        assert bandwidth[i] == poa.bandwidth
+        assert noise_w[i, 0] == pytest.approx(noise, rel=1e-12, abs=0.0)
         for real in range(ev.n_realizations):
-            def split_power(pid):
-                n = len([b for b in tiny_solution.beams_of(pid) if b.active])
-                return 10.0 ** ((tiny_solution.tx_power[pid] - 30.0) / 10.0) / n
             sig = split_power(poa.id) * \
                 by_key[(real, beam.beam_id, u.id)]["unit_energy_w"]
             intf = 0.0
@@ -235,7 +262,10 @@ def test_dump_links_recomputes_sinr(tiny_scenario, tiny_solution, ev):
                         and r["poa_id"] != poa.id
                         and r["frequency_hz"] == poa.frequency):
                     intf += split_power(r["poa_id"]) * r["unit_energy_w"]
-            assert sig / (noise + intf) == pytest.approx(want[real], rel=1e-12)
+            assert intf > 0.0   # both tiny PoAs share 5 GHz
+            # Powers are far below pytest.approx's default absolute slack.
+            assert signal[i, real] == pytest.approx(sig, rel=1e-12, abs=0.0)
+            assert interference[i, real] == pytest.approx(intf, rel=1e-12, abs=0.0)
 
 
 def test_world_without_humans_evaluates(tiny_scenario, tiny_solution):
@@ -306,13 +336,13 @@ def test_rate_monotone_in_own_and_co_channel_power(tiny_scenario, tiny_solution,
     own_id = tiny_solution.beam_for_user(uid).owner_poa
     other_id = next(p.id for p in tiny_scenario.poas if p.id != own_id)
 
-    def rate(p_own, p_other):
+    def rate_at(p_own, p_other):
         sol = tiny_solution.with_power(own_id, p_own).with_power(other_id, p_other)
-        return ev.rate(uid, sol)
+        return _rate(ev, sol, uid)
 
-    base = rate(own, other)
-    assert np.all(rate(own + step, other) >= base * (1.0 - ULPS))
-    assert np.all(rate(own, other + step) <= base * (1.0 + ULPS))
+    base = rate_at(own, other)
+    assert np.all(rate_at(own + step, other) >= base * (1.0 - ULPS))
+    assert np.all(rate_at(own, other + step) <= base * (1.0 + ULPS))
 
 
 @PROPERTY
@@ -345,20 +375,24 @@ def test_link_energy_matches_beam_gains(tiny_scenario, ev, data, zenith, azimuth
 @pytest.mark.parametrize("realizations", [1, 2, 10])
 @pytest.mark.parametrize("world, seed", [("inf-dh-desk", 2), ("umi-sc-desk", 0)])
 def test_user_views_equal_metrics_bit_for_bit(world, seed, realizations):
-    """``rate``, ``sinr``, ``mean_rates`` and ``unmet_floors`` on a stack cut
-    to one user or to one PoA's users read the very rates ``metrics`` does,
-    also with one realization, where each user's interference is one number
-    per beam."""
+    """``mean_rates``, per-user ``_terms`` and ``unmet_floors`` on a stack
+    cut to one user or to one PoA's users read the very rates ``metrics``
+    does, also with one realization, where each user's interference is one
+    number per beam."""
     scenario = builtin_scenario(world, seed)
     ev = Evaluator(scenario, seed, realizations)
     sol = build_geometry(scenario, CtmConfig(seed=seed))
     rates = ev.metrics(sol).per_user_rate
     assert ev.mean_rates(sol).tolist() == list(rates.values())
     for u in scenario.users:
-        rate = ev.rate(u.id, sol)
+        rate = _rate(ev, sol, u.id)
         assert float(rate.mean()) == rates[u.id]
         bandwidth = scenario.poa_by_id(sol.beam_for_user(u.id).owner_poa).bandwidth
-        assert np.array_equal(shannon_rate(bandwidth, ev.sinr(u.id, sol)), rate)
+        signal, interference, noise, bw = _user_terms(ev, sol, [u.id])
+        assert bw.tolist() == [bandwidth]
+        assert noise.tolist() == [[NOISE_DENSITY_W_HZ * bandwidth]]
+        sinr = signal[0] / (noise[0] + interference[0])
+        assert np.array_equal(shannon_rate(bandwidth, sinr), rate)
 
     stack = ev.stack(sol)
     groups = [[u.id] for u in scenario.users] + [
@@ -375,7 +409,7 @@ def test_user_views_equal_metrics_bit_for_bit(world, seed, realizations):
 
 def _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams):
     """Fill every beam's table in one stack call, then compare each part of
-    each table byte for byte with a one-beam ``unit_link_energy`` call."""
+    each table byte for byte with a one-beam ``steered_energy`` call."""
     groups = []
     original = ch.link_terms
 
@@ -393,7 +427,7 @@ def _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams):
 
 def _assert_tables_equal_one_beam_kernel(ev, reference, beams):
     """Each part of each of ``ev``'s beam tables is byte for byte a one-beam
-    ``unit_link_energy`` call over ``reference``'s links."""
+    ``steered_energy`` call over ``reference``'s links."""
     n_users = len(ev.scenario.users)
     for b in beams:
         table = ev.beam_gains(b)
@@ -401,8 +435,9 @@ def _assert_tables_equal_one_beam_kernel(ev, reference, beams):
         geom = replace(panel, cols=width_to_panel(b.width, panel))
         steer = SteeringDirection(b.zenith, wrap_angle(b.azimuth - panel.mech_azimuth))
         users, humans = (reference._parts[b.owner_poa, part].links for part in (0, 1))
-        assert table[:, :n_users].tobytes() == ch.unit_link_energy(users, geom, steer).tobytes()
-        assert table[:, n_users:].tobytes() == ch.unit_link_energy(humans, geom, steer).tobytes()
+        for links, part in ((users, table[:, :n_users]), (humans, table[:, n_users:])):
+            one = ch.steered_energy(ch.link_terms(links, geom), geom, steer)
+            assert part.tobytes() == one.tobytes()
 
 
 def _desk_ctm_beams():

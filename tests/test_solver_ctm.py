@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from cellless.exposure import FrequencyMap
-from cellless.radio_metrics import Evaluator
+from cellless.radio_metrics import NOISE_DENSITY_W_HZ, Evaluator
 from cellless.scenario import EndUser, Human, Position3D, builtin_scenario
 from cellless.solution import validate
 from cellless.solver_ctm import (CtmConfig, _assign,
@@ -391,7 +391,10 @@ def feasible_small_worlds(draw):
 def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
     """The descent's premise: from a feasible state, lowering one active PoA
     breaks no floor or ceiling outside that PoA's users, and their floors
-    read from the stack cut to their columns give the full verdict."""
+    read from the stack cut to their columns give the full verdict. Term by
+    term: no other user's signal and none of that PoA's users' interference
+    changes a bit, no interference rises, and the noise is the serving
+    PoA's."""
     evaluator, solution = world
     stack = evaluator.stack(solution, humans=False)
     assert evaluator.metrics(solution).violated == []
@@ -401,6 +404,19 @@ def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
     after = evaluator.metrics(lowered).violated
     assert set(after) <= {f"rate:{uid}" for uid in own}
     assert evaluator.unmet_floors(stack.for_users(own), lowered.tx_power, own) == sorted(after)
+
+    users = [u.id for u in evaluator.scenario.users]
+    signal, interference, noise, _ = evaluator._terms(
+        stack, stack.scaled(solution.tx_power), users)
+    signal_after, interference_after, noise_after, _ = evaluator._terms(
+        stack, stack.scaled(lowered.tx_power), users)
+    mine = np.array([uid in own for uid in users])
+    assert signal_after[~mine].tobytes() == signal[~mine].tobytes()
+    assert interference_after[mine].tobytes() == interference[mine].tobytes()
+    assert np.all(interference_after <= interference)
+    serving = [evaluator.scenario.poa_by_id(solution.beam_for_user(uid).owner_poa).bandwidth
+               for uid in users]
+    assert noise_after.tolist() == noise.tolist() == [[NOISE_DENSITY_W_HZ * bw] for bw in serving]
 
 
 def test_solve_ctm_deterministic(tiny_scenario):

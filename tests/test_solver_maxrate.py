@@ -31,8 +31,9 @@ def ev(tiny_scenario):
 
 def test_objective_is_min_mean_rate(tiny_scenario, start, ev):
     obj = objective(start, ev)
-    rates = [float(ev.rate(u.id, start).mean()) for u in tiny_scenario.users]
-    assert obj == min(rates)
+    rates = ev.mean_rates(start)
+    assert rates.shape == (len(tiny_scenario.users),)
+    assert obj == min(rates.tolist())
 
 
 def test_objective_minus_inf_when_unserved(tiny_scenario, start, ev):
