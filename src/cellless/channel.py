@@ -9,15 +9,19 @@ pass, running ``SeedSequence``'s integer hash over all keys at once as
 arrays, and ``link_rng`` is its one-link case. ``sample_link`` takes one
 stream per link but draws all the links it is given, typically every
 (realization, target) link of one PoA part, in one call, and returns them
-as arrays. Ray geometry is independent of any beam decision: beams enter
-only through the panel field applied when computing energies, which lets
-a fixed set of realizations be reused across candidate solutions.
+as arrays. A ``LinkRealization`` stores the departure angles at cluster
+resolution, each cluster's mean, plus the N_r ray offsets that every link
+shares; the per-ray angles exist only while ``link_terms`` evaluates the
+panel at them, so a link stores one per-ray array, its phases, not
+three. Ray geometry is independent of any beam decision: beams enter only
+through the panel field applied when computing energies, which lets a
+fixed set of realizations be reused across candidate solutions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -92,7 +96,10 @@ class LinkRealization:
 
     Per-link fields carry the leading shape of the generators the links
     were drawn from (shape () for a single link); per-cluster and per-ray
-    fields add trailing (N_c,) and (N_c, N_r) axes.
+    fields add trailing (N_c,) and (N_c, N_r) axes. The departure angles
+    are stored per cluster: each ray's angle is its cluster mean plus one
+    of N_r fixed offsets shared by every link, and ``aod_zenith`` and
+    ``aod_azimuth`` build the per-ray arrays on each read.
     """
 
     los: np.ndarray             # bool
@@ -102,11 +109,34 @@ class LinkRealization:
     frequency: float
     delays: np.ndarray          # (..., N_c) sorted, seconds
     cluster_powers: np.ndarray  # (..., N_c) sums to 1
-    aod_zenith: np.ndarray      # (..., N_c, N_r) GCS radians
-    aod_azimuth: np.ndarray
+    cluster_zenith: np.ndarray  # (..., N_c) mean departure angles, GCS radians
+    cluster_azimuth: np.ndarray
+    ray_zenith_offsets: np.ndarray   # (N_r,) radians, the same for every link
+    ray_azimuth_offsets: np.ndarray
     phases: np.ndarray          # (..., N_c, N_r) in [0, 2*pi)
     los_aod: tuple              # (zenith, azimuth) of the direct path, GCS
     d_3d: np.ndarray
+
+    @property
+    def aod_zenith(self) -> np.ndarray:
+        """(..., N_c, N_r) ray departure zeniths, GCS radians in [0, pi]."""
+        return np.clip(self.cluster_zenith[..., None] + self.ray_zenith_offsets, 0.0, math.pi)
+
+    @property
+    def aod_azimuth(self) -> np.ndarray:
+        """(..., N_c, N_r) ray departure azimuths, GCS radians in (-pi, pi]."""
+        return wrap_angle(self.cluster_azimuth[..., None] + self.ray_azimuth_offsets)
+
+    def realizations(self, index) -> LinkRealization:
+        """The links of the realizations ``index``, a slice of the leading
+        axis, as views; the fields shared by every link are kept whole."""
+        cut = {f.name: getattr(self, f.name)[index] for f in fields(self)
+               if f.name not in _SHARED + ("los_aod",)}
+        return replace(self, los_aod=tuple(a[index] for a in self.los_aod), **cut)
+
+
+# The LinkRealization fields that hold one value for all of its links.
+_SHARED = ("frequency", "ray_zenith_offsets", "ray_azimuth_offsets")
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -329,16 +359,14 @@ def sample_link(poa_pos, poa_freq, target_pos, params: ChannelParams, rng) -> Li
 
     normals = normals.reshape(shape + (4, nc))
     zen_spread, az_spread = params.zenith_spread_dep, params.azimuth_spread_dep
-    zen_mean = zen0[..., None] + zen_spread * normals[..., 0, :]
-    az_mean = wrap_angle(az0[..., None] + az_spread * normals[..., 1, :])
     offsets = np.linspace(-0.5, 0.5, nr) if nr > 1 else np.zeros(1)
-    aod_zen = np.clip(zen_mean[..., None] + offsets * zen_spread, 0.0, math.pi)
-    aod_az = wrap_angle(az_mean[..., None] + offsets * az_spread)
 
     return LinkRealization(
         los=los, pathloss_db=np.where(los, pl_los, pl_nlos), shadow_db=shadow,
         rician_k=k_lin, frequency=poa_freq, delays=delays, cluster_powers=powers,
-        aod_zenith=aod_zen, aod_azimuth=aod_az,
+        cluster_zenith=zen0[..., None] + zen_spread * normals[..., 0, :],
+        cluster_azimuth=wrap_angle(az0[..., None] + az_spread * normals[..., 1, :]),
+        ray_zenith_offsets=offsets * zen_spread, ray_azimuth_offsets=offsets * az_spread,
         phases=2.0 * math.pi * uniforms.reshape(shape + (nc, nr)),
         los_aod=(zen0, az0), d_3d=d3d,
     )
@@ -377,7 +405,8 @@ def link_terms(link: LinkRealization, geom: PanelGeometry) -> LinkTerms:
     k = np.where(link.los, link.rician_k, 0.0)
     lam = SPEED_OF_LIGHT / link.frequency
     zen0, az0 = link.los_aod
-    # The element pattern's temporaries are freed before the phasors exist.
+    # The per-ray angles and the element pattern's temporaries are freed
+    # before the phasors exist.
     ray_panel = panel_terms(pattern, link.aod_zenith, wrap_angle(link.aod_azimuth - mech))
     rays = 1j * link.phases
     return LinkTerms(

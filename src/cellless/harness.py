@@ -248,15 +248,18 @@ _SUMMARY_KEYS = ("scenario", "seed", "solver", "per_poa_power_dbm", "total_power
 
 def load_run_metrics(run_dir):
     """Re-parse one run directory into (summary dict, metrics rows). A
-    summary.json that is not JSON, lacks a key that plotting reads or has a
-    seed that is not an integer, or a metrics.csv whose header lacks one of
-    ``METRIC_COLUMNS``, raises ``ValueError`` naming the file and the fault."""
+    summary.json that is not a JSON object, lacks a key that plotting reads
+    or has a seed that is not an integer, or a metrics.csv whose header
+    lacks one of ``METRIC_COLUMNS``, raises ``ValueError`` naming the file
+    and the fault."""
     run_dir = Path(run_dir)
     path = run_dir / "summary.json"
     try:
         summary = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(summary, dict):
+        raise ValueError(f"{path}: not a JSON object, got {summary!r}")
     for key in _SUMMARY_KEYS:
         if key not in summary:
             raise ValueError(f"{path}: missing key {key!r}")

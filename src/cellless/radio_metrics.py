@@ -10,13 +10,18 @@ users and 1 the humans: the part's links, its unit-power (1 W) energy
 table of shape (realizations, targets of the part) per beam geometry,
 cached, and its steering-independent ``channel.link_terms`` once kept.
 The tables missing in one call are grouped per part; each group steers
-every missing beam with ``channel.steered_energy`` from one ``link_terms``
-of the part. A part keeps its terms from the second call that computes
-them, so a part filled once (``evaluate``, ``solve_ctm``) keeps nothing
-and one refilled beam by beam (the MaxRate anneal) stops recomputing
-them. The rate-only caller (``mean_rates`` and with it the MaxRate
-objective) reads only the users part, so it never evaluates the panel at
-a human and a new geometry adds only its user table. Channel ray
+every missing beam with ``channel.steered_energy``. A part's first fill
+runs in realization blocks of at most ``_BLOCK_RAYS`` rays, with one
+``link_terms`` per block shared by every beam and freed before the next
+block, so its memory is bounded by a block, not by the realization count.
+Its second fill computes the whole part's terms and keeps them: a part
+filled once (``evaluate``, ``solve_ctm``) keeps nothing, and one refilled
+beam by beam (the MaxRate anneal) stops recomputing them. Each step is
+elementwise or reduces the trailing cluster and ray axes, so the tables
+have the same bits whatever the block. The rate-only caller
+(``mean_rates`` and with it the MaxRate objective) reads only the users
+part, so it never evaluates the panel at a human and a new geometry adds
+only its user table. Channel ray
 geometry does not depend on any decision variable, so beam changes only
 add table entries and power changes invalidate nothing.
 
@@ -129,6 +134,11 @@ class GainStack:
                        column_of_user={uid: i for i, uid in enumerate(user_ids)})
 
 
+#: The most rays one block of a part's first fill spans: the fill's link
+#: terms and steering temporaries scale with a block, not with the part.
+_BLOCK_RAYS = 2 ** 15
+
+
 @dataclass
 class _Part:
     """One PoA's links to the users (part 0) or to the humans (part 1), the
@@ -138,26 +148,47 @@ class _Part:
     links: ch.LinkRealization
     tables: dict = field(default_factory=dict)
     terms: ch.LinkTerms | None = None
-    made: bool = False  # the terms were computed before
+    made: bool = False  # the part was filled before
 
     def link_terms(self, panel):
-        """The terms, computed on every call until the second, which keeps
-        them: a part filled in one call keeps nothing."""
-        if self.terms is not None:
-            return self.terms
-        terms = ch.link_terms(self.links, panel)
-        if self.made:
-            self.terms = terms
-        self.made = True
-        return terms
+        """The whole part's terms, computed on the first call and kept."""
+        if self.terms is None:
+            self.terms = ch.link_terms(self.links, panel)
+        return self.terms
+
+    def blocks(self) -> list:
+        """Realization slices of at most ``_BLOCK_RAYS`` rays each (at least
+        one realization), covering the part."""
+        n_realizations, *per_realization = self.links.phases.shape
+        step = max(1, _BLOCK_RAYS // max(1, math.prod(per_realization)))
+        return [slice(r, r + step) for r in range(0, n_realizations, step)]
 
     def fill(self, beams, panel):
-        """Compute the table of each ``key -> beam`` in ``beams`` from one
-        set of link terms, freed on return unless kept."""
-        terms = self.link_terms(panel)
-        for key, beam in beams.items():
-            steer = SteeringDirection(beam.zenith, wrap_angle(beam.azimuth - panel.mech_azimuth))
-            self.tables[key] = ch.steered_energy(terms, replace(panel, cols=key[2]), steer)
+        """Compute the table of each ``key -> beam`` in ``beams``.
+
+        The first fill keeps nothing: block by block, it steers every beam
+        from one ``link_terms`` of the block's links. Later fills steer from
+        the whole part's terms, kept from the first of them on. Every step
+        is elementwise or reduces the trailing cluster and ray axes, so the
+        tables have the same bits either way.
+        """
+        mech = panel.mech_azimuth
+        steered = {key: (replace(panel, cols=key[2]),
+                         SteeringDirection(beam.zenith, wrap_angle(beam.azimuth - mech)))
+                   for key, beam in beams.items()}
+        if self.made:
+            terms = self.link_terms(panel)
+            for key, (geom, steer) in steered.items():
+                self.tables[key] = ch.steered_energy(terms, geom, steer)
+            return
+        self.made = True
+        tables = {key: np.empty(self.links.los.shape) for key in steered}
+        for block in self.blocks():
+            terms = ch.link_terms(self.links.realizations(block), panel)
+            for key, (geom, steer) in steered.items():
+                tables[key][block] = ch.steered_energy(terms, geom, steer)
+            del terms  # freed before the next block's are computed
+        self.tables.update(tables)
 
 
 def power_density(frequency: float, p_rx):

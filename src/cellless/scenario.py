@@ -468,12 +468,32 @@ def _integer(value):
     return int(value)
 
 
+def _bounded(parse, low, strict=True):
+    """``parse``, refusing a result below ``low``, or equal to it when
+    ``strict``: the range checks of the dataclasses a record builds, made
+    at the key so that a failure names it."""
+    def bounded(value):
+        result = parse(value)
+        if result < low or (strict and result == low):
+            raise ValueError(f"must be {'>' if strict else '>='} {low}, got {value!r}")
+        return result
+    return bounded
+
+
+_positive = _bounded(_real, 0.0)
+
+
 def _optional(parse, null=None):
     return lambda value: null if value is None else parse(value)
 
 
 def _radians(deg):
     return math.radians(_real(deg))
+
+
+def _float_key(key):
+    """An object key, a JSON string, read as a finite number."""
+    return _real(float(key))
 
 
 def _map_of(parse_key, parse_value):
@@ -563,7 +583,7 @@ _POSITION_KEYS = {axis: (axis, _real, _same) for axis in "xyz"}
 _POSITION = ("position", lambda data: _record(Position3D, _POSITION_KEYS, data),
              lambda pos: _dump(pos, _POSITION_KEYS))
 _ID = ("id", _text, _same)
-_float_map = _map_of(lambda key: _real(float(key)), _real)   # keys: JSON strings
+_float_map = _map_of(_float_key, _real)
 
 _POA_KEYS = {
     "id": _ID,
@@ -583,12 +603,21 @@ _USER_KEYS = {"id": _ID, "position_m": _POSITION,
 _HUMAN_KEYS = {"id": _ID, "position_m": _POSITION,
                "phantom_id": ("phantom_id", _text, _same),
                "linked_user": ("linked_user", _optional(_text), _same)}
+
+
+def _sar_ref(value):
+    table = _map_of(_float_key, _positive)(value)
+    if not table:
+        raise ValueError("must not be empty")
+    return table
+
+
 _PHANTOM_KEYS = {
     "name": ("name", _text, _same),
-    "bmi": ("bmi", _real, _same),
-    "bmi_ref": ("bmi_ref", _real, _same),
-    "e_ref_vpm": ("e_ref", _real, _same),
-    "sar_ref": ("sar_ref", _float_map, _str_keys),
+    "bmi": ("bmi", _positive, _same),
+    "bmi_ref": ("bmi_ref", _positive, _same),
+    "e_ref_vpm": ("e_ref", _positive, _same),
+    "sar_ref": ("sar_ref", _sar_ref, _str_keys),
 }
 _LOS_KEYS = {
     "kind": ("kind", _text, _same),
@@ -598,11 +627,13 @@ _LOS_KEYS = {
 }
 _PATHLOSS = (lambda value: PathlossCoeffs(*_list_of(_real)(value)), lambda c: [c.a, c.b, c.c])
 _CHANNEL_KEYS = {
-    "n_clusters": ("n_clusters", _integer, _same),
-    "n_rays": ("n_rays", _integer, _same),
-    "delay_spread_s": ("delay_spread", _real, _same),
-    "azimuth_spread_dep_deg": ("azimuth_spread_dep", _radians, math.degrees),
-    "zenith_spread_dep_deg": ("zenith_spread_dep", _radians, math.degrees),
+    "n_clusters": ("n_clusters", _bounded(_integer, 1, strict=False), _same),
+    "n_rays": ("n_rays", _bounded(_integer, 1, strict=False), _same),
+    "delay_spread_s": ("delay_spread", _positive, _same),
+    "azimuth_spread_dep_deg": ("azimuth_spread_dep", _bounded(_radians, 0.0, strict=False),
+                               math.degrees),
+    "zenith_spread_dep_deg": ("zenith_spread_dep", _bounded(_radians, 0.0, strict=False),
+                              math.degrees),
     "shadow_sigma_los_db": ("shadow_sigma_los_db", _real, _same),
     "shadow_sigma_nlos_db": ("shadow_sigma_nlos_db", _real, _same),
     "rician_k_mean_db": ("rician_k_mean_db", _real, _same),

@@ -396,6 +396,21 @@ def test_cli_plot_on_a_summary_that_is_not_json_exits_2(run_out, tmp_path, capsy
     assert str(broken) in err and "not valid JSON" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    "5", "null", "[]", '"scenario seed solver per_poa_power_dbm total_power_w"'])
+def test_cli_plot_on_a_summary_that_is_not_an_object_exits_2(run_out, tmp_path, capsys, text):
+    """Valid JSON that is not an object: a number, null, a list, or a
+    string that holds every summary key as a substring."""
+    spec, _ = run_out
+    out = shutil.copytree(spec.out_dir, tmp_path / "out")
+    broken = out / "inf-dh-desk" / "1" / "ctm" / "summary.json"
+    broken.write_text(text)
+    assert main(["plot", "--kind", "power-bars", "--in", str(out),
+                 "--out", str(tmp_path / "bars.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(broken) in err and "not a JSON object" in err and "Traceback" not in err
+
+
 def test_cli_plot_on_a_metrics_csv_without_a_column_exits_2(run_out, tmp_path, capsys):
     spec, _ = run_out
     out = shutil.copytree(spec.out_dir, tmp_path / "out")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -79,7 +80,9 @@ def test_evaluator_deterministic(tiny_scenario, tiny_solution):
 def _assert_links_keyed_per_link(ev, p_idx):
     """Every link the Evaluator drew for one PoA, in its users part and its
     humans part, equals a one-link draw from that link's own stream, field
-    by field and bit for bit. Returns the (users, humans) parts."""
+    by field and bit for bit, and so do its per-ray departure angles; the
+    frequency and the ray offsets are one value per part. Returns the
+    (users, humans) parts."""
     poa = ev.scenario.poas[p_idx]
     parts = ev._parts[poa.id, 0].links, ev._parts[poa.id, 1].links
     n_users = len(ev.scenario.users)
@@ -90,14 +93,15 @@ def _assert_links_keyed_per_link(ev, p_idx):
             links, col = (parts[0], t_idx) if t_idx < n_users else (parts[1], t_idx - n_users)
             one = sample_link(poa.position.as_tuple(), poa.frequency, t.position.as_tuple(),
                               ev.scenario.channel_params, link_rng(ev.seed, r, p_idx, t_idx))
-            for f in dataclasses.fields(one):
-                got, want = getattr(links, f.name), getattr(one, f.name)
-                if f.name == "frequency":
-                    assert got == want
-                elif f.name == "los_aod":
+            names = [f.name for f in dataclasses.fields(one)] + ["aod_zenith", "aod_azimuth"]
+            for name in names:
+                got, want = getattr(links, name), getattr(one, name)
+                if name in ("frequency", "ray_zenith_offsets", "ray_azimuth_offsets"):
+                    assert np.array_equal(got, want), name
+                elif name == "los_aod":
                     assert got[0][r, col] == want[0] and got[1][r, col] == want[1]
                 else:
-                    assert np.array_equal(got[r, col], want), f.name
+                    assert np.array_equal(got[r, col], want), name
     return parts
 
 
@@ -110,21 +114,33 @@ def test_per_poa_sample_equals_per_link_streams(tiny_scenario, ev):
     assert los.any() and not los.all()
 
 
+_PART_NAMES = ("users", "humans")
+
+
 def _count_link_terms_parts(monkeypatch, ev):
     """Record, per call of channel.link_terms (the steering-independent
-    half of the link energy, which a gain fill computes per part), which
-    part of which PoA's links it was given: (PoA id, "users" | "humans")."""
+    half of the link energy, which a gain fill computes per block of a part
+    on a part's first fill, and then at most once over the whole part),
+    which part of which PoA's links it was given: (PoA id, "users" |
+    "humans"). A block is a view of its part's arrays, so it is mapped back
+    to the part whose ``phases`` it shares memory with."""
     calls = []
     original = ch.link_terms
-    names = {id(record.links): (pid, ("users", "humans")[part])
-             for (pid, part), record in ev._parts.items()}
+    phases = [((pid, _PART_NAMES[part]), record.links.phases)
+              for (pid, part), record in ev._parts.items()]
 
     def spy(link, geom):
-        calls.append(names[id(link)])
+        (name,) = [name for name, whole in phases if np.shares_memory(link.phases, whole)]
+        calls.append(name)
         return original(link, geom)
 
     monkeypatch.setattr(ch, "link_terms", spy)
     return calls
+
+
+def _first_fill(ev, pid, part):
+    """The ``link_terms`` calls of one part's first fill: one per block."""
+    return [(pid, _PART_NAMES[part])] * len(ev._parts[pid, part].blocks())
 
 
 def test_rates_evaluate_user_columns_only(monkeypatch, tiny_scenario, tiny_solution):
@@ -136,12 +152,14 @@ def test_rates_evaluate_user_columns_only(monkeypatch, tiny_scenario, tiny_solut
     ev.mean_rates(tiny_solution)
     objective(tiny_solution, ev)
     _user_terms(ev, tiny_solution, ["u0"])
-    assert sorted(calls) == sorted((b.owner_poa, "users") for b in active)
+    users = sorted(c for b in active for c in _first_fill(ev, b.owner_poa, 0))
+    assert sorted(calls) == users
     ev.metrics(tiny_solution)
-    assert sorted(calls[len(active):]) == sorted((b.owner_poa, "humans") for b in active)
+    humans = sorted(c for b in active for c in _first_fill(ev, b.owner_poa, 1))
+    assert sorted(calls[len(users):]) == humans
     ev.metrics(tiny_solution)
     ev.mean_rates(tiny_solution)
-    assert len(calls) == 2 * len(active)
+    assert len(calls) == len(users) + len(humans)
 
 
 def test_metrics_after_rates_equals_fresh_metrics(tiny_scenario, tiny_solution):
@@ -409,19 +427,15 @@ def test_user_views_equal_metrics_bit_for_bit(world, seed, realizations):
 
 def _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams):
     """Fill every beam's table in one stack call, then compare each part of
-    each table byte for byte with a one-beam ``steered_energy`` call."""
-    groups = []
-    original = ch.link_terms
-
-    def spy(link, geom):
-        groups.append(id(link))
-        return original(link, geom)
-
-    monkeypatch.setattr(ch, "link_terms", spy)
+    each table byte for byte with a one-beam ``steered_energy`` call over
+    the whole part. The fill computes one ``link_terms`` per block of each
+    part, shared by all the part's beams."""
+    calls = _count_link_terms_parts(monkeypatch, ev)
     ev.stack(SolutionState(beams=tuple(beams), tx_power={}))
     monkeypatch.undo()
     parts = {(b.owner_poa, part) for b in beams for part in (0, 1)}
-    assert len(groups) == len(set(groups)) == len(parts) < 2 * len(beams)
+    assert len(parts) < 2 * len(beams)
+    assert sorted(calls) == sorted(c for pid, part in parts for c in _first_fill(ev, pid, part))
     _assert_tables_equal_one_beam_kernel(ev, ev, beams)
 
 
@@ -476,13 +490,71 @@ def test_grouped_fills_equal_one_beam_kernel_umi(monkeypatch):
     _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams)
 
 
+def _first_poa_beams(scenario):
+    """One beam per beam id of the scenario's first PoA, with distinct
+    steering and widths."""
+    poa = scenario.poas[0]
+    served = frozenset({scenario.users[0].id})
+    return [BeamConfig(beam_id, poa.id, wrap_angle(0.3 + 1.3 * k), 1.2 + 0.2 * k,
+                       poa.min_beam_width * (1 + k), served)
+            for k, beam_id in enumerate(poa.beams)]
+
+
+@pytest.mark.parametrize("world", ["inf-dh-desk", "umi-sc-desk"])
+def test_block_fills_equal_one_beam_kernel(monkeypatch, world):
+    """20 realizations span two blocks of a desk world's users parts and
+    three of its humans parts, the last of each short, on isotropic
+    (inf-dh) and 3GPP 8 dBi (umi-sc) elements. The block-wise first fill,
+    and then fills from kept whole-part terms, equal one-beam kernel calls
+    over the whole part byte for byte."""
+    scenario = builtin_scenario(world, 1)
+    beams = [b for b in build_geometry(scenario, CtmConfig(seed=1, kmeans_restarts=2)).beams
+             if b.active]
+    ev = Evaluator(scenario, seed=1, n_realizations=20)
+    for pid in {b.owner_poa for b in beams}:
+        assert [len(ev._parts[pid, part].blocks()) for part in (0, 1)] == [2, 3]
+    _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams)
+    misses = _one_beam_misses(beams[0], 3)[1:]
+    for humans in (False, True):
+        for b in misses:
+            ev.beam_gains(b, humans=humans)
+    assert _kept(ev) == {(beams[0].owner_poa, part) for part in (0, 1)}
+    _assert_tables_equal_one_beam_kernel(ev, ev, misses)
+
+
+def test_first_fill_peak_memory_is_flat_in_realizations():
+    """A part's first fill holds the link terms and steering temporaries of
+    one block at a time. On umi-sc-desk, one PoA's beams over its users and
+    humans: at 8 realizations the humans part is one block, at 32 it is
+    four, and the traced peak of the fill stays within 10 % (a fill from
+    one whole-part ``link_terms`` grows about 3.7 times)."""
+    scenario = builtin_scenario("umi-sc-desk", 1)
+    beams = _first_poa_beams(scenario)
+    peaks = []
+    for n_realizations in (8, 32):
+        ev = Evaluator(scenario, seed=1, n_realizations=n_realizations)
+        tracemalloc.start()
+        try:
+            ev._tables(beams, humans=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(ev._parts[beams[0].owner_poa, 1].blocks()) == n_realizations // 8
+    assert peaks[1] < 1.1 * peaks[0]
+
+
 # ---------------------------------------------------------------------------
-# Kept link terms: a part's terms are kept from the second call that has to
-# compute them, and fills from kept terms equal the one-beam kernel.
+# Kept link terms: a part's first fill runs block by block and keeps
+# nothing; the next fill computes the whole part's terms and keeps them, and
+# fills from kept terms equal the one-beam kernel.
 
 def _kept(ev):
-    """The (PoA id, part) keys whose link terms the Evaluator keeps."""
-    return {key for key, record in ev._parts.items() if record.terms is not None}
+    """The (PoA id, part) keys whose link terms the Evaluator keeps; kept
+    terms span the whole part."""
+    kept = {key for key, record in ev._parts.items() if record.terms is not None}
+    for key in kept:
+        assert ev._parts[key].terms.rays.shape == ev._parts[key].links.phases.shape
+    return kept
 
 
 def _one_beam_misses(beam, n):
@@ -500,7 +572,8 @@ def test_one_beam_misses_compute_link_terms_at_most_twice(monkeypatch):
         ev.beam_gains(b, humans=False)
     assert len(ev._parts[pid, 0].tables) == len(misses)
     assert ev._parts[pid, 1].tables == {}  # a users-only fill makes no humans-part table
-    assert calls == [(pid, "users")] * 2
+    # The first fill's blocks, then the whole part once, then kept.
+    assert calls == _first_fill(ev, pid, 0) + [(pid, "users")]
     assert _kept(ev) == {(pid, 0)}
 
 
@@ -524,7 +597,8 @@ def test_kept_terms_fill_equal_one_beam_kernel(monkeypatch, world):
     kept = {pid for pid, _ in _kept(ev)}
     assert kept and _kept(ev) == {(pid, part) for pid in kept for part in (0, 1)}
     for pid in kept:
-        assert calls.count((pid, "users")) == calls.count((pid, "humans")) == 2
+        for part in (0, 1):
+            assert calls.count((pid, _PART_NAMES[part])) == len(_first_fill(ev, pid, part)) + 1
     _assert_tables_equal_one_beam_kernel(ev, Evaluator(scenario, seed, n_realizations), beams)
 
 
@@ -583,7 +657,7 @@ def test_part_tables_under_random_calls(desk_pool, calls):
             assert table.shape == (2, n_targets[part])
         assert set(record.tables) == {key for p, key in (read if part == 0 else with_humans)
                                       if p == pid}
-        assert terms_calls.count((pid, ("users", "humans")[part])) <= 2
+        assert terms_calls.count((pid, _PART_NAMES[part])) <= len(_first_fill(ev, pid, part)) + 1
     _assert_tables_equal_one_beam_kernel(ev, reference, list(read.values()))
 
 

@@ -299,11 +299,20 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d["humans"][1].update(linked_user=1), "humans[1].linked_user"),
     (lambda d: d["poas"][0].update(panel_rows=0), "poas[0].panel_rows"),
     (lambda d: d["poas"][1].update(panel_cols=0), "poas[1].panel_cols"),
-    (lambda d: d["phantoms"][0].update(e_ref_vpm=0), "phantoms[0]"),
+    (lambda d: d["phantoms"][0].update(e_ref_vpm=0), "phantoms[0].e_ref_vpm"),
     (lambda d: d["frequency_map"].update({"NaN": 2.45e9}), "frequency_map.NaN"),
     (lambda d: d["phantoms"][1]["sar_ref"].update({"Infinity": 1e-4}),
      "phantoms[1].sar_ref.Infinity"),
     (lambda d: d["frequency_map"].update({"5 GHz": 5.2e9}), "frequency_map.5 GHz"),
+    (lambda d: d["channel_params"].update(n_rays=0), "channel_params.n_rays"),
+    (lambda d: d["channel_params"].update(n_clusters=-1), "channel_params.n_clusters"),
+    (lambda d: d["channel_params"].update(delay_spread_s=0.0), "channel_params.delay_spread_s"),
+    (lambda d: d["channel_params"].update(zenith_spread_dep_deg=-1.0),
+     "channel_params.zenith_spread_dep_deg"),
+    (lambda d: d["phantoms"][2].update(bmi=0), "phantoms[2].bmi"),
+    (lambda d: d["phantoms"][1].update(bmi_ref=-22.0), "phantoms[1].bmi_ref"),
+    (lambda d: d["phantoms"][0].update(sar_ref={}), "phantoms[0].sar_ref"),
+    (lambda d: d["phantoms"][0]["sar_ref"].update({"1e9": 0.0}), "phantoms[0].sar_ref.1e9"),
 ], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
         "maxpow-minus-inf", "user-z-nan", "poa-z-inf", "bounds-length-inf",
         "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
@@ -320,7 +329,9 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
         "panel-rows-fraction", "panel-cols-boolean", "n-clusters-fraction", "n-rays-not-number",
         "poa-id-null", "user-id-number", "phantom-name-null", "phantom-id-number",
         "linked-user-number", "panel-rows-zero", "panel-cols-zero", "e-ref-zero",
-        "frequency-key-nan", "sar-ref-key-infinity", "frequency-key-not-number"])
+        "frequency-key-nan", "sar-ref-key-infinity", "frequency-key-not-number",
+        "n-rays-zero", "n-clusters-negative", "delay-spread-zero", "zenith-spread-negative",
+        "bmi-zero", "bmi-ref-negative", "sar-ref-empty", "sar-ref-value-zero"])
 
 
 @_BAD_INPUTS
