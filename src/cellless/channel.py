@@ -3,25 +3,29 @@
 Each link (PoA -> user or human) is drawn from an independent random
 stream keyed by (global seed, realization index, PoA index, target index),
 so results are bit-identical regardless of evaluation order or worker
-count. The stream of a key is ``default_rng(SeedSequence(key))``;
-``link_rngs`` seeds every (realization, target) stream of one PoA in one
-pass, running ``SeedSequence``'s integer hash over all keys at once as
-arrays, and ``link_rng`` is its one-link case. ``sample_link`` takes one
-stream per link but draws all the links it is given, typically every
-(realization, target) link of one PoA part, in one call, and returns them
-as arrays. A ``LinkRealization`` stores the departure angles at cluster
-resolution, each cluster's mean, plus the N_r ray offsets that every link
-shares; the per-ray angles exist only while ``link_terms`` evaluates the
-panel at them, so a link stores one per-ray array, its phases, not
-three. Ray geometry is independent of any beam decision: beams enter only
-through the panel field applied when computing energies, which lets a
-fixed set of realizations be reused across candidate solutions.
+count. The stream of a key is ``default_rng(SeedSequence(key))``.
+``link_seed_words`` runs ``SeedSequence``'s integer hash over the keys of
+one PoA's links at once, for any realization range, and returns each
+link's four PCG64 seed words, 32 bytes; ``seeded_rngs`` builds the
+generators from them, ``link_rngs`` composes the two, and ``link_rng`` is
+its one-link case. ``sample_link`` takes one stream per link but draws all
+the links it is given in one call and returns them as arrays. The
+per-target direct-path geometry depends on no draw: ``direct_paths``
+computes it, and ``sample_link`` takes it in place of target positions,
+so a caller that keeps the geometry and the seed words can draw any of
+its links again, bit for bit, when it needs them. A ``LinkRealization``
+stores the departure angles at cluster resolution, each cluster's mean,
+plus the N_r ray offsets that every link shares; the per-ray angles exist
+only while ``link_terms`` evaluates the panel at them. Ray geometry is
+independent of any beam decision: beams enter only through the panel
+field applied when computing energies, which lets a fixed set of
+realizations be reused across candidate solutions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -127,16 +131,21 @@ class LinkRealization:
         """(..., N_c, N_r) ray departure azimuths, GCS radians in (-pi, pi]."""
         return wrap_angle(self.cluster_azimuth[..., None] + self.ray_azimuth_offsets)
 
-    def realizations(self, index) -> LinkRealization:
-        """The links of the realizations ``index``, a slice of the leading
-        axis, as views; the fields shared by every link are kept whole."""
-        cut = {f.name: getattr(self, f.name)[index] for f in fields(self)
-               if f.name not in _SHARED + ("los_aod",)}
-        return replace(self, los_aod=tuple(a[index] for a in self.los_aod), **cut)
 
+@dataclass(frozen=True)
+class DirectPaths:
+    """Direct-path geometry of the links from one PoA to its targets, one
+    value per target: the departure zenith and azimuth (GCS radians), the
+    3D distance [m], the LoS probability and both pathlosses [dB]. It
+    depends on no draw, so ``direct_paths`` computes it once for every
+    draw of the same links."""
 
-# The LinkRealization fields that hold one value for all of its links.
-_SHARED = ("frequency", "ray_zenith_offsets", "ray_azimuth_offsets")
+    zenith: np.ndarray
+    azimuth: np.ndarray
+    d_3d: np.ndarray
+    p_los: np.ndarray
+    pathloss_los: np.ndarray
+    pathloss_nlos: np.ndarray
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -220,25 +229,38 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _link_generators(seed, realizations, poa_index, targets) -> list:
-    """(len(realizations) x len(targets)) nested list of the generators
-    ``default_rng(SeedSequence([seed, r, poa_index, t]))``."""
+def link_seed_words(seed, realizations, poa_index, targets) -> np.ndarray:
+    """The PCG64 seed words of the link streams from PoA ``poa_index`` to
+    each target index in ``targets`` in each realization index in
+    ``realizations`` (any indices, e.g. a range starting past 0), as a
+    (len(realizations), len(targets), 4) uint64 array.
+
+    Entry [i, j] is ``SeedSequence([seed, realizations[i], poa_index,
+    targets[j]]).generate_state(4, np.uint64)``: the hash runs over every
+    key at once, grouped by the keys' 32-bit word counts.
+    """
+    realizations, targets = list(realizations), list(targets)
     ((_, seed_words),) = _word_groups([seed])
     ((_, poa_words),) = _word_groups([poa_index])
-    out = [[None] * len(targets) for _ in realizations]
+    out = np.empty((len(realizations), len(targets), 4), dtype=np.uint64)
     for r_pos, r_words in _word_groups(realizations):
         for t_pos, t_words in _word_groups(targets):
             n = len(r_pos) * len(t_pos)
-            states = iter(_seed_states(np.concatenate([
+            out[np.ix_(r_pos, t_pos)] = _seed_states(np.concatenate([
                 np.broadcast_to(seed_words, (n, seed_words.shape[1])),
                 np.repeat(r_words, len(t_pos), axis=0),
                 np.broadcast_to(poa_words, (n, poa_words.shape[1])),
-                np.tile(t_words, (len(r_pos), 1))], axis=1)))
-            for r in r_pos:
-                row = out[r]
-                for t in t_pos:
-                    row[t] = Generator(PCG64(_SeedWords(next(states))))
+                np.tile(t_words, (len(r_pos), 1))], axis=1)).reshape(len(r_pos), len(t_pos), 4)
     return out
+
+
+def seeded_rngs(words) -> list:
+    """The generators seeded from ``words``, a (rows, columns, 4) slice of
+    ``link_seed_words``, as the (rows x columns) nested list
+    ``sample_link`` takes. Each ``PCG64`` seeds itself from its row of
+    words, so it is bit-identical to ``default_rng`` of that link's
+    ``SeedSequence``."""
+    return [[Generator(PCG64(_SeedWords(w))) for w in row] for row in words]
 
 
 def link_rngs(seed: int, n_realizations: int, poa_index: int, targets) -> list:
@@ -247,17 +269,16 @@ def link_rngs(seed: int, n_realizations: int, poa_index: int, targets) -> list:
     nested list ``sample_link`` takes.
 
     Entry [r][j] is bit-identical to ``link_rng(seed, r, poa_index,
-    targets[j])``: the ``SeedSequence`` hash runs over every key at once
-    and each ``PCG64`` seeds itself from its precomputed words.
+    targets[j])``.
     """
-    return _link_generators(seed, range(int(n_realizations)), poa_index, list(targets))
+    return seeded_rngs(link_seed_words(seed, range(int(n_realizations)), poa_index, targets))
 
 
 def link_rng(seed: int, realization: int, poa_index: int, target_index: int):
     """Independent generator for one (realization, PoA, target) link:
     ``default_rng(SeedSequence([seed, realization, poa_index,
     target_index]))``."""
-    return _link_generators(seed, [realization], poa_index, [target_index])[0][0]
+    return seeded_rngs(link_seed_words(seed, [realization], poa_index, [target_index]))[0][0]
 
 
 def los_probability(model: LosModel, d_2d, poa_height, target_height):
@@ -297,27 +318,13 @@ def _direct_path_angles(src, dst):
     return zen, az, d3d
 
 
-def sample_link(poa_pos, poa_freq, target_pos, params: ChannelParams, rng) -> LinkRealization:
-    """Draw link realizations from one PoA, each from its own stream.
-
-    ``rng`` is one generator from ``link_rng`` or nested lists of them; the
-    nesting gives the leading shape of every returned field. ``target_pos``
-    has shape (..., 3) and broadcasts against that leading shape.
-
-    LoS state is Bernoulli on los_probability; delays are i.i.d.
-    exponential (sorted) with powers proportional to exp(-tau/DS),
-    renormalized; cluster mean angles are Gaussian around the direct-path
-    geometry, rays fan out on deterministic equal-spaced offsets of half
-    the angular spread; phases are i.i.d. uniform.
-    """
-    rngs = np.array(rng, dtype=object)
-    shape = rngs.shape
+def direct_paths(poa_pos, poa_freq, target_pos, params: ChannelParams) -> DirectPaths:
+    """Direct-path geometry, LoS probability and both pathlosses of the
+    links from one PoA to each target of ``target_pos``, shape (..., 3),
+    once per target with scalar calls (array math may round differently)."""
     pos = np.asarray(target_pos, dtype=float)
     if pos.shape == (0,):
         pos = pos.reshape(0, 3)     # an empty plain list: no targets
-
-    # Direct-path geometry, LoS probability and both pathlosses, once per
-    # target with scalar calls (array math may round differently).
     geometry = np.empty(pos.shape[:-1] + (6,))
     for idx in np.ndindex(pos.shape[:-1]):
         tx, ty, tz = pos[idx].tolist()
@@ -326,8 +333,32 @@ def sample_link(poa_pos, poa_freq, target_pos, params: ChannelParams, rng) -> Li
         p_los = float(los_probability(params.los_model, d2d, poa_pos[2], tz))
         geometry[idx] = (zen0, az0, d3d, p_los, float(params.pathloss_los.db(d3d, poa_freq)),
                          float(params.pathloss_nlos.db(d3d, poa_freq)))
+    return DirectPaths(*(geometry[..., i] for i in range(6)))
+
+
+def sample_link(poa_pos, poa_freq, target_pos, params: ChannelParams, rng) -> LinkRealization:
+    """Draw link realizations from one PoA, each from its own stream.
+
+    ``rng`` is one generator from ``link_rng`` or nested lists of them; the
+    nesting gives the leading shape of every returned field. ``target_pos``
+    has shape (..., 3) and broadcasts against that leading shape; it may
+    also be those targets' ``direct_paths`` from this PoA, computed
+    before, whose arrays the returned ``los_aod`` and ``d_3d`` then view.
+
+    LoS state is Bernoulli on los_probability; delays are i.i.d.
+    exponential (sorted) with powers proportional to exp(-tau/DS),
+    renormalized; cluster mean angles are Gaussian around the direct-path
+    geometry, rays fan out on deterministic equal-spaced offsets of half
+    the angular spread; phases are i.i.d. uniform.
+    """
+    paths = (target_pos if isinstance(target_pos, DirectPaths)
+             else direct_paths(poa_pos, poa_freq, target_pos, params))
+    rngs = np.array(rng, dtype=object)
+    shape = rngs.shape
     zen0, az0, d3d, p_los, pl_los, pl_nlos = (
-        np.broadcast_to(geometry[..., i], shape) for i in range(6))
+        np.broadcast_to(a, shape) for a in (paths.zenith, paths.azimuth, paths.d_3d,
+                                            paths.p_los, paths.pathloss_los,
+                                            paths.pathloss_nlos))
 
     # Each stream draws in its original order: LoS, shadowing, K (LoS
     # only), delays, departure then arrival angle normals, phases. The

@@ -1,29 +1,33 @@
 """SINR, per-user rates, per-human exposure, and the constraint system.
 
-The Evaluator samples every link realization once per (scenario, seed),
-with two ``channel.sample_link`` calls per PoA, one over (realizations,
-users) and one over (realizations, humans); each link is still drawn from
-its own keyed stream, and the streams of one such part are seeded in one
-``channel.link_rngs`` pass. Everything derived from one of these PoA parts
-lives in one record, ``Evaluator._parts[(PoA id, part)]`` with part 0 the
-users and 1 the humans: the part's links, its unit-power (1 W) energy
-table of shape (realizations, targets of the part) per beam geometry,
-cached, and its steering-independent ``channel.link_terms`` once kept.
-The tables missing in one call are grouped per part; each group steers
-every missing beam with ``channel.steered_energy``. A part's first fill
-runs in realization blocks of at most ``_BLOCK_RAYS`` rays, with one
-``link_terms`` per block shared by every beam and freed before the next
-block, so its memory is bounded by a block, not by the realization count.
-Its second fill computes the whole part's terms and keeps them: a part
-filled once (``evaluate``, ``solve_ctm``) keeps nothing, and one refilled
-beam by beam (the MaxRate anneal) stops recomputing them. Each step is
-elementwise or reduces the trailing cluster and ray axes, so the tables
-have the same bits whatever the block. The rate-only caller
-(``mean_rates`` and with it the MaxRate objective) reads only the users
-part, so it never evaluates the panel at a human and a new geometry adds
-only its user table. Channel ray
-geometry does not depend on any decision variable, so beam changes only
-add table entries and power changes invalidate nothing.
+The Evaluator fixes every link realization of one (scenario, seed) but
+stores none of them. Everything derived from one PoA's links to the users
+(part 0) or to the humans (part 1) lives in one record,
+``Evaluator._parts[(PoA id, part)]``. Made once at construction, it holds
+the targets' ``channel.direct_paths`` and the PCG64 seed words of every
+(realization, target) link, 32 bytes each, from one
+``channel.link_seed_words`` pass; each link is still drawn from its own
+keyed stream, and ``_Part.links`` draws any realization range of the part
+again, bit for bit, through ``channel.sample_link``. The record also
+caches the part's unit-power (1 W) energy table of shape (realizations,
+targets of the part) per beam geometry, and its steering-independent
+``channel.link_terms`` once kept. The tables missing in one call are
+grouped per part; each group steers every missing beam with
+``channel.steered_energy``. A part's first fill runs in realization blocks
+of at most ``_BLOCK_RAYS`` rays: it draws a block's links, computes one
+``link_terms`` for them, shared by every beam, and frees both before the
+next block, so its memory is bounded by a block, not by the realization
+count. Its second fill draws the whole part once more and keeps its
+terms: a part filled once (``evaluate``, ``solve_ctm``) keeps nothing,
+and one refilled beam by beam (the MaxRate anneal) stops recomputing
+them. Each step is elementwise or reduces the trailing cluster and ray
+axes, and each link's draw reads its own stream only, so the tables have
+the same bits whatever the block. A part no beam of the PoA reaches is
+never drawn. The rate-only caller (``mean_rates`` and with it the MaxRate
+objective) reads only the users part, so it never evaluates the panel at
+a human and a new geometry adds only its user table. Channel ray geometry
+does not depend on any decision variable, so beam changes only add table
+entries and power changes invalidate nothing.
 
 One power core turns beams and powers into rates and exposure, in three
 steps. *Stack* (``Evaluator.stack``) gathers the unit-power gains of every
@@ -51,6 +55,7 @@ are.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -59,7 +64,7 @@ import numpy as np
 from . import channel as ch
 from .antenna import PanelGeometry, SteeringDirection, width_to_panel, wrap_angle
 from .exposure import incident_field, sar_wb
-from .scenario import Scenario
+from .scenario import PoA, Scenario
 from .solution import SolutionState, validate
 
 NOISE_DENSITY_W_HZ = ch.dbm_to_watts(ch.NOISE_DENSITY_DBM_HZ)
@@ -134,43 +139,56 @@ class GainStack:
                        column_of_user={uid: i for i, uid in enumerate(user_ids)})
 
 
-#: The most rays one block of a part's first fill spans: the fill's link
-#: terms and steering temporaries scale with a block, not with the part.
+#: The most rays one block of a part's first fill spans: the fill's drawn
+#: links, link terms and steering temporaries scale with a block, not with
+#: the part.
 _BLOCK_RAYS = 2 ** 15
 
 
 @dataclass
 class _Part:
-    """One PoA's links to the users (part 0) or to the humans (part 1), the
+    """One PoA's links to the users (part 0) or to the humans (part 1), kept
+    as what draws them: the PoA, the targets' direct-path geometry and the
+    (realizations, targets, 4) seed words of the links' streams. Also the
     unit-power gain table over them of each beam geometry, keyed (zenith,
     azimuth, columns), and their ``channel.link_terms`` once kept."""
 
-    links: ch.LinkRealization
+    poa: PoA
+    params: ch.ChannelParams
+    paths: ch.DirectPaths
+    words: np.ndarray
     tables: dict = field(default_factory=dict)
     terms: ch.LinkTerms | None = None
     made: bool = False  # the part was filled before
 
+    def links(self, index=slice(None)) -> ch.LinkRealization:
+        """The links of the realizations ``index``, a slice, drawn from
+        their kept seed words."""
+        return ch.sample_link(self.poa.position.as_tuple(), self.poa.frequency, self.paths,
+                              self.params, ch.seeded_rngs(self.words[index]))
+
     def link_terms(self, panel):
         """The whole part's terms, computed on the first call and kept."""
         if self.terms is None:
-            self.terms = ch.link_terms(self.links, panel)
+            self.terms = ch.link_terms(self.links(), panel)
         return self.terms
 
     def blocks(self) -> list:
         """Realization slices of at most ``_BLOCK_RAYS`` rays each (at least
         one realization), covering the part."""
-        n_realizations, *per_realization = self.links.phases.shape
-        step = max(1, _BLOCK_RAYS // max(1, math.prod(per_realization)))
+        n_realizations, n_targets = self.words.shape[:2]
+        rays = n_targets * self.params.n_clusters * self.params.n_rays
+        step = max(1, _BLOCK_RAYS // max(1, rays))
         return [slice(r, r + step) for r in range(0, n_realizations, step)]
 
     def fill(self, beams, panel):
         """Compute the table of each ``key -> beam`` in ``beams``.
 
-        The first fill keeps nothing: block by block, it steers every beam
-        from one ``link_terms`` of the block's links. Later fills steer from
-        the whole part's terms, kept from the first of them on. Every step
-        is elementwise or reduces the trailing cluster and ray axes, so the
-        tables have the same bits either way.
+        The first fill keeps nothing: block by block, it draws the block's
+        links and steers every beam from one ``link_terms`` of them. Later
+        fills steer from the whole part's terms, kept from the first of them
+        on. Every step is elementwise or reduces the trailing cluster and
+        ray axes, so the tables have the same bits either way.
         """
         mech = panel.mech_azimuth
         steered = {key: (replace(panel, cols=key[2]),
@@ -182,13 +200,22 @@ class _Part:
                 self.tables[key] = ch.steered_energy(terms, geom, steer)
             return
         self.made = True
-        tables = {key: np.empty(self.links.los.shape) for key in steered}
+        tables = {key: np.empty(self.words.shape[:2]) for key in steered}
         for block in self.blocks():
-            terms = ch.link_terms(self.links.realizations(block), panel)
+            terms = ch.link_terms(self.links(block), panel)
             for key, (geom, steer) in steered.items():
                 tables[key][block] = ch.steered_energy(terms, geom, steer)
-            del terms  # freed before the next block's are computed
+            del terms  # freed before the next block's links are drawn
         self.tables.update(tables)
+
+
+def _integer(name, value) -> int:
+    """``value`` as an ``int``: a boolean or a non-integral number is
+    refused with a ``ValueError`` naming ``name``, not truncated."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def power_density(frequency: float, p_rx):
@@ -213,11 +240,11 @@ class Evaluator:
     """
 
     def __init__(self, scenario: Scenario, seed: int, n_realizations: int = 10):
-        if n_realizations < 1:
+        self.seed = _integer("seed", seed)
+        self.n_realizations = _integer("n_realizations", n_realizations)
+        if self.n_realizations < 1:
             raise ValueError("need at least one realization")
         self.scenario = scenario
-        self.seed = int(seed)
-        self.n_realizations = int(n_realizations)
         self.targets = list(scenario.users) + list(scenario.humans)
         self._user_ids = [u.id for u in scenario.users]
         self._human_ids = [h.id for h in scenario.humans]
@@ -236,16 +263,19 @@ class Evaluator:
             for p in scenario.poas
         }
         # (PoA id, part) -> _Part. Target index t (users, then humans) of
-        # PoA index p is drawn from link_rng(seed, r, p, t), seeded per part.
+        # PoA index p is drawn from link_rng(seed, r, p, t); a part keeps
+        # its links' seed words and draws the links when it fills.
+        params = scenario.channel_params
         self._parts = {}
         for p_idx, poa in enumerate(scenario.poas):
             for part, group in enumerate((scenario.users, scenario.humans)):
                 start = part * self._n_users
-                self._parts[poa.id, part] = _Part(ch.sample_link(
-                    poa.position.as_tuple(), poa.frequency,
-                    [t.position.as_tuple() for t in group], scenario.channel_params,
-                    ch.link_rngs(self.seed, self.n_realizations, p_idx,
-                                 range(start, start + len(group)))))
+                self._parts[poa.id, part] = _Part(
+                    poa, params,
+                    ch.direct_paths(poa.position.as_tuple(), poa.frequency,
+                                    [t.position.as_tuple() for t in group], params),
+                    ch.link_seed_words(self.seed, range(self.n_realizations), p_idx,
+                                       range(start, start + len(group))))
 
     # -- per-beam unit-power gains -------------------------------------------
 
@@ -398,14 +428,19 @@ class Evaluator:
         SINR, rate, and received power by hand.
         """
         rows = []
+        drawn = {}  # (PoA id, part) -> the los, pathloss_db and shadow_db of its links
         for b in solution.beams:
             if not b.active:
                 continue
             poa = self.scenario.poa_by_id(b.owner_poa)
             tables = self._tables([b], humans=True)[0]
+            for part in (0, 1):
+                if (poa.id, part) not in drawn:
+                    link = self._parts[poa.id, part].links()
+                    drawn[poa.id, part] = link.los, link.pathloss_db, link.shadow_db
             for r in range(self.n_realizations):
                 for part, ids in enumerate((self._user_ids, self._human_ids)):
-                    link, table = self._parts[poa.id, part].links, tables[part]
+                    (los, pathloss, shadow), table = drawn[poa.id, part], tables[part]
                     for col, tid in enumerate(ids):
                         rows.append({
                             "realization": r,
@@ -416,9 +451,9 @@ class Evaluator:
                             "target_id": tid,
                             "target_kind": ("user", "human")[part],
                             "unit_energy_w": float(table[r, col]),
-                            "los": bool(link.los[r, col]),
-                            "pathloss_db": float(link.pathloss_db[r, col]),
-                            "shadow_db": float(link.shadow_db[r, col]),
+                            "los": bool(los[r, col]),
+                            "pathloss_db": float(pathloss[r, col]),
+                            "shadow_db": float(shadow[r, col]),
                         })
         return rows
 

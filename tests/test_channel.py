@@ -1,5 +1,6 @@
 """Stochastic link model: determinism, distributions, and energy oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cellless.antenna import ISOTROPIC, PanelGeometry, SteeringDirection, panel_field
-from cellless.channel import (ChannelParams, LosModel, PathlossCoeffs,
-                              amplitude_scale, link_energy, link_rng, link_rngs,
-                              link_terms, los_probability, sample_link, steered_energy)
+from cellless.channel import (ChannelParams, LosModel, PathlossCoeffs, amplitude_scale,
+                              direct_paths, link_energy, link_rng, link_rngs, link_seed_words,
+                              link_terms, los_probability, sample_link, seeded_rngs,
+                              steered_energy)
 
 PARAMS = ChannelParams(los_model=LosModel("umi"))
 POA = (0.0, 0.0, 10.0)
@@ -64,6 +66,34 @@ def test_link_rngs_reject_a_negative_seed(seed):
 def test_link_rngs_empty_shapes():
     assert link_rngs(1, 0, 0, [0, 1]) == []
     assert link_rngs(1, 2, 0, []) == [[], []]
+
+
+@settings(deadline=None, max_examples=40)
+@example(seed=2**64, first=1, k=2, poa_index=2**32, targets=[2**32, 0])
+@given(seed=SEEDS, first=st.integers(1, 6), k=st.integers(1, 4), poa_index=KEYS,
+       targets=st.lists(KEYS, min_size=1, max_size=4))
+def test_a_realization_range_draws_alone_as_in_a_draw_from_zero(seed, first, k, poa_index,
+                                                                 targets):
+    """Realizations first ... first+k-1, drawn alone from their own seed
+    words and the targets' kept direct paths, equal those realizations of
+    a draw from realization 0, every field bit for bit: a held-out range of
+    realizations needs no new key scheme."""
+    paths = direct_paths(POA, 3.5e9, [(10.0 + 7.0 * j, 3.0 * j - 4.0, 1.5)
+                                      for j in range(len(targets))], PARAMS)
+    words = link_seed_words(seed, range(first + k), poa_index, targets)
+    alone = link_seed_words(seed, range(first, first + k), poa_index, targets)
+    assert alone.tobytes() == words[first:].tobytes()
+    whole = sample_link(POA, 3.5e9, paths, PARAMS, seeded_rngs(words))
+    part = sample_link(POA, 3.5e9, paths, PARAMS, seeded_rngs(alone))
+    for f in dataclasses.fields(whole):
+        got, want = getattr(part, f.name), getattr(whole, f.name)
+        if f.name in ("frequency", "ray_zenith_offsets", "ray_azimuth_offsets"):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+        elif f.name == "los_aod":
+            assert all(g.tobytes() == w[first:].tobytes() for g, w in zip(got, want))
+        else:
+            assert got.shape[:2] == (k, len(targets)), f.name
+            assert got.tobytes() == want[first:].tobytes(), f.name
 
 
 def test_los_probability_monotone_and_bounded():

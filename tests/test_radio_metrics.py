@@ -78,31 +78,37 @@ def test_evaluator_deterministic(tiny_scenario, tiny_solution):
 
 
 def _assert_links_keyed_per_link(ev, p_idx):
-    """Every link the Evaluator drew for one PoA, in its users part and its
-    humans part, equals a one-link draw from that link's own stream, field
-    by field and bit for bit, and so do its per-ray departure angles; the
-    frequency and the ray offsets are one value per part. Returns the
-    (users, humans) parts."""
+    """Every link one PoA's parts draw, users and humans, over the whole
+    part and block by block, equals a one-link draw from that link's own
+    stream, field by field and bit for bit, and so do its per-ray departure
+    angles; the frequency and the ray offsets are one value per part.
+    Returns the whole (users, humans) draws."""
     poa = ev.scenario.poas[p_idx]
-    parts = ev._parts[poa.id, 0].links, ev._parts[poa.id, 1].links
+    records = ev._parts[poa.id, 0], ev._parts[poa.id, 1]
     n_users = len(ev.scenario.users)
-    assert [part.los.shape for part in parts] == [
+    wholes = tuple(record.links() for record in records)
+    assert [part.los.shape for part in wholes] == [
         (ev.n_realizations, n_users), (ev.n_realizations, len(ev.scenario.humans))]
-    for r in range(ev.n_realizations):
-        for t_idx, t in enumerate(ev.targets):
-            links, col = (parts[0], t_idx) if t_idx < n_users else (parts[1], t_idx - n_users)
-            one = sample_link(poa.position.as_tuple(), poa.frequency, t.position.as_tuple(),
-                              ev.scenario.channel_params, link_rng(ev.seed, r, p_idx, t_idx))
-            names = [f.name for f in dataclasses.fields(one)] + ["aod_zenith", "aod_azimuth"]
-            for name in names:
-                got, want = getattr(links, name), getattr(one, name)
-                if name in ("frequency", "ray_zenith_offsets", "ray_azimuth_offsets"):
-                    assert np.array_equal(got, want), name
-                elif name == "los_aod":
-                    assert got[0][r, col] == want[0] and got[1][r, col] == want[1]
-                else:
-                    assert np.array_equal(got[r, col], want), name
-    return parts
+    for part, record in enumerate(records):
+        for block, links in [(slice(None), wholes[part])] + [
+                (block, record.links(block)) for block in record.blocks()]:
+            for row, r in enumerate(range(ev.n_realizations)[block]):
+                for col in range(links.los.shape[1]):
+                    t_idx = part * n_users + col
+                    one = sample_link(poa.position.as_tuple(), poa.frequency,
+                                      ev.targets[t_idx].position.as_tuple(),
+                                      ev.scenario.channel_params,
+                                      link_rng(ev.seed, r, p_idx, t_idx))
+                    for name in ([f.name for f in dataclasses.fields(one)]
+                                 + ["aod_zenith", "aod_azimuth"]):
+                        got, want = getattr(links, name), getattr(one, name)
+                        if name in ("frequency", "ray_zenith_offsets", "ray_azimuth_offsets"):
+                            assert np.array_equal(got, want), name
+                        elif name == "los_aod":
+                            assert got[0][row, col] == want[0] and got[1][row, col] == want[1]
+                        else:
+                            assert np.array_equal(got[row, col], want), name
+    return wholes
 
 
 def test_per_poa_sample_equals_per_link_streams(tiny_scenario, ev):
@@ -122,15 +128,17 @@ def _count_link_terms_parts(monkeypatch, ev):
     half of the link energy, which a gain fill computes per block of a part
     on a part's first fill, and then at most once over the whole part),
     which part of which PoA's links it was given: (PoA id, "users" |
-    "humans"). A block is a view of its part's arrays, so it is mapped back
-    to the part whose ``phases`` it shares memory with."""
+    "humans"). A part's links are drawn anew for each fill, but their
+    ``d_3d`` is a view of the part's kept direct-path geometry, so a draw
+    is mapped back to the one part whose ``paths.d_3d`` it shares memory
+    with."""
     calls = []
     original = ch.link_terms
-    phases = [((pid, _PART_NAMES[part]), record.links.phases)
-              for (pid, part), record in ev._parts.items()]
+    paths = [((pid, _PART_NAMES[part]), record.paths.d_3d)
+             for (pid, part), record in ev._parts.items()]
 
     def spy(link, geom):
-        (name,) = [name for name, whole in phases if np.shares_memory(link.phases, whole)]
+        (name,) = [name for name, d_3d in paths if np.shares_memory(link.d_3d, d_3d)]
         calls.append(name)
         return original(link, geom)
 
@@ -321,6 +329,28 @@ def test_evaluator_rejects_bad_realizations(tiny_scenario):
         Evaluator(tiny_scenario, seed=0, n_realizations=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.5), ("seed", True), ("seed", np.float64(2.5)), ("seed", "1"),
+    ("n_realizations", 2.5), ("n_realizations", True), ("n_realizations", False),
+    ("n_realizations", math.nan), ("n_realizations", math.inf)])
+def test_non_integral_seed_or_realization_count_is_refused(tiny_scenario, tiny_solution,
+                                                           name, value):
+    """A fraction, a boolean or a non-number is refused at the argument it
+    was passed as, not truncated: seed 1.5 is not seed 1, and True is not
+    a seed."""
+    args = {"seed": 1, "n_realizations": 2, name: value}
+    with pytest.raises(ValueError, match=name):
+        Evaluator(tiny_scenario, **args)
+    with pytest.raises(ValueError, match=name):
+        evaluate(tiny_solution, tiny_scenario, **args)
+    # Integral values of other number types are the same seed and count.
+    same = Evaluator(tiny_scenario, seed=np.int64(1), n_realizations=2.0)
+    assert (same.seed, same.n_realizations) == (1, 2)
+    assert type(same.seed) is int and type(same.n_realizations) is int
+    assert (same.metrics(tiny_solution).per_user_rate
+            == Evaluator(tiny_scenario, 1, 2).metrics(tiny_solution).per_user_rate)
+
+
 # ---------------------------------------------------------------------------
 # Properties of the received-power core on the tiny scenario, where both
 # PoAs share 5 GHz and so interfere with each other's users.
@@ -448,7 +478,7 @@ def _assert_tables_equal_one_beam_kernel(ev, reference, beams):
         panel = reference._panels[b.owner_poa]
         geom = replace(panel, cols=width_to_panel(b.width, panel))
         steer = SteeringDirection(b.zenith, wrap_angle(b.azimuth - panel.mech_azimuth))
-        users, humans = (reference._parts[b.owner_poa, part].links for part in (0, 1))
+        users, humans = (reference._parts[b.owner_poa, part].links() for part in (0, 1))
         for links, part in ((users, table[:, :n_users]), (humans, table[:, n_users:])):
             one = ch.steered_energy(ch.link_terms(links, geom), geom, steer)
             assert part.tobytes() == one.tobytes()
@@ -523,8 +553,8 @@ def test_block_fills_equal_one_beam_kernel(monkeypatch, world):
 
 
 def test_first_fill_peak_memory_is_flat_in_realizations():
-    """A part's first fill holds the link terms and steering temporaries of
-    one block at a time. On umi-sc-desk, one PoA's beams over its users and
+    """A part's first fill holds the drawn links, link terms and steering
+    temporaries of one block at a time. On umi-sc-desk, one PoA's beams over its users and
     humans: at 8 realizations the humans part is one block, at 32 it is
     four, and the traced peak of the fill stays within 10 % (a fill from
     one whole-part ``link_terms`` grows about 3.7 times)."""
@@ -543,6 +573,48 @@ def test_first_fill_peak_memory_is_flat_in_realizations():
     assert peaks[1] < 1.1 * peaks[0]
 
 
+def _arrays(value):
+    """Every numpy array ``value`` holds, through dataclasses, dicts and
+    tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_evaluate_peak_memory_grows_little_with_realizations():
+    """Links are kept as 32 seed-word bytes each and drawn one block at a
+    time when a part fills, so on umi-sc-desk one ``evaluate`` at 32
+    realizations peaks within 1.35 times its peak at 8 (stored per-ray
+    links grew it 2.6 times). After one ``metrics`` call, no part holds an
+    array with a ray axis: apart from the (realizations, targets, 4) seed
+    words, every array it holds has at most two axes."""
+    scenario = builtin_scenario("umi-sc-desk", 1)
+    sol = build_geometry(scenario, CtmConfig(seed=1, kmeans_restarts=2))
+    peaks = []
+    for n_realizations in (8, 32):
+        tracemalloc.start()
+        try:
+            evaluate(sol, scenario, 1, n_realizations)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.35 * peaks[0]
+    ev = Evaluator(scenario, 1, 8)
+    ev.metrics(sol)
+    assert any(record.tables for record in ev._parts.values())
+    for record in ev._parts.values():
+        assert record.words.shape == (8, record.paths.d_3d.shape[0], 4)
+        assert all(a.ndim <= 2 or a is record.words for a in _arrays(record))
+
+
 # ---------------------------------------------------------------------------
 # Kept link terms: a part's first fill runs block by block and keeps
 # nothing; the next fill computes the whole part's terms and keeps them, and
@@ -552,8 +624,11 @@ def _kept(ev):
     """The (PoA id, part) keys whose link terms the Evaluator keeps; kept
     terms span the whole part."""
     kept = {key for key, record in ev._parts.items() if record.terms is not None}
+    params = ev.scenario.channel_params
     for key in kept:
-        assert ev._parts[key].terms.rays.shape == ev._parts[key].links.phases.shape
+        record = ev._parts[key]
+        assert record.terms.rays.shape == record.words.shape[:2] + (params.n_clusters,
+                                                                    params.n_rays)
     return kept
 
 

@@ -166,7 +166,7 @@ def test_anneal_with_kept_terms_equals_anneal_without(monkeypatch):
 
     class TermsNeverStick(radio_metrics._Part):
         def link_terms(self, panel):
-            return ch.link_terms(self.links, panel)
+            return ch.link_terms(self.links(), panel)
 
     monkeypatch.setattr(ch, "link_terms", spy)
     monkeypatch.setattr(solver_maxrate, "Evaluator", Recorded)
