@@ -6,6 +6,11 @@ low-power network configurations via the Cluster-then-Match heuristic,
 benchmarked against a max-min-rate simulated annealer.
 """
 
+#: Versions the numbers too: a change that moves any rate or SAR bumps it.
+#: Set before the submodules load, since ``harness`` writes it into every
+#: summary.json.
+__version__ = "0.2.0"
+
 from .antenna import PanelGeometry, SteeringDirection, element_gain_db, panel_field, width_to_panel
 from .channel import ChannelParams, LinkRealization, link_energy, los_probability, sample_link
 from .exposure import FrequencyMap, PhantomProfile, incident_field, sar_wb
@@ -16,5 +21,3 @@ from .solution import BeamConfig, SolutionState, validate
 from .solver_ctm import CtmConfig, NoFeasibleSolutionError, solve_ctm
 from .solver_maxrate import AnnealConfig, solve_maxrate
 from .harness import ExperimentSpec, RunRecord, emit_plot_data, run_experiment
-
-__version__ = "0.1.0"

@@ -5,10 +5,23 @@ azimuth phi in [-pi, pi] measured counterclockwise from x. All functions
 take local-coordinate-system (LCS) angles; the caller maps from the global
 frame by subtracting the panel's mechanical azimuth (panels are tilted 90
 degrees, slant 0, so zenith is unchanged).
+
+The field is computed in phasor form. ``panel_terms`` keeps, per
+observation angle, the element-to-element phase steps along the two panel
+axes as unit phasors, u_v = exp(i*pi*d_v*cos(theta)) down a column and
+u_h = exp(i*pi*d_h*sin(phi)*sin(theta)) along a row. A beam multiplies
+them by its two steering phasors, exp(-i*pi*d_v*cos(theta_s)) and
+exp(-i*pi*d_h*sin(phi_s)*sin(theta_s)), to get z = exp(i*pi*g) per axis,
+raises z to the axis's element count m by repeated squaring and sums the
+m elements in closed form (the planar array factor, Balanis, *Antenna
+Theory*, ch. 6): sin(m*pi*g) / (m*sin(pi*g)) * exp(i*pi*(m-1)*g) =
+Im(z^m) / (m*Im z) * z^m * conj(z). A beam therefore costs complex
+products per angle, and no sine or exponential.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -70,56 +83,140 @@ def element_gain_db(pattern, theta, phi):
     return 8.0 - np.minimum(a1 + a2, 30.0)
 
 
-def _array_ratio(m, g):
-    """sin(m*pi*g) / (m*sin(pi*g)) with the removable singularities filled.
+class FieldWork:
+    """Buffers of ``steered_field`` for up to ``size`` observation angles
+    (at least two): three complex numbers per angle. Beams steered over
+    the same angles through one workspace allocate (and page in) them
+    once, not once per beam."""
 
-    This is sinc(m*g)/sinc(g) in the normalized-sinc convention. At integer
-    g the limit is (-1)^(k*(m-1)) with k = round(g); at g = 0 it is 1.
+    def __init__(self, size: int):
+        self._buffers = np.empty((3, max(size, 2)), dtype=complex)
+
+    def take(self, size: int) -> tuple:
+        """The first ``size`` entries of each of the three buffers."""
+        return tuple(b[:size] for b in self._buffers)
+
+
+def _power(z, m: int, out):
+    """``out = z**m`` for an integer m >= 1, by left-to-right repeated
+    squaring; every product has its operands in one order."""
+    np.copyto(out, z)
+    for bit in bin(m)[3:]:
+        np.multiply(out, out, out=out)
+        if bit == "1":
+            np.multiply(out, z, out=out)
+    return out
+
+
+def _array_sum(u, step, m: int, field, z, power, first: bool):
+    """One panel axis of m elements at ``z = u * step = exp(1j*pi*g)``:
+    their sum (1/m) * sum_a z^(2a), a = 0 .. m-1, is the phase
+    exp(1j*pi*(m-1)*g) = z^m * conj(z), which is written into ``field``
+    when ``first`` and multiplied into it otherwise, times the real ratio
+    sin(m*pi*g) / (m*sin(pi*g)) = Im(z^m) / (m*Im z), which is returned
+    as a view of ``z``. ``z`` and ``power`` are scratch space.
+
+    Im(z^m) and Im z come from the same rounded z, so their ratio stays
+    accurate as g nears an integer. Where |Im z| < 1e-12, g is an integer k
+    and the ratio is its limit (-1)^(k*(m-1)): 1 for odd m, the sign of
+    Re z for even m.
     """
-    g = np.asarray(g, dtype=float)
-    if m == 1:
-        return np.ones_like(g)
-    den = np.asarray(np.sin(np.pi * g))
-    singular = np.abs(den) < 1e-12
-    den[singular] = 1.0
-    ratio = np.asarray(np.sin(m * np.pi * g) / (m * den))
-    k = np.rint(g[singular]).astype(np.int64)
-    ratio[singular] = np.where((k * (m - 1)) % 2 == 0, 1.0, -1.0)
+    np.multiply(u, step, out=z)
+    scratch = np.absolute(z.imag, out=power.real)
+    singular = np.less(scratch, 1e-12) if scratch.size and scratch.min() < 1e-12 else None
+    if singular is not None:
+        limit = 1.0 if m % 2 else np.copysign(1.0, z.real[singular])
+    # conj(z) goes into the field before z is raised to m.
+    if first:
+        np.conjugate(z, out=field)
+    else:
+        np.conjugate(z, out=z)
+        np.multiply(field, z, out=field)
+        np.conjugate(z, out=z)
+    _power(z, m, power)
+    ratio = np.multiply(z.imag, m, out=z.imag)
+    if singular is not None:
+        ratio[singular] = 1.0  # no division by zero
+    np.divide(power.imag, ratio, out=ratio)
+    if singular is not None:
+        ratio[singular] = limit
+    np.multiply(field, power, out=field)
     return ratio
 
 
 @dataclass(frozen=True)
 class PanelTerms:
     """Factors of the panel field at fixed LCS observation angles that no
-    steering direction or column count changes."""
+    steering direction or column count changes: the element-to-element
+    phase steps along each panel axis, as unit phasors, and the element
+    field."""
 
-    cos_theta: np.ndarray
-    sin_phi_sin_theta: np.ndarray
+    u_v: np.ndarray   # exp(1j*pi*d_v*cos(theta)), along a column
+    u_h: np.ndarray   # exp(1j*pi*d_h*sin(phi)*sin(theta)), along a row
     element: np.ndarray | float  # element field amplitude (linear)
 
 
-def panel_terms(pattern, theta, phi) -> PanelTerms:
-    """Steering-independent terms of ``panel_field`` at LCS angles."""
+def _unit_phasor(x):
+    """exp(1j*x) of a real array, from one cosine and one sine."""
+    out = np.empty(np.shape(x), dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
+def panel_terms(geom: PanelGeometry, theta, phi) -> PanelTerms:
+    """Steering-independent terms of ``panel_field`` at LCS angles. Only
+    ``geom``'s spacings and element pattern are read."""
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
+    pattern = geom.element_pattern
     # The isotropic element is 0 dB everywhere: amplitude exactly 1.
     element = (1.0 if pattern == ISOTROPIC
                else 10.0 ** (element_gain_db(pattern, theta, phi) / 20.0))
-    return PanelTerms(np.cos(theta), np.sin(phi) * np.sin(theta), element)
+    step = np.cos(theta, out=np.empty(np.broadcast(theta, phi).shape))
+    step *= math.pi * geom.v_spacing
+    u_v = _unit_phasor(step)
+    np.sin(phi, out=step)
+    step *= np.sin(theta)
+    step *= math.pi * geom.h_spacing
+    return PanelTerms(u_v, _unit_phasor(step), element)
 
 
-def steered_field(geom: PanelGeometry, terms: PanelTerms, steer: SteeringDirection):
-    """Complex field of the steered panel from precomputed ``panel_terms``."""
-    m, n = geom.rows, geom.cols
-    g1 = geom.v_spacing * (terms.cos_theta - math.cos(steer.zenith))
-    g2 = geom.h_spacing * (
-        terms.sin_phi_sin_theta - math.sin(steer.azimuth) * math.sin(steer.zenith)
-    )
-    af = _array_ratio(m, g1) * _array_ratio(n, g2) * math.sqrt(m * n)
-    field = np.asarray(1j * np.pi * ((m - 1) * g1 + (n - 1) * g2))
-    del g1, g2  # the complex field is built in place: this bounds the peak memory
-    np.exp(field, out=field)
-    return np.multiply(terms.element * af, field, out=field)
+def steered_field(geom: PanelGeometry, terms: PanelTerms, steer: SteeringDirection,
+                  work: FieldWork | None = None):
+    """Complex field of the steered panel from precomputed ``panel_terms``.
+
+    Along each axis the steering phasor turns the term's phasor into
+    z = exp(1j*pi*g), g = d*(direction cosine - steered cosine), and the
+    m elements sum to Im(z^m) / (m*Im z) * z^m * conj(z) (see
+    ``_array_sum``): complex products, no sine. An axis of one element
+    contributes 1. The result is the element field times both axes' sums
+    times sqrt(M*N). With ``work``, the returned array is one of its
+    buffers, valid until the next call that uses them.
+    """
+    shape = np.shape(terms.u_v)
+    # numpy rounds an in-place complex product of one element apart from
+    # the same element of a longer array, so one angle is steered as a pair.
+    size = math.prod(shape)
+    field, z, power = (work or FieldWork(size)).take(2 if size == 1 else size)
+    element = np.reshape(terms.element, -1) if np.ndim(terms.element) else terms.element
+    axes = [(np.reshape(u, -1), cmath.exp(-1j * math.pi * spacing * cosine), count)
+            for u, spacing, cosine, count in (
+                (terms.u_v, geom.v_spacing, math.cos(steer.zenith), geom.rows),
+                (terms.u_h, geom.h_spacing,
+                 math.sin(steer.azimuth) * math.sin(steer.zenith), geom.cols))
+            if count > 1]
+    if not axes:
+        field[...] = element
+    for i, (u, step, count) in enumerate(axes):
+        ratio = _array_sum(u, step, count, field, z, power, first=not i)
+        if i < len(axes) - 1:
+            np.multiply(field, ratio, out=field)
+        else:
+            np.multiply(ratio, math.sqrt(geom.rows * geom.cols), out=ratio)
+            np.multiply(ratio, element, out=ratio)
+            np.multiply(field, ratio, out=field)
+    return field[:size].reshape(shape)
 
 
 def panel_field(geom: PanelGeometry, theta, phi, steer: SteeringDirection):
@@ -129,7 +226,7 @@ def panel_field(geom: PanelGeometry, theta, phi, steer: SteeringDirection):
     direction; equal to the explicit element-by-element sum normalized by
     sqrt(M*N).
     """
-    return steered_field(geom, panel_terms(geom.element_pattern, theta, phi), steer)
+    return steered_field(geom, panel_terms(geom, theta, phi), steer)
 
 
 def width_to_panel(width: float, geom: PanelGeometry) -> int:

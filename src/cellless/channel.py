@@ -20,6 +20,16 @@ only while ``link_terms`` evaluates the panel at them. Ray geometry is
 independent of any beam decision: beams enter only through the panel
 field applied when computing energies, which lets a fixed set of
 realizations be reused across candidate solutions.
+
+The link-energy kernel is split at the beam. ``link_terms`` computes what
+no beam changes: per ray, the phasor exp(1j*phase) and the panel's two
+axis phasors (``antenna.panel_terms``, in phasor form), and per link the
+direct path's phasors and the Rician, cluster and pathloss factors.
+``steered_energy`` applies one beam: its steering phasors turn the axis
+phasors into the panel field (``antenna.steered_field``) with complex
+products only, in the buffers of a ``FieldWork`` that a caller steering
+many beams over the same terms passes to every call; the field times the
+ray phasors is summed per cluster.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .antenna import (PanelGeometry, PanelTerms, SteeringDirection, panel_terms,
+from .antenna import (FieldWork, PanelGeometry, PanelTerms, SteeringDirection, panel_terms,
                       steered_field, wrap_angle)
 # Still reachable as channel.panel_field: perfbench's tracer patches it here.
 from .antenna import panel_field  # noqa: F401
@@ -413,8 +423,8 @@ def amplitude_scale(tx_power_dbm: float, pathloss_db: float, shadow_db: float) -
 @dataclass(frozen=True)
 class LinkTerms:
     """The factors of ``steered_energy`` that depend on the links and the
-    panel's mounting and element pattern but on no steering direction or
-    column count, so one set serves every beam of a PoA."""
+    panel's mounting, spacings and element pattern but on no steering
+    direction or column count, so one set serves every beam of a PoA."""
 
     rays: np.ndarray            # exp(1j * phases), (..., N_c, N_r)
     ray_panel: PanelTerms       # at the ray departure angles
@@ -429,21 +439,22 @@ class LinkTerms:
 def link_terms(link: LinkRealization, geom: PanelGeometry) -> LinkTerms:
     """Steering-independent terms of ``steered_energy`` for every link.
 
-    Only ``geom``'s mechanical azimuth and element pattern are read.
+    Only ``geom``'s mechanical azimuth, spacings and element pattern are
+    read.
     """
-    mech, pattern = geom.mech_azimuth, geom.element_pattern
+    mech = geom.mech_azimuth
     # K = 0 off-LoS makes the Rician mix reduce to the pure scattered term.
     k = np.where(link.los, link.rician_k, 0.0)
     lam = SPEED_OF_LIGHT / link.frequency
     zen0, az0 = link.los_aod
     # The per-ray angles and the element pattern's temporaries are freed
     # before the phasors exist.
-    ray_panel = panel_terms(pattern, link.aod_zenith, wrap_angle(link.aod_azimuth - mech))
+    ray_panel = panel_terms(geom, link.aod_zenith, wrap_angle(link.aod_azimuth - mech))
     rays = 1j * link.phases
     return LinkTerms(
         rays=np.exp(rays, out=rays),
         ray_panel=ray_panel,
-        los_panel=panel_terms(pattern, zen0, wrap_angle(az0 - mech)),
+        los_panel=panel_terms(geom, zen0, wrap_angle(az0 - mech)),
         los_phasor=np.exp(-1j * 2.0 * math.pi * link.d_3d / lam),
         cluster_amp=np.sqrt(link.cluster_powers / link.phases.shape[-1]),
         scatter_mix=np.sqrt(1.0 / (1.0 + k))[..., None],
@@ -452,8 +463,8 @@ def link_terms(link: LinkRealization, geom: PanelGeometry) -> LinkTerms:
     )
 
 
-def steered_energy(terms: LinkTerms, geom: PanelGeometry,
-                   steer: SteeringDirection) -> np.ndarray:
+def steered_energy(terms: LinkTerms, geom: PanelGeometry, steer: SteeringDirection,
+                   work: FieldWork | None = None) -> np.ndarray:
     """Energy [W] of |h_tilde(tau)|^2 at 1 W transmit power for every link,
     from the links' precomputed ``link_terms``.
 
@@ -461,12 +472,14 @@ def steered_energy(terms: LinkTerms, geom: PanelGeometry,
     distinct delays, so the energy is the sum of squared per-cluster
     amplitudes; LoS mixing folds the direct path into the first cluster.
     Returns an array with the links' leading shape. Callers that steer many
-    beams over the same links compute the terms once.
+    beams over the same links compute the terms once and pass one ``work``,
+    a ``FieldWork`` of at least the links' ray count, which holds the ray
+    field of each beam in turn.
     """
     # Operand order pinned: numpy swaps the operands of a product whose
     # right operand is a large temporary, and the complex product is not
     # bit-commutative, so the bits would depend on how many links are passed.
-    rays = steered_field(geom, terms.ray_panel, steer)
+    rays = steered_field(geom, terms.ray_panel, steer, work)
     np.multiply(terms.rays, rays, out=rays)
     amps = terms.cluster_amp * rays.sum(axis=-1)
     h_los = np.multiply(steered_field(geom, terms.los_panel, steer), terms.los_phasor)

@@ -12,6 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from . import __version__
 from .channel import dbm_to_watts
 from .radio_metrics import Evaluator, MetricsBundle
 from .scenario import (Scenario, builtin_template, BUILTIN_TEMPLATES,
@@ -125,6 +126,7 @@ def _summary(record: RunRecord) -> dict:
     """The content of a run's summary.json."""
     min_rate = record.bundle.min_rate
     return {
+        "cellless_version": __version__,
         "seed": record.seed,
         "solver": record.solver,
         "scenario": record.scenario_name,

@@ -15,12 +15,12 @@ targets of the part) per beam geometry, and its steering-independent
 grouped per part; each group steers every missing beam with
 ``channel.steered_energy``. A part's first fill runs in realization blocks
 of at most ``_BLOCK_RAYS`` rays: it draws a block's links, computes one
-``link_terms`` for them, shared by every beam, and frees both before the
-next block, so its memory is bounded by a block, not by the realization
-count. Its second fill draws the whole part once more and keeps its
-terms: a part filled once (``evaluate``, ``solve_ctm``) keeps nothing,
-and one refilled beam by beam (the MaxRate anneal) stops recomputing
-them. Each step is elementwise or reduces the trailing cluster and ray
+``link_terms`` for them and one ``antenna.FieldWork`` of steering
+buffers, both shared by every beam, and frees them before the next block,
+so its memory is bounded by a block, not by the realization count. Its
+second fill draws the whole part once more and keeps its terms: a part
+filled once (``evaluate``, ``solve_ctm``) keeps nothing, and one refilled
+beam by beam (the MaxRate anneal) stops recomputing them. Each step is elementwise or reduces the trailing cluster and ray
 axes, and each link's draw reads its own stream only, so the tables have
 the same bits whatever the block. A part no beam of the PoA reaches is
 never drawn. The rate-only caller (``mean_rates`` and with it the MaxRate
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import channel as ch
-from .antenna import PanelGeometry, SteeringDirection, width_to_panel, wrap_angle
+from .antenna import FieldWork, PanelGeometry, SteeringDirection, width_to_panel, wrap_angle
 from .exposure import incident_field, sar_wb
 from .scenario import PoA, Scenario
 from .solution import SolutionState, validate
@@ -185,9 +185,9 @@ class _Part:
         """Compute the table of each ``key -> beam`` in ``beams``.
 
         The first fill keeps nothing: block by block, it draws the block's
-        links and steers every beam from one ``link_terms`` of them. Later
-        fills steer from the whole part's terms, kept from the first of them
-        on. Every step is elementwise or reduces the trailing cluster and
+        links and steers every beam from one ``link_terms`` of them, through
+        one workspace of steering buffers. Later fills steer from the whole
+        part's terms, kept from the first of them on. Every step is elementwise or reduces the trailing cluster and
         ray axes, so the tables have the same bits either way.
         """
         mech = panel.mech_azimuth
@@ -196,16 +196,18 @@ class _Part:
                    for key, beam in beams.items()}
         if self.made:
             terms = self.link_terms(panel)
+            work = FieldWork(terms.rays.size)
             for key, (geom, steer) in steered.items():
-                self.tables[key] = ch.steered_energy(terms, geom, steer)
+                self.tables[key] = ch.steered_energy(terms, geom, steer, work)
             return
         self.made = True
         tables = {key: np.empty(self.words.shape[:2]) for key in steered}
         for block in self.blocks():
             terms = ch.link_terms(self.links(block), panel)
+            work = FieldWork(terms.rays.size)
             for key, (geom, steer) in steered.items():
-                tables[key][block] = ch.steered_energy(terms, geom, steer)
-            del terms  # freed before the next block's links are drawn
+                tables[key][block] = ch.steered_energy(terms, geom, steer, work)
+            del terms, work  # freed before the next block's links are drawn
         self.tables.update(tables)
 
 

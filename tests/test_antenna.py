@@ -6,23 +6,24 @@ import numpy as np
 import pytest
 
 from cellless.antenna import (BEAMWIDTH_CONSTANT, ISOTROPIC, THREEGPP_8DBI,
-                              PanelGeometry, SteeringDirection, _array_ratio,
+                              PanelGeometry, SteeringDirection, _array_sum,
                               element_gain_db, panel_field, width_to_panel,
                               wrap_angle)
 
 
 def element_sum_oracle(geom, theta, phi, steer):
-    """Explicit double sum over panel elements, normalized by sqrt(M*N)."""
+    """Explicit double sum over panel elements, normalized by sqrt(M*N), at
+    scalar angles or at arrays of them."""
     m, n = geom.rows, geom.cols
     elem = 10.0 ** (element_gain_db(geom.element_pattern, theta, phi) / 20.0)
-    g1 = geom.v_spacing * (math.cos(theta) - math.cos(steer.zenith))
-    g2 = geom.h_spacing * (math.sin(phi) * math.sin(theta)
+    g1 = geom.v_spacing * (np.cos(theta) - math.cos(steer.zenith))
+    g2 = geom.h_spacing * (np.sin(phi) * np.sin(theta)
                            - math.sin(steer.azimuth) * math.sin(steer.zenith))
-    total = 0.0 + 0.0j
+    total = np.zeros(np.shape(g1), dtype=complex)
     for a in range(m):
         for b in range(n):
             total += np.exp(2j * math.pi * (a * g1 + b * g2))
-    return elem * total / math.sqrt(m * n)
+    return (elem * total / math.sqrt(m * n))[()]
 
 
 def test_panel_field_matches_element_sum_500_draws():
@@ -41,6 +42,15 @@ def test_panel_field_matches_element_sum_500_draws():
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
+def _array_terms(m, g):
+    """The real ratio and the phase that ``_array_sum`` gives m elements at
+    z = exp(1j*pi*g)."""
+    g = np.asarray(g, dtype=float)
+    phase, z, power = (np.empty(g.shape, dtype=complex) for _ in range(3))
+    ratio = _array_sum(np.exp(1j * np.pi * g), 1.0, m, phase, z, power, first=True)
+    return ratio, phase
+
+
 def test_array_ratio_matches_element_sum_at_integer_g():
     """The removable singularities at integer g, for one and several elements."""
     rng = np.random.default_rng(5)
@@ -48,13 +58,67 @@ def test_array_ratio_matches_element_sum_at_integer_g():
                         np.arange(-4.0, 5.0) + 1e-14,          # singular within 1e-12
                         rng.uniform(-4.0, 4.0, 200)])
     for m in (1, 2, 3, 4, 8):
-        got = _array_ratio(m, g)
+        got, phase = _array_terms(m, g)
         # (1/m) * sum_a exp(2j*pi*(a - (m-1)/2)*g), the array factor centred on the panel.
         want = sum(np.exp(2j * math.pi * (a - (m - 1) / 2) * g) for a in range(m)) / m
         assert got.shape == g.shape
         assert np.allclose(got, want.real, rtol=0.0, atol=1e-9)
         assert np.allclose(want.imag, 0.0, atol=1e-9)
-        assert float(_array_ratio(m, 3.0)) == (-1.0) ** (3 * (m - 1))
+        # The phase moves the centre to the first element.
+        uncentred = sum(np.exp(2j * math.pi * a * g) for a in range(m)) / m
+        assert np.allclose(got * phase, uncentred, rtol=0.0, atol=1e-9)
+        assert float(_array_terms(m, 3.0)[0]) == (-1.0) ** (3 * (m - 1))
+
+
+#: The panels of the built-in worlds: isotropic 16 x 32 and 3GPP 16 x 64.
+ORACLE_PANELS = (PanelGeometry(16, 32, element_pattern=ISOTROPIC),
+                 PanelGeometry(16, 64, element_pattern=THREEGPP_8DBI))
+
+
+def _oracle_angles(rng, steer):
+    """Observation angles for one steering direction: random ones, ones
+    within 1e-9 rad of the steering direction, and ones that put g on an
+    integer along one or both axes (the steering direction itself, its
+    mirror through the panel's vertical plane, its zenith at any azimuth
+    and its horizontal direction cosine at any zenith)."""
+    zen, az = steer.zenith, steer.azimuth
+    theta = list(rng.uniform(0.0, math.pi, 40))
+    phi = list(rng.uniform(-math.pi, math.pi, 40))
+    near = rng.uniform(-1e-9, 1e-9, (2, 20))
+    theta += list(np.clip(zen + near[0], 0.0, math.pi))
+    phi += list(az + near[1])
+    theta += [zen, zen] + [zen] * 10
+    phi += [az, math.pi - az] + list(rng.uniform(-math.pi, math.pi, 10))
+    for t in rng.uniform(0.05, math.pi - 0.05, 10):
+        s = math.sin(az) * math.sin(zen) / math.sin(t)
+        if abs(s) <= 1.0:
+            theta.append(t)
+            phi.append(math.asin(s))
+    return np.array(theta), np.array(phi)
+
+
+@pytest.mark.parametrize("panel", ORACLE_PANELS, ids=lambda p: p.element_pattern)
+def test_panel_field_matches_element_sum_on_built_in_panels(panel):
+    """Every column count of the built-in panels, at random angles, at angles
+    within 1e-9 rad of the steering direction and at angles on integer g
+    (also g = 1, which needs the steering and observation directions at
+    opposite ends of an axis): the field is the explicit element sum to
+    1e-12 * sqrt(M*N)."""
+    rng = np.random.default_rng(19)
+    for cols in range(1, panel.cols + 1):
+        geom = PanelGeometry(panel.rows, cols, element_pattern=panel.element_pattern)
+        steer = SteeringDirection(float(rng.uniform(0.0, math.pi)),
+                                  float(rng.uniform(-math.pi, math.pi)))
+        cases = [(steer, *_oracle_angles(rng, steer)),
+                 # g = 1 down a column (zenith 0 against pi) and along a row (+y against -y).
+                 (SteeringDirection(math.pi, 0.0), np.array([0.0, 0.0]), np.array([0.0, 1.0])),
+                 (SteeringDirection(math.pi / 2, -math.pi / 2), np.array([math.pi / 2]),
+                  np.array([math.pi / 2]))]
+        for steer, theta, phi in cases:
+            got = panel_field(geom, theta, phi, steer)
+            want = element_sum_oracle(geom, theta, phi, steer)
+            assert got.shape == theta.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * math.sqrt(geom.rows * cols)
 
 
 def test_field_peaks_at_steering_direction():

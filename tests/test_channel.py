@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cellless.antenna import ISOTROPIC, PanelGeometry, SteeringDirection, panel_field
+from cellless.antenna import (ISOTROPIC, THREEGPP_8DBI, FieldWork, PanelGeometry,
+                              SteeringDirection, panel_field, wrap_angle)
 from cellless.channel import (ChannelParams, LosModel, PathlossCoeffs, amplitude_scale,
                               direct_paths, link_energy, link_rng, link_rngs, link_seed_words,
                               link_terms, los_probability, sample_link, seeded_rngs,
@@ -94,6 +95,57 @@ def test_a_realization_range_draws_alone_as_in_a_draw_from_zero(seed, first, k, 
         else:
             assert got.shape[:2] == (k, len(targets)), f.name
             assert got.tobytes() == want[first:].tobytes(), f.name
+
+
+@settings(deadline=None, max_examples=40)
+@example(seed=3, n_realizations=3, n_targets=4, axis=1, lo=1, hi=3, rows=16, cols=32,
+         pattern=THREEGPP_8DBI, mech=0.4, zenith=1.0, azimuth=0.2, at_target=True, spare=0)
+# One link in the slice: its direct-path field is a one-element array.
+@example(seed=0, n_realizations=1, n_targets=2, axis=1, lo=0, hi=1, rows=1, cols=3,
+         pattern=ISOTROPIC, mech=0.0, zenith=0.0, azimuth=0.0, at_target=False, spare=0)
+# A whole call of 19,200 rays, past the size where numpy reuses a temporary
+# operand as the output of a product.
+@example(seed=5, n_realizations=8, n_targets=24, axis=0, lo=2, hi=3, rows=16, cols=64,
+         pattern=THREEGPP_8DBI, mech=-0.3, zenith=1.4, azimuth=0.5, at_target=False, spare=1)
+@given(seed=st.integers(0, 2**32), n_realizations=st.integers(1, 4),
+       n_targets=st.integers(1, 5), axis=st.sampled_from([0, 1]), lo=st.integers(0, 4),
+       hi=st.integers(1, 5), rows=st.integers(1, 16), cols=st.integers(1, 64),
+       pattern=st.sampled_from([ISOTROPIC, THREEGPP_8DBI]),
+       mech=st.floats(-math.pi, math.pi), zenith=st.floats(0.0, math.pi),
+       azimuth=st.floats(-math.pi, math.pi), at_target=st.booleans(),
+       spare=st.integers(0, 3))
+def test_steered_energy_of_a_slice_is_that_slice_of_the_whole_call(
+        seed, n_realizations, n_targets, axis, lo, hi, rows, cols, pattern, mech, zenith,
+        azimuth, at_target, spare):
+    """The links of a realization or target slice, drawn alone as a block
+    of a first fill draws them, steer to that slice of the whole call's
+    energies byte for byte, through a fresh or a larger reused workspace.
+    Each product's operand order is pinned: numpy's complex product is not
+    bit-commutative, so a swapped order would make bits depend on the
+    slice."""
+    size = (n_realizations, n_targets)[axis]
+    lo, hi = min(lo, size - 1), max(min(hi, size), min(lo, size - 1) + 1)
+    index = (slice(lo, hi), slice(None)) if axis == 0 else (slice(None), slice(lo, hi))
+    positions = np.random.default_rng(seed).uniform((-40.0, -40.0, 0.5), (40.0, 40.0, 2.0),
+                                                    (n_targets, 3))
+    words = link_seed_words(seed, range(n_realizations), 0, range(n_targets))
+    geom = PanelGeometry(rows, cols, mech_azimuth=mech, element_pattern=pattern)
+
+    def energies(index, work=None):
+        links = sample_link(POA, 3.5e9, positions[index[1]], PARAMS, seeded_rngs(words[index]))
+        terms = link_terms(links, geom)
+        if work is not None:
+            work = FieldWork(terms.rays.size + work)
+        return links, steered_energy(terms, geom, steer, work)
+
+    paths = direct_paths(POA, 3.5e9, positions, PARAMS)
+    steer = (SteeringDirection(float(paths.zenith[0]), wrap_angle(float(paths.azimuth[0]) - mech))
+             if at_target else SteeringDirection(zenith, azimuth))
+    whole = energies((slice(None), slice(None)))[1]
+    links, part = energies(index, spare)
+    assert part.shape == links.los.shape == whole[index].shape
+    assert part.tobytes() == whole[index].tobytes()
+    assert energies(index)[1].tobytes() == part.tobytes()
 
 
 def test_los_probability_monotone_and_bounded():

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cellless
 from cellless.cli import main
 from cellless.harness import (METRIC_COLUMNS, PLOT_KINDS, ExperimentSpec, _median, _percentile,
                               emit_plot_data, load_run_metrics, plot_data_from_dir,
@@ -70,6 +72,18 @@ def test_output_layout_and_reparse(run_out):
         scenario = builtin_scenario(r.scenario_name, r.seed)
         sol = load_solution(run_dir / "solution.json")
         assert validate(sol, scenario) == []
+
+
+def test_summary_names_the_package_version(run_out):
+    """Every summary.json records the version of the numbers that made it,
+    the one pyproject.toml declares."""
+    spec, records = run_out
+    declared = re.search(r'^version = "([^"]+)"$',
+                         (Path(__file__).parents[1] / "pyproject.toml").read_text(), re.M)
+    assert declared and declared.group(1) == cellless.__version__
+    for r in records:
+        summary, _ = load_run_metrics(Path(spec.out_dir) / r.scenario_name / str(r.seed) / r.solver)
+        assert summary["cellless_version"] == cellless.__version__
 
 
 def test_aggregate_matches_recomputation(run_out):
