@@ -7,19 +7,19 @@ count. The stream of a key is ``default_rng(SeedSequence(key))``.
 ``link_seed_words`` runs ``SeedSequence``'s integer hash over the keys of
 one PoA's links at once, for any realization range, and returns each
 link's four PCG64 seed words, 32 bytes; ``seeded_rngs`` builds the
-generators from them, ``link_rngs`` composes the two, and ``link_rng`` is
-its one-link case. ``sample_link`` takes one stream per link but draws all
-the links it is given in one call and returns them as arrays. The
-per-target direct-path geometry depends on no draw: ``direct_paths``
-computes it, and ``sample_link`` takes it in place of target positions,
-so a caller that keeps the geometry and the seed words can draw any of
-its links again, bit for bit, when it needs them. A ``LinkRealization``
-stores the departure angles at cluster resolution, each cluster's mean,
-plus the N_r ray offsets that every link shares; the per-ray angles exist
-only while ``link_terms`` evaluates the panel at them. Ray geometry is
-independent of any beam decision: beams enter only through the panel
-field applied when computing energies, which lets a fixed set of
-realizations be reused across candidate solutions.
+generators from them, and ``link_rng`` composes the two for one link.
+``sample_link`` takes one stream per link but draws all the links it is
+given in one call and returns them as arrays. The per-target direct-path
+geometry depends on no draw: ``direct_paths`` computes it, and
+``sample_link`` takes it in place of target positions, so a caller that
+keeps the geometry and the seed words can draw any of its links again, bit
+for bit, when it needs them. A ``LinkRealization`` stores the departure
+angles at cluster resolution, each cluster's mean, plus the N_r ray
+offsets that every link shares; the per-ray angles exist only while
+``link_terms`` evaluates the panel at them. Ray geometry is independent of
+any beam decision: beams enter only through the panel field applied when
+computing energies, which lets a fixed set of realizations be reused
+across candidate solutions.
 
 The link-energy kernel is split at the beam. ``link_terms`` computes what
 no beam changes: per ray, the phasor exp(1j*phase) and the panel's two
@@ -29,7 +29,12 @@ direct path's phasors and the Rician, cluster and pathloss factors.
 phasors into the panel field (``antenna.steered_field``) with complex
 products only, in the buffers of a ``FieldWork`` that a caller steering
 many beams over the same terms passes to every call; the field times the
-ray phasors is summed per cluster.
+ray phasors is summed per cluster. The Evaluator fills its gain tables
+through one path: per realization block of a PoA's links, one
+``link_terms``, drawn anew or kept from an earlier fill, and one
+``FieldWork``, shared by every beam steered over the block. Both steps
+are elementwise or reduce the trailing cluster and ray axes, so a slice of
+the links steers to that slice of the whole call's bits.
 """
 
 from __future__ import annotations
@@ -271,17 +276,6 @@ def seeded_rngs(words) -> list:
     words, so it is bit-identical to ``default_rng`` of that link's
     ``SeedSequence``."""
     return [[Generator(PCG64(_SeedWords(w))) for w in row] for row in words]
-
-
-def link_rngs(seed: int, n_realizations: int, poa_index: int, targets) -> list:
-    """Generators of the links from PoA ``poa_index`` to each target index
-    in ``targets`` in each realization, as the (realizations x targets)
-    nested list ``sample_link`` takes.
-
-    Entry [r][j] is bit-identical to ``link_rng(seed, r, poa_index,
-    targets[j])``.
-    """
-    return seeded_rngs(link_seed_words(seed, range(int(n_realizations)), poa_index, targets))
 
 
 def link_rng(seed: int, realization: int, poa_index: int, target_index: int):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .channel import dbm_to_watts
-from .radio_metrics import Evaluator, MetricsBundle
+from .radio_metrics import Evaluator, MetricsBundle, _integer
 from .scenario import (Scenario, builtin_template, BUILTIN_TEMPLATES,
                        generate_placements, load_scenario)
 from .solution import SolutionState, save_solution
@@ -48,19 +48,21 @@ class ExperimentSpec:
     dump_links: bool = False
 
     def __post_init__(self):
-        # Each seed names one run directory: distinct and non-negative.
+        # Each seed names one run directory and is written to its
+        # summary.json: distinct non-negative integers, kept as ints.
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        object.__setattr__(self, "seeds", tuple(_integer("seeds", seed) for seed in self.seeds))
         seen = set()
         for seed in self.seeds:
-            if int(seed) < 0:
+            if seed < 0:
                 raise ValueError(f"seeds must be non-negative, got {seed}")
             if seed in seen:
                 raise ValueError(f"seeds must be distinct, got {seed} more than once")
             seen.add(seed)
-        if self.n_realizations < 1:
+        if _integer("n_realizations", self.n_realizations) < 1:
             raise ValueError("n_realizations must be at least 1")
-        if self.workers < 1:
+        if _integer("workers", self.workers) < 1:
             raise ValueError("workers must be at least 1")
         if self.solver not in SOLVERS + ("both",):
             raise ValueError(f"unknown solver {self.solver!r}")
@@ -158,7 +160,7 @@ def _metric_rows(scenario: Scenario, bundle: MetricsBundle) -> list:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:  # as load_run_metrics reads it
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
@@ -249,15 +251,17 @@ _SUMMARY_KEYS = ("scenario", "seed", "solver", "per_poa_power_dbm", "total_power
 
 
 def load_run_metrics(run_dir):
-    """Re-parse one run directory into (summary dict, metrics rows). A
-    summary.json that is not a JSON object, lacks a key that plotting reads
-    or has a seed that is not an integer, or a metrics.csv whose header
-    lacks one of ``METRIC_COLUMNS``, raises ``ValueError`` naming the file
-    and the fault."""
+    """Re-parse one run directory into (summary dict, metrics rows). A file
+    that is not UTF-8 text, a summary.json that is not a JSON object, lacks
+    a key that plotting reads or has a seed that is not an integer, or a
+    metrics.csv whose header lacks one of ``METRIC_COLUMNS``, raises
+    ``ValueError`` naming the file and the fault."""
     run_dir = Path(run_dir)
     path = run_dir / "summary.json"
     try:
-        summary = json.loads(path.read_text())
+        summary = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(summary, dict):
@@ -268,12 +272,15 @@ def load_run_metrics(run_dir):
     if type(summary["seed"]) is not int:
         raise ValueError(f"{path}: seed must be an integer, got {summary['seed']!r}")
     path = run_dir / "metrics.csv"
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = [c for c in METRIC_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: header lacks column {missing[0]!r}")
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            missing = [c for c in METRIC_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{path}: header lacks column {missing[0]!r}")
+            rows = list(reader)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text: {e}") from None
     return summary, rows
 
 

@@ -10,24 +10,25 @@ the targets' ``channel.direct_paths`` and the PCG64 seed words of every
 keyed stream, and ``_Part.links`` draws any realization range of the part
 again, bit for bit, through ``channel.sample_link``. The record also
 caches the part's unit-power (1 W) energy table of shape (realizations,
-targets of the part) per beam geometry, and its steering-independent
-``channel.link_terms`` once kept. The tables missing in one call are
+targets of the part) per beam geometry. The tables missing in one call are
 grouped per part; each group steers every missing beam with
-``channel.steered_energy``. A part's first fill runs in realization blocks
-of at most ``_BLOCK_RAYS`` rays: it draws a block's links, computes one
-``link_terms`` for them and one ``antenna.FieldWork`` of steering
-buffers, both shared by every beam, and frees them before the next block,
-so its memory is bounded by a block, not by the realization count. Its
-second fill draws the whole part once more and keeps its terms: a part
-filled once (``evaluate``, ``solve_ctm``) keeps nothing, and one refilled
-beam by beam (the MaxRate anneal) stops recomputing them. Each step is elementwise or reduces the trailing cluster and ray
-axes, and each link's draw reads its own stream only, so the tables have
-the same bits whatever the block. A part no beam of the PoA reaches is
-never drawn. The rate-only caller (``mean_rates`` and with it the MaxRate
-objective) reads only the users part, so it never evaluates the panel at
-a human and a new geometry adds only its user table. Channel ray geometry
-does not depend on any decision variable, so beam changes only add table
-entries and power changes invalidate nothing.
+``channel.steered_energy``. A fill runs in realization blocks of at most
+``_BLOCK_RAYS`` rays: per block, one ``channel.link_terms`` and one
+``antenna.FieldWork`` of steering buffers are shared by every beam. A
+part's first fill draws each block's links and frees its terms and
+workspace before the next block, so its memory is bounded by a block, not
+by the realization count, and a part filled once (``evaluate``,
+``solve_ctm``, ``dump_links``) keeps nothing. Its second fill draws the
+blocks again and keeps their terms, so a part refilled beam by beam (the
+MaxRate anneal) stops recomputing them. Each step is elementwise or
+reduces the trailing cluster and ray axes, and each link's draw reads its
+own stream only, so the tables have the same bits whatever the block. A
+part no beam of the PoA reaches is never drawn. The rate-only caller
+(``mean_rates`` and with it the MaxRate objective) reads only the users
+part, so it never evaluates the panel at a human and a new geometry adds
+only its user table. Channel ray geometry does not depend on any decision
+variable, so beam changes only add table entries and power changes
+invalidate nothing.
 
 One power core turns beams and powers into rates and exposure, in three
 steps. *Stack* (``Evaluator.stack``) gathers the unit-power gains of every
@@ -139,7 +140,7 @@ class GainStack:
                        column_of_user={uid: i for i, uid in enumerate(user_ids)})
 
 
-#: The most rays one block of a part's first fill spans: the fill's drawn
+#: The most rays one block of a part's fill spans: a first fill's drawn
 #: links, link terms and steering temporaries scale with a block, not with
 #: the part.
 _BLOCK_RAYS = 2 ** 15
@@ -151,27 +152,21 @@ class _Part:
     as what draws them: the PoA, the targets' direct-path geometry and the
     (realizations, targets, 4) seed words of the links' streams. Also the
     unit-power gain table over them of each beam geometry, keyed (zenith,
-    azimuth, columns), and their ``channel.link_terms`` once kept."""
+    azimuth, columns), and, from its second fill on, the ``channel.link_terms``
+    of each of its realization blocks."""
 
     poa: PoA
     params: ch.ChannelParams
     paths: ch.DirectPaths
     words: np.ndarray
     tables: dict = field(default_factory=dict)
-    terms: ch.LinkTerms | None = None
-    made: bool = False  # the part was filled before
+    kept: list = field(default_factory=list)  # per-block terms, one per blocks() slice
 
     def links(self, index=slice(None)) -> ch.LinkRealization:
         """The links of the realizations ``index``, a slice, drawn from
         their kept seed words."""
         return ch.sample_link(self.poa.position.as_tuple(), self.poa.frequency, self.paths,
                               self.params, ch.seeded_rngs(self.words[index]))
-
-    def link_terms(self, panel):
-        """The whole part's terms, computed on the first call and kept."""
-        if self.terms is None:
-            self.terms = ch.link_terms(self.links(), panel)
-        return self.terms
 
     def blocks(self) -> list:
         """Realization slices of at most ``_BLOCK_RAYS`` rays each (at least
@@ -184,29 +179,28 @@ class _Part:
     def fill(self, beams, panel):
         """Compute the table of each ``key -> beam`` in ``beams``.
 
-        The first fill keeps nothing: block by block, it draws the block's
-        links and steers every beam from one ``link_terms`` of them, through
-        one workspace of steering buffers. Later fills steer from the whole
-        part's terms, kept from the first of them on. Every step is elementwise or reduces the trailing cluster and
-        ray axes, so the tables have the same bits either way.
+        Block by block, every beam is steered from one ``link_terms`` of the
+        block's links, through one workspace of steering buffers. The first
+        fill draws each block's links and frees its terms and workspace
+        before the next block, so it keeps nothing; the second fill draws
+        them again and keeps each block's terms, which every later fill
+        steers from. Every step is elementwise or reduces the trailing
+        cluster and ray axes, so the tables have the same bits either way.
         """
         mech = panel.mech_azimuth
         steered = {key: (replace(panel, cols=key[2]),
                          SteeringDirection(beam.zenith, wrap_angle(beam.azimuth - mech)))
                    for key, beam in beams.items()}
-        if self.made:
-            terms = self.link_terms(panel)
-            work = FieldWork(terms.rays.size)
-            for key, (geom, steer) in steered.items():
-                self.tables[key] = ch.steered_energy(terms, geom, steer, work)
-            return
-        self.made = True
+        drawn = not self.kept  # the blocks' links are drawn, not steered from kept terms
+        keep = drawn and bool(self.tables)
         tables = {key: np.empty(self.words.shape[:2]) for key in steered}
-        for block in self.blocks():
-            terms = ch.link_terms(self.links(block), panel)
+        for i, block in enumerate(self.blocks()):
+            terms = ch.link_terms(self.links(block), panel) if drawn else self.kept[i]
             work = FieldWork(terms.rays.size)
             for key, (geom, steer) in steered.items():
                 tables[key][block] = ch.steered_energy(terms, geom, steer, work)
+            if keep:
+                self.kept.append(terms)
             del terms, work  # freed before the next block's links are drawn
         self.tables.update(tables)
 
@@ -431,11 +425,9 @@ class Evaluator:
         """
         rows = []
         drawn = {}  # (PoA id, part) -> the los, pathloss_db and shadow_db of its links
-        for b in solution.beams:
-            if not b.active:
-                continue
+        active = [b for b in solution.beams if b.active]
+        for b, tables in zip(active, self._tables(active, humans=True)):
             poa = self.scenario.poa_by_id(b.owner_poa)
-            tables = self._tables([b], humans=True)[0]
             for part in (0, 1):
                 if (poa.id, part) not in drawn:
                     link = self._parts[poa.id, part].links()

@@ -692,10 +692,14 @@ def load_scenario(path_or_name: str) -> Scenario:
     if path_or_name in BUILTIN_TEMPLATES:
         return builtin_scenario(path_or_name)
     try:
-        with open(path_or_name) as f:
+        with open(path_or_name, encoding="utf-8") as f:
             data = json.load(f)
     except FileNotFoundError:
         raise ScenarioError(f"no such scenario file or built-in: {path_or_name!r}") from None
+    except OSError as e:  # a directory, or a file that cannot be read
+        raise ScenarioError(f"cannot read scenario file {path_or_name!r}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"scenario file {path_or_name!r} is not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from None
     return scenario_from_dict(data)

@@ -141,9 +141,7 @@ def solve_maxrate(scenario: Scenario, config: AnnealConfig | None = None,
     evaluator = Evaluator(scenario, config.seed, config.realizations_per_check)
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 0x5A]))
 
-    ctm_cfg = CtmConfig(seed=config.seed,
-                        realizations_per_check=config.realizations_per_check)
-    current = build_geometry(scenario, ctm_cfg)
+    current = build_geometry(scenario, CtmConfig(seed=config.seed))
     current_obj = objective(current, evaluator)
     best, best_obj = current, current_obj
 

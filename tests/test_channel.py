@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from cellless.antenna import (ISOTROPIC, THREEGPP_8DBI, FieldWork, PanelGeometry,
                               SteeringDirection, panel_field, wrap_angle)
 from cellless.channel import (ChannelParams, LosModel, PathlossCoeffs, amplitude_scale,
-                              direct_paths, link_energy, link_rng, link_rngs, link_seed_words,
+                              direct_paths, link_energy, link_rng, link_seed_words,
                               link_terms, los_probability, sample_link, seeded_rngs,
                               steered_energy)
 
@@ -39,10 +39,12 @@ KEYS = st.integers(0, 2**40)  # one- and two-word keys
 @example(seed=2**64, n_realizations=2, poa_index=0, targets=[2**32, 0, 2**32 - 1], r=2**32)
 @given(seed=SEEDS, n_realizations=st.integers(1, 3), poa_index=KEYS,
        targets=st.lists(KEYS, min_size=1, max_size=4), r=KEYS)
-def test_link_rngs_equal_seed_sequence_streams(seed, n_realizations, poa_index, targets, r):
-    """Each generator has the state and draws of default_rng(SeedSequence(key)),
-    whatever the number of 32-bit words of each key part."""
-    gens = link_rngs(seed, n_realizations, poa_index, targets)
+def test_seeded_link_streams_equal_seed_sequence_streams(seed, n_realizations, poa_index,
+                                                         targets, r):
+    """Each generator seeded from ``link_seed_words`` has the state and draws
+    of default_rng(SeedSequence(key)), whatever the number of 32-bit words
+    of each key part."""
+    gens = seeded_rngs(link_seed_words(seed, range(n_realizations), poa_index, targets))
     assert [len(row) for row in gens] == [len(targets)] * n_realizations
     for i, row in enumerate(gens):
         for g, t in zip(row, targets):
@@ -57,16 +59,16 @@ def test_link_rngs_equal_seed_sequence_streams(seed, n_realizations, poa_index, 
 
 @settings(max_examples=20)
 @given(seed=st.integers(max_value=-1))
-def test_link_rngs_reject_a_negative_seed(seed):
+def test_link_seed_words_reject_a_negative_seed(seed):
     with pytest.raises(ValueError):
-        link_rngs(seed, 2, 0, [0, 1])
+        link_seed_words(seed, range(2), 0, [0, 1])
     with pytest.raises(ValueError):
         link_rng(seed, 0, 0, 0)
 
 
-def test_link_rngs_empty_shapes():
-    assert link_rngs(1, 0, 0, [0, 1]) == []
-    assert link_rngs(1, 2, 0, []) == [[], []]
+def test_seeded_link_streams_empty_shapes():
+    assert seeded_rngs(link_seed_words(1, range(0), 0, [0, 1])) == []
+    assert seeded_rngs(link_seed_words(1, range(2), 0, [])) == [[], []]
 
 
 @settings(deadline=None, max_examples=40)

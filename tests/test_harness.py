@@ -329,6 +329,29 @@ def test_spec_rejects_bad_seeds_and_run_sizes(tmp_path, kwargs):
         tiny_spec(tmp_path, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(seeds=(True,)), "seeds"), (dict(seeds=(1.5,)), "seeds"), (dict(seeds=("1",)), "seeds"),
+    (dict(seeds=(1, np.float64(2.5))), "seeds"), (dict(n_realizations=2.5), "n_realizations"),
+    (dict(n_realizations=True), "n_realizations"), (dict(workers=1.5), "workers"),
+    (dict(workers="2"), "workers"),
+], ids=["seed-boolean", "seed-fraction", "seed-string", "seed-numpy-fraction",
+        "realizations-fraction", "realizations-boolean", "workers-fraction", "workers-string"])
+def test_spec_refuses_non_integers_naming_the_field(tmp_path, kwargs, name):
+    """Refused at construction, not recorded as a failure of every run."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        tiny_spec(tmp_path, **kwargs)
+
+
+def test_spec_keeps_numpy_integer_seeds_as_ints(tmp_path):
+    """A numpy integer seed is a plain int from construction on, so its run
+    writes a summary.json that plotting reads back."""
+    spec = tiny_spec(tmp_path, seeds=(np.int64(1), np.uint8(2), 3.0))
+    assert spec.seeds == (1, 2, 3) and {type(seed) for seed in spec.seeds} == {int}
+    (record,) = run_experiment(tiny_spec(tmp_path, seeds=(np.int64(1),)))
+    summary, _ = load_run_metrics(Path(spec.out_dir) / record.scenario_name / "1" / "ctm")
+    assert record.error is None and summary["seed"] == 1
+
+
 def test_spec_validation(tmp_path):
     with pytest.raises(ValueError):
         tiny_spec(tmp_path, seeds=())
@@ -397,6 +420,18 @@ def test_cli_plot_on_a_broken_summary_exits_2(run_out, tmp_path, capsys, edit, k
                  "--out", str(tmp_path / "bars.csv")]) == 2
     err = capsys.readouterr().err
     assert str(broken) in err and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, word", [("summary.json", b'"seed"'), ("metrics.csv", b"user")])
+def test_cli_plot_on_a_file_that_is_not_utf8_names_it(run_out, tmp_path, capsys, name, word):
+    spec, _ = run_out
+    out = shutil.copytree(spec.out_dir, tmp_path / "out")
+    broken = out / "inf-dh-desk" / "1" / "ctm" / name
+    broken.write_bytes(broken.read_bytes().replace(word, word[:2] + b"\xff" + word[3:], 1))
+    assert main(["plot", "--kind", "power-bars", "--in", str(out),
+                 "--out", str(tmp_path / "bars.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(broken) in err and "not UTF-8" in err and "Traceback" not in err
 
 
 def test_cli_plot_on_a_summary_that_is_not_json_exits_2(run_out, tmp_path, capsys):

@@ -125,9 +125,9 @@ _PART_NAMES = ("users", "humans")
 
 def _count_link_terms_parts(monkeypatch, ev):
     """Record, per call of channel.link_terms (the steering-independent
-    half of the link energy, which a gain fill computes per block of a part
-    on a part's first fill, and then at most once over the whole part),
-    which part of which PoA's links it was given: (PoA id, "users" |
+    half of the link energy, which a gain fill computes once per block of a
+    part on each of the part's first two fills, and never after), which
+    part of which PoA's links it was given: (PoA id, "users" |
     "humans"). A part's links are drawn anew for each fill, but their
     ``d_3d`` is a view of the part's kept direct-path geometry, so a draw
     is mapped back to the one part whose ``paths.d_3d`` it shares memory
@@ -535,7 +535,7 @@ def test_block_fills_equal_one_beam_kernel(monkeypatch, world):
     """20 realizations span two blocks of a desk world's users parts and
     three of its humans parts, the last of each short, on isotropic
     (inf-dh) and 3GPP 8 dBi (umi-sc) elements. The block-wise first fill,
-    and then fills from kept whole-part terms, equal one-beam kernel calls
+    and then fills from kept per-block terms, equal one-beam kernel calls
     over the whole part byte for byte."""
     scenario = builtin_scenario(world, 1)
     beams = [b for b in build_geometry(scenario, CtmConfig(seed=1, kmeans_restarts=2)).beams
@@ -616,19 +616,23 @@ def test_evaluate_peak_memory_grows_little_with_realizations():
 
 
 # ---------------------------------------------------------------------------
-# Kept link terms: a part's first fill runs block by block and keeps
-# nothing; the next fill computes the whole part's terms and keeps them, and
-# fills from kept terms equal the one-beam kernel.
+# Kept link terms: every fill runs block by block; a part's first fill
+# keeps nothing, its second keeps each block's terms, and fills from kept
+# terms equal the one-beam kernel.
 
 def _kept(ev):
-    """The (PoA id, part) keys whose link terms the Evaluator keeps; kept
-    terms span the whole part."""
-    kept = {key for key, record in ev._parts.items() if record.terms is not None}
+    """The (PoA id, part) keys whose link terms the Evaluator keeps; a part
+    keeps one terms record per block, each spanning its block, so together
+    they span the whole part."""
+    kept = {key for key, record in ev._parts.items() if record.kept}
     params = ev.scenario.channel_params
     for key in kept:
         record = ev._parts[key]
-        assert record.terms.rays.shape == record.words.shape[:2] + (params.n_clusters,
-                                                                    params.n_rays)
+        blocks = record.blocks()
+        assert len(record.kept) == len(blocks)
+        for block, terms in zip(blocks, record.kept):
+            assert terms.rays.shape == record.words[block].shape[:2] + (params.n_clusters,
+                                                                       params.n_rays)
     return kept
 
 
@@ -647,8 +651,8 @@ def test_one_beam_misses_compute_link_terms_at_most_twice(monkeypatch):
         ev.beam_gains(b, humans=False)
     assert len(ev._parts[pid, 0].tables) == len(misses)
     assert ev._parts[pid, 1].tables == {}  # a users-only fill makes no humans-part table
-    # The first fill's blocks, then the whole part once, then kept.
-    assert calls == _first_fill(ev, pid, 0) + [(pid, "users")]
+    # The first fill's blocks, then the second fill's, then kept.
+    assert calls == _first_fill(ev, pid, 0) * 2
     assert _kept(ev) == {(pid, 0)}
 
 
@@ -673,7 +677,7 @@ def test_kept_terms_fill_equal_one_beam_kernel(monkeypatch, world):
     assert kept and _kept(ev) == {(pid, part) for pid in kept for part in (0, 1)}
     for pid in kept:
         for part in (0, 1):
-            assert calls.count((pid, _PART_NAMES[part])) == len(_first_fill(ev, pid, part)) + 1
+            assert calls.count((pid, _PART_NAMES[part])) == 2 * len(_first_fill(ev, pid, part))
     _assert_tables_equal_one_beam_kernel(ev, Evaluator(scenario, seed, n_realizations), beams)
 
 
@@ -732,12 +736,14 @@ def test_part_tables_under_random_calls(desk_pool, calls):
             assert table.shape == (2, n_targets[part])
         assert set(record.tables) == {key for p, key in (read if part == 0 else with_humans)
                                       if p == pid}
-        assert terms_calls.count((pid, _PART_NAMES[part])) <= len(_first_fill(ev, pid, part)) + 1
+        n_blocks = len(_first_fill(ev, pid, part))
+        assert terms_calls.count((pid, _PART_NAMES[part])) in (0, n_blocks, 2 * n_blocks)
     _assert_tables_equal_one_beam_kernel(ev, reference, list(read.values()))
 
 
 def test_evaluate_and_solve_ctm_keep_no_terms(monkeypatch):
-    """Both fill each part once, so they keep no terms."""
+    """``evaluate``, ``solve_ctm`` and ``dump_links`` each fill every part
+    once, so they keep no terms."""
     import cellless.radio_metrics as rm
     import cellless.solver_ctm as solver_ctm
 
@@ -754,10 +760,11 @@ def test_evaluate_and_solve_ctm_keep_no_terms(monkeypatch):
     config = CtmConfig(seed=1, delta_db=4.0, refinement_rounds=0, kmeans_restarts=2,
                        realizations_per_check=4)
     evaluate(build_geometry(scenario, config), scenario, 1, n_realizations=4)
-    solver_ctm.solve_ctm(scenario, config)
-    assert len(made) == 2
+    solution, _ = solver_ctm.solve_ctm(scenario, config)
+    rm.Evaluator(scenario, 1, n_realizations=4).dump_links(solution)
+    assert len(made) == 3
     for ev in made:
-        assert any(record.made for record in ev._parts.values()) and _kept(ev) == set()
+        assert any(record.tables for record in ev._parts.values()) and _kept(ev) == set()
 
 
 def test_nan_floor_or_ceiling_is_a_violation(tiny_scenario, tiny_solution):

@@ -165,14 +165,15 @@ def test_anneal_with_kept_terms_equals_anneal_without(monkeypatch):
             made.append(self)
 
     class TermsNeverStick(radio_metrics._Part):
-        def link_terms(self, panel):
-            return ch.link_terms(self.links(), panel)
+        def fill(self, beams, panel):
+            super().fill(beams, panel)
+            self.kept.clear()
 
     monkeypatch.setattr(ch, "link_terms", spy)
     monkeypatch.setattr(solver_maxrate, "Evaluator", Recorded)
     kept_sol, kept = solve_maxrate(scenario, cfg)
     kept_calls = len(calls)
-    assert any(record.terms is not None for record in made[0]._parts.values())
+    assert any(record.kept for record in made[0]._parts.values())
 
     monkeypatch.setattr(radio_metrics, "_Part", TermsNeverStick)
     del calls[:]
