@@ -31,33 +31,31 @@ variable, so beam changes only add table entries and power changes
 invalidate nothing.
 
 One power core turns beams and powers into rates and exposure, in three
-steps. *Stack* (``Evaluator.stack``) gathers the unit-power gains of every
-active beam at every user, or at every target when exposure is needed,
-shape (beams, targets, realizations), as a ``GainStack``. *Scale*
-(``GainStack.scaled``) multiplies it by the per-beam watts of a power
-vector. *Verdict* composes each user's SINR from the three terms that
-``Evaluator._terms`` returns, signal, co-channel interference and noise,
-and takes each human's per-frequency received power as a sum over the
-beam axis; the latter feeds ``power_density`` ->
+steps. *Stack* (``Evaluator.stack``) gathers the unit-power gains of the
+solution's beams at every user, or at every target when exposure is
+needed, as a ``GainStack`` with one row per scenario beam, fixed per
+Evaluator; a solution decides only each row's table, which rows are live
+and which row serves each user. Given the previous state's stack as
+``base``, only the rows whose ``BeamConfig`` changed are keyed and read.
+*Scale* (``Evaluator.scaled``) multiplies the live rows by their watts
+under a power vector. *Verdict* composes each user's SINR from the three
+terms that ``Evaluator._terms`` returns, signal, co-channel interference
+and noise, and takes each human's per-frequency received power as a sum
+over the live rows; the latter feeds ``power_density`` ->
 ``exposure.incident_field`` -> ``exposure.sar_wb``, and the means are
-checked against the rate floors and the SAR ceiling. ``metrics`` is
-stack -> scale -> verdict -> bundle, and the only full verdict: its
-``violated`` list is every missed floor and ceiling, and ``feasible`` is
-that list being empty. ``unmet_floors`` judges the rate floors of some
-users only, on a stack the caller keeps cut to their columns
-(``GainStack.for_users``), which is how the CtM power descent checks each
-step that lowers one PoA; ``mean_rates`` is the user-only view. All of
-them read the terms from ``_terms`` alone, whose interference adds the
-beams one by one in stack order, so a user's rate has the same bits
-whichever users are asked with it and however many realizations there
-are.
+checked against the rate floors and the SAR ceiling. ``metrics`` is stack
+-> scale -> verdict -> bundle, and the only full verdict: ``violated`` is
+every missed floor and ceiling, and ``feasible`` is that list being empty.
+``unmet_floors`` (the CtM descent's check of one PoA's users) and
+``mean_rates`` read some or all users' rates from a stack the caller keeps.
+Interference adds the live rows one by one in row order, so a rate has the
+same bits whichever users, realization count or beam listing it comes with.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -106,38 +104,25 @@ class MetricsBundle:
 
 @dataclass(frozen=True)
 class GainStack:
-    """Unit-power gains of one solution's active beams, frozen for a search
-    over transmit powers.
-
-    ``gains`` has shape (beams, users or targets, realizations), beams
-    ordered by PoA id and then as listed in the solution. Row ``i``
-    belongs to PoA ``poa_ids[i]`` (index ``poa_of_beam[i]`` in
-    scenario.poas), which splits its power evenly over ``beams_at_poa[i]``
-    active beams. ``beam_of_user`` maps each served user to the row of the
-    first beam that lists it, and ``column_of_user`` each user in the
-    stack to its column.
+    """Unit-power gains of one solution's beams, frozen for a search over
+    transmit powers, in one row per scenario beam: by PoA id, then as the
+    scenario lists the PoA's beams. ``beams[i]`` is the ``BeamConfig`` the
+    solution gives row ``i`` (None if none). ``gains`` has shape (rows,
+    users or targets, realizations); only the ``live`` rows, those of active
+    beams, are read. Live row ``k`` belongs to PoA ``poa_of_beam[k]`` (an
+    index in scenario.poas), which splits its power over ``share[k]`` live
+    beams, and interferes with the users of live row ``j`` where
+    ``co_channel[k, j]``: same frequency, other PoA. User ``c`` is served by
+    live row ``serving[c]``, or by none where that is ``len(live)``.
     """
 
+    beams: tuple
     gains: np.ndarray
-    poa_ids: tuple
+    live: np.ndarray
     poa_of_beam: np.ndarray
-    beams_at_poa: tuple
-    beam_of_user: dict
-    column_of_user: dict
-
-    def scaled(self, tx_power) -> np.ndarray:
-        """Received power [W] of every row under per-PoA levels [dBm]: the
-        gains times each row's share of its PoA's power."""
-        watts = np.array([ch.dbm_to_watts(tx_power.get(pid, -math.inf)) / n
-                          for pid, n in zip(self.poa_ids, self.beams_at_poa)], dtype=float)
-        return watts[:, None, None] * self.gains
-
-    def for_users(self, user_ids) -> GainStack:
-        """The stack cut to the columns of ``user_ids``: every beam, but
-        only what those users' rates read."""
-        cols = [self.column_of_user[uid] for uid in user_ids]
-        return replace(self, gains=self.gains[:, cols],
-                       column_of_user={uid: i for i, uid in enumerate(user_ids)})
+    share: np.ndarray
+    co_channel: np.ndarray
+    serving: np.ndarray
 
 
 #: The most rays one block of a part's fill spans: a first fill's drawn
@@ -247,6 +232,10 @@ class Evaluator:
         self._rate_floor = {u.id: float(u.required_rate) for u in scenario.users}
         self._n_users = len(scenario.users)
         self._poa_index = {p.id: i for i, p in enumerate(scenario.poas)}
+        self._column_of_user = {uid: col for col, uid in enumerate(self._user_ids)}
+        rows = [(b, p.id) for p in sorted(scenario.poas, key=lambda p: p.id) for b in p.beams]
+        self._row_of = {key: row for row, key in enumerate(rows)}
+        self._row_poa = np.array([self._poa_index[pid] for _, pid in rows], dtype=int)
         self._poa_frequency = np.array([p.frequency for p in scenario.poas])
         self._poa_bandwidth = np.array([p.bandwidth for p in scenario.poas])
         self._humans_by_phantom = {
@@ -304,57 +293,75 @@ class Evaluator:
 
     # -- the power core: stack, scale, verdict ----------------------------------
 
-    def stack(self, solution, humans: bool = True) -> GainStack:
-        """Unit-power gains of the solution's active beams at every user, and
-        also at every human when ``humans`` is true. The stack depends on
-        the beams only, so one serves every power vector over them."""
-        active = sorted((b.owner_poa, i) for i, b in enumerate(solution.beams) if b.active)
-        n_active = Counter(pid for pid, _ in active)
+    def stack(self, solution, humans: bool = True, base: GainStack | None = None) -> GainStack:
+        """Unit-power gains of the solution's beams at every user, and also at
+        every human when ``humans`` is true. The stack depends on the beams
+        only, so one serves every power vector over them. A row whose
+        ``BeamConfig`` is the very object ``base`` (a stack of the same
+        ``humans``) holds keeps base's gains, shared if no live row changed.
+        A beam, owner or user the scenario lacks, or a beam listed twice or
+        under a PoA that does not own it, raises ``SolutionInvalidError``."""
+        beams, serving = [None] * len(self._row_poa), {}
+        try:
+            for b in solution.beams:
+                row = self._row_of[b.beam_id, b.owner_poa]
+                if beams[row] is not None:
+                    raise KeyError(b.beam_id)
+                beams[row] = b
+            live = [row for row, b in enumerate(beams) if b is not None and b.active]
+            for k, row in enumerate(live):
+                for uid in beams[row].served_users:
+                    serving.setdefault(self._column_of_user[uid], k)
+        except KeyError:
+            raise SolutionInvalidError(validate(solution, self.scenario)) from None
         width = len(self.targets) if humans else self._n_users
-        gains = np.empty((len(active), width, self.n_realizations))
-        tables = self._tables([solution.beams[i] for _, i in active], humans)
-        for row, parts in enumerate(tables):
-            gains[row, :self._n_users] = parts[0].T
-            if humans:
-                gains[row, self._n_users:] = parts[1].T
-        row_of = {i: row for row, (_, i) in enumerate(active)}
-        beam_of_user = {}
-        for i, b in enumerate(solution.beams):
-            for uid in b.served_users:
-                beam_of_user.setdefault(uid, row_of[i])
+        if base is not None and base.gains.shape[1] != width:
+            raise ValueError("base must be stacked with the same humans")
+        if base is None:
+            gains, fill = np.empty((len(beams), width, self.n_realizations)), live
+        else:
+            fill = [row for row in live if beams[row] is not base.beams[row]]
+            gains = base.gains.copy() if fill else base.gains
+        for row, parts in zip(fill, self._tables([beams[row] for row in fill], humans)):
+            gains[row] = np.concatenate(parts, axis=1).T
+        poa_of_beam = self._row_poa[live]
+        freq = self._poa_frequency[poa_of_beam]
         return GainStack(
-            gains=gains,
-            poa_ids=tuple(pid for pid, _ in active),
-            poa_of_beam=np.array([self._poa_index[pid] for pid, _ in active], dtype=int),
-            beams_at_poa=tuple(n_active[pid] for pid, _ in active),
-            beam_of_user=beam_of_user,
-            column_of_user={uid: col for col, uid in enumerate(self._user_ids)},
-        )
+            beams=tuple(beams), gains=gains, live=np.array(live, dtype=int),
+            poa_of_beam=poa_of_beam,
+            share=np.bincount(poa_of_beam, minlength=len(self._poa_index))[poa_of_beam],
+            co_channel=((freq[:, None] == freq[None, :])
+                        & (poa_of_beam[:, None] != poa_of_beam[None, :])),
+            serving=np.array([serving.get(c, len(live)) for c in range(self._n_users)], dtype=int))
+
+    def scaled(self, stack, tx_power) -> np.ndarray:
+        """Received power [W] of every live row under per-PoA levels [dBm]:
+        its gains times its share of its PoA's power."""
+        watts = np.array([ch.dbm_to_watts(tx_power.get(pid, -math.inf)) for pid in self._poa_index])
+        return (watts[stack.poa_of_beam] / stack.share)[:, None, None] * stack.gains[stack.live]
 
     def _terms(self, stack, power, user_ids):
         """Each user's signal and interference [W], (users, realizations),
         its noise [W], (users, 1), and its bandwidth [Hz], (users,).
 
-        ``power`` is the stack scaled by per-beam watts. Interference is the
-        power of every beam on the serving PoA's frequency from every other
-        PoA, added beam by beam in stack order: ``sum`` would add pairwise
-        where a user has one realization, so a user's bits would depend on
-        which other users were asked.
+        ``power`` is the stack's live rows scaled by their watts. Interference
+        is the power of every live beam on the serving PoA's frequency from
+        every other PoA, added beam by beam in row order: ``sum`` would add
+        pairwise where a user has one realization, so a user's bits would
+        depend on which other users were asked.
         """
-        poa_of_beam = stack.poa_of_beam
         try:
-            rows = np.array([stack.beam_of_user[uid] for uid in user_ids], dtype=int)
+            cols = np.array([self._column_of_user[uid] for uid in user_ids], dtype=int)
         except KeyError as e:
             raise UnservedUserError(e.args[0]) from None
-        cols = np.array([stack.column_of_user[uid] for uid in user_ids], dtype=int)
-        own = poa_of_beam[rows]
-        freq = self._poa_frequency
-        co_channel = ((freq[poa_of_beam][:, None] == freq[own][None, :])
-                      & (poa_of_beam[:, None] != own[None, :]))
-        per_beam = np.where(co_channel[..., None], power[:, cols], 0.0)
+        rows = stack.serving[cols]
+        try:
+            bandwidth = self._poa_bandwidth[stack.poa_of_beam[rows]]
+        except IndexError:  # an unserved user's row is past the live rows
+            raise UnservedUserError(user_ids[int(rows.argmax())]) from None
+        per_beam = np.where(stack.co_channel[:, rows, None], power[:, cols], 0.0)
         interference = (np.add.accumulate(per_beam, axis=0)[-1] if len(per_beam)
                         else per_beam.sum(axis=0))
-        bandwidth = self._poa_bandwidth[own]
         return power[rows, cols], interference, NOISE_DENSITY_W_HZ * bandwidth[:, None], bandwidth
 
     def _rates(self, stack, power, user_ids):
@@ -384,24 +391,22 @@ class Evaluator:
         """The rate floors (``rate:<user>``) of ``user_ids`` that the beams
         frozen in ``stack`` miss under per-PoA powers ``tx_power`` [dBm],
         in the order asked. Each rate is composed from the ``_terms`` that
-        ``metrics`` reads, so it has the same bits, and a stack cut to these
-        users' columns (``GainStack.for_users``) gives the same verdict on
-        them."""
-        rates = self._rates(stack, stack.scaled(tx_power), user_ids).mean(axis=-1)
+        ``metrics`` reads, so it has the same bits."""
+        rates = self._rates(stack, self.scaled(stack, tx_power), user_ids).mean(axis=-1)
         return self._short(user_ids, rates)
 
     # -- views -------------------------------------------------------------------
 
-    def mean_rates(self, solution: SolutionState) -> np.ndarray:
-        """Mean rate [bit/s] over realizations of every user, in scenario order."""
-        stack = self.stack(solution, humans=False)
-        return self._rates(stack, stack.scaled(solution.tx_power), self._user_ids).mean(axis=-1)
+    def mean_rates(self, stack, tx_power) -> np.ndarray:
+        """Mean rate [bit/s] over realizations of every user, in scenario
+        order, on the beams frozen in ``stack`` under ``tx_power`` [dBm]."""
+        return self._rates(stack, self.scaled(stack, tx_power), self._user_ids).mean(axis=-1)
 
     def metrics(self, solution: SolutionState) -> MetricsBundle:
         """Averaged rates and SAR over all realizations, plus feasibility."""
         scenario = self.scenario
         stack = self.stack(solution)
-        power = stack.scaled(solution.tx_power)
+        power = self.scaled(stack, solution.tx_power)
         rates = self._rates(stack, power, self._user_ids).mean(axis=-1)
         sar = self._exposure(stack, power)
         active = set(solution.active_poas())
@@ -425,16 +430,17 @@ class Evaluator:
         """
         rows = []
         drawn = {}  # (PoA id, part) -> the los, pathloss_db and shadow_db of its links
-        active = [b for b in solution.beams if b.active]
-        for b, tables in zip(active, self._tables(active, humans=True)):
+        stack = self.stack(solution)
+        for b in [b for b in solution.beams if b.active]:
             poa = self.scenario.poa_by_id(b.owner_poa)
+            gains = stack.gains[self._row_of[b.beam_id, b.owner_poa]]
             for part in (0, 1):
                 if (poa.id, part) not in drawn:
                     link = self._parts[poa.id, part].links()
                     drawn[poa.id, part] = link.los, link.pathloss_db, link.shadow_db
             for r in range(self.n_realizations):
                 for part, ids in enumerate((self._user_ids, self._human_ids)):
-                    (los, pathloss, shadow), table = drawn[poa.id, part], tables[part]
+                    los, pathloss, shadow = drawn[poa.id, part]
                     for col, tid in enumerate(ids):
                         rows.append({
                             "realization": r,
@@ -444,7 +450,7 @@ class Evaluator:
                             "bandwidth_hz": poa.bandwidth,
                             "target_id": tid,
                             "target_kind": ("user", "human")[part],
-                            "unit_energy_w": float(table[r, col]),
+                            "unit_energy_w": float(gains[part * self._n_users + col, r]),
                             "los": bool(los[r, col]),
                             "pathloss_db": float(pathloss[r, col]),
                             "shadow_db": float(shadow[r, col]),

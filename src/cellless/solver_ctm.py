@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .radio_metrics import Evaluator, MetricsBundle
+from .radio_metrics import Evaluator, MetricsBundle, _integer
 from .scenario import Scenario
 from .solution import BeamConfig, SolutionState
 
@@ -50,12 +50,16 @@ class CtmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("refinement_rounds", "kmeans_restarts", "realizations_per_check", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 0 < self.delta_db < math.inf:
             raise ValueError("delta_db must be positive and finite")
         if self.refinement_rounds < 0:
             raise ValueError("refinement_rounds must be non-negative")
         if self.kmeans_restarts < 1:
             raise ValueError("kmeans_restarts must be >= 1")
+        if self.realizations_per_check < 1:
+            raise ValueError("realizations_per_check must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -331,21 +335,19 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator,
     interference and SAR are monotone in every power (rounding included),
     so neither rises when ``p`` falls. The trial's full verdict is
     therefore the rate floors of ``p``'s users, read from the users-only
-    stack cut to their columns (``Evaluator.unmet_floors``), and by
-    induction every trial starts from a feasible state.
+    stack (``Evaluator.unmet_floors``), and by induction every trial
+    starts from a feasible state.
     """
     violated = evaluator.metrics(solution).violated
     if violated:
         raise NoFeasibleSolutionError(violated)
 
     stack = evaluator.stack(solution, humans=False)
-    served = {}
-    for uid in sorted(stack.beam_of_user):
-        served.setdefault(stack.poa_ids[stack.beam_of_user[uid]], []).append(uid)
-    cuts = {pid: stack.for_users(uids) for pid, uids in served.items()}
+    served = {pid: sorted(uid for b in solution.beams_of(pid) for uid in b.served_users)
+              for pid in solution.active_poas()}
 
     def floors_met(pid, sol):
-        return not evaluator.unmet_floors(cuts[pid], sol.tx_power, served[pid])
+        return not evaluator.unmet_floors(stack, sol.tx_power, served[pid])
 
     current = solution
     active = set(current.active_poas())

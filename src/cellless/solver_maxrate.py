@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .antenna import wrap_angle
-from .radio_metrics import Evaluator, MetricsBundle
+from .radio_metrics import Evaluator, GainStack, MetricsBundle, _integer
 from .scenario import Scenario
 from .solution import SolutionState
 from .solver_ctm import CtmConfig, build_geometry
@@ -36,6 +36,8 @@ class AnnealConfig:
     realizations_per_check: int = 10
 
     def __post_init__(self):
+        for name in ("iterations", "moves_per_temp", "seed", "realizations_per_check"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not (0.0 < self.cooling_factor < 1.0):
@@ -44,14 +46,17 @@ class AnnealConfig:
             raise ValueError("moves_per_temp must be >= 1")
         if self.initial_temp is not None and not 0 < self.initial_temp < math.inf:
             raise ValueError("initial_temp must be positive and finite")
+        if self.realizations_per_check < 1:
+            raise ValueError("realizations_per_check must be >= 1")
 
 
-def objective(solution: SolutionState, evaluator: Evaluator) -> float:
-    """Minimum mean per-user rate (inf with no users). Each state the anneal
-    scores serves every user once, as ``build_geometry`` and ``neighbor``
-    keep it; an unserved user raises ``UnservedUserError``."""
-    rates = evaluator.mean_rates(solution)
-    return float(rates.min()) if rates.size else math.inf
+def objective(solution: SolutionState, evaluator: Evaluator, base: GainStack | None = None):
+    """Minimum mean per-user rate (inf with no users) and the users stack it
+    read, built on ``base``. Each scored state serves every user once, as
+    ``build_geometry`` and ``neighbor`` keep it, else ``UnservedUserError``."""
+    stack = evaluator.stack(solution, humans=False, base=base)
+    rates = evaluator.mean_rates(stack, solution.tx_power)
+    return (float(rates.min()) if rates.size else math.inf), stack
 
 
 def _replace_beam(solution, beam, **changes):
@@ -116,13 +121,13 @@ def neighbor(solution: SolutionState, scenario: Scenario, rng) -> SolutionState:
     return move_reassign(solution, scenario, rng)
 
 
-def _calibrate_temperature(start, start_obj, scenario, rng, evaluator):
+def _calibrate_temperature(start, start_obj, start_stack, scenario, rng, evaluator):
     """Pick T0 so about TARGET_ACCEPTANCE of early worsening moves would be
     accepted."""
     drops = []
     for _ in range(CALIBRATION_PROBES):
         cand = neighbor(start, scenario, rng)
-        obj = objective(cand, evaluator)
+        obj, _ = objective(cand, evaluator, start_stack)
         if obj < start_obj:
             drops.append(start_obj - obj)
     if not drops:
@@ -142,21 +147,21 @@ def solve_maxrate(scenario: Scenario, config: AnnealConfig | None = None,
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 0x5A]))
 
     current = build_geometry(scenario, CtmConfig(seed=config.seed))
-    current_obj = objective(current, evaluator)
+    current_obj, stack = objective(current, evaluator)
     best, best_obj = current, current_obj
 
     temp = config.initial_temp
     if temp is None:
-        temp = _calibrate_temperature(current, current_obj, scenario, rng, evaluator)
+        temp = _calibrate_temperature(current, current_obj, stack, scenario, rng, evaluator)
 
     for step in range(config.iterations):
         for move in range(config.moves_per_temp):
             cand = neighbor(current, scenario, rng)
-            cand_obj = objective(cand, evaluator)
+            cand_obj, cand_stack = objective(cand, evaluator, stack)
             delta = cand_obj - current_obj
             accepted = delta >= 0 or rng.random() < math.exp(delta / temp)
             if accepted:
-                current, current_obj = cand, cand_obj
+                current, current_obj, stack = cand, cand_obj, cand_stack
                 if cand_obj > best_obj:
                     best, best_obj = cand, cand_obj
             if trace is not None:

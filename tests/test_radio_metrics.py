@@ -31,7 +31,12 @@ def _user_terms(ev, solution, user_ids):
     """``Evaluator._terms`` of ``user_ids`` on the solution's users stack:
     signal, interference, noise and bandwidth."""
     stack = ev.stack(solution, humans=False)
-    return ev._terms(stack, stack.scaled(solution.tx_power), user_ids)
+    return ev._terms(stack, ev.scaled(stack, solution.tx_power), user_ids)
+
+
+def _mean_rates(ev, solution):
+    """``Evaluator.mean_rates`` on the solution's users stack."""
+    return ev.mean_rates(ev.stack(solution, humans=False), solution.tx_power)
 
 
 def _sinr(ev, solution, user_id):
@@ -43,7 +48,7 @@ def _sinr(ev, solution, user_id):
 def _rate(ev, solution, user_id):
     """One user's per-realization achievable rate [bit/s]."""
     stack = ev.stack(solution, humans=False)
-    return ev._rates(stack, stack.scaled(solution.tx_power), [user_id])[0]
+    return ev._rates(stack, ev.scaled(stack, solution.tx_power), [user_id])[0]
 
 
 def test_shannon_rate_pins():
@@ -157,7 +162,7 @@ def test_rates_evaluate_user_columns_only(monkeypatch, tiny_scenario, tiny_solut
     # One active beam per PoA, so one (PoA, part) group per active beam.
     active = [b for b in tiny_solution.beams if b.active]
     assert len({b.owner_poa for b in active}) == len(active)
-    ev.mean_rates(tiny_solution)
+    _mean_rates(ev, tiny_solution)
     objective(tiny_solution, ev)
     _user_terms(ev, tiny_solution, ["u0"])
     users = sorted(c for b in active for c in _first_fill(ev, b.owner_poa, 0))
@@ -166,13 +171,13 @@ def test_rates_evaluate_user_columns_only(monkeypatch, tiny_scenario, tiny_solut
     humans = sorted(c for b in active for c in _first_fill(ev, b.owner_poa, 1))
     assert sorted(calls[len(users):]) == humans
     ev.metrics(tiny_solution)
-    ev.mean_rates(tiny_solution)
+    _mean_rates(ev, tiny_solution)
     assert len(calls) == len(users) + len(humans)
 
 
 def test_metrics_after_rates_equals_fresh_metrics(tiny_scenario, tiny_solution):
     ev = Evaluator(tiny_scenario, seed=5, n_realizations=8)
-    rates = ev.mean_rates(tiny_solution)
+    rates = _mean_rates(ev, tiny_solution)
     late = ev.metrics(tiny_solution)
     fresh = Evaluator(tiny_scenario, seed=5, n_realizations=8).metrics(tiny_solution)
     assert late.per_user_rate == fresh.per_user_rate
@@ -301,7 +306,7 @@ def test_world_without_humans_evaluates(tiny_scenario, tiny_solution):
     with_humans = Evaluator(tiny_scenario, seed=5, n_realizations=4).metrics(tiny_solution)
     assert m.per_user_rate == with_humans.per_user_rate
     ev = Evaluator(no_humans, seed=5, n_realizations=4)
-    assert ev.mean_rates(tiny_solution).tolist() == list(m.per_user_rate.values())
+    assert _mean_rates(ev, tiny_solution).tolist() == list(m.per_user_rate.values())
     assert ev.beam_gains(tiny_solution.beams[0]).shape == (4, len(no_humans.users))
 
 
@@ -320,7 +325,7 @@ def test_world_without_targets_evaluates():
     m = evaluate(sol, empty, seed=1, n_realizations=2)
     assert m.feasible and m.per_user_rate == {} and m.per_human_sar == {}
     ev = Evaluator(empty, seed=1, n_realizations=2)
-    assert ev.mean_rates(sol).shape == (0,)
+    assert _mean_rates(ev, sol).shape == (0,)
     assert ev.beam_gains(sol.beams[0]).shape == (2, 0)
 
 
@@ -417,21 +422,84 @@ def test_link_energy_matches_beam_gains(tiny_scenario, ev, data, zenith, azimuth
 
 
 # ---------------------------------------------------------------------------
-# The power core: user views and stacks cut to some users read metrics()'s
-# rates, and grouped fills equal one-beam kernel calls.
+# Fixed stack rows: one per scenario beam, whatever the solution lists.
+
+def _wrong_listings(solution):
+    """(violation code, solution) pairs that name something the scenario
+    lacks or list a beam where it does not belong."""
+    b0, b1 = solution.beams[0], solution.beams[1]
+    rest = solution.beams[1:]
+    other = next(b.owner_poa for b in solution.beams if b.owner_poa != b0.owner_poa)
+    return [
+        ("unknown_beam", (replace(b0, beam_id="nope-b0"),) + rest),
+        ("unknown_poa", (replace(b0, owner_poa="nope"),) + rest),
+        ("unknown_user", (replace(b0, served_users=b0.served_users | {"u99"}),) + rest),
+        ("wrong_owner", (replace(b0, owner_poa=other),) + rest),
+        ("duplicate_beam", (b0, replace(b0, served_users=frozenset())) + rest),
+        ("duplicate_beam", (b0, b1, b1) + solution.beams[2:]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6), ids=["unknown-beam", "unknown-owner", "unknown-user",
+                                                "wrong-owner", "twice", "twice-live"])
+def test_unknown_beams_owners_and_users_are_refused(tiny_scenario, tiny_solution, ev, case):
+    """A solution naming a beam, owner PoA or served user the scenario lacks,
+    or listing a beam twice or under a PoA that does not own it, is refused
+    by every view with the violations ``validate`` finds, instead of being
+    evaluated as if it were legal."""
+    code, beams = _wrong_listings(tiny_solution)[case]
+    wrong = replace(tiny_solution, beams=beams)
+    for view in (lambda: ev.stack(wrong, humans=False), lambda: ev.metrics(wrong),
+                 lambda: ev.mean_rates(ev.stack(wrong, humans=False), wrong.tx_power),
+                 lambda: ev.dump_links(wrong)):
+        with pytest.raises(SolutionInvalidError) as info:
+            view()
+        assert code in {v.code for v in info.value.violations}
+
+
+@pytest.fixture(scope="module")
+def geometry_pool():
+    """(world, seed, realizations) -> an Evaluator and its CtM geometry."""
+    return {}
+
+
+@settings(deadline=None, max_examples=30)
+@given(world=st.sampled_from(["inf-dh-desk", "umi-sc-desk"]), seed=st.integers(1, 2),
+       realizations=st.integers(2, 4), data=st.data())
+def test_beam_listing_order_does_not_change_a_bit(geometry_pool, world, seed, realizations,
+                                                  data):
+    """Stack rows are fixed per Evaluator, so ``metrics`` of any permutation
+    of a CtM geometry's beams has the bits of the geometry's own."""
+    key = (world, seed, realizations)
+    if key not in geometry_pool:
+        scenario = builtin_scenario(world, seed)
+        geometry_pool[key] = (Evaluator(scenario, seed, realizations),
+                              build_geometry(scenario, CtmConfig(seed=seed, kmeans_restarts=2)))
+    ev, sol = geometry_pool[key]
+    shuffled = replace(sol, beams=tuple(data.draw(st.permutations(sol.beams))))
+    want, got = ev.metrics(sol), ev.metrics(shuffled)
+    for field in ("per_user_rate", "per_human_sar"):
+        assert (np.array(list(getattr(got, field).values())).tobytes()
+                == np.array(list(getattr(want, field).values())).tobytes())
+    assert got.violated == want.violated
+
+
+# ---------------------------------------------------------------------------
+# The power core: user views asked for some users read metrics()'s rates,
+# and grouped fills equal one-beam kernel calls.
 
 @pytest.mark.parametrize("realizations", [1, 2, 10])
 @pytest.mark.parametrize("world, seed", [("inf-dh-desk", 2), ("umi-sc-desk", 0)])
 def test_user_views_equal_metrics_bit_for_bit(world, seed, realizations):
-    """``mean_rates``, per-user ``_terms`` and ``unmet_floors`` on a stack
-    cut to one user or to one PoA's users read the very rates ``metrics``
-    does, also with one realization, where each user's interference is one
+    """``mean_rates``, per-user ``_terms`` and ``unmet_floors`` asked for
+    one user or for one PoA's users read the very rates ``metrics`` does,
+    also with one realization, where each user's interference is one
     number per beam."""
     scenario = builtin_scenario(world, seed)
     ev = Evaluator(scenario, seed, realizations)
     sol = build_geometry(scenario, CtmConfig(seed=seed))
     rates = ev.metrics(sol).per_user_rate
-    assert ev.mean_rates(sol).tolist() == list(rates.values())
+    assert _mean_rates(ev, sol).tolist() == list(rates.values())
     for u in scenario.users:
         rate = _rate(ev, sol, u.id)
         assert float(rate.mean()) == rates[u.id]
@@ -444,7 +512,7 @@ def test_user_views_equal_metrics_bit_for_bit(world, seed, realizations):
 
     stack = ev.stack(sol)
     groups = [[u.id] for u in scenario.users] + [
-        sorted(uid for uid, row in stack.beam_of_user.items() if stack.poa_ids[row] == pid)
+        sorted(uid for b in sol.beams_of(pid) for uid in b.served_users)
         for pid in sol.active_poas()]
     for above in (False, True):
         # Floors at each user's own rate are met; one ulp above, all missed.
@@ -452,7 +520,7 @@ def test_user_views_equal_metrics_bit_for_bit(world, seed, realizations):
                           for uid, r in rates.items()}
         for uids in groups:
             want = [f"rate:{uid}" for uid in uids] if above else []
-            assert ev.unmet_floors(stack.for_users(uids), sol.tx_power, uids) == want
+            assert ev.unmet_floors(stack, sol.tx_power, uids) == want
 
 
 def _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams):
@@ -724,7 +792,10 @@ def test_part_tables_under_random_calls(desk_pool, calls):
                 ev.beam_gains(beam, humans=humans)
                 beams = [beam]
             else:
-                getattr(ev, name)(solutions[k])
+                if name == "metrics":
+                    ev.metrics(solutions[k])
+                else:
+                    _mean_rates(ev, solutions[k])
                 beams, humans = active, name == "metrics"
             for b in beams:
                 read[_table_key(ev, b)] = b

@@ -391,7 +391,7 @@ def feasible_small_worlds(draw):
 def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
     """The descent's premise: from a feasible state, lowering one active PoA
     breaks no floor or ceiling outside that PoA's users, and their floors
-    read from the stack cut to their columns give the full verdict. Term by
+    read from the users stack give the full verdict. Term by
     term: no other user's signal and none of that PoA's users' interference
     changes a bit, no interference rises, and the noise is the serving
     PoA's."""
@@ -400,16 +400,16 @@ def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
     assert evaluator.metrics(solution).violated == []
     pid = data.draw(st.sampled_from(solution.active_poas()))
     lowered = solution.with_power(pid, solution.tx_power[pid] - data.draw(st.floats(0.0, 40.0)))
-    own = sorted(uid for uid, row in stack.beam_of_user.items() if stack.poa_ids[row] == pid)
+    own = sorted(uid for b in solution.beams_of(pid) for uid in b.served_users)
     after = evaluator.metrics(lowered).violated
     assert set(after) <= {f"rate:{uid}" for uid in own}
-    assert evaluator.unmet_floors(stack.for_users(own), lowered.tx_power, own) == sorted(after)
+    assert evaluator.unmet_floors(stack, lowered.tx_power, own) == sorted(after)
 
     users = [u.id for u in evaluator.scenario.users]
     signal, interference, noise, _ = evaluator._terms(
-        stack, stack.scaled(solution.tx_power), users)
+        stack, evaluator.scaled(stack, solution.tx_power), users)
     signal_after, interference_after, noise_after, _ = evaluator._terms(
-        stack, stack.scaled(lowered.tx_power), users)
+        stack, evaluator.scaled(stack, lowered.tx_power), users)
     mine = np.array([uid in own for uid in users])
     assert signal_after[~mine].tobytes() == signal[~mine].tobytes()
     assert interference_after[mine].tobytes() == interference[mine].tobytes()

@@ -6,17 +6,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from cellless.radio_metrics import Evaluator, UnservedUserError
 from cellless.scenario import EndUser, Position3D
 from cellless.solution import validate
 from cellless.solver_ctm import CtmConfig, build_geometry
-from cellless.solver_maxrate import (AnnealConfig, move_power, move_reassign,
-                                     move_steering, move_width, neighbor,
-                                     objective, solve_maxrate)
+from cellless.solver_maxrate import (ANGLE_STEP, POWER_STEP_DB, WIDTH_STEP, AnnealConfig,
+                                     move_power, move_reassign, move_steering, move_width,
+                                     neighbor, objective, solve_maxrate)
 
-from conftest import make_poa, make_tiny_scenario
+from conftest import make_poa, make_tiny_scenario, serve_all_solution
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +30,8 @@ def ev(tiny_scenario):
 
 
 def test_objective_is_min_mean_rate(tiny_scenario, start, ev):
-    obj = objective(start, ev)
-    rates = ev.mean_rates(start)
+    obj, stack = objective(start, ev)
+    rates = ev.mean_rates(stack, start.tx_power)
     assert rates.shape == (len(tiny_scenario.users),)
     assert obj == min(rates.tolist())
 
@@ -44,12 +44,9 @@ def test_objective_minus_inf_when_unserved(tiny_scenario, start, ev):
         objective(replace(start, beams=beams), ev)
 
 
-@settings(deadline=None, max_examples=60)
-@given(data=st.data())
-def test_neighbor_chains_serve_each_user_exactly_once(data):
-    """Why the objective needs no unserved case: on random small worlds,
-    ``build_geometry`` serves each user with exactly one beam, and so does
-    every state a chain of ``neighbor`` moves reaches from it."""
+def _small_world(data):
+    """A random world of 1-3 PoAs with 1-3 beams each and 0-7 users, no
+    humans, and CtM's geometry on it."""
     poas = tuple(make_poa(f"p{i}", data.draw(st.floats(1.0, 39.0)),
                           data.draw(st.floats(1.0, 19.0)), n_beams=data.draw(st.integers(1, 3)),
                           rows=4, cols=4)
@@ -58,13 +55,151 @@ def test_neighbor_chains_serve_each_user_exactly_once(data):
     users = tuple(EndUser(f"u{i}", data.draw(spot), 1e6)
                   for i in range(data.draw(st.integers(0, 7))))
     scenario = replace(make_tiny_scenario(), poas=poas, users=users, humans=())
-    sol = build_geometry(scenario, CtmConfig(seed=data.draw(st.integers(0, 3))))
+    return scenario, build_geometry(scenario, CtmConfig(seed=data.draw(st.integers(0, 3))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_neighbor_chains_serve_each_user_exactly_once(data):
+    """Why the objective needs no unserved case: on random small worlds,
+    ``build_geometry`` serves each user with exactly one beam, and so does
+    every state a chain of ``neighbor`` moves reaches from it."""
+    scenario, sol = _small_world(data)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    want = Counter(u.id for u in users)
+    want = Counter(u.id for u in scenario.users)
     for _ in range(data.draw(st.integers(0, 80))):
         assert Counter(uid for b in sol.beams for uid in b.served_users) == want
         sol = neighbor(sol, scenario, rng)
     assert Counter(uid for b in sol.beams for uid in b.served_users) == want
+
+
+def _table_count(ev):
+    return sum(len(record.tables) for record in ev._parts.values())
+
+
+def _count_keys(mp):
+    """The beams keyed from now on: each ``width_to_panel`` call of the
+    Evaluator's gain-table key, recorded through ``mp``."""
+    import cellless.radio_metrics as radio_metrics
+
+    keyed, key = [], radio_metrics.width_to_panel
+    mp.setattr(radio_metrics, "width_to_panel",
+               lambda width, panel: keyed.append(width) or key(width, panel))
+    return keyed
+
+
+def _assert_equals_fresh_stack(ev, stack, solution):
+    """``stack`` has the live and serving rows, power shares, co-channel
+    pairs, live-row bytes and ``mean_rates`` bits of a fresh users stack."""
+    fresh = ev.stack(solution, humans=False)
+    for name in ("live", "poa_of_beam", "share", "co_channel", "serving"):
+        assert np.array_equal(getattr(stack, name), getattr(fresh, name)), name
+    assert stack.beams == fresh.beams
+    assert stack.gains[stack.live].tobytes() == fresh.gains[fresh.live].tobytes()
+    assert (ev.mean_rates(stack, solution.tx_power).tobytes()
+            == ev.mean_rates(fresh, solution.tx_power).tobytes())
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
+    """One row per move: along an anneal-like chain of moves of all four
+    kinds on a random small world, each accepted or rejected, the users
+    stack built on the current state's stack equals a fresh ``stack()`` of
+    the candidate, and the current stack still equals one of the current
+    state. It keys (``width_to_panel``) only the active beams the move
+    replaced. With none, as after every power move and every move on an
+    idle beam, it shares the current gains and fills nothing."""
+    scenario, sol = _small_world(data)
+    ev = Evaluator(scenario, data.draw(st.integers(0, 3)), data.draw(st.integers(1, 2)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    moves = (lambda s: move_power(s, scenario, rng, POWER_STEP_DB),
+             lambda s: move_steering(s, scenario, rng, ANGLE_STEP),
+             lambda s: move_width(s, scenario, rng, WIDTH_STEP),
+             lambda s: move_reassign(s, scenario, rng))
+    with pytest.MonkeyPatch.context() as mp:
+        keyed = _count_keys(mp)
+        current = ev.stack(sol, humans=False)
+        steps = st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=25)
+        for kind, accepted in data.draw(steps):
+            cand = moves[kind](sol)
+            changed = [b for b in cand.beams
+                       if b.active and all(b is not old for old in sol.beams)]
+            assert kind != 0 or not changed
+            del keyed[:]
+            tables = _table_count(ev)
+            stack = ev.stack(cand, humans=False, base=current)
+            assert len(keyed) == len(changed)
+            if not changed:
+                assert stack.gains is current.gains and _table_count(ev) == tables
+            if kind == 3 and stack.live.tolist() != current.live.tolist():
+                event("a reassign woke or idled a beam")
+            _assert_equals_fresh_stack(ev, stack, cand)
+            _assert_equals_fresh_stack(ev, current, sol)
+            if accepted:
+                sol, current = cand, stack
+
+
+def test_a_reassign_that_wakes_one_beam_and_idles_another_keys_one_row(tiny_scenario):
+    """Moving u2 from poaB's only live beam to poaA's idle one idles the
+    first row and wakes the second: only the woken row is keyed and read,
+    and the stack equals a fresh one."""
+    ev = Evaluator(tiny_scenario, seed=0, n_realizations=2)
+    sol = serve_all_solution(tiny_scenario)
+    base = ev.stack(sol, humans=False)
+    moved = replace(sol, beams=tuple(
+        replace(b, served_users=b.served_users ^ {"u2"})
+        if b.beam_id in (sol.beam_for_user("u2").beam_id, "poaA-b1") else b for b in sol.beams))
+    with pytest.MonkeyPatch.context() as mp:
+        keyed = _count_keys(mp)
+        stack = ev.stack(moved, humans=False, base=base)
+    assert len(keyed) == 1
+    fresh = ev.stack(moved, humans=False)
+    assert stack.live.tolist() == fresh.live.tolist() == [0, 1]  # poaA's two beams
+    assert base.live.tolist() == [0, 2]
+    assert stack.serving.tolist() == fresh.serving.tolist() == [0, 0, 1]
+    assert stack.gains[stack.live].tobytes() == fresh.gains[fresh.live].tobytes()
+    assert (ev.mean_rates(stack, moved.tx_power).tobytes()
+            == ev.mean_rates(fresh, moved.tx_power).tobytes())
+
+
+def test_an_anneal_move_keys_at_most_one_row_per_objective(monkeypatch):
+    """Over a short anneal on inf-dh-desk, each objective call keys at most
+    one beam on average (``width_to_panel``; about 16 when every stack
+    re-keyed every live beam), and the anneal fills the very tables, and
+    ends in the very state, of one that stacks every state afresh."""
+    import cellless.solver_maxrate as solver_maxrate
+    from cellless.scenario import builtin_scenario
+
+    scenario = builtin_scenario("inf-dh-desk", 0)
+    cfg = AnnealConfig(seed=0, iterations=10, moves_per_temp=10, realizations_per_check=2)
+    keyed, calls, made = _count_keys(monkeypatch), [], []
+    scored = solver_maxrate.objective
+
+    class Recorded(Evaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    def counted(solution, evaluator, base=None):
+        before = len(keyed)
+        out = scored(solution, evaluator, base)
+        calls.append(len(keyed) - before)
+        return out
+
+    monkeypatch.setattr(solver_maxrate, "Evaluator", Recorded)
+    monkeypatch.setattr(solver_maxrate, "objective", counted)
+    best, bundle = solve_maxrate(scenario, cfg)
+    assert len(calls) == 1 + 100 + 100   # the start, calibration probes and moves
+    assert sum(calls) <= len(calls)
+
+    monkeypatch.setattr(solver_maxrate, "objective",
+                        lambda solution, evaluator, base=None: scored(solution, evaluator))
+    fresh_best, fresh = solve_maxrate(scenario, cfg)
+    assert best == fresh_best
+    assert bundle.per_user_rate == fresh.per_user_rate
+    tables = [{k: set(record.tables) for k, record in ev._parts.items()} for ev in made]
+    assert tables[0] == tables[1]
 
 
 def test_moves_preserve_legality(tiny_scenario, start):
@@ -129,7 +264,7 @@ def test_solve_maxrate_improves_or_keeps_min_rate(tiny_scenario, start, ev):
                        realizations_per_check=4)
     sol, bundle = solve_maxrate(tiny_scenario, cfg)
     assert validate(sol, tiny_scenario) == []
-    assert bundle.min_rate >= objective(start, ev)
+    assert bundle.min_rate >= objective(start, ev)[0]
 
 
 def test_solve_maxrate_deterministic(tiny_scenario):
@@ -182,6 +317,32 @@ def test_anneal_with_kept_terms_equals_anneal_without(monkeypatch):
     assert kept_sol == sol
     assert kept.per_user_rate == bundle.per_user_rate
     assert kept.per_human_sar == bundle.per_human_sar
+
+
+@pytest.mark.parametrize("config, name, value", [
+    (CtmConfig, "seed", 1.5), (CtmConfig, "seed", True), (CtmConfig, "seed", "1"),
+    (CtmConfig, "kmeans_restarts", 2.5), (CtmConfig, "refinement_rounds", 2.5),
+    (CtmConfig, "refinement_rounds", False), (CtmConfig, "realizations_per_check", 2.5),
+    (CtmConfig, "realizations_per_check", 0), (AnnealConfig, "seed", np.float64(0.5)),
+    (AnnealConfig, "seed", np.bool_(True)), (AnnealConfig, "iterations", 2.5),
+    (AnnealConfig, "iterations", True), (AnnealConfig, "moves_per_temp", 1.5),
+    (AnnealConfig, "realizations_per_check", 2.5), (AnnealConfig, "realizations_per_check", 0)])
+def test_solver_configs_refuse_non_integral_counts_naming_the_field(config, name, value):
+    """A fraction, a boolean or a non-number as a seed or count, or no
+    realizations per check, is refused when the config is built, naming
+    the field, instead of failing every run of an experiment later."""
+    with pytest.raises(ValueError, match=name):
+        config(**{name: value})
+
+
+def test_solver_configs_keep_integral_counts_as_ints():
+    ctm = CtmConfig(seed=np.int64(2), refinement_rounds=2.0, kmeans_restarts=3.0,
+                    realizations_per_check=np.int32(4))
+    anneal = AnnealConfig(seed=2.0, iterations=np.int64(3), moves_per_temp=4.0,
+                          realizations_per_check=5.0)
+    got = [ctm.seed, ctm.refinement_rounds, ctm.kmeans_restarts, ctm.realizations_per_check,
+           anneal.seed, anneal.iterations, anneal.moves_per_temp, anneal.realizations_per_check]
+    assert got == [2, 2, 3, 4, 2, 3, 4, 5] and all(type(v) is int for v in got)
 
 
 def test_anneal_config_validation():
