@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 from cellless.antenna import PanelGeometry, SteeringDirection
-from cellless.channel import LosModel, link_energy, link_rng, los_probability, sample_link
+from cellless.channel import (LosModel, direct_paths, link_seed_words, link_terms,
+                              los_probability, sample_link, seeded_rngs, steered_energy)
 from cellless.scenario import builtin_template
 
 
@@ -30,13 +31,12 @@ def main():
     poa = (0.0, 10.0, 7.0)
     rows = []
     for d in (5, 10, 20, 40):
-        user = (d, 10.0, 1.5)
-        energies = []
-        for r in range(200):
-            steer_to = sample_link(poa, 5e9, user, params, link_rng(0, r, 0, 0))
-            steer = SteeringDirection(*steer_to.los_aod)
-            energies.append(link_energy(steer_to, 0.0, geom, steer))
-        e = np.array(energies)
+        # 200 realizations of the link from PoA 0 to target 0, seed 0, in
+        # one draw, each steered at its direct path: 0 dBm is 1e-3 W.
+        paths = direct_paths(poa, 5e9, [(d, 10.0, 1.5)], params)
+        links = sample_link(paths, params, seeded_rngs(link_seed_words(0, range(200), 0, [0])))
+        steer = SteeringDirection(float(paths.zenith[0]), float(paths.azimuth[0]))
+        e = 1e-3 * steered_energy(link_terms(links, geom), geom, steer)
         rows.append((d, 10 * math.log10(e.mean()), 10 * np.log10(e).std()))
     print("  d [m]   mean [dBW]   std of dB")
     for d, mean_db, std_db in rows:
@@ -44,10 +44,11 @@ def main():
 
     print()
     print("=== Determinism: the same key always gives the same draw ===")
-    a = sample_link(poa, 5e9, (20.0, 10.0, 1.5), params, link_rng(7, 0, 1, 2))
-    b = sample_link(poa, 5e9, (20.0, 10.0, 1.5), params, link_rng(7, 0, 1, 2))
-    print(f"  pathloss: {a.pathloss_db:.6f} == {b.pathloss_db:.6f}")
-    print(f"  first phase: {a.phases[0, 0]:.6f} == {b.phases[0, 0]:.6f}")
+    paths = direct_paths(poa, 5e9, [(20.0, 10.0, 1.5)], params)
+    a, b = (sample_link(paths, params, seeded_rngs(link_seed_words(7, [0], 1, [2])))
+            for _ in range(2))
+    print(f"  pathloss: {a.pathloss_db[0, 0]:.6f} == {b.pathloss_db[0, 0]:.6f}")
+    print(f"  first phase: {a.phases[0, 0, 0, 0]:.6f} == {b.phases[0, 0, 0, 0]:.6f}")
 
 
 if __name__ == "__main__":

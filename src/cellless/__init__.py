@@ -12,7 +12,7 @@ benchmarked against a max-min-rate simulated annealer.
 __version__ = "0.2.0"
 
 from .antenna import PanelGeometry, SteeringDirection, element_gain_db, panel_field, width_to_panel
-from .channel import ChannelParams, LinkRealization, link_energy, los_probability, sample_link
+from .channel import ChannelParams, LinkRealization, los_probability, sample_link
 from .exposure import FrequencyMap, PhantomProfile, incident_field, sar_wb
 from .radio_metrics import Evaluator, MetricsBundle, evaluate, power_density
 from .scenario import (EndUser, Human, PoA, Position3D, Scenario, builtin_scenario,

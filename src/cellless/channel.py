@@ -1,40 +1,41 @@
 """Seeded stochastic link realizations and per-link received energies.
 
-Each link (PoA -> user or human) is drawn from an independent random
-stream keyed by (global seed, realization index, PoA index, target index),
-so results are bit-identical regardless of evaluation order or worker
-count. The stream of a key is ``default_rng(SeedSequence(key))``.
-``link_seed_words`` runs ``SeedSequence``'s integer hash over the keys of
+A link (PoA -> user or human) is drawn one way only. ``direct_paths``
+computes the per-target geometry that depends on no draw: direct-path
+angles, distance, LoS probability, both pathlosses, and the PoA's
+frequency. ``link_seed_words`` runs ``SeedSequence``'s integer hash over
+the keys (global seed, realization index, PoA index, target index) of
 one PoA's links at once, for any realization range, and returns each
 link's four PCG64 seed words, 32 bytes; ``seeded_rngs`` builds the
-generators from them, and ``link_rng`` composes the two for one link.
-``sample_link`` takes one stream per link but draws all the links it is
-given in one call and returns them as arrays. The per-target direct-path
-geometry depends on no draw: ``direct_paths`` computes it, and
-``sample_link`` takes it in place of target positions, so a caller that
-keeps the geometry and the seed words can draw any of its links again, bit
-for bit, when it needs them. A ``LinkRealization`` stores the departure
-angles at cluster resolution, each cluster's mean, plus the N_r ray
-offsets that every link shares; the per-ray angles exist only while
-``link_terms`` evaluates the panel at them. Ray geometry is independent of
-any beam decision: beams enter only through the panel field applied when
-computing energies, which lets a fixed set of realizations be reused
-across candidate solutions.
+generators from them, each bit-identical to the key's
+``default_rng(SeedSequence(key))``. ``sample_link`` takes the targets'
+direct paths and a grid of those generators, one per link, and draws
+every link in one call; each link reads only its own stream, so results
+are bit-identical regardless of evaluation order, block or worker count,
+and a caller that keeps the direct paths and the seed words can draw any
+of its links again, bit for bit. A ``LinkRealization`` stores the
+departure angles at cluster resolution, each cluster's mean, plus the
+N_r ray offsets that every link shares; the per-ray angles exist only
+while ``link_terms`` evaluates the panel at them. Ray geometry is
+independent of any beam decision: beams enter only through the panel
+field applied when computing energies, which lets a fixed set of
+realizations be reused across candidate solutions.
 
 The link-energy kernel is split at the beam. ``link_terms`` computes what
 no beam changes: per ray, the phasor exp(1j*phase) and the panel's two
 axis phasors (``antenna.panel_terms``, in phasor form), and per link the
-direct path's phasors and the Rician, cluster and pathloss factors.
-``steered_energy`` applies one beam: its steering phasors turn the axis
-phasors into the panel field (``antenna.steered_field``) with complex
-products only, in the buffers of a ``FieldWork`` that a caller steering
-many beams over the same terms passes to every call; the field times the
-ray phasors is summed per cluster. The Evaluator fills its gain tables
-through one path: per realization block of a PoA's links, one
-``link_terms``, drawn anew or kept from an earlier fill, and one
-``FieldWork``, shared by every beam steered over the block. Both steps
-are elementwise or reduce the trailing cluster and ray axes, so a slice of
-the links steers to that slice of the whole call's bits.
+direct path's phasors, the Rician and cluster factors and ``scale``, the
+linear pathloss-and-shadowing power factor. ``steered_energy`` applies
+one beam and returns each link's energy at 1 W: its steering phasors
+turn the axis phasors into the panel field (``antenna.steered_field``)
+with complex products only, in the buffers of a ``FieldWork`` that a
+caller steering many beams over the same terms passes to every call; the
+field times the ray phasors is summed per cluster. The Evaluator fills
+its gain tables through one path: per realization block of a PoA's
+links, one ``link_terms``, drawn anew or kept from an earlier fill, and
+one ``FieldWork``, shared by every beam steered over the block. Both
+steps are elementwise or reduce the trailing cluster and ray axes, so a
+slice of the links steers to that slice of the whole call's bits.
 """
 
 from __future__ import annotations
@@ -151,9 +152,9 @@ class LinkRealization:
 class DirectPaths:
     """Direct-path geometry of the links from one PoA to its targets, one
     value per target: the departure zenith and azimuth (GCS radians), the
-    3D distance [m], the LoS probability and both pathlosses [dB]. It
-    depends on no draw, so ``direct_paths`` computes it once for every
-    draw of the same links."""
+    3D distance [m], the LoS probability and both pathlosses [dB]; and the
+    PoA's carrier frequency [Hz]. It depends on no draw, so
+    ``direct_paths`` computes it once for every draw of the same links."""
 
     zenith: np.ndarray
     azimuth: np.ndarray
@@ -161,6 +162,7 @@ class DirectPaths:
     p_los: np.ndarray
     pathloss_los: np.ndarray
     pathloss_nlos: np.ndarray
+    frequency: float
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -278,13 +280,6 @@ def seeded_rngs(words) -> list:
     return [[Generator(PCG64(_SeedWords(w))) for w in row] for row in words]
 
 
-def link_rng(seed: int, realization: int, poa_index: int, target_index: int):
-    """Independent generator for one (realization, PoA, target) link:
-    ``default_rng(SeedSequence([seed, realization, poa_index,
-    target_index]))``."""
-    return seeded_rngs(link_seed_words(seed, [realization], poa_index, [target_index]))[0][0]
-
-
 def los_probability(model: LosModel, d_2d, poa_height, target_height):
     """Line-of-sight probability; monotone non-increasing in d_2d.
 
@@ -325,7 +320,8 @@ def _direct_path_angles(src, dst):
 def direct_paths(poa_pos, poa_freq, target_pos, params: ChannelParams) -> DirectPaths:
     """Direct-path geometry, LoS probability and both pathlosses of the
     links from one PoA to each target of ``target_pos``, shape (..., 3),
-    once per target with scalar calls (array math may round differently)."""
+    once per target with scalar calls (array math may round differently).
+    The PoA sits at ``poa_pos`` and transmits at ``poa_freq`` [Hz]."""
     pos = np.asarray(target_pos, dtype=float)
     if pos.shape == (0,):
         pos = pos.reshape(0, 3)     # an empty plain list: no targets
@@ -337,17 +333,17 @@ def direct_paths(poa_pos, poa_freq, target_pos, params: ChannelParams) -> Direct
         p_los = float(los_probability(params.los_model, d2d, poa_pos[2], tz))
         geometry[idx] = (zen0, az0, d3d, p_los, float(params.pathloss_los.db(d3d, poa_freq)),
                          float(params.pathloss_nlos.db(d3d, poa_freq)))
-    return DirectPaths(*(geometry[..., i] for i in range(6)))
+    return DirectPaths(*(geometry[..., i] for i in range(6)), frequency=poa_freq)
 
 
-def sample_link(poa_pos, poa_freq, target_pos, params: ChannelParams, rng) -> LinkRealization:
+def sample_link(paths: DirectPaths, params: ChannelParams, rngs) -> LinkRealization:
     """Draw link realizations from one PoA, each from its own stream.
 
-    ``rng`` is one generator from ``link_rng`` or nested lists of them; the
-    nesting gives the leading shape of every returned field. ``target_pos``
-    has shape (..., 3) and broadcasts against that leading shape; it may
-    also be those targets' ``direct_paths`` from this PoA, computed
-    before, whose arrays the returned ``los_aod`` and ``d_3d`` then view.
+    ``rngs`` is a grid of generators, one per link, as ``seeded_rngs``
+    returns (nested lists; a single generator is one link); the nesting
+    gives the leading shape of every returned field. ``paths``, the
+    targets' ``direct_paths`` from the PoA, broadcasts against that leading
+    shape, and the returned ``los_aod`` and ``d_3d`` view its arrays.
 
     LoS state is Bernoulli on los_probability; delays are i.i.d.
     exponential (sorted) with powers proportional to exp(-tau/DS),
@@ -355,9 +351,7 @@ def sample_link(poa_pos, poa_freq, target_pos, params: ChannelParams, rng) -> Li
     geometry, rays fan out on deterministic equal-spaced offsets of half
     the angular spread; phases are i.i.d. uniform.
     """
-    paths = (target_pos if isinstance(target_pos, DirectPaths)
-             else direct_paths(poa_pos, poa_freq, target_pos, params))
-    rngs = np.array(rng, dtype=object)
+    rngs = np.array(rngs, dtype=object)
     shape = rngs.shape
     zen0, az0, d3d, p_los, pl_los, pl_nlos = (
         np.broadcast_to(a, shape) for a in (paths.zenith, paths.azimuth, paths.d_3d,
@@ -398,20 +392,13 @@ def sample_link(poa_pos, poa_freq, target_pos, params: ChannelParams, rng) -> Li
 
     return LinkRealization(
         los=los, pathloss_db=np.where(los, pl_los, pl_nlos), shadow_db=shadow,
-        rician_k=k_lin, frequency=poa_freq, delays=delays, cluster_powers=powers,
+        rician_k=k_lin, frequency=paths.frequency, delays=delays, cluster_powers=powers,
         cluster_zenith=zen0[..., None] + zen_spread * normals[..., 0, :],
         cluster_azimuth=wrap_angle(az0[..., None] + az_spread * normals[..., 1, :]),
         ray_zenith_offsets=offsets * zen_spread, ray_azimuth_offsets=offsets * az_spread,
         phases=2.0 * math.pi * uniforms.reshape(shape + (nc, nr)),
         los_aod=(zen0, az0), d_3d=d3d,
     )
-
-
-def amplitude_scale(tx_power_dbm: float, pathloss_db: float, shadow_db: float) -> float:
-    """Field amplitude factor: sqrt of linear received power scaling (watts)."""
-    if tx_power_dbm == -math.inf:
-        return 0.0
-    return 10.0 ** ((tx_power_dbm - 30.0 - pathloss_db + shadow_db) / 20.0)
 
 
 @dataclass(frozen=True)
@@ -480,9 +467,3 @@ def steered_energy(terms: LinkTerms, geom: PanelGeometry, steer: SteeringDirecti
     amps = amps * terms.scatter_mix
     amps[..., 0] += terms.los_mix * h_los
     return terms.scale * (np.abs(amps) ** 2).sum(axis=-1)
-
-
-def link_energy(link: LinkRealization, tx_power_dbm: float,
-                geom: PanelGeometry, steer: SteeringDirection) -> float:
-    """Integrated energy of |h_tilde(tau)|^2 in watts for one link."""
-    return float(dbm_to_watts(tx_power_dbm) * steered_energy(link_terms(link, geom), geom, steer))

@@ -63,7 +63,7 @@ import numpy as np
 from . import channel as ch
 from .antenna import FieldWork, PanelGeometry, SteeringDirection, width_to_panel, wrap_angle
 from .exposure import incident_field, sar_wb
-from .scenario import PoA, Scenario
+from .scenario import Scenario
 from .solution import SolutionState, validate
 
 NOISE_DENSITY_W_HZ = ch.dbm_to_watts(ch.NOISE_DENSITY_DBM_HZ)
@@ -134,13 +134,12 @@ _BLOCK_RAYS = 2 ** 15
 @dataclass
 class _Part:
     """One PoA's links to the users (part 0) or to the humans (part 1), kept
-    as what draws them: the PoA, the targets' direct-path geometry and the
+    as what draws them: the targets' direct paths from the PoA and the
     (realizations, targets, 4) seed words of the links' streams. Also the
     unit-power gain table over them of each beam geometry, keyed (zenith,
     azimuth, columns), and, from its second fill on, the ``channel.link_terms``
     of each of its realization blocks."""
 
-    poa: PoA
     params: ch.ChannelParams
     paths: ch.DirectPaths
     words: np.ndarray
@@ -150,8 +149,7 @@ class _Part:
     def links(self, index=slice(None)) -> ch.LinkRealization:
         """The links of the realizations ``index``, a slice, drawn from
         their kept seed words."""
-        return ch.sample_link(self.poa.position.as_tuple(), self.poa.frequency, self.paths,
-                              self.params, ch.seeded_rngs(self.words[index]))
+        return ch.sample_link(self.paths, self.params, ch.seeded_rngs(self.words[index]))
 
     def blocks(self) -> list:
         """Realization slices of at most ``_BLOCK_RAYS`` rays each (at least
@@ -247,16 +245,17 @@ class Evaluator:
                                 element_pattern=p.element_pattern)
             for p in scenario.poas
         }
-        # (PoA id, part) -> _Part. Target index t (users, then humans) of
-        # PoA index p is drawn from link_rng(seed, r, p, t); a part keeps
-        # its links' seed words and draws the links when it fills.
+        # (PoA id, part) -> _Part. The link to target index t (users, then
+        # humans) of PoA index p in realization r is drawn from the stream
+        # keyed (seed, r, p, t); a part keeps its links' seed words and
+        # draws the links when it fills.
         params = scenario.channel_params
         self._parts = {}
         for p_idx, poa in enumerate(scenario.poas):
             for part, group in enumerate((scenario.users, scenario.humans)):
                 start = part * self._n_users
                 self._parts[poa.id, part] = _Part(
-                    poa, params,
+                    params,
                     ch.direct_paths(poa.position.as_tuple(), poa.frequency,
                                     [t.position.as_tuple() for t in group], params),
                     ch.link_seed_words(self.seed, range(self.n_realizations), p_idx,

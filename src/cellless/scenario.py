@@ -701,7 +701,7 @@ def load_scenario(path_or_name: str) -> Scenario:
     except UnicodeDecodeError as e:
         raise ParseError(f"scenario file {path_or_name!r} is not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from None
+        raise ParseError(f"scenario file {path_or_name!r} is not valid JSON: {e}") from None
     return scenario_from_dict(data)
 
 

@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .channel import dbm_to_watts
-from .scenario import (Scenario, _dump, _list_of, _map_of, _object, _optional, _parse_at,
-                       _radians, _real, _record, _same, _text)
+from .scenario import (ParseError, Scenario, _dump, _list_of, _map_of, _object, _optional,
+                       _parse_at, _radians, _real, _record, _same, _text)
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,19 @@ def solution_from_dict(data: dict) -> SolutionState:
 
 
 def save_solution(solution: SolutionState, path: str):
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(solution_to_dict(solution), f, indent=2, sort_keys=True)
         f.write("\n")
 
 
 def load_solution(path: str) -> SolutionState:
-    with open(path) as f:
-        return solution_from_dict(json.load(f))
+    """A solution from its UTF-8 JSON file; a file that is not UTF-8 text
+    or not valid JSON raises ``ParseError`` naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"solution file {path!r} is not UTF-8 text: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ParseError(f"solution file {path!r} is not valid JSON: {e}") from None
+    return solution_from_dict(data)

@@ -263,33 +263,24 @@ def covering_arc(azimuths):
     return center, width
 
 
-def beam_width(poa, served_positions) -> float:
-    """Angular width of the served cluster, floored at the PoA minimum.
+def beam_geometry(poa, served_positions, centroid):
+    """(azimuth, zenith, width) of the beam serving ``served_positions``.
 
-    Uses the minimal covering arc of the user azimuths (handles the
-    wrap-around across +/-pi).
+    The user azimuths' minimal covering arc (which handles the wrap-around
+    across +/-pi) gives the azimuth, its circular midpoint, and the width,
+    floored at the PoA minimum; the zenith points toward the centroid at
+    the users' mean height.
     """
     if not served_positions:
-        return poa.min_beam_width
-    azimuths = [user_azimuth(poa.position, pos) for pos in served_positions]
-    _, width = covering_arc(azimuths)
-    return max(poa.min_beam_width, width)
-
-
-def steer_beam(poa, served_positions, centroid):
-    """(azimuth, zenith) of the beam: circular midpoint of the covered arc,
-    zenith toward the centroid at user height."""
-    if not served_positions:
         raise ValueError("cannot steer a beam with no served users")
-    azimuths = [user_azimuth(poa.position, pos) for pos in served_positions]
-    phi, _ = covering_arc(azimuths)
+    phi, width = covering_arc([user_azimuth(poa.position, pos) for pos in served_positions])
     cz = float(np.mean([pos.z for pos in served_positions]))
     dx = centroid[0] - poa.position.x
     dy = centroid[1] - poa.position.y
     dz = cz - poa.position.z
     d3d = math.sqrt(dx * dx + dy * dy + dz * dz)
     theta = math.acos(max(-1.0, min(1.0, dz / d3d))) if d3d > 0 else 0.0
-    return phi, theta
+    return phi, theta, max(poa.min_beam_width, width)
 
 
 def build_geometry(scenario: Scenario, config: CtmConfig) -> SolutionState:
@@ -308,8 +299,7 @@ def build_geometry(scenario: Scenario, config: CtmConfig) -> SolutionState:
             continue
         positions = [scenario.user_by_id(u).position for u in members]
         centroid = clustering.centroids[cluster_idx]
-        phi, theta = steer_beam(poa, positions, centroid)
-        width = beam_width(poa, positions)
+        phi, theta, width = beam_geometry(poa, positions, centroid)
         beam_configs.append(BeamConfig(beam_id, poa.id, phi, theta, width,
                                        frozenset(members)))
     tx_power = {p.id: p.max_tx_power_dbm for p in scenario.poas}

@@ -2,13 +2,28 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from cellless.channel import ChannelParams, LosModel, PathlossCoeffs
+from cellless.channel import ChannelParams, LosModel, PathlossCoeffs, direct_paths, sample_link
 from cellless.exposure import FrequencyMap
 from cellless.scenario import (DEFAULT_PHANTOMS, EndUser, Human, PoA,
                                Position3D, Scenario)
 from cellless.solution import BeamConfig, SolutionState
+
+
+def seed_sequence_rng(*key):
+    """numpy's own stream of a link key: ``default_rng(SeedSequence(key))``."""
+    return np.random.default_rng(np.random.SeedSequence(list(key)))
+
+
+def one_link(poa_pos, frequency, target_pos, params, key):
+    """The link to the one target at ``target_pos``, leading shape (), drawn
+    from numpy's own stream of ``key`` (seed, realization, PoA index,
+    target index), so a batched draw is checked against code it does not
+    share."""
+    return sample_link(direct_paths(poa_pos, frequency, target_pos, params), params,
+                       seed_sequence_rng(*key))
 
 
 def make_poa(pid, x, y, z=6.0, freq=5e9, n_beams=2, mech_az=0.0,

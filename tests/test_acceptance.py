@@ -14,8 +14,9 @@ import pytest
 
 from cellless.antenna import (ISOTROPIC, THREEGPP_8DBI, PanelGeometry,
                               SteeringDirection, element_gain_db, panel_field)
-from cellless.channel import (ChannelParams, LosModel, PathlossCoeffs, amplitude_scale,
-                              link_energy, link_rng, sample_link)
+from cellless.channel import (ChannelParams, LosModel, PathlossCoeffs, dbm_to_watts,
+                              direct_paths, link_seed_words, link_terms, sample_link,
+                              seeded_rngs, steered_energy)
 from cellless.exposure import FrequencyMap, PhantomProfile, sar_wb
 from cellless.harness import ExperimentSpec, run_experiment
 from cellless.radio_metrics import Evaluator, evaluate
@@ -23,7 +24,7 @@ from cellless.scenario import (Position3D, Scenario, builtin_scenario,
                                builtin_template, generate_placements)
 from cellless.scenario import EndUser, PoA
 from cellless.solver_ctm import (Clustering, CtmConfig,
-                                 NoFeasibleSolutionError, beam_width,
+                                 NoFeasibleSolutionError, beam_geometry,
                                  cluster_users, match_clusters, solve_ctm)
 from cellless.solver_maxrate import AnnealConfig, solve_maxrate
 
@@ -169,7 +170,7 @@ def test_criterion_05_beamwidth_oracle():
         positions = [Position3D(radius * math.cos(a), radius * math.sin(a), 1.5)
                      for a in az]
         want = max(poa.min_beam_width, _arc_oracle(list(az)))
-        got = beam_width(poa, positions)
+        _, _, got = beam_geometry(poa, positions, (0.0, 0.0))
         ok = ok and abs(got - want) <= 1e-9
     verdict(5, "beamwidth-oracle", ok)
 
@@ -252,10 +253,9 @@ def test_criterion_08_channel_field_numerics():
 
     # b) cluster powers sum to one per realization.
     params = ChannelParams(los_model=LosModel("umi"))
-    for r in range(100):
-        link = sample_link((0, 0, 10), 3.5e9, (40, 9, 1.5), params,
-                           link_rng(8, r, 0, 0))
-        ok = ok and abs(link.cluster_powers.sum() - 1.0) <= 1e-12
+    links = sample_link(direct_paths((0, 0, 10), 3.5e9, [(40, 9, 1.5)], params), params,
+                        seeded_rngs(link_seed_words(8, range(100), 0, [0])))
+    ok = ok and bool(np.all(np.abs(links.cluster_powers.sum(axis=-1) - 1.0) <= 1e-12))
 
     # c) pathloss strictly monotone in distance.
     for coeffs in (PathlossCoeffs(31.84, 21.5, 19.0),
@@ -271,17 +271,17 @@ def test_criterion_08_channel_field_numerics():
                          zenith_spread_dep=math.pi / 4,
                          los_model=LosModel("umi"))
     geom = PanelGeometry(16, 32, element_pattern=ISOTROPIC)
-    for r in range(20):
-        link = sample_link((0, 0, 10), 3.5e9, (40, 9, 1.5), wide,
-                           link_rng(9, r, 0, 0))
-        object.__setattr__(link, "los", True)
-        object.__setattr__(link, "rician_k", 1e6)
-        steer = SteeringDirection(link.los_aod[0], link.los_aod[1])
-        scale = amplitude_scale(20.0, link.pathloss_db, link.shadow_db)
-        f0 = complex(panel_field(geom, link.los_aod[0], link.los_aod[1], steer))
-        closed = scale ** 2 * abs(f0) ** 2
-        got = link_energy(link, 20.0, geom, steer)
-        ok = ok and abs(got - closed) <= 1e-3 * closed
+    paths = direct_paths((0, 0, 10), 3.5e9, [(40, 9, 1.5)], wide)
+    links = sample_link(paths, wide, seeded_rngs(link_seed_words(9, range(20), 0, [0])))
+    links = replace(links, los=np.ones_like(links.los),
+                    rician_k=np.full(links.rician_k.shape, 1e6))
+    zenith, azimuth = float(paths.zenith[0]), float(paths.azimuth[0])
+    steer = SteeringDirection(zenith, azimuth)
+    # Field amplitude at 20 dBm: sqrt of the linear received power [W].
+    scale = 10.0 ** ((20.0 - 30.0 - links.pathloss_db + links.shadow_db) / 20.0)
+    closed = scale ** 2 * abs(complex(panel_field(geom, zenith, azimuth, steer))) ** 2
+    got = dbm_to_watts(20.0) * steered_energy(link_terms(links, geom), geom, steer)
+    ok = ok and bool(np.all(np.abs(got - closed) <= 1e-3 * closed))
     verdict(8, "channel-field-numerics", ok)
 
 

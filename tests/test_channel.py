@@ -9,26 +9,27 @@ from hypothesis import example, given, settings, strategies as st
 
 from cellless.antenna import (ISOTROPIC, THREEGPP_8DBI, FieldWork, PanelGeometry,
                               SteeringDirection, panel_field, wrap_angle)
-from cellless.channel import (ChannelParams, LosModel, PathlossCoeffs, amplitude_scale,
-                              direct_paths, link_energy, link_rng, link_seed_words,
-                              link_terms, los_probability, sample_link, seeded_rngs,
-                              steered_energy)
+from cellless.channel import (ChannelParams, LosModel, PathlossCoeffs, dbm_to_watts,
+                              direct_paths, link_seed_words, link_terms, los_probability,
+                              sample_link, seeded_rngs, steered_energy)
+from conftest import one_link, seed_sequence_rng
 
 PARAMS = ChannelParams(los_model=LosModel("umi"))
 POA = (0.0, 0.0, 10.0)
 USER = (30.0, 12.0, 1.5)
 
 
-def test_link_rng_keying():
-    a = link_rng(1, 0, 2, 3).random(4)
-    b = link_rng(1, 0, 2, 3).random(4)
-    assert np.array_equal(a, b)
+def test_link_seed_words_keying():
+    """A link's words depend on every part of its key and on nothing else:
+    not on the other realizations or targets of the call."""
+    def words(seed, r, poa_index, t):
+        return link_seed_words(seed, [r], poa_index, [t])[0, 0].tolist()
+
+    a = words(1, 0, 2, 3)
+    assert words(1, 0, 2, 3) == a
+    assert link_seed_words(1, range(2), 2, [5, 3])[0, 1].tolist() == a
     for key in [(2, 0, 2, 3), (1, 1, 2, 3), (1, 0, 3, 3), (1, 0, 2, 4)]:
-        assert not np.array_equal(a, link_rng(*key).random(4))
-
-
-def _seed_sequence_rng(*key):
-    return np.random.default_rng(np.random.SeedSequence(list(key)))
+        assert words(*key) != a
 
 
 SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64]), st.integers(0, 2**70))
@@ -48,11 +49,11 @@ def test_seeded_link_streams_equal_seed_sequence_streams(seed, n_realizations, p
     assert [len(row) for row in gens] == [len(targets)] * n_realizations
     for i, row in enumerate(gens):
         for g, t in zip(row, targets):
-            ref = _seed_sequence_rng(seed, i, poa_index, t)
+            ref = seed_sequence_rng(seed, i, poa_index, t)
             assert g.bit_generator.state == ref.bit_generator.state
             assert g.random() == ref.random()
-    one, ref = link_rng(seed, r, poa_index, targets[0]), _seed_sequence_rng(seed, r, poa_index,
-                                                                           targets[0])
+    ((one,),) = seeded_rngs(link_seed_words(seed, [r], poa_index, targets[:1]))
+    ref = seed_sequence_rng(seed, r, poa_index, targets[0])
     assert one.bit_generator.state == ref.bit_generator.state
     assert one.standard_normal() == ref.standard_normal()
 
@@ -63,7 +64,7 @@ def test_link_seed_words_reject_a_negative_seed(seed):
     with pytest.raises(ValueError):
         link_seed_words(seed, range(2), 0, [0, 1])
     with pytest.raises(ValueError):
-        link_rng(seed, 0, 0, 0)
+        link_seed_words(seed, [0], 0, [0])
 
 
 def test_seeded_link_streams_empty_shapes():
@@ -86,8 +87,8 @@ def test_a_realization_range_draws_alone_as_in_a_draw_from_zero(seed, first, k, 
     words = link_seed_words(seed, range(first + k), poa_index, targets)
     alone = link_seed_words(seed, range(first, first + k), poa_index, targets)
     assert alone.tobytes() == words[first:].tobytes()
-    whole = sample_link(POA, 3.5e9, paths, PARAMS, seeded_rngs(words))
-    part = sample_link(POA, 3.5e9, paths, PARAMS, seeded_rngs(alone))
+    whole = sample_link(paths, PARAMS, seeded_rngs(words))
+    part = sample_link(paths, PARAMS, seeded_rngs(alone))
     for f in dataclasses.fields(whole):
         got, want = getattr(part, f.name), getattr(whole, f.name)
         if f.name in ("frequency", "ray_zenith_offsets", "ray_azimuth_offsets"):
@@ -134,7 +135,8 @@ def test_steered_energy_of_a_slice_is_that_slice_of_the_whole_call(
     geom = PanelGeometry(rows, cols, mech_azimuth=mech, element_pattern=pattern)
 
     def energies(index, work=None):
-        links = sample_link(POA, 3.5e9, positions[index[1]], PARAMS, seeded_rngs(words[index]))
+        links = sample_link(direct_paths(POA, 3.5e9, positions[index[1]], PARAMS), PARAMS,
+                            seeded_rngs(words[index]))
         terms = link_terms(links, geom)
         if work is not None:
             work = FieldWork(terms.rays.size + work)
@@ -180,8 +182,8 @@ def test_pathloss_strictly_monotone_in_distance():
 
 def test_sample_link_invariants():
     targets = [USER, (5.0, -3.0, 1.5), (80.0, 40.0, 1.2), (0.0, 0.0, 1.5)]
-    links = sample_link(POA, 3.5e9, targets, PARAMS,
-                        [[link_rng(5, r, 0, t) for t in range(len(targets))] for r in range(20)])
+    links = sample_link(direct_paths(POA, 3.5e9, targets, PARAMS), PARAMS,
+                        seeded_rngs(link_seed_words(5, range(20), 0, range(len(targets)))))
     shape = (20, len(targets))
     nc, nr = PARAMS.n_clusters, PARAMS.n_rays
     for name in ("los", "pathloss_db", "shadow_db", "rician_k", "d_3d"):
@@ -201,7 +203,7 @@ def test_sample_link_invariants():
     d3d = [math.dist(POA, t) for t in targets]
     assert np.allclose(links.d_3d, np.broadcast_to(d3d, shape), rtol=1e-12)
     # One link keeps leading shape ().
-    one = sample_link(POA, 3.5e9, USER, PARAMS, link_rng(5, 0, 0, 0))
+    one = one_link(POA, 3.5e9, USER, PARAMS, (5, 0, 0, 0))
     assert one.los.shape == one.d_3d.shape == ()
     assert one.phases.shape == (nc, nr)
 
@@ -209,7 +211,7 @@ def test_sample_link_invariants():
 def test_sample_link_empty_target_list():
     """A plain empty target list gives empty (R, 0) fields, not an error."""
     r = 3
-    links = sample_link(POA, 3.5e9, [], PARAMS, [[] for _ in range(r)])
+    links = sample_link(direct_paths(POA, 3.5e9, [], PARAMS), PARAMS, [[] for _ in range(r)])
     nc, nr = PARAMS.n_clusters, PARAMS.n_rays
     for name in ("los", "pathloss_db", "shadow_db", "rician_k", "d_3d"):
         assert getattr(links, name).shape == (r, 0)
@@ -223,8 +225,8 @@ def test_sample_link_empty_target_list():
 
 
 def test_sample_link_deterministic():
-    a = sample_link(POA, 3.5e9, USER, PARAMS, link_rng(9, 0, 1, 2))
-    b = sample_link(POA, 3.5e9, USER, PARAMS, link_rng(9, 0, 1, 2))
+    a = one_link(POA, 3.5e9, USER, PARAMS, (9, 0, 1, 2))
+    b = one_link(POA, 3.5e9, USER, PARAMS, (9, 0, 1, 2))
     assert a.pathloss_db == b.pathloss_db
     assert np.array_equal(a.phases, b.phases)
     assert np.array_equal(a.aod_azimuth, b.aod_azimuth)
@@ -232,7 +234,7 @@ def test_sample_link_deterministic():
 
 def _los_link(k_lin):
     """A LoS realization with controllable Rician K."""
-    link = sample_link(POA, 3.5e9, USER, PARAMS, link_rng(123, 0, 0, 0))
+    link = one_link(POA, 3.5e9, USER, PARAMS, (123, 0, 0, 0))
     object.__setattr__(link, "los", True)
     object.__setattr__(link, "rician_k", float(k_lin))
     return link
@@ -245,22 +247,12 @@ def test_huge_k_matches_pure_los_closed_form():
     geom = PanelGeometry(16, 32, element_pattern=ISOTROPIC)
     link = _los_link(1e6)
     steer = SteeringDirection(link.los_aod[0], link.los_aod[1])
-    scale = amplitude_scale(20.0, link.pathloss_db, link.shadow_db)
+    # Field amplitude at 20 dBm: sqrt of the linear received power [W].
+    scale = 10.0 ** ((20.0 - 30.0 - link.pathloss_db + link.shadow_db) / 20.0)
     f0 = complex(panel_field(geom, link.los_aod[0], link.los_aod[1], steer))
     closed = scale ** 2 * abs(f0) ** 2
-    got = link_energy(link, 20.0, geom, steer)
+    got = dbm_to_watts(20.0) * float(steered_energy(link_terms(link, geom), geom, steer))
     assert got == pytest.approx(closed, rel=1e-3)
-
-
-def test_link_energy_scales_linearly_with_power():
-    geom = PanelGeometry(2, 4)
-    steer = SteeringDirection(math.pi / 2, 0.0)
-    link = sample_link(POA, 3.5e9, USER, PARAMS, link_rng(42, 0, 0, 0))
-    e0 = link_energy(link, 10.0, geom, steer)
-    e3 = link_energy(link, 13.0103, geom, steer)  # +3.0103 dB = x2
-    assert e3 == pytest.approx(2.0 * e0, rel=1e-5)
-    assert link_energy(link, -math.inf, geom, steer) == 0.0
-    assert amplitude_scale(-math.inf, 70.0, 0.0) == 0.0
 
 
 def test_channel_params_validation():

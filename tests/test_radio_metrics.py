@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from cellless.antenna import PanelGeometry, SteeringDirection, width_to_panel, wrap_angle
 from cellless import channel as ch
-from cellless.channel import (NOISE_DENSITY_DBM_HZ, ChannelParams, link_energy, link_rng,
-                              sample_link)
+from cellless.channel import (NOISE_DENSITY_DBM_HZ, ChannelParams, dbm_to_watts, link_terms,
+                              steered_energy)
 from cellless.exposure import FrequencyMap
 from cellless.radio_metrics import (NOISE_DENSITY_W_HZ, Evaluator, SolutionInvalidError,
                                     UnservedUserError, evaluate, shannon_rate)
@@ -20,6 +20,7 @@ from cellless.scenario import PoA, Position3D, Scenario, builtin_scenario
 from cellless.solution import BeamConfig, SolutionState
 from cellless.solver_ctm import CtmConfig, build_geometry
 from cellless.solver_maxrate import objective
+from conftest import one_link
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +85,9 @@ def test_evaluator_deterministic(tiny_scenario, tiny_solution):
 
 def _assert_links_keyed_per_link(ev, p_idx):
     """Every link one PoA's parts draw, users and humans, over the whole
-    part and block by block, equals a one-link draw from that link's own
-    stream, field by field and bit for bit, and so do its per-ray departure
+    part and block by block, equals a one-link draw from numpy's own
+    ``default_rng(SeedSequence(key))`` of that link, field by field and bit
+    for bit, and so do its per-ray departure
     angles; the frequency and the ray offsets are one value per part.
     Returns the whole (users, humans) draws."""
     poa = ev.scenario.poas[p_idx]
@@ -100,10 +102,9 @@ def _assert_links_keyed_per_link(ev, p_idx):
             for row, r in enumerate(range(ev.n_realizations)[block]):
                 for col in range(links.los.shape[1]):
                     t_idx = part * n_users + col
-                    one = sample_link(poa.position.as_tuple(), poa.frequency,
-                                      ev.targets[t_idx].position.as_tuple(),
-                                      ev.scenario.channel_params,
-                                      link_rng(ev.seed, r, p_idx, t_idx))
+                    one = one_link(poa.position.as_tuple(), poa.frequency,
+                                   ev.targets[t_idx].position.as_tuple(),
+                                   ev.scenario.channel_params, (ev.seed, r, p_idx, t_idx))
                     for name in ([f.name for f in dataclasses.fields(one)]
                                  + ["aod_zenith", "aod_azimuth"]):
                         got, want = getattr(links, name), getattr(one, name)
@@ -409,16 +410,17 @@ def test_link_energy_matches_beam_gains(tiny_scenario, ev, data, zenith, azimuth
     t_idx = data.draw(st.integers(0, len(ev.targets) - 1))
     beam = BeamConfig("probe", poa.id, azimuth, zenith, width, frozenset({"u0"}))
 
-    link = sample_link(poa.position.as_tuple(), poa.frequency,
-                       ev.targets[t_idx].position.as_tuple(),
-                       tiny_scenario.channel_params, link_rng(ev.seed, r, p_idx, t_idx))
+    link = one_link(poa.position.as_tuple(), poa.frequency,
+                    ev.targets[t_idx].position.as_tuple(), tiny_scenario.channel_params,
+                    (ev.seed, r, p_idx, t_idx))
     panel = PanelGeometry(poa.panel_rows, poa.panel_cols, mech_azimuth=poa.mech_azimuth,
                           element_pattern=poa.element_pattern)
     geom = PanelGeometry(poa.panel_rows, width_to_panel(width, panel),
                          mech_azimuth=poa.mech_azimuth, element_pattern=poa.element_pattern)
     steer = SteeringDirection(zenith, wrap_angle(azimuth - poa.mech_azimuth))
     want = 10.0 ** ((power - 30.0) / 10.0) * ev.beam_gains(beam)[r, t_idx]
-    assert link_energy(link, power, geom, steer) == pytest.approx(want, rel=1e-12)
+    got = dbm_to_watts(power) * float(steered_energy(link_terms(link, geom), geom, steer))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

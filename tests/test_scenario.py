@@ -356,20 +356,23 @@ def test_cli_validate_exits_2_on_bad_inputs(mutate, path, tmp_path, capsys):
 
 def _unreadable_scenario(kind, tmp_path):
     """A scenario path that is a directory, or a saved world whose bytes
-    are not UTF-8 (one byte of a string replaced by 0xff)."""
+    are not UTF-8 (one byte of a string replaced by 0xff) or not valid JSON
+    (cut in half)."""
     if kind == "directory":
         return tmp_path
     world = tmp_path / "latin.json"
     save_scenario(builtin_scenario("inf-dh-desk", 0), world)
-    world.write_bytes(world.read_bytes().replace(b"inf-dh-desk", b"inf-dh-d\xffsk", 1))
+    raw = world.read_bytes()
+    world.write_bytes(raw.replace(b"inf-dh-desk", b"inf-dh-d\xffsk", 1) if kind == "not-utf8"
+                      else raw[:len(raw) // 2])
     return world
 
 
-@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "not-json"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_exits_2_on_an_unreadable_scenario_file(command, kind, tmp_path, capsys):
-    """A directory or a file that is not UTF-8 is reported, naming the
-    path, with exit 2 instead of a traceback."""
+    """A directory or a file that is not UTF-8 or not valid JSON is
+    reported, naming the path, with exit 2 instead of a traceback."""
     path = _unreadable_scenario(kind, tmp_path)
     args = ["--solver", "ctm", "--out", str(tmp_path / "out")] if command == "run" else []
     assert main([command, "--scenario", str(path), *args]) == 2

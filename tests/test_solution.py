@@ -7,8 +7,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellless.scenario import (ValidationError, builtin_scenario, scenario_from_dict,
-                               scenario_to_dict)
+from cellless.scenario import (ParseError, ValidationError, builtin_scenario,
+                               scenario_from_dict, scenario_to_dict)
 from cellless.solution import (BeamConfig, SolutionState, load_solution,
                                save_solution, solution_from_dict,
                                solution_to_dict, validate)
@@ -160,6 +160,18 @@ def test_saved_solution_reloads_equal(solution_path, solution):
     come back from solution.json exactly as saved."""
     save_solution(solution, solution_path)
     assert load_solution(solution_path) == solution
+
+
+@pytest.mark.parametrize("raw, fault", [
+    (b'{"beams": [], "tx_power_dbm": {"p\xffA": 20.0}}', "not UTF-8 text"),
+    (b'{"beams": [], "tx_power_dbm": }', "not valid JSON"),
+])
+def test_unreadable_solution_file_names_the_file(tmp_path, raw, fault):
+    path = tmp_path / "solution.json"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=fault) as err:
+        load_solution(path)
+    assert str(path) in str(err.value)
 
 
 def test_degree_only_files_still_load():

@@ -19,10 +19,10 @@ from cellless.radio_metrics import NOISE_DENSITY_W_HZ, Evaluator
 from cellless.scenario import EndUser, Human, Position3D, builtin_scenario
 from cellless.solution import validate
 from cellless.solver_ctm import (CtmConfig, _assign,
-                                 NoFeasibleSolutionError, beam_width,
+                                 NoFeasibleSolutionError, beam_geometry,
                                  build_geometry, cluster_users, covering_arc,
                                  match_clusters, reduce_powers, solve_ctm,
-                                 steer_beam, user_azimuth)
+                                 user_azimuth)
 
 from conftest import make_poa, make_tiny_scenario
 
@@ -211,28 +211,39 @@ def test_user_azimuth_matches_arccos_form():
     assert user_azimuth(poa, Position3D(3.0, 4.0, 0.0)) == 0.0
 
 
-def test_beam_width_floor_and_oracle():
-    poa = make_poa("p", 0.0, 0.0)
-    # Tight cluster: floored at the minimum width.
-    tight = [Position3D(10.0, 0.0, 1.5), Position3D(10.0, 0.1, 1.5)]
-    assert beam_width(poa, tight) == poa.min_beam_width
-    # Spread cluster: exactly the minimal covering arc.
-    around = [Position3D(math.cos(a) * 5, math.sin(a) * 5, 1.5)
-              for a in np.linspace(-3.0, 3.0, 12)]
-    want = arc_oracle([user_azimuth(poa.position, p) for p in around])
-    assert beam_width(poa, around) == pytest.approx(want, abs=1e-12)
-    assert beam_width(poa, []) == poa.min_beam_width
+BEAM_CASES = {
+    # Two users either side of the x axis: azimuth 0, the arc's midpoint.
+    "pair": ([Position3D(10.0, -2.0, 1.5), Position3D(10.0, 2.0, 1.5)], (10.0, 0.0)),
+    # Tight cluster: the width is floored at the PoA minimum.
+    "tight": ([Position3D(10.0, 0.0, 1.5), Position3D(10.0, 0.1, 1.5)], (10.0, 0.05)),
+    # Spread cluster around the PoA: the minimal covering arc crosses +/- pi.
+    "around": ([Position3D(math.cos(a) * 5, math.sin(a) * 5, 1.5)
+                for a in np.linspace(-3.0, 3.0, 12)], (-1.0, 0.5)),
+    "empty": ([], (0.0, 0.0)),
+}
 
 
-def test_steer_beam_geometry():
+@pytest.mark.parametrize("case", list(BEAM_CASES))
+def test_beam_geometry(case):
+    """The width is the floored minimal covering arc, every user lies within
+    half the arc of the azimuth, and the zenith points at the centroid at
+    the users' mean height; a beam with no users cannot be steered."""
     poa = make_poa("p", 0.0, 0.0, z=6.0)
-    pos = [Position3D(10.0, -2.0, 1.5), Position3D(10.0, 2.0, 1.5)]
-    phi, theta = steer_beam(poa, pos, (10.0, 0.0))
-    assert phi == pytest.approx(0.0, abs=1e-12)  # midpoint of the arc
-    want_theta = math.acos(-4.5 / math.sqrt(10.0 ** 2 + 4.5 ** 2))
-    assert theta == pytest.approx(want_theta)
-    with pytest.raises(ValueError):
-        steer_beam(poa, [], (0.0, 0.0))
+    positions, centroid = BEAM_CASES[case]
+    if not positions:
+        with pytest.raises(ValueError):
+            beam_geometry(poa, positions, centroid)
+        return
+    phi, theta, width = beam_geometry(poa, positions, centroid)
+    azimuths = [user_azimuth(poa.position, p) for p in positions]
+    arc = arc_oracle(azimuths)
+    assert width == pytest.approx(max(poa.min_beam_width, arc), abs=1e-12)
+    assert -math.pi < phi <= math.pi
+    assert max(abs(math.remainder(a - phi, 2.0 * math.pi)) for a in azimuths) == \
+        pytest.approx(arc / 2.0, abs=1e-12)
+    dz = float(np.mean([p.z for p in positions])) - poa.position.z
+    d2d = math.hypot(centroid[0] - poa.position.x, centroid[1] - poa.position.y)
+    assert theta == pytest.approx(math.atan2(d2d, dz), abs=1e-12)
 
 
 # -- pipeline ------------------------------------------------------------------
