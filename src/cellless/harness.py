@@ -8,7 +8,6 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -189,6 +188,10 @@ def run_experiment(spec: ExperimentSpec) -> list:
     other exception ``"<ExcType>: <message>"``."""
     tasks = [(seed, solver) for seed in spec.seeds for solver in spec.solver_list]
     if spec.workers > 1 and len(tasks) > 1:
+        # Imported here: the pool loads multiprocessing, which a one-worker
+        # run and a bare ``import cellless`` never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             futures = [pool.submit(_run_one, spec, seed, solver)
                        for seed, solver in tasks]

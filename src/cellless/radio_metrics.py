@@ -35,19 +35,26 @@ steps. *Stack* (``Evaluator.stack``) gathers the unit-power gains of the
 solution's beams at every user, or at every target when exposure is
 needed, as a ``GainStack`` with one row per scenario beam, fixed per
 Evaluator; a solution decides only each row's table, which rows are live
-and which row serves each user. Given the previous state's stack as
-``base``, only the rows whose ``BeamConfig`` changed are keyed and read.
-*Scale* (``Evaluator.scaled``) multiplies the live rows by their watts
-under a power vector. *Verdict* composes each user's SINR from the three
-terms that ``Evaluator._terms`` returns, signal, co-channel interference
-and noise, and takes each human's per-frequency received power as a sum
+and which row serves each user. The stack also holds, per user, the
+co-channel mask of its serving row, its bandwidth and its noise. Given
+the previous state's stack as ``base``, a stack costs what changed: a
+solution with the very beam objects of ``base`` gets ``base`` itself; one
+whose beams serve the users they serve in ``base`` shares base's live
+rows, shares, co-channel pairs and per-user arrays; and a live row whose
+``BeamConfig`` changed is keyed, and read only where its key is not the
+one its row of base's gains holds, so a reassign that moves no beam reads
+no table. *Scale* (``Evaluator.scaled``) multiplies the live rows by their
+watts under a power vector. *Verdict* composes each user's SINR from the
+three terms that ``Evaluator._terms`` returns, signal, co-channel
+interference and noise, and takes each human's per-frequency received power as a sum
 over the live rows; the latter feeds ``power_density`` ->
 ``exposure.incident_field`` -> ``exposure.sar_wb``, and the means are
 checked against the rate floors and the SAR ceiling. ``metrics`` is stack
 -> scale -> verdict -> bundle, and the only full verdict: ``violated`` is
 every missed floor and ceiling, and ``feasible`` is that list being empty.
 ``unmet_floors`` (the CtM descent's check of one PoA's users) and
-``mean_rates`` read some or all users' rates from a stack the caller keeps.
+``mean_rates`` read some or all users' rates from a stack the caller keeps,
+gathering the stack's per-user arrays at the users asked.
 Interference adds the live rows one by one in row order, so a rate has the
 same bits whichever users, realization count or beam listing it comes with.
 """
@@ -106,23 +113,45 @@ class MetricsBundle:
 class GainStack:
     """Unit-power gains of one solution's beams, frozen for a search over
     transmit powers, in one row per scenario beam: by PoA id, then as the
-    scenario lists the PoA's beams. ``beams[i]`` is the ``BeamConfig`` the
-    solution gives row ``i`` (None if none). ``gains`` has shape (rows,
-    users or targets, realizations); only the ``live`` rows, those of active
-    beams, are read. Live row ``k`` belongs to PoA ``poa_of_beam[k]`` (an
-    index in scenario.poas), which splits its power over ``share[k]`` live
-    beams, and interferes with the users of live row ``j`` where
-    ``co_channel[k, j]``: same frequency, other PoA. User ``c`` is served by
-    live row ``serving[c]``, or by none where that is ``len(live)``.
+    scenario lists the PoA's beams. ``listing`` is the solution's ``beams``
+    as it lists them, and ``beams[i]`` the ``BeamConfig`` it gives row ``i``
+    (None if none). ``gains`` has shape (rows,
+    users or targets, realizations); row ``i`` holds the tables of
+    ``Evaluator._key`` ``keys[i]`` (None: no table read into it yet), and
+    only the ``live`` rows, those of active beams, are read. Live row ``k``
+    belongs to PoA ``poa_of_beam[k]`` (an index in scenario.poas), which
+    splits its power over ``share[k]`` live beams, and interferes with the
+    users of live row ``j`` where ``co_channel[k, j]``: same frequency, other
+    PoA. User ``c`` is served by live row ``serving[c]``, or by none where
+    that is ``len(live)``; live row ``k`` interferes with it where
+    ``interferers[k, c, 0]`` (``co_channel`` at its serving row), and
+    ``bandwidth[c]`` and ``noise[c, 0]`` are its serving PoA's bandwidth
+    and noise power (NaN when unserved).
+
+    No array is ever written after the stack is made, so stacks share them:
+    one built on another shares what its move left alone, and a state that
+    differs from the stacked one only in idle beams, or in the power of PoAs
+    with no live row, has the very rates of this stack (MaxRate's idle
+    moves keep it).
     """
 
+    listing: tuple
     beams: tuple
+    keys: tuple
     gains: np.ndarray
     live: np.ndarray
     poa_of_beam: np.ndarray
     share: np.ndarray
     co_channel: np.ndarray
     serving: np.ndarray
+    interferers: np.ndarray
+    bandwidth: np.ndarray
+    noise: np.ndarray
+
+
+def _served(beam):
+    """The users a stack row's beam serves (none for a row without one)."""
+    return frozenset() if beam is None else beam.served_users
 
 
 #: The most rays one block of a part's fill spans: a first fill's drawn
@@ -231,6 +260,7 @@ class Evaluator:
         self._n_users = len(scenario.users)
         self._poa_index = {p.id: i for i, p in enumerate(scenario.poas)}
         self._column_of_user = {uid: col for col, uid in enumerate(self._user_ids)}
+        self._all_columns = np.arange(self._n_users)
         rows = [(b, p.id) for p in sorted(scenario.poas, key=lambda p: p.id) for b in p.beams]
         self._row_of = {key: row for row, key in enumerate(rows)}
         self._row_poa = np.array([self._poa_index[pid] for _, pid in rows], dtype=int)
@@ -270,21 +300,25 @@ class Evaluator:
         tables = self._tables([beam], humans)[0]
         return np.concatenate(tables, axis=1) if humans else tables[0]
 
-    def _tables(self, beams, humans):
+    def _key(self, beam):
+        """(PoA id, table key) of the beam's gain tables: the key is its
+        zenith, azimuth and panel columns."""
+        pid = beam.owner_poa
+        return pid, (round(beam.zenith, 12), round(beam.azimuth, 12),
+                     width_to_panel(beam.width, self._panels[pid]))
+
+    def _tables(self, beams, humans, keys=None):
         """Each beam's cached (users table,) or, when ``humans`` is true,
-        (users table, humans table). The missing tables are filled in one
-        ``_Part.fill`` per part, so one part's terms are freed before the
-        next part's are computed."""
+        (users table, humans table), given the beams' ``_key``s or keying
+        them. The missing tables are filled in one ``_Part.fill`` per part,
+        so one part's terms are freed before the next part's are computed."""
         parts = (0, 1) if humans else (0,)
-        keys, missing = [], {}
-        for beam in beams:
-            pid = beam.owner_poa
-            key = (round(beam.zenith, 12), round(beam.azimuth, 12),
-                   width_to_panel(beam.width, self._panels[pid]))
+        keys = [self._key(beam) for beam in beams] if keys is None else keys
+        missing = {}
+        for beam, (pid, key) in zip(beams, keys):
             for part in parts:
                 if key not in self._parts[pid, part].tables:
                     missing.setdefault((pid, part), {})[key] = beam
-            keys.append((pid, key))
         for (pid, part), group in missing.items():
             self._parts[pid, part].fill(group, self._panels[pid])
         return [tuple(self._parts[pid, part].tables[key] for part in parts)
@@ -295,43 +329,100 @@ class Evaluator:
     def stack(self, solution, humans: bool = True, base: GainStack | None = None) -> GainStack:
         """Unit-power gains of the solution's beams at every user, and also at
         every human when ``humans`` is true. The stack depends on the beams
-        only, so one serves every power vector over them. A row whose
-        ``BeamConfig`` is the very object ``base`` (a stack of the same
-        ``humans``) holds keeps base's gains, shared if no live row changed.
-        A beam, owner or user the scenario lacks, or a beam listed twice or
-        under a PoA that does not own it, raises ``SolutionInvalidError``."""
-        beams, serving = [None] * len(self._row_poa), {}
-        try:
-            for b in solution.beams:
-                row = self._row_of[b.beam_id, b.owner_poa]
-                if beams[row] is not None:
-                    raise KeyError(b.beam_id)
-                beams[row] = b
-            live = [row for row, b in enumerate(beams) if b is not None and b.active]
-            for k, row in enumerate(live):
-                for uid in beams[row].served_users:
-                    serving.setdefault(self._column_of_user[uid], k)
-        except KeyError:
-            raise SolutionInvalidError(validate(solution, self.scenario)) from None
+        only, so one serves every power vector over them. A beam, owner or
+        user the scenario lacks, or a beam listed twice or under a PoA that
+        does not own it, raises ``SolutionInvalidError``.
+
+        Built on ``base`` (a stack of the same ``humans``), it costs what
+        changed: with every row's ``BeamConfig`` the very object ``base``
+        holds, it is ``base``; with every row serving the users it serves in
+        ``base``, it shares base's ``live`` to ``noise``; and only a live row
+        whose beam object changed is keyed, and read only where its table
+        key is not the one its row of base's gains holds."""
         width = len(self.targets) if humans else self._n_users
         if base is not None and base.gains.shape[1] != width:
             raise ValueError("base must be stacked with the same humans")
-        if base is None:
-            gains, fill = np.empty((len(beams), width, self.n_realizations)), live
-        else:
-            fill = [row for row in live if beams[row] is not base.beams[row]]
-            gains = base.gains.copy() if fill else base.gains
-        for row, parts in zip(fill, self._tables([beams[row] for row in fill], humans)):
-            gains[row] = np.concatenate(parts, axis=1).T
+        try:
+            beams, changed = self._rows(solution.beams, base)
+            if base is None:
+                service = self._service(beams)
+                gains = np.empty((len(beams), width, self.n_realizations))
+                keys = [None] * len(beams)
+                changed = service[0].tolist()
+            elif not changed:
+                return base
+            else:
+                service = ((base.live, base.poa_of_beam, base.share, base.co_channel,
+                            base.serving, base.interferers, base.bandwidth, base.noise)
+                           if all(_served(beams[row]) == _served(base.beams[row])
+                                  for row in changed)
+                           else self._service(beams))
+                gains, keys = base.gains, list(base.keys)
+        except KeyError:
+            raise SolutionInvalidError(validate(solution, self.scenario)) from None
+        read = []
+        for row in changed:
+            if beams[row] is not None and beams[row].active:
+                key = self._key(beams[row])
+                if key != keys[row]:
+                    keys[row] = key
+                    read.append(row)
+        if read:
+            if base is not None:
+                gains = gains.copy()
+            for row, parts in zip(read, self._tables([beams[row] for row in read], humans,
+                                                     [keys[row] for row in read])):
+                gains[row] = np.concatenate(parts, axis=1).T
+        return GainStack(solution.beams, tuple(beams), tuple(keys), gains, *service)
+
+    def _rows(self, listing, base):
+        """Each row's ``BeamConfig`` in the solution's beam ``listing`` (None
+        for a row it lists no beam for), and the rows whose beam is not the
+        object ``base`` holds (None without ``base``). A listing that keeps
+        base's length, ids and owners in place is read against base's
+        listing; any other is looked up beam by beam, and an unknown or
+        repeated (beam id, owner) raises ``KeyError``."""
+        if base is not None and len(listing) == len(base.listing):
+            beams, changed = list(base.beams), []
+            for new, old in zip(listing, base.listing):
+                if new is not old:
+                    if (new.beam_id, new.owner_poa) != (old.beam_id, old.owner_poa):
+                        break
+                    row = self._row_of[new.beam_id, new.owner_poa]
+                    beams[row] = new
+                    changed.append(row)
+            else:
+                return beams, changed
+        beams = [None] * len(self._row_poa)
+        for b in listing:
+            row = self._row_of[b.beam_id, b.owner_poa]
+            if beams[row] is not None:
+                raise KeyError(b.beam_id)
+            beams[row] = b
+        return beams, (None if base is None else
+                       [row for row, (new, old) in enumerate(zip(beams, base.beams))
+                        if new is not old])
+
+    def _service(self, beams):
+        """The ``GainStack`` fields ``live`` to ``noise`` of the rows'
+        ``beams``: which rows are live and which serves each user."""
+        live, serving = [row for row, b in enumerate(beams) if b is not None and b.active], {}
+        for k, row in enumerate(live):
+            for uid in beams[row].served_users:
+                serving.setdefault(self._column_of_user[uid], k)
         poa_of_beam = self._row_poa[live]
         freq = self._poa_frequency[poa_of_beam]
-        return GainStack(
-            beams=tuple(beams), gains=gains, live=np.array(live, dtype=int),
-            poa_of_beam=poa_of_beam,
-            share=np.bincount(poa_of_beam, minlength=len(self._poa_index))[poa_of_beam],
-            co_channel=((freq[:, None] == freq[None, :])
-                        & (poa_of_beam[:, None] != poa_of_beam[None, :])),
-            serving=np.array([serving.get(c, len(live)) for c in range(self._n_users)], dtype=int))
+        co_channel = ((freq[:, None] == freq[None, :])
+                      & (poa_of_beam[:, None] != poa_of_beam[None, :]))
+        serving = np.array([serving.get(c, len(live)) for c in range(self._n_users)], dtype=int)
+        served = serving < len(live)
+        interferers = np.zeros((len(live), self._n_users, 1), dtype=bool)
+        interferers[:, served, 0] = co_channel[:, serving[served]]
+        bandwidth = np.full(self._n_users, np.nan)
+        bandwidth[served] = self._poa_bandwidth[poa_of_beam[serving[served]]]
+        share = np.bincount(poa_of_beam, minlength=len(self._poa_index))[poa_of_beam]
+        return (np.array(live, dtype=int), poa_of_beam, share, co_channel, serving, interferers,
+                bandwidth, NOISE_DENSITY_W_HZ * bandwidth[:, None])
 
     def scaled(self, stack, tx_power) -> np.ndarray:
         """Received power [W] of every live row under per-PoA levels [dBm]:
@@ -339,32 +430,46 @@ class Evaluator:
         watts = np.array([ch.dbm_to_watts(tx_power.get(pid, -math.inf)) for pid in self._poa_index])
         return (watts[stack.poa_of_beam] / stack.share)[:, None, None] * stack.gains[stack.live]
 
-    def _terms(self, stack, power, user_ids):
+    def _terms(self, stack, power, user_ids=None):
         """Each user's signal and interference [W], (users, realizations),
-        its noise [W], (users, 1), and its bandwidth [Hz], (users,).
+        its noise [W], (users, 1), and its bandwidth [Hz], (users,), for
+        ``user_ids``, or for every user in scenario order when None.
 
         ``power`` is the stack's live rows scaled by their watts. Interference
         is the power of every live beam on the serving PoA's frequency from
-        every other PoA, added beam by beam in row order: ``sum`` would add
-        pairwise where a user has one realization, so a user's bits would
-        depend on which other users were asked.
+        every other PoA, added beam by beam in row order, so a user's bits do
+        not depend on which other users were asked. The co-channel mask,
+        noise and bandwidth are the stack's, gathered at the users asked.
         """
-        try:
-            cols = np.array([self._column_of_user[uid] for uid in user_ids], dtype=int)
-        except KeyError as e:
-            raise UnservedUserError(e.args[0]) from None
+        if user_ids is None:
+            user_ids, cols, at_users = self._user_ids, self._all_columns, power[:, :self._n_users]
+            interferers, noise, bandwidth = stack.interferers, stack.noise, stack.bandwidth
+        else:
+            try:
+                cols = np.array([self._column_of_user[uid] for uid in user_ids], dtype=int)
+            except KeyError as e:
+                raise UnservedUserError(e.args[0]) from None
+            at_users = power[:, cols]
+            interferers, noise, bandwidth = (stack.interferers[:, cols], stack.noise[cols],
+                                             stack.bandwidth[cols])
         rows = stack.serving[cols]
         try:
-            bandwidth = self._poa_bandwidth[stack.poa_of_beam[rows]]
+            signal = power[rows, cols]
         except IndexError:  # an unserved user's row is past the live rows
             raise UnservedUserError(user_ids[int(rows.argmax())]) from None
-        per_beam = np.where(stack.co_channel[:, rows, None], power[:, cols], 0.0)
-        interference = (np.add.accumulate(per_beam, axis=0)[-1] if len(per_beam)
+        per_beam = np.where(interferers, at_users, 0.0)
+        # numpy's reduce adds pairwise along the fast axis only; over the
+        # outer axis of a C-ordered array whose rows hold two numbers or more
+        # it adds row by row. Any other layout accumulates.
+        interference = (np.add.reduce(per_beam, axis=0)
+                        if per_beam.flags.c_contiguous and per_beam.size > len(per_beam)
+                        else np.add.accumulate(per_beam, axis=0)[-1] if len(per_beam)
                         else per_beam.sum(axis=0))
-        return power[rows, cols], interference, NOISE_DENSITY_W_HZ * bandwidth[:, None], bandwidth
+        return signal, interference, noise, bandwidth
 
-    def _rates(self, stack, power, user_ids):
-        """(users, realizations) achievable rates [bit/s]."""
+    def _rates(self, stack, power, user_ids=None):
+        """(users, realizations) achievable rates [bit/s] of ``user_ids``,
+        or of every user when None."""
         signal, interference, noise, bandwidth = self._terms(stack, power, user_ids)
         return shannon_rate(bandwidth[:, None], signal / (noise + interference))
 
@@ -399,14 +504,14 @@ class Evaluator:
     def mean_rates(self, stack, tx_power) -> np.ndarray:
         """Mean rate [bit/s] over realizations of every user, in scenario
         order, on the beams frozen in ``stack`` under ``tx_power`` [dBm]."""
-        return self._rates(stack, self.scaled(stack, tx_power), self._user_ids).mean(axis=-1)
+        return self._rates(stack, self.scaled(stack, tx_power)).mean(axis=-1)
 
     def metrics(self, solution: SolutionState) -> MetricsBundle:
         """Averaged rates and SAR over all realizations, plus feasibility."""
         scenario = self.scenario
         stack = self.stack(solution)
         power = self.scaled(stack, solution.tx_power)
-        rates = self._rates(stack, power, self._user_ids).mean(axis=-1)
+        rates = self._rates(stack, power).mean(axis=-1)
         sar = self._exposure(stack, power)
         active = set(solution.active_poas())
         return MetricsBundle(

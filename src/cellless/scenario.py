@@ -38,11 +38,36 @@ class ParseError(ScenarioError):
 
 
 class ValidationError(ScenarioError):
-    """A scenario invariant is violated; names the offending field."""
+    """A scenario invariant is violated; names the offending field, and the
+    file it was read from when there is one."""
 
-    def __init__(self, path, message):
-        self.path, self.message = path, message
-        super().__init__(f"{path}: {message}")
+    def __init__(self, path, message, file=None):
+        self.path, self.message, self.file = path, message, file
+        super().__init__(f"{path}: {message}" + ("" if file is None else f", in {file}"))
+
+
+def read_record(path, kind: str, from_dict, missing: str | None = None):
+    """``from_dict`` of the UTF-8 JSON file at ``path``, a ``kind`` file
+    ("scenario", "solution"). A path that is missing (``missing`` says so,
+    by default "no such <kind> file"), is a directory or cannot be read
+    raises ``ScenarioError``, a file that is not UTF-8 text or not valid
+    JSON ``ParseError``, and a record error ``ValidationError`` at the same
+    ``.path``; each names the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except FileNotFoundError:
+        raise ScenarioError(f"{missing or f'no such {kind} file'}: {str(path)!r}") from None
+    except OSError as e:  # a directory, or a file that cannot be read
+        raise ScenarioError(f"cannot read {kind} file {str(path)!r}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{kind} file {str(path)!r} is not UTF-8 text: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{kind} file {str(path)!r} is not valid JSON: {e}") from None
+    try:
+        return from_dict(data)
+    except ValidationError as e:
+        raise ValidationError(e.path, e.message, file=f"{kind} file {str(path)!r}") from None
 
 
 class PlacementError(ScenarioError):
@@ -688,21 +713,12 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario(path_or_name: str) -> Scenario:
-    """Load a scenario from a JSON file, or a built-in by name (seed 0)."""
+    """Load a scenario from a JSON file, or a built-in by name (seed 0); a
+    file's errors name it (``read_record``)."""
     if path_or_name in BUILTIN_TEMPLATES:
         return builtin_scenario(path_or_name)
-    try:
-        with open(path_or_name, encoding="utf-8") as f:
-            data = json.load(f)
-    except FileNotFoundError:
-        raise ScenarioError(f"no such scenario file or built-in: {path_or_name!r}") from None
-    except OSError as e:  # a directory, or a file that cannot be read
-        raise ScenarioError(f"cannot read scenario file {path_or_name!r}: {e.strerror}") from None
-    except UnicodeDecodeError as e:
-        raise ParseError(f"scenario file {path_or_name!r} is not UTF-8 text: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ParseError(f"scenario file {path_or_name!r} is not valid JSON: {e}") from None
-    return scenario_from_dict(data)
+    return read_record(path_or_name, "scenario", scenario_from_dict,
+                       missing="no such scenario file or built-in")
 
 
 def save_scenario(s: Scenario, path: str):

@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .channel import dbm_to_watts
-from .scenario import (ParseError, Scenario, _dump, _list_of, _map_of, _object, _optional,
-                       _parse_at, _radians, _real, _record, _same, _text)
+from .scenario import (Scenario, _dump, _list_of, _map_of, _object, _optional, _parse_at,
+                       _radians, _real, _record, _same, _text, read_record)
 
 
 @dataclass(frozen=True)
@@ -196,13 +196,6 @@ def save_solution(solution: SolutionState, path: str):
 
 
 def load_solution(path: str) -> SolutionState:
-    """A solution from its UTF-8 JSON file; a file that is not UTF-8 text
-    or not valid JSON raises ``ParseError`` naming ``path``."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except UnicodeDecodeError as e:
-        raise ParseError(f"solution file {path!r} is not UTF-8 text: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ParseError(f"solution file {path!r} is not valid JSON: {e}") from None
-    return solution_from_dict(data)
+    """A solution from its UTF-8 JSON file; every error names ``path``
+    (``scenario.read_record``)."""
+    return read_record(path, "solution", solution_from_dict)

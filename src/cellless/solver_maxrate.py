@@ -59,10 +59,29 @@ def objective(solution: SolutionState, evaluator: Evaluator, base: GainStack | N
     return (float(rates.min()) if rates.size else math.inf), stack
 
 
-def _replace_beam(solution, beam, **changes):
-    beams = tuple(replace(b, **changes) if b.beam_id == beam.beam_id else b
-                  for b in solution.beams)
-    return replace(solution, beams=beams)
+def idle_move(current: SolutionState, cand: SolutionState) -> bool:
+    """Whether ``cand`` changes no active beam and the power of no PoA with
+    an active beam: a steer or width move on an idle beam, or a power move
+    on a PoA that serves no one, is clamped at its maximum or is switched
+    off. No rate reads what such a move changed, so ``cand`` has the score
+    of ``current`` bit for bit, and the users stack of ``current`` serves
+    as its own (``GainStack``)."""
+    if cand.beams is not current.beams and (len(cand.beams) != len(current.beams) or any(
+            new is not old and (new.active or old.active)
+            for new, old in zip(cand.beams, current.beams))):
+        return False
+    if cand.tx_power is current.tx_power:
+        return True
+    if cand.tx_power.keys() != current.tx_power.keys():
+        return False
+    powered = {pid for pid, dbm in cand.tx_power.items() if current.tx_power[pid] != dbm}
+    return not any(b.active and b.owner_poa in powered for b in current.beams)
+
+
+def _replace_beam(solution, index, **changes):
+    beams = list(solution.beams)
+    beams[index] = replace(beams[index], **changes)
+    return replace(solution, beams=tuple(beams))
 
 
 def move_power(solution, scenario, rng, step_db):
@@ -76,36 +95,34 @@ def move_power(solution, scenario, rng, step_db):
 
 
 def move_steering(solution, scenario, rng, step):
-    beam = solution.beams[int(rng.integers(len(solution.beams)))]
+    index = int(rng.integers(len(solution.beams)))
+    beam = solution.beams[index]
     if rng.random() < 0.5:
         phi = wrap_angle(beam.azimuth + (1.0 if rng.random() < 0.5 else -1.0) * step)
-        return _replace_beam(solution, beam, azimuth=float(phi))
+        return _replace_beam(solution, index, azimuth=float(phi))
     theta = min(math.pi, max(0.0, beam.zenith + (1.0 if rng.random() < 0.5 else -1.0) * step))
-    return _replace_beam(solution, beam, zenith=theta)
+    return _replace_beam(solution, index, zenith=theta)
 
 
 def move_width(solution, scenario, rng, step):
-    beam = solution.beams[int(rng.integers(len(solution.beams)))]
+    index = int(rng.integers(len(solution.beams)))
+    beam = solution.beams[index]
     wmin = scenario.poa_by_id(beam.owner_poa).min_beam_width
     width = min(math.pi, max(wmin, beam.width + (1.0 if rng.random() < 0.5 else -1.0) * step))
-    return _replace_beam(solution, beam, width=width)
+    return _replace_beam(solution, index, width=width)
 
 
 def move_reassign(solution, scenario, rng):
+    """Move one random user from its beam to a random other beam."""
     if not scenario.users or len(solution.beams) < 2:
         return solution
-    user = scenario.users[int(rng.integers(len(scenario.users)))]
-    src = solution.beam_for_user(user.id)
-    others = [b for b in solution.beams if b.beam_id != src.beam_id]
-    dst = others[int(rng.integers(len(others)))]
-    beams = []
-    for b in solution.beams:
-        if b.beam_id == src.beam_id:
-            beams.append(replace(b, served_users=b.served_users - {user.id}))
-        elif b.beam_id == dst.beam_id:
-            beams.append(replace(b, served_users=b.served_users | {user.id}))
-        else:
-            beams.append(b)
+    user = scenario.users[int(rng.integers(len(scenario.users)))].id
+    src = next(i for i, b in enumerate(solution.beams) if user in b.served_users)
+    dst = int(rng.integers(len(solution.beams) - 1))
+    dst += dst >= src  # the dst-th beam other than src
+    beams = list(solution.beams)
+    beams[src] = replace(beams[src], served_users=beams[src].served_users - {user})
+    beams[dst] = replace(beams[dst], served_users=beams[dst].served_users | {user})
     return replace(solution, beams=tuple(beams))
 
 
@@ -127,6 +144,8 @@ def _calibrate_temperature(start, start_obj, start_stack, scenario, rng, evaluat
     drops = []
     for _ in range(CALIBRATION_PROBES):
         cand = neighbor(start, scenario, rng)
+        if idle_move(start, cand):
+            continue
         obj, _ = objective(cand, evaluator, start_stack)
         if obj < start_obj:
             drops.append(start_obj - obj)
@@ -140,7 +159,9 @@ def solve_maxrate(scenario: Scenario, config: AnnealConfig | None = None,
     """Anneal and return (best SolutionState, MetricsBundle).
 
     Deterministic given the seed; ``trace`` (if given) collects
-    (step, move, current_objective, best_objective, accepted) tuples.
+    (step, move, current_objective, best_objective, accepted) tuples. An
+    idle move (``idle_move``) keeps the current score and stack; any other
+    is scored on the current state's stack, which changes no bit.
     """
     config = config or AnnealConfig()
     evaluator = Evaluator(scenario, config.seed, config.realizations_per_check)
@@ -157,7 +178,10 @@ def solve_maxrate(scenario: Scenario, config: AnnealConfig | None = None,
     for step in range(config.iterations):
         for move in range(config.moves_per_temp):
             cand = neighbor(current, scenario, rng)
-            cand_obj, cand_stack = objective(cand, evaluator, stack)
+            if idle_move(current, cand):
+                cand_obj, cand_stack = current_obj, stack
+            else:
+                cand_obj, cand_stack = objective(cand, evaluator, stack)
             delta = cand_obj - current_obj
             accepted = delta >= 0 or rng.random() < math.exp(delta / temp)
             if accepted:

@@ -372,11 +372,15 @@ def _fresh_python(code, *args):
 
 
 def test_cli_import_loads_no_scipy():
+    """Importing the CLI loads no scipy, and no process pool
+    (``concurrent.futures.process``, which loads multiprocessing): only a
+    run with several workers uses one."""
     proc = _fresh_python(
         "import sys, cellless.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
+        "print('concurrent.futures.process' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "False"]
 
 
 def test_cli_ctm_run_with_scipy_blocked(tmp_path):

@@ -354,6 +354,23 @@ def test_cli_validate_exits_2_on_bad_inputs(mutate, path, tmp_path, capsys):
     assert err.startswith(f"invalid: {path}: ") and "Traceback" not in err
 
 
+def test_a_record_error_in_a_scenario_file_names_the_file(tmp_path):
+    """A readable world file with a bad record raises the record's
+    ``ValidationError`` at the same path, naming the file too; the same
+    record as a dict names no file."""
+    d = scenario_to_dict(builtin_scenario("inf-dh-desk", 0))
+    del d["users"][0]["required_rate_bps"]
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps(d))
+    with pytest.raises(ValidationError) as err:
+        load_scenario(world)
+    assert err.value.path == "users[0].required_rate_bps" and err.value.message == "missing"
+    assert repr(str(world)) in str(err.value)
+    with pytest.raises(ValidationError) as bare:
+        scenario_from_dict(d)
+    assert bare.value.file is None and str(bare.value) == "users[0].required_rate_bps: missing"
+
+
 def _unreadable_scenario(kind, tmp_path):
     """A scenario path that is a directory, or a saved world whose bytes
     are not UTF-8 (one byte of a string replaced by 0xff) or not valid JSON

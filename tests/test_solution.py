@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellless.scenario import (ParseError, ValidationError, builtin_scenario,
+from cellless.scenario import (ParseError, ScenarioError, ValidationError, builtin_scenario,
                                scenario_from_dict, scenario_to_dict)
 from cellless.solution import (BeamConfig, SolutionState, load_solution,
                                save_solution, solution_from_dict,
@@ -172,6 +172,32 @@ def test_unreadable_solution_file_names_the_file(tmp_path, raw, fault):
     with pytest.raises(ParseError, match=fault) as err:
         load_solution(path)
     assert str(path) in str(err.value)
+
+
+def test_a_record_error_in_a_solution_file_names_the_file(tmp_path):
+    """A readable solution.json whose beam lacks ``owner_poa`` raises the
+    record's ``ValidationError`` at the same path, naming the file too."""
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps({"beams": [{"beam_id": "b0", "azimuth_rad": 0.0,
+                                           "zenith_rad": 1.0, "width_rad": 0.5,
+                                           "served_users": ["u0"]}],
+                                "tx_power_dbm": {"poaA": 20.0}}))
+    with pytest.raises(ValidationError) as err:
+        load_solution(path)
+    assert err.value.path == "beams[0].owner_poa" and err.value.message == "missing"
+    message = str(err.value)
+    assert message.startswith("beams[0].owner_poa: missing") and repr(str(path)) in message
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_an_unreadable_solution_path_names_the_path(tmp_path, where):
+    """A solution path that does not exist or is a directory raises a
+    ``ScenarioError`` naming it, as ``load_scenario`` does, not a bare
+    ``OSError``."""
+    path = tmp_path / "nothing.json" if where == "missing" else tmp_path
+    with pytest.raises(ScenarioError) as err:
+        load_solution(path)
+    assert type(err.value) is ScenarioError and repr(str(path)) in str(err.value)
 
 
 def test_degree_only_files_still_load():

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from cellless.antenna import wrap_angle
 from cellless.radio_metrics import Evaluator, UnservedUserError
 from cellless.scenario import EndUser, Position3D
 from cellless.solution import validate
 from cellless.solver_ctm import CtmConfig, build_geometry
 from cellless.solver_maxrate import (ANGLE_STEP, POWER_STEP_DB, WIDTH_STEP, AnnealConfig,
-                                     move_power, move_reassign, move_steering, move_width,
-                                     neighbor, objective, solve_maxrate)
+                                     idle_move, move_power, move_reassign, move_steering,
+                                     move_width, neighbor, objective, solve_maxrate)
 
 from conftest import make_poa, make_tiny_scenario, serve_all_solution
 
@@ -88,12 +89,18 @@ def _count_keys(mp):
     return keyed
 
 
+#: The ``GainStack`` fields that say which rows are live and serve whom.
+_SERVICE = ("live", "poa_of_beam", "share", "co_channel", "serving",
+            "interferers", "bandwidth", "noise")
+
+
 def _assert_equals_fresh_stack(ev, stack, solution):
     """``stack`` has the live and serving rows, power shares, co-channel
-    pairs, live-row bytes and ``mean_rates`` bits of a fresh users stack."""
+    pairs, per-user masks, bandwidths and noise, live-row bytes and
+    ``mean_rates`` bits of a fresh users stack."""
     fresh = ev.stack(solution, humans=False)
-    for name in ("live", "poa_of_beam", "share", "co_channel", "serving"):
-        assert np.array_equal(getattr(stack, name), getattr(fresh, name)), name
+    for name in _SERVICE:
+        assert getattr(stack, name).tobytes() == getattr(fresh, name).tobytes(), name
     assert stack.beams == fresh.beams
     assert stack.gains[stack.live].tobytes() == fresh.gains[fresh.live].tobytes()
     assert (ev.mean_rates(stack, solution.tx_power).tobytes()
@@ -109,7 +116,8 @@ def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
     the candidate, and the current stack still equals one of the current
     state. It keys (``width_to_panel``) only the active beams the move
     replaced. With none, as after every power move and every move on an
-    idle beam, it shares the current gains and fills nothing."""
+    idle beam, it shares the current gains and fills nothing; so does a
+    reassign that wakes no beam, whose keys match the current ones."""
     scenario, sol = _small_world(data)
     ev = Evaluator(scenario, data.draw(st.integers(0, 3)), data.draw(st.integers(1, 2)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -134,10 +142,88 @@ def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
                 assert stack.gains is current.gains and _table_count(ev) == tables
             if kind == 3 and stack.live.tolist() != current.live.tolist():
                 event("a reassign woke or idled a beam")
+            if kind == 3 and set(stack.live.tolist()) <= set(current.live.tolist()):
+                assert stack.gains is current.gains  # no beam woke: no table is read
             _assert_equals_fresh_stack(ev, stack, cand)
             _assert_equals_fresh_stack(ev, current, sol)
             if accepted:
                 sol, current = cand, stack
+
+
+def _with_beams(solution, changes):
+    """``solution`` with each beam in ``changes`` (old -> new) replaced."""
+    return replace(solution, beams=tuple(changes.get(b, b) for b in solution.beams))
+
+
+def _scripted_move(sol, scenario, kind, pick):
+    """A move that random chains meet only now and then, or None where the
+    state offers none: 1, steering an idle beam; 2, a power step on a PoA
+    at its maximum, which clamps; 3, a reassign onto an idle beam; 4, a
+    reassign of a beam's only user, which empties it."""
+    idle = [b for b in sol.beams if not b.active]
+    served = [b for b in sol.beams if b.active]
+    if kind == 1:
+        if not idle:
+            return None
+        beam = idle[pick % len(idle)]
+        turned = replace(beam, azimuth=wrap_angle(beam.azimuth + ANGLE_STEP))
+        return _with_beams(sol, {beam: turned})
+    if kind == 2:
+        at_max = [p for p in scenario.poas if sol.tx_power[p.id] == p.max_tx_power_dbm]
+        if not at_max:
+            return None
+        poa = at_max[pick % len(at_max)]
+        raised = min(poa.max_tx_power_dbm, sol.tx_power[poa.id] + POWER_STEP_DB)
+        return sol.with_power(poa.id, raised)
+    if kind == 3:
+        if not idle or not served:
+            return None
+        src, dst = served[pick % len(served)], idle[pick % len(idle)]
+    else:
+        singles = [b for b in served if len(b.served_users) == 1]
+        if not singles or len(sol.beams) < 2:
+            return None
+        src = singles[pick % len(singles)]
+        others = [b for b in sol.beams if b is not src]
+        dst = others[pick % len(others)]
+    uid = min(src.served_users)
+    return _with_beams(sol, {src: replace(src, served_users=src.served_users - {uid}),
+                             dst: replace(dst, served_users=dst.served_users | {uid})})
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_a_kept_or_built_on_score_equals_a_fresh_objective(data):
+    """Along a chain of random ``neighbor`` moves and scripted ones (an idle
+    beam steered, a clamped power step, a reassign onto an idle beam and one
+    that empties a beam), each accepted or rejected, an idle move keeps the
+    current score and stack and any other move is scored on the current
+    stack, as ``solve_maxrate`` does; either way the score, the mean rates'
+    bytes and the stack's live rows, service and gains equal those of a
+    base-free ``objective`` of the candidate."""
+    scenario, sol = _small_world(data)
+    ev = Evaluator(scenario, data.draw(st.integers(0, 3)), data.draw(st.integers(1, 2)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    obj, current = objective(sol, ev)
+    steps = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 99), st.booleans()), max_size=30)
+    for kind, pick, accepted in data.draw(steps):
+        cand = (neighbor(sol, scenario, rng) if kind == 0
+                else _scripted_move(sol, scenario, kind, pick))
+        if cand is None:
+            continue
+        idle = idle_move(sol, cand)
+        assert idle or kind not in (1, 2)
+        event(f"kind {kind}, {'idle' if idle else 'scored'}")
+        cand_obj, stack = (obj, current) if idle else objective(cand, ev, current)
+        fresh_obj, fresh = objective(cand, ev)
+        assert np.float64(cand_obj).tobytes() == np.float64(fresh_obj).tobytes()
+        assert (ev.mean_rates(stack, cand.tx_power).tobytes()
+                == ev.mean_rates(fresh, cand.tx_power).tobytes())
+        for name in _SERVICE:
+            assert getattr(stack, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert stack.gains[stack.live].tobytes() == fresh.gains[fresh.live].tobytes()
+        if accepted:
+            sol, obj, current = cand, cand_obj, stack
 
 
 def test_a_reassign_that_wakes_one_beam_and_idles_another_keys_one_row(tiny_scenario):
@@ -164,17 +250,19 @@ def test_a_reassign_that_wakes_one_beam_and_idles_another_keys_one_row(tiny_scen
 
 
 def test_an_anneal_move_keys_at_most_one_row_per_objective(monkeypatch):
-    """Over a short anneal on inf-dh-desk, each objective call keys at most
-    one beam on average (``width_to_panel``; about 16 when every stack
-    re-keyed every live beam), and the anneal fills the very tables, and
-    ends in the very state, of one that stacks every state afresh."""
+    """Over a short anneal on inf-dh-desk, every move is either idle
+    (``idle_move``: it keeps the current score, with no ``objective`` call)
+    or scored, and each objective call keys at most one beam on average
+    (``width_to_panel``; about 16 when every stack re-keyed every live
+    beam). The anneal fills the very tables, and ends in the very state, of
+    one that scores every move, idle or not, on a stack made afresh."""
     import cellless.solver_maxrate as solver_maxrate
     from cellless.scenario import builtin_scenario
 
     scenario = builtin_scenario("inf-dh-desk", 0)
     cfg = AnnealConfig(seed=0, iterations=10, moves_per_temp=10, realizations_per_check=2)
-    keyed, calls, made = _count_keys(monkeypatch), [], []
-    scored = solver_maxrate.objective
+    keyed, calls, idle, made = _count_keys(monkeypatch), [], [], []
+    scored, is_idle = solver_maxrate.objective, solver_maxrate.idle_move
 
     class Recorded(Evaluator):
         def __init__(self, *args, **kwargs):
@@ -187,14 +275,25 @@ def test_an_anneal_move_keys_at_most_one_row_per_objective(monkeypatch):
         calls.append(len(keyed) - before)
         return out
 
+    def counted_idle(current, cand):
+        before = len(keyed)
+        out = is_idle(current, cand)
+        assert len(keyed) == before
+        idle.append(out)
+        return out
+
     monkeypatch.setattr(solver_maxrate, "Evaluator", Recorded)
     monkeypatch.setattr(solver_maxrate, "objective", counted)
+    monkeypatch.setattr(solver_maxrate, "idle_move", counted_idle)
     best, bundle = solve_maxrate(scenario, cfg)
-    assert len(calls) == 1 + 100 + 100   # the start, calibration probes and moves
+    assert len(idle) == 100 + 100   # the calibration probes and moves
+    assert len(calls) + sum(idle) == 1 + 100 + 100   # and the start
+    assert sum(idle) > 0
     assert sum(calls) <= len(calls)
 
     monkeypatch.setattr(solver_maxrate, "objective",
                         lambda solution, evaluator, base=None: scored(solution, evaluator))
+    monkeypatch.setattr(solver_maxrate, "idle_move", lambda current, cand: False)
     fresh_best, fresh = solve_maxrate(scenario, cfg)
     assert best == fresh_best
     assert bundle.per_user_rate == fresh.per_user_rate
