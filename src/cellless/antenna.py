@@ -9,7 +9,8 @@ degrees, slant 0, so zenith is unchanged).
 The field is computed in phasor form. ``panel_terms`` keeps, per
 observation angle, the element-to-element phase steps along the two panel
 axes as unit phasors, u_v = exp(i*pi*d_v*cos(theta)) down a column and
-u_h = exp(i*pi*d_h*sin(phi)*sin(theta)) along a row. A beam multiplies
+u_h = exp(i*pi*d_h*sin(phi)*sin(theta)) along a row, where d_v = d_h =
+``ELEMENT_SPACING`` wavelengths. A beam multiplies
 them by its two steering phasors, exp(-i*pi*d_v*cos(theta_s)) and
 exp(-i*pi*d_h*sin(phi_s)*sin(theta_s)), to get z = exp(i*pi*g) per axis,
 raises z to the axis's element count m by repeated squaring and sums the
@@ -31,6 +32,10 @@ ISOTROPIC = "isotropic"
 THREEGPP_8DBI = "threegpp_8dbi"
 ELEMENT_PATTERNS = (ISOTROPIC, THREEGPP_8DBI)
 
+#: Element spacing along both panel axes, in wavelengths: every panel is
+#: a half-wavelength array, the one ``BEAMWIDTH_CONSTANT`` is defined for.
+ELEMENT_SPACING = 0.5
+
 #: Half-power beamwidth constant for a uniform half-wavelength array,
 #: in radians (~102 deg). Maps an abstract beam width to a column count.
 BEAMWIDTH_CONSTANT = 1.782
@@ -38,20 +43,16 @@ BEAMWIDTH_CONSTANT = 1.782
 
 @dataclass(frozen=True)
 class PanelGeometry:
-    """Rectangular M x N antenna panel, spacings in wavelengths."""
+    """Rectangular M x N antenna panel of ``ELEMENT_SPACING``-spaced elements."""
 
     rows: int
     cols: int
-    v_spacing: float = 0.5
-    h_spacing: float = 0.5
     mech_azimuth: float = 0.0
     element_pattern: str = ISOTROPIC
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("panel must have at least one element per axis")
-        if self.v_spacing <= 0 or self.h_spacing <= 0:
-            raise ValueError("element spacing must be positive")
         if self.element_pattern not in ELEMENT_PATTERNS:
             raise ValueError(f"unknown element pattern {self.element_pattern!r}")
 
@@ -166,7 +167,7 @@ def _unit_phasor(x):
 
 def panel_terms(geom: PanelGeometry, theta, phi) -> PanelTerms:
     """Steering-independent terms of ``panel_field`` at LCS angles. Only
-    ``geom``'s spacings and element pattern are read."""
+    ``geom``'s element pattern is read."""
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     pattern = geom.element_pattern
@@ -174,11 +175,11 @@ def panel_terms(geom: PanelGeometry, theta, phi) -> PanelTerms:
     element = (1.0 if pattern == ISOTROPIC
                else 10.0 ** (element_gain_db(pattern, theta, phi) / 20.0))
     step = np.cos(theta, out=np.empty(np.broadcast(theta, phi).shape))
-    step *= math.pi * geom.v_spacing
+    step *= math.pi * ELEMENT_SPACING
     u_v = _unit_phasor(step)
     np.sin(phi, out=step)
     step *= np.sin(theta)
-    step *= math.pi * geom.h_spacing
+    step *= math.pi * ELEMENT_SPACING
     return PanelTerms(u_v, _unit_phasor(step), element)
 
 
@@ -200,11 +201,10 @@ def steered_field(geom: PanelGeometry, terms: PanelTerms, steer: SteeringDirecti
     size = math.prod(shape)
     field, z, power = (work or FieldWork(size)).take(2 if size == 1 else size)
     element = np.reshape(terms.element, -1) if np.ndim(terms.element) else terms.element
-    axes = [(np.reshape(u, -1), cmath.exp(-1j * math.pi * spacing * cosine), count)
-            for u, spacing, cosine, count in (
-                (terms.u_v, geom.v_spacing, math.cos(steer.zenith), geom.rows),
-                (terms.u_h, geom.h_spacing,
-                 math.sin(steer.azimuth) * math.sin(steer.zenith), geom.cols))
+    axes = [(np.reshape(u, -1), cmath.exp(-1j * math.pi * ELEMENT_SPACING * cosine), count)
+            for u, cosine, count in (
+                (terms.u_v, math.cos(steer.zenith), geom.rows),
+                (terms.u_h, math.sin(steer.azimuth) * math.sin(steer.zenith), geom.cols))
             if count > 1]
     if not axes:
         field[...] = element

@@ -404,8 +404,8 @@ def sample_link(paths: DirectPaths, params: ChannelParams, rngs) -> LinkRealizat
 @dataclass(frozen=True)
 class LinkTerms:
     """The factors of ``steered_energy`` that depend on the links and the
-    panel's mounting, spacings and element pattern but on no steering
-    direction or column count, so one set serves every beam of a PoA."""
+    panel's mounting and element pattern but on no steering direction or
+    column count, so one set serves every beam of a PoA."""
 
     rays: np.ndarray            # exp(1j * phases), (..., N_c, N_r)
     ray_panel: PanelTerms       # at the ray departure angles
@@ -420,8 +420,7 @@ class LinkTerms:
 def link_terms(link: LinkRealization, geom: PanelGeometry) -> LinkTerms:
     """Steering-independent terms of ``steered_energy`` for every link.
 
-    Only ``geom``'s mechanical azimuth, spacings and element pattern are
-    read.
+    Only ``geom``'s mechanical azimuth and element pattern are read.
     """
     mech = geom.mech_azimuth
     # K = 0 off-LoS makes the Rician mix reduce to the pure scattered term.

@@ -116,6 +116,9 @@ def main(argv=None):
     except ScenarioError as e:
         print(f"invalid scenario: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as e:
+        print(f"cannot write --out {args.out!r}: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     failed = [r for r in records if r.error is not None]
     for r in records:

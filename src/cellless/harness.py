@@ -185,7 +185,11 @@ def run_experiment(spec: ExperimentSpec) -> list:
     """One record per (seed, solver); order and content are independent of
     the worker count. Solver failures are recorded, not raised: an
     infeasible run carries the ``NoFeasibleSolutionError`` message, any
-    other exception ``"<ExcType>: <message>"``."""
+    other exception ``"<ExcType>: <message>"``. The output directory is
+    made before the first run, so an unusable one raises ``OSError`` before
+    any solve."""
+    if spec.out_dir:
+        Path(spec.out_dir).mkdir(parents=True, exist_ok=True)
     tasks = [(seed, solver) for seed in spec.seeds for solver in spec.solver_list]
     if spec.workers > 1 and len(tasks) > 1:
         # Imported here: the pool loads multiprocessing, which a one-worker
@@ -200,9 +204,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
         records = [_run_one(spec, seed, solver) for seed, solver in tasks]
     records.sort(key=lambda r: (r.seed, r.solver))
     if spec.out_dir:
-        out = Path(spec.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_aggregate(records, out / "aggregate.csv")
+        write_aggregate(records, Path(spec.out_dir) / "aggregate.csv")
     return records
 
 

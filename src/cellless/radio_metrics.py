@@ -23,38 +23,37 @@ blocks again and keeps their terms, so a part refilled beam by beam (the
 MaxRate anneal) stops recomputing them. Each step is elementwise or
 reduces the trailing cluster and ray axes, and each link's draw reads its
 own stream only, so the tables have the same bits whatever the block. A
-part no beam of the PoA reaches is never drawn. The rate-only caller
-(``mean_rates`` and with it the MaxRate objective) reads only the users
-part, so it never evaluates the panel at a human and a new geometry adds
-only its user table. Channel ray geometry does not depend on any decision
-variable, so beam changes only add table entries and power changes
-invalidate nothing.
+part no beam of the PoA reaches is never drawn. Channel ray geometry does
+not depend on any decision variable, so beam changes only add table
+entries and power changes invalidate nothing.
 
 One power core turns beams and powers into rates and exposure, in three
 steps. *Stack* (``Evaluator.stack``) gathers the unit-power gains of the
-solution's beams at every user, or at every target when exposure is
-needed, as a ``GainStack`` with one row per scenario beam, fixed per
-Evaluator; a solution decides only each row's table, which rows are live
-and which row serves each user. The stack also holds, per user, the
-co-channel mask of its serving row, its bandwidth and its noise. Given
-the previous state's stack as ``base``, a stack costs what changed: a
-solution with the very beam objects of ``base`` gets ``base`` itself; one
-whose beams serve the users they serve in ``base`` shares base's live
-rows, shares, co-channel pairs and per-user arrays; and a live row whose
-``BeamConfig`` changed is keyed, and read only where its key is not the
-one its row of base's gains holds, so a reassign that moves no beam reads
-no table. *Scale* (``Evaluator.scaled``) multiplies the live rows by their
-watts under a power vector. *Verdict* composes each user's SINR from the
-three terms that ``Evaluator._terms`` returns, signal, co-channel
-interference and noise, and takes each human's per-frequency received power as a sum
-over the live rows; the latter feeds ``power_density`` ->
+solution's beams at every user as a ``GainStack`` with one row per
+scenario beam, fixed per Evaluator; a solution decides only each row's
+table, which rows are live and which row serves each user. The stack also
+holds, per user, the co-channel mask of its serving row, its bandwidth and
+its noise. Every stack is built on a base, by default the Evaluator's
+stack of no beams, and costs what changed: a solution with the very beam
+objects of the base gets the base itself; one whose beams serve the users
+they serve in the base shares its live rows, shares and per-user arrays;
+and a live row whose ``BeamConfig`` changed is keyed, and read only where
+its key is not the one its row of the base's gains holds, so a reassign
+that moves no beam reads no table. *Scale* multiplies each live row by its
+watts under a power vector, one computation (``Evaluator._watts``) for
+the users gains and the humans tables alike. *Verdict* composes each
+user's SINR from the three terms that ``Evaluator._terms`` returns,
+signal, co-channel interference and noise, and takes each human's
+per-frequency received power as a sum over the live rows of the humans
+tables under their keys, so a humans part is filled only for live beam
+geometries; that power feeds ``power_density`` ->
 ``exposure.incident_field`` -> ``exposure.sar_wb``, and the means are
-checked against the rate floors and the SAR ceiling. ``metrics`` is stack
--> scale -> verdict -> bundle, and the only full verdict: ``violated`` is
-every missed floor and ceiling, and ``feasible`` is that list being empty.
-``unmet_floors`` (the CtM descent's check of one PoA's users) and
-``mean_rates`` read some or all users' rates from a stack the caller keeps,
-gathering the stack's per-user arrays at the users asked.
+checked against the rate floors and the SAR ceiling. ``metrics`` composes
+``mean_rates`` and the exposure, and is the only full verdict:
+``violated`` is every missed floor and ceiling, and ``feasible`` is that
+list being empty. ``unmet_floors`` (the CtM descent's check of one PoA's
+users) and ``mean_rates`` read some or all users' rates from a stack the
+caller keeps, gathering the stack's per-user arrays at the users asked.
 Interference adds the live rows one by one in row order, so a rate has the
 same bits whichever users, realization count or beam listing it comes with.
 """
@@ -111,22 +110,22 @@ class MetricsBundle:
 
 @dataclass(frozen=True)
 class GainStack:
-    """Unit-power gains of one solution's beams, frozen for a search over
-    transmit powers, in one row per scenario beam: by PoA id, then as the
-    scenario lists the PoA's beams. ``listing`` is the solution's ``beams``
-    as it lists them, and ``beams[i]`` the ``BeamConfig`` it gives row ``i``
-    (None if none). ``gains`` has shape (rows,
-    users or targets, realizations); row ``i`` holds the tables of
+    """Unit-power gains of one solution's beams at the users, frozen for a
+    search over transmit powers, in one row per scenario beam: by PoA id,
+    then as the scenario lists the PoA's beams. ``listing`` is the
+    solution's ``beams`` as it lists them, and ``beams[i]`` the
+    ``BeamConfig`` it gives row ``i`` (None if none). ``gains`` has shape
+    (rows, users, realizations); row ``i`` holds the users table of
     ``Evaluator._key`` ``keys[i]`` (None: no table read into it yet), and
     only the ``live`` rows, those of active beams, are read. Live row ``k``
     belongs to PoA ``poa_of_beam[k]`` (an index in scenario.poas), which
-    splits its power over ``share[k]`` live beams, and interferes with the
-    users of live row ``j`` where ``co_channel[k, j]``: same frequency, other
-    PoA. User ``c`` is served by live row ``serving[c]``, or by none where
-    that is ``len(live)``; live row ``k`` interferes with it where
-    ``interferers[k, c, 0]`` (``co_channel`` at its serving row), and
-    ``bandwidth[c]`` and ``noise[c, 0]`` are its serving PoA's bandwidth
-    and noise power (NaN when unserved).
+    splits its power over ``share[k]`` live beams. User ``c`` is served by
+    live row ``serving[c]``, or by none where that is ``len(live)``; live
+    row ``k`` interferes with it where ``interferers[k, c, 0]``: on its
+    serving row's frequency, from another PoA. ``bandwidth[c]`` and
+    ``noise[c, 0]`` are its serving PoA's bandwidth and noise power (NaN
+    when unserved). The humans are not stacked: exposure reads the humans
+    tables under the live rows' ``keys``.
 
     No array is ever written after the stack is made, so stacks share them:
     one built on another shares what its move left alone, and a state that
@@ -142,7 +141,6 @@ class GainStack:
     live: np.ndarray
     poa_of_beam: np.ndarray
     share: np.ndarray
-    co_channel: np.ndarray
     serving: np.ndarray
     interferers: np.ndarray
     bandwidth: np.ndarray
@@ -253,7 +251,6 @@ class Evaluator:
         if self.n_realizations < 1:
             raise ValueError("need at least one realization")
         self.scenario = scenario
-        self.targets = list(scenario.users) + list(scenario.humans)
         self._user_ids = [u.id for u in scenario.users]
         self._human_ids = [h.id for h in scenario.humans]
         self._rate_floor = {u.id: float(u.required_rate) for u in scenario.users}
@@ -290,14 +287,19 @@ class Evaluator:
                                     [t.position.as_tuple() for t in group], params),
                     ch.link_seed_words(self.seed, range(self.n_realizations), p_idx,
                                        range(start, start + len(group))))
+        no_beams = (None,) * len(rows)
+        self._no_beams = GainStack(
+            (), no_beams, no_beams, np.empty((len(rows), self._n_users, self.n_realizations)),
+            *self._service(no_beams))
 
     # -- per-beam unit-power gains -------------------------------------------
 
     def beam_gains(self, beam, humans: bool = True) -> np.ndarray:
-        """(n_realizations, n_targets) energies at 1 W transmit power, as a
-        new array. With ``humans=False`` only the users part is computed and
-        its cached (n_realizations, n_users) table is returned."""
-        tables = self._tables([beam], humans)[0]
+        """(n_realizations, n_targets) energies at 1 W transmit power, users
+        then humans, as a new array. With ``humans=False`` only the users
+        part is computed and its cached (n_realizations, n_users) table is
+        returned."""
+        tables = [self._tables([beam], part)[0] for part in ((0, 1) if humans else (0,))]
         return np.concatenate(tables, axis=1) if humans else tables[0]
 
     def _key(self, beam):
@@ -307,82 +309,69 @@ class Evaluator:
         return pid, (round(beam.zenith, 12), round(beam.azimuth, 12),
                      width_to_panel(beam.width, self._panels[pid]))
 
-    def _tables(self, beams, humans, keys=None):
-        """Each beam's cached (users table,) or, when ``humans`` is true,
-        (users table, humans table), given the beams' ``_key``s or keying
-        them. The missing tables are filled in one ``_Part.fill`` per part,
-        so one part's terms are freed before the next part's are computed."""
-        parts = (0, 1) if humans else (0,)
+    def _tables(self, beams, part, keys=None):
+        """Each beam's cached (realizations, targets) table of ``part`` (0:
+        the users, 1: the humans), given the beams' ``_key``s or keying
+        them. The missing tables are filled in one ``_Part.fill`` per PoA,
+        so one PoA's terms are freed before the next PoA's are computed."""
         keys = [self._key(beam) for beam in beams] if keys is None else keys
         missing = {}
         for beam, (pid, key) in zip(beams, keys):
-            for part in parts:
-                if key not in self._parts[pid, part].tables:
-                    missing.setdefault((pid, part), {})[key] = beam
-        for (pid, part), group in missing.items():
+            if key not in self._parts[pid, part].tables:
+                missing.setdefault(pid, {})[key] = beam
+        for pid, group in missing.items():
             self._parts[pid, part].fill(group, self._panels[pid])
-        return [tuple(self._parts[pid, part].tables[key] for part in parts)
-                for pid, key in keys]
+        return [self._parts[pid, part].tables[key] for pid, key in keys]
 
     # -- the power core: stack, scale, verdict ----------------------------------
 
-    def stack(self, solution, humans: bool = True, base: GainStack | None = None) -> GainStack:
-        """Unit-power gains of the solution's beams at every user, and also at
-        every human when ``humans`` is true. The stack depends on the beams
-        only, so one serves every power vector over them. A beam, owner or
-        user the scenario lacks, or a beam listed twice or under a PoA that
-        does not own it, raises ``SolutionInvalidError``.
+    def stack(self, solution, base: GainStack | None = None) -> GainStack:
+        """Unit-power gains of the solution's beams at every user. The stack
+        depends on the beams only, so one serves every power vector over
+        them. A beam, owner or user the scenario lacks, or a beam listed
+        twice or under a PoA that does not own it, raises
+        ``SolutionInvalidError``.
 
-        Built on ``base`` (a stack of the same ``humans``), it costs what
-        changed: with every row's ``BeamConfig`` the very object ``base``
-        holds, it is ``base``; with every row serving the users it serves in
-        ``base``, it shares base's ``live`` to ``noise``; and only a live row
-        whose beam object changed is keyed, and read only where its table
-        key is not the one its row of base's gains holds."""
-        width = len(self.targets) if humans else self._n_users
-        if base is not None and base.gains.shape[1] != width:
-            raise ValueError("base must be stacked with the same humans")
+        It is built on ``base``, by default the stack of no beams, and costs
+        what changed: with every row's ``BeamConfig`` the very object
+        ``base`` holds, it is ``base``; with every row serving the users it
+        serves in ``base``, it shares base's ``live`` to ``noise``; and only
+        a live row whose beam object changed is keyed, and read only where
+        its table key is not the one its row of base's gains holds."""
+        base = self._no_beams if base is None else base
         try:
             beams, changed = self._rows(solution.beams, base)
-            if base is None:
-                service = self._service(beams)
-                gains = np.empty((len(beams), width, self.n_realizations))
-                keys = [None] * len(beams)
-                changed = service[0].tolist()
-            elif not changed:
+            if not changed:
                 return base
-            else:
-                service = ((base.live, base.poa_of_beam, base.share, base.co_channel,
-                            base.serving, base.interferers, base.bandwidth, base.noise)
-                           if all(_served(beams[row]) == _served(base.beams[row])
-                                  for row in changed)
-                           else self._service(beams))
-                gains, keys = base.gains, list(base.keys)
+            service = ((base.live, base.poa_of_beam, base.share, base.serving,
+                        base.interferers, base.bandwidth, base.noise)
+                       if all(_served(beams[row]) == _served(base.beams[row]) for row in changed)
+                       else self._service(beams))
         except KeyError:
             raise SolutionInvalidError(validate(solution, self.scenario)) from None
-        read = []
+        keys, read = list(base.keys), []
         for row in changed:
             if beams[row] is not None and beams[row].active:
                 key = self._key(beams[row])
                 if key != keys[row]:
                     keys[row] = key
                     read.append(row)
+        gains = base.gains
         if read:
-            if base is not None:
-                gains = gains.copy()
-            for row, parts in zip(read, self._tables([beams[row] for row in read], humans,
+            gains = gains.copy()
+            for row, table in zip(read, self._tables([beams[row] for row in read], 0,
                                                      [keys[row] for row in read])):
-                gains[row] = np.concatenate(parts, axis=1).T
+                gains[row] = table.T
         return GainStack(solution.beams, tuple(beams), tuple(keys), gains, *service)
 
     def _rows(self, listing, base):
         """Each row's ``BeamConfig`` in the solution's beam ``listing`` (None
         for a row it lists no beam for), and the rows whose beam is not the
-        object ``base`` holds (None without ``base``). A listing that keeps
-        base's length, ids and owners in place is read against base's
-        listing; any other is looked up beam by beam, and an unknown or
-        repeated (beam id, owner) raises ``KeyError``."""
-        if base is not None and len(listing) == len(base.listing):
+        object ``base`` holds. A listing that keeps base's length, ids and
+        owners in place is read against base's listing; any other is looked
+        up beam by beam, and an unknown or repeated (beam id, owner) raises
+        ``KeyError``."""
+        if len(listing) == len(base.listing):
             beams, changed = list(base.beams), []
             for new, old in zip(listing, base.listing):
                 if new is not old:
@@ -399,36 +388,41 @@ class Evaluator:
             if beams[row] is not None:
                 raise KeyError(b.beam_id)
             beams[row] = b
-        return beams, (None if base is None else
-                       [row for row, (new, old) in enumerate(zip(beams, base.beams))
-                        if new is not old])
+        return beams, [row for row, (new, old) in enumerate(zip(beams, base.beams))
+                       if new is not old]
 
     def _service(self, beams):
         """The ``GainStack`` fields ``live`` to ``noise`` of the rows'
-        ``beams``: which rows are live and which serves each user."""
+        ``beams``: which rows are live and which serves each user. An
+        unknown served user raises ``KeyError``."""
         live, serving = [row for row, b in enumerate(beams) if b is not None and b.active], {}
         for k, row in enumerate(live):
             for uid in beams[row].served_users:
                 serving.setdefault(self._column_of_user[uid], k)
         poa_of_beam = self._row_poa[live]
         freq = self._poa_frequency[poa_of_beam]
-        co_channel = ((freq[:, None] == freq[None, :])
-                      & (poa_of_beam[:, None] != poa_of_beam[None, :]))
         serving = np.array([serving.get(c, len(live)) for c in range(self._n_users)], dtype=int)
         served = serving < len(live)
+        rows = serving[served]
         interferers = np.zeros((len(live), self._n_users, 1), dtype=bool)
-        interferers[:, served, 0] = co_channel[:, serving[served]]
+        interferers[:, served, 0] = ((freq[:, None] == freq[rows])
+                                     & (poa_of_beam[:, None] != poa_of_beam[rows]))
         bandwidth = np.full(self._n_users, np.nan)
-        bandwidth[served] = self._poa_bandwidth[poa_of_beam[serving[served]]]
+        bandwidth[served] = self._poa_bandwidth[poa_of_beam[rows]]
         share = np.bincount(poa_of_beam, minlength=len(self._poa_index))[poa_of_beam]
-        return (np.array(live, dtype=int), poa_of_beam, share, co_channel, serving, interferers,
+        return (np.array(live, dtype=int), poa_of_beam, share, serving, interferers,
                 bandwidth, NOISE_DENSITY_W_HZ * bandwidth[:, None])
 
-    def scaled(self, stack, tx_power) -> np.ndarray:
-        """Received power [W] of every live row under per-PoA levels [dBm]:
-        its gains times its share of its PoA's power."""
+    def _watts(self, stack, tx_power) -> np.ndarray:
+        """(live, 1, 1) transmit power [W] of each live row under per-PoA
+        levels [dBm]: its share of its PoA's power."""
         watts = np.array([ch.dbm_to_watts(tx_power.get(pid, -math.inf)) for pid in self._poa_index])
-        return (watts[stack.poa_of_beam] / stack.share)[:, None, None] * stack.gains[stack.live]
+        return (watts[stack.poa_of_beam] / stack.share)[:, None, None]
+
+    def scaled(self, stack, tx_power) -> np.ndarray:
+        """Received power [W] of every live row at every user under per-PoA
+        levels [dBm], (live, users, realizations)."""
+        return self._watts(stack, tx_power) * stack.gains[stack.live]
 
     def _terms(self, stack, power, user_ids=None):
         """Each user's signal and interference [W], (users, realizations),
@@ -442,7 +436,7 @@ class Evaluator:
         noise and bandwidth are the stack's, gathered at the users asked.
         """
         if user_ids is None:
-            user_ids, cols, at_users = self._user_ids, self._all_columns, power[:, :self._n_users]
+            user_ids, cols, at_users = self._user_ids, self._all_columns, power
             interferers, noise, bandwidth = stack.interferers, stack.noise, stack.bandwidth
         else:
             try:
@@ -473,13 +467,18 @@ class Evaluator:
         signal, interference, noise, bandwidth = self._terms(stack, power, user_ids)
         return shannon_rate(bandwidth[:, None], signal / (noise + interference))
 
-    def _exposure(self, stack, power):
-        """Per-human mean SAR (humans,)."""
+    def _exposure(self, stack, tx_power):
+        """Per-human mean SAR (humans,) under per-PoA levels [dBm], from the
+        humans tables of the live rows' keys, each scaled by its row's
+        watts."""
+        live = stack.live.tolist()
+        tables = self._tables([stack.beams[row] for row in live], 1,
+                              [stack.keys[row] for row in live])
+        at_humans = np.array([w * t.T for w, t in zip(self._watts(stack, tx_power), tables)])
         beam_freq = self._poa_frequency[stack.poa_of_beam]
-        at_humans = power[:, self._n_users:]
         fields = {f: incident_field(power_density(f, at_humans[beam_freq == f].sum(axis=0)))
                   for f in sorted(set(beam_freq.tolist()))}
-        sar = np.zeros((len(self.scenario.humans), self.n_realizations))
+        sar = np.zeros((len(self._human_ids), self.n_realizations))
         for name, rows in self._humans_by_phantom.items():
             sar[rows] = sar_wb({f: e[rows] for f, e in fields.items()},
                                self.scenario.phantoms[name], self.scenario.frequency_map)
@@ -510,9 +509,8 @@ class Evaluator:
         """Averaged rates and SAR over all realizations, plus feasibility."""
         scenario = self.scenario
         stack = self.stack(solution)
-        power = self.scaled(stack, solution.tx_power)
-        rates = self._rates(stack, power).mean(axis=-1)
-        sar = self._exposure(stack, power)
+        sar = self._exposure(stack, solution.tx_power)
+        rates = self.mean_rates(stack, solution.tx_power)
         active = set(solution.active_poas())
         return MetricsBundle(
             per_user_rate={u.id: float(r) for u, r in zip(scenario.users, rates)},
@@ -535,9 +533,10 @@ class Evaluator:
         rows = []
         drawn = {}  # (PoA id, part) -> the los, pathloss_db and shadow_db of its links
         stack = self.stack(solution)
-        for b in [b for b in solution.beams if b.active]:
+        active = [b for b in solution.beams if b.active]
+        for b, humans in zip(active, self._tables(active, 1)):
             poa = self.scenario.poa_by_id(b.owner_poa)
-            gains = stack.gains[self._row_of[b.beam_id, b.owner_poa]]
+            energies = stack.gains[self._row_of[b.beam_id, b.owner_poa]].T, humans
             for part in (0, 1):
                 if (poa.id, part) not in drawn:
                     link = self._parts[poa.id, part].links()
@@ -554,7 +553,7 @@ class Evaluator:
                             "bandwidth_hz": poa.bandwidth,
                             "target_id": tid,
                             "target_kind": ("user", "human")[part],
-                            "unit_energy_w": float(gains[part * self._n_users + col, r]),
+                            "unit_energy_w": float(energies[part][r, col]),
                             "los": bool(los[r, col]),
                             "pathloss_db": float(pathloss[r, col]),
                             "shadow_db": float(shadow[r, col]),

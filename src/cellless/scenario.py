@@ -365,6 +365,9 @@ def builtin_scenario(name: str, seed: int = 0) -> Scenario:
 
 
 def _validate(s: Scenario):
+    # The name is a directory of the run layout: one plain path segment.
+    if s.name in ("", ".", "..") or any(c in s.name for c in "/\\\0"):
+        raise ValidationError("name", f"must be one plain path segment, got {s.name!r}")
     lm = s.channel_params.los_model
     if lm.kind not in LOS_KINDS:
         raise ValidationError("channel_params.los_model.kind",

@@ -317,22 +317,22 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator,
     The beams never change, so their gains are stacked once.
 
     The max-power start gets the full verdict, one ``Evaluator.metrics``
-    call; it fills the human columns, which only that verdict and the
-    closing ``metrics`` read. A trial step then lowers one PoA ``p`` from
+    call; it fills the beams' humans tables, which only that verdict and
+    the closing ``metrics`` read. A trial step then lowers one PoA ``p`` from
     a feasible state, and only ``p``'s own users can lose their floor: one
     PoA's beams do not interfere with each other, so ``p``'s power is in
     no other user's signal and only in co-channel users' interference; and
     interference and SAR are monotone in every power (rounding included),
     so neither rises when ``p`` falls. The trial's full verdict is
-    therefore the rate floors of ``p``'s users, read from the users-only
-    stack (``Evaluator.unmet_floors``), and by induction every trial
+    therefore the rate floors of ``p``'s users, read from the users stack
+    (``Evaluator.unmet_floors``), and by induction every trial
     starts from a feasible state.
     """
     violated = evaluator.metrics(solution).violated
     if violated:
         raise NoFeasibleSolutionError(violated)
 
-    stack = evaluator.stack(solution, humans=False)
+    stack = evaluator.stack(solution)
     served = {pid: sorted(uid for b in solution.beams_of(pid) for uid in b.served_users)
               for pid in solution.active_poas()}
 

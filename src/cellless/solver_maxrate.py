@@ -54,7 +54,7 @@ def objective(solution: SolutionState, evaluator: Evaluator, base: GainStack | N
     """Minimum mean per-user rate (inf with no users) and the users stack it
     read, built on ``base``. Each scored state serves every user once, as
     ``build_geometry`` and ``neighbor`` keep it, else ``UnservedUserError``."""
-    stack = evaluator.stack(solution, humans=False, base=base)
+    stack = evaluator.stack(solution, base=base)
     rates = evaluator.mean_rates(stack, solution.tx_power)
     return (float(rates.min()) if rates.size else math.inf), stack
 

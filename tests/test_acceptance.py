@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cellless.antenna import (ISOTROPIC, THREEGPP_8DBI, PanelGeometry,
+from cellless.antenna import (ELEMENT_SPACING, ISOTROPIC, THREEGPP_8DBI, PanelGeometry,
                               SteeringDirection, element_gain_db, panel_field)
 from cellless.channel import (ChannelParams, LosModel, PathlossCoeffs, dbm_to_watts,
                               direct_paths, link_seed_words, link_terms, sample_link,
@@ -241,8 +241,8 @@ def test_criterion_08_channel_field_numerics():
         phi = float(rng.uniform(-math.pi, math.pi))
         steer = SteeringDirection(float(rng.uniform(0, math.pi)),
                                   float(rng.uniform(-math.pi, math.pi)))
-        g1 = geom.v_spacing * (math.cos(theta) - math.cos(steer.zenith))
-        g2 = geom.h_spacing * (math.sin(phi) * math.sin(theta)
+        g1 = ELEMENT_SPACING * (math.cos(theta) - math.cos(steer.zenith))
+        g2 = ELEMENT_SPACING * (math.sin(phi) * math.sin(theta)
                                - math.sin(steer.azimuth) * math.sin(steer.zenith))
         elem = 10.0 ** (element_gain_db(pattern, theta, phi) / 20.0)
         oracle = elem * sum(

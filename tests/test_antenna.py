@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cellless.antenna import (BEAMWIDTH_CONSTANT, ISOTROPIC, THREEGPP_8DBI,
+from cellless.antenna import (BEAMWIDTH_CONSTANT, ELEMENT_SPACING, ISOTROPIC, THREEGPP_8DBI,
                               PanelGeometry, SteeringDirection, _array_sum,
                               element_gain_db, panel_field, width_to_panel,
                               wrap_angle)
@@ -16,8 +16,8 @@ def element_sum_oracle(geom, theta, phi, steer):
     scalar angles or at arrays of them."""
     m, n = geom.rows, geom.cols
     elem = 10.0 ** (element_gain_db(geom.element_pattern, theta, phi) / 20.0)
-    g1 = geom.v_spacing * (np.cos(theta) - math.cos(steer.zenith))
-    g2 = geom.h_spacing * (np.sin(phi) * np.sin(theta)
+    g1 = ELEMENT_SPACING * (np.cos(theta) - math.cos(steer.zenith))
+    g2 = ELEMENT_SPACING * (np.sin(phi) * np.sin(theta)
                            - math.sin(steer.azimuth) * math.sin(steer.zenith))
     total = np.zeros(np.shape(g1), dtype=complex)
     for a in range(m):
@@ -175,7 +175,5 @@ def test_wrap_angle_range_and_congruence():
 def test_panel_geometry_validation():
     with pytest.raises(ValueError):
         PanelGeometry(0, 4)
-    with pytest.raises(ValueError):
-        PanelGeometry(4, 4, v_spacing=0.0)
     with pytest.raises(ValueError):
         PanelGeometry(4, 4, element_pattern="bogus")

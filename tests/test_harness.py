@@ -319,6 +319,22 @@ def test_cli_bad_seeds_and_run_sizes_exit_2(args, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_cli_out_at_a_regular_file_exits_2_before_any_run(under, tmp_path, capsys, monkeypatch):
+    """An ``--out`` that is, or lies under, a regular file exits 2 naming
+    the path, before any run is solved."""
+    import cellless.harness as harness
+
+    runs = []
+    monkeypatch.setattr(harness, "_run_one", lambda *args: runs.append(args))
+    (tmp_path / "taken").write_text("")
+    out = str(tmp_path / "taken" / "out" if under else tmp_path / "taken")
+    assert main(["run", "--scenario", "inf-dh-desk", "--solver", "ctm", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write --out {out!r}: " in err and "Traceback" not in err
+    assert runs == []
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(seeds=(-1,)), dict(seeds=()), dict(seeds=(1, 1)), dict(seeds=(0, 2, 0)),
     dict(n_realizations=0), dict(workers=0),

@@ -13,9 +13,9 @@ from cellless.antenna import PanelGeometry, SteeringDirection, width_to_panel, w
 from cellless import channel as ch
 from cellless.channel import (NOISE_DENSITY_DBM_HZ, ChannelParams, dbm_to_watts, link_terms,
                               steered_energy)
-from cellless.exposure import FrequencyMap
+from cellless.exposure import FrequencyMap, incident_field, sar_wb
 from cellless.radio_metrics import (NOISE_DENSITY_W_HZ, Evaluator, SolutionInvalidError,
-                                    UnservedUserError, evaluate, shannon_rate)
+                                    UnservedUserError, evaluate, power_density, shannon_rate)
 from cellless.scenario import PoA, Position3D, Scenario, builtin_scenario
 from cellless.solution import BeamConfig, SolutionState
 from cellless.solver_ctm import CtmConfig, build_geometry
@@ -28,16 +28,21 @@ def ev(tiny_scenario):
     return Evaluator(tiny_scenario, seed=5, n_realizations=8)
 
 
+def _targets(ev):
+    """The Evaluator's users, then its humans: target index order."""
+    return list(ev.scenario.users) + list(ev.scenario.humans)
+
+
 def _user_terms(ev, solution, user_ids):
     """``Evaluator._terms`` of ``user_ids`` on the solution's users stack:
     signal, interference, noise and bandwidth."""
-    stack = ev.stack(solution, humans=False)
+    stack = ev.stack(solution)
     return ev._terms(stack, ev.scaled(stack, solution.tx_power), user_ids)
 
 
 def _mean_rates(ev, solution):
     """``Evaluator.mean_rates`` on the solution's users stack."""
-    return ev.mean_rates(ev.stack(solution, humans=False), solution.tx_power)
+    return ev.mean_rates(ev.stack(solution), solution.tx_power)
 
 
 def _sinr(ev, solution, user_id):
@@ -48,7 +53,7 @@ def _sinr(ev, solution, user_id):
 
 def _rate(ev, solution, user_id):
     """One user's per-realization achievable rate [bit/s]."""
-    stack = ev.stack(solution, humans=False)
+    stack = ev.stack(solution)
     return ev._rates(stack, ev.scaled(stack, solution.tx_power), [user_id])[0]
 
 
@@ -103,7 +108,7 @@ def _assert_links_keyed_per_link(ev, p_idx):
                 for col in range(links.los.shape[1]):
                     t_idx = part * n_users + col
                     one = one_link(poa.position.as_tuple(), poa.frequency,
-                                   ev.targets[t_idx].position.as_tuple(),
+                                   _targets(ev)[t_idx].position.as_tuple(),
                                    ev.scenario.channel_params, (ev.seed, r, p_idx, t_idx))
                     for name in ([f.name for f in dataclasses.fields(one)]
                                  + ["aod_zenith", "aod_azimuth"]):
@@ -197,7 +202,7 @@ def test_sinr_power_scaling_without_interference(tiny_scenario, tiny_solution, e
     assert np.allclose(s2, 2.0 * s1, rtol=1e-5)
     # Against the explicit formula.
     beam = sol.beam_for_user("u0")
-    gains = ev.beam_gains(beam)[:, [t.id for t in ev.targets].index("u0")]
+    gains = ev.beam_gains(beam)[:, [t.id for t in _targets(ev)].index("u0")]
     noise = 10.0 ** ((NOISE_DENSITY_DBM_HZ - 30.0) / 10.0) * 20e6
     n_active = len([b for b in sol.beams_of("poaA") if b.active])
     p = 10.0 ** ((20.0 - 30.0) / 10.0) / n_active
@@ -263,6 +268,12 @@ def test_unserved_user_sinr_raises(tiny_scenario, tiny_solution, ev):
         _user_terms(ev, tiny_solution, ["u99"])
 
 
+def _beam_watts(solution, pid):
+    """Each active beam's share [W] of PoA ``pid``'s solved power."""
+    n = len([b for b in solution.beams_of(pid) if b.active])
+    return 10.0 ** ((solution.tx_power[pid] - 30.0) / 10.0) / n
+
+
 def test_dump_links_recomputes_sinr(tiny_scenario, tiny_solution, ev):
     """The dump plus solved powers is enough to rebuild every user's signal,
     interference and noise, and so every SINR."""
@@ -271,10 +282,6 @@ def test_dump_links_recomputes_sinr(tiny_scenario, tiny_solution, ev):
     by_key = {}
     for r in rows:
         by_key[(r["realization"], r["beam_id"], r["target_id"])] = r
-
-    def split_power(pid):
-        n = len([b for b in tiny_solution.beams_of(pid) if b.active])
-        return 10.0 ** ((tiny_solution.tx_power[pid] - 30.0) / 10.0) / n
 
     user_ids = [u.id for u in tiny_scenario.users]
     signal, interference, noise_w, bandwidth = _user_terms(ev, tiny_solution, user_ids)
@@ -286,18 +293,43 @@ def test_dump_links_recomputes_sinr(tiny_scenario, tiny_solution, ev):
         assert bandwidth[i] == poa.bandwidth
         assert noise_w[i, 0] == pytest.approx(noise, rel=1e-12, abs=0.0)
         for real in range(ev.n_realizations):
-            sig = split_power(poa.id) * \
+            sig = _beam_watts(tiny_solution, poa.id) * \
                 by_key[(real, beam.beam_id, u.id)]["unit_energy_w"]
             intf = 0.0
             for r in rows:
                 if (r["realization"] == real and r["target_id"] == u.id
                         and r["poa_id"] != poa.id
                         and r["frequency_hz"] == poa.frequency):
-                    intf += split_power(r["poa_id"]) * r["unit_energy_w"]
+                    intf += _beam_watts(tiny_solution, r["poa_id"]) * r["unit_energy_w"]
             assert intf > 0.0   # both tiny PoAs share 5 GHz
             # Powers are far below pytest.approx's default absolute slack.
             assert signal[i, real] == pytest.approx(sig, rel=1e-12, abs=0.0)
             assert interference[i, real] == pytest.approx(intf, rel=1e-12, abs=0.0)
+
+
+def test_dump_links_recomputes_sar(tiny_scenario, tiny_solution, ev):
+    """The dump's human rows plus the solved powers rebuild every human's
+    received power per frequency, and through ``power_density`` ->
+    ``incident_field`` -> ``sar_wb`` the mean SAR that ``metrics`` reports."""
+    rows = [r for r in ev.dump_links(tiny_solution) if r["target_kind"] == "human"]
+    active = [b for b in tiny_solution.beams if b.active]
+    assert len(rows) == ev.n_realizations * len(active) * len(tiny_scenario.humans)
+    sar = ev.metrics(tiny_solution).per_human_sar
+    for h in tiny_scenario.humans:
+        per_realization = []
+        for real in range(ev.n_realizations):
+            received = {}
+            for r in rows:
+                if r["realization"] == real and r["target_id"] == h.id:
+                    f = r["frequency_hz"]
+                    received[f] = (received.get(f, 0.0)
+                                   + _beam_watts(tiny_solution, r["poa_id"]) * r["unit_energy_w"])
+            fields = {f: incident_field(power_density(f, p)) for f, p in sorted(received.items())}
+            per_realization.append(sar_wb(fields, tiny_scenario.phantoms[h.phantom_id],
+                                          tiny_scenario.frequency_map))
+        want = sum(per_realization) / len(per_realization)
+        assert want > 0.0
+        assert sar[h.id] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_world_without_humans_evaluates(tiny_scenario, tiny_solution):
@@ -407,11 +439,11 @@ def test_link_energy_matches_beam_gains(tiny_scenario, ev, data, zenith, azimuth
     poa = tiny_scenario.poas[p_idx]
     width = data.draw(st.floats(poa.min_beam_width, math.pi))
     r = data.draw(st.integers(0, ev.n_realizations - 1))
-    t_idx = data.draw(st.integers(0, len(ev.targets) - 1))
+    t_idx = data.draw(st.integers(0, len(_targets(ev)) - 1))
     beam = BeamConfig("probe", poa.id, azimuth, zenith, width, frozenset({"u0"}))
 
     link = one_link(poa.position.as_tuple(), poa.frequency,
-                    ev.targets[t_idx].position.as_tuple(), tiny_scenario.channel_params,
+                    _targets(ev)[t_idx].position.as_tuple(), tiny_scenario.channel_params,
                     (ev.seed, r, p_idx, t_idx))
     panel = PanelGeometry(poa.panel_rows, poa.panel_cols, mech_azimuth=poa.mech_azimuth,
                           element_pattern=poa.element_pattern)
@@ -451,8 +483,8 @@ def test_unknown_beams_owners_and_users_are_refused(tiny_scenario, tiny_solution
     evaluated as if it were legal."""
     code, beams = _wrong_listings(tiny_solution)[case]
     wrong = replace(tiny_solution, beams=beams)
-    for view in (lambda: ev.stack(wrong, humans=False), lambda: ev.metrics(wrong),
-                 lambda: ev.mean_rates(ev.stack(wrong, humans=False), wrong.tx_power),
+    for view in (lambda: ev.stack(wrong), lambda: ev.metrics(wrong),
+                 lambda: ev.mean_rates(ev.stack(wrong), wrong.tx_power),
                  lambda: ev.dump_links(wrong)):
         with pytest.raises(SolutionInvalidError) as info:
             view()
@@ -526,12 +558,13 @@ def test_user_views_equal_metrics_bit_for_bit(world, seed, realizations):
 
 
 def _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams):
-    """Fill every beam's table in one stack call, then compare each part of
-    each table byte for byte with a one-beam ``steered_energy`` call over
-    the whole part. The fill computes one ``link_terms`` per block of each
-    part, shared by all the part's beams."""
+    """Fill every beam's tables in one ``_tables`` call per part, then
+    compare each part of each table byte for byte with a one-beam
+    ``steered_energy`` call over the whole part. The fill computes one
+    ``link_terms`` per block of each part, shared by all the part's beams."""
     calls = _count_link_terms_parts(monkeypatch, ev)
-    ev.stack(SolutionState(beams=tuple(beams), tx_power={}))
+    for part in (0, 1):
+        ev._tables(beams, part)
     monkeypatch.undo()
     parts = {(b.owner_poa, part) for b in beams for part in (0, 1)}
     assert len(parts) < 2 * len(beams)
@@ -635,7 +668,8 @@ def test_first_fill_peak_memory_is_flat_in_realizations():
         ev = Evaluator(scenario, seed=1, n_realizations=n_realizations)
         tracemalloc.start()
         try:
-            ev._tables(beams, humans=True)
+            for part in (0, 1):
+                ev._tables(beams, part)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -847,7 +881,7 @@ def test_nan_floor_or_ceiling_is_a_violation(tiny_scenario, tiny_solution):
     users = (replace(tiny_scenario.users[0], required_rate=math.nan),) + tiny_scenario.users[1:]
     nan_floor = Evaluator(replace(tiny_scenario, users=users), 5, 4)
     assert set(nan_floor.metrics(tiny_solution).violated) == set(base) | {"rate:u0"}
-    stack = nan_floor.stack(tiny_solution, humans=False)
+    stack = nan_floor.stack(tiny_solution)
     assert nan_floor.unmet_floors(stack, tiny_solution.tx_power, ["u0"]) == ["rate:u0"]
     nan_limit = Evaluator(replace(tiny_scenario, sar_limit=math.nan), 5, 4)
     assert [v for v in nan_limit.metrics(tiny_solution).violated

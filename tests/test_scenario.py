@@ -313,6 +313,13 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d["phantoms"][1].update(bmi_ref=-22.0), "phantoms[1].bmi_ref"),
     (lambda d: d["phantoms"][0].update(sar_ref={}), "phantoms[0].sar_ref"),
     (lambda d: d["phantoms"][0]["sar_ref"].update({"1e9": 0.0}), "phantoms[0].sar_ref.1e9"),
+    (lambda d: d.update(name="../escaped"), "name"),
+    (lambda d: d.update(name="a/b"), "name"),
+    (lambda d: d.update(name="a\\b"), "name"),
+    (lambda d: d.update(name=""), "name"),
+    (lambda d: d.update(name="."), "name"),
+    (lambda d: d.update(name=".."), "name"),
+    (lambda d: d.update(name="a\0b"), "name"),
 ], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
         "maxpow-minus-inf", "user-z-nan", "poa-z-inf", "bounds-length-inf",
         "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
@@ -331,7 +338,9 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
         "linked-user-number", "panel-rows-zero", "panel-cols-zero", "e-ref-zero",
         "frequency-key-nan", "sar-ref-key-infinity", "frequency-key-not-number",
         "n-rays-zero", "n-clusters-negative", "delay-spread-zero", "zenith-spread-negative",
-        "bmi-zero", "bmi-ref-negative", "sar-ref-empty", "sar-ref-value-zero"])
+        "bmi-zero", "bmi-ref-negative", "sar-ref-empty", "sar-ref-value-zero",
+        "name-escapes", "name-slash", "name-backslash", "name-empty", "name-dot",
+        "name-dot-dot", "name-nul"])
 
 
 @_BAD_INPUTS

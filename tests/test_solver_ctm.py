@@ -407,7 +407,7 @@ def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
     changes a bit, no interference rises, and the noise is the serving
     PoA's."""
     evaluator, solution = world
-    stack = evaluator.stack(solution, humans=False)
+    stack = evaluator.stack(solution)
     assert evaluator.metrics(solution).violated == []
     pid = data.draw(st.sampled_from(solution.active_poas()))
     lowered = solution.with_power(pid, solution.tx_power[pid] - data.draw(st.floats(0.0, 40.0)))

@@ -90,15 +90,14 @@ def _count_keys(mp):
 
 
 #: The ``GainStack`` fields that say which rows are live and serve whom.
-_SERVICE = ("live", "poa_of_beam", "share", "co_channel", "serving",
-            "interferers", "bandwidth", "noise")
+_SERVICE = ("live", "poa_of_beam", "share", "serving", "interferers", "bandwidth", "noise")
 
 
 def _assert_equals_fresh_stack(ev, stack, solution):
-    """``stack`` has the live and serving rows, power shares, co-channel
-    pairs, per-user masks, bandwidths and noise, live-row bytes and
+    """``stack`` has the live and serving rows, power shares, per-user
+    co-channel masks, bandwidths and noise, live-row bytes and
     ``mean_rates`` bits of a fresh users stack."""
-    fresh = ev.stack(solution, humans=False)
+    fresh = ev.stack(solution)
     for name in _SERVICE:
         assert getattr(stack, name).tobytes() == getattr(fresh, name).tobytes(), name
     assert stack.beams == fresh.beams
@@ -127,7 +126,7 @@ def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
              lambda s: move_reassign(s, scenario, rng))
     with pytest.MonkeyPatch.context() as mp:
         keyed = _count_keys(mp)
-        current = ev.stack(sol, humans=False)
+        current = ev.stack(sol)
         steps = st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=25)
         for kind, accepted in data.draw(steps):
             cand = moves[kind](sol)
@@ -136,7 +135,7 @@ def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
             assert kind != 0 or not changed
             del keyed[:]
             tables = _table_count(ev)
-            stack = ev.stack(cand, humans=False, base=current)
+            stack = ev.stack(cand, base=current)
             assert len(keyed) == len(changed)
             if not changed:
                 assert stack.gains is current.gains and _table_count(ev) == tables
@@ -232,15 +231,15 @@ def test_a_reassign_that_wakes_one_beam_and_idles_another_keys_one_row(tiny_scen
     and the stack equals a fresh one."""
     ev = Evaluator(tiny_scenario, seed=0, n_realizations=2)
     sol = serve_all_solution(tiny_scenario)
-    base = ev.stack(sol, humans=False)
+    base = ev.stack(sol)
     moved = replace(sol, beams=tuple(
         replace(b, served_users=b.served_users ^ {"u2"})
         if b.beam_id in (sol.beam_for_user("u2").beam_id, "poaA-b1") else b for b in sol.beams))
     with pytest.MonkeyPatch.context() as mp:
         keyed = _count_keys(mp)
-        stack = ev.stack(moved, humans=False, base=base)
+        stack = ev.stack(moved, base=base)
     assert len(keyed) == 1
-    fresh = ev.stack(moved, humans=False)
+    fresh = ev.stack(moved)
     assert stack.live.tolist() == fresh.live.tolist() == [0, 1]  # poaA's two beams
     assert base.live.tolist() == [0, 2]
     assert stack.serving.tolist() == fresh.serving.tolist() == [0, 0, 1]
