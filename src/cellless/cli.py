@@ -89,6 +89,9 @@ def main(argv=None):
         except ValueError as e:
             print(str(e), file=sys.stderr)
             return EXIT_VALIDATION
+        except OSError as e:
+            print(f"cannot plot: {e}", file=sys.stderr)
+            return EXIT_VALIDATION
         print(f"wrote {args.out}")
         return EXIT_OK
 

@@ -196,7 +196,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
         # run and a bare ``import cellless`` never need.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(spec.workers, len(tasks))) as pool:
             futures = [pool.submit(_run_one, spec, seed, solver)
                        for seed, solver in tasks]
             records = [f.result() for f in futures]

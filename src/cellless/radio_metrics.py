@@ -51,11 +51,11 @@ geometries; that power feeds ``power_density`` ->
 checked against the rate floors and the SAR ceiling. ``metrics`` composes
 ``mean_rates`` and the exposure, and is the only full verdict:
 ``violated`` is every missed floor and ceiling, and ``feasible`` is that
-list being empty. ``unmet_floors`` (the CtM descent's check of one PoA's
-users) and ``mean_rates`` read some or all users' rates from a stack the
-caller keeps, gathering the stack's per-user arrays at the users asked.
+list being empty. ``mean_rates`` and ``unmet_floors`` (the CtM descent's
+check of a trial power vector) read every user's rate, in scenario order,
+from a stack the caller keeps, along the one path that ``metrics`` takes.
 Interference adds the live rows one by one in row order, so a rate has the
-same bits whichever users, realization count or beam listing it comes with.
+same bits whichever realization count or beam listing it comes with.
 """
 
 from __future__ import annotations
@@ -294,13 +294,10 @@ class Evaluator:
 
     # -- per-beam unit-power gains -------------------------------------------
 
-    def beam_gains(self, beam, humans: bool = True) -> np.ndarray:
+    def beam_gains(self, beam) -> np.ndarray:
         """(n_realizations, n_targets) energies at 1 W transmit power, users
-        then humans, as a new array. With ``humans=False`` only the users
-        part is computed and its cached (n_realizations, n_users) table is
-        returned."""
-        tables = [self._tables([beam], part)[0] for part in ((0, 1) if humans else (0,))]
-        return np.concatenate(tables, axis=1) if humans else tables[0]
+        then humans, as a new array."""
+        return np.concatenate([self._tables([beam], part)[0] for part in (0, 1)], axis=1)
 
     def _key(self, beam):
         """(PoA id, table key) of the beam's gain tables: the key is its
@@ -419,53 +416,30 @@ class Evaluator:
         watts = np.array([ch.dbm_to_watts(tx_power.get(pid, -math.inf)) for pid in self._poa_index])
         return (watts[stack.poa_of_beam] / stack.share)[:, None, None]
 
-    def scaled(self, stack, tx_power) -> np.ndarray:
-        """Received power [W] of every live row at every user under per-PoA
-        levels [dBm], (live, users, realizations)."""
-        return self._watts(stack, tx_power) * stack.gains[stack.live]
-
-    def _terms(self, stack, power, user_ids=None):
+    def _terms(self, stack, tx_power):
         """Each user's signal and interference [W], (users, realizations),
-        its noise [W], (users, 1), and its bandwidth [Hz], (users,), for
-        ``user_ids``, or for every user in scenario order when None.
+        its noise [W], (users, 1), and its bandwidth [Hz], (users,), in
+        scenario order, on the beams frozen in ``stack`` under per-PoA
+        levels ``tx_power`` [dBm]. An unserved user raises
+        ``UnservedUserError``.
 
-        ``power`` is the stack's live rows scaled by their watts. Interference
-        is the power of every live beam on the serving PoA's frequency from
-        every other PoA, added beam by beam in row order, so a user's bits do
-        not depend on which other users were asked. The co-channel mask,
-        noise and bandwidth are the stack's, gathered at the users asked.
+        Each live row is scaled by its watts. Interference is the power of
+        every live beam on the serving PoA's frequency from every other PoA,
+        added beam by beam in row order.
         """
-        if user_ids is None:
-            user_ids, cols, at_users = self._user_ids, self._all_columns, power
-            interferers, noise, bandwidth = stack.interferers, stack.noise, stack.bandwidth
-        else:
-            try:
-                cols = np.array([self._column_of_user[uid] for uid in user_ids], dtype=int)
-            except KeyError as e:
-                raise UnservedUserError(e.args[0]) from None
-            at_users = power[:, cols]
-            interferers, noise, bandwidth = (stack.interferers[:, cols], stack.noise[cols],
-                                             stack.bandwidth[cols])
-        rows = stack.serving[cols]
+        power = self._watts(stack, tx_power) * stack.gains[stack.live]
         try:
-            signal = power[rows, cols]
+            signal = power[stack.serving, self._all_columns]
         except IndexError:  # an unserved user's row is past the live rows
-            raise UnservedUserError(user_ids[int(rows.argmax())]) from None
-        per_beam = np.where(interferers, at_users, 0.0)
+            raise UnservedUserError(self._user_ids[int(stack.serving.argmax())]) from None
+        per_beam = np.where(stack.interferers, power, 0.0)
         # numpy's reduce adds pairwise along the fast axis only; over the
         # outer axis of a C-ordered array whose rows hold two numbers or more
-        # it adds row by row. Any other layout accumulates.
-        interference = (np.add.reduce(per_beam, axis=0)
-                        if per_beam.flags.c_contiguous and per_beam.size > len(per_beam)
-                        else np.add.accumulate(per_beam, axis=0)[-1] if len(per_beam)
-                        else per_beam.sum(axis=0))
-        return signal, interference, noise, bandwidth
-
-    def _rates(self, stack, power, user_ids=None):
-        """(users, realizations) achievable rates [bit/s] of ``user_ids``,
-        or of every user when None."""
-        signal, interference, noise, bandwidth = self._terms(stack, power, user_ids)
-        return shannon_rate(bandwidth[:, None], signal / (noise + interference))
+        # it adds row by row. Rows of one number accumulate instead.
+        interference = (np.add.accumulate(per_beam, axis=0)[-1]
+                        if 0 < per_beam.size == len(per_beam)
+                        else np.add.reduce(per_beam, axis=0))
+        return signal, interference, stack.noise, stack.bandwidth
 
     def _exposure(self, stack, tx_power):
         """Per-human mean SAR (humans,) under per-PoA levels [dBm], from the
@@ -484,26 +458,25 @@ class Evaluator:
                                self.scenario.phantoms[name], self.scenario.frequency_map)
         return sar.mean(axis=-1)
 
-    def _short(self, user_ids, rates):
-        """``rate:<user>`` for each user whose mean rate does not reach its
-        floor; a NaN rate or floor fails."""
-        return [f"rate:{uid}" for uid, rate in zip(user_ids, rates.tolist())
+    def _short(self, rates):
+        """``rate:<user>`` for each user, in scenario order, whose mean rate
+        does not reach its floor; a NaN rate or floor fails."""
+        return [f"rate:{uid}" for uid, rate in zip(self._user_ids, rates.tolist())
                 if not rate >= self._rate_floor[uid]]
 
-    def unmet_floors(self, stack, tx_power, user_ids) -> list:
-        """The rate floors (``rate:<user>``) of ``user_ids`` that the beams
-        frozen in ``stack`` miss under per-PoA powers ``tx_power`` [dBm],
-        in the order asked. Each rate is composed from the ``_terms`` that
-        ``metrics`` reads, so it has the same bits."""
-        rates = self._rates(stack, self.scaled(stack, tx_power), user_ids).mean(axis=-1)
-        return self._short(user_ids, rates)
+    def unmet_floors(self, stack, tx_power) -> list:
+        """The rate floors (``rate:<user>``) that the beams frozen in
+        ``stack`` miss under per-PoA powers ``tx_power`` [dBm], in scenario
+        order: the rate part of ``metrics``' verdict, bit for bit."""
+        return self._short(self.mean_rates(stack, tx_power))
 
     # -- views -------------------------------------------------------------------
 
     def mean_rates(self, stack, tx_power) -> np.ndarray:
         """Mean rate [bit/s] over realizations of every user, in scenario
         order, on the beams frozen in ``stack`` under ``tx_power`` [dBm]."""
-        return self._rates(stack, self.scaled(stack, tx_power)).mean(axis=-1)
+        signal, interference, noise, bandwidth = self._terms(stack, tx_power)
+        return shannon_rate(bandwidth[:, None], signal / (noise + interference)).mean(axis=-1)
 
     def metrics(self, solution: SolutionState) -> MetricsBundle:
         """Averaged rates and SAR over all realizations, plus feasibility."""
@@ -519,7 +492,7 @@ class Evaluator:
                 p.id: solution.tx_power.get(p.id, -math.inf) if p.id in active else -math.inf
                 for p in scenario.poas},
             total_power=solution.total_power_watts(),
-            violated=self._short(self._user_ids, rates) + [   # a NaN SAR or limit fails
+            violated=self._short(rates) + [   # a NaN SAR or limit fails
                 f"sar:{hid}" for hid, within in
                 zip(self._human_ids, (sar <= scenario.sar_limit).tolist()) if not within],
         )

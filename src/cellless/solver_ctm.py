@@ -318,27 +318,21 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator,
 
     The max-power start gets the full verdict, one ``Evaluator.metrics``
     call; it fills the beams' humans tables, which only that verdict and
-    the closing ``metrics`` read. A trial step then lowers one PoA ``p`` from
-    a feasible state, and only ``p``'s own users can lose their floor: one
-    PoA's beams do not interfere with each other, so ``p``'s power is in
-    no other user's signal and only in co-channel users' interference; and
-    interference and SAR are monotone in every power (rounding included),
-    so neither rises when ``p`` falls. The trial's full verdict is
-    therefore the rate floors of ``p``'s users, read from the users stack
-    (``Evaluator.unmet_floors``), and by induction every trial
-    starts from a feasible state.
+    the closing ``metrics`` read. A trial step then lowers one PoA from a
+    feasible state and is judged on every user's floor, read from the users
+    stack (``Evaluator.unmet_floors``). Rates and SAR are monotone in every
+    power, rounding included: a user's signal is its serving PoA's power
+    alone, and interference and SAR only add powers. Lowering one PoA
+    therefore raises no SAR and lowers no rate but its own users', so SAR
+    is never checked again, by induction every trial starts from a feasible
+    state, and a check of every floor accepts exactly the steps that a check
+    of the lowered PoA's users alone would, to the same dBm bit for bit.
     """
     violated = evaluator.metrics(solution).violated
     if violated:
         raise NoFeasibleSolutionError(violated)
 
     stack = evaluator.stack(solution)
-    served = {pid: sorted(uid for b in solution.beams_of(pid) for uid in b.served_users)
-              for pid in solution.active_poas()}
-
-    def floors_met(pid, sol):
-        return not evaluator.unmet_floors(stack, sol.tx_power, served[pid])
-
     current = solution
     active = set(current.active_poas())
     for round_idx in range(config.refinement_rounds + 1):
@@ -350,7 +344,7 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator,
             for pid in order:
                 while True:
                     trial = current.with_power(pid, current.tx_power[pid] - delta)
-                    if floors_met(pid, trial):
+                    if not evaluator.unmet_floors(stack, trial.tx_power):
                         current = trial
                         changed = True
                     else:

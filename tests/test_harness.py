@@ -76,11 +76,11 @@ def test_output_layout_and_reparse(run_out):
 
 def test_summary_names_the_package_version(run_out):
     """Every summary.json records the version of the numbers that made it,
-    the one pyproject.toml declares."""
+    the one pyproject.toml reads from ``cellless.__version__``."""
     spec, records = run_out
-    declared = re.search(r'^version = "([^"]+)"$',
-                         (Path(__file__).parents[1] / "pyproject.toml").read_text(), re.M)
-    assert declared and declared.group(1) == cellless.__version__
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^dynamic = \["version"\]$', pyproject, re.M)
+    assert re.search(r'^version = \{attr = "cellless\.__version__"\}$', pyproject, re.M)
     for r in records:
         summary, _ = load_run_metrics(Path(spec.out_dir) / r.scenario_name / str(r.seed) / r.solver)
         assert summary["cellless_version"] == cellless.__version__
@@ -494,6 +494,42 @@ def test_cli_plot_on_a_metrics_csv_without_a_column_exits_2(run_out, tmp_path, c
                  "--out", str(tmp_path / "rates.csv")]) == 2
     err = capsys.readouterr().err
     assert str(broken) in err and "'kind'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["no-metrics-csv", "out-in-missing-dir", "out-is-a-dir"])
+def test_cli_plot_on_a_file_error_exits_2(run_out, tmp_path, capsys, case):
+    """A run directory without its metrics.csv, an --out inside a missing
+    directory and an --out that is a directory exit 2 naming the path,
+    instead of a traceback."""
+    spec, _ = run_out
+    out = shutil.copytree(spec.out_dir, tmp_path / "out")
+    dest = named = {"no-metrics-csv": tmp_path / "bars.csv",
+                    "out-in-missing-dir": tmp_path / "missing" / "bars.csv",
+                    "out-is-a-dir": tmp_path}[case]
+    if case == "no-metrics-csv":
+        named = out / "inf-dh-desk" / "1" / "ctm" / "metrics.csv"
+        named.unlink()
+    assert main(["plot", "--kind", "power-bars", "--in", str(out), "--out", str(dest)]) == 2
+    err = capsys.readouterr().err
+    assert str(named) in err and "Traceback" not in err
+
+
+def test_run_experiment_starts_at_most_one_worker_per_run(tmp_path, monkeypatch):
+    """A pool wider than the run count forks idle workers: two runs with
+    eight workers start a pool of two."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    records = run_experiment(tiny_spec(tmp_path, seeds=(1, 2), workers=8, out_dir=None))
+    assert sizes == [2]
+    assert [(r.seed, r.error) for r in records] == [(1, None), (2, None)]
 
 
 def test_cli_validate_ok_and_bad(tmp_path, capsys):

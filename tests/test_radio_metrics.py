@@ -34,10 +34,10 @@ def _targets(ev):
 
 
 def _user_terms(ev, solution, user_ids):
-    """``Evaluator._terms`` of ``user_ids`` on the solution's users stack:
-    signal, interference, noise and bandwidth."""
-    stack = ev.stack(solution)
-    return ev._terms(stack, ev.scaled(stack, solution.tx_power), user_ids)
+    """``Evaluator._terms`` on the solution's users stack, at the columns of
+    ``user_ids``: signal, interference, noise and bandwidth."""
+    cols = [[u.id for u in ev.scenario.users].index(uid) for uid in user_ids]
+    return tuple(term[cols] for term in ev._terms(ev.stack(solution), solution.tx_power))
 
 
 def _mean_rates(ev, solution):
@@ -53,8 +53,8 @@ def _sinr(ev, solution, user_id):
 
 def _rate(ev, solution, user_id):
     """One user's per-realization achievable rate [bit/s]."""
-    stack = ev.stack(solution)
-    return ev._rates(stack, ev.scaled(stack, solution.tx_power), [user_id])[0]
+    signal, interference, noise, bandwidth = _user_terms(ev, solution, [user_id])
+    return shannon_rate(bandwidth[:, None], signal / (noise + interference))[0]
 
 
 def test_shannon_rate_pins():
@@ -162,6 +162,15 @@ def _first_fill(ev, pid, part):
     return [(pid, _PART_NAMES[part])] * len(ev._parts[pid, part].blocks())
 
 
+def _fill(ev, beam, humans):
+    """Fill the beam's users-part table, and with ``humans`` its humans-part
+    table too (through ``beam_gains``)."""
+    if humans:
+        ev.beam_gains(beam)
+    else:
+        ev._tables([beam], 0)
+
+
 def test_rates_evaluate_user_columns_only(monkeypatch, tiny_scenario, tiny_solution):
     ev = Evaluator(tiny_scenario, seed=5, n_realizations=8)
     calls = _count_link_terms_parts(monkeypatch, ev)
@@ -192,11 +201,9 @@ def test_metrics_after_rates_equals_fresh_metrics(tiny_scenario, tiny_solution):
 
 
 def test_sinr_power_scaling_without_interference(tiny_scenario, tiny_solution, ev):
-    """With the other PoA off, SINR is signal/noise and scales linearly."""
+    """With the other PoA off (its beams still serving, at 0 W), SINR is
+    signal/noise and scales linearly."""
     sol = tiny_solution.with_power("poaB", -math.inf)
-    beams = tuple(b if b.owner_poa != "poaB" else replace(b, served_users=frozenset())
-                  for b in sol.beams)
-    sol = replace(sol, beams=beams)
     s1 = _sinr(ev, sol, "u0")
     s2 = _sinr(ev, sol.with_power("poaA", 23.0103), "u0")  # +3.0103 dB = x2
     assert np.allclose(s2, 2.0 * s1, rtol=1e-5)
@@ -212,15 +219,12 @@ def test_sinr_power_scaling_without_interference(tiny_scenario, tiny_solution, e
 def test_interference_reduces_sinr(tiny_scenario, tiny_solution, ev):
     with_intf = _sinr(ev, tiny_solution, "u0")
     quiet = tiny_solution.with_power("poaB", -math.inf)
-    beams = tuple(b if b.owner_poa != "poaB" else replace(b, served_users=frozenset())
-                  for b in quiet.beams)
-    quiet = replace(quiet, beams=beams)
     assert np.all(_sinr(ev, quiet, "u0") >= with_intf)
 
 
 def test_gain_cache_power_independent(tiny_scenario, tiny_solution, ev):
     beam = tiny_solution.beam_for_user("u0")
-    assert ev.beam_gains(beam, humans=False) is ev.beam_gains(beam, humans=False)  # cached
+    assert ev._tables([beam], 0)[0] is ev._tables([beam], 0)[0]  # cached
     g1 = ev.beam_gains(beam)
     assert g1.shape == (8, len(tiny_scenario.users) + len(tiny_scenario.humans))
     assert np.all(g1 >= 0.0)
@@ -263,9 +267,12 @@ def test_evaluate_validates_first(tiny_scenario, tiny_solution):
     assert set(m.per_user_rate) == {"u0", "u1", "u2"}
 
 
-def test_unserved_user_sinr_raises(tiny_scenario, tiny_solution, ev):
-    with pytest.raises(UnservedUserError):
-        _user_terms(ev, tiny_solution, ["u99"])
+def test_unserved_user_rates_raise(tiny_solution, ev):
+    """A stack in which one user is served by no beam has no rates: the
+    ``_terms`` under ``mean_rates`` name that user."""
+    beams = tuple(replace(b, served_users=b.served_users - {"u1"}) for b in tiny_solution.beams)
+    with pytest.raises(UnservedUserError, match="u1"):
+        _mean_rates(ev, replace(tiny_solution, beams=beams))
 
 
 def _beam_watts(solution, pid):
@@ -519,16 +526,15 @@ def test_beam_listing_order_does_not_change_a_bit(geometry_pool, world, seed, re
 
 
 # ---------------------------------------------------------------------------
-# The power core: user views asked for some users read metrics()'s rates,
-# and grouped fills equal one-beam kernel calls.
+# The power core: every user view reads metrics()'s rates, and grouped fills
+# equal one-beam kernel calls.
 
 @pytest.mark.parametrize("realizations", [1, 2, 10])
 @pytest.mark.parametrize("world, seed", [("inf-dh-desk", 2), ("umi-sc-desk", 0)])
 def test_user_views_equal_metrics_bit_for_bit(world, seed, realizations):
-    """``mean_rates``, per-user ``_terms`` and ``unmet_floors`` asked for
-    one user or for one PoA's users read the very rates ``metrics`` does,
-    also with one realization, where each user's interference is one
-    number per beam."""
+    """``mean_rates``, each user's column of ``_terms`` and ``unmet_floors``
+    read the very rates ``metrics`` does, also with one realization, where
+    each user's interference is one number per beam."""
     scenario = builtin_scenario(world, seed)
     ev = Evaluator(scenario, seed, realizations)
     sol = build_geometry(scenario, CtmConfig(seed=seed))
@@ -545,16 +551,12 @@ def test_user_views_equal_metrics_bit_for_bit(world, seed, realizations):
         assert np.array_equal(shannon_rate(bandwidth, sinr), rate)
 
     stack = ev.stack(sol)
-    groups = [[u.id] for u in scenario.users] + [
-        sorted(uid for b in sol.beams_of(pid) for uid in b.served_users)
-        for pid in sol.active_poas()]
     for above in (False, True):
         # Floors at each user's own rate are met; one ulp above, all missed.
         ev._rate_floor = {uid: math.nextafter(r, math.inf) if above else r
                           for uid, r in rates.items()}
-        for uids in groups:
-            want = [f"rate:{uid}" for uid in uids] if above else []
-            assert ev.unmet_floors(stack, sol.tx_power, uids) == want
+        want = [f"rate:{u.id}" for u in scenario.users] if above else []
+        assert ev.unmet_floors(stack, sol.tx_power) == want
 
 
 def _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams):
@@ -650,7 +652,7 @@ def test_block_fills_equal_one_beam_kernel(monkeypatch, world):
     misses = _one_beam_misses(beams[0], 3)[1:]
     for humans in (False, True):
         for b in misses:
-            ev.beam_gains(b, humans=humans)
+            _fill(ev, b, humans)
     assert _kept(ev) == {(beams[0].owner_poa, part) for part in (0, 1)}
     _assert_tables_equal_one_beam_kernel(ev, ev, misses)
 
@@ -752,7 +754,7 @@ def test_one_beam_misses_compute_link_terms_at_most_twice(monkeypatch):
     pid = beams[0].owner_poa
     misses = _one_beam_misses(beams[0], 12)
     for b in misses:
-        ev.beam_gains(b, humans=False)
+        ev._tables([b], 0)
     assert len(ev._parts[pid, 0].tables) == len(misses)
     assert ev._parts[pid, 1].tables == {}  # a users-only fill makes no humans-part table
     # The first fill's blocks, then the second fill's, then kept.
@@ -775,7 +777,7 @@ def test_kept_terms_fill_equal_one_beam_kernel(monkeypatch, world):
     calls = _count_link_terms_parts(monkeypatch, ev)
     for humans in (False, True):
         for b in beams:
-            ev.beam_gains(b, humans=humans)
+            _fill(ev, b, humans)
     monkeypatch.undo()
     kept = {pid for pid, _ in _kept(ev)}
     assert kept and _kept(ev) == {(pid, part) for pid in kept for part in (0, 1)}
@@ -825,7 +827,7 @@ def test_part_tables_under_random_calls(desk_pool, calls):
             active = [b for b in solutions[k].beams if b.active]
             if name == "beam_gains":
                 beam, humans = active[args[0] % len(active)], args[1]
-                ev.beam_gains(beam, humans=humans)
+                _fill(ev, beam, humans)
                 beams = [beam]
             else:
                 if name == "metrics":
@@ -880,9 +882,11 @@ def test_nan_floor_or_ceiling_is_a_violation(tiny_scenario, tiny_solution):
     base = Evaluator(tiny_scenario, 5, 4).metrics(tiny_solution).violated
     users = (replace(tiny_scenario.users[0], required_rate=math.nan),) + tiny_scenario.users[1:]
     nan_floor = Evaluator(replace(tiny_scenario, users=users), 5, 4)
-    assert set(nan_floor.metrics(tiny_solution).violated) == set(base) | {"rate:u0"}
+    violated = nan_floor.metrics(tiny_solution).violated
+    assert set(violated) == set(base) | {"rate:u0"}
     stack = nan_floor.stack(tiny_solution)
-    assert nan_floor.unmet_floors(stack, tiny_solution.tx_power, ["u0"]) == ["rate:u0"]
+    assert nan_floor.unmet_floors(stack, tiny_solution.tx_power) == [
+        v for v in violated if v.startswith("rate:")]
     nan_limit = Evaluator(replace(tiny_scenario, sar_limit=math.nan), 5, 4)
     assert [v for v in nan_limit.metrics(tiny_solution).violated
             if v.startswith("sar:")] == ["sar:h0", "sar:h1"]

@@ -342,7 +342,7 @@ def _reference_descent(solution, config, evaluator):
 def test_descent_matches_metrics_reference(monkeypatch, world, channel_seed, realizations):
     """On the desk worlds placed with seed 1, the descent returns the same
     dBm values as the reference after one full check of the max-power start
-    and one check of the lowered PoA's users per reference trial."""
+    and one check of every floor per reference trial."""
     scenario = builtin_scenario(world, 1)
     cfg = CtmConfig(seed=channel_seed, realizations_per_check=realizations)
     geometry = build_geometry(scenario, cfg)
@@ -356,9 +356,9 @@ def test_descent_matches_metrics_reference(monkeypatch, world, channel_seed, rea
         full.append(dict(solution.tx_power))
         return metrics(self, solution)
 
-    def counted_trial(self, stack, tx_power, user_ids):
+    def counted_trial(self, stack, tx_power):
         trials.append(dict(tx_power))
-        return unmet_floors(self, stack, tx_power, user_ids)
+        return unmet_floors(self, stack, tx_power)
 
     monkeypatch.setattr(Evaluator, "metrics", counted_full)
     monkeypatch.setattr(Evaluator, "unmet_floors", counted_trial)
@@ -401,7 +401,7 @@ def feasible_small_worlds(draw):
 @given(world=feasible_small_worlds(), data=st.data())
 def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
     """The descent's premise: from a feasible state, lowering one active PoA
-    breaks no floor or ceiling outside that PoA's users, and their floors
+    breaks no floor or ceiling outside that PoA's users, and the floors
     read from the users stack give the full verdict. Term by
     term: no other user's signal and none of that PoA's users' interference
     changes a bit, no interference rises, and the noise is the serving
@@ -414,13 +414,11 @@ def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
     own = sorted(uid for b in solution.beams_of(pid) for uid in b.served_users)
     after = evaluator.metrics(lowered).violated
     assert set(after) <= {f"rate:{uid}" for uid in own}
-    assert evaluator.unmet_floors(stack, lowered.tx_power, own) == sorted(after)
+    assert evaluator.unmet_floors(stack, lowered.tx_power) == after
 
     users = [u.id for u in evaluator.scenario.users]
-    signal, interference, noise, _ = evaluator._terms(
-        stack, evaluator.scaled(stack, solution.tx_power), users)
-    signal_after, interference_after, noise_after, _ = evaluator._terms(
-        stack, evaluator.scaled(stack, lowered.tx_power), users)
+    signal, interference, noise, _ = evaluator._terms(stack, solution.tx_power)
+    signal_after, interference_after, noise_after, _ = evaluator._terms(stack, lowered.tx_power)
     mine = np.array([uid in own for uid in users])
     assert signal_after[~mine].tobytes() == signal[~mine].tobytes()
     assert interference_after[mine].tobytes() == interference[mine].tobytes()
