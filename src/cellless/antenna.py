@@ -6,18 +6,24 @@ take local-coordinate-system (LCS) angles; the caller maps from the global
 frame by subtracting the panel's mechanical azimuth (panels are tilted 90
 degrees, slant 0, so zenith is unchanged).
 
-The field is computed in phasor form. ``panel_terms`` keeps, per
+The field is computed in phasor form. ``PanelTerms`` keep, per
 observation angle, the element-to-element phase steps along the two panel
 axes as unit phasors, u_v = exp(i*pi*d_v*cos(theta)) down a column and
 u_h = exp(i*pi*d_h*sin(phi)*sin(theta)) along a row, where d_v = d_h =
-``ELEMENT_SPACING`` wavelengths. A beam multiplies
-them by its two steering phasors, exp(-i*pi*d_v*cos(theta_s)) and
-exp(-i*pi*d_h*sin(phi_s)*sin(theta_s)), to get z = exp(i*pi*g) per axis,
-raises z to the axis's element count m by repeated squaring and sums the
-m elements in closed form (the planar array factor, Balanis, *Antenna
+``ELEMENT_SPACING`` wavelengths. A beam multiplies them by its two
+steering phasors, s_v = exp(-i*pi*d_v*cos(theta_s)) and s_h =
+exp(-i*pi*d_h*sin(phi_s)*sin(theta_s)), to get z = u*s = exp(i*pi*g) per
+axis, raises z to the axis's element count m by repeated squaring and sums
+the m elements in closed form (the planar array factor, Balanis, *Antenna
 Theory*, ch. 6): sin(m*pi*g) / (m*sin(pi*g)) * exp(i*pi*(m-1)*g) =
-Im(z^m) / (m*Im z) * z^m * conj(z). A beam therefore costs complex
-products per angle, and no sine or exponential.
+Im(z^m) / (m*Im z) * z^m * conj(u) * conj(s). Every factor that no beam
+changes, the element field, conj(u_v) * conj(u_h) and any phasor of the
+path (a ray's phase), is folded into one weight per angle (``fold_weight``;
+``channel.link_terms`` forms a ray's from one sum of phases), and
+conj(s_v*s_h) * sqrt(M*N) is one per-beam phasor (``beam_phasor``).
+``steered_sum`` applies one beam to the weights: per angle, the weight
+times each axis's ratio and z^m, complex products only, and no sine or
+exponential.
 """
 
 from __future__ import annotations
@@ -84,8 +90,17 @@ def element_gain_db(pattern, theta, phi):
     return 8.0 - np.minimum(a1 + a2, 30.0)
 
 
+def element_field(pattern, theta, phi):
+    """Element field amplitude (linear) at LCS angles: exactly 1.0 for the
+    isotropic element, which is 0 dB everywhere."""
+    if pattern == ISOTROPIC:
+        return 1.0
+    # 10^(dB/20) as one exponential: numpy's exp is vectorized, its pow is not.
+    return np.exp(element_gain_db(pattern, theta, phi) * (math.log(10.0) / 20.0))
+
+
 class FieldWork:
-    """Buffers of ``steered_field`` for up to ``size`` observation angles
+    """Buffers of ``steered_sum`` for up to ``size`` observation angles
     (at least two): three complex numbers per angle. Beams steered over
     the same angles through one workspace allocate (and page in) them
     once, not once per beam."""
@@ -109,13 +124,12 @@ def _power(z, m: int, out):
     return out
 
 
-def _array_sum(u, step, m: int, field, z, power, first: bool):
+def _array_ratio(u, step, m: int, z, power):
     """One panel axis of m elements at ``z = u * step = exp(1j*pi*g)``:
-    their sum (1/m) * sum_a z^(2a), a = 0 .. m-1, is the phase
-    exp(1j*pi*(m-1)*g) = z^m * conj(z), which is written into ``field``
-    when ``first`` and multiplied into it otherwise, times the real ratio
-    sin(m*pi*g) / (m*sin(pi*g)) = Im(z^m) / (m*Im z), which is returned
-    as a view of ``z``. ``z`` and ``power`` are scratch space.
+    writes z^m into ``power`` and returns the real ratio
+    sin(m*pi*g) / (m*sin(pi*g)) = Im(z^m) / (m*Im z) as a view of ``z``.
+    The m elements sum, (1/m) * sum_a z^(2a) for a = 0 .. m-1, to that
+    ratio times z^m * conj(z).
 
     Im(z^m) and Im z come from the same rounded z, so their ratio stays
     accurate as g nears an integer. Where |Im z| < 1e-12, g is an integer k
@@ -127,13 +141,6 @@ def _array_sum(u, step, m: int, field, z, power, first: bool):
     singular = np.less(scratch, 1e-12) if scratch.size and scratch.min() < 1e-12 else None
     if singular is not None:
         limit = 1.0 if m % 2 else np.copysign(1.0, z.real[singular])
-    # conj(z) goes into the field before z is raised to m.
-    if first:
-        np.conjugate(z, out=field)
-    else:
-        np.conjugate(z, out=z)
-        np.multiply(field, z, out=field)
-        np.conjugate(z, out=z)
     _power(z, m, power)
     ratio = np.multiply(z.imag, m, out=z.imag)
     if singular is not None:
@@ -141,23 +148,21 @@ def _array_sum(u, step, m: int, field, z, power, first: bool):
     np.divide(power.imag, ratio, out=ratio)
     if singular is not None:
         ratio[singular] = limit
-    np.multiply(field, power, out=field)
     return ratio
 
 
 @dataclass(frozen=True)
 class PanelTerms:
-    """Factors of the panel field at fixed LCS observation angles that no
-    steering direction or column count changes: the element-to-element
-    phase steps along each panel axis, as unit phasors, and the element
-    field."""
+    """The element-to-element phase steps along each panel axis at fixed
+    LCS observation angles, as unit phasors. No steering direction or
+    column count changes them; the element field and the path's phase go
+    into a separate folded weight (``fold_weight``)."""
 
     u_v: np.ndarray   # exp(1j*pi*d_v*cos(theta)), along a column
     u_h: np.ndarray   # exp(1j*pi*d_h*sin(phi)*sin(theta)), along a row
-    element: np.ndarray | float  # element field amplitude (linear)
 
 
-def _unit_phasor(x):
+def unit_phasor(x):
     """exp(1j*x) of a real array, from one cosine and one sine."""
     out = np.empty(np.shape(x), dtype=complex)
     np.cos(x, out=out.real)
@@ -165,34 +170,58 @@ def _unit_phasor(x):
     return out
 
 
-def panel_terms(geom: PanelGeometry, theta, phi) -> PanelTerms:
-    """Steering-independent terms of ``panel_field`` at LCS angles. Only
-    ``geom``'s element pattern is read."""
+def panel_terms(theta, phi) -> PanelTerms:
+    """The axis phasors of ``steered_sum`` at LCS angles."""
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    pattern = geom.element_pattern
-    # The isotropic element is 0 dB everywhere: amplitude exactly 1.
-    element = (1.0 if pattern == ISOTROPIC
-               else 10.0 ** (element_gain_db(pattern, theta, phi) / 20.0))
     step = np.cos(theta, out=np.empty(np.broadcast(theta, phi).shape))
     step *= math.pi * ELEMENT_SPACING
-    u_v = _unit_phasor(step)
+    u_v = unit_phasor(step)
     np.sin(phi, out=step)
     step *= np.sin(theta)
     step *= math.pi * ELEMENT_SPACING
-    return PanelTerms(u_v, _unit_phasor(step), element)
+    return PanelTerms(u_v, unit_phasor(step))
 
 
-def steered_field(geom: PanelGeometry, terms: PanelTerms, steer: SteeringDirection,
-                  work: FieldWork | None = None):
-    """Complex field of the steered panel from precomputed ``panel_terms``.
+def fold_weight(element, terms: PanelTerms, phasor=None):
+    """The folded weight of ``steered_sum`` at the terms' angles: the
+    element field times conj(u_v) * conj(u_h), times ``phasor`` if given
+    (a path's own phase). The products are not in place: numpy rounds an
+    in-place complex product of one element apart from the same element
+    of a longer array."""
+    weight = np.multiply(np.conjugate(terms.u_v), element)
+    weight = np.multiply(weight, np.conjugate(terms.u_h))
+    return weight if phasor is None else np.multiply(weight, phasor)
 
-    Along each axis the steering phasor turns the term's phasor into
-    z = exp(1j*pi*g), g = d*(direction cosine - steered cosine), and the
-    m elements sum to Im(z^m) / (m*Im z) * z^m * conj(z) (see
-    ``_array_sum``): complex products, no sine. An axis of one element
-    contributes 1. The result is the element field times both axes' sums
-    times sqrt(M*N). With ``work``, the returned array is one of its
+
+def _steering(geom: PanelGeometry, steer: SteeringDirection) -> tuple:
+    """(steering phasor s, element count) of each panel axis: down a
+    column, then along a row."""
+    return ((cmath.exp(-1j * math.pi * ELEMENT_SPACING * math.cos(steer.zenith)), geom.rows),
+            (cmath.exp(-1j * math.pi * ELEMENT_SPACING * math.sin(steer.azimuth)
+                       * math.sin(steer.zenith)), geom.cols))
+
+
+def beam_phasor(geom: PanelGeometry, steer: SteeringDirection) -> complex:
+    """The per-beam factor of the panel field that ``steered_sum`` leaves
+    out: sqrt(M*N) times conj(s) of each axis of more than one element."""
+    phasor = complex(math.sqrt(geom.rows * geom.cols))
+    for step, count in _steering(geom, steer):
+        if count > 1:
+            phasor *= step.conjugate()
+    return phasor
+
+
+def steered_sum(geom: PanelGeometry, terms: PanelTerms, weight, steer: SteeringDirection,
+                work: FieldWork | None = None):
+    """The panel field of the beam steered to ``steer`` at the terms'
+    angles, over ``beam_phasor``, with every angle's folded ``weight`` in
+    it.
+
+    Per angle, the weight times, along each axis of m > 1 elements, the
+    ratio and z^m of ``_array_ratio``; an axis of one element is not
+    steered and gives u, which with its conj(u) in the weight is 1. Each
+    step is elementwise. With ``work``, the returned array is one of its
     buffers, valid until the next call that uses them.
     """
     shape = np.shape(terms.u_v)
@@ -200,22 +229,19 @@ def steered_field(geom: PanelGeometry, terms: PanelTerms, steer: SteeringDirecti
     # the same element of a longer array, so one angle is steered as a pair.
     size = math.prod(shape)
     field, z, power = (work or FieldWork(size)).take(2 if size == 1 else size)
-    element = np.reshape(terms.element, -1) if np.ndim(terms.element) else terms.element
-    axes = [(np.reshape(u, -1), cmath.exp(-1j * math.pi * ELEMENT_SPACING * cosine), count)
-            for u, cosine, count in (
-                (terms.u_v, math.cos(steer.zenith), geom.rows),
-                (terms.u_h, math.sin(steer.azimuth) * math.sin(steer.zenith), geom.cols))
-            if count > 1]
-    if not axes:
-        field[...] = element
-    for i, (u, step, count) in enumerate(axes):
-        ratio = _array_sum(u, step, count, field, z, power, first=not i)
-        if i < len(axes) - 1:
+    # Operand order pinned: numpy swaps the operands of a product whose
+    # right operand is a large temporary, and the complex product is not
+    # bit-commutative, so the bits would depend on how many angles are passed.
+    factor = np.reshape(weight, -1)
+    for u, (step, count) in zip((terms.u_v, terms.u_h), _steering(geom, steer)):
+        u = np.reshape(u, -1)
+        if count > 1:
+            ratio = _array_ratio(u, step, count, z, power)
+            np.multiply(factor, power, out=field)
             np.multiply(field, ratio, out=field)
         else:
-            np.multiply(ratio, math.sqrt(geom.rows * geom.cols), out=ratio)
-            np.multiply(ratio, element, out=ratio)
-            np.multiply(field, ratio, out=field)
+            np.multiply(factor, u, out=field)
+        factor = field
     return field[:size].reshape(shape)
 
 
@@ -226,7 +252,9 @@ def panel_field(geom: PanelGeometry, theta, phi, steer: SteeringDirection):
     direction; equal to the explicit element-by-element sum normalized by
     sqrt(M*N).
     """
-    return steered_field(geom, panel_terms(geom, theta, phi), steer)
+    terms = panel_terms(theta, phi)
+    weight = fold_weight(element_field(geom.element_pattern, theta, phi), terms)
+    return steered_sum(geom, terms, weight, steer) * beam_phasor(geom, steer)
 
 
 def width_to_panel(width: float, geom: PanelGeometry) -> int:

@@ -15,27 +15,35 @@ are bit-identical regardless of evaluation order, block or worker count,
 and a caller that keeps the direct paths and the seed words can draw any
 of its links again, bit for bit. A ``LinkRealization`` stores the
 departure angles at cluster resolution, each cluster's mean, plus the
-N_r ray offsets that every link shares; the per-ray angles exist only
-while ``link_terms`` evaluates the panel at them. Ray geometry is
+N_r ray offsets that every link shares; ``link_terms`` works from the
+per-cluster angles, and the per-ray angles exist only while the 3GPP
+element pattern reads them. Ray geometry is
 independent of any beam decision: beams enter only through the panel
 field applied when computing energies, which lets a fixed set of
 realizations be reused across candidate solutions.
 
 The link-energy kernel is split at the beam. ``link_terms`` computes what
-no beam changes: per ray, the phasor exp(1j*phase) and the panel's two
-axis phasors (``antenna.panel_terms``, in phasor form), and per link the
-direct path's phasors, the Rician and cluster factors and ``scale``, the
-linear pathloss-and-shadowing power factor. ``steered_energy`` applies
-one beam and returns each link's energy at 1 W: its steering phasors
-turn the axis phasors into the panel field (``antenna.steered_field``)
-with complex products only, in the buffers of a ``FieldWork`` that a
-caller steering many beams over the same terms passes to every call; the
-field times the ray phasors is summed per cluster. The Evaluator fills
-its gain tables through one path: per realization block of a PoA's
-links, one ``link_terms``, drawn anew or kept from an earlier fill, and
-one ``FieldWork``, shared by every beam steered over the block. Both
-steps are elementwise or reduce the trailing cluster and ray axes, so a
-slice of the links steers to that slice of the whole call's bits.
+no beam changes: per ray, the panel's two axis phasors
+(``antenna.PanelTerms``) and one folded weight, the element field times
+exp(1j*(phase - pi*d*cos(theta) - pi*d*sin(phi)*sin(theta))); per link,
+the same for the direct path, with exp(-1j*2*pi*d_3d/lambda) as its
+phase, the Rician and cluster factors and ``scale``, the linear
+pathloss-and-shadowing power factor. A ray's angles are its cluster's mean
+plus a shared offset, so its cos(theta), sin(theta) and sin(phi) come by
+angle addition from per-cluster and per-offset cosines and sines, and
+its only trigonometry is one cosine and sine per phasor. ``steered_energy``
+applies one beam and returns each link's energy at 1 W: each path's
+weight times, per panel axis, z^m and the array ratio of its steered
+phasor z (``antenna.steered_sum``), complex products only, in the
+buffers of a ``FieldWork`` that a caller steering many beams over the
+same terms passes to every call; the rays are summed per cluster, and the
+per-beam ``antenna.beam_phasor`` multiplies the cluster sums. The
+Evaluator fills its gain tables through one path: per realization block
+of a PoA's links, one ``link_terms``, drawn anew or kept from an earlier
+fill, and one ``FieldWork``, shared by every beam steered over the
+block. Both steps are elementwise or reduce the trailing cluster and ray
+axes, so a slice of the links steers to that slice of the whole call's
+bits.
 """
 
 from __future__ import annotations
@@ -47,8 +55,9 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .antenna import (FieldWork, PanelGeometry, PanelTerms, SteeringDirection, panel_terms,
-                      steered_field, wrap_angle)
+from .antenna import (ELEMENT_SPACING, ISOTROPIC, FieldWork, PanelGeometry, PanelTerms,
+                      SteeringDirection, beam_phasor, element_field, fold_weight, panel_terms,
+                      steered_sum, unit_phasor, wrap_angle)
 # Still reachable as channel.panel_field: perfbench's tracer patches it here.
 from .antenna import panel_field  # noqa: F401
 
@@ -372,10 +381,12 @@ def sample_link(paths: DirectPaths, params: ChannelParams, rngs) -> LinkRealizat
     k_mean, k_sigma = params.rician_k_mean_db, params.rician_k_sigma_db
     for i, (g, p) in enumerate(zip(rngs.flat, p_los.flat)):
         los[i] = is_los = g.random() < p
-        shadow[i] = g.standard_normal()
+        # The shadowing normal, then K's (LoS only), in one call.
+        normal = g.standard_normal(2 if is_los else 1).tolist()
+        shadow[i] = normal[0]
         if is_los:
             # A scalar power: np.power over an array may round differently.
-            k_lin[i] = 10.0 ** ((k_mean + k_sigma * g.standard_normal()) / 10.0)
+            k_lin[i] = 10.0 ** ((k_mean + k_sigma * normal[1]) / 10.0)
         g.standard_exponential(out=expo[i])
         g.standard_normal(out=normals[i])
         g.random(out=uniforms[i])
@@ -405,16 +416,67 @@ def sample_link(paths: DirectPaths, params: ChannelParams, rngs) -> LinkRealizat
 class LinkTerms:
     """The factors of ``steered_energy`` that depend on the links and the
     panel's mounting and element pattern but on no steering direction or
-    column count, so one set serves every beam of a PoA."""
+    column count, so one set serves every beam of a PoA. Each path's
+    element field and phase, and conj(u_v) * conj(u_h), are folded into one
+    weight: per ray from one sum of phases, per direct path by
+    ``antenna.fold_weight``."""
 
-    rays: np.ndarray            # exp(1j * phases), (..., N_c, N_r)
+    rays: np.ndarray            # folded ray weights, (..., N_c, N_r)
     ray_panel: PanelTerms       # at the ray departure angles
+    los: np.ndarray             # folded direct-path weights, phasor exp(-1j*2 pi d_3d/lambda)
     los_panel: PanelTerms       # at the direct-path departure angles
-    los_phasor: np.ndarray      # exp(-1j * 2 pi d_3d / lambda)
     cluster_amp: np.ndarray     # sqrt(cluster power / N_r), (..., N_c)
     scatter_mix: np.ndarray     # sqrt(1 / (1 + K)), (..., 1)
     los_mix: np.ndarray         # sqrt(K / (1 + K))
     scale: np.ndarray           # linear pathloss-and-shadowing power factor
+
+
+def _ray_terms(link: LinkRealization, geom: PanelGeometry) -> tuple:
+    """The axis phasors and folded weights of every ray, from per-cluster
+    angles. A ray's pi*d*cos(theta), pi*d*sin(theta) and sin(phi) come by
+    angle addition from the cosine and sine of its cluster's mean and of
+    its shared offset, so the only per-ray trigonometry is the three unit
+    phasors. A cluster with a ray whose zenith leaves [0, pi] takes its
+    rays' clipped zeniths, as ``aod_zenith`` does. Each per-ray array is
+    freed or overwritten once read, which keeps a block's peak memory near
+    that of its three phasors."""
+    azimuth = link.cluster_azimuth[..., None] - geom.mech_azimuth
+    spread = link.ray_azimuth_offsets
+    element = None
+    if geom.element_pattern != ISOTROPIC:
+        # The pattern reads the azimuth itself: the cluster's, wrapped, plus
+        # the ray's offset, wrapped again in a cluster with a ray past +-pi.
+        mean_phi = wrap_angle(azimuth)
+        phi = mean_phi + spread
+        wrapped = (mean_phi[..., 0] + spread.min() <= -math.pi) | (
+            mean_phi[..., 0] + spread.max() > math.pi)
+        if wrapped.any():
+            phi[wrapped] = wrap_angle(phi[wrapped])
+        element = element_field(geom.element_pattern, link.aod_zenith, phi)
+        del phi
+    spacing = math.pi * ELEMENT_SPACING
+    zenith, offsets = link.cluster_zenith, link.ray_zenith_offsets
+    cos_mean, sin_mean = (spacing * f(zenith[..., None]) for f in (np.cos, np.sin))
+    cos_off, sin_off = np.cos(offsets), np.sin(offsets)
+    col_step = cos_mean * cos_off                     # pi*d*cos(theta)
+    col_step -= sin_mean * sin_off
+    row_step = sin_mean * cos_off                     # pi*d*sin(theta), then times sin(phi)
+    row_step += cos_mean * sin_off
+    clipped = (zenith + offsets.min() < 0.0) | (zenith + offsets.max() > math.pi)
+    if clipped.any():
+        theta = np.clip(zenith[clipped][:, None] + offsets, 0.0, math.pi)
+        col_step[clipped] = spacing * np.cos(theta)
+        row_step[clipped] = spacing * np.sin(theta)
+    row_step *= np.sin(azimuth) * np.cos(spread) + np.cos(azimuth) * np.sin(spread)
+    u_v = unit_phasor(col_step)
+    phase = np.subtract(link.phases, col_step, out=col_step)
+    phase -= row_step
+    u_h = unit_phasor(row_step)
+    del row_step
+    rays = unit_phasor(phase)
+    if element is not None:
+        np.multiply(rays, element, out=rays)
+    return PanelTerms(u_v, u_h), rays
 
 
 def link_terms(link: LinkRealization, geom: PanelGeometry) -> LinkTerms:
@@ -422,20 +484,19 @@ def link_terms(link: LinkRealization, geom: PanelGeometry) -> LinkTerms:
 
     Only ``geom``'s mechanical azimuth and element pattern are read.
     """
-    mech = geom.mech_azimuth
     # K = 0 off-LoS makes the Rician mix reduce to the pure scattered term.
     k = np.where(link.los, link.rician_k, 0.0)
     lam = SPEED_OF_LIGHT / link.frequency
     zen0, az0 = link.los_aod
-    # The per-ray angles and the element pattern's temporaries are freed
-    # before the phasors exist.
-    ray_panel = panel_terms(geom, link.aod_zenith, wrap_angle(link.aod_azimuth - mech))
-    rays = 1j * link.phases
+    az0 = wrap_angle(az0 - geom.mech_azimuth)
+    los_panel = panel_terms(zen0, az0)
+    ray_panel, rays = _ray_terms(link, geom)
     return LinkTerms(
-        rays=np.exp(rays, out=rays),
+        rays=rays,
         ray_panel=ray_panel,
-        los_panel=panel_terms(geom, zen0, wrap_angle(az0 - mech)),
-        los_phasor=np.exp(-1j * 2.0 * math.pi * link.d_3d / lam),
+        los=fold_weight(element_field(geom.element_pattern, zen0, az0), los_panel,
+                        np.exp(-1j * 2.0 * math.pi * link.d_3d / lam)),
+        los_panel=los_panel,
         cluster_amp=np.sqrt(link.cluster_powers / link.phases.shape[-1]),
         scatter_mix=np.sqrt(1.0 / (1.0 + k))[..., None],
         los_mix=np.sqrt(k / (1.0 + k)),
@@ -451,18 +512,16 @@ def steered_energy(terms: LinkTerms, geom: PanelGeometry, steer: SteeringDirecti
     The target is a single isotropic element (unit field). Clusters sit at
     distinct delays, so the energy is the sum of squared per-cluster
     amplitudes; LoS mixing folds the direct path into the first cluster.
-    Returns an array with the links' leading shape. Callers that steer many
-    beams over the same links compute the terms once and pass one ``work``,
-    a ``FieldWork`` of at least the links' ray count, which holds the ray
-    field of each beam in turn.
+    The per-beam ``antenna.beam_phasor`` multiplies the cluster sums, not
+    the rays. Returns an array with the links' leading shape. Callers that
+    steer many beams over the same links compute the terms once and pass
+    one ``work``, a ``FieldWork`` of at least the links' ray count, which
+    holds the ray field of each beam in turn.
     """
-    # Operand order pinned: numpy swaps the operands of a product whose
-    # right operand is a large temporary, and the complex product is not
-    # bit-commutative, so the bits would depend on how many links are passed.
-    rays = steered_field(geom, terms.ray_panel, steer, work)
-    np.multiply(terms.rays, rays, out=rays)
+    rays = steered_sum(geom, terms.ray_panel, terms.rays, steer, work)
     amps = terms.cluster_amp * rays.sum(axis=-1)
-    h_los = np.multiply(steered_field(geom, terms.los_panel, steer), terms.los_phasor)
+    h_los = steered_sum(geom, terms.los_panel, terms.los, steer)
     amps = amps * terms.scatter_mix
     amps[..., 0] += terms.los_mix * h_los
+    amps = np.multiply(amps, beam_phasor(geom, steer))
     return terms.scale * (np.abs(amps) ** 2).sum(axis=-1)

@@ -14,7 +14,10 @@ targets of the part) per beam geometry. The tables missing in one call are
 grouped per part; each group steers every missing beam with
 ``channel.steered_energy``. A fill runs in realization blocks of at most
 ``_BLOCK_RAYS`` rays: per block, one ``channel.link_terms`` and one
-``antenna.FieldWork`` of steering buffers are shared by every beam. A
+``antenna.FieldWork`` of steering buffers are shared by every beam. The
+terms hold three complex numbers per ray, the two axis phasors and one
+folded weight, computed from per-cluster angles; a beam then costs
+complex products per ray and one phasor per beam on the cluster sums. A
 part's first fill draws each block's links and frees its terms and
 workspace before the next block, so its memory is bounded by a block, not
 by the realization count, and a part filled once (``evaluate``,

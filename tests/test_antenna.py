@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cellless.antenna import (BEAMWIDTH_CONSTANT, ELEMENT_SPACING, ISOTROPIC, THREEGPP_8DBI,
-                              PanelGeometry, SteeringDirection, _array_sum,
+                              PanelGeometry, SteeringDirection, _array_ratio,
                               element_gain_db, panel_field, width_to_panel,
                               wrap_angle)
 
@@ -43,12 +43,14 @@ def test_panel_field_matches_element_sum_500_draws():
 
 
 def _array_terms(m, g):
-    """The real ratio and the phase that ``_array_sum`` gives m elements at
-    z = exp(1j*pi*g)."""
+    """The real ratio that ``_array_ratio`` gives m elements at z =
+    exp(1j*pi*g), and the phase z^m * conj(z) that moves the panel's centre
+    to its first element."""
     g = np.asarray(g, dtype=float)
-    phase, z, power = (np.empty(g.shape, dtype=complex) for _ in range(3))
-    ratio = _array_sum(np.exp(1j * np.pi * g), 1.0, m, phase, z, power, first=True)
-    return ratio, phase
+    z, power = (np.empty(g.shape, dtype=complex) for _ in range(2))
+    u = np.exp(1j * np.pi * g)
+    ratio = _array_ratio(u, 1.0, m, z, power)
+    return ratio, power * np.conjugate(u)
 
 
 def test_array_ratio_matches_element_sum_at_integer_g():

@@ -1,0 +1,72 @@
+"""The trajectory writer parses perfbench's report and writes its file."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def trajectory():
+    spec = importlib.util.spec_from_file_location("bench_trajectory",
+                                                  ROOT / "tools" / "bench_trajectory.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REPORT = """\
+workload ctm-desk seed 0 trace 0
+env {"commit": "abc", "nproc": 2, "numpy": "2.4.6", "seed": 0}
+op 0 inf-dh-desk seed=0 wall_s=0.3048 ref_s=0.2217 outcome=solved digest=c8444f10 check=ok
+op 1 inf-dh-desk seed=1 wall_s=0.2947 ref_s=0.2178 outcome=infeasible digest=- check=FAILED: x
+results {"failed_frac": 0.0}
+wall setup_s=0.29 batch_s=0.599 op_s_p50=0.2997 (raw wall seconds, not rescaled)
+metric op_s_p50 = 0.2197 s (median of 2 operations)
+result ctm-desk {"correct": true, "attempted": 2, "failed": 0, "metrics": {}}
+workload evaluate-paper seed 0 trace 0
+env {"commit": "abc", "nproc": 2, "numpy": "2.4.6", "seed": 0}
+op 0 umi-sc-default seed=0 wall_s=1.3173 ref_s=1.3819 outcome=evaluated digest=c1524dd6 check=ok
+wall setup_s=0.38 batch_s=2.38 op_s_p50=1.19 (raw wall seconds, not rescaled)
+result evaluate-paper {"correct": true, "attempted": 1, "failed": 0, "metrics": {}}
+{"correct": true, "attempted": 3, "failed": 0, "metrics": {}}
+"""
+
+
+def test_parse_perfbench_reads_each_workload(trajectory):
+    got = trajectory.parse_perfbench(REPORT.splitlines())
+    assert list(got) == ["ctm-desk", "evaluate-paper"]
+    ctm = got["ctm-desk"]
+    assert ctm["env"]["numpy"] == "2.4.6"
+    assert ctm["wall"] == {"setup_s": 0.29, "batch_s": 0.599, "op_s_p50": 0.2997}
+    assert ctm["result"]["attempted"] == 2
+    assert [op["digest"] for op in ctm["ops"]] == ["c8444f10", "-"]
+    assert ctm["ops"][1] == {"index": 1, "scenario": "inf-dh-desk", "seed": 1, "wall_s": 0.2947,
+                             "ref_s": 0.2178, "outcome": "infeasible", "digest": "-",
+                             "check": "FAILED: x"}
+    assert got["evaluate-paper"]["ops"][0]["outcome"] == "evaluated"
+
+
+def test_parse_perfbench_refuses_a_malformed_op_line(trajectory):
+    with pytest.raises(ValueError):
+        trajectory.parse_perfbench(["workload w seed 0 trace 0", "op 0 broken"])
+
+
+def test_layer_run_is_stored_under_its_label(trajectory, tmp_path):
+    """Two runs into one file keep both labels; each holds every layer."""
+    out = tmp_path / "bench.json"
+    for label in ("parent", "change"):
+        code = trajectory.main(["--layers-only", "--repeats", "1", "--out", str(out),
+                                "--label", label])
+        assert code == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert sorted(runs) == ["change", "parent"]
+    solver = runs["change"]["layers"]["solver"]
+    for name in ("evaluator_init", "cold_fill", "warm_metrics", "reduce_powers", "anneal_move"):
+        assert solver[name]["samples"] == 1 and solver[name]["median_s"] > 0.0
+    for kernel in runs["change"]["layers"]["kernel"].values():
+        assert kernel["link_terms_per_block"]["median_s"] > 0.0
+        assert kernel["steered_energy_per_beam"]["median_s"] > 0.0

@@ -1,0 +1,243 @@
+#!/usr/bin/env python3
+"""Write one entry of the performance trajectory, ``BENCH_<n>.json``.
+
+Two parts, both run from the source checkout at ``--root`` (by default
+the one this script sits in), so the same script measures any commit:
+
+* **End to end.** ``perfbench/run.py --workload all --seed S --seconds X``
+  runs in a subprocess. Its ``env``, ``op``, ``wall`` and ``result``
+  lines are parsed into, per workload: the environment (nproc, numpy,
+  commit), each operation's wall time, outcome and digest, the raw wall
+  seconds (setup, batch, median operation) and the end-to-end metrics.
+* **Layers.** The layers under a CtM run are timed in this process
+  through the package's public API, each figure the median of
+  ``--repeats`` repeats on one fixed world (``inf-dh-desk`` placed with
+  seed 1, channels from ``--seed``; the world of perfbench's ctm-desk):
+  ``Evaluator.__init__``; the cold fill, the first ``metrics`` at maximum
+  power; a warm ``metrics``; one ``reduce_powers`` from the warm
+  evaluator; and one anneal move, ``objective`` of a neighbour on the
+  start's stack (the median over a fixed sequence of moves). The fill's
+  two kernel steps are timed on one PoA's links to the users, one
+  realization block, on ``inf-dh-desk`` (isotropic elements) and
+  ``umi-sc-desk`` (3GPP elements): ``channel.link_terms`` per block and
+  ``channel.steered_energy`` per beam.
+
+The layer timings are a second bench path beside perfbench, which cannot
+time these layers yet. Once it can (ROADMAP item 11), they move into
+perfbench, and this script keeps only the parser and the file writer.
+
+Usage::
+
+    python tools/bench_trajectory.py --out "BENCH_<n>.json" --label change
+    python tools/bench_trajectory.py --root ../parent --out "BENCH_<n>.json" --label parent
+    python tools/bench_trajectory.py --layers-only --repeats 1 --out bench.json
+
+``--out`` is read first if it exists, and the run is stored under
+``runs[<label>]``, so the parent and the change of one comparison share
+a file. The exit code is that of perfbench (0 with ``--layers-only``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+#: Realizations per evaluator, as perfbench and the solvers' defaults use.
+REALIZATIONS = 10
+#: Anneal moves timed per repeat, drawn from one fixed generator.
+MOVES = 24
+#: Kernel calls timed per repeat (per block, per beam).
+KERNEL_CALLS = 5
+
+_OP = re.compile(r"op (\d+) (\S+) seed=(\d+) wall_s=(\S+) ref_s=(\S+) outcome=(\S+) "
+                 r"digest=(\S+) check=(.*)")
+
+
+def parse_perfbench(lines) -> dict:
+    """Per workload, the parsed ``env``, ``op``, ``wall`` and ``result``
+    lines of one ``perfbench/run.py`` run at trace 0."""
+    workloads, current = {}, None
+    for line in lines:
+        if line.startswith("workload "):
+            current = workloads.setdefault(line.split()[1], {"ops": []})
+        elif current is None:
+            continue
+        elif line.startswith("env "):
+            current["env"] = json.loads(line[4:])
+        elif line.startswith("op "):
+            match = _OP.fullmatch(line)
+            if match is None:
+                raise ValueError(f"unparsed op line: {line!r}")
+            index, name, seed, wall_s, ref_s, outcome, digest, check = match.groups()
+            current["ops"].append({"index": int(index), "scenario": name, "seed": int(seed),
+                                   "wall_s": float(wall_s), "ref_s": float(ref_s),
+                                   "outcome": outcome, "digest": digest, "check": check})
+        elif line.startswith("wall "):
+            fields = line[5:].split(" (")[0].split()
+            current["wall"] = {k: float(v) for k, v in (f.split("=") for f in fields)}
+        elif line.startswith("result "):
+            _, name, payload = line.split(" ", 2)
+            workloads[name]["result"] = json.loads(payload)
+    return workloads
+
+
+def run_perfbench(root: Path, seed: int, seconds: float) -> tuple:
+    """(exit code, parsed workloads, wall seconds) of one perfbench run."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "run.py"), "--workload",
+                           "all", "--seed", str(seed), "--seconds", str(seconds)],
+                          cwd=root, capture_output=True, text=True, check=False)
+    elapsed = time.perf_counter() - start
+    if proc.returncode not in (0, 1):
+        sys.stderr.write(proc.stderr)
+    return proc.returncode, parse_perfbench(proc.stdout.splitlines()), elapsed
+
+
+def _timed(fn, *args):
+    """(seconds, result) of one call."""
+    start = time.perf_counter()
+    out = fn(*args)
+    return time.perf_counter() - start, out
+
+
+def _median(samples) -> dict:
+    return {"median_s": statistics.median(samples), "samples": len(samples),
+            "min_s": min(samples), "max_s": max(samples)}
+
+
+def time_solver_layers(seed: int, repeats: int) -> dict:
+    """Medians of the evaluator and solver layers on the ctm-desk world."""
+    from cellless.radio_metrics import Evaluator
+    from cellless.scenario import builtin_template, generate_placements
+    from cellless.solver_ctm import CtmConfig, build_geometry, reduce_powers
+    from cellless.solver_maxrate import idle_move, neighbor, objective
+
+    import numpy as np
+
+    scenario = generate_placements(builtin_template("inf-dh-desk"), 1)
+    config = CtmConfig(seed=seed, realizations_per_check=REALIZATIONS)
+    geometry = build_geometry(scenario, config)
+    samples = {name: [] for name in ("evaluator_init", "cold_fill", "warm_metrics",
+                                     "reduce_powers", "anneal_move")}
+    for _ in range(repeats):
+        init_s, ev = _timed(Evaluator, scenario, seed, REALIZATIONS)
+        samples["evaluator_init"].append(init_s)
+        samples["cold_fill"].append(_timed(ev.metrics, geometry)[0])
+        samples["warm_metrics"].append(_timed(ev.metrics, geometry)[0])
+        samples["reduce_powers"].append(_timed(reduce_powers, geometry, ev, config)[0])
+        _, stack = objective(geometry, ev)
+        rng = np.random.default_rng(seed)
+        moves = []
+        while len(moves) < MOVES:
+            cand = neighbor(geometry, scenario, rng)
+            if not idle_move(geometry, cand):
+                moves.append(_timed(objective, cand, ev, stack)[0])
+        samples["anneal_move"].append(statistics.median(moves))
+    return {"world": "inf-dh-desk placed with seed 1", "channel_seed": seed,
+            "realizations": REALIZATIONS, "anneal_moves_per_repeat": MOVES,
+            **{name: _median(s) for name, s in samples.items()}}
+
+
+def time_kernel_layers(seed: int, repeats: int) -> dict:
+    """Medians of ``link_terms`` per block and ``steered_energy`` per beam
+    on the links of the first PoA with an active CtM beam to every user,
+    for one world per element pattern; the beams are CtM's active beams of
+    that PoA, at their columns."""
+    from cellless import channel as ch
+    from cellless.antenna import (FieldWork, PanelGeometry, SteeringDirection, width_to_panel,
+                                  wrap_angle)
+    from cellless.scenario import builtin_template, generate_placements
+    from cellless.solver_ctm import CtmConfig, build_geometry
+
+    out = {}
+    for name in ("inf-dh-desk", "umi-sc-desk"):
+        scenario = generate_placements(builtin_template(name), 1)
+        geometry = build_geometry(scenario, CtmConfig(seed=seed))
+        p_idx, poa = next((i, p) for i, p in enumerate(scenario.poas)
+                          if p.id in geometry.active_poas())
+        panel = PanelGeometry(poa.panel_rows, poa.panel_cols, mech_azimuth=poa.mech_azimuth,
+                              element_pattern=poa.element_pattern)
+        params = scenario.channel_params
+        paths = ch.direct_paths(poa.position.as_tuple(), poa.frequency,
+                                [u.position.as_tuple() for u in scenario.users], params)
+        words = ch.link_seed_words(seed, range(REALIZATIONS), p_idx, range(len(scenario.users)))
+        links = ch.sample_link(paths, params, ch.seeded_rngs(words))
+        beams = [(replace(panel, cols=width_to_panel(b.width, panel)),
+                  SteeringDirection(b.zenith, wrap_angle(b.azimuth - poa.mech_azimuth)))
+                 for b in geometry.beams if b.owner_poa == poa.id and b.active]
+        terms_s, beam_s = [], []
+        for _ in range(repeats):
+            calls = [_timed(ch.link_terms, links, panel) for _ in range(KERNEL_CALLS)]
+            terms_s.append(statistics.median(s for s, _ in calls))
+            terms = calls[-1][1]
+            work = FieldWork(terms.rays.size)
+            beam_s.append(statistics.median(
+                _timed(ch.steered_energy, terms, geom, steer, work)[0]
+                for geom, steer in beams for _ in range(KERNEL_CALLS)))
+        out[name] = {"element_pattern": poa.element_pattern, "poa": poa.id,
+                     "panel": [poa.panel_rows, poa.panel_cols], "rays": int(terms.rays.size),
+                     "beams": len(beams), "link_terms_per_block": _median(terms_s),
+                     "steered_energy_per_beam": _median(beam_s)}
+    return out
+
+
+def git_commit(root: Path) -> str:
+    """The checkout's commit, marked ``-dirty`` when its tracked files differ."""
+    proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"], cwd=root,
+                          capture_output=True, text=True, check=False)
+    return proc.stdout.strip() or "unknown"
+
+
+def _parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                   help="source checkout to measure (default: this script's)")
+    p.add_argument("--out", type=Path, required=True, help="trajectory file to write")
+    p.add_argument("--label", default="change", help="key of this run under 'runs'")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seconds", type=float, default=25.0, help="perfbench --seconds")
+    p.add_argument("--repeats", type=int, default=5, help="repeats per layer timing")
+    p.add_argument("--layers-only", action="store_true", help="skip the perfbench run")
+    args = p.parse_args(argv)
+    if args.seed < 0 or args.seconds <= 0 or args.repeats < 1:
+        p.error("--seed must be >= 0, --seconds > 0 and --repeats >= 1")
+    return args
+
+
+def main(argv=None) -> int:
+    args = _parse_args(argv)
+    root = args.root.resolve()
+    sys.path.insert(0, str(root / "src"))
+    import cellless
+    import numpy
+
+    record = {"env": {"nproc": len(os.sched_getaffinity(0)), "cpu_count": os.cpu_count(),
+                      "machine": platform.machine(), "python": platform.python_version(),
+                      "numpy": numpy.__version__, "cellless": cellless.__version__,
+                      "commit": git_commit(root), "seed": args.seed,
+                      "repeats": args.repeats},
+              "layers": {"solver": time_solver_layers(args.seed, args.repeats),
+                         "kernel": time_kernel_layers(args.seed, args.repeats)}}
+    code = 0
+    if not args.layers_only:
+        code, workloads, elapsed = run_perfbench(root, args.seed, args.seconds)
+        record["perfbench"] = {"command": f"perfbench/run.py --workload all --seed {args.seed} "
+                                          f"--seconds {args.seconds}",
+                               "exit_code": code, "elapsed_s": elapsed, "workloads": workloads}
+    trajectory = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
+    trajectory["runs"][args.label] = record
+    args.out.write_text(json.dumps(trajectory, indent=1, sort_keys=True) + "\n")
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())
