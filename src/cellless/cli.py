@@ -48,7 +48,7 @@ def _build_parser():
     run.add_argument("--workers", default=1, type=int)
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--dump-links", action="store_true",
-                     help="write sampled link realizations per run")
+                     help="write sampled link realizations per run (needs --out)")
     run.add_argument("--delta-db", default=1.0, type=float,
                      help="initial power reduction step")
     run.add_argument("--refine", default=3, type=int,

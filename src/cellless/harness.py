@@ -65,6 +65,8 @@ class ExperimentSpec:
             raise ValueError("workers must be at least 1")
         if self.solver not in SOLVERS + ("both",):
             raise ValueError(f"unknown solver {self.solver!r}")
+        if self.dump_links and not self.out_dir:
+            raise ValueError("dump_links needs out_dir")
 
     @property
     def solver_list(self):
@@ -98,10 +100,12 @@ def _run_one(spec: ExperimentSpec, seed: int, solver: str) -> RunRecord:
     scenario = _instantiate(spec, seed)
     ctm_cfg = replace(spec.ctm, seed=seed,
                       realizations_per_check=spec.n_realizations)
+    evaluator = None  # the CtM run's, which its links.json is dumped from
     try:
         t0 = time.perf_counter()
         if solver == "ctm":
-            solution, bundle = solve_ctm(scenario, ctm_cfg)
+            evaluator = Evaluator(scenario, seed, spec.n_realizations)
+            solution, bundle = solve_ctm(scenario, ctm_cfg, evaluator=evaluator)
         else:
             sa_cfg = replace(spec.anneal, seed=seed,
                              realizations_per_check=spec.n_realizations)
@@ -115,7 +119,7 @@ def _run_one(spec: ExperimentSpec, seed: int, solver: str) -> RunRecord:
                          error=f"{type(e).__name__}: {e}")
     record = RunRecord(seed, solver, scenario, wall, bundle, solution)
     if spec.out_dir:
-        _write_run(spec, record)
+        _write_run(spec, record, evaluator)
     return record
 
 
@@ -165,7 +169,9 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _write_run(spec: ExperimentSpec, record: RunRecord):
+def _write_run(spec: ExperimentSpec, record: RunRecord, evaluator: Evaluator | None):
+    """Write one run's files; ``links.json`` is dumped from ``evaluator``,
+    the Evaluator that judged the run, if there is one."""
     out = _run_dir(spec, record)
     out.mkdir(parents=True, exist_ok=True)
     save_solution(record.solution, out / "solution.json")
@@ -175,9 +181,13 @@ def _write_run(spec: ExperimentSpec, record: RunRecord):
         json.dump(_summary(record), f, indent=2, sort_keys=True)
         f.write("\n")
     if spec.dump_links:
-        ev = Evaluator(record.scenario, record.seed, spec.n_realizations)
+        if evaluator is None:
+            # MaxRate's: solve_maxrate takes no Evaluator while perfbench's
+            # traced_maxrate(scenario, config=None, trace=None) fixes its
+            # signature.
+            evaluator = Evaluator(record.scenario, record.seed, spec.n_realizations)
         with open(out / "links.json", "w") as f:
-            json.dump(ev.dump_links(record.solution), f)
+            json.dump(evaluator.dump_links(record.solution), f)
             f.write("\n")
 
 

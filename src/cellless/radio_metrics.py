@@ -21,7 +21,7 @@ complex products per ray and one phasor per beam on the cluster sums. A
 part's first fill draws each block's links and frees its terms and
 workspace before the next block, so its memory is bounded by a block, not
 by the realization count, and a part filled once (``evaluate``,
-``solve_ctm``, ``dump_links``) keeps nothing. Its second fill draws the
+``solve_ctm`` and its dump) keeps nothing. Its second fill draws the
 blocks again and keeps their terms, so a part refilled beam by beam (the
 MaxRate anneal) stops recomputing them. Each step is elementwise or
 reduces the trailing cluster and ray axes, and each link's draw reads its
@@ -36,9 +36,11 @@ solution's beams at every user as a ``GainStack`` with one row per
 scenario beam, fixed per Evaluator; a solution decides only each row's
 table, which rows are live and which row serves each user. The stack also
 holds, per user, the co-channel mask of its serving row, its bandwidth and
-its noise. Every stack is built on a base, by default the Evaluator's
-stack of no beams, and costs what changed: a solution with the very beam
-objects of the base gets the base itself; one whose beams serve the users
+its noise. Every stack is built on a base, by default the last stack the
+Evaluator built (at first its stack of no beams), and costs what
+changed: a solution with the very beam objects of the base gets the base
+itself, so ``solve_ctm`` stacks its beams once for its verdicts, its
+descent and its dump; one whose beams serve the users
 they serve in the base shares its live rows, shares and per-user arrays;
 and a live row whose ``BeamConfig`` changed is keyed, and read only where
 its key is not the one its row of the base's gains holds, so a reassign
@@ -134,7 +136,9 @@ class GainStack:
     one built on another shares what its move left alone, and a state that
     differs from the stacked one only in idle beams, or in the power of PoAs
     with no live row, has the very rates of this stack (MaxRate's idle
-    moves keep it).
+    moves keep it). An Evaluator builds each stack on the last one it
+    built unless given a base, so a solution with the very beam objects
+    of that stack gets that stack again.
     """
 
     listing: tuple
@@ -294,6 +298,7 @@ class Evaluator:
         self._no_beams = GainStack(
             (), no_beams, no_beams, np.empty((len(rows), self._n_users, self.n_realizations)),
             *self._service(no_beams))
+        self._last = self._no_beams  # the base of a stack() given none
 
     # -- per-beam unit-power gains -------------------------------------------
 
@@ -332,13 +337,17 @@ class Evaluator:
         twice or under a PoA that does not own it, raises
         ``SolutionInvalidError``.
 
-        It is built on ``base``, by default the stack of no beams, and costs
-        what changed: with every row's ``BeamConfig`` the very object
-        ``base`` holds, it is ``base``; with every row serving the users it
-        serves in ``base``, it shares base's ``live`` to ``noise``; and only
-        a live row whose beam object changed is keyed, and read only where
-        its table key is not the one its row of base's gains holds."""
-        base = self._no_beams if base is None else base
+        It is built on ``base``, by default the last stack this Evaluator
+        built (at first, the stack of no beams), and costs what changed:
+        with every row's ``BeamConfig`` the very object ``base`` holds, it
+        is ``base``; with every row serving the users it serves in ``base``,
+        it shares base's ``live`` to ``noise``; and only a live row whose
+        beam object changed is keyed, and read only where its table key is
+        not the one its row of base's gains holds. A stack has the same bits
+        whatever its base, so asking again for the beams of the last
+        solution, as ``solve_ctm``'s verdicts and its dump do, costs
+        nothing."""
+        base = self._last if base is None else base
         try:
             beams, changed = self._rows(solution.beams, base)
             if not changed:
@@ -362,7 +371,8 @@ class Evaluator:
             for row, table in zip(read, self._tables([beams[row] for row in read], 0,
                                                      [keys[row] for row in read])):
                 gains[row] = table.T
-        return GainStack(solution.beams, tuple(beams), tuple(keys), gains, *service)
+        self._last = GainStack(solution.beams, tuple(beams), tuple(keys), gains, *service)
+        return self._last
 
     def _rows(self, listing, base):
         """Each row's ``BeamConfig`` in the solution's beam ``listing`` (None
@@ -504,7 +514,10 @@ class Evaluator:
         """Per-(realization, beam, target) unit-power energies for inspection.
 
         Together with the solved powers this is enough to recompute every
-        SINR, rate, and received power by hand.
+        SINR, rate, and received power by hand. On the Evaluator that judged
+        ``solution`` (as ``solve_ctm``'s does) it builds no stack and fills
+        no table: it only draws the links again, for their LoS states, path
+        losses and shadowing.
         """
         rows = []
         drawn = {}  # (PoA id, part) -> the los, pathloss_db and shadow_db of its links

@@ -314,7 +314,8 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator,
     whole descent, making it a deterministic, monotone process. Each round sweeps
     the PoAs (descending power, then id) until a full sweep makes no
     reduction, so at the final delta no single PoA can take another step.
-    The beams never change, so their gains are stacked once.
+    The beams never change, so the descent reads the stack of the max-power
+    verdict (``Evaluator.stack`` builds on the last stack it built).
 
     The max-power start gets the full verdict, one ``Evaluator.metrics``
     call; it fills the beams' humans tables, which only that verdict and
@@ -352,15 +353,33 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator,
     return current
 
 
-def solve_ctm(scenario: Scenario, config: CtmConfig | None = None):
+def solve_ctm(scenario: Scenario, config: CtmConfig | None = None,
+              evaluator: Evaluator | None = None):
     """Full pipeline; returns (SolutionState, MetricsBundle).
+
+    Every verdict is read on ``evaluator``, by default a new Evaluator of
+    ``config``'s seed and ``realizations_per_check``. A given one must be
+    of ``scenario`` and of those two values, else ``ValueError`` names the
+    field that differs; it selects no behaviour, so every output is the
+    same with it or without it, and it is left holding the solved beams'
+    tables and stack, which a dump of the solution then reads. The beams
+    are stacked once: the max-power verdict, the descent and the closing
+    verdict read one ``GainStack``.
 
     Raises NoFeasibleSolutionError when even maximum power cannot satisfy
     every rate floor and exposure ceiling.
     """
     config = config or CtmConfig()
+    if evaluator is None:
+        evaluator = Evaluator(scenario, config.seed, config.realizations_per_check)
+    elif evaluator.scenario is not scenario:
+        raise ValueError("evaluator.scenario is not the scenario solved")
+    elif evaluator.seed != config.seed:
+        raise ValueError(f"evaluator.seed is {evaluator.seed}, config.seed {config.seed}")
+    elif evaluator.n_realizations != config.realizations_per_check:
+        raise ValueError(f"evaluator.n_realizations is {evaluator.n_realizations}, "
+                         f"config.realizations_per_check {config.realizations_per_check}")
     geometry = build_geometry(scenario, config)
-    evaluator = Evaluator(scenario, config.seed, config.realizations_per_check)
     if not any(b.active for b in geometry.beams):
         off = replace(geometry, tx_power={p.id: -math.inf for p in scenario.poas})
         return off, evaluator.metrics(off)

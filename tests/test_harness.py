@@ -266,15 +266,43 @@ def test_dump_links_writes_each_run_as_strict_json(tmp_path):
         assert links == Evaluator(r.scenario, r.seed, spec.n_realizations).dump_links(r.solution)
 
 
+def test_a_ctm_run_that_dumps_links_makes_one_evaluator(tmp_path, monkeypatch):
+    """The dump reads the Evaluator the CtM run was solved on: one per run,
+    where the dump used to build a second one and draw every link again."""
+    made, init = [], Evaluator.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Evaluator, "__init__", counted)
+    (record,) = run_experiment(tiny_spec(tmp_path, dump_links=True))
+    assert record.error is None and len(made) == 1
+    assert (Path(tmp_path) / "out" / record.scenario_name / "1" / "ctm" / "links.json").exists()
+
+
+def test_dump_links_without_out_dir_is_refused(tmp_path, capsys):
+    """There is nowhere to write links.json: the spec refuses it, and the
+    CLI exits 2 instead of running and writing nothing."""
+    with pytest.raises(ValueError, match="^dump_links needs out_dir$"):
+        tiny_spec(tmp_path, out_dir=None, dump_links=True)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "inf-dh-desk", "--solver", "ctm", "--seeds", "1",
+              "--realizations", "2", "--dump-links"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "dump_links needs out_dir" in err and "Traceback" not in err
+
+
 def _fail_on_seed_two(monkeypatch):
     """Make harness's CtM solver raise a non-infeasibility error on seed 2."""
     import cellless.harness as harness
     solve = harness.solve_ctm
 
-    def flaky(scenario, config):
+    def flaky(scenario, config, *args, **kwargs):
         if config.seed == 2:
             raise ZeroDivisionError("injected")
-        return solve(scenario, config)
+        return solve(scenario, config, *args, **kwargs)
 
     monkeypatch.setattr(harness, "solve_ctm", flaky)
 

@@ -848,11 +848,16 @@ def test_part_tables_under_random_calls(desk_pool, calls):
         n_blocks = len(_first_fill(ev, pid, part))
         assert terms_calls.count((pid, _PART_NAMES[part])) in (0, n_blocks, 2 * n_blocks)
     _assert_tables_equal_one_beam_kernel(ev, reference, list(read.values()))
+    fresh = Evaluator(reference.scenario, seed=1, n_realizations=2)
+    for sol in solutions:
+        assert repr(ev.metrics(sol)) == repr(fresh.metrics(sol))
 
 
 def test_evaluate_and_solve_ctm_keep_no_terms(monkeypatch):
     """``evaluate``, ``solve_ctm`` and ``dump_links`` each fill every part
-    once, so they keep no terms."""
+    once, so they keep no terms. A dump on the Evaluator that ``solve_ctm``
+    judged the solution on builds no stack and fills no table, and equals a
+    fresh Evaluator's dump."""
     import cellless.radio_metrics as rm
     import cellless.solver_ctm as solver_ctm
 
@@ -870,7 +875,16 @@ def test_evaluate_and_solve_ctm_keep_no_terms(monkeypatch):
                        realizations_per_check=4)
     evaluate(build_geometry(scenario, config), scenario, 1, n_realizations=4)
     solution, _ = solver_ctm.solve_ctm(scenario, config)
-    rm.Evaluator(scenario, 1, n_realizations=4).dump_links(solution)
+    solved = made[-1]
+    tables = {key: list(record.tables) for key, record in solved._parts.items()}
+    stacks, stack = [], rm.GainStack
+    monkeypatch.setattr(rm, "GainStack",
+                        lambda *fields: stacks.append(stack(*fields)) or stacks[-1])
+    dump = solved.dump_links(solution)
+    monkeypatch.setattr(rm, "GainStack", stack)
+    assert stacks == []
+    assert {key: list(record.tables) for key, record in solved._parts.items()} == tables
+    assert dump == rm.Evaluator(scenario, 1, n_realizations=4).dump_links(solution)
     assert len(made) == 3
     for ev in made:
         assert any(record.tables for record in ev._parts.values()) and _kept(ev) == set()

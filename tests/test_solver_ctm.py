@@ -429,11 +429,42 @@ def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
 
 
 def test_solve_ctm_deterministic(tiny_scenario):
+    """Deterministic, and the same whether it builds its Evaluator or is
+    given one."""
     cfg = CtmConfig(seed=7, realizations_per_check=4, refinement_rounds=1)
     s1, m1 = solve_ctm(tiny_scenario, cfg)
     s2, m2 = solve_ctm(tiny_scenario, cfg)
-    assert s1.tx_power == s2.tx_power
-    assert m1.per_user_rate == m2.per_user_rate
+    s3, m3 = solve_ctm(tiny_scenario, cfg, evaluator=Evaluator(tiny_scenario, 7, 4))
+    assert s1.tx_power == s2.tx_power == s3.tx_power
+    assert repr(m1) == repr(m2) == repr(m3)
+
+
+@pytest.mark.parametrize("field", ["scenario", "seed", "n_realizations"])
+def test_solve_ctm_refuses_an_evaluator_of_other_channels(tiny_scenario, field):
+    """An Evaluator of an equal but distinct scenario, another seed or
+    another realization count is refused, naming the field."""
+    cfg = CtmConfig(seed=7, realizations_per_check=4)
+    args = dict(scenario=tiny_scenario, seed=7, n_realizations=4)
+    args[field] = {"scenario": replace(tiny_scenario), "seed": 8, "n_realizations": 3}[field]
+    with pytest.raises(ValueError, match=rf"^evaluator\.{field} "):
+        solve_ctm(tiny_scenario, cfg, evaluator=Evaluator(**args))
+
+
+def test_solve_ctm_stacks_its_beams_once(monkeypatch):
+    """The max-power verdict, the descent and the closing verdict read one
+    ``GainStack``: solve_ctm builds it and the Evaluator's stack of no
+    beams, and no other."""
+    import cellless.radio_metrics as radio_metrics
+
+    stacks, stack = [], radio_metrics.GainStack
+    monkeypatch.setattr(radio_metrics, "GainStack",
+                        lambda *fields: stacks.append(stack(*fields)) or stacks[-1])
+    scenario = builtin_scenario("inf-dh-desk", 1)
+    config = CtmConfig(seed=1, delta_db=4.0, refinement_rounds=0, kmeans_restarts=2,
+                       realizations_per_check=2)
+    solution, bundle = solve_ctm(scenario, config)
+    assert bundle.feasible and len(stacks) == 2
+    assert stacks[0].listing == () and stacks[1].listing is solution.beams
 
 
 def test_ctm_config_validation():

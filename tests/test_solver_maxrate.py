@@ -96,8 +96,8 @@ _SERVICE = ("live", "poa_of_beam", "share", "serving", "interferers", "bandwidth
 def _assert_equals_fresh_stack(ev, stack, solution):
     """``stack`` has the live and serving rows, power shares, per-user
     co-channel masks, bandwidths and noise, live-row bytes and
-    ``mean_rates`` bits of a fresh users stack."""
-    fresh = ev.stack(solution)
+    ``mean_rates`` bits of a users stack built from scratch."""
+    fresh = ev.stack(solution, base=ev._no_beams)
     for name in _SERVICE:
         assert getattr(stack, name).tobytes() == getattr(fresh, name).tobytes(), name
     assert stack.beams == fresh.beams
@@ -198,8 +198,8 @@ def test_a_kept_or_built_on_score_equals_a_fresh_objective(data):
     that empties a beam), each accepted or rejected, an idle move keeps the
     current score and stack and any other move is scored on the current
     stack, as ``solve_maxrate`` does; either way the score, the mean rates'
-    bytes and the stack's live rows, service and gains equal those of a
-    base-free ``objective`` of the candidate."""
+    bytes and the stack's live rows, service and gains equal those of an
+    ``objective`` of the candidate on the stack of no beams."""
     scenario, sol = _small_world(data)
     ev = Evaluator(scenario, data.draw(st.integers(0, 3)), data.draw(st.integers(1, 2)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -214,7 +214,7 @@ def test_a_kept_or_built_on_score_equals_a_fresh_objective(data):
         assert idle or kind not in (1, 2)
         event(f"kind {kind}, {'idle' if idle else 'scored'}")
         cand_obj, stack = (obj, current) if idle else objective(cand, ev, current)
-        fresh_obj, fresh = objective(cand, ev)
+        fresh_obj, fresh = objective(cand, ev, ev._no_beams)
         assert np.float64(cand_obj).tobytes() == np.float64(fresh_obj).tobytes()
         assert (ev.mean_rates(stack, cand.tx_power).tobytes()
                 == ev.mean_rates(fresh, cand.tx_power).tobytes())
@@ -239,7 +239,7 @@ def test_a_reassign_that_wakes_one_beam_and_idles_another_keys_one_row(tiny_scen
         keyed = _count_keys(mp)
         stack = ev.stack(moved, base=base)
     assert len(keyed) == 1
-    fresh = ev.stack(moved)
+    fresh = ev.stack(moved, base=ev._no_beams)
     assert stack.live.tolist() == fresh.live.tolist() == [0, 1]  # poaA's two beams
     assert base.live.tolist() == [0, 2]
     assert stack.serving.tolist() == fresh.serving.tolist() == [0, 0, 1]
@@ -291,7 +291,8 @@ def test_an_anneal_move_keys_at_most_one_row_per_objective(monkeypatch):
     assert sum(calls) <= len(calls)
 
     monkeypatch.setattr(solver_maxrate, "objective",
-                        lambda solution, evaluator, base=None: scored(solution, evaluator))
+                        lambda solution, evaluator, base=None:
+                        scored(solution, evaluator, evaluator._no_beams))
     monkeypatch.setattr(solver_maxrate, "idle_move", lambda current, cand: False)
     fresh_best, fresh = solve_maxrate(scenario, cfg)
     assert best == fresh_best
