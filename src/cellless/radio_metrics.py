@@ -36,31 +36,35 @@ solution's beams at every user as a ``GainStack`` with one row per
 scenario beam, fixed per Evaluator; a solution decides only each row's
 table, which rows are live and which row serves each user. The stack also
 holds, per user, the co-channel mask of its serving row, its bandwidth and
-its noise. Every stack is built on a base, by default the last stack the
-Evaluator built (at first its stack of no beams), and costs what
-changed: a solution with the very beam objects of the base gets the base
-itself, so ``solve_ctm`` stacks its beams once for its verdicts, its
-descent and its dump; one whose beams serve the users
-they serve in the base shares its live rows, shares and per-user arrays;
-and a live row whose ``BeamConfig`` changed is keyed, and read only where
-its key is not the one its row of the base's gains holds, so a reassign
-that moves no beam reads no table. *Scale* multiplies each live row by its
-watts under a power vector, one computation (``Evaluator._watts``) for
-the users gains and the humans tables alike. *Verdict* composes each
-user's SINR from the three terms that ``Evaluator._terms`` returns,
-signal, co-channel interference and noise, and takes each human's
-per-frequency received power as a sum over the live rows of the humans
-tables under their keys, so a humans part is filled only for live beam
-geometries; that power feeds ``power_density`` ->
+its noise. Stacks are internal: every view takes a ``SolutionState`` and
+stacks it itself, on the last stack the Evaluator built (at first its
+stack of no beams), which is the one place that decides what a stack
+reuses. A stack costs what changed since the last one: a solution with its
+very beam objects gets that stack itself, so ``solve_ctm`` stacks its
+beams once for its verdicts, every trial of its descent and its dump; one
+whose beams serve the users they serve there shares its live rows, shares
+and per-user arrays; and a live row whose ``BeamConfig`` changed is keyed,
+and read only where its key is not the one the row of the last gains
+holds, so a reassign that moves no beam reads no table; a row given back
+the beam object it held one stack earlier takes that stack's key, so a
+MaxRate move scored after a rejected one, or a calibration probe after
+another, keys only the beams its own move changed. *Scale* multiplies each
+live row by its watts under a power vector, one computation
+(``Evaluator._watts``) for the users gains and the humans tables alike.
+*Verdict* composes each user's SINR from the three terms that
+``Evaluator._terms`` returns, signal, co-channel interference and noise,
+and takes each human's per-frequency received power as a sum over the live
+rows of the humans tables under their keys, so a humans part is filled
+only for live beam geometries; that power feeds ``power_density`` ->
 ``exposure.incident_field`` -> ``exposure.sar_wb``, and the means are
 checked against the rate floors and the SAR ceiling. ``metrics`` composes
 ``mean_rates`` and the exposure, and is the only full verdict:
 ``violated`` is every missed floor and ceiling, and ``feasible`` is that
 list being empty. ``mean_rates`` and ``unmet_floors`` (the CtM descent's
 check of a trial power vector) read every user's rate, in scenario order,
-from a stack the caller keeps, along the one path that ``metrics`` takes.
-Interference adds the live rows one by one in row order, so a rate has the
-same bits whichever realization count or beam listing it comes with.
+along the one path that ``metrics`` takes. Interference adds the live rows
+one by one in row order, so a rate has the same bits whichever realization
+count or beam listing it comes with.
 """
 
 from __future__ import annotations
@@ -133,12 +137,12 @@ class GainStack:
     tables under the live rows' ``keys``.
 
     No array is ever written after the stack is made, so stacks share them:
-    one built on another shares what its move left alone, and a state that
-    differs from the stacked one only in idle beams, or in the power of PoAs
-    with no live row, has the very rates of this stack (MaxRate's idle
-    moves keep it). An Evaluator builds each stack on the last one it
-    built unless given a base, so a solution with the very beam objects
-    of that stack gets that stack again.
+    one built on another shares what the change left alone, and a state
+    that differs from the stacked one only in idle beams, or in the power of
+    PoAs with no live row, has the very rates of this stack (MaxRate's idle
+    moves score nothing). An Evaluator builds each stack on the last one it
+    built, so a solution with the very beam objects of that stack gets that
+    stack again. Only the Evaluator makes or reads stacks.
     """
 
     listing: tuple
@@ -298,7 +302,8 @@ class Evaluator:
         self._no_beams = GainStack(
             (), no_beams, no_beams, np.empty((len(rows), self._n_users, self.n_realizations)),
             *self._service(no_beams))
-        self._last = self._no_beams  # the base of a stack() given none
+        # What the next stack() is built on, and what that one was built on.
+        self._last = self._prior = self._no_beams
 
     # -- per-beam unit-power gains -------------------------------------------
 
@@ -330,24 +335,27 @@ class Evaluator:
 
     # -- the power core: stack, scale, verdict ----------------------------------
 
-    def stack(self, solution, base: GainStack | None = None) -> GainStack:
+    def stack(self, solution) -> GainStack:
         """Unit-power gains of the solution's beams at every user. The stack
         depends on the beams only, so one serves every power vector over
         them. A beam, owner or user the scenario lacks, or a beam listed
         twice or under a PoA that does not own it, raises
         ``SolutionInvalidError``.
 
-        It is built on ``base``, by default the last stack this Evaluator
-        built (at first, the stack of no beams), and costs what changed:
-        with every row's ``BeamConfig`` the very object ``base`` holds, it
-        is ``base``; with every row serving the users it serves in ``base``,
-        it shares base's ``live`` to ``noise``; and only a live row whose
-        beam object changed is keyed, and read only where its table key is
-        not the one its row of base's gains holds. A stack has the same bits
-        whatever its base, so asking again for the beams of the last
-        solution, as ``solve_ctm``'s verdicts and its dump do, costs
+        It is built on the last stack this Evaluator built (at first, the
+        stack of no beams), and costs what changed: with every row's
+        ``BeamConfig`` the very object that stack holds, it is that stack;
+        with every row serving the users it serves there, it shares its
+        ``live`` to ``noise``; and only a live row whose beam object changed
+        is keyed, and read only where its table key is not the one its row
+        of the last gains holds. A row given back the beam object it held in
+        the stack the last one was built on takes that stack's key, so a
+        state scored after a rejected neighbour keys only what its own move
+        changed. A stack has the same bits whatever it was built on, so
+        asking again for the beams of the last solution, as every trial of
+        the CtM descent and ``solve_ctm``'s verdicts and dump do, costs
         nothing."""
-        base = self._last if base is None else base
+        base = self._last
         try:
             beams, changed = self._rows(solution.beams, base)
             if not changed:
@@ -358,10 +366,10 @@ class Evaluator:
                        else self._service(beams))
         except KeyError:
             raise SolutionInvalidError(validate(solution, self.scenario)) from None
-        keys, read = list(base.keys), []
+        keys, read, prior = list(base.keys), [], self._prior
         for row in changed:
             if beams[row] is not None and beams[row].active:
-                key = self._key(beams[row])
+                key = prior.keys[row] if beams[row] is prior.beams[row] else self._key(beams[row])
                 if key != keys[row]:
                     keys[row] = key
                     read.append(row)
@@ -371,6 +379,7 @@ class Evaluator:
             for row, table in zip(read, self._tables([beams[row] for row in read], 0,
                                                      [keys[row] for row in read])):
                 gains[row] = table.T
+        self._prior = base
         self._last = GainStack(solution.beams, tuple(beams), tuple(keys), gains, *service)
         return self._last
 
@@ -477,26 +486,26 @@ class Evaluator:
         return [f"rate:{uid}" for uid, rate in zip(self._user_ids, rates.tolist())
                 if not rate >= self._rate_floor[uid]]
 
-    def unmet_floors(self, stack, tx_power) -> list:
-        """The rate floors (``rate:<user>``) that the beams frozen in
-        ``stack`` miss under per-PoA powers ``tx_power`` [dBm], in scenario
-        order: the rate part of ``metrics``' verdict, bit for bit."""
-        return self._short(self.mean_rates(stack, tx_power))
+    def unmet_floors(self, solution) -> list:
+        """The rate floors (``rate:<user>``) that the solution misses, in
+        scenario order: the rate part of ``metrics``' verdict, bit for
+        bit."""
+        return self._short(self.mean_rates(solution))
 
     # -- views -------------------------------------------------------------------
 
-    def mean_rates(self, stack, tx_power) -> np.ndarray:
+    def mean_rates(self, solution) -> np.ndarray:
         """Mean rate [bit/s] over realizations of every user, in scenario
-        order, on the beams frozen in ``stack`` under ``tx_power`` [dBm]."""
-        signal, interference, noise, bandwidth = self._terms(stack, tx_power)
+        order."""
+        signal, interference, noise, bandwidth = self._terms(self.stack(solution),
+                                                             solution.tx_power)
         return shannon_rate(bandwidth[:, None], signal / (noise + interference)).mean(axis=-1)
 
     def metrics(self, solution: SolutionState) -> MetricsBundle:
         """Averaged rates and SAR over all realizations, plus feasibility."""
         scenario = self.scenario
-        stack = self.stack(solution)
-        sar = self._exposure(stack, solution.tx_power)
-        rates = self.mean_rates(stack, solution.tx_power)
+        sar = self._exposure(self.stack(solution), solution.tx_power)
+        rates = self.mean_rates(solution)
         active = set(solution.active_poas())
         return MetricsBundle(
             per_user_rate={u.id: float(r) for u, r in zip(scenario.users, rates)},

@@ -206,19 +206,18 @@ def _assign(cost):
     return col4row
 
 
-def match_clusters(clustering: Clustering, beams, scenario: Scenario,
-                   user_height: float | None = None) -> dict:
+def match_clusters(clustering: Clustering, beams, scenario: Scenario) -> dict:
     """Optimal one-to-one beam-to-cluster assignment (Hungarian).
 
     Cost is the 3-D Euclidean distance from the beam's PoA to the cluster
-    centroid at user height; empty clusters cost nothing to any beam.
+    centroid at the assigned users' mean height (1.5 m with none); empty
+    clusters cost nothing to any beam.
     """
     k = len(clustering.centroids)
     if len(beams) != k:
         raise ValueError(f"need exactly {k} beams for {k} clusters, got {len(beams)}")
-    if user_height is None:
-        heights = [scenario.user_by_id(u).position.z for u in clustering.assignments]
-        user_height = float(np.mean(heights)) if heights else 1.5
+    heights = [scenario.user_by_id(u).position.z for u in clustering.assignments]
+    user_height = float(np.mean(heights)) if heights else 1.5
     cost = np.zeros((k, len(beams)))
     for ci, centroid in enumerate(clustering.centroids):
         if centroid is None:
@@ -314,16 +313,18 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator,
     whole descent, making it a deterministic, monotone process. Each round sweeps
     the PoAs (descending power, then id) until a full sweep makes no
     reduction, so at the final delta no single PoA can take another step.
-    The beams never change, so the descent reads the stack of the max-power
-    verdict (``Evaluator.stack`` builds on the last stack it built).
+    A step below the float resolution of a PoA's dBm, where lowering it
+    leaves it unchanged, ends that PoA's steps: it changes nothing, so it
+    would be accepted for ever.
 
     The max-power start gets the full verdict, one ``Evaluator.metrics``
     call; it fills the beams' humans tables, which only that verdict and
     the closing ``metrics`` read. A trial step then lowers one PoA from a
-    feasible state and is judged on every user's floor, read from the users
-    stack (``Evaluator.unmet_floors``). Rates and SAR are monotone in every
-    power, rounding included: a user's signal is its serving PoA's power
-    alone, and interference and SAR only add powers. Lowering one PoA
+    feasible state and is judged on every user's floor
+    (``Evaluator.unmet_floors``); the beams never change, so every trial
+    reads the stack of the max-power verdict. Rates and SAR are monotone in
+    every power, rounding included: a user's signal is its serving PoA's
+    power alone, and interference and SAR only add powers. Lowering one PoA
     therefore raises no SAR and lowers no rate but its own users', so SAR
     is never checked again, by induction every trial starts from a feasible
     state, and a check of every floor accepts exactly the steps that a check
@@ -333,7 +334,6 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator,
     if violated:
         raise NoFeasibleSolutionError(violated)
 
-    stack = evaluator.stack(solution)
     current = solution
     active = set(current.active_poas())
     for round_idx in range(config.refinement_rounds + 1):
@@ -345,11 +345,11 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator,
             for pid in order:
                 while True:
                     trial = current.with_power(pid, current.tx_power[pid] - delta)
-                    if not evaluator.unmet_floors(stack, trial.tx_power):
-                        current = trial
-                        changed = True
-                    else:
+                    if (trial.tx_power[pid] == current.tx_power[pid]
+                            or evaluator.unmet_floors(trial)):
                         break
+                    current = trial
+                    changed = True
     return current
 
 
@@ -364,7 +364,7 @@ def solve_ctm(scenario: Scenario, config: CtmConfig | None = None,
     same with it or without it, and it is left holding the solved beams'
     tables and stack, which a dump of the solution then reads. The beams
     are stacked once: the max-power verdict, the descent and the closing
-    verdict read one ``GainStack``.
+    verdict read one stack.
 
     Raises NoFeasibleSolutionError when even maximum power cannot satisfy
     every rate floor and exposure ceiling.

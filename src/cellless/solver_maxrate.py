@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .antenna import wrap_angle
-from .radio_metrics import Evaluator, GainStack, MetricsBundle, _integer
+from .radio_metrics import Evaluator, MetricsBundle, _integer
 from .scenario import Scenario
 from .solution import SolutionState
 from .solver_ctm import CtmConfig, build_geometry
@@ -50,13 +50,12 @@ class AnnealConfig:
             raise ValueError("realizations_per_check must be >= 1")
 
 
-def objective(solution: SolutionState, evaluator: Evaluator, base: GainStack | None = None):
-    """Minimum mean per-user rate (inf with no users) and the users stack it
-    read, built on ``base``. Each scored state serves every user once, as
-    ``build_geometry`` and ``neighbor`` keep it, else ``UnservedUserError``."""
-    stack = evaluator.stack(solution, base=base)
-    rates = evaluator.mean_rates(stack, solution.tx_power)
-    return (float(rates.min()) if rates.size else math.inf), stack
+def objective(solution: SolutionState, evaluator: Evaluator) -> float:
+    """Minimum mean per-user rate (inf with no users). Each scored state
+    serves every user once, as ``build_geometry`` and ``neighbor`` keep it,
+    else ``UnservedUserError``."""
+    rates = evaluator.mean_rates(solution)
+    return float(rates.min()) if rates.size else math.inf
 
 
 def idle_move(current: SolutionState, cand: SolutionState) -> bool:
@@ -64,8 +63,7 @@ def idle_move(current: SolutionState, cand: SolutionState) -> bool:
     an active beam: a steer or width move on an idle beam, or a power move
     on a PoA that serves no one, is clamped at its maximum or is switched
     off. No rate reads what such a move changed, so ``cand`` has the score
-    of ``current`` bit for bit, and the users stack of ``current`` serves
-    as its own (``GainStack``)."""
+    of ``current`` bit for bit, and ``objective`` need not be called."""
     if cand.beams is not current.beams and (len(cand.beams) != len(current.beams) or any(
             new is not old and (new.active or old.active)
             for new, old in zip(cand.beams, current.beams))):
@@ -138,7 +136,7 @@ def neighbor(solution: SolutionState, scenario: Scenario, rng) -> SolutionState:
     return move_reassign(solution, scenario, rng)
 
 
-def _calibrate_temperature(start, start_obj, start_stack, scenario, rng, evaluator):
+def _calibrate_temperature(start, start_obj, scenario, rng, evaluator):
     """Pick T0 so about TARGET_ACCEPTANCE of early worsening moves would be
     accepted."""
     drops = []
@@ -146,7 +144,7 @@ def _calibrate_temperature(start, start_obj, start_stack, scenario, rng, evaluat
         cand = neighbor(start, scenario, rng)
         if idle_move(start, cand):
             continue
-        obj, _ = objective(cand, evaluator, start_stack)
+        obj = objective(cand, evaluator)
         if obj < start_obj:
             drops.append(start_obj - obj)
     if not drops:
@@ -160,32 +158,29 @@ def solve_maxrate(scenario: Scenario, config: AnnealConfig | None = None,
 
     Deterministic given the seed; ``trace`` (if given) collects
     (step, move, current_objective, best_objective, accepted) tuples. An
-    idle move (``idle_move``) keeps the current score and stack; any other
-    is scored on the current state's stack, which changes no bit.
+    idle move (``idle_move``) keeps the current score; any other is scored
+    by ``objective``, accepted or not.
     """
     config = config or AnnealConfig()
     evaluator = Evaluator(scenario, config.seed, config.realizations_per_check)
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 0x5A]))
 
     current = build_geometry(scenario, CtmConfig(seed=config.seed))
-    current_obj, stack = objective(current, evaluator)
+    current_obj = objective(current, evaluator)
     best, best_obj = current, current_obj
 
     temp = config.initial_temp
     if temp is None:
-        temp = _calibrate_temperature(current, current_obj, stack, scenario, rng, evaluator)
+        temp = _calibrate_temperature(current, current_obj, scenario, rng, evaluator)
 
     for step in range(config.iterations):
         for move in range(config.moves_per_temp):
             cand = neighbor(current, scenario, rng)
-            if idle_move(current, cand):
-                cand_obj, cand_stack = current_obj, stack
-            else:
-                cand_obj, cand_stack = objective(cand, evaluator, stack)
+            cand_obj = current_obj if idle_move(current, cand) else objective(cand, evaluator)
             delta = cand_obj - current_obj
             accepted = delta >= 0 or rng.random() < math.exp(delta / temp)
             if accepted:
-                current, current_obj, stack = cand, cand_obj, cand_stack
+                current, current_obj = cand, cand_obj
                 if cand_obj > best_obj:
                     best, best_obj = cand, cand_obj
             if trace is not None:

@@ -130,8 +130,7 @@ def test_criterion_04_hungarian_oracle():
                 [math.dist((c[0], c[1], 1.5), p.position.as_tuple())
                  for p in scenario.poas]
                 for c in clustering.centroids])
-            assignment = match_clusters(clustering, beams, scenario,
-                                        user_height=1.5)
+            assignment = match_clusters(clustering, beams, scenario)
             got = sum(cost[ci, beams.index(b)] for b, ci in assignment.items())
             best = min(sum(cost[i, perm[i]] for i in range(n))
                        for perm in itertools.permutations(range(n)))

@@ -40,11 +40,6 @@ def _user_terms(ev, solution, user_ids):
     return tuple(term[cols] for term in ev._terms(ev.stack(solution), solution.tx_power))
 
 
-def _mean_rates(ev, solution):
-    """``Evaluator.mean_rates`` on the solution's users stack."""
-    return ev.mean_rates(ev.stack(solution), solution.tx_power)
-
-
 def _sinr(ev, solution, user_id):
     """One user's per-realization linear SINR from its terms."""
     signal, interference, noise, _ = _user_terms(ev, solution, [user_id])
@@ -177,7 +172,7 @@ def test_rates_evaluate_user_columns_only(monkeypatch, tiny_scenario, tiny_solut
     # One active beam per PoA, so one (PoA, part) group per active beam.
     active = [b for b in tiny_solution.beams if b.active]
     assert len({b.owner_poa for b in active}) == len(active)
-    _mean_rates(ev, tiny_solution)
+    ev.mean_rates(tiny_solution)
     objective(tiny_solution, ev)
     _user_terms(ev, tiny_solution, ["u0"])
     users = sorted(c for b in active for c in _first_fill(ev, b.owner_poa, 0))
@@ -186,13 +181,13 @@ def test_rates_evaluate_user_columns_only(monkeypatch, tiny_scenario, tiny_solut
     humans = sorted(c for b in active for c in _first_fill(ev, b.owner_poa, 1))
     assert sorted(calls[len(users):]) == humans
     ev.metrics(tiny_solution)
-    _mean_rates(ev, tiny_solution)
+    ev.mean_rates(tiny_solution)
     assert len(calls) == len(users) + len(humans)
 
 
 def test_metrics_after_rates_equals_fresh_metrics(tiny_scenario, tiny_solution):
     ev = Evaluator(tiny_scenario, seed=5, n_realizations=8)
-    rates = _mean_rates(ev, tiny_solution)
+    rates = ev.mean_rates(tiny_solution)
     late = ev.metrics(tiny_solution)
     fresh = Evaluator(tiny_scenario, seed=5, n_realizations=8).metrics(tiny_solution)
     assert late.per_user_rate == fresh.per_user_rate
@@ -272,7 +267,7 @@ def test_unserved_user_rates_raise(tiny_solution, ev):
     ``_terms`` under ``mean_rates`` name that user."""
     beams = tuple(replace(b, served_users=b.served_users - {"u1"}) for b in tiny_solution.beams)
     with pytest.raises(UnservedUserError, match="u1"):
-        _mean_rates(ev, replace(tiny_solution, beams=beams))
+        ev.mean_rates(replace(tiny_solution, beams=beams))
 
 
 def _beam_watts(solution, pid):
@@ -346,7 +341,7 @@ def test_world_without_humans_evaluates(tiny_scenario, tiny_solution):
     with_humans = Evaluator(tiny_scenario, seed=5, n_realizations=4).metrics(tiny_solution)
     assert m.per_user_rate == with_humans.per_user_rate
     ev = Evaluator(no_humans, seed=5, n_realizations=4)
-    assert _mean_rates(ev, tiny_solution).tolist() == list(m.per_user_rate.values())
+    assert ev.mean_rates(tiny_solution).tolist() == list(m.per_user_rate.values())
     assert ev.beam_gains(tiny_solution.beams[0]).shape == (4, len(no_humans.users))
 
 
@@ -365,7 +360,7 @@ def test_world_without_targets_evaluates():
     m = evaluate(sol, empty, seed=1, n_realizations=2)
     assert m.feasible and m.per_user_rate == {} and m.per_human_sar == {}
     ev = Evaluator(empty, seed=1, n_realizations=2)
-    assert _mean_rates(ev, sol).shape == (0,)
+    assert ev.mean_rates(sol).shape == (0,)
     assert ev.beam_gains(sol.beams[0]).shape == (2, 0)
 
 
@@ -491,7 +486,7 @@ def test_unknown_beams_owners_and_users_are_refused(tiny_scenario, tiny_solution
     code, beams = _wrong_listings(tiny_solution)[case]
     wrong = replace(tiny_solution, beams=beams)
     for view in (lambda: ev.stack(wrong), lambda: ev.metrics(wrong),
-                 lambda: ev.mean_rates(ev.stack(wrong), wrong.tx_power),
+                 lambda: ev.mean_rates(wrong), lambda: ev.unmet_floors(wrong),
                  lambda: ev.dump_links(wrong)):
         with pytest.raises(SolutionInvalidError) as info:
             view()
@@ -539,7 +534,7 @@ def test_user_views_equal_metrics_bit_for_bit(world, seed, realizations):
     ev = Evaluator(scenario, seed, realizations)
     sol = build_geometry(scenario, CtmConfig(seed=seed))
     rates = ev.metrics(sol).per_user_rate
-    assert _mean_rates(ev, sol).tolist() == list(rates.values())
+    assert ev.mean_rates(sol).tolist() == list(rates.values())
     for u in scenario.users:
         rate = _rate(ev, sol, u.id)
         assert float(rate.mean()) == rates[u.id]
@@ -550,13 +545,12 @@ def test_user_views_equal_metrics_bit_for_bit(world, seed, realizations):
         sinr = signal[0] / (noise[0] + interference[0])
         assert np.array_equal(shannon_rate(bandwidth, sinr), rate)
 
-    stack = ev.stack(sol)
     for above in (False, True):
         # Floors at each user's own rate are met; one ulp above, all missed.
         ev._rate_floor = {uid: math.nextafter(r, math.inf) if above else r
                           for uid, r in rates.items()}
         want = [f"rate:{u.id}" for u in scenario.users] if above else []
-        assert ev.unmet_floors(stack, sol.tx_power) == want
+        assert ev.unmet_floors(sol) == want
 
 
 def _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams):
@@ -794,13 +788,14 @@ def test_kept_terms_fill_equal_one_beam_kernel(monkeypatch, world):
 
 @pytest.fixture(scope="module")
 def desk_pool():
-    """inf-dh-desk with 2 realizations: a reference Evaluator and three CtM
-    geometries whose active beams differ only in azimuth."""
+    """inf-dh-desk with 2 realizations: a reference Evaluator, three CtM
+    geometries whose active beams differ only in azimuth, and a memo of
+    fresh Evaluators' views of them (``_fresh_view``)."""
     scenario = builtin_scenario("inf-dh-desk", 1)
     base = build_geometry(scenario, CtmConfig(seed=1, kmeans_restarts=2))
     solutions = [replace(base, beams=tuple(replace(b, azimuth=wrap_angle(b.azimuth + 0.05 * k))
                                            for b in base.beams)) for k in range(3)]
-    return Evaluator(scenario, seed=1, n_realizations=2), solutions
+    return Evaluator(scenario, seed=1, n_realizations=2), solutions, {}
 
 
 def _table_key(ev, beam):
@@ -810,17 +805,44 @@ def _table_key(ev, beam):
                             width_to_panel(beam.width, panel))
 
 
+def _cut(solution, cut):
+    """``solution`` with the same beams tuple at power setting ``cut``: 0,
+    every PoA at its maximum; 1, every PoA 6 dB lower; 2, every other PoA
+    30 dB lower."""
+    return replace(solution, tx_power={
+        pid: dbm - (0.0, 6.0, 30.0 * (i % 2))[cut]
+        for i, (pid, dbm) in enumerate(sorted(solution.tx_power.items()))})
+
+
+def _bits(view):
+    """A view's result as bytes (rates) or ``repr`` (floors, bundles)."""
+    return view.tobytes() if isinstance(view, np.ndarray) else repr(view)
+
+
+def _fresh_view(memo, scenario, name, solution, key):
+    """``_bits`` of view ``name`` of ``solution`` on a fresh Evaluator, kept
+    in ``memo`` under ``key``."""
+    if key not in memo:
+        memo[key] = _bits(getattr(Evaluator(scenario, seed=1, n_realizations=2), name)(solution))
+    return memo[key]
+
+
 call = st.one_of(
     st.tuples(st.just("beam_gains"), st.integers(0, 2), st.integers(0, 99), st.booleans()),
-    st.tuples(st.sampled_from(["mean_rates", "metrics"]), st.integers(0, 2)))
+    st.tuples(st.sampled_from(["mean_rates", "unmet_floors", "metrics"]), st.integers(0, 2),
+              st.integers(0, 2)))
 
 
 @settings(deadline=None, max_examples=25)
 @given(calls=st.lists(call, min_size=1, max_size=8))
 def test_part_tables_under_random_calls(desk_pool, calls):
-    reference, solutions = desk_pool
+    """Random table fills and views (rates, floors, full verdicts) over
+    solutions of other beams and powers, in any order, each stacked on the
+    last stack the Evaluator built: every view has the bits of a fresh
+    Evaluator's, and the part records hold exactly the tables read."""
+    reference, solutions, memo = desk_pool
     ev = Evaluator(reference.scenario, seed=1, n_realizations=2)
-    read, with_humans = {}, set()
+    read, with_humans, views = {}, set(), []
     with pytest.MonkeyPatch.context() as mp:
         terms_calls = _count_link_terms_parts(mp, ev)
         for name, k, *args in calls:
@@ -830,10 +852,9 @@ def test_part_tables_under_random_calls(desk_pool, calls):
                 _fill(ev, beam, humans)
                 beams = [beam]
             else:
-                if name == "metrics":
-                    ev.metrics(solutions[k])
-                else:
-                    _mean_rates(ev, solutions[k])
+                solution = _cut(solutions[k], args[0])
+                views.append((name, solution, (name, k, args[0]),
+                              _bits(getattr(ev, name)(solution))))
                 beams, humans = active, name == "metrics"
             for b in beams:
                 read[_table_key(ev, b)] = b
@@ -848,6 +869,8 @@ def test_part_tables_under_random_calls(desk_pool, calls):
         n_blocks = len(_first_fill(ev, pid, part))
         assert terms_calls.count((pid, _PART_NAMES[part])) in (0, n_blocks, 2 * n_blocks)
     _assert_tables_equal_one_beam_kernel(ev, reference, list(read.values()))
+    for name, solution, key, bits in views:
+        assert bits == _fresh_view(memo, ev.scenario, name, solution, key), key
     fresh = Evaluator(reference.scenario, seed=1, n_realizations=2)
     for sol in solutions:
         assert repr(ev.metrics(sol)) == repr(fresh.metrics(sol))
@@ -898,8 +921,7 @@ def test_nan_floor_or_ceiling_is_a_violation(tiny_scenario, tiny_solution):
     nan_floor = Evaluator(replace(tiny_scenario, users=users), 5, 4)
     violated = nan_floor.metrics(tiny_solution).violated
     assert set(violated) == set(base) | {"rate:u0"}
-    stack = nan_floor.stack(tiny_solution)
-    assert nan_floor.unmet_floors(stack, tiny_solution.tx_power) == [
+    assert nan_floor.unmet_floors(tiny_solution) == [
         v for v in violated if v.startswith("rate:")]
     nan_limit = Evaluator(replace(tiny_scenario, sar_limit=math.nan), 5, 4)
     assert [v for v in nan_limit.metrics(tiny_solution).violated

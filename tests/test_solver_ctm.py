@@ -356,9 +356,9 @@ def test_descent_matches_metrics_reference(monkeypatch, world, channel_seed, rea
         full.append(dict(solution.tx_power))
         return metrics(self, solution)
 
-    def counted_trial(self, stack, tx_power):
-        trials.append(dict(tx_power))
-        return unmet_floors(self, stack, tx_power)
+    def counted_trial(self, solution):
+        trials.append(dict(solution.tx_power))
+        return unmet_floors(self, solution)
 
     monkeypatch.setattr(Evaluator, "metrics", counted_full)
     monkeypatch.setattr(Evaluator, "unmet_floors", counted_trial)
@@ -368,6 +368,32 @@ def test_descent_matches_metrics_reference(monkeypatch, world, channel_seed, rea
     assert full == [geometry.tx_power]
     assert len(trials) == want_checks - 1
     assert got.tx_power != geometry.tx_power
+
+
+def test_steps_below_float_resolution_end_the_descent(monkeypatch):
+    """Once a halved step no longer lowers a PoA's dBm, that PoA stops
+    stepping instead of accepting the unchanged trial for ever: 60 and 80
+    refinement rounds return the same powers, and a first step that is
+    already below resolution leaves every PoA at its maximum without a
+    trial. Past 20,000 floor checks the descent is taken to hang."""
+    trials, unmet_floors = [], Evaluator.unmet_floors
+
+    def bounded(self, solution):
+        trials.append(1)
+        assert len(trials) < 20_000, "the descent does not end"
+        return unmet_floors(self, solution)
+
+    monkeypatch.setattr(Evaluator, "unmet_floors", bounded)
+    scenario = builtin_scenario("inf-dh-desk", 1)
+    sixty, bundle = solve_ctm(scenario, CtmConfig(seed=1, refinement_rounds=60))
+    del trials[:]
+    eighty, _ = solve_ctm(scenario, CtmConfig(seed=1, refinement_rounds=80))
+    assert sixty.tx_power == eighty.tx_power
+    assert bundle.feasible
+    del trials[:]
+    tiny, _ = solve_ctm(scenario, CtmConfig(seed=1, delta_db=1e-300))
+    assert tiny.tx_power == {p.id: p.max_tx_power_dbm for p in scenario.poas}
+    assert trials == []
 
 
 @st.composite
@@ -414,7 +440,7 @@ def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
     own = sorted(uid for b in solution.beams_of(pid) for uid in b.served_users)
     after = evaluator.metrics(lowered).violated
     assert set(after) <= {f"rate:{uid}" for uid in own}
-    assert evaluator.unmet_floors(stack, lowered.tx_power) == after
+    assert evaluator.unmet_floors(lowered) == after
 
     users = [u.id for u in evaluator.scenario.users]
     signal, interference, noise, _ = evaluator._terms(stack, solution.tx_power)

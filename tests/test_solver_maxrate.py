@@ -31,10 +31,10 @@ def ev(tiny_scenario):
 
 
 def test_objective_is_min_mean_rate(tiny_scenario, start, ev):
-    obj, stack = objective(start, ev)
-    rates = ev.mean_rates(stack, start.tx_power)
+    obj = objective(start, ev)
+    rates = ev.mean_rates(start)
     assert rates.shape == (len(tiny_scenario.users),)
-    assert obj == min(rates.tolist())
+    assert type(obj) is float and obj == min(rates.tolist())
 
 
 def test_objective_minus_inf_when_unserved(tiny_scenario, start, ev):
@@ -93,17 +93,43 @@ def _count_keys(mp):
 _SERVICE = ("live", "poa_of_beam", "share", "serving", "interferers", "bandwidth", "noise")
 
 
+def _fresh(ev):
+    """A new Evaluator of ``ev``'s world and channels, whose first stack is
+    built on its stack of no beams, reading ``ev``'s gain tables. A table is
+    keyed on angles rounded to 1e-12 rad, so a beam steered there and back
+    reads the table its first angles filled, whose bits an Evaluator that
+    never met those angles would not reproduce; sharing the tables leaves
+    only the stacks to compare."""
+    fresh = Evaluator(ev.scenario, ev.seed, ev.n_realizations)
+    fresh._parts = ev._parts
+    return fresh
+
+
+def _rates_of(ev, stack, solution):
+    """``mean_rates`` of ``solution`` read from ``stack``, a stack of its
+    very beam objects: made the Evaluator's last stack, it is the stack
+    that ``mean_rates`` reads. The last stack is restored after, so the
+    chain of builds under test is left as it was."""
+    last, ev._last = ev._last, stack
+    try:
+        assert ev.stack(solution) is stack
+        return ev.mean_rates(solution)
+    finally:
+        ev._last = last
+
+
 def _assert_equals_fresh_stack(ev, stack, solution):
     """``stack`` has the live and serving rows, power shares, per-user
     co-channel masks, bandwidths and noise, live-row bytes and
-    ``mean_rates`` bits of a users stack built from scratch."""
-    fresh = ev.stack(solution, base=ev._no_beams)
+    ``mean_rates`` bits of a fresh Evaluator's users stack."""
+    fresh_ev = _fresh(ev)
+    fresh = fresh_ev.stack(solution)
     for name in _SERVICE:
         assert getattr(stack, name).tobytes() == getattr(fresh, name).tobytes(), name
     assert stack.beams == fresh.beams
     assert stack.gains[stack.live].tobytes() == fresh.gains[fresh.live].tobytes()
-    assert (ev.mean_rates(stack, solution.tx_power).tobytes()
-            == ev.mean_rates(fresh, solution.tx_power).tobytes())
+    assert (_rates_of(ev, stack, solution).tobytes()
+            == fresh_ev.mean_rates(solution).tobytes())
 
 
 @settings(deadline=None, max_examples=60)
@@ -111,12 +137,17 @@ def _assert_equals_fresh_stack(ev, stack, solution):
 def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
     """One row per move: along an anneal-like chain of moves of all four
     kinds on a random small world, each accepted or rejected, the users
-    stack built on the current state's stack equals a fresh ``stack()`` of
-    the candidate, and the current stack still equals one of the current
-    state. It keys (``width_to_panel``) only the active beams the move
-    replaced. With none, as after every power move and every move on an
-    idle beam, it shares the current gains and fills nothing; so does a
-    reassign that wakes no beam, whose keys match the current ones."""
+    stack of the candidate, built on the last stack the Evaluator built (a
+    rejected candidate's included), equals a fresh Evaluator's, and the
+    current state's stack still equals one of the current state. It keys
+    (``width_to_panel``) only the active beams in neither the last stack
+    built nor the one that stack was built on: those the move replaced, as
+    a row that a rejected move changed goes back to a beam of the current
+    state's stack. With none it fills nothing, and with no row gone back
+    either, as after every power move and every move on an idle beam that
+    follows an accepted one, it shares the last gains; so does such a
+    reassign that wakes no beam, whose keys match those of the last stack,
+    a stack of the current state's beams."""
     scenario, sol = _small_world(data)
     ev = Evaluator(scenario, data.draw(st.integers(0, 3)), data.draw(st.integers(1, 2)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -127,24 +158,38 @@ def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
     with pytest.MonkeyPatch.context() as mp:
         keyed = _count_keys(mp)
         current = ev.stack(sol)
+        # The solutions of the last stack built and of the one it was built on.
+        built, prior, last = sol, None, current
         steps = st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=25)
         for kind, accepted in data.draw(steps):
             cand = moves[kind](sol)
-            changed = [b for b in cand.beams
-                       if b.active and all(b is not old for old in sol.beams)]
-            assert kind != 0 or not changed
+            moved = [b for b in cand.beams
+                     if b.active and all(b is not old for old in sol.beams)]
+            new = [b for b in cand.beams
+                   if b.active and all(b is not old for old in built.beams)]
+            back = [b for b in new if prior is not None and any(b is old for old in prior.beams)]
+            changed = [b for b in new if all(b is not old for old in back)]
+            if back:
+                event("a row went back to its beam of the stack before the last")
+            assert kind != 0 or not moved
+            if built.beams is not sol.beams:
+                event("built on a rejected candidate's stack")
             del keyed[:]
             tables = _table_count(ev)
-            stack = ev.stack(cand, base=current)
+            stack = ev.stack(cand)
             assert len(keyed) == len(changed)
             if not changed:
-                assert stack.gains is current.gains and _table_count(ev) == tables
+                assert _table_count(ev) == tables
+                assert back or stack.gains is last.gains
             if kind == 3 and stack.live.tolist() != current.live.tolist():
                 event("a reassign woke or idled a beam")
-            if kind == 3 and set(stack.live.tolist()) <= set(current.live.tolist()):
-                assert stack.gains is current.gains  # no beam woke: no table is read
+            if (kind == 3 and built.beams is sol.beams
+                    and set(stack.live.tolist()) <= set(current.live.tolist())):
+                assert stack.gains is last.gains  # no beam woke: no table is read
             _assert_equals_fresh_stack(ev, stack, cand)
             _assert_equals_fresh_stack(ev, current, sol)
+            if stack is not last:
+                built, prior, last = cand, built, stack
             if accepted:
                 sol, current = cand, stack
 
@@ -196,14 +241,17 @@ def test_a_kept_or_built_on_score_equals_a_fresh_objective(data):
     """Along a chain of random ``neighbor`` moves and scripted ones (an idle
     beam steered, a clamped power step, a reassign onto an idle beam and one
     that empties a beam), each accepted or rejected, an idle move keeps the
-    current score and stack and any other move is scored on the current
-    stack, as ``solve_maxrate`` does; either way the score, the mean rates'
-    bytes and the stack's live rows, service and gains equal those of an
-    ``objective`` of the candidate on the stack of no beams."""
+    current score and any other move is scored by ``objective``, as
+    ``solve_maxrate`` does: on the last stack the Evaluator built, so after
+    a rejection on the rejected candidate's. Either way the score equals a
+    fresh Evaluator's ``objective`` of the candidate. A scored candidate's
+    stack has the mean rates' bytes, live rows, service and gains of a fresh
+    Evaluator's; an idle one's fresh stack has those of the current
+    state's."""
     scenario, sol = _small_world(data)
     ev = Evaluator(scenario, data.draw(st.integers(0, 3)), data.draw(st.integers(1, 2)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    obj, current = objective(sol, ev)
+    obj, after_rejection = objective(sol, ev), False
     steps = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 99), st.booleans()), max_size=30)
     for kind, pick, accepted in data.draw(steps):
         cand = (neighbor(sol, scenario, rng) if kind == 0
@@ -213,16 +261,24 @@ def test_a_kept_or_built_on_score_equals_a_fresh_objective(data):
         idle = idle_move(sol, cand)
         assert idle or kind not in (1, 2)
         event(f"kind {kind}, {'idle' if idle else 'scored'}")
-        cand_obj, stack = (obj, current) if idle else objective(cand, ev, current)
-        fresh_obj, fresh = objective(cand, ev, ev._no_beams)
+        if not idle and after_rejection:
+            event("scored on a rejected candidate's stack")
+        cand_obj = obj if idle else objective(cand, ev)
+        fresh_ev = _fresh(ev)
+        fresh_obj = objective(cand, fresh_ev)
         assert np.float64(cand_obj).tobytes() == np.float64(fresh_obj).tobytes()
-        assert (ev.mean_rates(stack, cand.tx_power).tobytes()
-                == ev.mean_rates(fresh, cand.tx_power).tobytes())
+        fresh = fresh_ev.stack(cand)
+        if idle:
+            kept_ev = _fresh(ev)
+            stack, rates = kept_ev.stack(sol), kept_ev.mean_rates(sol)
+        else:
+            stack, rates, after_rejection = ev.stack(cand), ev.mean_rates(cand), not accepted
+        assert rates.tobytes() == fresh_ev.mean_rates(cand).tobytes()
         for name in _SERVICE:
             assert getattr(stack, name).tobytes() == getattr(fresh, name).tobytes(), name
         assert stack.gains[stack.live].tobytes() == fresh.gains[fresh.live].tobytes()
         if accepted:
-            sol, obj, current = cand, cand_obj, stack
+            sol, obj = cand, cand_obj
 
 
 def test_a_reassign_that_wakes_one_beam_and_idles_another_keys_one_row(tiny_scenario):
@@ -237,15 +293,15 @@ def test_a_reassign_that_wakes_one_beam_and_idles_another_keys_one_row(tiny_scen
         if b.beam_id in (sol.beam_for_user("u2").beam_id, "poaA-b1") else b for b in sol.beams))
     with pytest.MonkeyPatch.context() as mp:
         keyed = _count_keys(mp)
-        stack = ev.stack(moved, base=base)
+        stack = ev.stack(moved)
     assert len(keyed) == 1
-    fresh = ev.stack(moved, base=ev._no_beams)
+    fresh_ev = _fresh(ev)
+    fresh = fresh_ev.stack(moved)
     assert stack.live.tolist() == fresh.live.tolist() == [0, 1]  # poaA's two beams
     assert base.live.tolist() == [0, 2]
     assert stack.serving.tolist() == fresh.serving.tolist() == [0, 0, 1]
     assert stack.gains[stack.live].tobytes() == fresh.gains[fresh.live].tobytes()
-    assert (ev.mean_rates(stack, moved.tx_power).tobytes()
-            == ev.mean_rates(fresh, moved.tx_power).tobytes())
+    assert ev.mean_rates(moved).tobytes() == fresh_ev.mean_rates(moved).tobytes()
 
 
 def test_an_anneal_move_keys_at_most_one_row_per_objective(monkeypatch):
@@ -268,9 +324,9 @@ def test_an_anneal_move_keys_at_most_one_row_per_objective(monkeypatch):
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    def counted(solution, evaluator, base=None):
+    def counted(solution, evaluator):
         before = len(keyed)
-        out = scored(solution, evaluator, base)
+        out = scored(solution, evaluator)
         calls.append(len(keyed) - before)
         return out
 
@@ -290,9 +346,11 @@ def test_an_anneal_move_keys_at_most_one_row_per_objective(monkeypatch):
     assert sum(idle) > 0
     assert sum(calls) <= len(calls)
 
-    monkeypatch.setattr(solver_maxrate, "objective",
-                        lambda solution, evaluator, base=None:
-                        scored(solution, evaluator, evaluator._no_beams))
+    def afresh(solution, evaluator):
+        evaluator._last = evaluator._no_beams  # the stack of no beams: a stack made afresh
+        return scored(solution, evaluator)
+
+    monkeypatch.setattr(solver_maxrate, "objective", afresh)
     monkeypatch.setattr(solver_maxrate, "idle_move", lambda current, cand: False)
     fresh_best, fresh = solve_maxrate(scenario, cfg)
     assert best == fresh_best
@@ -363,7 +421,7 @@ def test_solve_maxrate_improves_or_keeps_min_rate(tiny_scenario, start, ev):
                        realizations_per_check=4)
     sol, bundle = solve_maxrate(tiny_scenario, cfg)
     assert validate(sol, tiny_scenario) == []
-    assert bundle.min_rate >= objective(start, ev)[0]
+    assert bundle.min_rate >= objective(start, ev)
 
 
 def test_solve_maxrate_deterministic(tiny_scenario):
