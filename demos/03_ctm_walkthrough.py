@@ -44,7 +44,7 @@ def main():
               f"{len(b.served_users)} users")
     print("  ...")
 
-    evaluator = Evaluator(scenario, seed, cfg.realizations_per_check)
+    evaluator = Evaluator(scenario, seed)
     m0 = evaluator.metrics(geometry)
     print(f"  total power {m0.total_power:.3f} W, "
           f"min rate {m0.min_rate / 1e6:.1f} Mbit/s, "

@@ -6,8 +6,9 @@ Run with:
 
 import numpy as np
 
+from cellless.radio_metrics import Evaluator
 from cellless.scenario import builtin_scenario
-from cellless.solver_ctm import CtmConfig, solve_ctm
+from cellless.solver_ctm import solve_ctm
 from cellless.solver_maxrate import AnnealConfig, solve_maxrate
 
 
@@ -18,9 +19,10 @@ def main():
         powers = {"ctm": [], "maxrate": []}
         for seed in seeds:
             scenario = builtin_scenario(name, seed)
-            ctm_sol, ctm_m = solve_ctm(scenario, CtmConfig(seed=seed))
+            # One Evaluator per solver run, as `cellless run` builds them.
+            ctm_sol, ctm_m = solve_ctm(Evaluator(scenario, seed))
             sa_sol, sa_m = solve_maxrate(
-                scenario, AnnealConfig(seed=seed, iterations=40, moves_per_temp=10))
+                Evaluator(scenario, seed), AnnealConfig(iterations=40, moves_per_temp=10))
             for solver, m in (("ctm", ctm_m), ("maxrate", sa_m)):
                 powers[solver].append(m.total_power)
                 print(f"{name:12}  {seed:4d}  {solver:7}  {m.total_power:10.3e}"

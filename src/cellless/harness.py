@@ -59,9 +59,11 @@ class ExperimentSpec:
             if seed in seen:
                 raise ValueError(f"seeds must be distinct, got {seed} more than once")
             seen.add(seed)
-        if _integer("n_realizations", self.n_realizations) < 1:
+        for name in ("n_realizations", "workers"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.n_realizations < 1:
             raise ValueError("n_realizations must be at least 1")
-        if _integer("workers", self.workers) < 1:
+        if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.solver not in SOLVERS + ("both",):
             raise ValueError(f"unknown solver {self.solver!r}")
@@ -98,18 +100,13 @@ def _instantiate(spec: ExperimentSpec, seed: int) -> Scenario:
 
 def _run_one(spec: ExperimentSpec, seed: int, solver: str) -> RunRecord:
     scenario = _instantiate(spec, seed)
-    ctm_cfg = replace(spec.ctm, seed=seed,
-                      realizations_per_check=spec.n_realizations)
-    evaluator = None  # the CtM run's, which its links.json is dumped from
     try:
         t0 = time.perf_counter()
+        evaluator = Evaluator(scenario, seed, spec.n_realizations)
         if solver == "ctm":
-            evaluator = Evaluator(scenario, seed, spec.n_realizations)
-            solution, bundle = solve_ctm(scenario, ctm_cfg, evaluator=evaluator)
+            solution, bundle = solve_ctm(evaluator, replace(spec.ctm, seed=seed))
         else:
-            sa_cfg = replace(spec.anneal, seed=seed,
-                             realizations_per_check=spec.n_realizations)
-            solution, bundle = solve_maxrate(scenario, sa_cfg)
+            solution, bundle = solve_maxrate(evaluator, spec.anneal)
         wall = time.perf_counter() - t0
     except NoFeasibleSolutionError as e:
         return RunRecord(seed, solver, scenario, 0.0, None, None, error=str(e))
@@ -169,9 +166,9 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _write_run(spec: ExperimentSpec, record: RunRecord, evaluator: Evaluator | None):
+def _write_run(spec: ExperimentSpec, record: RunRecord, evaluator: Evaluator):
     """Write one run's files; ``links.json`` is dumped from ``evaluator``,
-    the Evaluator that judged the run, if there is one."""
+    the Evaluator that judged the run."""
     out = _run_dir(spec, record)
     out.mkdir(parents=True, exist_ok=True)
     save_solution(record.solution, out / "solution.json")
@@ -181,11 +178,6 @@ def _write_run(spec: ExperimentSpec, record: RunRecord, evaluator: Evaluator | N
         json.dump(_summary(record), f, indent=2, sort_keys=True)
         f.write("\n")
     if spec.dump_links:
-        if evaluator is None:
-            # MaxRate's: solve_maxrate takes no Evaluator while perfbench's
-            # traced_maxrate(scenario, config=None, trace=None) fixes its
-            # signature.
-            evaluator = Evaluator(record.scenario, record.seed, spec.n_realizations)
         with open(out / "links.json", "w") as f:
             json.dump(evaluator.dump_links(record.solution), f)
             f.write("\n")

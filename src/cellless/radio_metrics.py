@@ -524,7 +524,7 @@ class Evaluator:
 
         Together with the solved powers this is enough to recompute every
         SINR, rate, and received power by hand. On the Evaluator that judged
-        ``solution`` (as ``solve_ctm``'s does) it builds no stack and fills
+        ``solution`` (as either solver's does) it builds no stack and fills
         no table: it only draws the links again, for their LoS states, path
         losses and shadowing.
         """

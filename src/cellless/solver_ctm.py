@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .radio_metrics import Evaluator, MetricsBundle, _integer
+from .radio_metrics import Evaluator, _integer
 from .scenario import Scenario
 from .solution import BeamConfig, SolutionState
 
@@ -46,7 +46,7 @@ class CtmConfig:
     delta_db: float = 1.0
     refinement_rounds: int = 3
     kmeans_restarts: int = 10
-    realizations_per_check: int = 10
+    realizations_per_check: int = 10   # read by no solver; perfbench/run.py:181 writes it
     seed: int = 0
 
     def __post_init__(self):
@@ -353,32 +353,21 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator,
     return current
 
 
-def solve_ctm(scenario: Scenario, config: CtmConfig | None = None,
-              evaluator: Evaluator | None = None):
-    """Full pipeline; returns (SolutionState, MetricsBundle).
+def solve_ctm(evaluator: Evaluator, config: CtmConfig | None = None):
+    """Solve ``evaluator.scenario`` on ``evaluator``'s channel realizations;
+    returns (SolutionState, MetricsBundle).
 
-    Every verdict is read on ``evaluator``, by default a new Evaluator of
-    ``config``'s seed and ``realizations_per_check``. A given one must be
-    of ``scenario`` and of those two values, else ``ValueError`` names the
-    field that differs; it selects no behaviour, so every output is the
-    same with it or without it, and it is left holding the solved beams'
-    tables and stack, which a dump of the solution then reads. The beams
-    are stacked once: the max-power verdict, the descent and the closing
-    verdict read one stack.
+    The default config is ``CtmConfig(seed=evaluator.seed)``; ``config.seed``
+    seeds the k-means restarts. Every verdict is read on ``evaluator``,
+    which is left holding the solved beams' tables and stack, so a dump of
+    the solution then reads them. The beams are stacked once: the
+    max-power verdict, the descent and the closing verdict read one stack.
 
     Raises NoFeasibleSolutionError when even maximum power cannot satisfy
     every rate floor and exposure ceiling.
     """
-    config = config or CtmConfig()
-    if evaluator is None:
-        evaluator = Evaluator(scenario, config.seed, config.realizations_per_check)
-    elif evaluator.scenario is not scenario:
-        raise ValueError("evaluator.scenario is not the scenario solved")
-    elif evaluator.seed != config.seed:
-        raise ValueError(f"evaluator.seed is {evaluator.seed}, config.seed {config.seed}")
-    elif evaluator.n_realizations != config.realizations_per_check:
-        raise ValueError(f"evaluator.n_realizations is {evaluator.n_realizations}, "
-                         f"config.realizations_per_check {config.realizations_per_check}")
+    scenario = evaluator.scenario
+    config = config or CtmConfig(seed=evaluator.seed)
     geometry = build_geometry(scenario, config)
     if not any(b.active for b in geometry.beams):
         off = replace(geometry, tx_power={p.id: -math.inf for p in scenario.poas})

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .antenna import wrap_angle
-from .radio_metrics import Evaluator, MetricsBundle, _integer
+from .radio_metrics import Evaluator, _integer
 from .scenario import Scenario
 from .solution import SolutionState
 from .solver_ctm import CtmConfig, build_geometry
@@ -32,11 +32,9 @@ class AnnealConfig:
     cooling_factor: float = 0.95
     iterations: int = 200               # temperature steps
     moves_per_temp: int = 20
-    seed: int = 0
-    realizations_per_check: int = 10
 
     def __post_init__(self):
-        for name in ("iterations", "moves_per_temp", "seed", "realizations_per_check"):
+        for name in ("iterations", "moves_per_temp"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -46,8 +44,6 @@ class AnnealConfig:
             raise ValueError("moves_per_temp must be >= 1")
         if self.initial_temp is not None and not 0 < self.initial_temp < math.inf:
             raise ValueError("initial_temp must be positive and finite")
-        if self.realizations_per_check < 1:
-            raise ValueError("realizations_per_check must be >= 1")
 
 
 def objective(solution: SolutionState, evaluator: Evaluator) -> float:
@@ -152,20 +148,23 @@ def _calibrate_temperature(start, start_obj, scenario, rng, evaluator):
     return float(np.mean(drops)) / (-math.log(TARGET_ACCEPTANCE))
 
 
-def solve_maxrate(scenario: Scenario, config: AnnealConfig | None = None,
+def solve_maxrate(evaluator: Evaluator, config: AnnealConfig | None = None,
                   trace: list | None = None):
-    """Anneal and return (best SolutionState, MetricsBundle).
+    """Anneal ``evaluator.scenario`` on ``evaluator``'s channel realizations
+    and return (best SolutionState, MetricsBundle).
 
-    Deterministic given the seed; ``trace`` (if given) collects
+    ``evaluator.seed`` seeds the move generator and the start geometry's
+    k-means, so the anneal is deterministic given the Evaluator's scenario,
+    seed and realization count; ``trace`` (if given) collects
     (step, move, current_objective, best_objective, accepted) tuples. An
     idle move (``idle_move``) keeps the current score; any other is scored
     by ``objective``, accepted or not.
     """
     config = config or AnnealConfig()
-    evaluator = Evaluator(scenario, config.seed, config.realizations_per_check)
-    rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 0x5A]))
+    scenario, seed = evaluator.scenario, evaluator.seed
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A]))
 
-    current = build_geometry(scenario, CtmConfig(seed=config.seed))
+    current = build_geometry(scenario, CtmConfig(seed=seed))
     current_obj = objective(current, evaluator)
     best, best_obj = current, current_obj
 

@@ -31,9 +31,8 @@ from cellless.solver_maxrate import AnnealConfig, solve_maxrate
 from conftest import make_tiny_scenario, serve_all_solution
 
 SEEDS = tuple(range(1, 11))
-CTM_CFG = CtmConfig(realizations_per_check=10)
-SA_CFG = AnnealConfig(iterations=40, moves_per_temp=10,
-                      realizations_per_check=10)
+REALIZATIONS = 10
+SA_CFG = AnnealConfig(iterations=40, moves_per_temp=10)
 
 
 def verdict(num, name, ok):
@@ -50,9 +49,9 @@ def inf_runs():
     out = []
     for seed in SEEDS:
         scenario = builtin_scenario("inf-dh-desk", seed)
-        cfg = replace(CTM_CFG, seed=seed)
-        ctm_sol, ctm_m = solve_ctm(scenario, cfg)
-        sa_sol, sa_m = solve_maxrate(scenario, replace(SA_CFG, seed=seed))
+        cfg = CtmConfig(seed=seed)
+        ctm_sol, ctm_m = solve_ctm(Evaluator(scenario, seed, REALIZATIONS), cfg)
+        sa_sol, sa_m = solve_maxrate(Evaluator(scenario, seed, REALIZATIONS), SA_CFG)
         out.append(dict(seed=seed, scenario=scenario, cfg=cfg,
                         ctm=(ctm_sol, ctm_m), maxrate=(sa_sol, sa_m)))
     return out, time.perf_counter() - t0
@@ -63,8 +62,8 @@ def umi_runs():
     out = []
     for seed in SEEDS:
         scenario = builtin_scenario("umi-sc-desk", seed)
-        cfg = replace(CTM_CFG, seed=seed)
-        sol, m = solve_ctm(scenario, cfg)
+        cfg = CtmConfig(seed=seed)
+        sol, m = solve_ctm(Evaluator(scenario, seed, REALIZATIONS), cfg)
         out.append(dict(seed=seed, scenario=scenario, cfg=cfg, ctm=(sol, m)))
     return out
 
@@ -183,7 +182,7 @@ def test_criterion_06_delta_local_minimality(inf_runs):
         sol, _ = r["ctm"]
         cfg = r["cfg"]
         final_delta = cfg.delta_db / (2 ** cfg.refinement_rounds)
-        ev = Evaluator(r["scenario"], cfg.seed, cfg.realizations_per_check)
+        ev = Evaluator(r["scenario"], cfg.seed, REALIZATIONS)
         assert ev.metrics(sol).feasible
         for pid in sol.active_poas():
             trial = sol.with_power(pid, sol.tx_power[pid] - final_delta)
@@ -331,8 +330,7 @@ def test_criterion_10_determinism_and_complexity(tmp_path):
     ok = True
 
     # a) identical outputs for worker counts 1, 4, 8 at a fixed seed.
-    cfg = CtmConfig(delta_db=4.0, refinement_rounds=0, kmeans_restarts=3,
-                    realizations_per_check=5)
+    cfg = CtmConfig(delta_db=4.0, refinement_rounds=0, kmeans_restarts=3)
     outs = []
     for workers in (1, 4, 8):
         out = tmp_path / f"w{workers}"
@@ -358,10 +356,8 @@ def test_criterion_10_determinism_and_complexity(tmp_path):
         scenario = generate_placements(template, 1)
         t0 = time.perf_counter()
         try:
-            solve_ctm(scenario, CtmConfig(seed=1, delta_db=6.0,
-                                          refinement_rounds=0,
-                                          kmeans_restarts=3,
-                                          realizations_per_check=3))
+            solve_ctm(Evaluator(scenario, 1, 3),
+                      CtmConfig(seed=1, delta_db=6.0, refinement_rounds=0, kmeans_restarts=3))
         except NoFeasibleSolutionError:
             pass
         times.append(time.perf_counter() - t0)

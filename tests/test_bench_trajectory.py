@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -56,7 +57,8 @@ def test_parse_perfbench_refuses_a_malformed_op_line(trajectory):
 
 
 def test_layer_run_is_stored_under_its_label(trajectory, tmp_path):
-    """Two runs into one file keep both labels; each holds every layer."""
+    """Two runs into one file keep both labels; each holds every layer, in
+    raw and in reference-core seconds."""
     out = tmp_path / "bench.json"
     for label in ("parent", "change"):
         code = trajectory.main(["--layers-only", "--repeats", "1", "--out", str(out),
@@ -65,8 +67,11 @@ def test_layer_run_is_stored_under_its_label(trajectory, tmp_path):
     runs = json.loads(out.read_text())["runs"]
     assert sorted(runs) == ["change", "parent"]
     solver = runs["change"]["layers"]["solver"]
-    for name in ("evaluator_init", "cold_fill", "warm_metrics", "reduce_powers", "anneal_move"):
-        assert solver[name]["samples"] == 1 and solver[name]["median_s"] > 0.0
+    layers = [solver[name] for name in ("evaluator_init", "cold_fill", "warm_metrics",
+                                        "reduce_powers", "anneal_move")]
     for kernel in runs["change"]["layers"]["kernel"].values():
-        assert kernel["link_terms_per_block"]["median_s"] > 0.0
-        assert kernel["steered_energy_per_beam"]["median_s"] > 0.0
+        layers += [kernel["link_terms_per_block"], kernel["steered_energy_per_beam"]]
+    assert len(layers) == 9
+    for layer in layers:
+        assert layer["samples"] == 1 and layer["median_s"] > 0.0
+        assert 0.0 < layer["median_ref_s"] < math.inf

@@ -266,9 +266,11 @@ def test_dump_links_writes_each_run_as_strict_json(tmp_path):
         assert links == Evaluator(r.scenario, r.seed, spec.n_realizations).dump_links(r.solution)
 
 
-def test_a_ctm_run_that_dumps_links_makes_one_evaluator(tmp_path, monkeypatch):
-    """The dump reads the Evaluator the CtM run was solved on: one per run,
-    where the dump used to build a second one and draw every link again."""
+@pytest.mark.parametrize("solver", ["ctm", "maxrate"])
+def test_a_run_that_dumps_links_makes_one_evaluator(tmp_path, monkeypatch, solver):
+    """The dump reads the Evaluator the run was solved on: one per run of
+    either solver, where the dump used to build a second one and draw every
+    link again."""
     made, init = [], Evaluator.__init__
 
     def counted(self, *args, **kwargs):
@@ -276,9 +278,9 @@ def test_a_ctm_run_that_dumps_links_makes_one_evaluator(tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Evaluator, "__init__", counted)
-    (record,) = run_experiment(tiny_spec(tmp_path, dump_links=True))
+    (record,) = run_experiment(tiny_spec(tmp_path, solver=solver, dump_links=True))
     assert record.error is None and len(made) == 1
-    assert (Path(tmp_path) / "out" / record.scenario_name / "1" / "ctm" / "links.json").exists()
+    assert (Path(tmp_path) / "out" / record.scenario_name / "1" / solver / "links.json").exists()
 
 
 def test_dump_links_without_out_dir_is_refused(tmp_path, capsys):
@@ -299,10 +301,10 @@ def _fail_on_seed_two(monkeypatch):
     import cellless.harness as harness
     solve = harness.solve_ctm
 
-    def flaky(scenario, config, *args, **kwargs):
-        if config.seed == 2:
+    def flaky(evaluator, config, *args, **kwargs):
+        if evaluator.seed == 2:
             raise ZeroDivisionError("injected")
-        return solve(scenario, config, *args, **kwargs)
+        return solve(evaluator, config, *args, **kwargs)
 
     monkeypatch.setattr(harness, "solve_ctm", flaky)
 
@@ -387,11 +389,16 @@ def test_spec_refuses_non_integers_naming_the_field(tmp_path, kwargs, name):
 
 
 def test_spec_keeps_numpy_integer_seeds_as_ints(tmp_path):
-    """A numpy integer seed is a plain int from construction on, so its run
-    writes a summary.json that plotting reads back."""
-    spec = tiny_spec(tmp_path, seeds=(np.int64(1), np.uint8(2), 3.0))
+    """A numpy integer or integral float seed, realization count or worker
+    count is a plain int from construction on, so its run writes a
+    summary.json that plotting reads back, and a worker count of 2.0 starts
+    a process pool instead of raising ``TypeError`` inside it."""
+    spec = tiny_spec(tmp_path, seeds=(np.int64(1), np.uint8(2), 3.0), workers=2.0,
+                     n_realizations=np.int64(2))
     assert spec.seeds == (1, 2, 3) and {type(seed) for seed in spec.seeds} == {int}
-    (record,) = run_experiment(tiny_spec(tmp_path, seeds=(np.int64(1),)))
+    assert (spec.workers, spec.n_realizations) == (2, 2)
+    assert type(spec.workers) is int and type(spec.n_realizations) is int
+    record = run_experiment(spec)[0]
     summary, _ = load_run_metrics(Path(spec.out_dir) / record.scenario_name / "1" / "ctm")
     assert record.error is None and summary["seed"] == 1
 

@@ -892,12 +892,10 @@ def test_evaluate_and_solve_ctm_keep_no_terms(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(rm, "Evaluator", Recorded)
-    monkeypatch.setattr(solver_ctm, "Evaluator", Recorded)
     scenario = builtin_scenario("inf-dh-desk", 1)
-    config = CtmConfig(seed=1, delta_db=4.0, refinement_rounds=0, kmeans_restarts=2,
-                       realizations_per_check=4)
+    config = CtmConfig(seed=1, delta_db=4.0, refinement_rounds=0, kmeans_restarts=2)
     evaluate(build_geometry(scenario, config), scenario, 1, n_realizations=4)
-    solution, _ = solver_ctm.solve_ctm(scenario, config)
+    solution, _ = solver_ctm.solve_ctm(Recorded(scenario, 1, 4), config)
     solved = made[-1]
     tables = {key: list(record.tables) for key, record in solved._parts.items()}
     stacks, stack = [], rm.GainStack

@@ -260,9 +260,9 @@ def test_build_geometry_is_legal(tiny_scenario):
 
 
 def test_reduce_powers_monotone_and_feasible(tiny_scenario):
-    cfg = CtmConfig(seed=2, realizations_per_check=4, refinement_rounds=1)
+    cfg = CtmConfig(seed=2, refinement_rounds=1)
     geo = build_geometry(tiny_scenario, cfg)
-    ev = Evaluator(tiny_scenario, cfg.seed, cfg.realizations_per_check)
+    ev = Evaluator(tiny_scenario, cfg.seed, 4)
     out = reduce_powers(geo, ev, cfg)
     assert ev.metrics(out).feasible
     for pid in out.tx_power:
@@ -273,7 +273,7 @@ def test_reduce_powers_monotone_and_feasible(tiny_scenario):
 def test_infeasible_at_max_power_raises():
     scenario = make_tiny_scenario(required_rate=1e12)
     with pytest.raises(NoFeasibleSolutionError):
-        solve_ctm(scenario, CtmConfig(seed=1, realizations_per_check=2))
+        solve_ctm(Evaluator(scenario, 1, 2))
 
 
 def test_infeasible_error_carries_the_max_power_verdict():
@@ -282,12 +282,10 @@ def test_infeasible_error_carries_the_max_power_verdict():
     target = scenario.users[3].id
     hard = replace(scenario, users=tuple(
         replace(u, required_rate=1e13) if u.id == target else u for u in scenario.users))
-    cfg = CtmConfig(seed=1, realizations_per_check=4)
     with pytest.raises(NoFeasibleSolutionError) as info:
-        solve_ctm(hard, cfg)
+        solve_ctm(Evaluator(hard, 1, 4))
     err = info.value
-    at_max = Evaluator(hard, cfg.seed, cfg.realizations_per_check).metrics(
-        build_geometry(hard, cfg))
+    at_max = Evaluator(hard, 1, 4).metrics(build_geometry(hard, CtmConfig(seed=1)))
     assert err.violated == at_max.violated == [f"rate:{target}"]
     assert str(err) == ("no feasible solution at maximum transmit power; "
                         f"1 violated: rate:{target}")
@@ -344,10 +342,10 @@ def test_descent_matches_metrics_reference(monkeypatch, world, channel_seed, rea
     dBm values as the reference after one full check of the max-power start
     and one check of every floor per reference trial."""
     scenario = builtin_scenario(world, 1)
-    cfg = CtmConfig(seed=channel_seed, realizations_per_check=realizations)
+    cfg = CtmConfig(seed=channel_seed)
     geometry = build_geometry(scenario, cfg)
     want, want_checks = _reference_descent(
-        geometry, cfg, Evaluator(scenario, cfg.seed, cfg.realizations_per_check))
+        geometry, cfg, Evaluator(scenario, channel_seed, realizations))
 
     full, trials = [], []
     metrics, unmet_floors = Evaluator.metrics, Evaluator.unmet_floors
@@ -362,8 +360,7 @@ def test_descent_matches_metrics_reference(monkeypatch, world, channel_seed, rea
 
     monkeypatch.setattr(Evaluator, "metrics", counted_full)
     monkeypatch.setattr(Evaluator, "unmet_floors", counted_trial)
-    got = reduce_powers(geometry, Evaluator(scenario, cfg.seed, cfg.realizations_per_check),
-                        cfg)
+    got = reduce_powers(geometry, Evaluator(scenario, channel_seed, realizations), cfg)
     assert got.tx_power == want.tx_power
     assert full == [geometry.tx_power]
     assert len(trials) == want_checks - 1
@@ -385,13 +382,13 @@ def test_steps_below_float_resolution_end_the_descent(monkeypatch):
 
     monkeypatch.setattr(Evaluator, "unmet_floors", bounded)
     scenario = builtin_scenario("inf-dh-desk", 1)
-    sixty, bundle = solve_ctm(scenario, CtmConfig(seed=1, refinement_rounds=60))
+    sixty, bundle = solve_ctm(Evaluator(scenario, 1), CtmConfig(seed=1, refinement_rounds=60))
     del trials[:]
-    eighty, _ = solve_ctm(scenario, CtmConfig(seed=1, refinement_rounds=80))
+    eighty, _ = solve_ctm(Evaluator(scenario, 1), CtmConfig(seed=1, refinement_rounds=80))
     assert sixty.tx_power == eighty.tx_power
     assert bundle.feasible
     del trials[:]
-    tiny, _ = solve_ctm(scenario, CtmConfig(seed=1, delta_db=1e-300))
+    tiny, _ = solve_ctm(Evaluator(scenario, 1), CtmConfig(seed=1, delta_db=1e-300))
     assert tiny.tx_power == {p.id: p.max_tx_power_dbm for p in scenario.poas}
     assert trials == []
 
@@ -411,16 +408,16 @@ def feasible_small_worlds(draw):
     humans = tuple(Human(f"h{i}", draw(spot), "ella") for i in range(draw(st.integers(0, 2))))
     scenario = replace(make_tiny_scenario(), poas=poas, users=users, humans=humans,
                        frequency_map=FrequencyMap({3e9: 2.45e9, 5e9: 5.2e9}))
-    cfg = CtmConfig(seed=draw(st.integers(0, 3)), realizations_per_check=draw(st.integers(1, 3)))
-    solution = replace(build_geometry(scenario, cfg),
+    seed, realizations = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    solution = replace(build_geometry(scenario, CtmConfig(seed=seed)),
                        tx_power={p.id: draw(st.floats(-30.0, 30.0)) for p in poas})
-    start = Evaluator(scenario, cfg.seed, cfg.realizations_per_check).metrics(solution)
+    start = Evaluator(scenario, seed, realizations).metrics(solution)
     scenario = replace(
         scenario,
         users=tuple(replace(u, required_rate=start.per_user_rate[u.id] * draw(st.floats(0.5, 1.0)))
                     for u in users),
         sar_limit=start.max_sar * draw(st.floats(1.0, 2.0)) if humans else 0.08)
-    return Evaluator(scenario, cfg.seed, cfg.realizations_per_check), solution
+    return Evaluator(scenario, seed, realizations), solution
 
 
 @settings(deadline=None, max_examples=60)
@@ -455,25 +452,16 @@ def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
 
 
 def test_solve_ctm_deterministic(tiny_scenario):
-    """Deterministic, and the same whether it builds its Evaluator or is
-    given one."""
-    cfg = CtmConfig(seed=7, realizations_per_check=4, refinement_rounds=1)
-    s1, m1 = solve_ctm(tiny_scenario, cfg)
-    s2, m2 = solve_ctm(tiny_scenario, cfg)
-    s3, m3 = solve_ctm(tiny_scenario, cfg, evaluator=Evaluator(tiny_scenario, 7, 4))
-    assert s1.tx_power == s2.tx_power == s3.tx_power
-    assert repr(m1) == repr(m2) == repr(m3)
-
-
-@pytest.mark.parametrize("field", ["scenario", "seed", "n_realizations"])
-def test_solve_ctm_refuses_an_evaluator_of_other_channels(tiny_scenario, field):
-    """An Evaluator of an equal but distinct scenario, another seed or
-    another realization count is refused, naming the field."""
-    cfg = CtmConfig(seed=7, realizations_per_check=4)
-    args = dict(scenario=tiny_scenario, seed=7, n_realizations=4)
-    args[field] = {"scenario": replace(tiny_scenario), "seed": 8, "n_realizations": 3}[field]
-    with pytest.raises(ValueError, match=rf"^evaluator\.{field} "):
-        solve_ctm(tiny_scenario, cfg, evaluator=Evaluator(**args))
+    """Deterministic on two Evaluators of one world, and with no config it
+    runs ``CtmConfig(seed=evaluator.seed)``."""
+    cfg = CtmConfig(seed=7, refinement_rounds=1)
+    s1, m1 = solve_ctm(Evaluator(tiny_scenario, 7, 4), cfg)
+    s2, m2 = solve_ctm(Evaluator(tiny_scenario, 7, 4), cfg)
+    assert s1.tx_power == s2.tx_power
+    assert repr(m1) == repr(m2)
+    s3, m3 = solve_ctm(Evaluator(tiny_scenario, 7, 4))
+    s4, m4 = solve_ctm(Evaluator(tiny_scenario, 7, 4), CtmConfig(seed=7))
+    assert s3 == s4 and repr(m3) == repr(m4)
 
 
 def test_solve_ctm_stacks_its_beams_once(monkeypatch):
@@ -486,9 +474,8 @@ def test_solve_ctm_stacks_its_beams_once(monkeypatch):
     monkeypatch.setattr(radio_metrics, "GainStack",
                         lambda *fields: stacks.append(stack(*fields)) or stacks[-1])
     scenario = builtin_scenario("inf-dh-desk", 1)
-    config = CtmConfig(seed=1, delta_db=4.0, refinement_rounds=0, kmeans_restarts=2,
-                       realizations_per_check=2)
-    solution, bundle = solve_ctm(scenario, config)
+    config = CtmConfig(seed=1, delta_db=4.0, refinement_rounds=0, kmeans_restarts=2)
+    solution, bundle = solve_ctm(Evaluator(scenario, 1, 2), config)
     assert bundle.feasible and len(stacks) == 2
     assert stacks[0].listing == () and stacks[1].listing is solution.beams
 
@@ -512,10 +499,11 @@ def test_nan_rate_floors_raise_instead_of_descending_forever():
     code = (
         "import math; from dataclasses import replace; "
         "from cellless.scenario import builtin_scenario; "
-        "from cellless.solver_ctm import CtmConfig, NoFeasibleSolutionError, solve_ctm; "
+        "from cellless.radio_metrics import Evaluator; "
+        "from cellless.solver_ctm import NoFeasibleSolutionError, solve_ctm; "
         "s = builtin_scenario('inf-dh-desk', 1); "
         "s = replace(s, users=tuple(replace(u, required_rate=math.nan) for u in s.users))\n"
-        "try: solve_ctm(s, CtmConfig(seed=1, realizations_per_check=2))\n"
+        "try: solve_ctm(Evaluator(s, 1, 2))\n"
         "except NoFeasibleSolutionError as e: print(len(e.violated))")
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")

@@ -315,7 +315,7 @@ def test_an_anneal_move_keys_at_most_one_row_per_objective(monkeypatch):
     from cellless.scenario import builtin_scenario
 
     scenario = builtin_scenario("inf-dh-desk", 0)
-    cfg = AnnealConfig(seed=0, iterations=10, moves_per_temp=10, realizations_per_check=2)
+    cfg = AnnealConfig(iterations=10, moves_per_temp=10)
     keyed, calls, idle, made = _count_keys(monkeypatch), [], [], []
     scored, is_idle = solver_maxrate.objective, solver_maxrate.idle_move
 
@@ -337,10 +337,9 @@ def test_an_anneal_move_keys_at_most_one_row_per_objective(monkeypatch):
         idle.append(out)
         return out
 
-    monkeypatch.setattr(solver_maxrate, "Evaluator", Recorded)
     monkeypatch.setattr(solver_maxrate, "objective", counted)
     monkeypatch.setattr(solver_maxrate, "idle_move", counted_idle)
-    best, bundle = solve_maxrate(scenario, cfg)
+    best, bundle = solve_maxrate(Recorded(scenario, 0, 2), cfg)
     assert len(idle) == 100 + 100   # the calibration probes and moves
     assert len(calls) + sum(idle) == 1 + 100 + 100   # and the start
     assert sum(idle) > 0
@@ -352,7 +351,7 @@ def test_an_anneal_move_keys_at_most_one_row_per_objective(monkeypatch):
 
     monkeypatch.setattr(solver_maxrate, "objective", afresh)
     monkeypatch.setattr(solver_maxrate, "idle_move", lambda current, cand: False)
-    fresh_best, fresh = solve_maxrate(scenario, cfg)
+    fresh_best, fresh = solve_maxrate(Recorded(scenario, 0, 2), cfg)
     assert best == fresh_best
     assert bundle.per_user_rate == fresh.per_user_rate
     tables = [{k: set(record.tables) for k, record in ev._parts.items()} for ev in made]
@@ -417,18 +416,18 @@ def test_move_reassign_keeps_partition(tiny_scenario, start):
 
 
 def test_solve_maxrate_improves_or_keeps_min_rate(tiny_scenario, start, ev):
-    cfg = AnnealConfig(seed=0, iterations=15, moves_per_temp=5,
-                       realizations_per_check=4)
-    sol, bundle = solve_maxrate(tiny_scenario, cfg)
+    cfg = AnnealConfig(iterations=15, moves_per_temp=5)
+    sol, bundle = solve_maxrate(Evaluator(tiny_scenario, 0, 4), cfg)
     assert validate(sol, tiny_scenario) == []
     assert bundle.min_rate >= objective(start, ev)
 
 
 def test_solve_maxrate_deterministic(tiny_scenario):
-    cfg = AnnealConfig(seed=3, iterations=8, moves_per_temp=4,
-                       realizations_per_check=3)
-    s1, m1 = solve_maxrate(tiny_scenario, cfg)
-    s2, m2 = solve_maxrate(tiny_scenario, cfg)
+    """Deterministic on two Evaluators of one world: the anneal reads its
+    seed from the Evaluator."""
+    cfg = AnnealConfig(iterations=8, moves_per_temp=4)
+    s1, m1 = solve_maxrate(Evaluator(tiny_scenario, 3, 3), cfg)
+    s2, m2 = solve_maxrate(Evaluator(tiny_scenario, 3, 3), cfg)
     assert s1.tx_power == s2.tx_power
     assert m1.per_user_rate == m2.per_user_rate
 
@@ -438,12 +437,11 @@ def test_anneal_with_kept_terms_equals_anneal_without(monkeypatch):
     rates equal those of the same anneal recomputing the terms on every
     miss, which it does many more times."""
     import cellless.radio_metrics as radio_metrics
-    import cellless.solver_maxrate as solver_maxrate
     from cellless import channel as ch
     from cellless.scenario import builtin_scenario
 
     scenario = builtin_scenario("inf-dh-desk", 1)
-    cfg = AnnealConfig(seed=1, iterations=20, moves_per_temp=10, realizations_per_check=4)
+    cfg = AnnealConfig(iterations=20, moves_per_temp=10)
     calls, made = [], []
     original = ch.link_terms
 
@@ -462,14 +460,13 @@ def test_anneal_with_kept_terms_equals_anneal_without(monkeypatch):
             self.kept.clear()
 
     monkeypatch.setattr(ch, "link_terms", spy)
-    monkeypatch.setattr(solver_maxrate, "Evaluator", Recorded)
-    kept_sol, kept = solve_maxrate(scenario, cfg)
+    kept_sol, kept = solve_maxrate(Recorded(scenario, 1, 4), cfg)
     kept_calls = len(calls)
     assert any(record.kept for record in made[0]._parts.values())
 
     monkeypatch.setattr(radio_metrics, "_Part", TermsNeverStick)
     del calls[:]
-    sol, bundle = solve_maxrate(scenario, cfg)
+    sol, bundle = solve_maxrate(Recorded(scenario, 1, 4), cfg)
     assert kept_calls < len(calls)
     assert kept_sol == sol
     assert kept.per_user_rate == bundle.per_user_rate
@@ -480,10 +477,8 @@ def test_anneal_with_kept_terms_equals_anneal_without(monkeypatch):
     (CtmConfig, "seed", 1.5), (CtmConfig, "seed", True), (CtmConfig, "seed", "1"),
     (CtmConfig, "kmeans_restarts", 2.5), (CtmConfig, "refinement_rounds", 2.5),
     (CtmConfig, "refinement_rounds", False), (CtmConfig, "realizations_per_check", 2.5),
-    (CtmConfig, "realizations_per_check", 0), (AnnealConfig, "seed", np.float64(0.5)),
-    (AnnealConfig, "seed", np.bool_(True)), (AnnealConfig, "iterations", 2.5),
-    (AnnealConfig, "iterations", True), (AnnealConfig, "moves_per_temp", 1.5),
-    (AnnealConfig, "realizations_per_check", 2.5), (AnnealConfig, "realizations_per_check", 0)])
+    (CtmConfig, "realizations_per_check", 0), (AnnealConfig, "iterations", 2.5),
+    (AnnealConfig, "iterations", True), (AnnealConfig, "moves_per_temp", 1.5)])
 def test_solver_configs_refuse_non_integral_counts_naming_the_field(config, name, value):
     """A fraction, a boolean or a non-number as a seed or count, or no
     realizations per check, is refused when the config is built, naming
@@ -495,11 +490,10 @@ def test_solver_configs_refuse_non_integral_counts_naming_the_field(config, name
 def test_solver_configs_keep_integral_counts_as_ints():
     ctm = CtmConfig(seed=np.int64(2), refinement_rounds=2.0, kmeans_restarts=3.0,
                     realizations_per_check=np.int32(4))
-    anneal = AnnealConfig(seed=2.0, iterations=np.int64(3), moves_per_temp=4.0,
-                          realizations_per_check=5.0)
+    anneal = AnnealConfig(iterations=np.int64(3), moves_per_temp=4.0)
     got = [ctm.seed, ctm.refinement_rounds, ctm.kmeans_restarts, ctm.realizations_per_check,
-           anneal.seed, anneal.iterations, anneal.moves_per_temp, anneal.realizations_per_check]
-    assert got == [2, 2, 3, 4, 2, 3, 4, 5] and all(type(v) is int for v in got)
+           anneal.iterations, anneal.moves_per_temp]
+    assert got == [2, 2, 3, 4, 3, 4] and all(type(v) is int for v in got)
 
 
 def test_anneal_config_validation():

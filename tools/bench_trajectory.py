@@ -23,6 +23,12 @@ the one this script sits in), so the same script measures any commit:
   ``umi-sc-desk`` (3GPP elements): ``channel.link_terms`` per block and
   ``channel.steered_energy`` per beam.
 
+  Each repeat runs under one ``SpeedProbe`` of ``perfbench/speed.py``, so
+  every layer also gets ``median_ref_s``: its samples in reference-core
+  seconds, each scaled by its repeat's ``ref_seconds(1.0, samples)``. Raw
+  wall time drifts with the host's load between two runs minutes apart;
+  the reference figures are the ones to compare across runs.
+
 The layer timings are a second bench path beside perfbench, which cannot
 time these layers yet. Once it can (ROADMAP item 11), they move into
 perfbench, and this script keeps only the parser and the file writer.
@@ -41,6 +47,7 @@ a file. The exit code is that of perfbench (0 with ``--layers-only``).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -51,6 +58,13 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+
+# perfbench's speed probe, loaded by path: perfbench is a directory of
+# scripts, not a package.
+_SPEED = importlib.util.spec_from_file_location(
+    "perfbench_speed", Path(__file__).resolve().parent.parent / "perfbench" / "speed.py")
+speed = importlib.util.module_from_spec(_SPEED)
+_SPEED.loader.exec_module(speed)
 
 #: Realizations per evaluator, as perfbench and the solvers' defaults use.
 REALIZATIONS = 10
@@ -110,9 +124,22 @@ def _timed(fn, *args):
     return time.perf_counter() - start, out
 
 
-def _median(samples) -> dict:
-    return {"median_s": statistics.median(samples), "samples": len(samples),
-            "min_s": min(samples), "max_s": max(samples)}
+def _repeat(run, repeats: int) -> dict:
+    """Per layer, the medians of ``repeats`` calls of ``run()``, which
+    returns {layer: seconds}. Each call runs under its own ``SpeedProbe``,
+    and its seconds in reference-core seconds are its raw seconds times
+    ``ref_seconds(1.0, samples)`` of that call's probe samples."""
+    raw, ref = {}, {}
+    for _ in range(repeats):
+        with speed.SpeedProbe() as probe:
+            got = run()
+        scale = speed.ref_seconds(1.0, probe.samples)
+        for name, seconds in got.items():
+            raw.setdefault(name, []).append(seconds)
+            ref.setdefault(name, []).append(seconds * scale)
+    return {name: {"median_s": statistics.median(s), "samples": len(s), "min_s": min(s),
+                   "max_s": max(s), "median_ref_s": statistics.median(ref[name])}
+            for name, s in raw.items()}
 
 
 def time_solver_layers(seed: int, repeats: int) -> dict:
@@ -125,16 +152,15 @@ def time_solver_layers(seed: int, repeats: int) -> dict:
     import numpy as np
 
     scenario = generate_placements(builtin_template("inf-dh-desk"), 1)
-    config = CtmConfig(seed=seed, realizations_per_check=REALIZATIONS)
+    config = CtmConfig(seed=seed)
     geometry = build_geometry(scenario, config)
-    samples = {name: [] for name in ("evaluator_init", "cold_fill", "warm_metrics",
-                                     "reduce_powers", "anneal_move")}
-    for _ in range(repeats):
+
+    def repeat():
         init_s, ev = _timed(Evaluator, scenario, seed, REALIZATIONS)
-        samples["evaluator_init"].append(init_s)
-        samples["cold_fill"].append(_timed(ev.metrics, geometry)[0])
-        samples["warm_metrics"].append(_timed(ev.metrics, geometry)[0])
-        samples["reduce_powers"].append(_timed(reduce_powers, geometry, ev, config)[0])
+        got = {"evaluator_init": init_s,
+               "cold_fill": _timed(ev.metrics, geometry)[0],
+               "warm_metrics": _timed(ev.metrics, geometry)[0],
+               "reduce_powers": _timed(reduce_powers, geometry, ev, config)[0]}
         rng = np.random.default_rng(seed)
         moves = []
         while len(moves) < MOVES:
@@ -142,10 +168,12 @@ def time_solver_layers(seed: int, repeats: int) -> dict:
             if not idle_move(geometry, cand):
                 objective(geometry, ev)  # untimed: the move is built on the start's stack
                 moves.append(_timed(objective, cand, ev)[0])
-        samples["anneal_move"].append(statistics.median(moves))
+        got["anneal_move"] = statistics.median(moves)
+        return got
+
     return {"world": "inf-dh-desk placed with seed 1", "channel_seed": seed,
             "realizations": REALIZATIONS, "anneal_moves_per_repeat": MOVES,
-            **{name: _median(s) for name, s in samples.items()}}
+            **_repeat(repeat, repeats)}
 
 
 def time_kernel_layers(seed: int, repeats: int) -> dict:
@@ -175,19 +203,19 @@ def time_kernel_layers(seed: int, repeats: int) -> dict:
         beams = [(replace(panel, cols=width_to_panel(b.width, panel)),
                   SteeringDirection(b.zenith, wrap_angle(b.azimuth - poa.mech_azimuth)))
                  for b in geometry.beams if b.owner_poa == poa.id and b.active]
-        terms_s, beam_s = [], []
-        for _ in range(repeats):
-            calls = [_timed(ch.link_terms, links, panel) for _ in range(KERNEL_CALLS)]
-            terms_s.append(statistics.median(s for s, _ in calls))
-            terms = calls[-1][1]
-            work = FieldWork(terms.rays.size)
-            beam_s.append(statistics.median(
-                _timed(ch.steered_energy, terms, geom, steer, work)[0]
-                for geom, steer in beams for _ in range(KERNEL_CALLS)))
+        terms = ch.link_terms(links, panel)  # what the timed beams steer
+        work = FieldWork(terms.rays.size)
+
+        def repeat():
+            return {"link_terms_per_block": statistics.median(
+                        _timed(ch.link_terms, links, panel)[0] for _ in range(KERNEL_CALLS)),
+                    "steered_energy_per_beam": statistics.median(
+                        _timed(ch.steered_energy, terms, geom, steer, work)[0]
+                        for geom, steer in beams for _ in range(KERNEL_CALLS))}
+
         out[name] = {"element_pattern": poa.element_pattern, "poa": poa.id,
                      "panel": [poa.panel_rows, poa.panel_cols], "rays": int(terms.rays.size),
-                     "beams": len(beams), "link_terms_per_block": _median(terms_s),
-                     "steered_energy_per_beam": _median(beam_s)}
+                     "beams": len(beams), **_repeat(repeat, repeats)}
     return out
 
 
