@@ -464,6 +464,26 @@ def test_solve_ctm_deterministic(tiny_scenario):
     assert s3 == s4 and repr(m3) == repr(m4)
 
 
+@pytest.mark.parametrize("field", ["scenario", "seed", "n_realizations"])
+def test_solve_ctm_solves_the_evaluators_channels(tiny_scenario, field):
+    """An Evaluator of another scenario, seed or realization count than
+    the config's k-means seed is solved on, not refused: the verdict is a
+    fresh Evaluator's of that world, the floors hold there, the k-means
+    geometry is still ``config.seed``'s, and the powers follow the
+    Evaluator's channels."""
+    cfg = CtmConfig(seed=7, refinement_rounds=1)
+    base = dict(scenario=tiny_scenario, seed=7, n_realizations=4)
+    args = dict(base)
+    args[field] = {"scenario": make_tiny_scenario(required_rate=20e6), "seed": 8,
+                   "n_realizations": 3}[field]
+    _, base_bundle = solve_ctm(Evaluator(**base), cfg)
+    solution, bundle = solve_ctm(Evaluator(**args), cfg)
+    assert repr(bundle) == repr(Evaluator(**args).metrics(solution))
+    assert bundle.feasible and Evaluator(**args).unmet_floors(solution) == []
+    assert solution.beams == build_geometry(args["scenario"], cfg).beams
+    assert repr(bundle) != repr(base_bundle)
+
+
 def test_solve_ctm_stacks_its_beams_once(monkeypatch):
     """The max-power verdict, the descent and the closing verdict read one
     ``GainStack``: solve_ctm builds it and the Evaluator's stack of no

@@ -478,11 +478,14 @@ def test_anneal_with_kept_terms_equals_anneal_without(monkeypatch):
     (CtmConfig, "kmeans_restarts", 2.5), (CtmConfig, "refinement_rounds", 2.5),
     (CtmConfig, "refinement_rounds", False), (CtmConfig, "realizations_per_check", 2.5),
     (CtmConfig, "realizations_per_check", 0), (AnnealConfig, "iterations", 2.5),
-    (AnnealConfig, "iterations", True), (AnnealConfig, "moves_per_temp", 1.5)])
+    (AnnealConfig, "iterations", True), (AnnealConfig, "iterations", np.float64(0.5)),
+    (AnnealConfig, "iterations", "3"), (AnnealConfig, "moves_per_temp", 1.5),
+    (AnnealConfig, "moves_per_temp", np.bool_(True)), (AnnealConfig, "moves_per_temp", 0)])
 def test_solver_configs_refuse_non_integral_counts_naming_the_field(config, name, value):
     """A fraction, a boolean or a non-number as a seed or count, or no
-    realizations per check, is refused when the config is built, naming
-    the field, instead of failing every run of an experiment later."""
+    realizations per check or moves per temperature, is refused when the
+    config is built, naming the field, instead of failing every run of an
+    experiment later."""
     with pytest.raises(ValueError, match=name):
         config(**{name: value})
 
