@@ -315,8 +315,9 @@ def los_probability(model: LosModel, d_2d, poa_height, target_height):
     raise ValueError(f"unknown LoS model {model.kind!r}")
 
 
-def _direct_path_angles(src, dst):
-    """(zenith, azimuth) of the departure direction from src toward dst."""
+def departure_angles(src, dst):
+    """(zenith, azimuth, distance) of the departure direction from src
+    toward dst; all three are 0.0 where the points coincide."""
     dx, dy, dz = dst[0] - src[0], dst[1] - src[1], dst[2] - src[2]
     d3d = math.sqrt(dx * dx + dy * dy + dz * dz)
     if d3d == 0.0:
@@ -337,7 +338,7 @@ def direct_paths(poa_pos, poa_freq, target_pos, params: ChannelParams) -> Direct
     geometry = np.empty(pos.shape[:-1] + (6,))
     for idx in np.ndindex(pos.shape[:-1]):
         tx, ty, tz = pos[idx].tolist()
-        zen0, az0, d3d = _direct_path_angles(poa_pos, (tx, ty, tz))
+        zen0, az0, d3d = departure_angles(poa_pos, (tx, ty, tz))
         d2d = math.hypot(tx - poa_pos[0], ty - poa_pos[1])
         p_los = float(los_probability(params.los_model, d2d, poa_pos[2], tz))
         geometry[idx] = (zen0, az0, d3d, p_los, float(params.pathloss_los.db(d3d, poa_freq)),

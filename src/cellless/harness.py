@@ -69,6 +69,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.dump_links and not self.out_dir:
             raise ValueError("dump_links needs out_dir")
+        if self.ctm.seed != CtmConfig().seed:  # _run_one seeds k-means with each run's seed
+            raise ValueError(f"ctm.seed must be left at {CtmConfig().seed}, got "
+                             f"{self.ctm.seed}: runs take their seeds from seeds")
 
     @property
     def solver_list(self):

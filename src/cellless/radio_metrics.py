@@ -10,8 +10,10 @@ the targets' ``channel.direct_paths`` and the PCG64 seed words of every
 keyed stream, and ``_Part.links`` draws any realization range of the part
 again, bit for bit, through ``channel.sample_link``. The record also
 caches the part's unit-power (1 W) energy table of shape (realizations,
-targets of the part) per beam geometry. The tables missing in one call are
-grouped per part; each group steers every missing beam with
+targets of the part) per beam geometry, keyed on the exact zenith, azimuth
+and panel columns a table is steered to, so a table depends on its key
+alone and a result on no earlier call. The tables missing in one call are
+grouped per part; each group steers every missing key with
 ``channel.steered_energy``. A fill runs in realization blocks of at most
 ``_BLOCK_RAYS`` rays: per block, one ``channel.link_terms`` and one
 ``antenna.FieldWork`` of steering buffers are shared by every beam. The
@@ -45,11 +47,8 @@ beams once for its verdicts, every trial of its descent and its dump; one
 whose beams serve the users they serve there shares its live rows, shares
 and per-user arrays; and a live row whose ``BeamConfig`` changed is keyed,
 and read only where its key is not the one the row of the last gains
-holds, so a reassign that moves no beam reads no table; a row given back
-the beam object it held one stack earlier takes that stack's key, so a
-MaxRate move scored after a rejected one, or a calibration probe after
-another, keys only the beams its own move changed. *Scale* multiplies each
-live row by its watts under a power vector, one computation
+holds, so a reassign that moves no beam reads no table. *Scale* multiplies
+each live row by its watts under a power vector, one computation
 (``Evaluator._watts``) for the users gains and the humans tables alike.
 *Verdict* composes each user's SINR from the three terms that
 ``Evaluator._terms`` returns, signal, co-channel interference and noise,
@@ -140,9 +139,8 @@ class GainStack:
     one built on another shares what the change left alone, and a state
     that differs from the stacked one only in idle beams, or in the power of
     PoAs with no live row, has the very rates of this stack (MaxRate's idle
-    moves score nothing). An Evaluator builds each stack on the last one it
-    built, so a solution with the very beam objects of that stack gets that
-    stack again. Only the Evaluator makes or reads stacks.
+    moves score nothing). Only the Evaluator makes or reads stacks, each on
+    the last one it built (``Evaluator.stack``).
     """
 
     listing: tuple
@@ -197,10 +195,11 @@ class _Part:
         step = max(1, _BLOCK_RAYS // max(1, rays))
         return [slice(r, r + step) for r in range(0, n_realizations, step)]
 
-    def fill(self, beams, panel):
-        """Compute the table of each ``key -> beam`` in ``beams``.
+    def fill(self, keys, panel):
+        """Compute the table of each (zenith, azimuth, columns) key in
+        ``keys``, steered to the key's own angles.
 
-        Block by block, every beam is steered from one ``link_terms`` of the
+        Block by block, every key is steered from one ``link_terms`` of the
         block's links, through one workspace of steering buffers. The first
         fill draws each block's links and frees its terms and workspace
         before the next block, so it keeps nothing; the second fill draws
@@ -210,8 +209,8 @@ class _Part:
         """
         mech = panel.mech_azimuth
         steered = {key: (replace(panel, cols=key[2]),
-                         SteeringDirection(beam.zenith, wrap_angle(beam.azimuth - mech)))
-                   for key, beam in beams.items()}
+                         SteeringDirection(key[0], wrap_angle(key[1] - mech)))
+                   for key in keys}
         drawn = not self.kept  # the blocks' links are drawn, not steered from kept terms
         keep = drawn and bool(self.tables)
         tables = {key: np.empty(self.words.shape[:2]) for key in steered}
@@ -302,33 +301,32 @@ class Evaluator:
         self._no_beams = GainStack(
             (), no_beams, no_beams, np.empty((len(rows), self._n_users, self.n_realizations)),
             *self._service(no_beams))
-        # What the next stack() is built on, and what that one was built on.
-        self._last = self._prior = self._no_beams
+        self._last = self._no_beams  # what the next stack() is built on
 
     # -- per-beam unit-power gains -------------------------------------------
 
     def beam_gains(self, beam) -> np.ndarray:
         """(n_realizations, n_targets) energies at 1 W transmit power, users
         then humans, as a new array."""
-        return np.concatenate([self._tables([beam], part)[0] for part in (0, 1)], axis=1)
+        key = self._key(beam)
+        return np.concatenate([self._tables([key], part)[0] for part in (0, 1)], axis=1)
 
     def _key(self, beam):
         """(PoA id, table key) of the beam's gain tables: the key is its
-        zenith, azimuth and panel columns."""
+        exact zenith, azimuth and panel columns, the whole geometry a table
+        is steered to."""
         pid = beam.owner_poa
-        return pid, (round(beam.zenith, 12), round(beam.azimuth, 12),
-                     width_to_panel(beam.width, self._panels[pid]))
+        return pid, (beam.zenith, beam.azimuth, width_to_panel(beam.width, self._panels[pid]))
 
-    def _tables(self, beams, part, keys=None):
-        """Each beam's cached (realizations, targets) table of ``part`` (0:
-        the users, 1: the humans), given the beams' ``_key``s or keying
-        them. The missing tables are filled in one ``_Part.fill`` per PoA,
-        so one PoA's terms are freed before the next PoA's are computed."""
-        keys = [self._key(beam) for beam in beams] if keys is None else keys
+    def _tables(self, keys, part):
+        """The cached (realizations, targets) table of ``part`` (0: the
+        users, 1: the humans) of each ``_key`` in ``keys``. The missing
+        tables are filled in one ``_Part.fill`` per PoA, so one PoA's terms
+        are freed before the next PoA's are computed."""
         missing = {}
-        for beam, (pid, key) in zip(beams, keys):
+        for pid, key in keys:
             if key not in self._parts[pid, part].tables:
-                missing.setdefault(pid, {})[key] = beam
+                missing.setdefault(pid, set()).add(key)
         for pid, group in missing.items():
             self._parts[pid, part].fill(group, self._panels[pid])
         return [self._parts[pid, part].tables[key] for pid, key in keys]
@@ -348,13 +346,10 @@ class Evaluator:
         with every row serving the users it serves there, it shares its
         ``live`` to ``noise``; and only a live row whose beam object changed
         is keyed, and read only where its table key is not the one its row
-        of the last gains holds. A row given back the beam object it held in
-        the stack the last one was built on takes that stack's key, so a
-        state scored after a rejected neighbour keys only what its own move
-        changed. A stack has the same bits whatever it was built on, so
-        asking again for the beams of the last solution, as every trial of
-        the CtM descent and ``solve_ctm``'s verdicts and dump do, costs
-        nothing."""
+        of the last gains holds. A stack has the same bits whatever it was
+        built on, so asking again for the beams of the last solution, as
+        every trial of the CtM descent and ``solve_ctm``'s verdicts and dump
+        do, costs nothing."""
         base = self._last
         try:
             beams, changed = self._rows(solution.beams, base)
@@ -366,20 +361,18 @@ class Evaluator:
                        else self._service(beams))
         except KeyError:
             raise SolutionInvalidError(validate(solution, self.scenario)) from None
-        keys, read, prior = list(base.keys), [], self._prior
+        keys, read = list(base.keys), []
         for row in changed:
             if beams[row] is not None and beams[row].active:
-                key = prior.keys[row] if beams[row] is prior.beams[row] else self._key(beams[row])
+                key = self._key(beams[row])
                 if key != keys[row]:
                     keys[row] = key
                     read.append(row)
         gains = base.gains
         if read:
             gains = gains.copy()
-            for row, table in zip(read, self._tables([beams[row] for row in read], 0,
-                                                     [keys[row] for row in read])):
+            for row, table in zip(read, self._tables([keys[row] for row in read], 0)):
                 gains[row] = table.T
-        self._prior = base
         self._last = GainStack(solution.beams, tuple(beams), tuple(keys), gains, *service)
         return self._last
 
@@ -467,9 +460,7 @@ class Evaluator:
         """Per-human mean SAR (humans,) under per-PoA levels [dBm], from the
         humans tables of the live rows' keys, each scaled by its row's
         watts."""
-        live = stack.live.tolist()
-        tables = self._tables([stack.beams[row] for row in live], 1,
-                              [stack.keys[row] for row in live])
+        tables = self._tables([stack.keys[row] for row in stack.live.tolist()], 1)
         at_humans = np.array([w * t.T for w, t in zip(self._watts(stack, tx_power), tables)])
         beam_freq = self._poa_frequency[stack.poa_of_beam]
         fields = {f: incident_field(power_density(f, at_humans[beam_freq == f].sum(axis=0)))
@@ -532,7 +523,7 @@ class Evaluator:
         drawn = {}  # (PoA id, part) -> the los, pathloss_db and shadow_db of its links
         stack = self.stack(solution)
         active = [b for b in solution.beams if b.active]
-        for b, humans in zip(active, self._tables(active, 1)):
+        for b, humans in zip(active, self._tables([self._key(b) for b in active], 1)):
             poa = self.scenario.poa_by_id(b.owner_poa)
             energies = stack.gains[self._row_of[b.beam_id, b.owner_poa]].T, humans
             for part in (0, 1):

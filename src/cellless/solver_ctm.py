@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .channel import departure_angles
 from .radio_metrics import Evaluator, _integer
 from .scenario import Scenario
 from .solution import BeamConfig, SolutionState
@@ -274,11 +275,7 @@ def beam_geometry(poa, served_positions, centroid):
         raise ValueError("cannot steer a beam with no served users")
     phi, width = covering_arc([user_azimuth(poa.position, pos) for pos in served_positions])
     cz = float(np.mean([pos.z for pos in served_positions]))
-    dx = centroid[0] - poa.position.x
-    dy = centroid[1] - poa.position.y
-    dz = cz - poa.position.z
-    d3d = math.sqrt(dx * dx + dy * dy + dz * dz)
-    theta = math.acos(max(-1.0, min(1.0, dz / d3d))) if d3d > 0 else 0.0
+    theta = departure_angles(poa.position.as_tuple(), (centroid[0], centroid[1], cz))[0]
     return phi, theta, max(poa.min_beam_width, width)
 
 

@@ -403,6 +403,15 @@ def test_spec_keeps_numpy_integer_seeds_as_ints(tmp_path):
     assert record.error is None and summary["seed"] == 1
 
 
+def test_spec_refuses_a_ctm_seed_that_no_run_would_use(tmp_path):
+    """Each run seeds k-means with its own seed, so a spec's ``ctm.seed``
+    would change nothing: one other than the default is refused."""
+    from cellless.solver_ctm import CtmConfig
+    with pytest.raises(ValueError, match=r"^ctm\.seed .*runs take their seeds from seeds$"):
+        tiny_spec(tmp_path, ctm=CtmConfig(seed=5))
+    assert tiny_spec(tmp_path, ctm=CtmConfig(seed=0)).ctm.seed == 0
+
+
 def test_spec_validation(tmp_path):
     with pytest.raises(ValueError):
         tiny_spec(tmp_path, seeds=())

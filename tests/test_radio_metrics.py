@@ -16,11 +16,11 @@ from cellless.channel import (NOISE_DENSITY_DBM_HZ, ChannelParams, dbm_to_watts,
 from cellless.exposure import FrequencyMap, incident_field, sar_wb
 from cellless.radio_metrics import (NOISE_DENSITY_W_HZ, Evaluator, SolutionInvalidError,
                                     UnservedUserError, evaluate, power_density, shannon_rate)
-from cellless.scenario import PoA, Position3D, Scenario, builtin_scenario
+from cellless.scenario import EndUser, PoA, Position3D, Scenario, builtin_scenario
 from cellless.solution import BeamConfig, SolutionState
 from cellless.solver_ctm import CtmConfig, build_geometry
-from cellless.solver_maxrate import objective
-from conftest import one_link
+from cellless.solver_maxrate import ANGLE_STEP, objective
+from conftest import make_poa, make_tiny_scenario, one_link
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +163,7 @@ def _fill(ev, beam, humans):
     if humans:
         ev.beam_gains(beam)
     else:
-        ev._tables([beam], 0)
+        ev._tables([ev._key(beam)], 0)
 
 
 def test_rates_evaluate_user_columns_only(monkeypatch, tiny_scenario, tiny_solution):
@@ -195,6 +195,30 @@ def test_metrics_after_rates_equals_fresh_metrics(tiny_scenario, tiny_solution):
     assert rates.tolist() == list(fresh.per_user_rate.values())
 
 
+def test_a_zenith_stepped_there_and_back_reads_its_own_table():
+    """A beam's zenith stepped up and back down lands one ulp from where it
+    started (1.8200000000000005 against ...03). Gain tables are keyed on the
+    exact angles, so its rates on an Evaluator that scored the start first
+    have the bytes of a fresh Evaluator's, not of the start's table."""
+    scenario = replace(
+        make_tiny_scenario(), poas=(make_poa("p0", 1.0, 1.0, n_beams=1, rows=4, cols=4),),
+        users=tuple(EndUser(f"u{i}", Position3D(x, y, 1.5), 1e6)
+                    for i, (x, y) in enumerate([(1.0, 0.0), (0.0, 1.0), (2.0, 0.0)])),
+        humans=())
+    sol = build_geometry(scenario, CtmConfig(seed=0))
+    (beam,) = sol.beams
+    start = replace(sol, beams=(replace(beam, zenith=1.8200000000000003,
+                                        azimuth=-3.083473189498382),))
+    up = replace(start, beams=(replace(start.beams[0], zenith=1.8200000000000003 + ANGLE_STEP),))
+    back = replace(up, beams=(replace(up.beams[0], zenith=up.beams[0].zenith - ANGLE_STEP),))
+    assert 0 < abs(back.beams[0].zenith - start.beams[0].zenith) < 1e-12
+    ev = Evaluator(scenario, 0, 1)
+    for solution in (start, up):
+        ev.mean_rates(solution)
+    fresh = Evaluator(scenario, 0, 1).mean_rates(back)
+    assert ev.mean_rates(back).tobytes() == fresh.tobytes()
+
+
 def test_sinr_power_scaling_without_interference(tiny_scenario, tiny_solution, ev):
     """With the other PoA off (its beams still serving, at 0 W), SINR is
     signal/noise and scales linearly."""
@@ -219,7 +243,7 @@ def test_interference_reduces_sinr(tiny_scenario, tiny_solution, ev):
 
 def test_gain_cache_power_independent(tiny_scenario, tiny_solution, ev):
     beam = tiny_solution.beam_for_user("u0")
-    assert ev._tables([beam], 0)[0] is ev._tables([beam], 0)[0]  # cached
+    assert ev._tables([ev._key(beam)], 0)[0] is ev._tables([ev._key(beam)], 0)[0]  # cached
     g1 = ev.beam_gains(beam)
     assert g1.shape == (8, len(tiny_scenario.users) + len(tiny_scenario.humans))
     assert np.all(g1 >= 0.0)
@@ -560,7 +584,7 @@ def _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams):
     ``link_terms`` per block of each part, shared by all the part's beams."""
     calls = _count_link_terms_parts(monkeypatch, ev)
     for part in (0, 1):
-        ev._tables(beams, part)
+        ev._tables([ev._key(b) for b in beams], part)
     monkeypatch.undo()
     parts = {(b.owner_poa, part) for b in beams for part in (0, 1)}
     assert len(parts) < 2 * len(beams)
@@ -665,7 +689,7 @@ def test_first_fill_peak_memory_is_flat_in_realizations():
         tracemalloc.start()
         try:
             for part in (0, 1):
-                ev._tables(beams, part)
+                ev._tables([ev._key(b) for b in beams], part)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -748,7 +772,7 @@ def test_one_beam_misses_compute_link_terms_at_most_twice(monkeypatch):
     pid = beams[0].owner_poa
     misses = _one_beam_misses(beams[0], 12)
     for b in misses:
-        ev._tables([b], 0)
+        ev._tables([ev._key(b)], 0)
     assert len(ev._parts[pid, 0].tables) == len(misses)
     assert ev._parts[pid, 1].tables == {}  # a users-only fill makes no humans-part table
     # The first fill's blocks, then the second fill's, then kept.
@@ -801,8 +825,7 @@ def desk_pool():
 def _table_key(ev, beam):
     """(PoA id, key of the beam's tables in that PoA's part records)."""
     panel = ev._panels[beam.owner_poa]
-    return beam.owner_poa, (round(beam.zenith, 12), round(beam.azimuth, 12),
-                            width_to_panel(beam.width, panel))
+    return beam.owner_poa, (beam.zenith, beam.azimuth, width_to_panel(beam.width, panel))
 
 
 def _cut(solution, cut):
