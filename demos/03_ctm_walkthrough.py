@@ -50,10 +50,10 @@ def main():
           f"min rate {m0.min_rate / 1e6:.1f} Mbit/s, "
           f"max SAR {m0.max_sar:.2e} W/kg")
 
-    # Step 3b: delta descent of per-PoA powers.
-    solved = reduce_powers(geometry, evaluator, cfg)
+    # Step 3b: bisect each PoA's power down to its users' floors.
+    solved = reduce_powers(geometry, evaluator)
     m1 = evaluator.metrics(solved)
-    print(f"\nStep 3b - after power descent:")
+    print(f"\nStep 3b - after power bisection:")
     for pid in solved.active_poas():
         print(f"  {pid}: {geometry.tx_power[pid]:6.1f} -> "
               f"{solved.tx_power[pid]:8.2f} dBm")

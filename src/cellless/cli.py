@@ -49,10 +49,6 @@ def _build_parser():
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--dump-links", action="store_true",
                      help="write sampled link realizations per run (needs --out)")
-    run.add_argument("--delta-db", default=1.0, type=float,
-                     help="initial power reduction step")
-    run.add_argument("--refine", default=3, type=int,
-                     help="bisection refinement rounds")
     run.add_argument("--kmeans-restarts", default=10, type=int)
     run.add_argument("--sa-iterations", default=200, type=int)
     run.add_argument("--sa-cooling", default=0.95, type=float)
@@ -103,8 +99,7 @@ def main(argv=None):
             seeds=args.seeds,
             n_realizations=args.realizations,
             out_dir=args.out,
-            ctm=CtmConfig(delta_db=args.delta_db, refinement_rounds=args.refine,
-                          kmeans_restarts=args.kmeans_restarts),
+            ctm=CtmConfig(kmeans_restarts=args.kmeans_restarts),
             anneal=AnnealConfig(initial_temp=args.sa_temp,
                                 cooling_factor=args.sa_cooling,
                                 iterations=args.sa_iterations,

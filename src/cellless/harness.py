@@ -103,21 +103,21 @@ def _instantiate(spec: ExperimentSpec, seed: int) -> Scenario:
 
 def _run_one(spec: ExperimentSpec, seed: int, solver: str) -> RunRecord:
     scenario = _instantiate(spec, seed)
+    t0 = time.perf_counter()
     try:
-        t0 = time.perf_counter()
         evaluator = Evaluator(scenario, seed, spec.n_realizations)
         if solver == "ctm":
             solution, bundle = solve_ctm(evaluator, replace(spec.ctm, seed=seed))
         else:
             solution, bundle = solve_maxrate(evaluator, spec.anneal)
-        wall = time.perf_counter() - t0
     except NoFeasibleSolutionError as e:
-        return RunRecord(seed, solver, scenario, 0.0, None, None, error=str(e))
+        return RunRecord(seed, solver, scenario, time.perf_counter() - t0, None, None,
+                         error=str(e))
     except Exception as e:  # one failed run must not abort the batch
         logging.getLogger(__name__).exception("seed %s %s failed", seed, solver)
-        return RunRecord(seed, solver, scenario, 0.0, None, None,
+        return RunRecord(seed, solver, scenario, time.perf_counter() - t0, None, None,
                          error=f"{type(e).__name__}: {e}")
-    record = RunRecord(seed, solver, scenario, wall, bundle, solution)
+    record = RunRecord(seed, solver, scenario, time.perf_counter() - t0, bundle, solution)
     if spec.out_dir:
         _write_run(spec, record, evaluator)
     return record

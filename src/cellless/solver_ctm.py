@@ -1,5 +1,5 @@
-"""Cluster-then-Match: k-means clustering, Hungarian beam matching, and
-delta-stepped power descent with bisection refinement.
+"""Cluster-then-Match: k-means clustering, Hungarian beam matching, and a
+per-PoA power bisection to the least power vector that meets every floor.
 
 The matching is solved by ``_assign``, Crouse's shortest augmenting path
 method transcribed from scipy's ``linear_sum_assignment``; the package
@@ -19,6 +19,7 @@ from .scenario import Scenario
 from .solution import BeamConfig, SolutionState
 
 KMEANS_MAX_ITERS = 100   # Lloyd iterations per restart unless labels settle first
+_POWER_TOL_DB = 1e-3     # each PoA's power ends within this of its lowest feasible dBm
 
 
 class NoFeasibleSolutionError(RuntimeError):
@@ -44,19 +45,13 @@ class NoFeasibleSolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class CtmConfig:
-    delta_db: float = 1.0
-    refinement_rounds: int = 3
     kmeans_restarts: int = 10
     realizations_per_check: int = 10   # read by no solver; perfbench/run.py:181 writes it
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("refinement_rounds", "kmeans_restarts", "realizations_per_check", "seed"):
+        for name in ("kmeans_restarts", "realizations_per_check", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if not 0 < self.delta_db < math.inf:
-            raise ValueError("delta_db must be positive and finite")
-        if self.refinement_rounds < 0:
-            raise ValueError("refinement_rounds must be non-negative")
         if self.kmeans_restarts < 1:
             raise ValueError("kmeans_restarts must be >= 1")
         if self.realizations_per_check < 1:
@@ -302,51 +297,53 @@ def build_geometry(scenario: Scenario, config: CtmConfig) -> SolutionState:
     return SolutionState(beams=tuple(beam_configs), tx_power=tx_power)
 
 
-def reduce_powers(solution: SolutionState, evaluator: Evaluator,
-                  config: CtmConfig) -> SolutionState:
-    """Per-PoA power descent: delta steps while feasible, then halved deltas.
+def reduce_powers(solution: SolutionState, evaluator: Evaluator) -> SolutionState:
+    """Lower each PoA's power to within ``_POWER_TOL_DB`` of the least at
+    which its users still meet their floors, on the evaluator's channel
+    realizations.
 
-    Feasibility is checked on the evaluator's channel realizations for the
-    whole descent, making it a deterministic, monotone process. Each round sweeps
-    the PoAs (descending power, then id) until a full sweep makes no
-    reduction, so at the final delta no single PoA can take another step.
-    A step below the float resolution of a PoA's dBm, where lowering it
-    leaves it unchanged, ends that PoA's steps: it changes nothing, so it
-    would be accepted for ever.
+    Each sweep takes the active PoAs in descending power, then id. A PoA
+    moves only if one tolerance below its power is feasible; it then steps
+    down by doubling steps (one tolerance, two, four, ...) until a trial
+    fails, and bisects between its last feasible and first failing power
+    until they are one tolerance apart, keeping the feasible one. Sweeps
+    repeat until one moves no PoA, so at the end no active PoA can go one
+    tolerance lower. Positive floors and non-zero noise bound every PoA
+    from below, so the doubling ends. The result approaches the least
+    feasible power vector of the frozen geometry, the fixed point of a
+    standard interference function (Yates, IEEE JSAC 1995).
 
     The max-power start gets the full verdict, one ``Evaluator.metrics``
     call; it fills the beams' humans tables, which only that verdict and
-    the closing ``metrics`` read. A trial step then lowers one PoA from a
+    the closing ``metrics`` read. A trial then lowers one PoA from a
     feasible state and is judged on every user's floor
     (``Evaluator.unmet_floors``); the beams never change, so every trial
     reads the stack of the max-power verdict. Rates and SAR are monotone in
     every power, rounding included: a user's signal is its serving PoA's
     power alone, and interference and SAR only add powers. Lowering one PoA
     therefore raises no SAR and lowers no rate but its own users', so SAR
-    is never checked again, by induction every trial starts from a feasible
-    state, and a check of every floor accepts exactly the steps that a check
-    of the lowered PoA's users alone would, to the same dBm bit for bit.
+    is never checked again, every kept state is feasible by induction, and
+    a check of every floor accepts exactly the trials that a check of the
+    lowered PoA's users alone would, to the same dBm bit for bit.
     """
     violated = evaluator.metrics(solution).violated
     if violated:
         raise NoFeasibleSolutionError(violated)
 
-    current = solution
-    active = set(current.active_poas())
-    for round_idx in range(config.refinement_rounds + 1):
-        delta = config.delta_db / (2 ** round_idx)
-        changed = True
-        while changed:
-            changed = False
-            order = sorted(active, key=lambda pid: (-current.tx_power[pid], pid))
-            for pid in order:
-                while True:
-                    trial = current.with_power(pid, current.tx_power[pid] - delta)
-                    if (trial.tx_power[pid] == current.tx_power[pid]
-                            or evaluator.unmet_floors(trial)):
-                        break
-                    current = trial
-                    changed = True
+    current, moved = solution, True
+    while moved:
+        moved = False
+        for pid in sorted(current.active_poas(), key=lambda pid: (-current.tx_power[pid], pid)):
+            dbm, step = current.tx_power[pid], _POWER_TOL_DB
+            while not evaluator.unmet_floors(current.with_power(pid, dbm - step)):
+                dbm, step = dbm - step, 2.0 * step
+            # dbm is feasible and dbm - step fails; step is the tolerance times a power of two.
+            while step > _POWER_TOL_DB:
+                step /= 2.0
+                if not evaluator.unmet_floors(current.with_power(pid, dbm - step)):
+                    dbm -= step
+            if dbm != current.tx_power[pid]:
+                current, moved = current.with_power(pid, dbm), True
     return current
 
 
@@ -358,7 +355,8 @@ def solve_ctm(evaluator: Evaluator, config: CtmConfig | None = None):
     seeds the k-means restarts. Every verdict is read on ``evaluator``,
     which is left holding the solved beams' tables and stack, so a dump of
     the solution then reads them. The beams are stacked once: the
-    max-power verdict, the descent and the closing verdict read one stack.
+    max-power verdict, the power bisection and the closing verdict read
+    one stack.
 
     Raises NoFeasibleSolutionError when even maximum power cannot satisfy
     every rate floor and exposure ceiling.
@@ -369,5 +367,5 @@ def solve_ctm(evaluator: Evaluator, config: CtmConfig | None = None):
     if not any(b.active for b in geometry.beams):
         off = replace(geometry, tx_power={p.id: -math.inf for p in scenario.poas})
         return off, evaluator.metrics(off)
-    solved = reduce_powers(geometry, evaluator, config)
+    solved = reduce_powers(geometry, evaluator)
     return solved, evaluator.metrics(solved)

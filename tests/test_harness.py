@@ -23,6 +23,8 @@ from cellless.radio_metrics import Evaluator
 from cellless.scenario import builtin_scenario, save_scenario, scenario_to_dict
 from cellless.solution import load_solution, validate
 
+from conftest import make_tiny_scenario
+
 FAST = dict(n_realizations=4)
 
 
@@ -32,7 +34,7 @@ def tiny_spec(tmp_path, **kwargs):
     base = dict(
         scenario="inf-dh-desk", solver="ctm", seeds=(1,),
         n_realizations=4, out_dir=str(tmp_path / "out"),
-        ctm=CtmConfig(delta_db=4.0, refinement_rounds=0, kmeans_restarts=2),
+        ctm=CtmConfig(kmeans_restarts=2),
         anneal=AnnealConfig(iterations=2, moves_per_temp=3),
     )
     base.update(kwargs)
@@ -226,6 +228,17 @@ def test_solver_failure_recorded_not_raised(tmp_path):
     assert records[0].error is not None and records[0].bundle is None
 
 
+def test_failed_runs_record_their_wall_time(monkeypatch, tmp_path):
+    """An infeasible run and a run that raises keep the time they took."""
+    world = tmp_path / "tiny.json"
+    save_scenario(make_tiny_scenario(required_rate=1e12), str(world))
+    [infeasible] = run_experiment(tiny_spec(tmp_path, scenario=str(world), out_dir=None))
+    assert infeasible.error.startswith("no feasible solution") and infeasible.wall_time > 0.0
+    _fail_on_seed_two(monkeypatch)
+    _, raised = run_experiment(tiny_spec(tmp_path, seeds=(1, 2), out_dir=None))
+    assert raised.error == "ZeroDivisionError: injected" and raised.wall_time > 0.0
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -321,8 +334,7 @@ def test_other_solver_errors_recorded_not_raised(monkeypatch, tmp_path):
 def test_cli_other_error_exit_code(monkeypatch, tmp_path, capsys):
     _fail_on_seed_two(monkeypatch)
     rc = main(["run", "--scenario", "inf-dh-desk", "--solver", "ctm", "--seeds", "1,2",
-               "--realizations", "4", "--delta-db", "4.0", "--refine", "0",
-               "--kmeans-restarts", "2"])
+               "--realizations", "4", "--kmeans-restarts", "2"])
     assert rc == 3
     out = capsys.readouterr().out
     assert "seed 2 ctm: FAILED (ZeroDivisionError: injected)" in out
@@ -332,13 +344,13 @@ def test_cli_other_error_exit_code(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["--seeds=-1"], ["--seeds", "3..1"], ["--seeds", "1,1"], ["--seeds", "0..2,2"],
     ["--realizations", "0"], ["--workers", "0"], ["--workers", "-2"],
-    ["--delta-db", "0"], ["--delta-db", "nan"], ["--refine", "-1"], ["--kmeans-restarts", "0"],
+    ["--kmeans-restarts", "0"],
     ["--sa-cooling", "1.5"], ["--sa-iterations", "0"], ["--sa-moves", "0"], ["--sa-temp", "0"],
     ["--sa-temp", "inf"],
 ], ids=["seed-negative", "seed-range-empty", "seed-repeated", "seed-not-integer",
-        "realizations-zero", "workers-zero", "workers-negative", "delta-db-zero",
-        "delta-db-nan", "refine-negative", "kmeans-restarts-zero", "sa-cooling-above-one",
-        "sa-iterations-zero", "sa-moves-zero", "sa-temp-zero", "sa-temp-inf"])
+        "realizations-zero", "workers-zero", "workers-negative", "kmeans-restarts-zero",
+        "sa-cooling-above-one", "sa-iterations-zero", "sa-moves-zero", "sa-temp-zero",
+        "sa-temp-inf"])
 def test_cli_bad_seeds_and_run_sizes_exit_2(args, tmp_path, capsys):
     """Rejected while parsing, before any run starts or any file is written."""
     with pytest.raises(SystemExit) as exc:
@@ -592,8 +604,7 @@ def test_cli_validate_ok_and_bad(tmp_path, capsys):
 def test_cli_run_and_plot(tmp_path):
     out = tmp_path / "out"
     rc = main(["run", "--scenario", "inf-dh-desk", "--solver", "ctm",
-               "--seeds", "1", "--realizations", "4", "--delta-db", "4.0",
-               "--refine", "0", "--kmeans-restarts", "2",
+               "--seeds", "1", "--realizations", "4", "--kmeans-restarts", "2",
                "--out", str(out)])
     assert rc == 0
     assert (out / "aggregate.csv").exists()

@@ -916,7 +916,7 @@ def test_evaluate_and_solve_ctm_keep_no_terms(monkeypatch):
 
     monkeypatch.setattr(rm, "Evaluator", Recorded)
     scenario = builtin_scenario("inf-dh-desk", 1)
-    config = CtmConfig(seed=1, delta_db=4.0, refinement_rounds=0, kmeans_restarts=2)
+    config = CtmConfig(seed=1, kmeans_restarts=2)
     evaluate(build_geometry(scenario, config), scenario, 1, n_realizations=4)
     solution, _ = solver_ctm.solve_ctm(Recorded(scenario, 1, 4), config)
     solved = made[-1]

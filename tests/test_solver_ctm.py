@@ -18,7 +18,7 @@ from cellless.exposure import FrequencyMap
 from cellless.radio_metrics import NOISE_DENSITY_W_HZ, Evaluator
 from cellless.scenario import EndUser, Human, Position3D, builtin_scenario
 from cellless.solution import validate
-from cellless.solver_ctm import (CtmConfig, _assign,
+from cellless.solver_ctm import (_POWER_TOL_DB, CtmConfig, _assign,
                                  NoFeasibleSolutionError, beam_geometry,
                                  build_geometry, cluster_users, covering_arc,
                                  match_clusters, reduce_powers, solve_ctm,
@@ -260,10 +260,10 @@ def test_build_geometry_is_legal(tiny_scenario):
 
 
 def test_reduce_powers_monotone_and_feasible(tiny_scenario):
-    cfg = CtmConfig(seed=2, refinement_rounds=1)
+    cfg = CtmConfig(seed=2)
     geo = build_geometry(tiny_scenario, cfg)
     ev = Evaluator(tiny_scenario, cfg.seed, 4)
-    out = reduce_powers(geo, ev, cfg)
+    out = reduce_powers(geo, ev)
     assert ev.metrics(out).feasible
     for pid in out.tx_power:
         assert out.tx_power[pid] <= geo.tx_power[pid]
@@ -301,9 +301,9 @@ def test_infeasible_error_message_quotes_the_first_ids():
     assert len(err.violated) == 8
 
 
-def _reference_descent(solution, config, evaluator):
-    """The descent with the earlier check, a full ``metrics()`` per trial
-    power vector. Returns (solution, number of checks)."""
+def _reference_descent(solution, evaluator):
+    """The power bisection with the earlier check, a full ``metrics()`` per
+    trial power vector. Returns (solution, number of checks)."""
     checks = 0
 
     def feasible(sol):
@@ -312,19 +312,19 @@ def _reference_descent(solution, config, evaluator):
         return evaluator.metrics(sol).feasible
 
     assert feasible(solution)
-    current = solution
-    active = set(current.active_poas())
-    for round_idx in range(config.refinement_rounds + 1):
-        delta = config.delta_db / (2 ** round_idx)
-        changed = True
-        while changed:
-            changed = False
-            for pid in sorted(active, key=lambda pid: (-current.tx_power[pid], pid)):
-                while True:
-                    trial = current.with_power(pid, current.tx_power[pid] - delta)
-                    if not feasible(trial):
-                        break
-                    current, changed = trial, True
+    current, moved = solution, True
+    while moved:
+        moved = False
+        for pid in sorted(current.active_poas(), key=lambda pid: (-current.tx_power[pid], pid)):
+            dbm, step = current.tx_power[pid], _POWER_TOL_DB
+            while feasible(current.with_power(pid, dbm - step)):
+                dbm, step = dbm - step, 2.0 * step
+            while step > _POWER_TOL_DB:
+                step /= 2.0
+                if feasible(current.with_power(pid, dbm - step)):
+                    dbm -= step
+            if dbm != current.tx_power[pid]:
+                current, moved = current.with_power(pid, dbm), True
     return current, checks
 
 
@@ -338,14 +338,13 @@ def _reference_descent(solution, config, evaluator):
     pytest.param("umi-sc-desk", 1, 1, id="umi-1-one-realization"),
 ])
 def test_descent_matches_metrics_reference(monkeypatch, world, channel_seed, realizations):
-    """On the desk worlds placed with seed 1, the descent returns the same
-    dBm values as the reference after one full check of the max-power start
-    and one check of every floor per reference trial."""
+    """On the desk worlds placed with seed 1, the power bisection returns
+    the same dBm values as the reference after one full check of the
+    max-power start and one check of every floor per reference trial."""
     scenario = builtin_scenario(world, 1)
-    cfg = CtmConfig(seed=channel_seed)
-    geometry = build_geometry(scenario, cfg)
+    geometry = build_geometry(scenario, CtmConfig(seed=channel_seed))
     want, want_checks = _reference_descent(
-        geometry, cfg, Evaluator(scenario, channel_seed, realizations))
+        geometry, Evaluator(scenario, channel_seed, realizations))
 
     full, trials = [], []
     metrics, unmet_floors = Evaluator.metrics, Evaluator.unmet_floors
@@ -360,37 +359,26 @@ def test_descent_matches_metrics_reference(monkeypatch, world, channel_seed, rea
 
     monkeypatch.setattr(Evaluator, "metrics", counted_full)
     monkeypatch.setattr(Evaluator, "unmet_floors", counted_trial)
-    got = reduce_powers(geometry, Evaluator(scenario, channel_seed, realizations), cfg)
+    got = reduce_powers(geometry, Evaluator(scenario, channel_seed, realizations))
     assert got.tx_power == want.tx_power
     assert full == [geometry.tx_power]
     assert len(trials) == want_checks - 1
     assert got.tx_power != geometry.tx_power
 
 
-def test_steps_below_float_resolution_end_the_descent(monkeypatch):
-    """Once a halved step no longer lowers a PoA's dBm, that PoA stops
-    stepping instead of accepting the unchanged trial for ever: 60 and 80
-    refinement rounds return the same powers, and a first step that is
-    already below resolution leaves every PoA at its maximum without a
-    trial. Past 20,000 floor checks the descent is taken to hang."""
+def test_default_power_step_ends(monkeypatch):
+    """A default solve_ctm on inf-dh-desk ends with a feasible verdict.
+    Past 20,000 floor checks the power step is taken to hang."""
     trials, unmet_floors = [], Evaluator.unmet_floors
 
     def bounded(self, solution):
         trials.append(1)
-        assert len(trials) < 20_000, "the descent does not end"
+        assert len(trials) < 20_000, "the power step does not end"
         return unmet_floors(self, solution)
 
     monkeypatch.setattr(Evaluator, "unmet_floors", bounded)
-    scenario = builtin_scenario("inf-dh-desk", 1)
-    sixty, bundle = solve_ctm(Evaluator(scenario, 1), CtmConfig(seed=1, refinement_rounds=60))
-    del trials[:]
-    eighty, _ = solve_ctm(Evaluator(scenario, 1), CtmConfig(seed=1, refinement_rounds=80))
-    assert sixty.tx_power == eighty.tx_power
-    assert bundle.feasible
-    del trials[:]
-    tiny, _ = solve_ctm(Evaluator(scenario, 1), CtmConfig(seed=1, delta_db=1e-300))
-    assert tiny.tx_power == {p.id: p.max_tx_power_dbm for p in scenario.poas}
-    assert trials == []
+    _, bundle = solve_ctm(Evaluator(builtin_scenario("inf-dh-desk", 1), 1))
+    assert bundle.feasible and trials
 
 
 @st.composite
@@ -421,9 +409,23 @@ def feasible_small_worlds(draw):
 
 
 @settings(deadline=None, max_examples=60)
+@given(world=feasible_small_worlds())
+def test_reduce_powers_ends_feasible_one_tolerance_above_failing(world):
+    """From any feasible start the power step ends feasible under the full
+    verdict, lowers or keeps every PoA, and leaves no active PoA that meets
+    its users' floors one tolerance lower."""
+    evaluator, solution = world
+    out = reduce_powers(solution, evaluator)
+    assert evaluator.metrics(out).feasible
+    assert all(out.tx_power[pid] <= dbm for pid, dbm in solution.tx_power.items())
+    for pid in out.active_poas():
+        assert evaluator.unmet_floors(out.with_power(pid, out.tx_power[pid] - _POWER_TOL_DB))
+
+
+@settings(deadline=None, max_examples=60)
 @given(world=feasible_small_worlds(), data=st.data())
 def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
-    """The descent's premise: from a feasible state, lowering one active PoA
+    """The power step's premise: from a feasible state, lowering one active PoA
     breaks no floor or ceiling outside that PoA's users, and the floors
     read from the users stack give the full verdict. Term by
     term: no other user's signal and none of that PoA's users' interference
@@ -454,7 +456,7 @@ def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
 def test_solve_ctm_deterministic(tiny_scenario):
     """Deterministic on two Evaluators of one world, and with no config it
     runs ``CtmConfig(seed=evaluator.seed)``."""
-    cfg = CtmConfig(seed=7, refinement_rounds=1)
+    cfg = CtmConfig(seed=7)
     s1, m1 = solve_ctm(Evaluator(tiny_scenario, 7, 4), cfg)
     s2, m2 = solve_ctm(Evaluator(tiny_scenario, 7, 4), cfg)
     assert s1.tx_power == s2.tx_power
@@ -471,7 +473,7 @@ def test_solve_ctm_solves_the_evaluators_channels(tiny_scenario, field):
     fresh Evaluator's of that world, the floors hold there, the k-means
     geometry is still ``config.seed``'s, and the powers follow the
     Evaluator's channels."""
-    cfg = CtmConfig(seed=7, refinement_rounds=1)
+    cfg = CtmConfig(seed=7)
     base = dict(scenario=tiny_scenario, seed=7, n_realizations=4)
     args = dict(base)
     args[field] = {"scenario": make_tiny_scenario(required_rate=20e6), "seed": 8,
@@ -485,7 +487,7 @@ def test_solve_ctm_solves_the_evaluators_channels(tiny_scenario, field):
 
 
 def test_solve_ctm_stacks_its_beams_once(monkeypatch):
-    """The max-power verdict, the descent and the closing verdict read one
+    """The max-power verdict, the power step and the closing verdict read one
     ``GainStack``: solve_ctm builds it and the Evaluator's stack of no
     beams, and no other."""
     import cellless.radio_metrics as radio_metrics
@@ -494,7 +496,7 @@ def test_solve_ctm_stacks_its_beams_once(monkeypatch):
     monkeypatch.setattr(radio_metrics, "GainStack",
                         lambda *fields: stacks.append(stack(*fields)) or stacks[-1])
     scenario = builtin_scenario("inf-dh-desk", 1)
-    config = CtmConfig(seed=1, delta_db=4.0, refinement_rounds=0, kmeans_restarts=2)
+    config = CtmConfig(seed=1, kmeans_restarts=2)
     solution, bundle = solve_ctm(Evaluator(scenario, 1, 2), config)
     assert bundle.feasible and len(stacks) == 2
     assert stacks[0].listing == () and stacks[1].listing is solution.beams
@@ -502,14 +504,7 @@ def test_solve_ctm_stacks_its_beams_once(monkeypatch):
 
 def test_ctm_config_validation():
     with pytest.raises(ValueError):
-        CtmConfig(delta_db=0.0)
-    with pytest.raises(ValueError):
-        CtmConfig(refinement_rounds=-1)
-    with pytest.raises(ValueError):
         CtmConfig(kmeans_restarts=0)
-    for delta in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            CtmConfig(delta_db=delta)
 
 
 def test_nan_rate_floors_raise_instead_of_descending_forever():

@@ -160,7 +160,7 @@ def time_solver_layers(seed: int, repeats: int) -> dict:
         got = {"evaluator_init": init_s,
                "cold_fill": _timed(ev.metrics, geometry)[0],
                "warm_metrics": _timed(ev.metrics, geometry)[0],
-               "reduce_powers": _timed(reduce_powers, geometry, ev, config)[0]}
+               "reduce_powers": _timed(reduce_powers, geometry, ev)[0]}
         rng = np.random.default_rng(seed)
         moves = []
         while len(moves) < MOVES:
