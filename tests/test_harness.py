@@ -361,6 +361,19 @@ def test_cli_bad_seeds_and_run_sizes_exit_2(args, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args", [["--delta-db", "4.0"], ["--refine", "0"]],
+                         ids=["delta-db", "refine"])
+def test_cli_run_refuses_the_removed_power_step_flags(args, tmp_path, capsys):
+    """The power step's tolerance is fixed: its old step flags are unknown
+    arguments, refused before any run starts or any file is written."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "inf-dh-desk", "--out", str(tmp_path / "out"), *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(args)}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 def test_cli_out_at_a_regular_file_exits_2_before_any_run(under, tmp_path, capsys, monkeypatch):
     """An ``--out`` that is, or lies under, a regular file exits 2 naming

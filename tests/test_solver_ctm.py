@@ -507,6 +507,14 @@ def test_ctm_config_validation():
         CtmConfig(kmeans_restarts=0)
 
 
+@pytest.mark.parametrize("field", ["delta_db", "refinement_rounds"])
+def test_ctm_config_has_no_power_step_knobs(field):
+    """The power step bisects to a fixed tolerance, so CtmConfig takes no
+    step size or refinement count."""
+    with pytest.raises(TypeError, match=field):
+        CtmConfig(**{field: 1})
+
+
 def test_nan_rate_floors_raise_instead_of_descending_forever():
     """A NaN floor is never met, so a Python-built world with NaN floors is
     infeasible at maximum power. Run in a fresh interpreter, so a descent
