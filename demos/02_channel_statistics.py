@@ -9,8 +9,8 @@ import math
 import numpy as np
 
 from cellless.antenna import PanelGeometry, SteeringDirection
-from cellless.channel import (LosModel, direct_paths, link_seed_words, link_terms,
-                              los_probability, sample_link, seeded_rngs, steered_energy)
+from cellless.channel import (LosModel, direct_paths, link_terms, link_uniforms,
+                              los_probability, sample_link, steered_energy)
 from cellless.scenario import builtin_template
 
 
@@ -31,10 +31,10 @@ def main():
     poa = (0.0, 10.0, 7.0)
     rows = []
     for d in (5, 10, 20, 40):
-        # 200 realizations of the link from PoA 0 to target 0, seed 0, in
-        # one draw, each steered at its direct path: 0 dBm is 1e-3 W.
+        # 200 realizations of the link from PoA 0 to user 0 (part 0), seed
+        # 0, in one draw, each steered at its direct path: 0 dBm is 1e-3 W.
         paths = direct_paths(poa, 5e9, [(d, 10.0, 1.5)], params)
-        links = sample_link(paths, params, seeded_rngs(link_seed_words(0, range(200), 0, [0])))
+        links = sample_link(paths, params, link_uniforms(0, range(200), 0, 0, 1, params))
         steer = SteeringDirection(float(paths.zenith[0]), float(paths.azimuth[0]))
         e = 1e-3 * steered_energy(link_terms(links, geom), geom, steer)
         rows.append((d, 10 * math.log10(e.mean()), 10 * np.log10(e).std()))
@@ -43,12 +43,14 @@ def main():
         print(f"  {d:5d}   {mean_db:10.1f}   {std_db:9.1f}")
 
     print()
-    print("=== Determinism: the same key always gives the same draw ===")
-    paths = direct_paths(poa, 5e9, [(20.0, 10.0, 1.5)], params)
-    a, b = (sample_link(paths, params, seeded_rngs(link_seed_words(7, [0], 1, [2])))
-            for _ in range(2))
-    print(f"  pathloss: {a.pathloss_db[0, 0]:.6f} == {b.pathloss_db[0, 0]:.6f}")
-    print(f"  first phase: {a.phases[0, 0, 0, 0]:.6f} == {b.phases[0, 0, 0, 0]:.6f}")
+    print("=== Determinism: a link draws the same in any block ===")
+    # Human 2 (part 1) of PoA 1 in realization 0, seed 7: row 2 of its
+    # realization's block, whatever the block's row count.
+    targets = [(20.0 + 5.0 * j, 10.0, 1.5) for j in range(4)]
+    a, b = (sample_link(direct_paths(poa, 5e9, targets[:n], params), params,
+                        link_uniforms(7, [0], 1, 1, n, params)) for n in (3, 4))
+    print(f"  shadowing: {a.shadow_db[0, 2]:.6f} == {b.shadow_db[0, 2]:.6f}")
+    print(f"  first phase: {a.phases[0, 2, 0, 0]:.6f} == {b.phases[0, 2, 0, 0]:.6f}")
 
 
 if __name__ == "__main__":

@@ -3,22 +3,24 @@
 A link (PoA -> user or human) is drawn one way only. ``direct_paths``
 computes the per-target geometry that depends on no draw: direct-path
 angles, distance, LoS probability, both pathlosses, and the PoA's
-frequency. ``link_seed_words`` runs ``SeedSequence``'s integer hash over
-the keys (global seed, realization index, PoA index, target index) of
-one PoA's links at once, for any realization range, and returns each
-link's four PCG64 seed words, 32 bytes; ``seeded_rngs`` builds the
-generators from them, each bit-identical to the key's
-``default_rng(SeedSequence(key))``. ``sample_link`` takes the targets'
-direct paths and a grid of those generators, one per link, and draws
-every link in one call; each link reads only its own stream, so results
-are bit-identical regardless of evaluation order, block or worker count,
-and a caller that keeps the direct paths and the seed words can draw any
-of its links again, bit for bit. A ``LinkRealization`` stores the
-departure angles at cluster resolution, each cluster's mean, plus the
-N_r ray offsets that every link shares; ``link_terms`` works from the
-per-cluster angles, and the per-ray angles exist only while the 3GPP
-element pattern reads them. Ray geometry is
-independent of any beam decision: beams enter only through the panel
+frequency, as array math over every target at once. ``link_uniforms``
+keys one stream per (global seed, realization index, PoA index, part),
+part 0 being the users and part 1 the humans, and draws from it one
+block of uniforms with a row of K = 3 + 3*N_c + N_c*N_r per target, so
+target t's link reads row t of its block and depends on its key and t
+alone: the users' links do not depend on the humans, and any realization
+range draws as the same range of a draw from 0. ``sample_link`` turns the
+targets' direct paths and their rows of uniforms into every link's fields
+in one vectorised call, with normals by Box-Muller and exponentials by
+inverse CDF, so each link reads a fixed number of uniforms. Each step is
+elementwise or reduces the trailing axes, so results are bit-identical
+regardless of evaluation order, block or worker count, and a caller that
+keeps the direct paths and the key can draw any of its links again, bit
+for bit. A ``LinkRealization`` stores the departure angles at cluster
+resolution, each cluster's mean, plus the N_r ray offsets that every link
+shares; ``link_terms`` works from the per-cluster angles, and the per-ray
+angles exist only while the 3GPP element pattern reads them. Ray geometry
+is independent of any beam decision: beams enter only through the panel
 field applied when computing energies, which lets a fixed set of
 realizations be reused across candidate solutions.
 
@@ -52,8 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
 
 from .antenna import (ELEMENT_SPACING, ISOTROPIC, FieldWork, PanelGeometry, PanelTerms,
                       SteeringDirection, beam_phasor, element_field, fold_weight, panel_terms,
@@ -123,8 +123,8 @@ class ChannelParams:
 class LinkRealization:
     """Seeded draws of the links from one PoA to one or more targets.
 
-    Per-link fields carry the leading shape of the generators the links
-    were drawn from (shape () for a single link); per-cluster and per-ray
+    Per-link fields carry the leading shape of the uniforms the links were
+    drawn from (shape () for a single link); per-cluster and per-ray
     fields add trailing (N_c,) and (N_c, N_r) axes. The departure angles
     are stored per cluster: each ray's angle is its cluster mean plus one
     of N_r fixed offsets shared by every link, and ``aod_zenith`` and
@@ -179,121 +179,12 @@ def dbm_to_watts(dbm: float) -> float:
     return 0.0 if dbm == -math.inf else 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
-_MASK32 = 0xFFFF_FFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _word_groups(values) -> list:
-    """Non-negative integers split as ``SeedSequence`` splits an entropy
-    integer, into little-endian 32-bit words (at least one), grouped by word
-    count: a list of (positions in ``values``, (len(positions), words)
-    uint64 array)."""
-    vals = [int(v) for v in values]
-    if any(v < 0 for v in vals):
-        raise ValueError("link stream keys must be non-negative")
-    groups = {}
-    for i, v in enumerate(vals):
-        groups.setdefault(max(1, -(-v.bit_length() // 32)), []).append(i)
-    return [(idx, np.array([[(vals[i] >> (32 * k)) & _MASK32 for k in range(n)] for i in idx],
-                           dtype=np.uint64))
-            for n, idx in groups.items()]
-
-
-def _seed_states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(words).generate_state(4, np.uint64)`` of every row of
-    ``entropy``, a (keys, words >= 4) array of 32-bit words, as (keys, 4)
-    uint64.
-
-    The hash constant evolves the same way for every key, so it stays a
-    Python int; the words are kept in uint64 and masked to 32 bits after
-    each product, which never overflows 64 bits.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ (result >> 16)
-
-    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for i_src in range(_POOL_SIZE, entropy.shape[1]):
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
-
-    hash_const = _INIT_B
-    halves = []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = (value * hash_const) & _MASK32
-        halves.append(value ^ (value >> 16))
-    return np.stack([halves[2 * j] | (halves[2 * j + 1] << 32) for j in range(4)], axis=1)
-
-
-class _SeedWords(ISeedSequence):
-    """Seed words computed in advance: ``PCG64`` seeds itself from
-    ``generate_state(4, np.uint64)``, the only call it makes."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def link_seed_words(seed, realizations, poa_index, targets) -> np.ndarray:
-    """The PCG64 seed words of the link streams from PoA ``poa_index`` to
-    each target index in ``targets`` in each realization index in
-    ``realizations`` (any indices, e.g. a range starting past 0), as a
-    (len(realizations), len(targets), 4) uint64 array.
-
-    Entry [i, j] is ``SeedSequence([seed, realizations[i], poa_index,
-    targets[j]]).generate_state(4, np.uint64)``: the hash runs over every
-    key at once, grouped by the keys' 32-bit word counts.
-    """
-    realizations, targets = list(realizations), list(targets)
-    ((_, seed_words),) = _word_groups([seed])
-    ((_, poa_words),) = _word_groups([poa_index])
-    out = np.empty((len(realizations), len(targets), 4), dtype=np.uint64)
-    for r_pos, r_words in _word_groups(realizations):
-        for t_pos, t_words in _word_groups(targets):
-            n = len(r_pos) * len(t_pos)
-            out[np.ix_(r_pos, t_pos)] = _seed_states(np.concatenate([
-                np.broadcast_to(seed_words, (n, seed_words.shape[1])),
-                np.repeat(r_words, len(t_pos), axis=0),
-                np.broadcast_to(poa_words, (n, poa_words.shape[1])),
-                np.tile(t_words, (len(r_pos), 1))], axis=1)).reshape(len(r_pos), len(t_pos), 4)
-    return out
-
-
-def seeded_rngs(words) -> list:
-    """The generators seeded from ``words``, a (rows, columns, 4) slice of
-    ``link_seed_words``, as the (rows x columns) nested list
-    ``sample_link`` takes. Each ``PCG64`` seeds itself from its row of
-    words, so it is bit-identical to ``default_rng`` of that link's
-    ``SeedSequence``."""
-    return [[Generator(PCG64(_SeedWords(w))) for w in row] for row in words]
-
-
 def los_probability(model: LosModel, d_2d, poa_height, target_height):
     """Line-of-sight probability; monotone non-increasing in d_2d.
 
     InF-DH uses an exponential decay whose scale grows when the PoA sits
-    above the clutter; UMi uses the standard d_2d break-point form.
+    above the clutter and the target below it; UMi uses the standard d_2d
+    break-point form. ``d_2d`` and ``target_height`` broadcast.
     """
     d = np.asarray(d_2d, dtype=float)
     if np.any(d < 0):
@@ -301,10 +192,11 @@ def los_probability(model: LosModel, d_2d, poa_height, target_height):
     if model.kind == "inf-dh":
         rho = min(max(model.clutter_density, 0.0), 1.0 - 1e-9)
         if rho <= 0:
-            return np.minimum(np.ones_like(d), 1.0)
+            return np.ones_like(d)
         k = -model.clutter_size_m / math.log(1.0 - rho)
-        if poa_height > model.clutter_height > target_height:
-            k *= (poa_height - target_height) / (model.clutter_height - target_height)
+        h, clutter = np.asarray(target_height, dtype=float), model.clutter_height
+        below = (poa_height > clutter) & (clutter > h)
+        k = np.where(below, k * ((poa_height - h) / np.where(below, clutter - h, 1.0)), k)
         return np.exp(-d / k)
     if model.kind == "umi":
         out = np.ones_like(d)
@@ -316,99 +208,105 @@ def los_probability(model: LosModel, d_2d, poa_height, target_height):
 
 
 def departure_angles(src, dst):
-    """(zenith, azimuth, distance) of the departure direction from src
-    toward dst; all three are 0.0 where the points coincide."""
-    dx, dy, dz = dst[0] - src[0], dst[1] - src[1], dst[2] - src[2]
-    d3d = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if d3d == 0.0:
-        return 0.0, 0.0, 0.0
-    zen = math.acos(max(-1.0, min(1.0, dz / d3d)))
-    az = math.atan2(dy, dx)
-    return zen, az, d3d
+    """(zenith, azimuth, distance) of the departure direction from the point
+    ``src`` toward each point of ``dst``, shape (..., 3), as arrays of its
+    leading shape; all three are 0.0 where the points coincide."""
+    delta = np.asarray(dst, dtype=float) - np.asarray(src, dtype=float)
+    dx, dy, dz = delta[..., 0], delta[..., 1], delta[..., 2]
+    d3d = np.sqrt(dx * dx + dy * dy + dz * dz)
+    cos_zenith = np.divide(dz, d3d, out=np.ones_like(d3d), where=d3d > 0.0)
+    # Coincident points have cos 1 and arctan2(0, 0) = 0: both angles are 0.
+    return np.arccos(np.clip(cos_zenith, -1.0, 1.0)), np.arctan2(dy, dx), d3d
 
 
 def direct_paths(poa_pos, poa_freq, target_pos, params: ChannelParams) -> DirectPaths:
     """Direct-path geometry, LoS probability and both pathlosses of the
-    links from one PoA to each target of ``target_pos``, shape (..., 3),
-    once per target with scalar calls (array math may round differently).
+    links from one PoA to each target of ``target_pos``, shape (..., 3).
     The PoA sits at ``poa_pos`` and transmits at ``poa_freq`` [Hz]."""
     pos = np.asarray(target_pos, dtype=float)
     if pos.shape == (0,):
         pos = pos.reshape(0, 3)     # an empty plain list: no targets
-    geometry = np.empty(pos.shape[:-1] + (6,))
-    for idx in np.ndindex(pos.shape[:-1]):
-        tx, ty, tz = pos[idx].tolist()
-        zen0, az0, d3d = departure_angles(poa_pos, (tx, ty, tz))
-        d2d = math.hypot(tx - poa_pos[0], ty - poa_pos[1])
-        p_los = float(los_probability(params.los_model, d2d, poa_pos[2], tz))
-        geometry[idx] = (zen0, az0, d3d, p_los, float(params.pathloss_los.db(d3d, poa_freq)),
-                         float(params.pathloss_nlos.db(d3d, poa_freq)))
-    return DirectPaths(*(geometry[..., i] for i in range(6)), frequency=poa_freq)
+    zenith, azimuth, d3d = departure_angles(poa_pos, pos)
+    d2d = np.hypot(pos[..., 0] - poa_pos[0], pos[..., 1] - poa_pos[1])
+    return DirectPaths(zenith, azimuth, d3d,
+                       los_probability(params.los_model, d2d, poa_pos[2], pos[..., 2]),
+                       params.pathloss_los.db(d3d, poa_freq),
+                       params.pathloss_nlos.db(d3d, poa_freq), frequency=poa_freq)
 
 
-def sample_link(paths: DirectPaths, params: ChannelParams, rngs) -> LinkRealization:
-    """Draw link realizations from one PoA, each from its own stream.
+def link_uniforms(seed, realizations, poa_index, part, n_targets,
+                  params: ChannelParams) -> np.ndarray:
+    """The uniforms in [0, 1) of the links from PoA ``poa_index`` to the
+    first ``n_targets`` targets of ``part`` (0: the users, 1: the humans)
+    in each realization index of ``realizations`` (any indices, e.g. a
+    range starting past 0), as a (len(realizations), n_targets, K) array
+    with K = 3 + 3*N_c + N_c*N_r.
 
-    ``rngs`` is a grid of generators, one per link, as ``seeded_rngs``
-    returns (nested lists; a single generator is one link); the nesting
-    gives the leading shape of every returned field. ``paths``, the
-    targets' ``direct_paths`` from the PoA, broadcasts against that leading
-    shape, and the returned ``los_aod`` and ``d_3d`` view its arrays.
-
-    LoS state is Bernoulli on los_probability; delays are i.i.d.
-    exponential (sorted) with powers proportional to exp(-tau/DS),
-    renormalized; cluster mean angles are Gaussian around the direct-path
-    geometry, rays fan out on deterministic equal-spaced offsets of half
-    the angular spread; phases are i.i.d. uniform.
+    Realization r's block is ``default_rng([seed, r, poa_index, part])
+    .random((n_targets, K))``: target t's link reads row t whatever the
+    block's row count, so it depends on (seed, r, PoA, part, t) alone. A
+    negative key raises ``ValueError``.
     """
-    rngs = np.array(rngs, dtype=object)
-    shape = rngs.shape
+    n_uniforms = 3 + params.n_clusters * (3 + params.n_rays)
+    out = np.empty((len(realizations), n_targets, n_uniforms))
+    for block, r in zip(out, realizations):
+        np.random.default_rng([seed, r, poa_index, part]).random(out=block)
+    return out
+
+
+def _box_muller(u_radius, u_angle):
+    """Two independent standard normals from two uniforms in [0, 1) (Box and
+    Muller, 1958). The radius reads 1 - u, so u = 0 gives finite normals."""
+    radius = np.sqrt(-2.0 * np.log1p(-u_radius))
+    angle = 2.0 * math.pi * u_angle
+    return radius * np.cos(angle), radius * np.sin(angle)
+
+
+def sample_link(paths: DirectPaths, params: ChannelParams, uniforms) -> LinkRealization:
+    """Link realizations from one PoA, each from its own row of uniforms.
+
+    ``uniforms`` has shape (..., K), one row per link, as ``link_uniforms``
+    returns; its leading shape is that of every returned field. ``paths``,
+    the targets' ``direct_paths`` from the PoA, broadcasts against it, and
+    the returned ``los_aod`` and ``d_3d`` view its arrays.
+
+    A row of N_c clusters of N_r rays reads: [0] the LoS state, Bernoulli
+    on los_probability; [1], [2] one Box-Muller pair, the shadowing normal
+    and the Rician K normal (read when LoS); [3, 3+N_c) the cluster delays,
+    i.i.d. exponential by inverse CDF (sorted), with powers proportional to
+    exp(-tau/DS), renormalized; [3+N_c, 3+2*N_c) and [3+2*N_c, 3+3*N_c)
+    N_c Box-Muller pairs, the Gaussian departure zenith and azimuth of each
+    cluster's mean around the direct path; the rest the N_c*N_r i.i.d.
+    uniform ray phases. Rays fan out on deterministic equal-spaced offsets
+    of half the angular spread. Every step is elementwise or reduces the
+    trailing axes, so a link has the same bits in any block of rows.
+    """
+    nc, nr = params.n_clusters, params.n_rays
+    u = np.asarray(uniforms, dtype=float)
+    shape = u.shape[:-1]
     zen0, az0, d3d, p_los, pl_los, pl_nlos = (
         np.broadcast_to(a, shape) for a in (paths.zenith, paths.azimuth, paths.d_3d,
                                             paths.p_los, paths.pathloss_los,
                                             paths.pathloss_nlos))
-
-    # Each stream draws in its original order: LoS, shadowing, K (LoS
-    # only), delays, departure then arrival angle normals, phases. The
-    # arrival normals are discarded: the target is an isotropic point.
-    nc, nr = params.n_clusters, params.n_rays
-    n = rngs.size
-    los = np.empty(n, dtype=bool)
-    shadow = np.empty(n)
-    k_lin = np.zeros(n)
-    expo = np.empty((n, nc))
-    normals = np.empty((n, 4, nc))
-    uniforms = np.empty((n, nc, nr))
-    k_mean, k_sigma = params.rician_k_mean_db, params.rician_k_sigma_db
-    for i, (g, p) in enumerate(zip(rngs.flat, p_los.flat)):
-        los[i] = is_los = g.random() < p
-        # The shadowing normal, then K's (LoS only), in one call.
-        normal = g.standard_normal(2 if is_los else 1).tolist()
-        shadow[i] = normal[0]
-        if is_los:
-            # A scalar power: np.power over an array may round differently.
-            k_lin[i] = 10.0 ** ((k_mean + k_sigma * normal[1]) / 10.0)
-        g.standard_exponential(out=expo[i])
-        g.standard_normal(out=normals[i])
-        g.random(out=uniforms[i])
-    los, shadow, k_lin = los.reshape(shape), shadow.reshape(shape), k_lin.reshape(shape)
-
-    shadow *= np.where(los, params.shadow_sigma_los_db, params.shadow_sigma_nlos_db)
-    delays = np.sort(params.delay_spread * expo.reshape(shape + (nc,)), axis=-1)
+    los = u[..., 0] < p_los
+    shadow, k_normal = _box_muller(u[..., 1], u[..., 2])
+    k_lin = np.where(los, 10.0 ** ((params.rician_k_mean_db
+                                    + params.rician_k_sigma_db * k_normal) / 10.0), 0.0)
+    delays = np.sort(-params.delay_spread * np.log1p(-u[..., 3:3 + nc]), axis=-1)
     powers = np.exp(-delays / params.delay_spread)
     powers /= powers.sum(axis=-1, keepdims=True)
-
-    normals = normals.reshape(shape + (4, nc))
+    zen_normal, az_normal = _box_muller(u[..., 3 + nc:3 + 2 * nc], u[..., 3 + 2 * nc:3 + 3 * nc])
     zen_spread, az_spread = params.zenith_spread_dep, params.azimuth_spread_dep
     offsets = np.linspace(-0.5, 0.5, nr) if nr > 1 else np.zeros(1)
 
     return LinkRealization(
-        los=los, pathloss_db=np.where(los, pl_los, pl_nlos), shadow_db=shadow,
+        los=los, pathloss_db=np.where(los, pl_los, pl_nlos),
+        shadow_db=shadow * np.where(los, params.shadow_sigma_los_db, params.shadow_sigma_nlos_db),
         rician_k=k_lin, frequency=paths.frequency, delays=delays, cluster_powers=powers,
-        cluster_zenith=zen0[..., None] + zen_spread * normals[..., 0, :],
-        cluster_azimuth=wrap_angle(az0[..., None] + az_spread * normals[..., 1, :]),
+        cluster_zenith=zen0[..., None] + zen_spread * zen_normal,
+        cluster_azimuth=wrap_angle(az0[..., None] + az_spread * az_normal),
         ray_zenith_offsets=offsets * zen_spread, ray_azimuth_offsets=offsets * az_spread,
-        phases=2.0 * math.pi * uniforms.reshape(shape + (nc, nr)),
+        phases=(2.0 * math.pi * u[..., 3 + 3 * nc:]).reshape(shape + (nc, nr)),
         los_aod=(zen0, az0), d_3d=d3d,
     )
 

@@ -4,11 +4,12 @@ The Evaluator fixes every link realization of one (scenario, seed) but
 stores none of them. Everything derived from one PoA's links to the users
 (part 0) or to the humans (part 1) lives in one record,
 ``Evaluator._parts[(PoA id, part)]``. Made once at construction, it holds
-the targets' ``channel.direct_paths`` and the PCG64 seed words of every
-(realization, target) link, 32 bytes each, from one
-``channel.link_seed_words`` pass; each link is still drawn from its own
-keyed stream, and ``_Part.links`` draws any realization range of the part
-again, bit for bit, through ``channel.sample_link``. The record also
+the targets' ``channel.direct_paths`` and the key (seed, PoA index, part)
+of the part's streams: realization r's links are drawn from the one
+stream keyed (seed, r, PoA index, part), one row of uniforms per target
+(``channel.link_uniforms``), so ``_Part.links`` draws any realization
+range of the part again, bit for bit, through ``channel.sample_link``,
+and the users' links do not depend on the humans. The record also
 caches the part's unit-power (1 W) energy table of shape (realizations,
 targets of the part) per beam geometry, keyed on the exact zenith, azimuth
 and panel columns a table is steered to, so a table depends on its key
@@ -27,10 +28,10 @@ by the realization count, and a part filled once (``evaluate``,
 blocks again and keeps their terms, so a part refilled beam by beam (the
 MaxRate anneal) stops recomputing them. Each step is elementwise or
 reduces the trailing cluster and ray axes, and each link's draw reads its
-own stream only, so the tables have the same bits whatever the block. A
-part no beam of the PoA reaches is never drawn. Channel ray geometry does
-not depend on any decision variable, so beam changes only add table
-entries and power changes invalidate nothing.
+own row of its realization's stream only, so the tables have the same
+bits whatever the block. A part no beam of the PoA reaches is never
+drawn. Channel ray geometry does not depend on any decision variable, so
+beam changes only add table entries and power changes invalidate nothing.
 
 One power core turns beams and powers into rates and exposure, in three
 steps. *Stack* (``Evaluator.stack``) gathers the unit-power gains of the
@@ -170,30 +171,38 @@ _BLOCK_RAYS = 2 ** 15
 @dataclass
 class _Part:
     """One PoA's links to the users (part 0) or to the humans (part 1), kept
-    as what draws them: the targets' direct paths from the PoA and the
-    (realizations, targets, 4) seed words of the links' streams. Also the
-    unit-power gain table over them of each beam geometry, keyed (zenith,
-    azimuth, columns), and, from its second fill on, the ``channel.link_terms``
-    of each of its realization blocks."""
+    as what draws them: the targets' direct paths from the PoA and the key
+    (seed, PoA index, part) of the links' streams, one per realization
+    (``channel.link_uniforms``). Also the unit-power gain table over them
+    of each beam geometry, keyed (zenith, azimuth, columns), and, from its
+    second fill on, the ``channel.link_terms`` of each of its realization
+    blocks."""
 
     params: ch.ChannelParams
     paths: ch.DirectPaths
-    words: np.ndarray
+    key: tuple                  # (seed, PoA index, part)
+    n_realizations: int
     tables: dict = field(default_factory=dict)
     kept: list = field(default_factory=list)  # per-block terms, one per blocks() slice
 
+    @property
+    def shape(self) -> tuple:
+        """(realizations, targets) of the part's links and tables."""
+        return self.n_realizations, self.paths.d_3d.shape[0]
+
     def links(self, index=slice(None)) -> ch.LinkRealization:
         """The links of the realizations ``index``, a slice, drawn from
-        their kept seed words."""
-        return ch.sample_link(self.paths, self.params, ch.seeded_rngs(self.words[index]))
+        their keyed streams."""
+        seed, p_idx, part = self.key
+        return ch.sample_link(self.paths, self.params, ch.link_uniforms(
+            seed, range(self.n_realizations)[index], p_idx, part, self.shape[1], self.params))
 
     def blocks(self) -> list:
         """Realization slices of at most ``_BLOCK_RAYS`` rays each (at least
         one realization), covering the part."""
-        n_realizations, n_targets = self.words.shape[:2]
-        rays = n_targets * self.params.n_clusters * self.params.n_rays
+        rays = self.shape[1] * self.params.n_clusters * self.params.n_rays
         step = max(1, _BLOCK_RAYS // max(1, rays))
-        return [slice(r, r + step) for r in range(0, n_realizations, step)]
+        return [slice(r, r + step) for r in range(0, self.n_realizations, step)]
 
     def fill(self, keys, panel):
         """Compute the table of each (zenith, azimuth, columns) key in
@@ -213,7 +222,7 @@ class _Part:
                    for key in keys}
         drawn = not self.kept  # the blocks' links are drawn, not steered from kept terms
         keep = drawn and bool(self.tables)
-        tables = {key: np.empty(self.words.shape[:2]) for key in steered}
+        tables = {key: np.empty(self.shape) for key in steered}
         for i, block in enumerate(self.blocks()):
             terms = ch.link_terms(self.links(block), panel) if drawn else self.kept[i]
             work = FieldWork(terms.rays.size)
@@ -260,6 +269,8 @@ class Evaluator:
         self.n_realizations = _integer("n_realizations", n_realizations)
         if self.n_realizations < 1:
             raise ValueError("need at least one realization")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.scenario = scenario
         self._user_ids = [u.id for u in scenario.users]
         self._human_ids = [h.id for h in scenario.humans]
@@ -282,21 +293,18 @@ class Evaluator:
                                 element_pattern=p.element_pattern)
             for p in scenario.poas
         }
-        # (PoA id, part) -> _Part. The link to target index t (users, then
-        # humans) of PoA index p in realization r is drawn from the stream
-        # keyed (seed, r, p, t); a part keeps its links' seed words and
-        # draws the links when it fills.
+        # (PoA id, part) -> _Part. The links of PoA index p to part 0 (the
+        # users) or 1 (the humans) in realization r are drawn from the one
+        # stream keyed (seed, r, p, part), a row per target; a part keeps
+        # its key and draws the links when it fills.
         params = scenario.channel_params
         self._parts = {}
         for p_idx, poa in enumerate(scenario.poas):
             for part, group in enumerate((scenario.users, scenario.humans)):
-                start = part * self._n_users
-                self._parts[poa.id, part] = _Part(
-                    params,
-                    ch.direct_paths(poa.position.as_tuple(), poa.frequency,
-                                    [t.position.as_tuple() for t in group], params),
-                    ch.link_seed_words(self.seed, range(self.n_realizations), p_idx,
-                                       range(start, start + len(group))))
+                paths = ch.direct_paths(poa.position.as_tuple(), poa.frequency,
+                                        [t.position.as_tuple() for t in group], params)
+                self._parts[poa.id, part] = _Part(params, paths, (self.seed, p_idx, part),
+                                                  self.n_realizations)
         no_beams = (None,) * len(rows)
         self._no_beams = GainStack(
             (), no_beams, no_beams, np.empty((len(rows), self._n_users, self.n_realizations)),

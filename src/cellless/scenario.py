@@ -103,7 +103,14 @@ class PoA:
 class EndUser:
     id: str
     position: Position3D
-    required_rate: float
+    required_rate: float        # bit/s, positive and finite
+
+    def __post_init__(self):
+        # A floor of 0 is met at any power, so CtM's power step would never
+        # stop lowering its PoA; a NaN floor is never met.
+        if not (math.isfinite(self.required_rate) and self.required_rate > 0):
+            raise ValueError(f"required_rate must be positive and finite, "
+                             f"got {self.required_rate!r}")
 
 
 @dataclass(frozen=True)
@@ -422,8 +429,6 @@ def _validate(s: Scenario):
         if u.id in ids or u.id in user_ids:
             raise ValidationError(f"{path}.id", f"duplicate id {u.id!r}")
         user_ids.add(u.id)
-        if u.required_rate <= 0:
-            raise ValidationError(f"{path}.required_rate_bps", "must be positive")
         _check_position(u.position, s, f"{path}.position_m")
     human_ids = set()
     for i, h in enumerate(s.humans):
@@ -627,7 +632,7 @@ _POA_KEYS = {
     "element_pattern": ("element_pattern", _text, _same),
 }
 _USER_KEYS = {"id": _ID, "position_m": _POSITION,
-              "required_rate_bps": ("required_rate", _real, _same)}
+              "required_rate_bps": ("required_rate", _positive, _same)}
 _HUMAN_KEYS = {"id": _ID, "position_m": _POSITION,
                "phantom_id": ("phantom_id", _text, _same),
                "linked_user": ("linked_user", _optional(_text), _same)}

@@ -270,7 +270,7 @@ def beam_geometry(poa, served_positions, centroid):
         raise ValueError("cannot steer a beam with no served users")
     phi, width = covering_arc([user_azimuth(poa.position, pos) for pos in served_positions])
     cz = float(np.mean([pos.z for pos in served_positions]))
-    theta = departure_angles(poa.position.as_tuple(), (centroid[0], centroid[1], cz))[0]
+    theta = float(departure_angles(poa.position.as_tuple(), (centroid[0], centroid[1], cz))[0])
     return phi, theta, max(poa.min_beam_width, width)
 
 

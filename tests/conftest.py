@@ -5,25 +5,86 @@ import math
 import numpy as np
 import pytest
 
-from cellless.channel import ChannelParams, LosModel, PathlossCoeffs, direct_paths, sample_link
+from cellless.channel import (ChannelParams, LinkRealization, LosModel, PathlossCoeffs,
+                              los_probability)
 from cellless.exposure import FrequencyMap
 from cellless.scenario import (DEFAULT_PHANTOMS, EndUser, Human, PoA,
                                Position3D, Scenario)
 from cellless.solution import BeamConfig, SolutionState
 
 
-def seed_sequence_rng(*key):
-    """numpy's own stream of a link key: ``default_rng(SeedSequence(key))``."""
-    return np.random.default_rng(np.random.SeedSequence(list(key)))
+def _wrap(a):
+    """``a`` wrapped to (-pi, pi]."""
+    return -((-a + math.pi) % (2.0 * math.pi) - math.pi)
 
 
 def one_link(poa_pos, frequency, target_pos, params, key):
-    """The link to the one target at ``target_pos``, leading shape (), drawn
-    from numpy's own stream of ``key`` (seed, realization, PoA index,
-    target index), so a batched draw is checked against code it does not
-    share."""
-    return sample_link(direct_paths(poa_pos, frequency, target_pos, params), params,
-                       seed_sequence_rng(*key))
+    """The link to the one target at ``target_pos``, leading shape (), keyed
+    (seed, realization, PoA index, part, target index): row t of numpy's
+    own ``default_rng([seed, r, p, part]).random((t + 1, K))``, turned into
+    the link's fields by scalar ``math`` (its own Box-Muller normals and
+    inverse-CDF exponentials) and the models' ``los_probability`` and
+    pathloss, so a batched draw is checked against code it does not share."""
+    seed, r, p, part, t = key
+    nc, nr = params.n_clusters, params.n_rays
+    row = np.random.default_rng([seed, r, p, part]).random((t + 1, 3 + nc * (3 + nr)))[t]
+    u = row.tolist()
+
+    def normals(u_radius, u_angle):
+        radius = math.sqrt(-2.0 * math.log1p(-u_radius))
+        return (radius * math.cos(2.0 * math.pi * u_angle),
+                radius * math.sin(2.0 * math.pi * u_angle))
+
+    dx, dy, dz = (b - a for a, b in zip(poa_pos, target_pos))
+    d3d = math.sqrt(dx * dx + dy * dy + dz * dz)
+    zen0 = math.acos(max(-1.0, min(1.0, dz / d3d))) if d3d else 0.0
+    az0 = math.atan2(dy, dx)
+    los = u[0] < float(los_probability(params.los_model, math.hypot(dx, dy), poa_pos[2],
+                                       target_pos[2]))
+    shadow, k_normal = normals(u[1], u[2])
+    delays = sorted(-params.delay_spread * math.log1p(-x) for x in u[3:3 + nc])
+    weights = [math.exp(-tau / params.delay_spread) for tau in delays]
+    pairs = [normals(a, b) for a, b in zip(u[3 + nc:3 + 2 * nc], u[3 + 2 * nc:3 + 3 * nc])]
+    offsets = np.linspace(-0.5, 0.5, nr) if nr > 1 else np.zeros(1)
+    return LinkRealization(
+        los=np.array(los),
+        pathloss_db=np.array(float((params.pathloss_los if los else params.pathloss_nlos)
+                                   .db(d3d, frequency))),
+        shadow_db=np.array(shadow * (params.shadow_sigma_los_db if los
+                                     else params.shadow_sigma_nlos_db)),
+        rician_k=np.array(10.0 ** ((params.rician_k_mean_db
+                                    + params.rician_k_sigma_db * k_normal) / 10.0)
+                          if los else 0.0),
+        frequency=frequency, delays=np.array(delays),
+        cluster_powers=np.array([w / sum(weights) for w in weights]),
+        cluster_zenith=np.array([zen0 + params.zenith_spread_dep * z for z, _ in pairs]),
+        cluster_azimuth=np.array([_wrap(az0 + params.azimuth_spread_dep * a) for _, a in pairs]),
+        ray_zenith_offsets=offsets * params.zenith_spread_dep,
+        ray_azimuth_offsets=offsets * params.azimuth_spread_dep,
+        phases=(2.0 * math.pi * row[3 + 3 * nc:]).reshape(nc, nr),
+        los_aod=(np.array(zen0), np.array(az0)), d_3d=np.array(d3d))
+
+
+def assert_links_match(got, want, at=()):
+    """Every field of the links ``got`` at leading index ``at`` matches
+    ``one_link``'s ``want``: the LoS states, phases, distances, frequency
+    and ray offsets bit for bit, and the fields a transcendental function
+    forms (whose last bit numpy's array loops and ``math`` may round
+    differently) to 1e-12, relative or absolute; azimuths modulo 2 pi."""
+    for name in ("los", "phases", "d_3d"):
+        assert np.asarray(getattr(got, name))[at].tobytes() == getattr(want, name).tobytes(), name
+    for name in ("frequency", "ray_zenith_offsets", "ray_azimuth_offsets"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    close = {name: (np.asarray(getattr(got, name))[at], getattr(want, name))
+             for name in ("pathloss_db", "shadow_db", "rician_k", "delays", "cluster_powers",
+                          "cluster_zenith", "aod_zenith")}
+    close["los_zenith"] = np.asarray(got.los_aod[0])[at], want.los_aod[0]
+    for name, (a, b) in close.items():
+        assert a.shape == b.shape and np.allclose(a, b, rtol=1e-12, atol=1e-12), name
+    for a, b in [(got.cluster_azimuth, want.cluster_azimuth), (got.aod_azimuth, want.aod_azimuth),
+                 (got.los_aod[1], want.los_aod[1])]:
+        a = np.asarray(a)[at]
+        assert a.shape == b.shape and np.all(np.abs(_wrap(a - b)) <= 1e-12)
 
 
 def make_poa(pid, x, y, z=6.0, freq=5e9, n_beams=2, mech_az=0.0,

@@ -15,8 +15,8 @@ import pytest
 from cellless.antenna import (ELEMENT_SPACING, ISOTROPIC, THREEGPP_8DBI, PanelGeometry,
                               SteeringDirection, element_gain_db, panel_field)
 from cellless.channel import (ChannelParams, LosModel, PathlossCoeffs, dbm_to_watts,
-                              direct_paths, link_seed_words, link_terms, sample_link,
-                              seeded_rngs, steered_energy)
+                              direct_paths, link_terms, link_uniforms, sample_link,
+                              steered_energy)
 from cellless.exposure import FrequencyMap, PhantomProfile, sar_wb
 from cellless.harness import ExperimentSpec, run_experiment
 from cellless.radio_metrics import Evaluator, evaluate
@@ -252,7 +252,7 @@ def test_criterion_08_channel_field_numerics():
     # b) cluster powers sum to one per realization.
     params = ChannelParams(los_model=LosModel("umi"))
     links = sample_link(direct_paths((0, 0, 10), 3.5e9, [(40, 9, 1.5)], params), params,
-                        seeded_rngs(link_seed_words(8, range(100), 0, [0])))
+                        link_uniforms(8, range(100), 0, 0, 1, params))
     ok = ok and bool(np.all(np.abs(links.cluster_powers.sum(axis=-1) - 1.0) <= 1e-12))
 
     # c) pathloss strictly monotone in distance.
@@ -270,7 +270,7 @@ def test_criterion_08_channel_field_numerics():
                          los_model=LosModel("umi"))
     geom = PanelGeometry(16, 32, element_pattern=ISOTROPIC)
     paths = direct_paths((0, 0, 10), 3.5e9, [(40, 9, 1.5)], wide)
-    links = sample_link(paths, wide, seeded_rngs(link_seed_words(9, range(20), 0, [0])))
+    links = sample_link(paths, wide, link_uniforms(9, range(20), 0, 0, 1, wide))
     links = replace(links, los=np.ones_like(links.los),
                     rician_k=np.full(links.rician_k.shape, 1e6))
     zenith, azimuth = float(paths.zenith[0]), float(paths.azimuth[0])

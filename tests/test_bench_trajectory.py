@@ -58,7 +58,7 @@ def test_parse_perfbench_refuses_a_malformed_op_line(trajectory):
 
 def test_layer_run_is_stored_under_its_label(trajectory, tmp_path):
     """Two runs into one file keep both labels; each holds every layer, in
-    raw and in reference-core seconds."""
+    raw and in reference-core seconds, the paper-scale ones too."""
     out = tmp_path / "bench.json"
     for label in ("parent", "change"):
         code = trajectory.main(["--layers-only", "--repeats", "1", "--out", str(out),
@@ -71,7 +71,13 @@ def test_layer_run_is_stored_under_its_label(trajectory, tmp_path):
                                         "reduce_powers", "anneal_move")]
     for kernel in runs["change"]["layers"]["kernel"].values():
         layers += [kernel["link_terms_per_block"], kernel["steered_energy_per_beam"]]
-    assert len(layers) == 9
+    paper = runs["change"]["layers"]["paper"]
+    layers += [paper[name] for name in ("evaluator_init", "first_metrics", "link_drawing",
+                                        "link_terms", "steering")]
+    assert len(layers) == 14
+    # The first metrics' three steps are parts of it.
+    steps = sum(paper[name]["median_s"] for name in ("link_drawing", "link_terms", "steering"))
+    assert steps < paper["first_metrics"]["median_s"]
     for layer in layers:
         assert layer["samples"] == 1 and layer["median_s"] > 0.0
         assert 0.0 < layer["median_ref_s"] < math.inf

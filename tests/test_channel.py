@@ -11,26 +11,50 @@ from cellless.antenna import (ELEMENT_SPACING, ISOTROPIC, THREEGPP_8DBI, FieldWo
                               PanelGeometry, SteeringDirection, element_gain_db, panel_field,
                               wrap_angle)
 from cellless.channel import (SPEED_OF_LIGHT, ChannelParams, LosModel, PathlossCoeffs,
-                              dbm_to_watts, direct_paths, link_seed_words, link_terms,
-                              los_probability, sample_link, seeded_rngs, steered_energy)
-from conftest import one_link, seed_sequence_rng
+                              dbm_to_watts, direct_paths, link_terms, link_uniforms,
+                              los_probability, sample_link, steered_energy)
+from conftest import assert_links_match, one_link
 
 PARAMS = ChannelParams(los_model=LosModel("umi"))
 POA = (0.0, 0.0, 10.0)
 USER = (30.0, 12.0, 1.5)
+#: Uniforms per link of PARAMS: 3 + 3 N_c + N_c N_r.
+K = 3 + PARAMS.n_clusters * (3 + PARAMS.n_rays)
 
 
-def test_link_seed_words_keying():
-    """A link's words depend on every part of its key and on nothing else:
-    not on the other realizations or targets of the call."""
-    def words(seed, r, poa_index, t):
-        return link_seed_words(seed, [r], poa_index, [t])[0, 0].tolist()
+def _draw(seed, realizations, poa_index, part, positions, params=PARAMS):
+    """The links from POA to ``positions`` in each realization index, drawn
+    from their keyed uniforms."""
+    return sample_link(direct_paths(POA, 3.5e9, positions, params), params,
+                       link_uniforms(seed, realizations, poa_index, part, len(positions), params))
 
-    a = words(1, 0, 2, 3)
-    assert words(1, 0, 2, 3) == a
-    assert link_seed_words(1, range(2), 2, [5, 3])[0, 1].tolist() == a
-    for key in [(2, 0, 2, 3), (1, 1, 2, 3), (1, 0, 3, 3), (1, 0, 2, 4)]:
-        assert words(*key) != a
+
+def _fields_equal(got, want, index=(slice(None), slice(None))):
+    """Every field of ``got`` equals ``index`` of ``want``'s, bit for bit."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name in ("frequency", "ray_zenith_offsets", "ray_azimuth_offsets"):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+        elif f.name == "los_aod":
+            assert all(g.shape == w[index].shape and g.tobytes() == w[index].tobytes()
+                       for g, w in zip(a, b))
+        else:
+            assert a.shape == b[index].shape and a.tobytes() == b[index].tobytes(), f.name
+
+
+def test_link_uniforms_keying():
+    """A link's row of uniforms depends on every part of its key (seed,
+    realization, PoA index, part, target index) and on nothing else: not
+    on the other realizations of the call or on its target count."""
+    def row(seed, r, poa_index, part, t):
+        return link_uniforms(seed, [r], poa_index, part, t + 1, PARAMS)[0, t].tobytes()
+
+    a = row(1, 0, 2, 0, 3)
+    assert row(1, 0, 2, 0, 3) == a
+    assert link_uniforms(1, range(2), 2, 0, 6, PARAMS)[0, 3].tobytes() == a
+    for key in [(2, 0, 2, 0, 3), (1, 1, 2, 0, 3), (1, 0, 3, 0, 3), (1, 0, 2, 1, 3),
+                (1, 0, 2, 0, 4)]:
+        assert row(*key) != a
 
 
 SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64]), st.integers(0, 2**70))
@@ -38,67 +62,115 @@ KEYS = st.integers(0, 2**40)  # one- and two-word keys
 
 
 @settings(deadline=None, max_examples=60)
-@example(seed=2**64, n_realizations=2, poa_index=0, targets=[2**32, 0, 2**32 - 1], r=2**32)
-@given(seed=SEEDS, n_realizations=st.integers(1, 3), poa_index=KEYS,
-       targets=st.lists(KEYS, min_size=1, max_size=4), r=KEYS)
-def test_seeded_link_streams_equal_seed_sequence_streams(seed, n_realizations, poa_index,
-                                                         targets, r):
-    """Each generator seeded from ``link_seed_words`` has the state and draws
-    of default_rng(SeedSequence(key)), whatever the number of 32-bit words
-    of each key part."""
-    gens = seeded_rngs(link_seed_words(seed, range(n_realizations), poa_index, targets))
-    assert [len(row) for row in gens] == [len(targets)] * n_realizations
-    for i, row in enumerate(gens):
-        for g, t in zip(row, targets):
-            ref = seed_sequence_rng(seed, i, poa_index, t)
-            assert g.bit_generator.state == ref.bit_generator.state
-            assert g.random() == ref.random()
-    ((one,),) = seeded_rngs(link_seed_words(seed, [r], poa_index, targets[:1]))
-    ref = seed_sequence_rng(seed, r, poa_index, targets[0])
-    assert one.bit_generator.state == ref.bit_generator.state
-    assert one.standard_normal() == ref.standard_normal()
+@example(seed=2**64, realizations=[2**32, 0], poa_index=2**32 - 1, part=1, n_targets=3)
+@given(seed=SEEDS, realizations=st.lists(KEYS, min_size=1, max_size=3), poa_index=KEYS,
+       part=st.sampled_from([0, 1]), n_targets=st.integers(1, 4))
+def test_link_uniforms_are_default_rng_blocks(seed, realizations, poa_index, part, n_targets):
+    """Realization r's block is numpy's own ``default_rng([seed, r, PoA,
+    part]).random((targets, K))`` bit for bit, whatever the number of
+    32-bit words of each key part."""
+    got = link_uniforms(seed, realizations, poa_index, part, n_targets, PARAMS)
+    assert got.shape == (len(realizations), n_targets, K)
+    for block, r in zip(got, realizations):
+        want = np.random.default_rng([seed, r, poa_index, part]).random((n_targets, K))
+        assert block.tobytes() == want.tobytes()
 
 
 @settings(max_examples=20)
 @given(seed=st.integers(max_value=-1))
-def test_link_seed_words_reject_a_negative_seed(seed):
+def test_link_uniforms_reject_a_negative_seed(seed):
     with pytest.raises(ValueError):
-        link_seed_words(seed, range(2), 0, [0, 1])
+        link_uniforms(seed, range(2), 0, 0, 2, PARAMS)
     with pytest.raises(ValueError):
-        link_seed_words(seed, [0], 0, [0])
+        link_uniforms(seed, [0], 0, 1, 1, PARAMS)
 
 
-def test_seeded_link_streams_empty_shapes():
-    assert seeded_rngs(link_seed_words(1, range(0), 0, [0, 1])) == []
-    assert seeded_rngs(link_seed_words(1, range(2), 0, [])) == [[], []]
+def test_link_uniforms_empty_shapes():
+    assert link_uniforms(1, range(0), 0, 0, 2, PARAMS).shape == (0, 2, K)
+    assert link_uniforms(1, range(2), 0, 0, 0, PARAMS).shape == (2, 0, K)
+    assert _draw(1, range(0), 0, 0, [USER, USER]).los.shape == (0, 2)
 
 
 @settings(deadline=None, max_examples=40)
-@example(seed=2**64, first=1, k=2, poa_index=2**32, targets=[2**32, 0])
+@example(seed=2**64, first=1, k=2, poa_index=2**32, part=1, n_targets=2)
 @given(seed=SEEDS, first=st.integers(1, 6), k=st.integers(1, 4), poa_index=KEYS,
-       targets=st.lists(KEYS, min_size=1, max_size=4))
+       part=st.sampled_from([0, 1]), n_targets=st.integers(1, 4))
 def test_a_realization_range_draws_alone_as_in_a_draw_from_zero(seed, first, k, poa_index,
-                                                                 targets):
-    """Realizations first ... first+k-1, drawn alone from their own seed
-    words and the targets' kept direct paths, equal those realizations of
-    a draw from realization 0, every field bit for bit: a held-out range of
-    realizations needs no new key scheme."""
-    paths = direct_paths(POA, 3.5e9, [(10.0 + 7.0 * j, 3.0 * j - 4.0, 1.5)
-                                      for j in range(len(targets))], PARAMS)
-    words = link_seed_words(seed, range(first + k), poa_index, targets)
-    alone = link_seed_words(seed, range(first, first + k), poa_index, targets)
-    assert alone.tobytes() == words[first:].tobytes()
-    whole = sample_link(paths, PARAMS, seeded_rngs(words))
-    part = sample_link(paths, PARAMS, seeded_rngs(alone))
-    for f in dataclasses.fields(whole):
-        got, want = getattr(part, f.name), getattr(whole, f.name)
-        if f.name in ("frequency", "ray_zenith_offsets", "ray_azimuth_offsets"):
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
-        elif f.name == "los_aod":
-            assert all(g.tobytes() == w[first:].tobytes() for g, w in zip(got, want))
-        else:
-            assert got.shape[:2] == (k, len(targets)), f.name
-            assert got.tobytes() == want[first:].tobytes(), f.name
+                                                                 part, n_targets):
+    """Realizations first ... first+k-1, drawn alone from their keyed
+    streams and the targets' kept direct paths, equal those realizations
+    of a draw from realization 0, every field bit for bit: a held-out range
+    of realizations needs no new key scheme."""
+    positions = [(10.0 + 7.0 * j, 3.0 * j - 4.0, 1.5) for j in range(n_targets)]
+    whole = _draw(seed, range(first + k), poa_index, part, positions)
+    part_links = _draw(seed, range(first, first + k), poa_index, part, positions)
+    assert part_links.los.shape == (k, n_targets)
+    _fields_equal(part_links, whole, (slice(first, None), slice(None)))
+
+
+@settings(deadline=None, max_examples=40)
+@example(seed=0, n_realizations=1, few=1, poa_index=0, part=0)
+@given(seed=SEEDS, n_realizations=st.integers(1, 3), few=st.integers(1, 4), poa_index=KEYS,
+       part=st.sampled_from([0, 1]))
+def test_the_first_rows_of_a_larger_block_draw_as_a_smaller_block(seed, n_realizations, few,
+                                                                  poa_index, part):
+    """A link is row t of its realization's block whatever the block's row
+    count: the first ``few`` targets of a draw over 5 targets, uniforms and
+    every link field, equal a draw over those targets alone, bit for bit
+    (a 5-target and a 3-target draw share their first 3 rows)."""
+    positions = [(10.0 + 7.0 * j, 3.0 * j - 4.0, 1.0 + 0.2 * j) for j in range(5)]
+    realizations = range(n_realizations)
+    many = link_uniforms(seed, realizations, poa_index, part, 5, PARAMS)
+    assert link_uniforms(seed, realizations, poa_index, part, few, PARAMS).tobytes() == (
+        np.ascontiguousarray(many[:, :few]).tobytes())
+    _fields_equal(_draw(seed, realizations, poa_index, part, positions[:few]),
+                  _draw(seed, realizations, poa_index, part, positions),
+                  (slice(None), slice(None, few)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(zeros=st.lists(st.booleans(), min_size=K, max_size=K),
+       rest=st.floats(0.0, 1.0, exclude_max=True), p_los=st.floats(0.0, 1.0))
+def test_a_uniform_of_zero_gives_finite_fields(zeros, rest, p_los):
+    """Generator.random draws from [0, 1), so 0 can occur: any mix of zero
+    and other uniforms, up to the largest below 1, gives finite normals,
+    exponentials, angles and gains, never log(0)."""
+    row = np.where(zeros, 0.0, rest)
+    paths = direct_paths(POA, 3.5e9, [USER], PARAMS)
+    paths = dataclasses.replace(paths, p_los=np.array([p_los]))
+    links = sample_link(paths, PARAMS, row[None, None, :])
+    for f in dataclasses.fields(links):
+        for value in np.atleast_1d(getattr(links, f.name)):
+            assert np.all(np.isfinite(value)), f.name
+    assert np.all(links.delays >= 0.0)
+    geom = PanelGeometry(4, 4)
+    assert np.isfinite(steered_energy(link_terms(links, geom), geom, SteeringDirection(1.0, 0.0)))
+
+
+def test_draws_follow_their_distributions():
+    """Over fixed seeds, 1,000 realizations of 8 targets at 5 m to 390 m
+    (UMi LoS probabilities from 1 down to 0.046), with every tolerance at least
+    4 standard errors: each target's LoS frequency is within 4.5 binomial
+    standard deviations (plus 0.01) of its ``p_los``; the 8,000 shadowing
+    normals have mean within 0.05 of 0 and variance within 0.07 of 1
+    (standard errors 0.011 and 0.016); the 40,000 cluster zenith and
+    azimuth normals, read back from the cluster means, within 0.025 and
+    0.035 (0.005 and 0.007), and their correlation within 0.025; and the
+    mean delay within 2.5 % of the delay spread (0.5 %)."""
+    positions = [(5.0 + 55.0 * j, 0.0, 1.5) for j in range(8)]
+    paths = direct_paths(POA, 3.5e9, positions, PARAMS)
+    links = _draw(7, range(1000), 3, 0, positions)
+    sd = np.sqrt(paths.p_los * (1.0 - paths.p_los) / 1000)
+    assert np.all(np.abs(links.los.mean(axis=0) - paths.p_los) <= 4.5 * sd + 0.01)
+    sigma = np.where(links.los, PARAMS.shadow_sigma_los_db, PARAMS.shadow_sigma_nlos_db)
+    shadow = links.shadow_db / sigma
+    assert abs(shadow.mean()) <= 0.05 and abs(shadow.var() - 1.0) <= 0.07
+    zen = (links.cluster_zenith - paths.zenith[:, None]) / PARAMS.zenith_spread_dep
+    az = wrap_angle(links.cluster_azimuth - paths.azimuth[:, None]) / PARAMS.azimuth_spread_dep
+    for normal in (zen, az):
+        assert abs(normal.mean()) <= 0.025 and abs(normal.var() - 1.0) <= 0.035
+    assert abs(np.corrcoef(zen.ravel(), az.ravel())[0, 1]) <= 0.025
+    assert links.delays.mean() == pytest.approx(PARAMS.delay_spread, rel=0.025)
 
 
 @settings(deadline=None, max_examples=40)
@@ -121,8 +193,8 @@ def test_a_realization_range_draws_alone_as_in_a_draw_from_zero(seed, first, k, 
 def test_steered_energy_of_a_slice_is_that_slice_of_the_whole_call(
         seed, n_realizations, n_targets, axis, lo, hi, rows, cols, pattern, mech, zenith,
         azimuth, at_target, spare):
-    """The links of a realization or target slice, drawn alone as a block
-    of a first fill draws them, steer to that slice of the whole call's
+    """The links of a realization slice, drawn alone as a block of a first
+    fill draws them, or of a target slice, steer to that slice of the whole call's
     energies byte for byte, through a fresh or a larger reused workspace.
     Each product's operand order is pinned: numpy's complex product is not
     bit-commutative, so a swapped order would make bits depend on the
@@ -132,12 +204,19 @@ def test_steered_energy_of_a_slice_is_that_slice_of_the_whole_call(
     index = (slice(lo, hi), slice(None)) if axis == 0 else (slice(None), slice(lo, hi))
     positions = np.random.default_rng(seed).uniform((-40.0, -40.0, 0.5), (40.0, 40.0, 2.0),
                                                     (n_targets, 3))
-    words = link_seed_words(seed, range(n_realizations), 0, range(n_targets))
     geom = PanelGeometry(rows, cols, mech_azimuth=mech, element_pattern=pattern)
 
     def energies(index, work=None):
-        links = sample_link(direct_paths(POA, 3.5e9, positions[index[1]], PARAMS), PARAMS,
-                            seeded_rngs(words[index]))
+        # A realization slice is drawn alone; a target slice is the tail of
+        # a draw over the targets up to its end.
+        realizations, targets = range(n_realizations)[index[0]], index[1]
+        links = _draw(seed, realizations, 0, 0, positions[:targets.stop])
+        if targets.start:
+            shared = ("frequency", "ray_zenith_offsets", "ray_azimuth_offsets", "los_aod")
+            links = dataclasses.replace(links, los_aod=tuple(
+                a[:, targets.start:] for a in links.los_aod), **{
+                f.name: getattr(links, f.name)[:, targets.start:]
+                for f in dataclasses.fields(links) if f.name not in shared})
         terms = link_terms(links, geom)
         if work is not None:
             work = FieldWork(terms.rays.size + work)
@@ -164,9 +243,7 @@ def _edge_links(rng, n_realizations=3, n_targets=3, params=PARAMS):
     clip, and azimuths within the azimuth spread of -pi or of pi, so some
     rays wrap."""
     positions = rng.uniform((-40.0, -40.0, 0.5), (40.0, 40.0, 2.0), (n_targets, 3))
-    words = link_seed_words(int(rng.integers(2**32)), range(n_realizations), 0,
-                            range(n_targets))
-    links = sample_link(direct_paths(POA, 3.5e9, positions, params), params, seeded_rngs(words))
+    links = _draw(int(rng.integers(2**32)), range(n_realizations), 0, 0, positions, params)
     shape = links.cluster_zenith.shape
     zen_spread, az_spread = params.zenith_spread_dep, params.azimuth_spread_dep
     zenith = links.cluster_zenith.copy()
@@ -286,8 +363,7 @@ def test_pathloss_strictly_monotone_in_distance():
 
 def test_sample_link_invariants():
     targets = [USER, (5.0, -3.0, 1.5), (80.0, 40.0, 1.2), (0.0, 0.0, 1.5)]
-    links = sample_link(direct_paths(POA, 3.5e9, targets, PARAMS), PARAMS,
-                        seeded_rngs(link_seed_words(5, range(20), 0, range(len(targets)))))
+    links = _draw(5, range(20), 0, 0, targets)
     shape = (20, len(targets))
     nc, nr = PARAMS.n_clusters, PARAMS.n_rays
     for name in ("los", "pathloss_db", "shadow_db", "rician_k", "d_3d"):
@@ -307,15 +383,19 @@ def test_sample_link_invariants():
     d3d = [math.dist(POA, t) for t in targets]
     assert np.allclose(links.d_3d, np.broadcast_to(d3d, shape), rtol=1e-12)
     # One link keeps leading shape ().
-    one = one_link(POA, 3.5e9, USER, PARAMS, (5, 0, 0, 0))
+    # One row of uniforms is one link, leading shape (), drawn as one
+    # target of a block.
+    one = sample_link(direct_paths(POA, 3.5e9, USER, PARAMS), PARAMS,
+                      link_uniforms(5, [0], 0, 0, 1, PARAMS)[0, 0])
     assert one.los.shape == one.d_3d.shape == ()
     assert one.phases.shape == (nc, nr)
+    assert_links_match(one, one_link(POA, 3.5e9, USER, PARAMS, (5, 0, 0, 0, 0)))
 
 
 def test_sample_link_empty_target_list():
     """A plain empty target list gives empty (R, 0) fields, not an error."""
     r = 3
-    links = sample_link(direct_paths(POA, 3.5e9, [], PARAMS), PARAMS, [[] for _ in range(r)])
+    links = _draw(1, range(r), 0, 0, [])
     nc, nr = PARAMS.n_clusters, PARAMS.n_rays
     for name in ("los", "pathloss_db", "shadow_db", "rician_k", "d_3d"):
         assert getattr(links, name).shape == (r, 0)
@@ -329,16 +409,14 @@ def test_sample_link_empty_target_list():
 
 
 def test_sample_link_deterministic():
-    a = one_link(POA, 3.5e9, USER, PARAMS, (9, 0, 1, 2))
-    b = one_link(POA, 3.5e9, USER, PARAMS, (9, 0, 1, 2))
-    assert a.pathloss_db == b.pathloss_db
-    assert np.array_equal(a.phases, b.phases)
-    assert np.array_equal(a.aod_azimuth, b.aod_azimuth)
+    a, b = (_draw(9, [0], 1, 1, [POA, USER, USER]) for _ in range(2))
+    _fields_equal(a, b)
+    assert_links_match(a, one_link(POA, 3.5e9, USER, PARAMS, (9, 0, 1, 1, 2)), (0, 2))
 
 
 def _los_link(k_lin):
     """A LoS realization with controllable Rician K."""
-    link = one_link(POA, 3.5e9, USER, PARAMS, (123, 0, 0, 0))
+    link = one_link(POA, 3.5e9, USER, PARAMS, (123, 0, 0, 0, 0))
     object.__setattr__(link, "los", True)
     object.__setattr__(link, "rician_k", float(k_lin))
     return link

@@ -16,11 +16,11 @@ from cellless.channel import (NOISE_DENSITY_DBM_HZ, ChannelParams, dbm_to_watts,
 from cellless.exposure import FrequencyMap, incident_field, sar_wb
 from cellless.radio_metrics import (NOISE_DENSITY_W_HZ, Evaluator, SolutionInvalidError,
                                     UnservedUserError, evaluate, power_density, shannon_rate)
-from cellless.scenario import EndUser, PoA, Position3D, Scenario, builtin_scenario
+from cellless.scenario import EndUser, Human, PoA, Position3D, Scenario, builtin_scenario
 from cellless.solution import BeamConfig, SolutionState
 from cellless.solver_ctm import CtmConfig, build_geometry
 from cellless.solver_maxrate import ANGLE_STEP, objective
-from conftest import make_poa, make_tiny_scenario, one_link
+from conftest import assert_links_match, make_poa, make_tiny_scenario, one_link
 
 
 @pytest.fixture(scope="module")
@@ -85,45 +85,60 @@ def test_evaluator_deterministic(tiny_scenario, tiny_solution):
 
 def _assert_links_keyed_per_link(ev, p_idx):
     """Every link one PoA's parts draw, users and humans, over the whole
-    part and block by block, equals a one-link draw from numpy's own
-    ``default_rng(SeedSequence(key))`` of that link, field by field and bit
-    for bit, and so do its per-ray departure
-    angles; the frequency and the ray offsets are one value per part.
+    part and block by block, matches ``one_link`` of its key (seed,
+    realization, PoA index, part, target index in the part), a draw that
+    shares no code with the package's (``conftest.assert_links_match``).
     Returns the whole (users, humans) draws."""
     poa = ev.scenario.poas[p_idx]
     records = ev._parts[poa.id, 0], ev._parts[poa.id, 1]
-    n_users = len(ev.scenario.users)
     wholes = tuple(record.links() for record in records)
     assert [part.los.shape for part in wholes] == [
-        (ev.n_realizations, n_users), (ev.n_realizations, len(ev.scenario.humans))]
-    for part, record in enumerate(records):
+        (ev.n_realizations, len(ev.scenario.users)),
+        (ev.n_realizations, len(ev.scenario.humans))]
+    for part, (record, group) in enumerate(zip(records, (ev.scenario.users,
+                                                         ev.scenario.humans))):
         for block, links in [(slice(None), wholes[part])] + [
                 (block, record.links(block)) for block in record.blocks()]:
             for row, r in enumerate(range(ev.n_realizations)[block]):
-                for col in range(links.los.shape[1]):
-                    t_idx = part * n_users + col
+                for col, target in enumerate(group):
                     one = one_link(poa.position.as_tuple(), poa.frequency,
-                                   _targets(ev)[t_idx].position.as_tuple(),
-                                   ev.scenario.channel_params, (ev.seed, r, p_idx, t_idx))
-                    for name in ([f.name for f in dataclasses.fields(one)]
-                                 + ["aod_zenith", "aod_azimuth"]):
-                        got, want = getattr(links, name), getattr(one, name)
-                        if name in ("frequency", "ray_zenith_offsets", "ray_azimuth_offsets"):
-                            assert np.array_equal(got, want), name
-                        elif name == "los_aod":
-                            assert got[0][row, col] == want[0] and got[1][row, col] == want[1]
-                        else:
-                            assert np.array_equal(got[row, col], want), name
+                                   target.position.as_tuple(), ev.scenario.channel_params,
+                                   (ev.seed, r, p_idx, part, col))
+                    assert_links_match(links, one, (row, col))
     return wholes
 
 
-def test_per_poa_sample_equals_per_link_streams(tiny_scenario, ev):
+def test_per_poa_sample_equals_keyed_rows(tiny_scenario, ev):
     for p_idx in range(len(tiny_scenario.poas)):
         _assert_links_keyed_per_link(ev, p_idx)
     desk = Evaluator(builtin_scenario("inf-dh-desk", 1), seed=3, n_realizations=2)
     users, humans = _assert_links_keyed_per_link(desk, 0)
     los = np.concatenate([users.los, humans.los], axis=1)
     assert los.any() and not los.all()
+
+
+@settings(deadline=None, max_examples=15)
+@given(x=st.floats(0.0, 40.0), y=st.floats(0.0, 20.0), at=st.integers(0, 2),
+       seed=st.integers(0, 2**40))
+def test_adding_a_human_leaves_every_users_table_and_rate(tiny_scenario, tiny_solution, x, y,
+                                                          at, seed):
+    """The users' links are drawn from the users part's streams alone, so a
+    world with one more human, anywhere in the humans' listing, has every
+    users link, users table and rate of the world without it, bit for
+    bit."""
+    humans = list(tiny_scenario.humans)
+    humans.insert(at, Human("h-new", Position3D(x, y, 1.5), "duke"))
+    without, with_human = (Evaluator(s, seed, 3) for s in (
+        tiny_scenario, replace(tiny_scenario, humans=tuple(humans))))
+    rates = [np.array(list(e.metrics(tiny_solution).per_user_rate.values()))
+             for e in (without, with_human)]
+    assert rates[0].tobytes() == rates[1].tobytes()
+    for poa in tiny_scenario.poas:
+        a, b = without._parts[poa.id, 0], with_human._parts[poa.id, 0]
+        assert a.tables.keys() == b.tables.keys()
+        assert all(a.tables[key].tobytes() == b.tables[key].tobytes() for key in a.tables)
+        assert a.links().shadow_db.tobytes() == b.links().shadow_db.tobytes()
+        assert a.links().phases.tobytes() == b.links().phases.tobytes()
 
 
 _PART_NAMES = ("users", "humans")
@@ -268,7 +283,9 @@ def test_violation_labels(tiny_scenario, tiny_solution):
     assert not m.feasible
     assert set(m.violated) == {f"rate:{u.id}" for u in demanding.users}
 
-    strict = replace(tiny_scenario, sar_limit=1e-30)
+    # Floors of 1 bit/s, met by every user, leave the SAR ceiling alone.
+    strict = replace(tiny_scenario, sar_limit=1e-30,
+                     users=tuple(replace(u, required_rate=1.0) for u in tiny_scenario.users))
     m = Evaluator(strict, seed=5, n_realizations=4).metrics(tiny_solution)
     assert all(v.startswith("sar:") for v in m.violated)
     assert len(m.violated) == len(strict.humans)
@@ -393,6 +410,13 @@ def test_evaluator_rejects_bad_realizations(tiny_scenario):
         Evaluator(tiny_scenario, seed=0, n_realizations=0)
 
 
+def test_evaluator_rejects_a_negative_seed_at_construction(tiny_scenario):
+    """A negative seed keys no stream; it is refused when the Evaluator is
+    made, not at its first fill."""
+    with pytest.raises(ValueError, match="seed"):
+        Evaluator(tiny_scenario, seed=-1, n_realizations=2)
+
+
 @pytest.mark.parametrize("name, value", [
     ("seed", 1.5), ("seed", True), ("seed", np.float64(2.5)), ("seed", "1"),
     ("n_realizations", 2.5), ("n_realizations", True), ("n_realizations", False),
@@ -468,9 +492,11 @@ def test_link_energy_matches_beam_gains(tiny_scenario, ev, data, zenith, azimuth
     t_idx = data.draw(st.integers(0, len(_targets(ev)) - 1))
     beam = BeamConfig("probe", poa.id, azimuth, zenith, width, frozenset({"u0"}))
 
+    n_users = len(tiny_scenario.users)
+    part, col = (0, t_idx) if t_idx < n_users else (1, t_idx - n_users)
     link = one_link(poa.position.as_tuple(), poa.frequency,
                     _targets(ev)[t_idx].position.as_tuple(), tiny_scenario.channel_params,
-                    (ev.seed, r, p_idx, t_idx))
+                    (ev.seed, r, p_idx, part, col))
     panel = PanelGeometry(poa.panel_rows, poa.panel_cols, mech_azimuth=poa.mech_azimuth,
                           element_pattern=poa.element_pattern)
     geom = PanelGeometry(poa.panel_rows, width_to_panel(width, panel),
@@ -714,12 +740,11 @@ def _arrays(value):
 
 
 def test_evaluate_peak_memory_grows_little_with_realizations():
-    """Links are kept as 32 seed-word bytes each and drawn one block at a
+    """Links are kept as their streams' key alone and drawn one block at a
     time when a part fills, so on umi-sc-desk one ``evaluate`` at 32
     realizations peaks within 1.35 times its peak at 8 (stored per-ray
     links grew it 2.6 times). After one ``metrics`` call, no part holds an
-    array with a ray axis: apart from the (realizations, targets, 4) seed
-    words, every array it holds has at most two axes."""
+    array with a ray axis: every array it holds has at most two axes."""
     scenario = builtin_scenario("umi-sc-desk", 1)
     sol = build_geometry(scenario, CtmConfig(seed=1, kmeans_restarts=2))
     peaks = []
@@ -735,8 +760,8 @@ def test_evaluate_peak_memory_grows_little_with_realizations():
     ev.metrics(sol)
     assert any(record.tables for record in ev._parts.values())
     for record in ev._parts.values():
-        assert record.words.shape == (8, record.paths.d_3d.shape[0], 4)
-        assert all(a.ndim <= 2 or a is record.words for a in _arrays(record))
+        assert record.shape == (8, record.paths.d_3d.shape[0])
+        assert all(a.ndim <= 2 for a in _arrays(record))
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +780,8 @@ def _kept(ev):
         blocks = record.blocks()
         assert len(record.kept) == len(blocks)
         for block, terms in zip(blocks, record.kept):
-            assert terms.rays.shape == record.words[block].shape[:2] + (params.n_clusters,
-                                                                       params.n_rays)
+            assert terms.rays.shape == (len(range(record.n_realizations)[block]),
+                                        record.shape[1], params.n_clusters, params.n_rays)
     return kept
 
 
@@ -935,10 +960,13 @@ def test_evaluate_and_solve_ctm_keep_no_terms(monkeypatch):
 
 
 def test_nan_floor_or_ceiling_is_a_violation(tiny_scenario, tiny_solution):
-    """Floors and ceilings fail closed: a NaN floor or SAR limit, which only
-    a world built in Python can hold, is never met."""
+    """Floors and ceilings fail closed: a NaN floor or SAR limit is never
+    met. A world built in Python can hold a NaN SAR limit; ``EndUser``
+    refuses a NaN floor, so this one is set past its check."""
     base = Evaluator(tiny_scenario, 5, 4).metrics(tiny_solution).violated
-    users = (replace(tiny_scenario.users[0], required_rate=math.nan),) + tiny_scenario.users[1:]
+    nan_user = replace(tiny_scenario.users[0])
+    object.__setattr__(nan_user, "required_rate", math.nan)
+    users = (nan_user,) + tiny_scenario.users[1:]
     nan_floor = Evaluator(replace(tiny_scenario, users=users), 5, 4)
     violated = nan_floor.metrics(tiny_solution).violated
     assert set(violated) == set(base) | {"rate:u0"}

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from cellless.channel import ChannelParams
 from cellless.cli import main
-from cellless.scenario import (BUILTIN_TEMPLATES, ParseError, ScenarioError,
-                               ValidationError, builtin_scenario,
+from cellless.scenario import (BUILTIN_TEMPLATES, EndUser, ParseError, Position3D,
+                               ScenarioError, ValidationError, builtin_scenario,
                                builtin_template, generate_placements,
                                load_scenario, save_scenario,
                                scenario_from_dict, scenario_to_dict)
@@ -320,6 +320,8 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d.update(name="."), "name"),
     (lambda d: d.update(name=".."), "name"),
     (lambda d: d.update(name="a\0b"), "name"),
+    (lambda d: d["users"][0].update(required_rate_bps=0.0), "users[0].required_rate_bps"),
+    (lambda d: d["users"][1].update(required_rate_bps=-1e6), "users[1].required_rate_bps"),
 ], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
         "maxpow-minus-inf", "user-z-nan", "poa-z-inf", "bounds-length-inf",
         "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
@@ -340,7 +342,19 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
         "n-rays-zero", "n-clusters-negative", "delay-spread-zero", "zenith-spread-negative",
         "bmi-zero", "bmi-ref-negative", "sar-ref-empty", "sar-ref-value-zero",
         "name-escapes", "name-slash", "name-backslash", "name-empty", "name-dot",
-        "name-dot-dot", "name-nul"])
+        "name-dot-dot", "name-nul", "user-rate-zero", "user-rate-negative"])
+
+
+@pytest.mark.parametrize("rate", [0.0, -1e6, math.nan, math.inf, -math.inf])
+def test_end_user_refuses_a_non_positive_or_non_finite_floor(rate):
+    """A floor of 0 is met at any power, so CtM's power step would lower its
+    PoA for ever, and a NaN floor is never met: ``EndUser`` refuses both, and
+    any floor that is not positive and finite, naming the field."""
+    with pytest.raises(ValueError, match="required_rate"):
+        EndUser("u0", Position3D(1.0, 1.0, 1.5), rate)
+    user = builtin_scenario("inf-dh-desk", 0).users[0]
+    with pytest.raises(ValueError, match="required_rate"):
+        replace(user, required_rate=rate)
 
 
 @_BAD_INPUTS

@@ -516,16 +516,17 @@ def test_ctm_config_has_no_power_step_knobs(field):
 
 
 def test_nan_rate_floors_raise_instead_of_descending_forever():
-    """A NaN floor is never met, so a Python-built world with NaN floors is
-    infeasible at maximum power. Run in a fresh interpreter, so a descent
-    that never stops fails on the timeout instead of hanging the suite."""
+    """A NaN floor is never met, so a world with NaN floors is infeasible at
+    maximum power. ``EndUser`` refuses a NaN floor, so the floors are set
+    past its check. Run in a fresh interpreter, so a descent that never
+    stops fails on the timeout instead of hanging the suite."""
     code = (
-        "import math; from dataclasses import replace; "
+        "import math; "
         "from cellless.scenario import builtin_scenario; "
         "from cellless.radio_metrics import Evaluator; "
         "from cellless.solver_ctm import NoFeasibleSolutionError, solve_ctm; "
         "s = builtin_scenario('inf-dh-desk', 1); "
-        "s = replace(s, users=tuple(replace(u, required_rate=math.nan) for u in s.users))\n"
+        "[object.__setattr__(u, 'required_rate', math.nan) for u in s.users]\n"
         "try: solve_ctm(Evaluator(s, 1, 2))\n"
         "except NoFeasibleSolutionError as e: print(len(e.violated))")
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -21,7 +21,10 @@ the one this script sits in), so the same script measures any commit:
   two kernel steps are timed on one PoA's links to the users, one
   realization block, on ``inf-dh-desk`` (isotropic elements) and
   ``umi-sc-desk`` (3GPP elements): ``channel.link_terms`` per block and
-  ``channel.steered_energy`` per beam.
+  ``channel.steered_energy`` per beam. At paper scale, on
+  ``inf-dh-default`` (evaluate-paper's world): a cold ``Evaluator`` and
+  its first ``metrics`` at maximum power, that call split into drawing the
+  links, ``channel.link_terms`` and ``channel.steered_energy``.
 
   Each repeat runs under one ``SpeedProbe`` of ``perfbench/speed.py``, so
   every layer also gets ``median_ref_s``: its samples in reference-core
@@ -184,6 +187,7 @@ def time_kernel_layers(seed: int, repeats: int) -> dict:
     from cellless import channel as ch
     from cellless.antenna import (FieldWork, PanelGeometry, SteeringDirection, width_to_panel,
                                   wrap_angle)
+    from cellless.radio_metrics import Evaluator
     from cellless.scenario import builtin_template, generate_placements
     from cellless.solver_ctm import CtmConfig, build_geometry
 
@@ -191,15 +195,11 @@ def time_kernel_layers(seed: int, repeats: int) -> dict:
     for name in ("inf-dh-desk", "umi-sc-desk"):
         scenario = generate_placements(builtin_template(name), 1)
         geometry = build_geometry(scenario, CtmConfig(seed=seed))
-        p_idx, poa = next((i, p) for i, p in enumerate(scenario.poas)
-                          if p.id in geometry.active_poas())
+        poa = next(p for p in scenario.poas if p.id in geometry.active_poas())
         panel = PanelGeometry(poa.panel_rows, poa.panel_cols, mech_azimuth=poa.mech_azimuth,
                               element_pattern=poa.element_pattern)
-        params = scenario.channel_params
-        paths = ch.direct_paths(poa.position.as_tuple(), poa.frequency,
-                                [u.position.as_tuple() for u in scenario.users], params)
-        words = ch.link_seed_words(seed, range(REALIZATIONS), p_idx, range(len(scenario.users)))
-        links = ch.sample_link(paths, params, ch.seeded_rngs(words))
+        # The links to the users, drawn as the Evaluator draws them.
+        links = Evaluator(scenario, seed, REALIZATIONS)._parts[poa.id, 0].links()
         beams = [(replace(panel, cols=width_to_panel(b.width, panel)),
                   SteeringDirection(b.zenith, wrap_angle(b.azimuth - poa.mech_azimuth)))
                  for b in geometry.beams if b.owner_poa == poa.id and b.active]
@@ -217,6 +217,49 @@ def time_kernel_layers(seed: int, repeats: int) -> dict:
                      "panel": [poa.panel_rows, poa.panel_cols], "rays": int(terms.rays.size),
                      "beams": len(beams), **_repeat(repeat, repeats)}
     return out
+
+
+def time_paper_layers(seed: int, repeats: int) -> dict:
+    """Medians of a cold ``Evaluator`` and of its first ``metrics`` at
+    maximum power on the evaluate-paper world ``inf-dh-default`` (placed
+    with seed 1, CtM's geometry), that first ``metrics`` split into its
+    three steps: drawing the links (``_Part.links``), ``channel.link_terms``
+    and ``channel.steered_energy``, each summed over the call."""
+    from cellless import channel as ch
+    from cellless import radio_metrics as rm
+    from cellless.scenario import builtin_template, generate_placements
+    from cellless.solver_ctm import CtmConfig, build_geometry
+
+    scenario = generate_placements(builtin_template("inf-dh-default"), 1)
+    geometry = build_geometry(scenario, CtmConfig(seed=seed))
+    steps = [(rm._Part, "links", "link_drawing"), (ch, "link_terms", "link_terms"),
+             (ch, "steered_energy", "steering")]
+    spent = {}
+
+    def summed(name, fn):
+        def call(*args):
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[name] += time.perf_counter() - start
+        return call
+
+    def repeat():
+        spent.update((name, 0.0) for _, _, name in steps)
+        init_s, ev = _timed(rm.Evaluator, scenario, seed, REALIZATIONS)
+        originals = [getattr(owner, attr) for owner, attr, _ in steps]
+        for (owner, attr, name), fn in zip(steps, originals):
+            setattr(owner, attr, summed(name, fn))
+        try:
+            metrics_s = _timed(ev.metrics, geometry)[0]
+        finally:
+            for (owner, attr, _), fn in zip(steps, originals):
+                setattr(owner, attr, fn)
+        return {"evaluator_init": init_s, "first_metrics": metrics_s, **spent}
+
+    return {"world": "inf-dh-default placed with seed 1", "channel_seed": seed,
+            "realizations": REALIZATIONS, **_repeat(repeat, repeats)}
 
 
 def git_commit(root: Path) -> str:
@@ -255,7 +298,8 @@ def main(argv=None) -> int:
                       "commit": git_commit(root), "seed": args.seed,
                       "repeats": args.repeats},
               "layers": {"solver": time_solver_layers(args.seed, args.repeats),
-                         "kernel": time_kernel_layers(args.seed, args.repeats)}}
+                         "kernel": time_kernel_layers(args.seed, args.repeats),
+                         "paper": time_paper_layers(args.seed, args.repeats)}}
     code = 0
     if not args.layers_only:
         code, workloads, elapsed = run_perfbench(root, args.seed, args.seconds)
