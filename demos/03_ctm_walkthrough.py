@@ -26,7 +26,8 @@ def main():
     print(f"\nStep 1 - clustering: {len(beams)} beams -> "
           f"{len(non_empty)} non-empty clusters")
 
-    # Step 2: match clusters to beams by PoA-centroid distance.
+    # Step 2: match the non-empty clusters to PoAs by PoA-centroid distance;
+    # each PoA gives its clusters to its beams in order, lowest index first.
     assignment = match_clusters(clustering, beams, scenario)
     print("\nStep 2 - matching (beam -> cluster size):")
     for beam_id in beams[:6]:

@@ -1,9 +1,9 @@
 """Cluster-then-Match: k-means clustering, Hungarian beam matching, and a
 per-PoA power bisection to the least power vector that meets every floor.
 
-The matching is solved by ``_assign``, Crouse's shortest augmenting path
-method transcribed from scipy's ``linear_sum_assignment``; the package
-does not import scipy.
+The matching decides which PoA serves each non-empty cluster; one fixed
+rule in ``match_clusters`` then decides which of that PoA's beams does, so
+the result does not depend on how an assignment solver breaks ties.
 """
 
 from __future__ import annotations
@@ -140,90 +140,80 @@ def cluster_users(users, k: int, config: CtmConfig) -> Clustering:
 # Step 2: matching
 
 def _assign(cost):
-    """Minimum-cost perfect matching on a square matrix of finite costs:
-    the column matched to each row.
+    """Minimum-cost matching of every row of an (r, k) matrix of finite
+    costs, r <= k, to distinct columns: the column matched to each row.
 
-    Crouse's shortest augmenting path method (D. F. Crouse, "On
-    implementing 2D rectangular assignment algorithms", IEEE TAES 2016),
-    transcribed from scipy's ``rectangular_lsap.cpp`` so that it returns
-    the same matching as ``scipy.optimize.linear_sum_assignment``, ties
-    included: the columns left to scan start in reverse order and lose
-    their picked entry by swap-remove, path costs fall only on a strict
-    ``<``, the cheapest pick prefers an unmatched column on equal cost,
-    and every sum is taken in scipy's order. Equal-cost beams of one PoA
-    and empty clusters make such ties the rule, and they decide which beam
-    serves which users.
+    The Hungarian method in its potentials form (Kuhn, Naval Res. Logist.
+    Q. 1955; Jonker & Volgenant, Computing 1987): each row in turn grows a
+    shortest augmenting path in reduced costs from a virtual root column to
+    a free column, and the path's edges then flip. Ties are broken however
+    ``argmin`` breaks them; callers must not depend on which of several
+    optimal matchings is returned.
     """
     cost = np.asarray(cost, dtype=float)
-    n = cost.shape[0]
-    u, v = np.zeros(n), np.zeros(n)
-    path = np.full(n, -1)
-    col4row, row4col = np.full(n, -1), np.full(n, -1)
-    for cur_row in range(n):
-        # Shortest augmenting path from cur_row to an unmatched column.
-        shortest = np.full(n, math.inf)
-        remaining = np.arange(n - 1, -1, -1)
-        rows_seen, cols_seen = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        min_val, i = 0.0, cur_row
-        while True:
-            rows_seen[i] = True
-            r = min_val + cost[i, remaining] - u[i] - v[remaining]
-            lower = r < shortest[remaining]
-            path[remaining[lower]] = i
-            shortest[remaining[lower]] = r[lower]
-            scanned = shortest[remaining]
-            lowest = scanned.min()
-            # scipy's scan keeps the first lowest entry, then moves on to
-            # each later tied entry whose column is unmatched.
-            tied = np.flatnonzero(scanned == lowest)
-            free = tied[row4col[remaining[tied]] == -1]
-            index = free[-1] if free.size else tied[0]
-            min_val = lowest
-            j = remaining[index]
-            cols_seen[j] = True
-            if row4col[j] == -1:
-                break                     # j is the sink: an unmatched column
+    r, k = cost.shape
+    if r > k:
+        raise ValueError(f"cannot match {r} rows to {k} columns")
+    u, v = np.zeros(r), np.zeros(k + 1)
+    row4col = np.full(k + 1, -1)        # column k is the root of every search
+    for row in range(r):
+        row4col[k], j = row, k
+        shortest, way = np.full(k, math.inf), np.full(k, k)
+        seen = np.zeros(k + 1, dtype=bool)
+        while row4col[j] != -1:
+            seen[j] = True
             i = row4col[j]
-            remaining[index] = remaining[-1]
-            remaining = remaining[:-1]
-
-        # Dual update, then flip the matched and unmatched edges of the
-        # path from the sink back to cur_row.
-        u[cur_row] += min_val
-        rows_seen[cur_row] = False
-        u[rows_seen] += min_val - shortest[col4row[rows_seen]]
-        v[cols_seen] -= min_val - shortest[cols_seen]
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur_row:
-                break
+            reduced = cost[i] - u[i] - v[:k]
+            lower = ~seen[:k] & (reduced < shortest)
+            shortest[lower], way[lower] = reduced[lower], j
+            j = int(np.argmin(np.where(seen[:k], math.inf, shortest)))
+            delta = shortest[j]
+            u[row4col[seen]] += delta
+            v[seen] -= delta
+            shortest[~seen[:k]] -= delta
+        while j != k:                   # flip the path back to the root
+            row4col[j], j = row4col[way[j]], way[j]
+    col4row = np.empty(r, dtype=int)
+    matched = np.flatnonzero(row4col[:k] != -1)
+    col4row[row4col[matched]] = matched
     return col4row
 
 
 def match_clusters(clustering: Clustering, beams, scenario: Scenario) -> dict:
-    """Optimal one-to-one beam-to-cluster assignment (Hungarian).
+    """Minimum-distance one-to-one beam-to-cluster assignment.
 
-    Cost is the 3-D Euclidean distance from the beam's PoA to the cluster
-    centroid at the assigned users' mean height (1.5 m with none); empty
-    clusters cost nothing to any beam.
+    The cost of a beam for a non-empty cluster is the 3-D Euclidean
+    distance from the beam's PoA to the cluster centroid at the assigned
+    users' mean height (1.5 m with none). Only the non-empty clusters are
+    matched (``_assign``): an empty one costs nothing to any beam, so
+    leaving it out cannot change the optimum.
+
+    A PoA's beams share its position, panel and power, so the matching
+    only decides how many and which clusters each PoA gets. Each PoA then
+    hands the clusters it won to its listed beams in ``poa.beams`` order,
+    lowest cluster index first, and its remaining beams take the empty
+    clusters in the same order, PoA by PoA. The result does not depend on
+    the order of ``beams`` or on which of a PoA's tied columns the solver
+    picked. One tie stays the solver's: two PoAs at exactly equal distance
+    from one centroid.
     """
     k = len(clustering.centroids)
     if len(beams) != k:
         raise ValueError(f"need exactly {k} beams for {k} clusters, got {len(beams)}")
     heights = [scenario.user_by_id(u).position.z for u in clustering.assignments]
     user_height = float(np.mean(heights)) if heights else 1.5
-    cost = np.zeros((k, len(beams)))
-    for ci, centroid in enumerate(clustering.centroids):
-        if centroid is None:
-            continue
-        for bi, beam_id in enumerate(beams):
-            p = scenario.beam_owner(beam_id).position
-            cost[ci, bi] = math.sqrt(
-                (centroid[0] - p.x) ** 2 + (centroid[1] - p.y) ** 2
-                + (user_height - p.z) ** 2)
-    return {beams[bi]: ci for ci, bi in enumerate(_assign(cost).tolist())}
+    owners = [scenario.beam_owner(b) for b in beams]
+    filled = [ci for ci, c in enumerate(clustering.centroids) if c is not None]
+    centroids = np.array([(*clustering.centroids[ci], user_height) for ci in filled])
+    gap = centroids.reshape(-1, 1, 3) - np.array([p.position.as_tuple() for p in owners])
+    cost = np.sqrt(gap[..., 0] ** 2 + gap[..., 1] ** 2 + gap[..., 2] ** 2)
+    listed = set(beams)
+    free = {p.id: iter([b for b in p.beams if b in listed]) for p in scenario.poas}
+    assignment = {next(free[owners[bi].id]): ci for ci, bi in zip(filled, _assign(cost).tolist())}
+    empty = iter(ci for ci, c in enumerate(clustering.centroids) if c is None)
+    for beams_left in free.values():
+        assignment.update((b, next(empty)) for b in beams_left)
+    return assignment
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linear_sum_assignment
 
+from cellless import solver_ctm
 from cellless.exposure import FrequencyMap
 from cellless.radio_metrics import NOISE_DENSITY_W_HZ, Evaluator
 from cellless.scenario import EndUser, Human, Position3D, builtin_scenario
@@ -93,13 +93,11 @@ def test_cluster_users_argument_checks():
 # -- step 2: matching ---------------------------------------------------------
 
 def brute_force_assignment(cost):
-    k = cost.shape[0]
-    best, best_perm = math.inf, None
-    for perm in itertools.permutations(range(k)):
-        total = sum(cost[i, perm[i]] for i in range(k))
-        if total < best:
-            best, best_perm = total, perm
-    return best, best_perm
+    """Least total cost over every matching of the r rows to distinct
+    columns of an (r, k) matrix, r <= k."""
+    r, k = cost.shape
+    perms = np.array(list(itertools.permutations(range(k), r)), dtype=int)
+    return cost[np.arange(r), perms].sum(axis=1).min()
 
 
 def test_match_is_distance_optimal(tiny_scenario):
@@ -119,43 +117,90 @@ def test_match_is_distance_optimal(tiny_scenario):
             p = tiny_scenario.beam_owner(beam).position
             cost[ci, bi] = math.sqrt((cent[0] - p.x) ** 2 + (cent[1] - p.y) ** 2
                                      + (height - p.z) ** 2)
-    best, _ = brute_force_assignment(cost)
+    best = brute_force_assignment(cost)
     got = sum(cost[ci, beams.index(b)] for b, ci in assignment.items())
     assert got == pytest.approx(best, rel=1e-12)
 
 
 @st.composite
-def square_costs(draw):
-    """Square cost matrices up to 12 x 12 with the ties the beam matching
-    meets: all-zero rows (empty clusters) and repeated columns (the beams
-    of one PoA), over floats or small integers."""
-    n = draw(st.integers(0, 12))
-    entry = draw(st.sampled_from([
-        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
-        st.integers(0, 3)]))
-    cost = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n)),
-                    dtype=float).reshape(n, n)
-    zero_rows = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+def tied_costs(draw):
+    """Rectangular integer cost matrices, up to 6 rows and up to 3 more
+    columns than rows, with the ties the beam matching meets: all-zero
+    rows and repeated columns (the beams of one PoA)."""
+    r = draw(st.integers(0, 6))
+    k = draw(st.integers(r, r + 3))
+    cost = np.array(draw(st.lists(st.integers(0, 5), min_size=r * k, max_size=r * k)),
+                    dtype=float).reshape(r, k)
+    zero_rows = draw(st.lists(st.booleans(), min_size=r, max_size=r))
     cost[np.array(zero_rows, dtype=bool)] = 0.0
-    if n and draw(st.booleans()):
-        cost = cost[:, draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    if k and draw(st.booleans()):
+        cost = cost[:, draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))]
     return cost
 
 
-@settings(deadline=None, max_examples=400)
-@given(cost=square_costs())
-def test_assign_equals_scipy_linear_sum_assignment(cost):
-    """The same matching as scipy, ties included: on desk worlds the tie
-    order decides which beam serves which users."""
-    rows, cols = linear_sum_assignment(cost)
-    assert np.array_equal(rows, np.arange(len(cost)))
-    assert _assign(cost).tolist() == cols.tolist()
+@settings(deadline=None, max_examples=200)
+@given(cost=tied_costs())
+def test_assign_is_optimal_with_ties(cost):
+    cols = _assign(cost)
+    assert len(set(cols.tolist())) == len(cost) == len(cols)
+    assert cost[np.arange(len(cost)), cols].sum() == brute_force_assignment(cost)
+
+
+def test_assign_is_optimal_on_seeded_costs():
+    """A fixed sweep of the sizes the property draws least often: full
+    5-row integer matrices with up to 3 spare columns."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        cost = rng.integers(0, 6, (5, int(rng.integers(5, 9)))).astype(float)
+        cols = _assign(cost)
+        assert len(set(cols.tolist())) == 5
+        assert cost[np.arange(5), cols].sum() == brute_force_assignment(cost)
 
 
 def test_assign_edge_sizes():
     assert _assign(np.zeros((0, 0))).tolist() == []
+    assert _assign(np.zeros((0, 3))).tolist() == []
     assert _assign(np.array([[-2.5]])).tolist() == [0]
-    assert _assign(np.zeros((5, 5))).tolist() == [0, 1, 2, 3, 4]
+    assert _assign(np.zeros((1, 3))).tolist() in ([0], [1], [2])
+    assert _assign(np.array([[2.0, 0.5, 1.0]])).tolist() == [1]
+    assert sorted(_assign(np.zeros((5, 5))).tolist()) == [0, 1, 2, 3, 4]
+    with pytest.raises(ValueError):
+        _assign(np.zeros((2, 1)))
+
+
+def _reversed_assign(cost):
+    """An exact solver that breaks ties on the other side: ``_assign`` on
+    the columns in reverse order."""
+    return cost.shape[1] - 1 - _assign(cost[:, ::-1])
+
+
+@pytest.mark.parametrize("name,seed", [("tiny", 0)] + [(name, seed) for name in
+                                                      ("inf-dh-desk", "umi-sc-desk")
+                                                      for seed in (1, 2, 3)])
+def test_match_labels_do_not_depend_on_beam_order_or_solver(name, seed, monkeypatch):
+    """Each PoA's beams take its clusters in ascending index order, then
+    the empty clusters, PoA by PoA; so neither the order of a PoA's beams
+    in the argument nor the solver's tie-breaking changes the labels."""
+    scenario = make_tiny_scenario() if name == "tiny" else builtin_scenario(name, seed)
+    beams = scenario.all_beams
+    clustering = cluster_users(list(scenario.users), len(beams), CtmConfig(seed=seed))
+    assignment = match_clusters(clustering, beams, scenario)
+
+    rng = np.random.default_rng(seed)
+    for order in ([b for p in scenario.poas for b in reversed(p.beams)],
+                  [b for p in scenario.poas for b in rng.permutation(p.beams).tolist()]):
+        assert match_clusters(clustering, order, scenario) == assignment
+    monkeypatch.setattr(solver_ctm, "_assign", _reversed_assign)
+    assert match_clusters(clustering, beams, scenario) == assignment
+
+    empty = []
+    for poa in scenario.poas:
+        held = [assignment[b] for b in poa.beams]
+        filled = [c for c in held if clustering.centroids[c] is not None]
+        assert held[:len(filled)] == sorted(filled)
+        empty += held[len(filled):]
+    assert empty == sorted(empty)
+    assert all(clustering.centroids[c] is None for c in empty)
 
 
 def test_match_requires_square_problem(tiny_scenario):
