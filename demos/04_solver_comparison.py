@@ -19,10 +19,11 @@ def main():
         powers = {"ctm": [], "maxrate": []}
         for seed in seeds:
             scenario = builtin_scenario(name, seed)
-            # One Evaluator per solver run, as `cellless run` builds them.
-            ctm_sol, ctm_m = solve_ctm(Evaluator(scenario, seed))
-            sa_sol, sa_m = solve_maxrate(
-                Evaluator(scenario, seed), AnnealConfig(iterations=40, moves_per_temp=10))
+            # One Evaluator per seed, shared by both solvers, as `cellless run`
+            # builds it: the two face the same channel realizations.
+            evaluator = Evaluator(scenario, seed)
+            ctm_sol, ctm_m = solve_ctm(evaluator)
+            sa_sol, sa_m = solve_maxrate(evaluator, AnnealConfig(iterations=40, moves_per_temp=10))
             for solver, m in (("ctm", ctm_m), ("maxrate", sa_m)):
                 powers[solver].append(m.total_power)
                 print(f"{name:12}  {seed:4d}  {solver:7}  {m.total_power:10.3e}"

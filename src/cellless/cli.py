@@ -12,7 +12,6 @@ import sys
 
 from .harness import ExperimentSpec, PLOT_KINDS, plot_data_from_dir, run_experiment
 from .scenario import ScenarioError, load_scenario
-from .solver_ctm import CtmConfig
 from .solver_maxrate import AnnealConfig
 
 EXIT_OK = 0
@@ -45,11 +44,11 @@ def _build_parser():
                      help="'1..10' or comma-separated list")
     run.add_argument("--realizations", default=10, type=int,
                      help="channel realizations per feasibility evaluation")
-    run.add_argument("--workers", default=1, type=int)
+    run.add_argument("--workers", default=1, type=int,
+                     help="processes; seeds run in parallel, a seed's solvers in turn")
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--dump-links", action="store_true",
                      help="write sampled link realizations per run (needs --out)")
-    run.add_argument("--kmeans-restarts", default=10, type=int)
     run.add_argument("--sa-iterations", default=200, type=int)
     run.add_argument("--sa-cooling", default=0.95, type=float)
     run.add_argument("--sa-temp", default=None, type=float)
@@ -99,7 +98,6 @@ def main(argv=None):
             seeds=args.seeds,
             n_realizations=args.realizations,
             out_dir=args.out,
-            ctm=CtmConfig(kmeans_restarts=args.kmeans_restarts),
             anneal=AnnealConfig(initial_temp=args.sa_temp,
                                 cooling_factor=args.sa_cooling,
                                 iterations=args.sa_iterations,

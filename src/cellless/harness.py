@@ -8,7 +8,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -17,7 +17,7 @@ from .radio_metrics import Evaluator, MetricsBundle, _integer
 from .scenario import (Scenario, builtin_template, BUILTIN_TEMPLATES,
                        generate_placements, load_scenario)
 from .solution import SolutionState, save_solution
-from .solver_ctm import CtmConfig, NoFeasibleSolutionError, solve_ctm
+from .solver_ctm import NoFeasibleSolutionError, solve_ctm
 from .solver_maxrate import AnnealConfig, solve_maxrate
 
 SOLVERS = ("ctm", "maxrate")
@@ -41,7 +41,6 @@ class ExperimentSpec:
     seeds: tuple = (0,)
     n_realizations: int = 10
     out_dir: str | None = None
-    ctm: CtmConfig = CtmConfig()
     anneal: AnnealConfig = AnnealConfig()
     workers: int = 1
     dump_links: bool = False
@@ -69,9 +68,6 @@ class ExperimentSpec:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.dump_links and not self.out_dir:
             raise ValueError("dump_links needs out_dir")
-        if self.ctm.seed != CtmConfig().seed:  # _run_one seeds k-means with each run's seed
-            raise ValueError(f"ctm.seed must be left at {CtmConfig().seed}, got "
-                             f"{self.ctm.seed}: runs take their seeds from seeds")
 
     @property
     def solver_list(self):
@@ -101,26 +97,33 @@ def _instantiate(spec: ExperimentSpec, seed: int) -> Scenario:
     return load_scenario(spec.scenario)
 
 
-def _run_one(spec: ExperimentSpec, seed: int, solver: str) -> RunRecord:
+def _run_seed(spec: ExperimentSpec, seed: int) -> list:
+    """The runs of one seed, in ``spec.solver_list`` order, on one world and
+    one Evaluator: every solver solves on it, and each run's files, written
+    right after its solve, are dumped from it. The first run's wall time
+    includes building the Evaluator; a later run's excludes the tables that
+    earlier runs filled. A failure is recorded on the run it stops, not
+    raised; an Evaluator that cannot be built is tried in each run of the
+    seed, and its error recorded on each."""
     scenario = _instantiate(spec, seed)
-    t0 = time.perf_counter()
-    try:
-        evaluator = Evaluator(scenario, seed, spec.n_realizations)
-        if solver == "ctm":
-            solution, bundle = solve_ctm(evaluator, replace(spec.ctm, seed=seed))
-        else:
-            solution, bundle = solve_maxrate(evaluator, spec.anneal)
-    except NoFeasibleSolutionError as e:
-        return RunRecord(seed, solver, scenario, time.perf_counter() - t0, None, None,
-                         error=str(e))
-    except Exception as e:  # one failed run must not abort the batch
-        logging.getLogger(__name__).exception("seed %s %s failed", seed, solver)
-        return RunRecord(seed, solver, scenario, time.perf_counter() - t0, None, None,
-                         error=f"{type(e).__name__}: {e}")
-    record = RunRecord(seed, solver, scenario, time.perf_counter() - t0, bundle, solution)
-    if spec.out_dir:
-        _write_run(spec, record, evaluator)
-    return record
+    evaluator, records = None, []
+    for solver in spec.solver_list:
+        t0, solution, bundle, error = time.perf_counter(), None, None, None
+        try:
+            if evaluator is None:
+                evaluator = Evaluator(scenario, seed, spec.n_realizations)
+            solution, bundle = (solve_ctm(evaluator) if solver == "ctm"
+                                else solve_maxrate(evaluator, spec.anneal))
+        except NoFeasibleSolutionError as e:
+            error = str(e)
+        except Exception as e:  # one failed run must not abort the batch
+            logging.getLogger(__name__).exception("seed %s %s failed", seed, solver)
+            error = f"{type(e).__name__}: {e}"
+        records.append(RunRecord(seed, solver, scenario, time.perf_counter() - t0,
+                                 bundle, solution, error))
+        if spec.out_dir and error is None:
+            _write_run(spec, records[-1], evaluator)
+    return records
 
 
 def _run_dir(spec: ExperimentSpec, record: RunRecord) -> Path:
@@ -187,26 +190,25 @@ def _write_run(spec: ExperimentSpec, record: RunRecord, evaluator: Evaluator):
 
 
 def run_experiment(spec: ExperimentSpec) -> list:
-    """One record per (seed, solver); order and content are independent of
-    the worker count. Solver failures are recorded, not raised: an
+    """One record per (seed, solver), in (seed, solver) order; order and
+    content are independent of the worker count, which spreads seeds, not
+    runs (``_run_seed``). Solver failures are recorded, not raised: an
     infeasible run carries the ``NoFeasibleSolutionError`` message, any
     other exception ``"<ExcType>: <message>"``. The output directory is
     made before the first run, so an unusable one raises ``OSError`` before
     any solve."""
     if spec.out_dir:
         Path(spec.out_dir).mkdir(parents=True, exist_ok=True)
-    tasks = [(seed, solver) for seed in spec.seeds for solver in spec.solver_list]
-    if spec.workers > 1 and len(tasks) > 1:
+    if spec.workers > 1 and len(spec.seeds) > 1:
         # Imported here: the pool loads multiprocessing, which a one-worker
         # run and a bare ``import cellless`` never need.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(spec.workers, len(tasks))) as pool:
-            futures = [pool.submit(_run_one, spec, seed, solver)
-                       for seed, solver in tasks]
-            records = [f.result() for f in futures]
+        with ProcessPoolExecutor(max_workers=min(spec.workers, len(spec.seeds))) as pool:
+            futures = [pool.submit(_run_seed, spec, seed) for seed in spec.seeds]
+            records = [r for f in futures for r in f.result()]
     else:
-        records = [_run_one(spec, seed, solver) for seed, solver in tasks]
+        records = [r for seed in spec.seeds for r in _run_seed(spec, seed)]
     records.sort(key=lambda r: (r.seed, r.solver))
     if spec.out_dir:
         write_aggregate(records, Path(spec.out_dir) / "aggregate.csv")
@@ -260,12 +262,19 @@ def _percentile(values, q):
 _SUMMARY_KEYS = ("scenario", "seed", "solver", "per_poa_power_dbm", "total_power_w")
 
 
+def _finite(value):
+    """Whether a parsed JSON value is a finite number (not a boolean)."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def load_run_metrics(run_dir):
     """Re-parse one run directory into (summary dict, metrics rows). A file
     that is not UTF-8 text, a summary.json that is not a JSON object, lacks
-    a key that plotting reads or has a seed that is not an integer, or a
-    metrics.csv whose header lacks one of ``METRIC_COLUMNS``, raises
-    ``ValueError`` naming the file and the fault."""
+    a key that plotting reads, has a seed that is not an integer, a
+    ``per_poa_power_dbm`` that is not an object of finite numbers or nulls
+    or a ``total_power_w`` that is not a finite number, or a metrics.csv
+    whose header lacks one of ``METRIC_COLUMNS``, raises ``ValueError``
+    naming the file and the fault."""
     run_dir = Path(run_dir)
     path = run_dir / "summary.json"
     try:
@@ -281,6 +290,13 @@ def load_run_metrics(run_dir):
             raise ValueError(f"{path}: missing key {key!r}")
     if type(summary["seed"]) is not int:
         raise ValueError(f"{path}: seed must be an integer, got {summary['seed']!r}")
+    powers = summary["per_poa_power_dbm"]
+    if not isinstance(powers, dict) or not all(v is None or _finite(v) for v in powers.values()):
+        raise ValueError(f"{path}: per_poa_power_dbm must be an object of finite numbers "
+                         f"or nulls, got {powers!r}")
+    if not _finite(summary["total_power_w"]):
+        raise ValueError(f"{path}: total_power_w must be a finite number, "
+                         f"got {summary['total_power_w']!r}")
     path = run_dir / "metrics.csv"
     try:
         with open(path, newline="", encoding="utf-8") as f:

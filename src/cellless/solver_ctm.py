@@ -18,6 +18,7 @@ from .radio_metrics import Evaluator, _integer
 from .scenario import Scenario
 from .solution import BeamConfig, SolutionState
 
+KMEANS_RESTARTS = 10     # k-means++ starts; the one with the least WCSS is kept
 KMEANS_MAX_ITERS = 100   # Lloyd iterations per restart unless labels settle first
 _POWER_TOL_DB = 1e-3     # each PoA's power ends within this of its lowest feasible dBm
 
@@ -45,15 +46,12 @@ class NoFeasibleSolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class CtmConfig:
-    kmeans_restarts: int = 10
     realizations_per_check: int = 10   # read by no solver; perfbench/run.py:181 writes it
-    seed: int = 0
+    seed: int = 0                      # seeds the k-means restarts
 
     def __post_init__(self):
-        for name in ("kmeans_restarts", "realizations_per_check", "seed"):
+        for name in ("realizations_per_check", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.kmeans_restarts < 1:
-            raise ValueError("kmeans_restarts must be >= 1")
         if self.realizations_per_check < 1:
             raise ValueError("realizations_per_check must be >= 1")
 
@@ -102,7 +100,8 @@ def _kmeans_once(pts, k, rng):
 
 
 def cluster_users(users, k: int, config: CtmConfig) -> Clustering:
-    """Best-of-restarts k-means on user (x, y) positions.
+    """Best of ``KMEANS_RESTARTS`` k-means runs on user (x, y) positions,
+    seeded by ``config.seed``.
 
     When k exceeds the number of users the surplus clusters stay empty
     (their beams end up disabled).
@@ -124,7 +123,7 @@ def cluster_users(users, k: int, config: CtmConfig) -> Clustering:
         return Clustering(assignments, tuple(centroids))
 
     best = None
-    for _ in range(config.kmeans_restarts):
+    for _ in range(KMEANS_RESTARTS):
         labels, centroids, wcss = _kmeans_once(pts, k, rng)
         if best is None or wcss < best[2] - 1e-12:
             best = (labels, centroids, wcss)

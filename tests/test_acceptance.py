@@ -212,7 +212,7 @@ def test_criterion_07_kmeans_oracle():
         pts = rng.uniform(0.0, 20.0, (6, 2))
         users = [EndUser(f"u{i}", Position3D(float(x), float(y), 1.5), 1e6)
                  for i, (x, y) in enumerate(pts)]
-        c = cluster_users(users, 2, CtmConfig(seed=trial, kmeans_restarts=10))
+        c = cluster_users(users, 2, CtmConfig(seed=trial))
         wcss = sum(
             (u.position.x - c.centroids[c.assignments[u.id]][0]) ** 2
             + (u.position.y - c.centroids[c.assignments[u.id]][1]) ** 2
@@ -330,13 +330,12 @@ def test_criterion_10_determinism_and_complexity(tmp_path):
     ok = True
 
     # a) identical outputs for worker counts 1, 4, 8 at a fixed seed.
-    cfg = CtmConfig(kmeans_restarts=3)
     outs = []
     for workers in (1, 4, 8):
         out = tmp_path / f"w{workers}"
         run_experiment(ExperimentSpec(
             scenario="inf-dh-desk", solver="ctm", seeds=(1, 2),
-            n_realizations=5, out_dir=str(out), ctm=cfg, workers=workers))
+            n_realizations=5, out_dir=str(out), workers=workers))
         outs.append(out)
     ref = outs[0]
     files = sorted(p.relative_to(ref) for p in ref.rglob("*") if p.is_file())
@@ -356,8 +355,7 @@ def test_criterion_10_determinism_and_complexity(tmp_path):
         scenario = generate_placements(template, 1)
         t0 = time.perf_counter()
         try:
-            solve_ctm(Evaluator(scenario, 1, 3),
-                      CtmConfig(seed=1, kmeans_restarts=3))
+            solve_ctm(Evaluator(scenario, 1, 3))
         except NoFeasibleSolutionError:
             pass
         times.append(time.perf_counter() - t0)

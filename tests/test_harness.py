@@ -29,12 +29,10 @@ FAST = dict(n_realizations=4)
 
 
 def tiny_spec(tmp_path, **kwargs):
-    from cellless.solver_ctm import CtmConfig
     from cellless.solver_maxrate import AnnealConfig
     base = dict(
         scenario="inf-dh-desk", solver="ctm", seeds=(1,),
         n_realizations=4, out_dir=str(tmp_path / "out"),
-        ctm=CtmConfig(kmeans_restarts=2),
         anneal=AnnealConfig(iterations=2, moves_per_temp=3),
     )
     base.update(kwargs)
@@ -121,20 +119,6 @@ def test_paired_runs_share_the_scenario(run_out):
         a = by[(seed, "ctm")].bundle
         b = by[(seed, "maxrate")].bundle
         assert set(a.per_user_rate) == set(b.per_user_rate)
-
-
-def test_worker_invariance(tmp_path):
-    outs = []
-    for i, workers in enumerate((1, 2)):
-        spec = tiny_spec(tmp_path / f"w{i}", seeds=(1, 2), workers=workers)
-        run_experiment(spec)
-        outs.append(Path(spec.out_dir))
-    a = (outs[0] / "aggregate.csv").read_bytes()
-    b = (outs[1] / "aggregate.csv").read_bytes()
-    assert a == b
-    for rel in sorted(p.relative_to(outs[0])
-                      for p in outs[0].rglob("solution.json")):
-        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
 
 def test_emit_plot_data_kinds(run_out, tmp_path):
@@ -279,11 +263,8 @@ def test_dump_links_writes_each_run_as_strict_json(tmp_path):
         assert links == Evaluator(r.scenario, r.seed, spec.n_realizations).dump_links(r.solution)
 
 
-@pytest.mark.parametrize("solver", ["ctm", "maxrate"])
-def test_a_run_that_dumps_links_makes_one_evaluator(tmp_path, monkeypatch, solver):
-    """The dump reads the Evaluator the run was solved on: one per run of
-    either solver, where the dump used to build a second one and draw every
-    link again."""
+def _count_evaluators(monkeypatch):
+    """The Evaluators built from now on, in this process."""
     made, init = [], Evaluator.__init__
 
     def counted(self, *args, **kwargs):
@@ -291,9 +272,65 @@ def test_a_run_that_dumps_links_makes_one_evaluator(tmp_path, monkeypatch, solve
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Evaluator, "__init__", counted)
-    (record,) = run_experiment(tiny_spec(tmp_path, solver=solver, dump_links=True))
-    assert record.error is None and len(made) == 1
-    assert (Path(tmp_path) / "out" / record.scenario_name / "1" / solver / "links.json").exists()
+    return made
+
+
+@pytest.mark.parametrize("solver", ["ctm", "maxrate"])
+def test_a_run_that_dumps_links_makes_one_evaluator(tmp_path, monkeypatch, solver):
+    """A run's dump reads the Evaluator it was solved on: one per seed for
+    either solver, where the dump used to build a second one and draw every
+    link again. A both-run is counted in
+    ``test_a_both_run_writes_what_separate_solver_runs_write``."""
+    made = _count_evaluators(monkeypatch)
+    spec = tiny_spec(tmp_path, solver=solver, seeds=(1, 2), dump_links=True)
+    records = run_experiment(spec)
+    assert all(r.error is None for r in records) and len(made) == 2
+    assert [(ev.scenario.name, ev.seed) for ev in made] == [("inf-dh-desk", 1), ("inf-dh-desk", 2)]
+    for r in records:
+        run_dir = Path(spec.out_dir) / r.scenario_name / str(r.seed) / r.solver
+        assert (run_dir / "links.json").exists()
+
+
+def _run_files(out_dir):
+    """Every file of every run under ``out_dir`` by relative path, with
+    summary.json parsed and its ``wall_time_s`` left out."""
+    files = {}
+    for path in Path(out_dir).rglob("*"):
+        if path.is_file() and path.name != "aggregate.csv":
+            if path.name == "summary.json":
+                summary = json.loads(path.read_text())
+                summary.pop("wall_time_s")
+                files[path.relative_to(out_dir)] = summary
+            else:
+                files[path.relative_to(out_dir)] = path.read_bytes()
+    return files
+
+
+def test_a_both_run_writes_what_separate_solver_runs_write(tmp_path, monkeypatch):
+    """Sharing one Evaluator between a seed's CtM and MaxRate changes no
+    file: a both-run, with one worker or two, writes what a CtM run and a
+    MaxRate run write, links.json included, and builds one Evaluator per
+    seed where the separate runs build one per run. The worker count
+    changes no byte of aggregate.csv either."""
+    made = _count_evaluators(monkeypatch)
+    single, aggregates = {}, set()
+    for solver in ("ctm", "maxrate"):
+        spec = tiny_spec(tmp_path / solver, solver=solver, seeds=(1, 2), dump_links=True)
+        run_experiment(spec)
+        single.update(_run_files(spec.out_dir))
+    assert len(single) == 16 and len(made) == 4
+    for workers in (1, 2):
+        del made[:]
+        spec = tiny_spec(tmp_path / f"both-{workers}", solver="both", seeds=(1, 2),
+                         dump_links=True, workers=workers)
+        records = run_experiment(spec)
+        assert [(r.seed, r.solver, r.error) for r in records] == \
+            [(1, "ctm", None), (1, "maxrate", None), (2, "ctm", None), (2, "maxrate", None)]
+        assert _run_files(spec.out_dir) == single
+        aggregates.add((Path(spec.out_dir) / "aggregate.csv").read_bytes())
+        if workers == 1:
+            assert len(made) == 2
+    assert len(aggregates) == 1
 
 
 def test_dump_links_without_out_dir_is_refused(tmp_path, capsys):
@@ -314,27 +351,59 @@ def _fail_on_seed_two(monkeypatch):
     import cellless.harness as harness
     solve = harness.solve_ctm
 
-    def flaky(evaluator, config, *args, **kwargs):
+    def flaky(evaluator, *args, **kwargs):
         if evaluator.seed == 2:
             raise ZeroDivisionError("injected")
-        return solve(evaluator, config, *args, **kwargs)
+        return solve(evaluator, *args, **kwargs)
 
     monkeypatch.setattr(harness, "solve_ctm", flaky)
 
 
-def test_other_solver_errors_recorded_not_raised(monkeypatch, tmp_path):
-    """Any exception in one run is recorded on it; the other runs finish."""
-    _fail_on_seed_two(monkeypatch)
-    records = run_experiment(tiny_spec(tmp_path, seeds=(1, 2)))
-    assert [(r.seed, r.error) for r in records] == [(1, None), (2, "ZeroDivisionError: injected")]
-    assert records[0].bundle is not None and records[1].bundle is None
-    assert (Path(tmp_path) / "out" / "aggregate.csv").exists()
+def _fail_evaluator_on_seed_two(monkeypatch):
+    """Make harness's Evaluator construction raise on seed 2."""
+    import cellless.harness as harness
+
+    def flaky(scenario, seed, *args, **kwargs):
+        if seed == 2:
+            raise ZeroDivisionError("injected")
+        return Evaluator(scenario, seed, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "Evaluator", flaky)
+
+
+@pytest.mark.parametrize("fail, failed", [
+    ("ctm", [(2, "ctm")]), ("evaluator", [(2, "ctm"), (2, "maxrate")])],
+    ids=["ctm", "evaluator"])
+def test_a_failure_stays_on_its_run(monkeypatch, tmp_path, fail, failed):
+    """Any exception in one run is recorded on it, not raised. CtM raising
+    on seed 2 fails that run alone: seed 2's MaxRate, on the same
+    Evaluator, and seed 1 finish. An Evaluator that cannot be built
+    for seed 2 fails both of seed 2's runs, and seed 1 finishes. Each failed
+    run records the error and the time it took."""
+    if fail == "ctm":
+        _fail_on_seed_two(monkeypatch)
+    else:
+        _fail_evaluator_on_seed_two(monkeypatch)
+    spec = tiny_spec(tmp_path, solver="both", seeds=(1, 2))
+    records = run_experiment(spec)
+    assert [(r.seed, r.solver) for r in records] == \
+        [(1, "ctm"), (1, "maxrate"), (2, "ctm"), (2, "maxrate")]
+    for r in records:
+        if (r.seed, r.solver) in failed:
+            assert r.error == "ZeroDivisionError: injected" and r.bundle is None
+            assert r.wall_time > 0.0
+            assert not (Path(spec.out_dir) / r.scenario_name / "2" / r.solver).exists()
+        else:
+            assert r.error is None and r.bundle is not None
+            assert (Path(spec.out_dir) / r.scenario_name / str(r.seed) / r.solver
+                    / "summary.json").exists()
+    assert (Path(spec.out_dir) / "aggregate.csv").exists()
 
 
 def test_cli_other_error_exit_code(monkeypatch, tmp_path, capsys):
     _fail_on_seed_two(monkeypatch)
     rc = main(["run", "--scenario", "inf-dh-desk", "--solver", "ctm", "--seeds", "1,2",
-               "--realizations", "4", "--kmeans-restarts", "2"])
+               "--realizations", "4"])
     assert rc == 3
     out = capsys.readouterr().out
     assert "seed 2 ctm: FAILED (ZeroDivisionError: injected)" in out
@@ -344,11 +413,10 @@ def test_cli_other_error_exit_code(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["--seeds=-1"], ["--seeds", "3..1"], ["--seeds", "1,1"], ["--seeds", "0..2,2"],
     ["--realizations", "0"], ["--workers", "0"], ["--workers", "-2"],
-    ["--kmeans-restarts", "0"],
     ["--sa-cooling", "1.5"], ["--sa-iterations", "0"], ["--sa-moves", "0"], ["--sa-temp", "0"],
     ["--sa-temp", "inf"],
 ], ids=["seed-negative", "seed-range-empty", "seed-repeated", "seed-not-integer",
-        "realizations-zero", "workers-zero", "workers-negative", "kmeans-restarts-zero",
+        "realizations-zero", "workers-zero", "workers-negative",
         "sa-cooling-above-one", "sa-iterations-zero", "sa-moves-zero", "sa-temp-zero",
         "sa-temp-inf"])
 def test_cli_bad_seeds_and_run_sizes_exit_2(args, tmp_path, capsys):
@@ -361,11 +429,13 @@ def test_cli_bad_seeds_and_run_sizes_exit_2(args, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("args", [["--delta-db", "4.0"], ["--refine", "0"]],
-                         ids=["delta-db", "refine"])
-def test_cli_run_refuses_the_removed_power_step_flags(args, tmp_path, capsys):
-    """The power step's tolerance is fixed: its old step flags are unknown
-    arguments, refused before any run starts or any file is written."""
+@pytest.mark.parametrize("args", [["--delta-db", "4.0"], ["--refine", "0"],
+                                  ["--kmeans-restarts", "2"]],
+                         ids=["delta-db", "refine", "kmeans-restarts"])
+def test_cli_run_refuses_the_removed_solver_flags(args, tmp_path, capsys):
+    """The power step's tolerance and the k-means restart count are fixed:
+    their old flags are unknown arguments, refused before any run starts
+    or any file is written."""
     with pytest.raises(SystemExit) as exc:
         main(["run", "--scenario", "inf-dh-desk", "--out", str(tmp_path / "out"), *args])
     assert exc.value.code == 2
@@ -381,7 +451,7 @@ def test_cli_out_at_a_regular_file_exits_2_before_any_run(under, tmp_path, capsy
     import cellless.harness as harness
 
     runs = []
-    monkeypatch.setattr(harness, "_run_one", lambda *args: runs.append(args))
+    monkeypatch.setattr(harness, "_run_seed", lambda *args: runs.append(args))
     (tmp_path / "taken").write_text("")
     out = str(tmp_path / "taken" / "out" if under else tmp_path / "taken")
     assert main(["run", "--scenario", "inf-dh-desk", "--solver", "ctm", "--out", out]) == 2
@@ -428,13 +498,12 @@ def test_spec_keeps_numpy_integer_seeds_as_ints(tmp_path):
     assert record.error is None and summary["seed"] == 1
 
 
-def test_spec_refuses_a_ctm_seed_that_no_run_would_use(tmp_path):
-    """Each run seeds k-means with its own seed, so a spec's ``ctm.seed``
-    would change nothing: one other than the default is refused."""
+def test_spec_has_no_ctm_config(tmp_path):
+    """CtM takes k-means' seed from each run's Evaluator and has no other
+    knob, so a spec takes no CtM config."""
     from cellless.solver_ctm import CtmConfig
-    with pytest.raises(ValueError, match=r"^ctm\.seed .*runs take their seeds from seeds$"):
-        tiny_spec(tmp_path, ctm=CtmConfig(seed=5))
-    assert tiny_spec(tmp_path, ctm=CtmConfig(seed=0)).ctm.seed == 0
+    with pytest.raises(TypeError, match="ctm"):
+        tiny_spec(tmp_path, ctm=CtmConfig())
 
 
 def test_spec_validation(tmp_path):
@@ -497,7 +566,16 @@ def test_ctm_run_with_out_dir_imports_no_numpy_ma(tmp_path):
     (lambda s: s.update(seed="1"), "seed"),
     (lambda s: s.update(seed=1.5), "seed"),
     (lambda s: s.update(seed=True), "seed"),
-], ids=["seed-missing", "powers-missing", "seed-string", "seed-fraction", "seed-boolean"])
+    (lambda s: s.update(per_poa_power_dbm=["poa1"]), "per_poa_power_dbm"),
+    (lambda s: s.update(per_poa_power_dbm={"poa1": "30"}), "per_poa_power_dbm"),
+    (lambda s: s.update(per_poa_power_dbm={"poa1": math.nan}), "per_poa_power_dbm"),
+    (lambda s: s.update(per_poa_power_dbm={"poa1": True}), "per_poa_power_dbm"),
+    (lambda s: s.update(total_power_w="1.5"), "total_power_w"),
+    (lambda s: s.update(total_power_w=math.inf), "total_power_w"),
+    (lambda s: s.update(total_power_w=None), "total_power_w"),
+], ids=["seed-missing", "powers-missing", "seed-string", "seed-fraction", "seed-boolean",
+        "powers-list", "power-string", "power-nan", "power-boolean", "total-string",
+        "total-infinite", "total-null"])
 def test_cli_plot_on_a_broken_summary_exits_2(run_out, tmp_path, capsys, edit, key):
     spec, _ = run_out
     out = shutil.copytree(spec.out_dir, tmp_path / "out")
@@ -583,9 +661,10 @@ def test_cli_plot_on_a_file_error_exits_2(run_out, tmp_path, capsys, case):
     assert str(named) in err and "Traceback" not in err
 
 
-def test_run_experiment_starts_at_most_one_worker_per_run(tmp_path, monkeypatch):
-    """A pool wider than the run count forks idle workers: two runs with
-    eight workers start a pool of two."""
+def test_run_experiment_starts_at_most_one_worker_per_seed(tmp_path, monkeypatch):
+    """Workers take seeds, not runs: two seeds of two solvers each with
+    eight workers start a pool of two, and one seed of two solvers with two
+    workers starts no pool."""
     import concurrent.futures
 
     sizes = []
@@ -596,9 +675,13 @@ def test_run_experiment_starts_at_most_one_worker_per_run(tmp_path, monkeypatch)
             super().__init__(max_workers, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
-    records = run_experiment(tiny_spec(tmp_path, seeds=(1, 2), workers=8, out_dir=None))
+    records = run_experiment(tiny_spec(tmp_path, solver="both", seeds=(1, 2), workers=8,
+                                       out_dir=None))
     assert sizes == [2]
-    assert [(r.seed, r.error) for r in records] == [(1, None), (2, None)]
+    assert [(r.seed, r.error) for r in records] == [(1, None), (1, None), (2, None), (2, None)]
+    records = run_experiment(tiny_spec(tmp_path, solver="both", seeds=(1,), workers=2,
+                                       out_dir=None))
+    assert sizes == [2] and [r.error for r in records] == [None, None]
 
 
 def test_cli_validate_ok_and_bad(tmp_path, capsys):
@@ -617,7 +700,7 @@ def test_cli_validate_ok_and_bad(tmp_path, capsys):
 def test_cli_run_and_plot(tmp_path):
     out = tmp_path / "out"
     rc = main(["run", "--scenario", "inf-dh-desk", "--solver", "ctm",
-               "--seeds", "1", "--realizations", "4", "--kmeans-restarts", "2",
+               "--seeds", "1", "--realizations", "4",
                "--out", str(out)])
     assert rc == 0
     assert (out / "aggregate.csv").exists()

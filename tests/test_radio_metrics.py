@@ -560,7 +560,7 @@ def test_beam_listing_order_does_not_change_a_bit(geometry_pool, world, seed, re
     if key not in geometry_pool:
         scenario = builtin_scenario(world, seed)
         geometry_pool[key] = (Evaluator(scenario, seed, realizations),
-                              build_geometry(scenario, CtmConfig(seed=seed, kmeans_restarts=2)))
+                              build_geometry(scenario, CtmConfig(seed=seed)))
     ev, sol = geometry_pool[key]
     shuffled = replace(sol, beams=tuple(data.draw(st.permutations(sol.beams))))
     want, got = ev.metrics(sol), ev.metrics(shuffled)
@@ -687,7 +687,7 @@ def test_block_fills_equal_one_beam_kernel(monkeypatch, world):
     and then fills from kept per-block terms, equal one-beam kernel calls
     over the whole part byte for byte."""
     scenario = builtin_scenario(world, 1)
-    beams = [b for b in build_geometry(scenario, CtmConfig(seed=1, kmeans_restarts=2)).beams
+    beams = [b for b in build_geometry(scenario, CtmConfig(seed=1)).beams
              if b.active]
     ev = Evaluator(scenario, seed=1, n_realizations=20)
     for pid in {b.owner_poa for b in beams}:
@@ -746,7 +746,7 @@ def test_evaluate_peak_memory_grows_little_with_realizations():
     links grew it 2.6 times). After one ``metrics`` call, no part holds an
     array with a ray axis: every array it holds has at most two axes."""
     scenario = builtin_scenario("umi-sc-desk", 1)
-    sol = build_geometry(scenario, CtmConfig(seed=1, kmeans_restarts=2))
+    sol = build_geometry(scenario, CtmConfig(seed=1))
     peaks = []
     for n_realizations in (8, 32):
         tracemalloc.start()
@@ -841,7 +841,7 @@ def desk_pool():
     geometries whose active beams differ only in azimuth, and a memo of
     fresh Evaluators' views of them (``_fresh_view``)."""
     scenario = builtin_scenario("inf-dh-desk", 1)
-    base = build_geometry(scenario, CtmConfig(seed=1, kmeans_restarts=2))
+    base = build_geometry(scenario, CtmConfig(seed=1))
     solutions = [replace(base, beams=tuple(replace(b, azimuth=wrap_angle(b.azimuth + 0.05 * k))
                                            for b in base.beams)) for k in range(3)]
     return Evaluator(scenario, seed=1, n_realizations=2), solutions, {}
@@ -941,7 +941,7 @@ def test_evaluate_and_solve_ctm_keep_no_terms(monkeypatch):
 
     monkeypatch.setattr(rm, "Evaluator", Recorded)
     scenario = builtin_scenario("inf-dh-desk", 1)
-    config = CtmConfig(seed=1, kmeans_restarts=2)
+    config = CtmConfig(seed=1)
     evaluate(build_geometry(scenario, config), scenario, 1, n_realizations=4)
     solution, _ = solver_ctm.solve_ctm(Recorded(scenario, 1, 4), config)
     solved = made[-1]

@@ -72,7 +72,7 @@ def test_kmeans_matches_exhaustive_on_small_instances():
     for _ in range(30):
         pts = rng.uniform(0.0, 10.0, (6, 2))
         users = users_at(pts)
-        c = cluster_users(users, 2, CtmConfig(seed=3, kmeans_restarts=10))
+        c = cluster_users(users, 2, CtmConfig(seed=3))
         wcss = 0.0
         for j, cent in enumerate(c.centroids):
             for u in users:
@@ -541,21 +541,17 @@ def test_solve_ctm_stacks_its_beams_once(monkeypatch):
     monkeypatch.setattr(radio_metrics, "GainStack",
                         lambda *fields: stacks.append(stack(*fields)) or stacks[-1])
     scenario = builtin_scenario("inf-dh-desk", 1)
-    config = CtmConfig(seed=1, kmeans_restarts=2)
+    config = CtmConfig(seed=1)
     solution, bundle = solve_ctm(Evaluator(scenario, 1, 2), config)
     assert bundle.feasible and len(stacks) == 2
     assert stacks[0].listing == () and stacks[1].listing is solution.beams
 
 
-def test_ctm_config_validation():
-    with pytest.raises(ValueError):
-        CtmConfig(kmeans_restarts=0)
-
-
-@pytest.mark.parametrize("field", ["delta_db", "refinement_rounds"])
-def test_ctm_config_has_no_power_step_knobs(field):
-    """The power step bisects to a fixed tolerance, so CtmConfig takes no
-    step size or refinement count."""
+@pytest.mark.parametrize("field", ["delta_db", "refinement_rounds", "kmeans_restarts"])
+def test_ctm_config_has_no_removed_knobs(field):
+    """The power step bisects to a fixed tolerance and k-means keeps the
+    best of ``KMEANS_RESTARTS`` runs, so CtmConfig takes no step size,
+    refinement count or restart count."""
     with pytest.raises(TypeError, match=field):
         CtmConfig(**{field: 1})
 

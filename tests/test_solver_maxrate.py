@@ -485,7 +485,7 @@ def test_one_evaluator_serves_both_solvers_in_either_order():
 
 @pytest.mark.parametrize("config, name, value", [
     (CtmConfig, "seed", 1.5), (CtmConfig, "seed", True), (CtmConfig, "seed", "1"),
-    (CtmConfig, "kmeans_restarts", 2.5), (CtmConfig, "realizations_per_check", 2.5),
+    (CtmConfig, "realizations_per_check", 2.5),
     (CtmConfig, "realizations_per_check", 0), (AnnealConfig, "iterations", 2.5),
     (AnnealConfig, "iterations", True), (AnnealConfig, "iterations", np.float64(0.5)),
     (AnnealConfig, "iterations", "3"), (AnnealConfig, "moves_per_temp", 1.5),
@@ -500,11 +500,10 @@ def test_solver_configs_refuse_non_integral_counts_naming_the_field(config, name
 
 
 def test_solver_configs_keep_integral_counts_as_ints():
-    ctm = CtmConfig(seed=np.int64(2), kmeans_restarts=3.0, realizations_per_check=np.int32(4))
+    ctm = CtmConfig(seed=np.int64(2), realizations_per_check=np.int32(4))
     anneal = AnnealConfig(iterations=np.int64(3), moves_per_temp=4.0)
-    got = [ctm.seed, ctm.kmeans_restarts, ctm.realizations_per_check, anneal.iterations,
-           anneal.moves_per_temp]
-    assert got == [2, 3, 4, 3, 4] and all(type(v) is int for v in got)
+    got = [ctm.seed, ctm.realizations_per_check, anneal.iterations, anneal.moves_per_temp]
+    assert got == [2, 4, 3, 4] and all(type(v) is int for v in got)
 
 
 def test_anneal_config_validation():
