@@ -270,11 +270,12 @@ def _finite(value):
 def load_run_metrics(run_dir):
     """Re-parse one run directory into (summary dict, metrics rows). A file
     that is not UTF-8 text, a summary.json that is not a JSON object, lacks
-    a key that plotting reads, has a seed that is not an integer, a
-    ``per_poa_power_dbm`` that is not an object of finite numbers or nulls
-    or a ``total_power_w`` that is not a finite number, or a metrics.csv
-    whose header lacks one of ``METRIC_COLUMNS``, raises ``ValueError``
-    naming the file and the fault."""
+    a key that plotting reads, has a scenario or solver that is not a
+    string, a seed that is not an integer, a ``per_poa_power_dbm`` that is
+    not an object of finite numbers or nulls or a ``total_power_w`` that is
+    not a finite number, or a metrics.csv whose header lacks one of
+    ``METRIC_COLUMNS``, raises ``ValueError`` naming the file and the
+    fault."""
     run_dir = Path(run_dir)
     path = run_dir / "summary.json"
     try:
@@ -288,6 +289,9 @@ def load_run_metrics(run_dir):
     for key in _SUMMARY_KEYS:
         if key not in summary:
             raise ValueError(f"{path}: missing key {key!r}")
+    for key in ("scenario", "solver"):
+        if not isinstance(summary[key], str):
+            raise ValueError(f"{path}: {key} must be a string, got {summary[key]!r}")
     if type(summary["seed"]) is not int:
         raise ValueError(f"{path}: seed must be an integer, got {summary['seed']!r}")
     powers = summary["per_poa_power_dbm"]

@@ -44,11 +44,12 @@ stacks it itself, on the last stack the Evaluator built (at first its
 stack of no beams), which is the one place that decides what a stack
 reuses. A stack costs what changed since the last one: a solution with its
 very beam objects gets that stack itself, so ``solve_ctm`` stacks its
-beams once for its verdicts, every trial of its descent and its dump; one
-whose beams serve the users they serve there shares its live rows, shares
-and per-user arrays; and a live row whose ``BeamConfig`` changed is keyed,
-and read only where its key is not the one the row of the last gains
-holds, so a reassign that moves no beam reads no table. *Scale* multiplies
+beams once for its verdicts, its descent and its dump; one whose beams
+serve the users they serve there shares its live rows, shares and per-user
+arrays; and a live row whose ``BeamConfig`` changed is keyed only where its
+zenith, azimuth or width differ from the row's last active beam, and read
+only where its key is not the one the row of the last gains holds, so a
+reassign that moves no beam keys and reads nothing. *Scale* multiplies
 each live row by its watts under a power vector, one computation
 (``Evaluator._watts``) for the users gains and the humans tables alike.
 *Verdict* composes each user's SINR from the three terms that
@@ -60,11 +61,23 @@ only for live beam geometries; that power feeds ``power_density`` ->
 checked against the rate floors and the SAR ceiling. ``metrics`` composes
 ``mean_rates`` and the exposure, and is the only full verdict:
 ``violated`` is every missed floor and ceiling, and ``feasible`` is that
-list being empty. ``mean_rates`` and ``unmet_floors`` (the CtM descent's
-check of a trial power vector) read every user's rate, in scenario order,
-along the one path that ``metrics`` takes. Interference adds the live rows
-one by one in row order, so a rate has the same bits whichever realization
-count or beam listing it comes with.
+list being empty. ``mean_rates`` and ``unmet_floors`` read every user's
+rate, in scenario order, along the one path that ``metrics`` takes.
+Interference adds the live rows one by one in row order (``_row_sum``),
+and a rate is composed by one helper (``_mean_rate``: ``shannon_rate``,
+then the realization mean), so a rate has the same bits whichever
+realization count, beam listing or set of users it comes with.
+
+``floor_predicate`` is the CtM descent's check of a trial power for one
+PoA, from a state that meets every floor. Lowering one PoA moves only its
+own users' rates, so once per PoA visit it reads the stack, gathers that
+PoA's users' columns and keeps their unit-power signal, their noise plus
+interference from the other PoAs' live rows (summed by ``_row_sum`` over
+those columns), their bandwidths and floors. Each trial then scales the
+signal by the PoA's watts per live beam and composes the rates with
+``_mean_rate``: the verdict of ``unmet_floors`` on the lowered state, rate
+bit for rate bit, with no ``SolutionState``, stack or full ``_terms`` per
+trial.
 """
 
 from __future__ import annotations
@@ -255,6 +268,25 @@ def shannon_rate(bandwidth, sinr):
     return bandwidth * np.log2(1.0 + np.asarray(sinr, dtype=float))
 
 
+def _mean_rate(bandwidth, signal, noise_and_interference):
+    """Each user's mean rate [bit/s] over the realizations (the last axis)
+    from its signal and its noise plus interference [W], (users,
+    realizations), and its bandwidth [Hz], (users,): the one rate formula,
+    for every user (``Evaluator.mean_rates``) or one PoA's
+    (``Evaluator.floor_predicate``)."""
+    return shannon_rate(bandwidth[:, None], signal / noise_and_interference).mean(axis=-1)
+
+
+def _row_sum(per_beam):
+    """The sum over the outer (live row) axis of ``per_beam``, added row by
+    row in row order whatever the trailing shape. numpy's reduce adds
+    pairwise along the fast axis only; over the outer axis of a C-ordered
+    array whose rows hold two numbers or more it adds row by row. Rows of
+    one number accumulate instead."""
+    return (np.add.accumulate(per_beam, axis=0)[-1] if 0 < per_beam.size == len(per_beam)
+            else np.add.reduce(per_beam, axis=0))
+
+
 class Evaluator:
     """Frozen set of channel realizations for one (scenario, seed).
 
@@ -353,11 +385,14 @@ class Evaluator:
         ``BeamConfig`` the very object that stack holds, it is that stack;
         with every row serving the users it serves there, it shares its
         ``live`` to ``noise``; and only a live row whose beam object changed
-        is keyed, and read only where its table key is not the one its row
-        of the last gains holds. A stack has the same bits whatever it was
-        built on, so asking again for the beams of the last solution, as
-        every trial of the CtM descent and ``solve_ctm``'s verdicts and dump
-        do, costs nothing."""
+        and whose zenith, azimuth or width differ from the active beam that
+        row holds there is keyed, and read only where its table key is not
+        the one its row of the last gains holds (a MaxRate reassign gives
+        both beams it touches new objects of the old geometry, so it keys
+        none). A stack has the same bits whatever it was built on, so asking
+        again for the beams of the last solution, as each PoA visit of the
+        CtM descent and ``solve_ctm``'s verdicts and dump do, costs
+        nothing."""
         base = self._last
         try:
             beams, changed = self._rows(solution.beams, base)
@@ -371,8 +406,12 @@ class Evaluator:
             raise SolutionInvalidError(validate(solution, self.scenario)) from None
         keys, read = list(base.keys), []
         for row in changed:
-            if beams[row] is not None and beams[row].active:
-                key = self._key(beams[row])
+            new, old = beams[row], base.beams[row]
+            if new is not None and new.active:
+                if (old is not None and old.active and (new.zenith, new.azimuth, new.width)
+                        == (old.zenith, old.azimuth, old.width)):
+                    continue  # keys[row] is old's key, and so new's: the geometry is the same
+                key = self._key(new)
                 if key != keys[row]:
                     keys[row] = key
                     read.append(row)
@@ -455,13 +494,7 @@ class Evaluator:
             signal = power[stack.serving, self._all_columns]
         except IndexError:  # an unserved user's row is past the live rows
             raise UnservedUserError(self._user_ids[int(stack.serving.argmax())]) from None
-        per_beam = np.where(stack.interferers, power, 0.0)
-        # numpy's reduce adds pairwise along the fast axis only; over the
-        # outer axis of a C-ordered array whose rows hold two numbers or more
-        # it adds row by row. Rows of one number accumulate instead.
-        interference = (np.add.accumulate(per_beam, axis=0)[-1]
-                        if 0 < per_beam.size == len(per_beam)
-                        else np.add.reduce(per_beam, axis=0))
+        interference = _row_sum(np.where(stack.interferers, power, 0.0))
         return signal, interference, stack.noise, stack.bandwidth
 
     def _exposure(self, stack, tx_power):
@@ -491,6 +524,50 @@ class Evaluator:
         bit."""
         return self._short(self.mean_rates(solution))
 
+    def floor_predicate(self, solution, poa_id):
+        """A callable ``meets(dbm)``: whether the users that the active PoA
+        ``poa_id`` serves meet their rate floors when the PoA alone is set
+        to ``dbm``, for ``solution`` a state that meets every floor and
+        ``dbm`` at most the PoA's power there. On that domain its verdict is
+        ``unmet_floors(solution.with_power(poa_id, dbm)) == []``, rate bit
+        for rate bit: lowering one PoA moves no other user's rate (see
+        ``solver_ctm.reduce_powers``). A trial above the PoA's power could
+        break other PoAs' users, which it does not read, and raises
+        ``ValueError``.
+
+        Made once per PoA: it reads the solution's stack, gathers only the
+        PoA's users' columns and scales the live rows there by their watts,
+        as ``_terms`` does. It keeps those users' unit-power (1 W) signal,
+        their noise plus interference (every co-channel live row of another
+        PoA, added in row order by ``_row_sum``, so the very bits ``_terms``
+        adds), their bandwidths and their floors. A trial then scales the
+        signal by the PoA's watts over its live beams, the ``(watts / share)
+        * gain`` product of ``_terms``, and composes the rates with
+        ``_mean_rate``; it builds no ``SolutionState`` or stack.
+        """
+        stack = self.stack(solution)
+        poa = self._poa_index[poa_id]
+        rows = np.flatnonzero(stack.poa_of_beam == poa)
+        if not rows.size:
+            raise ValueError(f"PoA {poa_id!r} has no active beam")
+        # Each user's serving PoA index (-1 when unserved), then the PoA's users.
+        cols = np.flatnonzero(np.append(stack.poa_of_beam, -1)[stack.serving] == poa)
+        gains = stack.gains[stack.live[:, None], cols]
+        power = self._watts(stack, solution.tx_power) * gains
+        noisy = stack.noise[cols] + _row_sum(np.where(stack.interferers[:, cols], power, 0.0))
+        unit = gains[stack.serving[cols], np.arange(cols.size)]
+        bandwidth, share = stack.bandwidth[cols], int(stack.share[rows[0]])
+        floors = np.array([self._rate_floor[self._user_ids[c]] for c in cols.tolist()])
+        ceiling = solution.tx_power[poa_id]
+
+        def meets(dbm) -> bool:
+            if dbm > ceiling:
+                raise ValueError(f"trial {dbm} dBm is above {poa_id!r}'s {ceiling} dBm")
+            signal = (ch.dbm_to_watts(dbm) / share) * unit
+            return bool((_mean_rate(bandwidth, signal, noisy) >= floors).all())
+
+        return meets
+
     # -- views -------------------------------------------------------------------
 
     def mean_rates(self, solution) -> np.ndarray:
@@ -498,7 +575,7 @@ class Evaluator:
         order."""
         signal, interference, noise, bandwidth = self._terms(self.stack(solution),
                                                              solution.tx_power)
-        return shannon_rate(bandwidth[:, None], signal / (noise + interference)).mean(axis=-1)
+        return _mean_rate(bandwidth, signal, noise + interference)
 
     def metrics(self, solution: SolutionState) -> MetricsBundle:
         """Averaged rates and SAR over all realizations, plus feasibility."""

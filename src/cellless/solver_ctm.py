@@ -305,15 +305,20 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator) -> SolutionStat
     The max-power start gets the full verdict, one ``Evaluator.metrics``
     call; it fills the beams' humans tables, which only that verdict and
     the closing ``metrics`` read. A trial then lowers one PoA from a
-    feasible state and is judged on every user's floor
-    (``Evaluator.unmet_floors``); the beams never change, so every trial
-    reads the stack of the max-power verdict. Rates and SAR are monotone in
-    every power, rounding included: a user's signal is its serving PoA's
-    power alone, and interference and SAR only add powers. Lowering one PoA
-    therefore raises no SAR and lowers no rate but its own users', so SAR
-    is never checked again, every kept state is feasible by induction, and
-    a check of every floor accepts exactly the trials that a check of the
-    lowered PoA's users alone would, to the same dBm bit for bit.
+    feasible state. Rates and SAR are monotone in every power, rounding
+    included: a user's signal is its serving PoA's power alone, and
+    interference and SAR only add powers. Lowering one PoA therefore raises
+    no SAR and lowers no rate but its own users', and leaves their
+    interference bit for bit, so SAR is never checked again, every kept
+    state is feasible by induction, and a check of every floor accepts
+    exactly the trials that a check of the lowered PoA's users alone would,
+    to the same dBm bit for bit. So each PoA visit judges its trials with
+    one ``Evaluator.floor_predicate``: made once from the visit's state, it
+    reads the stack of the max-power verdict (the beams never change) and
+    keeps the PoA's users' unit-power signal and their noise plus
+    interference; a trial only rescales that signal to the trial dBm and
+    composes those users' rates, the rates ``Evaluator.unmet_floors`` would
+    read.
     """
     violated = evaluator.metrics(solution).violated
     if violated:
@@ -323,13 +328,14 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator) -> SolutionStat
     while moved:
         moved = False
         for pid in sorted(current.active_poas(), key=lambda pid: (-current.tx_power[pid], pid)):
+            meets = evaluator.floor_predicate(current, pid)
             dbm, step = current.tx_power[pid], _POWER_TOL_DB
-            while not evaluator.unmet_floors(current.with_power(pid, dbm - step)):
+            while meets(dbm - step):
                 dbm, step = dbm - step, 2.0 * step
             # dbm is feasible and dbm - step fails; step is the tolerance times a power of two.
             while step > _POWER_TOL_DB:
                 step /= 2.0
-                if not evaluator.unmet_floors(current.with_power(pid, dbm - step)):
+                if meets(dbm - step):
                     dbm -= step
             if dbm != current.tx_power[pid]:
                 current, moved = current.with_power(pid, dbm), True

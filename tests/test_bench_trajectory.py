@@ -81,3 +81,28 @@ def test_layer_run_is_stored_under_its_label(trajectory, tmp_path):
     for layer in layers:
         assert layer["samples"] == 1 and layer["median_s"] > 0.0
         assert 0.0 < layer["median_ref_s"] < math.inf
+
+
+@pytest.mark.parametrize("stdout, outcome", [
+    ("seed 0 ctm: total power 0.0123 W, min rate 50.1 Mbit/s, max SAR 1.2e-03 W/kg, feasible\n",
+     "solved"),
+    ("seed 0 maxrate: total power 8 W, min rate 90.2 Mbit/s, max SAR 2.5e-01 W/kg, infeasible\n",
+     "infeasible"),
+    ("seed 0 ctm: FAILED (no feasible solution at maximum transmit power; 27 violated: "
+     "rate:user0, ...)\n", "infeasible"),
+    ("seed 0 ctm: FAILED (ZeroDivisionError: injected)\n", "failed"),
+    ("", "failed"),
+], ids=["solved", "infeasible-verdict", "infeasible-at-max", "error", "no-line"])
+def test_run_outcome_reads_the_run_line(trajectory, stdout, outcome):
+    assert trajectory.run_outcome(stdout) == outcome
+
+
+def test_a_cellless_run_row_times_the_checkouts_cli(trajectory):
+    """A row runs ``cellless run`` from the checkout's source in its own
+    interpreter and records its wall time, exit code and outcome."""
+    rows = trajectory.time_cellless_runs(ROOT, 1, worlds=("inf-dh-desk",), solvers=("ctm",))
+    assert len(rows) == 1
+    row = rows[0]
+    assert row["command"] == "cellless run --scenario inf-dh-desk --solver ctm --seeds 1"
+    assert (row["scenario"], row["solver"], row["seed"]) == ("inf-dh-desk", "ctm", 1)
+    assert row["exit_code"] == 0 and row["outcome"] == "solved" and row["wall_s"] > 0.0

@@ -573,9 +573,11 @@ def test_ctm_run_with_out_dir_imports_no_numpy_ma(tmp_path):
     (lambda s: s.update(total_power_w="1.5"), "total_power_w"),
     (lambda s: s.update(total_power_w=math.inf), "total_power_w"),
     (lambda s: s.update(total_power_w=None), "total_power_w"),
+    (lambda s: s.update(solver=5), "solver"),
+    (lambda s: s.update(scenario=None), "scenario"),
 ], ids=["seed-missing", "powers-missing", "seed-string", "seed-fraction", "seed-boolean",
         "powers-list", "power-string", "power-nan", "power-boolean", "total-string",
-        "total-infinite", "total-null"])
+        "total-infinite", "total-null", "solver-number", "scenario-null"])
 def test_cli_plot_on_a_broken_summary_exits_2(run_out, tmp_path, capsys, edit, key):
     spec, _ = run_out
     out = shutil.copytree(spec.out_dir, tmp_path / "out")

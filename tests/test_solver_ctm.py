@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from cellless import solver_ctm
 from cellless.exposure import FrequencyMap
@@ -346,15 +346,16 @@ def test_infeasible_error_message_quotes_the_first_ids():
     assert len(err.violated) == 8
 
 
-def _reference_descent(solution, evaluator):
-    """The power bisection with the earlier check, a full ``metrics()`` per
-    trial power vector. Returns (solution, number of checks)."""
-    checks = 0
+def _reference_descent(solution, evaluator, check=None):
+    """The power bisection with an earlier ``check`` of each trial solution:
+    by default a full ``metrics()``. Returns (solution, the power vectors
+    checked, the max-power start first)."""
+    checks = []
+    check = check or (lambda sol: evaluator.metrics(sol).feasible)
 
     def feasible(sol):
-        nonlocal checks
-        checks += 1
-        return evaluator.metrics(sol).feasible
+        checks.append(dict(sol.tx_power))
+        return check(sol)
 
     assert feasible(solution)
     current, moved = solution, True
@@ -373,6 +374,25 @@ def _reference_descent(solution, evaluator):
     return current, checks
 
 
+def _watch_trials(monkeypatch, on_trial, visits=None):
+    """Patch ``Evaluator.floor_predicate`` to call ``on_trial`` with each
+    trial's power vector (and append each predicate's PoA to ``visits``)."""
+    floor_predicate = Evaluator.floor_predicate
+
+    def watched(self, solution, pid):
+        meets = floor_predicate(self, solution, pid)
+        if visits is not None:
+            visits.append(pid)
+
+        def trial(dbm):
+            on_trial({**solution.tx_power, pid: dbm})
+            return meets(dbm)
+
+        return trial
+
+    monkeypatch.setattr(Evaluator, "floor_predicate", watched)
+
+
 @pytest.mark.parametrize("world, channel_seed, realizations", [
     pytest.param("inf-dh-desk", 1, 10, id="1"),
     pytest.param("inf-dh-desk", 2, 10, id="2"),
@@ -385,45 +405,82 @@ def _reference_descent(solution, evaluator):
 def test_descent_matches_metrics_reference(monkeypatch, world, channel_seed, realizations):
     """On the desk worlds placed with seed 1, the power bisection returns
     the same dBm values as the reference after one full check of the
-    max-power start and one check of every floor per reference trial."""
+    max-power start and one floor check per reference trial, of the same
+    power vectors in the same order, from one predicate per PoA visit."""
     scenario = builtin_scenario(world, 1)
     geometry = build_geometry(scenario, CtmConfig(seed=channel_seed))
     want, want_checks = _reference_descent(
         geometry, Evaluator(scenario, channel_seed, realizations))
 
-    full, trials = [], []
-    metrics, unmet_floors = Evaluator.metrics, Evaluator.unmet_floors
+    full, trials, visits = [], [], []
+    metrics = Evaluator.metrics
 
     def counted_full(self, solution):
         full.append(dict(solution.tx_power))
         return metrics(self, solution)
 
-    def counted_trial(self, solution):
-        trials.append(dict(solution.tx_power))
-        return unmet_floors(self, solution)
-
     monkeypatch.setattr(Evaluator, "metrics", counted_full)
-    monkeypatch.setattr(Evaluator, "unmet_floors", counted_trial)
+    _watch_trials(monkeypatch, trials.append, visits)
     got = reduce_powers(geometry, Evaluator(scenario, channel_seed, realizations))
     assert got.tx_power == want.tx_power
     assert full == [geometry.tx_power]
-    assert len(trials) == want_checks - 1
+    assert len(trials) == len(want_checks) - 1
+    assert trials == want_checks[1:]
+    # One predicate per PoA visit: each sweep visits every active PoA.
+    active = geometry.active_poas()
+    assert len(visits) % len(active) == 0 and sorted(visits[:len(active)]) == active
     assert got.tx_power != geometry.tx_power
 
 
 def test_default_power_step_ends(monkeypatch):
     """A default solve_ctm on inf-dh-desk ends with a feasible verdict.
     Past 20,000 floor checks the power step is taken to hang."""
-    trials, unmet_floors = [], Evaluator.unmet_floors
+    trials = []
 
-    def bounded(self, solution):
-        trials.append(1)
+    def bounded(power):
+        trials.append(power)
         assert len(trials) < 20_000, "the power step does not end"
-        return unmet_floors(self, solution)
 
-    monkeypatch.setattr(Evaluator, "unmet_floors", bounded)
+    _watch_trials(monkeypatch, bounded)
     _, bundle = solve_ctm(Evaluator(builtin_scenario("inf-dh-desk", 1), 1))
     assert bundle.feasible and trials
+
+
+def _floor_descent(solution, evaluator):
+    """``reduce_powers`` with every trial judged the full way: on every
+    user's floor (``Evaluator.unmet_floors``) of the lowered state."""
+    violated = evaluator.metrics(solution).violated
+    if violated:
+        raise NoFeasibleSolutionError(violated)
+    return _reference_descent(solution, evaluator,
+                              lambda sol: not evaluator.unmet_floors(sol))[0]
+
+
+@pytest.mark.parametrize("world, placement, channel_seed", [
+    (world, placement, seed) for world in ("inf-dh-desk", "umi-sc-desk")
+    for placement in (1, 2, 3) for seed in range(6)])
+def test_power_step_equals_a_descent_through_unmet_floors(world, placement, channel_seed):
+    """The per-PoA floor predicate moves no bit: ``reduce_powers`` returns
+    the ``tx_power`` of the descent that judges every trial with
+    ``unmet_floors``, and ``solve_ctm`` the ``per_user_rate`` and
+    ``per_human_sar`` of that descent's powers, byte for byte."""
+    scenario = builtin_scenario(world, placement)
+    evaluator = Evaluator(scenario, channel_seed, 10)
+    geometry = build_geometry(scenario, CtmConfig(seed=channel_seed))
+    want = _floor_descent(geometry, evaluator)
+    want_bundle = evaluator.metrics(want)
+    got = reduce_powers(geometry, evaluator)
+    solved, bundle = solve_ctm(evaluator)
+
+    def raw(values):
+        return np.array(list(values), dtype=float).tobytes()
+
+    for out in (got, solved):
+        assert list(out.tx_power) == list(want.tx_power)
+        assert raw(out.tx_power.values()) == raw(want.tx_power.values())
+    for field in ("per_user_rate", "per_human_sar"):
+        mine, theirs = getattr(bundle, field), getattr(want_bundle, field)
+        assert list(mine) == list(theirs) and raw(mine.values()) == raw(theirs.values())
 
 
 @st.composite
@@ -496,6 +553,52 @@ def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
     serving = [evaluator.scenario.poa_by_id(solution.beam_for_user(uid).owner_poa).bandwidth
                for uid in users]
     assert noise_after.tolist() == noise.tolist() == [[NOISE_DENSITY_W_HZ * bw] for bw in serving]
+
+
+@settings(deadline=None, max_examples=100)
+@given(world=feasible_small_worlds(), data=st.data())
+def test_floor_predicate_agrees_with_unmet_floors(world, data):
+    """From a feasible state, the per-PoA floor predicate of a random active
+    PoA judges any dBm up to the PoA's power as ``unmet_floors`` judges the
+    state with that PoA alone set to it; also with a NaN floor among the
+    PoA's users, which fails at every dBm. The predicate reads only the
+    PoA's users' columns, so this relies on numpy reducing each row the
+    same way whatever the number of rows."""
+    evaluator, solution = world
+    pid = data.draw(st.sampled_from(solution.active_poas()))
+    if data.draw(st.booleans()):
+        own = sorted(uid for b in solution.beams_of(pid) for uid in b.served_users)
+        evaluator._rate_floor = {**evaluator._rate_floor, data.draw(st.sampled_from(own)): math.nan}
+    top = solution.tx_power[pid]
+    meets = evaluator.floor_predicate(solution, pid)
+    below = st.one_of(st.floats(0.0, 60.0), st.floats(0.0, 1.0))
+    for dbm in (top - db for db in data.draw(st.lists(below, min_size=1, max_size=5))):
+        verdict = meets(dbm)
+        assert verdict == (evaluator.unmet_floors(solution.with_power(pid, dbm)) == [])
+        event(f"meets: {verdict}")
+    with pytest.raises(ValueError, match="above"):
+        meets(math.nextafter(top, math.inf))
+
+
+@settings(deadline=None, max_examples=100)
+@given(world=feasible_small_worlds(), data=st.data())
+def test_floor_predicate_reads_the_rates_of_unmet_floors_bit_for_bit(world, data):
+    """With the PoA's users' floors set to their very rates in
+    ``mean_rates`` of the lowered state, the predicate meets them at that
+    dBm; with one of them one ulp higher, it misses. So it composes each
+    of those rates bit for bit, not only the same verdicts at floors far
+    from the rates."""
+    evaluator, solution = world
+    pid = data.draw(st.sampled_from(solution.active_poas()))
+    dbm = solution.tx_power[pid] - data.draw(st.one_of(st.floats(0.0, 60.0), st.floats(0.0, 1.0)))
+    lowered = dict(zip((u.id for u in evaluator.scenario.users),
+                       evaluator.mean_rates(solution.with_power(pid, dbm)).tolist()))
+    own = sorted(uid for b in solution.beams_of(pid) for uid in b.served_users)
+    evaluator._rate_floor = {**evaluator._rate_floor, **{uid: lowered[uid] for uid in own}}
+    assert evaluator.floor_predicate(solution, pid)(dbm)
+    above = data.draw(st.sampled_from(own))
+    evaluator._rate_floor[above] = math.nextafter(lowered[above], math.inf)
+    assert not evaluator.floor_predicate(solution, pid)(dbm)
 
 
 def test_solve_ctm_deterministic(tiny_scenario):

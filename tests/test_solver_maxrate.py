@@ -127,6 +127,12 @@ def _assert_equals_fresh_stack(ev, stack, solution):
             == fresh_ev.mean_rates(solution).tobytes())
 
 
+def _geometry(beam):
+    """A beam's zenith, azimuth and width (None for no beam): all its gain
+    table key reads."""
+    return None if beam is None else (beam.zenith, beam.azimuth, beam.width)
+
+
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
@@ -136,8 +142,10 @@ def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
     rejected candidate's included), equals a fresh Evaluator's, and the
     current state's stack still equals one of the current state. It keys
     (``width_to_panel``) exactly the active beams that are not objects of
-    the last stack built: those the move replaced and, after a rejection,
-    those the rejected move had replaced. With none, as after every power
+    the last stack built, those the move replaced and, after a rejection,
+    those the rejected move had replaced, less those whose row held an
+    active beam of the same zenith, azimuth and width there (a reassign's
+    beams, a width clamped at a bound). With none, as after every power
     move and every move on an idle beam that follows an accepted one, it
     fills nothing and shares the last gains; so does a reassign after an
     accepted move that wakes no beam, whose keys match those of the last
@@ -158,8 +166,10 @@ def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
             cand = moves[kind](sol)
             moved = [b for b in cand.beams
                      if b.active and all(b is not old for old in sol.beams)]
+            held = {(b.beam_id, b.owner_poa): b for b in built.beams if b.active}
             new = [b for b in cand.beams
-                   if b.active and all(b is not old for old in built.beams)]
+                   if b.active and all(b is not old for old in built.beams)
+                   and _geometry(held.get((b.beam_id, b.owner_poa))) != _geometry(b)]
             assert kind != 0 or not moved
             if built.beams is not sol.beams:
                 event("built on a rejected candidate's stack")
@@ -347,6 +357,28 @@ def test_an_anneal_move_keys_at_most_two_rows_per_objective(monkeypatch):
     assert bundle.per_user_rate == fresh.per_user_rate
     tables = [{k: set(record.tables) for k, record in ev._parts.items()} for ev in made]
     assert tables[0] == tables[1]
+
+
+def test_an_anneal_keys_no_row_whose_geometry_stayed(monkeypatch):
+    """On the 10x10 inf-dh-desk anneal, ``Evaluator.stack`` keys a changed
+    live row (``_key``, which calls ``width_to_panel``) only where its
+    zenith, azimuth or width differ from the active beam the row held in
+    the last stack. A reassign gives both beams it touches new objects of
+    their old geometry, so it keys neither: 133 keys over the solve, where
+    keying every changed live row made 181."""
+    from cellless.scenario import builtin_scenario
+
+    stayed, key = [], Evaluator._key
+
+    def recorded(self, beam):
+        old = self._last.beams[self._row_of[beam.beam_id, beam.owner_poa]]
+        stayed.append(old is not None and old.active and _geometry(old) == _geometry(beam))
+        return key(self, beam)
+
+    monkeypatch.setattr(Evaluator, "_key", recorded)
+    solve_maxrate(Evaluator(builtin_scenario("inf-dh-desk", 0), 0, 2),
+                  AnnealConfig(iterations=10, moves_per_temp=10))
+    assert len(stayed) == 133 and not any(stayed)
 
 
 def test_moves_preserve_legality(tiny_scenario, start):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write one entry of the performance trajectory, ``BENCH_<n>.json``.
 
-Two parts, both run from the source checkout at ``--root`` (by default
+Three parts, all run from the source checkout at ``--root`` (by default
 the one this script sits in), so the same script measures any commit:
 
 * **End to end.** ``perfbench/run.py --workload all --seed S --seconds X``
@@ -9,6 +9,14 @@ the one this script sits in), so the same script measures any commit:
   lines are parsed into, per workload: the environment (nproc, numpy,
   commit), each operation's wall time, outcome and digest, the raw wall
   seconds (setup, batch, median operation) and the end-to-end metrics.
+* **``cellless run``.** ``cellless run --scenario W --solver S --seeds
+  <seed>`` with every other flag at its default, for each built-in world
+  W (``inf-dh-desk``, ``umi-sc-desk``, ``inf-dh-default``,
+  ``umi-sc-default``) and solver S, one subprocess each: its wall time
+  (interpreter start-up included), exit code and outcome, ``solved``
+  (feasible), ``infeasible`` (no feasible solution at maximum power, or a
+  final verdict that misses a floor or ceiling) or ``failed``. A run that
+  is infeasible gives its wall time up to the verdict.
 * **Layers.** The layers under a CtM run are timed in this process
   through the package's public API, each figure the median of
   ``--repeats`` repeats on one fixed world (``inf-dh-desk`` placed with
@@ -44,7 +52,8 @@ Usage::
 
 ``--out`` is read first if it exists, and the run is stored under
 ``runs[<label>]``, so the parent and the change of one comparison share
-a file. The exit code is that of perfbench (0 with ``--layers-only``).
+a file. ``--layers-only`` skips perfbench and the ``cellless run`` rows.
+The exit code is that of perfbench (0 with ``--layers-only``).
 """
 
 from __future__ import annotations
@@ -75,6 +84,10 @@ REALIZATIONS = 10
 MOVES = 24
 #: Kernel calls timed per repeat (per block, per beam).
 KERNEL_CALLS = 5
+
+#: The built-in worlds and the solvers of the ``cellless run`` rows.
+RUN_WORLDS = ("inf-dh-desk", "umi-sc-desk", "inf-dh-default", "umi-sc-default")
+RUN_SOLVERS = ("ctm", "maxrate")
 
 _OP = re.compile(r"op (\d+) (\S+) seed=(\d+) wall_s=(\S+) ref_s=(\S+) outcome=(\S+) "
                  r"digest=(\S+) check=(.*)")
@@ -118,6 +131,38 @@ def run_perfbench(root: Path, seed: int, seconds: float) -> tuple:
     if proc.returncode not in (0, 1):
         sys.stderr.write(proc.stderr)
     return proc.returncode, parse_perfbench(proc.stdout.splitlines()), elapsed
+
+
+def run_outcome(stdout: str) -> str:
+    """``solved``, ``infeasible`` or ``failed``: the outcome of a one-seed,
+    one-solver ``cellless run`` from the line it prints for the run."""
+    lines = [line for line in stdout.splitlines() if line.startswith("seed ")]
+    if len(lines) != 1:
+        return "failed"
+    verdict = lines[0].split(": ", 1)[-1]
+    if verdict.startswith("FAILED"):
+        return "infeasible" if "no feasible solution" in verdict else "failed"
+    return "infeasible" if verdict.endswith(" infeasible") else "solved"
+
+
+def time_cellless_runs(root: Path, seed: int, worlds=RUN_WORLDS, solvers=RUN_SOLVERS) -> list:
+    """One ``cellless run --scenario <world> --solver <solver> --seeds
+    <seed>`` per world and solver, each in its own interpreter on the
+    checkout's ``src``: its wall time, exit code and outcome."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    main = "import sys; from cellless.cli import main; sys.exit(main(sys.argv[1:]))"
+    rows = []
+    for world in worlds:
+        for solver in solvers:
+            args = ["run", "--scenario", world, "--solver", solver, "--seeds", str(seed)]
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-c", main, *args], cwd=root, env=env,
+                                  capture_output=True, text=True, check=False)
+            rows.append({"scenario": world, "solver": solver, "seed": seed,
+                         "command": "cellless " + " ".join(args),
+                         "wall_s": time.perf_counter() - start, "exit_code": proc.returncode,
+                         "outcome": run_outcome(proc.stdout)})
+    return rows
 
 
 def _timed(fn, *args):
@@ -278,7 +323,8 @@ def _parse_args(argv):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seconds", type=float, default=25.0, help="perfbench --seconds")
     p.add_argument("--repeats", type=int, default=5, help="repeats per layer timing")
-    p.add_argument("--layers-only", action="store_true", help="skip the perfbench run")
+    p.add_argument("--layers-only", action="store_true",
+                   help="skip the perfbench run and the cellless run rows")
     args = p.parse_args(argv)
     if args.seed < 0 or args.seconds <= 0 or args.repeats < 1:
         p.error("--seed must be >= 0, --seconds > 0 and --repeats >= 1")
@@ -302,6 +348,7 @@ def main(argv=None) -> int:
                          "paper": time_paper_layers(args.seed, args.repeats)}}
     code = 0
     if not args.layers_only:
+        record["cellless_run"] = time_cellless_runs(root, args.seed)
         code, workloads, elapsed = run_perfbench(root, args.seed, args.seconds)
         record["perfbench"] = {"command": f"perfbench/run.py --workload all --seed {args.seed} "
                                           f"--seconds {args.seconds}",
