@@ -44,8 +44,10 @@ def main():
 
     print()
     print("=== Determinism: a link draws the same in any block ===")
-    # Human 2 (part 1) of PoA 1 in realization 0, seed 7: row 2 of its
-    # realization's block, whatever the block's row count.
+    # Human 2 of PoA 1 in realization 0, seed 7, a bystander linked to no
+    # user (part 1 draws only those; a human standing on a user reads the
+    # user's part-0 link): row 2 of its realization's block, its index among
+    # all humans, whatever the block's row count.
     targets = [(20.0 + 5.0 * j, 10.0, 1.5) for j in range(4)]
     a, b = (sample_link(direct_paths(poa, 5e9, targets[:n], params), params,
                         link_uniforms(7, [0], 1, 1, n, params)) for n in (3, 4))

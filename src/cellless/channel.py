@@ -9,7 +9,9 @@ part 0 being the users and part 1 the humans, and draws from it one
 block of uniforms with a row of K = 3 + 3*N_c + N_c*N_r per target, so
 target t's link reads row t of its block and depends on its key and t
 alone: the users' links do not depend on the humans, and any realization
-range draws as the same range of a draw from 0. ``sample_link`` turns the
+range draws as the same range of a draw from 0. The Evaluator turns only
+the rows of the humans linked to no user into links: a linked human
+stands on its user and reads the user's link. ``sample_link`` turns the
 targets' direct paths and their rows of uniforms into every link's fields
 in one vectorised call, with normals by Box-Muller and exponentials by
 inverse CDF, so each link reads a fixed number of uniforms. Each step is

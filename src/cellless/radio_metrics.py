@@ -1,15 +1,21 @@
 """SINR, per-user rates, per-human exposure, and the constraint system.
 
 The Evaluator fixes every link realization of one (scenario, seed) but
-stores none of them. Everything derived from one PoA's links to the users
-(part 0) or to the humans (part 1) lives in one record,
+stores none of them. A human linked to a user (``Human.linked_user``)
+stands on that user: it is the user's body, and it shares its device's
+channel, so its exposure reads the user's links and it has none of its
+own. Everything derived from one PoA's links to the users (part 0) or to
+the unlinked humans (part 1) lives in one record,
 ``Evaluator._parts[(PoA id, part)]``. Made once at construction, it holds
 the targets' ``channel.direct_paths`` and the key (seed, PoA index, part)
 of the part's streams: realization r's links are drawn from the one
-stream keyed (seed, r, PoA index, part), one row of uniforms per target
-(``channel.link_uniforms``), so ``_Part.links`` draws any realization
-range of the part again, bit for bit, through ``channel.sample_link``,
-and the users' links do not depend on the humans. The record also
+stream keyed (seed, r, PoA index, part), one row of uniforms per user or
+per human, linked or not (``channel.link_uniforms``), of which part 1
+reads its unlinked humans' rows only. So ``_Part.links`` draws any
+realization range of the part again, bit for bit, through
+``channel.sample_link``, the users' links do not depend on the humans,
+and an unlinked human's link does not depend on which humans are linked.
+The record also
 caches the part's unit-power (1 W) energy table of shape (realizations,
 targets of the part) per beam geometry, keyed on the exact zenith, azimuth
 and panel columns a table is steered to, so a table depends on its key
@@ -55,8 +61,11 @@ each live row by its watts under a power vector, one computation
 *Verdict* composes each user's SINR from the three terms that
 ``Evaluator._terms`` returns, signal, co-channel interference and noise,
 and takes each human's per-frequency received power as a sum over the live
-rows of the humans tables under their keys, so a humans part is filled
-only for live beam geometries; that power feeds ``power_density`` ->
+rows of the tables under their keys: a linked human's column is its
+user's in the users table, which the stack has already read, and an
+unlinked human's is its own in the humans table, so a humans part is
+filled only for live beam geometries and only over the unlinked humans,
+and never drawn without one; that power feeds ``power_density`` ->
 ``exposure.incident_field`` -> ``exposure.sar_wb``, and the means are
 checked against the rate floors and the SAR ceiling. ``metrics`` composes
 ``mean_rates`` and the exposure, and is the only full verdict:
@@ -91,7 +100,7 @@ import numpy as np
 from . import channel as ch
 from .antenna import FieldWork, PanelGeometry, SteeringDirection, width_to_panel, wrap_angle
 from .exposure import incident_field, sar_wb
-from .scenario import Scenario
+from .scenario import Scenario, ValidationError, linked_user_index
 from .solution import SolutionState, validate
 
 NOISE_DENSITY_W_HZ = ch.dbm_to_watts(ch.NOISE_DENSITY_DBM_HZ)
@@ -146,8 +155,9 @@ class GainStack:
     row ``k`` interferes with it where ``interferers[k, c, 0]``: on its
     serving row's frequency, from another PoA. ``bandwidth[c]`` and
     ``noise[c, 0]`` are its serving PoA's bandwidth and noise power (NaN
-    when unserved). The humans are not stacked: exposure reads the humans
-    tables under the live rows' ``keys``.
+    when unserved). The humans are not stacked: exposure reads the tables
+    under the live rows' ``keys``, a linked human's column of the users
+    table and an unlinked human's of the humans table.
 
     No array is ever written after the stack is made, so stacks share them:
     one built on another shares what the change left alone, and a state
@@ -183,18 +193,20 @@ _BLOCK_RAYS = 2 ** 15
 
 @dataclass
 class _Part:
-    """One PoA's links to the users (part 0) or to the humans (part 1), kept
-    as what draws them: the targets' direct paths from the PoA and the key
-    (seed, PoA index, part) of the links' streams, one per realization
-    (``channel.link_uniforms``). Also the unit-power gain table over them
-    of each beam geometry, keyed (zenith, azimuth, columns), and, from its
-    second fill on, the ``channel.link_terms`` of each of its realization
-    blocks."""
+    """One PoA's links to the users (part 0) or to the unlinked humans (part
+    1), kept as what draws them: the targets' direct paths from the PoA, the
+    key (seed, PoA index, part) of the links' streams, one per realization
+    (``channel.link_uniforms``), and each target's row of its stream's
+    uniforms, its index among all the part's users or humans. Also the
+    unit-power gain table over the targets of each beam geometry, keyed
+    (zenith, azimuth, columns), and, from its second fill on, the
+    ``channel.link_terms`` of each of its realization blocks."""
 
     params: ch.ChannelParams
-    paths: ch.DirectPaths
+    paths: ch.DirectPaths       # of the targets, in ``rows`` order
     key: tuple                  # (seed, PoA index, part)
     n_realizations: int
+    rows: np.ndarray            # each target's stream row, increasing
     tables: dict = field(default_factory=dict)
     kept: list = field(default_factory=list)  # per-block terms, one per blocks() slice
 
@@ -207,12 +219,16 @@ class _Part:
         """The links of the realizations ``index``, a slice, drawn from
         their keyed streams."""
         seed, p_idx, part = self.key
-        return ch.sample_link(self.paths, self.params, ch.link_uniforms(
-            seed, range(self.n_realizations)[index], p_idx, part, self.shape[1], self.params))
+        uniforms = ch.link_uniforms(seed, range(self.n_realizations)[index], p_idx, part,
+                                    int(self.rows[-1]) + 1, self.params)
+        return ch.sample_link(self.paths, self.params, uniforms[:, self.rows])
 
     def blocks(self) -> list:
         """Realization slices of at most ``_BLOCK_RAYS`` rays each (at least
-        one realization), covering the part."""
+        one realization), covering the part; none for a part without
+        targets, which is never drawn."""
+        if not self.shape[1]:
+            return []
         rays = self.shape[1] * self.params.n_clusters * self.params.n_rays
         step = max(1, _BLOCK_RAYS // max(1, rays))
         return [slice(r, r + step) for r in range(0, self.n_realizations, step)]
@@ -238,7 +254,11 @@ class _Part:
         tables = {key: np.empty(self.shape) for key in steered}
         for i, block in enumerate(self.blocks()):
             terms = ch.link_terms(self.links(block), panel) if drawn else self.kept[i]
-            work = FieldWork(terms.rays.size)
+            # Every workspace is a whole block's, whatever the part: a
+            # smaller one lowers glibc's trim threshold (set by the largest
+            # chunk freed), and each block's temporaries are then handed
+            # back to the system and page-faulted in again.
+            work = FieldWork(max(terms.rays.size, _BLOCK_RAYS))
             for key, (geom, steer) in steered.items():
                 tables[key][block] = ch.steered_energy(terms, geom, steer, work)
             if keep:
@@ -277,6 +297,12 @@ def _mean_rate(bandwidth, signal, noise_and_interference):
     return shannon_rate(bandwidth[:, None], signal / noise_and_interference).mean(axis=-1)
 
 
+def _link_fields(link):
+    """The LoS states, pathlosses and shadowing [dB] of drawn links, the
+    fields ``Evaluator.dump_links`` writes."""
+    return link.los, link.pathloss_db, link.shadow_db
+
+
 def _row_sum(per_beam):
     """The sum over the outer (live row) axis of ``per_beam``, added row by
     row in row order whatever the trailing shape. numpy's reduce adds
@@ -292,8 +318,10 @@ class Evaluator:
 
     Per-beam unit-power (1 W) energy tables are computed lazily and cached
     per PoA part by beam geometry, so re-evaluating with different powers
-    is nearly free. A beam's humans-part table is filled only once exposure
-    is read for it.
+    is nearly free. A beam's humans-part table, over the humans linked to
+    no user, is filled only once exposure is read for it. A linked human
+    whose user the scenario lacks, or who does not stand on that user,
+    raises ``ValueError`` naming the human's field.
     """
 
     def __init__(self, scenario: Scenario, seed: int, n_realizations: int = 10):
@@ -303,6 +331,10 @@ class Evaluator:
             raise ValueError("need at least one realization")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        try:
+            linked = [linked_user_index(scenario, i) for i in range(len(scenario.humans))]
+        except ValidationError as e:
+            raise ValueError(str(e)) from None
         self.scenario = scenario
         self._user_ids = [u.id for u in scenario.users]
         self._human_ids = [h.id for h in scenario.humans]
@@ -311,6 +343,11 @@ class Evaluator:
         self._poa_index = {p.id: i for i, p in enumerate(scenario.poas)}
         self._column_of_user = {uid: col for col, uid in enumerate(self._user_ids)}
         self._all_columns = np.arange(self._n_users)
+        # A linked human stands on its user: humans self._linked read the
+        # users' columns self._linked_columns; the others, part 1's targets.
+        self._linked = np.array([i for i, c in enumerate(linked) if c is not None], dtype=int)
+        self._linked_columns = np.array([c for c in linked if c is not None], dtype=int)
+        self._unlinked = np.array([i for i, c in enumerate(linked) if c is None], dtype=int)
         rows = [(b, p.id) for p in sorted(scenario.poas, key=lambda p: p.id) for b in p.beams]
         self._row_of = {key: row for row, key in enumerate(rows)}
         self._row_poa = np.array([self._poa_index[pid] for _, pid in rows], dtype=int)
@@ -327,16 +364,19 @@ class Evaluator:
         }
         # (PoA id, part) -> _Part. The links of PoA index p to part 0 (the
         # users) or 1 (the humans) in realization r are drawn from the one
-        # stream keyed (seed, r, p, part), a row per target; a part keeps
-        # its key and draws the links when it fills.
+        # stream keyed (seed, r, p, part), a row per user or human; part 1
+        # draws the unlinked humans' rows only. A part keeps its key and
+        # draws the links when it fills.
         params = scenario.channel_params
         self._parts = {}
         for p_idx, poa in enumerate(scenario.poas):
-            for part, group in enumerate((scenario.users, scenario.humans)):
+            for part, (group, targets) in enumerate(((scenario.users, self._all_columns),
+                                                     (scenario.humans, self._unlinked))):
                 paths = ch.direct_paths(poa.position.as_tuple(), poa.frequency,
-                                        [t.position.as_tuple() for t in group], params)
+                                        [group[t].position.as_tuple() for t in targets.tolist()],
+                                        params)
                 self._parts[poa.id, part] = _Part(params, paths, (self.seed, p_idx, part),
-                                                  self.n_realizations)
+                                                  self.n_realizations, targets)
         no_beams = (None,) * len(rows)
         self._no_beams = GainStack(
             (), no_beams, no_beams, np.empty((len(rows), self._n_users, self.n_realizations)),
@@ -348,8 +388,19 @@ class Evaluator:
     def beam_gains(self, beam) -> np.ndarray:
         """(n_realizations, n_targets) energies at 1 W transmit power, users
         then humans, as a new array."""
-        key = self._key(beam)
-        return np.concatenate([self._tables([key], part)[0] for part in (0, 1)], axis=1)
+        key = [self._key(beam)]
+        users = self._tables(key, 0)[0]
+        return np.concatenate([users, self._per_human(users, self._tables(key, 1)[0])], axis=1)
+
+    def _per_human(self, of_users, of_unlinked):
+        """A per-target array (..., humans) over every human: a linked
+        human's entries are its user's in ``of_users`` (..., users), an
+        unlinked human's its own in ``of_unlinked`` (..., unlinked humans),
+        an array over part 1's targets."""
+        out = np.empty(of_users.shape[:-1] + (len(self._human_ids),), dtype=of_users.dtype)
+        out[..., self._linked] = of_users[..., self._linked_columns]
+        out[..., self._unlinked] = of_unlinked
+        return out
 
     def _key(self, beam):
         """(PoA id, table key) of the beam's gain tables: the key is its
@@ -499,10 +550,13 @@ class Evaluator:
 
     def _exposure(self, stack, tx_power):
         """Per-human mean SAR (humans,) under per-PoA levels [dBm], from the
-        humans tables of the live rows' keys, each scaled by its row's
-        watts."""
-        tables = self._tables([stack.keys[row] for row in stack.live.tolist()], 1)
-        at_humans = np.array([w * t.T for w, t in zip(self._watts(stack, tx_power), tables)])
+        tables of the live rows' keys, each scaled by its row's watts: a
+        linked human's column of the users table, which the stack read,
+        and an unlinked human's of the humans table."""
+        keys = [stack.keys[row] for row in stack.live.tolist()]
+        tables = zip(self._tables(keys, 0), self._tables(keys, 1))
+        at_humans = np.array([w * self._per_human(users, unlinked).T
+                              for w, (users, unlinked) in zip(self._watts(stack, tx_power), tables)])
         beam_freq = self._poa_frequency[stack.poa_of_beam]
         fields = {f: incident_field(power_density(f, at_humans[beam_freq == f].sum(axis=0)))
                   for f in sorted(set(beam_freq.tolist()))}
@@ -599,25 +653,29 @@ class Evaluator:
         """Per-(realization, beam, target) unit-power energies for inspection.
 
         Together with the solved powers this is enough to recompute every
-        SINR, rate, and received power by hand. On the Evaluator that judged
-        ``solution`` (as either solver's does) it builds no stack and fills
-        no table: it only draws the links again, for their LoS states, path
-        losses and shadowing.
+        SINR, rate, and received power by hand. A linked human's rows are
+        its user's. On the Evaluator that judged ``solution`` (as either
+        solver's does) it builds no stack and fills no table: it only draws
+        the links again, for their LoS states, path losses and shadowing.
         """
         rows = []
-        drawn = {}  # (PoA id, part) -> the los, pathloss_db and shadow_db of its links
-        stack = self.stack(solution)
+        drawn = {}  # PoA id -> the los, pathloss_db and shadow_db of its users, of its humans
+        self.stack(solution)  # refuses a beam, owner or user the scenario lacks
         active = [b for b in solution.beams if b.active]
-        for b, humans in zip(active, self._tables([self._key(b) for b in active], 1)):
+        keys = [self._key(b) for b in active]
+        for b, users, unlinked in zip(active, self._tables(keys, 0), self._tables(keys, 1)):
             poa = self.scenario.poa_by_id(b.owner_poa)
-            energies = stack.gains[self._row_of[b.beam_id, b.owner_poa]].T, humans
-            for part in (0, 1):
-                if (poa.id, part) not in drawn:
-                    link = self._parts[poa.id, part].links()
-                    drawn[poa.id, part] = link.los, link.pathloss_db, link.shadow_db
+            energies = users, self._per_human(users, unlinked)
+            if poa.id not in drawn:
+                of_users = _link_fields(self._parts[poa.id, 0].links())
+                part = self._parts[poa.id, 1]
+                of_unlinked = _link_fields(part.links()) if part.shape[1] else [
+                    a[:, :0] for a in of_users]  # no unlinked human: part 1 is never drawn
+                drawn[poa.id] = of_users, [self._per_human(u, h)
+                                           for u, h in zip(of_users, of_unlinked)]
             for r in range(self.n_realizations):
                 for part, ids in enumerate((self._user_ids, self._human_ids)):
-                    los, pathloss, shadow = drawn[poa.id, part]
+                    los, pathloss, shadow = drawn[poa.id][part]
                     for col, tid in enumerate(ids):
                         rows.append({
                             "realization": r,

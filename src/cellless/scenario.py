@@ -438,15 +438,7 @@ def _validate(s: Scenario):
         human_ids.add(h.id)
         if h.phantom_id not in s.phantoms:
             raise ValidationError(f"{path}.phantom_id", f"unknown phantom {h.phantom_id!r}")
-        if h.linked_user is not None:
-            try:
-                u = s.user_by_id(h.linked_user)
-            except KeyError:
-                raise ValidationError(
-                    f"{path}.linked_user", f"unknown user {h.linked_user!r}") from None
-            if u.position != h.position:
-                raise ValidationError(
-                    f"{path}.position_m", "linked human must share the user position")
+        linked_user_index(s, i)
         _check_position(h.position, s, f"{path}.position_m")
     ref_freqs = {s.frequency_map.reference(p.frequency) for p in s.poas}
     worn = {h.phantom_id for h in s.humans}
@@ -455,6 +447,24 @@ def _validate(s: Scenario):
         if name in worn and missing:
             raise ValidationError(
                 f"phantoms[{i}].sar_ref", f"phantom {name!r} has no SAR_ref at {min(missing)} Hz")
+
+
+def linked_user_index(s: Scenario, i: int) -> int | None:
+    """The index in ``s.users`` of the user that human ``i`` is linked to
+    (``linked_user``), or None for a human linked to none. A linked user the
+    scenario lacks, or a linked human not standing on its user's position,
+    raises ``ValidationError`` at ``humans[i].linked_user`` or
+    ``humans[i].position_m``."""
+    h = s.humans[i]
+    if h.linked_user is None:
+        return None
+    index = next((j for j, u in enumerate(s.users) if u.id == h.linked_user), None)
+    if index is None:
+        raise ValidationError(f"humans[{i}].linked_user", f"unknown user {h.linked_user!r}")
+    if s.users[index].position != h.position:
+        raise ValidationError(f"humans[{i}].position_m",
+                              "linked human must share the user position")
+    return index
 
 
 def _check_position(pos: Position3D, s: Scenario, path: str):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -84,26 +85,26 @@ def test_evaluator_deterministic(tiny_scenario, tiny_solution):
 
 
 def _assert_links_keyed_per_link(ev, p_idx):
-    """Every link one PoA's parts draw, users and humans, over the whole
-    part and block by block, matches ``one_link`` of its key (seed,
-    realization, PoA index, part, target index in the part), a draw that
-    shares no code with the package's (``conftest.assert_links_match``).
-    Returns the whole (users, humans) draws."""
+    """Every link one PoA's parts draw, to the users and to the unlinked
+    humans, over the whole part and block by block, matches ``one_link`` of
+    its key (seed, realization, PoA index, part, target index among all the
+    part's users or humans), a draw that shares no code with the package's
+    (``conftest.assert_links_match``). Returns the whole (users, unlinked
+    humans) draws."""
     poa = ev.scenario.poas[p_idx]
     records = ev._parts[poa.id, 0], ev._parts[poa.id, 1]
+    groups = (list(enumerate(ev.scenario.users)),
+              [(i, h) for i, h in enumerate(ev.scenario.humans) if h.linked_user is None])
     wholes = tuple(record.links() for record in records)
-    assert [part.los.shape for part in wholes] == [
-        (ev.n_realizations, len(ev.scenario.users)),
-        (ev.n_realizations, len(ev.scenario.humans))]
-    for part, (record, group) in enumerate(zip(records, (ev.scenario.users,
-                                                         ev.scenario.humans))):
+    assert [part.los.shape for part in wholes] == [(ev.n_realizations, len(g)) for g in groups]
+    for part, (record, group) in enumerate(zip(records, groups)):
         for block, links in [(slice(None), wholes[part])] + [
                 (block, record.links(block)) for block in record.blocks()]:
             for row, r in enumerate(range(ev.n_realizations)[block]):
-                for col, target in enumerate(group):
+                for col, (stream_row, target) in enumerate(group):
                     one = one_link(poa.position.as_tuple(), poa.frequency,
                                    target.position.as_tuple(), ev.scenario.channel_params,
-                                   (ev.seed, r, p_idx, part, col))
+                                   (ev.seed, r, p_idx, part, stream_row))
                     assert_links_match(links, one, (row, col))
     return wholes
 
@@ -142,6 +143,14 @@ def test_adding_a_human_leaves_every_users_table_and_rate(tiny_scenario, tiny_so
 
 
 _PART_NAMES = ("users", "humans")
+
+
+def _linked_columns(scenario):
+    """Each linked human's index -> its user's index, read from the scenario
+    by id."""
+    users = [u.id for u in scenario.users]
+    return {i: users.index(h.linked_user) for i, h in enumerate(scenario.humans)
+            if h.linked_user is not None}
 
 
 def _count_link_terms_parts(monkeypatch, ev):
@@ -353,10 +362,22 @@ def test_dump_links_recomputes_sinr(tiny_scenario, tiny_solution, ev):
 def test_dump_links_recomputes_sar(tiny_scenario, tiny_solution, ev):
     """The dump's human rows plus the solved powers rebuild every human's
     received power per frequency, and through ``power_density`` ->
-    ``incident_field`` -> ``sar_wb`` the mean SAR that ``metrics`` reports."""
-    rows = [r for r in ev.dump_links(tiny_solution) if r["target_kind"] == "human"]
+    ``incident_field`` -> ``sar_wb`` the mean SAR that ``metrics`` reports.
+    A linked human's rows are its user's: the same energy, LoS state, path
+    loss and shadowing under each beam in each realization."""
+    dump = ev.dump_links(tiny_solution)
+    rows = [r for r in dump if r["target_kind"] == "human"]
     active = [b for b in tiny_solution.beams if b.active]
     assert len(rows) == ev.n_realizations * len(active) * len(tiny_scenario.humans)
+    fields = ("unit_energy_w", "los", "pathloss_db", "shadow_db")
+    by_target = {(r["realization"], r["beam_id"], r["target_id"]): [r[f] for f in fields]
+                 for r in dump}
+    linked = [(h.id, h.linked_user) for h in tiny_scenario.humans if h.linked_user]
+    assert linked
+    for real, beam, target in by_target:
+        for hid, uid in linked:
+            if target == hid:
+                assert by_target[real, beam, hid] == by_target[real, beam, uid]
     sar = ev.metrics(tiny_solution).per_human_sar
     for h in tiny_scenario.humans:
         per_realization = []
@@ -384,6 +405,110 @@ def test_world_without_humans_evaluates(tiny_scenario, tiny_solution):
     ev = Evaluator(no_humans, seed=5, n_realizations=4)
     assert ev.mean_rates(tiny_solution).tolist() == list(m.per_user_rate.values())
     assert ev.beam_gains(tiny_solution.beams[0]).shape == (4, len(no_humans.users))
+
+
+def _linked_tiny_world(tiny_scenario, unlinked):
+    """The tiny world with its unlinked humans replaced by ``unlinked`` of
+    their own, so ``unlinked=()`` links every human."""
+    return replace(tiny_scenario, humans=tuple(
+        h for h in tiny_scenario.humans if h.linked_user is not None) + tuple(unlinked))
+
+
+def _received_at_humans(monkeypatch, ev, solution):
+    """Each frequency's received power [W] (humans, realizations) that
+    ``metrics`` passes to ``power_density`` for ``solution``."""
+    import cellless.radio_metrics as rm
+    received, original = {}, rm.power_density
+
+    def spy(frequency, p_rx):
+        received[frequency] = p_rx
+        return original(frequency, p_rx)
+
+    monkeypatch.setattr(rm, "power_density", spy)
+    ev.metrics(solution)
+    monkeypatch.undo()
+    return received
+
+
+@pytest.mark.parametrize("world", ["tiny", "inf-dh-desk", "umi-sc-desk"])
+def test_a_linked_human_receives_what_its_user_receives(monkeypatch, tiny_scenario,
+                                                        tiny_solution, world):
+    """A linked human stands on its user, and its link is its user's: under
+    every live beam and in every realization its unit-power energy is its
+    user's gain, and the power it receives per frequency is the sum over
+    the live beams on that frequency of the beam's watts times that gain,
+    added in row order."""
+    if world == "tiny":
+        scenario, solution = tiny_scenario, tiny_solution
+    else:
+        scenario = builtin_scenario(world, 2)
+        solution = build_geometry(scenario, CtmConfig(seed=2))
+    ev = Evaluator(scenario, 2, 3)
+    linked = _linked_columns(scenario)
+    assert linked and len(linked) < len(scenario.humans)
+    n_users = len(scenario.users)
+    stack = ev.stack(solution)
+    live = [stack.beams[row] for row in stack.live.tolist()]
+    watts = ev._watts(stack, solution.tx_power)[:, 0, 0]
+    gains = np.array([ev.beam_gains(b) for b in live])  # (live, realizations, targets)
+    for human, user in linked.items():
+        assert gains[:, :, n_users + human].tobytes() == gains[:, :, user].tobytes()
+    received = _received_at_humans(monkeypatch, ev, solution)
+    frequency = np.array([scenario.poa_by_id(b.owner_poa).frequency for b in live])
+    assert set(received) == set(frequency.tolist())
+    for f, at_humans in received.items():
+        at_user = np.add.reduce((watts[:, None, None] * gains)[frequency == f], axis=0)
+        for human, user in linked.items():
+            assert at_humans[human].tobytes() == at_user[:, user].tobytes()
+
+
+def test_linked_humans_draw_no_humans_link(monkeypatch, tiny_scenario, tiny_solution):
+    """A world whose humans are all linked never draws a humans-part link
+    (``_Part.links`` of part 1), in a verdict or a dump, and its humans' SAR
+    is theirs in the world with an unlinked human too, bit for bit. A world
+    with no humans evaluates the same rates."""
+    import cellless.radio_metrics as rm
+    drawn, original = [], rm._Part.links
+
+    def counted(part, *args):
+        drawn.append(part.key[2])  # 0: a users part, 1: a humans part
+        return original(part, *args)
+
+    monkeypatch.setattr(rm._Part, "links", counted)
+    all_linked = _linked_tiny_world(tiny_scenario, ())
+    assert all_linked.humans and all(h.linked_user for h in all_linked.humans)
+    ev = Evaluator(all_linked, 5, 4)
+    sar = ev.metrics(tiny_solution).per_human_sar
+    humans = [r for r in ev.dump_links(tiny_solution) if r["target_kind"] == "human"]
+    assert humans and set(drawn) == {0}
+    drawn.clear()
+    bystander = Human("h-far", Position3D(30.0, 15.0, 1.5), "duke")
+    want = Evaluator(_linked_tiny_world(tiny_scenario, [bystander]), 5, 4).metrics(
+        tiny_solution).per_human_sar
+    assert 1 in drawn  # the bystander's link is drawn from the humans part
+    assert all(np.float64(sar[hid]).tobytes() == np.float64(want[hid]).tobytes() for hid in sar)
+    no_humans = Evaluator(replace(tiny_scenario, humans=()), 5, 4).metrics(tiny_solution)
+    assert no_humans.per_human_sar == {} and no_humans.per_user_rate == ev.metrics(
+        tiny_solution).per_user_rate
+
+
+@pytest.mark.parametrize("change, path", [
+    (lambda h: replace(h, position=Position3D(h.position.x + 5.0, h.position.y, h.position.z)),
+     "humans[0].position_m"),
+    (lambda h: replace(h, linked_user="nobody"), "humans[0].linked_user")],
+    ids=["off-its-user", "unknown-user"])
+def test_a_bad_linked_human_is_refused_at_construction(tiny_scenario, tiny_solution, change,
+                                                       path):
+    """A world built in Python skips the scenario checks that a loaded one
+    passes; a linked human off its user, or linked to a user the world
+    lacks, is refused when the Evaluator is made, at the human's field."""
+    assert tiny_scenario.humans[0].linked_user is not None
+    bad = replace(tiny_scenario, humans=(change(tiny_scenario.humans[0]),)
+                  + tiny_scenario.humans[1:])
+    with pytest.raises(ValueError, match=re.escape(path)):
+        Evaluator(bad, seed=1, n_realizations=2)
+    with pytest.raises(ValueError, match=re.escape(path)):
+        evaluate(tiny_solution, bad, seed=1, n_realizations=2)
 
 
 def test_world_without_targets_evaluates():
@@ -492,8 +617,12 @@ def test_link_energy_matches_beam_gains(tiny_scenario, ev, data, zenith, azimuth
     t_idx = data.draw(st.integers(0, len(_targets(ev)) - 1))
     beam = BeamConfig("probe", poa.id, azimuth, zenith, width, frozenset({"u0"}))
 
+    # A linked human's link is its user's; an unlinked human's is row
+    # (its index among the humans) of the humans' stream.
     n_users = len(tiny_scenario.users)
     part, col = (0, t_idx) if t_idx < n_users else (1, t_idx - n_users)
+    if part == 1 and col in _linked_columns(tiny_scenario):
+        part, col = 0, _linked_columns(tiny_scenario)[col]
     link = one_link(poa.position.as_tuple(), poa.frequency,
                     _targets(ev)[t_idx].position.as_tuple(), tiny_scenario.channel_params,
                     (ev.seed, r, p_idx, part, col))
@@ -620,17 +749,23 @@ def _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams):
 
 def _assert_tables_equal_one_beam_kernel(ev, reference, beams):
     """Each part of each of ``ev``'s beam tables is byte for byte a one-beam
-    ``steered_energy`` call over ``reference``'s links."""
+    ``steered_energy`` call over ``reference``'s links: the users' and the
+    unlinked humans' over their part's links, and a linked human's column
+    its user's."""
     n_users = len(ev.scenario.users)
+    linked, unlinked = _linked_columns(ev.scenario), ev._unlinked
     for b in beams:
         table = ev.beam_gains(b)
         panel = reference._panels[b.owner_poa]
         geom = replace(panel, cols=width_to_panel(b.width, panel))
         steer = SteeringDirection(b.zenith, wrap_angle(b.azimuth - panel.mech_azimuth))
         users, humans = (reference._parts[b.owner_poa, part].links() for part in (0, 1))
-        for links, part in ((users, table[:, :n_users]), (humans, table[:, n_users:])):
+        for links, part in ((users, table[:, :n_users]),
+                            (humans, table[:, n_users + unlinked])):
             one = ch.steered_energy(ch.link_terms(links, geom), geom, steer)
             assert part.tobytes() == one.tobytes()
+        for human, user in linked.items():
+            assert table[:, n_users + human].tobytes() == table[:, user].tobytes()
 
 
 def _desk_ctm_beams():
@@ -681,9 +816,9 @@ def _first_poa_beams(scenario):
 
 @pytest.mark.parametrize("world", ["inf-dh-desk", "umi-sc-desk"])
 def test_block_fills_equal_one_beam_kernel(monkeypatch, world):
-    """20 realizations span two blocks of a desk world's users parts and
-    three of its humans parts, the last of each short, on isotropic
-    (inf-dh) and 3GPP 8 dBi (umi-sc) elements. The block-wise first fill,
+    """20 realizations span two blocks of a desk world's users parts and of
+    its humans parts (its 20 unlinked humans), the last of each short, on
+    isotropic (inf-dh) and 3GPP 8 dBi (umi-sc) elements. The block-wise first fill,
     and then fills from kept per-block terms, equal one-beam kernel calls
     over the whole part byte for byte."""
     scenario = builtin_scenario(world, 1)
@@ -691,7 +826,7 @@ def test_block_fills_equal_one_beam_kernel(monkeypatch, world):
              if b.active]
     ev = Evaluator(scenario, seed=1, n_realizations=20)
     for pid in {b.owner_poa for b in beams}:
-        assert [len(ev._parts[pid, part].blocks()) for part in (0, 1)] == [2, 3]
+        assert [len(ev._parts[pid, part].blocks()) for part in (0, 1)] == [2, 2]
     _assert_grouped_fills_equal_one_beam_kernel(monkeypatch, ev, beams)
     misses = _one_beam_misses(beams[0], 3)[1:]
     for humans in (False, True):
@@ -703,14 +838,14 @@ def test_block_fills_equal_one_beam_kernel(monkeypatch, world):
 
 def test_first_fill_peak_memory_is_flat_in_realizations():
     """A part's first fill holds the drawn links, link terms and steering
-    temporaries of one block at a time. On umi-sc-desk, one PoA's beams over its users and
-    humans: at 8 realizations the humans part is one block, at 32 it is
-    four, and the traced peak of the fill stays within 10 % (a fill from
-    one whole-part ``link_terms`` grows about 3.7 times)."""
+    temporaries of one block at a time. On umi-sc-desk, one PoA's beams over
+    its users and its 20 unlinked humans: at 16 realizations the humans
+    part is one whole block, at 64 it is four, and the traced peak of the
+    fill stays within 10 %."""
     scenario = builtin_scenario("umi-sc-desk", 1)
     beams = _first_poa_beams(scenario)
     peaks = []
-    for n_realizations in (8, 32):
+    for n_realizations in (16, 64):
         ev = Evaluator(scenario, seed=1, n_realizations=n_realizations)
         tracemalloc.start()
         try:
@@ -719,7 +854,7 @@ def test_first_fill_peak_memory_is_flat_in_realizations():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert len(ev._parts[beams[0].owner_poa, 1].blocks()) == n_realizations // 8
+        assert len(ev._parts[beams[0].owner_poa, 1].blocks()) == n_realizations // 16
     assert peaks[1] < 1.1 * peaks[0]
 
 
@@ -741,14 +876,14 @@ def _arrays(value):
 
 def test_evaluate_peak_memory_grows_little_with_realizations():
     """Links are kept as their streams' key alone and drawn one block at a
-    time when a part fills, so on umi-sc-desk one ``evaluate`` at 32
-    realizations peaks within 1.35 times its peak at 8 (stored per-ray
-    links grew it 2.6 times). After one ``metrics`` call, no part holds an
-    array with a ray axis: every array it holds has at most two axes."""
+    time when a part fills, so on umi-sc-desk one ``evaluate`` at 64
+    realizations peaks within 1.35 times its peak at 16, where each part is
+    one whole block. After one ``metrics`` call, no part holds an array
+    with a ray axis: every array it holds has at most two axes."""
     scenario = builtin_scenario("umi-sc-desk", 1)
     sol = build_geometry(scenario, CtmConfig(seed=1))
     peaks = []
-    for n_realizations in (8, 32):
+    for n_realizations in (16, 64):
         tracemalloc.start()
         try:
             evaluate(sol, scenario, 1, n_realizations)
@@ -908,7 +1043,7 @@ def test_part_tables_under_random_calls(desk_pool, calls):
                 read[_table_key(ev, b)] = b
                 if humans:
                     with_humans.add(_table_key(ev, b))
-    n_targets = (len(ev.scenario.users), len(ev.scenario.humans))
+    n_targets = (len(ev.scenario.users), len(ev._unlinked))
     for (pid, part), record in ev._parts.items():
         for table in record.tables.values():
             assert table.shape == (2, n_targets[part])

@@ -1,5 +1,6 @@
 """Cluster-then-Match: per-step oracles and end-to-end behavior."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -612,6 +613,41 @@ def test_solve_ctm_deterministic(tiny_scenario):
     s3, m3 = solve_ctm(Evaluator(tiny_scenario, 7, 4))
     s4, m4 = solve_ctm(Evaluator(tiny_scenario, 7, 4), CtmConfig(seed=7))
     assert s3 == s4 and repr(m3) == repr(m4)
+
+
+# sha256 (first 16 hex digits) of the float64 bytes of a CtM solve's
+# per_user_rate and per_poa_power values and of its unlinked humans'
+# per_human_sar values, in scenario order, at 10 realizations with the
+# world's placement seed as channel and k-means seed. Computed with
+# cellless 0.5.0 on numpy 2.4.6; float bytes can differ on other numpy
+# versions, so the numpy-floor CI job does not run this test.
+_PINNED_CTM = {
+    ("inf-dh-desk", 1): ("eb0c8710fdb73fa1", "079fd3bbbc0cdfd5", "5e442fbfa42274d3"),
+    ("inf-dh-desk", 2): ("4054e092dea7009a", "9ac45bacc0c4759f", "7c3628a47a5de46e"),
+    ("inf-dh-desk", 3): ("89fe8502f53f3213", "969f77eb889028b5", "7d963669ad307fb2"),
+    ("umi-sc-desk", 1): ("d9a85d51136bbb73", "aa158c2cb6a84ac8", "3cc978c1685cec1e"),
+    ("umi-sc-desk", 2): ("abd3a1262b114285", "ef74b767a0237479", "91c4768a2e383edb"),
+    ("umi-sc-desk", 3): ("8e22db169d02cf47", "6ad498f8febcbfb8", "0a8955474e181802"),
+}
+
+
+@pytest.mark.parametrize("world, seed", sorted(_PINNED_CTM))
+def test_ctm_rates_powers_and_unlinked_sars_are_pinned(world, seed):
+    """A linked human's exposure reads its user's link, so only linked
+    humans' SAR moved in 0.6.0: a CtM solve's rates and powers, which never
+    read SAR below the ceiling, and every unlinked human's SAR keep their
+    0.5.0 bits."""
+    scenario = builtin_scenario(world, seed)
+    _, bundle = solve_ctm(Evaluator(scenario, seed, 10))
+    unlinked = [h.id for h in scenario.humans if h.linked_user is None]
+    assert unlinked and bundle.feasible
+
+    def digest(values):
+        return hashlib.sha256(np.array(values, dtype=float).tobytes()).hexdigest()[:16]
+
+    assert (digest(list(bundle.per_user_rate.values())),
+            digest(list(bundle.per_poa_power.values())),
+            digest([bundle.per_human_sar[hid] for hid in unlinked])) == _PINNED_CTM[world, seed]
 
 
 @pytest.mark.parametrize("field", ["scenario", "seed", "n_realizations"])

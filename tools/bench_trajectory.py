@@ -22,7 +22,9 @@ the one this script sits in), so the same script measures any commit:
   ``--repeats`` repeats on one fixed world (``inf-dh-desk`` placed with
   seed 1, channels from ``--seed``; the world of perfbench's ctm-desk):
   ``Evaluator.__init__``; the cold fill, the first ``metrics`` at maximum
-  power; a warm ``metrics``; one ``reduce_powers`` from the warm
+  power; the cold users-only fill, the first ``mean_rates`` at maximum
+  power on another fresh ``Evaluator``, so the cold fill less it is the
+  humans' share; a warm ``metrics``; one ``reduce_powers`` from the warm
   evaluator; and one anneal move, ``objective`` of a neighbour right
   after an untimed ``objective`` of the start, so each move is built on
   the start's stack (the median over a fixed sequence of moves). The fill's
@@ -32,7 +34,8 @@ the one this script sits in), so the same script measures any commit:
   ``channel.steered_energy`` per beam. At paper scale, on
   ``inf-dh-default`` (evaluate-paper's world): a cold ``Evaluator`` and
   its first ``metrics`` at maximum power, that call split into drawing the
-  links, ``channel.link_terms`` and ``channel.steered_energy``.
+  links, ``channel.link_terms`` and ``channel.steered_energy``, and the
+  cold users-only fill, as on the desk world.
 
   Each repeat runs under one ``SpeedProbe`` of ``perfbench/speed.py``, so
   every layer also gets ``median_ref_s``: its samples in reference-core
@@ -207,6 +210,8 @@ def time_solver_layers(seed: int, repeats: int) -> dict:
         init_s, ev = _timed(Evaluator, scenario, seed, REALIZATIONS)
         got = {"evaluator_init": init_s,
                "cold_fill": _timed(ev.metrics, geometry)[0],
+               "cold_users_fill": _timed(Evaluator(scenario, seed, REALIZATIONS).mean_rates,
+                                         geometry)[0],
                "warm_metrics": _timed(ev.metrics, geometry)[0],
                "reduce_powers": _timed(reduce_powers, geometry, ev)[0]}
         rng = np.random.default_rng(seed)
@@ -269,7 +274,8 @@ def time_paper_layers(seed: int, repeats: int) -> dict:
     maximum power on the evaluate-paper world ``inf-dh-default`` (placed
     with seed 1, CtM's geometry), that first ``metrics`` split into its
     three steps: drawing the links (``_Part.links``), ``channel.link_terms``
-    and ``channel.steered_energy``, each summed over the call."""
+    and ``channel.steered_energy``, each summed over the call; and the
+    first ``mean_rates`` of another cold ``Evaluator``, the users' fill."""
     from cellless import channel as ch
     from cellless import radio_metrics as rm
     from cellless.scenario import builtin_template, generate_placements
@@ -301,7 +307,9 @@ def time_paper_layers(seed: int, repeats: int) -> dict:
         finally:
             for (owner, attr, _), fn in zip(steps, originals):
                 setattr(owner, attr, fn)
-        return {"evaluator_init": init_s, "first_metrics": metrics_s, **spent}
+        users_s = _timed(rm.Evaluator(scenario, seed, REALIZATIONS).mean_rates, geometry)[0]
+        return {"evaluator_init": init_s, "first_metrics": metrics_s,
+                "cold_users_fill": users_s, **spent}
 
     return {"world": "inf-dh-default placed with seed 1", "channel_seed": seed,
             "realizations": REALIZATIONS, **_repeat(repeat, repeats)}
