@@ -77,6 +77,9 @@ class PathlossCoeffs:
     b: float
     c: float
 
+    def __iter__(self):
+        return iter((self.a, self.b, self.c))
+
     def db(self, d3d, f_hz):
         d = np.maximum(np.asarray(d3d, dtype=float), 1.0)
         return self.a + self.b * np.log10(d) + self.c * math.log10(f_hz / 1e9)
@@ -84,9 +87,10 @@ class PathlossCoeffs:
 
 @dataclass(frozen=True)
 class LosModel:
-    """Line-of-sight probability model: ``kind`` is one of ``LOS_KINDS``;
-    the clutter fields (density in [0, 1), height [m], block size [m]) are
-    read by the InF-DH model only."""
+    """Line-of-sight probability model: ``kind`` names it (``LOS_KINDS``);
+    the clutter fields (density, height [m], block size [m]) are read by
+    the InF-DH model only. Their ranges are stated beside their scenario
+    file keys (``scenario._LOS_KEYS``)."""
 
     kind: str = "inf-dh"
     clutter_density: float = 0.0
@@ -111,14 +115,6 @@ class ChannelParams:
     pathloss_los: PathlossCoeffs = PathlossCoeffs(31.84, 21.5, 19.0)
     pathloss_nlos: PathlossCoeffs = PathlossCoeffs(33.63, 21.9, 20.0)
     los_model: LosModel = LosModel()
-
-    def __post_init__(self):
-        if self.n_rays < 1 or self.n_clusters < 1:
-            raise ValueError("need at least one cluster and one ray")
-        if self.delay_spread <= 0:
-            raise ValueError("delay spread must be positive")
-        if self.azimuth_spread_dep < 0 or self.zenith_spread_dep < 0:
-            raise ValueError("angular spreads must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -37,14 +37,6 @@ class PhantomProfile:
     bmi_ref: float = 22.0
     e_ref: float = 2.45
 
-    def __post_init__(self):
-        if not (self.bmi > 0 and self.bmi_ref > 0):
-            raise ValueError("BMI values must be positive")
-        if not self.e_ref > 0:
-            raise ValueError(f"e_ref must be positive, got {self.e_ref!r}")
-        if not self.sar_ref or any(not v > 0 for v in self.sar_ref.values()):
-            raise ValueError("sar_ref must be non-empty with positive values")
-
 
 @dataclass(frozen=True)
 class FrequencyMap:

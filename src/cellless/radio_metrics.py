@@ -100,7 +100,7 @@ import numpy as np
 from . import channel as ch
 from .antenna import FieldWork, PanelGeometry, SteeringDirection, width_to_panel, wrap_angle
 from .exposure import incident_field, sar_wb
-from .scenario import Scenario, ValidationError, linked_user_index
+from .scenario import Scenario, linked_user_index
 from .solution import SolutionState, validate
 
 NOISE_DENSITY_W_HZ = ch.dbm_to_watts(ch.NOISE_DENSITY_DBM_HZ)
@@ -319,9 +319,7 @@ class Evaluator:
     Per-beam unit-power (1 W) energy tables are computed lazily and cached
     per PoA part by beam geometry, so re-evaluating with different powers
     is nearly free. A beam's humans-part table, over the humans linked to
-    no user, is filled only once exposure is read for it. A linked human
-    whose user the scenario lacks, or who does not stand on that user,
-    raises ``ValueError`` naming the human's field.
+    no user, is filled only once exposure is read for it.
     """
 
     def __init__(self, scenario: Scenario, seed: int, n_realizations: int = 10):
@@ -331,10 +329,7 @@ class Evaluator:
             raise ValueError("need at least one realization")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        try:
-            linked = [linked_user_index(scenario, i) for i in range(len(scenario.humans))]
-        except ValidationError as e:
-            raise ValueError(str(e)) from None
+        linked = [linked_user_index(scenario, i) for i in range(len(scenario.humans))]
         self.scenario = scenario
         self._user_ids = [u.id for u in scenario.users]
         self._human_ids = [h.id for h in scenario.humans]

@@ -5,8 +5,13 @@ meters, Hz, dBm, bit/s, and degrees for angles; internally angles are
 radians. Saving and loading share one key table per kind of record. Load
 rejects an unknown key, or a missing or unreadable value, naming its path
 (``poas[3].frequency_hz``); every number must be a finite JSON number, and
-a missing optional key takes the dataclass default. A Scenario is immutable
-after load and safe to share across concurrent evaluations.
+a missing optional key takes the dataclass default.
+
+A ranged key states its range beside it in its table, once. Every
+``Scenario`` (built-in, generated, loaded or built in Python) passes one
+check, ``_validate``, when it is built: each held field against the range
+beside its key, refused at the key path, then the rules that span fields.
+A Scenario is immutable and safe to share across concurrent evaluations.
 """
 
 from __future__ import annotations
@@ -103,14 +108,7 @@ class PoA:
 class EndUser:
     id: str
     position: Position3D
-    required_rate: float        # bit/s, positive and finite
-
-    def __post_init__(self):
-        # A floor of 0 is met at any power, so CtM's power step would never
-        # stop lowering its PoA; a NaN floor is never met.
-        if not (math.isfinite(self.required_rate) and self.required_rate > 0):
-            raise ValueError(f"required_rate must be positive and finite, "
-                             f"got {self.required_rate!r}")
+    required_rate: float        # bit/s
 
 
 @dataclass(frozen=True)
@@ -123,6 +121,9 @@ class Human:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A world. Building one runs ``_validate``, which refuses a field out of
+    its key's range, or a broken rule that spans fields, at the file key path."""
+
     kind: str
     bounds: tuple              # (length, width, height) meters
     poas: tuple = ()
@@ -134,6 +135,9 @@ class Scenario:
     frequency_map: FrequencyMap = field(default_factory=FrequencyMap)
     min_poa_user_distance: float = 0.0
     name: str = "custom"
+
+    def __post_init__(self):
+        _validate(self)
 
     def poa_by_id(self, poa_id):
         for p in self.poas:
@@ -169,6 +173,365 @@ class ScenarioTemplate:
     required_rate: float
     phantom_cycle: tuple
     min_user_spacing: float = 0.0
+
+
+# ---------------------------------------------------------------------------
+# Serialization: one table per kind of file record, file key -> (dataclass
+# field, parse, dump[, range]). A dotted key (``limits.sar_wkg``) is nested in
+# the file. Every number is parsed by ``_real`` and written as held;
+# ``solution.py`` too. Parsing checks types only; the range, on the held
+# value, is checked by ``_validate``: an interval or a set of values, the key
+# table of a record (or of each record of a list), or one range per position
+# of a list. A range of a map's values holds for each of them.
+
+@dataclass(frozen=True)
+class _Interval:
+    """The reals from ``low`` to ``high``, with the ends that ``closed``
+    names included ("[" the low one, "]" the high one). An end at ±inf is
+    left open, so NaN and ±inf lie in no interval."""
+
+    low: float
+    high: float = math.inf
+    closed: str = ""
+
+    def __contains__(self, x):
+        return ((self.low <= x) if "[" in self.closed else (self.low < x)) and (
+            (x <= self.high) if "]" in self.closed else (x < self.high))
+
+    def show(self, dump):
+        return (f"in {'[' if '[' in self.closed else '('}{dump(self.low):g}, "
+                f"{dump(self.high):g}{']' if ']' in self.closed else ')'}")
+
+
+@dataclass(frozen=True)
+class _OneOf:
+    values: tuple
+
+    def __contains__(self, x):
+        return x in self.values
+
+    def show(self, dump):
+        return f"one of {self.values}"
+
+
+class _PathSegment:
+    """A scenario's name is the first directory of its runs under ``--out``."""
+
+    def __contains__(self, name):
+        return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+    def show(self, dump):
+        return "one plain path segment"
+
+
+_FINITE = _Interval(-math.inf)
+_POSITIVE = _Interval(0.0)
+_NON_NEGATIVE = _Interval(0.0, closed="[")
+_AT_LEAST_ONE = _Interval(1, closed="[")
+
+
+def _same(value):
+    return value
+
+
+def _object(value):
+    if not isinstance(value, dict):
+        raise TypeError("must be an object")
+    return dict(value)
+
+
+def _text(value):
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    return value
+
+
+def _real(value):
+    """A finite JSON number as a ``float``: no boolean, string, NaN or Infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value):
+    """An integral JSON number as an ``int``; a fraction is refused too."""
+    if not _real(value).is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _optional(parse, null=None):
+    return lambda value: null if value is None else parse(value)
+
+
+def _radians(deg):
+    return math.radians(_real(deg))
+
+
+def _float_key(key):
+    """An object key, a JSON string, read as a finite number."""
+    return _real(float(key))
+
+
+def _map_of(parse_key, parse_value):
+    """An object read key by key; a failure is reported at its key."""
+    return lambda value: {_parse_at(k, parse_key, k): _parse_at(k, parse_value, v)
+                          for k, v in _object(value).items()}
+
+
+def _str_keys(mapping):
+    return {str(k): v for k, v in sorted(mapping.items())}
+
+
+def _parse_at(path, parse, value):
+    """``parse(value)``; a failure is reported at ``path``, or below it."""
+    try:
+        return parse(value)
+    except ValidationError as e:
+        sep = "" if not e.path or e.path.startswith("[") else "."
+        raise ValidationError(f"{path}{sep}{e.path}", e.message) from None
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(path, str(e)) from None
+
+
+def _list_of(parse):
+    def parse_list(value):
+        if not isinstance(value, list):
+            raise TypeError("must be a list")
+        return tuple(_parse_at(f"[{i}]", parse, v) for i, v in enumerate(value))
+    return parse_list
+
+
+def _record(cls, table, data):
+    """A ``cls`` from the file record ``data``; error paths are relative."""
+    given = _object(data)
+    for block in {k.split(".")[0] for k in table if "." in k} & given.keys():
+        nested = _parse_at(block, _object, given.pop(block))
+        given.update((f"{block}.{k}", v) for k, v in nested.items())
+    for key in given:
+        if key not in table:
+            raise ValidationError(key, "unknown key")
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    values = {}
+    for key, (name, parse, *_) in table.items():
+        if key in given:
+            values[name] = _parse_at(key, parse, given[key])
+        elif name in required:
+            raise ValidationError(key, "missing")
+    return cls(**values)
+
+
+def _dump(obj, table):
+    record = {}
+    for key, (name, _, dump, *_) in table.items():
+        block, _, sub = key.rpartition(".")
+        (record.setdefault(block, {}) if block else record)[sub] = dump(getattr(obj, name))
+    return record
+
+
+def _records(cls, table):
+    """(parse, dump) of a list of ``cls`` records."""
+    return (_list_of(lambda data: _record(cls, table, data)),
+            lambda items: [_dump(x, table) for x in items])
+
+
+def _parse_poa(data):
+    poa = _record(PoA, _POA_KEYS, data)   # listed without beams, a PoA has one
+    return poa if "beams" in data else replace(poa, beams=(f"{poa.id}-b0",))
+
+
+def _phantoms(value):
+    phantoms = {}
+    for j, ph in enumerate(_parse_phantoms(value)):
+        if ph.name in phantoms:
+            raise ValidationError(f"[{j}].name", f"duplicate phantom {ph.name!r}")
+        phantoms[ph.name] = ph
+    return phantoms
+
+
+def _channel_params(data):
+    if isinstance(data, dict):   # the retired arrival-spread keys load, and are ignored
+        data = {k: v for k, v in data.items() if k not in _RETIRED_CHANNEL_KEYS}
+    return _record(ChannelParams, _CHANNEL_KEYS, data)
+
+
+# x and y must lie inside the scenario's bounds (``_check_position``).
+_POSITION_KEYS = {"x": ("x", _real, _same), "y": ("y", _real, _same),
+                  "z": ("z", _real, _same, _NON_NEGATIVE)}
+_POSITION = ("position", lambda data: _record(Position3D, _POSITION_KEYS, data),
+             lambda pos: _dump(pos, _POSITION_KEYS), _POSITION_KEYS)
+_ID = ("id", _text, _same)
+_float_map = _map_of(_float_key, _real)
+
+_POA_KEYS = {
+    "id": _ID,
+    "position_m": _POSITION,
+    "frequency_hz": ("frequency", _real, _same, _POSITIVE),
+    "bandwidth_hz": ("bandwidth", _real, _same, _POSITIVE),
+    "max_tx_power_dbm": ("max_tx_power_dbm", _real, _same, _FINITE),
+    "min_beam_width_deg": ("min_beam_width", _radians, math.degrees,
+                           _Interval(0.0, math.pi, "]")),
+    "panel_rows": ("panel_rows", _integer, _same, _AT_LEAST_ONE),
+    "panel_cols": ("panel_cols", _integer, _same, _AT_LEAST_ONE),
+    "mech_azimuth_deg": ("mech_azimuth", _radians, math.degrees, _FINITE),
+    "beams": ("beams", _list_of(_same), list),
+    "element_pattern": ("element_pattern", _text, _same, _OneOf(ELEMENT_PATTERNS)),
+}
+# A floor of 0 is met at any power, so CtM's power step would never stop
+# lowering its PoA; a NaN floor is never met.
+_USER_KEYS = {"id": _ID, "position_m": _POSITION,
+              "required_rate_bps": ("required_rate", _real, _same, _POSITIVE)}
+_HUMAN_KEYS = {"id": _ID, "position_m": _POSITION,
+               "phantom_id": ("phantom_id", _text, _same),
+               "linked_user": ("linked_user", _optional(_text), _same)}
+_PHANTOM_KEYS = {
+    "name": ("name", _text, _same),
+    "bmi": ("bmi", _real, _same, _POSITIVE),
+    "bmi_ref": ("bmi_ref", _real, _same, _POSITIVE),
+    "e_ref_vpm": ("e_ref", _real, _same, _POSITIVE),
+    "sar_ref": ("sar_ref", _float_map, _str_keys, _POSITIVE),
+}
+_LOS_KEYS = {
+    "kind": ("kind", _text, _same, _OneOf(LOS_KINDS)),
+    "clutter_density": ("clutter_density", _real, _same, _Interval(0.0, 1.0, "[")),
+    "clutter_height": ("clutter_height", _real, _same, _FINITE),
+    "clutter_size_m": ("clutter_size_m", _real, _same, _POSITIVE),
+}
+_PATHLOSS = (lambda value: PathlossCoeffs(*_list_of(_real)(value)), list, (_FINITE,) * 3)
+_CHANNEL_KEYS = {
+    "n_clusters": ("n_clusters", _integer, _same, _AT_LEAST_ONE),
+    "n_rays": ("n_rays", _integer, _same, _AT_LEAST_ONE),
+    "delay_spread_s": ("delay_spread", _real, _same, _POSITIVE),
+    "azimuth_spread_dep_deg": ("azimuth_spread_dep", _radians, math.degrees, _NON_NEGATIVE),
+    "zenith_spread_dep_deg": ("zenith_spread_dep", _radians, math.degrees, _NON_NEGATIVE),
+    "shadow_sigma_los_db": ("shadow_sigma_los_db", _real, _same, _FINITE),
+    "shadow_sigma_nlos_db": ("shadow_sigma_nlos_db", _real, _same, _FINITE),
+    "rician_k_mean_db": ("rician_k_mean_db", _real, _same, _FINITE),
+    "rician_k_sigma_db": ("rician_k_sigma_db", _real, _same, _FINITE),
+    "pathloss_los": ("pathloss_los", *_PATHLOSS),
+    "pathloss_nlos": ("pathloss_nlos", *_PATHLOSS),
+    "los_model": ("los_model", lambda data: _record(LosModel, _LOS_KEYS, data),
+                  lambda model: _dump(model, _LOS_KEYS), _LOS_KEYS),
+}
+_RETIRED_CHANNEL_KEYS = {"azimuth_spread_arr_deg", "zenith_spread_arr_deg"}
+
+_parse_phantoms, _dump_phantoms = _records(PhantomProfile, _PHANTOM_KEYS)
+_SCENARIO_KEYS = {
+    "name": ("name", _text, _same, _PathSegment()),
+    "kind": ("kind", _text, _same),
+    "bounds_m": ("bounds", _list_of(_real), list, (_POSITIVE, _POSITIVE)),
+    "limits.sar_wkg": ("sar_limit", _real, _same, _POSITIVE),
+    "limits.min_poa_user_distance_m": ("min_poa_user_distance", _real, _same, _NON_NEGATIVE),
+    "poas": ("poas", _list_of(_parse_poa), lambda poas: [_dump(p, _POA_KEYS) for p in poas],
+             _POA_KEYS),
+    "users": ("users", *_records(EndUser, _USER_KEYS), _USER_KEYS),
+    "humans": ("humans", *_records(Human, _HUMAN_KEYS), _HUMAN_KEYS),
+    "phantoms": ("phantoms", _phantoms, lambda phantoms: _dump_phantoms(phantoms.values()),
+                 _PHANTOM_KEYS),
+    "frequency_map": ("frequency_map", lambda value: FrequencyMap(_float_map(value)),
+                      lambda fmap: _str_keys(fmap.pairs)),
+    "channel_params": ("channel_params", _channel_params, lambda cp: _dump(cp, _CHANNEL_KEYS),
+                       _CHANNEL_KEYS),
+}
+
+
+def _check_ranges(value, within, path="", dump=_same):
+    """Refuse the first part of the held ``value`` outside ``within`` (see
+    the tables above) with a ``ValidationError`` at its file key path."""
+    if isinstance(within, dict) and isinstance(value, (tuple, dict)):   # a list of records
+        for i, record in enumerate(value.values() if isinstance(value, dict) else value):
+            _check_ranges(record, within, f"{path}[{i}]")
+    elif isinstance(within, dict):
+        for key, (name, _, dump, *ranged) in within.items():
+            if ranged:
+                _check_ranges(getattr(value, name), ranged[0], f"{path}.{key}" if path else key,
+                              dump)
+    elif isinstance(within, tuple):
+        for i, (item, item_range) in enumerate(zip(value, within)):
+            _check_ranges(item, item_range, f"{path}[{i}]")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _check_ranges(item, within, f"{path}.{key}")
+    elif value not in within:
+        raise ValidationError(path, f"must be {within.show(dump)}, got {dump(value)!r}")
+
+
+def _validate(s: Scenario):
+    """Every field of ``s`` in the range beside its key, then the rules that
+    span fields: unique ids, string beam ids each owned by one PoA, positions
+    inside the bounds, linked humans on their users, every PoA frequency
+    mapped and every worn phantom's SAR_ref covering the mapped ones."""
+    _check_ranges(s, _SCENARIO_KEYS)
+    if len(s.bounds) < 2:
+        raise ValidationError("bounds_m", "needs a length and a width")
+    ids, beam_ids = set(), set()
+    for i, p in enumerate(s.poas):
+        path = f"poas[{i}]"
+        if p.id in ids:
+            raise ValidationError(f"{path}.id", f"duplicate id {p.id!r}")
+        ids.add(p.id)
+        for j, beam_id in enumerate(p.beams):
+            if not isinstance(beam_id, str):
+                raise ValidationError(f"{path}.beams[{j}]", "must be a string")
+            if beam_id in beam_ids:
+                raise ValidationError(f"{path}.beams[{j}]", f"duplicate beam id {beam_id!r}")
+            beam_ids.add(beam_id)
+        _check_position(p.position, s, f"{path}.position_m")
+        if p.frequency not in s.frequency_map.pairs:
+            raise ValidationError(f"{path}.frequency_hz",
+                                  f"{p.frequency} Hz missing from frequency_map")
+    if not beam_ids:
+        raise ValidationError("poas", "no PoA has a beam")
+    user_ids = set()
+    for i, u in enumerate(s.users):
+        path = f"users[{i}]"
+        if u.id in ids or u.id in user_ids:
+            raise ValidationError(f"{path}.id", f"duplicate id {u.id!r}")
+        user_ids.add(u.id)
+        _check_position(u.position, s, f"{path}.position_m")
+    human_ids = set()
+    for i, h in enumerate(s.humans):
+        path = f"humans[{i}]"
+        if h.id in ids or h.id in user_ids or h.id in human_ids:
+            raise ValidationError(f"{path}.id", f"duplicate id {h.id!r}")
+        human_ids.add(h.id)
+        if h.phantom_id not in s.phantoms:
+            raise ValidationError(f"{path}.phantom_id", f"unknown phantom {h.phantom_id!r}")
+        linked_user_index(s, i)
+        _check_position(h.position, s, f"{path}.position_m")
+    ref_freqs = {s.frequency_map.reference(p.frequency) for p in s.poas}
+    worn = {h.phantom_id for h in s.humans}
+    for i, (name, ph) in enumerate(s.phantoms.items()):
+        missing = ref_freqs - ph.sar_ref.keys()
+        if name in worn and missing:
+            raise ValidationError(
+                f"phantoms[{i}].sar_ref", f"phantom {name!r} has no SAR_ref at {min(missing)} Hz")
+
+
+def linked_user_index(s: Scenario, i: int) -> int | None:
+    """The index in ``s.users`` of the user that human ``i`` is linked to
+    (``linked_user``), or None for a human linked to none. A linked user the
+    scenario lacks, or a linked human not standing on its user's position,
+    raises ``ValidationError`` at ``humans[i].linked_user`` or
+    ``humans[i].position_m``."""
+    h = s.humans[i]
+    if h.linked_user is None:
+        return None
+    index = next((j for j, u in enumerate(s.users) if u.id == h.linked_user), None)
+    if index is None:
+        raise ValidationError(f"humans[{i}].linked_user", f"unknown user {h.linked_user!r}")
+    if s.users[index].position != h.position:
+        raise ValidationError(f"humans[{i}].position_m",
+                              "linked human must share the user position")
+    return index
+
+
+def _check_position(pos: Position3D, s: Scenario, path: str):
+    """(x, y) inside the bounding box; with finite bounds this also refuses
+    NaN and infinite x and y."""
+    if not (0.0 <= pos.x <= s.bounds[0]) or not (0.0 <= pos.y <= s.bounds[1]):
+        raise ValidationError(path, "(x, y) outside the scenario bounding box")
 
 
 # Placeholder phantom constants. The BMI and SAR_ref numbers below are
@@ -361,348 +724,12 @@ def generate_placements(template: ScenarioTemplate, seed: int) -> Scenario:
             h = template.user_heights[int(rng.integers(len(template.user_heights)))]
             humans.append(Human(f"human{i}", Position3D(x, y, h), phantom))
 
-    scenario = replace(world, users=tuple(users), humans=tuple(humans))
-    _validate(scenario)
-    return scenario
+    return replace(world, users=tuple(users), humans=tuple(humans))
 
 
 def builtin_scenario(name: str, seed: int = 0) -> Scenario:
     """A fully placed built-in scenario (template + seeded placements)."""
     return generate_placements(builtin_template(name), seed)
-
-
-def _validate(s: Scenario):
-    # The name is a directory of the run layout: one plain path segment.
-    if s.name in ("", ".", "..") or any(c in s.name for c in "/\\\0"):
-        raise ValidationError("name", f"must be one plain path segment, got {s.name!r}")
-    lm = s.channel_params.los_model
-    if lm.kind not in LOS_KINDS:
-        raise ValidationError("channel_params.los_model.kind",
-                              f"unknown LoS model {lm.kind!r}, expected one of {LOS_KINDS}")
-    if not 0.0 <= lm.clutter_density < 1.0:
-        raise ValidationError("channel_params.los_model.clutter_density",
-                              f"must be in [0, 1), got {lm.clutter_density!r}")
-    if not 0.0 < lm.clutter_size_m < math.inf:
-        raise ValidationError("channel_params.los_model.clutter_size_m",
-                              f"must be positive and finite, got {lm.clutter_size_m!r}")
-    if s.sar_limit <= 0:
-        raise ValidationError("limits.sar_wkg", "must be positive")
-    if len(s.bounds) < 2:
-        raise ValidationError("bounds_m", "needs a length and a width")
-    for i in (0, 1):
-        if not 0.0 < s.bounds[i] < math.inf:
-            raise ValidationError(f"bounds_m[{i}]", "must be positive and finite")
-    ids, beam_ids = set(), set()
-    for i, p in enumerate(s.poas):
-        path = f"poas[{i}]"
-        if p.id in ids:
-            raise ValidationError(f"{path}.id", f"duplicate id {p.id!r}")
-        ids.add(p.id)
-        for j, beam_id in enumerate(p.beams):
-            if not isinstance(beam_id, str):
-                raise ValidationError(f"{path}.beams[{j}]", "must be a string")
-            if beam_id in beam_ids:
-                raise ValidationError(f"{path}.beams[{j}]", f"duplicate beam id {beam_id!r}")
-            beam_ids.add(beam_id)
-        if p.frequency <= 0:
-            raise ValidationError(f"{path}.frequency_hz", "must be positive")
-        if not (math.isfinite(p.bandwidth) and p.bandwidth > 0):
-            raise ValidationError(f"{path}.bandwidth_hz", "must be positive and finite")
-        if not math.isfinite(p.max_tx_power_dbm):
-            raise ValidationError(f"{path}.max_tx_power_dbm", "must be finite")
-        if not (0.0 < p.min_beam_width <= math.pi):
-            raise ValidationError(f"{path}.min_beam_width_deg", "must be in (0, 180]")
-        for key in ("panel_rows", "panel_cols"):
-            if getattr(p, key) < 1:
-                raise ValidationError(f"{path}.{key}", "must be >= 1")
-        if p.element_pattern not in ELEMENT_PATTERNS:
-            raise ValidationError(f"{path}.element_pattern", f"unknown {p.element_pattern!r}")
-        _check_position(p.position, s, f"{path}.position_m")
-        if p.frequency not in s.frequency_map.pairs:
-            raise ValidationError(f"{path}.frequency_hz",
-                                  f"{p.frequency} Hz missing from frequency_map")
-    if not beam_ids:
-        raise ValidationError("poas", "no PoA has a beam")
-    user_ids = set()
-    for i, u in enumerate(s.users):
-        path = f"users[{i}]"
-        if u.id in ids or u.id in user_ids:
-            raise ValidationError(f"{path}.id", f"duplicate id {u.id!r}")
-        user_ids.add(u.id)
-        _check_position(u.position, s, f"{path}.position_m")
-    human_ids = set()
-    for i, h in enumerate(s.humans):
-        path = f"humans[{i}]"
-        if h.id in ids or h.id in user_ids or h.id in human_ids:
-            raise ValidationError(f"{path}.id", f"duplicate id {h.id!r}")
-        human_ids.add(h.id)
-        if h.phantom_id not in s.phantoms:
-            raise ValidationError(f"{path}.phantom_id", f"unknown phantom {h.phantom_id!r}")
-        linked_user_index(s, i)
-        _check_position(h.position, s, f"{path}.position_m")
-    ref_freqs = {s.frequency_map.reference(p.frequency) for p in s.poas}
-    worn = {h.phantom_id for h in s.humans}
-    for i, (name, ph) in enumerate(s.phantoms.items()):
-        missing = ref_freqs - ph.sar_ref.keys()
-        if name in worn and missing:
-            raise ValidationError(
-                f"phantoms[{i}].sar_ref", f"phantom {name!r} has no SAR_ref at {min(missing)} Hz")
-
-
-def linked_user_index(s: Scenario, i: int) -> int | None:
-    """The index in ``s.users`` of the user that human ``i`` is linked to
-    (``linked_user``), or None for a human linked to none. A linked user the
-    scenario lacks, or a linked human not standing on its user's position,
-    raises ``ValidationError`` at ``humans[i].linked_user`` or
-    ``humans[i].position_m``."""
-    h = s.humans[i]
-    if h.linked_user is None:
-        return None
-    index = next((j for j, u in enumerate(s.users) if u.id == h.linked_user), None)
-    if index is None:
-        raise ValidationError(f"humans[{i}].linked_user", f"unknown user {h.linked_user!r}")
-    if s.users[index].position != h.position:
-        raise ValidationError(f"humans[{i}].position_m",
-                              "linked human must share the user position")
-    return index
-
-
-def _check_position(pos: Position3D, s: Scenario, path: str):
-    """Finite coordinates inside the bounding box; with finite bounds the
-    (x, y) range test also refuses NaN and infinite x and y."""
-    if not 0.0 <= pos.z < math.inf:
-        raise ValidationError(f"{path}.z", "height must be non-negative and finite")
-    if not (0.0 <= pos.x <= s.bounds[0]) or not (0.0 <= pos.y <= s.bounds[1]):
-        raise ValidationError(path, "(x, y) outside the scenario bounding box")
-
-
-# ---------------------------------------------------------------------------
-# Serialization: one table per kind of file record, file key -> (dataclass
-# field, parse, dump). A dotted key (``limits.sar_wkg``) is nested in the file.
-# Every number is parsed by ``_real`` and written as held; ``solution.py`` too.
-
-def _same(value):
-    return value
-
-
-def _object(value):
-    if not isinstance(value, dict):
-        raise TypeError("must be an object")
-    return dict(value)
-
-
-def _text(value):
-    if not isinstance(value, str):
-        raise TypeError(f"must be a string, got {value!r}")
-    return value
-
-
-def _real(value):
-    """A finite JSON number as a ``float``: no boolean, string, NaN or Infinity."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise TypeError(f"must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(value):
-    """An integral JSON number as an ``int``; a fraction is refused too."""
-    if not _real(value).is_integer():
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
-
-
-def _bounded(parse, low, strict=True):
-    """``parse``, refusing a result below ``low``, or equal to it when
-    ``strict``: the range checks of the dataclasses a record builds, made
-    at the key so that a failure names it."""
-    def bounded(value):
-        result = parse(value)
-        if result < low or (strict and result == low):
-            raise ValueError(f"must be {'>' if strict else '>='} {low}, got {value!r}")
-        return result
-    return bounded
-
-
-_positive = _bounded(_real, 0.0)
-
-
-def _optional(parse, null=None):
-    return lambda value: null if value is None else parse(value)
-
-
-def _radians(deg):
-    return math.radians(_real(deg))
-
-
-def _float_key(key):
-    """An object key, a JSON string, read as a finite number."""
-    return _real(float(key))
-
-
-def _map_of(parse_key, parse_value):
-    """An object read key by key; a failure is reported at its key."""
-    return lambda value: {_parse_at(k, parse_key, k): _parse_at(k, parse_value, v)
-                          for k, v in _object(value).items()}
-
-
-def _str_keys(mapping):
-    return {str(k): v for k, v in sorted(mapping.items())}
-
-
-def _parse_at(path, parse, value):
-    """``parse(value)``; a failure is reported at ``path``, or below it."""
-    try:
-        return parse(value)
-    except ValidationError as e:
-        sep = "" if not e.path or e.path.startswith("[") else "."
-        raise ValidationError(f"{path}{sep}{e.path}", e.message) from None
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ValidationError(path, str(e)) from None
-
-
-def _list_of(parse):
-    def parse_list(value):
-        if not isinstance(value, list):
-            raise TypeError("must be a list")
-        return tuple(_parse_at(f"[{i}]", parse, v) for i, v in enumerate(value))
-    return parse_list
-
-
-def _record(cls, table, data):
-    """A ``cls`` from the file record ``data``; error paths are relative."""
-    given = _object(data)
-    for block in {k.split(".")[0] for k in table if "." in k} & given.keys():
-        nested = _parse_at(block, _object, given.pop(block))
-        given.update((f"{block}.{k}", v) for k, v in nested.items())
-    for key in given:
-        if key not in table:
-            raise ValidationError(key, "unknown key")
-    required = {f.name for f in fields(cls)
-                if f.default is MISSING and f.default_factory is MISSING}
-    values = {}
-    for key, (name, parse, _) in table.items():
-        if key in given:
-            values[name] = _parse_at(key, parse, given[key])
-        elif name in required:
-            raise ValidationError(key, "missing")
-    return cls(**values)
-
-
-def _dump(obj, table):
-    record = {}
-    for key, (name, _, dump) in table.items():
-        block, _, sub = key.rpartition(".")
-        (record.setdefault(block, {}) if block else record)[sub] = dump(getattr(obj, name))
-    return record
-
-
-def _records(cls, table):
-    """(parse, dump) of a list of ``cls`` records."""
-    return (_list_of(lambda data: _record(cls, table, data)),
-            lambda items: [_dump(x, table) for x in items])
-
-
-def _parse_poa(data):
-    poa = _record(PoA, _POA_KEYS, data)   # listed without beams, a PoA has one
-    return poa if "beams" in data else replace(poa, beams=(f"{poa.id}-b0",))
-
-
-def _phantoms(value):
-    phantoms = {}
-    for j, ph in enumerate(_parse_phantoms(value)):
-        if ph.name in phantoms:
-            raise ValidationError(f"[{j}].name", f"duplicate phantom {ph.name!r}")
-        phantoms[ph.name] = ph
-    return phantoms
-
-
-def _channel_params(data):
-    if isinstance(data, dict):   # the retired arrival-spread keys load, and are ignored
-        data = {k: v for k, v in data.items() if k not in _RETIRED_CHANNEL_KEYS}
-    return _record(ChannelParams, _CHANNEL_KEYS, data)
-
-
-_POSITION_KEYS = {axis: (axis, _real, _same) for axis in "xyz"}
-_POSITION = ("position", lambda data: _record(Position3D, _POSITION_KEYS, data),
-             lambda pos: _dump(pos, _POSITION_KEYS))
-_ID = ("id", _text, _same)
-_float_map = _map_of(_float_key, _real)
-
-_POA_KEYS = {
-    "id": _ID,
-    "position_m": _POSITION,
-    "frequency_hz": ("frequency", _real, _same),
-    "bandwidth_hz": ("bandwidth", _real, _same),
-    "max_tx_power_dbm": ("max_tx_power_dbm", _real, _same),
-    "min_beam_width_deg": ("min_beam_width", _radians, math.degrees),
-    "panel_rows": ("panel_rows", _integer, _same),
-    "panel_cols": ("panel_cols", _integer, _same),
-    "mech_azimuth_deg": ("mech_azimuth", _radians, math.degrees),
-    "beams": ("beams", _list_of(_same), list),
-    "element_pattern": ("element_pattern", _text, _same),
-}
-_USER_KEYS = {"id": _ID, "position_m": _POSITION,
-              "required_rate_bps": ("required_rate", _positive, _same)}
-_HUMAN_KEYS = {"id": _ID, "position_m": _POSITION,
-               "phantom_id": ("phantom_id", _text, _same),
-               "linked_user": ("linked_user", _optional(_text), _same)}
-
-
-def _sar_ref(value):
-    table = _map_of(_float_key, _positive)(value)
-    if not table:
-        raise ValueError("must not be empty")
-    return table
-
-
-_PHANTOM_KEYS = {
-    "name": ("name", _text, _same),
-    "bmi": ("bmi", _positive, _same),
-    "bmi_ref": ("bmi_ref", _positive, _same),
-    "e_ref_vpm": ("e_ref", _positive, _same),
-    "sar_ref": ("sar_ref", _sar_ref, _str_keys),
-}
-_LOS_KEYS = {
-    "kind": ("kind", _text, _same),
-    "clutter_density": ("clutter_density", _real, _same),
-    "clutter_height": ("clutter_height", _real, _same),
-    "clutter_size_m": ("clutter_size_m", _real, _same),
-}
-_PATHLOSS = (lambda value: PathlossCoeffs(*_list_of(_real)(value)), lambda c: [c.a, c.b, c.c])
-_CHANNEL_KEYS = {
-    "n_clusters": ("n_clusters", _bounded(_integer, 1, strict=False), _same),
-    "n_rays": ("n_rays", _bounded(_integer, 1, strict=False), _same),
-    "delay_spread_s": ("delay_spread", _positive, _same),
-    "azimuth_spread_dep_deg": ("azimuth_spread_dep", _bounded(_radians, 0.0, strict=False),
-                               math.degrees),
-    "zenith_spread_dep_deg": ("zenith_spread_dep", _bounded(_radians, 0.0, strict=False),
-                              math.degrees),
-    "shadow_sigma_los_db": ("shadow_sigma_los_db", _real, _same),
-    "shadow_sigma_nlos_db": ("shadow_sigma_nlos_db", _real, _same),
-    "rician_k_mean_db": ("rician_k_mean_db", _real, _same),
-    "rician_k_sigma_db": ("rician_k_sigma_db", _real, _same),
-    "pathloss_los": ("pathloss_los", *_PATHLOSS),
-    "pathloss_nlos": ("pathloss_nlos", *_PATHLOSS),
-    "los_model": ("los_model", lambda data: _record(LosModel, _LOS_KEYS, data),
-                  lambda model: _dump(model, _LOS_KEYS)),
-}
-_RETIRED_CHANNEL_KEYS = {"azimuth_spread_arr_deg", "zenith_spread_arr_deg"}
-
-_parse_phantoms, _dump_phantoms = _records(PhantomProfile, _PHANTOM_KEYS)
-_SCENARIO_KEYS = {
-    "name": ("name", _text, _same),
-    "kind": ("kind", _text, _same),
-    "bounds_m": ("bounds", _list_of(_real), list),
-    "limits.sar_wkg": ("sar_limit", _real, _same),
-    "limits.min_poa_user_distance_m": ("min_poa_user_distance", _real, _same),
-    "poas": ("poas", _list_of(_parse_poa), lambda poas: [_dump(p, _POA_KEYS) for p in poas]),
-    "users": ("users", *_records(EndUser, _USER_KEYS)),
-    "humans": ("humans", *_records(Human, _HUMAN_KEYS)),
-    "phantoms": ("phantoms", _phantoms, lambda phantoms: _dump_phantoms(phantoms.values())),
-    "frequency_map": ("frequency_map", lambda value: FrequencyMap(_float_map(value)),
-                      lambda fmap: _str_keys(fmap.pairs)),
-    "channel_params": ("channel_params", _channel_params, lambda cp: _dump(cp, _CHANNEL_KEYS)),
-}
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -720,7 +747,6 @@ def scenario_from_dict(data: dict) -> Scenario:
     # with the LoS model, the only copy the physics reads.
     clutter = _parse_at("clutter", _object, data.pop("clutter", {}))
     scenario = _record(Scenario, _SCENARIO_KEYS, data)
-    _validate(scenario)
     lm = scenario.channel_params.los_model
     for key, field_name in (("density", "clutter_density"), ("height_m", "clutter_height")):
         if key in clutter and clutter[key] != getattr(lm, field_name):
@@ -743,3 +769,4 @@ def save_scenario(s: Scenario, path: str):
     with open(path, "w") as f:
         json.dump(scenario_to_dict(s), f, indent=2, sort_keys=True)
         f.write("\n")
+

@@ -13,6 +13,7 @@ from cellless.antenna import (ELEMENT_SPACING, ISOTROPIC, THREEGPP_8DBI, FieldWo
 from cellless.channel import (SPEED_OF_LIGHT, ChannelParams, LosModel, PathlossCoeffs,
                               dbm_to_watts, direct_paths, link_terms, link_uniforms,
                               los_probability, sample_link, steered_energy)
+from cellless.scenario import ValidationError, builtin_template
 from conftest import assert_links_match, one_link
 
 PARAMS = ChannelParams(los_model=LosModel("umi"))
@@ -438,9 +439,13 @@ def test_huge_k_matches_pure_los_closed_form():
 
 
 def test_channel_params_validation():
-    with pytest.raises(ValueError):
-        ChannelParams(n_rays=0)
-    with pytest.raises(ValueError):
-        ChannelParams(delay_spread=0.0)
-    with pytest.raises(ValueError):
-        ChannelParams(azimuth_spread_dep=-0.1)
+    """A world holding channel parameters out of range is refused when it
+    is built, at the parameter's file key."""
+    world = builtin_template("inf-dh-desk").world
+    for change, path in [({"n_rays": 0}, "channel_params.n_rays"),
+                         ({"delay_spread": 0.0}, "channel_params.delay_spread_s"),
+                         ({"azimuth_spread_dep": -0.1}, "channel_params.azimuth_spread_dep_deg")]:
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(world, channel_params=dataclasses.replace(
+                world.channel_params, **change))
+        assert err.value.path == path

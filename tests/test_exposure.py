@@ -1,12 +1,14 @@
 """Exposure scaling laws and the phantom/frequency plumbing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cellless.exposure import (FREE_SPACE_IMPEDANCE, FrequencyMap, PhantomProfile,
                                UnmappedFrequencyError, incident_field, sar_wb)
+from cellless.scenario import ValidationError, builtin_scenario
 
 PHANTOM = PhantomProfile("test", bmi=24.0, sar_ref={2.45e9: 3.2e-4})
 FMAP = FrequencyMap({3.5e9: 2.45e9})
@@ -58,9 +60,15 @@ def test_incident_field():
 
 
 def test_phantom_validation():
-    with pytest.raises(ValueError):
-        PhantomProfile("x", bmi=0.0, sar_ref={2.45e9: 1e-4})
-    with pytest.raises(ValueError):
-        PhantomProfile("x", bmi=20.0, sar_ref={})
-    with pytest.raises(ValueError):
-        PhantomProfile("x", bmi=20.0, sar_ref={2.45e9: -1.0})
+    """A world whose worn phantom holds a BMI or a SAR_ref out of range, or
+    no SAR_ref, is refused when it is built, at the phantom's file key."""
+    world = builtin_scenario("inf-dh-desk", 0)
+    ella = world.phantoms["ella"]
+    assert next(iter(world.phantoms)) == "ella" and world.humans[0].phantom_id == "ella"
+    for change, path in [({"bmi": 0.0}, "phantoms[0].bmi"),
+                         ({"sar_ref": {}}, "phantoms[0].sar_ref"),
+                         ({"sar_ref": {**ella.sar_ref, 2.45e9: -1.0}},
+                          "phantoms[0].sar_ref.2450000000.0")]:
+        with pytest.raises(ValidationError) as err:
+            replace(world, phantoms={**world.phantoms, "ella": replace(ella, **change)})
+        assert err.value.path == path

@@ -7,10 +7,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellless import scenario as scenario_module
 from cellless.channel import ChannelParams
 from cellless.cli import main
-from cellless.scenario import (BUILTIN_TEMPLATES, EndUser, ParseError, Position3D,
-                               ScenarioError, ValidationError, builtin_scenario,
+from cellless.scenario import (_SCENARIO_KEYS, BUILTIN_TEMPLATES, ParseError, ScenarioError,
+                               ValidationError, builtin_scenario,
                                builtin_template, generate_placements,
                                load_scenario, save_scenario,
                                scenario_from_dict, scenario_to_dict)
@@ -312,7 +313,9 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d["phantoms"][2].update(bmi=0), "phantoms[2].bmi"),
     (lambda d: d["phantoms"][1].update(bmi_ref=-22.0), "phantoms[1].bmi_ref"),
     (lambda d: d["phantoms"][0].update(sar_ref={}), "phantoms[0].sar_ref"),
-    (lambda d: d["phantoms"][0]["sar_ref"].update({"1e9": 0.0}), "phantoms[0].sar_ref.1e9"),
+    # A held map key is a number: the entry is named by its canonical key.
+    (lambda d: d["phantoms"][0]["sar_ref"].update({"1e9": 0.0}),
+     "phantoms[0].sar_ref.1000000000.0"),
     (lambda d: d.update(name="../escaped"), "name"),
     (lambda d: d.update(name="a/b"), "name"),
     (lambda d: d.update(name="a\\b"), "name"),
@@ -348,13 +351,103 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
 @pytest.mark.parametrize("rate", [0.0, -1e6, math.nan, math.inf, -math.inf])
 def test_end_user_refuses_a_non_positive_or_non_finite_floor(rate):
     """A floor of 0 is met at any power, so CtM's power step would lower its
-    PoA for ever, and a NaN floor is never met: ``EndUser`` refuses both, and
-    any floor that is not positive and finite, naming the field."""
-    with pytest.raises(ValueError, match="required_rate"):
-        EndUser("u0", Position3D(1.0, 1.0, 1.5), rate)
-    user = builtin_scenario("inf-dh-desk", 0).users[0]
-    with pytest.raises(ValueError, match="required_rate"):
-        replace(user, required_rate=rate)
+    PoA for ever, and a NaN floor is never met: a world holding a user with
+    either, or any floor that is not positive and finite, is refused when it
+    is built, at the user's floor key."""
+    world = builtin_scenario("inf-dh-desk", 0)
+    with pytest.raises(ValidationError) as err:
+        replace(world, users=(replace(world.users[0], required_rate=rate),) + world.users[1:])
+    assert err.value.path == "users[0].required_rate_bps"
+
+
+def _slot(get, *keys):
+    """(get, put) of the place ``get(d)[keys[0]][keys[1]]...`` of a file dict."""
+    def parent(d):
+        obj = get(d)
+        for key in keys[:-1]:
+            obj = obj[key]
+        return obj
+    return (lambda d: parent(d)[keys[-1]]), (lambda d, x: parent(d).__setitem__(keys[-1], x))
+
+
+def _ranged_fields(value, within, path="", rebuild=lambda x: x, slot=(lambda d: d, None),
+                   dump=lambda x: x):
+    """(path, range, dump, rebuild, put) of each ranged field of the held
+    ``value``, walked as the scenario check walks it; the first record of a
+    list and the first entry of a map stand for all of them. ``rebuild(x)``
+    builds the world holding ``x`` in place of the field, and ``put(d, x)``
+    puts ``x`` in its place in the world's file dict ``d``."""
+    get, put = slot
+    if isinstance(within, dict) and isinstance(value, (tuple, dict)):   # a list of records
+        if isinstance(value, dict):   # the phantoms, held by name
+            name = next(iter(value))
+            first, again = value[name], lambda x: rebuild({**value, name: x})
+        else:
+            first, again = value[0], lambda x: rebuild((x,) + value[1:])
+        yield from _ranged_fields(first, within, f"{path}[0]", again, _slot(get, 0))
+    elif isinstance(within, dict):
+        for key, (name, _, dump, *ranged) in within.items():
+            if ranged:
+                yield from _ranged_fields(
+                    getattr(value, name), ranged[0], f"{path}.{key}" if path else key,
+                    lambda x, name=name: rebuild(replace(value, **{name: x})),
+                    _slot(get, *key.split(".")), dump)
+    elif isinstance(within, tuple):   # a range per position: bounds, pathloss coefficients
+        items = tuple(value)
+        for i, item_range in enumerate(within):
+            def again(x, i=i):
+                new = items[:i] + (x,) + items[i + 1:]
+                return rebuild(new if isinstance(value, tuple) else type(value)(*new))
+            yield from _ranged_fields(items[i], item_range, f"{path}[{i}]", again, _slot(get, i))
+    elif isinstance(value, dict):   # a SAR_ref map: its first entry
+        key = next(iter(value))
+        yield from _ranged_fields(value[key], within, f"{path}.{key}",
+                                  lambda x: rebuild({**value, key: x}), _slot(get, str(key)))
+    else:
+        yield path, within, dump, rebuild, put
+
+
+def _outside(within):
+    """Held values outside ``within``: for an interval, a hair past each
+    finite end, NaN and ±inf; for a set of texts, one in no such set."""
+    if not hasattr(within, "low"):
+        return ["../elsewhere"]
+    ends = [(within.low, "[", -1.0), (within.high, "]", 1.0)]
+    return [end + sign * 1e-9 * max(1.0, abs(end)) if bracket in within.closed else end
+            for end, bracket, sign in ends if math.isfinite(end)] + [math.nan, math.inf,
+                                                                     -math.inf]
+
+
+_WORLD = builtin_scenario("inf-dh-desk", 0)
+_RANGED = {path: rest for path, *rest in _ranged_fields(_WORLD, _SCENARIO_KEYS)}
+
+
+@pytest.mark.parametrize("path", list(_RANGED))
+def test_built_and_loaded_worlds_are_refused_at_the_same_key(path):
+    """For each ranged key, a value a hair out of its range, NaN and ±inf: a
+    world built in Python holding it is refused when it is built, and so is
+    its file, at the same key path."""
+    within, dump, rebuild, put = _RANGED[path]
+    for bad in _outside(within):
+        with pytest.raises(ValidationError) as built:
+            rebuild(bad)
+        d = scenario_to_dict(_WORLD)
+        put(d, dump(bad))
+        with pytest.raises(ValidationError) as loaded:
+            scenario_from_dict(d)
+        assert built.value.path == loaded.value.path == path, bad
+
+
+def test_every_world_passes_the_check_once(monkeypatch):
+    """A generated, a loaded and a Python-built world each pass the scenario
+    check exactly once."""
+    calls = []
+    check = scenario_module._validate
+    monkeypatch.setattr(scenario_module, "_validate", lambda s: calls.append(s) or check(s))
+    world = builtin_scenario("inf-dh-desk", 1)
+    loaded = scenario_from_dict(scenario_to_dict(world))
+    built = replace(world, sar_limit=0.05)
+    assert len(calls) == 3 and all(a is b for a, b in zip(calls, [world, loaded, built]))
 
 
 @_BAD_INPUTS

@@ -83,12 +83,13 @@ def test_min_serving_distance_enforced():
         if b.owner_poa == near.id and b == sol.beams_of(near.id)[0]:
             served = served | {user.id}
         beams.append(replace(b, served_users=served))
-    # Move the user's position next to that PoA via a fresh scenario copy.
-    users = tuple(
-        replace(u, position=replace(u.position, x=near.position.x + 1.0,
-                                    y=near.position.y)) if u.id == user.id else u
-        for u in scenario.users)
-    close = replace(scenario, users=users)
+    # Move the user, and the human linked to it, next to that PoA via a
+    # fresh scenario copy.
+    moved = replace(user.position, x=near.position.x + 1.0, y=near.position.y)
+    users = tuple(replace(u, position=moved) if u.id == user.id else u for u in scenario.users)
+    humans = tuple(replace(h, position=moved) if h.linked_user == user.id else h
+                   for h in scenario.humans)
+    close = replace(scenario, users=users, humans=humans)
     forced = replace(sol, beams=tuple(beams))
     assert "serving_too_close" in codes(validate(forced, close))
 
