@@ -108,6 +108,11 @@ class FieldWork:
     def __init__(self, size: int):
         self._buffers = np.empty((3, max(size, 2)), dtype=complex)
 
+    @property
+    def size(self) -> int:
+        """The most observation angles one ``take`` can hand out."""
+        return self._buffers.shape[1]
+
     def take(self, size: int) -> tuple:
         """The first ``size`` entries of each of the three buffers."""
         return tuple(b[:size] for b in self._buffers)

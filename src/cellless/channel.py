@@ -44,10 +44,10 @@ same terms passes to every call; the rays are summed per cluster, and the
 per-beam ``antenna.beam_phasor`` multiplies the cluster sums. The
 Evaluator fills its gain tables through one path: per realization block
 of a PoA's links, one ``link_terms``, drawn anew or kept from an earlier
-fill, and one ``FieldWork``, shared by every beam steered over the
-block. Both steps are elementwise or reduce the trailing cluster and ray
-axes, so a slice of the links steers to that slice of the whole call's
-bits.
+fill, steered beam by beam through the Evaluator's one ``FieldWork``,
+which every block reuses. Both steps are elementwise or reduce the
+trailing cluster and ray axes, so a slice of the links steers to that
+slice of the whole call's bits.
 """
 
 from __future__ import annotations
@@ -413,11 +413,11 @@ def steered_energy(terms: LinkTerms, geom: PanelGeometry, steer: SteeringDirecti
     the rays. Returns an array with the links' leading shape. Callers that
     steer many beams over the same links compute the terms once and pass
     one ``work``, a ``FieldWork`` of at least the links' ray count, which
-    holds the ray field of each beam in turn.
+    holds each beam's ray field and then its direct-path field.
     """
     rays = steered_sum(geom, terms.ray_panel, terms.rays, steer, work)
     amps = terms.cluster_amp * rays.sum(axis=-1)
-    h_los = steered_sum(geom, terms.los_panel, terms.los, steer)
+    h_los = steered_sum(geom, terms.los_panel, terms.los, steer, work)  # rays' field is spent
     amps = amps * terms.scatter_mix
     amps[..., 0] += terms.los_mix * h_los
     amps = np.multiply(amps, beam_phasor(geom, steer))

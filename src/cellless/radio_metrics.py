@@ -22,20 +22,23 @@ and panel columns a table is steered to, so a table depends on its key
 alone and a result on no earlier call. The tables missing in one call are
 grouped per part; each group steers every missing key with
 ``channel.steered_energy``. A fill runs in realization blocks of at most
-``_BLOCK_RAYS`` rays: per block, one ``channel.link_terms`` and one
-``antenna.FieldWork`` of steering buffers are shared by every beam. The
-terms hold three complex numbers per ray, the two axis phasors and one
-folded weight, computed from per-cluster angles; a beam then costs
-complex products per ray and one phasor per beam on the cluster sums. A
-part's first fill draws each block's links and frees its terms and
-workspace before the next block, so its memory is bounded by a block, not
-by the realization count, and a part filled once (``evaluate``,
-``solve_ctm`` and its dump) keeps nothing. Its second fill draws the
-blocks again and keeps their terms, so a part refilled beam by beam (the
-MaxRate anneal) stops recomputing them. Each step is elementwise or
-reduces the trailing cluster and ray axes, and each link's draw reads its
-own row of its realization's stream only, so the tables have the same
-bits whatever the block. A part no beam of the PoA reaches is never
+``_BLOCK_RAYS`` rays: per block, one ``channel.link_terms`` is shared by
+every beam. The terms hold three complex numbers per ray, the two axis
+phasors and one folded weight, computed from per-cluster angles; a beam
+then costs complex products per ray and one phasor per beam on the
+cluster sums. Every beam of every block, part and PoA is steered through
+the Evaluator's one ``antenna.FieldWork`` of steering buffers, made at
+its first fill for its largest block and kept as long as the Evaluator,
+so those buffers are allocated and paged in once, not once per block. A
+part's first fill draws each block's links and frees its terms before the
+next block, so its memory is bounded by a block, not by the realization
+count, and a part filled once (``evaluate``, ``solve_ctm`` and its dump)
+keeps nothing but its tables. Its second fill draws the blocks again and
+keeps their terms, so a part refilled beam by beam (the MaxRate anneal)
+stops recomputing them. Each step is elementwise or reduces the trailing
+cluster and ray axes, and each link's draw reads its own row of its
+realization's stream only, so the tables have the same bits whatever the
+block or the workspace's size. A part no beam of the PoA reaches is never
 drawn. Channel ray geometry does not depend on any decision variable, so
 beam changes only add table entries and power changes invalidate nothing.
 
@@ -223,27 +226,37 @@ class _Part:
                                     int(self.rows[-1]) + 1, self.params)
         return ch.sample_link(self.paths, self.params, uniforms[:, self.rows])
 
+    def _block(self) -> tuple:
+        """(realizations per block, rays per realization)."""
+        rays = self.shape[1] * self.params.n_clusters * self.params.n_rays
+        return max(1, _BLOCK_RAYS // max(1, rays)), rays
+
     def blocks(self) -> list:
         """Realization slices of at most ``_BLOCK_RAYS`` rays each (at least
         one realization), covering the part; none for a part without
         targets, which is never drawn."""
         if not self.shape[1]:
             return []
-        rays = self.shape[1] * self.params.n_clusters * self.params.n_rays
-        step = max(1, _BLOCK_RAYS // max(1, rays))
+        step = self._block()[0]
         return [slice(r, r + step) for r in range(0, self.n_realizations, step)]
 
-    def fill(self, keys, panel):
+    def largest_block(self) -> int:
+        """The rays of the part's largest block (0 without targets)."""
+        step, rays = self._block()
+        return min(step, self.n_realizations) * rays
+
+    def fill(self, keys, panel, work: FieldWork):
         """Compute the table of each (zenith, azimuth, columns) key in
         ``keys``, steered to the key's own angles.
 
         Block by block, every key is steered from one ``link_terms`` of the
-        block's links, through one workspace of steering buffers. The first
-        fill draws each block's links and frees its terms and workspace
-        before the next block, so it keeps nothing; the second fill draws
-        them again and keeps each block's terms, which every later fill
-        steers from. Every step is elementwise or reduces the trailing
-        cluster and ray axes, so the tables have the same bits either way.
+        block's links, through ``work``, a workspace of steering buffers of
+        at least ``largest_block`` rays. The first fill draws each block's
+        links and frees its terms before the next block, so it keeps
+        nothing; the second fill draws them again and keeps each block's
+        terms, which every later fill steers from. Every step is elementwise
+        or reduces the trailing cluster and ray axes, so the tables have the
+        same bits either way.
         """
         mech = panel.mech_azimuth
         steered = {key: (replace(panel, cols=key[2]),
@@ -254,16 +267,14 @@ class _Part:
         tables = {key: np.empty(self.shape) for key in steered}
         for i, block in enumerate(self.blocks()):
             terms = ch.link_terms(self.links(block), panel) if drawn else self.kept[i]
-            # Every workspace is a whole block's, whatever the part: a
-            # smaller one lowers glibc's trim threshold (set by the largest
-            # chunk freed), and each block's temporaries are then handed
-            # back to the system and page-faulted in again.
-            work = FieldWork(max(terms.rays.size, _BLOCK_RAYS))
+            # The workspace is the Evaluator's, made once: a buffer made per
+            # block would be handed back to the system after the block and
+            # page-faulted in again at the next.
             for key, (geom, steer) in steered.items():
                 tables[key][block] = ch.steered_energy(terms, geom, steer, work)
             if keep:
                 self.kept.append(terms)
-            del terms, work  # freed before the next block's links are drawn
+            del terms  # freed before the next block's links are drawn
         self.tables.update(tables)
 
 
@@ -329,7 +340,6 @@ class Evaluator:
             raise ValueError("need at least one realization")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        linked = [linked_user_index(scenario, i) for i in range(len(scenario.humans))]
         self.scenario = scenario
         self._user_ids = [u.id for u in scenario.users]
         self._human_ids = [h.id for h in scenario.humans]
@@ -337,6 +347,8 @@ class Evaluator:
         self._n_users = len(scenario.users)
         self._poa_index = {p.id: i for i, p in enumerate(scenario.poas)}
         self._column_of_user = {uid: col for col, uid in enumerate(self._user_ids)}
+        linked = [linked_user_index(scenario, i, self._column_of_user)
+                  for i in range(len(scenario.humans))]
         self._all_columns = np.arange(self._n_users)
         # A linked human stands on its user: humans self._linked read the
         # users' columns self._linked_columns; the others, part 1's targets.
@@ -372,6 +384,7 @@ class Evaluator:
                                         params)
                 self._parts[poa.id, part] = _Part(params, paths, (self.seed, p_idx, part),
                                                   self.n_realizations, targets)
+        self._work = None  # the steering workspace of every fill (``_tables``)
         no_beams = (None,) * len(rows)
         self._no_beams = GainStack(
             (), no_beams, no_beams, np.empty((len(rows), self._n_users, self.n_realizations)),
@@ -408,13 +421,18 @@ class Evaluator:
         """The cached (realizations, targets) table of ``part`` (0: the
         users, 1: the humans) of each ``_key`` in ``keys``. The missing
         tables are filled in one ``_Part.fill`` per PoA, so one PoA's terms
-        are freed before the next PoA's are computed."""
+        are freed before the next PoA's are computed. Every fill steers
+        through the Evaluator's one ``FieldWork``, made at the first fill
+        for the largest block of any part and kept as long as the
+        Evaluator."""
         missing = {}
         for pid, key in keys:
             if key not in self._parts[pid, part].tables:
                 missing.setdefault(pid, set()).add(key)
+        if missing and self._work is None:
+            self._work = FieldWork(max(p.largest_block() for p in self._parts.values()))
         for pid, group in missing.items():
-            self._parts[pid, part].fill(group, self._panels[pid])
+            self._parts[pid, part].fill(group, self._panels[pid], self._work)
         return [self._parts[pid, part].tables[key] for pid, key in keys]
 
     # -- the power core: stack, scale, verdict ----------------------------------

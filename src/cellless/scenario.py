@@ -181,8 +181,9 @@ class ScenarioTemplate:
 # the file. Every number is parsed by ``_real`` and written as held;
 # ``solution.py`` too. Parsing checks types only; the range, on the held
 # value, is checked by ``_validate``: an interval or a set of values, the key
-# table of a record (or of each record of a list), or one range per position
-# of a list. A range of a map's values holds for each of them.
+# table of a record (or of each record of a list), one range per position
+# of a list, or a range of one attribute of the value (``_Attribute``). A
+# range of a map's values holds for each of them.
 
 @dataclass(frozen=True)
 class _Interval:
@@ -222,6 +223,15 @@ class _PathSegment:
 
     def show(self, dump):
         return "one plain path segment"
+
+
+@dataclass(frozen=True)
+class _Attribute:
+    """``within`` of the held value's attribute ``name``, checked at the
+    value's own key path: a ``FrequencyMap`` is filed as its ``pairs``."""
+
+    name: str
+    within: object
 
 
 _FINITE = _Interval(-math.inf)
@@ -430,7 +440,7 @@ _SCENARIO_KEYS = {
     "phantoms": ("phantoms", _phantoms, lambda phantoms: _dump_phantoms(phantoms.values()),
                  _PHANTOM_KEYS),
     "frequency_map": ("frequency_map", lambda value: FrequencyMap(_float_map(value)),
-                      lambda fmap: _str_keys(fmap.pairs)),
+                      lambda fmap: _str_keys(fmap.pairs), _Attribute("pairs", _POSITIVE)),
     "channel_params": ("channel_params", _channel_params, lambda cp: _dump(cp, _CHANNEL_KEYS),
                        _CHANNEL_KEYS),
 }
@@ -450,6 +460,8 @@ def _check_ranges(value, within, path="", dump=_same):
     elif isinstance(within, tuple):
         for i, (item, item_range) in enumerate(zip(value, within)):
             _check_ranges(item, item_range, f"{path}[{i}]")
+    elif isinstance(within, _Attribute):
+        _check_ranges(getattr(value, within.name), within.within, path)
     elif isinstance(value, dict):
         for key, item in value.items():
             _check_ranges(item, within, f"{path}.{key}")
@@ -490,7 +502,7 @@ def _validate(s: Scenario):
             raise ValidationError(f"{path}.id", f"duplicate id {u.id!r}")
         user_ids.add(u.id)
         _check_position(u.position, s, f"{path}.position_m")
-    human_ids = set()
+    human_ids, user_index = set(), {u.id: j for j, u in enumerate(s.users)}
     for i, h in enumerate(s.humans):
         path = f"humans[{i}]"
         if h.id in ids or h.id in user_ids or h.id in human_ids:
@@ -498,7 +510,7 @@ def _validate(s: Scenario):
         human_ids.add(h.id)
         if h.phantom_id not in s.phantoms:
             raise ValidationError(f"{path}.phantom_id", f"unknown phantom {h.phantom_id!r}")
-        linked_user_index(s, i)
+        linked_user_index(s, i, user_index)
         _check_position(h.position, s, f"{path}.position_m")
     ref_freqs = {s.frequency_map.reference(p.frequency) for p in s.poas}
     worn = {h.phantom_id for h in s.humans}
@@ -509,16 +521,17 @@ def _validate(s: Scenario):
                 f"phantoms[{i}].sar_ref", f"phantom {name!r} has no SAR_ref at {min(missing)} Hz")
 
 
-def linked_user_index(s: Scenario, i: int) -> int | None:
+def linked_user_index(s: Scenario, i: int, user_index: dict) -> int | None:
     """The index in ``s.users`` of the user that human ``i`` is linked to
-    (``linked_user``), or None for a human linked to none. A linked user the
+    (``linked_user``), or None for a human linked to none, looked up in
+    ``user_index``, each user id's index in ``s.users``. A linked user the
     scenario lacks, or a linked human not standing on its user's position,
     raises ``ValidationError`` at ``humans[i].linked_user`` or
     ``humans[i].position_m``."""
     h = s.humans[i]
     if h.linked_user is None:
         return None
-    index = next((j for j, u in enumerate(s.users) if u.id == h.linked_user), None)
+    index = user_index.get(h.linked_user)
     if index is None:
         raise ValidationError(f"humans[{i}].linked_user", f"unknown user {h.linked_user!r}")
     if s.users[index].position != h.position:

@@ -58,7 +58,8 @@ def test_parse_perfbench_refuses_a_malformed_op_line(trajectory):
 
 def test_layer_run_is_stored_under_its_label(trajectory, tmp_path):
     """Two runs into one file keep both labels; each holds every layer, in
-    raw and in reference-core seconds, the paper-scale ones too."""
+    raw and in reference-core seconds, the paper-scale ones too, and the
+    minor page faults of the paper world's first ``metrics``."""
     out = tmp_path / "bench.json"
     for label in ("parent", "change"):
         code = trajectory.main(["--layers-only", "--repeats", "1", "--out", str(out),
@@ -81,6 +82,10 @@ def test_layer_run_is_stored_under_its_label(trajectory, tmp_path):
     for layer in layers:
         assert layer["samples"] == 1 and layer["median_s"] > 0.0
         assert 0.0 < layer["median_ref_s"] < math.inf
+    # Beside the first metrics' time, the minor page faults it took.
+    faults = paper["first_metrics_minor_faults"]
+    assert isinstance(faults, int) and faults >= 0
+    assert paper["first_metrics_minor_faults_by_repeat"] == [faults]
 
 
 @pytest.mark.parametrize("stdout, outcome", [

@@ -1,6 +1,7 @@
 """Evaluator: SINR/rate/SAR aggregation, caching, and determinism."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellless.antenna import PanelGeometry, SteeringDirection, width_to_panel, wrap_angle
+from cellless.antenna import (FieldWork, PanelGeometry, SteeringDirection, width_to_panel,
+                              wrap_angle)
 from cellless import channel as ch
 from cellless.channel import (NOISE_DENSITY_DBM_HZ, ChannelParams, dbm_to_watts, link_terms,
                               steered_energy)
@@ -20,7 +22,7 @@ from cellless.scenario import (EndUser, Human, PoA, Position3D, Scenario, Valida
                                builtin_scenario)
 from cellless.solution import BeamConfig, SolutionState
 from cellless.solver_ctm import CtmConfig, build_geometry
-from cellless.solver_maxrate import ANGLE_STEP, objective
+from cellless.solver_maxrate import ANGLE_STEP, objective, solve_maxrate
 from conftest import assert_links_match, make_poa, make_tiny_scenario, one_link
 
 
@@ -895,6 +897,59 @@ def test_evaluate_peak_memory_grows_little_with_realizations():
     for record in ev._parts.values():
         assert record.shape == (8, record.paths.d_3d.shape[0])
         assert all(a.ndim <= 2 for a in _arrays(record))
+
+
+def test_one_steering_workspace_per_evaluator(monkeypatch):
+    """Every block of every fill, over both parts of every PoA, steers
+    through the Evaluator's one ``FieldWork``, made at its first fill for
+    the largest block of any part: a paper-scale ``metrics``
+    (inf-dh-default, four blocks per part) and a full MaxRate solve on
+    inf-dh-desk (the default annealer) each make exactly one."""
+    made, init = [], FieldWork.__init__
+
+    def counted(self, size):
+        made.append(self)
+        init(self, size)
+
+    monkeypatch.setattr(FieldWork, "__init__", counted)
+    scenario = builtin_scenario("inf-dh-default", 1)
+    solution = build_geometry(scenario, CtmConfig(seed=1))
+    ev = Evaluator(scenario, 1, 10)
+    assert made == [] and {len(p.blocks()) for p in ev._parts.values()} == {4}
+    ev.metrics(solution)
+    assert made == [ev._work]
+    assert ev._work.size == max(p.largest_block() for p in ev._parts.values()) == 30_000
+    desk = Evaluator(builtin_scenario("inf-dh-desk", 1), 1, 10)
+    solve_maxrate(desk)
+    assert made == [ev._work, desk._work]
+
+
+# sha256 (first 16 hex digits) of the float64 bytes of the per_user_rate and
+# per_human_sar values of ``evaluate`` at maximum power on CtM's geometry, in
+# scenario order, with placement, channel and k-means seed 1 at 10
+# realizations. Computed with cellless 0.6.0 on numpy 2.4.6; float bytes can
+# differ on other numpy versions, so the numpy-floor CI job does not run this
+# test.
+_PINNED_EVALUATE = {
+    "inf-dh-desk": ("0681b6ccf55a16d3", "593ae313f686fdc5"),
+    "umi-sc-desk": ("6240b6f7ad15b089", "226d8da8ffc5dcb1"),
+    "inf-dh-default": ("fad15d1056589e0e", "f743ea05ec2a0f87"),
+    "umi-sc-default": ("54cbde8468d060fb", "4d07fe6a9daa955f"),
+}
+
+
+@pytest.mark.parametrize("world", sorted(_PINNED_EVALUATE))
+def test_evaluate_at_max_power_is_pinned(world):
+    """Every built-in's rates and SARs keep their bits, whatever workspace
+    the fills steer through."""
+    scenario = builtin_scenario(world, 1)
+    bundle = evaluate(build_geometry(scenario, CtmConfig(seed=1)), scenario, 1)
+
+    def digest(values):
+        return hashlib.sha256(np.array(values, dtype=float).tobytes()).hexdigest()[:16]
+
+    assert (digest(list(bundle.per_user_rate.values())),
+            digest(list(bundle.per_human_sar.values()))) == _PINNED_EVALUATE[world]
 
 
 # ---------------------------------------------------------------------------

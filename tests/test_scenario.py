@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cellless import scenario as scenario_module
 from cellless.channel import ChannelParams
 from cellless.cli import main
+from cellless.exposure import FrequencyMap
 from cellless.scenario import (_SCENARIO_KEYS, BUILTIN_TEMPLATES, ParseError, ScenarioError,
                                ValidationError, builtin_scenario,
                                builtin_template, generate_placements,
@@ -399,7 +400,10 @@ def _ranged_fields(value, within, path="", rebuild=lambda x: x, slot=(lambda d: 
                 new = items[:i] + (x,) + items[i + 1:]
                 return rebuild(new if isinstance(value, tuple) else type(value)(*new))
             yield from _ranged_fields(items[i], item_range, f"{path}[{i}]", again, _slot(get, i))
-    elif isinstance(value, dict):   # a SAR_ref map: its first entry
+    elif isinstance(within, scenario_module._Attribute):   # a frequency map: its pairs
+        yield from _ranged_fields(getattr(value, within.name), within.within, path,
+                                  lambda x: rebuild(replace(value, **{within.name: x})), slot)
+    elif isinstance(value, dict):   # a SAR_ref or frequency map: its first entry
         key = next(iter(value))
         yield from _ranged_fields(value[key], within, f"{path}.{key}",
                                   lambda x: rebuild({**value, key: x}), _slot(get, str(key)))
@@ -436,6 +440,18 @@ def test_built_and_loaded_worlds_are_refused_at_the_same_key(path):
         with pytest.raises(ValidationError) as loaded:
             scenario_from_dict(d)
         assert built.value.path == loaded.value.path == path, bad
+
+
+def test_a_built_frequency_map_is_refused_at_its_reference_key():
+    """A ``FrequencyMap``'s reference frequencies are ranged at the map's
+    file keys, so the test above refuses a built one and its file alike at
+    ``frequency_map.<f>``; a NaN one is not left to the SAR_ref coverage
+    rule."""
+    assert "frequency_map.3000000000.0" in _RANGED
+    world = builtin_template("inf-dh-desk").world
+    with pytest.raises(ValidationError) as err:
+        replace(world, frequency_map=FrequencyMap({3e9: math.nan, 5e9: 5.2e9}))
+    assert err.value.path == "frequency_map.3000000000.0"
 
 
 def test_every_world_passes_the_check_once(monkeypatch):

@@ -478,8 +478,8 @@ def test_anneal_with_kept_terms_equals_anneal_without(monkeypatch):
             made.append(self)
 
     class TermsNeverStick(radio_metrics._Part):
-        def fill(self, keys, panel):
-            super().fill(keys, panel)
+        def fill(self, keys, panel, work):
+            super().fill(keys, panel, work)
             self.kept.clear()
 
     monkeypatch.setattr(ch, "link_terms", spy)

@@ -35,7 +35,9 @@ the one this script sits in), so the same script measures any commit:
   ``inf-dh-default`` (evaluate-paper's world): a cold ``Evaluator`` and
   its first ``metrics`` at maximum power, that call split into drawing the
   links, ``channel.link_terms`` and ``channel.steered_energy``, and the
-  cold users-only fill, as on the desk world.
+  cold users-only fill, as on the desk world; beside that time, the minor
+  page faults of the first ``metrics`` (the ``ru_minflt`` delta of
+  ``resource.getrusage``), per repeat and their median.
 
   Each repeat runs under one ``SpeedProbe`` of ``perfbench/speed.py``, so
   every layer also gets ``median_ref_s``: its samples in reference-core
@@ -67,6 +69,7 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -275,7 +278,11 @@ def time_paper_layers(seed: int, repeats: int) -> dict:
     with seed 1, CtM's geometry), that first ``metrics`` split into its
     three steps: drawing the links (``_Part.links``), ``channel.link_terms``
     and ``channel.steered_energy``, each summed over the call; and the
-    first ``mean_rates`` of another cold ``Evaluator``, the users' fill."""
+    first ``mean_rates`` of another cold ``Evaluator``, the users' fill.
+    ``first_metrics_minor_faults`` is the median (the lower middle one) of
+    the minor page faults the process took in each repeat's first
+    ``metrics``, listed in repeat order under ``..._by_repeat``: how many a
+    later repeat takes depends on what the process freed before it."""
     from cellless import channel as ch
     from cellless import radio_metrics as rm
     from cellless.scenario import builtin_template, generate_placements
@@ -285,7 +292,7 @@ def time_paper_layers(seed: int, repeats: int) -> dict:
     geometry = build_geometry(scenario, CtmConfig(seed=seed))
     steps = [(rm._Part, "links", "link_drawing"), (ch, "link_terms", "link_terms"),
              (ch, "steered_energy", "steering")]
-    spent = {}
+    spent, faults = {}, []
 
     def summed(name, fn):
         def call(*args):
@@ -303,7 +310,9 @@ def time_paper_layers(seed: int, repeats: int) -> dict:
         for (owner, attr, name), fn in zip(steps, originals):
             setattr(owner, attr, summed(name, fn))
         try:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             metrics_s = _timed(ev.metrics, geometry)[0]
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         finally:
             for (owner, attr, _), fn in zip(steps, originals):
                 setattr(owner, attr, fn)
@@ -311,8 +320,10 @@ def time_paper_layers(seed: int, repeats: int) -> dict:
         return {"evaluator_init": init_s, "first_metrics": metrics_s,
                 "cold_users_fill": users_s, **spent}
 
+    layers = _repeat(repeat, repeats)
     return {"world": "inf-dh-default placed with seed 1", "channel_seed": seed,
-            "realizations": REALIZATIONS, **_repeat(repeat, repeats)}
+            "realizations": REALIZATIONS, "first_metrics_minor_faults_by_repeat": faults,
+            "first_metrics_minor_faults": statistics.median_low(faults), **layers}
 
 
 def git_commit(root: Path) -> str:
