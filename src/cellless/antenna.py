@@ -23,7 +23,14 @@ path (a ray's phase), is folded into one weight per angle (``fold_weight``;
 conj(s_v*s_h) * sqrt(M*N) is one per-beam phasor (``beam_phasor``).
 ``steered_sum`` applies one beam to the weights: per angle, the weight
 times each axis's ratio and z^m, complex products only, and no sine or
-exponential.
+exponential. Each axis costs a fixed run of passes over contiguous
+buffers of a ``FieldWork``: z, z^m by repeated squaring from z itself,
+m*Im z and its magnitude, and the real ratio. The angles where g is an
+integer, which take the ratio's limit, are found among the few whose
+|m*Im z| is at most fl(m*1e-12). The test and the divide write
+contiguous buffers, not a strided view of z.
+``channel.link_terms`` lays out a block's rays and direct paths as one
+flat set of terms, so one call steers all of them.
 """
 
 from __future__ import annotations
@@ -101,57 +108,70 @@ def element_field(pattern, theta, phi):
 
 class FieldWork:
     """Buffers of ``steered_sum`` for up to ``size`` observation angles
-    (at least two): three complex numbers per angle. Beams steered over
-    the same angles through one workspace allocate (and page in) them
-    once, not once per beam."""
+    (at least two): three complex numbers and one real number per angle,
+    the field, z, z^m and the real array ratio. Beams steered over the same
+    angles through one workspace allocate (and page in) them once, not once
+    per beam."""
 
     def __init__(self, size: int):
-        self._buffers = np.empty((3, max(size, 2)), dtype=complex)
+        size = max(size, 2)
+        self._buffers = np.empty((3, size), dtype=complex)
+        self._ratio = np.empty(size)
 
     @property
     def size(self) -> int:
         """The most observation angles one ``take`` can hand out."""
-        return self._buffers.shape[1]
+        return self._ratio.size
 
     def take(self, size: int) -> tuple:
-        """The first ``size`` entries of each of the three buffers."""
-        return tuple(b[:size] for b in self._buffers)
+        """The first ``size`` entries of each buffer: field, z, z^m (complex)
+        and ratio (real). More than ``self.size`` raises ``ValueError``."""
+        if size > self.size:
+            raise ValueError(f"a workspace of {self.size} angles cannot steer {size}")
+        return (*(b[:size] for b in self._buffers), self._ratio[:size])
 
 
 def _power(z, m: int, out):
     """``out = z**m`` for an integer m >= 1, by left-to-right repeated
-    squaring; every product has its operands in one order."""
-    np.copyto(out, z)
+    squaring; every product has its operands in one order. The first
+    squaring reads ``z`` itself."""
+    base = z
     for bit in bin(m)[3:]:
-        np.multiply(out, out, out=out)
+        np.multiply(base, base, out=out)
+        base = out
         if bit == "1":
             np.multiply(out, z, out=out)
+    if base is z:
+        np.copyto(out, z)
     return out
 
 
-def _array_ratio(u, step, m: int, z, power):
+def _array_ratio(u, step, m: int, z, power, ratio):
     """One panel axis of m elements at ``z = u * step = exp(1j*pi*g)``:
-    writes z^m into ``power`` and returns the real ratio
-    sin(m*pi*g) / (m*sin(pi*g)) = Im(z^m) / (m*Im z) as a view of ``z``.
-    The m elements sum, (1/m) * sum_a z^(2a) for a = 0 .. m-1, to that
-    ratio times z^m * conj(z).
+    writes z into ``z``, z^m into ``power`` and the real ratio
+    sin(m*pi*g) / (m*sin(pi*g)) = Im(z^m) / (m*Im z) into the real buffer
+    ``ratio``, which it returns. The m elements sum, (1/m) * sum_a z^(2a)
+    for a = 0 .. m-1, to that ratio times z^m * conj(z).
 
     Im(z^m) and Im z come from the same rounded z, so their ratio stays
     accurate as g nears an integer. Where |Im z| < 1e-12, g is an integer k
     and the ratio is its limit (-1)^(k*(m-1)): 1 for odd m, the sign of
-    Re z for even m.
+    Re z for even m. Rounding is monotone, so every such angle has
+    |m*Im z| <= fl(m*1e-12): that test, on |m*Im z| written contiguously
+    into the first half of ``power``'s memory (free until z^m is formed),
+    finds the few candidates, and only they are tested for |Im z| < 1e-12.
     """
     np.multiply(u, step, out=z)
-    scratch = np.absolute(z.imag, out=power.real)
-    singular = np.less(scratch, 1e-12) if scratch.size and scratch.min() < 1e-12 else None
-    if singular is not None:
+    scaled = np.multiply(z.imag, m, out=ratio)
+    near = np.absolute(scaled, out=power.view(float)[:ratio.size]) <= m * 1e-12
+    singular = near.nonzero()[0]
+    if singular.size:
+        singular = singular[np.absolute(z.imag[singular]) < 1e-12]
         limit = 1.0 if m % 2 else np.copysign(1.0, z.real[singular])
+        scaled[singular] = 1.0  # no division by zero
     _power(z, m, power)
-    ratio = np.multiply(z.imag, m, out=z.imag)
-    if singular is not None:
-        ratio[singular] = 1.0  # no division by zero
-    np.divide(power.imag, ratio, out=ratio)
-    if singular is not None:
+    np.divide(power.imag, scaled, out=ratio)
+    if singular.size:
         ratio[singular] = limit
     return ratio
 
@@ -167,9 +187,11 @@ class PanelTerms:
     u_h: np.ndarray   # exp(1j*pi*d_h*sin(phi)*sin(theta)), along a row
 
 
-def unit_phasor(x):
-    """exp(1j*x) of a real array, from one cosine and one sine."""
-    out = np.empty(np.shape(x), dtype=complex)
+def unit_phasor(x, out=None):
+    """exp(1j*x) of a real array, from one cosine and one sine, written
+    into ``out`` (a complex array of x's shape) if given."""
+    if out is None:
+        out = np.empty(np.shape(x), dtype=complex)
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
     return out
@@ -227,13 +249,14 @@ def steered_sum(geom: PanelGeometry, terms: PanelTerms, weight, steer: SteeringD
     ratio and z^m of ``_array_ratio``; an axis of one element is not
     steered and gives u, which with its conj(u) in the weight is 1. Each
     step is elementwise. With ``work``, the returned array is one of its
-    buffers, valid until the next call that uses them.
+    buffers, valid until the next call that uses them; a ``work`` smaller
+    than the angles raises ``ValueError``.
     """
     shape = np.shape(terms.u_v)
     # numpy rounds an in-place complex product of one element apart from
     # the same element of a longer array, so one angle is steered as a pair.
     size = math.prod(shape)
-    field, z, power = (work or FieldWork(size)).take(2 if size == 1 else size)
+    field, z, power, ratio = (work or FieldWork(size)).take(2 if size == 1 else size)
     # Operand order pinned: numpy swaps the operands of a product whose
     # right operand is a large temporary, and the complex product is not
     # bit-commutative, so the bits would depend on how many angles are passed.
@@ -241,7 +264,7 @@ def steered_sum(geom: PanelGeometry, terms: PanelTerms, weight, steer: SteeringD
     for u, (step, count) in zip((terms.u_v, terms.u_h), _steering(geom, steer)):
         u = np.reshape(u, -1)
         if count > 1:
-            ratio = _array_ratio(u, step, count, z, power)
+            _array_ratio(u, step, count, z, power, ratio)
             np.multiply(factor, power, out=field)
             np.multiply(field, ratio, out=field)
         else:

@@ -32,16 +32,20 @@ no beam changes: per ray, the panel's two axis phasors
 exp(1j*(phase - pi*d*cos(theta) - pi*d*sin(phi)*sin(theta))); per link,
 the same for the direct path, with exp(-1j*2*pi*d_3d/lambda) as its
 phase, the Rician and cluster factors and ``scale``, the linear
-pathloss-and-shadowing power factor. A ray's angles are its cluster's mean
-plus a shared offset, so its cos(theta), sin(theta) and sin(phi) come by
-angle addition from per-cluster and per-offset cosines and sines, and
-its only trigonometry is one cosine and sine per phasor. ``steered_energy``
+pathloss-and-shadowing power factor. The phasors and weights are laid
+out flat, every ray and then every direct path. A ray's angles are its
+cluster's mean plus a shared offset, so its cos(theta), sin(theta) and
+sin(phi) come by angle addition from per-cluster and per-offset cosines
+and sines, and its only trigonometry is one cosine and sine per phasor.
+``steered_energy``
 applies one beam and returns each link's energy at 1 W: each path's
 weight times, per panel axis, z^m and the array ratio of its steered
-phasor z (``antenna.steered_sum``), complex products only, in the
-buffers of a ``FieldWork`` that a caller steering many beams over the
-same terms passes to every call; the rays are summed per cluster, and the
-per-beam ``antenna.beam_phasor`` multiplies the cluster sums. The
+phasor z, in one ``antenna.steered_sum`` call over the rays and the
+direct paths together, complex products only, in the buffers of a
+``FieldWork`` that a caller steering many beams over the same terms
+passes to every call; the field is split into views of the rays, which
+are summed per cluster, and of the direct paths, and the per-beam
+``antenna.beam_phasor`` multiplies the cluster sums. The
 Evaluator fills its gain tables through one path: per realization block
 of a PoA's links, one ``link_terms``, drawn anew or kept from an earlier
 fill, steered beam by beam through the Evaluator's one ``FieldWork``,
@@ -313,30 +317,44 @@ def sample_link(paths: DirectPaths, params: ChannelParams, uniforms) -> LinkReal
 class LinkTerms:
     """The factors of ``steered_energy`` that depend on the links and the
     panel's mounting and element pattern but on no steering direction or
-    column count, so one set serves every beam of a PoA. Each path's
-    element field and phase, and conj(u_v) * conj(u_h), are folded into one
-    weight: per ray from one sum of phases, per direct path by
-    ``antenna.fold_weight``."""
+    column count, so one set serves every beam of a PoA. The axis phasors
+    and the folded weights are flat, every ray (in ``ray_shape`` order)
+    and then every direct path, so ``antenna.steered_sum`` steers them in
+    one call. Each path's element field and phase, and conj(u_v) *
+    conj(u_h), are folded into one weight: per ray from one sum of phases,
+    per direct path by ``antenna.fold_weight`` with the phasor
+    exp(-1j*2 pi d_3d/lambda)."""
 
-    rays: np.ndarray            # folded ray weights, (..., N_c, N_r)
-    ray_panel: PanelTerms       # at the ray departure angles
-    los: np.ndarray             # folded direct-path weights, phasor exp(-1j*2 pi d_3d/lambda)
-    los_panel: PanelTerms       # at the direct-path departure angles
+    panel: PanelTerms           # flat axis phasors: the rays, then the direct paths
+    weight: np.ndarray          # flat folded weights, in the same order
+    ray_shape: tuple            # (..., N_c, N_r)
     cluster_amp: np.ndarray     # sqrt(cluster power / N_r), (..., N_c)
     scatter_mix: np.ndarray     # sqrt(1 / (1 + K)), (..., 1)
     los_mix: np.ndarray         # sqrt(K / (1 + K))
     scale: np.ndarray           # linear pathloss-and-shadowing power factor
 
 
-def _ray_terms(link: LinkRealization, geom: PanelGeometry) -> tuple:
-    """The axis phasors and folded weights of every ray, from per-cluster
-    angles. A ray's pi*d*cos(theta), pi*d*sin(theta) and sin(phi) come by
-    angle addition from the cosine and sine of its cluster's mean and of
-    its shared offset, so the only per-ray trigonometry is the three unit
-    phasors. A cluster with a ray whose zenith leaves [0, pi] takes its
+def _phasors_then(x, tail):
+    """One flat complex array: exp(1j*x) of the per-ray array ``x``, then
+    the direct paths' ``tail``."""
+    out = np.empty(x.size + np.size(tail), dtype=complex)
+    unit_phasor(x, out=out[:x.size].reshape(x.shape))
+    out[x.size:] = np.reshape(tail, -1)
+    return out
+
+
+def _ray_terms(link: LinkRealization, geom: PanelGeometry, los: PanelTerms,
+               los_weight) -> tuple:
+    """The flat axis phasors and folded weights of every ray, from
+    per-cluster angles, each followed by the direct paths' ``los`` and
+    ``los_weight``. A ray's pi*d*cos(theta), pi*d*sin(theta) and sin(phi)
+    come by angle addition from the cosine and sine of its cluster's mean
+    and of its shared offset, so the only per-ray trigonometry is the
+    three unit phasors. A cluster with a ray whose zenith leaves [0, pi] takes its
     rays' clipped zeniths, as ``aod_zenith`` does. Each per-ray array is
-    freed or overwritten once read, which keeps a block's peak memory near
-    that of its three phasors."""
+    freed or overwritten once read, and each flat output is allocated when
+    its phasor is made, which keeps a block's peak memory near that of its
+    three phasors."""
     azimuth = link.cluster_azimuth[..., None] - geom.mech_azimuth
     spread = link.ray_azimuth_offsets
     element = None
@@ -365,15 +383,16 @@ def _ray_terms(link: LinkRealization, geom: PanelGeometry) -> tuple:
         col_step[clipped] = spacing * np.cos(theta)
         row_step[clipped] = spacing * np.sin(theta)
     row_step *= np.sin(azimuth) * np.cos(spread) + np.cos(azimuth) * np.sin(spread)
-    u_v = unit_phasor(col_step)
+    u_v = _phasors_then(col_step, los.u_v)
     phase = np.subtract(link.phases, col_step, out=col_step)
     phase -= row_step
-    u_h = unit_phasor(row_step)
+    u_h = _phasors_then(row_step, los.u_h)
     del row_step
-    rays = unit_phasor(phase)
+    weight = _phasors_then(phase, los_weight)
     if element is not None:
+        rays = weight[:phase.size].reshape(phase.shape)
         np.multiply(rays, element, out=rays)
-    return PanelTerms(u_v, u_h), rays
+    return PanelTerms(u_v, u_h), weight
 
 
 def link_terms(link: LinkRealization, geom: PanelGeometry) -> LinkTerms:
@@ -386,14 +405,14 @@ def link_terms(link: LinkRealization, geom: PanelGeometry) -> LinkTerms:
     lam = SPEED_OF_LIGHT / link.frequency
     zen0, az0 = link.los_aod
     az0 = wrap_angle(az0 - geom.mech_azimuth)
-    los_panel = panel_terms(zen0, az0)
-    ray_panel, rays = _ray_terms(link, geom)
+    los = panel_terms(zen0, az0)
+    los_weight = fold_weight(element_field(geom.element_pattern, zen0, az0), los,
+                             np.exp(-1j * 2.0 * math.pi * link.d_3d / lam))
+    panel, weight = _ray_terms(link, geom, los, los_weight)
     return LinkTerms(
-        rays=rays,
-        ray_panel=ray_panel,
-        los=fold_weight(element_field(geom.element_pattern, zen0, az0), los_panel,
-                        np.exp(-1j * 2.0 * math.pi * link.d_3d / lam)),
-        los_panel=los_panel,
+        panel=panel,
+        weight=weight,
+        ray_shape=link.phases.shape,
         cluster_amp=np.sqrt(link.cluster_powers / link.phases.shape[-1]),
         scatter_mix=np.sqrt(1.0 / (1.0 + k))[..., None],
         los_mix=np.sqrt(k / (1.0 + k)),
@@ -412,12 +431,15 @@ def steered_energy(terms: LinkTerms, geom: PanelGeometry, steer: SteeringDirecti
     The per-beam ``antenna.beam_phasor`` multiplies the cluster sums, not
     the rays. Returns an array with the links' leading shape. Callers that
     steer many beams over the same links compute the terms once and pass
-    one ``work``, a ``FieldWork`` of at least the links' ray count, which
-    holds each beam's ray field and then its direct-path field.
+    one ``work``, a ``FieldWork`` of at least the terms' ``weight.size``
+    (rays and direct paths), which holds each beam's field. Rays and direct
+    paths are steered in one ``antenna.steered_sum`` call, and its field is
+    split into views of the two.
     """
-    rays = steered_sum(geom, terms.ray_panel, terms.rays, steer, work)
-    amps = terms.cluster_amp * rays.sum(axis=-1)
-    h_los = steered_sum(geom, terms.los_panel, terms.los, steer, work)  # rays' field is spent
+    field = steered_sum(geom, terms.panel, terms.weight, steer, work)
+    n_rays = math.prod(terms.ray_shape)
+    amps = terms.cluster_amp * field[:n_rays].reshape(terms.ray_shape).sum(axis=-1)
+    h_los = field[n_rays:].reshape(terms.scale.shape)
     amps = amps * terms.scatter_mix
     amps[..., 0] += terms.los_mix * h_los
     amps = np.multiply(amps, beam_phasor(geom, steer))

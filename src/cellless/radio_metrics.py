@@ -23,12 +23,14 @@ alone and a result on no earlier call. The tables missing in one call are
 grouped per part; each group steers every missing key with
 ``channel.steered_energy``. A fill runs in realization blocks of at most
 ``_BLOCK_RAYS`` rays: per block, one ``channel.link_terms`` is shared by
-every beam. The terms hold three complex numbers per ray, the two axis
-phasors and one folded weight, computed from per-cluster angles; a beam
-then costs complex products per ray and one phasor per beam on the
+every beam. The terms hold three complex numbers per ray and per direct
+path, the two axis phasors and one folded weight, the rays' computed from
+per-cluster angles; a beam then costs complex products per path, in one
+``antenna.steered_sum`` call per block, and one phasor per beam on the
 cluster sums. Every beam of every block, part and PoA is steered through
 the Evaluator's one ``antenna.FieldWork`` of steering buffers, made at
-its first fill for its largest block and kept as long as the Evaluator,
+its first fill for its largest block, rays and direct paths, and kept as
+long as the Evaluator,
 so those buffers are allocated and paged in once, not once per block. A
 part's first fill draws each block's links and frees its terms before the
 next block, so its memory is bounded by a block, not by the realization
@@ -241,9 +243,10 @@ class _Part:
         return [slice(r, r + step) for r in range(0, self.n_realizations, step)]
 
     def largest_block(self) -> int:
-        """The rays of the part's largest block (0 without targets)."""
+        """The steered paths of the part's largest block, its rays and its
+        direct paths (0 without targets)."""
         step, rays = self._block()
-        return min(step, self.n_realizations) * rays
+        return min(step, self.n_realizations) * (rays + self.shape[1])
 
     def fill(self, keys, panel, work: FieldWork):
         """Compute the table of each (zenith, azimuth, columns) key in
@@ -251,7 +254,7 @@ class _Part:
 
         Block by block, every key is steered from one ``link_terms`` of the
         block's links, through ``work``, a workspace of steering buffers of
-        at least ``largest_block`` rays. The first fill draws each block's
+        at least ``largest_block`` paths. The first fill draws each block's
         links and frees its terms before the next block, so it keeps
         nothing; the second fill draws them again and keeps each block's
         terms, which every later fill steers from. Every step is elementwise

@@ -1,14 +1,20 @@
-"""Antenna panel numerics against explicit element-by-element oracles."""
+"""Antenna panel numerics against explicit element-by-element oracles,
+and the steering kernel against a frozen copy of its earlier form."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cellless.antenna import (BEAMWIDTH_CONSTANT, ELEMENT_SPACING, ISOTROPIC, THREEGPP_8DBI,
-                              PanelGeometry, SteeringDirection, _array_ratio,
-                              element_gain_db, panel_field, width_to_panel,
-                              wrap_angle)
+                              FieldWork, PanelGeometry, PanelTerms, SteeringDirection,
+                              _array_ratio, _steering, beam_phasor, element_field,
+                              element_gain_db, fold_weight, panel_field, panel_terms, steered_sum,
+                              width_to_panel, wrap_angle)
+from cellless.channel import (ChannelParams, LosModel, direct_paths, link_terms, link_uniforms,
+                              sample_link, steered_energy)
 
 
 def element_sum_oracle(geom, theta, phi, steer):
@@ -47,10 +53,11 @@ def _array_terms(m, g):
     exp(1j*pi*g), and the phase z^m * conj(z) that moves the panel's centre
     to its first element."""
     g = np.asarray(g, dtype=float)
-    z, power = (np.empty(g.shape, dtype=complex) for _ in range(2))
-    u = np.exp(1j * np.pi * g)
-    ratio = _array_ratio(u, 1.0, m, z, power)
-    return ratio, power * np.conjugate(u)
+    flat = g.reshape(-1)  # the kernel's buffers are flat
+    z, power = (np.empty(flat.shape, dtype=complex) for _ in range(2))
+    u = np.exp(1j * np.pi * flat)
+    ratio = _array_ratio(u, 1.0, m, z, power, np.empty(flat.shape))
+    return ratio.reshape(g.shape), (power * np.conjugate(u)).reshape(g.shape)
 
 
 def test_array_ratio_matches_element_sum_at_integer_g():
@@ -70,6 +77,221 @@ def test_array_ratio_matches_element_sum_at_integer_g():
         uncentred = sum(np.exp(2j * math.pi * a * g) for a in range(m)) / m
         assert np.allclose(got * phase, uncentred, rtol=0.0, atol=1e-9)
         assert float(_array_terms(m, 3.0)[0]) == (-1.0) ** (3 * (m - 1))
+
+
+# ---------------------------------------------------------------------------
+# The steering kernel against a frozen copy of its earlier form, which took
+# z^m from a copy of z, wrote the ratio into a strided view of z and steered
+# the rays and the direct paths of ``steered_energy`` in two calls. The
+# kernel keeps its bits: the field, z^m, the ratio and the energies are the
+# frozen copy's byte for byte.
+
+def _frozen_power(z, m, out):
+    np.copyto(out, z)
+    for bit in bin(m)[3:]:
+        np.multiply(out, out, out=out)
+        if bit == "1":
+            np.multiply(out, z, out=out)
+    return out
+
+
+def _frozen_array_ratio(u, step, m, z, power):
+    np.multiply(u, step, out=z)
+    scratch = np.absolute(z.imag, out=power.real)
+    singular = np.less(scratch, 1e-12) if scratch.size and scratch.min() < 1e-12 else None
+    if singular is not None:
+        limit = 1.0 if m % 2 else np.copysign(1.0, z.real[singular])
+    _frozen_power(z, m, power)
+    ratio = np.multiply(z.imag, m, out=z.imag)
+    if singular is not None:
+        ratio[singular] = 1.0
+    np.divide(power.imag, ratio, out=ratio)
+    if singular is not None:
+        ratio[singular] = limit
+    return ratio
+
+
+def _frozen_steered_sum(geom, terms, weight, steer):
+    shape = np.shape(terms.u_v)
+    size = math.prod(shape)
+    field, z, power = np.empty((3, max(size, 2)), dtype=complex)[:, :2 if size == 1 else size]
+    factor = np.reshape(weight, -1)
+    for u, (step, count) in zip((terms.u_v, terms.u_h), _steering(geom, steer)):
+        u = np.reshape(u, -1)
+        if count > 1:
+            ratio = _frozen_array_ratio(u, step, count, z, power)
+            np.multiply(factor, power, out=field)
+            np.multiply(field, ratio, out=field)
+        else:
+            np.multiply(factor, u, out=field)
+        factor = field
+    return field[:size].reshape(shape)
+
+
+def _frozen_steered_energy(terms, geom, steer):
+    """Two steering calls, each over arrays of its own: the rays, then the
+    direct paths."""
+    n_rays = math.prod(terms.ray_shape)
+
+    def steered(index, shape):
+        u_v, u_h, weight = (a[index].reshape(shape).copy()
+                            for a in (terms.panel.u_v, terms.panel.u_h, terms.weight))
+        return _frozen_steered_sum(geom, PanelTerms(u_v, u_h), weight, steer)
+
+    amps = terms.cluster_amp * steered(slice(n_rays), terms.ray_shape).sum(axis=-1)
+    h_los = steered(slice(n_rays, None), terms.scale.shape)
+    amps = amps * terms.scatter_mix
+    amps[..., 0] += terms.los_mix * h_los
+    amps = np.multiply(amps, beam_phasor(geom, steer))
+    return terms.scale * (np.abs(amps) ** 2).sum(axis=-1)
+
+
+def _near_threshold(im_sign, ulps, re_sign):
+    """A unit phasor whose imaginary part is ``ulps`` ulps past 1e-12 (before
+    it, for negative ``ulps``), with the given signs."""
+    x = 1e-12
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else 0.0)
+    return complex(re_sign * math.sqrt(1.0 - x * x), im_sign * x)
+
+
+_SIGNS = st.sampled_from([-1.0, 1.0])
+#: Unit phasors exp(1j*pi*g) at any g, at exactly integer g, and with an
+#: imaginary part a few ulps either side of +-1e-12, the singularity test's
+#: threshold.
+_PHASORS = st.one_of(
+    st.floats(-4.0, 4.0).map(lambda g: cmath.exp(1j * math.pi * g)),
+    st.integers(-4, 4).map(lambda k: complex((-1.0) ** k, 0.0)),
+    st.builds(_near_threshold, _SIGNS, st.integers(-3, 3), _SIGNS))
+#: One angle, two, or a block that the vector loops run through.
+_SIZES = st.sampled_from([1, 2, 300])
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 64), phasors=st.lists(_PHASORS, min_size=1, max_size=12),
+       size=st.sampled_from([2, 300]), step=st.one_of(st.just(1.0), st.floats(-1.0, 1.0).map(
+           lambda c: cmath.exp(-1j * math.pi * ELEMENT_SPACING * c))))
+@example(m=2, phasors=[_near_threshold(1.0, -1, -1.0)], size=2, step=1.0)
+@example(m=3, phasors=[_near_threshold(-1.0, 1, 1.0), 1.0 + 0.0j], size=2, step=1.0)
+def test_array_ratio_equals_frozen_copy(m, phasors, size, step):
+    """z, z^m and the ratio of one axis of m elements are the frozen copy's
+    byte for byte, also where Im z is 0 or within a few ulps of +-1e-12,
+    for odd and even m. Two angles or more: numpy rounds a complex product
+    of one element apart from the same element of a longer array, and
+    ``steered_sum`` steers one angle as a pair, so the axis never runs on
+    one (``test_steered_sum_equals_frozen_copy`` covers one angle)."""
+    u = np.resize(np.array(phasors, dtype=complex), size)
+    z, power, ratio = np.empty(size, dtype=complex), np.empty(size, dtype=complex), np.empty(size)
+    got = _array_ratio(u, step, m, z, power, ratio)
+    want_z, want_power = np.empty((2, size), dtype=complex)
+    want = _frozen_array_ratio(u, step, m, want_z, want_power)
+    assert got is ratio
+    assert got.tobytes() == want.tobytes()
+    assert power.tobytes() == want_power.tobytes()
+    assert z.real.tobytes() == want_z.real.tobytes()  # the frozen copy's z.imag is the ratio
+
+
+#: Steering directions with g = +-1 at their mirror images: zenith 0 and
+#: pi down a column, (pi/2, +-pi/2) along a row.
+_EDGE_STEERS = [SteeringDirection(0.0, 0.0), SteeringDirection(math.pi, 0.0),
+                SteeringDirection(math.pi / 2, math.pi / 2),
+                SteeringDirection(math.pi / 2, -math.pi / 2)]
+
+
+@st.composite
+def _steering_case(draw):
+    """A panel, a steering direction, and observation angles: random ones,
+    the steering direction itself (g = 0 on both axes), its mirror down a
+    column and along a row (g = +-1 for ``_EDGE_STEERS``), and, under a
+    steering azimuth of 0 (where the row's steering phasor is exactly 1),
+    row phasors a few ulps either side of the singularity threshold."""
+    geom = PanelGeometry(draw(st.integers(1, 16)), draw(st.integers(1, 64)),
+                         element_pattern=draw(st.sampled_from([ISOTROPIC, THREEGPP_8DBI])))
+    zeniths, azimuths = st.floats(0.0, math.pi), st.floats(-math.pi, math.pi)
+    steer = draw(st.one_of(st.builds(SteeringDirection, zeniths, azimuths),
+                           st.builds(SteeringDirection, zeniths, st.just(0.0)),
+                           st.sampled_from(_EDGE_STEERS)))
+    zenith, azimuth = steer.zenith, steer.azimuth
+    size = draw(_SIZES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta, phi = rng.uniform(0.0, math.pi, size), rng.uniform(-math.pi, math.pi, size)
+    special = [(zenith, azimuth), (math.pi - zenith, azimuth), (zenith, -azimuth)]
+    for i in draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=6)):
+        theta[i], phi[i] = special[draw(st.integers(0, 2))]
+    terms = panel_terms(theta, phi)
+    if azimuth == 0.0:
+        for i in draw(st.lists(st.integers(0, size - 1), max_size=6)):
+            terms.u_h[i] = draw(_PHASORS)
+    weight = fold_weight(element_field(geom.element_pattern, theta, phi), terms,
+                         np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size)))
+    if size == 1 and draw(st.booleans()):  # one angle as a 0-d array
+        terms, weight = PanelTerms(terms.u_v.reshape(()), terms.u_h.reshape(())), weight[0]
+    return geom, steer, terms, weight
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_steering_case())
+def test_steered_sum_equals_frozen_copy(case):
+    """Rows 1-16 and columns 1-64 of both element patterns, at one angle,
+    two, or a block: the field is the frozen copy's byte for byte, with or
+    without a workspace, and a workspace larger than the angles."""
+    geom, steer, terms, weight = case
+    want = _frozen_steered_sum(geom, terms, weight, steer)
+    size = max(np.size(weight), 2)
+    for work in (None, FieldWork(size), FieldWork(size + 7)):
+        got = steered_sum(geom, terms, weight, steer, work)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+ORACLE_PARAMS = ChannelParams(los_model=LosModel("umi"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 16), cols=st.integers(1, 64),
+       pattern=st.sampled_from([ISOTROPIC, THREEGPP_8DBI]),
+       mech=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(), (1, 1), (1, 2), (2, 3), (3, 4)]),
+       at_target=st.booleans(), zenith=st.floats(0.0, math.pi),
+       azimuth=st.floats(-math.pi, math.pi))
+def test_steered_energy_equals_frozen_two_call_copy(rows, cols, pattern, mech, seed, shape,
+                                                    at_target, zenith, azimuth):
+    """One ``steered_sum`` over the rays and the direct paths gives each
+    link's energy byte for byte as the rays and the direct paths steered in
+    two calls, for a single link and for blocks of links, at a random beam
+    and at one steered onto a target's direct path."""
+    n_realizations, n_targets = shape or (1, 1)
+    positions = np.random.default_rng(seed).uniform((-40.0, -40.0, 0.5), (40.0, 40.0, 2.0),
+                                                    (n_targets, 3))
+    paths = direct_paths((0.0, 0.0, 10.0), 3.5e9, positions, ORACLE_PARAMS)
+    uniforms = link_uniforms(seed, range(n_realizations), 0, 0, n_targets, ORACLE_PARAMS)
+    if not shape:
+        paths = direct_paths((0.0, 0.0, 10.0), 3.5e9, positions[0], ORACLE_PARAMS)
+        uniforms = uniforms[0, 0]
+    links = sample_link(paths, ORACLE_PARAMS, uniforms)
+    geom = PanelGeometry(rows, cols, mech_azimuth=mech, element_pattern=pattern)
+    steer = (SteeringDirection(float(np.reshape(paths.zenith, -1)[0]),
+                               wrap_angle(float(np.reshape(paths.azimuth, -1)[0]) - mech))
+             if at_target else SteeringDirection(zenith, azimuth))
+    terms = link_terms(links, geom)
+    want = _frozen_steered_energy(terms, geom, steer)
+    for work in (None, FieldWork(terms.weight.size)):
+        got = steered_energy(terms, geom, steer, work)
+        assert got.shape == want.shape == links.los.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_field_work_refuses_more_angles_than_it_holds():
+    """A workspace hands out up to its size (at least two) and refuses more
+    with an error that names both counts, also through ``steered_sum``."""
+    assert FieldWork(1).size == 2
+    work = FieldWork(5)
+    assert [(b.shape, b.dtype) for b in work.take(5)] == [((5,), complex)] * 3 + [((5,), float)]
+    with pytest.raises(ValueError, match=r"of 5 angles cannot steer 6"):
+        work.take(6)
+    terms = panel_terms(np.full(9, 1.0), np.zeros(9))
+    with pytest.raises(ValueError, match=r"of 5 angles cannot steer 9"):
+        steered_sum(PanelGeometry(4, 4), terms, np.ones(9), SteeringDirection(1.0, 0.0), work)
 
 
 #: The panels of the built-in worlds: isotropic 16 x 32 and 3GPP 16 x 64.

@@ -69,13 +69,14 @@ def test_layer_run_is_stored_under_its_label(trajectory, tmp_path):
     assert sorted(runs) == ["change", "parent"]
     solver = runs["change"]["layers"]["solver"]
     layers = [solver[name] for name in ("evaluator_init", "cold_fill", "cold_users_fill",
-                                        "warm_metrics", "reduce_powers", "anneal_move")]
+                                        "warm_metrics", "reduce_powers", "anneal_move",
+                                        "maxrate_solve")]
     for kernel in runs["change"]["layers"]["kernel"].values():
         layers += [kernel["link_terms_per_block"], kernel["steered_energy_per_beam"]]
     paper = runs["change"]["layers"]["paper"]
     layers += [paper[name] for name in ("evaluator_init", "first_metrics", "cold_users_fill",
                                         "link_drawing", "link_terms", "steering")]
-    assert len(layers) == 16
+    assert len(layers) == 17
     # The first metrics' three steps are parts of it.
     steps = sum(paper[name]["median_s"] for name in ("link_drawing", "link_terms", "steering"))
     assert steps < paper["first_metrics"]["median_s"]

@@ -220,7 +220,7 @@ def test_steered_energy_of_a_slice_is_that_slice_of_the_whole_call(
                 for f in dataclasses.fields(links) if f.name not in shared})
         terms = link_terms(links, geom)
         if work is not None:
-            work = FieldWork(terms.rays.size + work)
+            work = FieldWork(terms.weight.size + work)
         return links, steered_energy(terms, geom, steer, work)
 
     paths = direct_paths(POA, 3.5e9, positions, PARAMS)
@@ -329,9 +329,14 @@ def test_per_cluster_ray_terms_match_the_per_ray_formula(pattern, params):
         u_v = np.exp(1j * spacing * np.cos(theta))
         u_h = np.exp(1j * spacing * np.sin(phi) * np.sin(theta))
         weight = _element_field(geom, theta, phi) * np.exp(1j * links.phases) / (u_v * u_h)
-        assert np.max(np.abs(terms.ray_panel.u_v - u_v)) <= 1e-14
-        assert np.max(np.abs(terms.ray_panel.u_h - u_h)) <= 1e-14
-        assert np.max(np.abs(terms.rays - weight)) <= 1e-14
+        assert terms.ray_shape == links.phases.shape
+        (n_rays, n_links), shape = (u_v.size, links.d_3d.size), terms.ray_shape
+        rays = [a[:n_rays].reshape(shape) for a in (terms.panel.u_v, terms.panel.u_h, terms.weight)]
+        assert all(a.shape == (n_rays + n_links,)
+                   for a in (terms.panel.u_v, terms.panel.u_h, terms.weight))
+        assert np.max(np.abs(rays[0] - u_v)) <= 1e-14
+        assert np.max(np.abs(rays[1] - u_h)) <= 1e-14
+        assert np.max(np.abs(rays[2] - weight)) <= 1e-14
 
 
 def test_los_probability_monotone_and_bounded():

@@ -918,7 +918,8 @@ def test_one_steering_workspace_per_evaluator(monkeypatch):
     assert made == [] and {len(p.blocks()) for p in ev._parts.values()} == {4}
     ev.metrics(solution)
     assert made == [ev._work]
-    assert ev._work.size == max(p.largest_block() for p in ev._parts.values()) == 30_000
+    # 30,000 rays and the 300 direct paths of a block of three realizations.
+    assert ev._work.size == max(p.largest_block() for p in ev._parts.values()) == 30_300
     desk = Evaluator(builtin_scenario("inf-dh-desk", 1), 1, 10)
     solve_maxrate(desk)
     assert made == [ev._work, desk._work]
@@ -968,8 +969,10 @@ def _kept(ev):
         blocks = record.blocks()
         assert len(record.kept) == len(blocks)
         for block, terms in zip(blocks, record.kept):
-            assert terms.rays.shape == (len(range(record.n_realizations)[block]),
-                                        record.shape[1], params.n_clusters, params.n_rays)
+            links = len(range(record.n_realizations)[block]) * record.shape[1]
+            assert terms.ray_shape == (len(range(record.n_realizations)[block]),
+                                       record.shape[1], params.n_clusters, params.n_rays)
+            assert terms.weight.shape == (links * (params.n_clusters * params.n_rays + 1),)
     return kept
 
 

@@ -25,9 +25,11 @@ the one this script sits in), so the same script measures any commit:
   power; the cold users-only fill, the first ``mean_rates`` at maximum
   power on another fresh ``Evaluator``, so the cold fill less it is the
   humans' share; a warm ``metrics``; one ``reduce_powers`` from the warm
-  evaluator; and one anneal move, ``objective`` of a neighbour right
-  after an untimed ``objective`` of the start, so each move is built on
-  the start's stack (the median over a fixed sequence of moves). The fill's
+  evaluator; one anneal move, ``objective`` of a neighbour right after an
+  untimed ``objective`` of the start, so each move is built on the
+  start's stack (the median over a fixed sequence of moves); and one whole
+  default-annealer ``solve_maxrate`` on a fresh ``Evaluator`` (the path
+  of perfbench's maxrate-desk, whose time is mostly steering). The fill's
   two kernel steps are timed on one PoA's links to the users, one
   realization block, on ``inf-dh-desk`` (isotropic elements) and
   ``umi-sc-desk`` (3GPP elements): ``channel.link_terms`` per block and
@@ -201,7 +203,7 @@ def time_solver_layers(seed: int, repeats: int) -> dict:
     from cellless.radio_metrics import Evaluator
     from cellless.scenario import builtin_template, generate_placements
     from cellless.solver_ctm import CtmConfig, build_geometry, reduce_powers
-    from cellless.solver_maxrate import idle_move, neighbor, objective
+    from cellless.solver_maxrate import idle_move, neighbor, objective, solve_maxrate
 
     import numpy as np
 
@@ -225,6 +227,7 @@ def time_solver_layers(seed: int, repeats: int) -> dict:
                 objective(geometry, ev)  # untimed: the move is built on the start's stack
                 moves.append(_timed(objective, cand, ev)[0])
         got["anneal_move"] = statistics.median(moves)
+        got["maxrate_solve"] = _timed(solve_maxrate, Evaluator(scenario, seed, REALIZATIONS))[0]
         return got
 
     return {"world": "inf-dh-desk placed with seed 1", "channel_seed": seed,
@@ -257,7 +260,10 @@ def time_kernel_layers(seed: int, repeats: int) -> dict:
                   SteeringDirection(b.zenith, wrap_angle(b.azimuth - poa.mech_azimuth)))
                  for b in geometry.beams if b.owner_poa == poa.id and b.active]
         terms = ch.link_terms(links, panel)  # what the timed beams steer
-        work = FieldWork(terms.rays.size)
+        # Room for every path a beam steers, the rays and the direct paths,
+        # counted on the links, so the layer times any commit's terms.
+        paths = links.phases.size + links.d_3d.size
+        work = FieldWork(paths)
 
         def repeat():
             return {"link_terms_per_block": statistics.median(
@@ -267,7 +273,8 @@ def time_kernel_layers(seed: int, repeats: int) -> dict:
                         for geom, steer in beams for _ in range(KERNEL_CALLS))}
 
         out[name] = {"element_pattern": poa.element_pattern, "poa": poa.id,
-                     "panel": [poa.panel_rows, poa.panel_cols], "rays": int(terms.rays.size),
+                     "panel": [poa.panel_rows, poa.panel_cols],
+                     "rays": int(links.phases.size), "paths": int(paths),
                      "beams": len(beams), **_repeat(repeat, repeats)}
     return out
 
