@@ -51,13 +51,15 @@ def main():
           f"min rate {m0.min_rate / 1e6:.1f} Mbit/s, "
           f"max SAR {m0.max_sar:.2e} W/kg")
 
-    # Step 3b: bisect each PoA's power down to its users' floors.
+    # Step 3b: the least power vector that meets every floor on these beams,
+    # each PoA held by its binding user, the one whose floor needs the most.
+    least = evaluator.least_powers(geometry)
     solved = reduce_powers(geometry, evaluator)
     m1 = evaluator.metrics(solved)
-    print(f"\nStep 3b - after power bisection:")
+    print(f"\nStep 3b - the least power vector ({least.steps} steps from 0 W):")
     for pid in solved.active_poas():
         print(f"  {pid}: {geometry.tx_power[pid]:6.1f} -> "
-              f"{solved.tx_power[pid]:8.2f} dBm")
+              f"{solved.tx_power[pid]:8.2f} dBm, bound by {least.binding[pid]}")
     print(f"  total power {m1.total_power:.3e} W "
           f"({m1.total_power / m0.total_power:.2e} of max), "
           f"min rate {m1.min_rate / 1e6:.1f} Mbit/s, "

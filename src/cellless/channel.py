@@ -181,6 +181,11 @@ def dbm_to_watts(dbm: float) -> float:
     return 0.0 if dbm == -math.inf else 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+def watts_to_dbm(watts: float) -> float:
+    """Level in dBm of a linear power [W]; 0 W (switched off) is -inf."""
+    return -math.inf if watts == 0.0 else 30.0 + 10.0 * math.log10(watts)
+
+
 def los_probability(model: LosModel, d_2d, poa_height, target_height):
     """Line-of-sight probability; monotone non-increasing in d_2d.
 

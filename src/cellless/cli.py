@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 validation/usage error, 3 at least one run
-failed: no feasible solution at maximum power, or any other error, which
-is recorded on that run and printed while the other runs complete.
+failed: no feasible solution, or any other error, which is recorded on
+that run and printed while the other runs complete.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ stacks it itself, on the last stack the Evaluator built (at first its
 stack of no beams), which is the one place that decides what a stack
 reuses. A stack costs what changed since the last one: a solution with its
 very beam objects gets that stack itself, so ``solve_ctm`` stacks its
-beams once for its verdicts, its descent and its dump; one whose beams
+beams once for its least powers, its verdicts and its dump; one whose beams
 serve the users they serve there shares its live rows, shares and per-user
 arrays; and a live row whose ``BeamConfig`` changed is keyed only where its
 zenith, azimuth or width differ from the row's last active beam, and read
@@ -82,16 +82,19 @@ and a rate is composed by one helper (``_mean_rate``: ``shannon_rate``,
 then the realization mean), so a rate has the same bits whichever
 realization count, beam listing or set of users it comes with.
 
-``floor_predicate`` is the CtM descent's check of a trial power for one
-PoA, from a state that meets every floor. Lowering one PoA moves only its
-own users' rates, so once per PoA visit it reads the stack, gathers that
-PoA's users' columns and keeps their unit-power signal, their noise plus
-interference from the other PoAs' live rows (summed by ``_row_sum`` over
-those columns), their bandwidths and floors. Each trial then scales the
-signal by the PoA's watts per live beam and composes the rates with
-``_mean_rate``: the verdict of ``unmet_floors`` on the lowered state, rate
-bit for rate bit, with no ``SolutionState``, stack or full ``_terms`` per
-trial.
+``least_powers`` is CtM's power step: the least per-PoA power vector that
+meets every rate floor on a solution's beams, or the proof that none up to
+the PoAs' maxima does. It reads the stack once, and from ``_terms`` at 1 W
+per PoA each user's signal and each PoA's interference at each user. Each
+sweep then forms every user's noise plus interference at a power vector
+and, by Newton's method on ``_mean_rate`` minus the floor, the least
+watts of its serving PoA that meet its floor; a PoA's requirement is the
+largest over its users. The vector of requirements is a standard
+interference function of the power vector, whose least fixed point is
+the answer; the sweeps approach it from below, and also from above when
+the steps from below stall and the solution's own powers meet every
+floor. Every answer is confirmed by ``metrics``
+(``solver_ctm.reduce_powers``).
 """
 
 from __future__ import annotations
@@ -188,6 +191,38 @@ class GainStack:
 def _served(beam):
     """The users a stack row's beam serves (none for a row without one)."""
     return frozenset() if beam is None else beam.served_users
+
+
+#: A least power vector is a vector below the fixed point rounded up by
+#: this [dB], so it meets its floors in ``metrics`` whatever the last bits
+#: of the fixed point and of each root.
+ROUND_UP_DB = 1e-6
+_ROUND_UP = 10.0 ** (ROUND_UP_DB / 10.0)
+#: The relative step at which each user's Newton root stops.
+_CONVERGED = 1e-13
+#: Past this many steps a least power vector is returned as reached, for
+#: ``metrics`` to confirm.
+_MOST_STEPS = 200
+#: The share of Newton's step a sweep takes, so that it stays below the
+#: least vector.
+_DAMPING = 1.0 - 1e-3
+
+
+@dataclass(frozen=True)
+class LeastPowers:
+    """``Evaluator.least_powers`` on one geometry. ``binding`` maps each
+    PoA with a live beam to its binding user in the last sweep: the one
+    whose floor needs the most watts. Either ``blocking`` is empty and
+    ``tx_power`` maps each such PoA to a dBm at most ``ROUND_UP_DB`` above
+    its least, capped at its maximum, or ``blocking`` maps each
+    PoA whose requirement crossed its maximum, or is not a number, to its
+    binding user, and ``tx_power`` is empty. ``steps`` counts the steps
+    from below."""
+
+    tx_power: dict
+    binding: dict
+    blocking: dict
+    steps: int
 
 
 #: The most rays one block of a part's fill spans: a first fill's drawn
@@ -306,9 +341,49 @@ def _mean_rate(bandwidth, signal, noise_and_interference):
     """Each user's mean rate [bit/s] over the realizations (the last axis)
     from its signal and its noise plus interference [W], (users,
     realizations), and its bandwidth [Hz], (users,): the one rate formula,
-    for every user (``Evaluator.mean_rates``) or one PoA's
-    (``Evaluator.floor_predicate``)."""
+    of every verdict (``Evaluator.mean_rates``) and of the least powers'
+    root-finding (``_least_watts``)."""
     return shannon_rate(bandwidth[:, None], signal / noise_and_interference).mean(axis=-1)
+
+
+def _least_watts(bandwidth, unit, noisy, floors):
+    """Each user's least watts x of its serving PoA at which
+    ``_mean_rate(bandwidth, x * unit, noisy)`` reaches its floor, from its
+    signal at 1 W and its noise plus interference [W], (users,
+    realizations); inf where no x does or the floor is NaN.
+
+    Newton's method on that rate minus the floor, started at the Jensen
+    bound (2^(floor / bandwidth) - 1) / mean(unit / noisy), which is at
+    most the root. The rate is concave and increasing in x, so every step
+    stays at or below the root and climbs to it, until a step is at most
+    ``_CONVERGED`` of x."""
+    with np.errstate(all="ignore"):  # a floor out of reach needs infinite watts
+        x = np.expm1(math.log(2.0) * floors / bandwidth) / (unit / noisy).mean(axis=-1)
+    x[np.isnan(x)] = np.inf
+    todo = np.flatnonzero(np.isfinite(x))
+    while todo.size:
+        signal = x[todo, None] * unit[todo]
+        short = floors[todo] - _mean_rate(bandwidth[todo], signal, noisy[todo])
+        slope = bandwidth[todo] / math.log(2.0) * (unit[todo] / (noisy[todo] + signal)).mean(-1)
+        step = short / slope
+        x[todo] += np.maximum(step, 0.0)
+        todo = todo[step > _CONVERGED * x[todo]]
+    return x
+
+
+def _solve(matrix, rhs):
+    """``matrix``^-1 ``rhs`` by Gauss-Jordan elimination with partial
+    pivoting, elementwise: a LAPACK or BLAS call would page in buffers
+    larger than the power step's arrays. Zeros for a singular matrix."""
+    work, rows = np.column_stack([matrix, rhs]), np.arange(len(rhs))
+    for i in rows.tolist():
+        pivot = i + int(np.abs(work[i:, i]).argmax())
+        if work[pivot, i] == 0.0:
+            return np.zeros(len(rhs))
+        work[[i, pivot]] = work[[pivot, i]]
+        work[i] /= work[i, i]
+        work[rows != i] -= np.outer(work[rows != i, i], work[i])
+    return work[:, -1]
 
 
 def _link_fields(link):
@@ -457,9 +532,8 @@ class Evaluator:
         the one its row of the last gains holds (a MaxRate reassign gives
         both beams it touches new objects of the old geometry, so it keys
         none). A stack has the same bits whatever it was built on, so asking
-        again for the beams of the last solution, as each PoA visit of the
-        CtM descent and ``solve_ctm``'s verdicts and dump do, costs
-        nothing."""
+        again for the beams of the last solution, as ``solve_ctm``'s least
+        powers, verdicts and dump do, costs nothing."""
         base = self._last
         try:
             beams, changed = self._rows(solution.beams, base)
@@ -594,49 +668,108 @@ class Evaluator:
         bit."""
         return self._short(self.mean_rates(solution))
 
-    def floor_predicate(self, solution, poa_id):
-        """A callable ``meets(dbm)``: whether the users that the active PoA
-        ``poa_id`` serves meet their rate floors when the PoA alone is set
-        to ``dbm``, for ``solution`` a state that meets every floor and
-        ``dbm`` at most the PoA's power there. On that domain its verdict is
-        ``unmet_floors(solution.with_power(poa_id, dbm)) == []``, rate bit
-        for rate bit: lowering one PoA moves no other user's rate (see
-        ``solver_ctm.reduce_powers``). A trial above the PoA's power could
-        break other PoAs' users, which it does not read, and raises
-        ``ValueError``.
+    def least_powers(self, solution) -> LeastPowers:
+        """The least per-PoA power vector that meets every rate floor on the
+        solution's beams, or the proof that no vector up to the PoAs'
+        maxima does (``LeastPowers``).
 
-        Made once per PoA: it reads the solution's stack, gathers only the
-        PoA's users' columns and scales the live rows there by their watts,
-        as ``_terms`` does. It keeps those users' unit-power (1 W) signal,
-        their noise plus interference (every co-channel live row of another
-        PoA, added in row order by ``_row_sum``, so the very bits ``_terms``
-        adds), their bandwidths and their floors. A trial then scales the
-        signal by the PoA's watts over its live beams, the ``(watts / share)
-        * gain`` product of ``_terms``, and composes the rates with
-        ``_mean_rate``; it builds no ``SolutionState`` or stack.
+        A user's floor is met from a threshold of its serving PoA's watts
+        on (``_least_watts``), which rises with the other PoAs' watts
+        through its interference; a PoA's requirement is the largest
+        threshold over its users. That is a standard interference function
+        (Yates, IEEE JSAC 1995; Foschini and Miljanic, IEEE TVT 1993). Its
+        least fixed point is the least vector; a vector whose requirements
+        are at least itself lies below that point, and one whose
+        requirements are at most itself meets every floor. A sweep forms
+        every requirement at a vector, from each user's signal and each
+        PoA's interference at 1 W, read once from ``_terms``.
+
+        From 0 W the vector rises by Newton's steps, each halved until it
+        stays below the fixed point. Once its requirements, rounded up by
+        ``ROUND_UP_DB`` and capped at the maxima, meet every floor, they
+        are the answer, at most the round-up above the least vector. Below
+        the fixed point no requirement exceeds what every PoA at its
+        maximum needs, so one past a maximum by more than the round-up, or
+        not a number, proves that no vector in the box works. Where
+        interference dominates noise, Newton's step from far below can
+        land past the fixed point at every share, and the rise falls back
+        to plain steps, which are slow there. From then on, if the
+        solution's own powers meet every floor, Newton's steps also descend
+        from them, each vector meeting every floor, and one that comes
+        within the round-up of the fixed point ends the search.
         """
         stack = self.stack(solution)
-        poa = self._poa_index[poa_id]
-        rows = np.flatnonzero(stack.poa_of_beam == poa)
-        if not rows.size:
-            raise ValueError(f"PoA {poa_id!r} has no active beam")
-        # Each user's serving PoA index (-1 when unserved), then the PoA's users.
-        cols = np.flatnonzero(np.append(stack.poa_of_beam, -1)[stack.serving] == poa)
-        gains = stack.gains[stack.live[:, None], cols]
-        power = self._watts(stack, solution.tx_power) * gains
-        noisy = stack.noise[cols] + _row_sum(np.where(stack.interferers[:, cols], power, 0.0))
-        unit = gains[stack.serving[cols], np.arange(cols.size)]
-        bandwidth, share = stack.bandwidth[cols], int(stack.share[rows[0]])
-        floors = np.array([self._rate_floor[self._user_ids[c]] for c in cols.tolist()])
-        ceiling = solution.tx_power[poa_id]
+        pids, poas, n = list(self._poa_index), self.scenario.poas, len(self._poa_index)
+        unit, _, noise, bandwidth = self._terms(stack, dict.fromkeys(pids, 30.0))  # at 1 W
+        # Each user's interference from each PoA at 1 W, (users, PoAs, realizations).
+        crossed = np.stack([self._terms(stack, {**dict.fromkeys(pids, -math.inf), pid: 30.0})[1]
+                            for pid in pids], axis=1)
+        floors = np.array([self._rate_floor[uid] for uid in self._user_ids])
+        poa_of_user = stack.poa_of_beam[stack.serving]
+        top = np.array([ch.dbm_to_watts(p.max_tx_power_dbm) for p in poas])
 
-        def meets(dbm) -> bool:
-            if dbm > ceiling:
-                raise ValueError(f"trial {dbm} dBm is above {poa_id!r}'s {ceiling} dBm")
-            signal = (ch.dbm_to_watts(dbm) / share) * unit
-            return bool((_mean_rate(bandwidth, signal, noisy) >= floors).all())
+        def image(watts):
+            """A sweep: each PoA's requirement [W] at ``watts``, each user's
+            need and its noise plus interference."""
+            noisy = noise + np.einsum("q,cqr->cr", watts, crossed)
+            need = _least_watts(bandwidth, unit, noisy, floors)
+            want = np.zeros(n)
+            np.maximum.at(want, poa_of_user, need)
+            return want, need, noisy
 
-        return meets
+        def binds(need):
+            """PoA index -> the column of its user of largest need, the first among ties."""
+            return {int(poa_of_user[c]): c for c in np.lexsort((-self._all_columns, need)).tolist()}
+
+        def advance(base, at_base, pick):
+            """A step from ``base``, below (``pick`` is ``np.maximum``) or
+            above (``np.minimum``) the least vector, to a vector on the same
+            side and at least as near as ``base``'s requirements, with the
+            share of Newton's step taken (0: none). Newton's step to the
+            fixed point of the binding users' needs is halved until the
+            trial's requirements confirm its side, or else the plain step to
+            those requirements is taken. A need's slope in each PoA's watts
+            is implicit in its rate equation."""
+            want, need, noisy = at_base
+            spare = noisy + need[:, None] * unit
+            slope = (((need[:, None] * unit / (noisy * spare))[:, None] * crossed).mean(axis=-1)
+                     / (unit / spare).mean(axis=-1)[:, None])
+            rows, jacobian = binds(need), np.zeros((n, n))
+            jacobian[list(rows)] = slope[list(rows.values())]
+            ahead = _solve(np.eye(n) - jacobian, want - base)
+            for share in [*_DAMPING / 2.0 ** np.arange(10), 0.0]:  # 0: the plain step
+                trial = pick(np.maximum(base + share * ahead, 0.0), want)
+                at_trial = image(trial)
+                if not share or np.array_equal(pick(at_trial[0], trial), at_trial[0]):
+                    return trial, at_trial, share
+
+        # The solution's powers, rounded up, start the vector from above if
+        # they meet every floor, even ones they meet exactly.
+        start = [ch.dbm_to_watts(solution.tx_power.get(pid, -math.inf)) for pid in pids]
+        low, up = np.zeros(n), np.array(start) * _ROUND_UP
+        (at_low, at_up), steps = (image(low), image(up)), 0
+        above, stalled, least, need = bool(np.all(at_up[0] <= up)), False, at_low[0], at_low[1]
+        while not (over := at_low[0] > top * _ROUND_UP).any() and steps < _MOST_STEPS:
+            if np.all(at_low[0] - low <= (_ROUND_UP - 1.0) * at_low[0]):
+                cap = np.minimum(at_low[0] * _ROUND_UP, top)
+                at_cap = image(cap)
+                if np.all(at_cap[0] <= cap):
+                    least, need = cap, at_cap[1]
+                    break
+            low, at_low, share = advance(low, at_low, np.maximum)
+            least, need, steps = at_low[0], at_low[1], steps + 1
+            stalled = stalled or not share  # the plain step: Newton's went past at every share
+            if above and stalled:  # up, half a round-up above a vector below: up rounded up by half
+                up, at_up, _ = advance(up, at_up, np.minimum)
+                if np.all(image(near := np.maximum(up / _ROUND_UP ** 0.5, low))[0] >= near):
+                    least, need = np.minimum(up * _ROUND_UP ** 0.5, top), at_up[1]
+                    break
+        binding = {pids[p]: self._user_ids[c] for p, c in sorted(binds(need).items())}
+        blocking = {pids[p]: binding[pids[p]] for p in np.flatnonzero(over).tolist()}
+        tx_power = {} if blocking else {
+            pids[p]: min(ch.watts_to_dbm(least[p]), poas[p].max_tx_power_dbm)
+            for p in sorted(set(stack.poa_of_beam.tolist()))}
+        return LeastPowers(tx_power, binding, blocking, steps)
 
     # -- views -------------------------------------------------------------------
 

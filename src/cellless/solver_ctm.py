@@ -1,5 +1,7 @@
-"""Cluster-then-Match: k-means clustering, Hungarian beam matching, and a
-per-PoA power bisection to the least power vector that meets every floor.
+"""Cluster-then-Match: k-means clustering, Hungarian beam matching, and the
+least power vector that meets every floor on the matched beams
+(``Evaluator.least_powers``), or the proof that none up to the PoAs' maxima
+does.
 
 The matching decides which PoA serves each non-empty cluster; one fixed
 rule in ``match_clusters`` then decides which of that PoA's beams does, so
@@ -20,28 +22,35 @@ from .solution import BeamConfig, SolutionState
 
 KMEANS_RESTARTS = 10     # k-means++ starts; the one with the least WCSS is kept
 KMEANS_MAX_ITERS = 100   # Lloyd iterations per restart unless labels settle first
-_POWER_TOL_DB = 1e-3     # each PoA's power ends within this of its lowest feasible dBm
 
 
 class NoFeasibleSolutionError(RuntimeError):
-    """The all-max-power starting solution is already infeasible.
+    """No power vector up to the PoAs' maxima meets every rate floor and
+    SAR ceiling on the solution's beams.
 
-    ``violated`` lists the rate floors and SAR ceilings (``rate:<user>``,
-    ``sar:<human>``) that it misses.
+    ``blocking`` maps each PoA whose power requirement crossed its maximum
+    (``Evaluator.least_powers``' proof) to its binding user, or else each
+    PoA of a user whose floor the least power vector misses in
+    ``Evaluator.metrics`` to that user; it is empty when that vector meets
+    every floor but breaks a SAR ceiling. ``violated`` lists the rate
+    floors and SAR ceilings (``rate:<user>``, ``sar:<human>``) that every
+    PoA at its maximum misses.
     """
 
     SHOWN = 5   # ids quoted in the message
 
-    def __init__(self, violated):
-        self.violated = list(violated)
+    def __init__(self, violated, blocking):
+        self.violated, self.blocking = list(violated), dict(blocking)
         shown = ", ".join(self.violated[:self.SHOWN])
         if len(self.violated) > self.SHOWN:
             shown += ", ..."
-        super().__init__(f"no feasible solution at maximum transmit power; "
-                         f"{len(self.violated)} violated: {shown}")
+        why = (", ".join(f"{pid} cannot meet {uid}'s floor" for pid, uid in self.blocking.items())
+               or "the least power vector breaks a SAR ceiling")
+        super().__init__(f"no feasible solution: {why}; "
+                         f"{len(self.violated)} violated at maximum power: {shown}")
 
     def __reduce__(self):
-        return type(self), (self.violated,)
+        return type(self), (self.violated, self.blocking)
 
 
 @dataclass(frozen=True)
@@ -287,59 +296,33 @@ def build_geometry(scenario: Scenario, config: CtmConfig) -> SolutionState:
 
 
 def reduce_powers(solution: SolutionState, evaluator: Evaluator) -> SolutionState:
-    """Lower each PoA's power to within ``_POWER_TOL_DB`` of the least at
-    which its users still meet their floors, on the evaluator's channel
-    realizations.
+    """The solution's beams at their least power vector on the evaluator's
+    channel realizations (``Evaluator.least_powers``: each active PoA at
+    most ``ROUND_UP_DB`` above the least dBm at which its users meet their
+    floors, and capped at its maximum), confirmed by one
+    ``Evaluator.metrics``. A PoA without an active beam keeps its power.
 
-    Each sweep takes the active PoAs in descending power, then id. A PoA
-    moves only if one tolerance below its power is feasible; it then steps
-    down by doubling steps (one tolerance, two, four, ...) until a trial
-    fails, and bisects between its last feasible and first failing power
-    until they are one tolerance apart, keeping the feasible one. Sweeps
-    repeat until one moves no PoA, so at the end no active PoA can go one
-    tolerance lower. Positive floors and non-zero noise bound every PoA
-    from below, so the doubling ends. The result approaches the least
-    feasible power vector of the frozen geometry, the fixed point of a
-    standard interference function (Yates, IEEE JSAC 1995).
-
-    The max-power start gets the full verdict, one ``Evaluator.metrics``
-    call; it fills the beams' humans tables, which only that verdict and
-    the closing ``metrics`` read. A trial then lowers one PoA from a
-    feasible state. Rates and SAR are monotone in every power, rounding
-    included: a user's signal is its serving PoA's power alone, and
-    interference and SAR only add powers. Lowering one PoA therefore raises
-    no SAR and lowers no rate but its own users', and leaves their
-    interference bit for bit, so SAR is never checked again, every kept
-    state is feasible by induction, and a check of every floor accepts
-    exactly the trials that a check of the lowered PoA's users alone would,
-    to the same dBm bit for bit. So each PoA visit judges its trials with
-    one ``Evaluator.floor_predicate``: made once from the visit's state, it
-    reads the stack of the max-power verdict (the beams never change) and
-    keeps the PoA's users' unit-power signal and their noise plus
-    interference; a trial only rescales that signal to the trial dBm and
-    composes those users' rates, the rates ``Evaluator.unmet_floors`` would
-    read.
+    Raises ``NoFeasibleSolutionError`` when ``least_powers`` proves that no
+    vector up to the maxima meets every floor, or when the least vector
+    breaks a SAR ceiling: SAR rises in every power, so every vector that
+    meets the floors breaks it too. It also raises, naming each missed
+    user's PoA as blocking, when the vector misses a floor in ``metrics``:
+    a PoA held at its maximum within the round-up of its requirement, or
+    a vector that ``least_powers`` returned unconverged. Its ``violated``
+    is the verdict with every PoA at its maximum.
     """
-    violated = evaluator.metrics(solution).violated
-    if violated:
-        raise NoFeasibleSolutionError(violated)
-
-    current, moved = solution, True
-    while moved:
-        moved = False
-        for pid in sorted(current.active_poas(), key=lambda pid: (-current.tx_power[pid], pid)):
-            meets = evaluator.floor_predicate(current, pid)
-            dbm, step = current.tx_power[pid], _POWER_TOL_DB
-            while meets(dbm - step):
-                dbm, step = dbm - step, 2.0 * step
-            # dbm is feasible and dbm - step fails; step is the tolerance times a power of two.
-            while step > _POWER_TOL_DB:
-                step /= 2.0
-                if meets(dbm - step):
-                    dbm -= step
-            if dbm != current.tx_power[pid]:
-                current, moved = current.with_power(pid, dbm), True
-    return current
+    least = evaluator.least_powers(solution)
+    blocking = least.blocking
+    if not blocking:
+        solved = replace(solution, tx_power={**solution.tx_power, **least.tx_power})
+        missed = evaluator.metrics(solved).violated
+        if not missed:
+            return solved
+        blocking = {solution.beam_for_user(v[5:]).owner_poa: v[5:]
+                    for v in reversed(missed) if v.startswith("rate:")}
+    at_max = replace(solution, tx_power={p.id: p.max_tx_power_dbm
+                                         for p in evaluator.scenario.poas})
+    raise NoFeasibleSolutionError(evaluator.metrics(at_max).violated, blocking)
 
 
 def solve_ctm(evaluator: Evaluator, config: CtmConfig | None = None):
@@ -349,12 +332,12 @@ def solve_ctm(evaluator: Evaluator, config: CtmConfig | None = None):
     The default config is ``CtmConfig(seed=evaluator.seed)``; ``config.seed``
     seeds the k-means restarts. Every verdict is read on ``evaluator``,
     which is left holding the solved beams' tables and stack, so a dump of
-    the solution then reads them. The beams are stacked once: the
-    max-power verdict, the power bisection and the closing verdict read
-    one stack.
+    the solution then reads them. The beams are stacked once: the least
+    power vector, its confirming verdict and the closing verdict read one
+    stack.
 
-    Raises NoFeasibleSolutionError when even maximum power cannot satisfy
-    every rate floor and exposure ceiling.
+    Raises NoFeasibleSolutionError when no power vector up to the PoAs'
+    maxima meets every rate floor and exposure ceiling.
     """
     scenario = evaluator.scenario
     config = config or CtmConfig(seed=evaluator.seed)

