@@ -91,9 +91,9 @@ and, by Newton's method on ``_mean_rate`` minus the floor, the least
 watts of its serving PoA that meet its floor; a PoA's requirement is the
 largest over its users. The vector of requirements is a standard
 interference function of the power vector, whose least fixed point is
-the answer; the sweeps approach it from below, and also from above when
-the steps from below stall and the solution's own powers meet every
-floor. Every answer is confirmed by ``metrics``
+the answer; Newton's steps approach it from the solution's own powers
+when they meet every floor, and else from 0 W, and two vectors either
+side of it confirm it. Every answer is confirmed by ``metrics``
 (``solver_ctm.reduce_powers``).
 """
 
@@ -193,36 +193,13 @@ def _served(beam):
     return frozenset() if beam is None else beam.served_users
 
 
-#: A least power vector is a vector below the fixed point rounded up by
-#: this [dB], so it meets its floors in ``metrics`` whatever the last bits
-#: of the fixed point and of each root.
+#: A least power vector is at most this [dB] above the least fixed point,
+#: and is confirmed to meet its floors half of it below, whatever the last
+#: bits of the fixed point and of each root.
 ROUND_UP_DB = 1e-6
 _ROUND_UP = 10.0 ** (ROUND_UP_DB / 10.0)
-#: The relative step at which each user's Newton root stops.
-_CONVERGED = 1e-13
-#: Past this many steps a least power vector is returned as reached, for
-#: ``metrics`` to confirm.
+#: Past this many steps the search for a least power vector gives up.
 _MOST_STEPS = 200
-#: The share of Newton's step a sweep takes, so that it stays below the
-#: least vector.
-_DAMPING = 1.0 - 1e-3
-
-
-@dataclass(frozen=True)
-class LeastPowers:
-    """``Evaluator.least_powers`` on one geometry. ``binding`` maps each
-    PoA with a live beam to its binding user in the last sweep: the one
-    whose floor needs the most watts. Either ``blocking`` is empty and
-    ``tx_power`` maps each such PoA to a dBm at most ``ROUND_UP_DB`` above
-    its least, capped at its maximum, or ``blocking`` maps each
-    PoA whose requirement crossed its maximum, or is not a number, to its
-    binding user, and ``tx_power`` is empty. ``steps`` counts the steps
-    from below."""
-
-    tx_power: dict
-    binding: dict
-    blocking: dict
-    steps: int
 
 
 #: The most rays one block of a part's fill spans: a first fill's drawn
@@ -350,40 +327,31 @@ def _least_watts(bandwidth, unit, noisy, floors):
     """Each user's least watts x of its serving PoA at which
     ``_mean_rate(bandwidth, x * unit, noisy)`` reaches its floor, from its
     signal at 1 W and its noise plus interference [W], (users,
-    realizations); inf where no x does or the floor is NaN.
+    realizations); inf where no x does or the floor is NaN, and inf or a
+    float past any PoA's maximum where the root overflows.
 
     Newton's method on that rate minus the floor, started at the Jensen
     bound (2^(floor / bandwidth) - 1) / mean(unit / noisy), which is at
     most the root. The rate is concave and increasing in x, so every step
     stays at or below the root and climbs to it, until a step is at most
-    ``_CONVERGED`` of x."""
+    1e-13 of x."""
     with np.errstate(all="ignore"):  # a floor out of reach needs infinite watts
         x = np.expm1(math.log(2.0) * floors / bandwidth) / (unit / noisy).mean(axis=-1)
-    x[np.isnan(x)] = np.inf
-    todo = np.flatnonzero(np.isfinite(x))
-    while todo.size:
-        signal = x[todo, None] * unit[todo]
-        short = floors[todo] - _mean_rate(bandwidth[todo], signal, noisy[todo])
-        slope = bandwidth[todo] / math.log(2.0) * (unit[todo] / (noisy[todo] + signal)).mean(-1)
-        step = short / slope
-        x[todo] += np.maximum(step, 0.0)
-        todo = todo[step > _CONVERGED * x[todo]]
+        x[np.isnan(x)] = np.inf
+        todo = np.flatnonzero(np.isfinite(x))
+        while todo.size:
+            signal = x[todo, None] * unit[todo]
+            short = floors[todo] - _mean_rate(bandwidth[todo], signal, noisy[todo])
+            slope = bandwidth[todo] / math.log(2.0) * (unit[todo] / (noisy[todo] + signal)).mean(-1)
+            step = short / slope
+            x[todo] += np.maximum(step, 0.0)
+            todo = todo[step > 1e-13 * x[todo]]
     return x
 
 
-def _solve(matrix, rhs):
-    """``matrix``^-1 ``rhs`` by Gauss-Jordan elimination with partial
-    pivoting, elementwise: a LAPACK or BLAS call would page in buffers
-    larger than the power step's arrays. Zeros for a singular matrix."""
-    work, rows = np.column_stack([matrix, rhs]), np.arange(len(rhs))
-    for i in rows.tolist():
-        pivot = i + int(np.abs(work[i:, i]).argmax())
-        if work[pivot, i] == 0.0:
-            return np.zeros(len(rhs))
-        work[[i, pivot]] = work[[pivot, i]]
-        work[i] /= work[i, i]
-        work[rows != i] -= np.outer(work[rows != i, i], work[i])
-    return work[:, -1]
+#: The keys of each ``Evaluator.dump_links`` row, in order.
+_LINK_KEYS = ("realization", "beam_id", "poa_id", "frequency_hz", "bandwidth_hz", "target_id",
+              "target_kind", "unit_energy_w", "los", "pathloss_db", "shadow_db")
 
 
 def _link_fields(link):
@@ -668,10 +636,18 @@ class Evaluator:
         bit."""
         return self._short(self.mean_rates(solution))
 
-    def least_powers(self, solution) -> LeastPowers:
+    def least_powers(self, solution):
         """The least per-PoA power vector that meets every rate floor on the
-        solution's beams, or the proof that no vector up to the PoAs'
-        maxima does (``LeastPowers``).
+        solution's beams, or the proof that no vector up to the PoAs' maxima
+        does: ``(tx_power, binding, blocking)``. ``binding`` maps each PoA
+        with a live beam to its binding user in the last sweep, the one
+        whose floor needs the most watts. Either ``blocking`` is empty and
+        ``tx_power`` maps each such PoA to a dBm at most ``ROUND_UP_DB``
+        above its least, capped at its maximum, and at the solution's own
+        power when those powers, each at most its maximum, meet every floor
+        (``unmet_floors``); or ``blocking`` maps each
+        PoA whose requirement crossed its maximum, or is not a number, to
+        its binding user, and ``tx_power`` is empty.
 
         A user's floor is met from a threshold of its serving PoA's watts
         on (``_least_watts``), which rises with the other PoAs' watts
@@ -684,19 +660,31 @@ class Evaluator:
         every requirement at a vector, from each user's signal and each
         PoA's interference at 1 W, read once from ``_terms``.
 
-        From 0 W the vector rises by Newton's steps, each halved until it
-        stays below the fixed point. Once its requirements, rounded up by
-        ``ROUND_UP_DB`` and capped at the maxima, meet every floor, they
-        are the answer, at most the round-up above the least vector. Below
-        the fixed point no requirement exceeds what every PoA at its
-        maximum needs, so one past a maximum by more than the round-up, or
-        not a number, proves that no vector in the box works. Where
-        interference dominates noise, Newton's step from far below can
-        land past the fixed point at every share, and the rise falls back
-        to plain steps, which are slow there. From then on, if the
-        solution's own powers meet every floor, Newton's steps also descend
-        from them, each vector meeting every floor, and one that comes
-        within the round-up of the fixed point ends the search.
+        The search descends from the solution's powers raised by half the
+        round-up if they meet every floor, and else rises from 0 W. Each
+        step takes Newton's step to the fixed point of the binding users'
+        needs, within the maxima rounded up and halved until the trial's
+        requirements confirm its side, or else the plain step to the
+        requirements. Where
+        Newton's point has a negative power, J, the binding needs' slopes,
+        has a spectral radius past 1, and the step is taken the other way.
+
+        Once Newton's step is within half the round-up, two vectors that far
+        either side of Newton's point confirm it: the one below has
+        requirements at least itself, so it lies below the least vector,
+        and the one above, capped at the maxima rounded up, meets every
+        floor and is the answer, capped at the maxima in dBm. They lie along (1 - J)^-1 times the requirements, which
+        moves every requirement by the same share of itself; scaling a
+        vector moves the requirement of a PoA whose users hear far more
+        interference than noise by almost exactly its own share, too
+        little to confirm in floating point. Below the least vector no
+        requirement exceeds what every PoA at its maximum needs, so one
+        past a maximum by more than the round-up, or not a number, at a
+        vector in the search's box whose requirements are at least itself,
+        proves that no vector in the box works and that its binding user
+        misses its floor with every PoA at its maximum. A search not ended
+        in ``_MOST_STEPS`` steps keeps the solution's powers if they meet
+        every floor, or raises ``RuntimeError``.
         """
         stack = self.stack(solution)
         pids, poas, n = list(self._poa_index), self.scenario.poas, len(self._poa_index)
@@ -705,71 +693,61 @@ class Evaluator:
         crossed = np.stack([self._terms(stack, {**dict.fromkeys(pids, -math.inf), pid: 30.0})[1]
                             for pid in pids], axis=1)
         floors = np.array([self._rate_floor[uid] for uid in self._user_ids])
-        poa_of_user = stack.poa_of_beam[stack.serving]
-        top = np.array([ch.dbm_to_watts(p.max_tx_power_dbm) for p in poas])
+        owner = stack.poa_of_beam[stack.serving]
+        top = np.array([p.max_tx_power_dbm for p in poas])
+        start = np.array([solution.tx_power.get(pid, -math.inf) for pid in pids])
 
         def image(watts):
-            """A sweep: each PoA's requirement [W] at ``watts``, each user's
-            need and its noise plus interference."""
+            """Each PoA's requirement [W] at ``watts``, each user's need and
+            its noise plus interference."""
             noisy = noise + np.einsum("q,cqr->cr", watts, crossed)
             need = _least_watts(bandwidth, unit, noisy, floors)
-            want = np.zeros(n)
-            np.maximum.at(want, poa_of_user, need)
-            return want, need, noisy
+            return np.array([need[owner == p].max(initial=0.0) for p in range(n)]), need, noisy
 
-        def binds(need):
-            """PoA index -> the column of its user of largest need, the first among ties."""
-            return {int(poa_of_user[c]): c for c in np.lexsort((-self._all_columns, need)).tolist()}
-
-        def advance(base, at_base, pick):
-            """A step from ``base``, below (``pick`` is ``np.maximum``) or
-            above (``np.minimum``) the least vector, to a vector on the same
-            side and at least as near as ``base``'s requirements, with the
-            share of Newton's step taken (0: none). Newton's step to the
-            fixed point of the binding users' needs is halved until the
-            trial's requirements confirm its side, or else the plain step to
-            those requirements is taken. A need's slope in each PoA's watts
-            is implicit in its rate equation."""
-            want, need, noisy = at_base
+        capped = bool(np.all(start <= top)) and not self.unmet_floors(solution)
+        at = image(watts := 10.0 ** (start / 10.0 - 3.0) * _ROUND_UP ** 0.5)
+        if not (above := capped and bool(np.all(at[0] <= watts))):
+            at = image(watts := np.zeros(n))
+        # The search's box: the maxima rounded up [W].
+        side, top = np.minimum if above else np.maximum, 10.0 ** (top / 10.0 - 3.0) * _ROUND_UP
+        for _ in range(_MOST_STEPS):
+            want, need, noisy = at
+            binding = {int(owner[c]): c for c in np.lexsort((-self._all_columns, need)).tolist()}
+            if (over := want > top).any():
+                break
+            # Newton's step: a need's slope in each PoA's watts is implicit in its rate equation.
             spare = noisy + need[:, None] * unit
             slope = (((need[:, None] * unit / (noisy * spare))[:, None] * crossed).mean(axis=-1)
                      / (unit / spare).mean(axis=-1)[:, None])
-            rows, jacobian = binds(need), np.zeros((n, n))
-            jacobian[list(rows)] = slope[list(rows.values())]
-            ahead = _solve(np.eye(n) - jacobian, want - base)
-            for share in [*_DAMPING / 2.0 ** np.arange(10), 0.0]:  # 0: the plain step
-                trial = pick(np.maximum(base + share * ahead, 0.0), want)
-                at_trial = image(trial)
-                if not share or np.array_equal(pick(at_trial[0], trial), at_trial[0]):
-                    return trial, at_trial, share
-
-        # The solution's powers, rounded up, start the vector from above if
-        # they meet every floor, even ones they meet exactly.
-        start = [ch.dbm_to_watts(solution.tx_power.get(pid, -math.inf)) for pid in pids]
-        low, up = np.zeros(n), np.array(start) * _ROUND_UP
-        (at_low, at_up), steps = (image(low), image(up)), 0
-        above, stalled, least, need = bool(np.all(at_up[0] <= up)), False, at_low[0], at_low[1]
-        while not (over := at_low[0] > top * _ROUND_UP).any() and steps < _MOST_STEPS:
-            if np.all(at_low[0] - low <= (_ROUND_UP - 1.0) * at_low[0]):
-                cap = np.minimum(at_low[0] * _ROUND_UP, top)
-                at_cap = image(cap)
-                if np.all(at_cap[0] <= cap):
-                    least, need = cap, at_cap[1]
+            jacobian = np.array([slope[binding[p]] if p in binding else np.zeros(n)
+                                 for p in range(n)])
+            ahead, along = np.linalg.lstsq(np.eye(n) - jacobian, np.stack([want - watts, want], 1),
+                                           rcond=None)[0].T
+            # Confirmed either side of Newton's point along (1 - J)^-1 want: see above.
+            center, along = np.maximum(watts + ahead, 0.0), np.where(want > 0.0, along, 0.0)
+            step = along * min((center[along > 0] / along[along > 0]).tolist(), default=0.0) * (
+                (_ROUND_UP - 1.0) / (_ROUND_UP + 1.0))
+            least, low = np.minimum(center + step, top), center - step
+            if (np.all((np.abs(ahead) <= step) | (want == 0.0))
+                    and np.all(image(least)[0] <= least) and np.all(image(low)[0] >= low)):
+                break
+            if (watts + ahead < 0.0).any():  # (1 - J)^-1 turned: J's spectral radius is past 1
+                ahead = -ahead
+            for share in [*0.999 / 2.0 ** np.arange(10), 0.0]:  # 0: the plain step
+                at = image(trial := side(np.clip(watts + share * ahead, 0.0, top), want))
+                if not share or np.array_equal(side(at[0], trial), at[0]):
+                    watts = trial
                     break
-            low, at_low, share = advance(low, at_low, np.maximum)
-            least, need, steps = at_low[0], at_low[1], steps + 1
-            stalled = stalled or not share  # the plain step: Newton's went past at every share
-            if above and stalled:  # up, half a round-up above a vector below: up rounded up by half
-                up, at_up, _ = advance(up, at_up, np.minimum)
-                if np.all(image(near := np.maximum(up / _ROUND_UP ** 0.5, low))[0] >= near):
-                    least, need = np.minimum(up * _ROUND_UP ** 0.5, top), at_up[1]
-                    break
-        binding = {pids[p]: self._user_ids[c] for p, c in sorted(binds(need).items())}
+        else:
+            if not capped:
+                raise RuntimeError(f"no least power vector in {_MOST_STEPS} steps")
+            least = np.full(n, math.inf)
+        binding = {pids[p]: self._user_ids[c] for p, c in sorted(binding.items())}
         blocking = {pids[p]: binding[pids[p]] for p in np.flatnonzero(over).tolist()}
-        tx_power = {} if blocking else {
-            pids[p]: min(ch.watts_to_dbm(least[p]), poas[p].max_tx_power_dbm)
-            for p in sorted(set(stack.poa_of_beam.tolist()))}
-        return LeastPowers(tx_power, binding, blocking, steps)
+        ceiling = start.tolist() if capped else [p.max_tx_power_dbm for p in poas]
+        tx_power = {} if blocking else {pids[p]: min(ch.watts_to_dbm(least[p]), ceiling[p])
+                                        for p in sorted(set(stack.poa_of_beam.tolist()))}
+        return tx_power, binding, blocking
 
     # -- views -------------------------------------------------------------------
 
@@ -822,23 +800,14 @@ class Evaluator:
                     a[:, :0] for a in of_users]  # no unlinked human: part 1 is never drawn
                 drawn[poa.id] = of_users, [self._per_human(u, h)
                                            for u, h in zip(of_users, of_unlinked)]
-            for r in range(self.n_realizations):
-                for part, ids in enumerate((self._user_ids, self._human_ids)):
-                    los, pathloss, shadow = drawn[poa.id][part]
-                    for col, tid in enumerate(ids):
-                        rows.append({
-                            "realization": r,
-                            "beam_id": b.beam_id,
-                            "poa_id": poa.id,
-                            "frequency_hz": poa.frequency,
-                            "bandwidth_hz": poa.bandwidth,
-                            "target_id": tid,
-                            "target_kind": ("user", "human")[part],
-                            "unit_energy_w": float(energies[part][r, col]),
-                            "los": bool(los[r, col]),
-                            "pathloss_db": float(pathloss[r, col]),
-                            "shadow_db": float(shadow[r, col]),
-                        })
+            # Per part: unit_energy_w, los, pathloss_db and shadow_db, (realizations, targets).
+            fields = [[a.tolist() for a in (energies[k], *drawn[poa.id][k])] for k in (0, 1)]
+            rows += [dict(zip(_LINK_KEYS, (r, b.beam_id, poa.id, poa.frequency, poa.bandwidth, tid,
+                                           kind, *(f[r][col] for f in fields[part]))))
+                     for r in range(self.n_realizations)
+                     for part, (kind, ids) in enumerate((("user", self._user_ids),
+                                                         ("human", self._human_ids)))
+                     for col, tid in enumerate(ids)]
         return rows
 
 

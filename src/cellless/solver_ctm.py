@@ -29,10 +29,9 @@ class NoFeasibleSolutionError(RuntimeError):
     SAR ceiling on the solution's beams.
 
     ``blocking`` maps each PoA whose power requirement crossed its maximum
-    (``Evaluator.least_powers``' proof) to its binding user, or else each
-    PoA of a user whose floor the least power vector misses in
-    ``Evaluator.metrics`` to that user; it is empty when that vector meets
-    every floor but breaks a SAR ceiling. ``violated`` lists the rate
+    (``Evaluator.least_powers``' proof) to its binding user; it is empty
+    when the least power vector meets every floor but breaks a SAR
+    ceiling. ``violated`` lists the rate
     floors and SAR ceilings (``rate:<user>``, ``sar:<human>``) that every
     PoA at its maximum misses.
     """
@@ -299,27 +298,26 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator) -> SolutionStat
     """The solution's beams at their least power vector on the evaluator's
     channel realizations (``Evaluator.least_powers``: each active PoA at
     most ``ROUND_UP_DB`` above the least dBm at which its users meet their
-    floors, and capped at its maximum), confirmed by one
+    floors, capped at its maximum and, when the solution's powers meet
+    every floor, at its power there), confirmed by one
     ``Evaluator.metrics``. A PoA without an active beam keeps its power.
 
     Raises ``NoFeasibleSolutionError`` when ``least_powers`` proves that no
     vector up to the maxima meets every floor, or when the least vector
-    breaks a SAR ceiling: SAR rises in every power, so every vector that
-    meets the floors breaks it too. It also raises, naming each missed
-    user's PoA as blocking, when the vector misses a floor in ``metrics``:
-    a PoA held at its maximum within the round-up of its requirement, or
-    a vector that ``least_powers`` returned unconverged. Its ``violated``
-    is the verdict with every PoA at its maximum.
+    breaks a SAR ceiling: SAR rises in every power, and every vector that
+    meets the floors is at least that vector less the round-up. Its
+    ``violated`` is the verdict with every PoA at its maximum. A least
+    vector that misses a floor in ``metrics``, which proves nothing,
+    raises ``RuntimeError``.
     """
-    least = evaluator.least_powers(solution)
-    blocking = least.blocking
+    tx_power, _, blocking = evaluator.least_powers(solution)
     if not blocking:
-        solved = replace(solution, tx_power={**solution.tx_power, **least.tx_power})
+        solved = replace(solution, tx_power={**solution.tx_power, **tx_power})
         missed = evaluator.metrics(solved).violated
         if not missed:
             return solved
-        blocking = {solution.beam_for_user(v[5:]).owner_poa: v[5:]
-                    for v in reversed(missed) if v.startswith("rate:")}
+        if any(v.startswith("rate:") for v in missed):
+            raise RuntimeError(f"the least power vector misses {', '.join(missed)}")
     at_max = replace(solution, tx_power={p.id: p.max_tx_power_dbm
                                          for p in evaluator.scenario.poas})
     raise NoFeasibleSolutionError(evaluator.metrics(at_max).violated, blocking)
