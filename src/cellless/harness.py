@@ -13,8 +13,10 @@ from pathlib import Path
 
 from . import __version__
 from .channel import dbm_to_watts
-from .radio_metrics import Evaluator, MetricsBundle, _integer
-from .scenario import (Scenario, builtin_template, BUILTIN_TEMPLATES,
+from .radio_metrics import Evaluator, MetricsBundle
+from .scenario import (_AT_LEAST_ONE, _NON_NEGATIVE, BUILTIN_TEMPLATES, Scenario,
+                       ValidationError, _check_fields, _integer, _map_of, _OneOf, _optional,
+                       _parse_at, _ranged, _real, _text, builtin_template,
                        generate_placements, load_scenario)
 from .solution import SolutionState, save_solution
 from .solver_ctm import NoFeasibleSolutionError, solve_ctm
@@ -34,38 +36,29 @@ PLOT_COLUMNS = {
 PLOT_KINDS = tuple(PLOT_COLUMNS)
 
 
+def _seeds(value):
+    """One seed or more, each an integer."""
+    if not value:
+        raise ValueError("must be non-empty")
+    return tuple(map(_integer, value))
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     scenario: str                      # built-in name or file path
-    solver: str = "both"               # ctm | maxrate | both
-    seeds: tuple = (0,)
-    n_realizations: int = 10
+    solver: str = _ranged("both", _OneOf(SOLVERS + ("both",)), _text)
+    # Each seed names one run directory and is written to its summary.json.
+    seeds: tuple = _ranged((0,), _NON_NEGATIVE, _seeds)
+    n_realizations: int = _ranged(10, _AT_LEAST_ONE)
     out_dir: str | None = None
     anneal: AnnealConfig = AnnealConfig()
-    workers: int = 1
+    workers: int = _ranged(1, _AT_LEAST_ONE)
     dump_links: bool = False
 
     def __post_init__(self):
-        # Each seed names one run directory and is written to its
-        # summary.json: distinct non-negative integers, kept as ints.
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
-        object.__setattr__(self, "seeds", tuple(_integer("seeds", seed) for seed in self.seeds))
-        seen = set()
-        for seed in self.seeds:
-            if seed < 0:
-                raise ValueError(f"seeds must be non-negative, got {seed}")
-            if seed in seen:
-                raise ValueError(f"seeds must be distinct, got {seed} more than once")
-            seen.add(seed)
-        for name in ("n_realizations", "workers"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.solver not in SOLVERS + ("both",):
-            raise ValueError(f"unknown solver {self.solver!r}")
+        _check_fields(self)
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if self.dump_links and not self.out_dir:
             raise ValueError("dump_links needs out_dir")
 
@@ -258,24 +251,18 @@ def _percentile(values, q):
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-# The summary.json keys that plotting reads.
-_SUMMARY_KEYS = ("scenario", "seed", "solver", "per_poa_power_dbm", "total_power_w")
-
-
-def _finite(value):
-    """Whether a parsed JSON value is a finite number (not a boolean)."""
-    return type(value) in (int, float) and math.isfinite(value)
+# The summary.json keys that plotting reads, each with its record parser.
+_SUMMARY_KEYS = {"scenario": _text, "seed": _integer, "solver": _text,
+                 "per_poa_power_dbm": _map_of(_text, _optional(_real)), "total_power_w": _real}
 
 
 def load_run_metrics(run_dir):
     """Re-parse one run directory into (summary dict, metrics rows). A file
-    that is not UTF-8 text, a summary.json that is not a JSON object, lacks
-    a key that plotting reads, has a scenario or solver that is not a
-    string, a seed that is not an integer, a ``per_poa_power_dbm`` that is
-    not an object of finite numbers or nulls or a ``total_power_w`` that is
-    not a finite number, or a metrics.csv whose header lacks one of
+    that is not UTF-8 text, a summary.json that is not a JSON object or
+    lacks a key that plotting reads or whose value its parser in
+    ``_SUMMARY_KEYS`` refuses, or a metrics.csv whose header lacks one of
     ``METRIC_COLUMNS``, raises ``ValueError`` naming the file and the
-    fault."""
+    fault. The summary's values are checked, not replaced."""
     run_dir = Path(run_dir)
     path = run_dir / "summary.json"
     try:
@@ -286,21 +273,13 @@ def load_run_metrics(run_dir):
         raise ValueError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(summary, dict):
         raise ValueError(f"{path}: not a JSON object, got {summary!r}")
-    for key in _SUMMARY_KEYS:
+    for key, parse in _SUMMARY_KEYS.items():
         if key not in summary:
             raise ValueError(f"{path}: missing key {key!r}")
-    for key in ("scenario", "solver"):
-        if not isinstance(summary[key], str):
-            raise ValueError(f"{path}: {key} must be a string, got {summary[key]!r}")
-    if type(summary["seed"]) is not int:
-        raise ValueError(f"{path}: seed must be an integer, got {summary['seed']!r}")
-    powers = summary["per_poa_power_dbm"]
-    if not isinstance(powers, dict) or not all(v is None or _finite(v) for v in powers.values()):
-        raise ValueError(f"{path}: per_poa_power_dbm must be an object of finite numbers "
-                         f"or nulls, got {powers!r}")
-    if not _finite(summary["total_power_w"]):
-        raise ValueError(f"{path}: total_power_w must be a finite number, "
-                         f"got {summary['total_power_w']!r}")
+        try:
+            _parse_at(key, parse, summary[key])
+        except ValidationError as e:
+            raise ValueError(f"{path}: {e}") from None
     path = run_dir / "metrics.csv"
     try:
         with open(path, newline="", encoding="utf-8") as f:

@@ -100,7 +100,6 @@ side of it confirm it. Every answer is confirmed by ``metrics``
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,7 +107,8 @@ import numpy as np
 from . import channel as ch
 from .antenna import FieldWork, PanelGeometry, SteeringDirection, width_to_panel, wrap_angle
 from .exposure import incident_field, sar_wb
-from .scenario import Scenario, linked_user_index
+from .scenario import (_AT_LEAST_ONE, _NON_NEGATIVE, Scenario, _field, _integer,
+                       linked_user_index)
 from .solution import SolutionState, validate
 
 NOISE_DENSITY_W_HZ = ch.dbm_to_watts(ch.NOISE_DENSITY_DBM_HZ)
@@ -293,15 +293,6 @@ class _Part:
         self.tables.update(tables)
 
 
-def _integer(name, value) -> int:
-    """``value`` as an ``int``: a boolean or a non-integral number is
-    refused with a ``ValueError`` naming ``name``, not truncated."""
-    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
-            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def power_density(frequency: float, p_rx):
     """Incident power density [W/m^2]: received power over the isotropic
     effective area lambda^2 / 4*pi. Scalar or array received power."""
@@ -380,12 +371,8 @@ class Evaluator:
     """
 
     def __init__(self, scenario: Scenario, seed: int, n_realizations: int = 10):
-        self.seed = _integer("seed", seed)
-        self.n_realizations = _integer("n_realizations", n_realizations)
-        if self.n_realizations < 1:
-            raise ValueError("need at least one realization")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        self.seed = _field("seed", _integer, seed, _NON_NEGATIVE)
+        self.n_realizations = _field("n_realizations", _integer, n_realizations, _AT_LEAST_ONE)
         self.scenario = scenario
         self._user_ids = [u.id for u in scenario.users]
         self._human_ids = [h.id for h in scenario.humans]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -178,12 +179,12 @@ class ScenarioTemplate:
 # ---------------------------------------------------------------------------
 # Serialization: one table per kind of file record, file key -> (dataclass
 # field, parse, dump[, range]). A dotted key (``limits.sar_wkg``) is nested in
-# the file. Every number is parsed by ``_real`` and written as held;
-# ``solution.py`` too. Parsing checks types only; the range, on the held
+# the file. Every number is parsed by ``_real`` or ``_integer`` and written as
+# held; ``solution.py`` too. Parsing checks types only; the range, on the held
 # value, is checked by ``_validate``: an interval or a set of values, the key
 # table of a record (or of each record of a list), one range per position
 # of a list, or a range of one attribute of the value (``_Attribute``). A
-# range of a map's values holds for each of them.
+# range of a map's values, or of a list's items, holds for each of them.
 
 @dataclass(frozen=True)
 class _Interval:
@@ -264,8 +265,10 @@ def _real(value):
 
 
 def _integer(value):
-    """An integral JSON number as an ``int``; a fraction is refused too."""
-    if not _real(value).is_integer():
+    """An integral real as an ``int``, numpy scalars included; a boolean, a
+    string, a fraction, NaN or ±inf is refused."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
         raise ValueError(f"must be an integer, got {value!r}")
     return int(value)
 
@@ -465,8 +468,40 @@ def _check_ranges(value, within, path="", dump=_same):
     elif isinstance(value, dict):
         for key, item in value.items():
             _check_ranges(item, within, f"{path}.{key}")
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            _check_ranges(item, within, f"{path}[{i}]")
     elif value not in within:
         raise ValidationError(path, f"must be {within.show(dump)}, got {dump(value)!r}")
+
+
+# Values from outside a file, a config's or a run's arguments, pass the same
+# parse and range as a file key, refused with a ``ValueError`` that names them.
+
+def _field(name, parse, value, within):
+    """``parse(value)``, in ``within`` unless it is None; a failure raises
+    ``ValueError`` starting with ``name``."""
+    try:
+        value = _parse_at(name, parse, value)
+        if value is not None:
+            _check_ranges(value, within, name)
+    except ValidationError as e:
+        raise ValueError(f"{e.path} {e.message}") from None
+    return value
+
+
+def _ranged(default, within, parse=_integer):
+    """A dataclass field that ``_check_fields`` parses and keeps ``within``."""
+    return field(default=default, metadata={"range": (parse, within)})
+
+
+def _check_fields(obj):
+    """Each ``_ranged`` field of the frozen dataclass ``obj`` replaced by
+    its ``_field``."""
+    for f in fields(obj):
+        if "range" in f.metadata:
+            parse, within = f.metadata["range"]
+            object.__setattr__(obj, f.name, _field(f.name, parse, getattr(obj, f.name), within))
 
 
 def _validate(s: Scenario):

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import departure_angles
-from .radio_metrics import Evaluator, _integer
-from .scenario import Scenario
+from .radio_metrics import Evaluator
+from .scenario import _AT_LEAST_ONE, _NON_NEGATIVE, Scenario, _check_fields, _ranged
 from .solution import BeamConfig, SolutionState
 
 KMEANS_RESTARTS = 10     # k-means++ starts; the one with the least WCSS is kept
@@ -54,14 +54,12 @@ class NoFeasibleSolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class CtmConfig:
-    realizations_per_check: int = 10   # read by no solver; perfbench/run.py:181 writes it
-    seed: int = 0                      # seeds the k-means restarts
+    # read by no solver; perfbench/run.py:181 writes it
+    realizations_per_check: int = _ranged(10, _AT_LEAST_ONE)
+    seed: int = _ranged(0, _NON_NEGATIVE)   # seeds the k-means restarts
 
     def __post_init__(self):
-        for name in ("realizations_per_check", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.realizations_per_check < 1:
-            raise ValueError("realizations_per_check must be >= 1")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -323,23 +321,22 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator) -> SolutionStat
     raise NoFeasibleSolutionError(evaluator.metrics(at_max).violated, blocking)
 
 
-def solve_ctm(evaluator: Evaluator, config: CtmConfig | None = None):
+def solve_ctm(evaluator: Evaluator):
     """Solve ``evaluator.scenario`` on ``evaluator``'s channel realizations;
     returns (SolutionState, MetricsBundle).
 
-    The default config is ``CtmConfig(seed=evaluator.seed)``; ``config.seed``
-    seeds the k-means restarts. Every verdict is read on ``evaluator``,
-    which is left holding the solved beams' tables and stack, so a dump of
-    the solution then reads them. The beams are stacked once: the least
-    power vector, its confirming verdict and the closing verdict read one
-    stack.
+    The geometry is ``build_geometry``'s with
+    ``CtmConfig(seed=evaluator.seed)``, so the Evaluator's seed seeds the
+    k-means restarts. Every verdict is read on ``evaluator``, which is left
+    holding the solved beams' tables and stack, so a dump of the solution
+    then reads them. The beams are stacked once: the least power vector,
+    its confirming verdict and the closing verdict read one stack.
 
     Raises NoFeasibleSolutionError when no power vector up to the PoAs'
     maxima meets every rate floor and exposure ceiling.
     """
     scenario = evaluator.scenario
-    config = config or CtmConfig(seed=evaluator.seed)
-    geometry = build_geometry(scenario, config)
+    geometry = build_geometry(scenario, CtmConfig(seed=evaluator.seed))
     if not any(b.active for b in geometry.beams):
         off = replace(geometry, tx_power={p.id: -math.inf for p in scenario.poas})
         return off, evaluator.metrics(off)

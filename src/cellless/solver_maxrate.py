@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .antenna import wrap_angle
-from .radio_metrics import Evaluator, _integer
-from .scenario import Scenario
+from .radio_metrics import Evaluator
+from .scenario import (_AT_LEAST_ONE, _POSITIVE, Scenario, _check_fields, _Interval,
+                       _optional, _ranged, _real)
 from .solution import SolutionState
 from .solver_ctm import CtmConfig, build_geometry
 
@@ -28,22 +29,14 @@ TARGET_ACCEPTANCE = 0.8    # share of worsening probe moves T0 would accept
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    initial_temp: float | None = None   # None: calibrated from probe moves
-    cooling_factor: float = 0.95
-    iterations: int = 200               # temperature steps
-    moves_per_temp: int = 20
+    # None: calibrated from probe moves
+    initial_temp: float | None = _ranged(None, _POSITIVE, _optional(_real))
+    cooling_factor: float = _ranged(0.95, _Interval(0.0, 1.0), _real)
+    iterations: int = _ranged(200, _AT_LEAST_ONE)   # temperature steps
+    moves_per_temp: int = _ranged(20, _AT_LEAST_ONE)
 
     def __post_init__(self):
-        for name in ("iterations", "moves_per_temp"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not (0.0 < self.cooling_factor < 1.0):
-            raise ValueError("cooling_factor must lie in (0, 1)")
-        if self.moves_per_temp < 1:
-            raise ValueError("moves_per_temp must be >= 1")
-        if self.initial_temp is not None and not 0 < self.initial_temp < math.inf:
-            raise ValueError("initial_temp must be positive and finite")
+        _check_fields(self)
 
 
 def objective(solution: SolutionState, evaluator: Evaluator) -> float:

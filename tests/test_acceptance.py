@@ -50,7 +50,7 @@ def inf_runs():
     for seed in SEEDS:
         scenario = builtin_scenario("inf-dh-desk", seed)
         cfg = CtmConfig(seed=seed)
-        ctm_sol, ctm_m = solve_ctm(Evaluator(scenario, seed, REALIZATIONS), cfg)
+        ctm_sol, ctm_m = solve_ctm(Evaluator(scenario, seed, REALIZATIONS))
         sa_sol, sa_m = solve_maxrate(Evaluator(scenario, seed, REALIZATIONS), SA_CFG)
         out.append(dict(seed=seed, scenario=scenario, cfg=cfg,
                         ctm=(ctm_sol, ctm_m), maxrate=(sa_sol, sa_m)))
@@ -63,7 +63,7 @@ def umi_runs():
     for seed in SEEDS:
         scenario = builtin_scenario("umi-sc-desk", seed)
         cfg = CtmConfig(seed=seed)
-        sol, m = solve_ctm(Evaluator(scenario, seed, REALIZATIONS), cfg)
+        sol, m = solve_ctm(Evaluator(scenario, seed, REALIZATIONS))
         out.append(dict(seed=seed, scenario=scenario, cfg=cfg, ctm=(sol, m)))
     return out
 

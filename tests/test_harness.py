@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,12 @@ def test_emit_plot_data_kinds(run_out, tmp_path):
 
     with pytest.raises(ValueError):
         emit_plot_data(records, "pie-chart", tmp_path / "x.csv")
+
+    # Only failed runs: nothing to plot, and no file is written.
+    failed = [replace(r, bundle=None, solution=None, error="failed") for r in records]
+    with pytest.raises(ValueError, match="^no successful records to plot$"):
+        emit_plot_data(failed, "power-bars", tmp_path / "failed.csv")
+    assert not (tmp_path / "failed.csv").exists()
 
 
 def _plot_bytes(plot, source, tmp_path, tag):
@@ -589,6 +596,25 @@ def test_cli_plot_on_a_broken_summary_exits_2(run_out, tmp_path, capsys, edit, k
                  "--out", str(tmp_path / "bars.csv")]) == 2
     err = capsys.readouterr().err
     assert str(broken) in err and key in err and "Traceback" not in err
+
+
+def test_cli_plot_reads_summary_values_as_written(run_out, tmp_path):
+    """A summary ``seed`` of 2.0 passes the one integer rule, as a scenario
+    file's ``panel_rows: 16.0`` does, and plotting checks the values it
+    reads without rewriting them: the seed and a ``total_power_w`` of 0
+    come out as written."""
+    spec, _ = run_out
+    out = shutil.copytree(spec.out_dir, tmp_path / "out")
+    edited = out / "inf-dh-desk" / "2" / "maxrate" / "summary.json"
+    edited.write_text(json.dumps({**json.loads(edited.read_text()), "seed": 2.0,
+                                  "total_power_w": 0}))
+    assert main(["plot", "--kind", "power-bars", "--in", str(out),
+                 "--out", str(tmp_path / "bars.csv")]) == 0
+    with open(tmp_path / "bars.csv", newline="") as f:
+        totals = [(r["solver"], r["seed"], r["power_w"]) for r in csv.DictReader(f)
+                  if r["poa_id"] == "total"]
+    assert [seed for _, seed, _ in totals] == ["1", "1", "2", "2.0"]
+    assert totals[-1] == ("maxrate", "2.0", "0")
 
 
 @pytest.mark.parametrize("name, word", [("summary.json", b'"seed"'), ("metrics.csv", b"user")])

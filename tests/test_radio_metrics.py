@@ -286,6 +286,12 @@ def test_half_power_halves_sar(tiny_scenario, tiny_solution, ev):
             0.5 * m_full.per_human_sar[hid], rel=1e-9)
 
 
+def test_power_density_refuses_a_negative_received_power():
+    assert power_density(3e9, 0.0) == 0.0
+    with pytest.raises(ValueError, match="^received power must be non-negative$"):
+        power_density(3e9, np.array([1e-9, -1e-12]))
+
+
 def test_violation_labels(tiny_scenario, tiny_solution):
     demanding = replace(
         tiny_scenario,
@@ -1134,7 +1140,7 @@ def test_evaluate_and_solve_ctm_keep_no_terms(monkeypatch):
     scenario = builtin_scenario("inf-dh-desk", 1)
     config = CtmConfig(seed=1)
     evaluate(build_geometry(scenario, config), scenario, 1, n_realizations=4)
-    solution, _ = solver_ctm.solve_ctm(Recorded(scenario, 1, 4), config)
+    solution, _ = solver_ctm.solve_ctm(Recorded(scenario, 1, 4))
     solved = made[-1]
     tables = {key: list(record.tables) for key, record in solved._parts.items()}
     stacks, stack = [], rm.GainStack

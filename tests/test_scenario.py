@@ -11,8 +11,8 @@ from cellless import scenario as scenario_module
 from cellless.channel import ChannelParams
 from cellless.cli import main
 from cellless.exposure import FrequencyMap
-from cellless.scenario import (_SCENARIO_KEYS, BUILTIN_TEMPLATES, ParseError, ScenarioError,
-                               ValidationError, builtin_scenario,
+from cellless.scenario import (_SCENARIO_KEYS, BUILTIN_TEMPLATES, ParseError, PlacementError,
+                               ScenarioError, ValidationError, builtin_scenario,
                                builtin_template, generate_placements,
                                load_scenario, save_scenario,
                                scenario_from_dict, scenario_to_dict)
@@ -86,6 +86,14 @@ def test_placement_constraints(name):
                 assert h.position == s.users[i].position
             else:
                 assert h.linked_user is None
+
+
+def test_placement_that_cannot_space_its_users_raises():
+    """Two users 100 m apart do not fit in the 80 m x 20 m hall: the second
+    is refused after ``MAX_PLACEMENT_ATTEMPTS`` draws."""
+    template = replace(builtin_template("inf-dh-desk"), min_user_spacing=100.0)
+    with pytest.raises(PlacementError, match="^could not place user 1 after 1000 attempts$"):
+        generate_placements(template, 0)
 
 
 def test_scenario_round_trip(tmp_path):
@@ -326,6 +334,8 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d.update(name="a\0b"), "name"),
     (lambda d: d["users"][0].update(required_rate_bps=0.0), "users[0].required_rate_bps"),
     (lambda d: d["users"][1].update(required_rate_bps=-1e6), "users[1].required_rate_bps"),
+    (lambda d: d.update(bounds_m=[80.0]), "bounds_m"),
+    (lambda d: d["users"][4].update(id=d["users"][2]["id"]), "users[4].id"),
 ], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
         "maxpow-minus-inf", "user-z-nan", "poa-z-inf", "bounds-length-inf",
         "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
@@ -346,7 +356,8 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
         "n-rays-zero", "n-clusters-negative", "delay-spread-zero", "zenith-spread-negative",
         "bmi-zero", "bmi-ref-negative", "sar-ref-empty", "sar-ref-value-zero",
         "name-escapes", "name-slash", "name-backslash", "name-empty", "name-dot",
-        "name-dot-dot", "name-nul", "user-rate-zero", "user-rate-negative"])
+        "name-dot-dot", "name-nul", "user-rate-zero", "user-rate-negative",
+        "bounds-one-entry", "user-id-repeated"])
 
 
 @pytest.mark.parametrize("rate", [0.0, -1e6, math.nan, math.inf, -math.inf])

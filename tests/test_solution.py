@@ -54,6 +54,11 @@ def test_power_and_width_violations(tiny_scenario, tiny_solution):
     narrow = replace(tiny_solution, beams=tuple(beams))
     assert "beam_too_narrow" in codes(validate(narrow, tiny_scenario))
 
+    beams = list(tiny_solution.beams)
+    beams[1] = replace(beams[1], zenith=-0.1)
+    below = replace(tiny_solution, beams=tuple(beams))
+    assert "bad_zenith" in codes(validate(below, tiny_scenario))
+
 
 def test_unknown_entities(tiny_scenario, tiny_solution):
     beams = tiny_solution.beams + (

@@ -363,6 +363,25 @@ def test_an_infeasible_world_names_the_poa_that_blocks(world, seed, blocking):
     assert {f"rate:{uid}" for uid in blocking.values()} <= set(err.violated)
 
 
+def test_a_least_vector_over_a_sar_ceiling_is_refused():
+    """SAR rises in every power, so a least power vector that meets every
+    floor but breaks a SAR ceiling shows that no vector meets both. On
+    inf-dh-desk seed 1, with the ceiling at the least vector's largest SAR
+    the world solves with the same powers; at half of it ``solve_ctm``
+    raises with no blocking PoA, and at maximum power every floor is met
+    and every human breaks the ceiling."""
+    scenario = builtin_scenario("inf-dh-desk", 1)
+    solved, bundle = solve_ctm(Evaluator(scenario, 1, 10))
+    at_ceiling = replace(scenario, sar_limit=bundle.max_sar)
+    again, again_bundle = solve_ctm(Evaluator(at_ceiling, 1, 10))
+    assert again == solved and again_bundle.feasible
+    with pytest.raises(NoFeasibleSolutionError) as info:
+        solve_ctm(Evaluator(replace(scenario, sar_limit=bundle.max_sar / 2), 1, 10))
+    err = info.value
+    assert err.blocking == {} and "the least power vector breaks a SAR ceiling" in str(err)
+    assert err.violated == [f"sar:{h.id}" for h in scenario.humans] and len(err.violated) == 40
+
+
 def test_infeasible_error_message_quotes_the_first_ids():
     err = NoFeasibleSolutionError([f"rate:u{i}" for i in range(7)] + ["sar:h0"],
                                   {"p0": "u0", "p1": "u3"})
@@ -649,16 +668,12 @@ def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
 
 
 def test_solve_ctm_deterministic(tiny_scenario):
-    """Deterministic on two Evaluators of one world, and with no config it
-    runs ``CtmConfig(seed=evaluator.seed)``."""
-    cfg = CtmConfig(seed=7)
-    s1, m1 = solve_ctm(Evaluator(tiny_scenario, 7, 4), cfg)
-    s2, m2 = solve_ctm(Evaluator(tiny_scenario, 7, 4), cfg)
-    assert s1.tx_power == s2.tx_power
-    assert repr(m1) == repr(m2)
-    s3, m3 = solve_ctm(Evaluator(tiny_scenario, 7, 4))
-    s4, m4 = solve_ctm(Evaluator(tiny_scenario, 7, 4), CtmConfig(seed=7))
-    assert s3 == s4 and repr(m3) == repr(m4)
+    """Deterministic on two Evaluators of one world, on the geometry of
+    ``CtmConfig(seed=evaluator.seed)``."""
+    s1, m1 = solve_ctm(Evaluator(tiny_scenario, 7, 4))
+    s2, m2 = solve_ctm(Evaluator(tiny_scenario, 7, 4))
+    assert s1 == s2 and repr(m1) == repr(m2)
+    assert s1.beams == build_geometry(tiny_scenario, CtmConfig(seed=7)).beams
 
 
 # sha256 (first 16 hex digits) of the float64 bytes of a CtM solve's
@@ -696,21 +711,20 @@ def test_ctm_rates_powers_and_unlinked_sars_are_pinned(world, seed):
 
 @pytest.mark.parametrize("field", ["scenario", "seed", "n_realizations"])
 def test_solve_ctm_solves_the_evaluators_channels(tiny_scenario, field):
-    """An Evaluator of another scenario, seed or realization count than
-    the config's k-means seed is solved on, not refused: the verdict is a
-    fresh Evaluator's of that world, the floors hold there, the k-means
-    geometry is still ``config.seed``'s, and the powers follow the
-    Evaluator's channels."""
-    cfg = CtmConfig(seed=7)
+    """An Evaluator of another scenario, seed or realization count is
+    solved on: the verdict is a fresh Evaluator's of that world, the floors
+    hold there, the k-means geometry is ``CtmConfig(seed=evaluator.seed)``'s,
+    and the powers follow the Evaluator's channels."""
     base = dict(scenario=tiny_scenario, seed=7, n_realizations=4)
     args = dict(base)
     args[field] = {"scenario": make_tiny_scenario(required_rate=20e6), "seed": 8,
                    "n_realizations": 3}[field]
-    _, base_bundle = solve_ctm(Evaluator(**base), cfg)
-    solution, bundle = solve_ctm(Evaluator(**args), cfg)
+    _, base_bundle = solve_ctm(Evaluator(**base))
+    solution, bundle = solve_ctm(Evaluator(**args))
     assert repr(bundle) == repr(Evaluator(**args).metrics(solution))
     assert bundle.feasible and Evaluator(**args).unmet_floors(solution) == []
-    assert solution.beams == build_geometry(args["scenario"], cfg).beams
+    geometry = build_geometry(args["scenario"], CtmConfig(seed=args["seed"]))
+    assert solution.beams == geometry.beams
     assert repr(bundle) != repr(base_bundle)
 
 
@@ -724,8 +738,7 @@ def test_solve_ctm_stacks_its_beams_once(monkeypatch):
     monkeypatch.setattr(radio_metrics, "GainStack",
                         lambda *fields: stacks.append(stack(*fields)) or stacks[-1])
     scenario = builtin_scenario("inf-dh-desk", 1)
-    config = CtmConfig(seed=1)
-    solution, bundle = solve_ctm(Evaluator(scenario, 1, 2), config)
+    solution, bundle = solve_ctm(Evaluator(scenario, 1, 2))
     assert bundle.feasible and len(stacks) == 2
     assert stacks[0].listing == () and stacks[1].listing is solution.beams
 

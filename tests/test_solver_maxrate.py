@@ -538,6 +538,18 @@ def test_solver_configs_keep_integral_counts_as_ints():
     assert got == [2, 4, 3, 4] and all(type(v) is int for v in got)
 
 
+@pytest.mark.parametrize("score, t0", [(5e8, 5e8 * 0.01), (20.0, 1.0)])
+def test_t0_when_no_probe_worsens_is_a_hundredth_of_the_start(monkeypatch, tiny_scenario,
+                                                              start, ev, score, t0):
+    """With no worsening probe move to calibrate on, T0 is 1 % of the
+    start's score, and at least 1."""
+    from cellless import solver_maxrate
+
+    monkeypatch.setattr(solver_maxrate, "objective", lambda solution, evaluator: score)
+    rng = np.random.default_rng(0)
+    assert solver_maxrate._calibrate_temperature(start, score, tiny_scenario, rng, ev) == t0
+
+
 def test_anneal_config_validation():
     with pytest.raises(ValueError):
         AnnealConfig(iterations=0)
