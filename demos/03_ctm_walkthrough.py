@@ -54,8 +54,7 @@ def main():
     # Step 3b: the least power vector that meets every floor on these beams,
     # each PoA held by its binding user, the one whose floor needs the most.
     _, binding, _ = evaluator.least_powers(geometry)
-    solved = reduce_powers(geometry, evaluator)
-    m1 = evaluator.metrics(solved)
+    solved, m1 = reduce_powers(geometry, evaluator)
     print("\nStep 3b - the least power vector:")
     for pid in solved.active_poas():
         print(f"  {pid}: {geometry.tx_power[pid]:6.1f} -> "

@@ -43,7 +43,7 @@ def _build_parser():
     run.add_argument("--seeds", default="0", type=_parse_seeds,
                      help="'1..10' or comma-separated list")
     run.add_argument("--realizations", default=10, type=int,
-                     help="channel realizations per feasibility evaluation")
+                     help="channel realizations per seed, shared by both solvers")
     run.add_argument("--workers", default=1, type=int,
                      help="processes; seeds run in parallel, a seed's solvers in turn")
     run.add_argument("--out", default=None, help="output directory")

@@ -28,14 +28,14 @@ path, the two axis phasors and one folded weight, the rays' computed from
 per-cluster angles; a beam then costs complex products per path, in one
 ``antenna.steered_sum`` call per block, and one phasor per beam on the
 cluster sums. Every beam of every block, part and PoA is steered through
-the Evaluator's one ``antenna.FieldWork`` of steering buffers, made at
-its first fill for its largest block, rays and direct paths, and kept as
-long as the Evaluator,
-so those buffers are allocated and paged in once, not once per block. A
-part's first fill draws each block's links and frees its terms before the
-next block, so its memory is bounded by a block, not by the realization
-count, and a part filled once (``evaluate``, ``solve_ctm`` and its dump)
-keeps nothing but its tables. Its second fill draws the blocks again and
+the Evaluator's one ``antenna.FieldWork`` of steering buffers, made with
+the Evaluator for its largest block, rays and direct paths, so those
+buffers are allocated and paged in once, not once per block, and not at
+all before a fill writes them. A part's first fill draws each block's
+links and frees its terms before the next block, so its memory is
+bounded by a block, not by the realization count, and a part filled
+once (``evaluate``, ``solve_ctm`` and its dump) keeps nothing but its
+tables. Its second fill draws the blocks again and
 keeps their terms, so a part refilled beam by beam (the MaxRate anneal)
 stops recomputing them. Each step is elementwise or reduces the trailing
 cluster and ray axes, and each link's draw reads its own row of its
@@ -55,12 +55,11 @@ stacks it itself, on the last stack the Evaluator built (at first its
 stack of no beams), which is the one place that decides what a stack
 reuses. A stack costs what changed since the last one: a solution with its
 very beam objects gets that stack itself, so ``solve_ctm`` stacks its
-beams once for its least powers, its verdicts and its dump; one whose beams
-serve the users they serve there shares its live rows, shares and per-user
-arrays; and a live row whose ``BeamConfig`` changed is keyed only where its
-zenith, azimuth or width differ from the row's last active beam, and read
-only where its key is not the one the row of the last gains holds, so a
-reassign that moves no beam keys and reads nothing. *Scale* multiplies
+beams once for its least powers, its one verdict and its dump; one whose
+beams serve the users they serve there shares its live rows, shares and
+per-user arrays; and a live row whose ``BeamConfig`` changed is keyed,
+and read exactly where its key is not the one the row of the last gains
+holds, so a reassign that moves no beam reads nothing. *Scale* multiplies
 each live row by its watts under a power vector, one computation
 (``Evaluator._watts``) for the users gains and the humans tables alike.
 *Verdict* composes each user's SINR from the three terms that
@@ -93,8 +92,8 @@ largest over its users. The vector of requirements is a standard
 interference function of the power vector, whose least fixed point is
 the answer; Newton's steps approach it from the solution's own powers
 when they meet every floor, and else from 0 W, and two vectors either
-side of it confirm it. Every answer is confirmed by ``metrics``
-(``solver_ctm.reduce_powers``).
+side of it confirm it. Every answer is confirmed by one ``metrics``
+(``solver_ctm.reduce_powers``), the verdict ``solve_ctm`` returns.
 """
 
 from __future__ import annotations
@@ -417,7 +416,10 @@ class Evaluator:
                                         params)
                 self._parts[poa.id, part] = _Part(params, paths, (self.seed, p_idx, part),
                                                   self.n_realizations, targets)
-        self._work = None  # the steering workspace of every fill (``_tables``)
+        # The steering workspace of every fill (``_tables``), for the largest
+        # block of any part (every world has a PoA); it is empty memory,
+        # which pages nothing in until a fill writes it.
+        self._work = FieldWork(max(p.largest_block() for p in self._parts.values()))
         no_beams = (None,) * len(rows)
         self._no_beams = GainStack(
             (), no_beams, no_beams, np.empty((len(rows), self._n_users, self.n_realizations)),
@@ -455,15 +457,12 @@ class Evaluator:
         users, 1: the humans) of each ``_key`` in ``keys``. The missing
         tables are filled in one ``_Part.fill`` per PoA, so one PoA's terms
         are freed before the next PoA's are computed. Every fill steers
-        through the Evaluator's one ``FieldWork``, made at the first fill
-        for the largest block of any part and kept as long as the
-        Evaluator."""
+        through the Evaluator's one ``FieldWork``, made with the Evaluator
+        for the largest block of any part."""
         missing = {}
         for pid, key in keys:
             if key not in self._parts[pid, part].tables:
                 missing.setdefault(pid, set()).add(key)
-        if missing and self._work is None:
-            self._work = FieldWork(max(p.largest_block() for p in self._parts.values()))
         for pid, group in missing.items():
             self._parts[pid, part].fill(group, self._panels[pid], self._work)
         return [self._parts[pid, part].tables[key] for pid, key in keys]
@@ -481,14 +480,13 @@ class Evaluator:
         stack of no beams), and costs what changed: with every row's
         ``BeamConfig`` the very object that stack holds, it is that stack;
         with every row serving the users it serves there, it shares its
-        ``live`` to ``noise``; and only a live row whose beam object changed
-        and whose zenith, azimuth or width differ from the active beam that
-        row holds there is keyed, and read only where its table key is not
-        the one its row of the last gains holds (a MaxRate reassign gives
-        both beams it touches new objects of the old geometry, so it keys
-        none). A stack has the same bits whatever it was built on, so asking
-        again for the beams of the last solution, as ``solve_ctm``'s least
-        powers, verdicts and dump do, costs nothing."""
+        ``live`` to ``noise``; and a live row whose beam object changed is
+        keyed, and read exactly where its table key is not the one its row
+        of the last gains holds (a MaxRate reassign gives both beams it
+        touches new objects of the old geometry, so it reads none). A stack
+        has the same bits whatever it was built on, so asking again for the
+        beams of the last solution, as ``solve_ctm``'s least powers, verdict
+        and dump do, costs nothing."""
         base = self._last
         try:
             beams, changed = self._rows(solution.beams, base)
@@ -502,11 +500,8 @@ class Evaluator:
             raise SolutionInvalidError(validate(solution, self.scenario)) from None
         keys, read = list(base.keys), []
         for row in changed:
-            new, old = beams[row], base.beams[row]
+            new = beams[row]
             if new is not None and new.active:
-                if (old is not None and old.active and (new.zenith, new.azimuth, new.width)
-                        == (old.zenith, old.azimuth, old.width)):
-                    continue  # keys[row] is old's key, and so new's: the geometry is the same
                 key = self._key(new)
                 if key != keys[row]:
                     keys[row] = key

@@ -292,13 +292,15 @@ def build_geometry(scenario: Scenario, config: CtmConfig) -> SolutionState:
     return SolutionState(beams=tuple(beam_configs), tx_power=tx_power)
 
 
-def reduce_powers(solution: SolutionState, evaluator: Evaluator) -> SolutionState:
+def reduce_powers(solution: SolutionState, evaluator: Evaluator):
     """The solution's beams at their least power vector on the evaluator's
     channel realizations (``Evaluator.least_powers``: each active PoA at
     most ``ROUND_UP_DB`` above the least dBm at which its users meet their
     floors, capped at its maximum and, when the solution's powers meet
     every floor, at its power there), confirmed by one
-    ``Evaluator.metrics``. A PoA without an active beam keeps its power.
+    ``Evaluator.metrics``; returns (SolutionState, MetricsBundle), that
+    state and its confirming verdict. A PoA without an active beam keeps
+    its power.
 
     Raises ``NoFeasibleSolutionError`` when ``least_powers`` proves that no
     vector up to the maxima meets every floor, or when the least vector
@@ -311,11 +313,11 @@ def reduce_powers(solution: SolutionState, evaluator: Evaluator) -> SolutionStat
     tx_power, _, blocking = evaluator.least_powers(solution)
     if not blocking:
         solved = replace(solution, tx_power={**solution.tx_power, **tx_power})
-        missed = evaluator.metrics(solved).violated
-        if not missed:
-            return solved
-        if any(v.startswith("rate:") for v in missed):
-            raise RuntimeError(f"the least power vector misses {', '.join(missed)}")
+        bundle = evaluator.metrics(solved)
+        if bundle.feasible:
+            return solved, bundle
+        if any(v.startswith("rate:") for v in bundle.violated):
+            raise RuntimeError(f"the least power vector misses {', '.join(bundle.violated)}")
     at_max = replace(solution, tx_power={p.id: p.max_tx_power_dbm
                                          for p in evaluator.scenario.poas})
     raise NoFeasibleSolutionError(evaluator.metrics(at_max).violated, blocking)
@@ -329,8 +331,9 @@ def solve_ctm(evaluator: Evaluator):
     ``CtmConfig(seed=evaluator.seed)``, so the Evaluator's seed seeds the
     k-means restarts. Every verdict is read on ``evaluator``, which is left
     holding the solved beams' tables and stack, so a dump of the solution
-    then reads them. The beams are stacked once: the least power vector,
-    its confirming verdict and the closing verdict read one stack.
+    then reads them. The beams are stacked once, for the least power
+    vector and its one verdict: ``reduce_powers``' confirming verdict is
+    the bundle returned.
 
     Raises NoFeasibleSolutionError when no power vector up to the PoAs'
     maxima meets every rate floor and exposure ceiling.
@@ -340,5 +343,4 @@ def solve_ctm(evaluator: Evaluator):
     if not any(b.active for b in geometry.beams):
         off = replace(geometry, tx_power={p.id: -math.inf for p in scenario.poas})
         return off, evaluator.metrics(off)
-    solved = reduce_powers(geometry, evaluator)
-    return solved, evaluator.metrics(solved)
+    return reduce_powers(geometry, evaluator)

@@ -8,7 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cellless.antenna import (FieldWork, PanelGeometry, SteeringDirection, width_to_panel,
                               wrap_angle)
@@ -17,7 +18,8 @@ from cellless.channel import (NOISE_DENSITY_DBM_HZ, ChannelParams, dbm_to_watts,
                               steered_energy)
 from cellless.exposure import FrequencyMap, incident_field, sar_wb
 from cellless.radio_metrics import (NOISE_DENSITY_W_HZ, Evaluator, SolutionInvalidError,
-                                    UnservedUserError, evaluate, power_density, shannon_rate)
+                                    UnservedUserError, _row_sum, evaluate, power_density,
+                                    shannon_rate)
 from cellless.scenario import (EndUser, Human, PoA, Position3D, Scenario, ValidationError,
                                builtin_scenario)
 from cellless.solution import BeamConfig, SolutionState
@@ -705,6 +707,28 @@ def test_beam_listing_order_does_not_change_a_bit(geometry_pool, world, seed, re
     assert got.violated == want.violated
 
 
+@settings(deadline=None, max_examples=300)
+@given(per_beam=hnp.arrays(float, st.tuples(st.integers(0, 12), st.integers(0, 4),
+                                            st.integers(0, 4)),
+                           elements=st.floats(0.0, 1e300)))
+@example(per_beam=np.zeros((0, 3, 2)))               # no live row
+@example(per_beam=np.arange(6.0).reshape(1, 3, 2))   # one row
+# One number a row, where numpy's pairwise sum would round the other way.
+@example(per_beam=np.array([1.0] + [1e-16] * 9).reshape(10, 1, 1))
+def test_row_sum_adds_the_rows_one_by_one_in_row_order(per_beam):
+    """``_row_sum`` of a (rows, users, realizations) array of powers, each
+    at least +0, is the sum of its rows added one by one in row order,
+    byte for byte, whatever the shape: the order that keeps a rate's bits
+    across beam listings. It rests on numpy's reduce over a C-ordered outer
+    axis adding row by row and on its accumulate's last row matching that
+    reduce."""
+    want = np.zeros(per_beam.shape[1:])
+    for row in per_beam:
+        want = want + row
+    got = _row_sum(per_beam)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # The power core: every user view reads metrics()'s rates, and grouped fills
 # equal one-beam kernel calls.
@@ -907,10 +931,10 @@ def test_evaluate_peak_memory_grows_little_with_realizations():
 
 def test_one_steering_workspace_per_evaluator(monkeypatch):
     """Every block of every fill, over both parts of every PoA, steers
-    through the Evaluator's one ``FieldWork``, made at its first fill for
+    through the Evaluator's one ``FieldWork``, made with the Evaluator for
     the largest block of any part: a paper-scale ``metrics``
     (inf-dh-default, four blocks per part) and a full MaxRate solve on
-    inf-dh-desk (the default annealer) each make exactly one."""
+    inf-dh-desk (the default annealer) make none after construction."""
     made, init = [], FieldWork.__init__
 
     def counted(self, size):
@@ -921,7 +945,7 @@ def test_one_steering_workspace_per_evaluator(monkeypatch):
     scenario = builtin_scenario("inf-dh-default", 1)
     solution = build_geometry(scenario, CtmConfig(seed=1))
     ev = Evaluator(scenario, 1, 10)
-    assert made == [] and {len(p.blocks()) for p in ev._parts.values()} == {4}
+    assert made == [ev._work] and {len(p.blocks()) for p in ev._parts.values()} == {4}
     ev.metrics(solution)
     assert made == [ev._work]
     # 30,000 rays and the 300 direct paths of a block of three realizations.

@@ -311,8 +311,8 @@ def test_reduce_powers_monotone_and_feasible(tiny_scenario):
     cfg = CtmConfig(seed=2)
     geo = build_geometry(tiny_scenario, cfg)
     ev = Evaluator(tiny_scenario, cfg.seed, 4)
-    out = reduce_powers(geo, ev)
-    assert ev.metrics(out).feasible
+    out, bundle = reduce_powers(geo, ev)
+    assert bundle.feasible
     for pid in out.tx_power:
         assert out.tx_power[pid] <= geo.tx_power[pid]
     assert out.total_power_watts() < geo.total_power_watts()
@@ -438,7 +438,7 @@ def test_least_powers_are_the_descent_to_within_the_round_up(world, placement, c
     evaluator = Evaluator(scenario, channel_seed, 10)
     geometry = build_geometry(scenario, CtmConfig(seed=channel_seed))
     want = _reference_descent(geometry, evaluator)
-    got = reduce_powers(geometry, evaluator)
+    got, _ = reduce_powers(geometry, evaluator)
     assert got.active_poas() == want.active_poas()
     assert all(got.tx_power[pid] <= want.tx_power[pid] + ROUND_UP_DB
                for pid in got.active_poas())
@@ -470,24 +470,31 @@ def test_reduce_powers_confirms_the_least_vector_with_one_verdict(monkeypatch, w
                                                                   channel_seed, realizations):
     """On the desk worlds placed with seed 1, ``reduce_powers`` returns the
     solution with ``least_powers``' vector on its active PoAs, lower than
-    the max-power start, after one ``metrics`` call: of that vector."""
+    the max-power start, and the verdict of its one ``metrics`` call: of
+    that vector. ``solve_ctm`` returns that pair, after that one call."""
     scenario = builtin_scenario(world, 1)
     geometry = build_geometry(scenario, CtmConfig(seed=channel_seed))
     tx_power, _, blocking = Evaluator(scenario, channel_seed, realizations).least_powers(geometry)
     assert not blocking
 
-    full = []
+    full, verdicts = [], []
     metrics = Evaluator.metrics
 
     def counted_full(self, solution):
         full.append(dict(solution.tx_power))
-        return metrics(self, solution)
+        verdicts.append(metrics(self, solution))
+        return verdicts[-1]
 
     monkeypatch.setattr(Evaluator, "metrics", counted_full)
-    got = reduce_powers(geometry, Evaluator(scenario, channel_seed, realizations))
+    got, bundle = reduce_powers(geometry, Evaluator(scenario, channel_seed, realizations))
     assert got.tx_power == {**geometry.tx_power, **tx_power}
-    assert full == [got.tx_power]
+    assert full == [got.tx_power] and verdicts == [bundle] and bundle.feasible
     assert got.total_power_watts() < geometry.total_power_watts()
+
+    full.clear()
+    verdicts.clear()
+    solved, closing = solve_ctm(Evaluator(scenario, channel_seed, realizations))
+    assert solved == got and full == [got.tx_power] and verdicts[0] is closing
 
 
 @pytest.mark.parametrize("template, users", [
@@ -555,8 +562,8 @@ def test_least_powers_meet_every_floor_and_are_a_fixed_point(world):
     requirement there lies between its watts less the round-up and its
     watts."""
     evaluator, solution = world
-    solved = reduce_powers(solution, evaluator)
-    assert evaluator.metrics(solved).feasible
+    solved, bundle = reduce_powers(solution, evaluator)
+    assert bundle.feasible
     assert all(solved.tx_power[pid] <= solution.tx_power[pid] for pid in solution.tx_power)
     tx_power, _, blocking = evaluator.least_powers(solution)
     assert not blocking and sorted(tx_power) == solution.active_poas()
@@ -624,15 +631,15 @@ def test_a_search_past_its_step_bound_keeps_feasible_powers_or_raises(monkeypatc
     if start_dbm is not None:
         geometry = replace(geometry, tx_power=dict.fromkeys(geometry.tx_power, start_dbm))
     evaluator = Evaluator(scenario, 1, 4)
-    least = reduce_powers(geometry, evaluator)
+    least, _ = reduce_powers(geometry, evaluator)
     monkeypatch.setattr(radio_metrics, "_MOST_STEPS", 1)
     if start_dbm is not None:
         assert not evaluator.metrics(geometry).feasible
         with pytest.raises(RuntimeError, match="no least power vector in 1 steps"):
             reduce_powers(geometry, evaluator)
         return
-    solved = reduce_powers(geometry, evaluator)
-    assert solved.tx_power == geometry.tx_power and evaluator.metrics(solved).feasible
+    solved, bundle = reduce_powers(geometry, evaluator)
+    assert solved.tx_power == geometry.tx_power and bundle.feasible
     assert solved.total_power_watts() > least.total_power_watts()
 
 
