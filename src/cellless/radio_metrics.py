@@ -75,7 +75,12 @@ checked against the rate floors and the SAR ceiling. ``metrics`` composes
 ``mean_rates`` and the exposure, and is the only full verdict:
 ``violated`` is every missed floor and ceiling, and ``feasible`` is that
 list being empty. ``mean_rates`` and ``unmet_floors`` read every user's
-rate, in scenario order, along the one path that ``metrics`` takes.
+rate, in scenario order, along the one path that ``metrics`` takes. A
+verdict, like a stack, costs what changed: ``mean_rates`` returns its last
+rates again, read-only, for a stack that holds the very gains and service
+arrays they were computed from under equal live-row watts, so a state that
+changes no live row (an idle beam moved, a width clamped at its bound, a
+power clamped or of a PoA with no live row) computes nothing.
 Interference adds the live rows one by one in row order (``_row_sum``),
 and a rate is composed by one helper (``_mean_rate``: ``shannon_rate``,
 then the realization mean), so a rate has the same bits whichever
@@ -169,9 +174,10 @@ class GainStack:
     No array is ever written after the stack is made, so stacks share them:
     one built on another shares what the change left alone, and a state
     that differs from the stacked one only in idle beams, or in the power of
-    PoAs with no live row, has the very rates of this stack (MaxRate's idle
-    moves score nothing). Only the Evaluator makes or reads stacks, each on
-    the last one it built (``Evaluator.stack``).
+    PoAs with no live row, has the very rates of this stack, which
+    ``Evaluator.mean_rates`` returns without computing them again. Only the
+    Evaluator makes or reads stacks, each on the last one it built
+    (``Evaluator.stack``).
     """
 
     listing: tuple
@@ -355,7 +361,12 @@ def _row_sum(per_beam):
     row in row order whatever the trailing shape. numpy's reduce adds
     pairwise along the fast axis only; over the outer axis of a C-ordered
     array whose rows hold two numbers or more it adds row by row. Rows of
-    one number accumulate instead."""
+    one number accumulate instead.
+
+    ``per_beam`` holds no ``-0.0``: the two paths differ there, the
+    accumulation keeping a ``-0.0`` that the reduce, which starts from
+    ``+0.0``, returns as ``+0.0``. Interference, its one input, is
+    ``np.where`` of non-negative watts and ``0.0``, which holds none."""
     return (np.add.accumulate(per_beam, axis=0)[-1] if 0 < per_beam.size == len(per_beam)
             else np.add.reduce(per_beam, axis=0))
 
@@ -425,6 +436,8 @@ class Evaluator:
             (), no_beams, no_beams, np.empty((len(rows), self._n_users, self.n_realizations)),
             *self._service(no_beams))
         self._last = self._no_beams  # what the next stack() is built on
+        # The last rates mean_rates computed: (gains, serving, live-row watts, rates).
+        self._rates = None, None, None, None
 
     # -- per-beam unit-power gains -------------------------------------------
 
@@ -569,18 +582,18 @@ class Evaluator:
         watts = np.array([ch.dbm_to_watts(tx_power.get(pid, -math.inf)) for pid in self._poa_index])
         return (watts[stack.poa_of_beam] / stack.share)[:, None, None]
 
-    def _terms(self, stack, tx_power):
+    def _terms(self, stack, watts):
         """Each user's signal and interference [W], (users, realizations),
         its noise [W], (users, 1), and its bandwidth [Hz], (users,), in
-        scenario order, on the beams frozen in ``stack`` under per-PoA
-        levels ``tx_power`` [dBm]. An unserved user raises
-        ``UnservedUserError``.
+        scenario order, on the beams frozen in ``stack`` under ``watts``,
+        each live row's transmit power [W] (``_watts``). An unserved user
+        raises ``UnservedUserError``.
 
         Each live row is scaled by its watts. Interference is the power of
         every live beam on the serving PoA's frequency from every other PoA,
         added beam by beam in row order.
         """
-        power = self._watts(stack, tx_power) * stack.gains[stack.live]
+        power = watts * stack.gains[stack.live]
         try:
             signal = power[stack.serving, self._all_columns]
         except IndexError:  # an unserved user's row is past the live rows
@@ -670,9 +683,10 @@ class Evaluator:
         """
         stack = self.stack(solution)
         pids, poas, n = list(self._poa_index), self.scenario.poas, len(self._poa_index)
-        unit, _, noise, bandwidth = self._terms(stack, dict.fromkeys(pids, 30.0))  # at 1 W
-        # Each user's interference from each PoA at 1 W, (users, PoAs, realizations).
-        crossed = np.stack([self._terms(stack, {**dict.fromkeys(pids, -math.inf), pid: 30.0})[1]
+        # Every PoA at 1 W; then each user's interference from each PoA at 1 W,
+        # (users, PoAs, realizations).
+        unit, _, noise, bandwidth = self._terms(stack, self._watts(stack, dict.fromkeys(pids, 30.0)))
+        crossed = np.stack([self._terms(stack, self._watts(stack, {pid: 30.0}))[1]
                             for pid in pids], axis=1)
         floors = np.array([self._rate_floor[uid] for uid in self._user_ids])
         owner = stack.poa_of_beam[stack.serving]
@@ -735,10 +749,26 @@ class Evaluator:
 
     def mean_rates(self, solution) -> np.ndarray:
         """Mean rate [bit/s] over realizations of every user, in scenario
-        order."""
-        signal, interference, noise, bandwidth = self._terms(self.stack(solution),
-                                                             solution.tx_power)
-        return _mean_rate(bandwidth, signal, noise + interference)
+        order, as a read-only array.
+
+        A verdict, like a stack, costs what changed: the rates last computed
+        are returned again while the solution's stack holds the very
+        ``gains`` and service arrays they were computed from and its live
+        rows' watts are equal. Stacks are never written and share those
+        arrays only where nothing they hold changed, so the rates are those
+        a computation would give, bit for bit: a move of an idle beam, a
+        width clamped at its bound, or a power that is clamped or reaches no
+        live row, computes nothing."""
+        stack = self.stack(solution)
+        watts = self._watts(stack, solution.tx_power)
+        gains, serving, last, rates = self._rates
+        if gains is stack.gains and serving is stack.serving and np.array_equal(watts, last):
+            return rates
+        signal, interference, noise, bandwidth = self._terms(stack, watts)
+        rates = _mean_rate(bandwidth, signal, noise + interference)
+        rates.flags.writeable = False
+        self._rates = stack.gains, stack.serving, watts, rates
+        return rates
 
     def metrics(self, solution: SolutionState) -> MetricsBundle:
         """Averaged rates and SAR over all realizations, plus feasibility."""

@@ -507,8 +507,9 @@ def _check_fields(obj):
 def _validate(s: Scenario):
     """Every field of ``s`` in the range beside its key, then the rules that
     span fields: unique ids, string beam ids each owned by one PoA, positions
-    inside the bounds, linked humans on their users, every PoA frequency
-    mapped and every worn phantom's SAR_ref covering the mapped ones."""
+    inside the bounds, linked humans on their users and at most one per
+    user, every PoA frequency mapped and every worn phantom's SAR_ref
+    covering the mapped ones."""
     _check_ranges(s, _SCENARIO_KEYS)
     if len(s.bounds) < 2:
         raise ValidationError("bounds_m", "needs a length and a width")
@@ -537,7 +538,7 @@ def _validate(s: Scenario):
             raise ValidationError(f"{path}.id", f"duplicate id {u.id!r}")
         user_ids.add(u.id)
         _check_position(u.position, s, f"{path}.position_m")
-    human_ids, user_index = set(), {u.id: j for j, u in enumerate(s.users)}
+    human_ids, user_index, bodies = set(), {u.id: j for j, u in enumerate(s.users)}, set()
     for i, h in enumerate(s.humans):
         path = f"humans[{i}]"
         if h.id in ids or h.id in user_ids or h.id in human_ids:
@@ -545,7 +546,10 @@ def _validate(s: Scenario):
         human_ids.add(h.id)
         if h.phantom_id not in s.phantoms:
             raise ValidationError(f"{path}.phantom_id", f"unknown phantom {h.phantom_id!r}")
-        linked_user_index(s, i, user_index)
+        if (index := linked_user_index(s, i, user_index)) is not None and index in bodies:
+            raise ValidationError(f"{path}.linked_user",
+                                  f"user {h.linked_user!r} already has a linked human")
+        bodies.add(index)
         _check_position(h.position, s, f"{path}.position_m")
     ref_freqs = {s.frequency_map.reference(p.frequency) for p in s.poas}
     worn = {h.phantom_id for h in s.humans}

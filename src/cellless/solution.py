@@ -102,7 +102,7 @@ def validate(solution: SolutionState, scenario: Scenario):
         if scenario.beam_owner(b.beam_id).id != b.owner_poa:
             violations.append(Violation("wrong_owner", b.beam_id,
                                         f"beam belongs to {scenario.beam_owner(b.beam_id).id!r}"))
-        if b.width < owner.min_beam_width - 1e-12:
+        if not b.width >= owner.min_beam_width - 1e-12:  # NaN too
             violations.append(Violation(
                 "beam_too_narrow", b.beam_id,
                 f"width {b.width:.6f} rad below minimum {owner.min_beam_width:.6f}"))
@@ -121,6 +121,8 @@ def validate(solution: SolutionState, scenario: Scenario):
     for uid in sorted(user_ids - seen_users.keys()):
         violations.append(Violation("unserved_user", uid, "no beam serves this user"))
 
+    for pid in sorted(solution.tx_power.keys() - poa_ids):
+        violations.append(Violation("unknown_poa", pid, "transmit power of a PoA not in scenario"))
     for pid in sorted(poa_ids):
         if pid not in solution.tx_power:
             violations.append(Violation("missing_power", pid, "no transmit power set"))

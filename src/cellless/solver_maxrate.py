@@ -47,24 +47,6 @@ def objective(solution: SolutionState, evaluator: Evaluator) -> float:
     return float(rates.min()) if rates.size else math.inf
 
 
-def idle_move(current: SolutionState, cand: SolutionState) -> bool:
-    """Whether ``cand`` changes no active beam and the power of no PoA with
-    an active beam: a steer or width move on an idle beam, or a power move
-    on a PoA that serves no one, is clamped at its maximum or is switched
-    off. No rate reads what such a move changed, so ``cand`` has the score
-    of ``current`` bit for bit, and ``objective`` need not be called."""
-    if cand.beams is not current.beams and (len(cand.beams) != len(current.beams) or any(
-            new is not old and (new.active or old.active)
-            for new, old in zip(cand.beams, current.beams))):
-        return False
-    if cand.tx_power is current.tx_power:
-        return True
-    if cand.tx_power.keys() != current.tx_power.keys():
-        return False
-    powered = {pid for pid, dbm in cand.tx_power.items() if current.tx_power[pid] != dbm}
-    return not any(b.active and b.owner_poa in powered for b in current.beams)
-
-
 def _replace_beam(solution, index, **changes):
     beams = list(solution.beams)
     beams[index] = replace(beams[index], **changes)
@@ -130,10 +112,7 @@ def _calibrate_temperature(start, start_obj, scenario, rng, evaluator):
     accepted."""
     drops = []
     for _ in range(CALIBRATION_PROBES):
-        cand = neighbor(start, scenario, rng)
-        if idle_move(start, cand):
-            continue
-        obj = objective(cand, evaluator)
+        obj = objective(neighbor(start, scenario, rng), evaluator)
         if obj < start_obj:
             drops.append(start_obj - obj)
     if not drops:
@@ -149,9 +128,10 @@ def solve_maxrate(evaluator: Evaluator, config: AnnealConfig | None = None,
     ``evaluator.seed`` seeds the move generator and the start geometry's
     k-means, so the anneal is deterministic given the Evaluator's scenario,
     seed and realization count; ``trace`` (if given) collects
-    (step, move, current_objective, best_objective, accepted) tuples. An
-    idle move (``idle_move``) keeps the current score; any other is scored
-    by ``objective``, accepted or not.
+    (step, move, current_objective, best_objective, accepted) tuples. Every
+    move is scored by ``objective``, accepted or not; one that changes no
+    live beam and no live PoA's power costs no rate computation
+    (``Evaluator.mean_rates``).
     """
     config = config or AnnealConfig()
     scenario, seed = evaluator.scenario, evaluator.seed
@@ -168,7 +148,7 @@ def solve_maxrate(evaluator: Evaluator, config: AnnealConfig | None = None,
     for step in range(config.iterations):
         for move in range(config.moves_per_temp):
             cand = neighbor(current, scenario, rng)
-            cand_obj = current_obj if idle_move(current, cand) else objective(cand, evaluator)
+            cand_obj = objective(cand, evaluator)
             delta = cand_obj - current_obj
             accepted = delta >= 0 or rng.random() < math.exp(delta / temp)
             if accepted:

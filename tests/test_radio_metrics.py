@@ -39,10 +39,12 @@ def _targets(ev):
 
 
 def _user_terms(ev, solution, user_ids):
-    """``Evaluator._terms`` on the solution's users stack, at the columns of
-    ``user_ids``: signal, interference, noise and bandwidth."""
+    """``Evaluator._terms`` on the solution's users stack and live-row watts,
+    at the columns of ``user_ids``: signal, interference, noise and
+    bandwidth."""
     cols = [[u.id for u in ev.scenario.users].index(uid) for uid in user_ids]
-    return tuple(term[cols] for term in ev._terms(ev.stack(solution), solution.tx_power))
+    stack = ev.stack(solution)
+    return tuple(term[cols] for term in ev._terms(stack, ev._watts(stack, solution.tx_power)))
 
 
 def _sinr(ev, solution, user_id):

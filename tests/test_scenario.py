@@ -295,6 +295,9 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d["poas"][3].update(frequency_hz="abc"), "poas[3].frequency_hz"),
     (lambda d: d["poas"][2].update(element_pattern="isotropc"), "poas[2].element_pattern"),
     (lambda d: d["humans"][39].update(id="user0"), "humans[39].id"),
+    (lambda d: d["humans"][25].update(linked_user="user0",  # human0 is user0's already
+                                      position_m=dict(d["users"][0]["position_m"])),
+     "humans[25].linked_user"),
     (lambda d: d["humans"][5].update(id="poa1"), "humans[5].id"),
     (lambda d: d["humans"][3].update(id="human1"), "humans[3].id"),
     (lambda d: d["phantoms"].append({**d["phantoms"][0], "bmi": 40.0}), "phantoms[4].name"),
@@ -348,7 +351,7 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
         "beams-not-list", "beam-id-not-text", "sar-ref-not-object", "poa-key-misspelled",
         "limits-key-misspelled", "top-level-key-unknown", "user-rate-missing",
         "frequency-not-number", "element-pattern-unknown", "human-id-repeats-user",
-        "human-id-repeats-poa", "human-id-repeats-human", "phantom-name-repeated",
+        "user-linked-twice", "human-id-repeats-poa", "human-id-repeats-human", "phantom-name-repeated",
         "panel-rows-fraction", "panel-cols-boolean", "n-clusters-fraction", "n-rays-not-number",
         "poa-id-null", "user-id-number", "phantom-name-null", "phantom-id-number",
         "linked-user-number", "panel-rows-zero", "panel-cols-zero", "e-ref-zero",

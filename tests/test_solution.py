@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellless.radio_metrics import SolutionInvalidError, evaluate
 from cellless.scenario import (ParseError, ScenarioError, ValidationError, builtin_scenario,
                                scenario_from_dict, scenario_to_dict)
 from cellless.solution import (BeamConfig, SolutionState, load_solution,
@@ -54,6 +55,16 @@ def test_power_and_width_violations(tiny_scenario, tiny_solution):
     narrow = replace(tiny_solution, beams=tuple(beams))
     assert "beam_too_narrow" in codes(validate(narrow, tiny_scenario))
 
+    # A NaN width is refused too, before evaluate turns it into panel columns.
+    geometry = build_geometry(tiny_scenario, CtmConfig(seed=0))
+    live = next(i for i, b in enumerate(geometry.beams) if b.active)
+    beams = list(geometry.beams)
+    beams[live] = replace(beams[live], width=math.nan)
+    unset = replace(geometry, beams=tuple(beams))
+    assert codes(validate(unset, tiny_scenario)) == {"beam_too_narrow"}
+    with pytest.raises(SolutionInvalidError, match="beam_too_narrow"):
+        evaluate(unset, tiny_scenario, 0, 1)
+
     beams = list(tiny_solution.beams)
     beams[1] = replace(beams[1], zenith=-0.1)
     below = replace(tiny_solution, beams=tuple(beams))
@@ -71,6 +82,25 @@ def test_unknown_entities(tiny_scenario, tiny_solution):
                        served_users=beams[0].served_users | {"u99"})
     sol = replace(tiny_solution, beams=tuple(beams))
     assert "unknown_user" in codes(validate(sol, tiny_scenario))
+
+
+def test_a_power_for_a_poa_the_scenario_lacks_is_refused(tmp_path, tiny_scenario,
+                                                          tiny_solution):
+    """A ``tx_power`` key that names no scenario PoA is an ``unknown_poa``
+    violation, which ``evaluate`` refuses, whether the solution is built in
+    Python or read from a file's ``tx_power_dbm``."""
+    extra = replace(tiny_solution, tx_power={**tiny_solution.tx_power, "poa99": 50.0})
+    assert [(v.code, v.subject) for v in validate(extra, tiny_scenario)] == [
+        ("unknown_poa", "poa99")]
+    with pytest.raises(SolutionInvalidError, match=r"unknown_poa\(poa99\)"):
+        evaluate(extra, tiny_scenario, 0, 1)
+    path = tmp_path / "sol.json"
+    record = solution_to_dict(tiny_solution)
+    record["tx_power_dbm"]["poa99"] = 50.0
+    path.write_text(json.dumps(record))
+    loaded = load_solution(path)
+    assert loaded.tx_power == extra.tx_power
+    assert validate(loaded, tiny_scenario) == validate(extra, tiny_scenario)
 
 
 def test_min_serving_distance_enforced():

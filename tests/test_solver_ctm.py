@@ -544,8 +544,9 @@ def _requirements(evaluator, solution):
     (``_least_watts``) under the interference of the solution's powers."""
     stack = evaluator.stack(solution)
     pids = [p.id for p in evaluator.scenario.poas]
-    unit = evaluator._terms(stack, dict.fromkeys(pids, 30.0))[0]
-    _, interference, noise, bandwidth = evaluator._terms(stack, solution.tx_power)
+    unit = evaluator._terms(stack, evaluator._watts(stack, dict.fromkeys(pids, 30.0)))[0]
+    _, interference, noise, bandwidth = evaluator._terms(
+        stack, evaluator._watts(stack, solution.tx_power))
     floors = np.array([u.required_rate for u in evaluator.scenario.users])
     need = _least_watts(bandwidth, unit, noise + interference, floors)
     owner = [pids[p] for p in stack.poa_of_beam[stack.serving].tolist()]
@@ -663,8 +664,10 @@ def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
     assert evaluator.unmet_floors(lowered) == after
 
     users = [u.id for u in evaluator.scenario.users]
-    signal, interference, noise, _ = evaluator._terms(stack, solution.tx_power)
-    signal_after, interference_after, noise_after, _ = evaluator._terms(stack, lowered.tx_power)
+    signal, interference, noise, _ = evaluator._terms(
+        stack, evaluator._watts(stack, solution.tx_power))
+    signal_after, interference_after, noise_after, _ = evaluator._terms(
+        stack, evaluator._watts(stack, lowered.tx_power))
     mine = np.array([uid in own for uid in users])
     assert signal_after[~mine].tobytes() == signal[~mine].tobytes()
     assert interference_after[mine].tobytes() == interference[mine].tobytes()

@@ -25,9 +25,12 @@ the one this script sits in), so the same script measures any commit:
   power; the cold users-only fill, the first ``mean_rates`` at maximum
   power on another fresh ``Evaluator``, so the cold fill less it is the
   humans' share; a warm ``metrics``; one ``reduce_powers`` from the warm
-  evaluator; one anneal move, ``objective`` of a neighbour right after an
-  untimed ``objective`` of the start, so each move is built on the
-  start's stack (the median over a fixed sequence of moves); and one whole
+  evaluator; one scored anneal move, ``objective`` of a neighbour that
+  changes a live row, right after an untimed ``mean_rates`` of the start,
+  so each move is built on the start's stack (a neighbour whose rates are
+  the start's very array, which the Evaluator returns again for a move
+  that changes no live row, is left out; the median over a fixed sequence
+  of moves); and one whole
   default-annealer ``solve_maxrate`` on a fresh ``Evaluator`` (the path
   of perfbench's maxrate-desk, whose time is mostly steering). The fill's
   two kernel steps are timed on one PoA's links to the users, one
@@ -203,7 +206,7 @@ def time_solver_layers(seed: int, repeats: int) -> dict:
     from cellless.radio_metrics import Evaluator
     from cellless.scenario import builtin_template, generate_placements
     from cellless.solver_ctm import CtmConfig, build_geometry, reduce_powers
-    from cellless.solver_maxrate import idle_move, neighbor, objective, solve_maxrate
+    from cellless.solver_maxrate import neighbor, objective, solve_maxrate
 
     import numpy as np
 
@@ -223,9 +226,10 @@ def time_solver_layers(seed: int, repeats: int) -> dict:
         moves = []
         while len(moves) < MOVES:
             cand = neighbor(geometry, scenario, rng)
-            if not idle_move(geometry, cand):
-                objective(geometry, ev)  # untimed: the move is built on the start's stack
-                moves.append(_timed(objective, cand, ev)[0])
+            start = ev.mean_rates(geometry)  # untimed: the move is built on the start's stack
+            seconds = _timed(objective, cand, ev)[0]
+            if ev.mean_rates(cand) is not start:  # a scored move: it changed a live row
+                moves.append(seconds)
         got["anneal_move"] = statistics.median(moves)
         got["maxrate_solve"] = _timed(solve_maxrate, Evaluator(scenario, seed, REALIZATIONS))[0]
         return got
