@@ -53,8 +53,11 @@ holds, per user, the co-channel mask of its serving row, its bandwidth and
 its noise. Stacks are internal: every view takes a ``SolutionState`` and
 stacks it itself, on the last stack the Evaluator built (at first its
 stack of no beams), which is the one place that decides what a stack
-reuses. A stack costs what changed since the last one: a solution with its
-very beam objects gets that stack itself, so ``solve_ctm`` stacks its
+reuses. Each listed beam goes to its row by its id, whatever the listing's
+order, and a listing, service or width that ``validate`` refuses is
+refused there. A stack costs what changed since the last one, the rows
+whose beam object is not the one the last stack holds: a solution with
+its very beam objects gets that stack itself, so ``solve_ctm`` stacks its
 beams once for its least powers, its one verdict and its dump; one whose
 beams serve the users they serve there shares its live rows, shares and
 per-user arrays; and a live row whose ``BeamConfig`` changed is keyed,
@@ -105,6 +108,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress
+from operator import is_not
 
 import numpy as np
 
@@ -155,9 +160,9 @@ class MetricsBundle:
 class GainStack:
     """Unit-power gains of one solution's beams at the users, frozen for a
     search over transmit powers, in one row per scenario beam: by PoA id,
-    then as the scenario lists the PoA's beams. ``listing`` is the
-    solution's ``beams`` as it lists them, and ``beams[i]`` the
-    ``BeamConfig`` it gives row ``i`` (None if none). ``gains`` has shape
+    then as the scenario lists the PoA's beams, so a row is a beam id.
+    ``beams[i]`` is the ``BeamConfig`` the solution lists for row ``i``
+    (None if none), wherever it lists it. ``gains`` has shape
     (rows, users, realizations); row ``i`` holds the users table of
     ``Evaluator._key`` ``keys[i]`` (None: no table read into it yet), and
     only the ``live`` rows, those of active beams, are read. Live row ``k``
@@ -180,7 +185,6 @@ class GainStack:
     (``Evaluator.stack``).
     """
 
-    listing: tuple
     beams: tuple
     keys: tuple
     gains: np.ndarray
@@ -399,7 +403,8 @@ class Evaluator:
         self._linked_columns = np.array([c for c in linked if c is not None], dtype=int)
         self._unlinked = np.array([i for i, c in enumerate(linked) if c is None], dtype=int)
         rows = [(b, p.id) for p in sorted(scenario.poas, key=lambda p: p.id) for b in p.beams]
-        self._row_of = {key: row for row, key in enumerate(rows)}
+        # Beam ids are unique per scenario: beam id -> (its row, its owner).
+        self._row_of = {b: (row, pid) for row, (b, pid) in enumerate(rows)}
         self._row_poa = np.array([self._poa_index[pid] for _, pid in rows], dtype=int)
         self._poa_frequency = np.array([p.frequency for p in scenario.poas])
         self._poa_bandwidth = np.array([p.bandwidth for p in scenario.poas])
@@ -433,7 +438,7 @@ class Evaluator:
         self._work = FieldWork(max(p.largest_block() for p in self._parts.values()))
         no_beams = (None,) * len(rows)
         self._no_beams = GainStack(
-            (), no_beams, no_beams, np.empty((len(rows), self._n_users, self.n_realizations)),
+            no_beams, no_beams, np.empty((len(rows), self._n_users, self.n_realizations)),
             *self._service(no_beams))
         self._last = self._no_beams  # what the next stack() is built on
         # The last rates mean_rates computed: (gains, serving, live-row watts, rates).
@@ -485,83 +490,63 @@ class Evaluator:
     def stack(self, solution) -> GainStack:
         """Unit-power gains of the solution's beams at every user. The stack
         depends on the beams only, so one serves every power vector over
-        them. A beam, owner or user the scenario lacks, or a beam listed
-        twice or under a PoA that does not own it, raises
-        ``SolutionInvalidError``.
+        them. A beam, owner or user the scenario lacks, a beam listed twice
+        or under a PoA that does not own it, a user served twice, or an
+        active beam whose width is NaN or not positive raises
+        ``SolutionInvalidError`` with the violations ``validate`` finds.
 
-        It is built on the last stack this Evaluator built (at first, the
-        stack of no beams), and costs what changed: with every row's
-        ``BeamConfig`` the very object that stack holds, it is that stack;
-        with every row serving the users it serves there, it shares its
-        ``live`` to ``noise``; and a live row whose beam object changed is
-        keyed, and read exactly where its table key is not the one its row
-        of the last gains holds (a MaxRate reassign gives both beams it
-        touches new objects of the old geometry, so it reads none). A stack
-        has the same bits whatever it was built on, so asking again for the
-        beams of the last solution, as ``solve_ctm``'s least powers, verdict
-        and dump do, costs nothing."""
-        base = self._last
+        Each listed beam is looked up by its id, so every listing, in any
+        order, takes one path to the rows. The stack is built on the last
+        stack this Evaluator built (at first, the stack of no beams), and
+        costs what changed, the rows whose ``BeamConfig`` is not the object
+        that stack holds: with none, it is that stack; with every changed
+        row serving the users it serves there, it shares its ``live`` to
+        ``noise``; and a changed live row is keyed, and read exactly where
+        its table key is not the one its row of the last gains holds (a
+        MaxRate reassign gives both beams it touches new objects of the old
+        geometry, so it reads none). A stack has the same bits whatever it
+        was built on, so asking again for the beams of the last solution,
+        as ``solve_ctm``'s least powers, verdict and dump do, costs
+        nothing."""
+        base, beams = self._last, [None] * len(self._row_poa)
         try:
-            beams, changed = self._rows(solution.beams, base)
+            for b in solution.beams:
+                row, owner = self._row_of[b.beam_id]
+                if beams[row] is not None or b.owner_poa != owner:
+                    raise KeyError(b.beam_id)
+                beams[row] = b
+            changed = list(compress(range(len(beams)), map(is_not, beams, base.beams)))
             if not changed:
                 return base
             service = ((base.live, base.poa_of_beam, base.share, base.serving,
                         base.interferers, base.bandwidth, base.noise)
                        if all(_served(beams[row]) == _served(base.beams[row]) for row in changed)
                        else self._service(beams))
-        except KeyError:
-            raise SolutionInvalidError(validate(solution, self.scenario)) from None
-        keys, read = list(base.keys), []
-        for row in changed:
-            new = beams[row]
-            if new is not None and new.active:
-                key = self._key(new)
-                if key != keys[row]:
+            keys, read = list(base.keys), []
+            for row in changed:
+                new = beams[row]
+                if new is not None and new.active and (key := self._key(new)) != keys[row]:
                     keys[row] = key
                     read.append(row)
+        except (KeyError, ValueError):  # ValueError: width_to_panel of a NaN or width <= 0
+            raise SolutionInvalidError(validate(solution, self.scenario)) from None
         gains = base.gains
         if read:
             gains = gains.copy()
             for row, table in zip(read, self._tables([keys[row] for row in read], 0)):
                 gains[row] = table.T
-        self._last = GainStack(solution.beams, tuple(beams), tuple(keys), gains, *service)
+        self._last = GainStack(tuple(beams), tuple(keys), gains, *service)
         return self._last
-
-    def _rows(self, listing, base):
-        """Each row's ``BeamConfig`` in the solution's beam ``listing`` (None
-        for a row it lists no beam for), and the rows whose beam is not the
-        object ``base`` holds. A listing that keeps base's length, ids and
-        owners in place is read against base's listing; any other is looked
-        up beam by beam, and an unknown or repeated (beam id, owner) raises
-        ``KeyError``."""
-        if len(listing) == len(base.listing):
-            beams, changed = list(base.beams), []
-            for new, old in zip(listing, base.listing):
-                if new is not old:
-                    if (new.beam_id, new.owner_poa) != (old.beam_id, old.owner_poa):
-                        break
-                    row = self._row_of[new.beam_id, new.owner_poa]
-                    beams[row] = new
-                    changed.append(row)
-            else:
-                return beams, changed
-        beams = [None] * len(self._row_poa)
-        for b in listing:
-            row = self._row_of[b.beam_id, b.owner_poa]
-            if beams[row] is not None:
-                raise KeyError(b.beam_id)
-            beams[row] = b
-        return beams, [row for row, (new, old) in enumerate(zip(beams, base.beams))
-                       if new is not old]
 
     def _service(self, beams):
         """The ``GainStack`` fields ``live`` to ``noise`` of the rows'
         ``beams``: which rows are live and which serves each user. An
-        unknown served user raises ``KeyError``."""
+        unknown user, or one served by two rows, raises ``KeyError``."""
         live, serving = [row for row, b in enumerate(beams) if b is not None and b.active], {}
         for k, row in enumerate(live):
             for uid in beams[row].served_users:
-                serving.setdefault(self._column_of_user[uid], k)
+                if serving.setdefault(self._column_of_user[uid], k) != k:
+                    raise KeyError(uid)
         poa_of_beam = self._row_poa[live]
         freq = self._poa_frequency[poa_of_beam]
         serving = np.array([serving.get(c, len(live)) for c in range(self._n_users)], dtype=int)

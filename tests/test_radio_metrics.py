@@ -651,7 +651,8 @@ def test_link_energy_matches_beam_gains(tiny_scenario, ev, data, zenith, azimuth
 
 def _wrong_listings(solution):
     """(violation code, solution) pairs that name something the scenario
-    lacks or list a beam where it does not belong."""
+    lacks, list a beam where it does not belong, serve a user twice or give
+    an active beam a width with no panel columns."""
     b0, b1 = solution.beams[0], solution.beams[1]
     rest = solution.beams[1:]
     other = next(b.owner_poa for b in solution.beams if b.owner_poa != b0.owner_poa)
@@ -662,23 +663,30 @@ def _wrong_listings(solution):
         ("wrong_owner", (replace(b0, owner_poa=other),) + rest),
         ("duplicate_beam", (b0, replace(b0, served_users=frozenset())) + rest),
         ("duplicate_beam", (b0, b1, b1) + solution.beams[2:]),
-    ]
+        ("multi_served_user", (b0, replace(b1, served_users=b0.served_users))
+         + solution.beams[2:]),
+    ] + [("beam_too_narrow", (replace(b0, width=width),) + rest)
+         for width in (math.nan, 0.0, -0.1)]
 
 
-@pytest.mark.parametrize("case", range(6), ids=["unknown-beam", "unknown-owner", "unknown-user",
-                                                "wrong-owner", "twice", "twice-live"])
+@pytest.mark.parametrize("case", range(10), ids=["unknown-beam", "unknown-owner", "unknown-user",
+                                                 "wrong-owner", "twice", "twice-live",
+                                                 "served-twice", "nan-width", "zero-width",
+                                                 "negative-width"])
 def test_unknown_beams_owners_and_users_are_refused(tiny_scenario, tiny_solution, ev, case):
     """A solution naming a beam, owner PoA or served user the scenario lacks,
-    or listing a beam twice or under a PoA that does not own it, is refused
-    by every view with the violations ``validate`` finds, instead of being
-    evaluated as if it were legal."""
+    listing a beam twice or under a PoA that does not own it, serving a
+    user by two beams, or giving an active beam a NaN or non-positive
+    width, is refused by every view with the violations ``validate``
+    finds, instead of being evaluated as if it were legal or failing
+    inside ``width_to_panel``."""
     code, beams = _wrong_listings(tiny_solution)[case]
+    assert tiny_solution.beams[0].active
     wrong = replace(tiny_solution, beams=beams)
-    for view in (lambda: ev.stack(wrong), lambda: ev.metrics(wrong),
-                 lambda: ev.mean_rates(wrong), lambda: ev.unmet_floors(wrong),
-                 lambda: ev.dump_links(wrong)):
+    for view in (ev.stack, ev.metrics, ev.mean_rates, ev.unmet_floors, ev.least_powers,
+                 ev.dump_links):
         with pytest.raises(SolutionInvalidError) as info:
-            view()
+            view(wrong)
         assert code in {v.code for v in info.value.violations}
 
 

@@ -164,10 +164,13 @@ def _assert_equals_fresh_stack(ev, stack, solution):
 @given(data=st.data())
 def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
     """One row per move: along an anneal-like chain of moves of all four
-    kinds on a random small world, each accepted or rejected, the users
-    stack of the candidate, built on the last stack the Evaluator built (a
-    rejected candidate's included), equals a fresh Evaluator's, and the
-    current state's stack still equals one of the current state. It keys
+    kinds and of relistings on a random small world, each accepted or
+    rejected, the users stack of the candidate, built on the last stack the
+    Evaluator built (a rejected candidate's included), equals a fresh
+    Evaluator's, and the current state's stack still equals one of the
+    current state. A relisting lists the last stack's beam objects again,
+    permuted or without one idle beam, so it keys nothing and reads
+    nothing: every listing takes one path to the rows. It keys
     (``width_to_panel``) exactly the active beams that are not objects of
     the last stack built, those the move replaced and, after a rejection,
     those the rejected move had replaced, and reads the users tables of
@@ -183,12 +186,13 @@ def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
     moves = (lambda s: move_power(s, scenario, rng, POWER_STEP_DB),
              lambda s: move_steering(s, scenario, rng, ANGLE_STEP),
              lambda s: move_width(s, scenario, rng, WIDTH_STEP),
-             lambda s: move_reassign(s, scenario, rng))
+             lambda s: move_reassign(s, scenario, rng),
+             lambda s: _relisted(built, rng))
     with pytest.MonkeyPatch.context() as mp:
         keyed, reads = _count_keys(mp), _count_reads(mp)
         current = ev.stack(sol)
         built, last = sol, current  # the last stack built and its solution
-        steps = st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=25)
+        steps = st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=25)
         for kind, accepted in data.draw(steps):
             cand = moves[kind](sol)
             moved = [b for b in cand.beams
@@ -196,8 +200,9 @@ def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
             replaced = [b for b in cand.beams
                         if b.active and all(b is not old for old in built.beams)]
             new = [b for b in replaced
-                   if ev._key(b) != last.keys[ev._row_of[b.beam_id, b.owner_poa]]]
+                   if ev._key(b) != last.keys[ev._row_of[b.beam_id][0]]]
             assert kind != 0 or not moved
+            assert kind != 4 or not replaced
             if built.beams is not sol.beams:
                 event("built on a rejected candidate's stack")
             del keyed[:], reads[:]
@@ -218,6 +223,19 @@ def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
                 built, last = cand, stack
             if accepted:
                 sol, current = cand, stack
+
+
+def _relisted(solution, rng):
+    """``solution`` with its beam objects listed in a random order, or
+    without one of its idle beams, chosen by ``rng``."""
+    beams = list(solution.beams)
+    idle = [i for i, b in enumerate(beams) if not b.active]
+    if idle and rng.random() < 0.5:
+        event("a relisting dropped an idle beam")
+        del beams[idle[rng.integers(len(idle))]]
+    else:
+        beams = [beams[i] for i in rng.permutation(len(beams))]
+    return replace(solution, beams=tuple(beams))
 
 
 def _with_beams(solution, changes):
