@@ -54,11 +54,17 @@ its noise. Stacks are internal: every view takes a ``SolutionState`` and
 stacks it itself, on the last stack the Evaluator built (at first its
 stack of no beams), which is the one place that decides what a stack
 reuses. Each listed beam goes to its row by its id, whatever the listing's
-order, and a listing, service or width that ``validate`` refuses is
-refused there. A stack costs what changed since the last one, the rows
-whose beam object is not the one the last stack holds: a solution with
-its very beam objects gets that stack itself, so ``solve_ctm`` stacks its
-beams once for its least powers, its one verdict and its dump; one whose
+order. The stack is also the one gate of validity: every view refuses
+what ``solution.validate`` refuses, with its violations, from the rules
+``validate`` is built of: each changed row's beam (``beam_violations``)
+and, on every call, the powers (``power_violations``); a beam listed
+twice, or a user served by two live rows or by none, is found where the
+rows are placed. So a stack serves every user once, and each PoA's power
+is a number at most its maximum. A stack costs what changed since the
+last one, the rows whose beam object is not the one the last stack
+holds, and the powers' rule: a solution with its very beam objects gets
+that stack itself, so ``solve_ctm`` stacks its beams once for its least
+powers, its one verdict and its dump; one whose
 beams serve the users they serve there shares its live rows, shares and
 per-user arrays; and a live row whose ``BeamConfig`` changed is keyed,
 and read exactly where its key is not the one the row of the last gains
@@ -118,19 +124,21 @@ from .antenna import FieldWork, PanelGeometry, SteeringDirection, width_to_panel
 from .exposure import incident_field, sar_wb
 from .scenario import (_AT_LEAST_ONE, _NON_NEGATIVE, Scenario, _field, _integer,
                        linked_user_index)
-from .solution import SolutionState, validate
+from .solution import SolutionState, beam_violations, power_violations, validate
 
 NOISE_DENSITY_W_HZ = ch.dbm_to_watts(ch.NOISE_DENSITY_DBM_HZ)
 
 
-class UnservedUserError(ValueError):
-    """A user is not served by any beam."""
-
-
 class SolutionInvalidError(ValueError):
+    """A solution that ``validate`` refuses, with its violations."""
+
     def __init__(self, violations):
         self.violations = violations
         super().__init__("; ".join(str(v) for v in violations))
+
+
+class UnservedUserError(SolutionInvalidError):
+    """A refused solution in which a user is served by no beam."""
 
 
 @dataclass
@@ -168,11 +176,12 @@ class GainStack:
     only the ``live`` rows, those of active beams, are read. Live row ``k``
     belongs to PoA ``poa_of_beam[k]`` (an index in scenario.poas), which
     splits its power over ``share[k]`` live beams. User ``c`` is served by
-    live row ``serving[c]``, or by none where that is ``len(live)``; live
-    row ``k`` interferes with it where ``interferers[k, c, 0]``: on its
-    serving row's frequency, from another PoA. ``bandwidth[c]`` and
-    ``noise[c, 0]`` are its serving PoA's bandwidth and noise power (NaN
-    when unserved). The humans are not stacked: exposure reads the tables
+    live row ``serving[c]``; live row ``k`` interferes with it where
+    ``interferers[k, c, 0]``: on its serving row's frequency, from another
+    PoA. ``bandwidth[c]`` and ``noise[c, 0]`` are its serving PoA's
+    bandwidth and noise power. The Evaluator's stack of no beams, which
+    serves nobody, holds None for ``live`` to ``noise``: no stack shares
+    them. The humans are not stacked: exposure reads the tables
     under the live rows' ``keys``, a linked human's column of the users
     table and an unlinked human's of the humans table.
 
@@ -403,11 +412,11 @@ class Evaluator:
         self._linked_columns = np.array([c for c in linked if c is not None], dtype=int)
         self._unlinked = np.array([i for i, c in enumerate(linked) if c is None], dtype=int)
         rows = [(b, p.id) for p in sorted(scenario.poas, key=lambda p: p.id) for b in p.beams]
-        # Beam ids are unique per scenario: beam id -> (its row, its owner).
-        self._row_of = {b: (row, pid) for row, (b, pid) in enumerate(rows)}
+        # Beam ids are unique per scenario: beam id -> its row.
+        self._row_of = {b: row for row, (b, _) in enumerate(rows)}
         self._row_poa = np.array([self._poa_index[pid] for _, pid in rows], dtype=int)
         self._poa_frequency = np.array([p.frequency for p in scenario.poas])
-        self._poa_bandwidth = np.array([p.bandwidth for p in scenario.poas])
+        self._poa_bandwidth = np.array([p.bandwidth for p in scenario.poas], dtype=float)
         self._humans_by_phantom = {
             name: np.array([i for i, h in enumerate(scenario.humans) if h.phantom_id == name])
             for name in {h.phantom_id for h in scenario.humans}
@@ -436,10 +445,11 @@ class Evaluator:
         # block of any part (every world has a PoA); it is empty memory,
         # which pages nothing in until a fill writes it.
         self._work = FieldWork(max(p.largest_block() for p in self._parts.values()))
+        # The stack of no beams serves nobody, so it holds no service.
         no_beams = (None,) * len(rows)
         self._no_beams = GainStack(
             no_beams, no_beams, np.empty((len(rows), self._n_users, self.n_realizations)),
-            *self._service(no_beams))
+            *(None,) * 7)
         self._last = self._no_beams  # what the next stack() is built on
         # The last rates mean_rates computed: (gains, serving, live-row watts, rates).
         self._rates = None, None, None, None
@@ -490,10 +500,15 @@ class Evaluator:
     def stack(self, solution) -> GainStack:
         """Unit-power gains of the solution's beams at every user. The stack
         depends on the beams only, so one serves every power vector over
-        them. A beam, owner or user the scenario lacks, a beam listed twice
-        or under a PoA that does not own it, a user served twice, or an
-        active beam whose width is NaN or not positive raises
-        ``SolutionInvalidError`` with the violations ``validate`` finds.
+        them. A solution that ``validate`` refuses raises
+        ``SolutionInvalidError`` with the violations ``validate`` finds
+        (``UnservedUserError`` when a user is served by no beam). The
+        rules run are those ``validate`` is built of: ``beam_violations``
+        on each changed row's beam, and ``power_violations`` on every call,
+        since a power move keeps every beam object. A beam the scenario
+        lacks or listed twice, and a user served by two live rows or by
+        none, are found where the rows are placed; a stack built on the
+        stack of no beams places every row's service afresh.
 
         Each listed beam is looked up by its id, so every listing, in any
         order, takes one path to the rows. The stack is built on the last
@@ -508,28 +523,34 @@ class Evaluator:
         was built on, so asking again for the beams of the last solution,
         as ``solve_ctm``'s least powers, verdict and dump do, costs
         nothing."""
-        base, beams = self._last, [None] * len(self._row_poa)
+        base, beams, scenario = self._last, [None] * len(self._row_poa), self.scenario
         try:
             for b in solution.beams:
-                row, owner = self._row_of[b.beam_id]
-                if beams[row] is not None or b.owner_poa != owner:
+                row = self._row_of[b.beam_id]
+                if beams[row] is not None:
                     raise KeyError(b.beam_id)
                 beams[row] = b
             changed = list(compress(range(len(beams)), map(is_not, beams, base.beams)))
-            if not changed:
+            if power_violations(solution.tx_power, scenario) or any(
+                    beam_violations(beams[row], scenario) for row in changed if beams[row]):
+                raise KeyError
+            fresh = base is self._no_beams or any(
+                _served(beams[row]) != _served(base.beams[row]) for row in changed)
+            if not (changed or fresh):
                 return base
-            service = ((base.live, base.poa_of_beam, base.share, base.serving,
-                        base.interferers, base.bandwidth, base.noise)
-                       if all(_served(beams[row]) == _served(base.beams[row]) for row in changed)
-                       else self._service(beams))
-            keys, read = list(base.keys), []
-            for row in changed:
-                new = beams[row]
-                if new is not None and new.active and (key := self._key(new)) != keys[row]:
-                    keys[row] = key
-                    read.append(row)
-        except (KeyError, ValueError):  # ValueError: width_to_panel of a NaN or width <= 0
-            raise SolutionInvalidError(validate(solution, self.scenario)) from None
+            service = self._service(beams) if fresh else (
+                base.live, base.poa_of_beam, base.share, base.serving, base.interferers,
+                base.bandwidth, base.noise)
+        except KeyError:  # validate names every finding of the rules and the rows' placement
+            violations = validate(solution, scenario)
+            raise (UnservedUserError if any(v.code == "unserved_user" for v in violations)
+                   else SolutionInvalidError)(violations) from None
+        keys, read = list(base.keys), []
+        for row in changed:
+            new = beams[row]
+            if new is not None and new.active and (key := self._key(new)) != keys[row]:
+                keys[row] = key
+                read.append(row)
         gains = base.gains
         if read:
             gains = gains.copy()
@@ -540,8 +561,9 @@ class Evaluator:
 
     def _service(self, beams):
         """The ``GainStack`` fields ``live`` to ``noise`` of the rows'
-        ``beams``: which rows are live and which serves each user. An
-        unknown user, or one served by two rows, raises ``KeyError``."""
+        ``beams``, which serve known users only (``beam_violations``): which
+        rows are live and which serves each user. A user served by two live
+        rows, or by none, raises ``KeyError``."""
         live, serving = [row for row, b in enumerate(beams) if b is not None and b.active], {}
         for k, row in enumerate(live):
             for uid in beams[row].served_users:
@@ -549,14 +571,11 @@ class Evaluator:
                     raise KeyError(uid)
         poa_of_beam = self._row_poa[live]
         freq = self._poa_frequency[poa_of_beam]
-        serving = np.array([serving.get(c, len(live)) for c in range(self._n_users)], dtype=int)
-        served = serving < len(live)
-        rows = serving[served]
-        interferers = np.zeros((len(live), self._n_users, 1), dtype=bool)
-        interferers[:, served, 0] = ((freq[:, None] == freq[rows])
-                                     & (poa_of_beam[:, None] != poa_of_beam[rows]))
-        bandwidth = np.full(self._n_users, np.nan)
-        bandwidth[served] = self._poa_bandwidth[poa_of_beam[rows]]
+        # A user served by no live row has no entry here: KeyError.
+        serving = np.array([serving[c] for c in range(self._n_users)], dtype=int)
+        interferers = ((freq[:, None] == freq[serving])
+                       & (poa_of_beam[:, None] != poa_of_beam[serving]))[:, :, None]
+        bandwidth = self._poa_bandwidth[poa_of_beam[serving]]
         share = np.bincount(poa_of_beam, minlength=len(self._poa_index))[poa_of_beam]
         return (np.array(live, dtype=int), poa_of_beam, share, serving, interferers,
                 bandwidth, NOISE_DENSITY_W_HZ * bandwidth[:, None])
@@ -571,18 +590,14 @@ class Evaluator:
         """Each user's signal and interference [W], (users, realizations),
         its noise [W], (users, 1), and its bandwidth [Hz], (users,), in
         scenario order, on the beams frozen in ``stack`` under ``watts``,
-        each live row's transmit power [W] (``_watts``). An unserved user
-        raises ``UnservedUserError``.
+        each live row's transmit power [W] (``_watts``).
 
         Each live row is scaled by its watts. Interference is the power of
         every live beam on the serving PoA's frequency from every other PoA,
         added beam by beam in row order.
         """
         power = watts * stack.gains[stack.live]
-        try:
-            signal = power[stack.serving, self._all_columns]
-        except IndexError:  # an unserved user's row is past the live rows
-            raise UnservedUserError(self._user_ids[int(stack.serving.argmax())]) from None
+        signal = power[stack.serving, self._all_columns]
         interference = _row_sum(np.where(stack.interferers, power, 0.0))
         return signal, interference, stack.noise, stack.bandwidth
 
@@ -624,10 +639,11 @@ class Evaluator:
         whose floor needs the most watts. Either ``blocking`` is empty and
         ``tx_power`` maps each such PoA to a dBm at most ``ROUND_UP_DB``
         above its least, capped at its maximum, and at the solution's own
-        power when those powers, each at most its maximum, meet every floor
-        (``unmet_floors``); or ``blocking`` maps each
-        PoA whose requirement crossed its maximum, or is not a number, to
-        its binding user, and ``tx_power`` is empty.
+        power when those powers meet every floor (``unmet_floors``); or
+        ``blocking`` maps each PoA whose requirement crossed its maximum, or
+        is not a number, to its binding user, and ``tx_power`` is empty. A
+        solution that ``validate`` refuses raises ``SolutionInvalidError``
+        (``stack``), so its powers are at most the maxima.
 
         A user's floor is met from a threshold of its serving PoA's watts
         on (``_least_watts``), which rises with the other PoAs' watts
@@ -676,7 +692,7 @@ class Evaluator:
         floors = np.array([self._rate_floor[uid] for uid in self._user_ids])
         owner = stack.poa_of_beam[stack.serving]
         top = np.array([p.max_tx_power_dbm for p in poas])
-        start = np.array([solution.tx_power.get(pid, -math.inf) for pid in pids])
+        start = np.array([solution.tx_power[pid] for pid in pids])
 
         def image(watts):
             """Each PoA's requirement [W] at ``watts``, each user's need and
@@ -685,7 +701,7 @@ class Evaluator:
             need = _least_watts(bandwidth, unit, noisy, floors)
             return np.array([need[owner == p].max(initial=0.0) for p in range(n)]), need, noisy
 
-        capped = bool(np.all(start <= top)) and not self.unmet_floors(solution)
+        capped = not self.unmet_floors(solution)
         at = image(watts := 10.0 ** (start / 10.0 - 3.0) * _ROUND_UP ** 0.5)
         if not (above := capped and bool(np.all(at[0] <= watts))):
             at = image(watts := np.zeros(n))
@@ -765,7 +781,7 @@ class Evaluator:
             per_user_rate={u.id: float(r) for u, r in zip(scenario.users, rates)},
             per_human_sar={h.id: float(s) for h, s in zip(scenario.humans, sar)},
             per_poa_power={
-                p.id: solution.tx_power.get(p.id, -math.inf) if p.id in active else -math.inf
+                p.id: solution.tx_power[p.id] if p.id in active else -math.inf
                 for p in scenario.poas},
             total_power=solution.total_power_watts(),
             violated=self._short(rates) + [   # a NaN SAR or limit fails
@@ -784,7 +800,7 @@ class Evaluator:
         """
         rows = []
         drawn = {}  # PoA id -> the los, pathloss_db and shadow_db of its users, of its humans
-        self.stack(solution)  # refuses a beam, owner or user the scenario lacks
+        self.stack(solution)  # refuses what validate refuses
         active = [b for b in solution.beams if b.active]
         keys = [self._key(b) for b in active]
         for b, users, unlinked in zip(active, self._tables(keys, 0), self._tables(keys, 1)):
@@ -810,15 +826,9 @@ class Evaluator:
 
 def evaluate(solution: SolutionState, scenario: Scenario, seed: int,
              n_realizations: int = 10) -> MetricsBundle:
-    """Validate, then evaluate a solution over seeded channel realizations.
+    """Evaluate a solution over seeded channel realizations: a new
+    ``Evaluator``'s ``metrics``, which refuses what ``validate`` refuses.
 
     Deterministic given (solution, scenario, seed, n_realizations).
     """
-    violations = validate(solution, scenario)
-    if violations:
-        if any(v.code == "unserved_user" for v in violations):
-            raise UnservedUserError(
-                "; ".join(str(v) for v in violations if v.code == "unserved_user"))
-        raise SolutionInvalidError(violations)
-    ev = Evaluator(scenario, seed, n_realizations)
-    return ev.metrics(solution)
+    return Evaluator(scenario, seed, n_realizations).metrics(solution)

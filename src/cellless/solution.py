@@ -46,7 +46,9 @@ class SolutionState:
     """Complete decision vector. tx_power maps PoA id -> dBm.
 
     Powers are capped at each PoA's maximum; -inf dBm means the PoA is
-    switched off (0 W). Each user appears in exactly one beam.
+    switched off (0 W). Each user appears in exactly one beam. ``validate``
+    refuses a state that breaks either promise, and so does every
+    ``radio_metrics.Evaluator`` view.
     """
 
     beams: tuple
@@ -78,75 +80,89 @@ class SolutionState:
         )
 
 
-def validate(solution: SolutionState, scenario: Scenario):
-    """Structural legality check; returns a list of Violations (empty = legal)."""
+def beam_violations(beam: BeamConfig, scenario: Scenario):
+    """The violations of one listed beam on its own: its id, its owner, its
+    width against its owner's minimum, its zenith, and each user it serves,
+    known and at least ``min_poa_user_distance`` (2-D) from the owner. A
+    beam the scenario lacks, or owned by a PoA it lacks, gets that one
+    violation only."""
+    try:
+        owner = scenario.beam_owner(beam.beam_id)
+    except KeyError:
+        return [Violation("unknown_beam", beam.beam_id, "beam not in scenario")]
+    try:
+        poa = scenario.poa_by_id(beam.owner_poa)
+    except KeyError:
+        return [Violation("unknown_poa", beam.beam_id, f"owner {beam.owner_poa!r} not in scenario")]
     violations = []
-    poa_ids = {p.id for p in scenario.poas}
-    known_beams = set(scenario.all_beams)
-    user_ids = {u.id for u in scenario.users}
+    if owner is not poa:
+        violations.append(Violation("wrong_owner", beam.beam_id, f"beam belongs to {owner.id!r}"))
+    if not beam.width >= poa.min_beam_width - 1e-12:  # NaN too
+        violations.append(Violation(
+            "beam_too_narrow", beam.beam_id,
+            f"width {beam.width:.6f} rad below minimum {poa.min_beam_width:.6f}"))
+    if not (0.0 <= beam.zenith <= math.pi):
+        violations.append(Violation("bad_zenith", beam.beam_id, "zenith outside [0, pi]"))
+    for uid in beam.served_users:
+        try:
+            u = scenario.user_by_id(uid)
+        except KeyError:
+            violations.append(Violation("unknown_user", uid, f"served by {beam.beam_id}"))
+            continue
+        d2d = math.hypot(u.position.x - poa.position.x, u.position.y - poa.position.y)
+        if d2d < scenario.min_poa_user_distance - 1e-9:
+            violations.append(Violation(
+                "serving_too_close", uid, f"{d2d:.2f} m from serving PoA {poa.id}, minimum "
+                f"{scenario.min_poa_user_distance:.2f} m"))
+    return violations
 
-    seen_users = {}
-    seen_beams = set()
+
+def power_violations(tx_power: dict, scenario: Scenario):
+    """The violations of a per-PoA power map [dBm]: each PoA the scenario
+    lacks, by id, then each scenario PoA's power missing, NaN or above its
+    maximum, in scenario order."""
+    violations = [Violation("unknown_poa", pid, "transmit power of a PoA not in scenario")
+                  for pid in sorted(tx_power.keys() - {p.id for p in scenario.poas})]
+    for p in scenario.poas:
+        if p.id not in tx_power:
+            violations.append(Violation("missing_power", p.id, "no transmit power set"))
+        elif math.isnan(dbm := tx_power[p.id]):
+            violations.append(Violation("bad_power", p.id, "power is NaN"))
+        elif dbm > p.max_tx_power_dbm + 1e-12:
+            violations.append(Violation(
+                "power_above_max", p.id,
+                f"{dbm:.3f} dBm exceeds maximum {p.max_tx_power_dbm:.3f} dBm"))
+    return violations
+
+
+def validate(solution: SolutionState, scenario: Scenario):
+    """Structural legality check; returns a list of Violations (empty =
+    legal): each listed beam's own (``beam_violations``), then the rules
+    across beams, a beam listed twice and a known user served by two
+    beams or by none, then the powers' (``power_violations``). A beam the
+    scenario lacks, or owned by a PoA it lacks, serves nobody here."""
+    violations, seen_beams, seen_users = [], set(), {}
+    known, poa_ids = set(scenario.all_beams), {p.id for p in scenario.poas}
+    user_ids = {u.id for u in scenario.users}
     for b in solution.beams:
-        if b.beam_id not in known_beams:
-            violations.append(Violation("unknown_beam", b.beam_id, "beam not in scenario"))
+        violations += beam_violations(b, scenario)
+        if b.beam_id not in known:
             continue
         if b.beam_id in seen_beams:
             violations.append(Violation("duplicate_beam", b.beam_id, "beam listed twice"))
         seen_beams.add(b.beam_id)
         if b.owner_poa not in poa_ids:
-            violations.append(Violation("unknown_poa", b.beam_id,
-                                        f"owner {b.owner_poa!r} not in scenario"))
             continue
-        owner = scenario.poa_by_id(b.owner_poa)
-        if scenario.beam_owner(b.beam_id).id != b.owner_poa:
-            violations.append(Violation("wrong_owner", b.beam_id,
-                                        f"beam belongs to {scenario.beam_owner(b.beam_id).id!r}"))
-        if not b.width >= owner.min_beam_width - 1e-12:  # NaN too
-            violations.append(Violation(
-                "beam_too_narrow", b.beam_id,
-                f"width {b.width:.6f} rad below minimum {owner.min_beam_width:.6f}"))
-        if not (0.0 <= b.zenith <= math.pi):
-            violations.append(Violation("bad_zenith", b.beam_id, "zenith outside [0, pi]"))
-        for uid in b.served_users:
-            if uid not in user_ids:
-                violations.append(Violation("unknown_user", uid, f"served by {b.beam_id}"))
-            elif uid in seen_users:
+        for uid in b.served_users & user_ids:
+            if uid in seen_users:
                 violations.append(Violation(
                     "multi_served_user", uid,
                     f"served by both {seen_users[uid].beam_id} and {b.beam_id}"))
             else:
                 seen_users[uid] = b
-
-    for uid in sorted(user_ids - seen_users.keys()):
-        violations.append(Violation("unserved_user", uid, "no beam serves this user"))
-
-    for pid in sorted(solution.tx_power.keys() - poa_ids):
-        violations.append(Violation("unknown_poa", pid, "transmit power of a PoA not in scenario"))
-    for pid in sorted(poa_ids):
-        if pid not in solution.tx_power:
-            violations.append(Violation("missing_power", pid, "no transmit power set"))
-            continue
-        dbm = solution.tx_power[pid]
-        limit = scenario.poa_by_id(pid).max_tx_power_dbm
-        if math.isnan(dbm):
-            violations.append(Violation("bad_power", pid, "power is NaN"))
-        elif dbm > limit + 1e-12:
-            violations.append(Violation(
-                "power_above_max", pid, f"{dbm:.3f} dBm exceeds maximum {limit:.3f} dBm"))
-
-    if scenario.min_poa_user_distance > 0:
-        for uid, b in seen_users.items():   # known users served by known PoAs
-            p = scenario.poa_by_id(b.owner_poa)
-            u = scenario.user_by_id(uid)
-            d2d = math.hypot(u.position.x - p.position.x, u.position.y - p.position.y)
-            if d2d < scenario.min_poa_user_distance - 1e-9:
-                violations.append(Violation(
-                    "serving_too_close", uid,
-                    f"{d2d:.2f} m from serving PoA {p.id}, minimum "
-                    f"{scenario.min_poa_user_distance:.2f} m"))
-
-    return violations
+    violations += [Violation("unserved_user", uid, "no beam serves this user")
+                   for uid in sorted(user_ids - seen_users.keys())]
+    return violations + power_violations(solution.tx_power, scenario)
 
 
 # solution.json, read and written by the record layer of ``scenario``.

@@ -1,6 +1,7 @@
 """Shared fixtures: a tiny hand-built scenario for fast unit tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from cellless.channel import (ChannelParams, LinkRealization, LosModel, Pathloss
                               los_probability)
 from cellless.exposure import FrequencyMap
 from cellless.scenario import (DEFAULT_PHANTOMS, EndUser, Human, PoA,
-                               Position3D, Scenario)
+                               Position3D, Scenario, builtin_scenario)
 from cellless.solution import BeamConfig, SolutionState
 
 
@@ -147,6 +148,24 @@ def serve_all_solution(scenario, power_dbm=20.0):
                                     poa.min_beam_width, frozenset()))
     tx = {p.id: power_dbm for p in scenario.poas}
     return SolutionState(beams=tuple(beams), tx_power=tx)
+
+
+def too_close_world(seed):
+    """umi-sc-desk placed with ``seed``, with its first user, and the human
+    linked to it, moved to 1 m from its nearest PoA, under the world's 10 m
+    minimum serving distance. Built-in placements keep every user that far
+    from every PoA, so only a world from a file can look like this; CtM
+    serves that user from that PoA."""
+    scenario = builtin_scenario("umi-sc-desk", seed)
+    user = scenario.users[0]
+    near = min(scenario.poas, key=lambda p: math.hypot(user.position.x - p.position.x,
+                                                       user.position.y - p.position.y))
+    moved = replace(user.position, x=near.position.x + 1.0, y=near.position.y)
+    return replace(scenario,
+                   users=tuple(replace(u, position=moved) if u.id == user.id else u
+                               for u in scenario.users),
+                   humans=tuple(replace(h, position=moved) if h.linked_user == user.id else h
+                                for h in scenario.humans))
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from cellless.radio_metrics import Evaluator
 from cellless.scenario import builtin_scenario, save_scenario, scenario_to_dict
 from cellless.solution import load_solution, validate
 
-from conftest import make_tiny_scenario
+from conftest import make_tiny_scenario, too_close_world
 
 FAST = dict(n_realizations=4)
 
@@ -228,6 +228,18 @@ def test_failed_runs_record_their_wall_time(monkeypatch, tmp_path):
     _fail_on_seed_two(monkeypatch)
     _, raised = run_experiment(tiny_spec(tmp_path, seeds=(1, 2), out_dir=None))
     assert raised.error == "ZeroDivisionError: injected" and raised.wall_time > 0.0
+
+
+def test_a_world_with_a_user_served_too_close_records_the_refusal(tmp_path):
+    """A file world with a user 1 m from a PoA, under its 10 m minimum
+    serving distance: CtM's geometry serves the user from there, and the
+    run records ``validate``'s ``serving_too_close`` as its error, with no
+    solution or bundle."""
+    world = tmp_path / "close.json"
+    save_scenario(too_close_world(0), str(world))
+    [record] = run_experiment(tiny_spec(tmp_path, scenario=str(world), seeds=(0,), out_dir=None))
+    assert record.bundle is None and record.solution is None
+    assert record.error.startswith("SolutionInvalidError: serving_too_close(user0)")
 
 
 def _reject_constant(name):

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cellless.antenna import (FieldWork, PanelGeometry, SteeringDirection, width_to_panel,
@@ -22,10 +22,11 @@ from cellless.radio_metrics import (NOISE_DENSITY_W_HZ, Evaluator, SolutionInval
                                     shannon_rate)
 from cellless.scenario import (EndUser, Human, PoA, Position3D, Scenario, ValidationError,
                                builtin_scenario)
-from cellless.solution import BeamConfig, SolutionState
+from cellless.solution import BeamConfig, SolutionState, validate
 from cellless.solver_ctm import CtmConfig, build_geometry
 from cellless.solver_maxrate import ANGLE_STEP, objective, solve_maxrate
-from conftest import assert_links_match, make_poa, make_tiny_scenario, one_link
+from conftest import (assert_links_match, make_poa, make_tiny_scenario, one_link,
+                      too_close_world)
 
 
 @pytest.fixture(scope="module")
@@ -325,8 +326,9 @@ def test_evaluate_validates_first(tiny_scenario, tiny_solution):
 
 
 def test_unserved_user_rates_raise(tiny_solution, ev):
-    """A stack in which one user is served by no beam has no rates: the
-    ``_terms`` under ``mean_rates`` name that user."""
+    """A state in which one user is served by no beam has no rates: the
+    ``stack`` under ``mean_rates`` refuses it with ``validate``'s
+    ``unserved_user``, which names that user."""
     beams = tuple(replace(b, served_users=b.served_users - {"u1"}) for b in tiny_solution.beams)
     with pytest.raises(UnservedUserError, match="u1"):
         ev.mean_rates(replace(tiny_solution, beams=beams))
@@ -650,13 +652,17 @@ def test_link_energy_matches_beam_gains(tiny_scenario, ev, data, zenith, azimuth
 # Fixed stack rows: one per scenario beam, whatever the solution lists.
 
 def _wrong_listings(solution):
-    """(violation code, solution) pairs that name something the scenario
-    lacks, list a beam where it does not belong, serve a user twice or give
-    an active beam a width with no panel columns."""
+    """(violation code, solution) pairs that ``validate`` refuses on the tiny
+    world: a listing that names something the scenario lacks, lists a beam
+    where it does not belong or serves a user twice or not at all (a
+    listing of no beams included, which ``evaluate`` stacks on a new
+    Evaluator's stack of no beams); a live beam's width or zenith out of
+    range; and a power that is missing, unknown, NaN or above its PoA's
+    maximum."""
     b0, b1 = solution.beams[0], solution.beams[1]
     rest = solution.beams[1:]
     other = next(b.owner_poa for b in solution.beams if b.owner_poa != b0.owner_poa)
-    return [
+    listings = [
         ("unknown_beam", (replace(b0, beam_id="nope-b0"),) + rest),
         ("unknown_poa", (replace(b0, owner_poa="nope"),) + rest),
         ("unknown_user", (replace(b0, served_users=b0.served_users | {"u99"}),) + rest),
@@ -666,28 +672,128 @@ def _wrong_listings(solution):
         ("multi_served_user", (b0, replace(b1, served_users=b0.served_users))
          + solution.beams[2:]),
     ] + [("beam_too_narrow", (replace(b0, width=width),) + rest)
-         for width in (math.nan, 0.0, -0.1)]
+         for width in (math.nan, 0.0, -0.1, math.radians(1.0))] + [
+        ("bad_zenith", (replace(b0, zenith=zenith),) + rest) for zenith in (4.0, -0.1, math.nan)
+    ] + [("unserved_user", (replace(b0, served_users=b0.served_users - {"u1"}),) + rest),
+         ("unserved_user", ())]
+    power = solution.tx_power
+    return [(code, replace(solution, beams=beams)) for code, beams in listings] + [
+        ("power_above_max", solution.with_power("poaA", 40.0)),
+        ("bad_power", solution.with_power("poaB", math.nan)),
+        ("missing_power", replace(solution, tx_power={"poaB": power["poaB"]})),
+        ("unknown_poa", replace(solution, tx_power={**power, "poa99": 10.0})),
+    ]
 
 
-@pytest.mark.parametrize("case", range(10), ids=["unknown-beam", "unknown-owner", "unknown-user",
-                                                 "wrong-owner", "twice", "twice-live",
-                                                 "served-twice", "nan-width", "zero-width",
-                                                 "negative-width"])
-def test_unknown_beams_owners_and_users_are_refused(tiny_scenario, tiny_solution, ev, case):
-    """A solution naming a beam, owner PoA or served user the scenario lacks,
-    listing a beam twice or under a PoA that does not own it, serving a
-    user by two beams, or giving an active beam a NaN or non-positive
-    width, is refused by every view with the violations ``validate``
-    finds, instead of being evaluated as if it were legal or failing
-    inside ``width_to_panel``."""
-    code, beams = _wrong_listings(tiny_solution)[case]
+_REFUSED = ["unknown-beam", "unknown-owner", "unknown-user", "wrong-owner", "twice", "twice-live",
+            "served-twice", "nan-width", "zero-width", "negative-width", "one-degree-width",
+            "zenith-4", "negative-zenith", "nan-zenith", "unserved", "no-beams", "power-above-max",
+            "nan-power", "missing-power", "power-of-unknown-poa", "serving-too-close"]
+
+
+@pytest.fixture(scope="module")
+def too_close():
+    """``too_close_world(0)``, CtM's geometry on it, which serves its moved
+    user from a PoA 1 m away, and an Evaluator of it."""
+    world = too_close_world(0)
+    return world, build_geometry(world, CtmConfig(seed=0)), Evaluator(world, 0, 2)
+
+
+@pytest.mark.parametrize("case", range(len(_REFUSED)), ids=_REFUSED)
+def test_unknown_beams_owners_and_users_are_refused(request, tiny_scenario, tiny_solution, ev,
+                                                    case):
+    """A solution that ``validate`` refuses, one row per violation code:
+    naming a beam, owner PoA or served user the scenario lacks, listing a
+    beam twice or under a PoA that does not own it, serving a user by two
+    beams or by none, giving a live beam a width below its PoA's minimum
+    (NaN, non-positive or 1 degree) or a zenith outside [0, pi] (or NaN),
+    giving a PoA a power that is missing, NaN or above its maximum, or a
+    power to a PoA the scenario lacks, or serving a user from a PoA closer
+    than the minimum serving distance, is refused by ``evaluate`` and by
+    every view with the violations ``validate`` finds, instead of being
+    evaluated as if it were legal or failing inside ``width_to_panel``."""
+    if _REFUSED[case] == "serving-too-close":
+        scenario, geometry, evaluator = request.getfixturevalue("too_close")
+        code, wrong = "serving_too_close", geometry
+    else:
+        code, wrong = _wrong_listings(tiny_solution)[case]
+        scenario, evaluator = tiny_scenario, ev
     assert tiny_solution.beams[0].active
-    wrong = replace(tiny_solution, beams=beams)
-    for view in (ev.stack, ev.metrics, ev.mean_rates, ev.unmet_floors, ev.least_powers,
-                 ev.dump_links):
+    violations = validate(wrong, scenario)
+    codes = {v.code for v in violations}
+    assert code in codes
+    for view in (lambda s: evaluate(s, scenario, evaluator.seed, evaluator.n_realizations),
+                 evaluator.stack, evaluator.metrics, evaluator.mean_rates,
+                 evaluator.unmet_floors, evaluator.least_powers, evaluator.dump_links):
         with pytest.raises(SolutionInvalidError) as info:
             view(wrong)
         assert code in {v.code for v in info.value.violations}
+        assert info.value.violations == violations
+        # An UnservedUserError exactly where a user is unserved.
+        assert isinstance(info.value, UnservedUserError) == ("unserved_user" in codes)
+
+
+@pytest.fixture(scope="module")
+def mutation_worlds(tiny_scenario, tiny_solution):
+    """World name -> (scenario, a legal solution on it, an Evaluator of it):
+    the tiny world's hand-built solution and CtM's inf-dh-desk seed-1
+    geometry. The Evaluators are shared by every example, so each view
+    builds on the stack the last example left, refused or not."""
+    desk = builtin_scenario("inf-dh-desk", 1)
+    return {"tiny": (tiny_scenario, tiny_solution, Evaluator(tiny_scenario, 1, 2)),
+            "inf-dh-desk": (desk, build_geometry(desk, CtmConfig(seed=1)), Evaluator(desk, 1, 2))}
+
+
+def _mutated(data, scenario, solution):
+    """``solution`` with one random change: a beam's zenith in [-1, 4] or NaN
+    or its width in [-0.1, pi] or NaN; a PoA's power in [-inf, max + 10 dB]
+    or NaN; a served user moved to another beam, dropped or also served by
+    another beam; or a beam dropped or listed twice."""
+    beams, power = list(solution.beams), dict(solution.tx_power)
+    i = data.draw(st.integers(0, len(beams) - 1))
+    kind = data.draw(st.sampled_from(["zenith", "width", "power", "move", "drop", "twice",
+                                      "drop beam", "list twice"]))
+    if kind in ("zenith", "width"):
+        low, high = (-1.0, 4.0) if kind == "zenith" else (-0.1, math.pi)
+        beams[i] = replace(beams[i], **{kind: data.draw(st.floats(low, high) | st.just(math.nan))})
+    elif kind == "power":
+        poa = data.draw(st.sampled_from(scenario.poas))
+        power[poa.id] = data.draw(st.floats(max_value=poa.max_tx_power_dbm + 10.0)
+                                  | st.just(math.nan))
+    elif kind in ("move", "drop", "twice"):
+        uid = data.draw(st.sampled_from(sorted(u.id for u in scenario.users)))
+        j = next(k for k, b in enumerate(beams) if uid in b.served_users)
+        k = data.draw(st.integers(0, len(beams) - 1).filter(lambda k: k != j))
+        if kind != "twice":
+            beams[j] = replace(beams[j], served_users=beams[j].served_users - {uid})
+        if kind != "drop":
+            beams[k] = replace(beams[k], served_users=beams[k].served_users | {uid})
+    elif kind == "drop beam":
+        del beams[i]
+    else:
+        beams.insert(data.draw(st.integers(0, len(beams))), beams[i])
+    return SolutionState(tuple(beams), power)
+
+
+@settings(deadline=None, max_examples=100)
+@given(world=st.sampled_from(["tiny", "inf-dh-desk"]), data=st.data())
+def test_every_view_answers_exactly_what_validate_passes(mutation_worlds, world, data):
+    """One random change to a legal state: ``evaluate`` and every Evaluator
+    view answer exactly when ``validate`` finds no violation, and else
+    raise ``SolutionInvalidError`` with ``validate``'s violations."""
+    scenario, solution, evaluator = mutation_worlds[world]
+    state = _mutated(data, scenario, solution)
+    violations = validate(state, scenario)
+    event(f"{world}: {'refused' if violations else 'legal'}")
+    for view in (lambda s: evaluate(s, scenario, evaluator.seed, evaluator.n_realizations),
+                 evaluator.stack, evaluator.metrics, evaluator.mean_rates,
+                 evaluator.unmet_floors, evaluator.least_powers, evaluator.dump_links):
+        if not violations:
+            view(state)
+            continue
+        with pytest.raises(SolutionInvalidError) as info:
+            view(state)
+        assert info.value.violations == violations
 
 
 @pytest.fixture(scope="module")

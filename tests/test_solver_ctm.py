@@ -17,7 +17,8 @@ from hypothesis import event, given, settings, strategies as st
 from cellless import solver_ctm
 from cellless.channel import dbm_to_watts
 from cellless.exposure import FrequencyMap
-from cellless.radio_metrics import NOISE_DENSITY_W_HZ, ROUND_UP_DB, Evaluator, _least_watts
+from cellless.radio_metrics import (NOISE_DENSITY_W_HZ, ROUND_UP_DB, Evaluator,
+                                    SolutionInvalidError, _least_watts)
 from cellless.scenario import (EndUser, Human, Position3D, builtin_scenario, builtin_template,
                                generate_placements)
 from cellless.solution import validate
@@ -27,7 +28,7 @@ from cellless.solver_ctm import (CtmConfig, _assign,
                                  match_clusters, reduce_powers, solve_ctm,
                                  user_azimuth)
 
-from conftest import make_poa, make_tiny_scenario
+from conftest import make_poa, make_tiny_scenario, too_close_world
 
 
 def users_at(points):
@@ -752,6 +753,19 @@ def test_solve_ctm_stacks_its_beams_once(monkeypatch):
     assert bundle.feasible and len(stacks) == 2
     assert set(stacks[0].beams) == {None}
     assert sorted(map(id, stacks[1].beams)) == sorted(map(id, solution.beams))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solve_ctm_refuses_a_user_served_too_close(seed):
+    """CtM's matching does not know the minimum serving distance, so on a
+    world with a user 1 m from its nearest PoA it serves that user from
+    there. The least power vector's stack refuses that geometry with
+    ``validate``'s ``serving_too_close`` instead of solving it."""
+    world = too_close_world(seed)
+    user = world.users[0].id
+    with pytest.raises(SolutionInvalidError, match=rf"serving_too_close\({user}\)") as info:
+        solve_ctm(Evaluator(world, seed, 2))
+    assert info.value.violations == validate(build_geometry(world, CtmConfig(seed=seed)), world)
 
 
 @pytest.mark.parametrize("field", ["delta_db", "refinement_rounds", "kmeans_restarts"])

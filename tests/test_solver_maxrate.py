@@ -200,7 +200,7 @@ def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
             replaced = [b for b in cand.beams
                         if b.active and all(b is not old for old in built.beams)]
             new = [b for b in replaced
-                   if ev._key(b) != last.keys[ev._row_of[b.beam_id][0]]]
+                   if ev._key(b) != last.keys[ev._row_of[b.beam_id]]]
             assert kind != 0 or not moved
             assert kind != 4 or not replaced
             if built.beams is not sol.beams:
