@@ -122,8 +122,7 @@ import numpy as np
 from . import channel as ch
 from .antenna import FieldWork, PanelGeometry, SteeringDirection, width_to_panel, wrap_angle
 from .exposure import incident_field, sar_wb
-from .scenario import (_AT_LEAST_ONE, _NON_NEGATIVE, Scenario, _field, _integer,
-                       linked_user_index)
+from .scenario import _AT_LEAST_ONE, _NON_NEGATIVE, Scenario, _field, _integer
 from .solution import SolutionState, beam_violations, power_violations, validate
 
 NOISE_DENSITY_W_HZ = ch.dbm_to_watts(ch.NOISE_DENSITY_DBM_HZ)
@@ -401,20 +400,17 @@ class Evaluator:
         self._human_ids = [h.id for h in scenario.humans]
         self._rate_floor = {u.id: float(u.required_rate) for u in scenario.users}
         self._n_users = len(scenario.users)
-        self._poa_index = {p.id: i for i, p in enumerate(scenario.poas)}
-        self._column_of_user = {uid: col for col, uid in enumerate(self._user_ids)}
-        linked = [linked_user_index(scenario, i, self._column_of_user)
-                  for i in range(len(scenario.humans))]
         self._all_columns = np.arange(self._n_users)
         # A linked human stands on its user: humans self._linked read the
         # users' columns self._linked_columns; the others, part 1's targets.
+        linked = scenario.index.linked
         self._linked = np.array([i for i, c in enumerate(linked) if c is not None], dtype=int)
         self._linked_columns = np.array([c for c in linked if c is not None], dtype=int)
         self._unlinked = np.array([i for i, c in enumerate(linked) if c is None], dtype=int)
-        rows = [(b, p.id) for p in sorted(scenario.poas, key=lambda p: p.id) for b in p.beams]
+        rows = [b for p in sorted(scenario.poas, key=lambda p: p.id) for b in p.beams]
         # Beam ids are unique per scenario: beam id -> its row.
-        self._row_of = {b: row for row, (b, _) in enumerate(rows)}
-        self._row_poa = np.array([self._poa_index[pid] for _, pid in rows], dtype=int)
+        self._row_of = {b: row for row, b in enumerate(rows)}
+        self._row_poa = np.array([scenario.index.owners[b] for b in rows], dtype=int)
         self._poa_frequency = np.array([p.frequency for p in scenario.poas])
         self._poa_bandwidth = np.array([p.bandwidth for p in scenario.poas], dtype=float)
         self._humans_by_phantom = {
@@ -567,7 +563,7 @@ class Evaluator:
         live, serving = [row for row, b in enumerate(beams) if b is not None and b.active], {}
         for k, row in enumerate(live):
             for uid in beams[row].served_users:
-                if serving.setdefault(self._column_of_user[uid], k) != k:
+                if serving.setdefault(self.scenario.index.users[uid], k) != k:
                     raise KeyError(uid)
         poa_of_beam = self._row_poa[live]
         freq = self._poa_frequency[poa_of_beam]
@@ -576,14 +572,15 @@ class Evaluator:
         interferers = ((freq[:, None] == freq[serving])
                        & (poa_of_beam[:, None] != poa_of_beam[serving]))[:, :, None]
         bandwidth = self._poa_bandwidth[poa_of_beam[serving]]
-        share = np.bincount(poa_of_beam, minlength=len(self._poa_index))[poa_of_beam]
+        share = np.bincount(poa_of_beam, minlength=len(self._poa_frequency))[poa_of_beam]
         return (np.array(live, dtype=int), poa_of_beam, share, serving, interferers,
                 bandwidth, NOISE_DENSITY_W_HZ * bandwidth[:, None])
 
     def _watts(self, stack, tx_power) -> np.ndarray:
         """(live, 1, 1) transmit power [W] of each live row under per-PoA
         levels [dBm]: its share of its PoA's power."""
-        watts = np.array([ch.dbm_to_watts(tx_power.get(pid, -math.inf)) for pid in self._poa_index])
+        watts = np.array([ch.dbm_to_watts(tx_power.get(p.id, -math.inf))
+                          for p in self.scenario.poas])
         return (watts[stack.poa_of_beam] / stack.share)[:, None, None]
 
     def _terms(self, stack, watts):
@@ -683,7 +680,8 @@ class Evaluator:
         every floor, or raises ``RuntimeError``.
         """
         stack = self.stack(solution)
-        pids, poas, n = list(self._poa_index), self.scenario.poas, len(self._poa_index)
+        poas = self.scenario.poas
+        pids, n = [p.id for p in poas], len(poas)
         # Every PoA at 1 W; then each user's interference from each PoA at 1 W,
         # (users, PoAs, realizations).
         unit, _, noise, bandwidth = self._terms(stack, self._watts(stack, dict.fromkeys(pids, 30.0)))

@@ -11,7 +11,9 @@ A ranged key states its range beside it in its table, once. Every
 ``Scenario`` (built-in, generated, loaded or built in Python) passes one
 check, ``_validate``, when it is built: each held field against the range
 beside its key, refused at the key path, then the rules that span fields.
-A Scenario is immutable and safe to share across concurrent evaluations.
+The maps that check finds repeated ids with are the Scenario's one id
+index, ``Scenario.index``, which answers every lookup by id. A Scenario
+is immutable and safe to share across concurrent evaluations.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,7 +126,8 @@ class Human:
 @dataclass(frozen=True)
 class Scenario:
     """A world. Building one runs ``_validate``, which refuses a field out of
-    its key's range, or a broken rule that spans fields, at the file key path."""
+    its key's range, or a broken rule that spans fields, at the file key path,
+    and builds ``index``, the world's ``IdIndex``."""
 
     kind: str
     bounds: tuple              # (length, width, height) meters
@@ -138,29 +142,42 @@ class Scenario:
     name: str = "custom"
 
     def __post_init__(self):
-        _validate(self)
+        # The id index is derived state, not a field: ``==``, ``repr``,
+        # ``replace`` and the files see the fields alone.
+        object.__setattr__(self, "index", _validate(self))
+
+    def __reduce__(self):
+        # Pickled as its fields, so that loading builds the index again.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def poa_by_id(self, poa_id):
-        for p in self.poas:
-            if p.id == poa_id:
-                return p
-        raise KeyError(poa_id)
+        return self.poas[self.index.poas[poa_id]]
 
     def user_by_id(self, user_id):
-        for u in self.users:
-            if u.id == user_id:
-                return u
-        raise KeyError(user_id)
+        return self.users[self.index.users[user_id]]
 
     def beam_owner(self, beam_id):
-        for p in self.poas:
-            if beam_id in p.beams:
-                return p
-        raise KeyError(beam_id)
+        return self.poas[self.index.owners[beam_id]]
 
     @property
     def all_beams(self):
-        return [b for p in self.poas for b in p.beams]
+        return list(self.index.owners)
+
+
+class IdIndex(NamedTuple):
+    """Every lookup by id of one Scenario, built once by ``_validate`` as it
+    refuses repeated ids; read only. An unknown id raises ``KeyError``.
+
+    ``user_ids`` is a set because ``solution.validate`` intersects each
+    beam's users with it, and reports in the order the intersection
+    iterates, which follows how the set was built: one id at a time, in
+    scenario order."""
+
+    poas: dict      # PoA id -> its position in ``poas``
+    owners: dict    # beam id -> its owner's position in ``poas``, in listing order
+    users: dict     # user id -> its column, its position in ``users``
+    user_ids: set   # the keys of ``users``
+    linked: tuple   # per human, the column of the user it is linked to, or None
 
 
 @dataclass(frozen=True)
@@ -504,52 +521,62 @@ def _check_fields(obj):
             object.__setattr__(obj, f.name, _field(f.name, parse, getattr(obj, f.name), within))
 
 
-def _validate(s: Scenario):
+def _validate(s: Scenario) -> IdIndex:
     """Every field of ``s`` in the range beside its key, then the rules that
     span fields: unique ids, string beam ids each owned by one PoA, positions
     inside the bounds, linked humans on their users and at most one per
     user, every PoA frequency mapped and every worn phantom's SAR_ref
-    covering the mapped ones."""
+    covering the mapped ones. Returns the id index of ``s``, built from
+    the maps that find repeated ids."""
     _check_ranges(s, _SCENARIO_KEYS)
     if len(s.bounds) < 2:
         raise ValidationError("bounds_m", "needs a length and a width")
-    ids, beam_ids = set(), set()
+    poas, owners = {}, {}
     for i, p in enumerate(s.poas):
         path = f"poas[{i}]"
-        if p.id in ids:
+        if p.id in poas:
             raise ValidationError(f"{path}.id", f"duplicate id {p.id!r}")
-        ids.add(p.id)
+        poas[p.id] = i
         for j, beam_id in enumerate(p.beams):
             if not isinstance(beam_id, str):
                 raise ValidationError(f"{path}.beams[{j}]", "must be a string")
-            if beam_id in beam_ids:
+            if beam_id in owners:
                 raise ValidationError(f"{path}.beams[{j}]", f"duplicate beam id {beam_id!r}")
-            beam_ids.add(beam_id)
+            owners[beam_id] = i
         _check_position(p.position, s, f"{path}.position_m")
         if p.frequency not in s.frequency_map.pairs:
             raise ValidationError(f"{path}.frequency_hz",
                                   f"{p.frequency} Hz missing from frequency_map")
-    if not beam_ids:
+    if not owners:
         raise ValidationError("poas", "no PoA has a beam")
-    user_ids = set()
+    users, user_ids = {}, set()
     for i, u in enumerate(s.users):
         path = f"users[{i}]"
-        if u.id in ids or u.id in user_ids:
+        if u.id in poas or u.id in users:
             raise ValidationError(f"{path}.id", f"duplicate id {u.id!r}")
+        users[u.id] = i
         user_ids.add(u.id)
         _check_position(u.position, s, f"{path}.position_m")
-    human_ids, user_index, bodies = set(), {u.id: j for j, u in enumerate(s.users)}, set()
+    human_ids, linked, bodies = set(), [], set()
     for i, h in enumerate(s.humans):
         path = f"humans[{i}]"
-        if h.id in ids or h.id in user_ids or h.id in human_ids:
+        if h.id in poas or h.id in users or h.id in human_ids:
             raise ValidationError(f"{path}.id", f"duplicate id {h.id!r}")
         human_ids.add(h.id)
         if h.phantom_id not in s.phantoms:
             raise ValidationError(f"{path}.phantom_id", f"unknown phantom {h.phantom_id!r}")
-        if (index := linked_user_index(s, i, user_index)) is not None and index in bodies:
-            raise ValidationError(f"{path}.linked_user",
-                                  f"user {h.linked_user!r} already has a linked human")
-        bodies.add(index)
+        column = users.get(h.linked_user)
+        if h.linked_user is not None and column is None:
+            raise ValidationError(f"{path}.linked_user", f"unknown user {h.linked_user!r}")
+        if column is not None:
+            if s.users[column].position != h.position:
+                raise ValidationError(f"{path}.position_m",
+                                      "linked human must share the user position")
+            if column in bodies:
+                raise ValidationError(f"{path}.linked_user",
+                                      f"user {h.linked_user!r} already has a linked human")
+            bodies.add(column)
+        linked.append(column)
         _check_position(h.position, s, f"{path}.position_m")
     ref_freqs = {s.frequency_map.reference(p.frequency) for p in s.poas}
     worn = {h.phantom_id for h in s.humans}
@@ -558,25 +585,7 @@ def _validate(s: Scenario):
         if name in worn and missing:
             raise ValidationError(
                 f"phantoms[{i}].sar_ref", f"phantom {name!r} has no SAR_ref at {min(missing)} Hz")
-
-
-def linked_user_index(s: Scenario, i: int, user_index: dict) -> int | None:
-    """The index in ``s.users`` of the user that human ``i`` is linked to
-    (``linked_user``), or None for a human linked to none, looked up in
-    ``user_index``, each user id's index in ``s.users``. A linked user the
-    scenario lacks, or a linked human not standing on its user's position,
-    raises ``ValidationError`` at ``humans[i].linked_user`` or
-    ``humans[i].position_m``."""
-    h = s.humans[i]
-    if h.linked_user is None:
-        return None
-    index = user_index.get(h.linked_user)
-    if index is None:
-        raise ValidationError(f"humans[{i}].linked_user", f"unknown user {h.linked_user!r}")
-    if s.users[index].position != h.position:
-        raise ValidationError(f"humans[{i}].position_m",
-                              "linked human must share the user position")
-    return index
+    return IdIndex(poas, owners, users, user_ids, tuple(linked))
 
 
 def _check_position(pos: Position3D, s: Scenario, path: str):

@@ -80,20 +80,25 @@ class SolutionState:
         )
 
 
+def too_close(poa, user, scenario: Scenario):
+    """The 2-D distance [m] from ``poa`` to ``user`` when it is below the
+    scenario's ``min_poa_user_distance``, so that the PoA may not serve the
+    user; else None. The one serving-distance rule, of ``beam_violations``
+    and of both solvers."""
+    d2d = math.hypot(user.position.x - poa.position.x, user.position.y - poa.position.y)
+    return d2d if d2d < scenario.min_poa_user_distance - 1e-9 else None
+
+
 def beam_violations(beam: BeamConfig, scenario: Scenario):
     """The violations of one listed beam on its own: its id, its owner, its
     width against its owner's minimum, its zenith, and each user it serves,
-    known and at least ``min_poa_user_distance`` (2-D) from the owner. A
-    beam the scenario lacks, or owned by a PoA it lacks, gets that one
-    violation only."""
-    try:
-        owner = scenario.beam_owner(beam.beam_id)
-    except KeyError:
+    known and not ``too_close`` to the owner. A beam the scenario lacks, or
+    owned by a PoA it lacks, gets that one violation only."""
+    if beam.beam_id not in scenario.index.owners:
         return [Violation("unknown_beam", beam.beam_id, "beam not in scenario")]
-    try:
-        poa = scenario.poa_by_id(beam.owner_poa)
-    except KeyError:
+    if beam.owner_poa not in scenario.index.poas:
         return [Violation("unknown_poa", beam.beam_id, f"owner {beam.owner_poa!r} not in scenario")]
+    owner, poa = scenario.beam_owner(beam.beam_id), scenario.poa_by_id(beam.owner_poa)
     violations = []
     if owner is not poa:
         violations.append(Violation("wrong_owner", beam.beam_id, f"beam belongs to {owner.id!r}"))
@@ -104,13 +109,9 @@ def beam_violations(beam: BeamConfig, scenario: Scenario):
     if not (0.0 <= beam.zenith <= math.pi):
         violations.append(Violation("bad_zenith", beam.beam_id, "zenith outside [0, pi]"))
     for uid in beam.served_users:
-        try:
-            u = scenario.user_by_id(uid)
-        except KeyError:
+        if uid not in scenario.index.users:
             violations.append(Violation("unknown_user", uid, f"served by {beam.beam_id}"))
-            continue
-        d2d = math.hypot(u.position.x - poa.position.x, u.position.y - poa.position.y)
-        if d2d < scenario.min_poa_user_distance - 1e-9:
+        elif (d2d := too_close(poa, scenario.user_by_id(uid), scenario)) is not None:
             violations.append(Violation(
                 "serving_too_close", uid, f"{d2d:.2f} m from serving PoA {poa.id}, minimum "
                 f"{scenario.min_poa_user_distance:.2f} m"))
@@ -122,7 +123,7 @@ def power_violations(tx_power: dict, scenario: Scenario):
     lacks, by id, then each scenario PoA's power missing, NaN or above its
     maximum, in scenario order."""
     violations = [Violation("unknown_poa", pid, "transmit power of a PoA not in scenario")
-                  for pid in sorted(tx_power.keys() - {p.id for p in scenario.poas})]
+                  for pid in sorted(tx_power.keys() - scenario.index.poas.keys())]
     for p in scenario.poas:
         if p.id not in tx_power:
             violations.append(Violation("missing_power", p.id, "no transmit power set"))
@@ -142,18 +143,16 @@ def validate(solution: SolutionState, scenario: Scenario):
     beams or by none, then the powers' (``power_violations``). A beam the
     scenario lacks, or owned by a PoA it lacks, serves nobody here."""
     violations, seen_beams, seen_users = [], set(), {}
-    known, poa_ids = set(scenario.all_beams), {p.id for p in scenario.poas}
-    user_ids = {u.id for u in scenario.users}
     for b in solution.beams:
         violations += beam_violations(b, scenario)
-        if b.beam_id not in known:
+        if b.beam_id not in scenario.index.owners:
             continue
         if b.beam_id in seen_beams:
             violations.append(Violation("duplicate_beam", b.beam_id, "beam listed twice"))
         seen_beams.add(b.beam_id)
-        if b.owner_poa not in poa_ids:
+        if b.owner_poa not in scenario.index.poas:
             continue
-        for uid in b.served_users & user_ids:
+        for uid in b.served_users & scenario.index.user_ids:
             if uid in seen_users:
                 violations.append(Violation(
                     "multi_served_user", uid,
@@ -161,7 +160,7 @@ def validate(solution: SolutionState, scenario: Scenario):
             else:
                 seen_users[uid] = b
     violations += [Violation("unserved_user", uid, "no beam serves this user")
-                   for uid in sorted(user_ids - seen_users.keys())]
+                   for uid in sorted(scenario.index.user_ids - seen_users.keys())]
     return violations + power_violations(solution.tx_power, scenario)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .channel import departure_angles
 from .radio_metrics import Evaluator
 from .scenario import _AT_LEAST_ONE, _NON_NEGATIVE, Scenario, _check_fields, _ranged
-from .solution import BeamConfig, SolutionState
+from .solution import BeamConfig, SolutionState, too_close
 
 KMEANS_RESTARTS = 10     # k-means++ starts; the one with the least WCSS is kept
 KMEANS_MAX_ITERS = 100   # Lloyd iterations per restart unless labels settle first
@@ -191,7 +191,10 @@ def match_clusters(clustering: Clustering, beams, scenario: Scenario) -> dict:
     distance from the beam's PoA to the cluster centroid at the assigned
     users' mean height (1.5 m with none). Only the non-empty clusters are
     matched (``_assign``): an empty one costs nothing to any beam, so
-    leaving it out cannot change the optimum.
+    leaving it out cannot change the optimum. A PoA ``too_close`` to a
+    member of a cluster may not serve it: that pair costs more than all
+    pairs' costs added up, so the matching uses no such pair whenever one
+    without any exists.
 
     A PoA's beams share its position, panel and power, so the matching
     only decides how many and which clusters each PoA gets. Each PoA then
@@ -205,13 +208,17 @@ def match_clusters(clustering: Clustering, beams, scenario: Scenario) -> dict:
     k = len(clustering.centroids)
     if len(beams) != k:
         raise ValueError(f"need exactly {k} beams for {k} clusters, got {len(beams)}")
-    heights = [scenario.user_by_id(u).position.z for u in clustering.assignments]
-    user_height = float(np.mean(heights)) if heights else 1.5
+    users = [scenario.user_by_id(u) for u in clustering.assignments]
+    user_height = float(np.mean([u.position.z for u in users])) if users else 1.5
     owners = [scenario.beam_owner(b) for b in beams]
     filled = [ci for ci, c in enumerate(clustering.centroids) if c is not None]
     centroids = np.array([(*clustering.centroids[ci], user_height) for ci in filled])
     gap = centroids.reshape(-1, 1, 3) - np.array([p.position.as_tuple() for p in owners])
     cost = np.sqrt(gap[..., 0] ** 2 + gap[..., 1] ** 2 + gap[..., 2] ** 2)
+    barred = np.zeros((len(filled), len(scenario.poas)), dtype=bool)  # cluster, PoA
+    for user, c in zip(users, clustering.assignments.values()):
+        barred[filled.index(c)] |= [too_close(p, user, scenario) is not None for p in scenario.poas]
+    cost[barred[:, [scenario.index.owners[b] for b in beams]]] = cost.sum() + 1.0
     listed = set(beams)
     free = {p.id: iter([b for b in p.beams if b in listed]) for p in scenario.poas}
     assignment = {next(free[owners[bi].id]): ci for ci, bi in zip(filled, _assign(cost).tolist())}

@@ -17,7 +17,7 @@ from .antenna import wrap_angle
 from .radio_metrics import Evaluator
 from .scenario import (_AT_LEAST_ONE, _POSITIVE, Scenario, _check_fields, _Interval,
                        _optional, _ranged, _real)
-from .solution import SolutionState
+from .solution import SolutionState, too_close
 from .solver_ctm import CtmConfig, build_geometry
 
 POWER_STEP_DB = 2.0        # move_power step
@@ -82,21 +82,26 @@ def move_width(solution, scenario, rng, step):
 
 
 def move_reassign(solution, scenario, rng):
-    """Move one random user from its beam to a random other beam."""
+    """Move one random user from its beam to a random other beam whose PoA
+    may serve it (not ``too_close``); with none, the solution is kept."""
     if not scenario.users or len(solution.beams) < 2:
         return solution
-    user = scenario.users[int(rng.integers(len(scenario.users)))].id
-    src = next(i for i, b in enumerate(solution.beams) if user in b.served_users)
-    dst = int(rng.integers(len(solution.beams) - 1))
-    dst += dst >= src  # the dst-th beam other than src
+    user = scenario.users[int(rng.integers(len(scenario.users)))]
+    src = next(i for i, b in enumerate(solution.beams) if user.id in b.served_users)
+    barred = {p.id for p in scenario.poas if too_close(p, user, scenario) is not None}
+    others = [i for i, b in enumerate(solution.beams) if i != src and b.owner_poa not in barred]
+    if not others:
+        return solution
+    dst = others[int(rng.integers(len(others)))]
     beams = list(solution.beams)
-    beams[src] = replace(beams[src], served_users=beams[src].served_users - {user})
-    beams[dst] = replace(beams[dst], served_users=beams[dst].served_users | {user})
+    beams[src] = replace(beams[src], served_users=beams[src].served_users - {user.id})
+    beams[dst] = replace(beams[dst], served_users=beams[dst].served_users | {user.id})
     return replace(solution, beams=tuple(beams))
 
 
 def neighbor(solution: SolutionState, scenario: Scenario, rng) -> SolutionState:
-    """Exactly one mutation; the output stays structurally legal."""
+    """Exactly one mutation, which keeps a state that ``validate`` accepts
+    legal."""
     kind = int(rng.integers(4))
     if kind == 0:
         return move_power(solution, scenario, rng, POWER_STEP_DB)

@@ -150,16 +150,21 @@ def serve_all_solution(scenario, power_dbm=20.0):
     return SolutionState(beams=tuple(beams), tx_power=tx)
 
 
+def nearest_poa(scenario, user):
+    """The PoA of ``scenario`` nearest to ``user`` in 2-D."""
+    return min(scenario.poas, key=lambda p: math.hypot(user.position.x - p.position.x,
+                                                       user.position.y - p.position.y))
+
+
 def too_close_world(seed):
     """umi-sc-desk placed with ``seed``, with its first user, and the human
     linked to it, moved to 1 m from its nearest PoA, under the world's 10 m
     minimum serving distance. Built-in placements keep every user that far
-    from every PoA, so only a world from a file can look like this; CtM
-    serves that user from that PoA."""
+    from every PoA, so only a world from a file can look like this; the
+    solvers serve that user from another PoA."""
     scenario = builtin_scenario("umi-sc-desk", seed)
     user = scenario.users[0]
-    near = min(scenario.poas, key=lambda p: math.hypot(user.position.x - p.position.x,
-                                                       user.position.y - p.position.y))
+    near = nearest_poa(scenario, user)
     moved = replace(user.position, x=near.position.x + 1.0, y=near.position.y)
     return replace(scenario,
                    users=tuple(replace(u, position=moved) if u.id == user.id else u

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -112,3 +113,33 @@ def test_a_cellless_run_row_times_the_checkouts_cli(trajectory):
     assert row["command"] == "cellless run --scenario inf-dh-desk --solver ctm --seeds 1"
     assert (row["scenario"], row["solver"], row["seed"]) == ("inf-dh-desk", "ctm", 1)
     assert row["exit_code"] == 0 and row["outcome"] == "solved" and row["wall_s"] > 0.0
+
+
+def _git(cwd, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=cwd,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_git_commit_names_only_the_top_of_a_work_tree(trajectory, tmp_path):
+    """A checkout's own top level records its commit; an export in a
+    git-ignored folder of that checkout, or outside any checkout, records
+    "unknown" instead of the enclosing checkout's commit."""
+    checkout, outside = tmp_path / "checkout", tmp_path / "outside"
+    export = checkout / ".bench_build" / "parent"
+    export.mkdir(parents=True)
+    outside.mkdir()
+    (checkout / ".gitignore").write_text(".bench_build/\n")
+    _git(checkout, "init", "-q")
+    _git(checkout, "add", ".gitignore")
+    _git(checkout, "commit", "-q", "-m", "one")
+    assert trajectory.git_commit(checkout) == _git(checkout, "rev-parse", "--short=12", "HEAD")
+    assert trajectory.git_commit(export) == trajectory.git_commit(outside) == "unknown"
+
+
+def test_a_given_commit_is_recorded(trajectory, tmp_path, monkeypatch):
+    """``--commit`` is what ``env.commit`` records."""
+    for layers in ("time_solver_layers", "time_kernel_layers", "time_paper_layers"):
+        monkeypatch.setattr(trajectory, layers, lambda seed, repeats: {})
+    out = tmp_path / "bench.json"
+    assert trajectory.main(["--layers-only", "--commit", "0123abc", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["runs"]["change"]["env"]["commit"] == "0123abc"

@@ -230,16 +230,15 @@ def test_failed_runs_record_their_wall_time(monkeypatch, tmp_path):
     assert raised.error == "ZeroDivisionError: injected" and raised.wall_time > 0.0
 
 
-def test_a_world_with_a_user_served_too_close_records_the_refusal(tmp_path):
+def test_a_world_with_a_user_too_close_to_a_poa_is_solved_legally(tmp_path):
     """A file world with a user 1 m from a PoA, under its 10 m minimum
-    serving distance: CtM's geometry serves the user from there, and the
-    run records ``validate``'s ``serving_too_close`` as its error, with no
-    solution or bundle."""
+    serving distance: CtM serves the user from another PoA, and the run
+    records a feasible solution that ``validate`` accepts."""
     world = tmp_path / "close.json"
     save_scenario(too_close_world(0), str(world))
     [record] = run_experiment(tiny_spec(tmp_path, scenario=str(world), seeds=(0,), out_dir=None))
-    assert record.bundle is None and record.solution is None
-    assert record.error.startswith("SolutionInvalidError: serving_too_close(user0)")
+    assert record.error is None and record.bundle.feasible
+    assert validate(record.solution, record.scenario) == []
 
 
 def _reject_constant(name):

@@ -25,7 +25,7 @@ from cellless.scenario import (EndUser, Human, PoA, Position3D, Scenario, Valida
 from cellless.solution import BeamConfig, SolutionState, validate
 from cellless.solver_ctm import CtmConfig, build_geometry
 from cellless.solver_maxrate import ANGLE_STEP, objective, solve_maxrate
-from conftest import (assert_links_match, make_poa, make_tiny_scenario, one_link,
+from conftest import (assert_links_match, make_poa, make_tiny_scenario, nearest_poa, one_link,
                       too_close_world)
 
 
@@ -693,10 +693,17 @@ _REFUSED = ["unknown-beam", "unknown-owner", "unknown-user", "wrong-owner", "twi
 
 @pytest.fixture(scope="module")
 def too_close():
-    """``too_close_world(0)``, CtM's geometry on it, which serves its moved
-    user from a PoA 1 m away, and an Evaluator of it."""
+    """``too_close_world(0)``, CtM's geometry on it with its moved user
+    served by hand from the PoA 1 m away, by that PoA's first beam, and an
+    Evaluator of it."""
     world = too_close_world(0)
-    return world, build_geometry(world, CtmConfig(seed=0)), Evaluator(world, 0, 2)
+    user = world.users[0]
+    near = nearest_poa(world, user)
+    geometry = build_geometry(world, CtmConfig(seed=0))
+    beams = [replace(b, served_users=b.served_users - {user.id}) for b in geometry.beams]
+    first = next(i for i, b in enumerate(beams) if b.owner_poa == near.id)
+    beams[first] = replace(beams[first], served_users=beams[first].served_users | {user.id})
+    return world, replace(geometry, beams=tuple(beams)), Evaluator(world, 0, 2)
 
 
 @pytest.mark.parametrize("case", range(len(_REFUSED)), ids=_REFUSED)

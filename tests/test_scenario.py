@@ -2,7 +2,8 @@
 
 import json
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,8 @@ from cellless.scenario import (_SCENARIO_KEYS, BUILTIN_TEMPLATES, ParseError, Pl
                                builtin_template, generate_placements,
                                load_scenario, save_scenario,
                                scenario_from_dict, scenario_to_dict)
+
+from conftest import make_tiny_scenario, too_close_world
 
 
 def test_builtin_catalog():
@@ -466,6 +469,58 @@ def test_a_built_frequency_map_is_refused_at_its_reference_key():
     with pytest.raises(ValidationError) as err:
         replace(world, frequency_map=FrequencyMap({3e9: math.nan, 5e9: 5.2e9}))
     assert err.value.path == "frequency_map.3000000000.0"
+
+
+@st.composite
+def _worlds(draw):
+    """A world ``conftest`` builds (the tiny one, with 1 to 3 beams a PoA,
+    or ``too_close_world``) or a built-in one, placed with a drawn seed."""
+    kind = draw(st.sampled_from(["tiny", "too-close", *sorted(BUILTIN_TEMPLATES)]))
+    if kind == "tiny":
+        return make_tiny_scenario(n_beams=draw(st.integers(1, 3)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return too_close_world(seed) if kind == "too-close" else builtin_scenario(kind, seed)
+
+
+_FORMS = {"built": lambda s: s, "replaced": replace,
+          "pickled": lambda s: pickle.loads(pickle.dumps(s)),
+          "reloaded": lambda s: scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s))))}
+
+
+@settings(deadline=None, max_examples=80)
+@given(world=_worlds(), form=st.sampled_from(sorted(_FORMS)), unknown=st.text(max_size=8))
+def test_the_id_index_answers_what_the_scans_did(world, form, unknown):
+    """Each lookup by id reads the one index the scenario check built, and
+    answers what a linear scan of the scenario's tuples does: a PoA, a
+    beam's owner, a user, a user's column, a linked human's user column,
+    the beams in listing order, the set of user ids. An unknown id raises
+    ``KeyError`` naming it. A world rebuilt by ``replace``, pickled, or
+    read back from its file has the same index, and the index is not a
+    field."""
+    s = _FORMS[form](world)
+    for p in s.poas:
+        assert s.poa_by_id(p.id) is next(q for q in s.poas if q.id == p.id)
+        for b in p.beams:
+            assert s.beam_owner(b) is next(q for q in s.poas if b in q.beams)
+    assert s.all_beams == [b for p in s.poas for b in p.beams]
+    for u in s.users:
+        assert s.user_by_id(u.id) is next(v for v in s.users if v.id == u.id)
+    columns = [u.id for u in s.users]
+    # The user ids iterate as the set of them built in this process does.
+    assert list(s.index.user_ids) == list({u.id for u in s.users})
+    assert s.index.users == {uid: columns.index(uid) for uid in columns}
+    assert list(s.index.linked) == [None if h.linked_user is None
+                                    else columns.index(h.linked_user) for h in s.humans]
+    assert s.index == world.index
+    known = {*s.index.poas, *s.index.owners, *s.index.users}
+    if unknown not in known:
+        for lookup in (s.poa_by_id, s.user_by_id, s.beam_owner):
+            with pytest.raises(KeyError) as info:
+                lookup(unknown)
+            assert info.value.args == (unknown,)
+    assert "index" not in {f.name for f in fields(s)} and "index" not in repr(s)
+    if form != "reloaded":  # a file keeps angles in degrees
+        assert s == world and repr(s) == repr(world)
 
 
 def test_every_world_passes_the_check_once(monkeypatch):

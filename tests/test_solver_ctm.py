@@ -17,8 +17,7 @@ from hypothesis import event, given, settings, strategies as st
 from cellless import solver_ctm
 from cellless.channel import dbm_to_watts
 from cellless.exposure import FrequencyMap
-from cellless.radio_metrics import (NOISE_DENSITY_W_HZ, ROUND_UP_DB, Evaluator,
-                                    SolutionInvalidError, _least_watts)
+from cellless.radio_metrics import NOISE_DENSITY_W_HZ, ROUND_UP_DB, Evaluator, _least_watts
 from cellless.scenario import (EndUser, Human, Position3D, builtin_scenario, builtin_template,
                                generate_placements)
 from cellless.solution import validate
@@ -28,7 +27,7 @@ from cellless.solver_ctm import (CtmConfig, _assign,
                                  match_clusters, reduce_powers, solve_ctm,
                                  user_azimuth)
 
-from conftest import make_poa, make_tiny_scenario, too_close_world
+from conftest import make_poa, make_tiny_scenario, nearest_poa, too_close_world
 
 
 def users_at(points):
@@ -756,16 +755,22 @@ def test_solve_ctm_stacks_its_beams_once(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_solve_ctm_refuses_a_user_served_too_close(seed):
-    """CtM's matching does not know the minimum serving distance, so on a
-    world with a user 1 m from its nearest PoA it serves that user from
-    there. The least power vector's stack refuses that geometry with
-    ``validate``'s ``serving_too_close`` instead of solving it."""
+def test_solve_ctm_serves_no_user_too_close(seed):
+    """CtM's matching keeps the minimum serving distance: on a world with a
+    user 1 m from its nearest PoA, which the matching gives that PoA once
+    the distance is 0 m, the geometry and the solve are legal (or the solve
+    proves that no power vector is feasible)."""
     world = too_close_world(seed)
-    user = world.users[0].id
-    with pytest.raises(SolutionInvalidError, match=rf"serving_too_close\({user}\)") as info:
-        solve_ctm(Evaluator(world, seed, 2))
-    assert info.value.violations == validate(build_geometry(world, CtmConfig(seed=seed)), world)
+    user, near = world.users[0].id, nearest_poa(world, world.users[0])
+    unbarred = build_geometry(replace(world, min_poa_user_distance=0.0), CtmConfig(seed=seed))
+    assert unbarred.beam_for_user(user).owner_poa == near.id
+    geometry = build_geometry(world, CtmConfig(seed=seed))
+    assert validate(geometry, world) == [] and geometry.beam_for_user(user).owner_poa != near.id
+    try:
+        solution, bundle = solve_ctm(Evaluator(world, seed, 2))
+    except NoFeasibleSolutionError:
+        return
+    assert validate(solution, world) == [] and bundle.feasible
 
 
 @pytest.mark.parametrize("field", ["delta_db", "refinement_rounds", "kmeans_restarts"])

@@ -18,7 +18,8 @@ from cellless.solver_maxrate import (ANGLE_STEP, POWER_STEP_DB, WIDTH_STEP, Anne
                                      move_power, move_reassign, move_steering, move_width,
                                      neighbor, objective, solve_maxrate)
 
-from conftest import make_poa, make_tiny_scenario, serve_all_solution
+from conftest import (make_poa, make_tiny_scenario, nearest_poa, serve_all_solution,
+                      too_close_world)
 
 
 @pytest.fixture(scope="module")
@@ -559,6 +560,26 @@ def test_move_reassign_keeps_partition(tiny_scenario, start):
         for b in sol.beams:
             seen.extend(b.served_users)
         assert sorted(seen) == sorted(all_users)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_maxrate_serves_no_user_too_close(seed):
+    """On a world with a user 1 m from its nearest PoA, under the minimum
+    serving distance, a reassign draws its target only among the beams
+    whose PoA may serve the user, so every state stays legal and a solve
+    completes; with the distance at 0 m the same draws reach that PoA."""
+    world = too_close_world(seed)
+    user, near = world.users[0].id, nearest_poa(world, world.users[0]).id
+    for scenario in (world, replace(world, min_poa_user_distance=0.0)):
+        state, rng = build_geometry(world, CtmConfig(seed=seed)), np.random.default_rng(1)
+        owners = set()
+        for _ in range(2000):
+            state = move_reassign(state, scenario, rng)
+            owners.add(state.beam_for_user(user).owner_poa)
+            assert scenario is not world or validate(state, world) == []
+        assert (near in owners) is (scenario is not world)
+    best, _ = solve_maxrate(Evaluator(world, seed, 2), AnnealConfig(iterations=3, moves_per_temp=5))
+    assert validate(best, world) == []
 
 
 def test_solve_maxrate_improves_or_keeps_min_rate(tiny_scenario, start, ev):

@@ -57,13 +57,17 @@ perfbench, and this script keeps only the parser and the file writer.
 Usage::
 
     python tools/bench_trajectory.py --out "BENCH_<n>.json" --label change
-    python tools/bench_trajectory.py --root ../parent --out "BENCH_<n>.json" --label parent
+    python tools/bench_trajectory.py --root ../parent --commit <sha> --out "BENCH_<n>.json" \\
+        --label parent
     python tools/bench_trajectory.py --layers-only --repeats 1 --out bench.json
 
 ``--out`` is read first if it exists, and the run is stored under
 ``runs[<label>]``, so the parent and the change of one comparison share
-a file. ``--layers-only`` skips perfbench and the ``cellless run`` rows.
-The exit code is that of perfbench (0 with ``--layers-only``).
+a file. ``env.commit`` is ``--commit`` when given, else ``git describe``
+of ``--root`` when it is the top level of a git work tree, else
+"unknown": an exported parent names its commit with ``--commit``.
+``--layers-only`` skips perfbench and the ``cellless run`` rows. The
+exit code is that of perfbench (0 with ``--layers-only``).
 """
 
 from __future__ import annotations
@@ -338,10 +342,16 @@ def time_paper_layers(seed: int, repeats: int) -> dict:
 
 
 def git_commit(root: Path) -> str:
-    """The checkout's commit, marked ``-dirty`` when its tracked files differ."""
-    proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"], cwd=root,
-                          capture_output=True, text=True, check=False)
-    return proc.stdout.strip() or "unknown"
+    """The commit of the checkout at ``root``, marked ``-dirty`` when its
+    tracked files differ; "unknown" when ``root`` is not the top level of
+    its own git work tree, as an export is, also one inside a checkout."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
+                              check=False).stdout.strip()
+    top = git("rev-parse", "--show-toplevel")
+    if not top or Path(top).resolve() != root.resolve():
+        return "unknown"
+    return git("describe", "--always", "--dirty", "--abbrev=12") or "unknown"
 
 
 def _parse_args(argv):
@@ -350,6 +360,7 @@ def _parse_args(argv):
                    help="source checkout to measure (default: this script's)")
     p.add_argument("--out", type=Path, required=True, help="trajectory file to write")
     p.add_argument("--label", default="change", help="key of this run under 'runs'")
+    p.add_argument("--commit", help="commit recorded as env.commit (default: git_commit(--root))")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seconds", type=float, default=25.0, help="perfbench --seconds")
     p.add_argument("--repeats", type=int, default=5, help="repeats per layer timing")
@@ -371,7 +382,7 @@ def main(argv=None) -> int:
     record = {"env": {"nproc": len(os.sched_getaffinity(0)), "cpu_count": os.cpu_count(),
                       "machine": platform.machine(), "python": platform.python_version(),
                       "numpy": numpy.__version__, "cellless": cellless.__version__,
-                      "commit": git_commit(root), "seed": args.seed,
+                      "commit": args.commit or git_commit(root), "seed": args.seed,
                       "repeats": args.repeats},
               "layers": {"solver": time_solver_layers(args.seed, args.repeats),
                          "kernel": time_kernel_layers(args.seed, args.repeats),
