@@ -23,12 +23,13 @@ path (a ray's phase), is folded into one weight per angle (``fold_weight``;
 conj(s_v*s_h) * sqrt(M*N) is one per-beam phasor (``beam_phasor``).
 ``steered_sum`` applies one beam to the weights: per angle, the weight
 times each axis's ratio and z^m, complex products only, and no sine or
-exponential. Each axis costs a fixed run of passes over contiguous
-buffers of a ``FieldWork``: z, z^m by repeated squaring from z itself,
-m*Im z and its magnitude, and the real ratio. The angles where g is an
-integer, which take the ratio's limit, are found among the few whose
-|m*Im z| is at most fl(m*1e-12). The test and the divide write
-contiguous buffers, not a strided view of z.
+exponential. Each axis costs a fixed run of passes over the buffers of
+a ``FieldWork``: z, z^m by repeated squaring from z itself, m*Im z and
+its magnitude, and the ratio. The angles where g is an integer, which take
+the ratio's limit, are found among the few whose |m*Im z| is at most
+fl(m*1e-12). The test writes contiguous buffers, not a strided view of z.
+The ratio is kept as r + 0j, the operand numpy would cast it to, so the
+field's product with it is a plain complex product.
 ``channel.link_terms`` lays out a block's rays and direct paths as one
 flat set of terms, so one call steers all of them.
 """
@@ -108,27 +109,29 @@ def element_field(pattern, theta, phi):
 
 class FieldWork:
     """Buffers of ``steered_sum`` for up to ``size`` observation angles
-    (at least two): three complex numbers and one real number per angle,
-    the field, z, z^m and the real array ratio. Beams steered over the same
-    angles through one workspace allocate (and page in) them once, not once
-    per beam."""
+    (at least two): four complex numbers and one real number per angle,
+    the field, z, z^m, the array ratio (whose imaginary part stays 0) and
+    m*Im z. Beams steered over the same angles through one workspace
+    allocate (and page in) them once, not once per beam."""
 
     def __init__(self, size: int):
         size = max(size, 2)
-        self._buffers = np.empty((3, size), dtype=complex)
-        self._ratio = np.empty(size)
+        self._buffers = np.empty((4, size), dtype=complex)
+        self._buffers[3].imag = 0.0
+        self._scaled = np.empty(size)
 
     @property
     def size(self) -> int:
         """The most observation angles one ``take`` can hand out."""
-        return self._ratio.size
+        return self._scaled.size
 
     def take(self, size: int) -> tuple:
-        """The first ``size`` entries of each buffer: field, z, z^m (complex)
-        and ratio (real). More than ``self.size`` raises ``ValueError``."""
+        """The first ``size`` entries of each buffer: field, z, z^m, ratio
+        (complex) and m*Im z (real). More than ``self.size`` raises
+        ``ValueError``."""
         if size > self.size:
             raise ValueError(f"a workspace of {self.size} angles cannot steer {size}")
-        return (*(b[:size] for b in self._buffers), self._ratio[:size])
+        return (*(b[:size] for b in self._buffers), self._scaled[:size])
 
 
 def _power(z, m: int, out):
@@ -146,12 +149,13 @@ def _power(z, m: int, out):
     return out
 
 
-def _array_ratio(u, step, m: int, z, power, ratio):
+def _array_ratio(u, step, m: int, z, power, ratio, scaled):
     """One panel axis of m elements at ``z = u * step = exp(1j*pi*g)``:
-    writes z into ``z``, z^m into ``power`` and the real ratio
-    sin(m*pi*g) / (m*sin(pi*g)) = Im(z^m) / (m*Im z) into the real buffer
-    ``ratio``, which it returns. The m elements sum, (1/m) * sum_a z^(2a)
-    for a = 0 .. m-1, to that ratio times z^m * conj(z).
+    writes z into ``z``, z^m into ``power``, m*Im z into the contiguous
+    real buffer ``scaled`` and the real ratio sin(m*pi*g) / (m*sin(pi*g))
+    = Im(z^m) / (m*Im z) into the real array ``ratio`` (a view is fine),
+    which it returns. The m elements sum, (1/m) * sum_a z^(2a) for a = 0 ..
+    m-1, to that ratio times z^m * conj(z).
 
     Im(z^m) and Im z come from the same rounded z, so their ratio stays
     accurate as g nears an integer. Where |Im z| < 1e-12, g is an integer k
@@ -162,8 +166,8 @@ def _array_ratio(u, step, m: int, z, power, ratio):
     finds the few candidates, and only they are tested for |Im z| < 1e-12.
     """
     np.multiply(u, step, out=z)
-    scaled = np.multiply(z.imag, m, out=ratio)
-    near = np.absolute(scaled, out=power.view(float)[:ratio.size]) <= m * 1e-12
+    np.multiply(z.imag, m, out=scaled)
+    near = np.absolute(scaled, out=power.view(float)[:scaled.size]) <= m * 1e-12
     singular = near.nonzero()[0]
     if singular.size:
         singular = singular[np.absolute(z.imag[singular]) < 1e-12]
@@ -256,7 +260,7 @@ def steered_sum(geom: PanelGeometry, terms: PanelTerms, weight, steer: SteeringD
     # numpy rounds an in-place complex product of one element apart from
     # the same element of a longer array, so one angle is steered as a pair.
     size = math.prod(shape)
-    field, z, power, ratio = (work or FieldWork(size)).take(2 if size == 1 else size)
+    field, z, power, ratio, scaled = (work or FieldWork(size)).take(2 if size == 1 else size)
     # Operand order pinned: numpy swaps the operands of a product whose
     # right operand is a large temporary, and the complex product is not
     # bit-commutative, so the bits would depend on how many angles are passed.
@@ -264,7 +268,7 @@ def steered_sum(geom: PanelGeometry, terms: PanelTerms, weight, steer: SteeringD
     for u, (step, count) in zip((terms.u_v, terms.u_h), _steering(geom, steer)):
         u = np.reshape(u, -1)
         if count > 1:
-            _array_ratio(u, step, count, z, power, ratio)
+            _array_ratio(u, step, count, z, power, ratio.real, scaled)
             np.multiply(factor, power, out=field)
             np.multiply(field, ratio, out=field)
         else:

@@ -56,7 +56,7 @@ def _array_terms(m, g):
     flat = g.reshape(-1)  # the kernel's buffers are flat
     z, power = (np.empty(flat.shape, dtype=complex) for _ in range(2))
     u = np.exp(1j * np.pi * flat)
-    ratio = _array_ratio(u, 1.0, m, z, power, np.empty(flat.shape))
+    ratio = _array_ratio(u, 1.0, m, z, power, np.empty(flat.shape), np.empty(flat.shape))
     return ratio.reshape(g.shape), (power * np.conjugate(u)).reshape(g.shape)
 
 
@@ -182,7 +182,7 @@ def test_array_ratio_equals_frozen_copy(m, phasors, size, step):
     one (``test_steered_sum_equals_frozen_copy`` covers one angle)."""
     u = np.resize(np.array(phasors, dtype=complex), size)
     z, power, ratio = np.empty(size, dtype=complex), np.empty(size, dtype=complex), np.empty(size)
-    got = _array_ratio(u, step, m, z, power, ratio)
+    got = _array_ratio(u, step, m, z, power, ratio, np.empty(size))
     want_z, want_power = np.empty((2, size), dtype=complex)
     want = _frozen_array_ratio(u, step, m, want_z, want_power)
     assert got is ratio
@@ -286,7 +286,7 @@ def test_field_work_refuses_more_angles_than_it_holds():
     with an error that names both counts, also through ``steered_sum``."""
     assert FieldWork(1).size == 2
     work = FieldWork(5)
-    assert [(b.shape, b.dtype) for b in work.take(5)] == [((5,), complex)] * 3 + [((5,), float)]
+    assert [(b.shape, b.dtype) for b in work.take(5)] == [((5,), complex)] * 4 + [((5,), float)]
     with pytest.raises(ValueError, match=r"of 5 angles cannot steer 6"):
         work.take(6)
     terms = panel_terms(np.full(9, 1.0), np.zeros(9))
