@@ -95,10 +95,13 @@ def _kmeans_once(pts, k, rng):
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                centroids[j] = pts[mask].mean(axis=0)
+        # Each cluster's points added in index order, then divided by their
+        # count, as ``pts[labels == j].mean(axis=0)`` does; an empty cluster
+        # keeps its centroid.
+        counts = np.bincount(labels, minlength=k)
+        sums = np.stack([np.bincount(labels, pts[:, c], k) for c in range(2)], axis=1)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
     dist = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     labels = dist.argmin(axis=1)
     wcss = float(dist[np.arange(n), labels].sum())
@@ -213,8 +216,8 @@ def match_clusters(clustering: Clustering, beams, scenario: Scenario) -> dict:
     owners = [scenario.beam_owner(b) for b in beams]
     filled = [ci for ci, c in enumerate(clustering.centroids) if c is not None]
     centroids = np.array([(*clustering.centroids[ci], user_height) for ci in filled])
-    gap = centroids.reshape(-1, 1, 3) - np.array([p.position.as_tuple() for p in owners])
-    cost = np.sqrt(gap[..., 0] ** 2 + gap[..., 1] ** 2 + gap[..., 2] ** 2)
+    owner_positions = [p.position.as_tuple() for p in owners]
+    cost = departure_angles(owner_positions, centroids.reshape(-1, 1, 3))[2]
     barred = np.zeros((len(filled), len(scenario.poas)), dtype=bool)  # cluster, PoA
     for user, c in zip(users, clustering.assignments.values()):
         barred[filled.index(c)] |= [too_close(p, user, scenario) is not None for p in scenario.poas]

@@ -86,6 +86,58 @@ def test_kmeans_matches_exhaustive_on_small_instances():
     assert hits >= 28
 
 
+def _frozen_kmeans_once(pts, k, rng):
+    """``_kmeans_once`` as it was when each centroid was recomputed by a
+    loop over the clusters."""
+    n = len(pts)
+    centroids = np.empty((k, 2))
+    centroids[0] = pts[rng.integers(n)]
+    d2 = ((pts - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centroids[j] = pts[rng.integers(n)]
+            continue
+        centroids[j] = pts[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((pts - centroids[j]) ** 2).sum(axis=1))
+    labels = None
+    for _ in range(solver_ctm.KMEANS_MAX_ITERS):
+        dist = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dist.argmin(axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            mask = labels == j
+            if mask.any():
+                centroids[j] = pts[mask].mean(axis=0)
+    dist = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    labels = dist.argmin(axis=1)
+    wcss = float(dist[np.arange(n), labels].sum())
+    return labels, centroids, wcss
+
+
+def test_kmeans_once_equals_the_frozen_cluster_loop():
+    """Labels, centroids and WCSS of one k-means run are the frozen loop
+    version's byte for byte, over seeded point sets in general position and
+    drawn from a few distinct points, where clusters end up empty."""
+    rng = np.random.default_rng(11)
+    empty_runs = 0
+    for case in range(300):
+        n = int(rng.integers(2, 120))
+        k = int(rng.integers(1, min(n, 41)))
+        pts = rng.uniform(-60.0, 60.0, (n, 2))
+        if case % 2:
+            pts = pts[rng.integers(0, int(rng.integers(1, 6)), n)]
+        got = solver_ctm._kmeans_once(pts, k, np.random.default_rng(case))
+        want = _frozen_kmeans_once(pts, k, np.random.default_rng(case))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+        empty_runs += len(np.unique(got[0])) < k
+    assert empty_runs >= 50
+
+
 def test_cluster_users_argument_checks():
     with pytest.raises(ValueError):
         cluster_users(users_at([(0, 0)]), 0, CtmConfig())
