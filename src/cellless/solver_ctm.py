@@ -99,7 +99,7 @@ def _kmeans_once(pts, k, rng):
         # count, as ``pts[labels == j].mean(axis=0)`` does; an empty cluster
         # keeps its centroid.
         counts = np.bincount(labels, minlength=k)
-        sums = np.stack([np.bincount(labels, pts[:, c], k) for c in range(2)], axis=1)
+        sums = np.stack([np.bincount(labels, weights=w, minlength=k) for w in pts.T], axis=1)
         filled = counts > 0
         centroids[filled] = sums[filled] / counts[filled, None]
     dist = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -190,14 +190,14 @@ def _assign(cost):
 def match_clusters(clustering: Clustering, beams, scenario: Scenario) -> dict:
     """Minimum-distance one-to-one beam-to-cluster assignment.
 
-    The cost of a beam for a non-empty cluster is the 3-D Euclidean
-    distance from the beam's PoA to the cluster centroid at the assigned
-    users' mean height (1.5 m with none). Only the non-empty clusters are
-    matched (``_assign``): an empty one costs nothing to any beam, so
-    leaving it out cannot change the optimum. A PoA ``too_close`` to a
-    member of a cluster may not serve it: that pair costs more than all
-    pairs' costs added up, so the matching uses no such pair whenever one
-    without any exists.
+    The cost of a beam for a non-empty cluster is the 3-D distance
+    (``departure_angles``) from the beam's PoA to the cluster centroid at
+    the assigned users' mean height (1.5 m with none). Only the non-empty
+    clusters are matched (``_assign``): an empty one costs nothing to any
+    beam, so leaving it out cannot change the optimum. A PoA ``too_close``
+    to a member of a cluster may not serve it: that pair costs more than
+    all pairs' costs added up, so the matching uses no such pair whenever
+    one without any exists.
 
     A PoA's beams share its position, panel and power, so the matching
     only decides how many and which clusters each PoA gets. Each PoA then
@@ -216,8 +216,7 @@ def match_clusters(clustering: Clustering, beams, scenario: Scenario) -> dict:
     owners = [scenario.beam_owner(b) for b in beams]
     filled = [ci for ci, c in enumerate(clustering.centroids) if c is not None]
     centroids = np.array([(*clustering.centroids[ci], user_height) for ci in filled])
-    owner_positions = [p.position.as_tuple() for p in owners]
-    cost = departure_angles(owner_positions, centroids.reshape(-1, 1, 3))[2]
+    cost = departure_angles([p.position.as_tuple() for p in owners], centroids.reshape(-1, 1, 3))[2]
     barred = np.zeros((len(filled), len(scenario.poas)), dtype=bool)  # cluster, PoA
     for user, c in zip(users, clustering.assignments.values()):
         barred[filled.index(c)] |= [too_close(p, user, scenario) is not None for p in scenario.poas]
