@@ -233,19 +233,6 @@ def match_clusters(clustering: Clustering, beams, scenario: Scenario) -> dict:
 # ---------------------------------------------------------------------------
 # Step 3: widths, steering, powers
 
-def user_azimuth(poa_pos, user_pos) -> float:
-    """Azimuth of the user as seen from the PoA, in (-pi, pi].
-
-    Equal to sgn(dy) * arccos(dx / d2d) wherever that is defined; the
-    coincident (x, y) case maps to 0.
-    """
-    dx = user_pos.x - poa_pos.x
-    dy = user_pos.y - poa_pos.y
-    if dx == 0.0 and dy == 0.0:
-        return 0.0
-    return math.atan2(dy, dx)
-
-
 def covering_arc(azimuths):
     """Smallest circular arc containing all azimuths: (center, width)."""
     az = np.sort(np.asarray(azimuths, dtype=float))
@@ -265,16 +252,19 @@ def covering_arc(azimuths):
 def beam_geometry(poa, served_positions, centroid):
     """(azimuth, zenith, width) of the beam serving ``served_positions``.
 
-    The user azimuths' minimal covering arc (which handles the wrap-around
-    across +/-pi) gives the azimuth, its circular midpoint, and the width,
-    floored at the PoA minimum; the zenith points toward the centroid at
+    The azimuths of the users' links from the PoA (``departure_angles``)
+    have a minimal covering arc (which handles the wrap-around across
+    +/-pi); it gives the azimuth, its circular midpoint, and the width,
+    floored at the PoA minimum. The zenith points toward the centroid at
     the users' mean height.
     """
     if not served_positions:
         raise ValueError("cannot steer a beam with no served users")
-    phi, width = covering_arc([user_azimuth(poa.position, pos) for pos in served_positions])
+    origin = poa.position.as_tuple()
+    azimuths = departure_angles(origin, [p.as_tuple() for p in served_positions])[1]
+    phi, width = covering_arc(azimuths)
     cz = float(np.mean([pos.z for pos in served_positions]))
-    theta = float(departure_angles(poa.position.as_tuple(), (centroid[0], centroid[1], cz))[0])
+    theta = float(departure_angles(origin, (centroid[0], centroid[1], cz))[0])
     return phi, theta, max(poa.min_beam_width, width)
 
 

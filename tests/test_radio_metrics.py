@@ -1081,14 +1081,14 @@ def test_one_steering_workspace_per_evaluator(monkeypatch):
 # sha256 (first 16 hex digits) of the float64 bytes of the per_user_rate and
 # per_human_sar values of ``evaluate`` at maximum power on CtM's geometry, in
 # scenario order, with placement, channel and k-means seed 1 at 10
-# realizations. Computed with cellless 0.6.0 on numpy 2.4.6; float bytes can
+# realizations. Computed with cellless 0.7.1 on numpy 2.4.6; float bytes can
 # differ on other numpy versions, so the numpy-floor CI job does not run this
 # test.
 _PINNED_EVALUATE = {
-    "inf-dh-desk": ("0681b6ccf55a16d3", "593ae313f686fdc5"),
+    "inf-dh-desk": ("b9cd104c077cbad3", "7cdf367e8976a299"),
     "umi-sc-desk": ("6240b6f7ad15b089", "226d8da8ffc5dcb1"),
-    "inf-dh-default": ("fad15d1056589e0e", "f743ea05ec2a0f87"),
-    "umi-sc-default": ("54cbde8468d060fb", "4d07fe6a9daa955f"),
+    "inf-dh-default": ("ade0f0ddd8676847", "12b6fdde3f5f1a39"),
+    "umi-sc-default": ("c66304385d59c81f", "1d36051dd1358150"),
 }
 
 

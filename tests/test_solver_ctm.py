@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from cellless import solver_ctm
-from cellless.channel import dbm_to_watts
+from cellless.channel import dbm_to_watts, departure_angles, direct_paths
 from cellless.exposure import FrequencyMap
 from cellless.radio_metrics import NOISE_DENSITY_W_HZ, ROUND_UP_DB, Evaluator, _least_watts
 from cellless.scenario import (EndUser, Human, Position3D, builtin_scenario, builtin_template,
@@ -24,8 +24,7 @@ from cellless.solution import validate
 from cellless.solver_ctm import (CtmConfig, _assign,
                                  NoFeasibleSolutionError, beam_geometry,
                                  build_geometry, cluster_users, covering_arc,
-                                 match_clusters, reduce_powers, solve_ctm,
-                                 user_azimuth)
+                                 match_clusters, reduce_powers, solve_ctm)
 
 from conftest import make_poa, make_tiny_scenario, nearest_poa, too_close_world
 
@@ -298,6 +297,12 @@ def test_covering_arc_against_oracle_random():
         assert w == pytest.approx(arc_oracle(list(az)), abs=1e-9)
 
 
+def _azimuth(poa_pos, user_pos):
+    """The azimuth of the direction from one point to another, by
+    ``channel.departure_angles``, the rule of the links and of CtM's beams."""
+    return float(departure_angles(poa_pos.as_tuple(), user_pos.as_tuple())[1])
+
+
 def test_user_azimuth_matches_arccos_form():
     rng = np.random.default_rng(6)
     poa = Position3D(3.0, 4.0, 6.0)
@@ -307,8 +312,8 @@ def test_user_azimuth_matches_arccos_form():
         d2d = math.hypot(dx, dy)
         want = math.copysign(math.acos(dx / d2d), dy) if dy != 0 else \
             (0.0 if dx >= 0 else math.pi)
-        assert user_azimuth(poa, u) == pytest.approx(want, abs=1e-12)
-    assert user_azimuth(poa, Position3D(3.0, 4.0, 0.0)) == 0.0
+        assert _azimuth(poa, u) == pytest.approx(want, abs=1e-12)
+    assert _azimuth(poa, Position3D(3.0, 4.0, 0.0)) == 0.0
 
 
 BEAM_CASES = {
@@ -335,7 +340,7 @@ def test_beam_geometry(case):
             beam_geometry(poa, positions, centroid)
         return
     phi, theta, width = beam_geometry(poa, positions, centroid)
-    azimuths = [user_azimuth(poa.position, p) for p in positions]
+    azimuths = [_azimuth(poa.position, p) for p in positions]
     arc = arc_oracle(azimuths)
     assert width == pytest.approx(max(poa.min_beam_width, arc), abs=1e-12)
     assert -math.pi < phi <= math.pi
@@ -344,6 +349,28 @@ def test_beam_geometry(case):
     dz = float(np.mean([p.z for p in positions])) - poa.position.z
     d2d = math.hypot(centroid[0] - poa.position.x, centroid[1] - poa.position.y)
     assert theta == pytest.approx(math.atan2(d2d, dz), abs=1e-12)
+
+
+@pytest.mark.parametrize("world", ["inf-dh-desk", "umi-sc-desk", "inf-dh-default",
+                                   "umi-sc-default"])
+def test_a_beam_serving_one_user_steers_along_its_link(world):
+    """Seeds 0-29: every active beam of CtM's geometry that serves one user
+    has, bit for bit, the azimuth of that user's direct path from the
+    beam's PoA, the links' own angle rule."""
+    single = 0
+    for seed in range(30):
+        scenario = builtin_scenario(world, seed)
+        for beam in build_geometry(scenario, CtmConfig(seed=seed)).beams:
+            if len(beam.served_users) != 1:
+                continue
+            poa = scenario.poa_by_id(beam.owner_poa)
+            (user,) = beam.served_users
+            link = direct_paths(poa.position.as_tuple(), poa.frequency,
+                                scenario.user_by_id(user).position.as_tuple(),
+                                scenario.channel_params)
+            assert np.float64(beam.azimuth).tobytes() == np.float64(link.azimuth).tobytes()
+            single += 1
+    assert single >= 30
 
 
 # -- pipeline ------------------------------------------------------------------
@@ -742,14 +769,14 @@ def test_solve_ctm_deterministic(tiny_scenario):
 # per_user_rate and per_poa_power values and of its unlinked humans'
 # per_human_sar values, in scenario order, at 10 realizations with the
 # world's placement seed as channel and k-means seed. Computed with
-# cellless 0.7.0 on numpy 2.4.6; float bytes can differ on other numpy
+# cellless 0.7.1 on numpy 2.4.6; float bytes can differ on other numpy
 # versions, so the numpy-floor CI job does not run this test.
 _PINNED_CTM = {
-    ("inf-dh-desk", 1): ("61395dd222dcf9e2", "258fa27ef77f32da", "99c117096f3c69d1"),
+    ("inf-dh-desk", 1): ("61395dd222dcf9e2", "1b7102cb8a856c53", "57fcec85bb834e6f"),
     ("inf-dh-desk", 2): ("6fb1e1e4e17b295e", "b1eeb9992a0246a6", "aabc920c3bd70b50"),
     ("inf-dh-desk", 3): ("6135fed7a261b5dc", "6ee089ef3f74fa26", "603d92895d1f5965"),
     ("umi-sc-desk", 1): ("0c81d0eb926b72bc", "9c17f1f5ef14db37", "86eef562fbab130e"),
-    ("umi-sc-desk", 2): ("275435ec95f8f6d8", "3dbc8bfa1cb66444", "24710a580a21f901"),
+    ("umi-sc-desk", 2): ("09b73986ed6455a1", "0a6de982241e5cbf", "0373a1a042524189"),
     ("umi-sc-desk", 3): ("a6e6488dff8105e6", "bad6eb72f4b9d90d", "3d36f0a95733085e"),
 }
 
@@ -757,7 +784,7 @@ _PINNED_CTM = {
 @pytest.mark.parametrize("world, seed", sorted(_PINNED_CTM))
 def test_ctm_rates_powers_and_unlinked_sars_are_pinned(world, seed):
     """A CtM solve's rates, powers and unlinked humans' SARs keep the bits
-    of the least power vector that 0.7.0 returns."""
+    of the least power vector that 0.7.1 returns."""
     scenario = builtin_scenario(world, seed)
     _, bundle = solve_ctm(Evaluator(scenario, seed, 10))
     unlinked = [h.id for h in scenario.humans if h.linked_user is None]

@@ -472,7 +472,9 @@ def test_an_anneal_move_keys_at_most_two_rows_per_objective(monkeypatch):
 #: realizations: all 4,000 (step, move, current, best, accepted) tuples.
 #: Pinned when a move that changed no live row kept the current score
 #: without an ``objective`` call, which then made 2,634 calls on seed 0.
-_PINNED_ANNEAL_TRACES = {0: "70028ebdc5b8c0e0", 1: "21351a060f9ad12e", 2: "65f8a14cd36a689a"}
+#: Seed 1 is cellless 0.7.1's: its first state, CtM's geometry, steers by
+#: the links' azimuths since then.
+_PINNED_ANNEAL_TRACES = {0: "70028ebdc5b8c0e0", 1: "4199dfe5d1b32d2f", 2: "65f8a14cd36a689a"}
 
 
 @pytest.mark.parametrize("seed", sorted(_PINNED_ANNEAL_TRACES))
