@@ -9,7 +9,7 @@ benchmarked against a max-min-rate simulated annealer.
 #: Versions the numbers too: a change that moves any rate or SAR bumps it.
 #: Set before the submodules load, since ``harness`` writes it into every
 #: summary.json.
-__version__ = "0.7.1"
+__version__ = "0.7.2"
 
 from .antenna import PanelGeometry, SteeringDirection, element_gain_db, panel_field, width_to_panel
 from .channel import ChannelParams, LinkRealization, los_probability, sample_link

@@ -218,7 +218,8 @@ def departure_angles(src, dst):
     """(zenith, azimuth, distance) of the departure direction from the point
     ``src`` toward each point of ``dst``, shape (..., 3), as arrays of its
     leading shape; all three are 0.0 where the points coincide."""
-    delta = np.asarray(dst, dtype=float) - np.asarray(src, dtype=float)
+    # + 0.0 turns a -0.0 difference into 0.0, so its sign turns no angle.
+    delta = np.asarray(dst, dtype=float) - np.asarray(src, dtype=float) + 0.0
     dx, dy, dz = delta[..., 0], delta[..., 1], delta[..., 2]
     d3d = np.sqrt(dx * dx + dy * dy + dz * dz)
     cos_zenith = np.divide(dz, d3d, out=np.ones_like(d3d), where=d3d > 0.0)
@@ -405,8 +406,8 @@ def link_terms(link: LinkRealization, geom: PanelGeometry) -> LinkTerms:
 
     Only ``geom``'s mechanical azimuth and element pattern are read.
     """
-    # K = 0 off-LoS makes the Rician mix reduce to the pure scattered term.
-    k = np.where(link.los, link.rician_k, 0.0)
+    # K, 0 off LoS, reduces the Rician mix there to the pure scattered term.
+    k = link.rician_k
     lam = SPEED_OF_LIGHT / link.frequency
     zen0, az0 = link.los_aod
     az0 = wrap_angle(az0 - geom.mech_azimuth)

@@ -104,9 +104,10 @@ and, by Newton's method on ``_mean_rate`` minus the floor, the least
 watts of its serving PoA that meet its floor; a PoA's requirement is the
 largest over its users. The vector of requirements is a standard
 interference function of the power vector, whose least fixed point is
-the answer; Newton's steps approach it from the solution's own powers
-when they meet every floor, and else from 0 W, and two vectors either
-side of it confirm it. Every answer is confirmed by one ``metrics``
+the answer; Newton's steps approach it up from 0 W, capped at a feasible
+start (the solution's own powers when they meet every floor), so the
+vector found depends on the solution's beams alone, and two vectors
+either side of it confirm it. Every answer is confirmed by one ``metrics``
 (``solver_ctm.reduce_powers``), the verdict ``solve_ctm`` returns.
 """
 
@@ -653,22 +654,25 @@ class Evaluator:
         every requirement at a vector, from each user's signal and each
         PoA's interference at 1 W, read once from ``_terms``.
 
-        The search descends from the solution's powers raised by half the
-        round-up if they meet every floor, and else rises from 0 W. Each
-        step takes Newton's step to the fixed point of the binding users'
-        needs, within the maxima rounded up and halved until the trial's
-        requirements confirm its side, or else the plain step to the
-        requirements. Where
-        Newton's point has a negative power, J, the binding needs' slopes,
-        has a spectral radius past 1, and the step is taken the other way.
+        The search runs up from 0 W, capped at a feasible start: the
+        solution's powers bound the answer when they meet every floor and
+        never steer the search, so the vector depends on the solution's
+        beams alone. Each step takes Newton's step to the fixed point of
+        the binding users' needs, within the maxima rounded up and halved
+        until the trial's requirements are at least the trial, so that it
+        stays below the least vector, or else the plain step to the
+        requirements. Where Newton's point has a negative power, J, the
+        binding needs' slopes, has a spectral radius past 1, and the step
+        is taken the other way.
 
         Once Newton's step is within half the round-up, two vectors that far
         either side of Newton's point confirm it: the one below has
         requirements at least itself, so it lies below the least vector,
         and the one above, capped at the maxima rounded up, meets every
-        floor and is the answer, capped at the maxima in dBm. They lie along (1 - J)^-1 times the requirements, which
-        moves every requirement by the same share of itself; scaling a
-        vector moves the requirement of a PoA whose users hear far more
+        floor and is the answer, capped at the maxima in dBm, or at a
+        feasible start. They lie along (1 - J)^-1 times the requirements,
+        which moves every requirement by the same share of itself; scaling
+        a vector moves the requirement of a PoA whose users hear far more
         interference than noise by almost exactly its own share, too
         little to confirm in floating point. Below the least vector no
         requirement exceeds what every PoA at its maximum needs, so one
@@ -689,8 +693,6 @@ class Evaluator:
                             for pid in pids], axis=1)
         floors = np.array([self._rate_floor[uid] for uid in self._user_ids])
         owner = stack.poa_of_beam[stack.serving]
-        top = np.array([p.max_tx_power_dbm for p in poas])
-        start = np.array([solution.tx_power[pid] for pid in pids])
 
         def image(watts):
             """Each PoA's requirement [W] at ``watts``, each user's need and
@@ -700,11 +702,9 @@ class Evaluator:
             return np.array([need[owner == p].max(initial=0.0) for p in range(n)]), need, noisy
 
         capped = not self.unmet_floors(solution)
-        at = image(watts := 10.0 ** (start / 10.0 - 3.0) * _ROUND_UP ** 0.5)
-        if not (above := capped and bool(np.all(at[0] <= watts))):
-            at = image(watts := np.zeros(n))
+        at = image(watts := np.zeros(n))
         # The search's box: the maxima rounded up [W].
-        side, top = np.minimum if above else np.maximum, 10.0 ** (top / 10.0 - 3.0) * _ROUND_UP
+        top = np.array([ch.dbm_to_watts(p.max_tx_power_dbm) for p in poas]) * _ROUND_UP
         for _ in range(_MOST_STEPS):
             want, need, noisy = at
             binding = {int(owner[c]): c for c in np.lexsort((-self._all_columns, need)).tolist()}
@@ -729,8 +729,8 @@ class Evaluator:
             if (watts + ahead < 0.0).any():  # (1 - J)^-1 turned: J's spectral radius is past 1
                 ahead = -ahead
             for share in [*0.999 / 2.0 ** np.arange(10), 0.0]:  # 0: the plain step
-                at = image(trial := side(np.clip(watts + share * ahead, 0.0, top), want))
-                if not share or np.array_equal(side(at[0], trial), at[0]):
+                at = image(trial := np.maximum(np.clip(watts + share * ahead, 0.0, top), want))
+                if not share or np.all(at[0] >= trial):
                     watts = trial
                     break
         else:
@@ -739,7 +739,7 @@ class Evaluator:
             least = np.full(n, math.inf)
         binding = {pids[p]: self._user_ids[c] for p, c in sorted(binding.items())}
         blocking = {pids[p]: binding[pids[p]] for p in np.flatnonzero(over).tolist()}
-        ceiling = start.tolist() if capped else [p.max_tx_power_dbm for p in poas]
+        ceiling = [solution.tx_power[p.id] if capped else p.max_tx_power_dbm for p in poas]
         tx_power = {} if blocking else {pids[p]: min(ch.watts_to_dbm(least[p]), ceiling[p])
                                         for p in sorted(set(stack.poa_of_beam.tolist()))}
         return tx_power, binding, blocking

@@ -11,8 +11,8 @@ from cellless.antenna import (ELEMENT_SPACING, ISOTROPIC, THREEGPP_8DBI, FieldWo
                               PanelGeometry, SteeringDirection, element_gain_db, panel_field,
                               wrap_angle)
 from cellless.channel import (SPEED_OF_LIGHT, ChannelParams, LosModel, PathlossCoeffs,
-                              dbm_to_watts, direct_paths, link_terms, link_uniforms,
-                              los_probability, sample_link, steered_energy)
+                              dbm_to_watts, departure_angles, direct_paths, link_terms,
+                              link_uniforms, los_probability, sample_link, steered_energy)
 from cellless.scenario import ValidationError, builtin_template
 from conftest import assert_links_match, one_link
 
@@ -365,6 +365,28 @@ def test_pathloss_strictly_monotone_in_distance():
     assert np.all(np.diff(vals) > 0.0)
     # Below 1 m the loss is clamped to the 1 m value.
     assert pl.db(0.1, 3.5e9) == pl.db(1.0, 3.5e9)
+
+
+def test_a_point_straight_below_has_azimuth_zero_whatever_the_zero_sign():
+    """Coincident (x, y) give azimuth 0.0, as the docstring says, also when
+    a coordinate difference is -0.0."""
+    below = departure_angles((0.0, 0.0, 10.0), (-0.0, 0.0, 1.5))
+    assert [float(a) for a in below] == [math.pi, 0.0, 8.5]
+    assert math.copysign(1.0, float(below[1])) == 1.0
+
+
+def test_a_point_behind_at_a_zero_dy_has_azimuth_pi_whatever_the_zero_sign():
+    """A target behind the PoA on its x axis has azimuth pi at dy = 0.0 and
+    at dy = -0.0; a dy below 0, however small, gives arctan2's -pi, and
+    every other difference keeps arctan2's bits."""
+    for y in (0.0, -0.0):
+        assert float(departure_angles((5.0, 0.0, 10.0), (1.0, y, 1.5))[1]) == math.pi
+    assert float(departure_angles((5.0, 0.0, 10.0), (1.0, -1e-300, 1.5))[1]) == -math.pi
+    rng = np.random.default_rng(3)
+    src, dst = rng.normal(size=3), rng.normal(size=(50, 3))
+    delta = dst - src
+    assert departure_angles(src, dst)[1].tobytes() == np.arctan2(delta[:, 1],
+                                                                 delta[:, 0]).tobytes()
 
 
 def test_sample_link_invariants():
