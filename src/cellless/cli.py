@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ExperimentSpec, PLOT_KINDS, plot_data_from_dir, run_experiment
+from .harness import (PLOT_KINDS, SOLVER_CHOICES, ExperimentSpec, plot_data_from_dir,
+                      run_experiment)
 from .scenario import ScenarioError, load_scenario
 from .solver_maxrate import AnnealConfig
 
@@ -36,23 +37,26 @@ def _build_parser():
         description="Minimum-power configuration of cell-less radio networks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="solve scenarios over a batch of seeds")
+    # Each run flag is stored at the name of the field it sets, an
+    # ``anneal.`` one on ``AnnealConfig``, and only when it is given: every
+    # default is the field's own.
+    run = sub.add_parser("run", help="solve scenarios over a batch of seeds",
+                         argument_default=argparse.SUPPRESS)
     run.add_argument("--scenario", required=True,
                      help="built-in name (e.g. inf-dh-desk) or scenario file path")
-    run.add_argument("--solver", default="both", choices=["ctm", "maxrate", "both"])
-    run.add_argument("--seeds", default="0", type=_parse_seeds,
-                     help="'1..10' or comma-separated list")
-    run.add_argument("--realizations", default=10, type=int,
+    run.add_argument("--solver", choices=SOLVER_CHOICES)
+    run.add_argument("--seeds", type=_parse_seeds, help="'1..10' or comma-separated list")
+    run.add_argument("--realizations", dest="n_realizations", metavar="REALIZATIONS", type=int,
                      help="channel realizations per seed, shared by both solvers")
-    run.add_argument("--workers", default=1, type=int,
+    run.add_argument("--workers", type=int,
                      help="processes; seeds run in parallel, a seed's solvers in turn")
-    run.add_argument("--out", default=None, help="output directory")
+    run.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
     run.add_argument("--dump-links", action="store_true",
                      help="write sampled link realizations per run (needs --out)")
-    run.add_argument("--sa-iterations", default=200, type=int)
-    run.add_argument("--sa-cooling", default=0.95, type=float)
-    run.add_argument("--sa-temp", default=None, type=float)
-    run.add_argument("--sa-moves", default=20, type=int)
+    run.add_argument("--sa-iterations", dest="anneal.iterations", metavar="SA_ITERATIONS", type=int)
+    run.add_argument("--sa-cooling", dest="anneal.cooling_factor", metavar="SA_COOLING", type=float)
+    run.add_argument("--sa-temp", dest="anneal.initial_temp", metavar="SA_TEMP", type=float)
+    run.add_argument("--sa-moves", dest="anneal.moves_per_temp", metavar="SA_MOVES", type=int)
 
     plot = sub.add_parser("plot", help="emit plot data from run outputs")
     plot.add_argument("--kind", required=True, choices=list(PLOT_KINDS))
@@ -91,20 +95,12 @@ def main(argv=None):
         return EXIT_OK
 
     # run: a bad solver or run-size flag is a usage error, reported before any run
+    given = vars(args)
+    del given["command"]
+    anneal = {name.removeprefix("anneal."): given.pop(name)
+              for name in list(given) if name.startswith("anneal.")}
     try:
-        spec = ExperimentSpec(
-            scenario=args.scenario,
-            solver=args.solver,
-            seeds=args.seeds,
-            n_realizations=args.realizations,
-            out_dir=args.out,
-            anneal=AnnealConfig(initial_temp=args.sa_temp,
-                                cooling_factor=args.sa_cooling,
-                                iterations=args.sa_iterations,
-                                moves_per_temp=args.sa_moves),
-            workers=args.workers,
-            dump_links=args.dump_links,
-        )
+        spec = ExperimentSpec(**given, anneal=AnnealConfig(**anneal))
     except ValueError as e:
         run_parser.error(str(e))
     try:
@@ -113,7 +109,7 @@ def main(argv=None):
         print(f"invalid scenario: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as e:
-        print(f"cannot write --out {args.out!r}: {e}", file=sys.stderr)
+        print(f"cannot write --out {spec.out_dir!r}: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
     failed = [r for r in records if r.error is not None]

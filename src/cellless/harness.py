@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .channel import dbm_to_watts
-from .radio_metrics import Evaluator, MetricsBundle
+from .radio_metrics import N_REALIZATIONS, Evaluator, MetricsBundle
 from .scenario import (_AT_LEAST_ONE, _NON_NEGATIVE, BUILTIN_TEMPLATES, Scenario,
                        ValidationError, _check_fields, _integer, _map_of, _OneOf, _optional,
                        _parse_at, _ranged, _real, _text, builtin_template,
@@ -23,6 +23,7 @@ from .solver_ctm import NoFeasibleSolutionError, solve_ctm
 from .solver_maxrate import AnnealConfig, solve_maxrate
 
 SOLVERS = ("ctm", "maxrate")
+SOLVER_CHOICES = SOLVERS + ("both",)   # ``ExperimentSpec.solver``, ``--solver``
 METRIC_COLUMNS = ("kind", "id", "x_m", "y_m", "rate_bps", "phantom", "sar_wkg")
 # Plot kind -> CSV header. CDF kinds: (solver, value, cdf); map kinds:
 # (solver, seed, target id) then columns copied from metrics.csv.
@@ -46,10 +47,10 @@ def _seeds(value):
 @dataclass(frozen=True)
 class ExperimentSpec:
     scenario: str                      # built-in name or file path
-    solver: str = _ranged("both", _OneOf(SOLVERS + ("both",)), _text)
+    solver: str = _ranged("both", _OneOf(SOLVER_CHOICES), _text)
     # Each seed names one run directory and is written to its summary.json.
     seeds: tuple = _ranged((0,), _NON_NEGATIVE, _seeds)
-    n_realizations: int = _ranged(10, _AT_LEAST_ONE)
+    n_realizations: int = _ranged(N_REALIZATIONS, _AT_LEAST_ONE)
     out_dir: str | None = None
     anneal: AnnealConfig = AnnealConfig()
     workers: int = _ranged(1, _AT_LEAST_ONE)
@@ -251,6 +252,15 @@ def _percentile(values, q):
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
+# The metrics.csv cells that plotting reads, per row kind, each parsed by
+# ``_finite_cell``.
+_PLOTTED_CELLS = {"user": ("x_m", "y_m", "rate_bps"), "human": ("x_m", "y_m", "sar_wkg")}
+
+
+def _finite_cell(text):
+    return _real(float(text))
+
+
 # The summary.json keys that plotting reads, each with its record parser.
 _SUMMARY_KEYS = {"scenario": _text, "seed": _integer, "solver": _text,
                  "per_poa_power_dbm": _map_of(_text, _optional(_real)), "total_power_w": _real}
@@ -261,35 +271,37 @@ def load_run_metrics(run_dir):
     that is not UTF-8 text, a summary.json that is not a JSON object or
     lacks a key that plotting reads or whose value its parser in
     ``_SUMMARY_KEYS`` refuses, or a metrics.csv whose header lacks one of
-    ``METRIC_COLUMNS``, raises ``ValueError`` naming the file and the
-    fault. The summary's values are checked, not replaced."""
+    ``METRIC_COLUMNS`` or whose plotted cell (``_PLOTTED_CELLS``) is not
+    a finite number, raises ``ValueError`` naming the file and the fault,
+    and the line and column of a bad cell. Values are checked, not
+    replaced: the rows keep their strings."""
     run_dir = Path(run_dir)
     path = run_dir / "summary.json"
     try:
         summary = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not UTF-8 text: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: not valid JSON: {e}") from None
-    if not isinstance(summary, dict):
-        raise ValueError(f"{path}: not a JSON object, got {summary!r}")
-    for key, parse in _SUMMARY_KEYS.items():
-        if key not in summary:
-            raise ValueError(f"{path}: missing key {key!r}")
-        try:
+        if not isinstance(summary, dict):
+            raise ValueError(f"not a JSON object, got {summary!r}")
+        for key, parse in _SUMMARY_KEYS.items():
+            if key not in summary:
+                raise ValueError(f"missing key {key!r}")
             _parse_at(key, parse, summary[key])
-        except ValidationError as e:
-            raise ValueError(f"{path}: {e}") from None
-    path = run_dir / "metrics.csv"
-    try:
+        path = run_dir / "metrics.csv"
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.DictReader(f)
             missing = [c for c in METRIC_COLUMNS if c not in (reader.fieldnames or ())]
             if missing:
-                raise ValueError(f"{path}: header lacks column {missing[0]!r}")
-            rows = list(reader)
+                raise ValueError(f"header lacks column {missing[0]!r}")
+            rows = []
+            for row in reader:
+                for col in _PLOTTED_CELLS.get(row["kind"], ()):
+                    _parse_at(f"line {reader.line_num}, column {col!r}", _finite_cell, row[col])
+                rows.append(row)
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: not UTF-8 text: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: not valid JSON: {e}") from None
+    except (ValueError, ValidationError) as e:
+        raise ValueError(f"{path}: {e}") from None
     return summary, rows
 
 

@@ -218,6 +218,9 @@ ROUND_UP_DB = 1e-6
 _ROUND_UP = 10.0 ** (ROUND_UP_DB / 10.0)
 #: Past this many steps the search for a least power vector gives up.
 _MOST_STEPS = 200
+#: Channel realizations per (scenario, seed) when none are asked for: the
+#: default of ``Evaluator``, ``evaluate`` and ``ExperimentSpec``.
+N_REALIZATIONS = 10
 
 
 #: The most rays one block of a part's fill spans: a first fill's drawn
@@ -393,7 +396,7 @@ class Evaluator:
     no user, is filled only once exposure is read for it.
     """
 
-    def __init__(self, scenario: Scenario, seed: int, n_realizations: int = 10):
+    def __init__(self, scenario: Scenario, seed: int, n_realizations: int = N_REALIZATIONS):
         self.seed = _field("seed", _integer, seed, _NON_NEGATIVE)
         self.n_realizations = _field("n_realizations", _integer, n_realizations, _AT_LEAST_ONE)
         self.scenario = scenario
@@ -823,7 +826,7 @@ class Evaluator:
 
 
 def evaluate(solution: SolutionState, scenario: Scenario, seed: int,
-             n_realizations: int = 10) -> MetricsBundle:
+             n_realizations: int = N_REALIZATIONS) -> MetricsBundle:
     """Evaluate a solution over seeded channel realizations: a new
     ``Evaluator``'s ``metrics``, which refuses what ``validate`` refuses.
 

@@ -394,12 +394,16 @@ _POSITION = ("position", lambda data: _record(Position3D, _POSITION_KEYS, data),
 _ID = ("id", _text, _same)
 _float_map = _map_of(_float_key, _real)
 
+# A PoA's carrier is at most 300 GHz, where ICNIRP's radio-frequency
+# guidelines, and the SAR chain that applies them, end; its maximum power
+# is at most 100 dBm (10 MW). Far past either, the power density's f^2 or
+# the maximum in watts overflows inside a solve.
 _POA_KEYS = {
     "id": _ID,
     "position_m": _POSITION,
-    "frequency_hz": ("frequency", _real, _same, _POSITIVE),
+    "frequency_hz": ("frequency", _real, _same, _Interval(0.0, 300e9, "]")),
     "bandwidth_hz": ("bandwidth", _real, _same, _POSITIVE),
-    "max_tx_power_dbm": ("max_tx_power_dbm", _real, _same, _FINITE),
+    "max_tx_power_dbm": ("max_tx_power_dbm", _real, _same, _Interval(-math.inf, 100.0, "]")),
     "min_beam_width_deg": ("min_beam_width", _radians, math.degrees,
                            _Interval(0.0, math.pi, "]")),
     "panel_rows": ("panel_rows", _integer, _same, _AT_LEAST_ONE),

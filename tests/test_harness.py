@@ -769,3 +769,138 @@ def test_cli_seed_parsing():
     from cellless.cli import _parse_seeds
     assert _parse_seeds("1..4") == (1, 2, 3, 4)
     assert _parse_seeds("0,5,9") == (0, 5, 9)
+
+
+# Every optional run flag, what follows it on the command line, and the
+# ``ExperimentSpec`` fields they set (``anneal``: those of ``AnnealConfig``);
+# ``--dump-links`` needs ``--out``.
+_RUN_FLAGS = {
+    "--solver": (["maxrate"], dict(solver="maxrate")),
+    "--seeds": (["2..4"], dict(seeds=(2, 3, 4))),
+    "--realizations": (["3"], dict(n_realizations=3)),
+    "--workers": (["2"], dict(workers=2)),
+    "--out": (["runs"], dict(out_dir="runs")),
+    "--dump-links": (["--out", "runs"], dict(dump_links=True, out_dir="runs")),
+    "--sa-iterations": (["7"], dict(anneal=dict(iterations=7))),
+    "--sa-cooling": (["0.5"], dict(anneal=dict(cooling_factor=0.5))),
+    "--sa-temp": (["2.5"], dict(anneal=dict(initial_temp=2.5))),
+    "--sa-moves": (["4"], dict(anneal=dict(moves_per_temp=4))),
+}
+
+
+def _specs_handed_over(monkeypatch):
+    """The specs ``main`` hands ``run_experiment``, which runs nothing."""
+    import cellless.cli as cli
+
+    specs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
+    return specs
+
+
+def test_cli_run_parses_only_the_flags_it_is_given():
+    """A run flag that is not given is not in the namespace: its default
+    is its field's, not the parser's."""
+    from cellless.cli import _build_parser
+
+    parser, run = _build_parser()
+    assert vars(parser.parse_args(["run", "--scenario", "X"])) == \
+        {"command": "run", "scenario": "X"}
+    flags = {f for action in run._actions for f in action.option_strings}
+    assert flags == set(_RUN_FLAGS) | {"-h", "--help", "--scenario"}
+
+
+def test_cli_run_without_flags_hands_over_the_spec_defaults(monkeypatch):
+    specs = _specs_handed_over(monkeypatch)
+    assert main(["run", "--scenario", "inf-dh-desk"]) == 0
+    assert specs == [ExperimentSpec(scenario="inf-dh-desk")]
+
+
+@pytest.mark.parametrize("flag", list(_RUN_FLAGS))
+def test_cli_run_flag_sets_its_own_field(flag, monkeypatch):
+    """Each flag lands on its field and on no other."""
+    from cellless.solver_maxrate import AnnealConfig
+
+    specs = _specs_handed_over(monkeypatch)
+    values, fields = _RUN_FLAGS[flag]
+    assert main(["run", "--scenario", "inf-dh-desk", flag, *values]) == 0
+    anneal = AnnealConfig(**fields.get("anneal", {}))
+    assert specs == [ExperimentSpec(scenario="inf-dh-desk", **{**fields, "anneal": anneal})]
+
+
+_RUN_HELP = """\
+usage: cellless run [-h] --scenario SCENARIO [--solver {ctm,maxrate,both}]
+                    [--seeds SEEDS] [--realizations REALIZATIONS]
+                    [--workers WORKERS] [--out OUT] [--dump-links]
+                    [--sa-iterations SA_ITERATIONS] [--sa-cooling SA_COOLING]
+                    [--sa-temp SA_TEMP] [--sa-moves SA_MOVES]
+
+options:
+  -h, --help            show this help message and exit
+  --scenario SCENARIO   built-in name (e.g. inf-dh-desk) or scenario file path
+  --solver {ctm,maxrate,both}
+  --seeds SEEDS         '1..10' or comma-separated list
+  --realizations REALIZATIONS
+                        channel realizations per seed, shared by both solvers
+  --workers WORKERS     processes; seeds run in parallel, a seed's solvers in
+                        turn
+  --out OUT             output directory
+  --dump-links          write sampled link realizations per run (needs --out)
+  --sa-iterations SA_ITERATIONS
+  --sa-cooling SA_COOLING
+  --sa-temp SA_TEMP
+  --sa-moves SA_MOVES
+"""
+
+
+def test_cli_run_help_names_each_flag_by_its_flag(monkeypatch, capsys):
+    """The flags' metavars are their own names, not the fields' they set."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == _RUN_HELP
+
+
+def _edit_metrics_cell(run_dir, kind, col, value):
+    """Set ``col`` of the first ``kind`` row of a run's metrics.csv to
+    ``value``; returns the file and that row's line number."""
+    path = run_dir / "metrics.csv"
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    index = next(i for i, row in enumerate(rows) if row[0] == kind)
+    rows[index][METRIC_COLUMNS.index(col)] = value
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    return path, index + 1
+
+
+@pytest.mark.parametrize("kind, col, value", [
+    ("user", "rate_bps", "abc"), ("user", "rate_bps", "nan"), ("user", "x_m", "inf"),
+    ("user", "y_m", ""), ("human", "sar_wkg", "1e400"), ("human", "x_m", "-inf"),
+])
+@pytest.mark.parametrize("plot", ["rate-cdf", "rate-map"])
+def test_cli_plot_on_a_metrics_cell_that_is_not_a_finite_number_exits_2(
+        run_out, tmp_path, capsys, plot, kind, col, value):
+    """Every plotted cell is checked, whichever kind is plotted: the file,
+    the line and the column are named, instead of a bare float error
+    (rate-cdf) or the cell copied into the plot (rate-map)."""
+    spec, _ = run_out
+    out = shutil.copytree(spec.out_dir, tmp_path / "out")
+    broken, line = _edit_metrics_cell(out / "inf-dh-desk" / "2" / "ctm", kind, col, value)
+    assert main(["plot", "--kind", plot, "--in", str(out),
+                 "--out", str(tmp_path / "plot.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{broken}: line {line}, column {col!r}: ") and err.count("\n") == 1
+    assert not (tmp_path / "plot.csv").exists()
+
+
+def test_a_valid_run_plots_its_metrics_strings_as_written(run_out, tmp_path):
+    """The cells are checked, not replaced: the loaded rows are the file's
+    strings, and every kind plotted from the run directory has the bytes
+    ``emit_plot_data`` writes from the records."""
+    spec, records = run_out
+    run_dir = Path(spec.out_dir) / "inf-dh-desk" / "1" / "ctm"
+    with open(run_dir / "metrics.csv", newline="") as f:
+        assert load_run_metrics(run_dir)[1] == list(csv.DictReader(f))
+    assert _plot_bytes(emit_plot_data, records, tmp_path, "records") == \
+        _plot_bytes(plot_data_from_dir, spec.out_dir, tmp_path, "dir")

@@ -555,6 +555,50 @@ def test_cli_validate_exits_2_on_bad_inputs(mutate, path, tmp_path, capsys):
     assert err.startswith(f"invalid: {path}: ") and "Traceback" not in err
 
 
+def _refused_at_load(d, path, bound, tmp_path, capsys):
+    """The file of ``d`` is refused at load at ``path``, outside ``bound``,
+    and ``cellless validate`` exits 2 naming it."""
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps(d))
+    with pytest.raises(ValidationError) as err:
+        load_scenario(world)
+    assert err.value.path == path and err.value.message.startswith(f"must be in {bound}, ")
+    assert main(["validate", "--scenario", str(world)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid: {path}: must be in {bound}, ") and "Traceback" not in err
+
+
+def test_a_max_power_that_overflows_in_watts_is_refused_at_load(tmp_path, capsys):
+    """A saved world with a PoA at 4000 dBm validated ``ok``, and its CtM
+    run then raised ``OverflowError`` in ``dbm_to_watts``. The bound,
+    100 dBm, loads."""
+    d = scenario_to_dict(builtin_scenario("inf-dh-desk", 1))
+    d["poas"][0]["max_tx_power_dbm"] = 100.0
+    assert scenario_from_dict(d).poas[0].max_tx_power_dbm == 100.0
+    d["poas"][0]["max_tx_power_dbm"] = 4000.0
+    _refused_at_load(d, "poas[0].max_tx_power_dbm", "(-inf, 100]", tmp_path, capsys)
+
+
+def _move_5ghz_poas(d, hz):
+    for poa in d["poas"]:
+        if poa["frequency_hz"] == 5e9:
+            poa["frequency_hz"] = hz
+    d["frequency_map"][str(hz)] = d["frequency_map"].pop(str(5e9))
+
+
+def test_a_carrier_whose_power_density_overflows_is_refused_at_load(tmp_path, capsys):
+    """A saved world with its 5 GHz PoAs at 1e200 Hz, mapped in
+    ``frequency_map``, validated ``ok``, and its CtM run then raised
+    ``OverflowError`` in the power density's f^2. The bound, 300 GHz,
+    loads."""
+    d = scenario_to_dict(builtin_scenario("inf-dh-desk", 1))
+    _move_5ghz_poas(d, 300e9)
+    assert {p.frequency for p in scenario_from_dict(d).poas} == {3e9, 300e9}
+    d = scenario_to_dict(builtin_scenario("inf-dh-desk", 1))
+    _move_5ghz_poas(d, 1e200)
+    _refused_at_load(d, "poas[2].frequency_hz", "(0, 3e+11]", tmp_path, capsys)
+
+
 def test_a_record_error_in_a_scenario_file_names_the_file(tmp_path):
     """A readable world file with a bad record raises the record's
     ``ValidationError`` at the same path, naming the file too; the same
