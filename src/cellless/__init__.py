@@ -20,4 +20,4 @@ from .scenario import (EndUser, Human, PoA, Position3D, Scenario, builtin_scenar
 from .solution import BeamConfig, SolutionState, validate
 from .solver_ctm import CtmConfig, NoFeasibleSolutionError, solve_ctm
 from .solver_maxrate import AnnealConfig, solve_maxrate
-from .harness import ExperimentSpec, RunRecord, emit_plot_data, run_experiment
+from .harness import ExperimentSpec, RunRecord, run_experiment

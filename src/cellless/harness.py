@@ -339,24 +339,12 @@ def _plot_rows(kind: str, runs) -> list:
             for s, metrics in runs for m in metrics if m["kind"] == target]
 
 
-def _write_plot(kind: str, runs, path):
-    rows = _plot_rows(kind, runs)
-    _write_csv(path, PLOT_COLUMNS[kind], rows)
-
-
-def emit_plot_data(records, kind: str, path):
-    """Tidy tabular text files feeding external plotting."""
-    runs = [(_summary(r), _metric_rows(r.scenario, r.bundle))
-            for r in records if r.bundle is not None]
-    if not runs:
-        raise ValueError("no successful records to plot")
-    _write_plot(kind, runs, path)
-
-
 def plot_data_from_dir(in_dir, kind: str, path):
-    """Rebuild plot data from the per-run files under an output directory."""
+    """Write plot ``kind``'s CSV to ``path`` from the per-run files under an
+    output directory: the one plot path, of ``cellless plot``."""
     in_dir = Path(in_dir)
     run_dirs = [p.parent for p in in_dir.glob("*/*/*/summary.json")]
     if not run_dirs:
         raise ValueError(f"no run directories found under {in_dir}")
-    _write_plot(kind, [load_run_metrics(rd) for rd in run_dirs], path)
+    rows = _plot_rows(kind, [load_run_metrics(rd) for rd in run_dirs])
+    _write_csv(path, PLOT_COLUMNS[kind], rows)

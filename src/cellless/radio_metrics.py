@@ -218,6 +218,9 @@ ROUND_UP_DB = 1e-6
 _ROUND_UP = 10.0 ** (ROUND_UP_DB / 10.0)
 #: Past this many steps the search for a least power vector gives up.
 _MOST_STEPS = 200
+#: Past this many Newton steps a user's least watts (``_least_watts``) is
+#: not found; the built-in worlds take at most 9.
+_MOST_ROOT_STEPS = 100
 #: Channel realizations per (scenario, seed) when none are asked for: the
 #: default of ``Evaluator``, ``evaluate`` and ``ExperimentSpec``.
 N_REALIZATIONS = 10
@@ -335,7 +338,7 @@ def _mean_rate(bandwidth, signal, noise_and_interference):
     return shannon_rate(bandwidth[:, None], signal / noise_and_interference).mean(axis=-1)
 
 
-def _least_watts(bandwidth, unit, noisy, floors):
+def _least_watts(bandwidth, unit, noisy, floors, users):
     """Each user's least watts x of its serving PoA at which
     ``_mean_rate(bandwidth, x * unit, noisy)`` reaches its floor, from its
     signal at 1 W and its noise plus interference [W], (users,
@@ -346,19 +349,23 @@ def _least_watts(bandwidth, unit, noisy, floors):
     bound (2^(floor / bandwidth) - 1) / mean(unit / noisy), which is at
     most the root. The rate is concave and increasing in x, so every step
     stays at or below the root and climbs to it, until a step is at most
-    1e-13 of x."""
+    1e-13 of x. A user still climbing after ``_MOST_ROOT_STEPS`` steps
+    raises ``RuntimeError`` naming it as ``users`` does, one name a row."""
     with np.errstate(all="ignore"):  # a floor out of reach needs infinite watts
         x = np.expm1(math.log(2.0) * floors / bandwidth) / (unit / noisy).mean(axis=-1)
         x[np.isnan(x)] = np.inf
         todo = np.flatnonzero(np.isfinite(x))
-        while todo.size:
+        for _ in range(_MOST_ROOT_STEPS):
             signal = x[todo, None] * unit[todo]
             short = floors[todo] - _mean_rate(bandwidth[todo], signal, noisy[todo])
             slope = bandwidth[todo] / math.log(2.0) * (unit[todo] / (noisy[todo] + signal)).mean(-1)
             step = short / slope
             x[todo] += np.maximum(step, 0.0)
             todo = todo[step > 1e-13 * x[todo]]
-    return x
+            if not todo.size:
+                return x
+    raise RuntimeError(f"the least watts of {users[todo[0]]} not found in "
+                       f"{_MOST_ROOT_STEPS} Newton steps")
 
 
 #: The keys of each ``Evaluator.dump_links`` row, in order.
@@ -684,7 +691,8 @@ class Evaluator:
         proves that no vector in the box works and that its binding user
         misses its floor with every PoA at its maximum. A search not ended
         in ``_MOST_STEPS`` steps keeps the solution's powers if they meet
-        every floor, or raises ``RuntimeError``.
+        every floor, or raises ``RuntimeError``; so does a user whose least
+        watts is not found (``_least_watts``), naming it and its PoA.
         """
         stack = self.stack(solution)
         poas = self.scenario.poas
@@ -696,12 +704,13 @@ class Evaluator:
                             for pid in pids], axis=1)
         floors = np.array([self._rate_floor[uid] for uid in self._user_ids])
         owner = stack.poa_of_beam[stack.serving]
+        users = [f"user {uid!r} of PoA {pids[p]!r}" for uid, p in zip(self._user_ids, owner)]
 
         def image(watts):
             """Each PoA's requirement [W] at ``watts``, each user's need and
             its noise plus interference."""
             noisy = noise + np.einsum("q,cqr->cr", watts, crossed)
-            need = _least_watts(bandwidth, unit, noisy, floors)
+            need = _least_watts(bandwidth, unit, noisy, floors, users)
             return np.array([need[owner == p].max(initial=0.0) for p in range(n)]), need, noisy
 
         capped = not self.unmet_floors(solution)

@@ -55,30 +55,6 @@ class ValidationError(ScenarioError):
         super().__init__(f"{path}: {message}" + ("" if file is None else f", in {file}"))
 
 
-def read_record(path, kind: str, from_dict, missing: str | None = None):
-    """``from_dict`` of the UTF-8 JSON file at ``path``, a ``kind`` file
-    ("scenario", "solution"). A path that is missing (``missing`` says so,
-    by default "no such <kind> file"), is a directory or cannot be read
-    raises ``ScenarioError``, a file that is not UTF-8 text or not valid
-    JSON ``ParseError``, and a record error ``ValidationError`` at the same
-    ``.path``; each names the file."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except FileNotFoundError:
-        raise ScenarioError(f"{missing or f'no such {kind} file'}: {str(path)!r}") from None
-    except OSError as e:  # a directory, or a file that cannot be read
-        raise ScenarioError(f"cannot read {kind} file {str(path)!r}: {e.strerror}") from None
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{kind} file {str(path)!r} is not UTF-8 text: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{kind} file {str(path)!r} is not valid JSON: {e}") from None
-    try:
-        return from_dict(data)
-    except ValidationError as e:
-        raise ValidationError(e.path, e.message, file=f"{kind} file {str(path)!r}") from None
-
-
 class PlacementError(ScenarioError):
     """Randomized placement could not satisfy the constraints."""
 
@@ -197,7 +173,7 @@ class ScenarioTemplate:
 # Serialization: one table per kind of file record, file key -> (dataclass
 # field, parse, dump[, range]). A dotted key (``limits.sar_wkg``) is nested in
 # the file. Every number is parsed by ``_real`` or ``_integer`` and written as
-# held; ``solution.py`` too. Parsing checks types only; the range, on the held
+# held. Parsing checks types only; the range, on the held
 # value, is checked by ``_validate``: an interval or a set of values, the key
 # table of a record (or of each record of a list), one range per position
 # of a list, or a range of one attribute of the value (``_Attribute``). A
@@ -360,6 +336,11 @@ def _dump(obj, table):
     return record
 
 
+def _nested(cls, table):
+    """(parse, dump, range) of one ``cls`` record nested in another."""
+    return lambda data: _record(cls, table, data), lambda obj: _dump(obj, table), table
+
+
 def _records(cls, table):
     """(parse, dump) of a list of ``cls`` records."""
     return (_list_of(lambda data: _record(cls, table, data)),
@@ -380,17 +361,14 @@ def _phantoms(value):
     return phantoms
 
 
-def _channel_params(data):
-    if isinstance(data, dict):   # the retired arrival-spread keys load, and are ignored
-        data = {k: v for k, v in data.items() if k not in _RETIRED_CHANNEL_KEYS}
-    return _record(ChannelParams, _CHANNEL_KEYS, data)
-
-
+# A length [m] of the world is at most 1,000 km: far past any TR 38.901
+# deployment, and far below 1e154 m, past which a squared distance
+# overflows inside the channel.
+_FAR = 1e6
 # x and y must lie inside the scenario's bounds (``_check_position``).
 _POSITION_KEYS = {"x": ("x", _real, _same), "y": ("y", _real, _same),
-                  "z": ("z", _real, _same, _NON_NEGATIVE)}
-_POSITION = ("position", lambda data: _record(Position3D, _POSITION_KEYS, data),
-             lambda pos: _dump(pos, _POSITION_KEYS), _POSITION_KEYS)
+                  "z": ("z", _real, _same, _Interval(0.0, _FAR, "[]"))}
+_POSITION = ("position", *_nested(Position3D, _POSITION_KEYS))
 _ID = ("id", _text, _same)
 _float_map = _map_of(_float_key, _real)
 
@@ -445,16 +423,14 @@ _CHANNEL_KEYS = {
     "rician_k_sigma_db": ("rician_k_sigma_db", _real, _same, _FINITE),
     "pathloss_los": ("pathloss_los", *_PATHLOSS),
     "pathloss_nlos": ("pathloss_nlos", *_PATHLOSS),
-    "los_model": ("los_model", lambda data: _record(LosModel, _LOS_KEYS, data),
-                  lambda model: _dump(model, _LOS_KEYS), _LOS_KEYS),
+    "los_model": ("los_model", *_nested(LosModel, _LOS_KEYS)),
 }
-_RETIRED_CHANNEL_KEYS = {"azimuth_spread_arr_deg", "zenith_spread_arr_deg"}
 
 _parse_phantoms, _dump_phantoms = _records(PhantomProfile, _PHANTOM_KEYS)
 _SCENARIO_KEYS = {
     "name": ("name", _text, _same, _PathSegment()),
     "kind": ("kind", _text, _same),
-    "bounds_m": ("bounds", _list_of(_real), list, (_POSITIVE, _POSITIVE)),
+    "bounds_m": ("bounds", _list_of(_real), list, (_Interval(0.0, _FAR, "]"),) * 2),
     "limits.sar_wkg": ("sar_limit", _real, _same, _POSITIVE),
     "limits.min_poa_user_distance_m": ("min_poa_user_distance", _real, _same, _NON_NEGATIVE),
     "poas": ("poas", _list_of(_parse_poa), lambda poas: [_dump(p, _POA_KEYS) for p in poas],
@@ -465,8 +441,7 @@ _SCENARIO_KEYS = {
                  _PHANTOM_KEYS),
     "frequency_map": ("frequency_map", lambda value: FrequencyMap(_float_map(value)),
                       lambda fmap: _str_keys(fmap.pairs), _Attribute("pairs", _POSITIVE)),
-    "channel_params": ("channel_params", _channel_params, lambda cp: _dump(cp, _CHANNEL_KEYS),
-                       _CHANNEL_KEYS),
+    "channel_params": ("channel_params", *_nested(ChannelParams, _CHANNEL_KEYS)),
 }
 
 
@@ -808,26 +783,33 @@ def scenario_from_dict(data: dict) -> Scenario:
     version = _parse_at("schema_version", _optional(_integer), data.pop("schema_version", None))
     if version != SCHEMA_VERSION:
         raise ParseError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
-    # Older files repeat the LoS clutter in a top-level block; it must agree
-    # with the LoS model, the only copy the physics reads.
-    clutter = _parse_at("clutter", _object, data.pop("clutter", {}))
-    scenario = _record(Scenario, _SCENARIO_KEYS, data)
-    lm = scenario.channel_params.los_model
-    for key, field_name in (("density", "clutter_density"), ("height_m", "clutter_height")):
-        if key in clutter and clutter[key] != getattr(lm, field_name):
-            raise ValidationError(
-                f"clutter.{key}", f"{clutter[key]!r} disagrees with "
-                f"channel_params.los_model.{field_name} = {getattr(lm, field_name)!r}")
-    return scenario
+    return _record(Scenario, _SCENARIO_KEYS, data)
 
 
 def load_scenario(path_or_name: str) -> Scenario:
-    """Load a scenario from a JSON file, or a built-in by name (seed 0); a
-    file's errors name it (``read_record``)."""
+    """A built-in by name (seed 0), or the world of a UTF-8 JSON file. A
+    path that is missing, is a directory or cannot be read raises
+    ``ScenarioError``, a file that is not UTF-8 text or not valid JSON
+    ``ParseError``, and a record error ``ValidationError`` at the same
+    ``.path``; each names the file."""
     if path_or_name in BUILTIN_TEMPLATES:
         return builtin_scenario(path_or_name)
-    return read_record(path_or_name, "scenario", scenario_from_dict,
-                       missing="no such scenario file or built-in")
+    path = str(path_or_name)
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except FileNotFoundError:
+        raise ScenarioError(f"no such scenario file or built-in: {path!r}") from None
+    except OSError as e:  # a directory, or a file that cannot be read
+        raise ScenarioError(f"cannot read scenario file {path!r}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"scenario file {path!r} is not UTF-8 text: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ParseError(f"scenario file {path!r} is not valid JSON: {e}") from None
+    try:
+        return scenario_from_dict(data)
+    except ValidationError as e:
+        raise ValidationError(e.path, e.message, file=f"scenario file {path!r}") from None
 
 
 def save_scenario(s: Scenario, path: str):

@@ -7,8 +7,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .channel import dbm_to_watts
-from .scenario import (Scenario, _dump, _list_of, _map_of, _object, _optional, _parse_at,
-                       _radians, _real, _record, _same, _text, read_record)
+from .scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -53,15 +52,6 @@ class SolutionState:
 
     beams: tuple
     tx_power: dict
-
-    def beam_for_user(self, user_id):
-        for b in self.beams:
-            if user_id in b.served_users:
-                return b
-        raise KeyError(user_id)
-
-    def beams_of(self, poa_id):
-        return [b for b in self.beams if b.owner_poa == poa_id]
 
     def active_poas(self):
         return sorted({b.owner_poa for b in self.beams if b.active})
@@ -164,55 +154,21 @@ def validate(solution: SolutionState, scenario: Scenario):
     return violations + power_violations(solution.tx_power, scenario)
 
 
-# solution.json, read and written by the record layer of ``scenario``.
-_BEAM_KEYS = {
-    "beam_id": ("beam_id", _text, _same),
-    "owner_poa": ("owner_poa", _text, _same),
-    "azimuth_rad": ("azimuth", _real, _same),
-    "zenith_rad": ("zenith", _real, _same),
-    "width_rad": ("width", _real, _same),
-    "served_users": ("served_users", lambda value: frozenset(_list_of(_text)(value)), sorted),
-}
-# Files written before radians were stored give each angle in degrees only.
-_DEGREE_KEYS = {f"{name}_deg": f"{name}_rad" for name in ("azimuth", "zenith", "width")}
-
-
-def _parse_beam(data):
-    data = _object(data)
-    for deg, rad in _DEGREE_KEYS.items():
-        if deg in data and rad not in data:
-            data[rad] = _parse_at(deg, _radians, data.pop(deg))
-    return _record(BeamConfig, _BEAM_KEYS, data)
-
-
-_SOLUTION_KEYS = {
-    "beams": ("beams", _list_of(_parse_beam), lambda beams: [_dump(b, _BEAM_KEYS) for b in beams]),
-    # A switched-off PoA (-inf dBm) is stored as null.
-    "tx_power_dbm": ("tx_power", _map_of(_text, _optional(_real, -math.inf)),
-                     lambda power: {pid: None if dbm == -math.inf else dbm
-                                    for pid, dbm in sorted(power.items())}),
-}
-
-
 def solution_to_dict(solution: SolutionState) -> dict:
-    """JSON-ready form. Angles are written in radians, the unit they are
-    held in, so a reloaded solution equals the saved one bit for bit."""
-    return _dump(solution, _SOLUTION_KEYS)
-
-
-def solution_from_dict(data: dict) -> SolutionState:
-    """A solution from its file record; an unknown key, or a missing or
-    unreadable value, raises ``ValidationError`` at ``beams[0].width_rad``."""
-    return _record(SolutionState, _SOLUTION_KEYS, data)
+    """The record of solution.json, written for inspection; the package
+    reads no solution file. Angles are in radians, the unit they are held
+    in; served users are sorted, and a switched-off PoA (-inf dBm) is
+    null."""
+    return {
+        "beams": [{"beam_id": b.beam_id, "owner_poa": b.owner_poa, "azimuth_rad": b.azimuth,
+                   "zenith_rad": b.zenith, "width_rad": b.width,
+                   "served_users": sorted(b.served_users)} for b in solution.beams],
+        "tx_power_dbm": {pid: None if dbm == -math.inf else dbm
+                         for pid, dbm in sorted(solution.tx_power.items())},
+    }
 
 
 def save_solution(solution: SolutionState, path: str):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(solution_to_dict(solution), f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def load_solution(path: str) -> SolutionState:
-    """A solution from its UTF-8 JSON file; every error names ``path``
-    (``scenario.read_record``)."""
-    return read_record(path, "solution", solution_from_dict)

@@ -150,6 +150,11 @@ def serve_all_solution(scenario, power_dbm=20.0):
     return SolutionState(beams=tuple(beams), tx_power=tx)
 
 
+def serving_beam(solution, user_id):
+    """The beam of ``solution`` whose served users hold ``user_id``."""
+    return next(b for b in solution.beams if user_id in b.served_users)
+
+
 def nearest_poa(scenario, user):
     """The PoA of ``scenario`` nearest to ``user`` in 2-D."""
     return min(scenario.poas, key=lambda p: math.hypot(user.position.x - p.position.x,

@@ -8,7 +8,6 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 import cellless
 from cellless.cli import main
-from cellless.harness import (METRIC_COLUMNS, PLOT_KINDS, ExperimentSpec, _median, _percentile,
-                              emit_plot_data, load_run_metrics, plot_data_from_dir,
-                              run_experiment)
+from cellless.harness import (METRIC_COLUMNS, PLOT_COLUMNS, PLOT_KINDS, ExperimentSpec,
+                              _median, _metric_rows, _percentile, _plot_rows, _summary,
+                              load_run_metrics, plot_data_from_dir, run_experiment)
 from cellless.radio_metrics import Evaluator
 from cellless.scenario import builtin_scenario, save_scenario, scenario_to_dict
-from cellless.solution import load_solution, validate
+from cellless.solution import solution_to_dict, validate
 
 from conftest import make_tiny_scenario, too_close_world
 
@@ -69,10 +68,11 @@ def test_output_layout_and_reparse(run_out):
         assert summary["seed"] == r.seed and summary["solver"] == r.solver
         assert summary["total_power_w"] == pytest.approx(r.bundle.total_power)
         assert len(rows) == 20 + 40  # users + humans
-        # The saved solution re-validates against a fresh scenario instance.
-        scenario = builtin_scenario(r.scenario_name, r.seed)
-        sol = load_solution(run_dir / "solution.json")
-        assert validate(sol, scenario) == []
+        # The saved solution is the record of the run's solution, which
+        # validates against a fresh scenario instance.
+        with open(run_dir / "solution.json", encoding="utf-8") as f:
+            assert json.load(f) == solution_to_dict(r.solution)
+        assert validate(r.solution, builtin_scenario(r.scenario_name, r.seed)) == []
 
 
 def test_summary_names_the_package_version(run_out):
@@ -122,11 +122,11 @@ def test_paired_runs_share_the_scenario(run_out):
         assert set(a.per_user_rate) == set(b.per_user_rate)
 
 
-def test_emit_plot_data_kinds(run_out, tmp_path):
+def test_plot_data_kinds(run_out, tmp_path):
     spec, records = run_out
     # power-bars: one row per PoA plus a total row, per record.
     path = tmp_path / "p.csv"
-    emit_plot_data(records, "power-bars", path)
+    plot_data_from_dir(spec.out_dir, "power-bars", path)
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == len(records) * (8 + 1)
@@ -135,7 +135,7 @@ def test_emit_plot_data_kinds(run_out, tmp_path):
 
     # rate-cdf: non-decreasing cdf within (0, 1].
     path = tmp_path / "r.csv"
-    emit_plot_data(records, "rate-cdf", path)
+    plot_data_from_dir(spec.out_dir, "rate-cdf", path)
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
     for solver in ("ctm", "maxrate"):
@@ -145,7 +145,7 @@ def test_emit_plot_data_kinds(run_out, tmp_path):
 
     # sar-map: one row per human per record.
     path = tmp_path / "s.csv"
-    emit_plot_data(records, "sar-map", path)
+    plot_data_from_dir(spec.out_dir, "sar-map", path)
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == len(records) * 40
@@ -153,35 +153,51 @@ def test_emit_plot_data_kinds(run_out, tmp_path):
         == set(rows[0])
 
     with pytest.raises(ValueError):
-        emit_plot_data(records, "pie-chart", tmp_path / "x.csv")
+        plot_data_from_dir(spec.out_dir, "pie-chart", tmp_path / "x.csv")
 
-    # Only failed runs: nothing to plot, and no file is written.
-    failed = [replace(r, bundle=None, solution=None, error="failed") for r in records]
-    with pytest.raises(ValueError, match="^no successful records to plot$"):
-        emit_plot_data(failed, "power-bars", tmp_path / "failed.csv")
+    # No run directory (failed runs write none): nothing to plot, and no file is written.
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    with pytest.raises(ValueError, match="^no run directories found under "):
+        plot_data_from_dir(empty, "power-bars", tmp_path / "failed.csv")
     assert not (tmp_path / "failed.csv").exists()
 
 
-def _plot_bytes(plot, source, tmp_path, tag):
+def _plot_bytes(out_dir, tmp_path, tag):
+    """Each plot kind's bytes, as ``plot_data_from_dir`` writes them."""
     out = {}
     for kind in PLOT_KINDS:
         path = tmp_path / f"{tag}-{kind}.csv"
-        plot(source, kind, path)
+        plot_data_from_dir(out_dir, kind, path)
         out[kind] = path.read_bytes()
     return out
 
 
-def test_plot_from_records_equals_plot_from_dir(tmp_path):
-    """Both plot paths write the same bytes, in numeric seed order, with
-    map positions taken from the file world that was solved."""
+def _record_plot_bytes(records, tmp_path):
+    """Each plot kind's bytes, built from the runs' records in memory as
+    the run files hold them."""
+    runs = [(_summary(r), _metric_rows(r.scenario, r.bundle)) for r in records]
+    out = {}
+    for kind in PLOT_KINDS:
+        path = tmp_path / f"records-{kind}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            csv.writer(f).writerows([PLOT_COLUMNS[kind], *_plot_rows(kind, runs)])
+        out[kind] = path.read_bytes()
+    return out
+
+
+def test_plot_from_dir_equals_plot_of_records(tmp_path):
+    """The plots of a run directory are those of its runs' records, in
+    numeric seed order, with map positions taken from the file world that
+    was solved."""
     scenario = builtin_scenario("inf-dh-desk", 1)
     world = tmp_path / "desk.json"
     save_scenario(scenario, world)
     spec = tiny_spec(tmp_path, scenario=str(world), solver="both", seeds=(2, 10))
     records = run_experiment(spec)
     assert all(r.bundle is not None for r in records)
-    from_records = _plot_bytes(emit_plot_data, records, tmp_path, "records")
-    from_dir = _plot_bytes(plot_data_from_dir, spec.out_dir, tmp_path, "dir")
+    from_records = _record_plot_bytes(records, tmp_path)
+    from_dir = _plot_bytes(spec.out_dir, tmp_path, "dir")
     assert from_records == from_dir
 
     rows = list(csv.DictReader(from_dir["rate-map"].decode().splitlines()))
@@ -200,8 +216,7 @@ def test_renamed_file_world_plots(tmp_path):
     spec = tiny_spec(tmp_path, scenario=str(world), seeds=(1,))
     records = run_experiment(spec)
     assert records[0].scenario_name == "my-hall"
-    assert _plot_bytes(emit_plot_data, records, tmp_path, "records") \
-        == _plot_bytes(plot_data_from_dir, spec.out_dir, tmp_path, "dir")
+    assert _record_plot_bytes(records, tmp_path) == _plot_bytes(spec.out_dir, tmp_path, "dir")
 
 
 def test_solver_failure_recorded_not_raised(tmp_path):
@@ -897,10 +912,9 @@ def test_cli_plot_on_a_metrics_cell_that_is_not_a_finite_number_exits_2(
 def test_a_valid_run_plots_its_metrics_strings_as_written(run_out, tmp_path):
     """The cells are checked, not replaced: the loaded rows are the file's
     strings, and every kind plotted from the run directory has the bytes
-    ``emit_plot_data`` writes from the records."""
+    built from the records."""
     spec, records = run_out
     run_dir = Path(spec.out_dir) / "inf-dh-desk" / "1" / "ctm"
     with open(run_dir / "metrics.csv", newline="") as f:
         assert load_run_metrics(run_dir)[1] == list(csv.DictReader(f))
-    assert _plot_bytes(emit_plot_data, records, tmp_path, "records") == \
-        _plot_bytes(plot_data_from_dir, spec.out_dir, tmp_path, "dir")
+    assert _record_plot_bytes(records, tmp_path) == _plot_bytes(spec.out_dir, tmp_path, "dir")

@@ -26,7 +26,7 @@ from cellless.solution import BeamConfig, SolutionState, validate
 from cellless.solver_ctm import CtmConfig, build_geometry
 from cellless.solver_maxrate import ANGLE_STEP, objective, solve_maxrate
 from conftest import (assert_links_match, make_poa, make_tiny_scenario, nearest_poa, one_link,
-                      too_close_world)
+                      serving_beam, too_close_world)
 
 
 @pytest.fixture(scope="module")
@@ -258,10 +258,10 @@ def test_sinr_power_scaling_without_interference(tiny_scenario, tiny_solution, e
     s2 = _sinr(ev, sol.with_power("poaA", 23.0103), "u0")  # +3.0103 dB = x2
     assert np.allclose(s2, 2.0 * s1, rtol=1e-5)
     # Against the explicit formula.
-    beam = sol.beam_for_user("u0")
+    beam = serving_beam(sol, "u0")
     gains = ev.beam_gains(beam)[:, [t.id for t in _targets(ev)].index("u0")]
     noise = 10.0 ** ((NOISE_DENSITY_DBM_HZ - 30.0) / 10.0) * 20e6
-    n_active = len([b for b in sol.beams_of("poaA") if b.active])
+    n_active = len([b for b in sol.beams if b.owner_poa == "poaA" and b.active])
     p = 10.0 ** ((20.0 - 30.0) / 10.0) / n_active
     assert np.allclose(s1, p * gains / noise, rtol=1e-12)
 
@@ -273,7 +273,7 @@ def test_interference_reduces_sinr(tiny_scenario, tiny_solution, ev):
 
 
 def test_gain_cache_power_independent(tiny_scenario, tiny_solution, ev):
-    beam = tiny_solution.beam_for_user("u0")
+    beam = serving_beam(tiny_solution, "u0")
     assert ev._tables([ev._key(beam)], 0)[0] is ev._tables([ev._key(beam)], 0)[0]  # cached
     g1 = ev.beam_gains(beam)
     assert g1.shape == (8, len(tiny_scenario.users) + len(tiny_scenario.humans))
@@ -336,7 +336,7 @@ def test_unserved_user_rates_raise(tiny_solution, ev):
 
 def _beam_watts(solution, pid):
     """Each active beam's share [W] of PoA ``pid``'s solved power."""
-    n = len([b for b in solution.beams_of(pid) if b.active])
+    n = len([b for b in solution.beams if b.owner_poa == pid and b.active])
     return 10.0 ** ((solution.tx_power[pid] - 30.0) / 10.0) / n
 
 
@@ -354,7 +354,7 @@ def test_dump_links_recomputes_sinr(tiny_scenario, tiny_solution, ev):
     assert signal.shape == interference.shape == (len(user_ids), ev.n_realizations)
     assert noise_w.shape == (len(user_ids), 1)
     for i, u in enumerate(tiny_scenario.users):
-        beam = tiny_solution.beam_for_user(u.id)
+        beam = serving_beam(tiny_solution, u.id)
         poa = tiny_scenario.poa_by_id(beam.owner_poa)
         assert bandwidth[i] == poa.bandwidth
         assert noise_w[i, 0] == pytest.approx(noise, rel=1e-12, abs=0.0)
@@ -606,7 +606,7 @@ ULPS = 1e-13
        step=st.floats(0.0, 10.0))
 def test_rate_monotone_in_own_and_co_channel_power(tiny_scenario, tiny_solution, ev,
                                                    uid, own, other, step):
-    own_id = tiny_solution.beam_for_user(uid).owner_poa
+    own_id = serving_beam(tiny_solution, uid).owner_poa
     other_id = next(p.id for p in tiny_scenario.poas if p.id != own_id)
 
     def rate_at(p_own, p_other):
@@ -870,7 +870,7 @@ def test_user_views_equal_metrics_bit_for_bit(world, seed, realizations):
     for u in scenario.users:
         rate = _rate(ev, sol, u.id)
         assert float(rate.mean()) == rates[u.id]
-        bandwidth = scenario.poa_by_id(sol.beam_for_user(u.id).owner_poa).bandwidth
+        bandwidth = scenario.poa_by_id(serving_beam(sol, u.id).owner_poa).bandwidth
         signal, interference, noise, bw = _user_terms(ev, sol, [u.id])
         assert bw.tolist() == [bandwidth]
         assert noise.tolist() == [[NOISE_DENSITY_W_HZ * bandwidth]]

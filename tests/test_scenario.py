@@ -160,31 +160,25 @@ def test_saved_scenario_reloads_equal(name, seed, density, height, sar_limit):
     assert _angles_taken_from(again, s) == s
 
 
-# The top-level clutter block files carried before clutter lived only in
-# the LoS model: inf-dh built-ins wrote 0.4 / 2.0 m, umi ones 0 / 0.
+# The top-level clutter block that files carried before clutter lived only
+# in the LoS model (inf-dh built-ins wrote 0.4 / 2.0 m, umi ones 0 / 0) is
+# an unknown key, whether or not it agrees with the LoS model.
 @pytest.mark.parametrize("name, block", [
     ("inf-dh-desk", {"density": 0.4, "height_m": 2.0}),
     ("umi-sc-desk", {"density": 0.0, "height_m": 0.0}),
-    ("inf-dh-desk", {"density": 0.4}),
+    ("inf-dh-desk", {"density": 0.9}),
+    ("inf-dh-desk", [0.4, 2.0]),
 ])
-def test_agreeing_clutter_block_loads_as_without(name, block):
+def test_a_clutter_block_is_refused_at_load(name, block, tmp_path, capsys):
     d = scenario_to_dict(builtin_scenario(name, 0))
     assert "clutter" not in d
-    assert scenario_from_dict(dict(d, clutter=block)) == scenario_from_dict(d)
-
-
-@pytest.mark.parametrize("name, block, path", [
-    ("inf-dh-desk", {"density": 0.9, "height_m": 2.0}, "clutter.density"),
-    ("inf-dh-desk", {"density": 0.4, "height_m": 3.0}, "clutter.height_m"),
-    ("umi-sc-desk", {"density": 0.4, "height_m": 0.0}, "clutter.density"),
-    ("umi-sc-desk", {"height_m": 2.0}, "clutter.height_m"),
-    ("inf-dh-desk", [0.4, 2.0], "clutter"),
-])
-def test_disagreeing_clutter_block_rejected(name, block, path):
-    d = scenario_to_dict(builtin_scenario(name, 0))
     with pytest.raises(ValidationError) as err:
         scenario_from_dict(dict(d, clutter=block))
-    assert err.value.path == path
+    assert (err.value.path, err.value.message) == ("clutter", "unknown key")
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps(dict(d, clutter=block)))
+    assert main(["validate", "--scenario", str(world)]) == 2
+    assert capsys.readouterr().err.startswith("invalid: clutter: unknown key")
 
 
 def test_load_scenario_accepts_builtin_names():
@@ -256,7 +250,9 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d["poas"][2].update(max_tx_power_dbm=-math.inf), "poas[2].max_tx_power_dbm"),
     (_nan_first_user_height, "users[0].position_m.z"),
     (lambda d: d["poas"][3]["position_m"].update(z=math.inf), "poas[3].position_m.z"),
+    (lambda d: d["poas"][3]["position_m"].update(z=1e200), "poas[3].position_m.z"),
     (lambda d: d["bounds_m"].__setitem__(0, math.inf), "bounds_m[0]"),
+    (lambda d: d["bounds_m"].__setitem__(0, 1e300), "bounds_m[0]"),
     (_drop_first_poa_reference_sar, "phantoms[0].sar_ref"),
     (lambda d: d["channel_params"]["los_model"].update(kind="rural"),
      "channel_params.los_model.kind"),
@@ -343,7 +339,8 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d.update(bounds_m=[80.0]), "bounds_m"),
     (lambda d: d["users"][4].update(id=d["users"][2]["id"]), "users[4].id"),
 ], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
-        "maxpow-minus-inf", "user-z-nan", "poa-z-inf", "bounds-length-inf",
+        "maxpow-minus-inf", "user-z-nan", "poa-z-inf", "poa-z-far", "bounds-length-inf",
+        "bounds-length-far",
         "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
         "clutter-density-one", "clutter-density-negative", "clutter-density-not-number",
         "los-key-misspelled", "clutter-height-not-number", "los-kind-prefix-only",
@@ -678,6 +675,58 @@ def test_missing_channel_params_take_the_dataclass_defaults():
     assert scenario_from_dict(d).channel_params == ChannelParams()
     d["channel_params"] = {"n_rays": 7}
     assert scenario_from_dict(d).channel_params == ChannelParams(n_rays=7)
-    # The retired arrival-spread keys still load, and are ignored.
-    d["channel_params"].update(azimuth_spread_arr_deg=11.0, zenith_spread_arr_deg=7.0)
-    assert scenario_from_dict(d).channel_params == ChannelParams(n_rays=7)
+
+
+@pytest.mark.parametrize("key", ["azimuth_spread_arr_deg", "zenith_spread_arr_deg"])
+def test_a_retired_arrival_spread_key_is_refused_at_load(key):
+    """The arrival spreads that the channel no longer reads are unknown
+    keys, named at their path; with both, the first listed is named."""
+    d = scenario_to_dict(builtin_scenario("umi-sc-desk", 0))
+    d["channel_params"][key] = 11.0
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(d)
+    assert (err.value.path, err.value.message) == (f"channel_params.{key}", "unknown key")
+    d["channel_params"] = {"n_rays": 7, "azimuth_spread_arr_deg": 11.0,
+                           "zenith_spread_arr_deg": 7.0}
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(d)
+    assert err.value.path == "channel_params.azimuth_spread_arr_deg"
+
+
+def _number_paths(node, path=""):
+    """(load-error path, parent, key) of every number in a JSON tree."""
+    if isinstance(node, dict):
+        items = [(f"{path}.{k}" if path else k, k, v) for k, v in node.items()]
+    elif isinstance(node, list):
+        items = [(f"{path}[{i}]", i, v) for i, v in enumerate(node)]
+    else:
+        return []
+    found = []
+    for child, key, value in items:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            found.append((child, node, key))
+        else:
+            found += _number_paths(value, child)
+    return found
+
+
+@pytest.mark.parametrize("bad", [True, "1", math.nan, math.inf],
+                         ids=["true", "string", "nan", "infinity"])
+def test_every_number_in_a_scenario_file_must_be_a_finite_number(bad):
+    """Each number of a saved world, replaced by a boolean, a numeric
+    string, NaN or Infinity, is refused at load with its own path."""
+    text = json.dumps(scenario_to_dict(builtin_scenario("inf-dh-desk", 1)))
+    n = len(_number_paths(json.loads(text)))
+    assert n > 300
+    wrong = []
+    for i in range(n):
+        data = json.loads(text)
+        path, parent, key = _number_paths(data)[i]
+        parent[key] = bad
+        try:
+            scenario_from_dict(data)
+            wrong.append((path, "loaded"))
+        except ValidationError as e:
+            if e.path != path:
+                wrong.append((path, e.path))
+    assert wrong == []

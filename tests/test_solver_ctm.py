@@ -5,8 +5,10 @@ import itertools
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from cellless.solver_ctm import (CtmConfig, _assign,
                                  build_geometry, cluster_users, covering_arc,
                                  match_clusters, reduce_powers, solve_ctm)
 
-from conftest import make_poa, make_tiny_scenario, nearest_poa, too_close_world
+from conftest import make_poa, make_tiny_scenario, nearest_poa, serving_beam, too_close_world
 
 
 def users_at(points):
@@ -415,7 +417,7 @@ def test_infeasible_error_carries_the_max_power_verdict():
     err = info.value
     geometry = build_geometry(hard, CtmConfig(seed=1))
     at_max = Evaluator(hard, 1, 4).metrics(geometry)
-    owner = geometry.beam_for_user(target).owner_poa
+    owner = serving_beam(geometry, target).owner_poa
     assert err.violated == at_max.violated == [f"rate:{target}"]
     assert err.blocking == {owner: target}
     assert str(err) == (f"no feasible solution: {owner} cannot meet {target}'s floor; "
@@ -627,7 +629,8 @@ def _requirements(evaluator, solution):
     _, interference, noise, bandwidth = evaluator._terms(
         stack, evaluator._watts(stack, solution.tx_power))
     floors = np.array([u.required_rate for u in evaluator.scenario.users])
-    need = _least_watts(bandwidth, unit, noise + interference, floors)
+    need = _least_watts(bandwidth, unit, noise + interference, floors,
+                        [u.id for u in evaluator.scenario.users])
     owner = [pids[p] for p in stack.poa_of_beam[stack.serving].tolist()]
     return {pid: max(n for n, o in zip(need.tolist(), owner) if o == pid)
             for pid in solution.active_poas()}
@@ -695,7 +698,7 @@ def test_a_proof_of_infeasibility_agrees_with_metrics_at_maximum_power(world, da
     assert tx_power == {} and set(blocking.items()) <= set(binding.items())
     assert {f"rate:{uid}" for uid in blocking.values()} <= set(missed)
     if nan is not None:
-        assert solution.beam_for_user(nan).owner_poa in blocking
+        assert serving_beam(solution, nan).owner_poa in blocking
 
 
 def _assert_least_powers_read_only_the_beams(evaluator, solution):
@@ -767,6 +770,30 @@ def test_a_search_past_its_step_bound_keeps_feasible_powers_or_raises(monkeypatc
     assert solved.total_power_watts() > least.total_power_watts()
 
 
+@pytest.mark.parametrize("field, value", [("bandwidth", 1e300), ("required_rate", 1e-18)],
+                         ids=["bandwidth-1e300", "floor-1e-18"])
+def test_a_least_watts_search_that_does_not_settle_raises_naming_the_user(field, value):
+    """A user's Newton steps toward its least watts are bounded: on an
+    inf-dh-desk world whose first PoA has a bandwidth of 1e300 Hz, or whose
+    first user has a floor of 1e-18 bit/s, where they used to climb without
+    end, ``least_powers`` raises ``RuntimeError`` within seconds, naming a
+    user of the edited PoA, or the edited user, and its serving PoA."""
+    world = builtin_scenario("inf-dh-desk", 1)
+    part = "poas" if field == "bandwidth" else "users"
+    edited = getattr(world, part)
+    world = replace(world, **{part: (replace(edited[0], **{field: value}),) + edited[1:]})
+    geometry = build_geometry(world, CtmConfig(seed=1))
+    evaluator = Evaluator(world, 1, 2)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="Newton steps") as info:
+        evaluator.least_powers(geometry)
+    assert time.perf_counter() - start < 10.0
+    user, poa = re.fullmatch(r"the least watts of user '(\w+)' of PoA '(\w+)' not found in "
+                             r"\d+ Newton steps", str(info.value)).groups()
+    assert serving_beam(geometry, user).owner_poa == poa
+    assert (poa if part == "poas" else user) == edited[0].id
+
+
 @settings(deadline=None, max_examples=60)
 @given(world=feasible_small_worlds(), data=st.data())
 def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
@@ -781,7 +808,7 @@ def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
     assert evaluator.metrics(solution).violated == []
     pid = data.draw(st.sampled_from(solution.active_poas()))
     lowered = solution.with_power(pid, solution.tx_power[pid] - data.draw(st.floats(0.0, 40.0)))
-    own = sorted(uid for b in solution.beams_of(pid) for uid in b.served_users)
+    own = sorted(uid for b in solution.beams if b.owner_poa == pid for uid in b.served_users)
     after = evaluator.metrics(lowered).violated
     assert set(after) <= {f"rate:{uid}" for uid in own}
     assert evaluator.unmet_floors(lowered) == after
@@ -795,7 +822,7 @@ def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
     assert signal_after[~mine].tobytes() == signal[~mine].tobytes()
     assert interference_after[mine].tobytes() == interference[mine].tobytes()
     assert np.all(interference_after <= interference)
-    serving = [evaluator.scenario.poa_by_id(solution.beam_for_user(uid).owner_poa).bandwidth
+    serving = [evaluator.scenario.poa_by_id(serving_beam(solution, uid).owner_poa).bandwidth
                for uid in users]
     assert noise_after.tolist() == noise.tolist() == [[NOISE_DENSITY_W_HZ * bw] for bw in serving]
 
@@ -886,9 +913,9 @@ def test_solve_ctm_serves_no_user_too_close(seed):
     world = too_close_world(seed)
     user, near = world.users[0].id, nearest_poa(world, world.users[0])
     unbarred = build_geometry(replace(world, min_poa_user_distance=0.0), CtmConfig(seed=seed))
-    assert unbarred.beam_for_user(user).owner_poa == near.id
+    assert serving_beam(unbarred, user).owner_poa == near.id
     geometry = build_geometry(world, CtmConfig(seed=seed))
-    assert validate(geometry, world) == [] and geometry.beam_for_user(user).owner_poa != near.id
+    assert validate(geometry, world) == [] and serving_beam(geometry, user).owner_poa != near.id
     try:
         solution, bundle = solve_ctm(Evaluator(world, seed, 2))
     except NoFeasibleSolutionError:

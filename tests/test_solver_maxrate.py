@@ -19,7 +19,7 @@ from cellless.solver_maxrate import (ANGLE_STEP, POWER_STEP_DB, WIDTH_STEP, Anne
                                      neighbor, objective, solve_maxrate)
 
 from conftest import (make_poa, make_tiny_scenario, nearest_poa, serve_all_solution,
-                      too_close_world)
+                      serving_beam, too_close_world)
 
 
 @pytest.fixture(scope="module")
@@ -403,7 +403,7 @@ def test_a_reassign_that_wakes_one_beam_and_idles_another_keys_one_row(tiny_scen
     base = ev.stack(sol)
     moved = replace(sol, beams=tuple(
         replace(b, served_users=b.served_users ^ {"u2"})
-        if b.beam_id in (sol.beam_for_user("u2").beam_id, "poaA-b1") else b for b in sol.beams))
+        if b.beam_id in (serving_beam(sol, "u2").beam_id, "poaA-b1") else b for b in sol.beams))
     with pytest.MonkeyPatch.context() as mp:
         keyed = _count_keys(mp)
         stack = ev.stack(moved)
@@ -577,7 +577,7 @@ def test_maxrate_serves_no_user_too_close(seed):
         owners = set()
         for _ in range(2000):
             state = move_reassign(state, scenario, rng)
-            owners.add(state.beam_for_user(user).owner_poa)
+            owners.add(serving_beam(state, user).owner_poa)
             assert scenario is not world or validate(state, world) == []
         assert (near in owners) is (scenario is not world)
     best, _ = solve_maxrate(Evaluator(world, seed, 2), AnnealConfig(iterations=3, moves_per_temp=5))
