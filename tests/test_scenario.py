@@ -166,7 +166,12 @@ def test_saved_scenario_reloads_equal(name, seed, density, height, sar_limit):
 @pytest.mark.parametrize("name, block", [
     ("inf-dh-desk", {"density": 0.4, "height_m": 2.0}),
     ("umi-sc-desk", {"density": 0.0, "height_m": 0.0}),
+    ("inf-dh-desk", {"density": 0.4}),
     ("inf-dh-desk", {"density": 0.9}),
+    ("inf-dh-desk", {"density": 0.9, "height_m": 2.0}),
+    ("inf-dh-desk", {"density": 0.4, "height_m": 3.0}),
+    ("umi-sc-desk", {"density": 0.4, "height_m": 0.0}),
+    ("umi-sc-desk", {"height_m": 2.0}),
     ("inf-dh-desk", [0.4, 2.0]),
 ])
 def test_a_clutter_block_is_refused_at_load(name, block, tmp_path, capsys):
@@ -338,6 +343,10 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d["users"][1].update(required_rate_bps=-1e6), "users[1].required_rate_bps"),
     (lambda d: d.update(bounds_m=[80.0]), "bounds_m"),
     (lambda d: d["users"][4].update(id=d["users"][2]["id"]), "users[4].id"),
+    (lambda d: d["channel_params"].update(azimuth_spread_arr_deg=11.0),
+     "channel_params.azimuth_spread_arr_deg"),
+    (lambda d: d["channel_params"].update(zenith_spread_arr_deg=7.0),
+     "channel_params.zenith_spread_arr_deg"),
 ], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
         "maxpow-minus-inf", "user-z-nan", "poa-z-inf", "poa-z-far", "bounds-length-inf",
         "bounds-length-far",
@@ -360,7 +369,8 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
         "bmi-zero", "bmi-ref-negative", "sar-ref-empty", "sar-ref-value-zero",
         "name-escapes", "name-slash", "name-backslash", "name-empty", "name-dot",
         "name-dot-dot", "name-nul", "user-rate-zero", "user-rate-negative",
-        "bounds-one-entry", "user-id-repeated"])
+        "bounds-one-entry", "user-id-repeated", "azimuth-spread-arr-retired",
+        "zenith-spread-arr-retired"])
 
 
 @pytest.mark.parametrize("rate", [0.0, -1e6, math.nan, math.inf, -math.inf])
@@ -627,6 +637,31 @@ def _unreadable_scenario(kind, tmp_path):
     return world
 
 
+@pytest.mark.parametrize("kind, fault", [("not-utf8", "not UTF-8 text"),
+                                         ("not-json", "not valid JSON")])
+def test_an_unparsable_scenario_file_names_the_file(kind, fault, tmp_path):
+    """A saved world whose bytes are not UTF-8 or not valid JSON raises
+    ``ParseError`` saying which, naming the file."""
+    path = _unreadable_scenario(kind, tmp_path)
+    with pytest.raises(ParseError, match=fault) as err:
+        load_scenario(path)
+    assert repr(str(path)) in str(err.value)
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_an_unreadable_scenario_path_names_the_path(where, tmp_path):
+    """A scenario path that is neither a built-in nor a file, or that is a
+    directory, raises a ``ScenarioError`` naming it, not a bare
+    ``OSError``."""
+    path = tmp_path / "nothing.json" if where == "missing" else _unreadable_scenario(
+        "directory", tmp_path)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert type(err.value) is ScenarioError and repr(str(path)) in str(err.value)
+    assert str(err.value).startswith("no such scenario file or built-in: " if where == "missing"
+                                     else "cannot read scenario file ")
+
+
 @pytest.mark.parametrize("kind", ["directory", "not-utf8", "not-json"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_exits_2_on_an_unreadable_scenario_file(command, kind, tmp_path, capsys):
@@ -710,12 +745,14 @@ def _number_paths(node, path=""):
     return found
 
 
+@pytest.mark.parametrize("name", ["inf-dh-desk", "umi-sc-desk"])
 @pytest.mark.parametrize("bad", [True, "1", math.nan, math.inf],
                          ids=["true", "string", "nan", "infinity"])
-def test_every_number_in_a_scenario_file_must_be_a_finite_number(bad):
-    """Each number of a saved world, replaced by a boolean, a numeric
-    string, NaN or Infinity, is refused at load with its own path."""
-    text = json.dumps(scenario_to_dict(builtin_scenario("inf-dh-desk", 1)))
+def test_every_number_in_a_scenario_file_must_be_a_finite_number(name, bad):
+    """Each number of a saved world of either desk built-in, replaced by a
+    boolean, a numeric string, NaN or Infinity, is refused at load with its
+    own path."""
+    text = json.dumps(scenario_to_dict(builtin_scenario(name, 1)))
     n = len(_number_paths(json.loads(text)))
     assert n > 300
     wrong = []

@@ -794,6 +794,23 @@ def test_a_least_watts_search_that_does_not_settle_raises_naming_the_user(field,
     assert (poa if part == "poas" else user) == edited[0].id
 
 
+@pytest.mark.parametrize("world, seed", [(world, seed) for world in ("inf-dh-desk", "umi-sc-desk")
+                                         for seed in range(3)])
+def test_least_watts_settles_within_the_steps_the_bound_is_set_above(monkeypatch, world, seed):
+    """On CtM's geometry of a desk world with 10 realizations, each user's
+    least watts settles in at most 9 Newton steps, the count the bound
+    ``_MOST_ROOT_STEPS`` is set well above: ``least_powers`` with the bound
+    cut to 9 returns what it returns with the full bound."""
+    import cellless.radio_metrics as radio_metrics
+
+    scenario = builtin_scenario(world, seed)
+    evaluator = Evaluator(scenario, seed, 10)
+    geometry = build_geometry(scenario, CtmConfig(seed=seed))
+    full = evaluator.least_powers(geometry)
+    monkeypatch.setattr(radio_metrics, "_MOST_ROOT_STEPS", 9)
+    assert evaluator.least_powers(geometry) == full
+
+
 @settings(deadline=None, max_examples=60)
 @given(world=feasible_small_worlds(), data=st.data())
 def test_lowering_one_poa_breaks_only_its_own_users_floors(world, data):
