@@ -8,8 +8,8 @@ import math
 
 from cellless.radio_metrics import Evaluator
 from cellless.scenario import builtin_scenario
-from cellless.solver_ctm import (CtmConfig, build_geometry, cluster_users,
-                                 match_clusters, reduce_powers)
+from cellless.solver_ctm import (CtmConfig, cluster_users, geometry_of, match_clusters,
+                                 reduce_powers)
 
 
 def main():
@@ -35,8 +35,10 @@ def main():
         print(f"  {beam_id}: {size} users")
     print("  ...")
 
-    # Step 3a: steering and widths, all PoAs at maximum power.
-    geometry = build_geometry(scenario, cfg)
+    # Step 3a: steering and widths of that association, all PoAs at maximum
+    # power: each beam serves its cluster's users, steered to its centroid.
+    geometry = geometry_of(scenario, {b: (clustering.members(c), clustering.centroids[c])
+                                      for b, c in assignment.items()})
     print("\nStep 3a - geometry at max power:")
     for b in [b for b in geometry.beams if b.active][:6]:
         print(f"  {b.beam_id}: az {math.degrees(b.azimuth):7.1f} deg, "

@@ -1,11 +1,13 @@
-"""Cluster-then-Match: k-means clustering, Hungarian beam matching, and the
-least power vector that meets every floor on the matched beams
-(``Evaluator.least_powers``), or the proof that none up to the PoAs' maxima
-does.
+"""Cluster-then-Match: k-means clustering, Hungarian beam matching, the
+beams of that association (``geometry_of``), and the least power vector
+that meets every floor on the matched beams (``Evaluator.least_powers``),
+or the proof that none up to the PoAs' maxima does.
 
 The matching decides which PoA serves each non-empty cluster; one fixed
 rule in ``match_clusters`` then decides which of that PoA's beams does, so
 the result does not depend on how an assignment solver breaks ties.
+``geometry_of`` turns any association, CtM's or another scheme's, into
+beams by one steering and width rule.
 """
 
 from __future__ import annotations
@@ -192,12 +194,16 @@ def match_clusters(clustering: Clustering, beams, scenario: Scenario) -> dict:
 
     The cost of a beam for a non-empty cluster is the 3-D distance
     (``departure_angles``) from the beam's PoA to the cluster centroid at
-    the assigned users' mean height (1.5 m with none). Only the non-empty
-    clusters are matched (``_assign``): an empty one costs nothing to any
-    beam, so leaving it out cannot change the optimum. A PoA ``too_close``
-    to a member of a cluster may not serve it: that pair costs more than
-    all pairs' costs added up, so the matching uses no such pair whenever
-    one without any exists.
+    one height for every cluster: the mean height of all the clustered
+    users (1.5 m with none). ``beam_geometry`` instead steers each beam to
+    its own users' mean height, so on a world whose users stand at
+    different heights (umi-sc: 0.9 and 1.5 m) the two heights differ.
+
+    Only the non-empty clusters are matched (``_assign``): an empty one
+    costs nothing to any beam, so leaving it out cannot change the
+    optimum. A PoA ``too_close`` to a member of a cluster may not serve
+    it: that pair costs more than all pairs' costs added up, so the
+    matching uses no such pair whenever one without any exists.
 
     A PoA's beams share its position, panel and power, so the matching
     only decides how many and which clusters each PoA gets. Each PoA then
@@ -268,27 +274,35 @@ def beam_geometry(poa, served_positions, centroid):
     return phi, theta, max(poa.min_beam_width, width)
 
 
+def geometry_of(scenario: Scenario, groups) -> SolutionState:
+    """Every beam of ``scenario.all_beams``, in that order, with every PoA
+    at its maximum power: the one rule from an association to beams.
+
+    ``groups`` maps a beam id to (user ids, centroid (x, y)). A beam with a
+    group serves its users, sorted, and ``beam_geometry`` steers it; every
+    other beam is idle: azimuth 0, zenith pi/2, its PoA's minimum width and
+    no users.
+    """
+    beam_configs = []
+    for beam_id in scenario.all_beams:
+        poa = scenario.beam_owner(beam_id)
+        users, centroid = groups.get(beam_id, ((), None))
+        users = sorted(users)
+        steering = (beam_geometry(poa, [scenario.user_by_id(u).position for u in users], centroid)
+                    if users else (0.0, math.pi / 2.0, poa.min_beam_width))
+        beam_configs.append(BeamConfig(beam_id, poa.id, *steering, frozenset(users)))
+    tx_power = {p.id: p.max_tx_power_dbm for p in scenario.poas}
+    return SolutionState(beams=tuple(beam_configs), tx_power=tx_power)
+
+
 def build_geometry(scenario: Scenario, config: CtmConfig) -> SolutionState:
-    """CtM steps 1-2 plus width/steering: all PoAs at max power."""
+    """CtM steps 1-2 (``cluster_users``, then ``match_clusters``) and the
+    beams of that association (``geometry_of``): all PoAs at max power."""
     beams = scenario.all_beams
     clustering = cluster_users(list(scenario.users), len(beams), config)
     assignment = match_clusters(clustering, beams, scenario)
-    beam_configs = []
-    for beam_id in beams:
-        poa = scenario.beam_owner(beam_id)
-        cluster_idx = assignment[beam_id]
-        members = clustering.members(cluster_idx)
-        if not members or clustering.centroids[cluster_idx] is None:
-            beam_configs.append(BeamConfig(beam_id, poa.id, 0.0, math.pi / 2.0,
-                                           poa.min_beam_width, frozenset()))
-            continue
-        positions = [scenario.user_by_id(u).position for u in members]
-        centroid = clustering.centroids[cluster_idx]
-        phi, theta, width = beam_geometry(poa, positions, centroid)
-        beam_configs.append(BeamConfig(beam_id, poa.id, phi, theta, width,
-                                       frozenset(members)))
-    tx_power = {p.id: p.max_tx_power_dbm for p in scenario.poas}
-    return SolutionState(beams=tuple(beam_configs), tx_power=tx_power)
+    return geometry_of(scenario, {b: (clustering.members(c), clustering.centroids[c])
+                                  for b, c in assignment.items()})
 
 
 def reduce_powers(solution: SolutionState, evaluator: Evaluator):

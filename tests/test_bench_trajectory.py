@@ -84,10 +84,44 @@ def test_layer_run_is_stored_under_its_label(trajectory, tmp_path):
     for layer in layers:
         assert layer["samples"] == 1 and layer["median_s"] > 0.0
         assert 0.0 < layer["median_ref_s"] < math.inf
+    # Beside the reduce_powers time, the count of its least-power sweeps.
+    sweeps = solver["reduce_powers_sweeps"]
+    assert type(sweeps) is int and sweeps > 0
     # Beside the first metrics' time, the minor page faults it took.
     faults = paper["first_metrics_minor_faults"]
     assert isinstance(faults, int) and faults >= 0
     assert paper["first_metrics_minor_faults_by_repeat"] == [faults]
+
+
+def test_count_least_watts_counts_each_call_and_restores_the_search(trajectory, monkeypatch):
+    """Each ``radio_metrics._least_watts`` call of the counted call is one
+    sweep; the module attribute is the search again after the call, also
+    when the call raises. Counting changes no power: one ``reduce_powers``
+    on the layer world returns the same state counted or not."""
+    from cellless import radio_metrics as rm
+    from cellless.scenario import builtin_template, generate_placements
+    from cellless.solver_ctm import CtmConfig, build_geometry, reduce_powers
+
+    scenario = generate_placements(builtin_template("inf-dh-desk"), 1)
+    geometry = build_geometry(scenario, CtmConfig(seed=0))
+    search, solved = rm._least_watts, []
+    sweeps = trajectory.count_least_watts(
+        lambda: solved.append(reduce_powers(geometry, rm.Evaluator(scenario, 0, 2))[0]))
+    assert type(sweeps) is int and sweeps > 0 and rm._least_watts is search
+    assert solved == [reduce_powers(geometry, rm.Evaluator(scenario, 0, 2))[0]]
+
+    def stub(*args):
+        return None
+    monkeypatch.setattr(rm, "_least_watts", stub)
+    assert trajectory.count_least_watts(lambda n: [rm._least_watts() for _ in range(n)], 3) == 3
+    assert rm._least_watts is stub
+
+    def fails():
+        rm._least_watts()
+        raise ZeroDivisionError("injected")
+    with pytest.raises(ZeroDivisionError):
+        trajectory.count_least_watts(fails)
+    assert rm._least_watts is stub
 
 
 @pytest.mark.parametrize("stdout, outcome", [

@@ -1,7 +1,10 @@
-"""The code-line counter skips blanks, comments and docstrings only."""
+"""The code-line counter skips blanks, comments and docstrings only, in a
+file or in one definition."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,3 +52,25 @@ def test_code_lines_of_a_synthetic_source(tmp_path, capsys):
     (tmp_path / "pkg" / "b.py").write_text("x = 1\n\n# done\n")
     assert module.main([str(tmp_path / "pkg")]) == 0
     assert capsys.readouterr().out.split("\n")[-2].split() == ["10", "total"]
+
+
+def test_code_lines_of_one_definition(tmp_path, capsys):
+    """``FILE::QUALNAME`` counts one definition's code lines without its
+    docstring: ``A.f`` is its def, the two lines of the string and the two
+    of the return; ``A.g`` its async def and pass; ``A`` both and its class
+    line. A name that is not defined exits 2."""
+    module = _module()
+    assert module.definition_lines(SOURCE, "A.f") == 5
+    assert module.definition_lines(SOURCE, "A.g") == 2
+    assert module.definition_lines(SOURCE, "A") == 8
+    decorated = "import functools\n\n\n@functools.cache\ndef h():\n    return 1\n"
+    assert module.definition_lines(decorated, "h") == 3
+    (tmp_path / "a.py").write_text(SOURCE)
+    assert module.main([f"{tmp_path / 'a.py'}::A.f", f"{tmp_path / 'a.py'}::A.g"]) == 0
+    out = capsys.readouterr().out.split("\n")
+    assert out[0].split() == ["5", f"{tmp_path / 'a.py'}::A.f"]
+    assert out[-2].split() == ["7", "total"]
+    for missing in ("A.h", "f", "A.f.x"):
+        with pytest.raises(SystemExit) as exit_info:
+            module.main([f"{tmp_path / 'a.py'}::{missing}"])
+        assert exit_info.value.code == 2

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from cellless import solver_ctm
 from cellless.channel import dbm_to_watts, departure_angles, direct_paths
@@ -22,11 +22,11 @@ from cellless.exposure import FrequencyMap
 from cellless.radio_metrics import NOISE_DENSITY_W_HZ, ROUND_UP_DB, Evaluator, _least_watts
 from cellless.scenario import (EndUser, Human, Position3D, builtin_scenario, builtin_template,
                                generate_placements)
-from cellless.solution import validate
+from cellless.solution import BeamConfig, too_close, validate
 from cellless.solver_ctm import (CtmConfig, _assign,
                                  NoFeasibleSolutionError, beam_geometry,
                                  build_geometry, cluster_users, covering_arc,
-                                 match_clusters, reduce_powers, solve_ctm)
+                                 geometry_of, match_clusters, reduce_powers, solve_ctm)
 
 from conftest import make_poa, make_tiny_scenario, nearest_poa, serving_beam, too_close_world
 
@@ -373,6 +373,98 @@ def test_a_beam_serving_one_user_steers_along_its_link(world):
             assert np.float64(beam.azimuth).tobytes() == np.float64(link.azimuth).tobytes()
             single += 1
     assert single >= 30
+
+
+@st.composite
+def grouped_small_worlds(draw):
+    """2-3 PoAs with 1-3 beams each, 1-5 users at 0.9 or 1.5 m, a minimum
+    serving distance of 0-8 m, and a grouping of the users: each user in
+    exactly one group, on a drawn beam of a PoA not ``too_close`` to it,
+    each group steered to a drawn centroid. Returns (scenario, groups,
+    seed); ``groups`` maps a beam id to (user ids, centroid)."""
+    spot = st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 20.0))
+    poas = tuple(make_poa(f"p{i}", *draw(spot), n_beams=draw(st.integers(1, 3)), rows=4, cols=4)
+                 for i in range(draw(st.integers(2, 3))))
+    users = tuple(EndUser(f"u{i}", Position3D(*draw(spot), draw(st.sampled_from([0.9, 1.5]))),
+                          1e6) for i in range(draw(st.integers(1, 5))))
+    scenario = replace(make_tiny_scenario(), poas=poas, users=users, humans=(),
+                       min_poa_user_distance=draw(st.sampled_from([0.0, 4.0, 8.0])))
+    members = {}
+    for user in users:
+        beams = [b for p in poas if too_close(p, user, scenario) is None for b in p.beams]
+        assume(beams)
+        members.setdefault(draw(st.sampled_from(beams)), []).append(user.id)
+    groups = {b: (draw(st.permutations(us)), draw(spot)) for b, us in members.items()}
+    return scenario, groups, draw(st.integers(0, 3))
+
+
+@settings(deadline=None, max_examples=100)
+@given(world=grouped_small_worlds(), data=st.data())
+def test_geometry_of_is_the_one_rule_from_an_association_to_beams(world, data):
+    """``geometry_of`` lists every beam in ``scenario.all_beams`` order at
+    maximum power, and the state validates. A beam with a group is
+    ``beam_geometry``'s steering of its users, sorted, toward its centroid;
+    every other beam is idle. Shuffling a group's users changes nothing,
+    and relabelling one PoA's beams permutes the ``BeamConfig``s and keeps
+    the power vector. On CtM's own groups it is ``build_geometry``."""
+    scenario, groups, seed = world
+    got = geometry_of(scenario, groups)
+    assert validate(got, scenario) == []
+    assert [b.beam_id for b in got.beams] == list(scenario.all_beams)
+    assert got.tx_power == {p.id: p.max_tx_power_dbm for p in scenario.poas}
+    for beam in got.beams:
+        poa = scenario.beam_owner(beam.beam_id)
+        if beam.beam_id in groups:
+            users, centroid = sorted(groups[beam.beam_id][0]), groups[beam.beam_id][1]
+            steering = beam_geometry(poa, [scenario.user_by_id(u).position for u in users],
+                                     centroid)
+        else:
+            users, steering = [], (0.0, math.pi / 2.0, poa.min_beam_width)
+        assert beam == BeamConfig(beam.beam_id, poa.id, *steering, frozenset(users))
+
+    shuffled = {b: (data.draw(st.permutations(us)), c) for b, (us, c) in groups.items()}
+    assert geometry_of(scenario, shuffled) == got
+
+    poa = data.draw(st.sampled_from(scenario.poas))
+    relabel = dict(zip(poa.beams, data.draw(st.permutations(poa.beams))))
+    moved = geometry_of(scenario, {relabel.get(b, b): g for b, g in groups.items()})
+    assert moved.tx_power == got.tx_power
+    old, back = {b.beam_id: b for b in got.beams}, {n: o for o, n in relabel.items()}
+    assert moved.beams == tuple(replace(old[back.get(b, b)], beam_id=b) for b in scenario.all_beams)
+
+    beams = scenario.all_beams
+    clustering = cluster_users(list(scenario.users), len(beams), CtmConfig(seed=seed))
+    assignment = match_clusters(clustering, beams, scenario)
+    own = {b: (clustering.members(c), clustering.centroids[c])
+           for b, c in assignment.items() if clustering.centroids[c] is not None}
+    assert geometry_of(scenario, own) == build_geometry(scenario, CtmConfig(seed=seed))
+
+
+# sha256 (first 16 hex digits), per built-in, of CtM's geometry
+# ``build_geometry(builtin_scenario(world, s), CtmConfig(seed=s))`` for
+# s = 0-29: each beam in order adds its id and owner, the float64 bytes of
+# its azimuth, zenith and width, and its served users sorted (a frozenset's
+# own order follows PYTHONHASHSEED). Computed with cellless 0.7.2 on numpy
+# 2.4.6; float bytes can differ on other numpy versions, so the
+# numpy-floor CI job does not run this test.
+_PINNED_GEOMETRY = {
+    "inf-dh-desk": "a10adc5c366894ac",
+    "umi-sc-desk": "2051e13b79eb4c5f",
+    "inf-dh-default": "c9af7250d2abffcd",
+    "umi-sc-default": "e9c8530e6576a5f7",
+}
+
+
+@pytest.mark.parametrize("world", sorted(_PINNED_GEOMETRY))
+def test_ctm_geometry_is_pinned_on_every_builtin(world):
+    """CtM's beams on each built-in, seeds 0-29, keep the bits of 0.7.2."""
+    digest = hashlib.sha256()
+    for seed in range(30):
+        for b in build_geometry(builtin_scenario(world, seed), CtmConfig(seed=seed)).beams:
+            digest.update(f"{b.beam_id}\0{b.owner_poa}\0".encode())
+            digest.update(np.array([b.azimuth, b.zenith, b.width], dtype=float).tobytes())
+            digest.update("\0".join(sorted(b.served_users)).encode() + b"\n")
+    assert digest.hexdigest()[:16] == _PINNED_GEOMETRY[world]
 
 
 # -- pipeline ------------------------------------------------------------------

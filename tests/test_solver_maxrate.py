@@ -228,10 +228,12 @@ def test_a_stack_built_on_the_last_one_equals_a_fresh_stack(data):
 
 def _relisted(solution, rng):
     """``solution`` with its beam objects listed in a random order, or
-    without one of its idle beams, chosen by ``rng``."""
+    without one of its idle beams, chosen by ``rng``. The last beam listed
+    stays: a scenario has at least one beam, so no state the solvers reach
+    lists none, and a move on such a listing has no beam to draw."""
     beams = list(solution.beams)
     idle = [i for i, b in enumerate(beams) if not b.active]
-    if idle and rng.random() < 0.5:
+    if idle and len(beams) > 1 and rng.random() < 0.5:
         event("a relisting dropped an idle beam")
         del beams[idle[rng.integers(len(idle))]]
     else:

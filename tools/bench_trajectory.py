@@ -32,7 +32,10 @@ the one this script sits in), so the same script measures any commit:
   that changes no live row, is left out; the median over a fixed sequence
   of moves); and one whole
   default-annealer ``solve_maxrate`` on a fresh ``Evaluator`` (the path
-  of perfbench's maxrate-desk, whose time is mostly steering). The fill's
+  of perfbench's maxrate-desk, whose time is mostly steering). Beside
+  them, ``reduce_powers_sweeps`` counts the sweeps of the least power
+  search, the ``radio_metrics._least_watts`` calls of one untimed
+  ``reduce_powers`` on a fresh ``Evaluator``. The fill's
   two kernel steps are timed on one PoA's links to the users, one
   realization block, on ``inf-dh-desk`` (isotropic elements) and
   ``umi-sc-desk`` (3GPP elements): ``channel.link_terms`` per block and
@@ -205,6 +208,26 @@ def _repeat(run, repeats: int) -> dict:
             for name, s in raw.items()}
 
 
+def count_least_watts(fn, *args) -> int:
+    """The number of ``radio_metrics._least_watts`` calls, each one sweep
+    of the least power search, that one call ``fn(*args)`` makes. The
+    module attribute is wrapped for the call and restored after it."""
+    from cellless import radio_metrics as rm
+
+    original, calls = rm._least_watts, []
+
+    def counted(*inner):
+        calls.append(None)
+        return original(*inner)
+
+    rm._least_watts = counted
+    try:
+        fn(*args)
+    finally:
+        rm._least_watts = original
+    return len(calls)
+
+
 def time_solver_layers(seed: int, repeats: int) -> dict:
     """Medians of the evaluator and solver layers on the ctm-desk world."""
     from cellless.radio_metrics import Evaluator
@@ -240,6 +263,8 @@ def time_solver_layers(seed: int, repeats: int) -> dict:
 
     return {"world": "inf-dh-desk placed with seed 1", "channel_seed": seed,
             "realizations": REALIZATIONS, "anneal_moves_per_repeat": MOVES,
+            "reduce_powers_sweeps": count_least_watts(
+                reduce_powers, geometry, Evaluator(scenario, seed, REALIZATIONS)),
             **_repeat(repeat, repeats)}
 
 

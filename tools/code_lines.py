@@ -11,9 +11,12 @@ Usage::
 
     python tools/code_lines.py                  # src/cellless
     python tools/code_lines.py src/cellless/radio_metrics.py tools
+    python tools/code_lines.py src/cellless/radio_metrics.py::Evaluator.least_powers
 
 Prints each file's count and the total; a directory counts its ``*.py``
-files, recursively.
+files, recursively. ``FILE::QUALNAME`` counts the code lines of one
+function or class of ``FILE``, its decorators included and its
+docstrings left out, named by its dotted path from the module.
 """
 
 import argparse
@@ -43,13 +46,34 @@ def docstring_lines(tree: ast.AST) -> set:
     return lines
 
 
-def code_lines(source: str) -> int:
-    """The number of code lines in the Python ``source``."""
+def code_line_numbers(source: str) -> set:
+    """The numbers of the code lines in the Python ``source``."""
     lines = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in LAYOUT:
             lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines - docstring_lines(ast.parse(source)))
+    return lines - docstring_lines(ast.parse(source))
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines in the Python ``source``."""
+    return len(code_line_numbers(source))
+
+
+def definition_lines(source: str, qualname: str) -> int:
+    """The number of code lines of the function or class ``qualname``
+    (dotted, as ``Evaluator.least_powers``) in the Python ``source``, from
+    its first decorator to its last line. Raises ``LookupError`` when no
+    such definition exists."""
+    scope = ast.parse(source)
+    for name in qualname.split("."):
+        scope = next((node for node in ast.iter_child_nodes(scope)
+                      if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                      and node.name == name), None)
+        if scope is None:
+            raise LookupError(f"no definition {qualname!r}")
+    first = min([scope.lineno] + [d.lineno for d in scope.decorator_list])
+    return len(code_line_numbers(source) & set(range(first, scope.end_lineno + 1)))
 
 
 def python_files(paths) -> list:
@@ -63,13 +87,19 @@ def python_files(paths) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("paths", nargs="*", default=[str(ROOT / "src" / "cellless")],
-                        help="files or directories (default: src/cellless)")
+                        help="files, directories or FILE::QUALNAME (default: src/cellless)")
     args = parser.parse_args(argv)
     total = 0
-    for path in python_files(args.paths):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d} {path}")
+    for arg in args.paths:
+        path, _, qualname = arg.partition("::")
+        for file in python_files([path]):
+            source = file.read_text(encoding="utf-8")
+            try:
+                count = definition_lines(source, qualname) if qualname else code_lines(source)
+            except LookupError as err:
+                parser.error(f"{file}: {err}")
+            total += count
+            print(f"{count:6d} {file}{'::' + qualname if qualname else ''}")
     print(f"{total:6d} total")
     return 0
 
