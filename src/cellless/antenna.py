@@ -30,6 +30,8 @@ the ratio's limit, are found among the few whose |m*Im z| is at most
 fl(m*1e-12). The test writes contiguous buffers, not a strided view of z.
 The ratio is kept as r + 0j, the operand numpy would cast it to, so the
 field's product with it is a plain complex product.
+Every unit phasor exp(i*x) of an angle, u_v, u_h and a ray's phase, is
+made from one tangent of x/2 (``unit_phasor``).
 ``channel.link_terms`` lays out a block's rays and direct paths as one
 flat set of terms, so one call steers all of them.
 """
@@ -192,12 +194,25 @@ class PanelTerms:
 
 
 def unit_phasor(x, out=None):
-    """exp(1j*x) of a real array, from one cosine and one sine, written
-    into ``out`` (a complex array of x's shape) if given."""
+    """exp(1j*x) of a real array from one tangent, t = tan(x/2): sin x =
+    2t / (1 + t^2) and cos x = (1 - t^2) / (1 + t^2), its numerator formed
+    as 2 - (1 + t^2); written into ``out`` (a complex array of x's shape)
+    if given. numpy's float64 tangent has a SIMD loop where its cosine and
+    sine may be scalar libm loops. It runs in place on a contiguous
+    scratch array (in place on the strided ``out.imag`` it runs at half
+    speed), and only the last pass of each part writes into ``out``. The
+    tangent of a finite double is finite and far below 1e154, so t^2
+    cannot overflow."""
     if out is None:
         out = np.empty(np.shape(x), dtype=complex)
-    np.cos(x, out=out.real)
-    np.sin(x, out=out.imag)
+    t = np.multiply(x, 0.5, out=np.empty(np.shape(x)))
+    np.tan(t, out=t)
+    den = np.multiply(t, t)
+    den += 1.0
+    t += t
+    np.divide(t, den, out=out.imag)
+    np.subtract(2.0, den, out=t)
+    np.divide(t, den, out=out.real)
     return out
 
 

@@ -36,7 +36,8 @@ pathloss-and-shadowing power factor. The phasors and weights are laid
 out flat, every ray and then every direct path. A ray's angles are its
 cluster's mean plus a shared offset, so its cos(theta), sin(theta) and
 sin(phi) come by angle addition from per-cluster and per-offset cosines
-and sines, and its only trigonometry is one cosine and sine per phasor.
+and sines, and its only trigonometry is one tangent per phasor
+(``antenna.unit_phasor``).
 ``steered_energy``
 applies one beam and returns each link's energy at 1 W: each path's
 weight times, per panel axis, z^m and the array ratio of its steered
@@ -356,8 +357,9 @@ def _ray_terms(link: LinkRealization, geom: PanelGeometry, los: PanelTerms,
     ``los_weight``. A ray's pi*d*cos(theta), pi*d*sin(theta) and sin(phi)
     come by angle addition from the cosine and sine of its cluster's mean
     and of its shared offset, so the only per-ray trigonometry is the
-    three unit phasors. A cluster with a ray whose zenith leaves [0, pi] takes its
-    rays' clipped zeniths, as ``aod_zenith`` does. Each per-ray array is
+    three unit phasors, one tangent each. A cluster with a ray whose
+    zenith leaves [0, pi] takes its rays' clipped zeniths, as
+    ``aod_zenith`` does. Each per-ray array is
     freed or overwritten once read, and each flat output is allocated when
     its phasor is made, which keeps a block's peak memory near that of its
     three phasors."""

@@ -12,7 +12,7 @@ from cellless.antenna import (BEAMWIDTH_CONSTANT, ELEMENT_SPACING, ISOTROPIC, TH
                               FieldWork, PanelGeometry, PanelTerms, SteeringDirection,
                               _array_ratio, _steering, beam_phasor, element_field,
                               element_gain_db, fold_weight, panel_field, panel_terms, steered_sum,
-                              width_to_panel, wrap_angle)
+                              unit_phasor, width_to_panel, wrap_angle)
 from cellless.channel import (ChannelParams, LosModel, direct_paths, link_terms, link_uniforms,
                               sample_link, steered_energy)
 
@@ -394,6 +394,75 @@ def test_wrap_angle_range_and_congruence():
     assert np.all(np.minimum(r, 2.0 * math.pi - r) < 1e-9)
     assert wrap_angle(math.pi) == pytest.approx(math.pi)
     assert wrap_angle(-math.pi) == pytest.approx(math.pi)
+
+
+def _ulps_from(x, ulps):
+    """The double ``ulps`` steps above ``x`` (below it if negative)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+#: Doubles within 4 ulp of fl(k*pi), k = +-1, +-3, where tan(x/2) is largest.
+_NEAR_ODD_PI = [_ulps_from(k * math.pi, u) for k in (-3, -1, 1, 3) for u in range(-4, 5)]
+
+
+def _assert_cos_sin_on_the_circle(x):
+    got = unit_phasor(x)
+    assert np.abs(got - (np.cos(x) + 1j * np.sin(x))).max() <= 1e-15
+    assert np.abs(np.abs(got) - 1.0).max() <= 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(st.floats(-4.0 * math.pi, 4.0 * math.pi) | st.sampled_from(_NEAR_ODD_PI),
+                  min_size=1, max_size=40))
+def test_unit_phasor_is_cos_plus_i_sin(x):
+    """Within 1e-15 of cos x + i sin x, and of modulus 1, on [-4 pi, 4 pi]
+    and next to odd multiples of pi."""
+    _assert_cos_sin_on_the_circle(np.array(x))
+
+
+def test_unit_phasor_is_cos_plus_i_sin_on_a_dense_grid():
+    """The same bounds on a million-point grid of [-4 pi, 4 pi]."""
+    _assert_cos_sin_on_the_circle(np.linspace(-4.0 * math.pi, 4.0 * math.pi, 1_000_001))
+    _assert_cos_sin_on_the_circle(np.array(_NEAR_ODD_PI))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+# The first is the double nearest a multiple of pi/2: at the second, twice
+# it, tan(x/2) is about -2.1e18.
+@example(x=[6381956970095103 * 2.0 ** 797, 6381956970095103 * 2.0 ** 798, 1e300, -1e300,
+            5e-324, -0.0])
+def test_unit_phasor_is_finite_and_unit_wherever_x_is_finite(x):
+    got = unit_phasor(np.array(x))
+    assert np.isfinite(got).all()
+    assert np.abs(np.abs(got) - 1.0).max() <= 1e-15
+
+
+def test_unit_phasor_keeps_a_0d_input_0d():
+    """Scalar angles (``panel_field`` at one direction) give 0-d arrays."""
+    want = unit_phasor(np.array([1.0]))[0]
+    for x in (1.0, np.float64(1.0), np.array(1.0)):
+        got = unit_phasor(x)
+        assert isinstance(got, np.ndarray) and got.shape == () and got == want
+    out = np.empty((), dtype=complex)
+    assert unit_phasor(np.array(1.0), out=out) is out and out == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from([(1,), (7,), (2, 3), (3, 4, 5), (1, 6, 1)]),
+       pad=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_unit_phasor_into_a_reshaped_view_equals_a_fresh_result(shape, pad, seed):
+    """Written into a reshaped view of a longer flat array, as
+    ``channel.link_terms`` lays out its rays, the phasors are a fresh
+    call's byte for byte, and the rest of the array is untouched."""
+    x = np.random.default_rng(seed).uniform(-4.0 * math.pi, 4.0 * math.pi, shape)
+    flat = np.full(x.size + pad, 7.0 + 7.0j)
+    view = flat[:x.size].reshape(shape)
+    assert unit_phasor(x, out=view) is view
+    assert view.tobytes() == unit_phasor(x).tobytes()
+    assert (flat[x.size:] == 7.0 + 7.0j).all()
 
 
 def test_panel_geometry_validation():

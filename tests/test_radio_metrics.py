@@ -11,6 +11,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cellless import antenna
 from cellless.antenna import (FieldWork, PanelGeometry, SteeringDirection, width_to_panel,
                               wrap_angle)
 from cellless import channel as ch
@@ -23,7 +24,7 @@ from cellless.radio_metrics import (NOISE_DENSITY_W_HZ, Evaluator, SolutionInval
 from cellless.scenario import (EndUser, Human, PoA, Position3D, Scenario, ValidationError,
                                builtin_scenario)
 from cellless.solution import BeamConfig, SolutionState, validate
-from cellless.solver_ctm import CtmConfig, build_geometry
+from cellless.solver_ctm import CtmConfig, NoFeasibleSolutionError, build_geometry, solve_ctm
 from cellless.solver_maxrate import ANGLE_STEP, objective, solve_maxrate
 from conftest import (assert_links_match, make_poa, make_tiny_scenario, nearest_poa, one_link,
                       serving_beam, too_close_world)
@@ -1081,14 +1082,16 @@ def test_one_steering_workspace_per_evaluator(monkeypatch):
 # sha256 (first 16 hex digits) of the float64 bytes of the per_user_rate and
 # per_human_sar values of ``evaluate`` at maximum power on CtM's geometry, in
 # scenario order, with placement, channel and k-means seed 1 at 10
-# realizations. Computed with cellless 0.7.1 on numpy 2.4.6; float bytes can
-# differ on other numpy versions, so the numpy-floor CI job does not run this
-# test.
+# realizations. Computed with cellless 0.8.0 on numpy 2.4.6, whose float64
+# np.tan (every unit phasor's one tangent since 0.8.0) runs an AVX512 loop on
+# CPUs that have it and libm elsewhere, as np.log1p in the link draws does;
+# float bytes can differ on other numpy versions and CPUs, so the numpy-floor
+# CI job does not run this test.
 _PINNED_EVALUATE = {
-    "inf-dh-desk": ("b9cd104c077cbad3", "7cdf367e8976a299"),
-    "umi-sc-desk": ("6240b6f7ad15b089", "226d8da8ffc5dcb1"),
-    "inf-dh-default": ("ade0f0ddd8676847", "12b6fdde3f5f1a39"),
-    "umi-sc-default": ("c66304385d59c81f", "1d36051dd1358150"),
+    "inf-dh-desk": ("7afca2661b5f9361", "0c27cfd24f9c69c5"),
+    "umi-sc-desk": ("92253fe20d2475ac", "b085b083008701cc"),
+    "inf-dh-default": ("242daf1da3ec8bd6", "2b7af7c584f6eb18"),
+    "umi-sc-default": ("d8a5b7300f71c194", "4c55dde2edadc001"),
 }
 
 
@@ -1104,6 +1107,53 @@ def test_evaluate_at_max_power_is_pinned(world):
 
     assert (digest(list(bundle.per_user_rate.values())),
             digest(list(bundle.per_human_sar.values()))) == _PINNED_EVALUATE[world]
+
+
+def _cos_sin_phasor(x, out=None):
+    """Frozen copy of ``antenna.unit_phasor`` before 0.8.0: exp(1j*x) from
+    one cosine and one sine."""
+    if out is None:
+        out = np.empty(np.shape(x), dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
+def _ctm_outcome(scenario):
+    """A CtM solve on 10 realizations at seed 1: (the filled tables of each
+    part, the verdict and blocking set, the powers in dBm of a feasible
+    verdict)."""
+    ev = Evaluator(scenario, 1, 10)
+    try:
+        _, bundle = solve_ctm(ev)
+        verdict, powers = (bundle.violated, {}), bundle.per_poa_power
+    except NoFeasibleSolutionError as err:
+        verdict, powers = (err.violated, err.blocking), None
+    return {k: part.tables for k, part in ev._parts.items()}, verdict, powers
+
+
+@pytest.mark.parametrize("world", ["inf-dh-desk", "umi-sc-desk", "inf-dh-default",
+                                   "umi-sc-default"])
+def test_ctm_tables_and_verdict_match_the_cos_sin_phasor_oracle(world, monkeypatch):
+    """Every users and humans table a CtM solve fills on its geometry is,
+    to 1e-11 relative, the one filled with unit phasors from a cosine and a
+    sine, and the solve reaches the same verdict and blocking set, with
+    least powers within 1e-9 dB."""
+    scenario = builtin_scenario(world, 1)
+    for module in (antenna, ch):
+        monkeypatch.setattr(module, "unit_phasor", _cos_sin_phasor)
+    want_tables, want_verdict, want_powers = _ctm_outcome(scenario)
+    monkeypatch.undo()
+    tables, verdict, powers = _ctm_outcome(scenario)
+    assert {k: set(t) for k, t in tables.items()} == {k: set(t) for k, t in want_tables.items()}
+    for k, part in tables.items():
+        for key, table in part.items():
+            np.testing.assert_allclose(table, want_tables[k][key], rtol=1e-11, atol=0.0)
+    assert verdict == want_verdict
+    assert (powers is None) == (want_powers is None)
+    if powers is not None:
+        assert powers.keys() == want_powers.keys()
+        assert all(abs(powers[p] - want_powers[p]) <= 1e-9 for p in powers)
 
 
 # ---------------------------------------------------------------------------

@@ -475,8 +475,11 @@ def test_an_anneal_move_keys_at_most_two_rows_per_objective(monkeypatch):
 #: Pinned when a move that changed no live row kept the current score
 #: without an ``objective`` call, which then made 2,634 calls on seed 0.
 #: Seed 1 is cellless 0.7.1's: its first state, CtM's geometry, steers by
-#: the links' azimuths since then.
-_PINNED_ANNEAL_TRACES = {0: "70028ebdc5b8c0e0", 1: "4199dfe5d1b32d2f", 2: "65f8a14cd36a689a"}
+#: the links' azimuths since then. Re-pinned at 0.8.0, whose unit phasors
+#: come from one float64 np.tan (an AVX512 loop on CPUs that have it, libm
+#: elsewhere, as np.log1p in the link draws); every accept flag of the
+#: three traces is 0.7.2's.
+_PINNED_ANNEAL_TRACES = {0: "9f281e2db13ace47", 1: "e46efb2ff832ef31", 2: "6288a912051f5e12"}
 
 
 @pytest.mark.parametrize("seed", sorted(_PINNED_ANNEAL_TRACES))
