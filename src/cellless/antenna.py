@@ -135,6 +135,16 @@ class FieldWork:
             raise ValueError(f"a workspace of {self.size} angles cannot steer {size}")
         return (*(b[:size] for b in self._buffers), self._scaled[:size])
 
+    def scratch(self, size: int) -> tuple:
+        """Two contiguous real arrays of ``size`` entries in the field
+        buffer's memory, which every ``steered_sum`` overwrites: scratch
+        for ``unit_phasor`` between two steerings. More than ``self.size``
+        raises ``ValueError``."""
+        if size > self.size:
+            raise ValueError(f"a workspace of {self.size} angles has no scratch of {size}")
+        reals = self._buffers[0].view(float)
+        return reals[:size], reals[size:2 * size]
+
 
 def _power(z, m: int, out):
     """``out = z**m`` for an integer m >= 1, by left-to-right repeated
@@ -193,21 +203,24 @@ class PanelTerms:
     u_h: np.ndarray   # exp(1j*pi*d_h*sin(phi)*sin(theta)), along a row
 
 
-def unit_phasor(x, out=None):
+def unit_phasor(x, out=None, work=None):
     """exp(1j*x) of a real array from one tangent, t = tan(x/2): sin x =
     2t / (1 + t^2) and cos x = (1 - t^2) / (1 + t^2), its numerator formed
     as 2 - (1 + t^2); written into ``out`` (a complex array of x's shape)
     if given. numpy's float64 tangent has a SIMD loop where its cosine and
     sine may be scalar libm loops. It runs in place on a contiguous
     scratch array (in place on the strided ``out.imag`` it runs at half
-    speed), and only the last pass of each part writes into ``out``. The
-    tangent of a finite double is finite and far below 1e154, so t^2
-    cannot overflow."""
+    speed), and only the last pass of each part writes into ``out``. Its
+    two scratch arrays are ``work``'s (``FieldWork.scratch``) if given,
+    else new ones. The tangent of a finite double is finite and far below
+    1e154, so t^2 cannot overflow."""
     if out is None:
         out = np.empty(np.shape(x), dtype=complex)
-    t = np.multiply(x, 0.5, out=np.empty(np.shape(x)))
+    size = np.size(x)
+    t, den = (np.empty(size), np.empty(size)) if work is None else work.scratch(size)
+    t = np.multiply(x, 0.5, out=t.reshape(np.shape(x)))
     np.tan(t, out=t)
-    den = np.multiply(t, t)
+    den = np.multiply(t, t, out=den.reshape(t.shape))
     den += 1.0
     t += t
     np.divide(t, den, out=out.imag)

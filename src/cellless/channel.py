@@ -341,17 +341,18 @@ class LinkTerms:
     scale: np.ndarray           # linear pathloss-and-shadowing power factor
 
 
-def _phasors_then(x, tail):
+def _phasors_then(x, tail, work):
     """One flat complex array: exp(1j*x) of the per-ray array ``x``, then
-    the direct paths' ``tail``."""
+    the direct paths' ``tail``; ``unit_phasor``'s scratch is ``work``'s
+    if it is not None."""
     out = np.empty(x.size + np.size(tail), dtype=complex)
-    unit_phasor(x, out=out[:x.size].reshape(x.shape))
+    unit_phasor(x, out=out[:x.size].reshape(x.shape), work=work)
     out[x.size:] = np.reshape(tail, -1)
     return out
 
 
 def _ray_terms(link: LinkRealization, geom: PanelGeometry, los: PanelTerms,
-               los_weight) -> tuple:
+               los_weight, work) -> tuple:
     """The flat axis phasors and folded weights of every ray, from
     per-cluster angles, each followed by the direct paths' ``los`` and
     ``los_weight``. A ray's pi*d*cos(theta), pi*d*sin(theta) and sin(phi)
@@ -391,22 +392,25 @@ def _ray_terms(link: LinkRealization, geom: PanelGeometry, los: PanelTerms,
         col_step[clipped] = spacing * np.cos(theta)
         row_step[clipped] = spacing * np.sin(theta)
     row_step *= np.sin(azimuth) * np.cos(spread) + np.cos(azimuth) * np.sin(spread)
-    u_v = _phasors_then(col_step, los.u_v)
+    u_v = _phasors_then(col_step, los.u_v, work)
     phase = np.subtract(link.phases, col_step, out=col_step)
     phase -= row_step
-    u_h = _phasors_then(row_step, los.u_h)
+    u_h = _phasors_then(row_step, los.u_h, work)
     del row_step
-    weight = _phasors_then(phase, los_weight)
+    weight = _phasors_then(phase, los_weight, work)
     if element is not None:
         rays = weight[:phase.size].reshape(phase.shape)
         np.multiply(rays, element, out=rays)
     return PanelTerms(u_v, u_h), weight
 
 
-def link_terms(link: LinkRealization, geom: PanelGeometry) -> LinkTerms:
+def link_terms(link: LinkRealization, geom: PanelGeometry,
+               work: FieldWork | None = None) -> LinkTerms:
     """Steering-independent terms of ``steered_energy`` for every link.
 
-    Only ``geom``'s mechanical azimuth and element pattern are read.
+    Only ``geom``'s mechanical azimuth and element pattern are read. With
+    ``work``, a ``FieldWork`` of at least the links' rays, the ray phasors'
+    scratch is its memory, free until the terms are steered.
     """
     # K, 0 off LoS, reduces the Rician mix there to the pure scattered term.
     k = link.rician_k
@@ -416,7 +420,7 @@ def link_terms(link: LinkRealization, geom: PanelGeometry) -> LinkTerms:
     los = panel_terms(zen0, az0)
     los_weight = fold_weight(element_field(geom.element_pattern, zen0, az0), los,
                              np.exp(-1j * 2.0 * math.pi * link.d_3d / lam))
-    panel, weight = _ray_terms(link, geom, los, los_weight)
+    panel, weight = _ray_terms(link, geom, los, los_weight, work)
     return LinkTerms(
         panel=panel,
         weight=weight,

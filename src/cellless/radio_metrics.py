@@ -107,8 +107,10 @@ interference function of the power vector, whose least fixed point is
 the answer; Newton's steps approach it up from 0 W, capped at a feasible
 start (the solution's own powers when they meet every floor), so the
 vector found depends on the solution's beams alone, and two vectors
-either side of it confirm it. Every answer is confirmed by one ``metrics``
-(``solver_ctm.reduce_powers``), the verdict ``solve_ctm`` returns.
+either side of it confirm it. A step's trials cost at most three sweeps:
+Newton's trial, a chord trial where that overshoots, and the plain step.
+Every answer is confirmed by one ``metrics`` (``solver_ctm.reduce_powers``),
+the verdict ``solve_ctm`` returns.
 """
 
 from __future__ import annotations
@@ -305,7 +307,7 @@ class _Part:
         keep = drawn and bool(self.tables)
         tables = {key: np.empty(self.shape) for key in steered}
         for i, block in enumerate(self.blocks()):
-            terms = ch.link_terms(self.links(block), panel) if drawn else self.kept[i]
+            terms = ch.link_terms(self.links(block), panel, work) if drawn else self.kept[i]
             # The workspace is the Evaluator's, made once: a buffer made per
             # block would be handed back to the system after the block and
             # page-faulted in again at the next.
@@ -667,13 +669,19 @@ class Evaluator:
         The search runs up from 0 W, capped at a feasible start: the
         solution's powers bound the answer when they meet every floor and
         never steer the search, so the vector depends on the solution's
-        beams alone. Each step takes Newton's step to the fixed point of
-        the binding users' needs, within the maxima rounded up and halved
-        until the trial's requirements are at least the trial, so that it
-        stays below the least vector, or else the plain step to the
-        requirements. Where Newton's point has a negative power, J, the
-        binding needs' slopes, has a spectral radius past 1, and the step
-        is taken the other way.
+        beams alone. A step tries at most three vectors, each kept when its
+        requirements are at least itself, so that the search stays below
+        the least vector. First Newton's trial: 0.999 of Newton's step to
+        the fixed point of the binding users' needs, within the maxima
+        rounded up. Where a PoA's requirement there falls short of the
+        trial by ``over``, a chord (regula falsi) trial at the least share
+        short / (short + over) of the way to Newton's trial over those
+        PoAs, short being the PoA's requirement less its watts at the
+        step's start: where requirement less watts, short at the start and
+        -over at Newton's trial, would cross 0 if it were linear between
+        them. Else the plain step to the requirements. Where Newton's point
+        has a negative power, J, the binding needs' slopes, has a spectral
+        radius past 1, and the step is taken the other way.
 
         Once Newton's step is within half the round-up, two vectors that far
         either side of Newton's point confirm it: the one below has
@@ -697,11 +705,10 @@ class Evaluator:
         stack = self.stack(solution)
         poas = self.scenario.poas
         pids, n = [p.id for p in poas], len(poas)
-        # Every PoA at 1 W; then each user's interference from each PoA at 1 W,
-        # (users, PoAs, realizations).
-        unit, _, noise, bandwidth = self._terms(stack, self._watts(stack, dict.fromkeys(pids, 30.0)))
-        crossed = np.stack([self._terms(stack, self._watts(stack, {pid: 30.0}))[1]
-                            for pid in pids], axis=1)
+        # Each PoA alone at 1 W: each user's signal from it (0 but from the
+        # user's serving PoA) and its interference at each user.
+        alone = [self._terms(stack, self._watts(stack, {pid: 30.0}))[:2] for pid in pids]
+        unit, crossed = sum(s for s, _ in alone), np.stack([i for _, i in alone], axis=1)
         floors = np.array([self._rate_floor[uid] for uid in self._user_ids])
         owner = stack.poa_of_beam[stack.serving]
         users = [f"user {uid!r} of PoA {pids[p]!r}" for uid, p in zip(self._user_ids, owner)]
@@ -709,27 +716,27 @@ class Evaluator:
         def image(watts):
             """Each PoA's requirement [W] at ``watts``, each user's need and
             its noise plus interference."""
-            noisy = noise + np.einsum("q,cqr->cr", watts, crossed)
-            need = _least_watts(bandwidth, unit, noisy, floors, users)
+            noisy = stack.noise + np.einsum("q,cqr->cr", watts, crossed)
+            need = _least_watts(stack.bandwidth, unit, noisy, floors, users)
             return np.array([need[owner == p].max(initial=0.0) for p in range(n)]), need, noisy
 
         capped = not self.unmet_floors(solution)
-        at = image(watts := np.zeros(n))
+        want, need, noisy = image(watts := np.zeros(n))
         # The search's box: the maxima rounded up [W].
         top = np.array([ch.dbm_to_watts(p.max_tx_power_dbm) for p in poas]) * _ROUND_UP
         for _ in range(_MOST_STEPS):
-            want, need, noisy = at
             binding = {int(owner[c]): c for c in np.lexsort((-self._all_columns, need)).tolist()}
             if (over := want > top).any():
                 break
-            # Newton's step: a need's slope in each PoA's watts is implicit in its rate equation.
-            spare = noisy + need[:, None] * unit
-            slope = (((need[:, None] * unit / (noisy * spare))[:, None] * crossed).mean(axis=-1)
-                     / (unit / spare).mean(axis=-1)[:, None])
-            jacobian = np.array([slope[binding[p]] if p in binding else np.zeros(n)
-                                 for p in range(n)])
-            ahead, along = np.linalg.lstsq(np.eye(n) - jacobian, np.stack([want - watts, want], 1),
-                                           rcond=None)[0].T
+            # Newton's step: a need's slope in each PoA's watts is implicit in its rate
+            # equation, where ``own`` is each realization's rate slope in the need's own
+            # watts (times ln 2 / bandwidth). Its system is 1 - J, J the binding needs' slopes.
+            own = unit / (noisy + need[:, None] * unit)
+            slope = np.einsum("cr,cqr->cq", own / noisy, crossed) * (need / own.sum(-1))[:, None]
+            system = np.eye(n)
+            system[list(binding)] -= slope[list(binding.values())]
+            short = np.maximum(want - watts, 0.0)  # want >= watts but for rounding
+            ahead, along = np.linalg.lstsq(system, np.stack([short, want], 1), rcond=None)[0].T
             # Confirmed either side of Newton's point along (1 - J)^-1 want: see above.
             center, along = np.maximum(watts + ahead, 0.0), np.where(want > 0.0, along, 0.0)
             step = along * min((center[along > 0] / along[along > 0]).tolist(), default=0.0) * (
@@ -740,11 +747,14 @@ class Evaluator:
                 break
             if (watts + ahead < 0.0).any():  # (1 - J)^-1 turned: J's spectral radius is past 1
                 ahead = -ahead
-            for share in [*0.999 / 2.0 ** np.arange(10), 0.0]:  # 0: the plain step
-                at = image(trial := np.maximum(np.clip(watts + share * ahead, 0.0, top), want))
-                if not share or np.all(at[0] >= trial):
-                    watts = trial
+            trial = np.clip(watts + 0.999 * ahead, want, top)
+            for chord in (True, False, None):  # Newton's trial, a chord trial, the plain step
+                want, need, noisy = image(trial)
+                if chord is None or np.all(trial <= want):
                     break
+                share = np.divide(short, short + trial - want, out=np.ones(n), where=trial > want)
+                trial = watts + np.maximum(chord * share.min() * (trial - watts), short)
+            watts = trial
         else:
             if not capped:
                 raise RuntimeError(f"no least power vector in {_MOST_STEPS} steps")

@@ -365,6 +365,14 @@ def _phantoms(value):
 # deployment, and far below 1e154 m, past which a squared distance
 # overflows inside the channel.
 _FAR = 1e6
+# The least rate floor [bit/s] per Hz of any PoA's band. A floor's SINR is
+# then at least 2^1e-8 - 1, about 6.9e-9, which 1 + SINR holds in float64
+# to a spacing of 3.2e-8 of itself: a seventh of the least powers' 1e-6 dB
+# round-up (``radio_metrics.ROUND_UP_DB``, 2.3e-7 in watts). So every floor
+# that validates is resolved by ``shannon_rate`` at every PoA's bandwidth.
+# Far below it 1 + SINR rounds to 1 and the rate reads 0: a floor of 1e-18
+# bit/s at 20 MHz ran CtM's least-watts search to its step bound.
+_LEAST_FLOOR_PER_HZ = 1e-8
 # x and y must lie inside the scenario's bounds (``_check_position``).
 _POSITION_KEYS = {"x": ("x", _real, _same), "y": ("y", _real, _same),
                   "z": ("z", _real, _same, _Interval(0.0, _FAR, "[]"))}
@@ -375,12 +383,13 @@ _float_map = _map_of(_float_key, _real)
 # A PoA's carrier is at most 300 GHz, where ICNIRP's radio-frequency
 # guidelines, and the SAR chain that applies them, end; its maximum power
 # is at most 100 dBm (10 MW). Far past either, the power density's f^2 or
-# the maximum in watts overflows inside a solve.
+# the maximum in watts overflows inside a solve. Its band is no wider than
+# the highest carrier, 300 GHz, so the least floor below is at most 3 kbit/s.
 _POA_KEYS = {
     "id": _ID,
     "position_m": _POSITION,
     "frequency_hz": ("frequency", _real, _same, _Interval(0.0, 300e9, "]")),
-    "bandwidth_hz": ("bandwidth", _real, _same, _POSITIVE),
+    "bandwidth_hz": ("bandwidth", _real, _same, _Interval(0.0, 300e9, "]")),
     "max_tx_power_dbm": ("max_tx_power_dbm", _real, _same, _Interval(-math.inf, 100.0, "]")),
     "min_beam_width_deg": ("min_beam_width", _radians, math.degrees,
                            _Interval(0.0, math.pi, "]")),
@@ -391,7 +400,8 @@ _POA_KEYS = {
     "element_pattern": ("element_pattern", _text, _same, _OneOf(ELEMENT_PATTERNS)),
 }
 # A floor of 0 is met at any power, so CtM's power step would never stop
-# lowering its PoA; a NaN floor is never met.
+# lowering its PoA; a NaN floor is never met. A floor is also at least
+# _LEAST_FLOOR_PER_HZ times the widest PoA band (``_validate``).
 _USER_KEYS = {"id": _ID, "position_m": _POSITION,
               "required_rate_bps": ("required_rate", _real, _same, _POSITIVE)}
 _HUMAN_KEYS = {"id": _ID, "position_m": _POSITION,
@@ -503,10 +513,11 @@ def _check_fields(obj):
 def _validate(s: Scenario) -> IdIndex:
     """Every field of ``s`` in the range beside its key, then the rules that
     span fields: unique ids, string beam ids each owned by one PoA, positions
-    inside the bounds, linked humans on their users and at most one per
-    user, every PoA frequency mapped and every worn phantom's SAR_ref
-    covering the mapped ones. Returns the id index of ``s``, built from
-    the maps that find repeated ids."""
+    inside the bounds, rate floors resolvable at the widest PoA band, linked
+    humans on their users and at most one per user, every PoA frequency
+    mapped and every worn phantom's SAR_ref covering the mapped ones.
+    Returns the id index of ``s``, built from the maps that find repeated
+    ids."""
     _check_ranges(s, _SCENARIO_KEYS)
     if len(s.bounds) < 2:
         raise ValidationError("bounds_m", "needs a length and a width")
@@ -529,10 +540,16 @@ def _validate(s: Scenario) -> IdIndex:
     if not owners:
         raise ValidationError("poas", "no PoA has a beam")
     users, user_ids = {}, set()
+    widest = max(p.bandwidth for p in s.poas)
     for i, u in enumerate(s.users):
         path = f"users[{i}]"
         if u.id in poas or u.id in users:
             raise ValidationError(f"{path}.id", f"duplicate id {u.id!r}")
+        if u.required_rate < _LEAST_FLOOR_PER_HZ * widest:
+            raise ValidationError(
+                f"{path}.required_rate_bps",
+                f"must be at least {_LEAST_FLOOR_PER_HZ * widest:g} bit/s, {_LEAST_FLOOR_PER_HZ:g}"
+                f" per Hz of the widest PoA band ({widest:g} Hz), got {u.required_rate!r}")
         users[u.id] = i
         user_ids.add(u.id)
         _check_position(u.position, s, f"{path}.position_m")

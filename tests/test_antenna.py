@@ -292,6 +292,13 @@ def test_field_work_refuses_more_angles_than_it_holds():
     terms = panel_terms(np.full(9, 1.0), np.zeros(9))
     with pytest.raises(ValueError, match=r"of 5 angles cannot steer 9"):
         steered_sum(PanelGeometry(4, 4), terms, np.ones(9), SteeringDirection(1.0, 0.0), work)
+    # Its scratch for unit_phasor: two real arrays in the field buffer's memory.
+    field = work.take(5)[0]
+    assert all(a.shape == (5,) and a.dtype == float and np.shares_memory(a, field)
+               and a.flags.c_contiguous for a in work.scratch(5))
+    assert not np.shares_memory(*work.scratch(5))
+    with pytest.raises(ValueError, match=r"of 5 angles has no scratch of 6"):
+        work.scratch(6)
 
 
 #: The panels of the built-in worlds: isotropic 16 x 32 and 3GPP 16 x 64.
@@ -463,6 +470,11 @@ def test_unit_phasor_into_a_reshaped_view_equals_a_fresh_result(shape, pad, seed
     assert unit_phasor(x, out=view) is view
     assert view.tobytes() == unit_phasor(x).tobytes()
     assert (flat[x.size:] == 7.0 + 7.0j).all()
+    # So are they with the scratch of a workspace of at least x's size, as
+    # an Evaluator's fill passes it, whatever the workspace held.
+    work = FieldWork(x.size + pad)
+    work.take(work.size)[0][:] = 7.0 + 7.0j
+    assert unit_phasor(x, work=work).tobytes() == view.tobytes()
 
 
 def test_panel_geometry_validation():

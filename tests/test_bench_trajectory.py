@@ -57,10 +57,13 @@ def test_parse_perfbench_refuses_a_malformed_op_line(trajectory):
         trajectory.parse_perfbench(["workload w seed 0 trace 0", "op 0 broken"])
 
 
-def test_layer_run_is_stored_under_its_label(trajectory, tmp_path):
+def test_layer_run_is_stored_under_its_label(trajectory, tmp_path, monkeypatch):
     """Two runs into one file keep both labels; each holds every layer, in
-    raw and in reference-core seconds, the paper-scale ones too, and the
-    minor page faults of the paper world's first ``metrics``."""
+    raw and in reference-core seconds, the paper-scale ones too, the minor
+    page faults of the paper world's first ``metrics``, and the least power
+    sweeps of each sweep world (here two of the 43, for time)."""
+    assert sum(len(seeds) for _, _, seeds in trajectory.SWEEP_WORLDS) == 43
+    monkeypatch.setattr(trajectory, "SWEEP_WORLDS", [("inf-dh-desk", None, range(2))])
     out = tmp_path / "bench.json"
     for label in ("parent", "change"):
         code = trajectory.main(["--layers-only", "--repeats", "1", "--out", str(out),
@@ -84,6 +87,8 @@ def test_layer_run_is_stored_under_its_label(trajectory, tmp_path):
     for layer in layers:
         assert layer["samples"] == 1 and layer["median_s"] > 0.0
         assert 0.0 < layer["median_ref_s"] < math.inf
+        # One repeat is its own quartiles.
+        assert layer["q1_ref_s"] == layer["median_ref_s"] == layer["q3_ref_s"]
     # Beside the reduce_powers time, the count of its least-power sweeps.
     sweeps = solver["reduce_powers_sweeps"]
     assert type(sweeps) is int and sweeps > 0
@@ -91,6 +96,21 @@ def test_layer_run_is_stored_under_its_label(trajectory, tmp_path):
     faults = paper["first_metrics_minor_faults"]
     assert isinstance(faults, int) and faults >= 0
     assert paper["first_metrics_minor_faults_by_repeat"] == [faults]
+    # Outside the timed layers, the least power sweeps of each sweep world.
+    counts = runs["change"]["least_powers_sweeps"]
+    assert list(counts["worlds"]) == ["inf-dh-desk/0", "inf-dh-desk/1"]
+    assert all(type(n) is int for n in counts["worlds"].values())
+    assert counts["total"] == sum(counts["worlds"].values()) > 0
+    assert counts["max"] == max(counts["worlds"].values())
+
+
+def test_each_layer_records_the_quartiles_of_its_reference_seconds(trajectory):
+    """Beside its median, a layer keeps the inclusive quartiles of its
+    reference-core seconds, in order."""
+    seconds = iter([0.004, 0.001, 0.003, 0.002, 0.005])
+    layer = trajectory._repeat(lambda: {"step": next(seconds)}, 5)["step"]
+    assert layer["samples"] == 5 and layer["median_s"] == 0.003
+    assert 0.0 < layer["q1_ref_s"] <= layer["median_ref_s"] <= layer["q3_ref_s"] < math.inf
 
 
 def test_count_least_watts_counts_each_call_and_restores_the_search(trajectory, monkeypatch):
@@ -174,6 +194,7 @@ def test_a_given_commit_is_recorded(trajectory, tmp_path, monkeypatch):
     """``--commit`` is what ``env.commit`` records."""
     for layers in ("time_solver_layers", "time_kernel_layers", "time_paper_layers"):
         monkeypatch.setattr(trajectory, layers, lambda seed, repeats: {})
+    monkeypatch.setattr(trajectory, "count_search_sweeps", lambda: {})
     out = tmp_path / "bench.json"
     assert trajectory.main(["--layers-only", "--commit", "0123abc", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["runs"]["change"]["env"]["commit"] == "0123abc"

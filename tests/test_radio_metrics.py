@@ -175,10 +175,10 @@ def _count_link_terms_parts(monkeypatch, ev):
     paths = [((pid, _PART_NAMES[part]), record.paths.d_3d)
              for (pid, part), record in ev._parts.items()]
 
-    def spy(link, geom):
+    def spy(link, geom, work=None):
         (name,) = [name for name, d_3d in paths if np.shares_memory(link.d_3d, d_3d)]
         calls.append(name)
-        return original(link, geom)
+        return original(link, geom, work)
 
     monkeypatch.setattr(ch, "link_terms", spy)
     return calls
@@ -1109,9 +1109,9 @@ def test_evaluate_at_max_power_is_pinned(world):
             digest(list(bundle.per_human_sar.values()))) == _PINNED_EVALUATE[world]
 
 
-def _cos_sin_phasor(x, out=None):
+def _cos_sin_phasor(x, out=None, work=None):
     """Frozen copy of ``antenna.unit_phasor`` before 0.8.0: exp(1j*x) from
-    one cosine and one sine."""
+    one cosine and one sine, which needs no scratch (``work``)."""
     if out is None:
         out = np.empty(np.shape(x), dtype=complex)
     np.cos(x, out=out.real)

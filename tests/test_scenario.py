@@ -250,6 +250,10 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
     (lambda d: d["poas"][1].update(bandwidth_hz=-20e6), "poas[1].bandwidth_hz"),
     (lambda d: d["poas"][1].update(bandwidth_hz=math.inf), "poas[1].bandwidth_hz"),
     (lambda d: d["poas"][1].update(bandwidth_hz=math.nan), "poas[1].bandwidth_hz"),
+    # A band of 1e300 Hz, or a floor of 1e-18 bit/s, ran CtM's least-watts
+    # search to its step bound: 1 + SINR rounded to 1 at every floor.
+    (lambda d: d["poas"][0].update(bandwidth_hz=1e300), "poas[0].bandwidth_hz"),
+    (lambda d: d["users"][0].update(required_rate_bps=1e-18), "users[0].required_rate_bps"),
     (lambda d: d["poas"][2].update(max_tx_power_dbm=math.nan), "poas[2].max_tx_power_dbm"),
     (lambda d: d["poas"][2].update(max_tx_power_dbm=math.inf), "poas[2].max_tx_power_dbm"),
     (lambda d: d["poas"][2].update(max_tx_power_dbm=-math.inf), "poas[2].max_tx_power_dbm"),
@@ -347,7 +351,8 @@ _BAD_INPUTS = pytest.mark.parametrize("mutate, path", [
      "channel_params.azimuth_spread_arr_deg"),
     (lambda d: d["channel_params"].update(zenith_spread_arr_deg=7.0),
      "channel_params.zenith_spread_arr_deg"),
-], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "maxpow-nan", "maxpow-inf",
+], ids=["bw-zero", "bw-negative", "bw-inf", "bw-nan", "bw-far", "user-rate-unresolvable",
+        "maxpow-nan", "maxpow-inf",
         "maxpow-minus-inf", "user-z-nan", "poa-z-inf", "poa-z-far", "bounds-length-inf",
         "bounds-length-far",
         "phantom-sar-ref", "los-kind-unknown", "los-kind-not-text",
@@ -382,6 +387,29 @@ def test_end_user_refuses_a_non_positive_or_non_finite_floor(rate):
     world = builtin_scenario("inf-dh-desk", 0)
     with pytest.raises(ValidationError) as err:
         replace(world, users=(replace(world.users[0], required_rate=rate),) + world.users[1:])
+    assert err.value.path == "users[0].required_rate_bps"
+
+
+def test_a_floor_too_small_to_resolve_at_the_widest_band_is_refused():
+    """Each floor is at least 1e-8 bit/s per Hz of the widest PoA band, so
+    1 + SINR resolves it in float64: at that least floor a world is built,
+    a hair below it is refused at the user's floor key, and widening one
+    PoA's band raises the least floor of every user."""
+    world = builtin_scenario("inf-dh-desk", 0)
+    least = 1e-8 * max(p.bandwidth for p in world.poas)
+
+    def with_floor(rate, poas=world.poas):
+        return replace(world, poas=poas,
+                       users=(replace(world.users[0], required_rate=rate),) + world.users[1:])
+
+    assert with_floor(least).users[0].required_rate == least
+    with pytest.raises(ValidationError) as err:
+        with_floor(least * (1 - 1e-9))
+    assert err.value.path == "users[0].required_rate_bps"
+    wide = (replace(world.poas[0], bandwidth=300e9),) + world.poas[1:]
+    assert with_floor(3e3, wide).poas[0].bandwidth == 300e9
+    with pytest.raises(ValidationError) as err:
+        with_floor(1e3, wide)
     assert err.value.path == "users[0].required_rate_bps"
 
 

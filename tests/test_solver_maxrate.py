@@ -619,9 +619,9 @@ def test_anneal_with_kept_terms_equals_anneal_without(monkeypatch):
     calls, made = [], []
     original = ch.link_terms
 
-    def spy(link, geom):
+    def spy(link, geom, work=None):
         calls.append(1)
-        return original(link, geom)
+        return original(link, geom, work)
 
     class Recorded(Evaluator):
         def __init__(self, *args, **kwargs):

@@ -49,9 +49,17 @@ the one this script sits in), so the same script measures any commit:
 
   Each repeat runs under one ``SpeedProbe`` of ``perfbench/speed.py``, so
   every layer also gets ``median_ref_s``: its samples in reference-core
-  seconds, each scaled by its repeat's ``ref_seconds(1.0, samples)``. Raw
-  wall time drifts with the host's load between two runs minutes apart;
-  the reference figures are the ones to compare across runs.
+  seconds, each scaled by its repeat's ``ref_seconds(1.0, samples)``, with
+  their quartiles ``q1_ref_s`` and ``q3_ref_s`` beside it, so a change of
+  one layer can be held against its spread. Raw wall time drifts with the
+  host's load between two runs minutes apart; the reference figures are
+  the ones to compare across runs.
+* **Least power sweeps.** Untimed, beside the layers: the sweeps
+  (``radio_metrics._least_watts`` calls) of one ``least_powers`` on CtM's
+  geometry of each of ``SWEEP_WORLDS``' 43 worlds, channels from the
+  placement seed and 10 realizations: per world, their total and the
+  largest. The count varies from world to world, where the one-seed
+  ``reduce_powers_sweeps`` cannot show it.
 
 The layer timings are a second bench path beside perfbench, which cannot
 time these layers yet. Once it can (ROADMAP item 11), they move into
@@ -102,6 +110,16 @@ REALIZATIONS = 10
 MOVES = 24
 #: Kernel calls timed per repeat (per block, per beam).
 KERNEL_CALLS = 5
+
+#: The worlds of the least power sweep counts, (template, users or None
+#: for the built-in's own, seeds): both desk built-ins at seeds 0-11, the
+#: desk templates at more users (two humans per user) at seeds 1-3, and
+#: both paper built-ins at seeds 0-1.
+SWEEP_WORLDS = ([(name, None, range(12)) for name in ("inf-dh-desk", "umi-sc-desk")]
+                + [(name, users, range(1, 4)) for name, users in
+                   (("inf-dh-desk", 30), ("inf-dh-desk", 40), ("inf-dh-desk", 50),
+                    ("umi-sc-desk", 25), ("umi-sc-desk", 30))]
+                + [(name, None, range(2)) for name in ("inf-dh-default", "umi-sc-default")])
 
 #: The built-in worlds and the solvers of the ``cellless run`` rows.
 RUN_WORLDS = ("inf-dh-desk", "umi-sc-desk", "inf-dh-default", "umi-sc-default")
@@ -203,8 +221,17 @@ def _repeat(run, repeats: int) -> dict:
         for name, seconds in got.items():
             raw.setdefault(name, []).append(seconds)
             ref.setdefault(name, []).append(seconds * scale)
+
+    def quartiles(samples):
+        # statistics.quantiles needs two samples before Python 3.13.
+        if len(samples) < 2:
+            return samples * 2
+        q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+        return [q1, q3]
+
     return {name: {"median_s": statistics.median(s), "samples": len(s), "min_s": min(s),
-                   "max_s": max(s), "median_ref_s": statistics.median(ref[name])}
+                   "max_s": max(s), "median_ref_s": statistics.median(ref[name]),
+                   **dict(zip(("q1_ref_s", "q3_ref_s"), quartiles(ref[name])))}
             for name, s in raw.items()}
 
 
@@ -226,6 +253,29 @@ def count_least_watts(fn, *args) -> int:
     finally:
         rm._least_watts = original
     return len(calls)
+
+
+def count_search_sweeps() -> dict:
+    """The sweeps of one ``least_powers`` on CtM's geometry of each world of
+    ``SWEEP_WORLDS``, keyed ``<template>[-<users>]/<seed>``, with their
+    total and the largest; each world's channels and k-means come from its
+    placement seed, at ``REALIZATIONS`` realizations."""
+    from cellless.radio_metrics import Evaluator
+    from cellless.scenario import builtin_template, generate_placements
+    from cellless.solver_ctm import CtmConfig, build_geometry
+
+    counts = {}
+    for name, users, seeds in SWEEP_WORLDS:
+        template = builtin_template(name)
+        if users is not None:
+            template = replace(template, n_users=users, n_humans=2 * users)
+        for seed in seeds:
+            scenario = generate_placements(template, seed)
+            geometry = build_geometry(scenario, CtmConfig(seed=seed))
+            key = f"{name}{'' if users is None else f'-{users}'}/{seed}"
+            counts[key] = count_least_watts(
+                Evaluator(scenario, seed, REALIZATIONS).least_powers, geometry)
+    return {"worlds": counts, "total": sum(counts.values()), "max": max(counts.values())}
 
 
 def time_solver_layers(seed: int, repeats: int) -> dict:
@@ -411,7 +461,8 @@ def main(argv=None) -> int:
                       "repeats": args.repeats},
               "layers": {"solver": time_solver_layers(args.seed, args.repeats),
                          "kernel": time_kernel_layers(args.seed, args.repeats),
-                         "paper": time_paper_layers(args.seed, args.repeats)}}
+                         "paper": time_paper_layers(args.seed, args.repeats)},
+              "least_powers_sweeps": count_search_sweeps()}
     code = 0
     if not args.layers_only:
         record["cellless_run"] = time_cellless_runs(root, args.seed)
