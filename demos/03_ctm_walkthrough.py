@@ -21,24 +21,24 @@ def main():
 
     # Step 1: cluster users (k = total number of beams).
     beams = scenario.all_beams
-    clustering = cluster_users(list(scenario.users), len(beams), cfg)
-    non_empty = [i for i, c in enumerate(clustering.centroids) if c is not None]
+    clusters = cluster_users(list(scenario.users), len(beams), cfg)
     print(f"\nStep 1 - clustering: {len(beams)} beams -> "
-          f"{len(non_empty)} non-empty clusters")
+          f"{sum(1 for users in clusters if users)} non-empty clusters")
 
-    # Step 2: match the non-empty clusters to PoAs by PoA-centroid distance;
-    # each PoA gives its clusters to its beams in order, lowest index first.
-    assignment = match_clusters(clustering, beams, scenario)
-    print("\nStep 2 - matching (beam -> cluster size):")
-    for beam_id in beams[:6]:
-        size = len(clustering.members(assignment[beam_id]))
-        print(f"  {beam_id}: {size} users")
+    # Step 2: match the non-empty clusters to PoAs by the distance from the
+    # PoA to each cluster's aim point, its users' mean position; each PoA
+    # gives its clusters to its beams in order, lowest index first. The
+    # result is the association: a beam id to its users.
+    groups = match_clusters(clusters, beams, scenario)
+    print(f"\nStep 2 - matching: {len(groups)} beams win a cluster (beam -> users):")
+    for beam_id, users in list(groups.items())[:6]:
+        print(f"  {beam_id}: {', '.join(users)}")
     print("  ...")
 
     # Step 3a: steering and widths of that association, all PoAs at maximum
-    # power: each beam serves its cluster's users, steered to its centroid.
-    geometry = geometry_of(scenario, {b: (clustering.members(c), clustering.centroids[c])
-                                      for b, c in assignment.items()})
+    # power: each beam serves its group, steered at its aim point; every
+    # other beam is idle.
+    geometry = geometry_of(scenario, groups)
     print("\nStep 3a - geometry at max power:")
     for b in [b for b in geometry.beams if b.active][:6]:
         print(f"  {b.beam_id}: az {math.degrees(b.azimuth):7.1f} deg, "

@@ -64,15 +64,6 @@ class CtmConfig:
         _check_fields(self)
 
 
-@dataclass(frozen=True)
-class Clustering:
-    assignments: dict          # user id -> cluster index
-    centroids: tuple           # (x, y) per cluster, or None when empty
-
-    def members(self, k):
-        return sorted(u for u, c in self.assignments.items() if c == k)
-
-
 # ---------------------------------------------------------------------------
 # Step 1: clustering
 
@@ -110,40 +101,41 @@ def _kmeans_once(pts, k, rng):
     return labels, centroids, wcss
 
 
-def cluster_users(users, k: int, config: CtmConfig) -> Clustering:
-    """Best of ``KMEANS_RESTARTS`` k-means runs on user (x, y) positions,
-    seeded by ``config.seed``.
+def cluster_users(users, k: int, config: CtmConfig) -> list:
+    """k groups of user ids, each in ``users`` order: the best of
+    ``KMEANS_RESTARTS`` k-means runs on user (x, y) positions, seeded by
+    ``config.seed``.
 
-    When k exceeds the number of users the surplus clusters stay empty
-    (their beams end up disabled).
+    When k exceeds the number of users, distinct points get a group each,
+    duplicates share one and the surplus groups stay empty (their beams end
+    up idle).
     """
     if k < 1:
         raise ValueError("need at least one cluster")
-    if not users:
-        return Clustering({}, tuple(None for _ in range(k)))
-    pts = np.array([[u.position.x, u.position.y] for u in users])
-    n = len(users)
-    rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 0x6B6D]))
+    groups = [[] for _ in range(k)]
+    pts = np.array([[u.position.x, u.position.y] for u in users]).reshape(-1, 2)
+    if k >= len(users):
+        labels = np.unique(pts, axis=0, return_inverse=True)[1]
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 0x6B6D]))
+        best = None
+        for _ in range(KMEANS_RESTARTS):
+            labels, _, wcss = _kmeans_once(pts, k, rng)
+            if best is None or wcss < best[1] - 1e-12:
+                best = (labels, wcss)
+        labels = best[0]
+    # numpy 2.0.0 returns np.unique's inverse as a column; flatten it.
+    for user, label in zip(users, labels.reshape(-1).tolist()):
+        groups[label].append(user.id)
+    return groups
 
-    if k >= n:
-        # Distinct points get singleton clusters; duplicates share one,
-        # surplus clusters stay empty.
-        uniq, labels = np.unique(pts, axis=0, return_inverse=True)
-        centroids = [tuple(uniq[j]) for j in range(len(uniq))] + [None] * (k - len(uniq))
-        assignments = {u.id: int(labels[i]) for i, u in enumerate(users)}
-        return Clustering(assignments, tuple(centroids))
 
-    best = None
-    for _ in range(KMEANS_RESTARTS):
-        labels, centroids, wcss = _kmeans_once(pts, k, rng)
-        if best is None or wcss < best[2] - 1e-12:
-            best = (labels, centroids, wcss)
-    labels, centroids, _ = best
-    assignments = {u.id: int(labels[i]) for i, u in enumerate(users)}
-    cent = tuple(
-        tuple(centroids[j]) if (labels == j).any() else None for j in range(k)
-    )
-    return Clustering(assignments, cent)
+def aim_point(scenario: Scenario, users) -> np.ndarray:
+    """Where a group of users (ids) is priced and steered: the mean of their
+    positions, added in scenario order, as k-means adds a centroid (the
+    mean along axis 0 adds row by row)."""
+    rows = sorted(scenario.index.users[u] for u in users)
+    return np.array([scenario.users[i].position.as_tuple() for i in rows]).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,51 +181,41 @@ def _assign(cost):
     return col4row
 
 
-def match_clusters(clustering: Clustering, beams, scenario: Scenario) -> dict:
-    """Minimum-distance one-to-one beam-to-cluster assignment.
+def match_clusters(clusters, beams, scenario: Scenario) -> dict:
+    """Minimum-distance one-to-one matching of the non-empty clusters (user
+    ids) to beams: ``geometry_of``'s groups, a beam id to its cluster, for
+    each beam that wins one.
 
-    The cost of a beam for a non-empty cluster is the 3-D distance
-    (``departure_angles``) from the beam's PoA to the cluster centroid at
-    one height for every cluster: the mean height of all the clustered
-    users (1.5 m with none). ``beam_geometry`` instead steers each beam to
-    its own users' mean height, so on a world whose users stand at
-    different heights (umi-sc: 0.9 and 1.5 m) the two heights differ.
-
-    Only the non-empty clusters are matched (``_assign``): an empty one
-    costs nothing to any beam, so leaving it out cannot change the
-    optimum. A PoA ``too_close`` to a member of a cluster may not serve
-    it: that pair costs more than all pairs' costs added up, so the
-    matching uses no such pair whenever one without any exists.
+    The cost of a beam for a cluster is the 3-D distance
+    (``departure_angles``) from the beam's PoA to the cluster's
+    ``aim_point``, where ``beam_geometry`` steers it too. An empty cluster
+    would cost nothing to any beam, so leaving it out cannot change the
+    optimum; the beams left over are idle in ``geometry_of``. A PoA
+    ``too_close`` to a member of a cluster may not serve it: that pair costs
+    more than all pairs' costs added up, so the matching uses no such pair
+    whenever one without any exists.
 
     A PoA's beams share its position, panel and power, so the matching
     only decides how many and which clusters each PoA gets. Each PoA then
     hands the clusters it won to its listed beams in ``poa.beams`` order,
-    lowest cluster index first, and its remaining beams take the empty
-    clusters in the same order, PoA by PoA. The result does not depend on
-    the order of ``beams`` or on which of a PoA's tied columns the solver
-    picked. One tie stays the solver's: two PoAs at exactly equal distance
-    from one centroid.
+    lowest cluster index first. The result does not depend on the order of
+    ``beams`` or on which of a PoA's tied columns the solver picked. One
+    tie stays the solver's: two PoAs at exactly equal distance from one
+    aim point.
     """
-    k = len(clustering.centroids)
-    if len(beams) != k:
-        raise ValueError(f"need exactly {k} beams for {k} clusters, got {len(beams)}")
-    users = [scenario.user_by_id(u) for u in clustering.assignments]
-    user_height = float(np.mean([u.position.z for u in users])) if users else 1.5
+    if len(beams) != len(clusters):
+        raise ValueError(f"need one beam per cluster: {len(clusters)} clusters, {len(beams)} beams")
+    filled = [users for users in clusters if users]
     owners = [scenario.beam_owner(b) for b in beams]
-    filled = [ci for ci, c in enumerate(clustering.centroids) if c is not None]
-    centroids = np.array([(*clustering.centroids[ci], user_height) for ci in filled])
-    cost = departure_angles([p.position.as_tuple() for p in owners], centroids.reshape(-1, 1, 3))[2]
+    aims = np.array([aim_point(scenario, users) for users in filled]).reshape(-1, 1, 3)
+    cost = departure_angles([p.position.as_tuple() for p in owners], aims)[2]
     barred = np.zeros((len(filled), len(scenario.poas)), dtype=bool)  # cluster, PoA
-    for user, c in zip(users, clustering.assignments.values()):
-        barred[filled.index(c)] |= [too_close(p, user, scenario) is not None for p in scenario.poas]
+    for row, users in zip(barred, filled):
+        for u in users:
+            row |= [too_close(p, scenario.user_by_id(u), scenario) is not None for p in scenario.poas]
     cost[barred[:, [scenario.index.owners[b] for b in beams]]] = cost.sum() + 1.0
-    listed = set(beams)
-    free = {p.id: iter([b for b in p.beams if b in listed]) for p in scenario.poas}
-    assignment = {next(free[owners[bi].id]): ci for ci, bi in zip(filled, _assign(cost).tolist())}
-    empty = iter(ci for ci, c in enumerate(clustering.centroids) if c is None)
-    for beams_left in free.values():
-        assignment.update((b, next(empty)) for b in beams_left)
-    return assignment
+    free = {p.id: iter([b for b in p.beams if b in beams]) for p in scenario.poas}
+    return {next(free[owners[bi].id]): users for users, bi in zip(filled, _assign(cost).tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -255,22 +237,21 @@ def covering_arc(azimuths):
     return center, width
 
 
-def beam_geometry(poa, served_positions, centroid):
+def beam_geometry(poa, served_positions, aim):
     """(azimuth, zenith, width) of the beam serving ``served_positions``.
 
     The azimuths of the users' links from the PoA (``departure_angles``)
     have a minimal covering arc (which handles the wrap-around across
     +/-pi); it gives the azimuth, its circular midpoint, and the width,
-    floored at the PoA minimum. The zenith points toward the centroid at
-    the users' mean height.
+    floored at the PoA minimum. The zenith points toward ``aim``, the
+    users' ``aim_point``.
     """
     if not served_positions:
         raise ValueError("cannot steer a beam with no served users")
     origin = poa.position.as_tuple()
     azimuths = departure_angles(origin, [p.as_tuple() for p in served_positions])[1]
     phi, width = covering_arc(azimuths)
-    cz = float(np.mean([pos.z for pos in served_positions]))
-    theta = float(departure_angles(origin, (centroid[0], centroid[1], cz))[0])
+    theta = float(departure_angles(origin, aim)[0])
     return phi, theta, max(poa.min_beam_width, width)
 
 
@@ -278,17 +259,17 @@ def geometry_of(scenario: Scenario, groups) -> SolutionState:
     """Every beam of ``scenario.all_beams``, in that order, with every PoA
     at its maximum power: the one rule from an association to beams.
 
-    ``groups`` maps a beam id to (user ids, centroid (x, y)). A beam with a
-    group serves its users, sorted, and ``beam_geometry`` steers it; every
+    ``groups`` maps a beam id to user ids. A beam with a group serves its
+    users, and ``beam_geometry`` steers it at their ``aim_point``; every
     other beam is idle: azimuth 0, zenith pi/2, its PoA's minimum width and
     no users.
     """
     beam_configs = []
     for beam_id in scenario.all_beams:
         poa = scenario.beam_owner(beam_id)
-        users, centroid = groups.get(beam_id, ((), None))
-        users = sorted(users)
-        steering = (beam_geometry(poa, [scenario.user_by_id(u).position for u in users], centroid)
+        users = groups.get(beam_id, ())
+        steering = (beam_geometry(poa, [scenario.user_by_id(u).position for u in users],
+                                  aim_point(scenario, users))
                     if users else (0.0, math.pi / 2.0, poa.min_beam_width))
         beam_configs.append(BeamConfig(beam_id, poa.id, *steering, frozenset(users)))
     tx_power = {p.id: p.max_tx_power_dbm for p in scenario.poas}
@@ -299,10 +280,8 @@ def build_geometry(scenario: Scenario, config: CtmConfig) -> SolutionState:
     """CtM steps 1-2 (``cluster_users``, then ``match_clusters``) and the
     beams of that association (``geometry_of``): all PoAs at max power."""
     beams = scenario.all_beams
-    clustering = cluster_users(list(scenario.users), len(beams), config)
-    assignment = match_clusters(clustering, beams, scenario)
-    return geometry_of(scenario, {b: (clustering.members(c), clustering.centroids[c])
-                                  for b, c in assignment.items()})
+    clusters = cluster_users(list(scenario.users), len(beams), config)
+    return geometry_of(scenario, match_clusters(clusters, beams, scenario))
 
 
 def reduce_powers(solution: SolutionState, evaluator: Evaluator):

@@ -23,7 +23,7 @@ from cellless.radio_metrics import ROUND_UP_DB, Evaluator, evaluate
 from cellless.scenario import (Position3D, Scenario, builtin_scenario,
                                builtin_template, generate_placements)
 from cellless.scenario import EndUser, PoA
-from cellless.solver_ctm import (Clustering, CtmConfig,
+from cellless.solver_ctm import (CtmConfig,
                                  NoFeasibleSolutionError, beam_geometry,
                                  cluster_users, match_clusters, solve_ctm)
 from cellless.solver_maxrate import AnnealConfig, solve_maxrate
@@ -109,13 +109,14 @@ def _matching_instance(rng, n):
             min_beam_width=0.05, panel_rows=4, panel_cols=4,
             mech_azimuth=0.0, beams=(f"p{i}-b0",), element_pattern=ISOTROPIC)
         for i in range(n))
-    scenario = Scenario(
+    # One 1.5 m user per cluster, so that its aim point is the drawn centroid.
+    users = tuple(EndUser(f"u{i}", Position3D(float(x), float(y), 1.5), 1e6)
+                  for i, (x, y) in enumerate(rng.uniform(0, 50, (n, 2))))
+    return Scenario(
         kind="InF-DH", bounds=(50.0, 50.0, 8.0),
-        poas=poas, users=(), humans=(), phantoms={},
+        poas=poas, users=users, humans=(), phantoms={},
         sar_limit=0.08, channel_params=ChannelParams(),
         frequency_map=FrequencyMap({5e9: 5e9}))
-    centroids = tuple((float(x), float(y)) for x, y in rng.uniform(0, 50, (n, 2)))
-    return scenario, Clustering({}, centroids)
 
 
 def test_criterion_04_hungarian_oracle():
@@ -123,14 +124,15 @@ def test_criterion_04_hungarian_oracle():
     ok = True
     for n in range(2, 8):
         for _ in range(200):
-            scenario, clustering = _matching_instance(rng, n)
+            scenario = _matching_instance(rng, n)
             beams = scenario.all_beams
+            clusters = [[u.id] for u in scenario.users]
             cost = np.array([
-                [math.dist((c[0], c[1], 1.5), p.position.as_tuple())
+                [math.dist((u.position.x, u.position.y, 1.5), p.position.as_tuple())
                  for p in scenario.poas]
-                for c in clustering.centroids])
-            assignment = match_clusters(clustering, beams, scenario)
-            got = sum(cost[ci, beams.index(b)] for b, ci in assignment.items())
+                for u in scenario.users])
+            groups = match_clusters(clusters, beams, scenario)
+            got = sum(cost[clusters.index(users), beams.index(b)] for b, users in groups.items())
             best = min(sum(cost[i, perm[i]] for i in range(n))
                        for perm in itertools.permutations(range(n)))
             ok = ok and abs(got - best) <= 1e-9 * max(1.0, best)
@@ -168,7 +170,7 @@ def test_criterion_05_beamwidth_oracle():
         positions = [Position3D(radius * math.cos(a), radius * math.sin(a), 1.5)
                      for a in az]
         want = max(poa.min_beam_width, _arc_oracle(list(az)))
-        _, _, got = beam_geometry(poa, positions, (0.0, 0.0))
+        _, _, got = beam_geometry(poa, positions, (0.0, 0.0, 1.5))
         ok = ok and abs(got - want) <= 1e-9
     verdict(5, "beamwidth-oracle", ok)
 
@@ -213,11 +215,9 @@ def test_criterion_07_kmeans_oracle():
         pts = rng.uniform(0.0, 20.0, (6, 2))
         users = [EndUser(f"u{i}", Position3D(float(x), float(y), 1.5), 1e6)
                  for i, (x, y) in enumerate(pts)]
-        c = cluster_users(users, 2, CtmConfig(seed=trial))
-        wcss = sum(
-            (u.position.x - c.centroids[c.assignments[u.id]][0]) ** 2
-            + (u.position.y - c.centroids[c.assignments[u.id]][1]) ** 2
-            for u in users)
+        groups = cluster_users(users, 2, CtmConfig(seed=trial))
+        members = [pts[[int(uid[1:]) for uid in group]] for group in groups if group]
+        wcss = sum(((m - m.mean(axis=0)) ** 2).sum() for m in members)
         if wcss <= _exhaustive_wcss(pts, 2) + 1e-9:
             hits += 1
     print(f"  {hits}/100 instances matched the exhaustive optimum")
